@@ -10,14 +10,39 @@
 //!
 //! Training runs thousands of short-lived tapes, and profiling showed the
 //! dominant cost after kernel time is allocator churn: every op allocates its
-//! output, every backward allocates adjoints. The tape therefore owns a free
-//! list of `Vec<f32>` buffers. [`Graph::reset`] clears the tape for reuse but
-//! harvests every node's value/grad (and fused-op scratch) into the free
-//! list, so a tape that has processed one sample replays the next one with
-//! **zero** heap allocation in steady state. Reuse is numerically inert:
-//! pooled buffers are fully overwritten (or zero-filled) before use, so a
-//! reused tape produces bit-identical values and gradients to a fresh one —
-//! a property the proptests pin down.
+//! output, every backward allocates adjoints. The tape therefore owns one
+//! [`BufPool`] of `f32` buffers (and one of index buffers) and every
+//! allocation on the forward / backward / bind path goes through its doors:
+//! out through `pool_matrix` (zeroed) and `pool_matrix_scratch` (arbitrary
+//! contents, for targets that are fully overwritten), back through
+//! `pool_recycle` (mid-cycle, only for what those two handed out) and, at
+//! `reset`, `pool_harvest` (any origin). The contract, pinned by
+//! `tests/tape_pool_soak.rs` and the crate's proptests:
+//!
+//! - **Classes.** Free lists are keyed by power-of-two capacity. A request
+//!   pops from class `⌈log₂ len⌉` (a **miss** allocates exactly that class's
+//!   capacity and is counted in [`Graph::pool_misses`]); a returned buffer is
+//!   filed under `⌊log₂ capacity⌋`. A popped buffer therefore always fits and
+//!   shaping it never reallocates or copies stale contents.
+//! - **Bound.** A class parks at most as many buffers as it ever had live at
+//!   once between two [`Graph::reset`]s; anything returned beyond that is
+//!   freed. Zero-capacity vectors (the placeholders in-place inference leaves
+//!   behind stolen states) are never parked.
+//! - **Adoption.** [`Graph::reset`] harvests every node's value, gradient and
+//!   fused-op scratch. Buffers it meets for the first time — matrices a
+//!   caller allocated and handed to [`Graph::param`] / [`Graph::constant`] —
+//!   are parked under the same bound, so a caller that keeps feeding foreign
+//!   buffers cannot grow the pool. Adoption never lowers a class's live
+//!   count, so a foreign buffer cannot hide a pooled one that is still out.
+//!
+//! Once a tape has seen every shape of its workload it allocates nothing per
+//! cycle beyond small bookkeeping (shard task lists, the boxed saved-state
+//! record of a fused GRU node): [`Graph::pooled_buffers`] and
+//! [`Graph::pooled_bytes`] stop moving and [`Graph::pool_misses`] stays
+//! flat, in inference and in training. Reuse is numerically inert: pooled
+//! buffers are fully overwritten (or zero-filled) before use, so a reused
+//! tape produces bit-identical values and gradients to a fresh one, whatever
+//! shapes it ran before.
 //!
 //! ## Fused ops
 //!
@@ -29,6 +54,7 @@
 //! primitive ops remain — tests use them as the numerical reference.
 
 use crate::activations as act;
+use crate::bufpool::BufPool;
 use crate::index::{IndexInput, IndexList, SharedIndices};
 use rayon::WorkerPool;
 use rn_tensor::simd::activations as vact;
@@ -162,7 +188,7 @@ impl OpShards {
         self.active.len().saturating_sub(1)
     }
 
-    fn capture(idx_pool: &mut Vec<Vec<usize>>, copied: &mut u64, split: &ShardSplit<'_>) -> Self {
+    fn capture(idx_pool: &mut BufPool<usize>, copied: &mut u64, split: &ShardSplit<'_>) -> Self {
         Self {
             active: intern_indices(idx_pool, copied, &split.active),
             dense: intern_indices(idx_pool, copied, &split.dense),
@@ -170,7 +196,7 @@ impl OpShards {
         }
     }
 
-    fn recycle(self, idx_pool: &mut Vec<Vec<usize>>) {
+    fn recycle(self, idx_pool: &mut BufPool<usize>) {
         recycle_index(idx_pool, self.active);
         recycle_index(idx_pool, self.dense);
         recycle_index(idx_pool, self.entity);
@@ -221,7 +247,7 @@ fn validate_split(
 /// bounds array: every row is active, so there is no separate active/entity
 /// indirection like the [`ShardSplit`] of the compacted message-passing ops.
 fn capture_dense_shards(
-    idx_pool: &mut Vec<Vec<usize>>,
+    idx_pool: &mut BufPool<usize>,
     copied: &mut u64,
     bounds: Option<&IndexInput<'_>>,
     rows: usize,
@@ -416,7 +442,9 @@ pub(crate) enum Op {
         vars: GruVars,
         h: Var,
         x: Var,
-        saved: Box<GruSaved>,
+        /// Saved-for-backward activations; `None` on nodes recorded in
+        /// inference mode, which recycle them as soon as the value exists.
+        saved: Option<Box<GruSaved>>,
     },
     /// Row-compacted GRU step: only `rows` advance; all other rows of `h`
     /// pass through untouched. `x` is already compacted (`rows.len()` rows).
@@ -425,7 +453,9 @@ pub(crate) enum Op {
         h: Var,
         x: Var,
         rows: IndexList,
-        saved: Box<GruSaved>,
+        /// Saved-for-backward activations; `None` on nodes recorded in
+        /// inference mode, which recycle them as soon as the value exists.
+        saved: Option<Box<GruSaved>>,
         /// Megabatch shard layout (`active` splits `rows`; `dense` bounds
         /// the rows of `h`). When present, the adjoint accumulates the GRU
         /// parameter gradients as per-shard partials merged in shard order —
@@ -460,10 +490,14 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    /// Free list of recycled backing buffers (see module docs).
-    pool: Vec<Vec<f32>>,
-    /// Free list of recycled index buffers (gather/scatter id lists).
-    idx_pool: Vec<Vec<usize>>,
+    /// Recycled backing buffers (see module docs).
+    pool: BufPool<f32>,
+    /// Recycled index buffers (gather/scatter id lists).
+    idx_pool: BufPool<usize>,
+    /// The backward sweep's per-node pending-gradient slots, kept between
+    /// calls so a warm tape does not reallocate them (always empty outside
+    /// [`Graph::backward`]).
+    grad_slots: Vec<Option<Matrix>>,
     /// Seed-faithful reference mode: primitive matmul/activation ops run the
     /// pre-refactor naive kernels and libm transcendentals. Used as the
     /// "before" side of the training-step benchmark and by equivalence tests.
@@ -501,68 +535,55 @@ pub struct Graph {
     identity: Option<Arc<[usize]>>,
 }
 
-/// Pop a recycled buffer (or allocate) and shape it into a zeroed matrix.
-fn pool_matrix(pool: &mut Vec<Vec<f32>>, rows: usize, cols: usize) -> Matrix {
+/// Take a pooled buffer and shape it into a zeroed matrix.
+fn pool_matrix(pool: &mut BufPool<f32>, rows: usize, cols: usize) -> Matrix {
     let len = rows * cols;
-    let mut buf = pool.pop().unwrap_or_default();
+    let mut buf = pool.take(len);
     buf.clear();
     buf.resize(len, 0.0);
     Matrix::from_vec(rows, cols, buf)
 }
 
-/// Pop a recycled buffer and shape it into a matrix of **arbitrary
+/// Take a pooled buffer and shape it into a matrix of **arbitrary
 /// contents** — for scratch every element of which is overwritten before it
 /// is read (gathered/copied/matmul-`into` targets). Skipping the zero fill
 /// is a measurable win: the fused hot loop shapes several such buffers per
-/// tape node.
-fn pool_matrix_scratch(pool: &mut Vec<Vec<f32>>, rows: usize, cols: usize) -> Matrix {
+/// tape node. The buffer's capacity covers `len`, so `resize` only trims it
+/// or zero-fills the tail past the stale prefix; it never reallocates.
+fn pool_matrix_scratch(pool: &mut BufPool<f32>, rows: usize, cols: usize) -> Matrix {
     let len = rows * cols;
-    let mut buf = pool.pop().unwrap_or_default();
-    if buf.len() > len {
-        buf.truncate(len);
-    } else {
-        buf.resize(len, 0.0);
-    }
+    let mut buf = pool.take(len);
+    buf.resize(len, 0.0);
     Matrix::from_vec(rows, cols, buf)
 }
 
-/// Return a matrix's backing buffer to the free list.
-fn pool_recycle(pool: &mut Vec<Vec<f32>>, m: Matrix) {
-    pool.push(m.into_vec());
+/// Return a matrix shaped by `pool_matrix` / `pool_matrix_scratch` in this
+/// cycle to the pool. Matrices of any other origin go through
+/// `pool_harvest`: a foreign buffer returned here would lower the class's
+/// live count while pooled buffers are still out.
+fn pool_recycle(pool: &mut BufPool<f32>, m: Matrix) {
+    pool.put(m.into_vec());
 }
 
-impl GruSaved {
-    /// The post-discard placeholder inference mode stores on the node: every
-    /// matrix empty, nothing resident.
-    fn discarded() -> Self {
-        Self {
-            hx: Matrix::zeros(0, 0),
-            rhx: Matrix::zeros(0, 0),
-            z: Matrix::zeros(0, 0),
-            r: Matrix::zeros(0, 0),
-            c: Matrix::zeros(0, 0),
-            mask: None,
-        }
+/// Hand a matrix of unknown origin (a node's value or gradient at `reset`,
+/// possibly allocated by the caller) to the pool, which keeps it while the
+/// class is under its bound.
+fn pool_harvest(pool: &mut BufPool<f32>, m: Matrix) {
+    pool.adopt(m.into_vec());
+}
+
+/// Hand a fused GRU node's saved activations to the pool at `reset`.
+fn harvest_gru_saved(pool: &mut BufPool<f32>, s: GruSaved) {
+    for m in [s.hx, s.rhx, s.z, s.r, s.c].into_iter().chain(s.mask) {
+        pool_harvest(pool, m);
     }
 }
 
-/// Return a fused GRU node's saved activations to the free list.
-fn recycle_gru_saved(pool: &mut Vec<Vec<f32>>, s: GruSaved) {
-    pool_recycle(pool, s.hx);
-    pool_recycle(pool, s.rhx);
-    pool_recycle(pool, s.z);
-    pool_recycle(pool, s.r);
-    pool_recycle(pool, s.c);
-    if let Some(m) = s.mask {
-        pool_recycle(pool, m);
-    }
-}
-
-/// Copy an index slice into a recycled buffer (or a fresh one), counting the
-/// copied words into the tape's traffic counter.
-fn pool_indices(pool: &mut Vec<Vec<usize>>, copied: &mut u64, src: &[usize]) -> Vec<usize> {
+/// Copy an index slice into a pooled buffer, counting the copied words into
+/// the tape's traffic counter.
+fn pool_indices(pool: &mut BufPool<usize>, copied: &mut u64, src: &[usize]) -> Vec<usize> {
     *copied += src.len() as u64;
-    let mut v = pool.pop().unwrap_or_default();
+    let mut v = pool.take(src.len());
     v.clear();
     v.extend_from_slice(src);
     v
@@ -571,7 +592,7 @@ fn pool_indices(pool: &mut Vec<Vec<usize>>, copied: &mut u64, src: &[usize]) -> 
 /// Record an index input on the tape: copy a borrowed slice into a pooled
 /// buffer, or store a shared view as-is (zero words copied).
 fn intern_indices(
-    pool: &mut Vec<Vec<usize>>,
+    pool: &mut BufPool<usize>,
     copied: &mut u64,
     input: &IndexInput<'_>,
 ) -> IndexList {
@@ -581,11 +602,11 @@ fn intern_indices(
     }
 }
 
-/// Return a recorded index list to the free list (pooled copies only; shared
-/// views are just dropped).
-fn recycle_index(idx_pool: &mut Vec<Vec<usize>>, list: IndexList) {
+/// Hand a node's recorded index list to the pool at `reset` (pooled copies
+/// only; shared views are just dropped).
+fn recycle_index(idx_pool: &mut BufPool<usize>, list: IndexList) {
     if let IndexList::Pooled(v) = list {
-        idx_pool.push(v);
+        idx_pool.adopt(v);
     }
 }
 
@@ -610,7 +631,7 @@ fn add_col_sums(bias_grad: &mut Matrix, src: &Matrix) {
 /// in the same order either way, so the two paths are bitwise identical.
 #[allow(clippy::too_many_arguments)]
 fn gate_matmuls(
-    pool: &mut Vec<Vec<f32>>,
+    pool: &mut BufPool<f32>,
     hx: &Matrix,
     w_z: &Matrix,
     w_r: &Matrix,
@@ -800,7 +821,7 @@ impl GruBwdScratch {
     /// to the free list. The single field list both backward branches
     /// recycle through, so adding a field to this struct cannot leak on
     /// one branch only.
-    fn recycle(self, pool: &mut Vec<Vec<f32>>) {
+    fn recycle(self, pool: &mut BufPool<f32>) {
         for m in [
             self.gm, self.gz, self.gc, self.gr, self.g_rhx, self.g_hx, self.pw_z, self.pb_z,
             self.pw_r, self.pb_r, self.pw_c, self.pb_c,
@@ -1027,6 +1048,50 @@ fn gru_rows_backward_shard(ctx: &GruRowsBwdCtx<'_>, t: &mut GruRowsBwdTask<'_>) 
     }
 }
 
+/// `out[i] = f(x[i])` in a pooled buffer — [`Matrix::map`]'s arithmetic,
+/// element for element, without its allocation.
+fn pooled_map(pool: &mut BufPool<f32>, x: &Matrix, f: impl Fn(f32) -> f32) -> Matrix {
+    let mut out = pool_matrix_scratch(pool, x.rows(), x.cols());
+    for (o, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
+        *o = f(v);
+    }
+    out
+}
+
+/// `out[i] = f(a[i], b[i])` in a pooled buffer — the pooled [`Matrix::zip`].
+fn pooled_zip(
+    pool: &mut BufPool<f32>,
+    a: &Matrix,
+    b: &Matrix,
+    f: impl Fn(f32, f32) -> f32,
+) -> Matrix {
+    assert_eq!(a.shape(), b.shape(), "element-wise op: shape mismatch");
+    let mut out = pool_matrix_scratch(pool, a.rows(), a.cols());
+    for ((o, &x), &y) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(a.as_slice())
+        .zip(b.as_slice())
+    {
+        *o = f(x, y);
+    }
+    out
+}
+
+/// A copy of `src` in a pooled buffer (bits match `src.clone()`).
+fn pooled_copy(pool: &mut BufPool<f32>, src: &Matrix) -> Matrix {
+    let mut out = pool_matrix_scratch(pool, src.rows(), src.cols());
+    out.as_mut_slice().copy_from_slice(src.as_slice());
+    out
+}
+
+/// A pooled `rows x cols` matrix with every element `value`.
+fn pooled_filled(pool: &mut BufPool<f32>, rows: usize, cols: usize, value: f32) -> Matrix {
+    let mut out = pool_matrix_scratch(pool, rows, cols);
+    out.as_mut_slice().fill(value);
+    out
+}
+
 /// Copy `[left_row | right_row]` into each row of `out`.
 fn concat_rows_into(out: &mut Matrix, left: &Matrix, right: &Matrix) {
     let (n, lc, rc) = (left.rows(), left.cols(), right.cols());
@@ -1063,10 +1128,24 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Number of buffers currently parked in the free list (observability
-    /// for tests and benchmarks).
+    /// Number of `f32` buffers currently parked in the pool (observability
+    /// for tests and benchmarks). Flat from cycle to cycle on a warm tape.
     pub fn pooled_buffers(&self) -> usize {
-        self.pool.len()
+        self.pool.parked()
+    }
+
+    /// Bytes of capacity currently parked in the tape's pools (`f32` and
+    /// index buffers): the memory a reset tape holds on to. Bounded by the
+    /// working set of the largest cycle the tape has run.
+    pub fn pooled_bytes(&self) -> usize {
+        self.pool.parked_bytes() + self.idx_pool.parked_bytes()
+    }
+
+    /// Cumulative count of fresh allocations the tape's pools have made
+    /// (requests no parked buffer could serve). Never cleared; flat once
+    /// the tape has seen every shape of its workload.
+    pub fn pool_misses(&self) -> u64 {
+        self.pool.misses() + self.idx_pool.misses()
     }
 
     /// Switch the primitive ops to the pre-refactor kernels (naive matmul,
@@ -1156,23 +1235,25 @@ impl Graph {
         SharedIndices::new(self.identity.clone().expect("identity grown"), 0, n)
     }
 
-    /// Clear the tape for reuse, retaining every allocation.
+    /// Clear the tape for reuse and end the pool's cycle.
     ///
     /// All `Var` handles from before the reset become invalid. Node values,
-    /// gradients and fused-op scratch matrices are harvested into the free
-    /// list, so the next forward/backward replays allocation-free once the
-    /// pool has warmed up. A reset tape computes bit-identical results to a
-    /// fresh one (pooled buffers are fully overwritten before use).
+    /// gradients and fused-op scratch matrices are harvested into the pool —
+    /// each class up to its bound, the rest freed (see the module docs) — so
+    /// the next forward/backward of any shape the tape has run before takes
+    /// every buffer from the pool. A reset tape computes bit-identical
+    /// results to a fresh one (pooled buffers are fully overwritten before
+    /// use).
     pub fn reset(&mut self) {
         let pool = &mut self.pool;
         let idx_pool = &mut self.idx_pool;
         for node in self.nodes.drain(..) {
-            pool_recycle(pool, node.value);
+            pool_harvest(pool, node.value);
             if let Some(g) = node.grad {
-                pool_recycle(pool, g);
+                pool_harvest(pool, g);
             }
             match node.op {
-                Op::MaskRows { mask, .. } => pool_recycle(pool, mask),
+                Op::MaskRows { mask, .. } => pool_harvest(pool, mask),
                 Op::MatMul {
                     shards: Some(s), ..
                 }
@@ -1192,11 +1273,11 @@ impl Graph {
                 }
                 Op::SegmentSum { segments, .. } => recycle_index(idx_pool, segments),
                 Op::GatherMask { mask, indices, .. } => {
-                    pool_recycle(pool, mask);
+                    pool_harvest(pool, mask);
                     recycle_index(idx_pool, indices);
                 }
                 Op::SegmentAcc { mask, segments, .. } => {
-                    pool_recycle(pool, mask);
+                    pool_harvest(pool, mask);
                     recycle_index(idx_pool, segments);
                 }
                 Op::SegmentAccRows {
@@ -1211,9 +1292,9 @@ impl Graph {
                         s.recycle(idx_pool);
                     }
                 }
-                Op::GruStep { saved, .. } => {
-                    recycle_gru_saved(pool, *saved);
-                }
+                Op::GruStep {
+                    saved: Some(saved), ..
+                } => harvest_gru_saved(pool, *saved),
                 Op::GruStepRows {
                     rows,
                     saved,
@@ -1221,7 +1302,9 @@ impl Graph {
                     ..
                 } => {
                     recycle_index(idx_pool, rows);
-                    recycle_gru_saved(pool, *saved);
+                    if let Some(saved) = saved {
+                        harvest_gru_saved(pool, *saved);
+                    }
                     if let Some(s) = shards {
                         s.recycle(idx_pool);
                     }
@@ -1229,6 +1312,8 @@ impl Graph {
                 _ => {}
             }
         }
+        pool.end_cycle();
+        idx_pool.end_cycle();
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> Var {
@@ -1279,8 +1364,16 @@ impl Graph {
         self.constant(m)
     }
 
+    /// Register a differentiable leaf holding a copy of `src`, built in a
+    /// pooled buffer — how layers bind their parameters each step without
+    /// allocating (bits match `param(src.clone())` exactly).
+    pub fn param_copy(&mut self, src: &Matrix) -> Var {
+        let m = pooled_copy(&mut self.pool, src);
+        self.param(m)
+    }
+
     /// Register a non-differentiable leaf holding a copy of `src`, built in
-    /// a pooled (allocation-free once warm) buffer.
+    /// a pooled buffer.
     ///
     /// This is how a forward pass binds **float** state from a borrowed plan
     /// (a cached megabatch composition shared behind an `Arc`): the tape
@@ -1289,8 +1382,7 @@ impl Graph {
     /// the tape's *index* lists, which zero-copy mode records as refcounted
     /// [`SharedIndices`] views precisely because no op ever mutates them.
     pub fn constant_copy(&mut self, src: &Matrix) -> Var {
-        let mut m = pool_matrix_scratch(&mut self.pool, src.rows(), src.cols());
-        m.as_mut_slice().copy_from_slice(src.as_slice());
+        let m = pooled_copy(&mut self.pool, src);
         self.constant(m)
     }
 
@@ -1312,13 +1404,15 @@ impl Graph {
 
     /// Element-wise sum. Shapes must match.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).add(self.value(b));
+        let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let v = pooled_zip(&mut self.pool, av, bv, |x, y| x + y);
         self.push(v, Op::Add(a, b))
     }
 
     /// Element-wise difference. Shapes must match.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).sub(self.value(b));
+        let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let v = pooled_zip(&mut self.pool, av, bv, |x, y| x - y);
         self.push(v, Op::Sub(a, b))
     }
 
@@ -1449,15 +1543,16 @@ impl Graph {
                 self.push(out, Op::AddBias { x, bias, shards })
             }
             None => {
-                let v = self.value(x).add_row_broadcast(self.value(bias));
-                self.push(v, Op::AddBias { x, bias, shards })
+                let mut out = pooled_copy(&mut self.pool, &self.nodes[x.0].value);
+                out.add_row_broadcast_assign(&self.nodes[bias.0].value);
+                self.push(out, Op::AddBias { x, bias, shards })
             }
         }
     }
 
     /// Element-wise affine map `a * x + b`.
     pub fn affine(&mut self, x: Var, a: f32, b: f32) -> Var {
-        let v = self.value(x).map(|t| a * t + b);
+        let v = pooled_map(&mut self.pool, &self.nodes[x.0].value, |t| a * t + b);
         self.push(v, Op::Affine { x, a })
     }
 
@@ -1510,7 +1605,7 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(act::relu);
+        let v = pooled_map(&mut self.pool, &self.nodes[x.0].value, act::relu);
         self.push(v, Op::Relu(x))
     }
 
@@ -1572,26 +1667,26 @@ impl Graph {
 
     /// Softplus `ln(1+e^x)`.
     pub fn softplus(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(act::softplus);
+        let v = pooled_map(&mut self.pool, &self.nodes[x.0].value, act::softplus);
         self.push(v, Op::Softplus(x))
     }
 
     /// Element-wise absolute value.
     pub fn abs(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(f32::abs);
+        let v = pooled_map(&mut self.pool, &self.nodes[x.0].value, f32::abs);
         self.push(v, Op::Abs(x))
     }
 
     /// Element-wise square.
     pub fn square(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(|t| t * t);
+        let v = pooled_map(&mut self.pool, &self.nodes[x.0].value, |t| t * t);
         self.push(v, Op::Square(x))
     }
 
     /// Element-wise `min(x, cap)`. Gradient flows only where `x < cap`
     /// (the tie at `x == cap` takes the pass-through branch).
     pub fn clamp_max(&mut self, x: Var, cap: f32) -> Var {
-        let v = self.value(x).map(|t| t.min(cap));
+        let v = pooled_map(&mut self.pool, &self.nodes[x.0].value, |t| t.min(cap));
         self.push(v, Op::ClampMax { x, cap })
     }
 
@@ -1688,7 +1783,9 @@ impl Graph {
     /// Segment sum: `out[segments[i]] += x[i]` with `num_segments` output rows.
     /// This is RouteNet's message aggregation (paths → links, paths → nodes).
     pub fn segment_sum(&mut self, x: Var, segments: &[usize], num_segments: usize) -> Var {
-        let v = self.value(x).segment_sum(segments, num_segments);
+        let xv = &self.nodes[x.0].value;
+        let mut v = pool_matrix(&mut self.pool, num_segments, xv.cols());
+        xv.segment_sum_into(segments, &mut v);
         let segments = IndexList::Pooled(pool_indices(
             &mut self.idx_pool,
             &mut self.idx_copied,
@@ -1700,14 +1797,10 @@ impl Graph {
     /// Multiply each row of `x` by the matching entry of the constant `n x 1`
     /// mask matrix (used to zero padded sequence positions).
     pub fn mask_rows(&mut self, x: Var, mask: &Matrix) -> Var {
-        let v = self.value(x).mul_col_broadcast(mask);
-        self.push(
-            v,
-            Op::MaskRows {
-                x,
-                mask: mask.clone(),
-            },
-        )
+        let mut v = pooled_copy(&mut self.pool, &self.nodes[x.0].value);
+        v.mul_col_broadcast_assign(mask);
+        let mask = pooled_copy(&mut self.pool, mask);
+        self.push(v, Op::MaskRows { x, mask })
     }
 
     // ------------------------------------------------------------------
@@ -1739,8 +1832,7 @@ impl Graph {
                 *d = m * s;
             }
         }
-        let mut mask_copy = pool_matrix_scratch(&mut pool, mask.rows(), 1);
-        mask_copy.as_mut_slice().copy_from_slice(mask.as_slice());
+        let mask_copy = pooled_copy(&mut pool, mask);
         self.pool = pool;
         let indices = IndexList::Pooled(pool_indices(
             &mut self.idx_pool,
@@ -1789,8 +1881,7 @@ impl Graph {
                 *d += m * v;
             }
         }
-        let mut mask_copy = pool_matrix_scratch(&mut pool, mask.rows(), 1);
-        mask_copy.as_mut_slice().copy_from_slice(mask.as_slice());
+        let mask_copy = pooled_copy(&mut pool, mask);
         self.pool = pool;
         let segments = IndexList::Pooled(pool_indices(
             &mut self.idx_pool,
@@ -2042,12 +2133,6 @@ impl Graph {
         };
 
         {
-            let full_active = [0, a];
-            let full_dense = [0, n];
-            let (active_bounds, dense_bounds): (&[usize], &[usize]) = match &shards {
-                Some(s) => (&s.active, &s.dense),
-                None => (&full_active, &full_dense),
-            };
             let ctx = GruRowsFwdCtx {
                 hv: (!inplace).then(|| self.value(h).as_slice()),
                 xv: self.value(x).as_slice(),
@@ -2062,46 +2147,68 @@ impl Graph {
                 hidden,
                 input,
             };
-            let mut hx_it = hx.row_blocks_mut(active_bounds).into_iter();
-            let mut z_it = z.row_blocks_mut(active_bounds).into_iter();
-            let mut r_it = r.row_blocks_mut(active_bounds).into_iter();
-            let mut rhx_it = rhx.row_blocks_mut(active_bounds).into_iter();
-            let mut c_it = c.row_blocks_mut(active_bounds).into_iter();
-            let zr_blocks: Vec<Option<&mut [f32]>> = match zr.as_mut() {
-                Some(m) => m
-                    .row_blocks_mut(active_bounds)
-                    .into_iter()
-                    .map(Some)
-                    .collect(),
-                None => active_bounds.windows(2).map(|_| None).collect(),
-            };
-            let mut zr_it = zr_blocks.into_iter();
-            let mut tasks: Vec<GruRowsFwdTask> = out
-                .row_blocks_mut(dense_bounds)
-                .into_iter()
-                .enumerate()
-                .map(|(s, out_block)| GruRowsFwdTask {
-                    k_lo: active_bounds[s],
-                    k_hi: active_bounds[s + 1],
-                    p_lo: dense_bounds[s],
-                    hx: hx_it.next().expect("hx block"),
-                    zr: zr_it.next().expect("zr block"),
-                    z: z_it.next().expect("z block"),
-                    r: r_it.next().expect("r block"),
-                    rhx: rhx_it.next().expect("rhx block"),
-                    c: c_it.next().expect("c block"),
-                    out: out_block,
-                })
-                .collect();
-            run_shard_tasks(
-                pool_if_worth(
-                    &self.worker_pool,
-                    self.par_threshold(),
-                    a * (hidden + input) * 6,
+            match &shards {
+                // One shard: the whole buffers are its blocks — no block
+                // lists, no task list, nothing to fan out.
+                None => gru_rows_forward_shard(
+                    &ctx,
+                    &mut GruRowsFwdTask {
+                        k_lo: 0,
+                        k_hi: a,
+                        p_lo: 0,
+                        hx: hx.as_mut_slice(),
+                        zr: zr.as_mut().map(Matrix::as_mut_slice),
+                        z: z.as_mut_slice(),
+                        r: r.as_mut_slice(),
+                        rhx: rhx.as_mut_slice(),
+                        c: c.as_mut_slice(),
+                        out: out.as_mut_slice(),
+                    },
                 ),
-                &mut tasks,
-                |t| gru_rows_forward_shard(&ctx, t),
-            );
+                Some(s) => {
+                    let (active_bounds, dense_bounds): (&[usize], &[usize]) = (&s.active, &s.dense);
+                    let mut hx_it = hx.row_blocks_mut(active_bounds).into_iter();
+                    let mut z_it = z.row_blocks_mut(active_bounds).into_iter();
+                    let mut r_it = r.row_blocks_mut(active_bounds).into_iter();
+                    let mut rhx_it = rhx.row_blocks_mut(active_bounds).into_iter();
+                    let mut c_it = c.row_blocks_mut(active_bounds).into_iter();
+                    let zr_blocks: Vec<Option<&mut [f32]>> = match zr.as_mut() {
+                        Some(m) => m
+                            .row_blocks_mut(active_bounds)
+                            .into_iter()
+                            .map(Some)
+                            .collect(),
+                        None => active_bounds.windows(2).map(|_| None).collect(),
+                    };
+                    let mut zr_it = zr_blocks.into_iter();
+                    let mut tasks: Vec<GruRowsFwdTask> = out
+                        .row_blocks_mut(dense_bounds)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(s, out_block)| GruRowsFwdTask {
+                            k_lo: active_bounds[s],
+                            k_hi: active_bounds[s + 1],
+                            p_lo: dense_bounds[s],
+                            hx: hx_it.next().expect("hx block"),
+                            zr: zr_it.next().expect("zr block"),
+                            z: z_it.next().expect("z block"),
+                            r: r_it.next().expect("r block"),
+                            rhx: rhx_it.next().expect("rhx block"),
+                            c: c_it.next().expect("c block"),
+                            out: out_block,
+                        })
+                        .collect();
+                    run_shard_tasks(
+                        pool_if_worth(
+                            &self.worker_pool,
+                            self.par_threshold(),
+                            a * (hidden + input) * 6,
+                        ),
+                        &mut tasks,
+                        |t| gru_rows_forward_shard(&ctx, t),
+                    );
+                }
+            }
         }
         if let Some(zr) = zr {
             pool_recycle(&mut pool, zr);
@@ -2113,16 +2220,16 @@ impl Graph {
             pool_recycle(&mut pool, z);
             pool_recycle(&mut pool, r);
             pool_recycle(&mut pool, c);
-            Box::new(GruSaved::discarded())
+            None
         } else {
-            Box::new(GruSaved {
+            Some(Box::new(GruSaved {
                 hx,
                 rhx,
                 z,
                 r,
                 c,
                 mask: None,
-            })
+            }))
         };
         self.pool = pool;
         let rows = intern_indices(&mut self.idx_pool, &mut self.idx_copied, &rows_in);
@@ -2243,21 +2350,17 @@ impl Graph {
             pool_recycle(&mut pool, z);
             pool_recycle(&mut pool, r);
             pool_recycle(&mut pool, c);
-            Box::new(GruSaved::discarded())
+            None
         } else {
-            let mask_copy = mask.map(|m| {
-                let mut mc = pool_matrix_scratch(&mut pool, n, 1);
-                mc.as_mut_slice().copy_from_slice(m.as_slice());
-                mc
-            });
-            Box::new(GruSaved {
+            let mask_copy = mask.map(|m| pooled_copy(&mut pool, m));
+            Some(Box::new(GruSaved {
                 hx,
                 rhx,
                 z,
                 r,
                 c,
                 mask: mask_copy,
-            })
+            }))
         };
         self.pool = pool;
         self.push(
@@ -2310,12 +2413,12 @@ impl Graph {
                     let rows = self.identity_rows(n);
                     self.gru_step_rows_sharded(vars, h, x, rows.into(), Some(split))
                 } else {
-                    let mut rows = self.idx_pool.pop().unwrap_or_default();
+                    let mut rows = self.idx_pool.take(n);
                     rows.clear();
                     rows.extend(0..n);
                     let out =
                         self.gru_step_rows_sharded(vars, h, x, rows.as_slice().into(), Some(split));
-                    self.idx_pool.push(rows);
+                    self.idx_pool.put(rows);
                     out
                 }
             }
@@ -2329,13 +2432,15 @@ impl Graph {
 
     /// Sum of all elements, as a `1 x 1` matrix.
     pub fn sum(&mut self, x: Var) -> Var {
-        let v = Matrix::filled(1, 1, self.value(x).sum());
+        let total = self.value(x).sum();
+        let v = pooled_filled(&mut self.pool, 1, 1, total);
         self.push(v, Op::Sum(x))
     }
 
     /// Mean of all elements, as a `1 x 1` matrix.
     pub fn mean(&mut self, x: Var) -> Var {
-        let v = Matrix::filled(1, 1, self.value(x).mean());
+        let mean = self.value(x).mean();
+        let v = pooled_filled(&mut self.pool, 1, 1, mean);
         self.push(v, Op::Mean(x))
     }
 
@@ -2376,8 +2481,9 @@ impl Graph {
         );
         let n = self.nodes.len();
         let mut pool = std::mem::take(&mut self.pool);
-        let mut grads: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
-        grads[loss.0] = Some(Matrix::ones(1, 1));
+        let mut grads = std::mem::take(&mut self.grad_slots);
+        grads.resize_with(n, || None);
+        grads[loss.0] = Some(pooled_filled(&mut pool, 1, 1, 1.0));
 
         for id in (0..n).rev() {
             let Some(g) = grads[id].take() else { continue };
@@ -2393,7 +2499,8 @@ impl Graph {
                 }
                 &Op::Sub(a, b) => {
                     accumulate_ref(&mut grads, &mut pool, a, &g);
-                    accumulate(&mut grads, b, g.scale(-1.0));
+                    let gb = pooled_map(&mut pool, &g, |v| -v);
+                    accumulate_pooled(&mut grads, &mut pool, b, gb);
                 }
                 &Op::Mul(a, b) => {
                     let ga = g.mul(self.value(b));
@@ -2542,12 +2649,15 @@ impl Graph {
                         }
                         accumulate_pooled(&mut grads, &mut pool, x, gx);
                     } else {
-                        accumulate(&mut grads, bias, g.sum_rows());
+                        let mut gb = pool_matrix(&mut pool, 1, g.cols());
+                        add_col_sums(&mut gb, &g);
+                        accumulate_pooled(&mut grads, &mut pool, bias, gb);
                         accumulate_ref(&mut grads, &mut pool, x, &g);
                     }
                 }
                 &Op::Affine { x, a } => {
-                    accumulate(&mut grads, x, g.scale(a));
+                    let gx = pooled_map(&mut pool, &g, |v| v * a);
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Sigmoid(x) => {
                     // gx = g ⊙ y(1-y) via the fused vector kernel, fanned
@@ -2579,8 +2689,10 @@ impl Graph {
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Relu(x) => {
-                    let gx = g.zip(self.value(x), |gi, xi| gi * act::relu_deriv(xi));
-                    accumulate(&mut grads, x, gx);
+                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| {
+                        gi * act::relu_deriv(xi)
+                    });
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 Op::Selu { x, shards } => {
                     let x = *x;
@@ -2630,20 +2742,28 @@ impl Graph {
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Softplus(x) => {
-                    let gx = g.zip(self.value(x), |gi, xi| gi * act::softplus_deriv(xi));
-                    accumulate(&mut grads, x, gx);
+                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| {
+                        gi * act::softplus_deriv(xi)
+                    });
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Abs(x) => {
-                    let gx = g.zip(self.value(x), |gi, xi| gi * xi.signum());
-                    accumulate(&mut grads, x, gx);
+                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| gi * xi.signum());
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Square(x) => {
-                    let gx = g.zip(self.value(x), |gi, xi| gi * 2.0 * xi);
-                    accumulate(&mut grads, x, gx);
+                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| gi * 2.0 * xi);
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::ClampMax { x, cap } => {
-                    let gx = g.zip(self.value(x), |gi, xi| if xi <= cap { gi } else { 0.0 });
-                    accumulate(&mut grads, x, gx);
+                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| {
+                        if xi <= cap {
+                            gi
+                        } else {
+                            0.0
+                        }
+                    });
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::ConcatCols(a, b) => {
                     let ca = self.value(a).cols();
@@ -2706,23 +2826,27 @@ impl Graph {
                 }
                 Op::SegmentSum { x, segments } => {
                     // Adjoint of scatter-add = gather from the output rows.
-                    let gx = g.gather_rows(segments);
-                    accumulate(&mut grads, *x, gx);
+                    let mut gx = pool_matrix_scratch(&mut pool, segments.len(), g.cols());
+                    g.gather_rows_into(segments, &mut gx);
+                    accumulate_pooled(&mut grads, &mut pool, *x, gx);
                 }
                 Op::MaskRows { x, mask } => {
-                    let gx = g.mul_col_broadcast(mask);
-                    accumulate(&mut grads, *x, gx);
+                    let mut gx = pooled_copy(&mut pool, &g);
+                    gx.mul_col_broadcast_assign(mask);
+                    accumulate_pooled(&mut grads, &mut pool, *x, gx);
                 }
                 &Op::Sum(x) => {
                     let s = g.get(0, 0);
                     let (rows, cols) = self.value(x).shape();
-                    accumulate(&mut grads, x, Matrix::filled(rows, cols, s));
+                    let gx = pooled_filled(&mut pool, rows, cols, s);
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Mean(x) => {
                     let (rows, cols) = self.value(x).shape();
                     let denom = (rows * cols).max(1) as f32;
                     let s = g.get(0, 0) / denom;
-                    accumulate(&mut grads, x, Matrix::filled(rows, cols, s));
+                    let gx = pooled_filled(&mut pool, rows, cols, s);
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 Op::GatherMask { x, indices, mask } => {
                     // out[i] = mask[i] * x[idx[i]]  =>  gx[idx[i]] += mask[i]*g[i]
@@ -2765,7 +2889,9 @@ impl Graph {
                 }
                 Op::GruStep { vars, h, x, saved } => {
                     let (vars, h, x) = (*vars, *h, *x);
-                    let s: &GruSaved = saved;
+                    let s: &GruSaved = saved
+                        .as_deref()
+                        .expect("backward: node was recorded in inference mode");
                     let hv = self.value(h);
                     let hidden = hv.cols();
                     let input = self.value(x).cols();
@@ -2980,7 +3106,9 @@ impl Graph {
                     shards,
                 } => {
                     let (vars, h, x) = (*vars, *h, *x);
-                    let s: &GruSaved = saved;
+                    let s: &GruSaved = saved
+                        .as_deref()
+                        .expect("backward: node was recorded in inference mode");
                     let hv = self.value(h);
                     let hidden = hv.cols();
                     let input = self.value(x).cols();
@@ -3015,7 +3143,7 @@ impl Graph {
                             hidden,
                             input,
                         };
-                        let make_scratch = |pool: &mut Vec<Vec<f32>>, a_s: usize| GruBwdScratch {
+                        let make_scratch = |pool: &mut BufPool<f32>, a_s: usize| GruBwdScratch {
                             gm: pool_matrix_scratch(pool, a_s, hidden),
                             gz: pool_matrix_scratch(pool, a_s, hidden),
                             gc: pool_matrix_scratch(pool, a_s, hidden),
@@ -3031,7 +3159,7 @@ impl Graph {
                         };
                         let merge_and_recycle =
                             |grads: &mut Vec<Option<Matrix>>,
-                             pool: &mut Vec<Vec<f32>>,
+                             pool: &mut BufPool<f32>,
                              sc: GruBwdScratch| {
                                 for (var, partial, rows_, cols_) in [
                                     (vars.w_z, &sc.pw_z, width, hidden),
@@ -3282,7 +3410,7 @@ impl Graph {
         }
 
         // Persist gradients onto the tape, skipping constants.
-        for (node, g) in self.nodes.iter_mut().zip(grads) {
+        for (node, g) in self.nodes.iter_mut().zip(grads.drain(..)) {
             if let Op::Leaf {
                 requires_grad: false,
             } = node.op
@@ -3297,6 +3425,7 @@ impl Graph {
             }
             node.grad = g;
         }
+        self.grad_slots = grads;
         self.pool = pool;
     }
 }
@@ -3307,13 +3436,11 @@ impl Graph {
 /// materializing a copy at all; the first contribution is copied into a
 /// pooled buffer instead of `g.clone()`'s fresh allocation. Bits are
 /// unchanged either way — this only changes where the buffer comes from.
-fn accumulate_ref(grads: &mut [Option<Matrix>], pool: &mut Vec<Vec<f32>>, v: Var, g: &Matrix) {
+fn accumulate_ref(grads: &mut [Option<Matrix>], pool: &mut BufPool<f32>, v: Var, g: &Matrix) {
     match &mut grads[v.0] {
         Some(existing) => existing.add_assign(g),
         slot @ None => {
-            let mut copy = pool_matrix_scratch(pool, g.rows(), g.cols());
-            copy.as_mut_slice().copy_from_slice(g.as_slice());
-            *slot = Some(copy);
+            *slot = Some(pooled_copy(pool, g));
         }
     }
 }
@@ -3327,12 +3454,7 @@ fn accumulate(grads: &mut [Option<Matrix>], v: Var, delta: Matrix) {
 
 /// Like [`accumulate`], but recycles `delta`'s buffer when it is folded into
 /// an existing gradient instead of stored.
-fn accumulate_pooled(
-    grads: &mut [Option<Matrix>],
-    pool: &mut Vec<Vec<f32>>,
-    v: Var,
-    delta: Matrix,
-) {
+fn accumulate_pooled(grads: &mut [Option<Matrix>], pool: &mut BufPool<f32>, v: Var, delta: Matrix) {
     match &mut grads[v.0] {
         Some(existing) => {
             existing.add_assign(&delta);
@@ -3348,7 +3470,7 @@ fn grad_slot<'a>(
     v: Var,
     rows: usize,
     cols: usize,
-    pool: &mut Vec<Vec<f32>>,
+    pool: &mut BufPool<f32>,
 ) -> &'a mut Matrix {
     let slot = &mut grads[v.0];
     if slot.is_none() {

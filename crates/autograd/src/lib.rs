@@ -42,12 +42,14 @@
 #![warn(missing_docs)]
 
 pub mod activations;
+pub mod bufpool;
 pub mod check;
 pub mod graph;
 pub mod index;
 pub mod pool;
 pub mod trace;
 
+pub use bufpool::BufPool;
 pub use graph::{Graph, GruVars, ShardSplit, Var, ZERO_COPY_ENV};
 pub use index::{IndexInput, SharedIndices};
 pub use pool::TapePool;

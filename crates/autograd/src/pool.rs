@@ -1,10 +1,17 @@
 //! A shared pool of reusable differentiation tapes.
 //!
 //! Worker threads that each process a stream of samples check a [`Graph`]
-//! out of the pool, [`Graph::reset`] it between samples, and return it when
-//! the batch is done. Because `reset` retains every buffer, a warmed pool
-//! makes the steady-state training loop allocation-free regardless of which
-//! thread picks up which tape next batch.
+//! out of the pool, record a step, and return it when the step is done.
+//! [`TapePool::release`] resets the tape, which parks every buffer it holds in
+//! the tape's own size-classed, bounded buffer pool (see
+//! [`crate::bufpool`]); the next step on that tape — whichever thread picks
+//! it up — takes its buffers from there. The contract the soak test
+//! (`tests/tape_pool_soak.rs`) pins: each tape's pool grows to the working
+//! set of the largest step it has run and no further, a request is a **miss**
+//! (a fresh allocation, counted in [`TapePool::pool_misses`]) only when no
+//! parked buffer of its capacity class exists, and once every shape of the
+//! workload has been seen [`TapePool::pooled_bytes`] and the miss count stop
+//! moving.
 
 use crate::Graph;
 use std::sync::Mutex;
@@ -21,28 +28,45 @@ impl TapePool {
         Self::default()
     }
 
-    /// Check out a tape (reset and ready to record), creating one if the
+    /// Check out a tape (empty and ready to record), creating one if the
     /// pool is empty.
     pub fn acquire(&self) -> Graph {
-        let mut g = self
-            .slots
+        self.slots
             .lock()
             .expect("tape pool poisoned")
             .pop()
-            .unwrap_or_default();
-        g.reset();
-        g
+            .unwrap_or_default()
     }
 
-    /// Return a tape to the pool for reuse. The tape is reset lazily on the
-    /// next [`TapePool::acquire`], so buffers stay parked in the meantime.
-    pub fn release(&self, g: Graph) {
+    /// Return a tape to the pool for reuse. It is reset here rather than on
+    /// the next [`TapePool::acquire`], so while it waits every buffer it
+    /// retains sits in its own pool, where [`TapePool::pooled_bytes`] counts
+    /// it. Returns that tape's [`Graph::pooled_bytes`] — its whole footprint
+    /// now — for callers that keep a per-tape gauge.
+    pub fn release(&self, mut g: Graph) -> usize {
+        g.reset();
+        let bytes = g.pooled_bytes();
         self.slots.lock().expect("tape pool poisoned").push(g);
+        bytes
     }
 
     /// Number of parked tapes (observability for tests).
     pub fn parked(&self) -> usize {
         self.slots.lock().expect("tape pool poisoned").len()
+    }
+
+    /// Bytes the parked tapes hold in their buffer pools
+    /// ([`Graph::pooled_bytes`] summed): the memory this pool retains.
+    pub fn pooled_bytes(&self) -> usize {
+        let slots = self.slots.lock().expect("tape pool poisoned");
+        slots.iter().map(Graph::pooled_bytes).sum()
+    }
+
+    /// Fresh allocations the parked tapes' buffer pools have made so far
+    /// ([`Graph::pool_misses`] summed).
+    pub fn pool_misses(&self) -> u64 {
+        let slots = self.slots.lock().expect("tape pool poisoned");
+        slots.iter().map(Graph::pool_misses).sum()
     }
 }
 

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rn_autograd::check::check_gradients;
-use rn_autograd::Graph;
+use rn_autograd::{BufPool, Graph};
 use rn_tensor::{Matrix, Prng};
 
 fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -12,8 +12,164 @@ fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
+/// One cycle of a shape-changing sequence: a fused chain (gather + compact
+/// GRU + scatter, then a loss and a backward sweep unless `inference`) whose
+/// every buffer size follows `paths`, `entities` and `hidden`.
+#[derive(Debug, Clone)]
+struct Cycle {
+    /// Path-state rows; 0 records empty matrices, 1 with `hidden == 1` a 1x1.
+    paths: usize,
+    entities: usize,
+    hidden: usize,
+    inference: bool,
+    seed: u64,
+}
+
+fn cycle_strategy() -> impl Strategy<Value = Cycle> {
+    (
+        (0usize..5, 1usize..5, 0usize..3),
+        any::<bool>(),
+        any::<u64>(),
+    )
+        .prop_map(|((size, entities, width), inference, seed)| Cycle {
+            paths: [0, 1, 3, 40, 300][size],
+            entities,
+            hidden: [1, 4, 16][width],
+            inference,
+            seed,
+        })
+}
+
+/// Record `c` on `g` (already reset) and return the bits of everything it
+/// computed: the output state, then — in training mode — the loss and every
+/// gradient.
+fn run_cycle(g: &mut Graph, c: &Cycle) -> Vec<u32> {
+    let mut rng = Prng::new(c.seed);
+    let (n, d) = (c.paths, c.hidden);
+    g.set_inference_mode(c.inference);
+    let vars = rn_autograd::GruVars {
+        w_z: g.param(rng.uniform_matrix(2 * d, d, -0.5, 0.5)),
+        b_z: g.param(rng.uniform_matrix(1, d, -0.1, 0.1)),
+        w_r: g.param(rng.uniform_matrix(2 * d, d, -0.5, 0.5)),
+        b_r: g.param(rng.uniform_matrix(1, d, -0.1, 0.1)),
+        w_c: g.param(rng.uniform_matrix(2 * d, d, -0.5, 0.5)),
+        b_c: g.param(rng.uniform_matrix(1, d, -0.1, 0.1)),
+        w_zr: None,
+    };
+    let states = g.param(rng.uniform_matrix(c.entities, d, -1.0, 1.0));
+    let h = g.param_copy(&rng.uniform_matrix(n, d, -1.0, 1.0));
+    // Every other path is active; each reads (and reports to) some entity.
+    let rows: Vec<usize> = (0..n).step_by(2).collect();
+    let ids: Vec<usize> = rows.iter().map(|r| r % c.entities).collect();
+    let x = g.gather_rows(states, &ids);
+    let h2 = g.gru_step_rows(&vars, h, x, &rows);
+    let acc = g.constant_with(c.entities, d, |_| {});
+    let out = g.segment_acc_rows(acc, h2, &rows, &ids);
+    let mut bits: Vec<u32> = g
+        .value(out)
+        .as_slice()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    if !c.inference {
+        let sq = g.square(out);
+        let loss = g.mean(sq);
+        g.backward(loss);
+        bits.push(g.value(loss).get(0, 0).to_bits());
+        for v in [
+            vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c, states, h,
+        ] {
+            // A chain with no active path leaves some leaves untouched.
+            let grad = g.grad(v).map(|m| m.as_slice().to_vec()).unwrap_or_default();
+            bits.extend(grad.iter().map(|v| v.to_bits()));
+        }
+    }
+    g.set_inference_mode(false);
+    bits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn shape_changing_reuse_is_bit_identical_and_bounded(
+        cycles in proptest::collection::vec(cycle_strategy(), 2..7),
+    ) {
+        // One tape runs the whole sequence — large, small and empty shapes,
+        // inference and training cycles in any order — three times over.
+        // Every cycle must match a fresh tape bit for bit, and from the
+        // second pass on the pool must neither grow nor allocate.
+        let mut reused = Graph::new();
+        let mut settled = None;
+        for pass in 0..3 {
+            for c in &cycles {
+                reused.reset();
+                let got = run_cycle(&mut reused, c);
+                let want = run_cycle(&mut Graph::new(), c);
+                prop_assert_eq!(got, want, "pass {} cycle {:?}", pass, c);
+            }
+            reused.reset();
+            // Buffer and miss counts, not bytes: the leaves above are
+            // caller-allocated matrices, adopted at reset with whatever
+            // capacity (within their class) the caller's allocation had.
+            let now = (reused.pooled_buffers(), reused.pool_misses());
+            if pass > 0 {
+                prop_assert_eq!(settled, Some(now), "pool moved in pass {}", pass);
+            }
+            settled = Some(now);
+        }
+    }
+
+    #[test]
+    fn buf_pool_hands_out_fitting_buffers_and_parks_within_its_bound(
+        ops in proptest::collection::vec((0usize..4, 0usize..2000, any::<bool>()), 1..200),
+    ) {
+        // A random schedule of takes, returns of taken buffers, adoptions of
+        // foreign ones and cycle ends, checked against a model of the
+        // contract: a taken buffer fits its request, a class never parks more
+        // than its high-water mark of live buffers, and that mark — which a
+        // foreign buffer arriving mid-cycle must not lower — is what the
+        // pool reports as its limit.
+        let mut pool = BufPool::<f32>::new();
+        let class_of = |len: usize| len.next_power_of_two().trailing_zeros() as usize;
+        let mut held: Vec<Vec<f32>> = Vec::new();
+        let (mut live, mut limit) = (vec![0usize; 16], vec![0usize; 16]);
+        for (kind, len, foreign) in ops {
+            match kind {
+                0 | 1 => {
+                    let buf = pool.take(len);
+                    prop_assert!(buf.capacity() >= len, "take({}) got {}", len, buf.capacity());
+                    if len > 0 {
+                        let k = class_of(len);
+                        live[k] += 1;
+                        limit[k] = limit[k].max(live[k]);
+                        held.push(buf);
+                    }
+                }
+                2 => {
+                    if foreign {
+                        pool.adopt(Vec::with_capacity(len));
+                    } else if let Some(buf) = held.pop() {
+                        let k = buf.capacity().ilog2() as usize;
+                        live[k] = live[k].saturating_sub(1);
+                        pool.put(buf);
+                    }
+                }
+                _ => {
+                    pool.end_cycle();
+                    live.iter_mut().for_each(|l| *l = 0);
+                }
+            }
+            let mut parked = 0;
+            for (k, c) in pool.classes().enumerate() {
+                prop_assert_eq!(c.capacity, 1usize << k);
+                prop_assert_eq!(c.limit, limit[k], "class {} limit", k);
+                prop_assert!(c.parked <= c.limit, "class {} parks {} > {}", k, c.parked, c.limit);
+                parked += c.parked;
+            }
+            prop_assert_eq!(parked, pool.parked());
+        }
+    }
 
     #[test]
     fn random_dense_chain_passes_gradient_check(

@@ -4,7 +4,9 @@
 //! low computational cost"; this bench quantifies that cost for both model
 //! variants and both evaluation topologies, plus the fused megabatch path
 //! that serves batched inference in production. The criterion stand-in
-//! writes `BENCH_inference.json` (ns/op + throughput per variant).
+//! writes `BENCH_inference.json` (ns/op + throughput per variant, and under
+//! `derived` the host's cores, the process's `peak_rss_mb` and what each
+//! megabatch tape holds parked, `tape_pool_bytes/<topology>`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_dataset::{generate_sample, Dataset, GeneratorConfig};
@@ -37,6 +39,8 @@ fn small_model() -> ModelConfig {
 fn bench_inference(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference");
     group.sample_size(10);
+    // Bytes the megabatch tape of each topology keeps parked once reset.
+    let mut tape_pool_bytes = Vec::new();
     for (name, topo) in [
         ("nsfnet", topologies::nsfnet_default()),
         ("geant2", topologies::geant2_default()),
@@ -65,6 +69,9 @@ fn bench_inference(c: &mut Criterion) {
             |b, batch| b.iter(|| ext.predict_batch_with(&mut batch_tape, batch)),
         );
 
+        batch_tape.reset();
+        tape_pool_bytes.push((format!("tape_pool_bytes/{name}"), batch_tape.pooled_bytes()));
+
         let mut orig = OriginalRouteNet::new(small_model());
         orig.fit_preprocessing(&ds, 5);
         let plan_o = orig.plan(&ds.samples[0]);
@@ -72,7 +79,13 @@ fn bench_inference(c: &mut Criterion) {
             b.iter(|| orig.predict(plan))
         });
     }
-    group.finish();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut derived = vec![
+        ("host_cores", cores as f64),
+        ("peak_rss_mb", rn_bench::peak_rss_mb()),
+    ];
+    derived.extend(tape_pool_bytes.iter().map(|(k, v)| (k.as_str(), *v as f64)));
+    group.finish_with_derived(&derived);
 }
 
 criterion_group!(benches, bench_inference);

@@ -17,8 +17,9 @@
 //!
 //! Writes `BENCH_serving.json` (req/s for the first three, exact
 //! client-side latency percentiles, batch occupancy, cache hit rate, the
-//! overload row, the server's own metrics snapshot) alongside the other
-//! BENCH artifacts.
+//! overload row, the server's own metrics snapshot, `host_cores`, the bench
+//! process's `peak_rss_mb` and a worker tape's `tape_pool_bytes`) alongside
+//! the other BENCH artifacts.
 //!
 //! Knobs: `RN_SERVE_TOPOLOGY` (nsfnet|geant2), `RN_SERVE_SCENARIOS`,
 //! `RN_SERVE_CLIENTS`, `RN_SERVE_REQUESTS` (per client),
@@ -107,6 +108,13 @@ struct ServingBenchReport {
     /// Load-shedding behavior at 2× queue capacity (separate starved
     /// service instance; does not perturb the throughput phases above).
     overload_2x_capacity: OverloadReport,
+    /// Cores the host offered the run (throughput scales with workers).
+    host_cores: usize,
+    /// High-water resident set of the whole bench process (MB): both
+    /// services, the loadgen clients and the direct loop.
+    peak_rss_mb: f64,
+    /// `server_metrics.tape_pool_bytes`: what one worker tape holds parked.
+    tape_pool_bytes: u64,
     /// The server's own counters at the end of the run.
     server_metrics: MetricsSnapshot,
 }
@@ -338,6 +346,9 @@ fn main() {
         direct_predict_loop_rps,
         naive_single_request_loop: naive,
         concurrent_cached: cached,
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        peak_rss_mb: rn_bench::peak_rss_mb(),
+        tape_pool_bytes: server_metrics.tape_pool_bytes,
         server_metrics,
     };
 

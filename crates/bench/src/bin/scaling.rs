@@ -30,7 +30,7 @@
 //! trains real models. Set `RN_INTRA_SHARDS` to fan out the dense phases of
 //! the giant single-sample compositions across cores.
 
-use rn_bench::{cached_dataset, env_f64, env_usize, ExperimentConfig};
+use rn_bench::{cached_dataset, env_f64, env_usize, peak_rss_mb, ExperimentConfig};
 use rn_netgraph::generators::{isp_tiered, TierConfig};
 use rn_netgraph::topologies;
 use rn_tensor::Prng;
@@ -90,27 +90,6 @@ struct ScalingReport {
     rss_within_budget: bool,
     /// One row per evaluation size, training topology first.
     rows: Vec<ScalingRow>,
-}
-
-/// Process peak resident set size in MB, from `VmHWM` in
-/// `/proc/self/status`. Returns 0.0 where procfs is unavailable (the JSON
-/// stays well-formed; the CI assert only runs on Linux).
-fn peak_rss_mb() -> f64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: f64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0.0);
-            return kb / 1024.0;
-        }
-    }
-    0.0
 }
 
 /// Parse `RN_SCALING_SIZES` ("100,250,500") into sorted sizes.

@@ -54,6 +54,18 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// The process's high-water resident set (`VmHWM` in `/proc/self/status`),
+/// MB; 0.0 where procfs does not say, so reports stay well-formed.
+pub fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 /// The shared experiment configuration, resolved from env + defaults.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {

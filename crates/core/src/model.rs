@@ -12,6 +12,22 @@ use rn_nn::{Activation, BoundGruCell, BoundMlp, GruCell, Layer, Mlp};
 use rn_tensor::{Matrix, Prng};
 use serde::{Deserialize, Serialize};
 
+thread_local! {
+    /// The tape behind the tape-less `predict*` forms, one per thread.
+    static THREAD_TAPE: std::cell::RefCell<Graph> = std::cell::RefCell::new(Graph::new());
+}
+
+/// Run `f` on this thread's inference tape, so a loop of tape-less `predict*`
+/// calls runs on a warm buffer pool exactly as a `predict_with` loop does. A
+/// nested call (a `forward` that itself predicts) finds the tape busy and
+/// gets a fresh one.
+fn with_thread_tape<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
+    THREAD_TAPE.with(|tape| match tape.try_borrow_mut() {
+        Ok(mut g) => f(&mut g),
+        Err(_) => f(&mut Graph::new()),
+    })
+}
+
 /// Common interface of both RouteNet variants: bindable layers plus a
 /// plan-driven forward pass producing one normalized prediction per path.
 pub trait PathPredictor: Layer + Clone + Send + Sync {
@@ -60,17 +76,27 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
     }
 
     /// Inference: predicted raw (denormalized) targets for every path.
+    ///
+    /// Runs [`PathPredictor::predict_with`] on a tape that stays with the
+    /// calling thread (as do `predict_batch` / `predict_batch_refs`), which
+    /// therefore keeps the working set of the largest plan it has predicted;
+    /// a caller that wants to own that memory holds a tape and calls
+    /// `predict_with` itself. Bits do not depend on what the tape ran before.
     fn predict(&self, plan: &SamplePlan) -> Vec<f64> {
-        let mut g = Graph::new();
-        self.predict_with(&mut g, plan)
+        with_thread_tape(|g| self.predict_with(g, plan))
     }
 
     /// Inference on a caller-provided (pooled) tape. The tape is reset
-    /// first, so a worker can reuse one tape across a stream of samples
-    /// without reallocating. Runs in the tape's inference mode: GRU
-    /// activations are recycled as soon as each step's value exists, so the
-    /// working set stays cache-sized even for megabatches (values are
-    /// bitwise identical to a training-mode forward).
+    /// first, so a worker can reuse one tape across a stream of samples:
+    /// every matrix of the bind and the forward comes from the tape's
+    /// size-classed, bounded buffer pool, and once the tape has seen a
+    /// plan's shapes a call allocates only its result vector and a few KB
+    /// of per-op bookkeeping — [`Graph::pool_misses`] stays flat and
+    /// [`Graph::pooled_bytes`] stops growing (`tests/tape_pool_soak.rs`).
+    /// Runs in the tape's inference mode: GRU activations are recycled as
+    /// soon as each step's value exists, so the working set stays
+    /// cache-sized even for megabatches (values are bitwise identical to a
+    /// training-mode forward).
     fn predict_with(&self, g: &mut Graph, plan: &SamplePlan) -> Vec<f64> {
         g.reset();
         g.set_inference_mode(true);
@@ -93,13 +119,13 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
     /// sample. Output `[i]` equals `self.predict(&plans[i])` to f32
     /// round-off.
     fn predict_batch(&self, plans: &[SamplePlan]) -> Vec<Vec<f64>> {
-        let mut g = Graph::new();
-        self.predict_batch_with(&mut g, plans)
+        with_thread_tape(|g| self.predict_batch_with(g, plans))
     }
 
     /// Batched inference on a caller-provided (pooled) tape. Megabatch
     /// buffers are large enough that allocator reuse matters: a worker
-    /// holding one tape across a stream of batches runs allocation-free.
+    /// holding one tape across a stream of batches takes them all from the
+    /// tape's pool (see [`PathPredictor::predict_with`]).
     fn predict_batch_with(&self, g: &mut Graph, plans: &[SamplePlan]) -> Vec<Vec<f64>> {
         let parts: Vec<&SamplePlan> = plans.iter().collect();
         self.predict_batch_refs_with(g, &parts)
@@ -110,13 +136,15 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
     /// of references rather than contiguous owned plans; results are
     /// identical to [`PathPredictor::predict_batch`] element for element.
     fn predict_batch_refs(&self, plans: &[&SamplePlan]) -> Vec<Vec<f64>> {
-        let mut g = Graph::new();
-        self.predict_batch_refs_with(&mut g, plans)
+        with_thread_tape(|g| self.predict_batch_refs_with(g, plans))
     }
 
     /// [`PathPredictor::predict_batch_refs`] on a caller-provided (pooled)
     /// tape — the steady-state serving hot path: one bind per batch, fused
-    /// block-diagonal forward, allocation-free once the pool is warm.
+    /// block-diagonal forward. The tape's pool is bounded by the largest
+    /// batch it has run and a batch shape it has seen before costs no pool
+    /// miss; what a call still allocates is the megabatch composition
+    /// (`build_megabatch`, for more than one plan) and the result vectors.
     fn predict_batch_refs_with(&self, g: &mut Graph, plans: &[&SamplePlan]) -> Vec<Vec<f64>> {
         if plans.is_empty() {
             return Vec::new();
@@ -1198,6 +1226,21 @@ mod tests {
             "pooled tape must not change results"
         );
         assert_eq!(second, model.predict(&plan_b));
+    }
+
+    #[test]
+    fn tape_less_predict_matches_a_fresh_tape_and_tolerates_nesting() {
+        let ds = toy_dataset(2);
+        let mut model = ExtendedRouteNet::new(small_config());
+        model.fit_preprocessing(&ds, 5);
+        let plan = model.plan(&ds.samples[1]);
+        let fresh = model.predict_with(&mut Graph::new(), &plan);
+        // Warm the thread's tape on another shape first.
+        model.predict(&model.plan(&ds.samples[0]));
+        assert_eq!(model.predict(&plan), fresh);
+        // While the thread's tape is busy a nested call gets its own.
+        let nested = with_thread_tape(|_| model.predict(&plan));
+        assert_eq!(nested, fresh);
     }
 
     #[test]

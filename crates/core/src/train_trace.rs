@@ -126,6 +126,13 @@ pub struct RunSummary {
     /// order), accumulated since this run reset the process-global
     /// recorder. Percentiles here are per-op spans over the whole run.
     pub op_kinds: Vec<StageLine>,
+    /// Bytes the run's tapes held in their buffer pools when it ended — the
+    /// tape-memory high-water mark (the pools only grow, up to the working
+    /// set of the largest step).
+    pub tape_pool_bytes: u64,
+    /// Fresh allocations those pools made over the whole run; steps after
+    /// the first visit of every batch shape add none.
+    pub tape_pool_misses: u64,
 }
 
 /// Environment knob naming the trainer's trace output file (overrides
@@ -218,8 +225,9 @@ impl TrainTrace {
         }
     }
 
-    /// Write the final [`RunSummary`] line. No-op while tracing is off.
-    pub fn finish(&self) {
+    /// Write the final [`RunSummary`] line, reading the tape-memory gauges
+    /// off the run's (by now fully parked) tapes. No-op while tracing is off.
+    pub fn finish(&self, tapes: &rn_autograd::TapePool) {
         let Some(sink) = &self.sink else { return };
         let mut sink = sink
             .lock()
@@ -240,6 +248,8 @@ impl TrainTrace {
                 .into_iter()
                 .map(StageLine::from)
                 .collect(),
+            tape_pool_bytes: tapes.pooled_bytes() as u64,
+            tape_pool_misses: tapes.pool_misses(),
         };
         if let Ok(line) = serde_json::to_string(&summary) {
             let _ = writeln!(sink.writer, "{line}");

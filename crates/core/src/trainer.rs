@@ -6,7 +6,12 @@
 //! forward/backward over several samples at once — one parameter `bind()`
 //! amortized over the pack, `B`-fold taller (cache-friendlier) matmuls, and
 //! an order of magnitude fewer tape nodes. Workers draw reusable tapes from
-//! a [`TapePool`], so the steady-state loop is allocation-free.
+//! a [`TapePool`]: every matrix of a step's bind, forward and backward comes
+//! from the tape's bounded buffer pool, so after the first visit of each
+//! batch shape a step allocates only the gradients it returns and per-op
+//! bookkeeping (the `tape_pool_bytes` / `tape_pool_misses` gauges of the
+//! `{"summary":true}` trace line say how much the tapes hold and how often
+//! they had to allocate).
 //!
 //! ## Batch scheduler and structure reuse
 //!
@@ -297,6 +302,16 @@ fn gather_reliable(g: &mut Graph, pred: rn_autograd::Var, plan: &SamplePlan) -> 
     }
 }
 
+/// The reliable rows' normalized targets as a constant column in a pooled
+/// buffer — `plan.reliable_targets_norm()`'s values without its allocation.
+fn bind_reliable_targets(g: &mut Graph, plan: &SamplePlan) -> rn_autograd::Var {
+    g.constant_with(plan.reliable_idx.len(), 1, |m| {
+        for (dst, &row) in m.as_mut_slice().iter_mut().zip(&plan.reliable_idx) {
+            *dst = plan.targets_norm.get(row, 0);
+        }
+    })
+}
+
 /// Forward + loss on one plan; returns `(loss, grads)` or `None` when the
 /// plan has no reliable labels. The legacy per-sample gradient path.
 fn sample_gradients<M: PathPredictor>(
@@ -313,7 +328,7 @@ fn sample_gradients<M: PathPredictor>(
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, plan);
     let reliable = gather_reliable(&mut g, pred, plan);
-    let target = g.constant(plan.reliable_targets_norm());
+    let target = bind_reliable_targets(&mut g, plan);
     let loss_node = loss.apply(&mut g, reliable, target);
     let loss_value = g.value(loss_node).get(0, 0) as f64;
     fwd.finish();
@@ -332,7 +347,7 @@ fn sample_loss<M: PathPredictor>(model: &M, plan: &SamplePlan, loss: Loss) -> Op
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, plan);
     let reliable = gather_reliable(&mut g, pred, plan);
-    let target = g.constant(plan.reliable_targets_norm());
+    let target = bind_reliable_targets(&mut g, plan);
     let loss_node = loss.apply(&mut g, reliable, target);
     Some(g.value(loss_node).get(0, 0) as f64)
 }
@@ -360,7 +375,7 @@ fn megabatch_gradients<M: PathPredictor>(
     let bound = model.bind(g);
     let pred = model.forward(g, &bound, &mb.plan);
     let reliable = gather_reliable(g, pred, &mb.plan);
-    let target = g.constant(mb.plan.reliable_targets_norm());
+    let target = bind_reliable_targets(g, &mb.plan);
     let weights = Matrix::column_vector(
         &mb.sample_mean_weights
             .iter()
@@ -392,7 +407,7 @@ fn megabatch_loss<M: PathPredictor>(
     let bound = model.bind(g);
     let pred = model.forward(g, &bound, &mb.plan);
     let reliable = gather_reliable(g, pred, &mb.plan);
-    let target = g.constant(mb.plan.reliable_targets_norm());
+    let target = bind_reliable_targets(g, &mb.plan);
     let weights = Matrix::column_vector(&mb.sample_mean_weights);
     let loss_node = loss.apply_weighted(g, reliable, target, &weights);
     (g.value(loss_node).get(0, 0) as f64, mb.reliable_samples)
@@ -843,7 +858,7 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
             *param = saved.clone();
         }
     }
-    trace.finish();
+    trace.finish(&tape_pool);
     history
 }
 

@@ -187,17 +187,26 @@ impl Layer for GruCell {
     type Bound = BoundGruCell;
 
     fn bind(&self, g: &mut Graph) -> BoundGruCell {
+        // Pooled copies: a tape that binds every step takes the parameter
+        // buffers from its own pool instead of cloning them.
+        let hidden = self.hidden_dim;
         BoundGruCell {
-            w_z: g.param(self.w_z.clone()),
-            b_z: g.param(self.b_z.clone()),
-            w_r: g.param(self.w_r.clone()),
-            b_r: g.param(self.b_r.clone()),
-            w_c: g.param(self.w_c.clone()),
-            b_c: g.param(self.b_c.clone()),
+            w_z: g.param_copy(&self.w_z),
+            b_z: g.param_copy(&self.b_z),
+            w_r: g.param_copy(&self.w_r),
+            b_r: g.param_copy(&self.b_r),
+            w_c: g.param_copy(&self.w_c),
+            b_c: g.param_copy(&self.b_c),
             // Bind-time cached gate merge: one concat per bind, amortized
             // over every step of the forward pass (a megabatch runs hundreds
             // of steps per bind). A constant so no gradient is materialized.
-            w_zr: Some(g.constant(self.w_z.concat_cols(&self.w_r))),
+            w_zr: Some(g.constant_with(self.w_z.rows(), 2 * hidden, |m| {
+                for i in 0..self.w_z.rows() {
+                    let row = m.row_mut(i);
+                    row[..hidden].copy_from_slice(self.w_z.row(i));
+                    row[hidden..].copy_from_slice(self.w_r.row(i));
+                }
+            })),
         }
     }
 

@@ -92,8 +92,8 @@ impl Layer for Linear {
 
     fn bind(&self, g: &mut Graph) -> BoundLinear {
         BoundLinear {
-            weight: g.param(self.weight.clone()),
-            bias: g.param(self.bias.clone()),
+            weight: g.param_copy(&self.weight),
+            bias: g.param_copy(&self.bias),
             activation: self.activation,
         }
     }

@@ -118,6 +118,12 @@ fn run() -> Result<(), String> {
                 "[loadgen] server: {} workers, model v{}, up {:.1}s",
                 snapshot.workers, snapshot.model_version, snapshot.uptime_s
             );
+            eprintln!(
+                "[loadgen] server tapes: {:.1} KiB parked per worker tape (high-water), \
+                 {} pool misses",
+                snapshot.tape_pool_bytes as f64 / 1024.0,
+                snapshot.tape_pool_misses
+            );
             // Request-lifecycle breakdown, present when the server runs
             // with RN_TRACE=1: where a request's latency actually goes.
             for s in &snapshot.stage_latency {

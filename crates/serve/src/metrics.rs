@@ -335,6 +335,14 @@ pub struct ServeMetrics {
     pub conn_drops: AtomicU64,
     /// Model hot-swaps performed.
     pub swaps: AtomicU64,
+    /// Largest footprint any one worker tape has parked in its buffer pools
+    /// (bytes, read after a batch once the tape is reset). A tape's pool is
+    /// bounded by the largest batch it has run, so this settles after warm-up;
+    /// the process holds at most `workers` such tapes.
+    pub tape_pool_bytes: AtomicU64,
+    /// Fresh allocations the worker tapes' pools have made (cumulative over
+    /// all tapes) — flat once every batch shape has been seen.
+    pub tape_pool_misses: AtomicU64,
     /// End-to-end request latency (enqueue → response ready).
     pub latency: LatencyHistogram,
     /// Dynamic-batch occupancy.
@@ -363,6 +371,8 @@ impl ServeMetrics {
             deadline_expired: AtomicU64::new(0),
             conn_drops: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
+            tape_pool_bytes: AtomicU64::new(0),
+            tape_pool_misses: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             batches: BatchHistogram::new(max_batch),
             stages: rn_trace::StageRecorder::new(stage::NAMES),
@@ -483,6 +493,8 @@ impl ServeMetrics {
             batch_shapes,
             model_version,
             model_swaps: self.swaps.load(Ordering::Relaxed),
+            tape_pool_bytes: self.tape_pool_bytes.load(Ordering::Relaxed),
+            tape_pool_misses: self.tape_pool_misses.load(Ordering::Relaxed),
             queue_depth: queue_depth as u64,
             workers: workers as u64,
             stage_latency: if rn_trace::enabled() {
@@ -594,6 +606,14 @@ pub struct MetricsSnapshot {
     pub model_version: u64,
     /// Hot-swaps performed.
     pub model_swaps: u64,
+    /// Largest footprint (bytes) any one worker tape has parked in its
+    /// buffer pools — the tape-memory high-water gauge. Settles once every
+    /// batch shape has been served; the process holds at most `workers`
+    /// tapes of this size.
+    pub tape_pool_bytes: u64,
+    /// Fresh allocations made by the worker tapes' buffer pools, cumulative.
+    /// Flat in steady state; growth means new batch shapes are arriving.
+    pub tape_pool_misses: u64,
     /// Requests waiting in the queue at snapshot time.
     pub queue_depth: u64,
     /// Worker threads the service was configured with.

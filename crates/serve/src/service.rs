@@ -22,9 +22,11 @@
 //!    minimal).
 //! 3. Each worker owns a pooled tape from a shared [`TapePool`] for the
 //!    duration of a batch and runs one fused block-diagonal forward
-//!    ([`PathPredictor::predict_batch_refs_with`]); steady-state serving is
-//!    allocation-free. Results are split per request and delivered through
-//!    per-request channels.
+//!    ([`PathPredictor::predict_batch_refs_with`]). The tape's buffer pool
+//!    is bounded by the largest batch it has run, so a worker's footprint is
+//!    flat once every batch shape has been seen
+//!    ([`MetricsSnapshot::tape_pool_bytes`] / `tape_pool_misses`). Results
+//!    are split per request and delivered through per-request channels.
 //!
 //! ## Supervision
 //!
@@ -790,6 +792,7 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
             }
             let refs: Vec<&SamplePlan> = group.iter().map(|j| j.plan.as_ref()).collect();
             let mut tape = inner.tapes.acquire();
+            let misses_before = tape.pool_misses();
             // Shallow queue: nothing left for co-workers to chew on, so
             // spare cores are free — exploit the batch's intra-megabatch
             // shards instead. Under backlog the inter-batch parallelism
@@ -837,7 +840,14 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 (out, t_forward, Instant::now())
             };
             tape.set_worker_pool(None);
-            inner.tapes.release(tape);
+            let m = &inner.metrics;
+            m.tape_pool_misses
+                .fetch_add(tape.pool_misses() - misses_before, Ordering::Relaxed);
+            // `release` resets the tape, so what it reports is the tape's
+            // whole footprint, batch buffers included.
+            let parked_bytes = inner.tapes.release(tape);
+            m.tape_pool_bytes
+                .fetch_max(parked_bytes as u64, Ordering::Relaxed);
             (results, t_compose, t_forward, t_forward_end)
         }));
 

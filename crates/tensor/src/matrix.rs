@@ -737,19 +737,26 @@ impl Matrix {
 
     /// Gather rows: `out[i] = self[indices[i]]`. Panics on out-of-range indices.
     pub fn gather_rows(&self, indices: &[usize]) -> Self {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
-        for &idx in indices {
+        let mut out = Self::zeros(indices.len(), self.cols);
+        self.gather_rows_into(indices, &mut out);
+        out
+    }
+
+    /// [`Matrix::gather_rows`] into a caller-provided `indices.len() x cols`
+    /// matrix, every element of which is overwritten.
+    pub fn gather_rows_into(&self, indices: &[usize], out: &mut Self) {
+        assert_eq!(
+            out.shape(),
+            (indices.len(), self.cols),
+            "gather_rows_into: output shape mismatch"
+        );
+        for (i, &idx) in indices.iter().enumerate() {
             assert!(
                 idx < self.rows,
                 "gather_rows: index {idx} out of range for {} rows",
                 self.rows
             );
-            data.extend_from_slice(self.row(idx));
-        }
-        Self {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
+            out.data[i * self.cols..(i + 1) * self.cols].copy_from_slice(self.row(idx));
         }
     }
 
@@ -758,6 +765,14 @@ impl Matrix {
     /// so empty segments yield zero rows. This is the aggregation primitive of
     /// RouteNet's link and node updates.
     pub fn segment_sum(&self, segments: &[usize], num_segments: usize) -> Self {
+        let mut out = Self::zeros(num_segments, self.cols);
+        self.segment_sum_into(segments, &mut out);
+        out
+    }
+
+    /// [`Matrix::segment_sum`] **accumulated into** a caller-provided
+    /// `num_segments x cols` matrix (zeroed by the caller for a plain sum).
+    pub fn segment_sum_into(&self, segments: &[usize], out: &mut Self) {
         assert_eq!(
             segments.len(),
             self.rows,
@@ -765,7 +780,8 @@ impl Matrix {
             segments.len(),
             self.rows
         );
-        let mut out = Self::zeros(num_segments, self.cols);
+        assert_eq!(out.cols, self.cols, "segment_sum_into: width mismatch");
+        let num_segments = out.rows;
         for (i, &s) in segments.iter().enumerate() {
             assert!(
                 s < num_segments,
@@ -777,7 +793,6 @@ impl Matrix {
                 *d += v;
             }
         }
-        out
     }
 
     /// Horizontal concatenation `[self | other]`. Panics on row-count mismatch.
