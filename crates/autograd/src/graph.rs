@@ -48,10 +48,11 @@
 //!
 //! RouteNet's hot loop is one GRU step per sequence position per
 //! message-passing iteration. Expressed in primitive ops that is ~20 tape
-//! nodes per position; the fused [`Graph::gather_mask`], [`Graph::gru_step`]
-//! and [`Graph::segment_acc`] collapse it to 3, shrinking tape length (and
-//! backward dispatch + allocation) by roughly an order of magnitude. The
-//! primitive ops remain — tests use them as the numerical reference.
+//! nodes per position; [`Graph::gather_rows`] over the active ids, the
+//! row-compacted [`Graph::gru_step_rows`] and [`Graph::segment_acc_rows`]
+//! collapse it to 3, shrinking tape length (and backward dispatch +
+//! allocation) by roughly an order of magnitude. The primitive ops remain —
+//! tests use them as the numerical reference.
 
 use crate::activations as act;
 use crate::bufpool::BufPool;
@@ -60,29 +61,6 @@ use rayon::WorkerPool;
 use rn_tensor::simd::activations as vact;
 use rn_tensor::{kernels, Matrix};
 use std::sync::{Arc, Mutex};
-
-/// Environment variable toggling zero-copy index recording (default **on**;
-/// set to `0`, `false` or `off` to force the copying path). When on, callers
-/// holding long-lived structure (a cached megabatch composition) hand the
-/// tape refcounted [`SharedIndices`] views and no index list is copied per
-/// step; when off, every list goes through the pooled-copy path. Both modes
-/// are bitwise identical — the recorded contents are the same.
-pub const ZERO_COPY_ENV: &str = "RN_ZERO_COPY";
-
-/// Parse an `RN_ZERO_COPY` setting (`None` = unset = on).
-pub fn parse_zero_copy(raw: Option<&str>) -> bool {
-    !matches!(
-        raw.map(str::trim),
-        Some("0") | Some("false") | Some("off") | Some("FALSE") | Some("OFF")
-    )
-}
-
-/// Process-wide default for zero-copy mode, read from [`ZERO_COPY_ENV`] once.
-fn env_zero_copy() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| parse_zero_copy(std::env::var(ZERO_COPY_ENV).ok().as_deref()))
-}
 
 /// Handle to a node on the tape. Cheap to copy; only valid for the [`Graph`]
 /// that produced it.
@@ -130,8 +108,6 @@ pub(crate) struct GruSaved {
     r: Matrix,
     /// Candidate state (post-tanh).
     c: Matrix,
-    /// Row activity mask (`n x 1`), if this was a masked step.
-    mask: Option<Matrix>,
 }
 
 /// Borrowed shard layout handed to the sharded fused ops at record time.
@@ -161,8 +137,8 @@ pub struct ShardSplit<'a> {
 }
 
 impl<'a> ShardSplit<'a> {
-    /// Build a split from three borrowed slices — the copying contract every
-    /// pre-zero-copy caller used (and tests still use).
+    /// Build a split from three borrowed slices, which the tape copies —
+    /// for callers that hold plain slices rather than shared buffers.
     pub fn borrowed(active: &'a [usize], dense: &'a [usize], entity: &'a [usize]) -> Self {
         Self {
             active: active.into(),
@@ -173,8 +149,8 @@ impl<'a> ShardSplit<'a> {
 }
 
 /// Owned capture of a [`ShardSplit`] stored on a tape node: pooled copies
-/// (recycled through the index pool on [`Graph::reset`]) or zero-copy shared
-/// views, mirroring what the caller handed in.
+/// (recycled through the index pool on [`Graph::reset`]) or shared views,
+/// mirroring what the caller handed in.
 #[derive(Debug, Default)]
 pub(crate) struct OpShards {
     active: IndexList,
@@ -423,21 +399,7 @@ pub(crate) enum Op {
     },
     Sum(Var),
     Mean(Var),
-    /// Fused `gather_rows` + `mask_rows`: `out[i] = mask[i] * x[indices[i]]`.
-    GatherMask {
-        x: Var,
-        indices: IndexList,
-        mask: Matrix,
-    },
-    /// Fused masked scatter-add accumulate:
-    /// `out = acc; out[segments[i]] += mask[i] * x[i]`.
-    SegmentAcc {
-        acc: Var,
-        x: Var,
-        segments: IndexList,
-        mask: Matrix,
-    },
-    /// One whole (optionally masked) GRU step as a single node.
+    /// One whole GRU step as a single node.
     GruStep {
         vars: GruVars,
         h: Var,
@@ -524,14 +486,11 @@ pub struct Graph {
     /// pool. Defaults to `PAR_MIN_ELEMS` (set lazily on first use).
     par_threshold: Option<usize>,
     /// Cumulative count of index words the tape has copied into pooled
-    /// buffers (never cleared by `reset`). Zero-copy tests assert this stays
-    /// flat across steps bound against a cached composition.
+    /// buffers (never cleared by `reset`). Stays flat across steps recorded
+    /// against shared views only.
     idx_copied: u64,
-    /// Zero-copy override: `Some` wins over the `RN_ZERO_COPY` env knob.
-    zero_copy: Option<bool>,
-    /// Grow-only identity prefix `0..cap`, shared with dense fused steps in
-    /// zero-copy mode so they stop materializing a per-step identity row
-    /// list.
+    /// Grow-only identity prefix `0..cap`, shared with dense fused steps so
+    /// they do not materialize a per-step identity row list.
     identity: Option<Arc<[usize]>>,
 }
 
@@ -574,7 +533,7 @@ fn pool_harvest(pool: &mut BufPool<f32>, m: Matrix) {
 
 /// Hand a fused GRU node's saved activations to the pool at `reset`.
 fn harvest_gru_saved(pool: &mut BufPool<f32>, s: GruSaved) {
-    for m in [s.hx, s.rhx, s.z, s.r, s.c].into_iter().chain(s.mask) {
+    for m in [s.hx, s.rhx, s.z, s.r, s.c] {
         pool_harvest(pool, m);
     }
 }
@@ -1200,33 +1159,16 @@ impl Graph {
         self.par_threshold.unwrap_or(PAR_MIN_ELEMS)
     }
 
-    /// Whether this tape runs in zero-copy mode: callers that own a cached
-    /// composition hand ops [`IndexInput::Shared`] views instead of slices
-    /// the tape must copy. Defaults to the `RN_ZERO_COPY` env knob (on
-    /// unless set to `0`/`false`/`off`); [`Graph::set_zero_copy`] overrides.
-    /// Recorded contents are identical either way, so this is a pure
-    /// memory-traffic lever — results are bitwise unchanged.
-    pub fn zero_copy(&self) -> bool {
-        self.zero_copy.unwrap_or_else(env_zero_copy)
-    }
-
-    /// Override the zero-copy mode for this tape (wins over `RN_ZERO_COPY`).
-    /// Survives [`Graph::reset`].
-    pub fn set_zero_copy(&mut self, on: bool) {
-        self.zero_copy = Some(on);
-    }
-
     /// Cumulative count of index words this tape has copied into pooled
-    /// buffers at record time (never cleared by [`Graph::reset`]). A step
-    /// recorded entirely against shared composition views leaves this flat —
-    /// the zero-copy acceptance tests assert exactly that.
+    /// buffers at record time (never cleared by [`Graph::reset`]): every
+    /// [`IndexInput::Copied`] list an op was handed. A step recorded
+    /// entirely against shared plan views leaves this flat.
     pub fn index_words_copied(&self) -> u64 {
         self.idx_copied
     }
 
     /// Shared identity row list `0..n`, grown on demand and recorded by
-    /// refcount — the zero-copy replacement for building a fresh identity
-    /// `Vec` per dense fused step.
+    /// refcount instead of building a fresh identity `Vec` per dense step.
     fn identity_rows(&mut self, n: usize) -> SharedIndices {
         let cur = self.identity.as_ref().map_or(0, |a| a.len());
         if cur < n {
@@ -1272,14 +1214,6 @@ impl Graph {
                     }
                 }
                 Op::SegmentSum { segments, .. } => recycle_index(idx_pool, segments),
-                Op::GatherMask { mask, indices, .. } => {
-                    pool_harvest(pool, mask);
-                    recycle_index(idx_pool, indices);
-                }
-                Op::SegmentAcc { mask, segments, .. } => {
-                    pool_harvest(pool, mask);
-                    recycle_index(idx_pool, segments);
-                }
                 Op::SegmentAccRows {
                     rows,
                     segments,
@@ -1379,7 +1313,7 @@ impl Graph {
     /// (a cached megabatch composition shared behind an `Arc`): the tape
     /// needs its own mutable copy because the fused step ops may advance
     /// states in place, stealing the leaf's buffer. Note the contrast with
-    /// the tape's *index* lists, which zero-copy mode records as refcounted
+    /// the tape's *index* lists, which are recorded as refcounted
     /// [`SharedIndices`] views precisely because no op ever mutates them.
     pub fn constant_copy(&mut self, src: &Matrix) -> Var {
         let m = pooled_copy(&mut self.pool, src);
@@ -1807,104 +1741,13 @@ impl Graph {
     // Fused message-passing ops
     // ------------------------------------------------------------------
 
-    /// Fused gather + row mask: `out[i] = mask[i] * x[indices[i]]`.
-    ///
-    /// One tape node replacing the `gather_rows` → `mask_rows` pair. The
-    /// production sweep uses the row-compacted form ([`Graph::gather_rows`]
-    /// over active ids); this masked form is kept as the dense reference the
-    /// compacted ops are validated against, and for callers whose masks are
-    /// not 0/1. Masked rows are exact zeros, like the unfused pair.
-    pub fn gather_mask(&mut self, x: Var, indices: &[usize], mask: &Matrix) -> Var {
-        let mut pool = std::mem::take(&mut self.pool);
-        let xv = self.value(x);
-        assert_eq!(
-            indices.len(),
-            mask.rows(),
-            "gather_mask: indices/mask mismatch"
-        );
-        let cols = xv.cols();
-        let mut out = pool_matrix_scratch(&mut pool, indices.len(), cols);
-        for (i, &idx) in indices.iter().enumerate() {
-            let m = mask.get(i, 0);
-            let dst = out.row_mut(i);
-            let src = xv.row(idx);
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = m * s;
-            }
-        }
-        let mask_copy = pooled_copy(&mut pool, mask);
-        self.pool = pool;
-        let indices = IndexList::Pooled(pool_indices(
-            &mut self.idx_pool,
-            &mut self.idx_copied,
-            indices,
-        ));
-        self.push(
-            out,
-            Op::GatherMask {
-                x,
-                indices,
-                mask: mask_copy,
-            },
-        )
-    }
-
-    /// Fused masked scatter-add accumulate:
-    /// `out = acc` then `out[segments[i]] += mask[i] * x[i]`.
-    ///
-    /// One tape node replacing the `mask_rows` → `segment_sum` → `add` chain
-    /// that folds per-position messages into the per-entity accumulator.
-    /// The production sweep uses [`Graph::segment_acc_rows`]; this masked
-    /// form is the dense reference it is validated against.
-    pub fn segment_acc(&mut self, acc: Var, x: Var, segments: &[usize], mask: &Matrix) -> Var {
-        let mut pool = std::mem::take(&mut self.pool);
-        let (acc_v, x_v) = (self.value(acc), self.value(x));
-        assert_eq!(
-            segments.len(),
-            x_v.rows(),
-            "segment_acc: segments/x mismatch"
-        );
-        assert_eq!(mask.rows(), x_v.rows(), "segment_acc: mask/x mismatch");
-        assert_eq!(acc_v.cols(), x_v.cols(), "segment_acc: width mismatch");
-        let num_segments = acc_v.rows();
-        let mut out = pool_matrix_scratch(&mut pool, num_segments, acc_v.cols());
-        out.as_mut_slice().copy_from_slice(acc_v.as_slice());
-        for (i, &s) in segments.iter().enumerate() {
-            assert!(
-                s < num_segments,
-                "segment_acc: segment id {s} out of range {num_segments}"
-            );
-            let m = mask.get(i, 0);
-            let src = x_v.row(i);
-            let dst = out.row_mut(s);
-            for (d, &v) in dst.iter_mut().zip(src) {
-                *d += m * v;
-            }
-        }
-        let mask_copy = pooled_copy(&mut pool, mask);
-        self.pool = pool;
-        let segments = IndexList::Pooled(pool_indices(
-            &mut self.idx_pool,
-            &mut self.idx_copied,
-            segments,
-        ));
-        self.push(
-            out,
-            Op::SegmentAcc {
-                acc,
-                x,
-                segments,
-                mask: mask_copy,
-            },
-        )
-    }
-
     /// Row-compacted scatter-add accumulate:
     /// `out = acc` then `out[segments[k]] += x[rows[k]]`.
     ///
-    /// The compacted sibling of [`Graph::segment_acc`]: instead of masking
-    /// inactive rows to zero and still touching them, only the active
-    /// `rows` are visited at all. With RouteNet's path-length distribution
+    /// One tape node replacing the `mask_rows` → `segment_sum` → `add` chain
+    /// that folds per-position messages into the per-entity accumulator:
+    /// instead of masking inactive rows to zero and still touching them,
+    /// only the active `rows` are visited. With RouteNet's path-length distribution
     /// most positions are inactive in late steps, so this trims both the
     /// forward scatter and the backward gather to the live set.
     /// In **inference mode** this op is destructive like
@@ -2042,9 +1885,8 @@ impl Graph {
     /// passes through bitwise untouched. `x` must already be compacted to
     /// `rows.len()` rows (e.g. by [`Graph::gather_rows`] with active ids).
     ///
-    /// Numerically identical to [`Graph::gru_step`] with a 0/1 mask, but the
-    /// gate matmuls and transcendentals shrink from all paths to the active
-    /// set — the biggest single win on RouteNet's tail steps, where only a
+    /// Numerically identical to a masked step over all rows, but the gate
+    /// matmuls and transcendentals shrink from all paths to the active set — the biggest single win on RouteNet's tail steps, where only a
     /// handful of long paths remain active.
     /// In **inference mode** this op is destructive: it steals `h`'s buffer
     /// and advances the active rows in place instead of copying all `n`
@@ -2222,14 +2064,7 @@ impl Graph {
             pool_recycle(&mut pool, c);
             None
         } else {
-            Some(Box::new(GruSaved {
-                hx,
-                rhx,
-                z,
-                r,
-                c,
-                mask: None,
-            }))
+            Some(Box::new(GruSaved { hx, rhx, z, r, c }))
         };
         self.pool = pool;
         let rows = intern_indices(&mut self.idx_pool, &mut self.idx_copied, &rows_in);
@@ -2251,16 +2086,14 @@ impl Graph {
     /// ```text
     /// z = σ([h|x]·W_z + b_z)       r = σ([h|x]·W_r + b_r)
     /// c = tanh([r⊙h|x]·W_c + b_c)  h' = (1−z)⊙h + z⊙c
-    /// out = mask⊙h' + (1−mask)⊙h   (out = h' when mask is None)
     /// ```
     ///
     /// Replaces the ~17-node unfused expansion. Forward intermediates are
     /// kept on the node for the adjoint; all scratch comes from the pool.
-    /// Numerics match the unfused op chain operation-for-operation. The
-    /// production sweep uses the row-compacted [`Graph::gru_step_rows`];
-    /// the masked form here is the dense reference it is validated against
-    /// (and the fused step for callers without compaction lists).
-    pub fn gru_step(&mut self, vars: &GruVars, h: Var, x: Var, mask: Option<&Matrix>) -> Var {
+    /// Numerics match the unfused op chain operation-for-operation. Every
+    /// row advances; the path sweep, where most rows are padding, uses the
+    /// row-compacted [`Graph::gru_step_rows`].
+    pub fn gru_step(&mut self, vars: &GruVars, h: Var, x: Var) -> Var {
         let mut pool = std::mem::take(&mut self.pool);
         let (n, hidden) = self.value(h).shape();
         let input = self.value(x).cols();
@@ -2273,9 +2106,6 @@ impl Graph {
         let w_c = self.value(vars.w_c);
         let b_c = self.value(vars.b_c);
         assert_eq!(w_z.shape(), (hidden + input, hidden), "gru_step: W_z shape");
-        if let Some(m) = mask {
-            assert_eq!(m.shape(), (n, 1), "gru_step: mask shape");
-        }
 
         let w_zr = vars.w_zr.map(|v| self.value(v));
 
@@ -2323,24 +2153,10 @@ impl Graph {
         for i in 0..n {
             let dst = out.row_mut(i);
             let (zr, cr) = (z.row(i), c.row(i));
-            match mask {
-                // Same operation sequence as the unfused chain:
-                // (1-z)*h + z*c, then blended with the mask.
-                None => {
-                    for j in 0..hidden {
-                        let hvj = dst[j];
-                        dst[j] = (1.0 - zr[j]) * hvj + zr[j] * cr[j];
-                    }
-                }
-                Some(m) => {
-                    let mv = m.get(i, 0);
-                    let keep = 1.0 - mv;
-                    for j in 0..hidden {
-                        let hvj = dst[j];
-                        let blended = (1.0 - zr[j]) * hvj + zr[j] * cr[j];
-                        dst[j] = keep * hvj + mv * blended;
-                    }
-                }
+            // Same operation sequence as the unfused chain: (1-z)*h + z*c.
+            for j in 0..hidden {
+                let hvj = dst[j];
+                dst[j] = (1.0 - zr[j]) * hvj + zr[j] * cr[j];
             }
         }
 
@@ -2352,15 +2168,7 @@ impl Graph {
             pool_recycle(&mut pool, c);
             None
         } else {
-            let mask_copy = mask.map(|m| pooled_copy(&mut pool, m));
-            Some(Box::new(GruSaved {
-                hx,
-                rhx,
-                z,
-                r,
-                c,
-                mask: mask_copy,
-            }))
+            Some(Box::new(GruSaved { hx, rhx, z, r, c }))
         };
         self.pool = pool;
         self.push(
@@ -2407,22 +2215,12 @@ impl Graph {
                     dense: b.clone(),
                     entity: b,
                 };
-                if self.zero_copy() {
-                    // Record the shared identity prefix by refcount instead
-                    // of materializing (and then copying) a 0..n row list.
-                    let rows = self.identity_rows(n);
-                    self.gru_step_rows_sharded(vars, h, x, rows.into(), Some(split))
-                } else {
-                    let mut rows = self.idx_pool.take(n);
-                    rows.clear();
-                    rows.extend(0..n);
-                    let out =
-                        self.gru_step_rows_sharded(vars, h, x, rows.as_slice().into(), Some(split));
-                    self.idx_pool.put(rows);
-                    out
-                }
+                // Record the shared identity prefix by refcount instead of
+                // materializing (and then copying) a 0..n row list.
+                let rows = self.identity_rows(n);
+                self.gru_step_rows_sharded(vars, h, x, rows.into(), Some(split))
             }
-            _ => self.gru_step(vars, h, x, None),
+            _ => self.gru_step(vars, h, x),
         }
     }
 
@@ -2848,45 +2646,6 @@ impl Graph {
                     let gx = pooled_filled(&mut pool, rows, cols, s);
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
-                Op::GatherMask { x, indices, mask } => {
-                    // out[i] = mask[i] * x[idx[i]]  =>  gx[idx[i]] += mask[i]*g[i]
-                    let (rows, cols) = self.value(*x).shape();
-                    let mut gx = pool_matrix(&mut pool, rows, cols);
-                    for (i, &idx) in indices.iter().enumerate() {
-                        let m = mask.get(i, 0);
-                        if m == 0.0 {
-                            continue;
-                        }
-                        let dst = gx.row_mut(idx);
-                        for (d, &v) in dst.iter_mut().zip(g.row(i)) {
-                            *d += m * v;
-                        }
-                    }
-                    accumulate_pooled(&mut grads, &mut pool, *x, gx);
-                }
-                Op::SegmentAcc {
-                    acc,
-                    x,
-                    segments,
-                    mask,
-                } => {
-                    // out = acc + scatter(mask*x): g_acc += g,
-                    // g_x[i] += mask[i] * g[segments[i]].
-                    let (rows, cols) = self.value(*x).shape();
-                    let mut gx = pool_matrix(&mut pool, rows, cols);
-                    for (i, &s) in segments.iter().enumerate() {
-                        let m = mask.get(i, 0);
-                        if m == 0.0 {
-                            continue;
-                        }
-                        let dst = gx.row_mut(i);
-                        for (d, &v) in dst.iter_mut().zip(g.row(s)) {
-                            *d = m * v;
-                        }
-                    }
-                    accumulate_pooled(&mut grads, &mut pool, *x, gx);
-                    accumulate_ref(&mut grads, &mut pool, *acc, &g);
-                }
                 Op::GruStep { vars, h, x, saved } => {
                     let (vars, h, x) = (*vars, *h, *x);
                     let s: &GruSaved = saved
@@ -2897,34 +2656,13 @@ impl Graph {
                     let input = self.value(x).cols();
                     let n_rows = hv.rows();
 
-                    // Mask the incoming gradient; the pass-through part goes
-                    // straight to h.
                     let mut gh = pool_matrix(&mut pool, n_rows, hidden);
-                    let mut gm = pool_matrix_scratch(&mut pool, n_rows, hidden);
-                    match &s.mask {
-                        None => gm.as_mut_slice().copy_from_slice(g.as_slice()),
-                        Some(m) => {
-                            for i in 0..n_rows {
-                                let mv = m.get(i, 0);
-                                let keep = 1.0 - mv;
-                                let g_row = g.row(i);
-                                let gm_row = gm.row_mut(i);
-                                for j in 0..hidden {
-                                    gm_row[j] = mv * g_row[j];
-                                }
-                                let gh_row = gh.row_mut(i);
-                                for j in 0..hidden {
-                                    gh_row[j] += keep * g_row[j];
-                                }
-                            }
-                        }
-                    }
 
-                    // gz = gm ⊙ (c - h); gc = gm ⊙ z; gh += gm ⊙ (1-z)
+                    // gz = g ⊙ (c - h); gc = g ⊙ z; gh += g ⊙ (1-z)
                     let mut gz = pool_matrix_scratch(&mut pool, n_rows, hidden);
                     let mut gc = pool_matrix_scratch(&mut pool, n_rows, hidden);
                     for i in 0..n_rows {
-                        let gm_r = gm.row(i);
+                        let gm_r = g.row(i);
                         let zr = s.z.row(i);
                         let cr = s.c.row(i);
                         let hr = hv.row(i);
@@ -3042,7 +2780,6 @@ impl Graph {
                         }
                     }
                     pool_recycle(&mut pool, g_hx);
-                    pool_recycle(&mut pool, gm);
 
                     accumulate_pooled(&mut grads, &mut pool, h, gh);
                     accumulate_pooled(&mut grads, &mut pool, x, gx_acc);
@@ -3700,39 +3437,51 @@ mod tests {
     }
 
     #[test]
-    fn gather_mask_matches_unfused_pair() {
-        let indices = [2usize, 0, 1, 2, 0];
+    fn compacted_gather_matches_masked_gather() {
+        // Positions 1 and 4 are padding: the compacted gather reads only the
+        // active ids; the reference gathers a full-width list and masks.
+        let full_ids = [2usize, 0, 1, 2, 0];
         let mask = Matrix::column_vector(&[1.0, 0.0, 1.0, 1.0, 0.0]);
+        let active_rows = [0usize, 2, 3];
+        let active_ids = [2usize, 1, 2];
 
         let mut ga = Graph::new();
         let xa = ga.param(det_matrix(3, 4, 7));
-        let fused = ga.gather_mask(xa, &indices, &mask);
-        let la = ga.sum(fused);
+        let compact = ga.gather_rows(xa, &active_ids);
+        let la = ga.sum(compact);
         ga.backward(la);
 
         let mut gb = Graph::new();
         let xb = gb.param(det_matrix(3, 4, 7));
-        let gathered = gb.gather_rows(xb, &indices);
+        let gathered = gb.gather_rows(xb, &full_ids);
         let masked = gb.mask_rows(gathered, &mask);
         let lb = gb.sum(masked);
         gb.backward(lb);
 
-        assert!(
-            ga.value(fused).approx_eq(gb.value(masked), 0.0),
-            "forward must be exact"
-        );
+        for (k, &row) in active_rows.iter().enumerate() {
+            assert_eq!(
+                ga.value(compact).row(k),
+                gb.value(masked).row(row),
+                "forward must be exact"
+            );
+        }
+        for row in [1, 4] {
+            assert!(gb.value(masked).row(row).iter().all(|&v| v == 0.0));
+        }
         assert!(ga.grad(xa).unwrap().approx_eq(gb.grad(xb).unwrap(), 0.0));
     }
 
     #[test]
-    fn segment_acc_matches_unfused_chain() {
+    fn segment_acc_rows_matches_unfused_chain() {
         let segments = [1usize, 0, 1, 1];
         let mask = Matrix::column_vector(&[1.0, 1.0, 0.0, 1.0]);
+        let active_rows = [0usize, 1, 3];
+        let active_segments = [1usize, 0, 1];
 
         let mut ga = Graph::new();
         let acc_a = ga.param(det_matrix(2, 3, 1));
         let xa = ga.param(det_matrix(4, 3, 2));
-        let out_a = ga.segment_acc(acc_a, xa, &segments, &mask);
+        let out_a = ga.segment_acc_rows(acc_a, xa, &active_rows, &active_segments);
         let wa = ga.constant(det_matrix(2, 3, 3));
         let prod_a = ga.mul(out_a, wa);
         let la = ga.sum(prod_a);
@@ -3749,7 +3498,7 @@ mod tests {
         let lb = gb.sum(prod_b);
         gb.backward(lb);
 
-        assert!(ga.value(out_a).approx_eq(gb.value(out_b), 0.0));
+        assert!(ga.value(out_a).approx_eq(gb.value(out_b), 1e-6));
         assert!(ga.grad(xa).unwrap().approx_eq(gb.grad(xb).unwrap(), 1e-6));
         assert!(ga
             .grad(acc_a)
@@ -3759,76 +3508,68 @@ mod tests {
 
     #[test]
     fn gru_step_forward_matches_unfused() {
-        for mask in [None, Some(Matrix::column_vector(&[1.0, 0.0, 1.0, 1.0]))] {
-            let mut ga = Graph::new();
-            let va = toy_gru(&mut ga, 5, 3, 42);
-            let ha = ga.constant(det_matrix(4, 5, 10));
-            let xa = ga.constant(det_matrix(4, 3, 11));
-            let fused = ga.gru_step(&va, ha, xa, mask.as_ref());
+        let mut ga = Graph::new();
+        let va = toy_gru(&mut ga, 5, 3, 42);
+        let ha = ga.constant(det_matrix(4, 5, 10));
+        let xa = ga.constant(det_matrix(4, 3, 11));
+        let fused = ga.gru_step(&va, ha, xa);
 
-            let mut gb = Graph::new();
-            let vb = toy_gru(&mut gb, 5, 3, 42);
-            let hb = gb.constant(det_matrix(4, 5, 10));
-            let xb = gb.constant(det_matrix(4, 3, 11));
-            let unfused = gru_step_unfused(&mut gb, &vb, hb, xb, mask.as_ref());
+        let mut gb = Graph::new();
+        let vb = toy_gru(&mut gb, 5, 3, 42);
+        let hb = gb.constant(det_matrix(4, 5, 10));
+        let xb = gb.constant(det_matrix(4, 3, 11));
+        let unfused = gru_step_unfused(&mut gb, &vb, hb, xb, None);
 
+        assert!(
+            ga.value(fused).approx_eq(gb.value(unfused), 1e-6),
+            "fused forward diverged"
+        );
+    }
+
+    #[test]
+    fn gru_step_gradients_match_unfused() {
+        let mut ga = Graph::new();
+        let va = toy_gru(&mut ga, 5, 3, 9);
+        let ha = ga.param(det_matrix(4, 5, 20));
+        let xa = ga.param(det_matrix(4, 3, 21));
+        let fused = ga.gru_step(&va, ha, xa);
+        let sq_a = ga.square(fused);
+        let la = ga.mean(sq_a);
+        ga.backward(la);
+
+        let mut gb = Graph::new();
+        let vb = toy_gru(&mut gb, 5, 3, 9);
+        let hb = gb.param(det_matrix(4, 5, 20));
+        let xb = gb.param(det_matrix(4, 3, 21));
+        let unfused = gru_step_unfused(&mut gb, &vb, hb, xb, None);
+        let sq_b = gb.square(unfused);
+        let lb = gb.mean(sq_b);
+        gb.backward(lb);
+
+        let pairs = [
+            (va.w_z, vb.w_z),
+            (va.b_z, vb.b_z),
+            (va.w_r, vb.w_r),
+            (va.b_r, vb.b_r),
+            (va.w_c, vb.w_c),
+            (va.b_c, vb.b_c),
+            (ha, hb),
+            (xa, xb),
+        ];
+        for (i, (fa, fb)) in pairs.iter().enumerate() {
+            let grad_a = ga.grad(*fa).expect("fused grad");
+            let grad_b = gb.grad(*fb).expect("unfused grad");
             assert!(
-                ga.value(fused).approx_eq(gb.value(unfused), 1e-6),
-                "fused forward diverged (mask: {})",
-                mask.is_some()
+                grad_a.approx_eq(grad_b, 2e-5),
+                "grad {i} diverged: {grad_a:?} vs {grad_b:?}"
             );
         }
     }
 
     #[test]
-    fn gru_step_gradients_match_unfused() {
-        for mask in [None, Some(Matrix::column_vector(&[1.0, 0.0, 1.0, 1.0]))] {
-            let mut ga = Graph::new();
-            let va = toy_gru(&mut ga, 5, 3, 9);
-            let ha = ga.param(det_matrix(4, 5, 20));
-            let xa = ga.param(det_matrix(4, 3, 21));
-            let fused = ga.gru_step(&va, ha, xa, mask.as_ref());
-            let sq_a = ga.square(fused);
-            let la = ga.mean(sq_a);
-            ga.backward(la);
-
-            let mut gb = Graph::new();
-            let vb = toy_gru(&mut gb, 5, 3, 9);
-            let hb = gb.param(det_matrix(4, 5, 20));
-            let xb = gb.param(det_matrix(4, 3, 21));
-            let unfused = gru_step_unfused(&mut gb, &vb, hb, xb, mask.as_ref());
-            let sq_b = gb.square(unfused);
-            let lb = gb.mean(sq_b);
-            gb.backward(lb);
-
-            let pairs = [
-                (va.w_z, vb.w_z),
-                (va.b_z, vb.b_z),
-                (va.w_r, vb.w_r),
-                (va.b_r, vb.b_r),
-                (va.w_c, vb.w_c),
-                (va.b_c, vb.b_c),
-                (ha, hb),
-                (xa, xb),
-            ];
-            for (i, (fa, fb)) in pairs.iter().enumerate() {
-                let grad_a = ga.grad(*fa).expect("fused grad");
-                let grad_b = gb.grad(*fb).expect("unfused grad");
-                assert!(
-                    grad_a.approx_eq(grad_b, 2e-5),
-                    "grad {i} diverged (mask {}): {:?} vs {:?}",
-                    mask.is_some(),
-                    grad_a,
-                    grad_b
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gru_step_rows_matches_masked_gru_step() {
-        // Active rows {0, 2, 3} of 4; compact ops must agree with the masked
-        // form on values and on every gradient.
+    fn gru_step_rows_matches_masked_primitive_chain() {
+        // Active rows {0, 2, 3} of 4; the compact ops must agree with the
+        // masked primitive chain on values and on every gradient.
         let rows = [0usize, 2, 3];
         let mask = Matrix::column_vector(&[1.0, 0.0, 1.0, 1.0]);
         let ids = [1usize, 0, 2]; // entity per active row
@@ -3851,10 +3592,13 @@ mod tests {
         let hb = gb.param(det_matrix(4, 5, 20));
         // Masked form: gather a full-width id list (0 for inactive) + mask.
         let full_ids = [1usize, 0, 0, 2];
-        let xb = gb.gather_mask(states_b, &full_ids, &mask);
-        let stepped = gb.gru_step(&vb, hb, xb, Some(&mask));
+        let gathered = gb.gather_rows(states_b, &full_ids);
+        let xb = gb.mask_rows(gathered, &mask);
+        let stepped = gru_step_unfused(&mut gb, &vb, hb, xb, Some(&mask));
         let acc_b = gb.constant(Matrix::zeros(3, 5));
-        let out_b = gb.segment_acc(acc_b, stepped, &full_ids, &mask);
+        let msg = gb.mask_rows(stepped, &mask);
+        let contribution = gb.segment_sum(msg, &full_ids, 3);
+        let out_b = gb.add(acc_b, contribution);
         let sq_b = gb.square(out_b);
         let lb = gb.mean(sq_b);
         gb.backward(lb);
@@ -3895,7 +3639,7 @@ mod tests {
             }
             let h = g.param(det_matrix(4, 5, 10));
             let x_dense = g.param(det_matrix(4, 3, 11));
-            let dense = g.gru_step(&vars, h, x_dense, None);
+            let dense = g.gru_step(&vars, h, x_dense);
             let x_rows = g.param(det_matrix(rows.len(), 3, 12));
             let compact = g.gru_step_rows(&vars, dense, x_rows, &rows);
             let sq = g.square(compact);
@@ -3953,11 +3697,12 @@ mod tests {
         let vars = toy_gru(g, 4, 4, 3);
         let h0 = g.constant(det_matrix(5, 4, 30));
         let x0 = g.constant(det_matrix(5, 4, 31));
-        let mask = Matrix::column_vector(&[1.0, 1.0, 0.0, 1.0, 1.0]);
-        let x = g.gather_mask(x0, &[0, 2, 1, 4, 3], &mask);
-        let h1 = g.gru_step(&vars, h0, x, Some(&mask));
+        // Row 2 is padding.
+        let rows = [0usize, 1, 3, 4];
+        let x = g.gather_rows(x0, &[0, 2, 4, 3]);
+        let h1 = g.gru_step_rows(&vars, h0, x, &rows);
         let acc0 = g.constant(Matrix::zeros(3, 4));
-        let acc = g.segment_acc(acc0, h1, &[0, 1, 2, 0, 1], &mask);
+        let acc = g.segment_acc_rows(acc0, h1, &rows, &[0, 1, 0, 1]);
         let sq = g.square(acc);
         let loss = g.mean(sq);
         g.backward(loss);
@@ -3997,7 +3742,7 @@ mod tests {
             let vars = toy_gru(&mut g, 4, 4, 3);
             let h = g.constant(det_matrix(5, 4, 30));
             let x = g.constant(det_matrix(5, 4, 31));
-            let h1 = g.gru_step(&vars, h, x, None);
+            let h1 = g.gru_step(&vars, h, x);
             let x2 = g.gather_rows(h1, &[0, 1, 2]);
             let h2 = g.gru_step_rows(&vars, h1, x2, &[1, 2, 3]);
             (g.value(h2).clone(), g.pooled_buffers())
@@ -4282,7 +4027,7 @@ mod tests {
         let vars = toy_gru(&mut g, 4, 4, 3);
         let h = g.constant(det_matrix(5, 4, 30));
         let x = g.constant(det_matrix(5, 4, 31));
-        let h1 = g.gru_step(&vars, h, x, None);
+        let h1 = g.gru_step(&vars, h, x);
         // The input state's buffer was stolen: h is now empty, h1 owns it.
         assert_eq!(g.value(h).shape(), (0, 0), "h consumed by in-place step");
         assert_eq!(g.value(h1).shape(), (5, 4));
@@ -4295,7 +4040,7 @@ mod tests {
         let vars = toy_gru(&mut t, 4, 4, 3);
         let h = t.constant(det_matrix(5, 4, 30));
         let x = t.constant(det_matrix(5, 4, 31));
-        let h1t = t.gru_step(&vars, h, x, None);
+        let h1t = t.gru_step(&vars, h, x);
         assert_eq!(t.value(h).shape(), (5, 4), "training mode must not steal");
         // And the in-place values are bitwise identical to the copying ones.
         assert!(g.value(h1).approx_eq(t.value(h1t), 0.0));

@@ -1,22 +1,20 @@
-//! Borrow-or-copy index lists — the zero-copy tape mode.
+//! Borrow-or-copy index lists.
 //!
 //! Every fused tape op records the index/segment lists it replays in the
-//! backward sweep (gather ids, active rows, shard bounds). Historically the
-//! tape copied each list into a pooled `Vec<usize>` at record time — cheap
-//! per call, but paid again at every sequence position of every forward,
-//! and it was the last per-step O(batch) memory traffic that is not kernel
-//! work. A cached megabatch composition already owns identical lists with a
-//! lifetime longer than any tape, so the tape can record a refcounted
-//! *borrow* of the composition's buffer instead.
+//! backward sweep (gather ids, active rows, shard bounds). Copying each list
+//! into a pooled `Vec<usize>` at record time is cheap per call, but paid
+//! again at every sequence position of every forward. A plan already owns
+//! identical lists with a lifetime longer than any tape, so the tape records
+//! a refcounted *borrow* of the plan's buffer instead.
 //!
 //! [`SharedIndices`] is that borrow: an `Arc<[usize]>` plus a sub-range.
-//! [`IndexInput`] is what callers hand the sharded ops — either a plain
-//! slice the tape must copy (legacy/uncached callers, tests), or a shared
-//! view recorded as-is with **zero** copying. Which one a caller builds is
-//! the only difference between the modes; the recorded list contents are
-//! identical either way, so results are bitwise identical by construction.
+//! [`IndexInput`] is what callers hand the ops — a shared view recorded
+//! as-is with **zero** copying (what the models pass), or a plain slice the
+//! tape copies (callers that hold only a slice). There is one contract, not
+//! a mode: the recorded list contents are identical either way, so results
+//! are bitwise identical by construction.
 //! [`crate::Graph::index_words_copied`] counts the words the tape actually
-//! copies, which is how the zero-copy tests assert "zero".
+//! copies, which is how tests assert "zero".
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -66,11 +64,10 @@ impl SharedIndices {
 
 /// An index list handed to a tape op at record time.
 ///
-/// `Copied` is the legacy contract: the tape copies the slice into a pooled
-/// buffer before the caller's borrow ends. `Shared` is the zero-copy
-/// contract: the tape stores the refcounted view itself. The op's recorded
-/// contents — and therefore every forward value and gradient — are the same
-/// either way.
+/// `Copied`: the tape copies the slice into a pooled buffer before the
+/// caller's borrow ends. `Shared`: the tape stores the refcounted view
+/// itself. The op's recorded contents — and therefore every forward value
+/// and gradient — are the same either way.
 #[derive(Debug, Clone)]
 pub enum IndexInput<'a> {
     /// Borrowed slice; the tape copies it into a pooled buffer.

@@ -38,12 +38,11 @@ pub const OP_KINDS: &[&str] = &[
     "other",
 ];
 
-/// Scatter/gather index traffic: `GatherRows`, `GatherMask`, `MaskRows`.
+/// Scatter/gather index traffic: `GatherRows`, `MaskRows`.
 pub const KIND_GATHER: usize = 0;
 /// The fused GRU cell adjoints: `GruStep`, `GruStepRows`.
 pub const KIND_GRU: usize = 1;
-/// Segment aggregation adjoints: `SegmentSum`, `SegmentAcc`,
-/// `SegmentAccRows`.
+/// Segment aggregation adjoints: `SegmentSum`, `SegmentAccRows`.
 pub const KIND_SEGMENT: usize = 2;
 /// Dense linear algebra: `MatMul`, `AddBias`, `Affine`.
 pub const KIND_MATMUL: usize = 3;
@@ -78,9 +77,9 @@ pub fn reset_op_trace() {
 
 fn kind_of(op: &Op) -> usize {
     match op {
-        Op::GatherRows { .. } | Op::GatherMask { .. } | Op::MaskRows { .. } => KIND_GATHER,
+        Op::GatherRows { .. } | Op::MaskRows { .. } => KIND_GATHER,
         Op::GruStep { .. } | Op::GruStepRows { .. } => KIND_GRU,
-        Op::SegmentSum { .. } | Op::SegmentAcc { .. } | Op::SegmentAccRows { .. } => KIND_SEGMENT,
+        Op::SegmentSum { .. } | Op::SegmentAccRows { .. } => KIND_SEGMENT,
         Op::MatMul { .. } | Op::AddBias { .. } | Op::Affine { .. } => KIND_MATMUL,
         Op::Sigmoid(_) | Op::Tanh(_) | Op::Relu(_) | Op::Selu { .. } | Op::Softplus(_) => {
             KIND_ACTIVATION

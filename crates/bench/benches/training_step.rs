@@ -44,7 +44,7 @@
 //!   but honest ratio; `epoch2_structure_ns_eliminated_per_step` records
 //!   the absolute planning time the scheduler removes from every step).
 //!
-//! Two PR-9 families close the loop on the last per-step memory traffic:
+//! One more family covers the bulk activation kernels:
 //!
 //! - `activation_map/{scalar,avx2}` — one bulk tanh map over a ~1M-element
 //!   buffer through the scalar reference loop vs the runtime-dispatched
@@ -53,11 +53,6 @@
 //!   actually dispatches AVX2; otherwise an
 //!   `activation_speedup_suppressed_no_avx2` marker is written so "not
 //!   measured" cannot be misread as "no speedup".
-//! - `step_zero_copy/{on,off}` — the full precomposed megabatch step with
-//!   the tape's zero-copy index mode pinned on vs off (alternating order
-//!   per round, separate tapes). `zero_copy_step_ratio` = off/on; the mode
-//!   is bitwise-identical by construction, so this ratio is pure memory
-//!   traffic.
 //!
 //! The criterion stand-in writes `BENCH_training_step.json` with ns/op and
 //! throughput per variant plus derived speedups (including the per-shard
@@ -211,22 +206,22 @@ fn bench_training_step(_c: &mut Criterion) {
     let parts: Vec<&SamplePlan> = plans.iter().collect();
     let small_parts: Vec<&SamplePlan> = small_plans.iter().collect();
     // The production megabatch (shard layout precompiled) plus a stripped
-    // copy that runs the pre-shard legacy kernels — the honest baseline for
-    // the canonical reduction's single-thread overhead.
+    // copy that runs the unsharded kernels — the honest baseline for the
+    // canonical reduction's single-thread overhead. Without `shards` the
+    // sweep hands the ops no split, so the schedule's per-step shard bounds
+    // go unread.
     let mb = build_megabatch(&parts);
     let mut mb_unsharded = build_megabatch(&parts);
     mb_unsharded.plan.shards = None;
-    mb_unsharded.plan.extended_csr.num_shards = 0;
-    mb_unsharded.plan.original_csr.num_shards = 0;
     // Per-sample shards only (dense row partitions stripped): the dense
     // link/node GRU updates and the readout MLP run sequentially, as they
     // did before the fully-parallel backward. The gap to `mb` at high
     // worker counts is the dense sequential tail.
     let mut mb_dense_seq = build_megabatch(&parts);
     if let Some(shards) = mb_dense_seq.plan.shards.as_mut() {
-        shards.dense_path_bounds.clear();
-        shards.dense_link_bounds.clear();
-        shards.dense_node_bounds.clear();
+        shards.dense_path_bounds = Arc::default();
+        shards.dense_link_bounds = Arc::default();
+        shards.dense_node_bounds = Arc::default();
     }
     // The cached composition whose features get refilled every round — the
     // composition-cache-hit / epoch≥2 structure-reuse path.
@@ -261,28 +256,6 @@ fn bench_training_step(_c: &mut Criterion) {
     // round otherwise dominates a ≤5% criterion on a shared runner.
     let mut ov_unsharded_tape = Graph::new();
     let mut ov_dense_tape = Graph::new();
-    // The zero-copy pair: the same precomposed megabatch stepped on two
-    // tapes whose index mode is pinned on/off (alternating order per round
-    // so drift cancels out of the ratio; separate tapes so pooled buffers
-    // never mix).
-    let mut zc_on_tape = Graph::new();
-    zc_on_tape.set_zero_copy(true);
-    let mut zc_off_tape = Graph::new();
-    zc_off_tape.set_zero_copy(false);
-    let zc_step = |tape: &mut Graph| {
-        tape.reset();
-        let bound = model.bind(tape);
-        let pred = model.forward(tape, &bound, &mb.plan);
-        let reliable = if tape.zero_copy() {
-            tape.gather_rows_sharded(pred, mb.plan.reliable_idx_shared().into(), None)
-        } else {
-            tape.gather_rows(pred, &mb.plan.reliable_idx)
-        };
-        let target = tape.constant(mb.plan.reliable_targets_norm());
-        let loss = tape.mse(reliable, target);
-        tape.backward(loss);
-        std::hint::black_box(model.grads(tape, &bound).len());
-    };
     // Bulk activation map input: ~1M elements (well past L2) spanning the
     // interesting tanh range, so the row measures streaming kernel
     // throughput, not cache residency.
@@ -309,8 +282,6 @@ fn bench_training_step(_c: &mut Criterion) {
         &mut ov_unsharded_tape,
     ));
     std::hint::black_box(megabatch_step(&model, &mb, &mut ov_dense_tape));
-    zc_step(&mut zc_on_tape);
-    zc_step(&mut zc_off_tape);
     vact::tanh_map(&act_src, &mut act_dst);
     vact::tanh_map_scalar(&act_src, &mut act_dst);
     std::hint::black_box(act_dst[0]);
@@ -330,8 +301,6 @@ fn bench_training_step(_c: &mut Criterion) {
     let mut t_dense_seq_bwd: Vec<Vec<f64>> = shard_workers.iter().map(|_| Vec::new()).collect();
     let mut t_ov_unsharded = Vec::with_capacity(ROUNDS);
     let mut t_ov_dense = Vec::with_capacity(ROUNDS);
-    let mut t_zc_on = Vec::with_capacity(ROUNDS);
-    let mut t_zc_off = Vec::with_capacity(ROUNDS);
     let mut t_act_scalar = Vec::with_capacity(ROUNDS);
     let mut t_act_simd = Vec::with_capacity(ROUNDS);
     for round in 0..ROUNDS {
@@ -413,20 +382,6 @@ fn bench_training_step(_c: &mut Criterion) {
             t_dense_seq_bwd[i].push(megabatch_step(&model, &mb_dense_seq, tape));
         }
 
-        // Zero-copy on/off pair, alternating order per round.
-        let time_zc = |tape: &mut Graph| {
-            let t = std::time::Instant::now();
-            zc_step(tape);
-            t.elapsed().as_nanos() as f64
-        };
-        if round % 2 == 0 {
-            t_zc_on.push(time_zc(&mut zc_on_tape));
-            t_zc_off.push(time_zc(&mut zc_off_tape));
-        } else {
-            t_zc_off.push(time_zc(&mut zc_off_tape));
-            t_zc_on.push(time_zc(&mut zc_on_tape));
-        }
-
         // Bulk activation map: dispatched kernel vs scalar reference loop,
         // alternating order per round.
         let time_act = |kernel: fn(&[f32], &mut [f32]), dst: &mut Vec<f32>| {
@@ -494,8 +449,6 @@ fn bench_training_step(_c: &mut Criterion) {
     let shard_step: Vec<f64> = t_shard_step.into_iter().map(median).collect();
     let shard_bwd: Vec<f64> = t_shard_bwd.into_iter().map(median).collect();
     let dense_seq_bwd: Vec<f64> = t_dense_seq_bwd.into_iter().map(median).collect();
-    let zc_on = median(t_zc_on);
-    let zc_off = median(t_zc_off);
     let act_scalar = median(t_act_scalar);
     let act_simd = median(t_act_simd);
 
@@ -514,11 +467,9 @@ fn bench_training_step(_c: &mut Criterion) {
         ("small/megabatch_fresh_compose".into(), small_fresh),
         ("small/megabatch_precomposed".into(), small_pre),
         ("after/megabatch".into(), shard_step[0]),
-        // PR-9: the zero-copy index mode pair and the bulk activation map
-        // pair (the latter's "avx2" row falls back to the scalar kernel on
-        // hosts without AVX2 — the derived key below flags that).
-        ("step_zero_copy/on".into(), zc_on),
-        ("step_zero_copy/off".into(), zc_off),
+        // The bulk activation map pair (the "avx2" row falls back to the
+        // scalar kernel on hosts without AVX2 — the derived key below flags
+        // that).
         ("activation_map/scalar".into(), act_scalar),
         ("activation_map/avx2".into(), act_simd),
     ];
@@ -655,11 +606,6 @@ fn bench_training_step(_c: &mut Criterion) {
         ("epoch2_structure_ns_eliminated_per_step", compose_fresh),
         ("compose_fresh_pct_of_step", compose_pct_of_step),
         ("compose_fresh_pct_of_small_step", compose_pct_of_small_step),
-        // Zero-copy step ratio (off/on, > 1 = zero-copy faster): both sides
-        // run on one thread, so a 1-core host measures it fine. Bitwise
-        // identity between the modes is pinned by the test suite, so this
-        // ratio is pure index-traffic cost.
-        ("zero_copy_step_ratio", zc_off / zc_on),
         ("bench_host_cores", bench_host_cores as f64),
     ]);
     if rn_tensor::simd::have_avx2() {

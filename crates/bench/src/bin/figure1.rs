@@ -65,8 +65,9 @@ fn main() {
     println!();
 
     // Quantitative check the schedule is well-formed.
-    let node_positions = plan.extended_steps.iter().step_by(2).count();
-    let link_positions = plan.extended_steps.iter().skip(1).step_by(2).count();
+    let positions = |kind| plan.schedule.kinds.iter().filter(|&&k| k == kind).count();
+    let node_positions = positions(routenet::EntityKind::Node);
+    let link_positions = positions(routenet::EntityKind::Link);
     println!("schedule invariants:");
     println!(
         "  node positions = link positions = max hop count: {node_positions} = {link_positions}"

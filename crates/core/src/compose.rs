@@ -6,16 +6,16 @@
 //! of graph shapes*: what changes between samples is traffic, capacities and
 //! queue profiles, not the CSR structure message passing runs over. Yet a
 //! fresh [`build_megabatch`](crate::entities::build_megabatch) redoes all of
-//! the shape-dependent work — step merging, CSR compilation, shard-bound
-//! precomputation — for every batch, even when the batch has exactly the
-//! ordered sample shapes of the previous one.
+//! the shape-dependent work — schedule merging, shard-bound precomputation —
+//! for every batch, even when the batch has exactly the ordered sample shapes
+//! of the previous one.
 //!
 //! This module splits megabatch assembly into:
 //!
-//! - [`MegabatchStructure`] — everything **shape-dependent**: merged step
-//!   schedules, block-diagonal CSR index buffers (with per-step compaction
-//!   lists and `shard_bounds`), entity offsets, pairs, incidences and the
-//!   per-sample shard layout. Expensive to build, reusable for any batch
+//! - [`MegabatchStructure`] — everything **shape-dependent**: the merged
+//!   block-diagonal schedule (per-step compaction lists and `shard_bounds`),
+//!   entity offsets, pairs, incidences and the per-sample shard layout.
+//!   Expensive to build, reusable for any batch
 //!   whose ordered per-sample [structure
 //!   fingerprints](crate::entities::SamplePlan::structure_fingerprint) match.
 //! - [`MegabatchFeatures`] — everything **per-batch**: the stacked initial
@@ -41,13 +41,13 @@
 
 use crate::entities::{
     balanced_row_bounds, copy_rows, CompiledSteps, EntityKind, MegabatchError, MegabatchPlan,
-    PlanShards, SamplePlan, StepPlan,
+    PlanShards, SamplePlan,
 };
 use crate::plan_cache::Fingerprint;
 use rn_tensor::Matrix;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Intra-sample shard knob
@@ -59,7 +59,7 @@ use std::sync::{Mutex, OnceLock};
 /// (ISP-scale topologies) otherwise run fully unsharded; with
 /// `RN_INTRA_SHARDS=N` (N > 1) their dense per-row work — the link/node GRU
 /// entity updates and the readout MLP — fans out over N balanced row blocks
-/// while message passing keeps the exact legacy single-shard schedule.
+/// while message passing keeps the exact single-shard schedule.
 /// Explicit callers pass the count to
 /// [`MegabatchStructure::compose_with`] instead of mutating the environment.
 pub const INTRA_SHARDS_ENV: &str = "RN_INTRA_SHARDS";
@@ -102,7 +102,7 @@ pub struct MegabatchStructure {
     pub num_links: usize,
     /// Total nodes.
     pub num_nodes: usize,
-    /// Total scheduler queues (0 for packs of legacy two-entity parts).
+    /// Total scheduler queues (0 for packs of two-entity parts).
     pub num_queues: usize,
     /// Per-part path row offsets (len `B`).
     pub path_off: Vec<usize>,
@@ -110,26 +110,21 @@ pub struct MegabatchStructure {
     pub link_off: Vec<usize>,
     /// Per-part node row offsets (len `B`).
     pub node_off: Vec<usize>,
-    /// Per-part queue row offsets (len `B`; all zero for legacy packs).
+    /// Per-part queue row offsets (len `B`; all zero without queues).
     pub queue_off: Vec<usize>,
     /// Ordered per-part structure fingerprints — the composition cache key.
     pub part_fps: Vec<u64>,
     /// Merged `(src, dst)` pairs in the union node id space.
     pub pairs: Vec<(usize, usize)>,
-    /// Merged extended steps (ids shifted, masks padded).
-    pub extended_steps: Vec<StepPlan>,
-    /// Merged original (links-only) steps.
-    pub original_steps: Vec<StepPlan>,
-    /// `extended_steps` compiled to CSR, shard bounds included for `B > 1`.
-    pub extended_csr: CompiledSteps,
-    /// `original_steps` compiled to CSR, shard bounds included for `B > 1`.
-    pub original_csr: CompiledSteps,
+    /// The merged schedule (rows and ids shifted into the union spaces),
+    /// shard bounds included when the plan is sharded.
+    pub schedule: CompiledSteps,
     /// Merged path→node incidence rows.
     pub node_incidence_paths: Vec<usize>,
     /// Merged path→node incidence node ids.
     pub node_incidence_nodes: Vec<usize>,
     /// Per-sample shard layout (`None` for single-part compositions, which
-    /// stay on the legacy bitwise path).
+    /// run unsharded).
     pub shards: Option<PlanShards>,
     /// Per-part path row ranges `[start, end)`.
     pub path_ranges: Vec<(usize, usize)>,
@@ -152,7 +147,7 @@ impl MegabatchStructure {
     /// be subdivided along sample boundaries — splitting its paths across
     /// message shards would interleave scatter-adds into shared entity rows
     /// and change float associativity — so with `intra_shards > 1` message
-    /// passing keeps the single-shard (bitwise-legacy) schedule and only the
+    /// passing keeps the single-shard schedule and only the
     /// dense per-row work (link/node GRU updates, readout MLP), which has no
     /// block-diagonal constraint, fans out over `intra_shards` balanced row
     /// blocks. Output is bitwise identical to the unsharded plan at any
@@ -193,60 +188,40 @@ impl MegabatchStructure {
             qo += p.num_queues;
         }
 
-        // Steps padded to the longest sequence in the pack; ids shifted into
-        // the union id space. Padded rows point at the part's first entity
-        // (any valid id works — the zero mask makes the position inert).
-        // The entity kind at each position is whatever the parts carrying
-        // the position agree on — legacy parts alternate node/link, QoS
-        // parts cycle node/queue/link — and a disagreement (mixed legacy and
-        // QoS parts) is unbatchable: the merged step would need two kinds.
-        let merge_steps =
-            |select: fn(&SamplePlan) -> &Vec<StepPlan>| -> Result<Vec<StepPlan>, MegabatchError> {
-                let max_len = parts.iter().map(|p| select(p).len()).max().unwrap_or(0);
-                let mut merged = Vec::with_capacity(max_len);
-                for pos in 0..max_len {
-                    let mut carried = parts.iter().filter_map(|p| select(p).get(pos));
-                    let kind = carried.next().expect("pos < max_len").kind;
-                    if carried.any(|s| s.kind != kind) {
-                        return Err(MegabatchError::ScheduleMismatch(pos));
-                    }
-                    let mut ids = vec![0usize; n_paths];
-                    let mut mask = Matrix::zeros(n_paths, 1);
-                    let mut active = 0usize;
-                    for (b, p) in parts.iter().enumerate() {
-                        let offset = match kind {
-                            EntityKind::Link => link_off[b],
-                            EntityKind::Node => node_off[b],
-                            EntityKind::Queue => queue_off[b],
-                        };
-                        let rows = path_off[b]..path_off[b] + p.n_paths;
-                        match select(p).get(pos) {
-                            Some(step) => {
-                                for (row, &id) in rows.zip(&step.ids) {
-                                    ids[row] = offset + id;
-                                    let m = step.mask.get(row - path_off[b], 0);
-                                    mask.set(row, 0, m);
-                                }
-                                active += step.active;
-                            }
-                            None => {
-                                for row in rows {
-                                    ids[row] = offset;
-                                }
-                            }
-                        }
-                    }
-                    merged.push(StepPlan {
-                        kind,
-                        ids,
-                        mask,
-                        active,
-                    });
+        // Steps run to the longest sequence in the pack; rows and ids are
+        // shifted into the union spaces and appended part by part, which
+        // keeps every step's active rows ascending. The entity kind at each
+        // position is whatever the parts carrying the position agree on —
+        // two-entity parts alternate node/link, QoS parts cycle
+        // node/queue/link — and a disagreement (mixed parts) is unbatchable:
+        // the merged step would need two kinds.
+        let max_len = parts.iter().map(|p| p.schedule.len()).max().unwrap_or(0);
+        let mut kinds = Vec::with_capacity(max_len);
+        let mut active_offsets = Vec::with_capacity(max_len + 1);
+        let mut active_rows = Vec::new();
+        let mut active_ids = Vec::new();
+        active_offsets.push(0);
+        for pos in 0..max_len {
+            let mut carried = parts.iter().filter_map(|p| p.schedule.kinds.get(pos));
+            let kind = *carried.next().expect("pos < max_len");
+            if carried.any(|&k| k != kind) {
+                return Err(MegabatchError::ScheduleMismatch(pos));
+            }
+            for (b, p) in parts.iter().enumerate() {
+                if pos >= p.schedule.len() {
+                    continue;
                 }
-                Ok(merged)
-            };
-        let extended_steps = merge_steps(|p| &p.extended_steps)?;
-        let original_steps = merge_steps(|p| &p.original_steps)?;
+                let offset = match kind {
+                    EntityKind::Link => link_off[b],
+                    EntityKind::Node => node_off[b],
+                    EntityKind::Queue => queue_off[b],
+                };
+                active_rows.extend(p.schedule.active_rows(pos).iter().map(|r| path_off[b] + r));
+                active_ids.extend(p.schedule.active_ids(pos).iter().map(|id| offset + id));
+            }
+            kinds.push(kind);
+            active_offsets.push(active_rows.len());
+        }
 
         // Pairs, incidences and row ranges live in the union id space.
         let mut node_incidence_paths = Vec::new();
@@ -264,19 +239,15 @@ impl MegabatchStructure {
             path_ranges.push((path_off[b], path_off[b] + p.n_paths));
         }
 
-        let mut extended_csr = CompiledSteps::compile(&extended_steps);
-        let mut original_csr = CompiledSteps::compile(&original_steps);
         // Shard layout: per-sample row bounds in every entity space, plus the
-        // per-step splits of the CSR active lists. A single-sample
-        // "megabatch" runs the exact legacy kernels bit for bit — fully
-        // unsharded by default, or (with `intra_shards > 1`) with
-        // single-shard message passing plus balanced dense row blocks, which
-        // is the same arithmetic in the same order.
+        // per-step splits of the schedule's active lists. A single-sample
+        // "megabatch" runs fully unsharded by default, or (with
+        // `intra_shards > 1`) with single-shard message passing plus
+        // balanced dense row blocks, which is the same arithmetic in the
+        // same order.
         let shards = if parts.len() > 1 {
-            let close = |offs: &[usize], total: usize| {
-                let mut bounds = offs.to_vec();
-                bounds.push(total);
-                bounds
+            let close = |offs: &[usize], total: usize| -> Arc<[usize]> {
+                offs.iter().copied().chain([total]).collect()
             };
             Some(PlanShards {
                 path_bounds: close(&path_off, n_paths),
@@ -287,11 +258,10 @@ impl MegabatchStructure {
                 // no block-diagonal constraint, so their shard partition is
                 // balanced rather than per-sample — ragged batches then
                 // spread the dense rows evenly over the gang.
-                dense_path_bounds: balanced_row_bounds(n_paths, parts.len()),
-                dense_link_bounds: balanced_row_bounds(num_links, parts.len()),
-                dense_node_bounds: balanced_row_bounds(num_nodes, parts.len()),
-                dense_queue_bounds: balanced_row_bounds(num_queues, parts.len()),
-                shared: OnceLock::new(),
+                dense_path_bounds: balanced_row_bounds(n_paths, parts.len()).into(),
+                dense_link_bounds: balanced_row_bounds(num_links, parts.len()).into(),
+                dense_node_bounds: balanced_row_bounds(num_nodes, parts.len()).into(),
+                dense_queue_bounds: balanced_row_bounds(num_queues, parts.len()).into(),
             })
         } else if intra_shards > 1 {
             // Intra-sample sharding for giant single-sample plans: the
@@ -299,23 +269,25 @@ impl MegabatchStructure {
             // shared entity rows cannot be split without changing float
             // associativity — while the dense per-row bulk fans out.
             Some(PlanShards {
-                path_bounds: vec![0, n_paths],
-                link_bounds: vec![0, num_links],
-                node_bounds: vec![0, num_nodes],
-                queue_bounds: vec![0, num_queues],
-                dense_path_bounds: balanced_row_bounds(n_paths, intra_shards),
-                dense_link_bounds: balanced_row_bounds(num_links, intra_shards),
-                dense_node_bounds: balanced_row_bounds(num_nodes, intra_shards),
-                dense_queue_bounds: balanced_row_bounds(num_queues, intra_shards),
-                shared: OnceLock::new(),
+                path_bounds: [0, n_paths].into(),
+                link_bounds: [0, num_links].into(),
+                node_bounds: [0, num_nodes].into(),
+                queue_bounds: [0, num_queues].into(),
+                dense_path_bounds: balanced_row_bounds(n_paths, intra_shards).into(),
+                dense_link_bounds: balanced_row_bounds(num_links, intra_shards).into(),
+                dense_node_bounds: balanced_row_bounds(num_nodes, intra_shards).into(),
+                dense_queue_bounds: balanced_row_bounds(num_queues, intra_shards).into(),
             })
         } else {
             None
         };
-        if let Some(sh) = &shards {
-            extended_csr.compute_shard_bounds(&sh.path_bounds);
-            original_csr.compute_shard_bounds(&sh.path_bounds);
-        }
+        let schedule = CompiledSteps::new(
+            kinds,
+            active_offsets,
+            active_rows,
+            active_ids,
+            shards.as_ref().map(|sh| &*sh.path_bounds),
+        );
         let part_fps = parts.iter().map(|p| p.structure_fingerprint()).collect();
         Ok(Self {
             state_dim,
@@ -329,10 +301,7 @@ impl MegabatchStructure {
             queue_off,
             part_fps,
             pairs,
-            extended_steps,
-            original_steps,
-            extended_csr,
-            original_csr,
+            schedule,
             node_incidence_paths,
             node_incidence_nodes,
             shards,
@@ -362,7 +331,7 @@ pub struct MegabatchFeatures {
     pub link_init: Matrix,
     /// Stacked initial node states.
     pub node_init: Matrix,
-    /// Stacked initial queue states (`0 x state_dim` for legacy packs).
+    /// Stacked initial queue states (`0 x state_dim` without queues).
     pub queue_init: Matrix,
     /// Stacked normalized targets (`n_paths x 1`).
     pub targets_norm: Matrix,
@@ -541,10 +510,7 @@ impl ComposedMegabatch {
                     link_init: features.link_init,
                     node_init: features.node_init,
                     queue_init: features.queue_init,
-                    extended_steps: structure.extended_steps,
-                    original_steps: structure.original_steps,
-                    extended_csr: structure.extended_csr,
-                    original_csr: structure.original_csr,
+                    schedule: structure.schedule,
                     node_incidence_paths: structure.node_incidence_paths,
                     node_incidence_nodes: structure.node_incidence_nodes,
                     targets_norm: features.targets_norm,
@@ -643,7 +609,7 @@ impl ComposedMegabatch {
         }
         let mb = &mut self.mb;
         // `reliable_idx` is about to be rewritten in place under any
-        // previously built zero-copy mirror; drop the stale cell.
+        // previously built shared mirror; drop the stale cell.
         mb.plan.reliable_shared = OnceLock::new();
         mb.reliable_samples = write_features(
             parts,
@@ -977,19 +943,7 @@ mod tests {
         );
         assert_eq!(a.reliable_samples, b.reliable_samples);
         assert_eq!(a.path_ranges, b.path_ranges);
-        for (x, y) in [
-            (&a.plan.extended_csr, &b.plan.extended_csr),
-            (&a.plan.original_csr, &b.plan.original_csr),
-        ] {
-            assert_eq!(x.kinds, y.kinds);
-            assert_eq!(x.offsets, y.offsets);
-            assert_eq!(x.ids_flat, y.ids_flat);
-            assert_eq!(x.active_offsets, y.active_offsets);
-            assert_eq!(x.active_rows_flat, y.active_rows_flat);
-            assert_eq!(x.active_ids_flat, y.active_ids_flat);
-            assert_eq!(x.shard_bounds, y.shard_bounds);
-            assert_eq!(x.num_shards, y.num_shards);
-        }
+        assert_eq!(a.plan.schedule, b.plan.schedule);
         assert_eq!(a.plan.shards, b.plan.shards);
         assert_eq!(a.plan.pairs, b.plan.pairs);
         assert_eq!(a.plan.node_incidence_paths, b.plan.node_incidence_paths);
@@ -1148,10 +1102,10 @@ mod tests {
         let p = prep();
         let cfg = config(&p);
         let plan = build_plan(&samples[0], &cfg);
-        // intra_shards == 1 (the unset-env default): fully legacy.
+        // intra_shards == 1 (the unset-env default): fully unsharded.
         let composed = ComposedMegabatch::compose_with(&[&plan], 1).unwrap();
         assert!(composed.plan().shards.is_none());
-        assert_eq!(composed.plan().extended_csr.num_shards, 0);
+        assert_eq!(composed.plan().schedule.num_shards, 0);
     }
 
     #[test]
@@ -1164,25 +1118,27 @@ mod tests {
         let mb = composed.plan();
         let shards = mb.shards.as_ref().expect("intra-sharded plan");
         // Message passing: one shard spanning the whole sample — the exact
-        // legacy schedule.
-        assert_eq!(shards.path_bounds, vec![0, mb.n_paths]);
-        assert_eq!(shards.link_bounds, vec![0, mb.num_links]);
-        assert_eq!(shards.node_bounds, vec![0, mb.num_nodes]);
-        assert_eq!(mb.extended_csr.num_shards, 1);
-        assert_eq!(mb.original_csr.num_shards, 1);
+        // unsharded schedule.
+        assert_eq!(*shards.path_bounds, [0, mb.n_paths]);
+        assert_eq!(*shards.link_bounds, [0, mb.num_links]);
+        assert_eq!(*shards.node_bounds, [0, mb.num_nodes]);
+        assert_eq!(mb.schedule.num_shards, 1);
         // Dense work: four balanced row blocks per entity space.
+        let dense_link = shards.dense_entity(EntityKind::Link);
+        let dense_node = shards.dense_entity(EntityKind::Node);
         for (bounds, total) in [
             (shards.dense_path().expect("dense path"), mb.n_paths),
-            (shards.dense_link().expect("dense link"), mb.num_links),
-            (shards.dense_node().expect("dense node"), mb.num_nodes),
+            (dense_link.expect("dense link"), mb.num_links),
+            (dense_node.expect("dense node"), mb.num_nodes),
         ] {
+            let bounds = bounds.as_slice();
             assert_eq!(bounds.len(), 5);
             assert_eq!(bounds[0], 0);
             assert_eq!(*bounds.last().unwrap(), total);
             assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
         }
         // Structure aside, the sharded composition carries the exact same
-        // features as the legacy one.
+        // features as the unsharded one.
         let legacy = ComposedMegabatch::compose_with(&[&plan], 1).unwrap();
         assert!(composed
             .plan()

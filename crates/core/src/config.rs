@@ -15,7 +15,7 @@ pub enum NodeUpdate {
     FinalPathStateSum,
 }
 
-/// Hyper-parameters shared by both models.
+/// Hyper-parameters shared by every model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelConfig {
     /// Dimensionality of every entity state (paths, links, nodes).

@@ -4,9 +4,9 @@
 //! sample and reused across epochs:
 //!
 //! - initial entity states (features zero-padded to `state_dim`),
-//! - per-sequence-position gather/scatter index plans ([`StepPlan`]) for both
-//!   the original (links only) and extended (interleaved `node-link-node-…`)
-//!   path sequences,
+//! - one row-compacted message-passing schedule ([`CompiledSteps`]): per
+//!   sequence position, the path rows that have the position and the entity
+//!   each of them reads and writes,
 //! - the path↔node incidence lists used by the
 //!   [`crate::NodeUpdate::FinalPathStateSum`] ablation,
 //! - normalized regression targets and the indices of paths whose labels are
@@ -14,26 +14,28 @@
 //!
 //! ## Sequence convention
 //!
-//! For a path `v₀ → v₁ → … → v_k` over links `l₁ … l_k`, the extended
-//! sequence is `v₀, l₁, v₁, l₂, …, v_{k-1}, l_k` (length `2k`): each link is
-//! preceded by the node whose output queue feeds it, so the source node is
-//! included and the destination node (which performs no forwarding) is not.
-//! Even positions are therefore always nodes and odd positions always links —
-//! a uniform alternation that lets a whole batch of paths advance through one
-//! GRU step per position.
+//! For a path `v₀ → v₁ → … → v_k` over links `l₁ … l_k`, the sequence is
+//! `v₀, l₁, v₁, l₂, …, v_{k-1}, l_k` (length `2k`): each link is preceded by
+//! the node whose output queue feeds it, so the source node is included and
+//! the destination node (which performs no forwarding) is not. Even positions
+//! are therefore always nodes and odd positions always links — a uniform
+//! alternation that lets a whole batch of paths advance through one GRU step
+//! per position. A model visits the positions whose entity kind it owns a
+//! GRU for: the original RouteNet's links-only sequence `l₁ … l_k` is exactly
+//! the `Link` positions of this one.
 //!
 //! ## QoS sequence convention
 //!
 //! Samples carrying a QoS dimension (a scheduling policy with more than one
 //! ToS class — see `rn_dataset::schema::SampleQos`) grow a third entity: one
 //! **queue** per (directed link, class) pair, id `link * num_classes +
-//! class`. The extended sequence becomes 3-periodic per hop — `v₀, q₁, l₁,
-//! v₁, q₂, l₂, …` (length `3k`): the forwarding node, then the per-class
-//! queue the path's packets wait in at that port, then the link that drains
-//! it. Legacy samples (`qos: None`) and single-class FIFO QoS samples build
-//! the exact 2-periodic structure above with `num_queues == 0`, so plans —
-//! and everything downstream of them — are bitwise identical to the
-//! two-entity model.
+//! class`. The sequence becomes 3-periodic per hop — `v₀, q₁, l₁, v₁, q₂,
+//! l₂, …` (length `3k`): the forwarding node, then the per-class queue the
+//! path's packets wait in at that port, then the link that drains it. Samples
+//! without a QoS block and single-class FIFO QoS samples build the exact
+//! 2-periodic structure above with `num_queues == 0`, so plans — and
+//! everything downstream of them — are bitwise identical to the two-entity
+//! model.
 
 use crate::config::ModelConfig;
 use crate::features::FeatureScales;
@@ -64,104 +66,69 @@ pub enum TargetKind {
     Jitter,
 }
 
-/// One sequence position across all paths of a sample.
-#[derive(Debug, Clone)]
-pub struct StepPlan {
-    /// Entity type at this position (uniform across paths by construction).
-    pub kind: EntityKind,
-    /// Per-path entity id at this position; 0 (an arbitrary valid id) for
-    /// paths shorter than the position — those rows are masked out.
-    pub ids: Vec<usize>,
-    /// `n_paths x 1` activity mask: 1.0 where the path has this position.
-    pub mask: Matrix,
-    /// Number of active paths at this position.
-    pub active: usize,
-}
-
-/// Step schedule precompiled into flat CSR-style buffers.
+/// The message-passing schedule, row-compacted into flat CSR-style buffers.
 ///
-/// The fused forward pass walks this instead of `Vec<StepPlan>`: all gather
-/// indices live in one contiguous `ids_flat` array indexed through `offsets`
-/// (a CSR indptr), and each step's activity mask is prebuilt as the `n x 1`
-/// matrix the tape ops consume. One compile per sample, reused every epoch.
-#[derive(Debug, Clone, Default)]
+/// Step `s` is one sequence position across all paths: the path rows that
+/// have the position (ascending) and, aligned with them, the id of the
+/// entity of kind `kinds[s]` each row gathers from and scatter-adds into.
+/// Rows past a path's length simply do not appear, so they never touch a
+/// kernel. The index buffers are `Arc<[usize]>` from birth: the tape records
+/// per-step windows of them by refcount ([`SharedIndices`]) instead of
+/// copying. One build per sample, reused every epoch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompiledSteps {
     /// Entity type per step.
     pub kinds: Vec<EntityKind>,
-    /// Active-path count per step (steps with 0 are skipped entirely).
-    pub active: Vec<usize>,
-    /// CSR index pointer: step `s` covers `ids_flat[offsets[s]..offsets[s+1]]`.
-    pub offsets: Vec<usize>,
-    /// All gather indices, step-major (one per path row, padded rows
-    /// included).
-    pub ids_flat: Vec<usize>,
-    /// Per-step `n_paths x 1` masks.
-    pub masks: Vec<Matrix>,
-    /// CSR index pointer into the active-row compaction buffers.
+    /// CSR index pointer: step `s` covers entries
+    /// `active_offsets[s]..active_offsets[s+1]` of the two flat buffers.
     pub active_offsets: Vec<usize>,
-    /// Path rows active at each step (rows whose mask is 1), step-major.
-    pub active_rows_flat: Vec<usize>,
-    /// Entity id per active row, aligned with `active_rows_flat`. The
-    /// compacted forward gathers/scatter-adds through these, skipping
-    /// padded rows entirely.
-    pub active_ids_flat: Vec<usize>,
+    /// Path rows active at each step, step-major.
+    pub active_rows_flat: Arc<[usize]>,
+    /// Entity id per active row, aligned with `active_rows_flat`.
+    pub active_ids_flat: Arc<[usize]>,
     /// Megabatch shard bounds into each step's active list, flat with
     /// stride `num_shards + 1`: step `s`, shard `b` covers active entries
     /// `shard_bounds[s*(num_shards+1)+b] .. ..+b+1` (offsets relative to
     /// the step's active slice). Empty when the plan is unsharded.
-    pub shard_bounds: Vec<usize>,
+    pub shard_bounds: Arc<[usize]>,
     /// Number of shards (samples) the plan was packed from; 0 = unsharded.
     pub num_shards: usize,
-    /// Lazily built `Arc<[usize]>` mirrors of the index buffers for the
-    /// tape's zero-copy mode — steps then bind refcounted views instead of
-    /// pooled copies. Built on first use, invalidated by
-    /// [`CompiledSteps::compute_shard_bounds`].
-    shared: OnceLock<SharedCsr>,
-}
-
-/// Zero-copy mirror of the [`CompiledSteps`] flat index buffers: the same
-/// words, re-homed once into `Arc<[usize]>` allocations so per-step windows
-/// ([`rn_autograd::SharedIndices`]) are refcount bumps rather than copies.
-#[derive(Debug, Clone)]
-struct SharedCsr {
-    active_rows: Arc<[usize]>,
-    active_ids: Arc<[usize]>,
-    shard_bounds: Arc<[usize]>,
 }
 
 impl CompiledSteps {
-    /// Flatten a step list into CSR buffers.
-    pub fn compile(steps: &[StepPlan]) -> Self {
-        let mut out = Self {
-            kinds: Vec::with_capacity(steps.len()),
-            active: Vec::with_capacity(steps.len()),
-            offsets: Vec::with_capacity(steps.len() + 1),
-            ids_flat: Vec::with_capacity(steps.iter().map(|s| s.ids.len()).sum()),
-            masks: Vec::with_capacity(steps.len()),
-            active_offsets: Vec::with_capacity(steps.len() + 1),
-            active_rows_flat: Vec::new(),
-            active_ids_flat: Vec::new(),
-            shard_bounds: Vec::new(),
-            num_shards: 0,
-            shared: OnceLock::new(),
-        };
-        out.offsets.push(0);
-        out.active_offsets.push(0);
-        for step in steps {
-            out.kinds.push(step.kind);
-            out.active.push(step.active);
-            out.ids_flat.extend_from_slice(&step.ids);
-            out.offsets.push(out.ids_flat.len());
-            out.masks.push(step.mask.clone());
-            for (row, &id) in step.ids.iter().enumerate() {
-                if step.mask.get(row, 0) > 0.0 {
-                    out.active_rows_flat.push(row);
-                    out.active_ids_flat.push(id);
-                }
+    /// Assemble a schedule from its CSR parts. `path_bounds` (`B + 1`
+    /// ascending per-sample path row bounds of a block-diagonal megabatch)
+    /// precompiles the per-step shard bounds: each step's active rows are
+    /// ascending, so every sample's slice of the active list is found by
+    /// binary search; the bounds are relative to the step's active slice and
+    /// feed straight into the sharded tape ops. `None` leaves the schedule
+    /// unsharded.
+    pub fn new(
+        kinds: Vec<EntityKind>,
+        active_offsets: Vec<usize>,
+        active_rows_flat: Vec<usize>,
+        active_ids_flat: Vec<usize>,
+        path_bounds: Option<&[usize]>,
+    ) -> Self {
+        assert_eq!(active_offsets.len(), kinds.len() + 1, "CSR pointer length");
+        assert_eq!(active_rows_flat.len(), active_ids_flat.len());
+        let mut shard_bounds = Vec::new();
+        let num_shards = path_bounds.map_or(0, |b| b.len().saturating_sub(1));
+        for window in active_offsets.windows(2) {
+            let active = &active_rows_flat[window[0]..window[1]];
+            debug_assert!(active.windows(2).all(|w| w[0] < w[1]));
+            for &bound in path_bounds.unwrap_or(&[]) {
+                shard_bounds.push(active.partition_point(|&row| row < bound));
             }
-            out.active_offsets.push(out.active_rows_flat.len());
         }
-        out
+        Self {
+            kinds,
+            active_offsets,
+            active_rows_flat: active_rows_flat.into(),
+            active_ids_flat: active_ids_flat.into(),
+            shard_bounds: shard_bounds.into(),
+            num_shards,
+        }
     }
 
     /// Number of steps.
@@ -174,9 +141,9 @@ impl CompiledSteps {
         self.kinds.is_empty()
     }
 
-    /// The gather indices of step `s` (all path rows).
-    pub fn ids(&self, s: usize) -> &[usize] {
-        &self.ids_flat[self.offsets[s]..self.offsets[s + 1]]
+    /// Number of active path rows at step `s` (steps with 0 are skipped).
+    pub fn active(&self, s: usize) -> usize {
+        self.active_offsets[s + 1] - self.active_offsets[s]
     }
 
     /// The active path rows of step `s`.
@@ -189,31 +156,6 @@ impl CompiledSteps {
         &self.active_ids_flat[self.active_offsets[s]..self.active_offsets[s + 1]]
     }
 
-    /// Precompile per-step shard bounds for a block-diagonal megabatch whose
-    /// per-sample path row bounds are `path_bounds` (`B + 1` ascending
-    /// entries). Each step's active rows are ascending, so every sample's
-    /// slice of the active list is found by binary search; the resulting
-    /// bounds are relative to the step's active slice and feed straight into
-    /// the sharded tape ops.
-    pub fn compute_shard_bounds(&mut self, path_bounds: &[usize]) {
-        // The shard-bound buffer is about to change under any previously
-        // built zero-copy mirror; drop it so the next view rebuilds.
-        self.shared = OnceLock::new();
-        let shards = path_bounds.len().saturating_sub(1);
-        self.num_shards = shards;
-        self.shard_bounds.clear();
-        self.shard_bounds.reserve(self.len() * (shards + 1));
-        let mut bounds = std::mem::take(&mut self.shard_bounds);
-        for s in 0..self.len() {
-            let active = self.active_rows(s);
-            debug_assert!(active.windows(2).all(|w| w[0] < w[1]));
-            for &bound in path_bounds {
-                bounds.push(active.partition_point(|&row| row < bound));
-            }
-        }
-        self.shard_bounds = bounds;
-    }
-
     /// The shard bounds of step `s` (len `num_shards + 1`, offsets relative
     /// to the step's active slice). Panics when the plan is unsharded.
     pub fn step_shard_bounds(&self, s: usize) -> &[usize] {
@@ -221,117 +163,73 @@ impl CompiledSteps {
         &self.shard_bounds[s * stride..(s + 1) * stride]
     }
 
-    fn shared(&self) -> &SharedCsr {
-        self.shared.get_or_init(|| SharedCsr {
-            active_rows: self.active_rows_flat.as_slice().into(),
-            active_ids: self.active_ids_flat.as_slice().into(),
-            shard_bounds: self.shard_bounds.as_slice().into(),
-        })
-    }
-
-    /// Zero-copy view of [`CompiledSteps::active_rows`]: an `Arc`-backed
-    /// window the tape stores without copying the indices.
+    /// [`CompiledSteps::active_rows`] as a refcounted window the tape stores
+    /// without copying the indices.
     pub fn shared_active_rows(&self, s: usize) -> SharedIndices {
         SharedIndices::new(
-            self.shared().active_rows.clone(),
+            self.active_rows_flat.clone(),
             self.active_offsets[s],
             self.active_offsets[s + 1],
         )
     }
 
-    /// Zero-copy view of [`CompiledSteps::active_ids`].
+    /// [`CompiledSteps::active_ids`] as a refcounted window.
     pub fn shared_active_ids(&self, s: usize) -> SharedIndices {
         SharedIndices::new(
-            self.shared().active_ids.clone(),
+            self.active_ids_flat.clone(),
             self.active_offsets[s],
             self.active_offsets[s + 1],
         )
     }
 
-    /// Zero-copy view of [`CompiledSteps::step_shard_bounds`]. Panics when
-    /// the plan is unsharded, like its borrowing counterpart.
+    /// [`CompiledSteps::step_shard_bounds`] as a refcounted window. Panics
+    /// when the plan is unsharded, like its borrowing counterpart.
     pub fn shared_step_shard_bounds(&self, s: usize) -> SharedIndices {
         let stride = self.num_shards + 1;
-        SharedIndices::new(
-            self.shared().shard_bounds.clone(),
-            s * stride,
-            (s + 1) * stride,
-        )
+        SharedIndices::new(self.shard_bounds.clone(), s * stride, (s + 1) * stride)
     }
 }
 
 /// Per-sample row bounds of a block-diagonal megabatch plan — the shard
 /// layout the fused forward/backward passes parallelize over.
 ///
-/// All three vectors have `B + 1` ascending entries; sample `b` owns path
-/// rows `path_bounds[b]..path_bounds[b+1]`, link rows
+/// The per-sample vectors have `B + 1` ascending entries; sample `b` owns
+/// path rows `path_bounds[b]..path_bounds[b+1]`, link rows
 /// `link_bounds[b]..link_bounds[b+1]` and node rows
 /// `node_bounds[b]..node_bounds[b+1]`. Because the megabatch is
 /// block-diagonal, a shard's gathers and scatters never leave its own
 /// ranges, which is what lets shards run on separate threads with **bitwise
-/// identical** results.
-#[derive(Debug, Clone)]
+/// identical** results. Like the schedule's buffers, every bound vector is an
+/// `Arc<[usize]>` the tape records by refcount.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanShards {
     /// Per-sample path row bounds (len `B + 1`).
-    pub path_bounds: Vec<usize>,
+    pub path_bounds: Arc<[usize]>,
     /// Per-sample directed-link row bounds (len `B + 1`).
-    pub link_bounds: Vec<usize>,
+    pub link_bounds: Arc<[usize]>,
     /// Per-sample node row bounds (len `B + 1`).
-    pub node_bounds: Vec<usize>,
+    pub node_bounds: Arc<[usize]>,
     /// Per-sample queue row bounds (len `B + 1`; all-zero spans for packs
     /// without queue entities).
-    pub queue_bounds: Vec<usize>,
+    pub queue_bounds: Arc<[usize]>,
     /// Balanced row-block bounds over the **path** rows for the dense
     /// per-row work — the readout MLP forward/backward (len `B + 1`, built
     /// by [`balanced_row_bounds`]). Unlike the per-sample bounds above,
     /// dense ops touch every row independently, so the partition need not
     /// follow sample boundaries: balanced blocks keep ragged batches from
-    /// leaving workers idle. Empty disables dense sharding (legacy path).
-    pub dense_path_bounds: Vec<usize>,
+    /// leaving workers idle. Empty disables dense sharding.
+    pub dense_path_bounds: Arc<[usize]>,
     /// Balanced row-block bounds over the link rows for the dense link-GRU
     /// entity update (len `B + 1`, empty = dense sharding disabled).
-    pub dense_link_bounds: Vec<usize>,
+    pub dense_link_bounds: Arc<[usize]>,
     /// Balanced row-block bounds over the node rows for the dense node-GRU
     /// entity update (len `B + 1`, empty = dense sharding disabled).
-    pub dense_node_bounds: Vec<usize>,
+    pub dense_node_bounds: Arc<[usize]>,
     /// Balanced row-block bounds over the queue rows for the dense queue-GRU
     /// entity update (len `B + 1`, empty = dense sharding disabled or no
     /// queue entities).
-    pub dense_queue_bounds: Vec<usize>,
-    /// Lazily built `Arc<[usize]>` mirrors of the bound vectors for the
-    /// tape's zero-copy mode (see [`CompiledSteps`]'s mirror).
-    pub(crate) shared: OnceLock<SharedShardBounds>,
+    pub dense_queue_bounds: Arc<[usize]>,
 }
-
-/// Zero-copy mirror of the [`PlanShards`] bound vectors.
-#[derive(Debug, Clone)]
-pub(crate) struct SharedShardBounds {
-    path: Arc<[usize]>,
-    link: Arc<[usize]>,
-    node: Arc<[usize]>,
-    queue: Arc<[usize]>,
-    dense_path: Arc<[usize]>,
-    dense_link: Arc<[usize]>,
-    dense_node: Arc<[usize]>,
-    dense_queue: Arc<[usize]>,
-}
-
-// Manual equality: the lazy mirror is a cache of the bound vectors, so it is
-// (and must stay) excluded from comparisons.
-impl PartialEq for PlanShards {
-    fn eq(&self, other: &Self) -> bool {
-        self.path_bounds == other.path_bounds
-            && self.link_bounds == other.link_bounds
-            && self.node_bounds == other.node_bounds
-            && self.queue_bounds == other.queue_bounds
-            && self.dense_path_bounds == other.dense_path_bounds
-            && self.dense_link_bounds == other.dense_link_bounds
-            && self.dense_node_bounds == other.dense_node_bounds
-            && self.dense_queue_bounds == other.dense_queue_bounds
-    }
-}
-
-impl Eq for PlanShards {}
 
 /// Evenly balanced row-block bounds: `shards` contiguous blocks covering
 /// `0..total` whose sizes differ by at most one row (`bounds[s] = s * total
@@ -355,86 +253,40 @@ impl PlanShards {
         self.len() == 0
     }
 
-    /// The entity bounds for a step of the given kind.
-    pub fn entity_bounds(&self, kind: EntityKind) -> &[usize] {
-        match kind {
-            EntityKind::Link => &self.link_bounds,
-            EntityKind::Node => &self.node_bounds,
-            EntityKind::Queue => &self.queue_bounds,
-        }
+    /// The per-sample path row bounds, as the tape records them.
+    pub fn shared_path_bounds(&self) -> SharedIndices {
+        SharedIndices::full(self.path_bounds.clone())
+    }
+
+    /// The per-sample entity row bounds for a step of the given kind.
+    pub fn entity_bounds(&self, kind: EntityKind) -> SharedIndices {
+        SharedIndices::full(match kind {
+            EntityKind::Link => self.link_bounds.clone(),
+            EntityKind::Node => self.node_bounds.clone(),
+            EntityKind::Queue => self.queue_bounds.clone(),
+        })
     }
 
     /// The dense row partition for the readout MLP (path rows), or `None`
     /// when dense sharding is disabled (bounds stripped or degenerate).
-    pub fn dense_path(&self) -> Option<&[usize]> {
-        (self.dense_path_bounds.len() > 2).then_some(self.dense_path_bounds.as_slice())
+    pub fn dense_path(&self) -> Option<SharedIndices> {
+        dense_partition(&self.dense_path_bounds)
     }
 
-    /// The dense row partition for the link-GRU entity update, if enabled.
-    pub fn dense_link(&self) -> Option<&[usize]> {
-        (self.dense_link_bounds.len() > 2).then_some(self.dense_link_bounds.as_slice())
-    }
-
-    /// The dense row partition for the node-GRU entity update, if enabled.
-    pub fn dense_node(&self) -> Option<&[usize]> {
-        (self.dense_node_bounds.len() > 2).then_some(self.dense_node_bounds.as_slice())
-    }
-
-    /// The dense row partition for the queue-GRU entity update, if enabled.
-    pub fn dense_queue(&self) -> Option<&[usize]> {
-        (self.dense_queue_bounds.len() > 2).then_some(self.dense_queue_bounds.as_slice())
-    }
-
-    fn shared(&self) -> &SharedShardBounds {
-        self.shared.get_or_init(|| SharedShardBounds {
-            path: self.path_bounds.as_slice().into(),
-            link: self.link_bounds.as_slice().into(),
-            node: self.node_bounds.as_slice().into(),
-            queue: self.queue_bounds.as_slice().into(),
-            dense_path: self.dense_path_bounds.as_slice().into(),
-            dense_link: self.dense_link_bounds.as_slice().into(),
-            dense_node: self.dense_node_bounds.as_slice().into(),
-            dense_queue: self.dense_queue_bounds.as_slice().into(),
+    /// The dense row partition for the GRU update of the given entity kind,
+    /// if enabled.
+    pub fn dense_entity(&self, kind: EntityKind) -> Option<SharedIndices> {
+        dense_partition(match kind {
+            EntityKind::Link => &self.dense_link_bounds,
+            EntityKind::Node => &self.dense_node_bounds,
+            EntityKind::Queue => &self.dense_queue_bounds,
         })
     }
+}
 
-    /// Zero-copy view of the per-sample path bounds.
-    pub fn shared_path_bounds(&self) -> SharedIndices {
-        SharedIndices::full(self.shared().path.clone())
-    }
-
-    /// Zero-copy view of [`PlanShards::entity_bounds`].
-    pub fn shared_entity_bounds(&self, kind: EntityKind) -> SharedIndices {
-        SharedIndices::full(match kind {
-            EntityKind::Link => self.shared().link.clone(),
-            EntityKind::Node => self.shared().node.clone(),
-            EntityKind::Queue => self.shared().queue.clone(),
-        })
-    }
-
-    /// Zero-copy counterpart of [`PlanShards::dense_path`].
-    pub fn shared_dense_path(&self) -> Option<SharedIndices> {
-        (self.dense_path_bounds.len() > 2)
-            .then(|| SharedIndices::full(self.shared().dense_path.clone()))
-    }
-
-    /// Zero-copy counterpart of [`PlanShards::dense_link`].
-    pub fn shared_dense_link(&self) -> Option<SharedIndices> {
-        (self.dense_link_bounds.len() > 2)
-            .then(|| SharedIndices::full(self.shared().dense_link.clone()))
-    }
-
-    /// Zero-copy counterpart of [`PlanShards::dense_node`].
-    pub fn shared_dense_node(&self) -> Option<SharedIndices> {
-        (self.dense_node_bounds.len() > 2)
-            .then(|| SharedIndices::full(self.shared().dense_node.clone()))
-    }
-
-    /// Zero-copy counterpart of [`PlanShards::dense_queue`].
-    pub fn shared_dense_queue(&self) -> Option<SharedIndices> {
-        (self.dense_queue_bounds.len() > 2)
-            .then(|| SharedIndices::full(self.shared().dense_queue.clone()))
-    }
+/// A dense bounds vector as a partition, when it actually splits the rows.
+fn dense_partition(bounds: &Arc<[usize]>) -> Option<SharedIndices> {
+    (bounds.len() > 2).then(|| SharedIndices::full(bounds.clone()))
 }
 
 /// Precomputed forward-pass inputs for one sample.
@@ -447,7 +299,7 @@ pub struct SamplePlan {
     /// Number of nodes.
     pub num_nodes: usize,
     /// Number of scheduler queues (`num_links * num_classes` for QoS plans,
-    /// 0 for legacy/single-class-FIFO plans — see the module docs).
+    /// 0 for plain and single-class-FIFO plans — see the module docs).
     pub num_queues: usize,
     /// `(src, dst)` per path, aligned with rows.
     pub pairs: Vec<(usize, usize)>,
@@ -462,14 +314,10 @@ pub struct SamplePlan {
     /// the queue's class in col 0, priority rank in col 1). `0 x state_dim`
     /// for plans without queue entities.
     pub queue_init: Matrix,
-    /// Steps of the extended interleaved sequence.
-    pub extended_steps: Vec<StepPlan>,
-    /// Steps of the original links-only sequence.
-    pub original_steps: Vec<StepPlan>,
-    /// `extended_steps` precompiled into flat CSR buffers (fused forward).
-    pub extended_csr: CompiledSteps,
-    /// `original_steps` precompiled into flat CSR buffers (fused forward).
-    pub original_csr: CompiledSteps,
+    /// The message-passing schedule over the interleaved sequence (see the
+    /// module docs); every model sweeps this one, visiting the entity kinds
+    /// it owns a GRU for.
+    pub schedule: CompiledSteps,
     /// Flattened path-node incidence: for every (path, traversed node) pair,
     /// the path row index…
     pub node_incidence_paths: Vec<usize>,
@@ -491,10 +339,10 @@ pub struct SamplePlan {
     /// by clones. Covers only the shape-dependent parts of the plan, so it
     /// stays valid when features (targets, reliability) are edited in place.
     pub(crate) structure_fp: OnceLock<u64>,
-    /// Lazily built `Arc` mirror of `reliable_idx` for the tape's zero-copy
-    /// loss gather. Must be invalidated (reset to an empty cell) wherever
-    /// `reliable_idx` is rewritten in place — feature refill, eval
-    /// re-thresholding.
+    /// Lazily built `Arc` mirror of `reliable_idx` for the loss gather (the
+    /// one index list that is a *feature*, rewritten by refill). Must be
+    /// invalidated (reset to an empty cell) wherever `reliable_idx` is
+    /// rewritten in place — feature refill, eval re-thresholding.
     pub(crate) reliable_shared: OnceLock<Arc<[usize]>>,
 }
 
@@ -572,8 +420,7 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
 
     // ---- Queue entities (QoS plans only) ----------------------------------
     // One queue per (directed link, class); single-class FIFO degenerates to
-    // the legacy two-entity plan so existing scenarios stay bitwise
-    // identical.
+    // the two-entity plan so those scenarios stay bitwise identical.
     let qos = sample.qos.as_ref().filter(|q| !q.is_single_class_fifo());
     let num_classes = qos.map_or(1, |q| q.num_classes());
     let num_queues = qos.map_or(0, |_| num_links * num_classes);
@@ -593,66 +440,41 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         }
     }
 
-    // ---- Sequences --------------------------------------------------------
-    // Extended: v0, l1, v1, l2, ..., v_{k-1}, l_k  (length 2k);
-    //   QoS plans: v0, q1, l1, v1, q2, l2, ...     (length 3k)
-    // Original: l1, ..., l_k                        (length k)
+    // ---- Sequence -----------------------------------------------------------
+    // v0, l1, v1, l2, ..., v_{k-1}, l_k  (length 2k);
+    // QoS plans: v0, q1, l1, v1, q2, l2, ...  (length 3k).
     let max_hops = paths
         .iter()
         .map(|(_, _, p)| p.hop_count())
         .max()
         .unwrap_or(0);
     let period = if qos.is_some() { 3 } else { 2 };
-    let mut extended_steps = Vec::with_capacity(period * max_hops);
+    let mut kinds = Vec::with_capacity(period * max_hops);
+    let mut active_offsets = vec![0];
+    let mut active_rows = Vec::new();
+    let mut active_ids = Vec::new();
     for pos in 0..(period * max_hops) {
         let kind = match (pos % period, period) {
             (0, _) => EntityKind::Node,
             (1, 3) => EntityKind::Queue,
             _ => EntityKind::Link,
         };
-        let mut ids = vec![0usize; n_paths];
-        let mut mask = Matrix::zeros(n_paths, 1);
-        let mut active = 0;
+        let hop = pos / period;
         for (row, (_, _, path)) in paths.iter().enumerate() {
-            let hop = pos / period;
             if hop < path.hop_count() {
-                ids[row] = match kind {
+                active_rows.push(row);
+                active_ids.push(match kind {
                     EntityKind::Node => path.nodes[hop],
                     EntityKind::Link => path.links[hop],
                     EntityKind::Queue => {
                         let class = qos.map_or(0, |q| q.path_classes[row] as usize);
                         path.links[hop] * num_classes + class
                     }
-                };
-                mask.set(row, 0, 1.0);
-                active += 1;
+                });
             }
         }
-        extended_steps.push(StepPlan {
-            kind,
-            ids,
-            mask,
-            active,
-        });
-    }
-    let mut original_steps = Vec::with_capacity(max_hops);
-    for hop in 0..max_hops {
-        let mut ids = vec![0usize; n_paths];
-        let mut mask = Matrix::zeros(n_paths, 1);
-        let mut active = 0;
-        for (row, (_, _, path)) in paths.iter().enumerate() {
-            if hop < path.hop_count() {
-                ids[row] = path.links[hop];
-                mask.set(row, 0, 1.0);
-                active += 1;
-            }
-        }
-        original_steps.push(StepPlan {
-            kind: EntityKind::Link,
-            ids,
-            mask,
-            active,
-        });
+        kinds.push(kind);
+        active_offsets.push(active_rows.len());
     }
 
     // ---- Node incidences (forwarding nodes: all but the destination) ------
@@ -682,8 +504,6 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         }
     }
 
-    let extended_csr = CompiledSteps::compile(&extended_steps);
-    let original_csr = CompiledSteps::compile(&original_steps);
     SamplePlan {
         n_paths,
         num_links,
@@ -694,10 +514,7 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         link_init,
         node_init,
         queue_init,
-        extended_steps,
-        original_steps,
-        extended_csr,
-        original_csr,
+        schedule: CompiledSteps::new(kinds, active_offsets, active_rows, active_ids, None),
         node_incidence_paths,
         node_incidence_nodes,
         targets_norm,
@@ -720,8 +537,8 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
 /// single sample: gathers and scatter-adds never cross sample boundaries,
 /// matmuls grow `B`-fold taller (better kernel utilization), and one
 /// parameter `bind()` is amortized over the whole pack. Positions past a
-/// sample's sequence length are masked out, which the fused ops turn into
-/// exact no-ops, so predictions are identical to running each sample alone.
+/// sample's sequence length have no active rows of that sample, so
+/// predictions are identical to running each sample alone.
 #[derive(Debug, Clone)]
 pub struct MegabatchPlan {
     /// The fused plan; feed it to `forward` like any single-sample plan.
@@ -746,9 +563,9 @@ pub enum MegabatchError {
     /// Two parts were planned with different `state_dim`s and cannot share
     /// one forward pass. Carries `(expected, found)`.
     StateDimMismatch(usize, usize),
-    /// Parts with incompatible sequence schedules — a legacy two-entity
-    /// part packed with a QoS queue-entity part — would need two different
-    /// entity kinds at the carried sequence position. Batch QoS and legacy
+    /// Parts with incompatible sequence schedules — a two-entity part
+    /// packed with a QoS queue-entity part — would need two different
+    /// entity kinds at the carried sequence position. Batch QoS and plain
     /// samples separately.
     ScheduleMismatch(usize),
 }
@@ -809,7 +626,7 @@ impl std::error::Error for MegabatchError {}
 /// assert_eq!(mb.plan.n_paths, plans[0].n_paths + plans[1].n_paths);
 /// assert_eq!(mb.path_ranges.len(), 2);
 /// // Multi-sample packs precompile the shard layout the parallel backward
-/// // fans out over (1-sample packs stay on the legacy bitwise path).
+/// // fans out over (1-sample packs stay unsharded).
 /// let shards = mb.plan.shards.as_ref().unwrap();
 /// assert_eq!(shards.len(), 2);
 /// assert!(shards.dense_path().is_some());
@@ -842,8 +659,8 @@ pub(crate) fn copy_rows(dst: &mut Matrix, at: usize, src: &Matrix) {
 }
 
 impl SamplePlan {
-    /// Zero-copy view of [`SamplePlan::reliable_idx`] — what the loss
-    /// gather binds in the tape's zero-copy mode instead of a pooled copy.
+    /// Refcounted view of [`SamplePlan::reliable_idx`] — what the loss
+    /// gather hands the tape instead of a slice to copy.
     pub fn reliable_idx_shared(&self) -> SharedIndices {
         SharedIndices::full(
             self.reliable_shared
@@ -865,9 +682,9 @@ impl SamplePlan {
         self.targets_norm.gather_rows(&self.reliable_idx)
     }
 
-    /// A human-readable trace of the extended message-passing schedule for
-    /// the first `max_paths` paths — the machine-checkable counterpart of the
-    /// paper's Figure 1.
+    /// A human-readable trace of the message-passing schedule for the first
+    /// `max_paths` paths — the machine-checkable counterpart of the paper's
+    /// Figure 1.
     pub fn schedule_trace(&self, max_paths: usize) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -875,19 +692,19 @@ impl SamplePlan {
             self.n_paths,
             self.num_links,
             self.num_nodes,
-            self.extended_steps.len()
+            self.schedule.len()
         ));
         for (row, &(s, d)) in self.pairs.iter().take(max_paths).enumerate() {
             out.push_str(&format!("path {row} ({s} -> {d}): "));
             let mut parts = Vec::new();
-            for step in &self.extended_steps {
-                if step.mask.get(row, 0) > 0.0 {
-                    let tag = match step.kind {
-                        EntityKind::Node => format!("RNN_P<-node{}", step.ids[row]),
-                        EntityKind::Link => format!("RNN_P<-link{}", step.ids[row]),
-                        EntityKind::Queue => format!("RNN_P<-queue{}", step.ids[row]),
-                    };
-                    parts.push(tag);
+            for step in 0..self.schedule.len() {
+                if let Ok(k) = self.schedule.active_rows(step).binary_search(&row) {
+                    let id = self.schedule.active_ids(step)[k];
+                    parts.push(match self.schedule.kinds[step] {
+                        EntityKind::Node => format!("RNN_P<-node{id}"),
+                        EntityKind::Link => format!("RNN_P<-link{id}"),
+                        EntityKind::Queue => format!("RNN_P<-queue{id}"),
+                    });
                 }
             }
             out.push_str(&parts.join(" "));
@@ -922,6 +739,20 @@ mod tests {
     /// Owned preprocessing state the borrowed `PlanConfig` points into.
     fn preprocessing(ds_delays: &[f64]) -> (FeatureScales, Normalizer) {
         (FeatureScales::unit(), Normalizer::fit(ds_delays, true))
+    }
+
+    /// The entity id path `row` reads at schedule step `step`, if the path
+    /// has that position.
+    fn id_at(plan: &SamplePlan, step: usize, row: usize) -> Option<usize> {
+        let k = plan.schedule.active_rows(step).binary_search(&row).ok()?;
+        Some(plan.schedule.active_ids(step)[k])
+    }
+
+    /// The schedule steps of one entity kind, in order.
+    fn steps_of(plan: &SamplePlan, kind: EntityKind) -> Vec<usize> {
+        (0..plan.schedule.len())
+            .filter(|&s| plan.schedule.kinds[s] == kind)
+            .collect()
     }
 
     fn plan_config<'a>(prep: &'a (FeatureScales, Normalizer)) -> PlanConfig<'a> {
@@ -963,15 +794,16 @@ mod tests {
             .collect();
         let prep = preprocessing(&delays);
         let plan = build_plan(&sample, &plan_config(&prep));
-        for (i, step) in plan.extended_steps.iter().enumerate() {
+        for (i, &kind) in plan.schedule.kinds.iter().enumerate() {
             let expected = if i % 2 == 0 {
                 EntityKind::Node
             } else {
                 EntityKind::Link
             };
-            assert_eq!(step.kind, expected, "position {i}");
+            assert_eq!(kind, expected, "position {i}");
         }
-        assert_eq!(plan.extended_steps.len(), 2 * plan.original_steps.len());
+        let max_hops = sample.routing.iter_paths().map(|(_, _, p)| p.hop_count());
+        assert_eq!(plan.schedule.len(), 2 * max_hops.max().unwrap());
     }
 
     #[test]
@@ -984,24 +816,29 @@ mod tests {
             .collect();
         let prep = preprocessing(&delays);
         let plan = build_plan(&sample, &plan_config(&prep));
+        let link_steps = steps_of(&plan, EntityKind::Link);
         for (row, (s, d, path)) in sample.routing.iter_paths().enumerate() {
             assert_eq!(plan.pairs[row], (s, d));
-            // Extended: node at even 2*h, the traversed link at odd 2*h+1.
+            // Node at even 2*h, the traversed link at odd 2*h+1.
             for (h, &l) in path.links.iter().enumerate() {
-                let node_step = &plan.extended_steps[2 * h];
-                let link_step = &plan.extended_steps[2 * h + 1];
-                assert_eq!(node_step.ids[row], path.nodes[h]);
-                assert_eq!(node_step.mask.get(row, 0), 1.0);
-                assert_eq!(link_step.ids[row], l);
-                assert_eq!(link_step.mask.get(row, 0), 1.0);
-                // Original: link at position h.
-                assert_eq!(plan.original_steps[h].ids[row], l);
+                assert_eq!(id_at(&plan, 2 * h, row), Some(path.nodes[h]));
+                assert_eq!(id_at(&plan, 2 * h + 1, row), Some(l));
+                // The links-only sequence is the Link steps: link at hop h.
+                assert_eq!(id_at(&plan, link_steps[h], row), Some(l));
             }
-            // Positions past the path length are masked out.
-            for pos in (2 * path.hop_count())..plan.extended_steps.len() {
-                assert_eq!(plan.extended_steps[pos].mask.get(row, 0), 0.0);
+            // Positions past the path length carry no row of this path.
+            for pos in (2 * path.hop_count())..plan.schedule.len() {
+                assert_eq!(id_at(&plan, pos, row), None);
             }
         }
+        // Active counts: the paths long enough to have the position; the
+        // first position involves every path (every path has >= 1 hop).
+        for pos in 0..plan.schedule.len() {
+            let long_enough = sample.routing.iter_paths();
+            let expected = long_enough.filter(|(_, _, p)| pos / 2 < p.hop_count());
+            assert_eq!(plan.schedule.active(pos), expected.count());
+        }
+        assert_eq!(plan.schedule.active(0), plan.n_paths);
     }
 
     fn toy_qos_sample() -> (rn_netgraph::Topology, Sample) {
@@ -1034,24 +871,26 @@ mod tests {
 
         assert_eq!(plan.num_queues, topo.num_links() * n);
         assert_eq!(plan.queue_init.shape(), (plan.num_queues, 8));
-        assert_eq!(plan.extended_steps.len(), 3 * plan.original_steps.len());
-        for (i, step) in plan.extended_steps.iter().enumerate() {
+        assert_eq!(
+            plan.schedule.len(),
+            3 * steps_of(&plan, EntityKind::Link).len()
+        );
+        for (i, &kind) in plan.schedule.kinds.iter().enumerate() {
             let expected = match i % 3 {
                 0 => EntityKind::Node,
                 1 => EntityKind::Queue,
                 _ => EntityKind::Link,
             };
-            assert_eq!(step.kind, expected, "position {i}");
+            assert_eq!(kind, expected, "position {i}");
         }
         // Queue ids address the (link, class) queue of each hop.
         for (row, (_, _, path)) in sample.routing.iter_paths().enumerate() {
             let class = qos.path_classes[row] as usize;
             for (h, &l) in path.links.iter().enumerate() {
-                let qstep = &plan.extended_steps[3 * h + 1];
-                assert_eq!(qstep.ids[row], l * n + class, "row {row} hop {h}");
-                assert_eq!(qstep.mask.get(row, 0), 1.0);
-                assert_eq!(plan.extended_steps[3 * h].ids[row], path.nodes[h]);
-                assert_eq!(plan.extended_steps[3 * h + 2].ids[row], l);
+                let queue = id_at(&plan, 3 * h + 1, row);
+                assert_eq!(queue, Some(l * n + class), "row {row} hop {h}");
+                assert_eq!(id_at(&plan, 3 * h, row), Some(path.nodes[h]));
+                assert_eq!(id_at(&plan, 3 * h + 2, row), Some(l));
             }
         }
         // Queue features: per-link scheduler shares sum to 1, ranks descend.
@@ -1068,7 +907,7 @@ mod tests {
     }
 
     #[test]
-    fn single_class_fifo_qos_plan_matches_legacy_plan_exactly() {
+    fn single_class_fifo_qos_plan_matches_plain_plan_exactly() {
         let (_, sample) = toy_sample();
         let mut fifo = sample.clone();
         fifo.qos = Some(rn_dataset::SampleQos {
@@ -1093,33 +932,10 @@ mod tests {
 
         assert_eq!(degenerate.num_queues, 0);
         assert_eq!(degenerate.queue_init.shape(), (0, 8));
-        assert_eq!(degenerate.extended_steps.len(), legacy.extended_steps.len());
-        for (a, b) in legacy.extended_steps.iter().zip(&degenerate.extended_steps) {
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.ids, b.ids);
-            assert!(a.mask.approx_eq(&b.mask, 0.0));
-        }
+        assert_eq!(degenerate.schedule, legacy.schedule);
         assert!(legacy.path_init.approx_eq(&degenerate.path_init, 0.0));
         assert!(legacy.link_init.approx_eq(&degenerate.link_init, 0.0));
         assert!(legacy.node_init.approx_eq(&degenerate.node_init, 0.0));
-    }
-
-    #[test]
-    fn active_counts_match_masks() {
-        let (_, sample) = toy_sample();
-        let delays: Vec<f64> = sample
-            .targets
-            .iter()
-            .map(|t| t.mean_delay_s.max(1e-6))
-            .collect();
-        let prep = preprocessing(&delays);
-        let plan = build_plan(&sample, &plan_config(&prep));
-        for step in plan.extended_steps.iter().chain(&plan.original_steps) {
-            let mask_sum = step.mask.sum() as usize;
-            assert_eq!(step.active, mask_sum);
-        }
-        // The first position involves every path (every path has >= 1 hop).
-        assert_eq!(plan.extended_steps[0].active, plan.n_paths);
     }
 
     #[test]
@@ -1235,17 +1051,21 @@ mod tests {
             let node_base: usize = plans[..b].iter().map(|q| q.num_nodes).sum();
             let queue_base: usize = plans[..b].iter().map(|q| q.num_queues).sum();
             let (row_lo, row_hi) = mb.path_ranges[b];
-            for (pos, step) in mb.plan.extended_steps.iter().enumerate() {
+            for pos in 0..mb.plan.schedule.len() {
+                let base = match mb.plan.schedule.kinds[pos] {
+                    EntityKind::Link => link_base,
+                    EntityKind::Node => node_base,
+                    EntityKind::Queue => queue_base,
+                };
                 for row in row_lo..row_hi {
-                    if step.mask.get(row, 0) > 0.0 {
-                        let local = &p.extended_steps[pos];
-                        let (base, local_id) = match step.kind {
-                            EntityKind::Link => (link_base, local.ids[row - row_lo]),
-                            EntityKind::Node => (node_base, local.ids[row - row_lo]),
-                            EntityKind::Queue => (queue_base, local.ids[row - row_lo]),
-                        };
-                        assert_eq!(step.ids[row], base + local_id, "step {pos} row {row}");
-                    }
+                    let local = (pos < p.schedule.len())
+                        .then(|| id_at(p, pos, row - row_lo))
+                        .flatten();
+                    assert_eq!(
+                        id_at(&mb.plan, pos, row),
+                        local.map(|id| base + id),
+                        "step {pos} row {row}"
+                    );
                 }
             }
             // Targets and reliability line up with offsets.
@@ -1300,27 +1120,26 @@ mod tests {
 
         let shards = mb.plan.shards.as_ref().expect("megabatch must shard");
         assert_eq!(shards.len(), 3);
-        assert_eq!(shards.path_bounds, vec![0, 20, 40, 60]);
+        assert_eq!(*shards.path_bounds, [0, 20, 40, 60]);
         assert_eq!(*shards.link_bounds.last().unwrap(), mb.plan.num_links);
         assert_eq!(*shards.node_bounds.last().unwrap(), mb.plan.num_nodes);
 
-        for csr in [&mb.plan.extended_csr, &mb.plan.original_csr] {
-            assert_eq!(csr.num_shards, 3);
-            for s in 0..csr.len() {
-                let bounds = csr.step_shard_bounds(s);
-                let active = csr.active_rows(s);
-                // Complete and disjoint: ascending bounds spanning the list.
-                assert_eq!(bounds[0], 0);
-                assert_eq!(*bounds.last().unwrap(), active.len());
-                assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-                // Sample-aligned: shard b's rows live in b's path range.
-                for b in 0..3 {
-                    for &row in &active[bounds[b]..bounds[b + 1]] {
-                        assert!(
-                            row >= shards.path_bounds[b] && row < shards.path_bounds[b + 1],
-                            "step {s} shard {b}: row {row} outside sample range"
-                        );
-                    }
+        let csr = &mb.plan.schedule;
+        assert_eq!(csr.num_shards, 3);
+        for s in 0..csr.len() {
+            let bounds = csr.step_shard_bounds(s);
+            let active = csr.active_rows(s);
+            // Complete and disjoint: ascending bounds spanning the list.
+            assert_eq!(bounds[0], 0);
+            assert_eq!(*bounds.last().unwrap(), active.len());
+            assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+            // Sample-aligned: shard b's rows live in b's path range.
+            for b in 0..3 {
+                for &row in &active[bounds[b]..bounds[b + 1]] {
+                    assert!(
+                        row >= shards.path_bounds[b] && row < shards.path_bounds[b + 1],
+                        "step {s} shard {b}: row {row} outside sample range"
+                    );
                 }
             }
         }
@@ -1337,16 +1156,15 @@ mod tests {
         let prep = preprocessing(&delays);
         let plan = build_plan(&sample, &plan_config(&prep));
         // Without the RN_INTRA_SHARDS opt-in (compose_with(parts, N) /
-        // env), a 1-sample megabatch runs the legacy (bitwise-seed)
-        // kernels entirely unsharded.
+        // env), a 1-sample megabatch runs entirely unsharded.
         let mb = crate::compose::ComposedMegabatch::compose_with(&[&plan], 1)
             .unwrap()
             .into_plan();
         assert!(
             mb.plan.shards.is_none(),
-            "1-sample megabatch must run the legacy (bitwise-seed) kernels"
+            "1-sample megabatch must run the unsharded kernels"
         );
-        assert_eq!(mb.plan.extended_csr.num_shards, 0);
+        assert_eq!(mb.plan.schedule.num_shards, 0);
     }
 
     #[test]
@@ -1374,42 +1192,31 @@ mod tests {
 
     #[test]
     fn plan_shards_degenerate_bounds_disable_dense_cleanly() {
-        // A PlanShards whose dense bounds are stripped (legacy layout) or
-        // collapsed to a single block must report dense sharding disabled —
-        // the `len() > 2` gate — while per-sample accessors keep working.
+        // A PlanShards whose dense bounds are stripped or collapsed to a
+        // single block must report dense sharding disabled — the `len() > 2`
+        // gate — while per-sample accessors keep working.
         let shards = PlanShards {
-            path_bounds: vec![0, 10],
-            link_bounds: vec![0, 4],
-            node_bounds: vec![0, 3],
-            queue_bounds: vec![0, 0],
-            dense_path_bounds: Vec::new(),
-            dense_link_bounds: balanced_row_bounds(4, 1),
-            dense_node_bounds: balanced_row_bounds(0, 4),
-            dense_queue_bounds: Vec::new(),
-            shared: OnceLock::new(),
+            path_bounds: [0, 10].into(),
+            link_bounds: [0, 4].into(),
+            node_bounds: [0, 3].into(),
+            queue_bounds: [0, 0].into(),
+            dense_link_bounds: balanced_row_bounds(4, 1).into(),
+            dense_node_bounds: balanced_row_bounds(0, 4).into(),
+            ..PlanShards::default()
         };
         assert_eq!(shards.len(), 1);
         assert!(!shards.is_empty());
         assert!(shards.dense_path().is_none(), "stripped bounds disable");
-        assert!(shards.dense_link().is_none(), "single block disables");
+        let dense_link = shards.dense_entity(EntityKind::Link);
+        assert!(dense_link.is_none(), "single block disables");
         assert!(
-            shards.dense_node().is_some(),
+            shards.dense_entity(EntityKind::Node).is_some(),
             "zero-row multi-block bounds stay structurally enabled"
         );
-        assert_eq!(shards.entity_bounds(EntityKind::Link), &[0, 4]);
-        assert_eq!(shards.entity_bounds(EntityKind::Node), &[0, 3]);
+        assert_eq!(shards.entity_bounds(EntityKind::Link).as_slice(), &[0, 4]);
+        assert_eq!(shards.entity_bounds(EntityKind::Node).as_slice(), &[0, 3]);
 
-        let empty = PlanShards {
-            path_bounds: Vec::new(),
-            link_bounds: Vec::new(),
-            node_bounds: Vec::new(),
-            queue_bounds: Vec::new(),
-            dense_path_bounds: Vec::new(),
-            dense_link_bounds: Vec::new(),
-            dense_node_bounds: Vec::new(),
-            dense_queue_bounds: Vec::new(),
-            shared: OnceLock::new(),
-        };
+        let empty = PlanShards::default();
         assert_eq!(empty.len(), 0);
         assert!(empty.is_empty());
     }
@@ -1441,25 +1248,6 @@ mod tests {
             try_build_megabatch(&[&plan_a, &plan_b]).unwrap_err(),
             MegabatchError::StateDimMismatch(8, 16)
         );
-    }
-
-    #[test]
-    fn compiled_steps_mirror_step_plans() {
-        let (_, sample) = toy_sample();
-        let delays: Vec<f64> = sample
-            .targets
-            .iter()
-            .map(|t| t.mean_delay_s.max(1e-6))
-            .collect();
-        let prep = preprocessing(&delays);
-        let plan = build_plan(&sample, &plan_config(&prep));
-        assert_eq!(plan.extended_csr.len(), plan.extended_steps.len());
-        for (s, step) in plan.extended_steps.iter().enumerate() {
-            assert_eq!(plan.extended_csr.kinds[s], step.kind);
-            assert_eq!(plan.extended_csr.active[s], step.active);
-            assert_eq!(plan.extended_csr.ids(s), &step.ids[..]);
-            assert!(plan.extended_csr.masks[s].approx_eq(&step.mask, 0.0));
-        }
     }
 
     #[test]

@@ -30,10 +30,13 @@
 //!   ablation switch (positional messages vs. the paper's literal "sum of
 //!   path states").
 //! - [`features`] — feature scaling fitted on the training set.
-//! - [`entities`] — converts a dataset sample into the tensors and
-//!   gather/scatter index plans message passing executes over.
-//! - [`model`] — [`OriginalRouteNet`], [`ExtendedRouteNet`] and the
-//!   QoS-aware [`QosRouteNet`] (adds a per-(link, class) queue entity).
+//! - [`entities`] — converts a dataset sample into the tensors and the one
+//!   row-compacted gather/scatter schedule message passing executes over.
+//! - [`model`] — the one message-passing loop, `RouteNet<ENTITIES>`, and its
+//!   three entity lists: [`OriginalRouteNet`] (`[Link]`),
+//!   [`ExtendedRouteNet`] (`[Node, Link]`) and the QoS-aware
+//!   [`QosRouteNet`] (`[Node, Queue, Link]`: adds a per-(link, class) queue
+//!   entity).
 //! - [`trainer`] — minibatch Adam training with rayon data-parallel gradients.
 //! - [`eval`] — relative-error evaluation and CDF series (Figure 2).
 //! - [`persist`] — atomic JSON save/load of trained models.

@@ -1,15 +1,19 @@
-//! The original and extended RouteNet models.
+//! RouteNet: one message-passing loop over paths and the entity kinds a
+//! model owns a GRU for — `[Link]` (the original RouteNet), `[Node, Link]`
+//! (the paper's extension) or `[Node, Queue, Link]` (QoS).
 
 use crate::config::{ModelConfig, NodeUpdate};
 use crate::entities::{
-    build_megabatch, build_plan, CompiledSteps, EntityKind, MegabatchPlan, PlanConfig, PlanShards,
-    SamplePlan, StepPlan, TargetKind,
+    build_megabatch, build_plan, EntityKind, MegabatchPlan, PlanConfig, PlanShards, SamplePlan,
+    TargetKind,
 };
 use crate::features::FeatureScales;
 use rn_autograd::{Graph, IndexInput, ShardSplit, Var};
 use rn_dataset::{Dataset, Normalizer, Sample};
 use rn_nn::{Activation, BoundGruCell, BoundMlp, GruCell, Layer, Mlp};
 use rn_tensor::{Matrix, Prng};
+use serde::de::field;
+use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
 thread_local! {
@@ -28,10 +32,11 @@ fn with_thread_tape<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
     })
 }
 
-/// Common interface of both RouteNet variants: bindable layers plus a
-/// plan-driven forward pass producing one normalized prediction per path.
+/// The interface the trainer, evaluation and serving are generic over:
+/// bindable layers plus a plan-driven forward pass producing one normalized
+/// prediction per path.
 pub trait PathPredictor: Layer + Clone + Send + Sync {
-    /// Short identifier used in reports ("original" / "extended").
+    /// Short identifier used in reports ("original" / "extended" / "qos").
     fn name(&self) -> &'static str;
 
     /// The hyper-parameters.
@@ -185,203 +190,97 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Shared message-passing machinery
+// The one message-passing loop
 // ---------------------------------------------------------------------------
 
-/// Run one fused path-RNN sweep over precompiled CSR steps, accumulating
-/// per-entity message sums.
+/// The entity kinds a model can own a GRU for, in parameter order. A model
+/// with `ENTITIES = n` owns the first `n`. Per-kind state arrays are indexed
+/// by `kind as usize`, which the assertion below ties to this order.
+const ENTITY_KINDS: [EntityKind; 3] = [EntityKind::Link, EntityKind::Node, EntityKind::Queue];
+const _: () = {
+    let mut i = 0;
+    while i < ENTITY_KINDS.len() {
+        assert!(ENTITY_KINDS[i] as usize == i);
+        i += 1;
+    }
+};
+
+/// RouteNet: a path GRU that reads one entity state per sequence position
+/// and sends its hidden state back as that entity's message, one GRU per
+/// entity kind that folds the messages into the entity states, `T`
+/// iterations of that, and a readout MLP over the final path states.
 ///
-/// Three tape nodes per sequence position (`gather_rows`, `gru_step_rows`,
-/// `segment_acc_rows`) instead of the ~20 the unfused sweep records — this is the
-/// training hot path. Returns `(final_path_state, link_message_sum,
-/// node_message_sum, queue_message_sum)`; the node accumulator is `None`
-/// when `collect_node_messages` is false (original model, or the
-/// FinalPathStateSum ablation), and the queue accumulator is `None` unless
-/// `queue_state` is supplied (QoS plans only — legacy sweeps record exactly
-/// the same tape ops as before the queue entity existed).
-#[allow(clippy::too_many_arguments)]
-fn path_sweep(
-    g: &mut Graph,
-    gru_path: &BoundGruCell,
-    csr: &CompiledSteps,
-    mut path_state: Var,
-    link_state: Var,
-    node_state: Option<Var>,
-    queue_state: Option<Var>,
-    num_links: usize,
-    num_nodes: usize,
-    num_queues: usize,
-    collect_node_messages: bool,
-    shards: Option<&PlanShards>,
-) -> (Var, Var, Option<Var>, Option<Var>) {
-    let state_dim = g.value(link_state).cols();
-    let mut link_acc = g.constant_with(num_links, state_dim, |_| {});
-    let mut node_acc = if collect_node_messages {
-        Some(g.constant_with(num_nodes, state_dim, |_| {}))
-    } else {
-        None
-    };
-    let mut queue_acc = if queue_state.is_some() {
-        Some(g.constant_with(num_queues, state_dim, |_| {}))
-    } else {
-        None
-    };
-    let gru_vars = gru_path.vars();
-    // Zero-copy mode: every step binds Arc-backed views of the compiled CSR
-    // buffers instead of pooled copies, so per-step index traffic collapses
-    // to refcount bumps. The copying branch is the legacy bitwise path.
-    let zero_copy = g.zero_copy();
-    for s in 0..csr.len() {
-        if csr.active[s] == 0 {
-            continue;
-        }
-        // Row compaction: gather states for the *active* rows only, advance
-        // only those rows through the GRU, and scatter only their messages.
-        // Padded rows never touch a kernel.
-        let (rows, ids): (IndexInput<'_>, IndexInput<'_>) = if zero_copy {
-            (
-                csr.shared_active_rows(s).into(),
-                csr.shared_active_ids(s).into(),
-            )
-        } else {
-            (csr.active_rows(s).into(), csr.active_ids(s).into())
-        };
-        let states = match csr.kinds[s] {
-            EntityKind::Link => link_state,
-            EntityKind::Node => node_state.expect("node step requires node states"),
-            EntityKind::Queue => queue_state.expect("queue step requires queue states"),
-        };
-        // Megabatch plans carry per-sample shard bounds: the fused ops then
-        // record shard descriptors, so this step's work can fan out across
-        // a worker pool (forward and backward) with bitwise-identical
-        // results, and the backward reduces parameter gradients in the
-        // canonical per-shard order.
-        let split = shards.map(|sh| {
-            if zero_copy {
-                ShardSplit {
-                    active: csr.shared_step_shard_bounds(s).into(),
-                    dense: sh.shared_path_bounds().into(),
-                    entity: sh.shared_entity_bounds(csr.kinds[s]).into(),
-                }
-            } else {
-                ShardSplit::borrowed(
-                    csr.step_shard_bounds(s),
-                    &sh.path_bounds,
-                    sh.entity_bounds(csr.kinds[s]),
-                )
-            }
-        });
-        let x = g.gather_rows_sharded(states, ids.clone(), split.clone());
-        path_state = g.gru_step_rows_sharded(&gru_vars, path_state, x, rows.clone(), split.clone());
-        // The post-step hidden state is the message to this position's entity.
-        match csr.kinds[s] {
-            EntityKind::Link => {
-                link_acc = g.segment_acc_rows_sharded(link_acc, path_state, rows, ids, split)
-            }
-            EntityKind::Node => {
-                if let Some(acc) = node_acc {
-                    node_acc = Some(g.segment_acc_rows_sharded(acc, path_state, rows, ids, split));
-                }
-            }
-            EntityKind::Queue => {
-                if let Some(acc) = queue_acc {
-                    queue_acc = Some(g.segment_acc_rows_sharded(acc, path_state, rows, ids, split));
-                }
-            }
-        }
-    }
-    (path_state, link_acc, node_acc, queue_acc)
-}
-
-/// The pre-fusion sweep, op by op — the numerical reference for
-/// [`path_sweep`] and the "before" side of the training-step benchmark.
-#[allow(clippy::too_many_arguments)]
-fn path_sweep_unfused(
-    g: &mut Graph,
-    gru_path: &BoundGruCell,
-    steps: &[StepPlan],
-    mut path_state: Var,
-    link_state: Var,
-    node_state: Option<Var>,
-    queue_state: Option<Var>,
-    num_links: usize,
-    num_nodes: usize,
-    num_queues: usize,
-    collect_node_messages: bool,
-) -> (Var, Var, Option<Var>, Option<Var>) {
-    let mut link_acc = g.constant(Matrix::zeros(num_links, g.value(link_state).cols()));
-    let mut node_acc = if collect_node_messages {
-        Some(g.constant(Matrix::zeros(num_nodes, g.value(link_state).cols())))
-    } else {
-        None
-    };
-    let mut queue_acc = queue_state
-        .is_some()
-        .then(|| g.constant(Matrix::zeros(num_queues, g.value(link_state).cols())));
-    for step in steps {
-        if step.active == 0 {
-            continue;
-        }
-        let states = match step.kind {
-            EntityKind::Link => link_state,
-            EntityKind::Node => node_state.expect("node step requires node states"),
-            EntityKind::Queue => queue_state.expect("queue step requires queue states"),
-        };
-        let x_raw = g.gather_rows(states, &step.ids);
-        let x = g.mask_rows(x_raw, &step.mask);
-        path_state = gru_path.step_masked(g, path_state, x, &step.mask);
-        // The post-step hidden state is the message to this position's entity.
-        let msg = g.mask_rows(path_state, &step.mask);
-        match step.kind {
-            EntityKind::Link => {
-                let contribution = g.segment_sum(msg, &step.ids, num_links);
-                link_acc = g.add(link_acc, contribution);
-            }
-            EntityKind::Node => {
-                if let Some(acc) = node_acc {
-                    let contribution = g.segment_sum(msg, &step.ids, num_nodes);
-                    node_acc = Some(g.add(acc, contribution));
-                }
-            }
-            EntityKind::Queue => {
-                if let Some(acc) = queue_acc {
-                    let contribution = g.segment_sum(msg, &step.ids, num_queues);
-                    queue_acc = Some(g.add(acc, contribution));
-                }
-            }
-        }
-    }
-    (path_state, link_acc, node_acc, queue_acc)
-}
-
-// ---------------------------------------------------------------------------
-// Original RouteNet
-// ---------------------------------------------------------------------------
-
-/// The original RouteNet: link and path entities only. Node features (queue
-/// sizes) are invisible to this model — exactly the limitation the paper
-/// demonstrates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OriginalRouteNet {
+/// `ENTITIES` says how many of `[Link, Node, Queue]` the model owns a GRU
+/// for; the sweep visits the schedule positions of those kinds and skips the
+/// rest. Parameters are drawn from the seed stream — and listed — in the
+/// order path, link, \[node\], readout, \[queue\], so at equal seed every
+/// model shares the parameter bits of the smaller ones.
+#[derive(Debug, Clone)]
+pub struct RouteNet<const ENTITIES: usize> {
     config: ModelConfig,
     scales: FeatureScales,
     normalizer: Normalizer,
     gru_path: GruCell,
     gru_link: GruCell,
+    gru_node: Option<GruCell>,
     readout: Mlp,
+    gru_queue: Option<GruCell>,
 }
 
-/// Tape bindings for [`OriginalRouteNet`].
+/// The original RouteNet: link and path entities only (`[Link]`). Node
+/// features (queue sizes) are invisible to this model — exactly the
+/// limitation the paper demonstrates.
+pub type OriginalRouteNet = RouteNet<1>;
+
+/// The extended RouteNet of the paper (`[Node, Link]`): adds the node entity
+/// (`RNN_N`) and interleaves node states into the path sequences.
+pub type ExtendedRouteNet = RouteNet<2>;
+
+/// The QoS-aware RouteNet (`[Node, Queue, Link]`): adds a per-(link, class)
+/// **queue entity** (`RNN_Q`), so the message passing sees the scheduler
+/// configuration (policy shares, class ranks) of every output port. On plans
+/// without queues (`num_queues == 0`) no queue op is recorded and the
+/// forward/backward tapes are **bitwise identical** to [`ExtendedRouteNet`]
+/// at the same seed.
+pub type QosRouteNet = RouteNet<3>;
+
+/// Tape bindings for a [`RouteNet`].
 #[derive(Debug, Clone)]
-pub struct BoundOriginal {
+pub struct Bound {
     gru_path: BoundGruCell,
     gru_link: BoundGruCell,
+    gru_node: Option<BoundGruCell>,
     readout: BoundMlp,
+    gru_queue: Option<BoundGruCell>,
 }
 
-impl OriginalRouteNet {
+impl Bound {
+    /// The GRU that updates the states of `kind`, if the model owns one.
+    fn entity_gru(&self, kind: EntityKind) -> Option<&BoundGruCell> {
+        match kind {
+            EntityKind::Link => Some(&self.gru_link),
+            EntityKind::Node => self.gru_node.as_ref(),
+            EntityKind::Queue => self.gru_queue.as_ref(),
+        }
+    }
+}
+
+/// The plan's initial states and row count for one entity kind.
+fn entity_init(plan: &SamplePlan, kind: EntityKind) -> (&Matrix, usize) {
+    match kind {
+        EntityKind::Link => (&plan.link_init, plan.num_links),
+        EntityKind::Node => (&plan.node_init, plan.num_nodes),
+        EntityKind::Queue => (&plan.queue_init, plan.num_queues),
+    }
+}
+
+impl<const ENTITIES: usize> RouteNet<ENTITIES> {
     /// Fresh model with Xavier-initialized weights.
     pub fn new(config: ModelConfig) -> Self {
+        assert!(
+            (1..=3).contains(&ENTITIES),
+            "RouteNet owns 1 to 3 entity GRUs"
+        );
         config.validate().expect("invalid model config");
         let d = config.state_dim;
         let h = config.readout_hidden;
@@ -389,12 +288,14 @@ impl OriginalRouteNet {
         Self {
             gru_path: GruCell::new(&mut rng, d, d),
             gru_link: GruCell::new(&mut rng, d, d),
+            gru_node: (ENTITIES >= 2).then(|| GruCell::new(&mut rng, d, d)),
             readout: Mlp::new(
                 &mut rng,
                 &[d, h, h, 1],
                 Activation::Selu,
                 Activation::Identity,
             ),
+            gru_queue: (ENTITIES >= 3).then(|| GruCell::new(&mut rng, d, d)),
             config,
             scales: FeatureScales::unit(),
             normalizer: Normalizer::identity(),
@@ -402,42 +303,92 @@ impl OriginalRouteNet {
     }
 }
 
-impl Layer for OriginalRouteNet {
-    type Bound = BoundOriginal;
+impl<const ENTITIES: usize> Serialize for RouteNet<ENTITIES> {
+    fn serialize_value(&self) -> Value {
+        Value::Object(vec![
+            ("config".into(), self.config.serialize_value()),
+            ("scales".into(), self.scales.serialize_value()),
+            ("normalizer".into(), self.normalizer.serialize_value()),
+            ("gru_path".into(), self.gru_path.serialize_value()),
+            ("gru_link".into(), self.gru_link.serialize_value()),
+            ("gru_node".into(), self.gru_node.serialize_value()),
+            ("readout".into(), self.readout.serialize_value()),
+            ("gru_queue".into(), self.gru_queue.serialize_value()),
+        ])
+    }
+}
 
-    fn bind(&self, g: &mut Graph) -> BoundOriginal {
-        BoundOriginal {
+impl<'de, const ENTITIES: usize> Deserialize<'de> for RouteNet<ENTITIES> {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let model = Self {
+            config: field(v, "config")?,
+            scales: field(v, "scales")?,
+            normalizer: field(v, "normalizer")?,
+            gru_path: field(v, "gru_path")?,
+            gru_link: field(v, "gru_link")?,
+            gru_node: field(v, "gru_node")?,
+            readout: field(v, "readout")?,
+            gru_queue: field(v, "gru_queue")?,
+        };
+        let owned =
+            1 + usize::from(model.gru_node.is_some()) + usize::from(model.gru_queue.is_some());
+        if owned != ENTITIES || (model.gru_queue.is_some() && model.gru_node.is_none()) {
+            return Err(DeError::new(format!(
+                "model file holds {owned} entity GRUs, a `{}` model owns {ENTITIES}",
+                ["original", "extended", "qos"][ENTITIES - 1]
+            )));
+        }
+        Ok(model)
+    }
+}
+
+impl<const ENTITIES: usize> Layer for RouteNet<ENTITIES> {
+    type Bound = Bound;
+
+    fn bind(&self, g: &mut Graph) -> Bound {
+        // Queue GRU bound last: on plans without queues the tape prefix
+        // (params and compute ops alike) matches the smaller model's node
+        // for node.
+        Bound {
             gru_path: self.gru_path.bind(g),
             gru_link: self.gru_link.bind(g),
+            gru_node: self.gru_node.as_ref().map(|cell| cell.bind(g)),
             readout: self.readout.bind(g),
+            gru_queue: self.gru_queue.as_ref().map(|cell| cell.bind(g)),
         }
     }
 
     fn params(&self) -> Vec<&Matrix> {
         let mut p = self.gru_path.params();
         p.extend(self.gru_link.params());
+        p.extend(self.gru_node.iter().flat_map(Layer::params));
         p.extend(self.readout.params());
+        p.extend(self.gru_queue.iter().flat_map(Layer::params));
         p
     }
 
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         let mut p = self.gru_path.params_mut();
         p.extend(self.gru_link.params_mut());
+        p.extend(self.gru_node.iter_mut().flat_map(Layer::params_mut));
         p.extend(self.readout.params_mut());
+        p.extend(self.gru_queue.iter_mut().flat_map(Layer::params_mut));
         p
     }
 
-    fn bound_vars(bound: &BoundOriginal) -> Vec<Var> {
+    fn bound_vars(bound: &Bound) -> Vec<Var> {
         let mut v = GruCell::bound_vars(&bound.gru_path);
         v.extend(GruCell::bound_vars(&bound.gru_link));
+        v.extend(bound.gru_node.iter().flat_map(GruCell::bound_vars));
         v.extend(Mlp::bound_vars(&bound.readout));
+        v.extend(bound.gru_queue.iter().flat_map(GruCell::bound_vars));
         v
     }
 }
 
-impl PathPredictor for OriginalRouteNet {
+impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
     fn name(&self) -> &'static str {
-        "original"
+        ["original", "extended", "qos"][ENTITIES - 1]
     }
 
     fn config(&self) -> &ModelConfig {
@@ -463,539 +414,150 @@ impl PathPredictor for OriginalRouteNet {
         self.normalizer = normalizer;
     }
 
-    fn forward(&self, g: &mut Graph, bound: &BoundOriginal, plan: &SamplePlan) -> Var {
+    /// The fused sweep records three tape nodes per visited sequence
+    /// position (`gather_rows`, `gru_step_rows`, `segment_acc_rows`) instead
+    /// of the ~20 of [`PathPredictor::forward_unfused`] — this is the
+    /// training hot path. Every index list it hands the tape is a refcounted
+    /// view of the plan's buffers, so recording a step copies no index word.
+    fn forward(&self, g: &mut Graph, bound: &Bound, plan: &SamplePlan) -> Var {
+        let schedule = &plan.schedule;
+        let shards = plan.shards.as_ref();
+        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
+        let gru_path = bound.gru_path.vars();
         // Pooled copies: the plan may be a cached composition shared behind
         // an Arc, so the tape takes its own (recycled) buffers; bits match
         // `constant(clone())` exactly.
         let mut path_state = g.constant_copy(&plan.path_init);
-        let mut link_state = g.constant_copy(&plan.link_init);
-        // Dense row partitions for the per-entity GRU update and the
-        // readout: the work the per-sample shards leave sequential fans
-        // across the same worker gang (None on single-sample plans, which
-        // stay on the legacy bitwise path).
-        let zero_copy = g.zero_copy();
-        let dense_link: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_link().map(IndexInput::from)
-            } else {
-                s.dense_link().map(IndexInput::from)
-            }
-        });
-        let dense_path: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_path().map(IndexInput::from)
-            } else {
-                s.dense_path().map(IndexInput::from)
-            }
+        // One state per entity kind the model owns a GRU for and the plan has
+        // rows of: a plan without queues records no queue op of any kind, so
+        // its tape is bitwise the smaller model's.
+        let mut states = ENTITY_KINDS.map(|kind| {
+            let (init, rows) = entity_init(plan, kind);
+            let owned = bound.entity_gru(kind).is_some() && rows > 0;
+            owned.then(|| g.constant_copy(init))
         });
         for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, _, _) = path_sweep(
-                g,
-                &bound.gru_path,
-                &plan.original_csr,
-                path_state,
-                link_state,
-                None,
-                None,
-                plan.num_links,
-                plan.num_nodes,
-                0,
-                false,
-                plan.shards.as_ref(),
-            );
-            path_state = new_path;
-            link_state =
-                bound
-                    .gru_link
-                    .step_fused_sharded(g, link_state, link_acc, dense_link.clone());
-        }
-        bound.readout.forward_sharded(g, path_state, dense_path)
-    }
-
-    fn forward_unfused(&self, g: &mut Graph, bound: &BoundOriginal, plan: &SamplePlan) -> Var {
-        let mut path_state = g.constant(plan.path_init.clone());
-        let mut link_state = g.constant(plan.link_init.clone());
-        for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, _, _) = path_sweep_unfused(
-                g,
-                &bound.gru_path,
-                &plan.original_steps,
-                path_state,
-                link_state,
-                None,
-                None,
-                plan.num_links,
-                plan.num_nodes,
-                0,
-                false,
-            );
-            path_state = new_path;
-            link_state = bound.gru_link.step(g, link_state, link_acc);
-        }
-        bound.readout.forward(g, path_state)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Extended RouteNet
-// ---------------------------------------------------------------------------
-
-/// The extended RouteNet of the paper: adds the node entity (`RNN_N`) and
-/// interleaves node states into the path sequences.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExtendedRouteNet {
-    config: ModelConfig,
-    scales: FeatureScales,
-    normalizer: Normalizer,
-    gru_path: GruCell,
-    gru_link: GruCell,
-    gru_node: GruCell,
-    readout: Mlp,
-}
-
-/// Tape bindings for [`ExtendedRouteNet`].
-#[derive(Debug, Clone)]
-pub struct BoundExtended {
-    gru_path: BoundGruCell,
-    gru_link: BoundGruCell,
-    gru_node: BoundGruCell,
-    readout: BoundMlp,
-}
-
-impl ExtendedRouteNet {
-    /// Fresh model with Xavier-initialized weights.
-    pub fn new(config: ModelConfig) -> Self {
-        config.validate().expect("invalid model config");
-        let d = config.state_dim;
-        let h = config.readout_hidden;
-        let mut rng = Prng::new(config.seed);
-        Self {
-            gru_path: GruCell::new(&mut rng, d, d),
-            gru_link: GruCell::new(&mut rng, d, d),
-            gru_node: GruCell::new(&mut rng, d, d),
-            readout: Mlp::new(
-                &mut rng,
-                &[d, h, h, 1],
-                Activation::Selu,
-                Activation::Identity,
-            ),
-            config,
-            scales: FeatureScales::unit(),
-            normalizer: Normalizer::identity(),
-        }
-    }
-}
-
-impl Layer for ExtendedRouteNet {
-    type Bound = BoundExtended;
-
-    fn bind(&self, g: &mut Graph) -> BoundExtended {
-        BoundExtended {
-            gru_path: self.gru_path.bind(g),
-            gru_link: self.gru_link.bind(g),
-            gru_node: self.gru_node.bind(g),
-            readout: self.readout.bind(g),
-        }
-    }
-
-    fn params(&self) -> Vec<&Matrix> {
-        let mut p = self.gru_path.params();
-        p.extend(self.gru_link.params());
-        p.extend(self.gru_node.params());
-        p.extend(self.readout.params());
-        p
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        let mut p = self.gru_path.params_mut();
-        p.extend(self.gru_link.params_mut());
-        p.extend(self.gru_node.params_mut());
-        p.extend(self.readout.params_mut());
-        p
-    }
-
-    fn bound_vars(bound: &BoundExtended) -> Vec<Var> {
-        let mut v = GruCell::bound_vars(&bound.gru_path);
-        v.extend(GruCell::bound_vars(&bound.gru_link));
-        v.extend(GruCell::bound_vars(&bound.gru_node));
-        v.extend(Mlp::bound_vars(&bound.readout));
-        v
-    }
-}
-
-impl PathPredictor for ExtendedRouteNet {
-    fn name(&self) -> &'static str {
-        "extended"
-    }
-
-    fn config(&self) -> &ModelConfig {
-        &self.config
-    }
-
-    fn preprocessing(&self) -> (&FeatureScales, &Normalizer) {
-        (&self.scales, &self.normalizer)
-    }
-
-    fn fit_preprocessing(&mut self, train: &Dataset, min_packets: u64) {
-        self.scales = FeatureScales::fit(train);
-        let delays = train.all_delays(min_packets);
-        let positive: Vec<f64> = delays.into_iter().filter(|&d| d > 0.0).collect();
-        assert!(
-            !positive.is_empty(),
-            "training set has no positive delay labels"
-        );
-        self.normalizer = Normalizer::fit(&positive, true);
-    }
-
-    fn set_normalizer(&mut self, normalizer: Normalizer) {
-        self.normalizer = normalizer;
-    }
-
-    fn forward(&self, g: &mut Graph, bound: &BoundExtended, plan: &SamplePlan) -> Var {
-        // Pooled copies — see `OriginalRouteNet::forward`.
-        let mut path_state = g.constant_copy(&plan.path_init);
-        let mut link_state = g.constant_copy(&plan.link_init);
-        let mut node_state = g.constant_copy(&plan.node_init);
-        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
-        // Dense row partitions — see `OriginalRouteNet::forward`.
-        let zero_copy = g.zero_copy();
-        let dense_link: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_link().map(IndexInput::from)
-            } else {
-                s.dense_link().map(IndexInput::from)
+            // Per-entity message sums. In the FinalPathStateSum ablation the
+            // node positions are still visited but send no message.
+            let mut sums = ENTITY_KINDS.map(|kind| {
+                let collects = kind != EntityKind::Node || positional;
+                let state = states[kind as usize].filter(|_| collects)?;
+                let (rows, cols) = g.value(state).shape();
+                Some(g.constant_with(rows, cols, |_| {}))
+            });
+            for s in 0..schedule.len() {
+                let kind = schedule.kinds[s];
+                let Some(entity_state) = states[kind as usize] else {
+                    continue;
+                };
+                if schedule.active(s) == 0 {
+                    continue;
+                }
+                // Row compaction: gather states for the *active* rows only,
+                // advance only those rows through the GRU, and scatter only
+                // their messages. Padded rows never touch a kernel.
+                let rows: IndexInput<'_> = schedule.shared_active_rows(s).into();
+                let ids: IndexInput<'_> = schedule.shared_active_ids(s).into();
+                // Megabatch plans carry per-sample shard bounds: the fused
+                // ops then record shard descriptors, so this step's work can
+                // fan out across a worker pool (forward and backward) with
+                // bitwise-identical results, and the backward reduces
+                // parameter gradients in the canonical per-shard order.
+                let split = shards.map(|sh| ShardSplit {
+                    active: schedule.shared_step_shard_bounds(s).into(),
+                    dense: sh.shared_path_bounds().into(),
+                    entity: sh.entity_bounds(kind).into(),
+                });
+                let x = g.gather_rows_sharded(entity_state, ids.clone(), split.clone());
+                path_state =
+                    g.gru_step_rows_sharded(&gru_path, path_state, x, rows.clone(), split.clone());
+                // The post-step hidden state is the message to this
+                // position's entity.
+                if let Some(sum) = sums[kind as usize] {
+                    sums[kind as usize] =
+                        Some(g.segment_acc_rows_sharded(sum, path_state, rows, ids, split));
+                }
             }
-        });
-        let dense_node: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_node().map(IndexInput::from)
-            } else {
-                s.dense_node().map(IndexInput::from)
-            }
-        });
-        let dense_path: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_path().map(IndexInput::from)
-            } else {
-                s.dense_path().map(IndexInput::from)
-            }
-        });
-        for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, node_acc, _) = path_sweep(
-                g,
-                &bound.gru_path,
-                &plan.extended_csr,
-                path_state,
-                link_state,
-                Some(node_state),
-                None,
-                plan.num_links,
-                plan.num_nodes,
-                0,
-                positional,
-                plan.shards.as_ref(),
-            );
-            path_state = new_path;
-            let node_input = if positional {
-                node_acc.expect("positional sweep collects node messages")
-            } else {
+            if !positional && states[EntityKind::Node as usize].is_some() {
                 // Paper wording: element-wise sum of the (final) path states
                 // of all paths traversing the node.
                 let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
-                g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
-            };
-            link_state =
-                bound
-                    .gru_link
-                    .step_fused_sharded(g, link_state, link_acc, dense_link.clone());
-            node_state =
-                bound
-                    .gru_node
-                    .step_fused_sharded(g, node_state, node_input, dense_node.clone());
+                sums[EntityKind::Node as usize] =
+                    Some(g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes));
+            }
+            // Dense row partitions for the per-entity GRU updates (and the
+            // readout below): the work the per-sample shards leave
+            // sequential fans across the same worker gang.
+            for kind in ENTITY_KINDS {
+                let (Some(state), Some(sum)) = (states[kind as usize], sums[kind as usize]) else {
+                    continue;
+                };
+                let gru = bound.entity_gru(kind).expect("state implies an owned GRU");
+                let dense = shards.and_then(|sh| sh.dense_entity(kind));
+                states[kind as usize] =
+                    Some(gru.step_fused_sharded(g, state, sum, dense.map(IndexInput::from)));
+            }
         }
-        bound.readout.forward_sharded(g, path_state, dense_path)
+        let dense_path = shards.and_then(PlanShards::dense_path);
+        bound
+            .readout
+            .forward_sharded(g, path_state, dense_path.map(IndexInput::from))
     }
 
-    fn forward_unfused(&self, g: &mut Graph, bound: &BoundExtended, plan: &SamplePlan) -> Var {
+    fn forward_unfused(&self, g: &mut Graph, bound: &Bound, plan: &SamplePlan) -> Var {
+        let schedule = &plan.schedule;
+        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
         let mut path_state = g.constant(plan.path_init.clone());
-        let mut link_state = g.constant(plan.link_init.clone());
-        let mut node_state = g.constant(plan.node_init.clone());
-        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
+        let mut states = ENTITY_KINDS.map(|kind| {
+            let (init, rows) = entity_init(plan, kind);
+            let owned = bound.entity_gru(kind).is_some() && rows > 0;
+            owned.then(|| g.constant(init.clone()))
+        });
+        // The dense form of every visited step: one id per path row (0, an
+        // arbitrary valid id, for rows without the position) and the mask
+        // that zeroes those rows.
+        let dense_steps: Vec<(EntityKind, Vec<usize>, Matrix)> = (0..schedule.len())
+            .filter(|&s| states[schedule.kinds[s] as usize].is_some() && schedule.active(s) > 0)
+            .map(|s| {
+                let mut ids = vec![0usize; plan.n_paths];
+                let mut mask = Matrix::zeros(plan.n_paths, 1);
+                for (&row, &id) in schedule.active_rows(s).iter().zip(schedule.active_ids(s)) {
+                    ids[row] = id;
+                    mask.set(row, 0, 1.0);
+                }
+                (schedule.kinds[s], ids, mask)
+            })
+            .collect();
         for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, node_acc, _) = path_sweep_unfused(
-                g,
-                &bound.gru_path,
-                &plan.extended_steps,
-                path_state,
-                link_state,
-                Some(node_state),
-                None,
-                plan.num_links,
-                plan.num_nodes,
-                0,
-                positional,
-            );
-            path_state = new_path;
-            let node_input = if positional {
-                node_acc.expect("positional sweep collects node messages")
-            } else {
+            let mut sums = ENTITY_KINDS.map(|kind| {
+                let collects = kind != EntityKind::Node || positional;
+                let state = states[kind as usize].filter(|_| collects)?;
+                let (rows, cols) = g.value(state).shape();
+                Some(g.constant(Matrix::zeros(rows, cols)))
+            });
+            for (kind, ids, mask) in &dense_steps {
+                let entity_state = states[*kind as usize].expect("visited kinds have states");
+                let x_raw = g.gather_rows(entity_state, ids);
+                let x = g.mask_rows(x_raw, mask);
+                path_state = bound.gru_path.step_masked(g, path_state, x, mask);
+                if let Some(sum) = sums[*kind as usize] {
+                    let msg = g.mask_rows(path_state, mask);
+                    let (_, num_entities) = entity_init(plan, *kind);
+                    let contribution = g.segment_sum(msg, ids, num_entities);
+                    sums[*kind as usize] = Some(g.add(sum, contribution));
+                }
+            }
+            if !positional && states[EntityKind::Node as usize].is_some() {
                 let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
-                g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
-            };
-            link_state = bound.gru_link.step(g, link_state, link_acc);
-            node_state = bound.gru_node.step(g, node_state, node_input);
-        }
-        bound.readout.forward(g, path_state)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// QoS RouteNet (queue entity)
-// ---------------------------------------------------------------------------
-
-/// The QoS-aware RouteNet: adds a per-(link, class) **queue entity**
-/// (`RNN_Q`) on top of the extended model, so the message passing sees the
-/// scheduler configuration (policy shares, class ranks) of every output
-/// port. On QoS plans the path sequence is 3-periodic (node, queue, link per
-/// hop); on legacy and single-class-FIFO plans `num_queues == 0`, no queue
-/// op is recorded, and the forward/backward tapes are **bitwise identical**
-/// to [`ExtendedRouteNet`] at the same seed — the shared parameters are
-/// drawn in the same `Prng` order and the queue GRU only afterwards.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QosRouteNet {
-    config: ModelConfig,
-    scales: FeatureScales,
-    normalizer: Normalizer,
-    gru_path: GruCell,
-    gru_link: GruCell,
-    gru_node: GruCell,
-    readout: Mlp,
-    gru_queue: GruCell,
-}
-
-/// Tape bindings for [`QosRouteNet`].
-#[derive(Debug, Clone)]
-pub struct BoundQos {
-    gru_path: BoundGruCell,
-    gru_link: BoundGruCell,
-    gru_node: BoundGruCell,
-    readout: BoundMlp,
-    gru_queue: BoundGruCell,
-}
-
-impl QosRouteNet {
-    /// Fresh model with Xavier-initialized weights. The path/link/node GRUs
-    /// and the readout consume the seed stream in exactly
-    /// [`ExtendedRouteNet::new`]'s order, then the queue GRU draws from
-    /// whatever is left: at equal seed the shared parameters are bitwise
-    /// equal, which is what makes the FIFO golden-equivalence tests exact.
-    pub fn new(config: ModelConfig) -> Self {
-        config.validate().expect("invalid model config");
-        let d = config.state_dim;
-        let h = config.readout_hidden;
-        let mut rng = Prng::new(config.seed);
-        Self {
-            gru_path: GruCell::new(&mut rng, d, d),
-            gru_link: GruCell::new(&mut rng, d, d),
-            gru_node: GruCell::new(&mut rng, d, d),
-            readout: Mlp::new(
-                &mut rng,
-                &[d, h, h, 1],
-                Activation::Selu,
-                Activation::Identity,
-            ),
-            gru_queue: GruCell::new(&mut rng, d, d),
-            config,
-            scales: FeatureScales::unit(),
-            normalizer: Normalizer::identity(),
-        }
-    }
-}
-
-impl Layer for QosRouteNet {
-    type Bound = BoundQos;
-
-    fn bind(&self, g: &mut Graph) -> BoundQos {
-        // Queue GRU bound last: on FIFO plans the tape prefix (params and
-        // compute ops alike) matches ExtendedRouteNet node for node.
-        BoundQos {
-            gru_path: self.gru_path.bind(g),
-            gru_link: self.gru_link.bind(g),
-            gru_node: self.gru_node.bind(g),
-            readout: self.readout.bind(g),
-            gru_queue: self.gru_queue.bind(g),
-        }
-    }
-
-    fn params(&self) -> Vec<&Matrix> {
-        let mut p = self.gru_path.params();
-        p.extend(self.gru_link.params());
-        p.extend(self.gru_node.params());
-        p.extend(self.readout.params());
-        p.extend(self.gru_queue.params());
-        p
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        let mut p = self.gru_path.params_mut();
-        p.extend(self.gru_link.params_mut());
-        p.extend(self.gru_node.params_mut());
-        p.extend(self.readout.params_mut());
-        p.extend(self.gru_queue.params_mut());
-        p
-    }
-
-    fn bound_vars(bound: &BoundQos) -> Vec<Var> {
-        let mut v = GruCell::bound_vars(&bound.gru_path);
-        v.extend(GruCell::bound_vars(&bound.gru_link));
-        v.extend(GruCell::bound_vars(&bound.gru_node));
-        v.extend(Mlp::bound_vars(&bound.readout));
-        v.extend(GruCell::bound_vars(&bound.gru_queue));
-        v
-    }
-}
-
-impl PathPredictor for QosRouteNet {
-    fn name(&self) -> &'static str {
-        "qos"
-    }
-
-    fn config(&self) -> &ModelConfig {
-        &self.config
-    }
-
-    fn preprocessing(&self) -> (&FeatureScales, &Normalizer) {
-        (&self.scales, &self.normalizer)
-    }
-
-    fn fit_preprocessing(&mut self, train: &Dataset, min_packets: u64) {
-        self.scales = FeatureScales::fit(train);
-        let delays = train.all_delays(min_packets);
-        let positive: Vec<f64> = delays.into_iter().filter(|&d| d > 0.0).collect();
-        assert!(
-            !positive.is_empty(),
-            "training set has no positive delay labels"
-        );
-        self.normalizer = Normalizer::fit(&positive, true);
-    }
-
-    fn set_normalizer(&mut self, normalizer: Normalizer) {
-        self.normalizer = normalizer;
-    }
-
-    fn forward(&self, g: &mut Graph, bound: &BoundQos, plan: &SamplePlan) -> Var {
-        // Pooled copies — see `OriginalRouteNet::forward`.
-        let mut path_state = g.constant_copy(&plan.path_init);
-        let mut link_state = g.constant_copy(&plan.link_init);
-        let mut node_state = g.constant_copy(&plan.node_init);
-        // Queue states exist only on QoS plans: when `num_queues == 0` no
-        // queue op of any kind is recorded, keeping the tape bitwise equal
-        // to the extended model's.
-        let mut queue_state = (plan.num_queues > 0).then(|| g.constant_copy(&plan.queue_init));
-        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
-        // Dense row partitions — see `OriginalRouteNet::forward`.
-        let zero_copy = g.zero_copy();
-        let dense_link: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_link().map(IndexInput::from)
-            } else {
-                s.dense_link().map(IndexInput::from)
+                sums[EntityKind::Node as usize] =
+                    Some(g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes));
             }
-        });
-        let dense_node: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_node().map(IndexInput::from)
-            } else {
-                s.dense_node().map(IndexInput::from)
-            }
-        });
-        let dense_queue: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_queue().map(IndexInput::from)
-            } else {
-                s.dense_queue().map(IndexInput::from)
-            }
-        });
-        let dense_path: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_path().map(IndexInput::from)
-            } else {
-                s.dense_path().map(IndexInput::from)
-            }
-        });
-        for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, node_acc, queue_acc) = path_sweep(
-                g,
-                &bound.gru_path,
-                &plan.extended_csr,
-                path_state,
-                link_state,
-                Some(node_state),
-                queue_state,
-                plan.num_links,
-                plan.num_nodes,
-                plan.num_queues,
-                positional,
-                plan.shards.as_ref(),
-            );
-            path_state = new_path;
-            let node_input = if positional {
-                node_acc.expect("positional sweep collects node messages")
-            } else {
-                let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
-                g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
-            };
-            link_state =
-                bound
-                    .gru_link
-                    .step_fused_sharded(g, link_state, link_acc, dense_link.clone());
-            node_state =
-                bound
-                    .gru_node
-                    .step_fused_sharded(g, node_state, node_input, dense_node.clone());
-            if let (Some(qs), Some(qa)) = (queue_state, queue_acc) {
-                queue_state = Some(bound.gru_queue.step_fused_sharded(
-                    g,
-                    qs,
-                    qa,
-                    dense_queue.clone(),
-                ));
-            }
-        }
-        bound.readout.forward_sharded(g, path_state, dense_path)
-    }
-
-    fn forward_unfused(&self, g: &mut Graph, bound: &BoundQos, plan: &SamplePlan) -> Var {
-        let mut path_state = g.constant(plan.path_init.clone());
-        let mut link_state = g.constant(plan.link_init.clone());
-        let mut node_state = g.constant(plan.node_init.clone());
-        let mut queue_state = (plan.num_queues > 0).then(|| g.constant(plan.queue_init.clone()));
-        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
-        for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, node_acc, queue_acc) = path_sweep_unfused(
-                g,
-                &bound.gru_path,
-                &plan.extended_steps,
-                path_state,
-                link_state,
-                Some(node_state),
-                queue_state,
-                plan.num_links,
-                plan.num_nodes,
-                plan.num_queues,
-                positional,
-            );
-            path_state = new_path;
-            let node_input = if positional {
-                node_acc.expect("positional sweep collects node messages")
-            } else {
-                let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
-                g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
-            };
-            link_state = bound.gru_link.step(g, link_state, link_acc);
-            node_state = bound.gru_node.step(g, node_state, node_input);
-            if let (Some(qs), Some(qa)) = (queue_state, queue_acc) {
-                queue_state = Some(bound.gru_queue.step(g, qs, qa));
+            for kind in ENTITY_KINDS {
+                let (Some(state), Some(sum)) = (states[kind as usize], sums[kind as usize]) else {
+                    continue;
+                };
+                let gru = bound.entity_gru(kind).expect("state implies an owned GRU");
+                states[kind as usize] = Some(gru.step(g, state, sum));
             }
         }
         bound.readout.forward(g, path_state)
@@ -1404,6 +966,42 @@ mod tests {
         let plan_e = ext.plan(&ds.samples[0]);
         assert_eq!(plan_q.num_queues, 0);
         assert_eq!(qos.predict(&plan_q), ext.predict(&plan_e));
+    }
+
+    #[test]
+    fn extended_model_skips_queue_steps_of_a_qos_plan() {
+        // A three-periodic QoS plan carries queue positions the extended
+        // model owns no GRU for: it visits the node and link positions only,
+        // which are exactly the positions of the same sample planned without
+        // its QoS block.
+        let ds = qos_dataset(1);
+        let mut model = ExtendedRouteNet::new(small_config());
+        model.fit_preprocessing(&ds, 5);
+        let qos_plan = model.plan(&ds.samples[0]);
+        assert!(qos_plan.num_queues > 0);
+        assert!(qos_plan.schedule.kinds.contains(&EntityKind::Queue));
+        let mut stripped = ds.samples[0].clone();
+        stripped.qos = None;
+        let plain_plan = model.plan(&stripped);
+        assert_eq!(plain_plan.num_queues, 0);
+        assert_eq!(model.predict(&qos_plan), model.predict(&plain_plan));
+        // The original model likewise reads only the link positions.
+        let mut original = OriginalRouteNet::new(small_config());
+        original.fit_preprocessing(&ds, 5);
+        assert_eq!(original.predict(&qos_plan), original.predict(&plain_plan));
+    }
+
+    #[test]
+    fn a_saved_model_loads_only_as_the_kind_it_was_saved_as() {
+        let json = serde_json::to_string(&ExtendedRouteNet::new(small_config())).unwrap();
+        assert!(serde_json::from_str::<ExtendedRouteNet>(&json).is_ok());
+        for err in [
+            serde_json::from_str::<OriginalRouteNet>(&json).err(),
+            serde_json::from_str::<QosRouteNet>(&json).err(),
+        ] {
+            let msg = err.expect("entity lists differ").to_string();
+            assert!(msg.contains("2 entity GRUs"), "{msg}");
+        }
     }
 
     #[test]

@@ -170,21 +170,17 @@ impl SamplePlan {
             .f32s(self.link_init.as_slice())
             .f32s(self.node_init.as_slice())
             .f32s(self.queue_init.as_slice());
-        for csr in [&self.extended_csr, &self.original_csr] {
-            fp.usize(csr.len())
-                .usizes(&csr.offsets)
-                .usizes(&csr.ids_flat)
-                .usizes(&csr.active_offsets)
-                .usizes(&csr.active_rows_flat)
-                .usizes(&csr.active_ids_flat);
-        }
+        fp.usize(self.schedule.len())
+            .usizes(&self.schedule.active_offsets)
+            .usizes(&self.schedule.active_rows_flat)
+            .usizes(&self.schedule.active_ids_flat);
         fp.usizes(&self.node_incidence_paths)
             .usizes(&self.node_incidence_nodes);
         fp.finish()
     }
 
     /// Fingerprint of the plan's **structure** alone: entity counts, state
-    /// width, routing pairs, the full compiled step schedules and the
+    /// width, routing pairs, the full compiled step schedule and the
     /// path↔node incidences — everything that determines the shape-dependent
     /// half of a megabatch composition (`crate::compose`), and nothing that
     /// doesn't. Feature values (initial-state matrices), targets and
@@ -202,20 +198,16 @@ impl SamplePlan {
             for &(s, d) in &self.pairs {
                 fp.usize(s).usize(d);
             }
-            for csr in [&self.extended_csr, &self.original_csr] {
-                fp.usize(csr.len())
-                    .usizes(&csr.offsets)
-                    .usizes(&csr.ids_flat)
-                    .usizes(&csr.active_offsets)
-                    .usizes(&csr.active_rows_flat)
-                    .usizes(&csr.active_ids_flat);
-                for &kind in &csr.kinds {
-                    fp.u64(match kind {
-                        crate::entities::EntityKind::Link => 0,
-                        crate::entities::EntityKind::Node => 1,
-                        crate::entities::EntityKind::Queue => 2,
-                    });
-                }
+            fp.usize(self.schedule.len())
+                .usizes(&self.schedule.active_offsets)
+                .usizes(&self.schedule.active_rows_flat)
+                .usizes(&self.schedule.active_ids_flat);
+            for &kind in &self.schedule.kinds {
+                fp.u64(match kind {
+                    crate::entities::EntityKind::Link => 0,
+                    crate::entities::EntityKind::Node => 1,
+                    crate::entities::EntityKind::Queue => 2,
+                });
             }
             fp.usizes(&self.node_incidence_paths)
                 .usizes(&self.node_incidence_nodes);

@@ -166,16 +166,8 @@ impl TrainConfig {
             crate::compose::INTRA_SHARDS_ENV,
             "intra-sample dense shard count for single-sample compositions (giant topologies): \
              N > 1 fans the link/node GRU updates and the readout MLP out over N balanced row \
-             blocks while message passing keeps the legacy single-shard schedule; bitwise \
+             blocks while message passing keeps the single-shard schedule; bitwise \
              identical at any value, disabled when unset",
-        ),
-        (
-            rn_autograd::ZERO_COPY_ENV,
-            "tape index mode, on by default: steps against a cached composition record \
-             Arc-backed views of the composition's index buffers instead of copying every \
-             row/segment list into the tape pool (0/false/off restores the copying mode). \
-             Gradients and trained models are bitwise identical either way; \
-             Graph::index_words_copied counts what each mode actually copies",
         ),
         (
             "RN_TRACE",
@@ -291,15 +283,10 @@ impl TrainingHistory {
     }
 }
 
-/// Gather the reliable prediction rows for the loss, honoring the tape's
-/// zero-copy mode: an `Arc`-backed view of `reliable_idx` when on, the
-/// legacy pooled copy when off (bitwise-identical either way).
+/// Gather the reliable prediction rows for the loss through an `Arc`-backed
+/// view of `reliable_idx`, so the tape copies no index word.
 fn gather_reliable(g: &mut Graph, pred: rn_autograd::Var, plan: &SamplePlan) -> rn_autograd::Var {
-    if g.zero_copy() {
-        g.gather_rows_sharded(pred, plan.reliable_idx_shared().into(), None)
-    } else {
-        g.gather_rows(pred, &plan.reliable_idx)
-    }
+    g.gather_rows_sharded(pred, plan.reliable_idx_shared().into(), None)
 }
 
 /// The reliable rows' normalized targets as a constant column in a pooled

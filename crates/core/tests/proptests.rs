@@ -44,14 +44,13 @@ proptest! {
         let plan = build_plan(&sample, &config);
         prop_assert_eq!(plan.n_paths, n * (n - 1));
         // Every active position's entity id is in range for its kind.
-        for step in plan.extended_steps.iter() {
-            for (row, &id) in step.ids.iter().enumerate() {
-                if step.mask.get(row, 0) > 0.0 {
-                    match step.kind {
-                        routenet::EntityKind::Link => prop_assert!(id < plan.num_links),
-                        routenet::EntityKind::Node => prop_assert!(id < plan.num_nodes),
-                        routenet::EntityKind::Queue => prop_assert!(id < plan.num_queues),
-                    }
+        for s in 0..plan.schedule.len() {
+            for (&row, &id) in plan.schedule.active_rows(s).iter().zip(plan.schedule.active_ids(s)) {
+                prop_assert!(row < plan.n_paths);
+                match plan.schedule.kinds[s] {
+                    routenet::EntityKind::Link => prop_assert!(id < plan.num_links),
+                    routenet::EntityKind::Node => prop_assert!(id < plan.num_nodes),
+                    routenet::EntityKind::Queue => prop_assert!(id < plan.num_queues),
                 }
             }
         }
@@ -172,7 +171,7 @@ proptest! {
         let mb = routenet::entities::build_megabatch(&parts);
 
         if parts.len() == 1 {
-            // 1-sample batches stay unsharded (legacy bitwise path).
+            // 1-sample batches stay unsharded.
             prop_assert!(mb.plan.shards.is_none());
             return;
         }
@@ -187,35 +186,34 @@ proptest! {
             expect_link.push(expect_link.last().unwrap() + p.num_links);
             expect_node.push(expect_node.last().unwrap() + p.num_nodes);
         }
-        prop_assert_eq!(&shards.path_bounds, &expect_path);
-        prop_assert_eq!(&shards.link_bounds, &expect_link);
-        prop_assert_eq!(&shards.node_bounds, &expect_node);
+        prop_assert_eq!(&*shards.path_bounds, &expect_path[..]);
+        prop_assert_eq!(&*shards.link_bounds, &expect_link[..]);
+        prop_assert_eq!(&*shards.node_bounds, &expect_node[..]);
 
-        for csr in [&mb.plan.extended_csr, &mb.plan.original_csr] {
-            prop_assert_eq!(csr.num_shards, parts.len());
-            for s in 0..csr.len() {
-                let bounds = csr.step_shard_bounds(s);
-                let active = csr.active_rows(s);
-                let ids = csr.active_ids(s);
-                // Disjoint + complete: ascending bounds spanning the list.
-                prop_assert_eq!(bounds[0], 0);
-                prop_assert_eq!(*bounds.last().unwrap(), active.len());
-                prop_assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-                for b in 0..parts.len() {
-                    let (lo, hi) = (bounds[b], bounds[b + 1]);
-                    // Sample boundaries respected: shard b's path rows stay
-                    // in its path range, and its entity ids in its block of
-                    // the (kind-dependent) entity space.
-                    let entity = match csr.kinds[s] {
-                        routenet::EntityKind::Link => &shards.link_bounds,
-                        routenet::EntityKind::Node => &shards.node_bounds,
-                        routenet::EntityKind::Queue => &shards.queue_bounds,
-                    };
-                    for k in lo..hi {
-                        prop_assert!(active[k] >= shards.path_bounds[b]);
-                        prop_assert!(active[k] < shards.path_bounds[b + 1]);
-                        prop_assert!(ids[k] >= entity[b] && ids[k] < entity[b + 1]);
-                    }
+        let csr = &mb.plan.schedule;
+        prop_assert_eq!(csr.num_shards, parts.len());
+        for s in 0..csr.len() {
+            let bounds = csr.step_shard_bounds(s);
+            let active = csr.active_rows(s);
+            let ids = csr.active_ids(s);
+            // Disjoint + complete: ascending bounds spanning the list.
+            prop_assert_eq!(bounds[0], 0);
+            prop_assert_eq!(*bounds.last().unwrap(), active.len());
+            prop_assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+            for b in 0..parts.len() {
+                let (lo, hi) = (bounds[b], bounds[b + 1]);
+                // Sample boundaries respected: shard b's path rows stay
+                // in its path range, and its entity ids in its block of
+                // the (kind-dependent) entity space.
+                let entity = match csr.kinds[s] {
+                    routenet::EntityKind::Link => &shards.link_bounds,
+                    routenet::EntityKind::Node => &shards.node_bounds,
+                    routenet::EntityKind::Queue => &shards.queue_bounds,
+                };
+                for k in lo..hi {
+                    prop_assert!(active[k] >= shards.path_bounds[b]);
+                    prop_assert!(active[k] < shards.path_bounds[b + 1]);
+                    prop_assert!(ids[k] >= entity[b] && ids[k] < entity[b + 1]);
                 }
             }
         }
@@ -339,29 +337,12 @@ proptest! {
                 prop_assert_eq!(&a.pairs, &b.pairs);
                 prop_assert_eq!(&a.node_incidence_paths, &b.node_incidence_paths);
                 prop_assert_eq!(&a.node_incidence_nodes, &b.node_incidence_nodes);
-                for (x, y) in [
-                    (&a.extended_csr, &b.extended_csr),
-                    (&a.original_csr, &b.original_csr),
-                ] {
-                    prop_assert_eq!(&x.kinds, &y.kinds);
-                    prop_assert_eq!(&x.active, &y.active);
-                    prop_assert_eq!(&x.offsets, &y.offsets);
-                    prop_assert_eq!(&x.ids_flat, &y.ids_flat);
-                    prop_assert_eq!(&x.active_offsets, &y.active_offsets);
-                    prop_assert_eq!(&x.active_rows_flat, &y.active_rows_flat);
-                    prop_assert_eq!(&x.active_ids_flat, &y.active_ids_flat);
-                }
-                // And composing from either yields one identical structure.
+                prop_assert_eq!(&a.schedule, &b.schedule);
+                // And composing from either yields one identical structure
+                // (ids and shard bounds included).
                 let mb_a = routenet::entities::build_megabatch(&[a, a]);
                 let mb_b = routenet::entities::build_megabatch(&[b, b]);
-                prop_assert_eq!(
-                    &mb_a.plan.extended_csr.ids_flat,
-                    &mb_b.plan.extended_csr.ids_flat
-                );
-                prop_assert_eq!(
-                    &mb_a.plan.extended_csr.shard_bounds,
-                    &mb_b.plan.extended_csr.shard_bounds
-                );
+                prop_assert_eq!(&mb_a.plan.schedule, &mb_b.plan.schedule);
             }
         }
     }

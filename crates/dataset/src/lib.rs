@@ -12,8 +12,9 @@
 //!
 //! The paper trains on 400,000 GEANT2 samples and evaluates on 100,000 GEANT2
 //! plus 100,000 NSFNET samples. Dataset sizes here are arguments, not
-//! constants — `EXPERIMENTS.md` records the scaled-down defaults used for the
-//! reproduction and why the conclusion survives the scaling.
+//! constants — the experiment binaries in `crates/bench/src/bin` set the
+//! scaled-down defaults used for the reproduction (see the "Figure/ablation
+//! binaries" section of `docs/ARCHITECTURE.md`).
 
 pub mod generate;
 pub mod io;

@@ -4,7 +4,7 @@ use crate::config::SimConfig;
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultPlan;
 use crate::metrics::{ClassStats, FlowAccumulator, LinkStats, SimResult};
-use crate::port::{Offer, OutputPort, Packet, SchedPort};
+use crate::port::{Offer, Packet, SchedPort};
 use crate::qos::{QosSpec, TrafficProfile};
 use rn_netgraph::{Routing, Topology, TrafficMatrix};
 use rn_tensor::Prng;
@@ -18,7 +18,7 @@ struct Flow {
     lambda: f64,
 }
 
-/// Mutable per-flow source state for the QoS event loop.
+/// Mutable per-flow source state.
 #[derive(Debug, Clone)]
 struct SourceState {
     /// The flow's ToS class.
@@ -121,196 +121,21 @@ impl<'a> Simulation<'a> {
     /// Run to the configured horizon.
     ///
     /// `queue_capacity_pkts[n]` is the waiting-packet capacity at node `n`.
+    ///
+    /// One event loop over [`SchedPort`]s. Every flow's RNG stream is
+    /// consumed in a fixed per-event order ([batch size,] sizes, next
+    /// arrival). Without a QoS spec the run uses one class scheduled FIFO
+    /// with Poisson sources — the paper's model — and reports no per-class
+    /// statistics.
     pub fn run(&self, queue_capacity_pkts: &[usize]) -> SimResult {
-        match self.qos {
-            // The legacy FIFO event loop is kept verbatim (not routed
-            // through the scheduled port) so existing scenarios stay
-            // bit-for-bit identical.
-            None => self.run_legacy(queue_capacity_pkts),
-            Some(spec) => self.run_qos(queue_capacity_pkts, spec),
-        }
-    }
-
-    /// The legacy single-FIFO-per-port event loop.
-    fn run_legacy(&self, queue_capacity_pkts: &[usize]) -> SimResult {
-        assert_eq!(
-            queue_capacity_pkts.len(),
-            self.topo.num_nodes(),
-            "need one queue capacity per node"
-        );
-        let master = Prng::new(self.config.seed);
-        // Independent streams: one per flow for arrivals/sizes, one for faults.
-        let mut flow_rngs: Vec<Prng> = (0..self.flows.len())
-            .map(|i| master.split(i as u64))
-            .collect();
-        let mut fault_rng = master.split(u64::MAX / 2);
-
-        let mut ports: Vec<OutputPort> = self
-            .topo
-            .links()
-            .iter()
-            .map(|link| OutputPort::new(queue_capacity_pkts[link.src]))
-            .collect();
-        let mut accs: Vec<FlowAccumulator> = vec![FlowAccumulator::default(); self.flows.len()];
-        let mut events = EventQueue::new();
-        // Packets in propagation, stored in a slab with a free list.
-        let mut in_flight: Vec<Option<Packet>> = Vec::new();
-        let mut free_slots: Vec<usize> = Vec::new();
-
-        // Paths are fetched once per flow: (link sequence, destination).
-        let flow_paths: Vec<&rn_netgraph::Path> = self
-            .flows
-            .iter()
-            .map(|f| {
-                self.routing
-                    .path(f.src, f.dst)
-                    .expect("flow implies routed path")
-            })
-            .collect();
-
-        // Prime each flow's first arrival.
-        for (i, flow) in self.flows.iter().enumerate() {
-            let t = flow_rngs[i].exponential(flow.lambda);
-            if t < self.config.duration_s {
-                events.schedule(t, EventKind::FlowArrival { flow: i });
+        let plain;
+        let spec = match self.qos {
+            Some(spec) => spec,
+            None => {
+                plain = QosSpec::fifo(self.flows.len());
+                &plain
             }
-        }
-
-        while let Some(ev) = events.pop() {
-            if ev.time > self.config.duration_s {
-                break;
-            }
-            match ev.kind {
-                EventKind::FlowArrival { flow } => {
-                    let spec = &self.flows[flow];
-                    // Draw size (truncated exponential) and next arrival first,
-                    // so the flow's RNG stream is consumed in a fixed order.
-                    let size = flow_rngs[flow]
-                        .exponential(1.0 / self.config.mean_packet_bits)
-                        .min(self.config.max_packet_bits)
-                        .max(1.0);
-                    let next = ev.time + flow_rngs[flow].exponential(spec.lambda);
-                    if next < self.config.duration_s {
-                        events.schedule(next, EventKind::FlowArrival { flow });
-                    }
-
-                    accs[flow].created += 1;
-                    let pkt = Packet {
-                        flow,
-                        class: 0,
-                        size_bits: size,
-                        created_at: ev.time,
-                        hop: 0,
-                    };
-                    self.launch_on_next_hop(
-                        pkt,
-                        ev.time,
-                        flow_paths[flow],
-                        &mut ports,
-                        &mut events,
-                        &mut accs,
-                    );
-                }
-                EventKind::Departure { link } => {
-                    let (departed, next_in_service) = ports[link].complete_service();
-                    if let Some(next) = next_in_service {
-                        let cap = self.topo.link(link).capacity_bps;
-                        events.schedule(
-                            ev.time + next.size_bits / cap,
-                            EventKind::Departure { link },
-                        );
-                    }
-
-                    // Random hop loss (fault injection).
-                    if self.faults.drop_chance > 0.0 && fault_rng.bernoulli(self.faults.drop_chance)
-                    {
-                        accs[departed.flow].dropped += 1;
-                        continue;
-                    }
-
-                    let prop = self.topo.link(link).prop_delay_s;
-                    if prop > 0.0 {
-                        let slot = match free_slots.pop() {
-                            Some(s) => {
-                                in_flight[s] = Some(departed);
-                                s
-                            }
-                            None => {
-                                in_flight.push(Some(departed));
-                                in_flight.len() - 1
-                            }
-                        };
-                        events
-                            .schedule(ev.time + prop, EventKind::HopArrival { link, packet: slot });
-                    } else {
-                        self.complete_hop(
-                            departed,
-                            ev.time,
-                            &mut ports,
-                            &mut events,
-                            &mut accs,
-                            &flow_paths,
-                        );
-                    }
-                }
-                EventKind::HopArrival { link: _, packet } => {
-                    let pkt = in_flight[packet]
-                        .take()
-                        .expect("hop arrival for missing packet");
-                    free_slots.push(packet);
-                    self.complete_hop(
-                        pkt,
-                        ev.time,
-                        &mut ports,
-                        &mut events,
-                        &mut accs,
-                        &flow_paths,
-                    );
-                }
-            }
-        }
-
-        // Finalize.
-        let mut total_created = 0;
-        let mut total_delivered = 0;
-        let mut total_dropped = 0;
-        for acc in &accs {
-            total_created += acc.created;
-            total_delivered += acc.delivered + acc.delivered_warmup;
-            total_dropped += acc.dropped;
-        }
-        let links = ports
-            .iter()
-            .enumerate()
-            .map(|(l, port)| LinkStats {
-                bits_sent: port.bits_sent,
-                drops: port.drops,
-                utilization: port.bits_sent
-                    / (self.topo.link(l).capacity_bps * self.config.duration_s),
-            })
-            .collect();
-        SimResult {
-            flows: accs.iter().map(FlowAccumulator::stats).collect(),
-            flow_pairs: self.flow_pairs(),
-            flow_classes: Vec::new(),
-            classes: Vec::new(),
-            links,
-            total_created,
-            total_delivered,
-            total_dropped,
-            total_in_flight: total_created - total_delivered - total_dropped,
-            duration_s: self.config.duration_s,
-        }
-    }
-
-    /// The QoS event loop: [`SchedPort`]s, per-class traffic models,
-    /// per-class accounting. Structured identically to
-    /// [`Simulation::run_legacy`]; every flow's RNG stream is consumed in a
-    /// fixed per-event order ([batch size,] sizes, next arrival), and a
-    /// Poisson profile makes exactly the legacy draws — so a single-class
-    /// FIFO/Poisson spec reproduces the legacy run bit for bit (pinned by
-    /// `fifo_qos_spec_reproduces_legacy_run_bitwise`).
-    fn run_qos(&self, queue_capacity_pkts: &[usize], spec: &QosSpec) -> SimResult {
+        };
         assert_eq!(
             queue_capacity_pkts.len(),
             self.topo.num_nodes(),
@@ -423,7 +248,7 @@ impl<'a> Simulation<'a> {
                             created_at: ev.time,
                             hop: 0,
                         };
-                        self.launch_on_next_hop_sched(
+                        self.launch_on_next_hop(
                             pkt,
                             ev.time,
                             flow_paths[flow],
@@ -464,7 +289,7 @@ impl<'a> Simulation<'a> {
                         events
                             .schedule(ev.time + prop, EventKind::HopArrival { link, packet: slot });
                     } else {
-                        self.complete_hop_sched(
+                        self.complete_hop(
                             departed,
                             ev.time,
                             &mut ports,
@@ -479,7 +304,7 @@ impl<'a> Simulation<'a> {
                         .take()
                         .expect("hop arrival for missing packet");
                     free_slots.push(packet);
-                    self.complete_hop_sched(
+                    self.complete_hop(
                         pkt,
                         ev.time,
                         &mut ports,
@@ -509,11 +334,18 @@ impl<'a> Simulation<'a> {
                     / (self.topo.link(l).capacity_bps * self.config.duration_s),
             })
             .collect();
+        let (flow_classes, classes) = match self.qos {
+            Some(spec) => (
+                spec.flow_classes.clone(),
+                ClassStats::from_accumulators(&accs, &spec.flow_classes, num_classes),
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
         SimResult {
             flows: accs.iter().map(FlowAccumulator::stats).collect(),
             flow_pairs: self.flow_pairs(),
-            flow_classes: spec.flow_classes.clone(),
-            classes: ClassStats::from_accumulators(&accs, &spec.flow_classes, num_classes),
+            flow_classes,
+            classes,
             links,
             total_created,
             total_delivered,
@@ -523,61 +355,13 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// [`Simulation::complete_hop`] against scheduled ports.
-    fn complete_hop_sched(
-        &self,
-        mut pkt: Packet,
-        now: f64,
-        ports: &mut [SchedPort],
-        events: &mut EventQueue,
-        accs: &mut [FlowAccumulator],
-        flow_paths: &[&rn_netgraph::Path],
-    ) {
-        pkt.hop += 1;
-        let path = flow_paths[pkt.flow];
-        if pkt.hop == path.links.len() {
-            if now >= self.config.warmup_s {
-                accs[pkt.flow].record_delivery(now - pkt.created_at);
-            } else {
-                accs[pkt.flow].delivered_warmup += 1;
-            }
-        } else {
-            self.launch_on_next_hop_sched(pkt, now, path, ports, events, accs);
-        }
-    }
-
-    /// [`Simulation::launch_on_next_hop`] against scheduled ports.
-    fn launch_on_next_hop_sched(
-        &self,
-        pkt: Packet,
-        now: f64,
-        path: &rn_netgraph::Path,
-        ports: &mut [SchedPort],
-        events: &mut EventQueue,
-        accs: &mut [FlowAccumulator],
-    ) {
-        let link = path.links[pkt.hop];
-        if self.faults.link_down(link, now) {
-            accs[pkt.flow].dropped += 1;
-            return;
-        }
-        match ports[link].offer(pkt) {
-            Offer::StartService => {
-                let cap = self.topo.link(link).capacity_bps;
-                events.schedule(now + pkt.size_bits / cap, EventKind::Departure { link });
-            }
-            Offer::Queued => {}
-            Offer::Dropped => accs[pkt.flow].dropped += 1,
-        }
-    }
-
-    /// A packet has fully arrived at the node at the end of `hop - 1` (or was
-    /// just created at its source). Deliver it or queue it on the next hop.
+    /// A packet has fully arrived at the node at the end of `hop - 1`.
+    /// Deliver it or queue it on the next hop.
     fn complete_hop(
         &self,
         mut pkt: Packet,
         now: f64,
-        ports: &mut [OutputPort],
+        ports: &mut [SchedPort],
         events: &mut EventQueue,
         accs: &mut [FlowAccumulator],
         flow_paths: &[&rn_netgraph::Path],
@@ -602,7 +386,7 @@ impl<'a> Simulation<'a> {
         pkt: Packet,
         now: f64,
         path: &rn_netgraph::Path,
-        ports: &mut [OutputPort],
+        ports: &mut [SchedPort],
         events: &mut EventQueue,
         accs: &mut [FlowAccumulator],
     ) {
@@ -622,7 +406,7 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// One packet size under `profile`, clamped like the legacy draw.
+/// One packet size under `profile`, clamped to `[1, max_packet_bits]`.
 fn draw_size(profile: &TrafficProfile, rng: &mut Prng, config: &SimConfig) -> f64 {
     match profile {
         TrafficProfile::MultimodalSizes { modes } => {
@@ -638,8 +422,8 @@ fn draw_size(profile: &TrafficProfile, rng: &mut Prng, config: &SimConfig) -> f6
             }
             size.min(config.max_packet_bits).max(1.0)
         }
-        // The legacy truncated exponential (identical draw for Poisson,
-        // on-off and bursty sources).
+        // Truncated exponential (identical draw for Poisson, on-off and
+        // bursty sources).
         _ => rng
             .exponential(1.0 / config.mean_packet_bits)
             .min(config.max_packet_bits)
@@ -965,49 +749,6 @@ mod tests {
             &spec,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn fifo_qos_spec_reproduces_legacy_run_bitwise() {
-        // A single-class FIFO/Poisson QoS spec is the legacy model; the QoS
-        // event loop must reproduce the legacy loop bit for bit (same RNG
-        // draw order, same event ordering, same float arithmetic).
-        let (topo, routing) = line3();
-        let mut tm = TrafficMatrix::zeros(3);
-        tm.set(0, 2, 8_000.0);
-        tm.set(1, 2, 1_500.0);
-        let config = SimConfig {
-            duration_s: 500.0,
-            warmup_s: 50.0,
-            seed: 42,
-            ..SimConfig::default()
-        };
-        let caps = [4, 4, 4];
-        let legacy = simulate(&topo, &routing, &tm, &caps, &config, &FaultPlan::none()).unwrap();
-        let spec = QosSpec::fifo(2);
-        let qos = simulate_qos(
-            &topo,
-            &routing,
-            &tm,
-            &caps,
-            &config,
-            &FaultPlan::none(),
-            &spec,
-        )
-        .unwrap();
-        assert_eq!(
-            legacy.flows, qos.flows,
-            "per-flow stats must be bitwise equal"
-        );
-        assert_eq!(legacy.total_created, qos.total_created);
-        assert_eq!(legacy.total_dropped, qos.total_dropped);
-        for (a, b) in legacy.links.iter().zip(&qos.links) {
-            assert_eq!(a.bits_sent, b.bits_sent);
-            assert_eq!(a.drops, b.drops);
-        }
-        // And the QoS run reports its single class, pooling every flow.
-        assert_eq!(qos.classes.len(), 1);
-        assert_eq!(qos.classes[0].num_flows, 2);
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //! per-class traffic models ([`TrafficProfile`]: Poisson, on-off, bursty
 //! batches, multimodal packet sizes) to a run via [`simulate_qos`]. Results
 //! then carry pooled per-class statistics ([`metrics::ClassStats`]) next to
-//! the per-flow labels. A single-class FIFO/Poisson spec reproduces the
-//! legacy model bit for bit, and runs without a spec never touch the QoS
-//! code path at all.
+//! the per-flow labels. There is one event loop: [`simulate`] runs it with a
+//! single-class FIFO/Poisson spec (the model above) and reports no per-class
+//! statistics; `tests/legacy_digest.rs` freezes its output bits.
 //!
 //! ## Validation
 //!

@@ -1,6 +1,6 @@
-//! Output ports: the single-server FIFO queue of the legacy model
-//! ([`OutputPort`]) and the multi-queue scheduled port QoS scenarios use
-//! ([`SchedPort`]).
+//! The output port: one server per directed link, a shared drop-tail
+//! waiting room and a [`SchedulingPolicy`] choosing what to serve next
+//! ([`SchedPort`]). One class scheduled FIFO is the paper's plain port.
 
 use crate::qos::SchedulingPolicy;
 use std::collections::VecDeque;
@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 pub struct Packet {
     /// Index into the simulation's flow table.
     pub flow: usize,
-    /// ToS class (0 = highest priority; always 0 in the legacy FIFO model).
+    /// ToS class (0 = highest priority; always 0 without a QoS spec).
     pub class: u8,
     /// Size in bits.
     pub size_bits: f64,
@@ -19,26 +19,6 @@ pub struct Packet {
     /// Next index into the flow's link path (0 = first hop about to be
     /// crossed). Incremented as the packet is launched on each hop.
     pub hop: usize,
-}
-
-/// The transmission side of one directed link: a single server with a finite
-/// drop-tail FIFO of waiting packets. Capacity counts *waiting* packets only;
-/// the in-service packet occupies the server, not a queue slot.
-#[derive(Debug)]
-pub struct OutputPort {
-    /// Waiting room.
-    queue: VecDeque<Packet>,
-    /// Packet currently being transmitted, if any.
-    in_service: Option<Packet>,
-    /// Max waiting packets.
-    capacity: usize,
-    /// Packets dropped at this port (queue full).
-    pub drops: u64,
-    /// Total bits whose transmission *completed* (for utilization stats).
-    /// Counting at completion — not at service start — keeps
-    /// `bits_sent / (capacity * horizon)` bounded by 1 even when the run
-    /// ends mid-transmission.
-    pub bits_sent: f64,
 }
 
 /// Outcome of offering a packet to a port.
@@ -53,68 +33,11 @@ pub enum Offer {
     Dropped,
 }
 
-impl OutputPort {
-    /// A port with room for `capacity` waiting packets.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            queue: VecDeque::new(),
-            in_service: None,
-            capacity,
-            drops: 0,
-            bits_sent: 0.0,
-        }
-    }
-
-    /// Offer a packet to the port, applying drop-tail admission.
-    pub fn offer(&mut self, pkt: Packet) -> Offer {
-        if self.in_service.is_none() {
-            debug_assert!(self.queue.is_empty(), "idle server with a non-empty queue");
-            self.in_service = Some(pkt);
-            Offer::StartService
-        } else if self.queue.len() < self.capacity {
-            self.queue.push_back(pkt);
-            Offer::Queued
-        } else {
-            self.drops += 1;
-            Offer::Dropped
-        }
-    }
-
-    /// Complete the in-service transmission: returns the departed packet and,
-    /// if another packet was waiting, the packet now entering service (whose
-    /// departure the engine must schedule).
-    pub fn complete_service(&mut self) -> (Packet, Option<Packet>) {
-        let departed = self
-            .in_service
-            .take()
-            .expect("complete_service on idle port");
-        self.bits_sent += departed.size_bits;
-        if let Some(pkt) = self.queue.pop_front() {
-            self.in_service = Some(pkt);
-        }
-        (departed, self.in_service)
-    }
-
-    /// Number of waiting packets (excludes the in-service packet).
-    pub fn backlog(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when a packet is in transmission.
-    pub fn busy(&self) -> bool {
-        self.in_service.is_some()
-    }
-
-    /// Packets currently held by the port (waiting + in service).
-    pub fn occupancy(&self) -> usize {
-        self.queue.len() + usize::from(self.in_service.is_some())
-    }
-}
-
 /// Per-port scheduler state for one [`SchedulingPolicy`].
 #[derive(Debug)]
 enum SchedState {
-    /// One shared FIFO across classes (classes only label packets).
+    /// One arrival-order queue shared by all classes (`queues[0]`; classes
+    /// only label packets).
     Fifo,
     /// Strict priority needs no state: lowest non-empty class wins.
     Strict,
@@ -134,17 +57,15 @@ enum SchedState {
     },
 }
 
-/// The transmission side of one directed link under a multi-queue QoS
-/// discipline: one waiting queue per traffic class, a shared drop-tail
-/// admission budget (total waiting packets, so buffering stays a node
-/// property exactly like [`OutputPort`]), and a [`SchedulingPolicy`]
-/// arbitrating which class's head-of-line packet enters service next.
-///
-/// The API mirrors [`OutputPort`] (`offer` / `complete_service`) so the
-/// engine's event handling is identical; only packet *ordering* differs.
+/// The transmission side of one directed link: a single server, one waiting
+/// queue per traffic class (one for all classes under FIFO), a shared
+/// drop-tail admission budget counted in *waiting* packets — the in-service
+/// packet occupies the server, not a slot, and buffering stays a node
+/// property — and a [`SchedulingPolicy`] arbitrating which head-of-line
+/// packet enters service next.
 #[derive(Debug)]
 pub struct SchedPort {
-    /// One waiting queue per class.
+    /// One waiting queue per class; a single arrival-order queue under FIFO.
     queues: Vec<VecDeque<Packet>>,
     /// SCFQ finish tags, parallel to `queues` (unused by other policies).
     tags: Vec<VecDeque<f64>>,
@@ -159,7 +80,10 @@ pub struct SchedPort {
     state: SchedState,
     /// Packets dropped at this port (shared waiting room full).
     pub drops: u64,
-    /// Total bits whose transmission completed (see [`OutputPort::bits_sent`]).
+    /// Total bits whose transmission *completed* (for utilization stats).
+    /// Counting at completion — not at service start — keeps
+    /// `bits_sent / (capacity * horizon)` bounded by 1 even when the run
+    /// ends mid-transmission.
     pub bits_sent: f64,
     /// Per-class admitted packets (queued or immediately served).
     pub class_admitted: Vec<u64>,
@@ -201,8 +125,12 @@ impl SchedPort {
                 )
             }
         };
+        let queue_count = match state {
+            SchedState::Fifo => 1,
+            _ => num_classes,
+        };
         Self {
-            queues: vec![VecDeque::new(); num_classes],
+            queues: vec![VecDeque::new(); queue_count],
             tags: vec![VecDeque::new(); num_classes],
             in_service: None,
             capacity,
@@ -222,7 +150,7 @@ impl SchedPort {
     /// admission against the *shared* waiting budget.
     pub fn offer(&mut self, pkt: Packet) -> Offer {
         let c = pkt.class as usize;
-        debug_assert!(c < self.queues.len(), "class out of range");
+        debug_assert!(c < self.num_classes(), "class out of range");
         if self.in_service.is_none() {
             debug_assert_eq!(self.waiting, 0, "idle server with waiting packets");
             // An empty system resets the SCFQ virtual clock (standard SCFQ:
@@ -250,7 +178,11 @@ impl SchedPort {
                 last_finish[c] = f;
                 self.tags[c].push_back(f);
             }
-            self.queues[c].push_back(pkt);
+            let q = match self.state {
+                SchedState::Fifo => 0,
+                _ => c,
+            };
+            self.queues[q].push_back(pkt);
             self.waiting += 1;
             self.class_admitted[c] += 1;
             Offer::Queued
@@ -261,9 +193,9 @@ impl SchedPort {
         }
     }
 
-    /// Complete the in-service transmission; the scheduler picks the next
-    /// packet to serve (if any). Same contract as
-    /// [`OutputPort::complete_service`].
+    /// Complete the in-service transmission: returns the departed packet
+    /// and, if any packet was waiting, the one the scheduler picked to enter
+    /// service next (whose departure the engine must schedule).
     pub fn complete_service(&mut self) -> (Packet, Option<Packet>) {
         let departed = self
             .in_service
@@ -288,23 +220,9 @@ impl SchedPort {
         }
         self.waiting -= 1;
         match &mut self.state {
-            SchedState::Fifo => {
-                // Shared FIFO across classes: earliest enqueue wins. With a
-                // per-class queue representation, "earliest" is the head
-                // with the smallest creation order; the legacy single-class
-                // case has one queue and degenerates to plain FIFO. For the
-                // multi-class FIFO we use head-of-line created_at as the
-                // enqueue-order proxy (ties broken by class index).
-                let c = (0..self.queues.len())
-                    .filter(|&c| !self.queues[c].is_empty())
-                    .min_by(|&a, &b| {
-                        let ta = self.queues[a].front().unwrap().created_at;
-                        let tb = self.queues[b].front().unwrap().created_at;
-                        ta.partial_cmp(&tb).unwrap().then(a.cmp(&b))
-                    })
-                    .expect("waiting > 0 implies a non-empty queue");
-                self.queues[c].pop_front()
-            }
+            // Arrival order at *this* port — not creation order at the
+            // source, which differs on every hop after the first.
+            SchedState::Fifo => self.queues[0].pop_front(),
             SchedState::Strict => {
                 let c = (0..self.queues.len())
                     .find(|&c| !self.queues[c].is_empty())
@@ -364,7 +282,8 @@ impl SchedPort {
 
     /// Waiting packets of one class.
     pub fn class_backlog(&self, class: usize) -> usize {
-        self.queues[class].len()
+        let waiting = self.queues.iter().flatten();
+        waiting.filter(|p| p.class as usize == class).count()
     }
 
     /// True when a packet is in transmission.
@@ -379,7 +298,7 @@ impl SchedPort {
 
     /// Number of traffic classes.
     pub fn num_classes(&self) -> usize {
-        self.queues.len()
+        self.class_admitted.len()
     }
 }
 
@@ -397,6 +316,11 @@ mod tests {
         }
     }
 
+    /// The paper's plain port: one class scheduled FIFO.
+    fn fifo_port(capacity: usize) -> SchedPort {
+        SchedPort::new(1, capacity, &SchedulingPolicy::Fifo)
+    }
+
     fn cpkt(class: u8, size_bits: f64) -> Packet {
         Packet {
             flow: 0,
@@ -409,7 +333,7 @@ mod tests {
 
     #[test]
     fn idle_port_starts_service_immediately() {
-        let mut port = OutputPort::new(2);
+        let mut port = fifo_port(2);
         assert_eq!(port.offer(pkt(0)), Offer::StartService);
         assert!(port.busy());
         assert_eq!(port.backlog(), 0);
@@ -417,18 +341,19 @@ mod tests {
 
     #[test]
     fn busy_port_queues_up_to_capacity_then_drops() {
-        let mut port = OutputPort::new(2);
+        let mut port = fifo_port(2);
         assert_eq!(port.offer(pkt(0)), Offer::StartService);
         assert_eq!(port.offer(pkt(1)), Offer::Queued);
         assert_eq!(port.offer(pkt(2)), Offer::Queued);
         assert_eq!(port.offer(pkt(3)), Offer::Dropped);
         assert_eq!(port.drops, 1);
-        assert_eq!(port.occupancy(), 3);
+        assert_eq!(port.backlog(), 2);
+        assert!(port.busy());
     }
 
     #[test]
     fn tiny_queue_holds_one_waiting_packet() {
-        let mut port = OutputPort::new(1);
+        let mut port = fifo_port(1);
         assert_eq!(port.offer(pkt(0)), Offer::StartService);
         assert_eq!(port.offer(pkt(1)), Offer::Queued);
         assert_eq!(port.offer(pkt(2)), Offer::Dropped);
@@ -436,7 +361,7 @@ mod tests {
 
     #[test]
     fn completion_promotes_fifo_order() {
-        let mut port = OutputPort::new(4);
+        let mut port = fifo_port(4);
         port.offer(pkt(0));
         port.offer(pkt(1));
         port.offer(pkt(2));
@@ -454,7 +379,7 @@ mod tests {
 
     #[test]
     fn bits_sent_counts_completed_transmissions_only() {
-        let mut port = OutputPort::new(0); // no waiting room at all
+        let mut port = fifo_port(0); // no waiting room at all
         port.offer(pkt(0));
         port.offer(pkt(1)); // dropped
         assert_eq!(port.bits_sent, 0.0, "in-flight bits are not counted yet");
@@ -466,7 +391,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "complete_service on idle port")]
     fn completing_idle_port_is_a_bug() {
-        OutputPort::new(1).complete_service();
+        fifo_port(1).complete_service();
     }
 
     #[test]
@@ -574,18 +499,35 @@ mod tests {
     }
 
     #[test]
-    fn single_class_fifo_sched_port_matches_output_port_order() {
-        let mut fifo = OutputPort::new(3);
-        let mut sched = SchedPort::new(1, 3, &SchedulingPolicy::Fifo);
-        for i in 0..5 {
-            assert_eq!(fifo.offer(pkt(i)), sched.offer(pkt(i)));
-        }
-        assert_eq!(fifo.drops, sched.drops);
-        for _ in 0..4 {
-            let (a, _) = fifo.complete_service();
-            let (b, _) = sched.complete_service();
-            assert_eq!(a.flow, b.flow);
-        }
-        assert!(!fifo.busy() && !sched.busy());
+    fn multi_class_fifo_serves_in_port_arrival_order_not_creation_order() {
+        // A two-hop line 0 -> 1 -> 2. Packet A (class 0) is created at node 0
+        // at t = 0.0 and spends 0.1 s on the first link; packet B (class 1)
+        // is created at node 1 at t = 0.05. Both find the 1 -> 2 port busy
+        // until t = 0.2, and B got there first.
+        let at = |class: u8, created_at: f64, flow: usize| Packet {
+            flow,
+            class,
+            size_bits: 1000.0,
+            created_at,
+            hop: 0,
+        };
+        let mut port01 = SchedPort::new(2, 8, &SchedulingPolicy::Fifo);
+        let mut port12 = SchedPort::new(2, 8, &SchedulingPolicy::Fifo);
+        assert_eq!(port12.offer(at(1, -0.1, 9)), Offer::StartService);
+        assert_eq!(port01.offer(at(0, 0.0, 0)), Offer::StartService);
+        assert_eq!(port12.offer(at(1, 0.05, 1)), Offer::Queued);
+        let (mut a, _) = port01.complete_service(); // t = 0.1
+        a.hop += 1;
+        assert_eq!(port12.offer(a), Offer::Queued);
+        assert_eq!(port12.class_backlog(0), 1);
+        assert_eq!(port12.class_backlog(1), 1);
+        let (_, next) = port12.complete_service(); // t = 0.2
+        assert_eq!(
+            next.unwrap().flow,
+            1,
+            "B reached the port first and must leave it first"
+        );
+        let (_, next) = port12.complete_service();
+        assert_eq!(next.unwrap().flow, 0);
     }
 }

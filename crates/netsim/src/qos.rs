@@ -1,7 +1,7 @@
 //! QoS scenario dimensions: per-flow ToS classes, multi-queue scheduling
 //! policies and heterogeneous traffic models.
 //!
-//! The legacy simulator models every output port as one FIFO queue and every
+//! The plain simulator models every output port as one FIFO queue and every
 //! flow as a Poisson source with exponential packet sizes. A [`QosSpec`]
 //! widens that in three orthogonal directions:
 //!
@@ -18,9 +18,8 @@
 //!   mixture (the bimodal small-ACK / full-MTU shape of real traces).
 //!
 //! A spec with one class, the [`SchedulingPolicy::Fifo`] policy and
-//! [`TrafficProfile::Poisson`] everywhere is *semantically* the legacy
-//! model; the engine routes that case through the untouched legacy event
-//! loop so existing scenarios stay bit-for-bit identical.
+//! [`TrafficProfile::Poisson`] everywhere is the plain model, and is what
+//! the engine runs when no spec is given.
 
 use serde::{Deserialize, Serialize};
 

@@ -117,7 +117,7 @@ impl BoundGruCell {
     /// [`Graph::gru_step`]). Numerically equivalent to [`BoundGruCell::step`]
     /// but ~17x fewer tape nodes — this is the training hot path.
     pub fn step_fused(&self, g: &mut Graph, h: Var, x: Var) -> Var {
-        g.gru_step(&self.vars(), h, x, None)
+        g.gru_step(&self.vars(), h, x)
     }
 
     /// [`BoundGruCell::step_fused`] with a dense row-block shard layout —
@@ -134,12 +134,6 @@ impl BoundGruCell {
         bounds: Option<IndexInput<'_>>,
     ) -> Var {
         g.gru_step_dense_sharded(&self.vars(), h, x, bounds)
-    }
-
-    /// Fused masked step: rows with `mask == 0` keep their previous state.
-    /// Numerically equivalent to [`BoundGruCell::step_masked`].
-    pub fn step_masked_fused(&self, g: &mut Graph, h: Var, x: Var, mask: &Matrix) -> Var {
-        g.gru_step(&self.vars(), h, x, Some(mask))
     }
 
     /// One recurrent step on the tape: `h' = GRU(h, x)`.
@@ -369,7 +363,11 @@ mod tests {
         let unfused = bound.step(&mut g, h, x);
         assert!(g.value(fused).approx_eq(g.value(unfused), 1e-6));
 
-        let fused_m = bound.step_masked_fused(&mut g, h, x, &mask);
+        // The row-compacted step over the active rows is the fused form of
+        // the masked reference.
+        let rows = [0usize, 2, 3];
+        let x_rows = g.gather_rows(x, &rows);
+        let fused_m = g.gru_step_rows(&bound.vars(), h, x_rows, &rows);
         let unfused_m = bound.step_masked(&mut g, h, x, &mask);
         assert!(g.value(fused_m).approx_eq(g.value(unfused_m), 1e-6));
         assert_eq!(g.value(fused_m).row(1), h0.row(1), "masked row frozen");

@@ -16,8 +16,9 @@
 //! - [`rn_dataset`] — dataset schema, generation, normalization and IO.
 //! - [`routenet`] — the paper's contribution: original and extended RouteNet.
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-versus-measured record of every figure.
+//! See `docs/ARCHITECTURE.md` for the system map: which crate owns what, the
+//! plan → compose → megabatch → tape data flow, the determinism invariants
+//! and where every `BENCH_*.json` number comes from.
 
 pub use rn_autograd as autograd;
 pub use rn_dataset as dataset;

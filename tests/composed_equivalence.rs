@@ -316,25 +316,18 @@ fn streaming_composition_slices_match_whole_batch_compose() {
     }
 }
 
-/// One fused training step with the tape's zero-copy mode pinned on or
-/// off; returns the loss bits, parameter gradients, and how many index
-/// words the tape copied while recording.
-fn megabatch_step_pinned(
+/// One fused training step; returns the loss bits, parameter gradients, and
+/// how many index words the tape copied while recording.
+fn megabatch_step_counting(
     model: &ExtendedRouteNet,
     mb: &MegabatchPlan,
     pool: Option<Arc<WorkerPool>>,
-    zero_copy: bool,
 ) -> (u32, Vec<Matrix>, u64) {
     let mut g = Graph::new();
-    g.set_zero_copy(zero_copy);
     g.set_worker_pool(pool);
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, &mb.plan);
-    let reliable = if zero_copy {
-        g.gather_rows_sharded(pred, mb.plan.reliable_idx_shared().into(), None)
-    } else {
-        g.gather_rows(pred, &mb.plan.reliable_idx)
-    };
+    let reliable = g.gather_rows_sharded(pred, mb.plan.reliable_idx_shared().into(), None);
     let target = g.constant(mb.plan.reliable_targets_norm());
     let loss = g.mse(reliable, target);
     g.backward(loss);
@@ -347,12 +340,11 @@ fn megabatch_step_pinned(
 
 #[test]
 fn zero_copy_steps_are_bitwise_identical_and_copy_no_index_words() {
-    // The zero-copy tape mode binds Arc-backed views of the cached
-    // composition's index buffers instead of pooled copies. Two contracts:
-    // (1) a full training step against a cached composition copies ZERO
-    // index words — every gather/scatter/shard list is a refcount bump —
-    // and (2) loss bits and every parameter gradient are bitwise identical
-    // to the copying mode, at every worker count.
+    // The model hands the tape Arc-backed views of the composition's index
+    // buffers. Two contracts: (1) a full training step against a cached
+    // composition copies ZERO index words — every gather/scatter/shard list
+    // is a refcount bump — and (2) loss bits and every parameter gradient
+    // are bitwise identical to the inline step, at every worker count.
     let ds = nsfnet_dataset(4, 20_260_809);
     let model = fitted_model(&ds, 13);
     let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
@@ -360,28 +352,22 @@ fn zero_copy_steps_are_bitwise_identical_and_copy_no_index_words() {
     let composed = ComposedMegabatch::compose(&parts).expect("compose");
     let mb = composed.megabatch();
 
-    let (loss_off, grads_off, copied_off) = megabatch_step_pinned(&model, mb, None, false);
-    assert!(
-        copied_off > 0,
-        "the copying mode must actually count per-step index traffic"
-    );
+    let (loss_inline, grads_inline, copied_inline) = megabatch_step_counting(&model, mb, None);
+    assert_eq!(copied_inline, 0, "inline step copied index words");
 
-    for workers in [None, Some(1), Some(2), Some(4)] {
-        let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
-        let (loss_on, grads_on, copied_on) = megabatch_step_pinned(&model, mb, pool, true);
+    for workers in [1, 2, 4] {
+        let pool = Some(Arc::new(WorkerPool::new(workers)));
+        let (loss, grads, copied) = megabatch_step_counting(&model, mb, pool);
+        assert_eq!(copied, 0, "step copied index words at {workers} workers");
         assert_eq!(
-            copied_on, 0,
-            "zero-copy step copied index words at {workers:?} workers"
+            loss_inline, loss,
+            "loss bits diverged from the inline step at {workers} workers"
         );
-        assert_eq!(
-            loss_off, loss_on,
-            "loss bits diverged from copying mode at {workers:?} workers"
-        );
-        assert_eq!(grads_off.len(), grads_on.len());
-        for (i, (a, b)) in grads_off.iter().zip(&grads_on).enumerate() {
+        assert_eq!(grads_inline.len(), grads.len());
+        for (i, (a, b)) in grads_inline.iter().zip(&grads).enumerate() {
             assert!(
                 a.approx_eq(b, 0.0),
-                "gradient {i} diverged from copying mode at {workers:?} workers"
+                "gradient {i} diverged from the inline step at {workers} workers"
             );
         }
     }

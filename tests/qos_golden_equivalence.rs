@@ -4,9 +4,8 @@
 //! samples whose spec degenerates to one class scheduled FIFO — run through
 //! the queue-aware compose path produce **bitwise identical** predictions
 //! AND gradients to the two-entity [`ExtendedRouteNet`], at every
-//! shard-worker count and in both tape index modes (zero-copy on/off). The
-//! queue entity must be invisible until a scenario actually schedules
-//! classes.
+//! shard-worker count. The queue entity must be invisible until a scenario
+//! actually schedules classes.
 
 use rn_autograd::{Graph, WorkerPool};
 use rn_dataset::{generate, Dataset, GeneratorConfig, Sample, SampleQos};
@@ -59,16 +58,14 @@ fn with_fifo_qos(sample: &Sample) -> Sample {
     out
 }
 
-/// One fused forward + backward on the megabatch with the given worker pool
-/// and tape index mode; returns the loss bits and every parameter gradient.
+/// One fused forward + backward on the megabatch with the given worker
+/// pool; returns the loss bits and every parameter gradient.
 fn megabatch_step<M: PathPredictor>(
     model: &M,
     mb: &MegabatchPlan,
     pool: Option<Arc<WorkerPool>>,
-    zero_copy: bool,
 ) -> (u32, Vec<Matrix>) {
     let mut g = Graph::new();
-    g.set_zero_copy(zero_copy);
     g.set_worker_pool(pool);
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, &mb.plan);
@@ -111,7 +108,7 @@ fn qos_model_shares_parameter_bits_with_extended_at_equal_seed() {
 }
 
 #[test]
-fn fifo_only_batches_are_bitwise_identical_to_legacy_across_workers_and_index_modes() {
+fn fifo_only_batches_are_bitwise_identical_to_legacy_across_workers() {
     let ds = nsfnet_dataset(4, 20_260_808);
     let mut ext = ExtendedRouteNet::new(model_config(11));
     let mut qos = QosRouteNet::new(model_config(11));
@@ -155,44 +152,38 @@ fn fifo_only_batches_are_bitwise_identical_to_legacy_across_workers_and_index_mo
         "FIFO-only predictions diverged from the two-entity baseline"
     );
 
-    // Gradients: bitwise at every worker count, in both index modes (plus
-    // whatever CI injects through the centralized env override). The queue
-    // GRU must stay exactly zero — the loss never touches it.
+    // Gradients: bitwise at every worker count (plus whatever CI injects
+    // through the centralized env override). The queue GRU must stay exactly
+    // zero — the loss never touches it.
     let mut worker_counts: Vec<Option<usize>> = vec![None, Some(1), Some(2), Some(4)];
     if let Some(extra) = routenet::TrainConfig::env_backward_shards() {
         if !worker_counts.contains(&Some(extra)) {
             worker_counts.push(Some(extra));
         }
     }
-    let (loss_ref, grads_ref) = megabatch_step(&ext, composed_ext.megabatch(), None, false);
-    for zero_copy in [false, true] {
-        for workers in &worker_counts {
-            let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
-            let (loss_q, grads_q) =
-                megabatch_step(&qos, composed_qos.megabatch(), pool.clone(), zero_copy);
-            let (loss_e, grads_e) = megabatch_step(&ext, composed_ext.megabatch(), pool, zero_copy);
-            assert_eq!(
-                loss_q, loss_e,
-                "loss bits diverged at {workers:?} workers, zero_copy={zero_copy}"
+    let (loss_ref, grads_ref) = megabatch_step(&ext, composed_ext.megabatch(), None);
+    for workers in &worker_counts {
+        let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
+        let (loss_q, grads_q) = megabatch_step(&qos, composed_qos.megabatch(), pool.clone());
+        let (loss_e, grads_e) = megabatch_step(&ext, composed_ext.megabatch(), pool);
+        assert_eq!(loss_q, loss_e, "loss bits diverged at {workers:?} workers");
+        assert_eq!(loss_q, loss_ref, "loss bits diverged from inline reference");
+        assert_eq!(grads_q.len(), grads_e.len() + 6);
+        for (i, (e, q)) in grads_e.iter().zip(&grads_q).enumerate() {
+            assert!(
+                e.approx_eq(q, 0.0),
+                "shared gradient {i} diverged at {workers:?} workers"
             );
-            assert_eq!(loss_q, loss_ref, "loss bits diverged from inline reference");
-            assert_eq!(grads_q.len(), grads_e.len() + 6);
-            for (i, (e, q)) in grads_e.iter().zip(&grads_q).enumerate() {
-                assert!(
-                    e.approx_eq(q, 0.0),
-                    "shared gradient {i} diverged at {workers:?} workers, zero_copy={zero_copy}"
-                );
-            }
-            for (i, (r, q)) in grads_ref.iter().zip(&grads_q).enumerate() {
-                assert!(r.approx_eq(q, 0.0), "gradient {i} diverged from inline");
-            }
-            for (i, m) in grads_q[grads_e.len()..].iter().enumerate() {
-                assert_eq!(
-                    m.max_abs(),
-                    0.0,
-                    "queue GRU gradient {i} is nonzero on a FIFO-only batch"
-                );
-            }
+        }
+        for (i, (r, q)) in grads_ref.iter().zip(&grads_q).enumerate() {
+            assert!(r.approx_eq(q, 0.0), "gradient {i} diverged from inline");
+        }
+        for (i, m) in grads_q[grads_e.len()..].iter().enumerate() {
+            assert_eq!(
+                m.max_abs(),
+                0.0,
+                "queue GRU gradient {i} is nonzero on a FIFO-only batch"
+            );
         }
     }
 }
@@ -273,8 +264,8 @@ fn qos_batches_refill_bitwise_like_legacy_ones() {
     );
     for workers in [None, Some(2)] {
         let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
-        let (loss_c, grads_c) = megabatch_step(&qos, composed.megabatch(), pool.clone(), false);
-        let (loss_f, grads_f) = megabatch_step(&qos, fresh_b.megabatch(), pool, false);
+        let (loss_c, grads_c) = megabatch_step(&qos, composed.megabatch(), pool.clone());
+        let (loss_f, grads_f) = megabatch_step(&qos, fresh_b.megabatch(), pool);
         assert_eq!(loss_c, loss_f, "loss bits diverged at {workers:?} workers");
         for (i, (a, b)) in grads_c.iter().zip(&grads_f).enumerate() {
             assert!(

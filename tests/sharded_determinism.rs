@@ -23,7 +23,7 @@ use routenet::compose::ComposedMegabatch;
 use routenet::entities::{build_megabatch, MegabatchPlan};
 use routenet::model::PathPredictor;
 use routenet::trainer::{train, TrainConfig};
-use routenet::{ExtendedRouteNet, ModelConfig, SamplePlan};
+use routenet::{EntityKind, ExtendedRouteNet, ModelConfig, SamplePlan};
 use std::sync::Arc;
 
 /// Fixed-seed NSFNET scenario batch — the same topology family the paper
@@ -121,9 +121,9 @@ fn sharded_backward_is_bitwise_identical_to_sequential() {
 /// link/node GRU updates and the readout MLP run sequentially.
 fn strip_dense_shards(mb: &mut MegabatchPlan) {
     let shards = mb.plan.shards.as_mut().expect("sharded plan");
-    shards.dense_path_bounds.clear();
-    shards.dense_link_bounds.clear();
-    shards.dense_node_bounds.clear();
+    shards.dense_path_bounds = Arc::default();
+    shards.dense_link_bounds = Arc::default();
+    shards.dense_node_bounds = Arc::default();
 }
 
 #[test]
@@ -139,8 +139,8 @@ fn dense_sharded_backward_is_bitwise_identical_across_worker_counts() {
     let shards = mb.plan.shards.as_ref().expect("sharded plan");
     assert!(
         shards.dense_path().is_some()
-            && shards.dense_link().is_some()
-            && shards.dense_node().is_some(),
+            && shards.dense_entity(EntityKind::Link).is_some()
+            && shards.dense_entity(EntityKind::Node).is_some(),
         "megabatch plans must precompile dense row partitions"
     );
 
@@ -215,8 +215,8 @@ fn intra_sharded_single_sample_is_bitwise_identical_to_legacy() {
         assert_eq!(shards.len(), 1, "message passing stays one shard");
         assert!(
             shards.dense_path().is_some()
-                && shards.dense_link().is_some()
-                && shards.dense_node().is_some(),
+                && shards.dense_entity(EntityKind::Link).is_some()
+                && shards.dense_entity(EntityKind::Node).is_some(),
             "dense partitions must engage at intra={intra}"
         );
 

@@ -119,7 +119,7 @@ fn nsfnet_setup() -> (ExtendedRouteNet, Vec<SamplePlan>) {
     });
     model.fit_preprocessing(&ds, 5);
     let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
-    let shape = |p: &SamplePlan| p.extended_csr.active.clone();
+    let shape = |p: &SamplePlan| p.schedule.active_offsets.clone();
     assert!(
         plans.iter().any(|p| shape(p) != shape(&plans[0])),
         "the four plans must not all share one shape"
