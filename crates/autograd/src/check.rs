@@ -96,10 +96,13 @@ pub fn check_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GruVars, ShardSplit};
     use rn_tensor::Prng;
 
     const TOL: f64 = 2e-2;
     const EPS: f32 = 1e-2;
+    /// Absolute bound for the sharded GRU checks, whose gradients are O(1).
+    const GRU_TOL: f64 = 5e-3;
 
     fn rand_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
         Prng::new(seed).uniform_matrix(rows, cols, -1.0, 1.0)
@@ -219,6 +222,102 @@ mod tests {
             EPS,
         );
         assert!(report.passes(TOL), "{report:?}");
+    }
+
+    /// Width of the state and of the input in the sharded GRU checks:
+    /// `hidden = 6` makes every gate product `width % 4 != 0`, and `[h|x]`
+    /// 11 wide leaves three output rows to the weight-gradient kernel's
+    /// 1-row tail.
+    const GRU_HIDDEN: usize = 6;
+    const GRU_INPUT: usize = 5;
+
+    /// The eight differentiable inputs of one GRU step, in the order
+    /// `W_z, b_z, W_r, b_r, W_c, b_c, h, x`.
+    fn gru_inputs(seed: u64, h_rows: usize, x_rows: usize) -> Vec<Matrix> {
+        let wide = GRU_HIDDEN + GRU_INPUT;
+        let shapes = [
+            (wide, GRU_HIDDEN),
+            (1, GRU_HIDDEN),
+            (wide, GRU_HIDDEN),
+            (1, GRU_HIDDEN),
+            (wide, GRU_HIDDEN),
+            (1, GRU_HIDDEN),
+            (h_rows, GRU_HIDDEN),
+            (x_rows, GRU_INPUT),
+        ];
+        shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(r, c))| rand_matrix(seed + i as u64, r, c))
+            .collect()
+    }
+
+    /// Bind [`gru_inputs`]' first six vars as a cell, optionally with the
+    /// merged `[W_z | W_r]` constant the model caches at bind time.
+    fn gru_vars(g: &mut Graph, v: &[Var], merged: bool) -> GruVars {
+        let w_zr = merged.then(|| {
+            let zr = g.value(v[0]).concat_cols(g.value(v[2]));
+            g.constant(zr)
+        });
+        GruVars {
+            w_z: v[0],
+            b_z: v[1],
+            w_r: v[2],
+            b_r: v[3],
+            w_c: v[4],
+            b_c: v[5],
+            w_zr,
+        }
+    }
+
+    /// Sum of squares: every output element carries an O(1) gradient, so
+    /// the absolute tolerance below is a real bound on every weight, bias,
+    /// state and input gradient.
+    fn sum_of_squares(g: &mut Graph, out: Var) -> Var {
+        let sq = g.square(out);
+        g.sum(sq)
+    }
+
+    #[test]
+    fn check_gru_step_rows_sharded_on_ragged_layouts() {
+        // Four shards over 13 state rows: three active rows of four, a
+        // one-row shard, an empty shard, and five of six (row 9 passes
+        // through) — nine active rows, not a multiple of 4.
+        let rows = [0usize, 1, 3, 4, 7, 8, 10, 11, 12];
+        let active = [0usize, 3, 4, 4, 9];
+        let dense = [0usize, 4, 5, 7, 13];
+        for merged in [false, true] {
+            let report = check_gradients(
+                |g, v| {
+                    let vars = gru_vars(g, v, merged);
+                    let split = ShardSplit::borrowed(&active, &dense, &dense);
+                    let out =
+                        g.gru_step_rows_sharded(&vars, v[6], v[7], (&rows).into(), Some(split));
+                    sum_of_squares(g, out)
+                },
+                &gru_inputs(31, 13, rows.len()),
+                EPS,
+            );
+            assert!(report.max_abs_err < GRU_TOL, "merged={merged}: {report:?}");
+        }
+    }
+
+    #[test]
+    fn check_gru_step_dense_sharded_on_ragged_layouts() {
+        // Every row advances; blocks of three rows, none, one and five.
+        let bounds = [0usize, 3, 3, 4, 9];
+        for merged in [false, true] {
+            let report = check_gradients(
+                |g, v| {
+                    let vars = gru_vars(g, v, merged);
+                    let out = g.gru_step_dense_sharded(&vars, v[6], v[7], Some((&bounds).into()));
+                    sum_of_squares(g, out)
+                },
+                &gru_inputs(47, 9, 9),
+                EPS,
+            );
+            assert!(report.max_abs_err < GRU_TOL, "merged={merged}: {report:?}");
+        }
     }
 
     #[test]

@@ -2702,8 +2702,8 @@ impl Graph {
                     // g_rhx = gc_pre · W_c^T
                     let mut g_rhx = pool_matrix_scratch(&mut pool, n_rows, hidden + input);
                     {
-                        // Pooled transpose: matmul_nt_* would re-transpose the
-                        // weight (allocating) on every step's adjoint.
+                        // Pooled transpose: the weight is transposed into
+                        // tape scratch, never into a fresh allocation.
                         let w_c = self.value(vars.w_c);
                         let mut w_t = pool_matrix_scratch(&mut pool, w_c.cols(), w_c.rows());
                         w_c.transpose_into(&mut w_t);
@@ -3053,8 +3053,8 @@ impl Graph {
                     }
                     let mut g_rhx = pool_matrix_scratch(&mut pool, a, hidden + input);
                     {
-                        // Pooled transpose: matmul_nt_* would re-transpose the
-                        // weight (allocating) on every step's adjoint.
+                        // Pooled transpose: the weight is transposed into
+                        // tape scratch, never into a fresh allocation.
                         let w_c = self.value(vars.w_c);
                         let mut w_t = pool_matrix_scratch(&mut pool, w_c.cols(), w_c.rows());
                         w_c.transpose_into(&mut w_t);

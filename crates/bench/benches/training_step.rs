@@ -54,6 +54,14 @@
 //!   `activation_speedup_suppressed_no_avx2` marker is written so "not
 //!   measured" cannot be misread as "no speedup".
 //!
+//! - `kernel/matmul_{nn,tn}_KxMxN` — the two matmul kernels on the same flops
+//!   at the GRU adjoint's own shapes: `nn` is the forward product
+//!   `(K x M)·(M x N)`, `tn` the weight-gradient product `(K x M)ᵀ·(K x N)`,
+//!   at paper scale (728 active rows, `[h|x]` 64 wide, 32 gate columns) and
+//!   at the small model's (1 456 x 16, 8). The derived `matmul_tn_over_nn`
+//!   (`_small`) is tn throughput over nn throughput: 1.0 means the adjoint's
+//!   kernel runs at the forward kernel's rate.
+//!
 //! The criterion stand-in writes `BENCH_training_step.json` with ns/op and
 //! throughput per variant plus derived speedups (including the per-shard
 //! backward scaling and the epoch≥2 step-time improvement), so ratios are
@@ -66,6 +74,7 @@ use rn_dataset::{generate_sample, Dataset, GeneratorConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
 use rn_nn::Layer;
+use rn_tensor::kernels;
 use rn_tensor::simd::activations as vact;
 use routenet::compose::ComposedMegabatch;
 use routenet::entities::{build_megabatch, MegabatchPlan, SamplePlan};
@@ -188,6 +197,65 @@ fn megabatch_step(model: &ExtendedRouteNet, mb: &MegabatchPlan, g: &mut Graph) -
     backward_ns
 }
 
+/// `(K, M, N)` of the `kernel/matmul_*` rows: the GRU adjoint's operand
+/// shapes at paper scale and at small scale.
+const KERNEL_SHAPES: [(usize, usize, usize); 2] = [(728, 64, 32), (1456, 16, 8)];
+
+/// Operands for one `kernel/matmul_*` pair: `a` is `K x M`, `w` is `M x N`
+/// (the `nn` right-hand side), `d` is `K x N` (the `tn` right-hand side).
+struct KernelPair {
+    shape: (usize, usize, usize),
+    a: Vec<f32>,
+    w: Vec<f32>,
+    d: Vec<f32>,
+    out_nn: Vec<f32>,
+    out_tn: Vec<f32>,
+}
+
+impl KernelPair {
+    /// Kernel calls per timed sample (one call is tens of microseconds).
+    const CALLS: usize = 32;
+
+    fn new(shape: (usize, usize, usize)) -> Self {
+        let (k, m, n) = shape;
+        let mut rng = rn_tensor::Prng::new((k * m * n) as u64);
+        Self {
+            shape,
+            a: rng.uniform_matrix(k, m, -1.0, 1.0).into_vec(),
+            w: rng.uniform_matrix(m, n, -1.0, 1.0).into_vec(),
+            d: rng.uniform_matrix(k, n, -1.0, 1.0).into_vec(),
+            out_nn: vec![0.0; k * n],
+            out_tn: vec![0.0; m * n],
+        }
+    }
+
+    /// Nanoseconds per `(K x M)·(M x N)` call.
+    fn time_nn(&mut self) -> f64 {
+        let (k, m, n) = self.shape;
+        let (a, w, out) = (&self.a, &self.w, &mut self.out_nn);
+        Self::per_call_ns(out, |out| kernels::matmul_acc(a, w, k, m, n, out))
+    }
+
+    /// Nanoseconds per `(K x M)ᵀ·(K x N)` call.
+    fn time_tn(&mut self) -> f64 {
+        let (k, m, n) = self.shape;
+        let (a, d, out) = (&self.a, &self.d, &mut self.out_tn);
+        Self::per_call_ns(out, |out| kernels::matmul_tn_acc(a, d, k, m, n, out))
+    }
+
+    /// Zero `out`, accumulate into it [`Self::CALLS`] times, return the
+    /// mean nanoseconds per call.
+    fn per_call_ns(out: &mut [f32], mut call: impl FnMut(&mut [f32])) -> f64 {
+        out.fill(0.0);
+        let t = std::time::Instant::now();
+        for _ in 0..Self::CALLS {
+            call(out);
+        }
+        std::hint::black_box(out[0]);
+        t.elapsed().as_nanos() as f64 / Self::CALLS as f64
+    }
+}
+
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     xs[xs.len() / 2]
@@ -263,6 +331,7 @@ fn bench_training_step(_c: &mut Criterion) {
         .map(|i| ((i % 977) as f32) * 0.01 - 4.8)
         .collect();
     let mut act_dst = vec![0.0f32; act_src.len()];
+    let mut kernel_pairs = KERNEL_SHAPES.map(KernelPair::new);
 
     // Warmup: touch every path once (fills tape pools, faults in pages).
     std::hint::black_box(legacy_step(&model, &plans));
@@ -285,6 +354,9 @@ fn bench_training_step(_c: &mut Criterion) {
     vact::tanh_map(&act_src, &mut act_dst);
     vact::tanh_map_scalar(&act_src, &mut act_dst);
     std::hint::black_box(act_dst[0]);
+    for pair in &mut kernel_pairs {
+        std::hint::black_box(pair.time_nn() + pair.time_tn());
+    }
 
     let mut t_legacy = Vec::with_capacity(ROUNDS);
     let mut t_fused = Vec::with_capacity(ROUNDS);
@@ -303,6 +375,8 @@ fn bench_training_step(_c: &mut Criterion) {
     let mut t_ov_dense = Vec::with_capacity(ROUNDS);
     let mut t_act_scalar = Vec::with_capacity(ROUNDS);
     let mut t_act_simd = Vec::with_capacity(ROUNDS);
+    let mut t_kernel_nn = KERNEL_SHAPES.map(|_| Vec::with_capacity(ROUNDS));
+    let mut t_kernel_tn = KERNEL_SHAPES.map(|_| Vec::with_capacity(ROUNDS));
     for round in 0..ROUNDS {
         let t = std::time::Instant::now();
         std::hint::black_box(legacy_step(&model, &plans));
@@ -398,6 +472,17 @@ fn bench_training_step(_c: &mut Criterion) {
             t_act_simd.push(time_act(vact::tanh_map, &mut act_dst));
         }
 
+        // The matmul kernel pair at each adjoint shape, alternating order.
+        for (i, pair) in kernel_pairs.iter_mut().enumerate() {
+            if round % 2 == 0 {
+                t_kernel_nn[i].push(pair.time_nn());
+                t_kernel_tn[i].push(pair.time_tn());
+            } else {
+                t_kernel_tn[i].push(pair.time_tn());
+                t_kernel_nn[i].push(pair.time_nn());
+            }
+        }
+
         // The adjacent overhead pair (see the tape definitions above).
         if round % 2 == 0 {
             t_ov_unsharded.push(megabatch_step(
@@ -451,6 +536,8 @@ fn bench_training_step(_c: &mut Criterion) {
     let dense_seq_bwd: Vec<f64> = t_dense_seq_bwd.into_iter().map(median).collect();
     let act_scalar = median(t_act_scalar);
     let act_simd = median(t_act_simd);
+    let kernel_nn = t_kernel_nn.map(median);
+    let kernel_tn = t_kernel_tn.map(median);
 
     let mut rows: Vec<(String, f64)> = vec![
         ("before/legacy_per_sample".into(), legacy),
@@ -473,6 +560,10 @@ fn bench_training_step(_c: &mut Criterion) {
         ("activation_map/scalar".into(), act_scalar),
         ("activation_map/avx2".into(), act_simd),
     ];
+    for (i, (k, m, n)) in KERNEL_SHAPES.into_iter().enumerate() {
+        rows.push((format!("kernel/matmul_nn_{k}x{m}x{n}"), kernel_nn[i]));
+        rows.push((format!("kernel/matmul_tn_{k}x{m}x{n}"), kernel_tn[i]));
+    }
     for (i, &w) in shard_workers.iter().enumerate() {
         rows.push((format!("parallel_backward/shards_{w}"), shard_step[i]));
         // backward/shards_N: per-sample shards only, dense work sequential
@@ -607,6 +698,9 @@ fn bench_training_step(_c: &mut Criterion) {
         ("compose_fresh_pct_of_step", compose_pct_of_step),
         ("compose_fresh_pct_of_small_step", compose_pct_of_small_step),
         ("bench_host_cores", bench_host_cores as f64),
+        // Same flops on both sides, so the time ratio is the rate ratio.
+        ("matmul_tn_over_nn", kernel_nn[0] / kernel_tn[0]),
+        ("matmul_tn_over_nn_small", kernel_nn[1] / kernel_tn[1]),
     ]);
     if rn_tensor::simd::have_avx2() {
         derived.push(("activation_speedup", act_scalar / act_simd));

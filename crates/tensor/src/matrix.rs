@@ -400,13 +400,26 @@ impl Matrix {
     // Linear algebra
     //
     // The matmul family is the training hot path: every GRU gate and every
-    // backward adjoint runs through these three kernels. Each comes in three
-    // forms: allocating (`matmul`), overwrite-into (`matmul_into`, writes a
-    // caller-provided buffer so pooled tapes never re-allocate), and
-    // accumulate-into (`matmul_acc`, `out += a·b`, which fuses the
-    // `grad += partial` pattern of reverse-mode autodiff into the kernel).
-    // The kernels unroll the reduction dimension four-wide and walk rows with
-    // `chunks_exact`, which is what lets LLVM vectorize the inner loops.
+    // backward adjoint runs through these two kernels (`a·b` and `aᵀ·b`).
+    // Each comes in three forms: allocating (`matmul`), overwrite-into
+    // (`matmul_into`, writes a caller-provided buffer so pooled tapes never
+    // re-allocate), and accumulate-into (`matmul_acc`, `out += a·b`, which
+    // fuses the `grad += partial` pattern of reverse-mode autodiff into the
+    // kernel).
+    //
+    // Contract — one canonical per-element expression. With `p[t]` the
+    // product of the two operand elements at shared-dimension index `t`
+    // (`a[i][t]·b[t][j]` for `matmul`, `a[t][i]·b[t][j]` for `matmul_tn`),
+    // each full group of four indices, in ascending order, contributes
+    //
+    //     out[i][j] = out[i][j] + (((p[t] + p[t+1]) + p[t+2]) + p[t+3])
+    //
+    // and each of the `k % 4` leftover indices then contributes
+    // `out[i][j] = out[i][j] + p[t]`; no FMA. Every recorded bit rests on
+    // it. The [`kernels`] module doc says what a future kernel may change
+    // (blocking, tile shape) and what it may not (grouping, association,
+    // FMA); `crates/tensor/tests/proptests.rs` holds the scalar spelling
+    // both kernels are compared to bit for bit.
     // ------------------------------------------------------------------
 
     fn assert_matmul_shapes(&self, other: &Self) -> (usize, usize, usize) {
@@ -507,7 +520,11 @@ impl Matrix {
     }
 
     /// `out += self^T * other` (fused gradient accumulation for kernels).
-    /// Runtime-dispatched to an AVX2 build of the same body on x86-64.
+    ///
+    /// 4-row × 4-k register blocking: four rows of `other` are loaded once
+    /// for four output rows, and four reduction steps fuse into one pass
+    /// over them. Runtime-dispatched to an AVX2 build of the same body on
+    /// x86-64, bitwise equal to the baseline build.
     pub fn matmul_tn_acc(&self, other: &Self, out: &mut Self) {
         let (k, m, n) = self.assert_tn_shapes(other);
         assert_eq!(out.shape(), (m, n), "matmul_tn_acc: bad output shape");
@@ -534,50 +551,6 @@ impl Matrix {
             n,
             &mut out.data,
         );
-    }
-
-    fn assert_nt_shapes(&self, other: &Self) -> (usize, usize, usize) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt: col counts differ ({}x{} vs {}x{})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        (self.rows, self.cols, other.rows)
-    }
-
-    /// `self * other^T` without materializing the transpose
-    /// (`m x k` times `n x k`^T -> `m x n`). Used by autograd backward passes.
-    pub fn matmul_nt(&self, other: &Self) -> Self {
-        let (m, _, n) = self.assert_nt_shapes(other);
-        let mut out = Self {
-            rows: m,
-            cols: n,
-            data: vec![0.0; m * n],
-        };
-        self.matmul_nt_acc(other, &mut out);
-        out
-    }
-
-    /// `out = self * other^T`, overwriting `out`.
-    pub fn matmul_nt_into(&self, other: &Self, out: &mut Self) {
-        let (m, _, n) = self.assert_nt_shapes(other);
-        assert_eq!(out.shape(), (m, n), "matmul_nt_into: bad output shape");
-        out.data.fill(0.0);
-        self.matmul_nt_acc(other, out);
-    }
-
-    /// `out += self * other^T`.
-    ///
-    /// Materializes `other`'s transpose once and runs the blocked row-major
-    /// kernel: at the backward hot shapes (`other` is a small weight matrix;
-    /// the shared dimension is short) this beats dot-product loops by ~3x —
-    /// short dot products spend their time on horizontal reduction, while
-    /// the transposed form streams full output rows.
-    pub fn matmul_nt_acc(&self, other: &Self, out: &mut Self) {
-        let (m, _, n) = self.assert_nt_shapes(other);
-        assert_eq!(out.shape(), (m, n), "matmul_nt_acc: bad output shape");
-        let bt = other.transpose();
-        self.matmul_acc(&bt, out);
     }
 
     /// Reference `self * other` — the pre-refactor kernel, kept verbatim.
@@ -636,7 +609,12 @@ impl Matrix {
 
     /// Reference `self * other^T` (see [`Matrix::matmul_reference`]).
     pub fn matmul_nt_reference(&self, other: &Self) -> Self {
-        let (m, k, n) = self.assert_nt_shapes(other);
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul_nt_reference: col counts differ ({}x{} vs {}x{})",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             let a_row = &self.data[i * k..(i + 1) * k];
@@ -951,18 +929,35 @@ impl Matrix {
 /// The [`Matrix`] methods delegate here; the sharded autograd kernels call
 /// these directly on disjoint sub-slices produced by
 /// [`Matrix::row_blocks_mut`], so several threads can fill one output matrix
-/// without aliasing `&mut Matrix`. Per output row the accumulation order is
-/// independent of how rows are grouped into calls (the 2-row block and the
-/// 1-row tail evaluate each element with the same chained expression), so
-/// any row-range decomposition of `matmul_acc` is bitwise identical to one
-/// full call.
+/// without aliasing `&mut Matrix`.
+///
+/// # Contract
+///
+/// Both kernels evaluate every output element with one canonical
+/// expression. Writing `p[t]` for the product of the two operand elements
+/// at shared-dimension index `t`, each full group of four indices, in
+/// ascending order, contributes
+///
+/// ```text
+/// out[i][j] = out[i][j] + (((p[t] + p[t+1]) + p[t+2]) + p[t+3])
+/// ```
+///
+/// and each of the `k % 4` leftover indices then contributes
+/// `out[i][j] = out[i][j] + p[t]`. Multiplies and adds round separately (no
+/// FMA). Blocking, tile shape, loop order and vector width are free to
+/// change; group size, association, a split of the shared dimension and FMA
+/// are not — the golden fixtures, the model digests and the shard-count
+/// invariance all record bits of this expression. Because the expression is
+/// per element, the result does not depend on how output rows are grouped
+/// into blocks or calls: any row-range decomposition of `matmul_acc` is
+/// bitwise identical to one full call.
 pub mod kernels {
     /// `out += a·b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`,
     /// all row-major slices.
     pub fn matmul_acc(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
+        assert_eq!(a.len(), m * k, "kernels::matmul_acc: `a` is not m x k");
+        assert_eq!(b.len(), k * n, "kernels::matmul_acc: `b` is not k x n");
+        assert_eq!(out.len(), m * n, "kernels::matmul_acc: `out` is not m x n");
         #[cfg(target_arch = "x86_64")]
         if super::simd::have_avx2() {
             // SAFETY: the AVX2 requirement was just checked at runtime.
@@ -974,9 +969,13 @@ pub mod kernels {
 
     /// `out += a^T·b` where `a` is `k x m`, `b` is `k x n`, `out` is `m x n`.
     pub fn matmul_tn_acc(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
-        debug_assert_eq!(a.len(), k * m);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
+        assert_eq!(a.len(), k * m, "kernels::matmul_tn_acc: `a` is not k x m");
+        assert_eq!(b.len(), k * n, "kernels::matmul_tn_acc: `b` is not k x n");
+        assert_eq!(
+            out.len(),
+            m * n,
+            "kernels::matmul_tn_acc: `out` is not m x n"
+        );
         #[cfg(target_arch = "x86_64")]
         if super::simd::have_avx2() {
             // SAFETY: the AVX2 requirement was just checked at runtime.
@@ -1078,8 +1077,12 @@ fn matmul_acc_body(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
     }
 }
 
-/// `out += a^T·b` (`a` is `k x m`, `b` is `k x n`), 4-k blocked: each sweep
-/// over the output serves four shared-dimension rows.
+/// `out += a^T·b` (`a` is `k x m`, `b` is `k x n`), 4-row × 4-k register
+/// blocked — [`matmul_acc_body`]'s blocking turned for the transposed
+/// operand: four `b` rows are loaded once per four output rows and the `j`
+/// loop is written inline so it vectorises in both builds. The `m % 4`
+/// leftover rows take the 1-row [`axpy4`] form, the `k % 4` leftover steps
+/// one `out += a·b` each; every element sees the canonical expression.
 #[inline(always)]
 fn matmul_tn_acc_body(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
     let mut kk = 0;
@@ -1092,12 +1095,31 @@ fn matmul_tn_acc_body(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &
         let b1 = &b[(kk + 1) * n..(kk + 1) * n + n];
         let b2 = &b[(kk + 2) * n..(kk + 2) * n + n];
         let b3 = &b[(kk + 3) * n..(kk + 3) * n + n];
-        for i in 0..m {
+        let mut i = 0;
+        while i + 4 <= m {
+            let (o01, o23) = out[i * n..(i + 4) * n].split_at_mut(2 * n);
+            let (o0, o1) = o01.split_at_mut(n);
+            let (o2, o3) = o23.split_at_mut(n);
+            let (c00, c01, c02, c03) = (a0[i], a1[i], a2[i], a3[i]);
+            let (c10, c11, c12, c13) = (a0[i + 1], a1[i + 1], a2[i + 1], a3[i + 1]);
+            let (c20, c21, c22, c23) = (a0[i + 2], a1[i + 2], a2[i + 2], a3[i + 2]);
+            let (c30, c31, c32, c33) = (a0[i + 3], a1[i + 3], a2[i + 3], a3[i + 3]);
+            for j in 0..n {
+                let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
+                o0[j] += c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3;
+                o1[j] += c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3;
+                o2[j] += c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3;
+                o3[j] += c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3;
+            }
+            i += 4;
+        }
+        while i < m {
             axpy4(
                 &mut out[i * n..i * n + n],
                 [a0[i], a1[i], a2[i], a3[i]],
                 [b0, b1, b2, b3],
             );
+            i += 1;
         }
         kk += 4;
     }
@@ -1279,7 +1301,9 @@ mod tests {
     fn matmul_nt_equals_explicit_transpose() {
         let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32 * 0.25);
         let b = Matrix::from_fn(4, 3, |r, c| (r as f32 - c as f32) * 0.5);
-        assert!(a.matmul_nt(&b).approx_eq(&a.matmul(&b.transpose()), 1e-4));
+        assert!(a
+            .matmul_nt_reference(&b)
+            .approx_eq(&a.matmul(&b.transpose()), 1e-4));
     }
 
     #[test]
@@ -1419,10 +1443,35 @@ mod tests {
 
             let bn = Matrix::from_fn(n, k, |r, c| ((r + c * 11) % 12) as f32 - 6.0);
             assert!(
-                a.matmul_nt(&bn)
+                a.matmul(&bn.transpose())
                     .approx_eq(&a.matmul_nt_reference(&bn), 1e-3),
                 "nt {m}x{k}x{n}"
             );
+        }
+    }
+
+    #[test]
+    fn baseline_bodies_match_the_dispatched_kernels_bitwise() {
+        // On an AVX2 host the dispatched kernels never run the baseline
+        // build of the bodies; call it directly so both instruction streams
+        // are held to the same bits (the canonical-expression oracle in
+        // tests/proptests.rs pins the dispatched side).
+        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (5, 130, 9), (64, 13, 33), (6, 8, 32)] {
+            let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.37 - 2.0);
+            let at = a.transpose();
+            let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.21 - 1.0);
+            let init = Matrix::from_fn(m, n, |r, c| (r + 2 * c) as f32 * 0.13 - 0.7);
+            let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+            let (mut base, mut disp) = (init.clone(), init.clone());
+            matmul_acc_body(&a.data, &b.data, m, k, n, &mut base.data);
+            a.matmul_acc(&b, &mut disp);
+            assert_eq!(bits(&base), bits(&disp), "nn {m}x{k}x{n}");
+
+            let (mut base, mut disp) = (init.clone(), init);
+            matmul_tn_acc_body(&at.data, &b.data, k, m, n, &mut base.data);
+            at.matmul_tn_acc(&b, &mut disp);
+            assert_eq!(bits(&base), bits(&disp), "tn {m}x{k}x{n}");
         }
     }
 
@@ -1445,11 +1494,6 @@ mod tests {
         at.matmul_tn_into(&b, &mut out_tn);
         assert!(out_tn.approx_eq(&at.matmul_tn(&b), 0.0));
         assert!(out_tn.approx_eq(&expect, 1e-4));
-
-        let bt = b.transpose();
-        let mut out_nt = Matrix::filled(5, 4, 3.5);
-        a.matmul_nt_into(&bt, &mut out_nt);
-        assert!(out_nt.approx_eq(&expect, 1e-4));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! matrix ops and distributional sanity of the RNG.
 
 use proptest::prelude::*;
-use rn_tensor::{Matrix, Prng};
+use rn_tensor::{kernels, Matrix, Prng};
 
 /// Strategy producing a matrix with bounded dimensions and finite values.
 fn matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -23,7 +23,77 @@ fn matrix_pair(max_dim: usize) -> impl Strategy<Value = (Matrix, Matrix)> {
     })
 }
 
+/// The matmul kernels' contract spelled one element at a time:
+/// `out[i][j] += (((p0 + p1) + p2) + p3)` for each full group of four
+/// shared-dimension indices in ascending order, then `out[i][j] += p` for
+/// each leftover index, where `p` at index `t` is `a_at(i, t) * b[t][j]`.
+fn canonical_acc(
+    a_at: impl Fn(usize, usize) -> f32,
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    for i in 0..m {
+        for j in 0..n {
+            let p = |t: usize| a_at(i, t) * b[t * n + j];
+            let mut o = out[i * n + j];
+            let mut t = 0;
+            while t + 4 <= k {
+                o += ((p(t) + p(t + 1)) + p(t + 2)) + p(t + 3);
+                t += 4;
+            }
+            while t < k {
+                o += p(t);
+                t += 1;
+            }
+            out[i * n + j] = o;
+        }
+    }
+}
+
+/// Run both kernels on seeded operands of one shape (non-zero initial
+/// `out`) and hold every bit to [`canonical_acc`].
+fn assert_kernels_match_canonical_bits((m, k, n): (usize, usize, usize), seed: u64) {
+    let mut rng = Prng::new(seed);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let b = rng.uniform_matrix(k, n, -2.0, 2.0).into_vec();
+    let init = rng.uniform_matrix(m, n, -3.0, 3.0).into_vec();
+
+    let a = rng.uniform_matrix(m, k, -2.0, 2.0).into_vec();
+    let (mut got, mut want) = (init.clone(), init.clone());
+    kernels::matmul_acc(&a, &b, m, k, n, &mut got);
+    canonical_acc(|i, t| a[i * k + t], &b, (m, k, n), &mut want);
+    assert_eq!(bits(&got), bits(&want), "matmul_acc m={m} k={k} n={n}");
+
+    let at = rng.uniform_matrix(k, m, -2.0, 2.0).into_vec();
+    let (mut got, mut want) = (init.clone(), init);
+    kernels::matmul_tn_acc(&at, &b, k, m, n, &mut got);
+    canonical_acc(|i, t| at[t * m + i], &b, (m, k, n), &mut want);
+    assert_eq!(bits(&got), bits(&want), "matmul_tn_acc m={m} k={k} n={n}");
+}
+
+/// Every combination of ragged extents around the 4-row / 4-k blocking and
+/// the 8-lane vector width, plus the adjoint's own widths and a long `k`.
+#[test]
+fn kernels_are_bitwise_equal_to_the_canonical_expression() {
+    for m in [1, 3, 4, 5, 64] {
+        for n in [1, 7, 8, 9, 32, 33] {
+            for k in [0, 1, 3, 4, 5, 130] {
+                assert_kernels_match_canonical_bits((m, k, n), (m * 1000 + n * 10 + k) as u64);
+            }
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn kernels_match_canonical_expression_on_arbitrary_shapes(
+        shape in (1usize..14, 0usize..24, 1usize..40),
+        seed in any::<u64>(),
+    ) {
+        assert_kernels_match_canonical_bits(shape, seed);
+    }
+
     #[test]
     fn addition_commutes((a, b) in matrix_pair(6)) {
         prop_assert!(a.add(&b).approx_eq(&b.add(&a), 1e-5));
@@ -67,7 +137,7 @@ proptest! {
         let b = rng.uniform_matrix(a.rows(), n, -1.0, 1.0);
         prop_assert!(a.matmul_tn(&b).approx_eq(&a.transpose().matmul(&b), 1e-3));
         let c = rng.uniform_matrix(n, a.cols(), -1.0, 1.0);
-        prop_assert!(a.matmul_nt(&c).approx_eq(&a.matmul(&c.transpose()), 1e-3));
+        prop_assert!(a.matmul_nt_reference(&c).approx_eq(&a.matmul(&c.transpose()), 1e-3));
     }
 
     #[test]
@@ -166,7 +236,7 @@ proptest! {
         let mut rng = Prng::new(seed);
         let a = rng.uniform_matrix(m, k, -2.0, 2.0);
         let b = rng.uniform_matrix(n, k, -2.0, 2.0);
-        prop_assert!(a.matmul_nt(&b).approx_eq(&a.matmul_nt_reference(&b), 1e-3));
+        prop_assert!(a.matmul(&b.transpose()).approx_eq(&a.matmul_nt_reference(&b), 1e-3));
     }
 
     #[test]
