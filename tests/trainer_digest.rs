@@ -1,0 +1,168 @@
+//! Frozen reference for the trainer loop: a digest of every epoch's train
+//! and validation loss, the epoch training stopped at and every parameter
+//! after `train()` for `OriginalRouteNet`, `ExtendedRouteNet` and
+//! `QosRouteNet` (on a two-class dataset), each with a validation set, early
+//! stopping and a learning-rate halving, at 1 and 4 shard workers. Recorded
+//! at commit 0fd495a, when the trainer still carried a per-sample path, a
+//! streaming twin and a background prefetch lane beside its default
+//! schedule; the one schedule that replaced them must keep every bit.
+//!
+//! `tests/model_digest.rs` stops at one forward/backward; this pins what
+//! comes after it — batch membership and visit order from the seeded
+//! shuffle, shard gradient reduction, clip, Adam, the halving schedule, the
+//! patience counter and the best-weights restore.
+//!
+//! After an *intentional* numerics change, print fresh constants with
+//! `RN_REGEN_GOLDEN=1 cargo test --test trainer_digest -- --nocapture`.
+
+use rn_dataset::{generate, Dataset, GeneratorConfig, QosGenConfig};
+use rn_netgraph::topologies;
+use rn_netsim::SimConfig;
+use rn_nn::loss::Loss;
+use routenet::model::PathPredictor;
+use routenet::plan_cache::Fingerprint;
+use routenet::{train, ExtendedRouteNet, ModelConfig, OriginalRouteNet, QosRouteNet, TrainConfig};
+
+fn dataset(qos: bool, seed: u64, samples: usize) -> Dataset {
+    let config = GeneratorConfig {
+        sim: SimConfig {
+            duration_s: 40.0,
+            warmup_s: 5.0,
+            ..SimConfig::default()
+        },
+        qos: qos.then(QosGenConfig::two_class_mix),
+        ..GeneratorConfig::default()
+    };
+    generate(&topologies::toy5(), &config, seed, samples)
+}
+
+fn model_config() -> ModelConfig {
+    ModelConfig {
+        state_dim: 8,
+        mp_iterations: 2,
+        readout_hidden: 8,
+        seed: 15,
+        ..ModelConfig::default()
+    }
+}
+
+/// Six samples in batches of four, megabatches of two: a full batch of two
+/// shards and a ragged one of a single shard. The learning rate is hot on
+/// purpose, so validation regresses and the patience counter, the early
+/// stop and the best-weights restore all run.
+fn train_config(backward_shards: usize) -> TrainConfig {
+    TrainConfig {
+        epochs: 8,
+        batch_size: 4,
+        megabatch_size: 2,
+        learning_rate: 3e-2,
+        loss: Loss::Mse,
+        min_packets: 5,
+        seed: 20_260_928,
+        patience: Some(1),
+        lr_halve_epochs: vec![2],
+        backward_shards,
+        ..TrainConfig::default()
+    }
+}
+
+/// Worker counts every scenario runs at: 1 (inline) and 4, plus whatever CI
+/// injects through `RN_BACKWARD_SHARDS`.
+fn worker_counts() -> Vec<usize> {
+    let mut counts = vec![1, 4];
+    if let Some(extra) = TrainConfig::env_backward_shards() {
+        if !counts.contains(&extra) {
+            counts.push(extra);
+        }
+    }
+    counts
+}
+
+/// One `train()` run of a scenario.
+struct Run {
+    workers: usize,
+    digest: u64,
+    /// Only for the table: says whether the early stop fired.
+    stopped_at: usize,
+}
+
+/// `train()` from fresh weights, then FNV-1a over the bit patterns of the
+/// loss history, the stop epoch and every parameter in parameter order.
+fn run_digest<M: PathPredictor>(
+    mut model: M,
+    (train_set, val_set): &(Dataset, Dataset),
+    workers: usize,
+) -> Run {
+    let history = train(&mut model, train_set, Some(val_set), &train_config(workers));
+    let mut fp = Fingerprint::new();
+    fp.usize(history.train_loss.len());
+    for &l in &history.train_loss {
+        fp.f64(l);
+    }
+    fp.usize(history.val_loss.len());
+    for &l in &history.val_loss {
+        fp.f64(l);
+    }
+    fp.usize(history.stopped_at);
+    for param in model.params() {
+        fp.usize(param.len());
+        fp.f32s(param.as_slice());
+    }
+    Run {
+        workers,
+        digest: fp.finish(),
+        stopped_at: history.stopped_at,
+    }
+}
+
+#[test]
+fn trainers_reproduce_the_recorded_digests() {
+    let legacy = (dataset(false, 20_260_928, 6), dataset(false, 20_260_929, 3));
+    let two_class = (dataset(true, 20_260_928, 6), dataset(true, 20_260_929, 3));
+    assert!(two_class.0.samples[0].qos.is_some());
+    let counts = worker_counts();
+    let at_every_count =
+        |run: &dyn Fn(usize) -> Run| -> Vec<Run> { counts.iter().map(|&w| run(w)).collect() };
+    let scenarios: [(&str, u64, Vec<Run>); 3] = [
+        (
+            "original",
+            0x2b39_2dcb_e6cb_d12f,
+            at_every_count(&|w| run_digest(OriginalRouteNet::new(model_config()), &legacy, w)),
+        ),
+        (
+            "extended",
+            0xde94_dc76_48b3_aa77,
+            at_every_count(&|w| run_digest(ExtendedRouteNet::new(model_config()), &legacy, w)),
+        ),
+        (
+            "qos_two_class",
+            0xc128_fe1e_b011_1c4b,
+            at_every_count(&|w| run_digest(QosRouteNet::new(model_config()), &two_class, w)),
+        ),
+    ];
+    let table: String = scenarios
+        .iter()
+        .map(|(name, want, runs)| {
+            let rows: String = runs
+                .iter()
+                .map(|r| {
+                    format!(
+                        "    got @{} workers {:#018x} (stopped at epoch {})\n",
+                        r.workers, r.digest, r.stopped_at
+                    )
+                })
+                .collect();
+            format!("  {name}:\n    recorded       {want:#018x}\n{rows}")
+        })
+        .collect();
+    if std::env::var("RN_REGEN_GOLDEN").is_ok() {
+        eprintln!("trainer_digest scenarios:\n{table}");
+        return;
+    }
+    assert!(
+        scenarios
+            .iter()
+            .all(|(_, want, runs)| runs.iter().all(|r| r.digest == *want)),
+        "the trainer moved bits against the frozen reference:\n{table}"
+    );
+}
