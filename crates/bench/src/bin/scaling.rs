@@ -2,8 +2,8 @@
 //!
 //! The generalization claim of the paper (train on one topology, predict on
 //! another) is exercised here at ISP scale: the model trains on GEANT2
-//! (24 nodes) with streaming composition, then predicts per-path delays on
-//! generated tiered ISP topologies of 100/250/500+ nodes it has never seen.
+//! (24 nodes), then predicts per-path delays on generated tiered ISP
+//! topologies of 100/250/500+ nodes it has never seen.
 //! Giant scenarios use **sparse** traffic (`generate_sparse`): a fixed
 //! number of active source/destination pairs regardless of node count, so
 //! label count stays constant across sizes and the per-path cost column
@@ -25,10 +25,8 @@
 //! | `RN_SCALING_EVAL_SAMPLES` | `3` | samples per eval size |
 //! | `RN_SCALING_MAX_RSS_MB` | unset | exit non-zero if peak RSS exceeds this |
 //!
-//! Streaming composition (`RN_STREAM_COMPOSE`) is forced on for the training
-//! run — this binary is the end-to-end proof that the memory-bounded path
-//! trains real models. Set `RN_INTRA_SHARDS` to fan out the dense phases of
-//! the giant single-sample compositions across cores.
+//! Set `RN_INTRA_SHARDS` to fan out the dense phases of the giant
+//! single-sample compositions across cores.
 
 use rn_bench::{cached_dataset, env_f64, env_usize, peak_rss_mb, ExperimentConfig};
 use rn_netgraph::generators::{isp_tiered, TierConfig};
@@ -76,8 +74,6 @@ struct ScalingReport {
     train_samples: usize,
     /// Training epochs.
     epochs: usize,
-    /// Whether composition streamed (always true here).
-    stream_compose: bool,
     /// Training wall-clock (seconds).
     train_s: f64,
     /// Final epoch mean training loss.
@@ -149,11 +145,10 @@ fn main() {
     let gen = cfg.generator();
     let min_packets = 10;
 
-    // --- Train small: GEANT2, streaming composition ------------------------
+    // --- Train small: GEANT2 ------------------------------------------------
     let geant2 = topologies::geant2_default();
     let train_set = cached_dataset(&geant2, &gen, cfg.seed, cfg.train_samples, "train");
-    let mut train_cfg = cfg.training();
-    train_cfg.stream_compose = true;
+    let train_cfg = cfg.training();
     let mut model = ExtendedRouteNet::new(cfg.model());
     let t0 = Instant::now();
     let hist = train(&mut model, &train_set, None, &train_cfg);
@@ -227,7 +222,6 @@ fn main() {
         train_nodes: geant2.num_nodes(),
         train_samples: cfg.train_samples,
         epochs: cfg.epochs,
-        stream_compose: true,
         train_s,
         final_train_loss: hist.final_train_loss(),
         peak_rss_after_train_mb,

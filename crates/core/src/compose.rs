@@ -150,8 +150,11 @@ impl MegabatchStructure {
     /// passing keeps the single-shard schedule and only the
     /// dense per-row work (link/node GRU updates, readout MLP), which has no
     /// block-diagonal constraint, fans out over `intra_shards` balanced row
-    /// blocks. Output is bitwise identical to the unsharded plan at any
-    /// value (`tests/sharded_determinism.rs` pins this).
+    /// blocks. Forward output is bitwise identical to the unsharded plan at
+    /// any value; weight gradients are summed per block, a different
+    /// grouping, so they agree with the unsharded ones only to rounding and
+    /// depend on `intra_shards` (not on the worker count) —
+    /// `tests/sharded_determinism.rs` pins both.
     pub fn compose_with(
         parts: &[&SamplePlan],
         intra_shards: usize,

@@ -207,25 +207,6 @@ pub fn collect_predictions<M: PathPredictor>(model: &M, plans: &[SamplePlan]) ->
         .collect()
 }
 
-/// Per-sample (unfused) prediction collection — the legacy path, kept for
-/// comparison and for harnesses that need one tape per sample.
-pub fn collect_predictions_per_sample<M: PathPredictor>(
-    model: &M,
-    plans: &[SamplePlan],
-) -> Vec<(f64, f64)> {
-    plans
-        .par_iter()
-        .flat_map_iter(|plan| {
-            let preds = model.predict(plan);
-            plan.reliable_idx
-                .iter()
-                .map(|&i| (preds[i], plan.targets_raw[i]))
-                .collect::<Vec<_>>()
-                .into_iter()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,11 +3,11 @@
 //!
 //! When tracing is on (`RN_TRACE=1`, see [`rn_trace::enabled`]) the
 //! trainer times five stages of every epoch — [`STAGES`]: composition
-//! claiming (inline compose + prefetch-lane wait), the fused forward, the
-//! backward sweep, the optimizer step, and validation — and appends one
-//! [`EpochRecord`] JSON line per epoch to the trace output file, plus one
-//! final [`RunSummary`] line with cumulative stage totals and the
-//! process-global backward op-kind attribution from
+//! claiming (the inline compose of a batch's first visit), the fused
+//! forward, the backward sweep, the optimizer step, and validation — and
+//! appends one [`EpochRecord`] JSON line per epoch to the trace output
+//! file, plus one final [`RunSummary`] line with cumulative stage totals
+//! and the process-global backward op-kind attribution from
 //! [`rn_autograd::trace`]. With tracing off nothing is timed, written, or
 //! allocated.
 //!
@@ -29,15 +29,13 @@ use std::sync::Mutex;
 
 /// Trainer stage names, recording-index order.
 pub const STAGES: &[&str] = &["compose_wait", "forward", "backward", "optimizer", "eval"];
-/// Claiming a batch's compositions: waiting on the prefetch lane plus any
-/// inline (cold-start) compose. Near-zero from epoch 2 on — structure
+/// Claiming a batch's compositions: the inline compose on the batch's
+/// first visit, a lookup afterwards. Near-zero from epoch 2 on — structure
 /// reuse is total.
 pub const COMPOSE_WAIT: usize = 0;
-/// Fused forward pass + loss evaluation, one span per megabatch shard
-/// (per sample on the legacy path).
+/// Fused forward pass + loss evaluation, one span per megabatch shard.
 pub const FORWARD: usize = 1;
-/// Reverse sweep over the tape, one span per megabatch shard (per sample
-/// on the legacy path).
+/// Reverse sweep over the tape, one span per megabatch shard.
 pub const BACKWARD: usize = 2;
 /// Gradient clipping + Adam step, one span per optimizer step.
 pub const OPTIMIZER: usize = 3;

@@ -1,35 +1,32 @@
 //! Minibatch training with data-parallel gradients.
 //!
-//! Each training step picks a minibatch of sample graphs. By default the
-//! batch is packed into block-diagonal **megabatches**
-//! ([`crate::entities::build_megabatch`]): each worker runs ONE fused
-//! forward/backward over several samples at once — one parameter `bind()`
-//! amortized over the pack, `B`-fold taller (cache-friendlier) matmuls, and
-//! an order of magnitude fewer tape nodes. Workers draw reusable tapes from
-//! a [`TapePool`]: every matrix of a step's bind, forward and backward comes
-//! from the tape's bounded buffer pool, so after the first visit of each
-//! batch shape a step allocates only the gradients it returns and per-op
-//! bookkeeping (the `tape_pool_bytes` / `tape_pool_misses` gauges of the
-//! `{"summary":true}` trace line say how much the tapes hold and how often
-//! they had to allocate).
+//! Each training step picks a minibatch of sample graphs and packs it into
+//! block-diagonal **megabatches** ([`crate::entities::build_megabatch`]):
+//! each worker runs ONE fused forward/backward over several samples at once
+//! — one parameter `bind()` amortized over the pack, `B`-fold taller
+//! (cache-friendlier) matmuls, and an order of magnitude fewer tape nodes.
+//! Workers draw reusable tapes from a [`TapePool`]: every matrix of a step's
+//! bind, forward and backward comes from the tape's bounded buffer pool, so
+//! after the first visit of each batch shape a step allocates only the
+//! gradients it returns and per-op bookkeeping (the `tape_pool_bytes` /
+//! `tape_pool_misses` gauges of the `{"summary":true}` trace line say how
+//! much the tapes hold and how often they had to allocate).
 //!
-//! ## Batch scheduler and structure reuse
+//! ## One schedule
 //!
 //! Megabatch **membership is fixed once** from the seeded shuffle; later
-//! epochs only permute the order batches are visited in. That means every
-//! megabatch's composed structure ([`crate::compose::ComposedMegabatch`]) is
-//! built exactly once — lazily on first visit, with the *next* batch
-//! composed ahead of time on the worker pool's background lane while the
-//! current batch runs — and epochs ≥ 2 do **zero** structure work per step:
-//! the steady-state loop binds straight against cached compositions.
+//! epochs only permute the order batches are visited in. Every batch's
+//! composed structure ([`crate::compose::ComposedMegabatch`]) is built
+//! exactly once — inline on the batch's first visit, under the
+//! `compose_wait` span — kept, and replayed: epochs ≥ 2 do **zero**
+//! structure work per step and bind straight against the kept compositions.
 //! Validation chunks are composed once up front and reused every epoch.
+//! This is the only schedule; `docs/ARCHITECTURE.md` ("Why there is no
+//! streaming composition") has the measurements behind that.
 //!
 //! The loss of a megabatch is weighted per row so its gradient equals the
-//! mean of per-sample mean losses — the exact semantics of the legacy
-//! per-sample path, which remains available via
-//! [`TrainConfig::use_megabatch`] `= false` (samples then run on their own
-//! tapes, in parallel with rayon, like the original TensorFlow RouteNet;
-//! that path keeps its per-epoch membership reshuffle).
+//! mean of per-sample mean losses — what training each sample on its own
+//! tape and averaging would give.
 
 use crate::compose::ComposedMegabatch;
 use crate::entities::{MegabatchPlan, SamplePlan};
@@ -37,7 +34,7 @@ use crate::model::PathPredictor;
 use crate::train_trace::{self, TrainTrace};
 use rayon::prelude::*;
 use rayon::WorkerPool;
-use rn_autograd::{Graph, TapePool};
+use rn_autograd::{Graph, TapePool, Var};
 use rn_dataset::Dataset;
 use rn_nn::loss::Loss;
 use rn_nn::{clip_global_norm, Adam, Optimizer};
@@ -60,7 +57,8 @@ pub struct TrainConfig {
     pub loss: Loss,
     /// Minimum delivered packets for a path label to be trained on.
     pub min_packets: u64,
-    /// Shuffling seed.
+    /// Seed of the one shuffle that fixes batch membership and of the
+    /// per-epoch visit-order permutations.
     pub seed: u64,
     /// Stop early when validation loss fails to improve for this many epochs
     /// (`None` disables; requires a validation set).
@@ -70,35 +68,18 @@ pub struct TrainConfig {
     pub lr_halve_epochs: Vec<usize>,
     /// Print one progress line per epoch to stderr.
     pub verbose: bool,
-    /// Run batches as fused block-diagonal megabatches (the fast default).
-    /// `false` restores the per-sample-tape path.
-    pub use_megabatch: bool,
     /// Samples per megabatch shard; a batch is split into
-    /// `ceil(batch_size / megabatch_size)` shards processed in parallel.
-    /// Fixed shard boundaries keep training seed-deterministic regardless
-    /// of worker count.
+    /// `ceil(batch_size / megabatch_size)` shards, each one fused
+    /// forward/backward. Fixed shard boundaries keep training
+    /// seed-deterministic regardless of worker count.
     pub megabatch_size: usize,
     /// Worker threads for the sharded forward/backward *inside* one
     /// megabatch: the block-diagonal plan's per-sample shards fan out to a
-    /// persistent worker pool, and gradients are reduced in a fixed
-    /// per-sample order, so results are **bitwise identical** for any value
-    /// here (1 runs everything inline). This lever composes with
-    /// `megabatch_size`: megabatches parallelize across the batch, shards
-    /// parallelize within each megabatch.
+    /// persistent worker gang (spawned only when this is above 1), and
+    /// gradients are reduced in a fixed per-sample order, so results are
+    /// **bitwise identical** for any value here (1 runs everything inline
+    /// and spreads a batch's megabatches over rayon workers instead).
     pub backward_shards: usize,
-    /// Stream megabatch composition instead of caching it: each batch's
-    /// composed megabatch slices are built one visit ahead on the worker
-    /// pool's background lane, consumed, and **dropped** — nothing is
-    /// retained across epochs, so peak memory is bounded by two batches'
-    /// compositions (current + prefetched) instead of the whole epoch's.
-    /// Validation chunks stream the same way. The default (`false`) caches
-    /// every composition after the cold first epoch, which is faster in
-    /// steady state but holds CSR + feature buffers for the entire training
-    /// set — prohibitive for giant (ISP-scale) topologies. Composition is a
-    /// pure function of the plans, and slices are consumed in the same
-    /// fixed order either way, so trained models are **bitwise identical**
-    /// with streaming on or off (pinned by `tests/composed_equivalence.rs`).
-    pub stream_compose: bool,
     /// Where the per-epoch stage-breakdown JSONL stream goes when tracing
     /// is on (`RN_TRACE=1`); see [`crate::train_trace`]. `None` falls back
     /// to the `RN_TRACE_TRAIN_OUT` env knob, then `train_metrics.jsonl`.
@@ -120,10 +101,8 @@ impl Default for TrainConfig {
             patience: None,
             lr_halve_epochs: Vec::new(),
             verbose: false,
-            use_megabatch: true,
             megabatch_size: 4,
             backward_shards: 1,
-            stream_compose: false,
             trace_out: None,
         }
     }
@@ -137,12 +116,6 @@ impl TrainConfig {
     /// `std::env::var` reads of this name are how the knob drifts.
     pub const BACKWARD_SHARDS_ENV: &'static str = "RN_BACKWARD_SHARDS";
 
-    /// The env var overriding [`TrainConfig::stream_compose`] — the
-    /// memory-bounded composition mode for giant-topology training. Read it
-    /// through [`TrainConfig::env_stream_compose`] or
-    /// [`TrainConfig::from_env`].
-    pub const STREAM_COMPOSE_ENV: &'static str = "RN_STREAM_COMPOSE";
-
     /// Every training-side environment knob, as `(name, what it overrides)`
     /// pairs — the **single source of truth** the README's "Configuration"
     /// table is checked against (`readme_documents_every_env_knob` test).
@@ -155,19 +128,13 @@ impl TrainConfig {
              overrides TrainConfig::backward_shards, bitwise-identical at any value",
         ),
         (
-            Self::STREAM_COMPOSE_ENV,
-            "1/true/on streams megabatch composition (build one batch ahead, consume, drop) \
-             instead of caching every composition across epochs; overrides \
-             TrainConfig::stream_compose. Bounds training memory to two batches' compositions \
-             — for giant topologies — at the cost of recomposing every epoch. Trained models \
-             are bitwise identical either way",
-        ),
-        (
             crate::compose::INTRA_SHARDS_ENV,
             "intra-sample dense shard count for single-sample compositions (giant topologies): \
              N > 1 fans the link/node GRU updates and the readout MLP out over N balanced row \
-             blocks while message passing keeps the single-shard schedule; bitwise \
-             identical at any value, disabled when unset",
+             blocks while message passing keeps the single-shard schedule. Forward bits \
+             (predictions, loss) are identical at any N; gradients are summed per block, a \
+             different grouping, so trained weights depend on N (never on the worker count). \
+             Disabled when unset",
         ),
         (
             "RN_TRACE",
@@ -211,38 +178,17 @@ impl TrainConfig {
         raw?.trim().parse::<usize>().ok().filter(|&n| n > 0)
     }
 
-    /// The `RN_STREAM_COMPOSE` override, if set to a recognized boolean.
-    pub fn env_stream_compose() -> Option<bool> {
-        Self::parse_stream_compose(std::env::var(Self::STREAM_COMPOSE_ENV).ok().as_deref())
-    }
-
-    /// Interpret a raw `RN_STREAM_COMPOSE` value: `1`/`true`/`on` enable,
-    /// `0`/`false`/`off` disable (case-insensitive, surrounding whitespace
-    /// tolerated), anything else is ignored. Pure and unit-testable, like
-    /// [`TrainConfig::parse_backward_shards`].
-    pub fn parse_stream_compose(raw: Option<&str>) -> Option<bool> {
-        match raw?.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => Some(true),
-            "0" | "false" | "off" => Some(false),
-            _ => None,
-        }
-    }
-
     /// [`TrainConfig::default`] with every recognized env override applied.
     pub fn from_env() -> Self {
         Self::default().with_env_overrides()
     }
 
-    /// Apply env overrides (`RN_BACKWARD_SHARDS`, `RN_STREAM_COMPOSE`,
-    /// `RN_TRACE_TRAIN_OUT`) on
+    /// Apply env overrides (`RN_BACKWARD_SHARDS`, `RN_TRACE_TRAIN_OUT`) on
     /// top of an explicitly constructed config. (`RN_TRACE` itself is read
     /// lazily by `rn_trace`, not stored here.)
     pub fn with_env_overrides(mut self) -> Self {
         if let Some(shards) = Self::env_backward_shards() {
             self.backward_shards = shards;
-        }
-        if let Some(stream) = Self::env_stream_compose() {
-            self.stream_compose = stream;
         }
         if let Some(path) = std::env::var(crate::train_trace::TRACE_OUT_ENV)
             .ok()
@@ -285,13 +231,13 @@ impl TrainingHistory {
 
 /// Gather the reliable prediction rows for the loss through an `Arc`-backed
 /// view of `reliable_idx`, so the tape copies no index word.
-fn gather_reliable(g: &mut Graph, pred: rn_autograd::Var, plan: &SamplePlan) -> rn_autograd::Var {
+fn gather_reliable(g: &mut Graph, pred: Var, plan: &SamplePlan) -> Var {
     g.gather_rows_sharded(pred, plan.reliable_idx_shared().into(), None)
 }
 
 /// The reliable rows' normalized targets as a constant column in a pooled
 /// buffer — `plan.reliable_targets_norm()`'s values without its allocation.
-fn bind_reliable_targets(g: &mut Graph, plan: &SamplePlan) -> rn_autograd::Var {
+fn bind_reliable_targets(g: &mut Graph, plan: &SamplePlan) -> Var {
     g.constant_with(plan.reliable_idx.len(), 1, |m| {
         for (dst, &row) in m.as_mut_slice().iter_mut().zip(&plan.reliable_idx) {
             *dst = plan.targets_norm.get(row, 0);
@@ -299,48 +245,38 @@ fn bind_reliable_targets(g: &mut Graph, plan: &SamplePlan) -> rn_autograd::Var {
     })
 }
 
-/// Forward + loss on one plan; returns `(loss, grads)` or `None` when the
-/// plan has no reliable labels. The legacy per-sample gradient path.
-fn sample_gradients<M: PathPredictor>(
+/// Bind → forward → gather the reliable rows → row-weighted loss of one
+/// **pre-composed** megabatch on a reset tape; the body training and
+/// validation share.
+///
+/// The loss node evaluates to `sum_s mean_loss_s / scale`. Returns the
+/// bound parameters, that node and `sum_s mean_loss_s`. Dividing the row
+/// weights by `scale = 1` and multiplying the value back are both exact,
+/// which is how validation asks for the plain sum of per-sample means.
+fn megabatch_forward<M: PathPredictor>(
     model: &M,
-    plan: &SamplePlan,
+    mb: &MegabatchPlan,
     loss: Loss,
-    stages: &rn_trace::StageRecorder,
-) -> Option<(f64, Vec<Matrix>)> {
-    if plan.reliable_idx.is_empty() {
-        return None;
-    }
-    let mut g = Graph::new();
-    let fwd = stages.span(train_trace::FORWARD);
-    let bound = model.bind(&mut g);
-    let pred = model.forward(&mut g, &bound, plan);
-    let reliable = gather_reliable(&mut g, pred, plan);
-    let target = bind_reliable_targets(&mut g, plan);
-    let loss_node = loss.apply(&mut g, reliable, target);
-    let loss_value = g.value(loss_node).get(0, 0) as f64;
-    fwd.finish();
-    let bwd = stages.span(train_trace::BACKWARD);
-    g.backward(loss_node);
-    bwd.finish();
-    Some((loss_value, model.grads(&g, &bound)))
+    scale: usize,
+    g: &mut Graph,
+) -> (M::Bound, Var, f64) {
+    g.reset();
+    let bound = model.bind(g);
+    let pred = model.forward(g, &bound, &mb.plan);
+    let reliable = gather_reliable(g, pred, &mb.plan);
+    let target = bind_reliable_targets(g, &mb.plan);
+    let weights = Matrix::column_vector(
+        &mb.sample_mean_weights
+            .iter()
+            .map(|w| w / scale as f32)
+            .collect::<Vec<f32>>(),
+    );
+    let loss_node = loss.apply_weighted(g, reliable, target, &weights);
+    let sum_of_means = g.value(loss_node).get(0, 0) as f64 * scale as f64;
+    (bound, loss_node, sum_of_means)
 }
 
-/// Loss only (no backward) — used for validation.
-fn sample_loss<M: PathPredictor>(model: &M, plan: &SamplePlan, loss: Loss) -> Option<f64> {
-    if plan.reliable_idx.is_empty() {
-        return None;
-    }
-    let mut g = Graph::new();
-    let bound = model.bind(&mut g);
-    let pred = model.forward(&mut g, &bound, plan);
-    let reliable = gather_reliable(&mut g, pred, plan);
-    let target = bind_reliable_targets(&mut g, plan);
-    let loss_node = loss.apply(&mut g, reliable, target);
-    Some(g.value(loss_node).get(0, 0) as f64)
-}
-
-/// One fused forward/backward over a **pre-composed** megabatch shard on a
-/// pooled tape.
+/// One fused forward/backward over a megabatch shard.
 ///
 /// Returns `(sum_of_per_sample_mean_losses, samples_with_labels, grads)`;
 /// the gradients are of `sum_s mean_loss_s / scale`, so with
@@ -353,51 +289,50 @@ fn megabatch_gradients<M: PathPredictor>(
     scale: usize,
     g: &mut Graph,
     stages: &rn_trace::StageRecorder,
-) -> Option<(f64, usize, Vec<Matrix>)> {
-    if mb.plan.reliable_idx.is_empty() {
-        return None;
-    }
-    g.reset();
+) -> (f64, usize, Vec<Matrix>) {
     let fwd = stages.span(train_trace::FORWARD);
-    let bound = model.bind(g);
-    let pred = model.forward(g, &bound, &mb.plan);
-    let reliable = gather_reliable(g, pred, &mb.plan);
-    let target = bind_reliable_targets(g, &mb.plan);
-    let weights = Matrix::column_vector(
-        &mb.sample_mean_weights
-            .iter()
-            .map(|w| w / scale as f32)
-            .collect::<Vec<f32>>(),
-    );
-    let loss_node = loss.apply_weighted(g, reliable, target, &weights);
-    // The weighted node evaluates to (sum of per-sample means) / scale.
-    let sum_of_means = g.value(loss_node).get(0, 0) as f64 * scale as f64;
+    let (bound, loss_node, sum_of_means) = megabatch_forward(model, mb, loss, scale, g);
     fwd.finish();
     let bwd = stages.span(train_trace::BACKWARD);
     g.backward(loss_node);
     bwd.finish();
-    Some((sum_of_means, mb.reliable_samples, model.grads(g, &bound)))
+    (sum_of_means, mb.reliable_samples, model.grads(g, &bound))
 }
 
-/// Validation loss of a pre-composed megabatch chunk:
-/// `(sum_of_per_sample_means, count)`.
-fn megabatch_loss<M: PathPredictor>(
-    model: &M,
-    mb: &MegabatchPlan,
-    loss: Loss,
-    g: &mut Graph,
-) -> (f64, usize) {
-    if mb.plan.reliable_idx.is_empty() {
-        return (0.0, 0);
+/// Run `f` on every composition that has a reliable label, each on a tape
+/// checked out of `tapes`, and return the results in composition order.
+///
+/// This is the one place the trainer picks its axis of parallelism. With a
+/// `gang` (`backward_shards > 1`) every tape fans the fused ops' per-sample
+/// shards out to it and the compositions run one after another:
+/// intra-megabatch parallelism *replaces* inter-megabatch parallelism,
+/// because running both would only make every rayon worker queue on the
+/// gang's one-job-at-a-time publisher gate. Without one, the compositions
+/// spread over rayon workers and each tape runs inline. Results come back
+/// in the same order and the gang reduces in a fixed per-sample order, so
+/// the choice cannot change a bit of what is folded from them.
+fn map_labelled_on_tapes<T: Send>(
+    tapes: &TapePool,
+    gang: &Option<Arc<WorkerPool>>,
+    comps: &[ComposedMegabatch],
+    f: impl Fn(&MegabatchPlan, &mut Graph) -> T + Sync,
+) -> Vec<T> {
+    let run = |c: &ComposedMegabatch| {
+        let mb = c.megabatch();
+        if mb.plan.reliable_idx.is_empty() {
+            return None;
+        }
+        let mut tape = tapes.acquire();
+        tape.set_worker_pool(gang.clone());
+        let out = f(mb, &mut tape);
+        tapes.release(tape);
+        Some(out)
+    };
+    if gang.is_some() {
+        comps.iter().filter_map(run).collect()
+    } else {
+        comps.par_iter().filter_map(run).collect()
     }
-    g.reset();
-    let bound = model.bind(g);
-    let pred = model.forward(g, &bound, &mb.plan);
-    let reliable = gather_reliable(g, pred, &mb.plan);
-    let target = bind_reliable_targets(g, &mb.plan);
-    let weights = Matrix::column_vector(&mb.sample_mean_weights);
-    let loss_node = loss.apply_weighted(g, reliable, target, &weights);
-    (g.value(loss_node).get(0, 0) as f64, mb.reliable_samples)
 }
 
 /// Train `model` on `train_set`, optionally tracking `val_set`.
@@ -479,92 +414,42 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
     // Reusable tapes shared by whichever workers process shards; buffers
     // survive across batches and epochs.
     let tape_pool = TapePool::new();
-    // The worker pool serves two roles on the megabatch path: its gang runs
-    // the intra-megabatch sharded kernels (engaged on tapes only when
-    // backward_shards > 1), and its background lane is where the prefetch
-    // stage composes upcoming megabatches while the gang is busy.
-    //
-    // Intra-megabatch shard gang: each checked-out tape fans the fused ops'
-    // per-sample shards across these workers. Gradients are identical at
-    // any worker count (ordered per-shard reduction), so this is purely a
-    // throughput lever. With the gang enabled, megabatches are processed
-    // sequentially — intra-batch parallelism *replaces* inter-batch
-    // parallelism. Running both at once would only make every rayon worker
-    // queue on the gang's one-job-at-a-time publisher gate; picking one
-    // axis keeps the cores busy without contention. Chunk results are
-    // folded in the same order either way, so the choice cannot change a
-    // bit of the gradients.
-    let worker_pool: Option<Arc<WorkerPool>> = config
-        .use_megabatch
-        .then(|| Arc::new(WorkerPool::new(config.backward_shards)));
-    let gang: Option<Arc<WorkerPool>> = worker_pool
-        .as_ref()
-        .filter(|_| config.backward_shards > 1)
-        .cloned();
-    let sharded_tape = |pool: &TapePool| {
-        let mut tape = pool.acquire();
-        tape.set_worker_pool(gang.clone());
-        tape
-    };
+    // The intra-megabatch shard gang (see `map_labelled_on_tapes`): purely
+    // a throughput lever, spawned only when it has more than one worker.
+    let gang: Option<Arc<WorkerPool>> =
+        (config.backward_shards > 1).then(|| Arc::new(WorkerPool::new(config.backward_shards)));
 
-    // ---- Batch scheduler (megabatch path) --------------------------------
+    // ---- The schedule -----------------------------------------------------
     // Megabatch membership is fixed ONCE from the seeded shuffle; epochs
     // >= 2 only permute the order batches are visited in. Fixed membership
     // is what makes structure reuse total: each batch's composed megabatch
     // (structure + features, both static across epochs here) is built once
     // and replayed verbatim, so the steady-state loop runs zero per-step
     // `build_megabatch` work.
-    let (batches, batch_labelled): (Vec<Vec<usize>>, Vec<usize>) = if config.use_megabatch {
-        let mut order: Vec<usize> = (0..plans.len()).collect();
-        rng.shuffle(&mut order);
-        let batches: Vec<Vec<usize>> = order
-            .chunks(config.batch_size)
-            .map(<[usize]>::to_vec)
-            .collect();
-        // Samples with labels per batch — the fixed gradient scale.
-        let labelled = batches
-            .iter()
-            .map(|batch| {
-                batch
-                    .iter()
-                    .filter(|&&i| !plans[i].reliable_idx.is_empty())
-                    .count()
-            })
-            .collect();
-        (batches, labelled)
-    } else {
-        (Vec::new(), Vec::new())
+    let mut order: Vec<usize> = (0..plans.len()).collect();
+    rng.shuffle(&mut order);
+    let batches: Vec<&[usize]> = order.chunks(config.batch_size).collect();
+    // Samples with labels per batch — the fixed gradient scale.
+    let batch_labelled: Vec<usize> = batches
+        .iter()
+        .map(|batch| {
+            batch
+                .iter()
+                .filter(|&&i| !plans[i].reliable_idx.is_empty())
+                .count()
+        })
+        .collect();
+    let compose = |parts: &[&SamplePlan]| -> ComposedMegabatch {
+        ComposedMegabatch::compose(parts).expect("train: uniform-width non-empty shard")
     };
-    // One composed megabatch per shard of each batch, built lazily on the
-    // first visit and cached for every later epoch. In streaming mode
-    // (`config.stream_compose`) this cache stays empty: each batch's
-    // compositions are claimed from the prefetch lane (or built inline),
-    // consumed, and dropped, so resident composition memory is bounded by
-    // two batches — the whole point for giant topologies.
+    // One composed megabatch per shard of each batch, built on the batch's
+    // first visit and kept for every later epoch.
     let mut composed: Vec<Option<Vec<ComposedMegabatch>>> = batches.iter().map(|_| None).collect();
-    let compose_batch = |batch: &[usize]| -> Vec<ComposedMegabatch> {
-        batch
-            .chunks(config.megabatch_size)
-            .map(|shard| {
-                let parts: Vec<&SamplePlan> = shard.iter().map(|&i| &plans[i]).collect();
-                ComposedMegabatch::compose(&parts).expect("train: uniform-width non-empty shard")
-            })
-            .collect()
-    };
-    let compose_val_chunk = |chunk: &[SamplePlan]| -> ComposedMegabatch {
-        let parts: Vec<&SamplePlan> = chunk.iter().collect();
-        ComposedMegabatch::compose(&parts).expect("train: uniform-width val chunk")
-    };
-    // Validation chunks are composed once up front and reused every epoch —
-    // unless streaming, where they are recomposed (and dropped) per epoch.
-    let val_composed: Vec<ComposedMegabatch> = if config.use_megabatch && !config.stream_compose {
-        val_plans
-            .chunks(config.megabatch_size)
-            .map(compose_val_chunk)
-            .collect()
-    } else {
-        Vec::new()
-    };
+    // Validation chunks are composed once up front and reused every epoch.
+    let val_composed: Vec<ComposedMegabatch> = val_plans
+        .chunks(config.megabatch_size)
+        .map(|chunk| compose(&chunk.iter().collect::<Vec<_>>()))
+        .collect();
 
     for epoch in 0..config.epochs {
         if config.lr_halve_epochs.contains(&epoch) {
@@ -581,166 +466,55 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
 
         let mut epoch_loss_sum = 0.0;
         let mut epoch_loss_count = 0usize;
-        if config.use_megabatch {
-            // Visit order: the first epoch follows membership order (the
-            // seeded shuffle above — identical batching to the pre-scheduler
-            // trainer); later epochs permute which batch is visited when.
-            let mut visit: Vec<usize> = (0..batches.len()).collect();
-            if epoch > 0 {
-                rng.shuffle(&mut visit);
+        // Visit order: the first epoch follows membership order (the seeded
+        // shuffle above); later epochs permute which batch is visited when.
+        let mut visit: Vec<usize> = (0..batches.len()).collect();
+        if epoch > 0 {
+            rng.shuffle(&mut visit);
+        }
+        for &bi in &visit {
+            let labelled = batch_labelled[bi];
+            if labelled == 0 {
+                continue;
             }
-            // Double-buffered prefetch: while the current batch runs on the
-            // gang, the pool's background lane composes the next batch that
-            // has no cached structure yet. Only the cold first epoch ever
-            // has compose work to hide; the handle drains within the epoch.
-            let mut pending: Option<(usize, rayon::Prefetch<'_, Vec<ComposedMegabatch>>)> = None;
-            for (vi, &bi) in visit.iter().enumerate() {
-                let labelled = batch_labelled[bi];
-                if labelled == 0 {
-                    continue;
-                }
-                // Claim this batch's compositions: from the prefetch lane
-                // when it ran ahead, inline otherwise (cold start). The
-                // compose_wait span covers both the lane join and any
-                // inline compose — near-zero from epoch 2 on when caching,
-                // the per-batch compose cost when streaming. In streaming
-                // mode the claim is held locally and dropped at the end of
-                // this iteration instead of parked in `composed`.
-                let streamed: Option<Vec<ComposedMegabatch>> = {
-                    let _compose_span = stages.span(train_trace::COMPOSE_WAIT);
-                    if config.stream_compose {
-                        Some(match pending.take() {
-                            // The lane is always aimed at the next labelled
-                            // batch in visit order, so a pending handle is
-                            // this batch's — but claim defensively.
-                            Some((pi, task)) if pi == bi => task.join(),
-                            Some((_, task)) => {
-                                drop(task.join());
-                                compose_batch(&batches[bi])
-                            }
-                            None => compose_batch(&batches[bi]),
-                        })
-                    } else {
-                        if composed[bi].is_none() {
-                            if let Some((pi, task)) = pending.take() {
-                                composed[pi] = Some(task.join());
-                            }
-                        }
-                        if composed[bi].is_none() {
-                            composed[bi] = Some(compose_batch(&batches[bi]));
-                        }
-                        None
-                    }
-                };
-                // Aim the background lane at the next batch needing compose
-                // work: the next uncomposed one when caching, the immediate
-                // labelled successor when streaming (nothing is retained,
-                // so every upcoming batch needs it).
-                if pending.is_none() {
-                    if let Some(pool) = worker_pool.as_deref() {
-                        let next = visit[vi + 1..].iter().copied().find(|&b| {
-                            batch_labelled[b] > 0
-                                && (config.stream_compose || composed[b].is_none())
-                        });
-                        if let Some(nb) = next {
-                            let compose_batch = &compose_batch;
-                            let batches = &batches;
-                            // SAFETY: the Prefetch handle is joined (or
-                            // dropped, which blocks) strictly within this
-                            // epoch's scope, and is never leaked — the
-                            // borrowed plans/batches outlive it.
-                            let task = unsafe { pool.submit(move || compose_batch(&batches[nb])) };
-                            pending = Some((nb, task));
+            // The compose_wait span is this batch's whole structure cost:
+            // one inline compose on the first visit, a lookup afterwards.
+            let comps: &[ComposedMegabatch] = {
+                let _compose_span = stages.span(train_trace::COMPOSE_WAIT);
+                composed[bi].get_or_insert_with(|| {
+                    batches[bi]
+                        .chunks(config.megabatch_size)
+                        .map(|shard| compose(&shard.iter().map(|&i| &plans[i]).collect::<Vec<_>>()))
+                        .collect()
+                })
+            };
+            let snapshot: &M = model;
+            let results = map_labelled_on_tapes(&tape_pool, &gang, comps, |mb, tape| {
+                megabatch_gradients(snapshot, mb, config.loss, labelled, tape, stages)
+            });
+            let mut loss_sum = 0.0;
+            let mut count = 0usize;
+            let mut grads: Option<Vec<Matrix>> = None;
+            for (sum_of_means, samples, shard_grads) in results {
+                loss_sum += sum_of_means;
+                count += samples;
+                match &mut grads {
+                    None => grads = Some(shard_grads),
+                    Some(acc) => {
+                        for (a, g) in acc.iter_mut().zip(&shard_grads) {
+                            a.add_assign(g);
                         }
                     }
                 }
-
-                let snapshot: &M = model;
-                let comps = streamed
-                    .as_ref()
-                    .or(composed[bi].as_ref())
-                    .expect("composed above");
-                let run_shard = |c: &ComposedMegabatch| {
-                    let mut tape = sharded_tape(&tape_pool);
-                    let out = megabatch_gradients(
-                        snapshot,
-                        c.megabatch(),
-                        config.loss,
-                        labelled,
-                        &mut tape,
-                        stages,
-                    );
-                    tape_pool.release(tape);
-                    out
-                };
-                let results: Vec<(f64, usize, Vec<Matrix>)> = if gang.is_some() {
-                    comps.iter().filter_map(run_shard).collect()
-                } else {
-                    comps.par_iter().filter_map(run_shard).collect()
-                };
-                let mut loss_sum = 0.0;
-                let mut count = 0usize;
-                let mut grads: Option<Vec<Matrix>> = None;
-                for (sum_of_means, samples, shard_grads) in results {
-                    loss_sum += sum_of_means;
-                    count += samples;
-                    match &mut grads {
-                        None => grads = Some(shard_grads),
-                        Some(acc) => {
-                            for (a, g) in acc.iter_mut().zip(&shard_grads) {
-                                a.add_assign(g);
-                            }
-                        }
-                    }
-                }
-                // Shard gradients are already scaled by 1/labelled; their
-                // sum is the batch-mean gradient.
-                let Some(mut grads) = grads else { continue };
-                epoch_loss_sum += loss_sum;
-                epoch_loss_count += count;
-                let _opt_span = stages.span(train_trace::OPTIMIZER);
-                clip_global_norm(&mut grads, config.grad_clip);
-                optimizer.step(&mut model.params_mut(), &grads);
             }
-        } else {
-            // Legacy per-sample path: membership reshuffles every epoch,
-            // exactly as the original TensorFlow RouteNet trained.
-            let mut order: Vec<usize> = (0..plans.len()).collect();
-            rng.shuffle(&mut order);
-            for batch in order.chunks(config.batch_size) {
-                let snapshot: &M = model;
-                let results: Vec<(f64, Vec<Matrix>)> = batch
-                    .par_iter()
-                    .filter_map(|&i| sample_gradients(snapshot, &plans[i], config.loss, stages))
-                    .collect();
-                if results.is_empty() {
-                    continue;
-                }
-                let count = results.len();
-                let mut loss_sum = 0.0;
-                let mut grads: Option<Vec<Matrix>> = None;
-                for (loss_value, sample_grads) in results {
-                    loss_sum += loss_value;
-                    match &mut grads {
-                        None => grads = Some(sample_grads),
-                        Some(acc) => {
-                            for (a, g) in acc.iter_mut().zip(&sample_grads) {
-                                a.add_assign(g);
-                            }
-                        }
-                    }
-                }
-                let mut grads = grads.expect("non-empty batch");
-                let scale = 1.0 / count as f32;
-                for g in &mut grads {
-                    g.map_inplace(|v| v * scale);
-                }
-                epoch_loss_sum += loss_sum;
-                epoch_loss_count += count;
-                let _opt_span = stages.span(train_trace::OPTIMIZER);
-                clip_global_norm(&mut grads, config.grad_clip);
-                optimizer.step(&mut model.params_mut(), &grads);
-            }
+            // Shard gradients are already scaled by 1/labelled; their sum
+            // is the batch-mean gradient.
+            let Some(mut grads) = grads else { continue };
+            epoch_loss_sum += loss_sum;
+            epoch_loss_count += count;
+            let _opt_span = stages.span(train_trace::OPTIMIZER);
+            clip_global_norm(&mut grads, config.grad_clip);
+            optimizer.step(&mut model.params_mut(), &grads);
         }
         let train_loss = if epoch_loss_count > 0 {
             epoch_loss_sum / epoch_loss_count as f64
@@ -755,46 +529,14 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
         if !val_plans.is_empty() {
             let _eval_span = stages.span(train_trace::EVAL);
             let snapshot: &M = model;
-            let run_val_chunk = |c: &ComposedMegabatch| {
-                let mut tape = sharded_tape(&tape_pool);
-                let out = megabatch_loss(snapshot, c.megabatch(), config.loss, &mut tape);
-                tape_pool.release(tape);
-                out
-            };
-            let (sum, count) = if config.use_megabatch && config.stream_compose {
-                // Streaming: compose each validation chunk, evaluate it,
-                // drop it — resident memory is one chunk per evaluating
-                // thread instead of the whole validation set.
-                if gang.is_some() {
-                    val_plans
-                        .chunks(config.megabatch_size)
-                        .map(|chunk| run_val_chunk(&compose_val_chunk(chunk)))
-                        .fold((0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-                } else {
-                    val_plans
-                        .par_chunks(config.megabatch_size)
-                        .map(|chunk| run_val_chunk(&compose_val_chunk(chunk)))
-                        .reduce(|| (0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-                }
-            } else if config.use_megabatch && gang.is_some() {
-                // Same axis choice as training: the gang parallelizes inside
-                // each chunk, so chunks run one after another.
-                val_composed
-                    .iter()
-                    .map(run_val_chunk)
-                    .fold((0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-            } else if config.use_megabatch {
-                val_composed
-                    .par_iter()
-                    .map(run_val_chunk)
-                    .reduce(|| (0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-            } else {
-                val_plans
-                    .par_iter()
-                    .filter_map(|p| sample_loss(snapshot, p, config.loss))
-                    .map(|l| (l, 1usize))
-                    .reduce(|| (0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-            };
+            let (sum, count) =
+                map_labelled_on_tapes(&tape_pool, &gang, &val_composed, |mb, tape| {
+                    let (_, _, sum_of_means) =
+                        megabatch_forward(snapshot, mb, config.loss, 1, tape);
+                    (sum_of_means, mb.reliable_samples)
+                })
+                .into_iter()
+                .fold((0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
             let val = if count > 0 {
                 sum / count as f64
             } else {
@@ -1008,53 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_per_sample_path_still_trains() {
-        let ds = toy_dataset(8, 56);
-        let mut model = ExtendedRouteNet::new(ModelConfig {
-            state_dim: 8,
-            mp_iterations: 2,
-            readout_hidden: 8,
-            ..ModelConfig::default()
-        });
-        let mut config = quick_train_config(6);
-        config.use_megabatch = false;
-        let history = train(&mut model, &ds, None, &config);
-        assert!(history.final_train_loss() < history.train_loss[0]);
-    }
-
-    #[test]
-    fn megabatch_and_per_sample_training_agree_closely() {
-        // Same seed, same data: the first-epoch loss (computed before the
-        // paths can drift apart) must agree to float accumulation error, and
-        // final losses must stay in the same ballpark.
-        let ds = toy_dataset(8, 57);
-        let make = |use_megabatch: bool| {
-            let mut model = ExtendedRouteNet::new(ModelConfig {
-                state_dim: 8,
-                mp_iterations: 2,
-                readout_hidden: 8,
-                seed: 5,
-                ..ModelConfig::default()
-            });
-            let mut config = quick_train_config(4);
-            config.use_megabatch = use_megabatch;
-
-            train(&mut model, &ds, None, &config)
-        };
-        let mega = make(true);
-        let legacy = make(false);
-        let rel = (mega.train_loss[0] - legacy.train_loss[0]).abs()
-            / legacy.train_loss[0].abs().max(1e-12);
-        assert!(
-            rel < 1e-3,
-            "first-epoch losses diverged: mega {} vs legacy {}",
-            mega.train_loss[0],
-            legacy.train_loss[0]
-        );
-        assert!(mega.final_train_loss() < mega.train_loss[0]);
-    }
-
-    #[test]
     fn megabatch_sharding_is_deterministic() {
         let ds = toy_dataset(6, 58);
         let make = |megabatch_size: usize| {
@@ -1103,34 +798,6 @@ mod tests {
         );
         assert_eq!(TrainConfig::parse_backward_shards(Some("")), None);
         assert_eq!(TrainConfig::parse_backward_shards(Some("-2")), None);
-
-        // RN_STREAM_COMPOSE: recognized booleans apply, anything else is
-        // ignored.
-        assert_eq!(TrainConfig::STREAM_COMPOSE_ENV, "RN_STREAM_COMPOSE");
-        assert_eq!(TrainConfig::parse_stream_compose(None), None, "unset");
-        assert_eq!(TrainConfig::parse_stream_compose(Some("1")), Some(true));
-        assert_eq!(TrainConfig::parse_stream_compose(Some("true")), Some(true));
-        assert_eq!(TrainConfig::parse_stream_compose(Some(" ON ")), Some(true));
-        assert_eq!(TrainConfig::parse_stream_compose(Some("0")), Some(false));
-        assert_eq!(
-            TrainConfig::parse_stream_compose(Some("off")),
-            Some(false),
-            "explicit off wins over an explicit config"
-        );
-        assert_eq!(
-            TrainConfig::parse_stream_compose(Some("yes")),
-            None,
-            "unrecognized ignored"
-        );
-        let ambient_stream = std::env::var(TrainConfig::STREAM_COMPOSE_ENV).ok();
-        assert_eq!(
-            TrainConfig::env_stream_compose(),
-            TrainConfig::parse_stream_compose(ambient_stream.as_deref())
-        );
-        assert_eq!(
-            TrainConfig::from_env().stream_compose,
-            TrainConfig::env_stream_compose().unwrap_or(TrainConfig::default().stream_compose)
-        );
 
         // The live lookup and the override plumbing agree with the parser
         // on whatever the ambient environment actually holds.

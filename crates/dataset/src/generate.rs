@@ -234,17 +234,10 @@ fn draw_qos_and_simulate(
     (spec, sim_seed, result)
 }
 
-/// Generate one sample deterministically from `(master_seed, index)`.
-pub fn generate_sample(
-    topo: &Topology,
-    config: &GeneratorConfig,
-    master_seed: u64,
-    index: u64,
-) -> Sample {
-    let master = Prng::new(master_seed);
-    let mut rng = master.split(index);
-
-    // Per-sample topology: clone and (optionally) re-draw link capacities.
+/// The per-sample topology: a clone of `topo` whose link capacities are
+/// re-drawn from [`GeneratorConfig::capacity_choices_bps`] when that menu is
+/// non-empty. The first draws of every sample's RNG stream.
+fn draw_sample_topology(topo: &Topology, config: &GeneratorConfig, rng: &mut Prng) -> Topology {
     let mut sample_topo = topo.clone();
     if !config.capacity_choices_bps.is_empty() {
         for l in 0..sample_topo.num_links() {
@@ -252,42 +245,30 @@ pub fn generate_sample(
             sample_topo.set_link_capacity(l, cap);
         }
     }
+    sample_topo
+}
 
-    let routing = if config.randomize_routing {
-        Routing::randomized(&sample_topo, &mut rng)
-    } else {
-        Routing::shortest_paths(&sample_topo)
-    };
-
-    let traffic = match config.traffic_model {
-        TrafficModel::TargetUtilization => {
-            let (ulo, uhi) = config.utilization_range;
-            let target_util = ulo + (uhi - ulo) * rng.uniform() as f64;
-            TrafficMatrix::with_target_utilization(&sample_topo, &routing, &mut rng, target_util)
-        }
-        TrafficModel::AbsoluteRates {
-            rate_range_bps: (rlo, rhi),
-            intensity_range: (ilo, ihi),
-        } => {
-            let intensity = ilo + (ihi - ilo) * rng.uniform() as f64;
-            TrafficMatrix::uniform_random(
-                sample_topo.num_nodes(),
-                &mut rng,
-                rlo * intensity,
-                rhi * intensity,
-            )
-        }
-    };
-
+/// Everything after the traffic matrix, shared by the dense and the sparse
+/// generator: draw the tiny-queue fraction and the per-node queue profiles,
+/// draw the QoS spec and the simulator seed, simulate, and record the
+/// per-path labels. The draws keep this order — it is the sample's RNG
+/// stream (this crate's `tests/generate_digest.rs` pins it).
+fn label_sample(
+    rng: &mut Prng,
+    sample_topo: &Topology,
+    routing: Routing,
+    traffic: TrafficMatrix,
+    config: &GeneratorConfig,
+) -> Sample {
     let (tlo, thi) = config.tiny_fraction_range;
     let tiny_fraction = tlo + (thi - tlo) * rng.uniform() as f64;
     let queue_profiles =
-        QueueProfile::random_assignment(sample_topo.num_nodes(), tiny_fraction, &mut rng);
+        QueueProfile::random_assignment(sample_topo.num_nodes(), tiny_fraction, rng);
     let queue_capacities = QueueProfile::capacities(&queue_profiles, &config.sim);
 
     let (spec, sim_seed, result) = draw_qos_and_simulate(
-        &mut rng,
-        &sample_topo,
+        rng,
+        sample_topo,
         &routing,
         &traffic,
         &queue_capacities,
@@ -326,6 +307,47 @@ pub fn generate_sample(
     }
 }
 
+/// Generate one sample deterministically from `(master_seed, index)`.
+pub fn generate_sample(
+    topo: &Topology,
+    config: &GeneratorConfig,
+    master_seed: u64,
+    index: u64,
+) -> Sample {
+    let master = Prng::new(master_seed);
+    let mut rng = master.split(index);
+
+    let sample_topo = draw_sample_topology(topo, config, &mut rng);
+
+    let routing = if config.randomize_routing {
+        Routing::randomized(&sample_topo, &mut rng)
+    } else {
+        Routing::shortest_paths(&sample_topo)
+    };
+
+    let traffic = match config.traffic_model {
+        TrafficModel::TargetUtilization => {
+            let (ulo, uhi) = config.utilization_range;
+            let target_util = ulo + (uhi - ulo) * rng.uniform() as f64;
+            TrafficMatrix::with_target_utilization(&sample_topo, &routing, &mut rng, target_util)
+        }
+        TrafficModel::AbsoluteRates {
+            rate_range_bps: (rlo, rhi),
+            intensity_range: (ilo, ihi),
+        } => {
+            let intensity = ilo + (ihi - ilo) * rng.uniform() as f64;
+            TrafficMatrix::uniform_random(
+                sample_topo.num_nodes(),
+                &mut rng,
+                rlo * intensity,
+                rhi * intensity,
+            )
+        }
+    };
+
+    label_sample(&mut rng, &sample_topo, routing, traffic, config)
+}
+
 /// Generate one **sparse** sample: only `active_pairs` source–destination
 /// pairs carry traffic, and the routing scheme routes exactly those pairs
 /// ([`Routing::sparse_weighted_shortest_paths`]). This is the giant-topology
@@ -358,15 +380,7 @@ pub fn generate_sparse_sample(
     let master = Prng::new(master_seed);
     let mut rng = master.split(index);
 
-    // Per-sample topology: clone and (optionally) re-draw link capacities —
-    // identical to the dense generator.
-    let mut sample_topo = topo.clone();
-    if !config.capacity_choices_bps.is_empty() {
-        for l in 0..sample_topo.num_links() {
-            let cap = *rng.choose(&config.capacity_choices_bps);
-            sample_topo.set_link_capacity(l, cap);
-        }
-    }
+    let sample_topo = draw_sample_topology(topo, config, &mut rng);
 
     // Distinct ordered pairs, drawn by rejection (active_pairs << n² in the
     // sparse regime this exists for, so collisions are rare; the draw is
@@ -421,50 +435,7 @@ pub fn generate_sparse_sample(
         }
     }
 
-    let (tlo, thi) = config.tiny_fraction_range;
-    let tiny_fraction = tlo + (thi - tlo) * rng.uniform() as f64;
-    let queue_profiles = QueueProfile::random_assignment(n, tiny_fraction, &mut rng);
-    let queue_capacities = QueueProfile::capacities(&queue_profiles, &config.sim);
-
-    let (spec, sim_seed, result) = draw_qos_and_simulate(
-        &mut rng,
-        &sample_topo,
-        &routing,
-        &traffic,
-        &queue_capacities,
-        config,
-    );
-
-    let targets = result
-        .flows
-        .iter()
-        .zip(&result.flow_pairs)
-        .map(|(f, &(src, dst))| PathTarget {
-            src,
-            dst,
-            mean_delay_s: f.mean_delay_s,
-            jitter_s: f.jitter_s,
-            loss_ratio: f.loss_ratio,
-            delivered: f.delivered,
-        })
-        .collect();
-
-    Sample {
-        routing,
-        traffic,
-        queue_profiles,
-        queue_capacities,
-        link_capacities: sample_topo.links().iter().map(|l| l.capacity_bps).collect(),
-        targets,
-        seed: sim_seed,
-        qos: spec.map(|s| SampleQos {
-            policy: s.policy,
-            class_profiles: s.class_profiles,
-            path_classes: s.flow_classes,
-            class_targets: result.classes,
-        }),
-        faults: config.faults.clone(),
-    }
+    label_sample(&mut rng, &sample_topo, routing, traffic, config)
 }
 
 /// Generate `count` sparse samples in parallel (see

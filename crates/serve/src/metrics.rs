@@ -1,6 +1,6 @@
-//! Service observability: lock-free counters, a geometric latency histogram,
-//! and a batch-occupancy histogram, snapshotted into one serializable
-//! record.
+//! Service observability: lock-free counters, a geometric latency histogram
+//! ([`rn_trace::GeoHistogram`]) and a batch-occupancy histogram, snapshotted
+//! into one serializable record.
 //!
 //! Everything on the request hot path is an atomic increment; the only lock
 //! is taken by [`ServeMetrics::snapshot`], which readers call at human
@@ -9,14 +9,7 @@
 use routenet::compose::ShapeCount;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// Number of geometric latency buckets. Bucket `i` covers latencies up to
-/// `LOW_US * GROWTH^i` microseconds; with 64 buckets at 1.5x growth the top
-/// bucket sits far above any plausible request latency.
-const BUCKETS: usize = 64;
-const LOW_US: f64 = 10.0;
-const GROWTH: f64 = 1.5;
+use std::time::Instant;
 
 /// Zero-based index of the **inclusive nearest-rank** percentile element
 /// among `n` sorted samples: the smallest index `i` such that at least `p`
@@ -46,96 +39,15 @@ pub fn nearest_rank(n: usize, p: f64) -> Option<usize> {
     rn_trace::nearest_rank(n, p)
 }
 
-/// Geometric-bucket latency histogram with atomic counters.
+/// The request-latency histogram: [`rn_trace::GeoHistogram`], the one
+/// geometric histogram of the workspace (64 buckets growing 1.5x from
+/// 250 ns, exact sum and max on the side).
 ///
 /// Percentiles are read back as the upper bound of the bucket holding the
 /// requested rank: an over-estimate by at most one growth factor (50%),
 /// which is plenty for service dashboards. Benchmarks that need exact
 /// percentiles record client-side samples instead.
-pub struct LatencyHistogram {
-    counts: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl LatencyHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Self {
-            counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-
-    fn bucket_of(us: f64) -> usize {
-        if us <= LOW_US {
-            return 0;
-        }
-        let idx = (us / LOW_US).log(GROWTH).ceil() as usize;
-        idx.min(BUCKETS - 1)
-    }
-
-    /// Upper latency bound (µs) of bucket `i`.
-    fn bucket_upper_us(i: usize) -> f64 {
-        LOW_US * GROWTH.powi(i as i32)
-    }
-
-    /// Record one latency.
-    pub fn record(&self, latency: Duration) {
-        let ns = latency.as_nanos() as u64;
-        let us = ns as f64 / 1_000.0;
-        self.counts[Self::bucket_of(us)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Estimated latency (ms) at percentile `p` (0..100): the upper bound of
-    /// the bucket containing the rank. 0.0 when nothing was recorded.
-    pub fn percentile_ms(&self, p: f64) -> f64 {
-        let total = self.count();
-        let Some(rank_idx) = nearest_rank(total as usize, p) else {
-            return 0.0;
-        };
-        let rank = rank_idx as u64 + 1;
-        let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= rank {
-                return Self::bucket_upper_us(i) / 1_000.0;
-            }
-        }
-        self.max_ms()
-    }
-
-    /// Mean latency in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        self.sum_ns.load(Ordering::Relaxed) as f64 / n as f64 / 1e6
-    }
-
-    /// Maximum recorded latency in milliseconds.
-    pub fn max_ms(&self) -> f64 {
-        self.max_ns.load(Ordering::Relaxed) as f64 / 1e6
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub type LatencyHistogram = rn_trace::GeoHistogram;
 
 /// Histogram of dynamic-batch sizes (occupancy), bucket per exact size.
 pub struct BatchHistogram {
@@ -557,19 +469,21 @@ pub struct MetricsSnapshot {
     pub conn_drops: u64,
     /// Completed requests per second of uptime.
     pub throughput_rps: f64,
-    /// Median end-to-end latency (ms, bucket upper bound). Percentiles use
-    /// the **inclusive nearest-rank** convention of [`nearest_rank`]: the
-    /// smallest recorded value with cumulative proportion ≥ p/100, so p50 of
-    /// an even count is the lower median, p0 would be the minimum and p100
-    /// the maximum — never an interpolated value.
+    /// Median end-to-end latency (ms). Percentiles use the **inclusive
+    /// nearest-rank** convention of [`nearest_rank`] — p50 of an even count
+    /// is the lower median, p0 would be the minimum and p100 the maximum,
+    /// never an interpolated value — and report the upper bound of the
+    /// [`LatencyHistogram`] bucket holding that rank, on the grid
+    /// 250 ns · 1.5^i: an over-estimate by at most one growth factor.
     pub latency_p50_ms: f64,
-    /// 95th-percentile latency (ms, inclusive nearest-rank — see
-    /// [`MetricsSnapshot::latency_p50_ms`]).
+    /// 95th-percentile latency (ms, bucket upper bound of the inclusive
+    /// nearest rank — see [`MetricsSnapshot::latency_p50_ms`]).
     pub latency_p95_ms: f64,
-    /// 99th-percentile latency (ms, inclusive nearest-rank — see
-    /// [`MetricsSnapshot::latency_p50_ms`]).
+    /// 99th-percentile latency (ms, bucket upper bound of the inclusive
+    /// nearest rank — see [`MetricsSnapshot::latency_p50_ms`]).
     pub latency_p99_ms: f64,
-    /// Mean latency (ms, exact).
+    /// Mean latency (ms, exact: the histogram's exact sum over its count,
+    /// no bucket error).
     pub latency_mean_ms: f64,
     /// Worst latency (ms, exact).
     pub latency_max_ms: f64,
@@ -667,6 +581,7 @@ impl From<rn_trace::StageStats> for StageLatency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn latency_percentiles_are_ordered_and_bracket_samples() {
@@ -780,69 +695,6 @@ mod tests {
         assert_eq!(s.p99_ms, 7.0);
         assert_eq!(s.mean_ms, 7.0);
         assert_eq!(s.max_ms, 7.0);
-    }
-
-    #[test]
-    fn latency_histogram_top_bucket_clamps_overflow() {
-        let h = LatencyHistogram::new();
-        // The top bucket's upper bound is LOW_US * GROWTH^63 µs ≈ 14 days;
-        // record something far beyond it (63 years) and something inside.
-        h.record(Duration::from_secs(2_000_000_000));
-        h.record(Duration::from_millis(1));
-        assert_eq!(h.count(), 2, "overflow must still be counted");
-        // max/sum/mean are exact regardless of bucket clamping.
-        assert!((h.max_ms() - 2e12).abs() < 1.0);
-        assert!((h.mean_ms() - (2e12 + 1.0) / 2.0).abs() < 1.0);
-        // The percentile walk terminates in the (clamped) top bucket with a
-        // finite over-estimate, never a panic or an unbounded value.
-        let p100 = h.percentile_ms(100.0);
-        assert!(p100.is_finite() && p100 > 0.0);
-        let top_upper_ms = LOW_US * GROWTH.powi((BUCKETS - 1) as i32) / 1_000.0;
-        assert_eq!(p100, top_upper_ms, "overflow clamps into the top bucket");
-    }
-
-    #[test]
-    fn latency_histogram_concurrent_records_are_consistent() {
-        let h = LatencyHistogram::new();
-        let threads = 8u64;
-        let per = 2_000u64;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let h = &h;
-                scope.spawn(move || {
-                    for i in 0..per {
-                        h.record(Duration::from_micros(1 + (t * per + i) % 5_000));
-                    }
-                });
-            }
-        });
-        assert_eq!(h.count(), threads * per, "no recorded sample may be lost");
-        // Bucket counts and the scalar total must agree exactly.
-        let bucket_total: u64 = h.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        assert_eq!(bucket_total, h.count());
-        // The exact sum matches an independent computation of the inputs.
-        let expect_us: u64 = (0..threads * per).map(|k| 1 + k % 5_000).sum();
-        assert_eq!(h.sum_ns.load(Ordering::Relaxed), expect_us * 1_000);
-        assert!(h.mean_ms() > 0.0 && h.max_ms() >= h.mean_ms());
-    }
-
-    #[test]
-    fn latency_histogram_percentiles_monotonic_p0_to_p100() {
-        let h = LatencyHistogram::new();
-        for us in [3u64, 40, 400, 4_000, 40_000, 400_000] {
-            h.record(Duration::from_micros(us));
-        }
-        let ps: Vec<f64> = [0.0, 50.0, 99.0, 100.0]
-            .iter()
-            .map(|&p| h.percentile_ms(p))
-            .collect();
-        for w in ps.windows(2) {
-            assert!(w[0] <= w[1], "p0..p100 must be non-decreasing: {ps:?}");
-        }
-        // p0 sits in the floor bucket (3µs <= 10µs floor), p100 brackets
-        // the maximum within one growth factor.
-        assert_eq!(ps[0], LOW_US / 1_000.0);
-        assert!(ps[3] >= 400.0 && ps[3] <= 400.0 * GROWTH);
     }
 
     #[test]

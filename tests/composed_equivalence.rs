@@ -234,85 +234,40 @@ fn trainer_epochs_reuse_compositions_bitwise_across_shard_counts() {
 }
 
 #[test]
-fn streaming_composition_trains_bitwise_identical_to_cached() {
-    // The memory-bounded streaming mode (`TrainConfig::stream_compose`)
-    // composes each batch one visit ahead, consumes it, and drops it —
-    // nothing is cached across epochs, validation chunks included. The
-    // contract: composition is a pure function of the plans and slices are
-    // folded in the same fixed order either way, so streamed training is
-    // bitwise identical to cached training — train/val losses AND trained
-    // weights — at every worker count.
-    use routenet::trainer::{train, TrainConfig};
-    let ds = nsfnet_dataset(6, 776);
-    let run = |stream_compose: bool, backward_shards: usize| {
-        let mut model = fitted_model(&ds, 6);
-        let config = TrainConfig {
-            epochs: 3,
-            batch_size: 4,
-            megabatch_size: 2,
-            backward_shards,
-            stream_compose,
-            ..TrainConfig::default()
-        };
-        let history = train(&mut model, &ds, Some(&ds), &config);
-        (history.train_loss.clone(), history.val_loss.clone(), model)
-    };
-    let (train_cached, val_cached, model_cached) = run(false, 1);
-    for workers in [1usize, 4] {
-        let (train_s, val_s, model_s) = run(true, workers);
-        assert_eq!(
-            train_cached, train_s,
-            "streamed train losses diverged at {workers} workers"
-        );
-        assert_eq!(
-            val_cached, val_s,
-            "streamed val losses diverged at {workers} workers"
-        );
-        let plan = model_cached.plan(&ds.samples[0]);
-        assert_eq!(
-            model_cached.predict(&plan),
-            model_s.predict(&plan),
-            "streamed weights diverged at {workers} workers"
-        );
-    }
-}
-
-#[test]
-fn streaming_composition_slices_match_whole_batch_compose() {
-    // The slices the streaming trainer consumes are produced by the same
-    // `ComposedMegabatch::compose` the cached path uses — pin the direct
-    // equivalence: composing a batch slice-at-a-time yields plans bitwise
-    // identical to the retained whole-batch compositions.
+fn compose_is_a_pure_function_of_its_slice() {
+    // The trainer composes each batch once and replays it for every later
+    // epoch; that is only sound if `ComposedMegabatch::compose` depends on
+    // nothing but the plans handed to it. Pin it: composing the same slice
+    // a second time, independently, yields a plan bitwise identical to the
+    // retained one — forward bits, reliability and targets.
     let ds = nsfnet_dataset(5, 777);
     let model = fitted_model(&ds, 7);
     let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
     let megabatch_size = 2;
-    let whole: Vec<MegabatchPlan> = plans
+    let retained: Vec<MegabatchPlan> = plans
         .chunks(megabatch_size)
         .map(|shard| {
             let parts: Vec<&SamplePlan> = shard.iter().collect();
             ComposedMegabatch::compose(&parts).unwrap().into_plan()
         })
         .collect();
-    // Streamed: recompose each slice independently (as a later epoch of the
-    // streaming trainer does) and compare bit for bit, forward included.
     for (si, shard) in plans.chunks(megabatch_size).enumerate() {
         let parts: Vec<&SamplePlan> = shard.iter().collect();
-        let streamed = ComposedMegabatch::compose(&parts).unwrap();
+        let again = ComposedMegabatch::compose(&parts).unwrap();
         assert_eq!(
-            prediction_bits(&model, &whole[si]),
-            prediction_bits(&model, streamed.megabatch()),
-            "slice {si}: streamed composition changed prediction bits"
+            prediction_bits(&model, &retained[si]),
+            prediction_bits(&model, again.megabatch()),
+            "slice {si}: a second composition changed prediction bits"
         );
         assert_eq!(
-            streamed.plan().reliable_idx,
-            whole[si].plan.reliable_idx,
+            again.plan().reliable_idx,
+            retained[si].plan.reliable_idx,
             "slice {si}: reliability diverged"
         );
-        assert!(streamed
+        assert!(again
             .plan()
             .targets_norm
-            .approx_eq(&whole[si].plan.targets_norm, 0.0));
+            .approx_eq(&retained[si].plan.targets_norm, 0.0));
     }
 }
 
