@@ -6,13 +6,22 @@
 //! own forward body, plan schedule and tape index mode; the one loop that
 //! replaced them must keep every bit.
 //!
+//! Beside each full digest sits a digest of the predictions alone, recorded
+//! at commit fc7583f together with the `extended_sparse_isp` scenario (a
+//! sparse routing on a 60-node ISP graph, where most links and nodes lie on
+//! no path). A change that drops state rows or tape ops no readout depends
+//! on regroups the weight-gradient sums, so it may move a full digest; it
+//! may never move a prediction digest.
+//!
 //! After an *intentional* numerics change, print fresh constants with
 //! `RN_REGEN_GOLDEN=1 cargo test --test model_digest -- --nocapture`.
 
 use rn_autograd::{Graph, WorkerPool};
-use rn_dataset::{generate, Dataset, GeneratorConfig, QosGenConfig};
+use rn_dataset::{generate, generate_sparse, Dataset, GeneratorConfig, QosGenConfig};
+use rn_netgraph::generators::{isp_tiered, TierConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
+use rn_tensor::Prng;
 use routenet::entities::build_megabatch;
 use routenet::model::PathPredictor;
 use routenet::plan_cache::Fingerprint;
@@ -21,8 +30,8 @@ use routenet::{
 };
 use std::sync::Arc;
 
-fn dataset(qos: bool) -> Dataset {
-    let config = GeneratorConfig {
+fn generator(qos: bool) -> GeneratorConfig {
+    GeneratorConfig {
         sim: SimConfig {
             duration_s: 40.0,
             warmup_s: 5.0,
@@ -30,8 +39,17 @@ fn dataset(qos: bool) -> Dataset {
         },
         qos: qos.then(QosGenConfig::two_class_mix),
         ..GeneratorConfig::default()
-    };
-    generate(&topologies::toy5(), &config, 20_260_928, 4)
+    }
+}
+
+fn dataset(qos: bool) -> Dataset {
+    generate(&topologies::toy5(), &generator(qos), 20_260_928, 4)
+}
+
+/// Three samples of 12 routed pairs each on a 60-node ISP graph.
+fn sparse_isp_dataset() -> Dataset {
+    let topo = isp_tiered(60, &TierConfig::default(), &mut Prng::new(60)).expect("isp_tiered(60)");
+    generate_sparse(&topo, &generator(false), 12, 20_260_928, 3)
 }
 
 fn config(node_update: NodeUpdate) -> ModelConfig {
@@ -44,6 +62,15 @@ fn config(node_update: NodeUpdate) -> ModelConfig {
     }
 }
 
+/// What one model produced on one plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Digest {
+    /// Predictions, loss and every gradient.
+    full: u64,
+    /// Predictions alone.
+    predictions: u64,
+}
+
 /// Predictions, then one training-mode forward + backward: FNV-1a over the
 /// prediction bits, the loss bits and every gradient element in parameter
 /// order.
@@ -51,13 +78,14 @@ fn step_digest<M: PathPredictor>(
     model: &M,
     plan: &SamplePlan,
     pool: Option<Arc<WorkerPool>>,
-) -> u64 {
+) -> Digest {
     let mut fp = Fingerprint::new();
     let mut g = Graph::new();
     g.set_worker_pool(pool);
     for p in model.predict_with(&mut g, plan) {
         fp.f64(p);
     }
+    let predictions = fp.finish();
     g.reset();
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, plan);
@@ -72,16 +100,19 @@ fn step_digest<M: PathPredictor>(
             fp.u64(u64::from(v.to_bits()));
         }
     }
-    fp.finish()
+    Digest {
+        full: fp.finish(),
+        predictions,
+    }
 }
 
-/// `[single sample, 4-sample megabatch @ 1 worker, @ 4 workers]`.
-fn model_digests<M: PathPredictor>(mut model: M, ds: &Dataset) -> [u64; 3] {
+/// `[single sample, whole-dataset megabatch @ 1 worker, @ 4 workers]`.
+fn model_digests<M: PathPredictor>(mut model: M, ds: &Dataset) -> [Digest; 3] {
     model.fit_preprocessing(ds, 5);
     let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
     let parts: Vec<&SamplePlan> = plans.iter().collect();
     let mb = build_megabatch(&parts);
-    assert!(mb.plan.shards.is_some(), "4-sample megabatch must shard");
+    assert!(mb.plan.shards.is_some(), "a megabatch must shard");
     [
         step_digest(&model, &plans[0], None),
         step_digest(&model, &mb.plan, Some(Arc::new(WorkerPool::new(1)))),
@@ -89,59 +120,113 @@ fn model_digests<M: PathPredictor>(mut model: M, ds: &Dataset) -> [u64; 3] {
     ]
 }
 
+/// A scenario's recorded constants, `[single, megabatch @ 1, megabatch @ 4]`.
+struct Recorded {
+    full: [u64; 3],
+    predictions: [u64; 3],
+}
+
 #[test]
 fn models_reproduce_the_recorded_digests() {
     let legacy = dataset(false);
     let two_class = dataset(true);
     assert!(two_class.samples[0].qos.is_some());
+    let sparse_isp = sparse_isp_dataset();
     let positional = config(NodeUpdate::PositionalMessages);
     let final_sum = config(NodeUpdate::FinalPathStateSum);
-    let scenarios: [(&str, [u64; 3], [u64; 3]); 4] = [
+    let scenarios: [(&str, Recorded, [Digest; 3]); 5] = [
         (
             "original",
-            [
-                0x825b_8021_2c33_6a63,
-                0x49f6_909f_c81b_b138,
-                0x49f6_909f_c81b_b138,
-            ],
+            Recorded {
+                full: [
+                    0x825b_8021_2c33_6a63,
+                    0x49f6_909f_c81b_b138,
+                    0x49f6_909f_c81b_b138,
+                ],
+                predictions: [
+                    0xc9ab_73e9_ec1e_5759,
+                    0xb129_b92a_598c_5123,
+                    0xb129_b92a_598c_5123,
+                ],
+            },
             model_digests(OriginalRouteNet::new(positional.clone()), &legacy),
         ),
         (
             "extended_positional",
-            [
-                0xab43_0401_4929_d653,
-                0x1d46_25c8_dfcb_2dc8,
-                0x1d46_25c8_dfcb_2dc8,
-            ],
+            Recorded {
+                full: [
+                    0xab43_0401_4929_d653,
+                    0x1d46_25c8_dfcb_2dc8,
+                    0x1d46_25c8_dfcb_2dc8,
+                ],
+                predictions: [
+                    0x1ab1_224a_07df_7eb7,
+                    0x5d00_885f_fc79_f91f,
+                    0x5d00_885f_fc79_f91f,
+                ],
+            },
             model_digests(ExtendedRouteNet::new(positional.clone()), &legacy),
         ),
         (
             "extended_final_path_state_sum",
-            [
-                0x1adf_e306_bd95_ab8d,
-                0xa5a7_d184_ecfe_22c4,
-                0xa5a7_d184_ecfe_22c4,
-            ],
+            Recorded {
+                full: [
+                    0x1adf_e306_bd95_ab8d,
+                    0xa5a7_d184_ecfe_22c4,
+                    0xa5a7_d184_ecfe_22c4,
+                ],
+                predictions: [
+                    0x9d82_fc98_0ae5_4420,
+                    0x5ff6_eec8_f350_425e,
+                    0x5ff6_eec8_f350_425e,
+                ],
+            },
             model_digests(ExtendedRouteNet::new(final_sum), &legacy),
         ),
         (
             "qos_two_class",
-            [
-                0x01ff_60d5_20a5_3ba9,
-                0x1548_a08b_e5d3_a969,
-                0x1548_a08b_e5d3_a969,
-            ],
-            model_digests(QosRouteNet::new(positional), &two_class),
+            Recorded {
+                full: [
+                    0x01ff_60d5_20a5_3ba9,
+                    0x1548_a08b_e5d3_a969,
+                    0x1548_a08b_e5d3_a969,
+                ],
+                predictions: [
+                    0x59b2_d1f7_f323_a861,
+                    0xf916_7bd8_313e_f06b,
+                    0xf916_7bd8_313e_f06b,
+                ],
+            },
+            model_digests(QosRouteNet::new(positional.clone()), &two_class),
+        ),
+        (
+            "extended_sparse_isp",
+            Recorded {
+                full: [
+                    0xa263_ed9e_65bd_f416,
+                    0x04f4_3dd8_f38e_3fb2,
+                    0x04f4_3dd8_f38e_3fb2,
+                ],
+                predictions: [
+                    0x0c5e_caec_c039_75dd,
+                    0x0973_b829_9398_e467,
+                    0x0973_b829_9398_e467,
+                ],
+            },
+            model_digests(ExtendedRouteNet::new(positional), &sparse_isp),
         ),
     ];
+    let hex = |d: [u64; 3]| format!("[{:#018x}, {:#018x}, {:#018x}]", d[0], d[1], d[2]);
     let table: String = scenarios
         .iter()
         .map(|(name, want, got)| {
-            let hex = |d: &[u64; 3]| format!("[{:#018x}, {:#018x}, {:#018x}]", d[0], d[1], d[2]);
             format!(
-                "  {name} [single, mb4@1, mb4@4]:\n    recorded {}\n    got      {}\n",
-                hex(want),
-                hex(got)
+                "  {name} [single, mb@1, mb@4]:\n    full        recorded {}\n    full        got      \
+                 {}\n    predictions recorded {}\n    predictions got      {}\n",
+                hex(want.full),
+                hex(got.map(|d| d.full)),
+                hex(want.predictions),
+                hex(got.map(|d| d.predictions)),
             )
         })
         .collect();
@@ -150,7 +235,9 @@ fn models_reproduce_the_recorded_digests() {
         return;
     }
     assert!(
-        scenarios.iter().all(|(_, want, got)| want == got),
+        scenarios.iter().all(|(_, want, got)| {
+            want.full == got.map(|d| d.full) && want.predictions == got.map(|d| d.predictions)
+        }),
         "a model moved bits against the frozen per-model reference:\n{table}"
     );
 }
