@@ -320,6 +320,105 @@ mod tests {
         }
     }
 
+    /// A ragged index layout for the sharded gather / scatter checks: seven
+    /// entity rows, eight dense (path) rows.
+    struct RaggedCase {
+        name: &'static str,
+        /// Dense rows that are active, ascending.
+        rows: &'static [usize],
+        /// Entity id per active row.
+        ids: &'static [usize],
+        /// `[active, dense, entity]` bounds at three shards.
+        three: [&'static [usize]; 3],
+    }
+
+    const ENTITY_ROWS: usize = 7;
+    const DENSE_ROWS: usize = 8;
+    const RAGGED: [RaggedCase; 2] = [
+        // Entities 1, 3 and 5 are referenced by no row; the middle shard
+        // owns an entity and two dense rows but no active row.
+        RaggedCase {
+            name: "unreferenced entities, one shard empty",
+            rows: &[0, 1, 2, 5, 6, 7],
+            ids: &[0, 2, 2, 4, 6, 4],
+            three: [&[0, 3, 3, 6], &[0, 3, 5, 8], &[0, 3, 4, 7]],
+        },
+        RaggedCase {
+            name: "a single active row",
+            rows: &[4],
+            ids: &[2],
+            three: [&[0, 0, 1, 1], &[0, 3, 5, 8], &[0, 2, 5, 7]],
+        },
+    ];
+
+    /// Every ragged case at one shard (the bounds span everything) and three.
+    fn for_each_ragged_split(check: impl Fn(&RaggedCase, ShardSplit<'_>, String)) {
+        for case in &RAGGED {
+            let one = [[0, case.rows.len()], [0, DENSE_ROWS], [0, ENTITY_ROWS]];
+            check(
+                case,
+                ShardSplit::borrowed(&one[0], &one[1], &one[2]),
+                format!("{} @ 1 shard", case.name),
+            );
+            let [active, dense, entity] = case.three;
+            check(
+                case,
+                ShardSplit::borrowed(active, dense, entity),
+                format!("{} @ 3 shards", case.name),
+            );
+        }
+    }
+
+    /// `sum((out ∘ w)²)` with a fixed random `w`: every output element gets
+    /// its own gradient, so a row scattered to the wrong place shows.
+    fn weighted_sum_of_squares(g: &mut Graph, out: Var, seed: u64) -> Var {
+        let (rows, cols) = g.value(out).shape();
+        let w = g.constant(rand_matrix(seed, rows, cols));
+        let weighted = g.mul(out, w);
+        sum_of_squares(g, weighted)
+    }
+
+    #[test]
+    fn check_gather_rows_sharded_on_ragged_layouts() {
+        for_each_ragged_split(|case, split, name| {
+            let report = check_gradients(
+                |g, v| {
+                    let out = g.gather_rows_sharded(v[0], case.ids.into(), Some(split.clone()));
+                    weighted_sum_of_squares(g, out, 61)
+                },
+                &[rand_matrix(62, ENTITY_ROWS, 3)],
+                EPS,
+            );
+            assert_eq!(report.elements, ENTITY_ROWS * 3);
+            assert!(report.passes(TOL), "{name}: {report:?}");
+        });
+    }
+
+    #[test]
+    fn check_segment_acc_rows_sharded_on_ragged_layouts() {
+        for_each_ragged_split(|case, split, name| {
+            let report = check_gradients(
+                |g, v| {
+                    let out = g.segment_acc_rows_sharded(
+                        v[0],
+                        v[1],
+                        case.rows.into(),
+                        case.ids.into(),
+                        Some(split.clone()),
+                    );
+                    weighted_sum_of_squares(g, out, 63)
+                },
+                &[
+                    rand_matrix(64, ENTITY_ROWS, 3), // acc
+                    rand_matrix(65, DENSE_ROWS, 3),  // x
+                ],
+                EPS,
+            );
+            assert_eq!(report.elements, (ENTITY_ROWS + DENSE_ROWS) * 3);
+            assert!(report.passes(TOL), "{name}: {report:?}");
+        });
+    }
+
     #[test]
     fn check_losses() {
         let target = rand_matrix(21, 4, 1);

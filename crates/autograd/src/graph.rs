@@ -1087,6 +1087,18 @@ impl Graph {
         self.nodes.is_empty()
     }
 
+    /// How many recorded nodes fall in each family of
+    /// [`crate::trace::OP_KINDS`] (same order). This counts the tape as
+    /// recorded; the backward walk — and so [`crate::trace::op_snapshot`] —
+    /// skips every node no gradient reaches.
+    pub fn op_kind_counts(&self) -> Vec<usize> {
+        let mut counts = vec![0; crate::trace::OP_KINDS.len()];
+        for node in &self.nodes {
+            counts[crate::trace::kind_of(&node.op)] += 1;
+        }
+        counts
+    }
+
     /// Number of `f32` buffers currently parked in the pool (observability
     /// for tests and benchmarks). Flat from cycle to cycle on a warm tape.
     pub fn pooled_buffers(&self) -> usize {

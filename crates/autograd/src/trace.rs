@@ -75,7 +75,7 @@ pub fn reset_op_trace() {
     op_recorder().reset();
 }
 
-fn kind_of(op: &Op) -> usize {
+pub(crate) fn kind_of(op: &Op) -> usize {
     match op {
         Op::GatherRows { .. } | Op::MaskRows { .. } => KIND_GATHER,
         Op::GruStep { .. } | Op::GruStepRows { .. } => KIND_GRU,

@@ -3,7 +3,10 @@
 //! A [`SamplePlan`] is everything a forward pass needs, precomputed once per
 //! sample and reused across epochs:
 //!
-//! - initial entity states (features zero-padded to `state_dim`),
+//! - initial entity states (features zero-padded to `state_dim`), one row per
+//!   entity **some routed path crosses** — a link, node or queue no path uses
+//!   would receive no message and its state would reach no readout, so it
+//!   gets no row (see "Active subgraph" below),
 //! - one row-compacted message-passing schedule ([`CompiledSteps`]): per
 //!   sequence position, the path rows that have the position and the entity
 //!   each of them reads and writes,
@@ -24,14 +27,25 @@
 //! GRU for: the original RouteNet's links-only sequence `l₁ … l_k` is exactly
 //! the `Link` positions of this one.
 //!
+//! ## Active subgraph
+//!
+//! State rows are the entities on some routed path, in ascending topology
+//! id: the links some path crosses, the nodes some path forwards through
+//! (`path.nodes[..hop_count]`) and, in QoS plans, the (link, class) queues
+//! some path of that class crosses. The schedule and the node incidences
+//! address those rows, so the cost of a forward pass follows the traffic,
+//! not the topology. A routing that uses every entity (any full mesh) keeps
+//! every row under its topology id.
+//!
 //! ## QoS sequence convention
 //!
 //! Samples carrying a QoS dimension (a scheduling policy with more than one
 //! ToS class — see `rn_dataset::schema::SampleQos`) grow a third entity: one
-//! **queue** per (directed link, class) pair, id `link * num_classes +
-//! class`. The sequence becomes 3-periodic per hop — `v₀, q₁, l₁, v₁, q₂,
-//! l₂, …` (length `3k`): the forwarding node, then the per-class queue the
-//! path's packets wait in at that port, then the link that drains it. Samples
+//! **queue** per (directed link, class) pair, in topology order `link *
+//! num_classes + class`. The sequence becomes 3-periodic per hop — `v₀, q₁,
+//! l₁, v₁, q₂, l₂, …` (length `3k`): the forwarding node, then the per-class
+//! queue the path's packets wait in at that port, then the link that drains
+//! it. Samples
 //! without a QoS block and single-class FIFO QoS samples build the exact
 //! 2-periodic structure above with `num_queues == 0`, so plans — and
 //! everything downstream of them — are bitwise identical to the two-entity
@@ -70,7 +84,8 @@ pub enum TargetKind {
 ///
 /// Step `s` is one sequence position across all paths: the path rows that
 /// have the position (ascending) and, aligned with them, the id of the
-/// entity of kind `kinds[s]` each row gathers from and scatter-adds into.
+/// entity of kind `kinds[s]` (its state row) each row gathers from and
+/// scatter-adds into.
 /// Rows past a path's length simply do not appear, so they never touch a
 /// kernel. The index buffers are `Arc<[usize]>` from birth: the tape records
 /// per-step windows of them by refcount ([`SharedIndices`]) instead of
@@ -294,12 +309,15 @@ fn dense_partition(bounds: &Arc<[usize]>) -> Option<SharedIndices> {
 pub struct SamplePlan {
     /// Number of paths (rows of `path_init` and of the prediction).
     pub n_paths: usize,
-    /// Number of directed links.
+    /// Link state rows: the directed links on some routed path, in
+    /// ascending topology id.
     pub num_links: usize,
-    /// Number of nodes.
+    /// Node state rows: the nodes some routed path forwards through, in
+    /// ascending topology id.
     pub num_nodes: usize,
-    /// Number of scheduler queues (`num_links * num_classes` for QoS plans,
-    /// 0 for plain and single-class-FIFO plans — see the module docs).
+    /// Queue state rows: the (link, class) queues some routed path of that
+    /// class crosses, in ascending `link * num_classes + class` (0 for plain
+    /// and single-class-FIFO plans — see the module docs).
     pub num_queues: usize,
     /// `(src, dst)` per path, aligned with rows.
     pub pairs: Vec<(usize, usize)>,
@@ -321,7 +339,7 @@ pub struct SamplePlan {
     /// Flattened path-node incidence: for every (path, traversed node) pair,
     /// the path row index…
     pub node_incidence_paths: Vec<usize>,
-    /// …and the node id (aligned with `node_incidence_paths`).
+    /// …and the node's state row (aligned with `node_incidence_paths`).
     pub node_incidence_nodes: Vec<usize>,
     /// Normalized regression targets, `n_paths x 1` (0.0 for unreliable rows).
     pub targets_norm: Matrix,
@@ -383,16 +401,33 @@ impl<'a> PlanConfig<'a> {
     }
 }
 
+/// State rows for the marked entities of one kind: `rows[id]` counts the
+/// marked entities below `id`, which for a marked `id` is its row when the
+/// marked ones are numbered densely in ascending id. Also returns how many
+/// are marked.
+fn rows_of(used: &[bool]) -> (Vec<usize>, usize) {
+    let mut count = 0;
+    let rows = used
+        .iter()
+        .map(|&u| {
+            let row = count;
+            count += usize::from(u);
+            row
+        })
+        .collect();
+    (rows, count)
+}
+
 /// Build the message-passing plan for one sample.
+///
+/// Entity ids in the sample are trusted to be in range; a sample from
+/// outside the program goes through [`Sample::check_ids`] first.
 ///
 /// Panics if `state_dim < 2` (features need two leading columns).
 pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
     assert!(config.state_dim >= 2, "state_dim must be at least 2");
     let d = config.state_dim;
-    let num_nodes = sample.queue_capacities.len();
-    let num_links = sample.link_capacities.len();
 
-    // ---- Entity features -> initial states -------------------------------
     let paths: Vec<(usize, usize, &rn_netgraph::Path)> = sample.routing.iter_paths().collect();
     let n_paths = paths.len();
     assert_eq!(
@@ -401,34 +436,62 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         "targets misaligned with routing"
     );
 
+    // One queue per (directed link, class); single-class FIFO degenerates to
+    // the two-entity plan so those scenarios stay bitwise identical.
+    let qos = sample.qos.as_ref().filter(|q| !q.is_single_class_fifo());
+    let num_classes = qos.map_or(1, |q| q.num_classes());
+    let queue_of = |row: usize, link: usize| {
+        link * num_classes + qos.map_or(0, |q| q.path_classes[row] as usize)
+    };
+
+    // ---- Active subgraph -----------------------------------------------------
+    // Mark what the routed paths cross and number it, so that the schedule
+    // below is written once, with state rows for ids. A path forwards through
+    // all its nodes but the destination: `zip` stops at the last link.
+    let mut link_used = vec![false; sample.link_capacities.len()];
+    let mut node_used = vec![false; sample.queue_capacities.len()];
+    let mut queue_used = vec![false; qos.map_or(0, |_| link_used.len() * num_classes)];
+    let mut max_hops = 0;
+    for (row, (_, _, path)) in paths.iter().enumerate() {
+        max_hops = max_hops.max(path.hop_count());
+        for (&link, &node) in path.links.iter().zip(&path.nodes) {
+            link_used[link] = true;
+            node_used[node] = true;
+            if qos.is_some() {
+                queue_used[queue_of(row, link)] = true;
+            }
+        }
+    }
+    let (link_rows, num_links) = rows_of(&link_used);
+    let (node_rows, num_nodes) = rows_of(&node_used);
+    let (queue_rows, num_queues) = rows_of(&queue_used);
+
+    // ---- Entity features -> initial states -------------------------------
     let mut path_init = Matrix::zeros(n_paths, d);
     for (row, &(s, dst, _)) in paths.iter().enumerate() {
         path_init.set(row, 0, config.scales.rate(sample.traffic.rate(s, dst)));
     }
     let mut link_init = Matrix::zeros(num_links, d);
     for (l, &cap) in sample.link_capacities.iter().enumerate() {
-        link_init.set(l, 0, config.scales.capacity(cap));
+        if link_used[l] {
+            link_init.set(link_rows[l], 0, config.scales.capacity(cap));
+        }
     }
     let mut node_init = Matrix::zeros(num_nodes, d);
     for (n, &q) in sample.queue_capacities.iter().enumerate() {
-        node_init.set(n, 0, config.scales.queue(q));
-        // Binary tiny-queue indicator: gives the model the same categorical
-        // signal the scenario generator used.
-        let is_tiny = if q <= 1 { 1.0 } else { 0.0 };
-        node_init.set(n, 1, is_tiny);
+        if node_used[n] {
+            node_init.set(node_rows[n], 0, config.scales.queue(q));
+            // Binary tiny-queue indicator: gives the model the same
+            // categorical signal the scenario generator used.
+            let is_tiny = if q <= 1 { 1.0 } else { 0.0 };
+            node_init.set(node_rows[n], 1, is_tiny);
+        }
     }
-
-    // ---- Queue entities (QoS plans only) ----------------------------------
-    // One queue per (directed link, class); single-class FIFO degenerates to
-    // the two-entity plan so those scenarios stay bitwise identical.
-    let qos = sample.qos.as_ref().filter(|q| !q.is_single_class_fifo());
-    let num_classes = qos.map_or(1, |q| q.num_classes());
-    let num_queues = qos.map_or(0, |_| num_links * num_classes);
     let mut queue_init = Matrix::zeros(num_queues, d);
     if let Some(q) = qos {
-        for link in 0..num_links {
-            for class in 0..num_classes {
-                let row = link * num_classes + class;
+        for (queue, &row) in queue_rows.iter().enumerate() {
+            if queue_used[queue] {
+                let class = queue % num_classes;
                 // Col 0: the scheduler's long-run share of the link this
                 // class is configured for (exact for WFQ/DRR, a rank proxy
                 // for strict priority). Col 1: priority rank in (0, 1],
@@ -443,11 +506,6 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
     // ---- Sequence -----------------------------------------------------------
     // v0, l1, v1, l2, ..., v_{k-1}, l_k  (length 2k);
     // QoS plans: v0, q1, l1, v1, q2, l2, ...  (length 3k).
-    let max_hops = paths
-        .iter()
-        .map(|(_, _, p)| p.hop_count())
-        .max()
-        .unwrap_or(0);
     let period = if qos.is_some() { 3 } else { 2 };
     let mut kinds = Vec::with_capacity(period * max_hops);
     let mut active_offsets = vec![0];
@@ -464,12 +522,9 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
             if hop < path.hop_count() {
                 active_rows.push(row);
                 active_ids.push(match kind {
-                    EntityKind::Node => path.nodes[hop],
-                    EntityKind::Link => path.links[hop],
-                    EntityKind::Queue => {
-                        let class = qos.map_or(0, |q| q.path_classes[row] as usize);
-                        path.links[hop] * num_classes + class
-                    }
+                    EntityKind::Node => node_rows[path.nodes[hop]],
+                    EntityKind::Link => link_rows[path.links[hop]],
+                    EntityKind::Queue => queue_rows[queue_of(row, path.links[hop])],
                 });
             }
         }
@@ -483,7 +538,7 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
     for (row, (_, _, path)) in paths.iter().enumerate() {
         for hop in 0..path.hop_count() {
             node_incidence_paths.push(row);
-            node_incidence_nodes.push(path.nodes[hop]);
+            node_incidence_nodes.push(node_rows[path.nodes[hop]]);
         }
     }
 
@@ -869,7 +924,22 @@ mod tests {
         let prep = preprocessing(&delays);
         let plan = build_plan(&sample, &plan_config(&prep));
 
-        assert_eq!(plan.num_queues, topo.num_links() * n);
+        // One queue row per (link, class) pair some path of that class
+        // crosses — on a full mesh every link is crossed, not every pair.
+        let mut crossed: Vec<usize> = sample
+            .routing
+            .iter_paths()
+            .enumerate()
+            .flat_map(|(row, (_, _, path))| {
+                let class = qos.path_classes[row] as usize;
+                path.links.iter().map(move |&l| l * n + class)
+            })
+            .collect();
+        crossed.sort_unstable();
+        crossed.dedup();
+        assert_eq!(plan.num_links, topo.num_links());
+        assert_eq!(plan.num_queues, crossed.len());
+        assert!(plan.num_queues <= topo.num_links() * n);
         assert_eq!(plan.queue_init.shape(), (plan.num_queues, 8));
         assert_eq!(
             plan.schedule.len(),
@@ -883,27 +953,30 @@ mod tests {
             };
             assert_eq!(kind, expected, "position {i}");
         }
-        // Queue ids address the (link, class) queue of each hop.
+        // Queue ids address the row of each hop's (link, class) queue: its
+        // rank among the crossed pairs. Its features are the class's
+        // scheduler share and priority rank.
         for (row, (_, _, path)) in sample.routing.iter_paths().enumerate() {
             let class = qos.path_classes[row] as usize;
             for (h, &l) in path.links.iter().enumerate() {
-                let queue = id_at(&plan, 3 * h + 1, row);
-                assert_eq!(queue, Some(l * n + class), "row {row} hop {h}");
+                let queue = id_at(&plan, 3 * h + 1, row).expect("path has the hop");
+                assert_eq!(
+                    Ok(queue),
+                    crossed.binary_search(&(l * n + class)),
+                    "row {row} hop {h}"
+                );
+                assert_eq!(
+                    plan.queue_init.get(queue, 0),
+                    qos.policy.class_share(class, n) as f32
+                );
+                assert_eq!(plan.queue_init.get(queue, 1), 1.0 - class as f32 / n as f32);
                 assert_eq!(id_at(&plan, 3 * h, row), Some(path.nodes[h]));
                 assert_eq!(id_at(&plan, 3 * h + 2, row), Some(l));
             }
         }
-        // Queue features: per-link scheduler shares sum to 1, ranks descend.
-        for link in 0..topo.num_links() {
-            let share: f32 = (0..n).map(|c| plan.queue_init.get(link * n + c, 0)).sum();
-            assert!((share - 1.0).abs() < 1e-5, "link {link} share sum {share}");
-            for c in 1..n {
-                assert!(
-                    plan.queue_init.get(link * n + c, 1) < plan.queue_init.get(link * n + c - 1, 1),
-                    "priority rank must strictly descend with class index"
-                );
-            }
-        }
+        // Scheduler shares over the classes sum to 1, ranks descend.
+        let share: f64 = (0..n).map(|c| qos.policy.class_share(c, n)).sum();
+        assert!((share - 1.0).abs() < 1e-5, "share sum {share}");
     }
 
     #[test]

@@ -111,24 +111,33 @@ impl EvalReport {
     }
 }
 
-/// Path-row budget per fused evaluation pass. Megabatching pays off by
-/// amortizing binds and fattening matmuls, but the tape keeps every step's
-/// activations resident, so packs that outgrow the cache lose more than
-/// they gain. Chunks are packed greedily until they would exceed this many
-/// path rows: small samples (toy topologies) batch up by the dozen, while
-/// GEANT2-sized samples run close to singly.
-const EVAL_PATH_BUDGET: usize = 512;
+/// GRU-row budget per fused evaluation pass: the rows one message-passing
+/// iteration pushes through a GRU (see [`gru_rows`]). Megabatching pays off
+/// by amortizing binds and fattening matmuls, but the tape keeps every
+/// step's activations resident, so packs that outgrow the cache lose more
+/// than they gain — and what fills the cache is the work a pass holds, which
+/// at equal path count doubles from 2-hop NSFNET paths to 4-hop ISP paths.
+/// Small samples (toy topologies) batch up by the dozen, NSFNET samples
+/// (~840 rows) in pairs, GEANT2-sized and 250-node samples run singly.
+const EVAL_ROW_BUDGET: usize = 2048;
 
-/// Greedy size-aware chunking: consecutive plans packed while the path-row
+/// Rows of `plan` that go through a GRU in one message-passing iteration:
+/// every active (path, position) row of the schedule plus every entity state
+/// row.
+fn gru_rows(plan: &SamplePlan) -> usize {
+    plan.schedule.active_rows_flat.len() + plan.num_links + plan.num_nodes + plan.num_queues
+}
+
+/// Greedy size-aware chunking: consecutive plans packed while the GRU-row
 /// budget holds (every chunk gets at least one plan).
 fn eval_chunks(plans: &[SamplePlan]) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
     let mut start = 0;
     while start < plans.len() {
         let mut end = start + 1;
-        let mut paths = plans[start].n_paths;
-        while end < plans.len() && paths + plans[end].n_paths <= EVAL_PATH_BUDGET {
-            paths += plans[end].n_paths;
+        let mut rows = gru_rows(&plans[start]);
+        while end < plans.len() && rows + gru_rows(&plans[end]) <= EVAL_ROW_BUDGET {
+            rows += gru_rows(&plans[end]);
             end += 1;
         }
         ranges.push((start, end));
@@ -139,7 +148,7 @@ fn eval_chunks(plans: &[SamplePlan]) -> Vec<(usize, usize)> {
 
 /// Evaluate a trained model over a dataset: plan every sample (in parallel),
 /// predict in fused megabatches packed by `eval_chunks` (greedy, up to
-/// `EVAL_PATH_BUDGET` path rows each), collect reliable paths, compute the
+/// `EVAL_ROW_BUDGET` GRU rows each), collect reliable paths, compute the
 /// relative-error report.
 pub fn evaluate<M: PathPredictor>(
     model: &M,
@@ -277,6 +286,39 @@ mod tests {
         assert_eq!(r.rmse_s, 0.0);
         assert_eq!(r.median_abs_rel(), 0.0);
         assert!(r.summary_line().contains('m'));
+    }
+
+    #[test]
+    fn chunks_pack_by_gru_rows_and_cover_every_plan_once() {
+        use crate::config::ModelConfig;
+        use crate::model::ExtendedRouteNet;
+        use rn_dataset::{generate, GeneratorConfig};
+        use rn_netsim::SimConfig;
+        let config = GeneratorConfig {
+            sim: SimConfig {
+                duration_s: 20.0,
+                warmup_s: 2.0,
+                ..SimConfig::default()
+            },
+            ..GeneratorConfig::default()
+        };
+        let ds = generate(&rn_netgraph::topologies::toy5(), &config, 5, 3);
+        let model = ExtendedRouteNet::new(ModelConfig::default());
+        let small: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
+        // toy5, full mesh: 20 paths over 12 links and 5 nodes.
+        let rows = gru_rows(&small[0]);
+        assert_eq!(rows, small[0].schedule.active_rows_flat.len() + 12 + 5);
+        let fit = EVAL_ROW_BUDGET / rows;
+        assert!(fit >= 2, "toy samples batch up");
+        let plans: Vec<SamplePlan> = small.iter().cycle().take(2 * fit + 1).cloned().collect();
+        let chunks = eval_chunks(&plans);
+        assert_eq!(chunks, [(0, fit), (fit, 2 * fit), (2 * fit, 2 * fit + 1)]);
+        // A plan over the budget still gets a pass of its own.
+        let parts: Vec<&SamplePlan> = plans.iter().take(fit + 1).collect();
+        let big = crate::entities::build_megabatch(&parts).plan;
+        assert!(gru_rows(&big) > EVAL_ROW_BUDGET);
+        let mixed = [small[0].clone(), big, small[1].clone()];
+        assert_eq!(eval_chunks(&mixed), [(0, 1), (1, 2), (2, 3)]);
     }
 
     #[test]

@@ -415,10 +415,11 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
     }
 
     /// The fused sweep records three tape nodes per visited sequence
-    /// position (`gather_rows`, `gru_step_rows`, `segment_acc_rows`) instead
-    /// of the ~20 of [`PathPredictor::forward_unfused`] — this is the
-    /// training hot path. Every index list it hands the tape is a refcounted
-    /// view of the plan's buffers, so recording a step copies no index word.
+    /// position (`gather_rows`, `gru_step_rows`, `segment_acc_rows`; two in
+    /// the last iteration, which sends no messages) instead of the ~20 of
+    /// [`PathPredictor::forward_unfused`] — this is the training hot path.
+    /// Every index list it hands the tape is a refcounted view of the plan's
+    /// buffers, so recording a step copies no index word.
     fn forward(&self, g: &mut Graph, bound: &Bound, plan: &SamplePlan) -> Var {
         let schedule = &plan.schedule;
         let shards = plan.shards.as_ref();
@@ -436,11 +437,15 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
             let owned = bound.entity_gru(kind).is_some() && rows > 0;
             owned.then(|| g.constant_copy(init))
         });
-        for _ in 0..self.config.mp_iterations {
+        for iteration in 0..self.config.mp_iterations {
+            // The readout reads path states only, so the entity states the
+            // last iteration would produce reach nothing: its sweep advances
+            // the paths and sends no message.
+            let sends = iteration + 1 < self.config.mp_iterations;
             // Per-entity message sums. In the FinalPathStateSum ablation the
             // node positions are still visited but send no message.
             let mut sums = ENTITY_KINDS.map(|kind| {
-                let collects = kind != EntityKind::Node || positional;
+                let collects = sends && (kind != EntityKind::Node || positional);
                 let state = states[kind as usize].filter(|_| collects)?;
                 let (rows, cols) = g.value(state).shape();
                 Some(g.constant_with(rows, cols, |_| {}))
@@ -478,7 +483,7 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
                         Some(g.segment_acc_rows_sharded(sum, path_state, rows, ids, split));
                 }
             }
-            if !positional && states[EntityKind::Node as usize].is_some() {
+            if sends && !positional && states[EntityKind::Node as usize].is_some() {
                 // Paper wording: element-wise sum of the (final) path states
                 // of all paths traversing the node.
                 let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);

@@ -110,6 +110,75 @@ impl Sample {
             / self.targets.len() as f64
     }
 
+    /// Check everything a consumer indexes with: the routing table and the
+    /// traffic matrix are square over the same nodes, every path has one more
+    /// node than links, node ids address `queue_capacities` and link ids
+    /// `link_capacities`, and labels and path classes line up with the routed
+    /// paths. Needs no topology, so it is the check for a sample that arrives
+    /// alone (a serving request); [`Sample::validate`] adds what only the
+    /// topology can tell.
+    pub fn check_ids(&self) -> Result<(), String> {
+        self.routing.check_shape()?;
+        self.traffic.check_shape()?;
+        if self.traffic.num_nodes() != self.routing.num_nodes() {
+            return Err(format!(
+                "traffic matrix over {} nodes, routing over {}",
+                self.traffic.num_nodes(),
+                self.routing.num_nodes()
+            ));
+        }
+        let mut routed = 0;
+        for (s, d, path) in self.routing.iter_paths() {
+            routed += 1;
+            if path.nodes.len() != path.links.len() + 1 {
+                return Err(format!(
+                    "path {s}->{d} has {} nodes but {} links",
+                    path.nodes.len(),
+                    path.links.len()
+                ));
+            }
+            if let Some(n) = path
+                .nodes
+                .iter()
+                .find(|&&n| n >= self.queue_capacities.len())
+            {
+                return Err(format!(
+                    "path {s}->{d}: node id {n} out of range ({} queue capacities)",
+                    self.queue_capacities.len()
+                ));
+            }
+            if let Some(l) = path
+                .links
+                .iter()
+                .find(|&&l| l >= self.link_capacities.len())
+            {
+                return Err(format!(
+                    "path {s}->{d}: link id {l} out of range ({} link capacities)",
+                    self.link_capacities.len()
+                ));
+            }
+        }
+        if self.targets.len() != routed {
+            return Err(format!(
+                "{} targets for {routed} routed paths",
+                self.targets.len()
+            ));
+        }
+        if let Some(qos) = &self.qos {
+            if qos.path_classes.len() != routed {
+                return Err(format!(
+                    "{} path classes for {routed} routed paths",
+                    qos.path_classes.len()
+                ));
+            }
+            let n = qos.num_classes();
+            if let Some(c) = qos.path_classes.iter().find(|&&c| c as usize >= n) {
+                return Err(format!("path class {c} out of range (num classes {n})"));
+            }
+        }
+        Ok(())
+    }
+
     /// Structural validation against the dataset topology.
     pub fn validate(&self, topo: &Topology) -> Result<(), String> {
         if self.queue_profiles.len() != topo.num_nodes() {
@@ -133,14 +202,10 @@ impl Sample {
                 topo.num_links()
             ));
         }
+        // Ids in range first: `Routing::validate` indexes the topology with
+        // them.
+        self.check_ids()?;
         self.routing.validate(topo)?;
-        if self.targets.len() != self.routing.num_paths() {
-            return Err(format!(
-                "{} targets for {} routed paths",
-                self.targets.len(),
-                self.routing.num_paths()
-            ));
-        }
         for t in &self.targets {
             if !(t.mean_delay_s.is_finite() && t.jitter_s.is_finite() && t.loss_ratio.is_finite()) {
                 return Err(format!("non-finite label on path {}->{}", t.src, t.dst));
@@ -150,20 +215,10 @@ impl Sample {
             }
         }
         if let Some(qos) = &self.qos {
-            if qos.path_classes.len() != self.targets.len() {
-                return Err(format!(
-                    "{} path classes for {} targets",
-                    qos.path_classes.len(),
-                    self.targets.len()
-                ));
-            }
             let n = qos.num_classes();
             qos.policy.validate(n)?;
             for p in &qos.class_profiles {
                 p.validate()?;
-            }
-            if let Some(&c) = qos.path_classes.iter().find(|&&c| c as usize >= n) {
-                return Err(format!("path class {c} out of range (num classes {n})"));
             }
             if qos.class_targets.len() != n {
                 return Err(format!(
@@ -293,6 +348,50 @@ mod tests {
         let mut s = tiny_sample(&topo);
         s.targets.pop();
         assert!(s.validate(&topo).is_err());
+    }
+
+    #[test]
+    fn check_ids_rejects_what_a_consumer_would_index_with() {
+        let topo = topologies::toy5();
+        let good = tiny_sample(&topo);
+        good.check_ids().unwrap();
+        let through_json = |edit: &dyn Fn(&str) -> String| -> Sample {
+            serde_json::from_str(&edit(&serde_json::to_string(&good).unwrap())).unwrap()
+        };
+
+        // Ids past the capacity vectors; a path with a node too few.
+        let mut bad = good.clone();
+        bad.link_capacities.truncate(3);
+        assert!(bad.check_ids().unwrap_err().contains("link id"));
+        let mut bad = good.clone();
+        bad.queue_capacities.truncate(2);
+        assert!(bad.check_ids().unwrap_err().contains("node id"));
+        let first_path = serde_json::to_string(good.routing.iter_paths().next().unwrap().2);
+        let first_path = first_path.unwrap();
+        let bad = through_json(&|json| {
+            assert!(json.contains(&first_path));
+            json.replacen(&first_path, r#"{"nodes":[0],"links":[0]}"#, 1)
+        });
+        assert!(bad.check_ids().unwrap_err().contains("1 nodes but 1 links"));
+
+        // Labels and classes misaligned with the routed paths.
+        let mut bad = good.clone();
+        bad.targets.pop();
+        assert!(bad.check_ids().unwrap_err().contains("targets"));
+        let mut bad = good.clone();
+        bad.qos = Some(tiny_qos(good.num_paths() - 1));
+        assert!(bad.check_ids().unwrap_err().contains("path classes"));
+        let mut bad = good.clone();
+        bad.qos = Some(tiny_qos(good.num_paths()));
+        bad.qos.as_mut().unwrap().path_classes[0] = 2;
+        assert!(bad.check_ids().unwrap_err().contains("path class 2"));
+
+        // Tables that are not square over one node count (wire data only).
+        let bad = through_json(&|json| json.replacen(r#""num_nodes":5"#, r#""num_nodes":0"#, 1));
+        assert!(bad.check_ids().unwrap_err().contains("routing table"));
+        let mut bad = good.clone();
+        bad.traffic = TrafficMatrix::zeros(4);
+        assert!(bad.check_ids().unwrap_err().contains("traffic matrix"));
     }
 
     #[test]

@@ -239,6 +239,20 @@ impl Routing {
         self.num_nodes
     }
 
+    /// Whether the table is `num_nodes × num_nodes`, as [`Routing::path`] and
+    /// [`Routing::iter_paths`] assume. Every constructor builds it so; a
+    /// deserialized routing carries whatever the input said.
+    pub fn check_shape(&self) -> Result<(), String> {
+        if self.num_nodes.checked_mul(self.num_nodes) != Some(self.paths.len()) {
+            return Err(format!(
+                "routing table holds {} entries for {} nodes",
+                self.paths.len(),
+                self.num_nodes
+            ));
+        }
+        Ok(())
+    }
+
     /// Iterate `(src, dst, path)` over all routed pairs in deterministic
     /// (row-major) order.
     pub fn iter_paths(&self) -> impl Iterator<Item = (NodeId, NodeId, &Path)> {

@@ -78,6 +78,20 @@ impl TrafficMatrix {
         self.num_nodes
     }
 
+    /// Whether the matrix is `num_nodes × num_nodes`, as [`TrafficMatrix::rate`]
+    /// assumes. Every constructor builds it so; a deserialized matrix carries
+    /// whatever the input said.
+    pub fn check_shape(&self) -> Result<(), String> {
+        if self.num_nodes.checked_mul(self.num_nodes) != Some(self.rates_bps.len()) {
+            return Err(format!(
+                "traffic matrix holds {} rates for {} nodes",
+                self.rates_bps.len(),
+                self.num_nodes
+            ));
+        }
+        Ok(())
+    }
+
     /// The rate from `src` to `dst` in bits per second.
     pub fn rate(&self, src: NodeId, dst: NodeId) -> f64 {
         self.rates_bps[src * self.num_nodes + dst]

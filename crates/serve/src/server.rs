@@ -18,9 +18,11 @@
 //! N}}`; clients should back off at least that long before retrying.
 //!
 //! **Every** request line gets exactly one response line as long as the
-//! connection lives: malformed JSON, invalid UTF-8 and unknown request
-//! shapes are answered with a structured `{"Error": …}` line and the
-//! connection stays usable — a buggy (or adversarial) client wedges only
+//! connection lives: malformed JSON, invalid UTF-8, unknown request shapes
+//! and scenarios that are not self-consistent (an id out of range, labels
+//! misaligned with the routing) are answered with a structured
+//! `{"Error": {"message": "bad request: …"}}` line and the connection stays
+//! usable — a buggy (or adversarial) client wedges only
 //! itself.
 //!
 //! `Register` compiles a scenario into the shared plan cache and returns its
@@ -147,13 +149,13 @@ pub fn respond_line<M: PathPredictor>(handle: &ServeHandle<M>, line: &str) -> Re
         Request::Metrics => Response::Metrics {
             snapshot: handle.metrics(),
         },
-        Request::Register { sample } => {
-            let (plan, fp) = handle.plan_sample(&sample);
-            Response::Registered {
+        Request::Register { sample } => match handle.plan_sample(&sample) {
+            Ok((plan, fp)) => Response::Registered {
                 plan: fingerprint_to_hex(fp),
                 paths: plan.n_paths,
-            }
-        }
+            },
+            Err(e) => error_response(e),
+        },
         Request::Predict {
             sample,
             deadline_ms,

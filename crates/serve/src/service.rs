@@ -313,6 +313,10 @@ pub enum ServeError {
     Shutdown,
     /// A referenced plan fingerprint is not resident in the cache.
     UnknownPlan(u64),
+    /// The submitted scenario is not self-consistent (an id out of range,
+    /// labels misaligned with the routing, …) and was not planned. Carries
+    /// what [`Sample::check_ids`] found.
+    BadRequest(String),
     /// The submitted plan's state width does not match the model serving
     /// right now (`expected`, `found`) — it was compiled for a different
     /// model generation. Rebuild the plan (e.g. re-`Register` the scenario).
@@ -338,6 +342,7 @@ impl std::fmt::Display for ServeError {
             ),
             Self::Shutdown => write!(f, "service is shut down"),
             Self::UnknownPlan(fp) => write!(f, "unknown plan fingerprint {fp:#018x}"),
+            Self::BadRequest(why) => write!(f, "bad request: {why}"),
             Self::IncompatiblePlan { expected, found } => write!(
                 f,
                 "plan state width {found} does not match the serving model \
@@ -502,7 +507,7 @@ impl<M: PathPredictor> ServeHandle<M> {
         sample: &Sample,
         deadline: Option<Duration>,
     ) -> Result<(Vec<f64>, u64), ServeError> {
-        let (plan, fp) = self.plan_sample(sample);
+        let (plan, fp) = self.plan_sample(sample)?;
         Ok((self.predict_plan_with_deadline(plan, deadline)?, fp))
     }
 
@@ -530,11 +535,16 @@ impl<M: PathPredictor> ServeHandle<M> {
     /// preprocessing. The fingerprint covers that preprocessing state (and
     /// hot-swaps flush the cache besides), so a plan can never be served
     /// under a model whose features it was not compiled for.
-    pub fn plan_sample(&self, sample: &Sample) -> (Arc<SamplePlan>, u64) {
+    ///
+    /// This is where a scenario from the wire enters: fingerprinting and
+    /// planning index it with its own ids, so it is checked first and a
+    /// malformed one is a [`ServeError::BadRequest`], not a panic.
+    pub fn plan_sample(&self, sample: &Sample) -> Result<(Arc<SamplePlan>, u64), ServeError> {
+        sample.check_ids().map_err(ServeError::BadRequest)?;
         let (model, _) = self.inner.registry.snapshot();
         let (scales, normalizer) = model.preprocessing();
         let cfg = PlanConfig::new(model.config(), scales, normalizer);
-        self.inner.plans.get_or_build(sample, &cfg)
+        Ok(self.inner.plans.get_or_build(sample, &cfg))
     }
 
     /// Fingerprint a sample under the current model without planning it.

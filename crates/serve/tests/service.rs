@@ -623,3 +623,99 @@ fn intra_batch_sharding_keeps_served_bits_identical() {
     assert_eq!(snapshot.completed, 8 * plans.len() as u64);
     service.shutdown();
 }
+
+/// A scenario from the wire is indexed with its own ids by the fingerprint
+/// and the planner; one whose ids do not hold together must be refused at
+/// the door, on a connection that stays usable.
+#[test]
+fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
+    let ds = toy_dataset(1, 37);
+    let good = &ds.samples[0];
+    let model = fitted_model(&ds, 1);
+    let service = Service::start(model, ServeConfig::default());
+    let server = TcpServer::bind(service.handle(), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+
+    let two_classes = |path_classes: Vec<u8>| rn_dataset::SampleQos {
+        policy: rn_netsim::SchedulingPolicy::StrictPriority,
+        class_profiles: vec![rn_netsim::TrafficProfile::Poisson; 2],
+        class_targets: rn_netsim::ClassStats::from_accumulators(
+            &vec![Default::default(); path_classes.len()],
+            &vec![0; path_classes.len()],
+            2,
+        ),
+        path_classes,
+    };
+    let edited = |edit: &dyn Fn(&mut rn_dataset::Sample)| {
+        let mut sample = good.clone();
+        edit(&mut sample);
+        serde_json::to_string(&sample).expect("serialize")
+    };
+    let good_json = serde_json::to_string(good).expect("serialize");
+    let first_path = serde_json::to_string(good.routing.iter_paths().next().expect("a path").2);
+    let first_path = first_path.expect("serialize");
+    assert!(good_json.contains(&first_path) && good_json.contains(r#""num_nodes":5"#));
+    let malformed: [(&str, String); 8] = [
+        ("link id", edited(&|s| s.link_capacities.truncate(3))),
+        ("node id", edited(&|s| s.queue_capacities.truncate(2))),
+        (
+            "targets",
+            edited(&|s| {
+                s.targets.pop();
+            }),
+        ),
+        (
+            "path classes",
+            edited(&|s| s.qos = Some(two_classes(vec![0; s.targets.len() - 1]))),
+        ),
+        (
+            "path class 7",
+            edited(&|s| s.qos = Some(two_classes(vec![7; s.targets.len()]))),
+        ),
+        (
+            "nodes but",
+            good_json.replacen(&first_path, r#"{"nodes":[0],"links":[0,1]}"#, 1),
+        ),
+        (
+            "routing table",
+            good_json.replacen(r#""num_nodes":5"#, r#""num_nodes":0"#, 1),
+        ),
+        (
+            "traffic matrix",
+            edited(&|s| s.traffic = rn_netgraph::TrafficMatrix::zeros(4)),
+        ),
+    ];
+    for (what, sample) in &malformed {
+        for line in [
+            format!(r#"{{"Register":{{"sample":{sample}}}}}"#),
+            format!(r#"{{"Predict":{{"sample":{sample},"deadline_ms":null}}}}"#),
+        ] {
+            match client
+                .round_trip_line(&line)
+                .expect("an answer, not a hang-up")
+            {
+                Response::Error { message } => assert!(
+                    message.starts_with("bad request: ") && message.contains(what),
+                    "{what}: {message}"
+                ),
+                other => panic!("{what}: expected Error, got {other:?}"),
+            }
+            match client.round_trip(&Request::Ping).expect("same connection") {
+                Response::Pong => {}
+                other => panic!("{what}: expected Pong, got {other:?}"),
+            }
+        }
+    }
+    // The well-formed scenario is still served, and nothing panicked.
+    client.register(good).expect("register");
+    match client.round_trip(&Request::Metrics).expect("metrics") {
+        Response::Metrics { snapshot } => {
+            assert_eq!(snapshot.worker_panics, 0);
+            assert_eq!(snapshot.worker_restarts, 0);
+        }
+        other => panic!("expected Metrics, got {other:?}"),
+    }
+    drop(client);
+    server.stop();
+    service.shutdown();
+}

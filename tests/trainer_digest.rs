@@ -6,6 +6,10 @@
 //! at commit 0fd495a, when the trainer still carried a per-sample path, a
 //! streaming twin and a background prefetch lane beside its default
 //! schedule; the one schedule that replaced them must keep every bit.
+//! `qos_two_class` was re-recorded once, when plans stopped carrying rows for
+//! (link, class) queues no path crosses: fewer rows regroup the queue GRU's
+//! weight-gradient sums, the loss history agreed with the old one to 7e-8
+//! relative and training stopped at the same epoch.
 //!
 //! `tests/model_digest.rs` stops at one forward/backward; this pins what
 //! comes after it — batch membership and visit order from the seeded
@@ -136,7 +140,7 @@ fn trainers_reproduce_the_recorded_digests() {
         ),
         (
             "qos_two_class",
-            0xc128_fe1e_b011_1c4b,
+            0x46cf_8a56_c55c_98f3,
             at_every_count(&|w| run_digest(QosRouteNet::new(model_config()), &two_class, w)),
         ),
     ];
