@@ -17,7 +17,21 @@
 //! the 4-row sums of the weight-gradient kernel); the other three scenarios
 //! use every entity and kept theirs.
 //!
-//! After an *intentional* numerics change, print fresh constants with
+//! A digest says *that* bits moved, not by how much. Beside the digests,
+//! `tests/fixtures/model_values.json` therefore holds the same steps as
+//! numbers — every prediction, the loss and every parameter gradient of each
+//! scenario, single-sample and megabatch — written by commit 8e9b40a, and
+//! `tests/fixtures/model_extended.json` an `ExtendedRouteNet` saved by that
+//! commit's `save_model`, with its predictions.
+//! `models_stay_within_tolerance_of_the_recorded_values` holds the head to
+//! them: predictions and loss to 1e-5 relative, each gradient matrix to 1e-4
+//! of its largest element, the saved file loading and predicting to 1e-5. A
+//! change that regroups a floating-point sum re-records the digests and
+//! reports the deviation this test prints; it re-records the values only
+//! when the arithmetic they describe is itself meant to change.
+//!
+//! After an *intentional* numerics change, print fresh constants (and
+//! rewrite both fixtures) with
 //! `RN_REGEN_GOLDEN=1 cargo test --test model_digest -- --nocapture`.
 
 use rn_autograd::{Graph, WorkerPool};
@@ -25,13 +39,16 @@ use rn_dataset::{generate, generate_sparse, Dataset, GeneratorConfig, QosGenConf
 use rn_netgraph::generators::{isp_tiered, TierConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
-use rn_tensor::Prng;
+use rn_tensor::{Matrix, Prng};
 use routenet::entities::build_megabatch;
 use routenet::model::PathPredictor;
+use routenet::persist::{load_model, save_model};
 use routenet::plan_cache::Fingerprint;
 use routenet::{
     ExtendedRouteNet, ModelConfig, NodeUpdate, OriginalRouteNet, QosRouteNet, SamplePlan,
 };
+use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 fn generator(qos: bool) -> GeneratorConfig {
@@ -66,21 +83,18 @@ fn config(node_update: NodeUpdate) -> ModelConfig {
     }
 }
 
-/// Predictions, then one training-mode forward + backward: FNV-1a over the
-/// prediction bits, the loss bits and every gradient element in parameter
-/// order. Returns `(full digest, digest of the predictions alone)`.
-fn step_digest<M: PathPredictor>(
-    model: &M,
-    plan: &SamplePlan,
-    pool: Option<Arc<WorkerPool>>,
-) -> (u64, u64) {
-    let mut fp = Fingerprint::new();
+/// What one step computes: the predictions, then the loss and every
+/// parameter gradient of one training-mode forward + backward.
+struct Step {
+    predictions: Vec<f64>,
+    loss: f32,
+    grads: Vec<Matrix>,
+}
+
+fn step<M: PathPredictor>(model: &M, plan: &SamplePlan, pool: Option<Arc<WorkerPool>>) -> Step {
     let mut g = Graph::new();
     g.set_worker_pool(pool);
-    for p in model.predict_with(&mut g, plan) {
-        fp.f64(p);
-    }
-    let predictions = fp.finish();
+    let predictions = model.predict_with(&mut g, plan);
     g.reset();
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, plan);
@@ -88,14 +102,32 @@ fn step_digest<M: PathPredictor>(
     let target = g.constant(plan.reliable_targets_norm());
     let loss = g.mse(reliable, target);
     g.backward(loss);
-    fp.u64(u64::from(g.value(loss).get(0, 0).to_bits()));
-    for grad in model.grads(&g, &bound) {
-        fp.usize(grad.len());
-        for &v in grad.as_slice() {
-            fp.u64(u64::from(v.to_bits()));
-        }
+    Step {
+        predictions,
+        loss: g.value(loss).get(0, 0),
+        grads: model.grads(&g, &bound),
     }
-    (fp.finish(), predictions)
+}
+
+impl Step {
+    /// FNV-1a over the prediction bits, the loss bits and every gradient
+    /// element in parameter order. Returns `(full digest, digest of the
+    /// predictions alone)`.
+    fn digests(&self) -> (u64, u64) {
+        let mut fp = Fingerprint::new();
+        for &p in &self.predictions {
+            fp.f64(p);
+        }
+        let predictions = fp.finish();
+        fp.u64(u64::from(self.loss.to_bits()));
+        for grad in &self.grads {
+            fp.usize(grad.len());
+            for &v in grad.as_slice() {
+                fp.u64(u64::from(v.to_bits()));
+            }
+        }
+        (fp.finish(), predictions)
+    }
 }
 
 /// A scenario's digests, `[single sample, whole-dataset megabatch @ 1
@@ -108,32 +140,66 @@ struct Digests {
     predictions: [u64; 3],
 }
 
-fn model_digests<M: PathPredictor>(mut model: M, ds: &Dataset) -> Digests {
+impl Digests {
+    fn of(steps: &[Step; 3]) -> Self {
+        let digests = [0, 1, 2].map(|i| steps[i].digests());
+        Digests {
+            full: digests.map(|(full, _)| full),
+            predictions: digests.map(|(_, predictions)| predictions),
+        }
+    }
+}
+
+/// A scenario's steps, `[single sample, whole-dataset megabatch @ 1 worker,
+/// @ 4 workers]`.
+fn model_steps<M: PathPredictor>(mut model: M, ds: &Dataset) -> [Step; 3] {
     model.fit_preprocessing(ds, 5);
     let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
     let parts: Vec<&SamplePlan> = plans.iter().collect();
     let mb = build_megabatch(&parts);
     assert!(mb.plan.shards.is_some(), "a megabatch must shard");
-    let steps = [
-        step_digest(&model, &plans[0], None),
-        step_digest(&model, &mb.plan, Some(Arc::new(WorkerPool::new(1)))),
-        step_digest(&model, &mb.plan, Some(Arc::new(WorkerPool::new(4)))),
-    ];
-    Digests {
-        full: steps.map(|(full, _)| full),
-        predictions: steps.map(|(_, predictions)| predictions),
-    }
+    [
+        step(&model, &plans[0], None),
+        step(&model, &mb.plan, Some(Arc::new(WorkerPool::new(1)))),
+        step(&model, &mb.plan, Some(Arc::new(WorkerPool::new(4)))),
+    ]
 }
 
-#[test]
-fn models_reproduce_the_recorded_digests() {
+/// Every scenario, in the order of the recorded tables.
+fn scenario_steps() -> [(&'static str, [Step; 3]); 5] {
     let legacy = dataset(false);
     let two_class = dataset(true);
     assert!(two_class.samples[0].qos.is_some());
     let sparse_isp = sparse_isp_dataset();
     let positional = config(NodeUpdate::PositionalMessages);
     let final_sum = config(NodeUpdate::FinalPathStateSum);
-    let scenarios: [(&str, Digests, Digests); 5] = [
+    [
+        (
+            "original",
+            model_steps(OriginalRouteNet::new(positional.clone()), &legacy),
+        ),
+        (
+            "extended_positional",
+            model_steps(ExtendedRouteNet::new(positional.clone()), &legacy),
+        ),
+        (
+            "extended_final_path_state_sum",
+            model_steps(ExtendedRouteNet::new(final_sum), &legacy),
+        ),
+        (
+            "qos_two_class",
+            model_steps(QosRouteNet::new(positional.clone()), &two_class),
+        ),
+        (
+            "extended_sparse_isp",
+            model_steps(ExtendedRouteNet::new(positional), &sparse_isp),
+        ),
+    ]
+}
+
+#[test]
+fn models_reproduce_the_recorded_digests() {
+    let recorded: [(&str, Digests); 5] = [
         (
             "original",
             Digests {
@@ -148,7 +214,6 @@ fn models_reproduce_the_recorded_digests() {
                     0xb129_b92a_598c_5123,
                 ],
             },
-            model_digests(OriginalRouteNet::new(positional.clone()), &legacy),
         ),
         (
             "extended_positional",
@@ -164,7 +229,6 @@ fn models_reproduce_the_recorded_digests() {
                     0x5d00_885f_fc79_f91f,
                 ],
             },
-            model_digests(ExtendedRouteNet::new(positional.clone()), &legacy),
         ),
         (
             "extended_final_path_state_sum",
@@ -180,7 +244,6 @@ fn models_reproduce_the_recorded_digests() {
                     0x5ff6_eec8_f350_425e,
                 ],
             },
-            model_digests(ExtendedRouteNet::new(final_sum), &legacy),
         ),
         (
             "qos_two_class",
@@ -196,7 +259,6 @@ fn models_reproduce_the_recorded_digests() {
                     0xf916_7bd8_313e_f06b,
                 ],
             },
-            model_digests(QosRouteNet::new(positional.clone()), &two_class),
         ),
         (
             "extended_sparse_isp",
@@ -212,9 +274,16 @@ fn models_reproduce_the_recorded_digests() {
                     0x0973_b829_9398_e467,
                 ],
             },
-            model_digests(ExtendedRouteNet::new(positional), &sparse_isp),
         ),
     ];
+    let scenarios: Vec<(&str, &Digests, Digests)> = recorded
+        .iter()
+        .zip(scenario_steps())
+        .map(|((name, want), (ran, steps))| {
+            assert_eq!(*name, ran, "recorded table and scenarios out of step");
+            (*name, want, Digests::of(&steps))
+        })
+        .collect();
     let hex = |d: [u64; 3]| format!("[{:#018x}, {:#018x}, {:#018x}]", d[0], d[1], d[2]);
     let table: String = scenarios
         .iter()
@@ -234,7 +303,196 @@ fn models_reproduce_the_recorded_digests() {
         return;
     }
     assert!(
-        scenarios.iter().all(|(_, want, got)| want == got),
+        scenarios.iter().all(|(_, want, got)| *want == got),
         "a model moved bits against the frozen per-model reference:\n{table}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The same steps as numbers
+// ---------------------------------------------------------------------------
+
+fn fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// One [`Step`] as the fixture stores it. `f32` values are written through
+/// their shortest decimal form, which halves the file against the exact
+/// `f64` expansion and is still eight digits past the tolerances below.
+#[derive(Serialize, Deserialize)]
+struct RecordedStep {
+    predictions: Vec<f64>,
+    loss: f64,
+    /// One flat row-major list per parameter, in parameter order.
+    grads: Vec<Vec<f64>>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct RecordedScenario {
+    name: String,
+    single: RecordedStep,
+    megabatch: RecordedStep,
+}
+
+#[derive(Serialize, Deserialize)]
+struct RecordedValues {
+    scenarios: Vec<RecordedScenario>,
+    /// What the model in `model_extended.json` predicts on
+    /// [`saved_model_plan`]'s sample.
+    saved_model_predictions: Vec<f64>,
+}
+
+fn short(v: f32) -> f64 {
+    v.to_string().parse().expect("an f32 prints as a number")
+}
+
+impl RecordedStep {
+    fn of(step: &Step) -> Self {
+        RecordedStep {
+            predictions: step.predictions.clone(),
+            loss: short(step.loss),
+            grads: step
+                .grads
+                .iter()
+                .map(|g| g.as_slice().iter().map(|&v| short(v)).collect())
+                .collect(),
+        }
+    }
+}
+
+/// How far a step is from its recorded values, in the units of the
+/// tolerances: relative for predictions and loss, relative to the largest
+/// element of its matrix for gradients.
+#[derive(Default)]
+struct Deviation {
+    predictions: f64,
+    loss: f64,
+    grads: f64,
+}
+
+fn max_rel(got: &[f64], want: &[f64]) -> f64 {
+    assert_eq!(got.len(), want.len(), "value count changed");
+    got.iter()
+        .zip(want)
+        .map(|(g, w)| (g - w).abs() / w.abs().max(1e-12))
+        .fold(0.0, f64::max)
+}
+
+fn deviation(got: &Step, want: &RecordedStep) -> Deviation {
+    assert_eq!(got.grads.len(), want.grads.len(), "parameter count changed");
+    let grads = got
+        .grads
+        .iter()
+        .zip(&want.grads)
+        .map(|(g, w)| {
+            assert_eq!(g.len(), w.len(), "parameter shape changed");
+            let scale = w.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let worst = g
+                .as_slice()
+                .iter()
+                .zip(w)
+                .map(|(&a, &b)| f64::from((a - b as f32).abs()))
+                .fold(0.0, f64::max);
+            // A gradient that was identically zero must stay so.
+            if scale == 0.0 {
+                worst
+            } else {
+                worst / scale
+            }
+        })
+        .fold(0.0, f64::max);
+    Deviation {
+        predictions: max_rel(&got.predictions, &want.predictions),
+        loss: max_rel(&[f64::from(got.loss)], &[f64::from(want.loss as f32)]),
+        grads,
+    }
+}
+
+/// The model `model_extended.json` holds, before it was saved, and the plan
+/// its recorded predictions are for.
+fn saved_model_setup() -> (ExtendedRouteNet, rn_dataset::Sample) {
+    let ds = dataset(false);
+    let mut model = ExtendedRouteNet::new(config(NodeUpdate::PositionalMessages));
+    model.fit_preprocessing(&ds, 5);
+    (model, ds.samples[1].clone())
+}
+
+const PREDICTION_TOL: f64 = 1e-5;
+const LOSS_TOL: f64 = 1e-5;
+const GRAD_TOL: f64 = 1e-4;
+
+#[test]
+fn models_stay_within_tolerance_of_the_recorded_values() {
+    let steps = scenario_steps();
+    let (values_path, model_path) = (fixture("model_values.json"), fixture("model_extended.json"));
+    if std::env::var("RN_REGEN_GOLDEN").is_ok() {
+        let (model, sample) = saved_model_setup();
+        save_model(&model, &model_path).expect("save the model fixture");
+        let values = RecordedValues {
+            scenarios: steps
+                .iter()
+                .map(|(name, [single, megabatch, _])| RecordedScenario {
+                    name: name.to_string(),
+                    single: RecordedStep::of(single),
+                    megabatch: RecordedStep::of(megabatch),
+                })
+                .collect(),
+            saved_model_predictions: model.predict(&model.plan(&sample)),
+        };
+        std::fs::write(&values_path, serde_json::to_string(&values).unwrap()).unwrap();
+        eprintln!(
+            "regenerated {} and {}",
+            values_path.display(),
+            model_path.display()
+        );
+        return;
+    }
+
+    let text = std::fs::read_to_string(&values_path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run with RN_REGEN_GOLDEN=1",
+            values_path.display()
+        )
+    });
+    let recorded: RecordedValues = serde_json::from_str(&text).expect("parse model_values.json");
+    assert_eq!(recorded.scenarios.len(), steps.len(), "scenario count");
+    let mut table = String::new();
+    let mut worst = Deviation::default();
+    for (want, (name, [single, megabatch, _])) in recorded.scenarios.iter().zip(&steps) {
+        assert_eq!(want.name, *name, "fixture and scenarios out of step");
+        for (mode, got, want) in [
+            ("single", single, &want.single),
+            ("mb@1", megabatch, &want.megabatch),
+        ] {
+            let d = deviation(got, want);
+            table += &format!(
+                "  {name} {mode}: predictions {:.1e}, loss {:.1e}, gradients {:.1e}\n",
+                d.predictions, d.loss, d.grads
+            );
+            worst.predictions = worst.predictions.max(d.predictions);
+            worst.loss = worst.loss.max(d.loss);
+            worst.grads = worst.grads.max(d.grads);
+        }
+    }
+
+    // The file format did not move: the model saved at the recording commit
+    // loads, and predicts what it predicted there.
+    let loaded: ExtendedRouteNet = load_model(&model_path).expect("load model_extended.json");
+    let (_, sample) = saved_model_setup();
+    let saved = max_rel(
+        &loaded.predict(&loaded.plan(&sample)),
+        &recorded.saved_model_predictions,
+    );
+    table += &format!("  saved model: predictions {saved:.1e}\n");
+    eprintln!("worst deviation from the recorded values:\n{table}");
+    assert!(
+        worst.predictions <= PREDICTION_TOL
+            && worst.loss <= LOSS_TOL
+            && worst.grads <= GRAD_TOL
+            && saved <= PREDICTION_TOL,
+        "a model left the tolerance of its recorded values (predictions {PREDICTION_TOL:e}, \
+         loss {LOSS_TOL:e}, gradients {GRAD_TOL:e} of the matrix maximum):\n{table}"
     );
 }

@@ -16,7 +16,14 @@
 //! shuffle, shard gradient reduction, clip, Adam, the halving schedule, the
 //! patience counter and the best-weights restore.
 //!
-//! After an *intentional* numerics change, print fresh constants with
+//! Beside the digests, `tests/fixtures/trainer_values.json` holds every
+//! scenario's loss histories and stop epoch as numbers, written by commit
+//! 8e9b40a; `trainers_stay_within_tolerance_of_the_recorded_histories` holds
+//! every run of the head to them (losses to 1e-4 relative, the same stop
+//! epoch), so a change that moves the digests can say by how much.
+//!
+//! After an *intentional* numerics change, print fresh constants (and
+//! rewrite the fixture) with
 //! `RN_REGEN_GOLDEN=1 cargo test --test trainer_digest -- --nocapture`.
 
 use rn_dataset::{generate, Dataset, GeneratorConfig, QosGenConfig};
@@ -25,7 +32,11 @@ use rn_netsim::SimConfig;
 use rn_nn::loss::Loss;
 use routenet::model::PathPredictor;
 use routenet::plan_cache::Fingerprint;
-use routenet::{train, ExtendedRouteNet, ModelConfig, OriginalRouteNet, QosRouteNet, TrainConfig};
+use routenet::{
+    train, ExtendedRouteNet, ModelConfig, OriginalRouteNet, QosRouteNet, TrainConfig,
+    TrainingHistory,
+};
+use std::path::PathBuf;
 
 fn dataset(qos: bool, seed: u64, samples: usize) -> Dataset {
     let config = GeneratorConfig {
@@ -86,8 +97,7 @@ fn worker_counts() -> Vec<usize> {
 struct Run {
     workers: usize,
     digest: u64,
-    /// Only for the table: says whether the early stop fired.
-    stopped_at: usize,
+    history: TrainingHistory,
 }
 
 /// `train()` from fresh weights, then FNV-1a over the bit patterns of the
@@ -115,35 +125,49 @@ fn run_digest<M: PathPredictor>(
     Run {
         workers,
         digest: fp.finish(),
-        stopped_at: history.stopped_at,
+        history,
     }
 }
 
-#[test]
-fn trainers_reproduce_the_recorded_digests() {
+/// Every scenario at every worker count, in the order of the recorded tables.
+fn scenario_runs() -> [(&'static str, Vec<Run>); 3] {
     let legacy = (dataset(false, 20_260_928, 6), dataset(false, 20_260_929, 3));
     let two_class = (dataset(true, 20_260_928, 6), dataset(true, 20_260_929, 3));
     assert!(two_class.0.samples[0].qos.is_some());
     let counts = worker_counts();
     let at_every_count =
         |run: &dyn Fn(usize) -> Run| -> Vec<Run> { counts.iter().map(|&w| run(w)).collect() };
-    let scenarios: [(&str, u64, Vec<Run>); 3] = [
+    [
         (
             "original",
-            0x2b39_2dcb_e6cb_d12f,
             at_every_count(&|w| run_digest(OriginalRouteNet::new(model_config()), &legacy, w)),
         ),
         (
             "extended",
-            0xde94_dc76_48b3_aa77,
             at_every_count(&|w| run_digest(ExtendedRouteNet::new(model_config()), &legacy, w)),
         ),
         (
             "qos_two_class",
-            0x46cf_8a56_c55c_98f3,
             at_every_count(&|w| run_digest(QosRouteNet::new(model_config()), &two_class, w)),
         ),
+    ]
+}
+
+#[test]
+fn trainers_reproduce_the_recorded_digests() {
+    let recorded: [(&str, u64); 3] = [
+        ("original", 0x2b39_2dcb_e6cb_d12f),
+        ("extended", 0xde94_dc76_48b3_aa77),
+        ("qos_two_class", 0x46cf_8a56_c55c_98f3),
     ];
+    let scenarios: Vec<(&str, u64, Vec<Run>)> = recorded
+        .into_iter()
+        .zip(scenario_runs())
+        .map(|((name, want), (ran, runs))| {
+            assert_eq!(name, ran, "recorded table and scenarios out of step");
+            (name, want, runs)
+        })
+        .collect();
     let table: String = scenarios
         .iter()
         .map(|(name, want, runs)| {
@@ -152,7 +176,7 @@ fn trainers_reproduce_the_recorded_digests() {
                 .map(|r| {
                     format!(
                         "    got @{} workers {:#018x} (stopped at epoch {})\n",
-                        r.workers, r.digest, r.stopped_at
+                        r.workers, r.digest, r.history.stopped_at
                     )
                 })
                 .collect();
@@ -168,5 +192,61 @@ fn trainers_reproduce_the_recorded_digests() {
             .iter()
             .all(|(_, want, runs)| runs.iter().all(|r| r.digest == *want)),
         "the trainer moved bits against the frozen reference:\n{table}"
+    );
+}
+
+const LOSS_TOL: f64 = 1e-4;
+
+#[test]
+fn trainers_stay_within_tolerance_of_the_recorded_histories() {
+    let scenarios = scenario_runs();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/trainer_values.json");
+    if std::env::var("RN_REGEN_GOLDEN").is_ok() {
+        // Every worker count trains the same bits (the digest test's
+        // business), so the first run stands for the scenario.
+        let values: Vec<(String, TrainingHistory)> = scenarios
+            .iter()
+            .map(|(name, runs)| (name.to_string(), runs[0].history.clone()))
+            .collect();
+        std::fs::write(&path, serde_json::to_string(&values).unwrap()).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run with RN_REGEN_GOLDEN=1",
+            path.display()
+        )
+    });
+    let recorded: Vec<(String, TrainingHistory)> =
+        serde_json::from_str(&text).expect("parse trainer_values.json");
+    assert_eq!(recorded.len(), scenarios.len(), "scenario count");
+    let max_rel = |got: &[f64], want: &[f64]| -> f64 {
+        assert_eq!(got.len(), want.len(), "epoch count changed");
+        got.iter()
+            .zip(want)
+            .map(|(g, w)| (g - w).abs() / w.abs().max(1e-12))
+            .fold(0.0, f64::max)
+    };
+    let mut table = String::new();
+    let mut ok = true;
+    for ((name, want), (ran, runs)) in recorded.iter().zip(&scenarios) {
+        assert_eq!(name, ran, "fixture and scenarios out of step");
+        for run in runs {
+            let got = &run.history;
+            let worst = max_rel(&got.train_loss, &want.train_loss)
+                .max(max_rel(&got.val_loss, &want.val_loss));
+            table += &format!(
+                "  {name} @{} workers: losses {worst:.1e}, stopped at epoch {} (recorded {})\n",
+                run.workers, got.stopped_at, want.stopped_at
+            );
+            ok &= worst <= LOSS_TOL && got.stopped_at == want.stopped_at;
+        }
+    }
+    eprintln!("worst deviation from the recorded histories:\n{table}");
+    assert!(
+        ok,
+        "a trainer left the tolerance of its recorded history (losses {LOSS_TOL:e} relative, \
+         same stop epoch):\n{table}"
     );
 }
