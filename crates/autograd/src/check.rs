@@ -96,12 +96,12 @@ pub fn check_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GruVars, ShardSplit};
+    use crate::{GruVars, IndexInput, ShardSplit};
     use rn_tensor::Prng;
 
     const TOL: f64 = 2e-2;
     const EPS: f32 = 1e-2;
-    /// Absolute bound for the sharded GRU checks, whose gradients are O(1).
+    /// Absolute bound for the GRU step checks, whose gradients are O(1).
     const GRU_TOL: f64 = 5e-3;
 
     fn rand_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
@@ -224,15 +224,16 @@ mod tests {
         assert!(report.passes(TOL), "{report:?}");
     }
 
-    /// Width of the state and of the input in the sharded GRU checks:
-    /// `hidden = 6` makes every gate product `width % 4 != 0`, and `[h|x]`
-    /// 11 wide leaves three output rows to the weight-gradient kernel's
-    /// 1-row tail.
+    /// Width of the state and of the input in the GRU step checks:
+    /// `hidden = 6` makes every product's width `% 4 != 0` and leaves two
+    /// output rows of the weight-gradient kernel to its 1-row tail.
     const GRU_HIDDEN: usize = 6;
     const GRU_INPUT: usize = 5;
 
-    /// The eight differentiable inputs of one GRU step, in the order
-    /// `W_z, b_z, W_r, b_r, W_c, b_c, h, x`.
+    /// The differentiable inputs of one GRU step, in the order `W_z, b_z,
+    /// W_r, b_r, W_c, b_c, h, x, px`: the step reads `x·W_x + px`, so `px`
+    /// sees the step's own input gradient and the `W_x` rows of the kernels
+    /// see theirs through the projection.
     fn gru_inputs(seed: u64, h_rows: usize, x_rows: usize) -> Vec<Matrix> {
         let wide = GRU_HIDDEN + GRU_INPUT;
         let shapes = [
@@ -244,6 +245,7 @@ mod tests {
             (1, GRU_HIDDEN),
             (h_rows, GRU_HIDDEN),
             (x_rows, GRU_INPUT),
+            (x_rows, 3 * GRU_HIDDEN),
         ];
         shapes
             .iter()
@@ -252,22 +254,13 @@ mod tests {
             .collect()
     }
 
-    /// Bind [`gru_inputs`]' first six vars as a cell, optionally with the
-    /// merged `[W_z | W_r]` constant the model caches at bind time.
-    fn gru_vars(g: &mut Graph, v: &[Var], merged: bool) -> GruVars {
-        let w_zr = merged.then(|| {
-            let zr = g.value(v[0]).concat_cols(g.value(v[2]));
-            g.constant(zr)
-        });
-        GruVars {
-            w_z: v[0],
-            b_z: v[1],
-            w_r: v[2],
-            b_r: v[3],
-            w_c: v[4],
-            b_c: v[5],
-            w_zr,
-        }
+    /// Pack [`gru_inputs`]' first six vars as a cell and project its `x`:
+    /// `(cell, h, x·W_x + px)`.
+    fn gru_packed(g: &mut Graph, v: &[Var]) -> (GruVars, Var, Var) {
+        let vars = g.gru_pack([v[0], v[1], v[2], v[3], v[4], v[5]]);
+        let projected = g.matmul(v[7], vars.w_x);
+        let px = g.add(projected, v[8]);
+        (vars, v[6], px)
     }
 
     /// Sum of squares: every output element carries an O(1) gradient, so
@@ -279,44 +272,90 @@ mod tests {
     }
 
     #[test]
-    fn check_gru_step_rows_sharded_on_ragged_layouts() {
-        // Four shards over 13 state rows: three active rows of four, a
-        // one-row shard, an empty shard, and five of six (row 9 passes
-        // through) — nine active rows, not a multiple of 4.
+    fn check_gru_step_rows_on_ragged_layouts() {
+        // Nine active rows of 13 (not a multiple of 4; row 9 and three more
+        // pass through), as four shards — three active rows of four, a
+        // one-row shard, an empty shard, five of six — and as one.
         let rows = [0usize, 1, 3, 4, 7, 8, 10, 11, 12];
-        let active = [0usize, 3, 4, 4, 9];
-        let dense = [0usize, 4, 5, 7, 13];
-        for merged in [false, true] {
+        let four = ([0usize, 3, 4, 4, 9], [0usize, 4, 5, 7, 13]);
+        for split in [Some(&four), None] {
             let report = check_gradients(
                 |g, v| {
-                    let vars = gru_vars(g, v, merged);
-                    let split = ShardSplit::borrowed(&active, &dense, &dense);
-                    let out =
-                        g.gru_step_rows_sharded(&vars, v[6], v[7], (&rows).into(), Some(split));
+                    let (vars, h, px) = gru_packed(g, v);
+                    let split =
+                        split.map(|(active, dense)| ShardSplit::borrowed(active, dense, dense));
+                    let out = g.gru_step_rows_sharded(&vars, h, px, (&rows).into(), split);
                     sum_of_squares(g, out)
                 },
                 &gru_inputs(31, 13, rows.len()),
                 EPS,
             );
-            assert!(report.max_abs_err < GRU_TOL, "merged={merged}: {report:?}");
+            let shards = split.map_or(1, |_| 4);
+            assert!(report.max_abs_err < GRU_TOL, "{shards} shards: {report:?}");
         }
     }
 
     #[test]
-    fn check_gru_step_dense_sharded_on_ragged_layouts() {
-        // Every row advances; blocks of three rows, none, one and five.
-        let bounds = [0usize, 3, 3, 4, 9];
-        for merged in [false, true] {
+    fn check_gru_step_dense_on_ragged_layouts() {
+        // Every row advances (identity rows): blocks of three rows, none,
+        // one and five, and the same nine rows as one block.
+        let four = [0usize, 3, 3, 4, 9];
+        for bounds in [Some(&four), None] {
             let report = check_gradients(
                 |g, v| {
-                    let vars = gru_vars(g, v, merged);
-                    let out = g.gru_step_dense_sharded(&vars, v[6], v[7], Some((&bounds).into()));
+                    let (vars, h, px) = gru_packed(g, v);
+                    let bounds = bounds.map(|b| b.into());
+                    let out = g.gru_step_dense_sharded(&vars, h, px, bounds);
                     sum_of_squares(g, out)
                 },
                 &gru_inputs(47, 9, 9),
                 EPS,
             );
-            assert!(report.max_abs_err < GRU_TOL, "merged={merged}: {report:?}");
+            let shards = bounds.map_or(1, |_| 4);
+            assert!(report.max_abs_err < GRU_TOL, "{shards} shards: {report:?}");
+        }
+    }
+
+    #[test]
+    fn check_dense_sharded_ops_on_ragged_bounds() {
+        // Five rows as one block and as three: four rows, none, one.
+        type DenseOp = fn(&mut Graph, &[Var], Option<IndexInput<'_>>) -> Var;
+        let ops: [(&str, DenseOp, Vec<Matrix>); 3] = [
+            (
+                "matmul_sharded",
+                |g, v, bounds| g.matmul_sharded(v[0], v[1], bounds),
+                vec![rand_matrix(71, 5, 4), rand_matrix(72, 4, 3)],
+            ),
+            (
+                "add_bias_sharded",
+                |g, v, bounds| g.add_bias_sharded(v[0], v[1], bounds),
+                vec![rand_matrix(73, 5, 3), rand_matrix(74, 1, 3)],
+            ),
+            (
+                "selu_sharded",
+                |g, v, bounds| g.selu_sharded(v[0], bounds),
+                // Away from the kink at 0, where SELU has no derivative.
+                vec![rand_matrix(75, 5, 3).map(|x| x + 0.2 * x.signum())],
+            ),
+        ];
+        for (name, op, inputs) in &ops {
+            for bounds in [&[0usize, 5][..], &[0, 4, 4, 5]] {
+                let report = check_gradients(
+                    |g, v| {
+                        let out = op(g, v, Some(bounds.into()));
+                        weighted_sum_of_squares(g, out, 76)
+                    },
+                    inputs,
+                    EPS,
+                );
+                let elements: usize = inputs.iter().map(Matrix::len).sum();
+                assert_eq!(report.elements, elements);
+                assert!(
+                    report.passes(TOL),
+                    "{name} @ {} shards: {report:?}",
+                    bounds.len() - 1
+                );
+            }
         }
     }
 

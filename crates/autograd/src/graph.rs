@@ -53,6 +53,16 @@
 //! collapse it to 3, shrinking tape length (and backward dispatch +
 //! allocation) by roughly an order of magnitude. The primitive ops remain —
 //! tests use them as the numerical reference.
+//!
+//! There is one fused GRU form. It reads its input already projected —
+//! `px = x·W_x`, see [`GruVars`] — because in message passing many rows
+//! share one `x` (every path crossing a link reads that link's state): the
+//! caller projects each distinct input once ([`Graph::matmul_sharded`] over
+//! the entity rows), gathers rows of the projection, and the step's own
+//! products run over the state half alone. The every-row entity updates go
+//! through the same node with an identity row list
+//! ([`Graph::gru_step_dense_sharded`]), and a layout of one shard is the
+//! sharded code run over the whole buffers.
 
 use crate::activations as act;
 use crate::bufpool::BufPool;
@@ -67,46 +77,38 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
 
-/// The six parameter handles of one bound GRU cell, as the fused
-/// [`Graph::gru_step`] op consumes them. Constructed by `rn_nn`'s
-/// `BoundGruCell`; kernels are `(hidden + input) x hidden`, biases `1 x
-/// hidden`.
+/// One bound GRU cell as the fused [`Graph::gru_step_rows`] op consumes it.
+///
+/// A cell's kernels are `(hidden + input) x hidden`: the top `hidden` rows
+/// (`W_h`) multiply the state, the bottom `input` rows (`W_x`) the input, so
+/// `[h|x]·W = h·W_h + x·W_x`. [`Graph::gru_pack`] splits the six parameter
+/// matrices along that line and packs the halves by operand; the packed
+/// nodes hand their gradients back to the six parameters, so nothing
+/// downstream of the tape sees the packing.
 #[derive(Debug, Clone, Copy)]
 pub struct GruVars {
-    /// Update-gate kernel.
-    pub w_z: Var,
-    /// Update-gate bias.
-    pub b_z: Var,
-    /// Reset-gate kernel.
-    pub w_r: Var,
-    /// Reset-gate bias.
-    pub b_r: Var,
-    /// Candidate kernel.
-    pub w_c: Var,
-    /// Candidate bias.
-    pub b_c: Var,
-    /// Optional merged `[W_z | W_r]` kernel (`(hidden + input) x 2*hidden`),
-    /// cached at bind time. When present, the fused forward computes both
-    /// gate pre-activations with ONE matmul over `[h|x]` instead of two,
-    /// halving A-matrix traffic. Per-element accumulation order is identical
-    /// to the split matmuls, so results are bitwise equal. The adjoint still
-    /// accumulates into `w_z`/`w_r` separately; this node never receives a
-    /// gradient and should be registered as a constant.
-    pub w_zr: Option<Var>,
+    /// `[W_h,z | W_h,r]`, `hidden x 2·hidden`: both gates' recurrent kernels.
+    pub w_h_zr: Var,
+    /// `W_h,c`, `hidden x hidden`: the candidate's recurrent kernel.
+    pub w_h_c: Var,
+    /// `[W_x,z | W_x,r | W_x,c]`, `input x 3·hidden`: the input projection
+    /// `px = x·W_x` the step reads in place of `x`.
+    pub w_x: Var,
+    /// `[b_z | b_r | b_c]`, `1 x 3·hidden`.
+    pub b: Var,
 }
 
-/// Forward intermediates the fused GRU step saves for its adjoint.
+/// Forward intermediates the fused GRU step saves for its adjoint, all over
+/// the `a` active rows.
 #[derive(Debug)]
 pub(crate) struct GruSaved {
-    /// `[h | x]`, `n x (hidden + input)`.
-    hx: Matrix,
-    /// `[r ⊙ h | x]`, `n x (hidden + input)`.
-    rhx: Matrix,
-    /// Update gate (post-sigmoid).
-    z: Matrix,
-    /// Reset gate (post-sigmoid).
-    r: Matrix,
-    /// Candidate state (post-tanh).
+    /// The active rows of the old state, `a x hidden`.
+    h: Matrix,
+    /// `[z | r]`, both gates post-sigmoid, `a x 2·hidden`.
+    zr: Matrix,
+    /// `r ⊙ h`, `a x hidden`.
+    rh: Matrix,
+    /// Candidate state (post-tanh), `a x hidden`.
     c: Matrix,
 }
 
@@ -159,11 +161,6 @@ pub(crate) struct OpShards {
 }
 
 impl OpShards {
-    /// Number of shards.
-    fn len(&self) -> usize {
-        self.active.len().saturating_sub(1)
-    }
-
     fn capture(idx_pool: &mut BufPool<usize>, copied: &mut u64, split: &ShardSplit<'_>) -> Self {
         Self {
             active: intern_indices(idx_pool, copied, &split.active),
@@ -399,30 +396,28 @@ pub(crate) enum Op {
     },
     Sum(Var),
     Mean(Var),
-    /// One whole GRU step as a single node.
+    /// One GRU step on a pre-projected input, as a single node: only `rows`
+    /// advance, every other row of `h` passes through untouched; `px` holds
+    /// `x·W_x` for the active rows (`rows.len() x 3·hidden`).
     GruStep {
         vars: GruVars,
         h: Var,
-        x: Var,
-        /// Saved-for-backward activations; `None` on nodes recorded in
-        /// inference mode, which recycle them as soon as the value exists.
-        saved: Option<Box<GruSaved>>,
-    },
-    /// Row-compacted GRU step: only `rows` advance; all other rows of `h`
-    /// pass through untouched. `x` is already compacted (`rows.len()` rows).
-    GruStepRows {
-        vars: GruVars,
-        h: Var,
-        x: Var,
+        px: Var,
         rows: IndexList,
         /// Saved-for-backward activations; `None` on nodes recorded in
         /// inference mode, which recycle them as soon as the value exists.
         saved: Option<Box<GruSaved>>,
         /// Megabatch shard layout (`active` splits `rows`; `dense` bounds
-        /// the rows of `h`). When present, the adjoint accumulates the GRU
-        /// parameter gradients as per-shard partials merged in shard order —
-        /// a canonical order that does not depend on how many workers run.
+        /// the rows of `h`); `None` is the one-shard layout, whose blocks
+        /// are the whole buffers. The adjoint accumulates the parameter
+        /// gradients as per-shard partials merged in shard order — a
+        /// canonical order that does not depend on how many workers run.
         shards: Option<Box<OpShards>>,
+    },
+    /// Column-concatenate rows `row_lo..row_lo + out.rows()` of every part.
+    PackCols {
+        parts: Vec<Var>,
+        row_lo: usize,
     },
     /// Row-compacted scatter-add accumulate:
     /// `out = acc; out[segments[k]] += x[rows[k]]`.
@@ -531,10 +526,10 @@ fn pool_harvest(pool: &mut BufPool<f32>, m: Matrix) {
     pool.adopt(m.into_vec());
 }
 
-/// Hand a fused GRU node's saved activations to the pool at `reset`.
-fn harvest_gru_saved(pool: &mut BufPool<f32>, s: GruSaved) {
-    for m in [s.hx, s.rhx, s.z, s.r, s.c] {
-        pool_harvest(pool, m);
+impl GruSaved {
+    /// Every buffer, for whichever door of the pool it leaves through.
+    fn into_buffers(self) -> [Matrix; 4] {
+        [self.h, self.zr, self.rh, self.c]
     }
 }
 
@@ -584,79 +579,32 @@ fn add_col_sums(bias_grad: &mut Matrix, src: &Matrix) {
     }
 }
 
-/// Compute both gate pre-activations `z = hx·W_z` and `r = hx·W_r` — through
-/// the merged `[W_z|W_r]` kernel when one is bound (one matmul, one pass over
-/// `hx`), through two matmuls otherwise. Each output element is accumulated
-/// in the same order either way, so the two paths are bitwise identical.
-#[allow(clippy::too_many_arguments)]
-fn gate_matmuls(
-    pool: &mut BufPool<f32>,
-    hx: &Matrix,
-    w_z: &Matrix,
-    w_r: &Matrix,
-    w_zr: Option<&Matrix>,
-    hidden: usize,
-    z: &mut Matrix,
-    r: &mut Matrix,
-) {
-    match w_zr {
-        Some(wzr) => {
-            assert_eq!(
-                wzr.shape(),
-                (w_z.rows(), 2 * hidden),
-                "gru_step: merged [W_z|W_r] kernel shape"
-            );
-            let n = hx.rows();
-            let mut zr = pool_matrix_scratch(pool, n, 2 * hidden);
-            hx.matmul_into(wzr, &mut zr);
-            for i in 0..n {
-                let src = zr.row(i);
-                z.row_mut(i).copy_from_slice(&src[..hidden]);
-                r.row_mut(i).copy_from_slice(&src[hidden..]);
-            }
-            pool_recycle(pool, zr);
-        }
-        None => {
-            hx.matmul_into(w_z, z);
-            hx.matmul_into(w_r, r);
-        }
-    }
-}
-
-/// Read-only inputs shared by every shard of one fused row-compacted GRU
-/// step forward.
-struct GruRowsFwdCtx<'a> {
+/// Read-only inputs shared by every shard of one fused GRU step forward.
+struct GruFwdCtx<'a> {
     /// Old state `h`, `n x hidden` — `None` when the step runs in place (the
     /// state rows then live in each shard's `out` block already).
     hv: Option<&'a [f32]>,
-    /// Compacted input `x`, `a x input`.
-    xv: &'a [f32],
+    /// Projected input `[px_z | px_r | px_c]`, `a x 3·hidden`.
+    px: &'a [f32],
     /// Active row per compacted position.
     rows: &'a [usize],
-    w_z: &'a Matrix,
-    b_z: &'a [f32],
-    w_r: &'a Matrix,
-    b_r: &'a [f32],
-    w_c: &'a Matrix,
-    b_c: &'a [f32],
-    /// Merged `[W_z|W_r]` kernel, when bound.
-    w_zr: Option<&'a Matrix>,
+    w_h_zr: &'a [f32],
+    w_h_c: &'a [f32],
+    b: &'a [f32],
     hidden: usize,
-    input: usize,
 }
 
 /// One shard's mutable slices for the fused GRU step forward. `k_*` index
 /// the compacted (active) dimension, `p_*` the dense state rows; all slices
-/// are exactly the shard's disjoint blocks of the shared buffers.
-struct GruRowsFwdTask<'a> {
+/// are exactly the shard's disjoint blocks of the shared buffers (the whole
+/// buffers, for a one-shard layout).
+struct GruFwdTask<'a> {
     k_lo: usize,
     k_hi: usize,
     p_lo: usize,
-    hx: &'a mut [f32],
-    zr: Option<&'a mut [f32]>,
-    z: &'a mut [f32],
-    r: &'a mut [f32],
-    rhx: &'a mut [f32],
+    h: &'a mut [f32],
+    zr: &'a mut [f32],
+    rh: &'a mut [f32],
     c: &'a mut [f32],
     /// Dense state rows `p_lo..p_hi`: on entry either uninitialized (copy
     /// mode: filled from `ctx.hv` first) or holding the old state rows
@@ -664,14 +612,12 @@ struct GruRowsFwdTask<'a> {
     out: &'a mut [f32],
 }
 
-/// Advance one shard of a row-compacted GRU step (see
-/// [`Graph::gru_step_rows`]). Every read and write stays inside the shard's
-/// blocks, and each output element is computed with exactly the arithmetic
-/// of the unsharded kernel — which is what makes any shard decomposition,
-/// on any number of threads, bitwise identical.
-fn gru_rows_forward_shard(ctx: &GruRowsFwdCtx<'_>, t: &mut GruRowsFwdTask<'_>) {
-    let (hidden, input) = (ctx.hidden, ctx.input);
-    let width = hidden + input;
+/// Advance one shard of a GRU step (see [`Graph::gru_step_rows`]). Every
+/// read and write stays inside the shard's blocks and every output element
+/// is a function of its own row alone — which is what makes any shard
+/// decomposition, on any number of threads, bitwise identical.
+fn gru_forward_shard(ctx: &GruFwdCtx<'_>, t: &mut GruFwdTask<'_>) {
+    let hidden = ctx.hidden;
     let a_s = t.k_hi - t.k_lo;
     // Copy mode: materialize the shard's old state rows first; afterwards
     // both modes read old state from `out`.
@@ -679,126 +625,115 @@ fn gru_rows_forward_shard(ctx: &GruRowsFwdCtx<'_>, t: &mut GruRowsFwdTask<'_>) {
         t.out
             .copy_from_slice(&hv[t.p_lo * hidden..t.p_lo * hidden + t.out.len()]);
     }
-    // hx = [h | x] over the shard's active rows.
+    // Compact the active state rows and seed the three pre-activations with
+    // the projected input: the kernels below accumulate onto it.
     for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let h_off = (row - t.p_lo) * hidden;
-        let dst = &mut t.hx[k * width..(k + 1) * width];
-        dst[..hidden].copy_from_slice(&t.out[h_off..h_off + hidden]);
-        dst[hidden..].copy_from_slice(&ctx.xv[(t.k_lo + k) * input..(t.k_lo + k + 1) * input]);
+        let h_off = (ctx.rows[t.k_lo + k] - t.p_lo) * hidden;
+        t.h[k * hidden..(k + 1) * hidden].copy_from_slice(&t.out[h_off..h_off + hidden]);
+        let px = &ctx.px[(t.k_lo + k) * 3 * hidden..(t.k_lo + k + 1) * 3 * hidden];
+        t.zr[k * 2 * hidden..(k + 1) * 2 * hidden].copy_from_slice(&px[..2 * hidden]);
+        t.c[k * hidden..(k + 1) * hidden].copy_from_slice(&px[2 * hidden..]);
     }
-    // Gate pre-activations: through the merged kernel when bound (one matmul
-    // over hx, split into z|r — per-element order identical to the split
-    // matmuls), else two matmuls.
-    match (ctx.w_zr, t.zr.as_deref_mut()) {
-        (Some(wzr), Some(zr)) => {
-            zr.fill(0.0);
-            kernels::matmul_acc(t.hx, wzr.as_slice(), a_s, width, 2 * hidden, zr);
-            for k in 0..a_s {
-                let src = &zr[k * 2 * hidden..(k + 1) * 2 * hidden];
-                t.z[k * hidden..(k + 1) * hidden].copy_from_slice(&src[..hidden]);
-                t.r[k * hidden..(k + 1) * hidden].copy_from_slice(&src[hidden..]);
-            }
-        }
-        _ => {
-            t.z.fill(0.0);
-            kernels::matmul_acc(t.hx, ctx.w_z.as_slice(), a_s, width, hidden, t.z);
-            t.r.fill(0.0);
-            kernels::matmul_acc(t.hx, ctx.w_r.as_slice(), a_s, width, hidden, t.r);
-        }
-    }
-    // Fused bias + activation over the shard's whole gate block (same
-    // per-element chain as the row loop, vectorized).
-    if hidden > 0 {
-        vact::sigmoid_bias_map_inplace(&mut t.z[..a_s * hidden], ctx.b_z);
-        vact::sigmoid_bias_map_inplace(&mut t.r[..a_s * hidden], ctx.b_r);
-    }
-    // rhx = [r ⊙ h | x]; candidate c = tanh(rhx·W_c + b_c).
+    // [z | r] = σ(px_zr + h·W_h,zr + b_zr): one product for both gates.
+    kernels::matmul_acc(t.h, ctx.w_h_zr, a_s, hidden, 2 * hidden, t.zr);
+    vact::sigmoid_bias_map_inplace(t.zr, &ctx.b[..2 * hidden]);
+    // c = tanh(px_c + (r ⊙ h)·W_h,c + b_c).
     for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let h_off = (row - t.p_lo) * hidden;
-        let dst = &mut t.rhx[k * width..(k + 1) * width];
-        for (j, d) in dst[..hidden].iter_mut().enumerate() {
-            *d = t.r[k * hidden + j] * t.out[h_off + j];
+        let r = &t.zr[(2 * k + 1) * hidden..(2 * k + 2) * hidden];
+        let h = &t.h[k * hidden..(k + 1) * hidden];
+        for ((d, &rv), &hv) in t.rh[k * hidden..(k + 1) * hidden].iter_mut().zip(r).zip(h) {
+            *d = rv * hv;
         }
-        dst[hidden..].copy_from_slice(&ctx.xv[(t.k_lo + k) * input..(t.k_lo + k + 1) * input]);
     }
-    t.c.fill(0.0);
-    kernels::matmul_acc(t.rhx, ctx.w_c.as_slice(), a_s, width, hidden, t.c);
-    if hidden > 0 {
-        vact::tanh_bias_map_inplace(&mut t.c[..a_s * hidden], ctx.b_c);
-    }
+    kernels::matmul_acc(t.rh, ctx.w_h_c, a_s, hidden, hidden, t.c);
+    vact::tanh_bias_map_inplace(t.c, &ctx.b[2 * hidden..]);
     // h' = (1 − z)⊙h + z⊙c on the active rows; inactive rows pass through.
     for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let h_off = (row - t.p_lo) * hidden;
-        for j in 0..hidden {
-            let hvj = t.out[h_off + j];
-            let (zj, cj) = (t.z[k * hidden + j], t.c[k * hidden + j]);
-            t.out[h_off + j] = (1.0 - zj) * hvj + zj * cj;
+        let h_off = (ctx.rows[t.k_lo + k] - t.p_lo) * hidden;
+        let z = &t.zr[2 * k * hidden..(2 * k + 1) * hidden];
+        let c = &t.c[k * hidden..(k + 1) * hidden];
+        for ((o, &zj), &cj) in t.out[h_off..h_off + hidden].iter_mut().zip(z).zip(c) {
+            *o = (1.0 - zj) * *o + zj * cj;
         }
     }
 }
 
-/// Read-only inputs shared by every shard of one fused row-compacted GRU
-/// step adjoint.
-struct GruRowsBwdCtx<'a> {
+/// Read-only inputs shared by every shard of one fused GRU step adjoint.
+struct GruBwdCtx<'a> {
     rows: &'a [usize],
     /// Incoming gradient (`n x hidden`).
     g: &'a [f32],
-    /// Old state value (`n x hidden`).
-    hv: &'a [f32],
     saved: &'a GruSaved,
-    /// Transposed kernels, computed once per node and shared read-only.
-    w_t_z: &'a Matrix,
-    w_t_r: &'a Matrix,
-    w_t_c: &'a Matrix,
+    /// `W_h,zrᵀ`, `2·hidden x hidden`.
+    w_h_zr_t: &'a [f32],
+    /// `W_h,cᵀ`, `hidden x hidden`.
+    w_h_c_t: &'a [f32],
     hidden: usize,
-    input: usize,
 }
 
 /// Shard-local scratch for the GRU adjoint: intermediates plus the shard's
-/// parameter-gradient **partials** (`pw_*`/`pb_*`, accumulated from zero and
-/// merged into the gradient slots in fixed shard order afterwards).
+/// parameter-gradient **partials** (accumulated from zero and merged into
+/// the gradient slots in fixed shard order afterwards).
 struct GruBwdScratch {
-    gm: Matrix,
-    gz: Matrix,
+    /// `[gz | gr]`, pre-activation gate gradients, `a_s x 2·hidden`.
+    gzr: Matrix,
+    /// Pre-activation candidate gradient, `a_s x hidden`.
     gc: Matrix,
-    gr: Matrix,
-    g_rhx: Matrix,
-    g_hx: Matrix,
-    pw_z: Matrix,
-    pb_z: Matrix,
-    pw_r: Matrix,
-    pb_r: Matrix,
-    pw_c: Matrix,
-    pb_c: Matrix,
+    /// What reaches the active state rows through the three products.
+    gh: Matrix,
+    pw_h_zr: Matrix,
+    pw_h_c: Matrix,
+    pb: Matrix,
 }
 
 impl GruBwdScratch {
-    /// Return every scratch matrix — intermediates AND parameter partials —
-    /// to the free list. The single field list both backward branches
-    /// recycle through, so adding a field to this struct cannot leak on
-    /// one branch only.
+    fn take(pool: &mut BufPool<f32>, a_s: usize, hidden: usize) -> Self {
+        Self {
+            gzr: pool_matrix_scratch(pool, a_s, 2 * hidden),
+            gc: pool_matrix_scratch(pool, a_s, hidden),
+            gh: pool_matrix(pool, a_s, hidden),
+            pw_h_zr: pool_matrix(pool, hidden, 2 * hidden),
+            pw_h_c: pool_matrix(pool, hidden, hidden),
+            pb: pool_matrix(pool, 1, 3 * hidden),
+        }
+    }
+
+    /// The partials, in the order of [`GruVars::partial_targets`].
+    fn partials(&self) -> [&Matrix; 3] {
+        [&self.pw_h_zr, &self.pw_h_c, &self.pb]
+    }
+
     fn recycle(self, pool: &mut BufPool<f32>) {
         for m in [
-            self.gm, self.gz, self.gc, self.gr, self.g_rhx, self.g_hx, self.pw_z, self.pb_z,
-            self.pw_r, self.pb_r, self.pw_c, self.pb_c,
+            self.gzr,
+            self.gc,
+            self.gh,
+            self.pw_h_zr,
+            self.pw_h_c,
+            self.pb,
         ] {
             pool_recycle(pool, m);
         }
     }
 }
 
+impl GruVars {
+    /// The packed nodes the step's adjoint accumulates into, in the order of
+    /// [`GruBwdScratch::partials`].
+    fn partial_targets(&self) -> [Var; 3] {
+        [self.w_h_zr, self.w_h_c, self.b]
+    }
+}
+
 /// One shard's mutable state for the GRU adjoint.
-struct GruRowsBwdTask<'a> {
+struct GruBwdTask<'a> {
     k_lo: usize,
     k_hi: usize,
     p_lo: usize,
     /// Dense block of the state gradient (rows `p_lo..p_hi`).
     gh: &'a mut [f32],
-    /// Active block of the compacted input gradient (rows `k_lo..k_hi`).
-    gx: &'a mut [f32],
+    /// Active block of the projected-input gradient (rows `k_lo..k_hi`).
+    gpx: &'a mut [f32],
     scratch: GruBwdScratch,
 }
 
@@ -845,166 +780,122 @@ fn add_col_sums_slice(acc: &mut [f32], src: &[f32], cols: usize) {
     }
 }
 
-/// The adjoint of one shard of a row-compacted GRU step. Row-disjoint
-/// gradients (`gh`, `gx`) are written with exactly the unsharded kernel's
-/// per-element arithmetic; parameter gradients land in the shard's zeroed
-/// partials. Reads and writes never leave the shard's blocks, so shards run
-/// concurrently and bitwise-reproducibly at any worker count.
-fn gru_rows_backward_shard(ctx: &GruRowsBwdCtx<'_>, t: &mut GruRowsBwdTask<'_>) {
-    let (hidden, input) = (ctx.hidden, ctx.input);
-    let width = hidden + input;
-    let a_s = t.k_hi - t.k_lo;
+/// The adjoint of one shard of a GRU step. Row-disjoint gradients (`gh`,
+/// `gpx`) are functions of their own row alone; parameter gradients land in
+/// the shard's zeroed partials. Reads and writes never leave the shard's
+/// blocks, so shards run concurrently and bitwise-reproducibly at any worker
+/// count.
+fn gru_backward_shard<'a>(ctx: &GruBwdCtx<'a>, t: &mut GruBwdTask<'_>) {
+    let hidden = ctx.hidden;
+    let (k_lo, k_hi, p_lo) = (t.k_lo, t.k_hi, t.p_lo);
+    let a_s = k_hi - k_lo;
     let s = ctx.saved;
     let sc = &mut t.scratch;
-
-    // Pass-through rows keep the incoming gradient; active rows are replaced
-    // by the GRU adjoint below.
-    t.gh.copy_from_slice(&ctx.g[t.p_lo * hidden..t.p_lo * hidden + t.gh.len()]);
-
-    // Compact incoming gradient over the shard's active rows.
-    for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        sc.gm
-            .row_mut(k)
-            .copy_from_slice(&ctx.g[row * hidden..(row + 1) * hidden]);
-    }
-
-    // gz = gm ⊙ (c - h); gc = gm ⊙ z; gh[row] = gm ⊙ (1-z)
-    for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let gm_r = sc.gm.row(k);
-        let zr = s.z.row(t.k_lo + k);
-        let cr = s.c.row(t.k_lo + k);
-        let hr = &ctx.hv[row * hidden..(row + 1) * hidden];
-        {
-            let gz_r = sc.gz.row_mut(k);
-            for j in 0..hidden {
-                gz_r[j] = gm_r[j] * (cr[j] - hr[j]);
-            }
-        }
-        {
-            let gc_r = sc.gc.row_mut(k);
-            for j in 0..hidden {
-                gc_r[j] = gm_r[j] * zr[j];
-            }
-        }
-        {
-            let gh_r = &mut t.gh[(row - t.p_lo) * hidden..(row - t.p_lo + 1) * hidden];
-            for j in 0..hidden {
-                gh_r[j] = gm_r[j] * (1.0 - zr[j]);
-            }
-        }
-    }
-
-    // Candidate branch: gc_pre = gc ⊙ (1 - c²), vectorized in place.
-    vact::tanh_deriv_mul_inplace(
-        sc.gc.as_mut_slice(),
-        &s.c.as_slice()[t.k_lo * hidden..t.k_hi * hidden],
+    // The shard's blocks of the saved activations.
+    let block = |m: &'a Matrix, width: usize| -> &'a [f32] {
+        &m.as_slice()[k_lo * width * hidden..k_hi * width * hidden]
+    };
+    let (h, zr, rh, c) = (
+        block(&s.h, 1),
+        block(&s.zr, 2),
+        block(&s.rh, 1),
+        block(&s.c, 1),
     );
-    // pW_c += rhx_shard^T · gc_pre ; pb_c += colsum(gc_pre)
+    let g_row = |k: usize| -> &'a [f32] {
+        let row = ctx.rows[k_lo + k];
+        &ctx.g[row * hidden..(row + 1) * hidden]
+    };
+
+    // Through the blend: gz = g ⊙ (c − h), gc = g ⊙ z.
+    for k in 0..a_s {
+        let g = g_row(k);
+        let z = &zr[2 * k * hidden..(2 * k + 1) * hidden];
+        let (lo, hi) = (k * hidden, (k + 1) * hidden);
+        let gz = &mut sc.gzr.as_mut_slice()[2 * lo..2 * lo + hidden];
+        for ((d, &gj), (&cj, &hj)) in gz.iter_mut().zip(g).zip(c[lo..hi].iter().zip(&h[lo..hi])) {
+            *d = gj * (cj - hj);
+        }
+        for ((d, &gj), &zj) in sc.gc.as_mut_slice()[lo..hi].iter_mut().zip(g).zip(z) {
+            *d = gj * zj;
+        }
+    }
+
+    // Candidate branch: gc ← gc ⊙ (1 − c²); pW_h,c += (r⊙h)ᵀ·gc; and what
+    // reaches r ⊙ h is gc·W_h,cᵀ.
+    vact::tanh_deriv_mul_inplace(sc.gc.as_mut_slice(), c);
     kernels::matmul_tn_acc(
-        &s.rhx.as_slice()[t.k_lo * width..t.k_hi * width],
+        rh,
         sc.gc.as_slice(),
         a_s,
-        width,
         hidden,
-        sc.pw_c.as_mut_slice(),
+        hidden,
+        sc.pw_h_c.as_mut_slice(),
     );
-    add_col_sums_slice(sc.pb_c.as_mut_slice(), sc.gc.as_slice(), hidden);
-    // g_rhx = gc_pre · W_c^T
-    sc.g_rhx.as_mut_slice().fill(0.0);
     kernels::matmul_acc(
         sc.gc.as_slice(),
-        ctx.w_t_c.as_slice(),
+        ctx.w_h_c_t,
         a_s,
         hidden,
-        width,
-        sc.g_rhx.as_mut_slice(),
+        hidden,
+        sc.gh.as_mut_slice(),
     );
-
-    // Split g_rhx: left -> r⊙h branch, right -> x
+    // Split it: gr = g_rh ⊙ h, and g_rh ⊙ r is the state's share.
     for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let row_slice = sc.g_rhx.row(k);
-        let rr = s.r.row(t.k_lo + k);
-        let hr = &ctx.hv[row * hidden..(row + 1) * hidden];
+        let r = &zr[(2 * k + 1) * hidden..(2 * k + 2) * hidden];
+        let (lo, hi) = (k * hidden, (k + 1) * hidden);
+        let gr = &mut sc.gzr.as_mut_slice()[2 * lo + hidden..2 * hi];
+        for ((g_rh, gr), (&hj, &rj)) in sc.gh.as_mut_slice()[lo..hi]
+            .iter_mut()
+            .zip(gr)
+            .zip(h[lo..hi].iter().zip(r))
         {
-            let gr_r = sc.gr.row_mut(k);
-            for j in 0..hidden {
-                gr_r[j] = row_slice[j] * hr[j];
-            }
+            *gr = *g_rh * hj;
+            *g_rh *= rj;
         }
-        {
-            let gh_r = &mut t.gh[(row - t.p_lo) * hidden..(row - t.p_lo + 1) * hidden];
-            for j in 0..hidden {
-                gh_r[j] += row_slice[j] * rr[j];
-            }
-        }
-        t.gx[k * input..(k + 1) * input].copy_from_slice(&row_slice[hidden..]);
     }
 
-    // Gate pre-activations: σ' from outputs, vectorized in place.
-    vact::sigmoid_deriv_mul_inplace(
-        sc.gz.as_mut_slice(),
-        &s.z.as_slice()[t.k_lo * hidden..t.k_hi * hidden],
-    );
-    vact::sigmoid_deriv_mul_inplace(
-        sc.gr.as_mut_slice(),
-        &s.r.as_slice()[t.k_lo * hidden..t.k_hi * hidden],
-    );
-
-    let hx_shard = &s.hx.as_slice()[t.k_lo * width..t.k_hi * width];
+    // Both gates at once: [gz | gr] ← ⊙ σ′; pW_h,zr += hᵀ·[gz | gr]; the
+    // state's share is [gz | gr]·W_h,zrᵀ, one product over k = 2·hidden.
+    vact::sigmoid_deriv_mul_inplace(sc.gzr.as_mut_slice(), zr);
     kernels::matmul_tn_acc(
-        hx_shard,
-        sc.gz.as_slice(),
-        a_s,
-        width,
-        hidden,
-        sc.pw_z.as_mut_slice(),
-    );
-    add_col_sums_slice(sc.pb_z.as_mut_slice(), sc.gz.as_slice(), hidden);
-    kernels::matmul_tn_acc(
-        hx_shard,
-        sc.gr.as_slice(),
-        a_s,
-        width,
-        hidden,
-        sc.pw_r.as_mut_slice(),
-    );
-    add_col_sums_slice(sc.pb_r.as_mut_slice(), sc.gr.as_slice(), hidden);
-
-    // g_hx = gz_pre·W_z^T + gr_pre·W_r^T
-    sc.g_hx.as_mut_slice().fill(0.0);
-    kernels::matmul_acc(
-        sc.gz.as_slice(),
-        ctx.w_t_z.as_slice(),
+        h,
+        sc.gzr.as_slice(),
         a_s,
         hidden,
-        width,
-        sc.g_hx.as_mut_slice(),
+        2 * hidden,
+        sc.pw_h_zr.as_mut_slice(),
     );
     kernels::matmul_acc(
-        sc.gr.as_slice(),
-        ctx.w_t_r.as_slice(),
+        sc.gzr.as_slice(),
+        ctx.w_h_zr_t,
         a_s,
+        2 * hidden,
         hidden,
-        width,
-        sc.g_hx.as_mut_slice(),
+        sc.gh.as_mut_slice(),
     );
+
+    // Pass-through rows keep the incoming gradient; an active row gets
+    // g ⊙ (1 − z) plus what came through the products, and [gz | gr | gc] is
+    // the gradient of its projected input.
+    t.gh.copy_from_slice(&ctx.g[p_lo * hidden..p_lo * hidden + t.gh.len()]);
     for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let row_slice = sc.g_hx.row(k);
+        let g = g_row(k);
+        let z = &zr[2 * k * hidden..(2 * k + 1) * hidden];
+        let h_off = (ctx.rows[k_lo + k] - p_lo) * hidden;
+        let (lo, hi) = (k * hidden, (k + 1) * hidden);
+        for (((d, &gj), &zj), &through) in t.gh[h_off..h_off + hidden]
+            .iter_mut()
+            .zip(g)
+            .zip(z)
+            .zip(&sc.gh.as_slice()[lo..hi])
         {
-            let gh_r = &mut t.gh[(row - t.p_lo) * hidden..(row - t.p_lo + 1) * hidden];
-            for j in 0..hidden {
-                gh_r[j] += row_slice[j];
-            }
+            *d = gj * (1.0 - zj) + through;
         }
-        let gx_r = &mut t.gx[k * input..(k + 1) * input];
-        for (gxv, &v) in gx_r.iter_mut().zip(&row_slice[hidden..]) {
-            *gxv += v;
-        }
+        let gpx = &mut t.gpx[3 * lo..3 * hi];
+        gpx[..2 * hidden].copy_from_slice(&sc.gzr.as_slice()[2 * lo..2 * hi]);
+        gpx[2 * hidden..].copy_from_slice(&sc.gc.as_slice()[lo..hi]);
     }
+    add_col_sums_slice(sc.pb.as_mut_slice(), t.gpx, 3 * hidden);
 }
 
 /// `out[i] = f(x[i])` in a pooled buffer — [`Matrix::map`]'s arithmetic,
@@ -1049,17 +940,6 @@ fn pooled_filled(pool: &mut BufPool<f32>, rows: usize, cols: usize, value: f32) 
     let mut out = pool_matrix_scratch(pool, rows, cols);
     out.as_mut_slice().fill(value);
     out
-}
-
-/// Copy `[left_row | right_row]` into each row of `out`.
-fn concat_rows_into(out: &mut Matrix, left: &Matrix, right: &Matrix) {
-    let (n, lc, rc) = (left.rows(), left.cols(), right.cols());
-    debug_assert_eq!(out.shape(), (n, lc + rc));
-    for i in 0..n {
-        let dst = out.row_mut(i);
-        dst[..lc].copy_from_slice(left.row(i));
-        dst[lc..].copy_from_slice(right.row(i));
-    }
 }
 
 impl Graph {
@@ -1239,9 +1119,6 @@ impl Graph {
                     }
                 }
                 Op::GruStep {
-                    saved: Some(saved), ..
-                } => harvest_gru_saved(pool, *saved),
-                Op::GruStepRows {
                     rows,
                     saved,
                     shards,
@@ -1249,7 +1126,9 @@ impl Graph {
                 } => {
                     recycle_index(idx_pool, rows);
                     if let Some(saved) = saved {
-                        harvest_gru_saved(pool, *saved);
+                        for m in saved.into_buffers() {
+                            pool_harvest(pool, m);
+                        }
                     }
                     if let Some(s) = shards {
                         s.recycle(idx_pool);
@@ -1337,9 +1216,12 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    /// Gradient of the last `backward` call w.r.t. `v`, if one was produced.
+    /// Gradient of the last `backward` call w.r.t. the leaf `v`, if one was
+    /// produced.
     ///
-    /// `None` for constants and for nodes the loss does not depend on.
+    /// `None` for constants, for leaves the loss does not depend on, and for
+    /// every computed node: the sweep recycles an intermediate gradient as
+    /// soon as its adjoint has run.
     pub fn grad(&self, v: Var) -> Option<&Matrix> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -1893,20 +1775,97 @@ impl Graph {
         )
     }
 
-    /// Row-compacted GRU step: only `rows` advance, every other row of `h`
-    /// passes through bitwise untouched. `x` must already be compacted to
-    /// `rows.len()` rows (e.g. by [`Graph::gather_rows`] with active ids).
+    /// Column-concatenate the rows `row_lo..row_hi` of every part:
+    /// `out = [p0[lo..hi] | p1[lo..hi] | …]`. The adjoint adds each column
+    /// block of the gradient back into those rows of its part. This is how a
+    /// layer regroups its parameters by operand at bind time
+    /// ([`Graph::gru_pack`]) while gradients still arrive per parameter.
+    pub fn pack_cols(&mut self, parts: &[Var], row_lo: usize, row_hi: usize) -> Var {
+        assert!(row_lo <= row_hi, "pack_cols: rows {row_lo}..{row_hi}");
+        let rows = row_hi - row_lo;
+        let cols = parts.iter().map(|&p| self.value(p).cols()).sum();
+        let mut pool = std::mem::take(&mut self.pool);
+        let mut out = pool_matrix_scratch(&mut pool, rows, cols);
+        let mut off = 0;
+        for &p in parts {
+            let part = self.value(p);
+            assert!(
+                row_hi <= part.rows(),
+                "pack_cols: rows {row_lo}..{row_hi} of a {}-row part",
+                part.rows()
+            );
+            let width = part.cols();
+            for r in 0..rows {
+                out.row_mut(r)[off..off + width].copy_from_slice(part.row(row_lo + r));
+            }
+            off += width;
+        }
+        self.pool = pool;
+        self.push(
+            out,
+            Op::PackCols {
+                parts: parts.to_vec(),
+                row_lo,
+            },
+        )
+    }
+
+    /// Pack a GRU cell's six parameters — `[W_z, b_z, W_r, b_r, W_c, b_c]`,
+    /// kernels `(hidden + input) x hidden`, biases `1 x hidden` — into the
+    /// operands of the fused step (see [`GruVars`]): four [`Graph::pack_cols`]
+    /// nodes per bind, through which every gradient flows back to the six.
+    pub fn gru_pack(&mut self, params: [Var; 6]) -> GruVars {
+        let [w_z, b_z, w_r, b_r, w_c, b_c] = params;
+        let (wide, hidden) = self.value(w_z).shape();
+        assert!(
+            wide >= hidden,
+            "gru_pack: a {wide} x {hidden} kernel has no recurrent block"
+        );
+        for w in [w_r, w_c] {
+            assert_eq!(
+                self.value(w).shape(),
+                (wide, hidden),
+                "gru_pack: kernel shapes differ"
+            );
+        }
+        for b in [b_z, b_r, b_c] {
+            assert_eq!(
+                self.value(b).shape(),
+                (1, hidden),
+                "gru_pack: bias must be 1 x hidden"
+            );
+        }
+        GruVars {
+            w_h_zr: self.pack_cols(&[w_z, w_r], 0, hidden),
+            w_h_c: self.pack_cols(&[w_c], 0, hidden),
+            w_x: self.pack_cols(&[w_z, w_r, w_c], hidden, wide),
+            b: self.pack_cols(&[b_z, b_r, b_c], 0, 1),
+        }
+    }
+
+    /// One GRU step on a pre-projected input, as a single tape node:
     ///
-    /// Numerically identical to a masked step over all rows, but the gate
-    /// matmuls and transcendentals shrink from all paths to the active set — the biggest single win on RouteNet's tail steps, where only a
+    /// ```text
+    /// [z | r] = σ(px_zr + h·W_h,zr + b_zr)
+    /// c       = tanh(px_c + (r⊙h)·W_h,c + b_c)      h' = (1−z)⊙h + z⊙c
+    /// ```
+    ///
+    /// with `px = x·W_x` (`rows.len() x 3·hidden`, see [`GruVars`]) computed
+    /// by the caller — once per distinct `x`, however many rows read it.
+    /// Only `rows` advance; every other row of `h` passes through bitwise
+    /// untouched, so the products and transcendentals cover the active set
+    /// alone — the biggest single win on RouteNet's tail steps, where only a
     /// handful of long paths remain active.
+    ///
     /// In **inference mode** this op is destructive: it steals `h`'s buffer
     /// and advances the active rows in place instead of copying all `n`
-    /// rows (the `Var` passed as `h` must not be read afterwards — its value
-    /// becomes empty). Training mode copies, so `h` stays intact for the
-    /// adjoint. Output bits are identical either way.
-    pub fn gru_step_rows(&mut self, vars: &GruVars, h: Var, x: Var, rows: &[usize]) -> Var {
-        self.gru_step_rows_sharded(vars, h, x, rows.into(), None)
+    /// rows, hands `px`'s buffer back to the pool once it is read (`px` must
+    /// be a computed node — a gather, a projection — whose buffer came from
+    /// there), and saves nothing for an adjoint; neither `Var` may be read
+    /// afterwards, their values become empty. Training mode copies, so both
+    /// stay intact. Output bits are identical either way.
+    pub fn gru_step_rows(&mut self, vars: &GruVars, h: Var, px: Var, rows: &[usize]) -> Var {
+        self.gru_step_rows_sharded(vars, h, px, rows.into(), None)
     }
 
     /// [`Graph::gru_step_rows`] with a megabatch shard layout: `active`
@@ -1915,12 +1874,12 @@ impl Graph {
     /// worker pool attached the shards advance in parallel; the backward
     /// pass accumulates parameter gradients as per-shard partials merged in
     /// shard order. Results are bitwise identical at any worker count,
-    /// including none.
+    /// including none; without a split the whole buffers are the one shard.
     pub fn gru_step_rows_sharded(
         &mut self,
         vars: &GruVars,
         h: Var,
-        x: Var,
+        px: Var,
         rows: IndexInput<'_>,
         split: Option<ShardSplit<'_>>,
     ) -> Var {
@@ -1929,16 +1888,15 @@ impl Graph {
         let rows_in = rows;
         let rows = rows_in.as_slice();
         let a = rows.len();
-        let input = self.value(x).cols();
         assert_eq!(
-            self.value(x).rows(),
-            a,
-            "gru_step_rows: x must be compacted to rows"
+            self.value(px).shape(),
+            (a, 3 * hidden),
+            "gru_step_rows: px must hold one projected row per active row"
         );
         assert_eq!(
-            self.value(vars.w_z).shape(),
-            (hidden + input, hidden),
-            "gru_step_rows: W_z shape"
+            self.value(vars.w_h_zr).shape(),
+            (hidden, 2 * hidden),
+            "gru_step_rows: W_h,zr shape"
         );
         for &row in rows {
             assert!(row < n, "gru_step_rows: row {row} out of range {n}");
@@ -1966,14 +1924,12 @@ impl Graph {
             })
         });
 
-        let needs_zr = vars.w_zr.is_some();
-        let mut hx = pool_matrix_scratch(&mut pool, a, hidden + input);
-        let mut z = pool_matrix_scratch(&mut pool, a, hidden);
-        let mut r = pool_matrix_scratch(&mut pool, a, hidden);
-        let mut rhx = pool_matrix_scratch(&mut pool, a, hidden + input);
-        let mut c = pool_matrix_scratch(&mut pool, a, hidden);
-        let mut zr = needs_zr.then(|| pool_matrix_scratch(&mut pool, a, 2 * hidden));
-
+        let mut saved = GruSaved {
+            h: pool_matrix_scratch(&mut pool, a, hidden),
+            zr: pool_matrix_scratch(&mut pool, a, 2 * hidden),
+            rh: pool_matrix_scratch(&mut pool, a, hidden),
+            c: pool_matrix_scratch(&mut pool, a, hidden),
+        };
         // In-place inference: steal the state buffer instead of copying it.
         // Training mode takes scratch — every dense block is copied from
         // `hv` by its shard task before any read.
@@ -1987,105 +1943,80 @@ impl Graph {
         };
 
         {
-            let ctx = GruRowsFwdCtx {
+            let ctx = GruFwdCtx {
                 hv: (!inplace).then(|| self.value(h).as_slice()),
-                xv: self.value(x).as_slice(),
+                px: self.value(px).as_slice(),
                 rows,
-                w_z: self.value(vars.w_z),
-                b_z: self.value(vars.b_z).as_slice(),
-                w_r: self.value(vars.w_r),
-                b_r: self.value(vars.b_r).as_slice(),
-                w_c: self.value(vars.w_c),
-                b_c: self.value(vars.b_c).as_slice(),
-                w_zr: vars.w_zr.map(|v| self.value(v)),
+                w_h_zr: self.value(vars.w_h_zr).as_slice(),
+                w_h_c: self.value(vars.w_h_c).as_slice(),
+                b: self.value(vars.b).as_slice(),
                 hidden,
-                input,
             };
             match &shards {
                 // One shard: the whole buffers are its blocks — no block
                 // lists, no task list, nothing to fan out.
-                None => gru_rows_forward_shard(
+                None => gru_forward_shard(
                     &ctx,
-                    &mut GruRowsFwdTask {
+                    &mut GruFwdTask {
                         k_lo: 0,
                         k_hi: a,
                         p_lo: 0,
-                        hx: hx.as_mut_slice(),
-                        zr: zr.as_mut().map(Matrix::as_mut_slice),
-                        z: z.as_mut_slice(),
-                        r: r.as_mut_slice(),
-                        rhx: rhx.as_mut_slice(),
-                        c: c.as_mut_slice(),
+                        h: saved.h.as_mut_slice(),
+                        zr: saved.zr.as_mut_slice(),
+                        rh: saved.rh.as_mut_slice(),
+                        c: saved.c.as_mut_slice(),
                         out: out.as_mut_slice(),
                     },
                 ),
                 Some(s) => {
-                    let (active_bounds, dense_bounds): (&[usize], &[usize]) = (&s.active, &s.dense);
-                    let mut hx_it = hx.row_blocks_mut(active_bounds).into_iter();
-                    let mut z_it = z.row_blocks_mut(active_bounds).into_iter();
-                    let mut r_it = r.row_blocks_mut(active_bounds).into_iter();
-                    let mut rhx_it = rhx.row_blocks_mut(active_bounds).into_iter();
-                    let mut c_it = c.row_blocks_mut(active_bounds).into_iter();
-                    let zr_blocks: Vec<Option<&mut [f32]>> = match zr.as_mut() {
-                        Some(m) => m
-                            .row_blocks_mut(active_bounds)
-                            .into_iter()
-                            .map(Some)
-                            .collect(),
-                        None => active_bounds.windows(2).map(|_| None).collect(),
-                    };
-                    let mut zr_it = zr_blocks.into_iter();
-                    let mut tasks: Vec<GruRowsFwdTask> = out
-                        .row_blocks_mut(dense_bounds)
+                    let (active, dense): (&[usize], &[usize]) = (&s.active, &s.dense);
+                    let mut h_it = saved.h.row_blocks_mut(active).into_iter();
+                    let mut zr_it = saved.zr.row_blocks_mut(active).into_iter();
+                    let mut rh_it = saved.rh.row_blocks_mut(active).into_iter();
+                    let mut c_it = saved.c.row_blocks_mut(active).into_iter();
+                    let mut tasks: Vec<GruFwdTask> = out
+                        .row_blocks_mut(dense)
                         .into_iter()
                         .enumerate()
-                        .map(|(s, out_block)| GruRowsFwdTask {
-                            k_lo: active_bounds[s],
-                            k_hi: active_bounds[s + 1],
-                            p_lo: dense_bounds[s],
-                            hx: hx_it.next().expect("hx block"),
+                        .map(|(s, out_block)| GruFwdTask {
+                            k_lo: active[s],
+                            k_hi: active[s + 1],
+                            p_lo: dense[s],
+                            h: h_it.next().expect("h block"),
                             zr: zr_it.next().expect("zr block"),
-                            z: z_it.next().expect("z block"),
-                            r: r_it.next().expect("r block"),
-                            rhx: rhx_it.next().expect("rhx block"),
+                            rh: rh_it.next().expect("rh block"),
                             c: c_it.next().expect("c block"),
                             out: out_block,
                         })
                         .collect();
                     run_shard_tasks(
-                        pool_if_worth(
-                            &self.worker_pool,
-                            self.par_threshold(),
-                            a * (hidden + input) * 6,
-                        ),
+                        pool_if_worth(&self.worker_pool, self.par_threshold(), a * hidden * 12),
                         &mut tasks,
-                        |t| gru_rows_forward_shard(&ctx, t),
+                        |t| gru_forward_shard(&ctx, t),
                     );
                 }
             }
         }
-        if let Some(zr) = zr {
-            pool_recycle(&mut pool, zr);
-        }
 
-        let saved = if self.inference_mode {
-            pool_recycle(&mut pool, hx);
-            pool_recycle(&mut pool, rhx);
-            pool_recycle(&mut pool, z);
-            pool_recycle(&mut pool, r);
-            pool_recycle(&mut pool, c);
+        let saved = if inplace {
+            // Nothing reads the projected rows again either: a forward-only
+            // sweep keeps no per-step buffer at all.
+            let spent = std::mem::replace(&mut self.nodes[px.0].value, Matrix::zeros(0, 0));
+            for m in saved.into_buffers().into_iter().chain([spent]) {
+                pool_recycle(&mut pool, m);
+            }
             None
         } else {
-            Some(Box::new(GruSaved { hx, rhx, z, r, c }))
+            Some(Box::new(saved))
         };
         self.pool = pool;
         let rows = intern_indices(&mut self.idx_pool, &mut self.idx_copied, &rows_in);
         self.push(
             out,
-            Op::GruStepRows {
+            Op::GruStep {
                 vars: *vars,
                 h,
-                x,
+                px,
                 rows,
                 saved,
                 shards,
@@ -2093,147 +2024,28 @@ impl Graph {
         )
     }
 
-    /// One whole GRU step as a single tape node:
-    ///
-    /// ```text
-    /// z = σ([h|x]·W_z + b_z)       r = σ([h|x]·W_r + b_r)
-    /// c = tanh([r⊙h|x]·W_c + b_c)  h' = (1−z)⊙h + z⊙c
-    /// ```
-    ///
-    /// Replaces the ~17-node unfused expansion. Forward intermediates are
-    /// kept on the node for the adjoint; all scratch comes from the pool.
-    /// Numerics match the unfused op chain operation-for-operation. Every
-    /// row advances; the path sweep, where most rows are padding, uses the
-    /// row-compacted [`Graph::gru_step_rows`].
-    pub fn gru_step(&mut self, vars: &GruVars, h: Var, x: Var) -> Var {
-        let mut pool = std::mem::take(&mut self.pool);
-        let (n, hidden) = self.value(h).shape();
-        let input = self.value(x).cols();
-        let hv = self.value(h);
-        let xv = self.value(x);
-        let w_z = self.value(vars.w_z);
-        let b_z = self.value(vars.b_z);
-        let w_r = self.value(vars.w_r);
-        let b_r = self.value(vars.b_r);
-        let w_c = self.value(vars.w_c);
-        let b_c = self.value(vars.b_c);
-        assert_eq!(w_z.shape(), (hidden + input, hidden), "gru_step: W_z shape");
-
-        let w_zr = vars.w_zr.map(|v| self.value(v));
-
-        let mut hx = pool_matrix_scratch(&mut pool, n, hidden + input);
-        concat_rows_into(&mut hx, hv, xv);
-
-        let mut z = pool_matrix_scratch(&mut pool, n, hidden);
-        let mut r = pool_matrix_scratch(&mut pool, n, hidden);
-        gate_matmuls(&mut pool, &hx, w_z, w_r, w_zr, hidden, &mut z, &mut r);
-        // Fused bias + activation over the whole gate block: one pass, same
-        // per-element chain as broadcast-add followed by the scalar map.
-        if hidden > 0 && n > 0 {
-            vact::sigmoid_bias_map_inplace(z.as_mut_slice(), b_z.as_slice());
-            vact::sigmoid_bias_map_inplace(r.as_mut_slice(), b_r.as_slice());
-        }
-
-        let mut rhx = pool_matrix_scratch(&mut pool, n, hidden + input);
-        for i in 0..n {
-            let dst = rhx.row_mut(i);
-            for ((d, &rv), &hvv) in dst[..hidden].iter_mut().zip(r.row(i)).zip(hv.row(i)) {
-                *d = rv * hvv;
-            }
-            dst[hidden..].copy_from_slice(xv.row(i));
-        }
-
-        let mut c = pool_matrix_scratch(&mut pool, n, hidden);
-        rhx.matmul_into(w_c, &mut c);
-        if hidden > 0 && n > 0 {
-            vact::tanh_bias_map_inplace(c.as_mut_slice(), b_c.as_slice());
-        }
-
-        // In-place inference: steal the state buffer (the pass-through part
-        // of the blend is then already in place); training mode copies so
-        // the adjoint can still read `h`. Old state is read from `out` in
-        // both modes — identical values, identical bits.
-        let mut out = if self.inference_mode {
-            std::mem::replace(&mut self.nodes[h.0].value, Matrix::zeros(0, 0))
-        } else {
-            let mut fresh = pool_matrix_scratch(&mut pool, n, hidden);
-            fresh
-                .as_mut_slice()
-                .copy_from_slice(self.value(h).as_slice());
-            fresh
-        };
-        for i in 0..n {
-            let dst = out.row_mut(i);
-            let (zr, cr) = (z.row(i), c.row(i));
-            // Same operation sequence as the unfused chain: (1-z)*h + z*c.
-            for j in 0..hidden {
-                let hvj = dst[j];
-                dst[j] = (1.0 - zr[j]) * hvj + zr[j] * cr[j];
-            }
-        }
-
-        let saved = if self.inference_mode {
-            pool_recycle(&mut pool, hx);
-            pool_recycle(&mut pool, rhx);
-            pool_recycle(&mut pool, z);
-            pool_recycle(&mut pool, r);
-            pool_recycle(&mut pool, c);
-            None
-        } else {
-            Some(Box::new(GruSaved { hx, rhx, z, r, c }))
-        };
-        self.pool = pool;
-        self.push(
-            out,
-            Op::GruStep {
-                vars: *vars,
-                h,
-                x,
-                saved,
-            },
-        )
-    }
-
-    /// Dense (every-row) GRU step with a row-block shard layout — the
-    /// link/node entity updates of a megabatch forward. `bounds` partitions
-    /// the `n` state rows into contiguous blocks; `x` must have `n` rows.
-    ///
-    /// With more than one shard this records through the row-compacted
-    /// sharded machinery with an identity row list, so the whole existing
-    /// shard apparatus applies: forward blocks fan across the worker pool,
-    /// the adjoint writes row-disjoint state/input gradients in place and
-    /// accumulates the GRU weight gradients (the `matmul_tn_acc` over the
-    /// z/r/h gates) as per-shard partials merged in canonical shard order —
-    /// bitwise identical at any worker count. Without a split (or with a
-    /// single shard) this is exactly [`Graph::gru_step`], preserving the
-    /// legacy bitwise path for 1-sample plans.
+    /// [`Graph::gru_step_rows_sharded`] over **every** row — the link / node
+    /// / queue entity updates — with a dense row-block shard layout:
+    /// `bounds`, if given, partitions the `n` state rows into contiguous
+    /// blocks; `px` must have `n` rows. The rows recorded are a shared
+    /// identity prefix, so the one fused step (and its shard apparatus)
+    /// serves the dense use as it serves the path sweep.
     pub fn gru_step_dense_sharded(
         &mut self,
         vars: &GruVars,
         h: Var,
-        x: Var,
+        px: Var,
         bounds: Option<IndexInput<'_>>,
     ) -> Var {
-        match bounds {
-            Some(b) if b.as_slice().len() > 2 && !self.reference_mode => {
-                let n = self.value(h).rows();
-                assert_eq!(
-                    self.value(x).rows(),
-                    n,
-                    "gru_step_dense_sharded: x must have one row per state row"
-                );
-                let split = ShardSplit {
-                    active: b.clone(),
-                    dense: b.clone(),
-                    entity: b,
-                };
-                // Record the shared identity prefix by refcount instead of
-                // materializing (and then copying) a 0..n row list.
-                let rows = self.identity_rows(n);
-                self.gru_step_rows_sharded(vars, h, x, rows.into(), Some(split))
-            }
-            _ => self.gru_step(vars, h, x),
-        }
+        // Record the shared identity prefix by refcount instead of
+        // materializing (and then copying) a 0..n row list.
+        let rows = self.identity_rows(self.value(h).rows());
+        let split = bounds.map(|b| ShardSplit {
+            active: b.clone(),
+            dense: b.clone(),
+            entity: b,
+        });
+        self.gru_step_rows_sharded(vars, h, px, rows.into(), split)
     }
 
     // ------------------------------------------------------------------
@@ -2274,10 +2086,9 @@ impl Graph {
 
     /// Run the reverse sweep from `loss`, which must be a `1 x 1` node.
     ///
-    /// Gradients accumulate into every node that (transitively) influences the
-    /// loss; read them with [`Graph::grad`]. Calling `backward` twice on the
-    /// same tape accumulates into existing gradients, which is almost never
-    /// what you want — [`Graph::reset`] and rebuild instead.
+    /// Gradients accumulate into every differentiable leaf that
+    /// (transitively) influences the loss; read them with [`Graph::grad`].
+    /// Calling `backward` twice on the same tape replaces them.
     pub fn backward(&mut self, loss: Var) {
         assert!(
             !self.inference_mode,
@@ -2294,6 +2105,10 @@ impl Graph {
         let mut grads = std::mem::take(&mut self.grad_slots);
         grads.resize_with(n, || None);
         grads[loss.0] = Some(pooled_filled(&mut pool, 1, 1, 1.0));
+        // Transposed right-hand operands, by node id: a kernel is bound once
+        // and read by the adjoint of every step that used it, so it is
+        // transposed once per sweep.
+        let mut transposes: Vec<(usize, Matrix)> = Vec::new();
 
         for id in (0..n).rev() {
             let Some(g) = grads[id].take() else { continue };
@@ -2302,7 +2117,15 @@ impl Graph {
             // relaxed atomic load, no clock read) while tracing is off.
             let _op_span = crate::trace::OpSpan::begin(&self.nodes[id].op);
             match &self.nodes[id].op {
-                Op::Leaf { .. } => {}
+                Op::Leaf { requires_grad } => {
+                    // The sweep's results: kept for `Graph::grad`.
+                    if *requires_grad {
+                        grads[id] = Some(g);
+                    } else {
+                        pool_recycle(&mut pool, g);
+                    }
+                    continue;
+                }
                 &Op::Add(a, b) => {
                     accumulate_ref(&mut grads, &mut pool, a, &g);
                     accumulate_ref(&mut grads, &mut pool, b, &g);
@@ -2338,8 +2161,7 @@ impl Graph {
                         let (k_dim, n_dim) = bv.shape();
                         let m = g.rows();
                         let num_shards = bounds.len() - 1;
-                        let mut bt = pool_matrix_scratch(&mut pool, n_dim, k_dim);
-                        bv.transpose_into(&mut bt);
+                        let bt = transposed(&mut transposes, &mut pool, b, &self.nodes);
                         let mut ga = pool_matrix_scratch(&mut pool, m, k_dim);
                         let mut partials: Vec<Matrix> = (0..num_shards)
                             .map(|_| pool_matrix(&mut pool, k_dim, n_dim))
@@ -2352,7 +2174,7 @@ impl Graph {
                         {
                             let g_slice = g.as_slice();
                             let a_slice = self.value(a).as_slice();
-                            let bt_slice = bt.as_slice();
+                            let bt_slice = transposes[bt].1.as_slice();
                             let mut tasks: Vec<(usize, usize, &mut [f32], &mut Matrix)> = ga
                                 .row_blocks_mut(bounds)
                                 .into_iter()
@@ -2392,7 +2214,6 @@ impl Graph {
                                 },
                             );
                         }
-                        pool_recycle(&mut pool, bt);
                         {
                             let refs: Vec<&Matrix> = partials.iter().collect();
                             let slot = grad_slot(&mut grads, b, k_dim, n_dim, &mut pool);
@@ -2403,12 +2224,9 @@ impl Graph {
                         }
                         accumulate_pooled(&mut grads, &mut pool, a, ga);
                     } else {
-                        let bv = self.value(b);
-                        let mut bt = pool_matrix_scratch(&mut pool, bv.cols(), bv.rows());
-                        bv.transpose_into(&mut bt);
-                        let mut ga = pool_matrix_scratch(&mut pool, g.rows(), bv.rows());
-                        g.matmul_into(&bt, &mut ga);
-                        pool_recycle(&mut pool, bt);
+                        let bt = transposed(&mut transposes, &mut pool, b, &self.nodes);
+                        let mut ga = pool_matrix_scratch(&mut pool, g.rows(), self.value(b).rows());
+                        g.matmul_into(&transposes[bt].1, &mut ga);
                         let mut gb = pool_matrix_scratch(&mut pool, self.value(a).cols(), g.cols());
                         self.value(a).matmul_tn_into(&g, &mut gb);
                         accumulate_pooled(&mut grads, &mut pool, a, ga);
@@ -2658,144 +2476,6 @@ impl Graph {
                     let gx = pooled_filled(&mut pool, rows, cols, s);
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
-                Op::GruStep { vars, h, x, saved } => {
-                    let (vars, h, x) = (*vars, *h, *x);
-                    let s: &GruSaved = saved
-                        .as_deref()
-                        .expect("backward: node was recorded in inference mode");
-                    let hv = self.value(h);
-                    let hidden = hv.cols();
-                    let input = self.value(x).cols();
-                    let n_rows = hv.rows();
-
-                    let mut gh = pool_matrix(&mut pool, n_rows, hidden);
-
-                    // gz = g ⊙ (c - h); gc = g ⊙ z; gh += g ⊙ (1-z)
-                    let mut gz = pool_matrix_scratch(&mut pool, n_rows, hidden);
-                    let mut gc = pool_matrix_scratch(&mut pool, n_rows, hidden);
-                    for i in 0..n_rows {
-                        let gm_r = g.row(i);
-                        let zr = s.z.row(i);
-                        let cr = s.c.row(i);
-                        let hr = hv.row(i);
-                        {
-                            let gz_r = gz.row_mut(i);
-                            for j in 0..hidden {
-                                gz_r[j] = gm_r[j] * (cr[j] - hr[j]);
-                            }
-                        }
-                        {
-                            let gc_r = gc.row_mut(i);
-                            for j in 0..hidden {
-                                gc_r[j] = gm_r[j] * zr[j];
-                            }
-                        }
-                        {
-                            let gh_r = gh.row_mut(i);
-                            for j in 0..hidden {
-                                gh_r[j] += gm_r[j] * (1.0 - zr[j]);
-                            }
-                        }
-                    }
-
-                    // Candidate branch: gc_pre = gc ⊙ (1 - c²), vectorized.
-                    vact::tanh_deriv_mul_inplace(gc.as_mut_slice(), s.c.as_slice());
-                    let gc_pre = gc;
-                    // gW_c += rhx^T · gc_pre ; gb_c += colsum(gc_pre)
-                    {
-                        let slot =
-                            grad_slot(&mut grads, vars.w_c, hidden + input, hidden, &mut pool);
-                        s.rhx.matmul_tn_acc(&gc_pre, slot);
-                    }
-                    {
-                        let slot = grad_slot(&mut grads, vars.b_c, 1, hidden, &mut pool);
-                        add_col_sums(slot, &gc_pre);
-                    }
-                    // g_rhx = gc_pre · W_c^T
-                    let mut g_rhx = pool_matrix_scratch(&mut pool, n_rows, hidden + input);
-                    {
-                        // Pooled transpose: the weight is transposed into
-                        // tape scratch, never into a fresh allocation.
-                        let w_c = self.value(vars.w_c);
-                        let mut w_t = pool_matrix_scratch(&mut pool, w_c.cols(), w_c.rows());
-                        w_c.transpose_into(&mut w_t);
-                        gc_pre.matmul_into(&w_t, &mut g_rhx);
-                        pool_recycle(&mut pool, w_t);
-                    }
-                    pool_recycle(&mut pool, gc_pre);
-
-                    // Split g_rhx: left -> r⊙h branch, right -> x
-                    let mut gx_acc = pool_matrix_scratch(&mut pool, n_rows, input);
-                    let mut gr = pool_matrix_scratch(&mut pool, n_rows, hidden);
-                    for i in 0..n_rows {
-                        let row = g_rhx.row(i);
-                        let (rr, hr) = (s.r.row(i), hv.row(i));
-                        let gr_r = gr.row_mut(i);
-                        for j in 0..hidden {
-                            gr_r[j] = row[j] * hr[j];
-                        }
-                        for j in 0..hidden {
-                            // gh += g_rh ⊙ r
-                            gh.row_mut(i)[j] += row[j] * rr[j];
-                        }
-                        gx_acc.row_mut(i).copy_from_slice(&row[hidden..]);
-                    }
-                    pool_recycle(&mut pool, g_rhx);
-
-                    // Gate pre-activations: σ' from outputs, vectorized.
-                    vact::sigmoid_deriv_mul_inplace(gz.as_mut_slice(), s.z.as_slice());
-                    let gz_pre = gz;
-                    vact::sigmoid_deriv_mul_inplace(gr.as_mut_slice(), s.r.as_slice());
-                    let gr_pre = gr;
-
-                    {
-                        let slot =
-                            grad_slot(&mut grads, vars.w_z, hidden + input, hidden, &mut pool);
-                        s.hx.matmul_tn_acc(&gz_pre, slot);
-                    }
-                    {
-                        let slot = grad_slot(&mut grads, vars.b_z, 1, hidden, &mut pool);
-                        add_col_sums(slot, &gz_pre);
-                    }
-                    {
-                        let slot =
-                            grad_slot(&mut grads, vars.w_r, hidden + input, hidden, &mut pool);
-                        s.hx.matmul_tn_acc(&gr_pre, slot);
-                    }
-                    {
-                        let slot = grad_slot(&mut grads, vars.b_r, 1, hidden, &mut pool);
-                        add_col_sums(slot, &gr_pre);
-                    }
-
-                    // g_hx = gz_pre·W_z^T + gr_pre·W_r^T
-                    let mut g_hx = pool_matrix_scratch(&mut pool, n_rows, hidden + input);
-                    {
-                        let w_z = self.value(vars.w_z);
-                        let mut w_t = pool_matrix_scratch(&mut pool, w_z.cols(), w_z.rows());
-                        w_z.transpose_into(&mut w_t);
-                        gz_pre.matmul_into(&w_t, &mut g_hx);
-                        self.value(vars.w_r).transpose_into(&mut w_t);
-                        gr_pre.matmul_acc(&w_t, &mut g_hx);
-                        pool_recycle(&mut pool, w_t);
-                    }
-                    pool_recycle(&mut pool, gz_pre);
-                    pool_recycle(&mut pool, gr_pre);
-                    for i in 0..n_rows {
-                        let row = g_hx.row(i);
-                        let gh_r = gh.row_mut(i);
-                        for j in 0..hidden {
-                            gh_r[j] += row[j];
-                        }
-                        let gx_r = gx_acc.row_mut(i);
-                        for (gxv, &v) in gx_r.iter_mut().zip(&row[hidden..]) {
-                            *gxv += v;
-                        }
-                    }
-                    pool_recycle(&mut pool, g_hx);
-
-                    accumulate_pooled(&mut grads, &mut pool, h, gh);
-                    accumulate_pooled(&mut grads, &mut pool, x, gx_acc);
-                }
                 Op::SegmentAccRows {
                     acc,
                     x,
@@ -2846,337 +2526,147 @@ impl Graph {
                     accumulate_pooled(&mut grads, &mut pool, *x, gx);
                     accumulate_ref(&mut grads, &mut pool, *acc, &g);
                 }
-                Op::GruStepRows {
+                Op::GruStep {
                     vars,
                     h,
-                    x,
+                    px,
                     rows,
                     saved,
                     shards,
                 } => {
-                    let (vars, h, x) = (*vars, *h, *x);
+                    // Row-disjoint gradients (state, projected input) are
+                    // written in place by each shard; parameter gradients
+                    // are accumulated as per-shard partials and merged in
+                    // shard order below. The result is a pure function of
+                    // the shard layout — independent of the worker count
+                    // (or the pool's absence).
+                    let (vars, h, px) = (*vars, *h, *px);
                     let s: &GruSaved = saved
                         .as_deref()
                         .expect("backward: node was recorded in inference mode");
-                    let hv = self.value(h);
-                    let hidden = hv.cols();
-                    let input = self.value(x).cols();
+                    let (n, hidden) = self.value(h).shape();
                     let a = rows.len();
+                    let (full_active, full_dense) = ([0, a], [0, n]);
+                    let (active, dense): (&[usize], &[usize]) = match shards {
+                        Some(s) => (&s.active, &s.dense),
+                        None => (&full_active, &full_dense),
+                    };
+                    let num_shards = active.len() - 1;
+                    let zr_t = transposed(&mut transposes, &mut pool, vars.w_h_zr, &self.nodes);
+                    let c_t = transposed(&mut transposes, &mut pool, vars.w_h_c, &self.nodes);
 
-                    if let Some(shards) = shards {
-                        // Sharded canonical adjoint: row-disjoint gradients
-                        // are written in place by each shard; parameter
-                        // gradients are accumulated as per-shard partials
-                        // and merged in shard order below. The result is a
-                        // pure function of the shard layout — independent
-                        // of the worker count (or the pool's absence).
-                        let width = hidden + input;
-                        let num_shards = shards.len();
-                        let mut w_t_z = pool_matrix_scratch(&mut pool, hidden, width);
-                        self.value(vars.w_z).transpose_into(&mut w_t_z);
-                        let mut w_t_r = pool_matrix_scratch(&mut pool, hidden, width);
-                        self.value(vars.w_r).transpose_into(&mut w_t_r);
-                        let mut w_t_c = pool_matrix_scratch(&mut pool, hidden, width);
-                        self.value(vars.w_c).transpose_into(&mut w_t_c);
-
-                        let mut gh = pool_matrix_scratch(&mut pool, hv.rows(), hidden);
-                        let mut gx_acc = pool_matrix_scratch(&mut pool, a, input);
-                        let ctx = GruRowsBwdCtx {
-                            rows,
-                            g: g.as_slice(),
-                            hv: hv.as_slice(),
-                            saved: s,
-                            w_t_z: &w_t_z,
-                            w_t_r: &w_t_r,
-                            w_t_c: &w_t_c,
-                            hidden,
-                            input,
-                        };
-                        let make_scratch = |pool: &mut BufPool<f32>, a_s: usize| GruBwdScratch {
-                            gm: pool_matrix_scratch(pool, a_s, hidden),
-                            gz: pool_matrix_scratch(pool, a_s, hidden),
-                            gc: pool_matrix_scratch(pool, a_s, hidden),
-                            gr: pool_matrix_scratch(pool, a_s, hidden),
-                            g_rhx: pool_matrix_scratch(pool, a_s, width),
-                            g_hx: pool_matrix_scratch(pool, a_s, width),
-                            pw_z: pool_matrix(pool, width, hidden),
-                            pb_z: pool_matrix(pool, 1, hidden),
-                            pw_r: pool_matrix(pool, width, hidden),
-                            pb_r: pool_matrix(pool, 1, hidden),
-                            pw_c: pool_matrix(pool, width, hidden),
-                            pb_c: pool_matrix(pool, 1, hidden),
-                        };
-                        let merge_and_recycle =
-                            |grads: &mut Vec<Option<Matrix>>,
-                             pool: &mut BufPool<f32>,
-                             sc: GruBwdScratch| {
-                                for (var, partial, rows_, cols_) in [
-                                    (vars.w_z, &sc.pw_z, width, hidden),
-                                    (vars.b_z, &sc.pb_z, 1, hidden),
-                                    (vars.w_r, &sc.pw_r, width, hidden),
-                                    (vars.b_r, &sc.pb_r, 1, hidden),
-                                    (vars.w_c, &sc.pw_c, width, hidden),
-                                    (vars.b_c, &sc.pb_c, 1, hidden),
-                                ] {
-                                    grad_slot(grads, var, rows_, cols_, pool).add_assign(partial);
-                                }
-                                sc.recycle(pool);
-                            };
-                        let worker_pool =
-                            pool_if_worth(&self.worker_pool, self.par_threshold(), a * width * 6);
-                        let mut gh_it = gh.row_blocks_mut(&shards.dense).into_iter();
-                        let mut gx_it = gx_acc.row_blocks_mut(&shards.active).into_iter();
-                        if worker_pool.is_some() {
-                            // Parallel: every shard gets its own scratch up
-                            // front; the ordered reduction below merges the
-                            // partials in shard order once all are done.
-                            let mut tasks: Vec<GruRowsBwdTask> = (0..num_shards)
-                                .map(|si| {
-                                    let a_s = shards.active[si + 1] - shards.active[si];
-                                    GruRowsBwdTask {
-                                        k_lo: shards.active[si],
-                                        k_hi: shards.active[si + 1],
-                                        p_lo: shards.dense[si],
-                                        gh: gh_it.next().expect("gh block"),
-                                        gx: gx_it.next().expect("gx block"),
-                                        scratch: make_scratch(&mut pool, a_s),
-                                    }
-                                })
-                                .collect();
-                            run_shard_tasks(worker_pool, &mut tasks, |t| {
-                                gru_rows_backward_shard(&ctx, t)
-                            });
-                            // Ordered parallel merge: each parameter's
-                            // per-shard partials reduce in ascending shard
-                            // order — per element exactly the sequential
-                            // merge's addition order, so the bits match it
-                            // at any worker count.
-                            fn field(sc: &GruBwdScratch, i: usize) -> &Matrix {
-                                match i {
-                                    0 => &sc.pw_z,
-                                    1 => &sc.pb_z,
-                                    2 => &sc.pw_r,
-                                    3 => &sc.pb_r,
-                                    4 => &sc.pw_c,
-                                    _ => &sc.pb_c,
-                                }
-                            }
-                            for (i, (var, rows_, cols_)) in [
-                                (vars.w_z, width, hidden),
-                                (vars.b_z, 1, hidden),
-                                (vars.w_r, width, hidden),
-                                (vars.b_r, 1, hidden),
-                                (vars.w_c, width, hidden),
-                                (vars.b_c, 1, hidden),
-                            ]
-                            .into_iter()
-                            .enumerate()
-                            {
-                                let refs: Vec<&Matrix> =
-                                    tasks.iter().map(|t| field(&t.scratch, i)).collect();
-                                let slot = grad_slot(&mut grads, var, rows_, cols_, &mut pool);
-                                reduce_partials_parallel(worker_pool, slot, &refs);
-                            }
-                            for t in tasks {
-                                t.scratch.recycle(&mut pool);
-                            }
-                        } else {
-                            // Sequential canonical path: one scratch set
-                            // cycles through the pool (LIFO keeps it
-                            // cache-hot), each shard's partials merged the
-                            // moment they exist. Same partial contents, same
-                            // merge order — bitwise identical to the
-                            // parallel branch.
-                            for si in 0..num_shards {
-                                let a_s = shards.active[si + 1] - shards.active[si];
-                                let mut task = GruRowsBwdTask {
-                                    k_lo: shards.active[si],
-                                    k_hi: shards.active[si + 1],
-                                    p_lo: shards.dense[si],
-                                    gh: gh_it.next().expect("gh block"),
-                                    gx: gx_it.next().expect("gx block"),
-                                    scratch: make_scratch(&mut pool, a_s),
-                                };
-                                gru_rows_backward_shard(&ctx, &mut task);
-                                merge_and_recycle(&mut grads, &mut pool, task.scratch);
-                            }
+                    let mut gh = pool_matrix_scratch(&mut pool, n, hidden);
+                    let mut gpx = pool_matrix_scratch(&mut pool, a, 3 * hidden);
+                    let ctx = GruBwdCtx {
+                        rows,
+                        g: g.as_slice(),
+                        saved: s,
+                        w_h_zr_t: transposes[zr_t].1.as_slice(),
+                        w_h_c_t: transposes[c_t].1.as_slice(),
+                        hidden,
+                    };
+                    let worker_pool =
+                        pool_if_worth(&self.worker_pool, self.par_threshold(), a * hidden * 12);
+                    let targets = vars.partial_targets();
+                    let mut gh_it = gh.row_blocks_mut(dense).into_iter();
+                    let mut gpx_it = gpx.row_blocks_mut(active).into_iter();
+                    let mut task = |pool: &mut BufPool<f32>, si: usize| GruBwdTask {
+                        k_lo: active[si],
+                        k_hi: active[si + 1],
+                        p_lo: dense[si],
+                        gh: gh_it.next().expect("gh block"),
+                        gpx: gpx_it.next().expect("gpx block"),
+                        scratch: GruBwdScratch::take(pool, active[si + 1] - active[si], hidden),
+                    };
+                    if worker_pool.is_some() && num_shards > 1 {
+                        // Parallel: every shard gets its own scratch up
+                        // front; each parameter's partials then reduce in
+                        // ascending shard order — per element exactly the
+                        // sequential merge's addition order, so the bits
+                        // match it at any worker count.
+                        let mut tasks: Vec<GruBwdTask> =
+                            (0..num_shards).map(|si| task(&mut pool, si)).collect();
+                        run_shard_tasks(worker_pool, &mut tasks, |t| gru_backward_shard(&ctx, t));
+                        for (i, &var) in targets.iter().enumerate() {
+                            let refs: Vec<&Matrix> =
+                                tasks.iter().map(|t| t.scratch.partials()[i]).collect();
+                            let (rows_, cols_) = refs[0].shape();
+                            let slot = grad_slot(&mut grads, var, rows_, cols_, &mut pool);
+                            reduce_partials_parallel(worker_pool, slot, &refs);
                         }
-                        drop(gh_it);
-                        drop(gx_it);
-                        pool_recycle(&mut pool, w_t_z);
-                        pool_recycle(&mut pool, w_t_r);
-                        pool_recycle(&mut pool, w_t_c);
-                        accumulate_pooled(&mut grads, &mut pool, h, gh);
-                        accumulate_pooled(&mut grads, &mut pool, x, gx_acc);
-                        grads[id] = Some(g);
-                        continue;
-                    }
-
-                    // Pass-through rows keep the incoming gradient; active
-                    // rows are replaced by the GRU adjoint below.
-                    let mut gh = pool_matrix_scratch(&mut pool, hv.rows(), hidden);
-                    gh.as_mut_slice().copy_from_slice(g.as_slice());
-
-                    // Compact incoming gradient over the active rows.
-                    let mut gm = pool_matrix_scratch(&mut pool, a, hidden);
-                    for (k, &row) in rows.iter().enumerate() {
-                        gm.row_mut(k).copy_from_slice(g.row(row));
-                    }
-
-                    // gz = gm ⊙ (c - h); gc = gm ⊙ z; gh[row] = gm ⊙ (1-z)
-                    let mut gz = pool_matrix_scratch(&mut pool, a, hidden);
-                    let mut gc = pool_matrix_scratch(&mut pool, a, hidden);
-                    for (k, &row) in rows.iter().enumerate() {
-                        let gm_r = gm.row(k);
-                        let zr = s.z.row(k);
-                        let cr = s.c.row(k);
-                        let hr = hv.row(row);
-                        {
-                            let gz_r = gz.row_mut(k);
-                            for j in 0..hidden {
-                                gz_r[j] = gm_r[j] * (cr[j] - hr[j]);
-                            }
+                        for t in tasks {
+                            t.scratch.recycle(&mut pool);
                         }
-                        {
-                            let gc_r = gc.row_mut(k);
-                            for j in 0..hidden {
-                                gc_r[j] = gm_r[j] * zr[j];
+                    } else {
+                        // Sequential: one scratch set cycles through the
+                        // pool (LIFO keeps it cache-hot), each shard's
+                        // partials merged the moment they exist. Same
+                        // partial contents, same merge order.
+                        for si in 0..num_shards {
+                            let mut t = task(&mut pool, si);
+                            gru_backward_shard(&ctx, &mut t);
+                            for (&var, partial) in targets.iter().zip(t.scratch.partials()) {
+                                let (rows_, cols_) = partial.shape();
+                                grad_slot(&mut grads, var, rows_, cols_, &mut pool)
+                                    .add_assign(partial);
                             }
-                        }
-                        {
-                            let gh_r = gh.row_mut(row);
-                            for j in 0..hidden {
-                                gh_r[j] = gm_r[j] * (1.0 - zr[j]);
-                            }
+                            t.scratch.recycle(&mut pool);
                         }
                     }
-
-                    // Candidate branch: gc_pre = gc ⊙ (1 - c²), vectorized.
-                    vact::tanh_deriv_mul_inplace(gc.as_mut_slice(), s.c.as_slice());
-                    let gc_pre = gc;
-                    {
-                        let slot =
-                            grad_slot(&mut grads, vars.w_c, hidden + input, hidden, &mut pool);
-                        s.rhx.matmul_tn_acc(&gc_pre, slot);
-                    }
-                    {
-                        let slot = grad_slot(&mut grads, vars.b_c, 1, hidden, &mut pool);
-                        add_col_sums(slot, &gc_pre);
-                    }
-                    let mut g_rhx = pool_matrix_scratch(&mut pool, a, hidden + input);
-                    {
-                        // Pooled transpose: the weight is transposed into
-                        // tape scratch, never into a fresh allocation.
-                        let w_c = self.value(vars.w_c);
-                        let mut w_t = pool_matrix_scratch(&mut pool, w_c.cols(), w_c.rows());
-                        w_c.transpose_into(&mut w_t);
-                        gc_pre.matmul_into(&w_t, &mut g_rhx);
-                        pool_recycle(&mut pool, w_t);
-                    }
-                    pool_recycle(&mut pool, gc_pre);
-
-                    // Split g_rhx: left -> r⊙h branch, right -> x
-                    let mut gx_acc = pool_matrix_scratch(&mut pool, a, input);
-                    let mut gr = pool_matrix_scratch(&mut pool, a, hidden);
-                    for (k, &row) in rows.iter().enumerate() {
-                        let row_slice = g_rhx.row(k);
-                        let (rr, hr) = (s.r.row(k), hv.row(row));
-                        {
-                            let gr_r = gr.row_mut(k);
-                            for j in 0..hidden {
-                                gr_r[j] = row_slice[j] * hr[j];
-                            }
-                        }
-                        {
-                            let gh_r = gh.row_mut(row);
-                            for j in 0..hidden {
-                                gh_r[j] += row_slice[j] * rr[j];
-                            }
-                        }
-                        gx_acc.row_mut(k).copy_from_slice(&row_slice[hidden..]);
-                    }
-                    pool_recycle(&mut pool, g_rhx);
-
-                    // Gate pre-activations: σ' from outputs, vectorized.
-                    vact::sigmoid_deriv_mul_inplace(gz.as_mut_slice(), s.z.as_slice());
-                    let gz_pre = gz;
-                    vact::sigmoid_deriv_mul_inplace(gr.as_mut_slice(), s.r.as_slice());
-                    let gr_pre = gr;
-
-                    {
-                        let slot =
-                            grad_slot(&mut grads, vars.w_z, hidden + input, hidden, &mut pool);
-                        s.hx.matmul_tn_acc(&gz_pre, slot);
-                    }
-                    {
-                        let slot = grad_slot(&mut grads, vars.b_z, 1, hidden, &mut pool);
-                        add_col_sums(slot, &gz_pre);
-                    }
-                    {
-                        let slot =
-                            grad_slot(&mut grads, vars.w_r, hidden + input, hidden, &mut pool);
-                        s.hx.matmul_tn_acc(&gr_pre, slot);
-                    }
-                    {
-                        let slot = grad_slot(&mut grads, vars.b_r, 1, hidden, &mut pool);
-                        add_col_sums(slot, &gr_pre);
-                    }
-
-                    // g_hx = gz_pre·W_z^T + gr_pre·W_r^T
-                    let mut g_hx = pool_matrix_scratch(&mut pool, a, hidden + input);
-                    {
-                        let w_z = self.value(vars.w_z);
-                        let mut w_t = pool_matrix_scratch(&mut pool, w_z.cols(), w_z.rows());
-                        w_z.transpose_into(&mut w_t);
-                        gz_pre.matmul_into(&w_t, &mut g_hx);
-                        self.value(vars.w_r).transpose_into(&mut w_t);
-                        gr_pre.matmul_acc(&w_t, &mut g_hx);
-                        pool_recycle(&mut pool, w_t);
-                    }
-                    pool_recycle(&mut pool, gz_pre);
-                    pool_recycle(&mut pool, gr_pre);
-                    for (k, &row) in rows.iter().enumerate() {
-                        let row_slice = g_hx.row(k);
-                        {
-                            let gh_r = gh.row_mut(row);
-                            for j in 0..hidden {
-                                gh_r[j] += row_slice[j];
-                            }
-                        }
-                        let gx_r = gx_acc.row_mut(k);
-                        for (gxv, &v) in gx_r.iter_mut().zip(&row_slice[hidden..]) {
-                            *gxv += v;
-                        }
-                    }
-                    pool_recycle(&mut pool, g_hx);
-                    pool_recycle(&mut pool, gm);
-
                     accumulate_pooled(&mut grads, &mut pool, h, gh);
-                    accumulate_pooled(&mut grads, &mut pool, x, gx_acc);
+                    accumulate_pooled(&mut grads, &mut pool, px, gpx);
+                }
+                Op::PackCols { parts, row_lo } => {
+                    let mut off = 0;
+                    for &p in parts {
+                        let (rows, cols) = self.value(p).shape();
+                        let slot = grad_slot(&mut grads, p, rows, cols, &mut pool);
+                        for r in 0..g.rows() {
+                            let src = &g.row(r)[off..off + cols];
+                            for (d, &v) in slot.row_mut(row_lo + r).iter_mut().zip(src) {
+                                *d += v;
+                            }
+                        }
+                        off += cols;
+                    }
                 }
             }
-            grads[id] = Some(g);
+            // Every consumer of this node ran before it, so nothing reads
+            // its gradient again: the buffer serves the next adjoint instead
+            // of staying resident until `reset`.
+            pool_recycle(&mut pool, g);
         }
 
-        // Persist gradients onto the tape, skipping constants.
+        // Persist the leaves' gradients onto the tape.
         for (node, g) in self.nodes.iter_mut().zip(grads.drain(..)) {
-            if let Op::Leaf {
-                requires_grad: false,
-            } = node.op
-            {
-                if let Some(gm) = g {
-                    pool_recycle(&mut pool, gm);
-                }
-                continue;
-            }
-            if let Some(old) = node.grad.take() {
+            if let Some(old) = std::mem::replace(&mut node.grad, g) {
                 pool_recycle(&mut pool, old);
             }
-            node.grad = g;
+        }
+        for (_, t) in transposes {
+            pool_recycle(&mut pool, t);
         }
         self.grad_slots = grads;
         self.pool = pool;
     }
+}
+
+/// Index into `cache` of the transpose of node `v`'s value, computed into a
+/// pooled buffer on first use.
+fn transposed(
+    cache: &mut Vec<(usize, Matrix)>,
+    pool: &mut BufPool<f32>,
+    v: Var,
+    nodes: &[Node],
+) -> usize {
+    if let Some(i) = cache.iter().position(|(id, _)| *id == v.0) {
+        return i;
+    }
+    let value = &nodes[v.0].value;
+    let mut t = pool_matrix_scratch(pool, value.cols(), value.rows());
+    value.transpose_into(&mut t);
+    cache.push((v.0, t));
+    cache.len() - 1
 }
 
 /// Accumulate `delta` into the pending gradient of node `v`.
@@ -3391,47 +2881,56 @@ mod tests {
         })
     }
 
-    /// Weights for a toy GRU cell registered on the tape.
-    fn toy_gru(g: &mut Graph, hidden: usize, input: usize, salt: u64) -> GruVars {
-        GruVars {
-            w_z: g.param(det_matrix(hidden + input, hidden, salt)),
-            b_z: g.param(det_matrix(1, hidden, salt + 1)),
-            w_r: g.param(det_matrix(hidden + input, hidden, salt + 2)),
-            b_r: g.param(det_matrix(1, hidden, salt + 3)),
-            w_c: g.param(det_matrix(hidden + input, hidden, salt + 4)),
-            b_c: g.param(det_matrix(1, hidden, salt + 5)),
-            w_zr: None,
+    /// A toy GRU cell registered on the tape: its six parameters `[W_z, b_z,
+    /// W_r, b_r, W_c, b_c]` and their packing.
+    struct ToyGru {
+        params: [Var; 6],
+        vars: GruVars,
+    }
+
+    fn toy_gru(g: &mut Graph, hidden: usize, input: usize, salt: u64) -> ToyGru {
+        let params = [
+            g.param(det_matrix(hidden + input, hidden, salt)),
+            g.param(det_matrix(1, hidden, salt + 1)),
+            g.param(det_matrix(hidden + input, hidden, salt + 2)),
+            g.param(det_matrix(1, hidden, salt + 3)),
+            g.param(det_matrix(hidden + input, hidden, salt + 4)),
+            g.param(det_matrix(1, hidden, salt + 5)),
+        ];
+        ToyGru {
+            params,
+            vars: g.gru_pack(params),
         }
     }
 
-    /// The same toy cell with the merged `[W_z|W_r]` kernel bound.
-    fn with_merged_gates(g: &mut Graph, vars: GruVars) -> GruVars {
-        let merged = g.value(vars.w_z).concat_cols(g.value(vars.w_r));
-        GruVars {
-            w_zr: Some(g.constant(merged)),
-            ..vars
+    impl ToyGru {
+        /// The fused step over `rows`; `x` holds one input row per active row.
+        fn step_rows(&self, g: &mut Graph, h: Var, x: Var, rows: &[usize]) -> Var {
+            let px = g.matmul(x, self.vars.w_x);
+            g.gru_step_rows(&self.vars, h, px, rows)
+        }
+
+        /// The fused step over every row.
+        fn step(&self, g: &mut Graph, h: Var, x: Var) -> Var {
+            let px = g.matmul(x, self.vars.w_x);
+            g.gru_step_dense_sharded(&self.vars, h, px, None)
         }
     }
 
     /// The unfused op-by-op GRU step (the numerical reference).
-    fn gru_step_unfused(
-        g: &mut Graph,
-        vars: &GruVars,
-        h: Var,
-        x: Var,
-        mask: Option<&Matrix>,
-    ) -> Var {
+    fn gru_step_unfused(g: &mut Graph, gru: &ToyGru, h: Var, x: Var, mask: Option<&Matrix>) -> Var {
+        let [w_z, b_z, w_r, b_r, w_c, b_c] = gru.params;
         let hx = g.concat_cols(h, x);
-        let z_lin = g.matmul(hx, vars.w_z);
-        let z_b = g.add_bias(z_lin, vars.b_z);
+        let z_lin = g.matmul(hx, w_z);
+        let z_b = g.add_bias(z_lin, b_z);
         let z = g.sigmoid(z_b);
-        let r_lin = g.matmul(hx, vars.w_r);
-        let r_b = g.add_bias(r_lin, vars.b_r);
+        let r_lin = g.matmul(hx, w_r);
+        let r_b = g.add_bias(r_lin, b_r);
         let r = g.sigmoid(r_b);
         let rh = g.mul(r, h);
         let rhx = g.concat_cols(rh, x);
-        let c_lin = g.matmul(rhx, vars.w_c);
-        let c_b = g.add_bias(c_lin, vars.b_c);
+        let c_lin = g.matmul(rhx, w_c);
+        let c_b = g.add_bias(c_lin, b_c);
         let c = g.tanh(c_b);
         let one_minus_z = g.one_minus(z);
         let keep = g.mul(one_minus_z, h);
@@ -3524,7 +3023,7 @@ mod tests {
         let va = toy_gru(&mut ga, 5, 3, 42);
         let ha = ga.constant(det_matrix(4, 5, 10));
         let xa = ga.constant(det_matrix(4, 3, 11));
-        let fused = ga.gru_step(&va, ha, xa);
+        let fused = va.step(&mut ga, ha, xa);
 
         let mut gb = Graph::new();
         let vb = toy_gru(&mut gb, 5, 3, 42);
@@ -3544,7 +3043,7 @@ mod tests {
         let va = toy_gru(&mut ga, 5, 3, 9);
         let ha = ga.param(det_matrix(4, 5, 20));
         let xa = ga.param(det_matrix(4, 3, 21));
-        let fused = ga.gru_step(&va, ha, xa);
+        let fused = va.step(&mut ga, ha, xa);
         let sq_a = ga.square(fused);
         let la = ga.mean(sq_a);
         ga.backward(la);
@@ -3558,19 +3057,14 @@ mod tests {
         let lb = gb.mean(sq_b);
         gb.backward(lb);
 
-        let pairs = [
-            (va.w_z, vb.w_z),
-            (va.b_z, vb.b_z),
-            (va.w_r, vb.w_r),
-            (va.b_r, vb.b_r),
-            (va.w_c, vb.w_c),
-            (va.b_c, vb.b_c),
-            (ha, hb),
-            (xa, xb),
-        ];
-        for (i, (fa, fb)) in pairs.iter().enumerate() {
-            let grad_a = ga.grad(*fa).expect("fused grad");
-            let grad_b = gb.grad(*fb).expect("unfused grad");
+        let pairs = va
+            .params
+            .into_iter()
+            .zip(vb.params)
+            .chain([(ha, hb), (xa, xb)]);
+        for (i, (fa, fb)) in pairs.enumerate() {
+            let grad_a = ga.grad(fa).expect("fused grad");
+            let grad_b = gb.grad(fb).expect("unfused grad");
             assert!(
                 grad_a.approx_eq(grad_b, 2e-5),
                 "grad {i} diverged: {grad_a:?} vs {grad_b:?}"
@@ -3591,7 +3085,7 @@ mod tests {
         let states_a = ga.param(det_matrix(3, 4, 33));
         let ha = ga.param(det_matrix(4, 5, 20));
         let xa = ga.gather_rows(states_a, &ids);
-        let fused = ga.gru_step_rows(&va, ha, xa, &rows);
+        let fused = va.step_rows(&mut ga, ha, xa, &rows);
         let acc_a = ga.constant(Matrix::zeros(3, 5));
         let out_a = ga.segment_acc_rows(acc_a, fused, &rows, &ids);
         let sq_a = ga.square(out_a);
@@ -3620,61 +3114,15 @@ mod tests {
             "forward diverged"
         );
         assert!(ga.value(out_a).approx_eq(gb.value(out_b), 1e-6));
-        let pairs = [
-            (va.w_z, vb.w_z),
-            (va.b_z, vb.b_z),
-            (va.w_r, vb.w_r),
-            (va.b_r, vb.b_r),
-            (va.w_c, vb.w_c),
-            (va.b_c, vb.b_c),
-            (ha, hb),
-            (states_a, states_b),
-        ];
-        for (i, (fa, fb)) in pairs.iter().enumerate() {
-            let grad_a = ga.grad(*fa).expect("compact grad");
-            let grad_b = gb.grad(*fb).expect("masked grad");
+        let pairs = va
+            .params
+            .into_iter()
+            .zip(vb.params)
+            .chain([(ha, hb), (states_a, states_b)]);
+        for (i, (fa, fb)) in pairs.enumerate() {
+            let grad_a = ga.grad(fa).expect("compact grad");
+            let grad_b = gb.grad(fb).expect("masked grad");
             assert!(grad_a.approx_eq(grad_b, 2e-5), "grad {i} diverged");
-        }
-    }
-
-    #[test]
-    fn merged_gate_kernel_is_bitwise_identical_to_split() {
-        // gru_step and gru_step_rows with a bound [W_z|W_r] kernel must
-        // produce bit-identical values and gradients to the split matmuls.
-        let rows = [0usize, 2, 3];
-
-        let run = |merged: bool| -> (Matrix, Matrix, Vec<Matrix>) {
-            let mut g = Graph::new();
-            let mut vars = toy_gru(&mut g, 5, 3, 42);
-            if merged {
-                vars = with_merged_gates(&mut g, vars);
-            }
-            let h = g.param(det_matrix(4, 5, 10));
-            let x_dense = g.param(det_matrix(4, 3, 11));
-            let dense = g.gru_step(&vars, h, x_dense);
-            let x_rows = g.param(det_matrix(rows.len(), 3, 12));
-            let compact = g.gru_step_rows(&vars, dense, x_rows, &rows);
-            let sq = g.square(compact);
-            let loss = g.mean(sq);
-            g.backward(loss);
-            let grads = [
-                vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c, h,
-            ]
-            .iter()
-            .map(|&v| g.grad(v).unwrap().clone())
-            .collect();
-            (g.value(dense).clone(), g.value(compact).clone(), grads)
-        };
-
-        let (dense_s, compact_s, grads_s) = run(false);
-        let (dense_m, compact_m, grads_m) = run(true);
-        assert!(dense_s.approx_eq(&dense_m, 0.0), "dense step diverged");
-        assert!(
-            compact_s.approx_eq(&compact_m, 0.0),
-            "compact step diverged"
-        );
-        for (i, (a, b)) in grads_s.iter().zip(&grads_m).enumerate() {
-            assert!(a.approx_eq(b, 0.0), "grad {i} diverged");
         }
     }
 
@@ -3712,13 +3160,14 @@ mod tests {
         // Row 2 is padding.
         let rows = [0usize, 1, 3, 4];
         let x = g.gather_rows(x0, &[0, 2, 4, 3]);
-        let h1 = g.gru_step_rows(&vars, h0, x, &rows);
+        let h1 = vars.step_rows(g, h0, x, &rows);
         let acc0 = g.constant(Matrix::zeros(3, 4));
         let acc = g.segment_acc_rows(acc0, h1, &rows, &[0, 1, 0, 1]);
         let sq = g.square(acc);
         let loss = g.mean(sq);
         g.backward(loss);
-        let grads = [vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c]
+        let grads = vars
+            .params
             .iter()
             .map(|&v| g.grad(v).unwrap().clone())
             .collect();
@@ -3754,9 +3203,9 @@ mod tests {
             let vars = toy_gru(&mut g, 4, 4, 3);
             let h = g.constant(det_matrix(5, 4, 30));
             let x = g.constant(det_matrix(5, 4, 31));
-            let h1 = g.gru_step(&vars, h, x);
+            let h1 = vars.step(&mut g, h, x);
             let x2 = g.gather_rows(h1, &[0, 1, 2]);
-            let h2 = g.gru_step_rows(&vars, h1, x2, &[1, 2, 3]);
+            let h2 = vars.step_rows(&mut g, h1, x2, &[1, 2, 3]);
             (g.value(h2).clone(), g.pooled_buffers())
         };
         let (train_out, train_pooled) = run(false);
@@ -3770,7 +3219,7 @@ mod tests {
         // and one step's worth stays parked when recording ends.
         assert_eq!(train_pooled, 0);
         assert!(
-            infer_pooled >= 5,
+            infer_pooled >= 4,
             "expected recycled scratch, got {infer_pooled}"
         );
     }
@@ -3789,19 +3238,20 @@ mod tests {
         let vars = toy_gru(g, 4, 3, 11);
         let states = g.param(det_matrix(6, 3, 50));
         let h = g.param(det_matrix(5, 4, 51));
-        let x = g.gather_rows_sharded(states, (&SH_IDS).into(), split.clone());
-        let h2 = g.gru_step_rows_sharded(&vars, h, x, (&SH_ROWS).into(), split.clone());
+        let projected = g.matmul(states, vars.vars.w_x);
+        let px = g.gather_rows_sharded(projected, (&SH_IDS).into(), split.clone());
+        let h2 = g.gru_step_rows_sharded(&vars.vars, h, px, (&SH_ROWS).into(), split.clone());
         let acc0 = g.constant(Matrix::zeros(6, 4));
         let out = g.segment_acc_rows_sharded(acc0, h2, (&SH_ROWS).into(), (&SH_IDS).into(), split);
         let sq = g.square(out);
         let loss = g.mean(sq);
         g.backward(loss);
-        let grads = [
-            vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c, h, states,
-        ]
-        .iter()
-        .map(|&v| g.grad(v).unwrap().clone())
-        .collect();
+        let grads = vars
+            .params
+            .iter()
+            .chain(&[h, states])
+            .map(|&v| g.grad(v).unwrap().clone())
+            .collect();
         (g.value(out).clone(), g.value(loss).get(0, 0), grads)
     }
 
@@ -3864,8 +3314,9 @@ mod tests {
             let vars = toy_gru(&mut g, 4, 3, 13);
             let states = g.param(det_matrix(6, 3, 60));
             let h = g.param(det_matrix(5, 4, 61));
-            let x = g.gather_rows_sharded(states, (&ids).into(), split.clone());
-            let h2 = g.gru_step_rows_sharded(&vars, h, x, (&rows).into(), split.clone());
+            let projected = g.matmul(states, vars.vars.w_x);
+            let px = g.gather_rows_sharded(projected, (&ids).into(), split.clone());
+            let h2 = g.gru_step_rows_sharded(&vars.vars, h, px, (&rows).into(), split.clone());
             let acc0 = g.constant(Matrix::zeros(6, 4));
             let out = g.segment_acc_rows_sharded(acc0, h2, (&rows).into(), (&ids).into(), split);
             let sq = g.square(out);
@@ -3908,7 +3359,8 @@ mod tests {
         let vars = toy_gru(g, 4, 4, 21);
         let h = g.param(det_matrix(7, 4, 70));
         let acc = g.param(det_matrix(7, 4, 71));
-        let stepped = g.gru_step_dense_sharded(&vars, h, acc, bounds.map(Into::into));
+        let px = g.matmul_sharded(acc, vars.vars.w_x, bounds.map(Into::into));
+        let stepped = g.gru_step_dense_sharded(&vars.vars, h, px, bounds.map(Into::into));
         let w1 = g.param(det_matrix(4, 5, 72));
         let b1 = g.param(det_matrix(1, 5, 73));
         let lin = g.matmul_sharded(stepped, w1, bounds.map(Into::into));
@@ -3919,12 +3371,12 @@ mod tests {
         let sq = g.square(out);
         let loss = g.mean(sq);
         g.backward(loss);
-        let grads = [
-            vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c, h, acc, w1, b1, w2,
-        ]
-        .iter()
-        .map(|&v| g.grad(v).unwrap().clone())
-        .collect();
+        let grads = vars
+            .params
+            .iter()
+            .chain(&[h, acc, w1, b1, w2])
+            .map(|&v| g.grad(v).unwrap().clone())
+            .collect();
         (g.value(out).clone(), g.value(loss).get(0, 0), grads)
     }
 
@@ -4009,16 +3461,17 @@ mod tests {
             let vars = toy_gru(&mut g, 4, 3, 33);
             let h = g.param(det_matrix(7, 4, 80));
             let x = g.param(det_matrix(7, 3, 81));
-            let out = g.gru_step_dense_sharded(&vars, h, x, bounds.map(Into::into));
+            let px = g.matmul_sharded(x, vars.vars.w_x, bounds.map(Into::into));
+            let out = g.gru_step_dense_sharded(&vars.vars, h, px, bounds.map(Into::into));
             let sq = g.square(out);
             let loss = g.mean(sq);
             g.backward(loss);
-            let grads = [
-                vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c, h, x,
-            ]
-            .iter()
-            .map(|&v| g.grad(v).unwrap().clone())
-            .collect();
+            let grads = vars
+                .params
+                .iter()
+                .chain(&[h, x])
+                .map(|&v| g.grad(v).unwrap().clone())
+                .collect();
             (g.value(out).clone(), grads)
         };
         let (out_plain, grads_plain) = run(None);
@@ -4039,7 +3492,7 @@ mod tests {
         let vars = toy_gru(&mut g, 4, 4, 3);
         let h = g.constant(det_matrix(5, 4, 30));
         let x = g.constant(det_matrix(5, 4, 31));
-        let h1 = g.gru_step(&vars, h, x);
+        let h1 = vars.step(&mut g, h, x);
         // The input state's buffer was stolen: h is now empty, h1 owns it.
         assert_eq!(g.value(h).shape(), (0, 0), "h consumed by in-place step");
         assert_eq!(g.value(h1).shape(), (5, 4));
@@ -4052,7 +3505,7 @@ mod tests {
         let vars = toy_gru(&mut t, 4, 4, 3);
         let h = t.constant(det_matrix(5, 4, 30));
         let x = t.constant(det_matrix(5, 4, 31));
-        let h1t = t.gru_step(&vars, h, x);
+        let h1t = vars.step(&mut t, h, x);
         assert_eq!(t.value(h).shape(), (5, 4), "training mode must not steal");
         // And the in-place values are bitwise identical to the copying ones.
         assert!(g.value(h1).approx_eq(t.value(h1t), 0.0));

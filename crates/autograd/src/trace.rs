@@ -40,7 +40,7 @@ pub const OP_KINDS: &[&str] = &[
 
 /// Scatter/gather index traffic: `GatherRows`, `MaskRows`.
 pub const KIND_GATHER: usize = 0;
-/// The fused GRU cell adjoints: `GruStep`, `GruStepRows`.
+/// The fused GRU cell adjoint: `GruStep`.
 pub const KIND_GRU: usize = 1;
 /// Segment aggregation adjoints: `SegmentSum`, `SegmentAccRows`.
 pub const KIND_SEGMENT: usize = 2;
@@ -78,7 +78,7 @@ pub fn reset_op_trace() {
 pub(crate) fn kind_of(op: &Op) -> usize {
     match op {
         Op::GatherRows { .. } | Op::MaskRows { .. } => KIND_GATHER,
-        Op::GruStep { .. } | Op::GruStepRows { .. } => KIND_GRU,
+        Op::GruStep { .. } => KIND_GRU,
         Op::SegmentSum { .. } | Op::SegmentAccRows { .. } => KIND_SEGMENT,
         Op::MatMul { .. } | Op::AddBias { .. } | Op::Affine { .. } => KIND_MATMUL,
         Op::Sigmoid(_) | Op::Tanh(_) | Op::Relu(_) | Op::Selu { .. } | Op::Softplus(_) => {

@@ -40,6 +40,20 @@ fn cycle_strategy() -> impl Strategy<Value = Cycle> {
         })
 }
 
+/// A GRU cell's six parameters `[W_z, b_z, W_r, b_r, W_c, b_c]` at width `d`
+/// (input as wide as the state), drawn from `rng` in that order.
+fn gru_params(g: &mut Graph, rng: &mut Prng, d: usize) -> [rn_autograd::Var; 6] {
+    [
+        (2 * d, 0.5),
+        (1, 0.1),
+        (2 * d, 0.5),
+        (1, 0.1),
+        (2 * d, 0.5),
+        (1, 0.1),
+    ]
+    .map(|(rows, span)| g.param(rng.uniform_matrix(rows, d, -span, span)))
+}
+
 /// Record `c` on `g` (already reset) and return the bits of everything it
 /// computed: the output state, then — in training mode — the loss and every
 /// gradient.
@@ -47,22 +61,16 @@ fn run_cycle(g: &mut Graph, c: &Cycle) -> Vec<u32> {
     let mut rng = Prng::new(c.seed);
     let (n, d) = (c.paths, c.hidden);
     g.set_inference_mode(c.inference);
-    let vars = rn_autograd::GruVars {
-        w_z: g.param(rng.uniform_matrix(2 * d, d, -0.5, 0.5)),
-        b_z: g.param(rng.uniform_matrix(1, d, -0.1, 0.1)),
-        w_r: g.param(rng.uniform_matrix(2 * d, d, -0.5, 0.5)),
-        b_r: g.param(rng.uniform_matrix(1, d, -0.1, 0.1)),
-        w_c: g.param(rng.uniform_matrix(2 * d, d, -0.5, 0.5)),
-        b_c: g.param(rng.uniform_matrix(1, d, -0.1, 0.1)),
-        w_zr: None,
-    };
+    let params = gru_params(g, &mut rng, d);
+    let vars = g.gru_pack(params);
     let states = g.param(rng.uniform_matrix(c.entities, d, -1.0, 1.0));
     let h = g.param_copy(&rng.uniform_matrix(n, d, -1.0, 1.0));
     // Every other path is active; each reads (and reports to) some entity.
     let rows: Vec<usize> = (0..n).step_by(2).collect();
     let ids: Vec<usize> = rows.iter().map(|r| r % c.entities).collect();
-    let x = g.gather_rows(states, &ids);
-    let h2 = g.gru_step_rows(&vars, h, x, &rows);
+    let projected = g.matmul(states, vars.w_x);
+    let px = g.gather_rows(projected, &ids);
+    let h2 = g.gru_step_rows(&vars, h, px, &rows);
     let acc = g.constant_with(c.entities, d, |_| {});
     let out = g.segment_acc_rows(acc, h2, &rows, &ids);
     let mut bits: Vec<u32> = g
@@ -76,9 +84,7 @@ fn run_cycle(g: &mut Graph, c: &Cycle) -> Vec<u32> {
         let loss = g.mean(sq);
         g.backward(loss);
         bits.push(g.value(loss).get(0, 0).to_bits());
-        for v in [
-            vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c, states, h,
-        ] {
+        for v in params.into_iter().chain([states, h]) {
             // A chain with no active path leaves some leaves untouched.
             let grad = g.grad(v).map(|m| m.as_slice().to_vec()).unwrap_or_default();
             bits.extend(grad.iter().map(|v| v.to_bits()));
@@ -275,29 +281,24 @@ proptest! {
         // through `warm_runs` forward/backward/reset cycles.
         let run = |g: &mut Graph, seed: u64| -> (f32, Vec<Matrix>) {
             let mut rng = Prng::new(seed);
-            let vars = rn_autograd::GruVars {
-                w_z: g.param(rng.uniform_matrix(8, 4, -0.5, 0.5)),
-                b_z: g.param(rng.uniform_matrix(1, 4, -0.1, 0.1)),
-                w_r: g.param(rng.uniform_matrix(8, 4, -0.5, 0.5)),
-                b_r: g.param(rng.uniform_matrix(1, 4, -0.1, 0.1)),
-                w_c: g.param(rng.uniform_matrix(8, 4, -0.5, 0.5)),
-                b_c: g.param(rng.uniform_matrix(1, 4, -0.1, 0.1)),
-                w_zr: None,
-            };
+            let params = gru_params(g, &mut rng, 4);
+            let vars = g.gru_pack(params);
             let states = g.param(rng.uniform_matrix(3, 4, -1.0, 1.0));
             let h = g.param(rng.uniform_matrix(5, 4, -1.0, 1.0));
             let rows = [0usize, 2, 4];
             let ids = [1usize, 0, 2];
-            let x = g.gather_rows(states, &ids);
-            let h2 = g.gru_step_rows(&vars, h, x, &rows);
+            let projected = g.matmul(states, vars.w_x);
+            let px = g.gather_rows(projected, &ids);
+            let h2 = g.gru_step_rows(&vars, h, px, &rows);
             let acc = g.constant(Matrix::zeros(3, 4));
             let out = g.segment_acc_rows(acc, h2, &rows, &ids);
             let sq = g.square(out);
             let loss = g.mean(sq);
             g.backward(loss);
-            let grads = [vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c, states, h]
-                .iter()
-                .map(|&v| g.grad(v).unwrap().clone())
+            let grads = params
+                .into_iter()
+                .chain([states, h])
+                .map(|v| g.grad(v).unwrap().clone())
                 .collect();
             (g.value(loss).get(0, 0), grads)
         };

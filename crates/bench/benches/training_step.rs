@@ -55,12 +55,13 @@
 //!   measured" cannot be misread as "no speedup".
 //!
 //! - `kernel/matmul_{nn,tn}_KxMxN` — the two matmul kernels on the same flops
-//!   at the GRU adjoint's own shapes: `nn` is the forward product
+//!   at the GRU step's own shapes: `nn` is the forward product
 //!   `(K x M)·(M x N)`, `tn` the weight-gradient product `(K x M)ᵀ·(K x N)`,
-//!   at paper scale (728 active rows, `[h|x]` 64 wide, 32 gate columns) and
-//!   at the small model's (1 456 x 16, 8). The derived `matmul_tn_over_nn`
-//!   (`_small`) is tn throughput over nn throughput: 1.0 means the adjoint's
-//!   kernel runs at the forward kernel's rate.
+//!   at paper scale (728 active rows, the state `h` 32 wide, the two gates
+//!   `[gz|gr]` 64 columns) and at the small model's (1 456 x 8, 16). The
+//!   derived `matmul_tn_over_nn` (`_small`) is tn throughput over nn
+//!   throughput: 1.0 means the adjoint's kernel runs at the forward
+//!   kernel's rate.
 //!
 //! The criterion stand-in writes `BENCH_training_step.json` with ns/op and
 //! throughput per variant plus derived speedups (including the per-shard
@@ -197,9 +198,10 @@ fn megabatch_step(model: &ExtendedRouteNet, mb: &MegabatchPlan, g: &mut Graph) -
     backward_ns
 }
 
-/// `(K, M, N)` of the `kernel/matmul_*` rows: the GRU adjoint's operand
-/// shapes at paper scale and at small scale.
-const KERNEL_SHAPES: [(usize, usize, usize); 2] = [(728, 64, 32), (1456, 16, 8)];
+/// `(K, M, N)` of the `kernel/matmul_*` rows: the GRU step's gate product
+/// `h·W_h,zr` and its weight gradient `hᵀ·[gz|gr]`, at paper scale and at
+/// small scale.
+const KERNEL_SHAPES: [(usize, usize, usize); 2] = [(728, 32, 64), (1456, 8, 16)];
 
 /// Operands for one `kernel/matmul_*` pair: `a` is `K x M`, `w` is `M x N`
 /// (the `nn` right-hand side), `d` is `K x N` (the `tn` right-hand side).

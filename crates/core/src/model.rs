@@ -338,6 +338,33 @@ impl<'de, const ENTITIES: usize> Deserialize<'de> for RouteNet<ENTITIES> {
                 ["original", "extended", "qos"][ENTITIES - 1]
             )));
         }
+        // The layers checked themselves; what is left is that they are as
+        // wide as `config` says, which every plan is built from.
+        model.config.validate().map_err(DeError::new)?;
+        let d = model.config.state_dim;
+        let grus = [
+            Some(&model.gru_path),
+            Some(&model.gru_link),
+            model.gru_node.as_ref(),
+            model.gru_queue.as_ref(),
+        ];
+        for gru in grus.into_iter().flatten() {
+            if (gru.input_dim(), gru.hidden_dim()) != (d, d) {
+                return Err(DeError::new(format!(
+                    "a GRU of input {} and hidden {} in a model of state_dim {d}",
+                    gru.input_dim(),
+                    gru.hidden_dim()
+                )));
+            }
+        }
+        if (model.readout.in_dim(), model.readout.out_dim()) != (d, 1) {
+            return Err(DeError::new(format!(
+                "a readout from {} to {} in a model of state_dim {d}: it reads path states \
+                 and predicts one value per path",
+                model.readout.in_dim(),
+                model.readout.out_dim()
+            )));
+        }
         Ok(model)
     }
 }
@@ -414,9 +441,15 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
         self.normalizer = normalizer;
     }
 
-    /// The fused sweep records three tape nodes per visited sequence
-    /// position (`gather_rows`, `gru_step_rows`, `segment_acc_rows`; two in
-    /// the last iteration, which sends no messages) instead of the ~20 of
+    /// Project per entity, gather, recur: within one iteration an entity's
+    /// state is the same at every hop of every path that crosses it, so the
+    /// input half of the path GRU's gate products (`state·W_x`, see
+    /// `rn_nn::gru`) is computed once per entity kind and iteration, over
+    /// the entity rows, and each sweep step gathers rows of that projection
+    /// where it used to gather state rows. The fused sweep then records
+    /// three tape nodes per visited sequence position (`gather_rows`,
+    /// `gru_step_rows`, `segment_acc_rows`; two in the last iteration, which
+    /// sends no messages) instead of the ~20 of
     /// [`PathPredictor::forward_unfused`] — this is the training hot path.
     /// Every index list it hands the tape is a refcounted view of the plan's
     /// buffers, so recording a step copies no index word.
@@ -424,6 +457,11 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
         let schedule = &plan.schedule;
         let shards = plan.shards.as_ref();
         let positional = self.config.node_update == NodeUpdate::PositionalMessages;
+        let dense_entity = |kind| {
+            shards
+                .and_then(|sh| sh.dense_entity(kind))
+                .map(IndexInput::from)
+        };
         let gru_path = bound.gru_path.vars();
         // Pooled copies: the plan may be a cached composition shared behind
         // an Arc, so the tape takes its own (recycled) buffers; bits match
@@ -450,17 +488,21 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
                 let (rows, cols) = g.value(state).shape();
                 Some(g.constant_with(rows, cols, |_| {}))
             });
+            let projected = ENTITY_KINDS.map(|kind| {
+                let state = states[kind as usize]?;
+                Some(bound.gru_path.project(g, state, dense_entity(kind)))
+            });
             for s in 0..schedule.len() {
                 let kind = schedule.kinds[s];
-                let Some(entity_state) = states[kind as usize] else {
+                let Some(entity_px) = projected[kind as usize] else {
                     continue;
                 };
                 if schedule.active(s) == 0 {
                     continue;
                 }
-                // Row compaction: gather states for the *active* rows only,
-                // advance only those rows through the GRU, and scatter only
-                // their messages. Padded rows never touch a kernel.
+                // Row compaction: gather projections for the *active* rows
+                // only, advance only those rows through the GRU, and scatter
+                // only their messages. Padded rows never touch a kernel.
                 let rows: IndexInput<'_> = schedule.shared_active_rows(s).into();
                 let ids: IndexInput<'_> = schedule.shared_active_ids(s).into();
                 // Megabatch plans carry per-sample shard bounds: the fused
@@ -473,9 +515,9 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
                     dense: sh.shared_path_bounds().into(),
                     entity: sh.entity_bounds(kind).into(),
                 });
-                let x = g.gather_rows_sharded(entity_state, ids.clone(), split.clone());
+                let px = g.gather_rows_sharded(entity_px, ids.clone(), split.clone());
                 path_state =
-                    g.gru_step_rows_sharded(&gru_path, path_state, x, rows.clone(), split.clone());
+                    g.gru_step_rows_sharded(&gru_path, path_state, px, rows.clone(), split.clone());
                 // The post-step hidden state is the message to this
                 // position's entity.
                 if let Some(sum) = sums[kind as usize] {
@@ -498,9 +540,8 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
                     continue;
                 };
                 let gru = bound.entity_gru(kind).expect("state implies an owned GRU");
-                let dense = shards.and_then(|sh| sh.dense_entity(kind));
                 states[kind as usize] =
-                    Some(gru.step_fused_sharded(g, state, sum, dense.map(IndexInput::from)));
+                    Some(gru.step_fused_sharded(g, state, sum, dense_entity(kind)));
             }
         }
         let dense_path = shards.and_then(PlanShards::dense_path);

@@ -16,14 +16,47 @@
 //! it keeps the old state. The batched forward operates on `n x hidden`
 //! state matrices so a whole batch of paths advances one sequence position
 //! per call.
+//!
+//! ## The split the fused step runs on
+//!
+//! Each kernel is `(hidden + input) x hidden`. Its top `hidden` rows, `W_h`,
+//! multiply the state half of `[h, x]` and its bottom `input` rows, `W_x`,
+//! the input half, so every gate product splits as
+//!
+//! ```text
+//! [h, x]·W = h·W_h + x·W_x          W_h = W[..hidden, :]   W_x = W[hidden.., :]
+//! ```
+//!
+//! and `x·W_x` does not depend on `h`. The fused tape path therefore
+//! computes the **projection** `px = x·[W_x,z | W_x,r | W_x,c]` (`n x
+//! 3·hidden`, [`BoundGruCell::project`]) once per distinct input — in
+//! RouteNet, once per entity and iteration, however many paths cross the
+//! entity — and the recurrent step reads rows of it:
+//!
+//! ```text
+//! [z | r] = σ(px_zr + h·[W_h,z | W_h,r] + [b_z | b_r])
+//! c       = tanh(px_c + (r⊙h)·W_h,c + b_c)
+//! ```
+//!
+//! with `k = hidden` instead of `hidden + input` in every product over the
+//! active rows. The regrouping is done at bind time by copying
+//! ([`rn_autograd::Graph::gru_pack`]); the cell still owns, serializes and
+//! receives gradients for the six matrices above, in the order above.
+//! [`BoundGruCell::step`] and [`GruCell::step_inference`] keep the textbook
+//! `[h, x]` form as the independent reference.
 
 use crate::{init, Layer};
 use rn_autograd::{Graph, GruVars, IndexInput, Var};
 use rn_tensor::{Matrix, Prng};
+use serde::de::field;
+use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
-/// GRU cell parameters. Kernels are `(hidden + input) x hidden`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// GRU cell parameters. Kernels are `(hidden + input) x hidden`, biases
+/// `1 x hidden` — also for a cell read from a file, which fails to
+/// deserialize otherwise (binding splits the kernels by row and would
+/// panic on any other shape).
+#[derive(Debug, Clone, Serialize)]
 pub struct GruCell {
     input_dim: usize,
     hidden_dim: usize,
@@ -35,6 +68,43 @@ pub struct GruCell {
     b_c: Matrix,
 }
 
+impl<'de> Deserialize<'de> for GruCell {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let cell = Self {
+            input_dim: field(v, "input_dim")?,
+            hidden_dim: field(v, "hidden_dim")?,
+            w_z: field(v, "w_z")?,
+            b_z: field(v, "b_z")?,
+            w_r: field(v, "w_r")?,
+            b_r: field(v, "b_r")?,
+            w_c: field(v, "w_c")?,
+            b_c: field(v, "b_c")?,
+        };
+        let (input, hidden) = (cell.input_dim, cell.hidden_dim);
+        let kernel = (hidden.checked_add(input), hidden);
+        for (name, m) in [("w_z", &cell.w_z), ("w_r", &cell.w_r), ("w_c", &cell.w_c)] {
+            if (Some(m.rows()), m.cols()) != kernel {
+                return Err(DeError::new(format!(
+                    "GRU kernel `{name}` is {} x {}, a cell of input {input} and hidden {hidden} \
+                     needs (hidden + input) x hidden",
+                    m.rows(),
+                    m.cols()
+                )));
+            }
+        }
+        for (name, m) in [("b_z", &cell.b_z), ("b_r", &cell.b_r), ("b_c", &cell.b_c)] {
+            if m.shape() != (1, hidden) {
+                return Err(DeError::new(format!(
+                    "GRU bias `{name}` is {} x {}, a cell of hidden {hidden} needs 1 x hidden",
+                    m.rows(),
+                    m.cols()
+                )));
+            }
+        }
+        Ok(cell)
+    }
+}
+
 /// Tape handles for a bound [`GruCell`].
 #[derive(Debug, Clone, Copy)]
 pub struct BoundGruCell {
@@ -44,11 +114,9 @@ pub struct BoundGruCell {
     b_r: Var,
     w_c: Var,
     b_c: Var,
-    /// Merged `[W_z | W_r]` kernel, concatenated once at bind time and
-    /// registered as a constant: the fused forward computes both gate
-    /// pre-activations in one matmul (bitwise identical to the split pair).
-    /// Gradients still flow to `w_z`/`w_r` individually.
-    w_zr: Option<Var>,
+    /// The six regrouped by operand for the fused step (see the module
+    /// docs); gradients flow through the packing back to the six.
+    packed: GruVars,
 }
 
 impl GruCell {
@@ -100,32 +168,45 @@ impl GruCell {
 }
 
 impl BoundGruCell {
-    /// The parameter handles in the layout the fused tape op consumes.
-    pub fn vars(&self) -> GruVars {
-        GruVars {
-            w_z: self.w_z,
-            b_z: self.b_z,
-            w_r: self.w_r,
-            b_r: self.b_r,
-            w_c: self.w_c,
-            b_c: self.b_c,
-            w_zr: self.w_zr,
+    /// Bind six parameter handles — `[W_z, b_z, W_r, b_r, W_c, b_c]`, already
+    /// on the tape — as a cell.
+    pub fn from_params(g: &mut Graph, params: [Var; 6]) -> Self {
+        let [w_z, b_z, w_r, b_r, w_c, b_c] = params;
+        BoundGruCell {
+            w_z,
+            b_z,
+            w_r,
+            b_r,
+            w_c,
+            b_c,
+            packed: g.gru_pack(params),
         }
     }
 
-    /// One recurrent step as a single fused tape node (see
-    /// [`Graph::gru_step`]). Numerically equivalent to [`BoundGruCell::step`]
-    /// but ~17x fewer tape nodes — this is the training hot path.
+    /// The cell in the layout the fused tape op consumes.
+    pub fn vars(&self) -> GruVars {
+        self.packed
+    }
+
+    /// The input projection `x·[W_x,z | W_x,r | W_x,c]` (`n x 3·hidden`),
+    /// whose rows [`Graph::gru_step_rows`] reads in place of `x`. `bounds`
+    /// is a dense row-block shard layout over the rows of `x`.
+    pub fn project(&self, g: &mut Graph, x: Var, bounds: Option<IndexInput<'_>>) -> Var {
+        g.matmul_sharded(x, self.packed.w_x, bounds)
+    }
+
+    /// One recurrent step over every row as a projection and a single fused
+    /// tape node (see [`Graph::gru_step_rows`]). Numerically equivalent to
+    /// [`BoundGruCell::step`] but ~9x fewer tape nodes.
     pub fn step_fused(&self, g: &mut Graph, h: Var, x: Var) -> Var {
-        g.gru_step(&self.vars(), h, x)
+        self.step_fused_sharded(g, h, x, None)
     }
 
     /// [`BoundGruCell::step_fused`] with a dense row-block shard layout —
     /// the megabatch link/node entity updates. `bounds` partitions the state
-    /// rows; forward blocks and backward adjoints (including the dense GRU
-    /// weight-gradient matmuls) fan across the tape's worker pool with
-    /// bitwise-identical results at any worker count. `None` is exactly the
-    /// legacy fused step.
+    /// rows; forward blocks and backward adjoints (including the
+    /// weight-gradient products) fan across the tape's worker pool with
+    /// bitwise-identical results at any worker count.
     pub fn step_fused_sharded(
         &self,
         g: &mut Graph,
@@ -133,7 +214,8 @@ impl BoundGruCell {
         x: Var,
         bounds: Option<IndexInput<'_>>,
     ) -> Var {
-        g.gru_step_dense_sharded(&self.vars(), h, x, bounds)
+        let px = self.project(g, x, bounds.clone());
+        g.gru_step_dense_sharded(&self.packed, h, px, bounds)
     }
 
     /// One recurrent step on the tape: `h' = GRU(h, x)`.
@@ -182,26 +264,14 @@ impl Layer for GruCell {
 
     fn bind(&self, g: &mut Graph) -> BoundGruCell {
         // Pooled copies: a tape that binds every step takes the parameter
-        // buffers from its own pool instead of cloning them.
-        let hidden = self.hidden_dim;
-        BoundGruCell {
-            w_z: g.param_copy(&self.w_z),
-            b_z: g.param_copy(&self.b_z),
-            w_r: g.param_copy(&self.w_r),
-            b_r: g.param_copy(&self.b_r),
-            w_c: g.param_copy(&self.w_c),
-            b_c: g.param_copy(&self.b_c),
-            // Bind-time cached gate merge: one concat per bind, amortized
-            // over every step of the forward pass (a megabatch runs hundreds
-            // of steps per bind). A constant so no gradient is materialized.
-            w_zr: Some(g.constant_with(self.w_z.rows(), 2 * hidden, |m| {
-                for i in 0..self.w_z.rows() {
-                    let row = m.row_mut(i);
-                    row[..hidden].copy_from_slice(self.w_z.row(i));
-                    row[hidden..].copy_from_slice(self.w_r.row(i));
-                }
-            })),
-        }
+        // buffers from its own pool instead of cloning them. The packing is
+        // four more copies per bind, amortized over every step of the
+        // forward pass (a megabatch runs hundreds of steps per bind).
+        let params = [
+            &self.w_z, &self.b_z, &self.w_r, &self.b_r, &self.w_c, &self.b_c,
+        ]
+        .map(|p| g.param_copy(p));
+        BoundGruCell::from_params(g, params)
     }
 
     fn params(&self) -> Vec<&Matrix> {
@@ -324,15 +394,10 @@ mod tests {
 
         let report = check_gradients(
             move |g, vars| {
-                let bound = BoundGruCell {
-                    w_z: vars[0],
-                    b_z: vars[1],
-                    w_r: vars[2],
-                    b_r: vars[3],
-                    w_c: vars[4],
-                    b_c: vars[5],
-                    w_zr: None,
-                };
+                let bound = BoundGruCell::from_params(
+                    g,
+                    [vars[0], vars[1], vars[2], vars[3], vars[4], vars[5]],
+                );
                 let mut h = g.constant(Matrix::zeros(2, 3));
                 for x in &xs {
                     let xv = g.constant(x.clone());
@@ -366,8 +431,9 @@ mod tests {
         // The row-compacted step over the active rows is the fused form of
         // the masked reference.
         let rows = [0usize, 2, 3];
-        let x_rows = g.gather_rows(x, &rows);
-        let fused_m = g.gru_step_rows(&bound.vars(), h, x_rows, &rows);
+        let projected = bound.project(&mut g, x, None);
+        let px_rows = g.gather_rows(projected, &rows);
+        let fused_m = g.gru_step_rows(&bound.vars(), h, px_rows, &rows);
         let unfused_m = bound.step_masked(&mut g, h, x, &mask);
         assert!(g.value(fused_m).approx_eq(g.value(unfused_m), 1e-6));
         assert_eq!(g.value(fused_m).row(1), h0.row(1), "masked row frozen");
@@ -384,6 +450,38 @@ mod tests {
         assert!(cell
             .step_inference(&h, &x)
             .approx_eq(&back.step_inference(&h, &x), 0.0));
+    }
+
+    #[test]
+    fn a_cell_whose_shapes_disagree_with_its_dims_does_not_deserialize() {
+        let mut rng = Prng::new(9);
+        let cell = GruCell::new(&mut rng, 3, 4);
+        let json = serde_json::to_string(&cell).unwrap();
+        for (from, to, complaint) in [
+            // Every kernel is now one row short of hidden + input.
+            (
+                "\"input_dim\":3",
+                "\"input_dim\":4",
+                "kernel `w_z` is 7 x 4",
+            ),
+            (
+                "\"hidden_dim\":4",
+                "\"hidden_dim\":5",
+                "kernel `w_z` is 7 x 4",
+            ),
+        ] {
+            assert!(json.contains(from));
+            let err = serde_json::from_str::<GruCell>(&json.replacen(from, to, 1))
+                .expect_err("shapes disagree with the dims")
+                .to_string();
+            assert!(err.contains(complaint), "{err}");
+        }
+        let mut no_bias = cell.clone();
+        no_bias.b_r = Matrix::zeros(1, 3);
+        let err = serde_json::from_str::<GruCell>(&serde_json::to_string(&no_bias).unwrap())
+            .expect_err("short bias")
+            .to_string();
+        assert!(err.contains("bias `b_r` is 1 x 3"), "{err}");
     }
 
     #[test]

@@ -3,16 +3,40 @@
 use crate::{init, Activation, Layer};
 use rn_autograd::{Graph, IndexInput, Var};
 use rn_tensor::{Matrix, Prng};
+use serde::de::field;
+use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
 /// A dense layer `y = act(x · W + b)`.
 ///
-/// `W` is `in_dim x out_dim`; inputs are row-major batches (`n x in_dim`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// `W` is `in_dim x out_dim`, `b` is `1 x out_dim` (a layer read from a file
+/// fails to deserialize otherwise); inputs are row-major batches
+/// (`n x in_dim`).
+#[derive(Debug, Clone, Serialize)]
 pub struct Linear {
     weight: Matrix,
     bias: Matrix,
     activation: Activation,
+}
+
+impl<'de> Deserialize<'de> for Linear {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let layer = Self {
+            weight: field(v, "weight")?,
+            bias: field(v, "bias")?,
+            activation: field(v, "activation")?,
+        };
+        if layer.bias.shape() != (1, layer.weight.cols()) {
+            return Err(DeError::new(format!(
+                "linear layer with a {} x {} weight and a {} x {} bias",
+                layer.weight.rows(),
+                layer.weight.cols(),
+                layer.bias.rows(),
+                layer.bias.cols()
+            )));
+        }
+        Ok(layer)
+    }
 }
 
 /// Tape handles for a [`Linear`] whose parameters are registered on a graph.

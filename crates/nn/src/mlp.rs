@@ -3,14 +3,35 @@
 use crate::{Activation, Layer, Linear};
 use rn_autograd::{Graph, IndexInput, Var};
 use rn_tensor::{Matrix, Prng};
+use serde::de::field;
+use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
 /// A stack of [`Linear`] layers: hidden layers share one activation, the
 /// output layer has its own (often [`Activation::Identity`] or
-/// [`Activation::Softplus`] for non-negative targets).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// [`Activation::Softplus`] for non-negative targets). There is at least
+/// one layer and each feeds the next one's input width — also in a stack
+/// read from a file, which fails to deserialize otherwise.
+#[derive(Debug, Clone, Serialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
+}
+
+impl<'de> Deserialize<'de> for Mlp {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let layers: Vec<Linear> = field(v, "layers")?;
+        if layers.is_empty() {
+            return Err(DeError::new("an MLP without layers"));
+        }
+        if let Some(w) = layers.windows(2).find(|w| w[0].out_dim() != w[1].in_dim()) {
+            return Err(DeError::new(format!(
+                "an MLP layer {} wide feeding one that reads {}",
+                w[0].out_dim(),
+                w[1].in_dim()
+            )));
+        }
+        Ok(Self { layers })
+    }
 }
 
 /// Tape handles for a bound [`Mlp`].

@@ -289,6 +289,79 @@ fn hot_swap_flushes_stale_plans_and_rejects_incompatible_ones() {
 }
 
 #[test]
+fn malformed_model_files_are_rejected_and_the_old_model_keeps_serving() {
+    // A model file is input from outside the program: one whose numbers do
+    // not hold together must fail to load — not load, get swapped in and
+    // panic in the first worker that binds it.
+    let ds = toy_dataset(1, 41);
+    let model = fitted_model(&ds, 1);
+    let expected = bits(&model.predict(&model.plan(&ds.samples[0])));
+    let json = serde_json::to_string(&model).unwrap();
+    let kernel = "\"w_z\":{\"rows\":16,\"cols\":8,\"data\":[";
+    let (start, first_comma) = {
+        let start = json.find(kernel).expect("the path GRU's first kernel") + kernel.len();
+        (start, start + json[start..].find(',').expect("128 values"))
+    };
+    let malformed = [
+        (
+            "short data",
+            format!("{}{}", &json[..start], &json[first_comma + 1..]),
+            "16 x 8 matrix holding 127 values",
+        ),
+        (
+            "wrong kernel rows",
+            {
+                let end = start + json[start..].find(']').expect("end of data");
+                let nine_by_eight = vec!["0.25"; 72].join(",");
+                json[..start].replacen("\"rows\":16", "\"rows\":9", 1)
+                    + &nine_by_eight
+                    + &json[end..]
+            },
+            "kernel `w_z` is 9 x 8",
+        ),
+        (
+            "state_dim disagreeing with the kernels",
+            json.replacen("\"state_dim\":8", "\"state_dim\":16", 1),
+            "in a model of state_dim 16",
+        ),
+    ];
+
+    let service = Service::start(model, ServeConfig::default());
+    let handle = service.handle();
+    let (_, fp) = handle.predict_sample(&ds.samples[0]).expect("predict");
+    let version = handle.model_version();
+    let dir = std::env::temp_dir();
+    for (what, text, complaint) in &malformed {
+        assert_ne!(text, &json, "{what}: the edit must change the file");
+        let path = dir.join(format!(
+            "rn_serve_malformed_{}_{}.json",
+            std::process::id(),
+            what.len()
+        ));
+        std::fs::write(&path, text).unwrap();
+        let loaded = routenet::persist::load_model::<ExtendedRouteNet>(&path);
+        let swapped = handle.load_and_swap(&path);
+        std::fs::remove_file(&path).ok();
+        for err in [loaded.err(), swapped.err()] {
+            let err = err.unwrap_or_else(|| panic!("{what}: the file must not load"));
+            assert!(
+                err.contains("parse") && err.contains(complaint),
+                "{what}: {err}"
+            );
+        }
+        assert_eq!(handle.model_version(), version, "{what}: no swap happened");
+        // The cached plan survived too: the old model answers, bit for bit.
+        let delays = handle
+            .predict_cached(fp)
+            .expect("the old model keeps serving");
+        assert_eq!(bits(&delays), expected, "{what}");
+    }
+    let m = handle.metrics();
+    assert_eq!((m.model_swaps, m.worker_panics, m.errors), (0, 0, 0));
+    service.shutdown();
+}
+
+#[test]
 fn admission_control_rejects_when_queue_is_full() {
     let ds = toy_dataset(1, 23);
     let model = fitted_model(&ds, 1);

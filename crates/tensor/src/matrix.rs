@@ -5,17 +5,34 @@
 //! mismatches panic: a wrong shape is a bug in the caller, never a recoverable
 //! runtime condition.
 
+use serde::de::field;
+use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense row-major matrix of `f32` values.
 ///
-/// Invariant: `data.len() == rows * cols` at all times.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+/// Invariant: `data.len() == rows * cols` at all times — also for a matrix
+/// read from a file, which fails to deserialize otherwise.
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl<'de> Deserialize<'de> for Matrix {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let (rows, cols): (usize, usize) = (field(v, "rows")?, field(v, "cols")?);
+        let data: Vec<f32> = field(v, "data")?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(DeError::new(format!(
+                "a {rows} x {cols} matrix holding {} values",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
+    }
 }
 
 impl fmt::Debug for Matrix {
@@ -1226,6 +1243,25 @@ fn axpy1(out: &mut [f32], a: f32, b: &[f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_matrix_whose_data_disagrees_with_its_shape_does_not_deserialize() {
+        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(serde_json::from_str::<Matrix>(&json).unwrap(), m);
+        for (from, to) in [
+            ("\"data\":[1.0,", "\"data\":["),
+            ("\"rows\":2", "\"rows\":3"),
+            // rows * cols overflows usize.
+            ("\"rows\":2", "\"rows\":9223372036854775808"),
+        ] {
+            assert!(json.contains(from), "{json}");
+            let err = serde_json::from_str::<Matrix>(&json.replacen(from, to, 1))
+                .expect_err("length differs from rows * cols")
+                .to_string();
+            assert!(err.contains("matrix holding"), "{err}");
+        }
+    }
 
     #[test]
     fn constructors_produce_expected_shapes() {

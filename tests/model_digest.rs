@@ -1,21 +1,24 @@
 //! Frozen reference for the message-passing models: a digest of the
 //! predictions, the loss and every parameter gradient of `OriginalRouteNet`,
 //! `ExtendedRouteNet` (both `NodeUpdate` variants) and `QosRouteNet` on a
-//! two-class plan — single-sample and as a 4-sample megabatch at 1 and 4
-//! shard workers. Recorded at commit 89057f9, when each model still had its
-//! own forward body, plan schedule and tape index mode; the one loop that
-//! replaced them must keep every bit.
+//! two-class plan, and of `ExtendedRouteNet` on a sparse routing over a
+//! 60-node ISP graph (where most links and nodes lie on no path) —
+//! single-sample and as a whole-dataset megabatch at 1 and 4 shard workers.
+//! Beside each full digest sits a digest of the predictions alone: a change
+//! that drops state rows or tape ops no readout depends on regroups the
+//! weight-gradient sums, so it may move a full digest; it may never move a
+//! prediction digest.
 //!
-//! Beside each full digest sits a digest of the predictions alone, recorded
-//! at commit fc7583f together with the `extended_sparse_isp` scenario (a
-//! sparse routing on a 60-node ISP graph, where most links and nodes lie on
-//! no path). A change that drops state rows or tape ops no readout depends
-//! on regroups the weight-gradient sums, so it may move a full digest; it
-//! may never move a prediction digest. The full digests of `qos_two_class`
-//! and `extended_sparse_isp` were re-recorded once, when plans stopped
-//! carrying rows for entities no routed path crosses (fewer rows regroup
-//! the 4-row sums of the weight-gradient kernel); the other three scenarios
-//! use every entity and kept theirs.
+//! History of the constants: recorded at commit 89057f9, when each model
+//! still had its own forward body, plan schedule and tape index mode, and
+//! kept by the one loop that replaced them; prediction digests and the
+//! sparse scenario added at fc7583f; the full digests of `qos_two_class` and
+//! `extended_sparse_isp` re-recorded when plans stopped carrying rows for
+//! entities no routed path crosses. **Every** constant was re-recorded once
+//! more when the GRU step began to read a pre-projected input (`[h|x]·W`
+//! became `h·W_h + x·W_x`, a 2·d-term sum regrouped as d + d): against the
+//! values below, predictions moved by at most 1.4e-7 relative, losses by
+//! 1.6e-7, gradients by 3.1e-6 of their matrix's largest element.
 //!
 //! A digest says *that* bits moved, not by how much. Beside the digests,
 //! `tests/fixtures/model_values.json` therefore holds the same steps as
@@ -30,9 +33,10 @@
 //! reports the deviation this test prints; it re-records the values only
 //! when the arithmetic they describe is itself meant to change.
 //!
-//! After an *intentional* numerics change, print fresh constants (and
-//! rewrite both fixtures) with
-//! `RN_REGEN_GOLDEN=1 cargo test --test model_digest -- --nocapture`.
+//! After an *intentional* numerics change, `RN_REGEN_GOLDEN=1 cargo test
+//! --test model_digest -- --nocapture` prints fresh constants and rewrites
+//! both fixtures; name one test (`models_reproduce…`, `models_stay…`) to do
+//! one without the other.
 
 use rn_autograd::{Graph, WorkerPool};
 use rn_dataset::{generate, generate_sparse, Dataset, GeneratorConfig, QosGenConfig};
@@ -204,14 +208,14 @@ fn models_reproduce_the_recorded_digests() {
             "original",
             Digests {
                 full: [
-                    0x825b_8021_2c33_6a63,
-                    0x49f6_909f_c81b_b138,
-                    0x49f6_909f_c81b_b138,
+                    0xd2fc_9b87_8168_2998,
+                    0x83a0_6c7f_3967_d4aa,
+                    0x83a0_6c7f_3967_d4aa,
                 ],
                 predictions: [
-                    0xc9ab_73e9_ec1e_5759,
-                    0xb129_b92a_598c_5123,
-                    0xb129_b92a_598c_5123,
+                    0x66f1_b5b8_f204_0334,
+                    0x11ab_b1c3_98f2_2801,
+                    0x11ab_b1c3_98f2_2801,
                 ],
             },
         ),
@@ -219,14 +223,14 @@ fn models_reproduce_the_recorded_digests() {
             "extended_positional",
             Digests {
                 full: [
-                    0xab43_0401_4929_d653,
-                    0x1d46_25c8_dfcb_2dc8,
-                    0x1d46_25c8_dfcb_2dc8,
+                    0x38e7_0cdf_f7e7_6dcf,
+                    0xbebd_f389_3bbc_bffd,
+                    0xbebd_f389_3bbc_bffd,
                 ],
                 predictions: [
-                    0x1ab1_224a_07df_7eb7,
-                    0x5d00_885f_fc79_f91f,
-                    0x5d00_885f_fc79_f91f,
+                    0x373c_edfc_ef07_4733,
+                    0x1920_5455_bf5c_6b67,
+                    0x1920_5455_bf5c_6b67,
                 ],
             },
         ),
@@ -234,14 +238,14 @@ fn models_reproduce_the_recorded_digests() {
             "extended_final_path_state_sum",
             Digests {
                 full: [
-                    0x1adf_e306_bd95_ab8d,
-                    0xa5a7_d184_ecfe_22c4,
-                    0xa5a7_d184_ecfe_22c4,
+                    0x3bd9_a8f1_c7dd_5177,
+                    0x6639_36a5_98e7_dde3,
+                    0x6639_36a5_98e7_dde3,
                 ],
                 predictions: [
-                    0x9d82_fc98_0ae5_4420,
-                    0x5ff6_eec8_f350_425e,
-                    0x5ff6_eec8_f350_425e,
+                    0xf984_35c8_5cf4_c1a1,
+                    0xe730_f86e_9c85_d96e,
+                    0xe730_f86e_9c85_d96e,
                 ],
             },
         ),
@@ -249,14 +253,14 @@ fn models_reproduce_the_recorded_digests() {
             "qos_two_class",
             Digests {
                 full: [
-                    0xedb2_19e6_d388_b42d,
-                    0x4043_8adf_1b31_d01a,
-                    0x4043_8adf_1b31_d01a,
+                    0x02b7_78cb_dfa2_6d22,
+                    0x3a38_763c_c407_5804,
+                    0x3a38_763c_c407_5804,
                 ],
                 predictions: [
-                    0x59b2_d1f7_f323_a861,
-                    0xf916_7bd8_313e_f06b,
-                    0xf916_7bd8_313e_f06b,
+                    0xe010_1bf4_be5c_87da,
+                    0x66d1_2b67_4437_da7c,
+                    0x66d1_2b67_4437_da7c,
                 ],
             },
         ),
@@ -264,14 +268,14 @@ fn models_reproduce_the_recorded_digests() {
             "extended_sparse_isp",
             Digests {
                 full: [
-                    0xa9e2_4fc7_5bb8_78e4,
-                    0x9c0d_ceae_4714_13b9,
-                    0x9c0d_ceae_4714_13b9,
+                    0xc7a7_d9d8_c358_1c36,
+                    0xe94b_3a61_49ca_0509,
+                    0xe94b_3a61_49ca_0509,
                 ],
                 predictions: [
-                    0x0c5e_caec_c039_75dd,
-                    0x0973_b829_9398_e467,
-                    0x0973_b829_9398_e467,
+                    0xeca6_cefb_ba34_b34a,
+                    0x14a1_c760_b714_0d2d,
+                    0x14a1_c760_b714_0d2d,
                 ],
             },
         ),
@@ -410,13 +414,9 @@ fn deviation(got: &Step, want: &RecordedStep) -> Deviation {
     }
 }
 
-/// The model `model_extended.json` holds, before it was saved, and the plan
-/// its recorded predictions are for.
-fn saved_model_setup() -> (ExtendedRouteNet, rn_dataset::Sample) {
-    let ds = dataset(false);
-    let mut model = ExtendedRouteNet::new(config(NodeUpdate::PositionalMessages));
-    model.fit_preprocessing(&ds, 5);
-    (model, ds.samples[1].clone())
+/// The sample `model_extended.json`'s recorded predictions are for.
+fn saved_model_sample(ds: &Dataset) -> &rn_dataset::Sample {
+    &ds.samples[1]
 }
 
 const PREDICTION_TOL: f64 = 1e-5;
@@ -428,7 +428,9 @@ fn models_stay_within_tolerance_of_the_recorded_values() {
     let steps = scenario_steps();
     let (values_path, model_path) = (fixture("model_values.json"), fixture("model_extended.json"));
     if std::env::var("RN_REGEN_GOLDEN").is_ok() {
-        let (model, sample) = saved_model_setup();
+        let ds = dataset(false);
+        let mut model = ExtendedRouteNet::new(config(NodeUpdate::PositionalMessages));
+        model.fit_preprocessing(&ds, 5);
         save_model(&model, &model_path).expect("save the model fixture");
         let values = RecordedValues {
             scenarios: steps
@@ -439,7 +441,7 @@ fn models_stay_within_tolerance_of_the_recorded_values() {
                     megabatch: RecordedStep::of(megabatch),
                 })
                 .collect(),
-            saved_model_predictions: model.predict(&model.plan(&sample)),
+            saved_model_predictions: model.predict(&model.plan(saved_model_sample(&ds))),
         };
         std::fs::write(&values_path, serde_json::to_string(&values).unwrap()).unwrap();
         eprintln!(
@@ -480,9 +482,8 @@ fn models_stay_within_tolerance_of_the_recorded_values() {
     // The file format did not move: the model saved at the recording commit
     // loads, and predicts what it predicted there.
     let loaded: ExtendedRouteNet = load_model(&model_path).expect("load model_extended.json");
-    let (_, sample) = saved_model_setup();
     let saved = max_rel(
-        &loaded.predict(&loaded.plan(&sample)),
+        &loaded.predict(&loaded.plan(saved_model_sample(&dataset(false)))),
         &recorded.saved_model_predictions,
     );
     table += &format!("  saved model: predictions {saved:.1e}\n");
