@@ -96,13 +96,14 @@ pub fn check_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GruVars, IndexInput, ShardSplit};
+    use crate::graph::Op;
+    use crate::GruVars;
     use rn_tensor::Prng;
 
     const TOL: f64 = 2e-2;
     const EPS: f32 = 1e-2;
-    /// Absolute bound for the GRU step checks, whose gradients are O(1).
-    const GRU_TOL: f64 = 5e-3;
+    /// Absolute bound for the op table, whose gradients are O(1).
+    const ABS_TOL: f64 = 5e-3;
 
     fn rand_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
         Prng::new(seed).uniform_matrix(rows, cols, -1.0, 1.0)
@@ -263,199 +264,315 @@ mod tests {
         (vars, v[6], px)
     }
 
-    /// Sum of squares: every output element carries an O(1) gradient, so
-    /// the absolute tolerance below is a real bound on every weight, bias,
-    /// state and input gradient.
-    fn sum_of_squares(g: &mut Graph, out: Var) -> Var {
-        let sq = g.square(out);
+    /// The loss of every table row, `sum((out ∘ w)²)` with a fixed random
+    /// `w` in `[0.5, 1.5]`: every output element carries an O(1) gradient of
+    /// its own, so the absolute tolerance is a real bound on every weight,
+    /// bias, state and input gradient, and a row scattered to the wrong
+    /// place shows.
+    fn weighted_sum_of_squares(g: &mut Graph, out: Var) -> Var {
+        let (rows, cols) = g.value(out).shape();
+        let w = g.constant(Prng::new(61).uniform_matrix(rows, cols, 0.5, 1.5));
+        let weighted = g.mul(out, w);
+        let sq = g.square(weighted);
         g.sum(sq)
     }
 
-    #[test]
-    fn check_gru_step_rows_on_ragged_layouts() {
-        // Nine active rows of 13 (not a multiple of 4; row 9 and three more
-        // pass through), as four shards — three active rows of four, a
-        // one-row shard, an empty shard, five of six — and as one.
-        let rows = [0usize, 1, 3, 4, 7, 8, 10, 11, 12];
-        let four = ([0usize, 3, 4, 4, 9], [0usize, 4, 5, 7, 13]);
-        for split in [Some(&four), None] {
-            let report = check_gradients(
-                |g, v| {
-                    let (vars, h, px) = gru_packed(g, v);
-                    let split =
-                        split.map(|(active, dense)| ShardSplit::borrowed(active, dense, dense));
-                    let out = g.gru_step_rows_sharded(&vars, h, px, (&rows).into(), split);
-                    sum_of_squares(g, out)
-                },
-                &gru_inputs(31, 13, rows.len()),
-                EPS,
-            );
-            let shards = split.map_or(1, |_| 4);
-            assert!(report.max_abs_err < GRU_TOL, "{shards} shards: {report:?}");
+    /// `x` pushed at least 0.2 away from 0, where `relu`, `selu` and `abs`
+    /// have no derivative.
+    fn off_zero(x: Matrix) -> Matrix {
+        x.map(|v| v + 0.2 * v.signum())
+    }
+
+    /// One row of [`op_table`]. `name` is `<row>/<shape>`, where `<row>` is
+    /// what [`table_row`] answers for the variant the row is there for.
+    struct OpCase {
+        name: &'static str,
+        inputs: Vec<Matrix>,
+        /// Record the op on the inputs and return its output.
+        record: fn(&mut Graph, &[Var]) -> Var,
+    }
+
+    /// The table row that checks `op`'s adjoint. No wildcard arm: a new
+    /// variant does not compile until it names a row here, and
+    /// `check_every_op_variant_on_ragged_shapes` fails until [`op_table`]
+    /// has that row and the row records the variant.
+    fn table_row(op: &Op) -> &'static str {
+        match op {
+            Op::Leaf { .. } => "leaf",
+            Op::Add(..) => "add",
+            Op::Sub(..) => "sub",
+            Op::Mul(..) => "mul",
+            Op::MatMul { .. } => "matmul",
+            Op::AddBias { .. } => "add_bias",
+            Op::Affine { .. } => "affine",
+            Op::Sigmoid(_) => "sigmoid",
+            Op::Tanh(_) => "tanh",
+            Op::Relu(_) => "relu",
+            Op::Selu(_) => "selu",
+            Op::Softplus(_) => "softplus",
+            Op::Abs(_) => "abs",
+            Op::Square(_) => "square",
+            Op::ClampMax { .. } => "clamp_max",
+            Op::ConcatCols(..) => "concat_cols",
+            Op::SliceCols { .. } => "slice_cols",
+            Op::GatherRows { .. } => "gather_rows",
+            Op::SegmentSum { .. } => "segment_sum",
+            Op::MaskRows { .. } => "mask_rows",
+            Op::Sum(_) => "sum",
+            Op::Mean(_) => "mean",
+            Op::GruStep { .. } => "gru_step",
+            Op::PackCols { .. } => "pack_cols",
+            Op::SegmentAccRows { .. } => "segment_acc_rows",
         }
     }
 
-    #[test]
-    fn check_gru_step_dense_on_ragged_layouts() {
-        // Every row advances (identity rows): blocks of three rows, none,
-        // one and five, and the same nine rows as one block.
-        let four = [0usize, 3, 3, 4, 9];
-        for bounds in [Some(&four), None] {
-            let report = check_gradients(
-                |g, v| {
-                    let (vars, h, px) = gru_packed(g, v);
-                    let bounds = bounds.map(|b| b.into());
-                    let out = g.gru_step_dense_sharded(&vars, h, px, bounds);
-                    sum_of_squares(g, out)
+    /// Every op on the shapes message passing produces at its edges: an
+    /// index list that is empty, has one entry or skips entities; a segment
+    /// nothing lands in; a mask that hides every row; row counts that are
+    /// not a multiple of the kernels' 4-row blocks. Seven entity rows and
+    /// eight dense (path) rows where an op indexes between the two spaces.
+    fn op_table() -> Vec<OpCase> {
+        let m = rand_matrix;
+        // Entities 1, 3 and 5 are referenced by no row; dense rows 3 and 4
+        // are inactive.
+        const ROWS: [usize; 6] = [0, 1, 2, 5, 6, 7];
+        const IDS: [usize; 6] = [0, 2, 2, 4, 6, 4];
+        // Nine active rows of 13 (not a multiple of 4; four pass through).
+        const GRU_ROWS: [usize; 9] = [0, 1, 3, 4, 7, 8, 10, 11, 12];
+        vec![
+            OpCase {
+                name: "leaf/param_times_constant",
+                inputs: vec![m(101, 3, 2)],
+                record: |_, v| v[0],
+            },
+            OpCase {
+                name: "add/single_row",
+                inputs: vec![m(102, 1, 3), m(103, 1, 3)],
+                record: |g, v| g.add(v[0], v[1]),
+            },
+            OpCase {
+                name: "sub/five_rows",
+                inputs: vec![m(104, 5, 3), m(105, 5, 3)],
+                record: |g, v| g.sub(v[0], v[1]),
+            },
+            OpCase {
+                name: "mul/five_rows",
+                inputs: vec![m(106, 5, 3), m(107, 5, 3)],
+                record: |g, v| g.mul(v[0], v[1]),
+            },
+            OpCase {
+                name: "matmul/five_rows",
+                inputs: vec![m(71, 5, 4), m(72, 4, 3)],
+                record: |g, v| g.matmul(v[0], v[1]),
+            },
+            OpCase {
+                name: "matmul/single_row",
+                inputs: vec![m(108, 1, 4), m(109, 4, 3)],
+                record: |g, v| g.matmul(v[0], v[1]),
+            },
+            OpCase {
+                name: "matmul/no_rows",
+                inputs: vec![m(110, 0, 4), m(111, 4, 3)],
+                record: |g, v| g.matmul(v[0], v[1]),
+            },
+            OpCase {
+                name: "add_bias/five_rows",
+                inputs: vec![m(73, 5, 3), m(74, 1, 3)],
+                record: |g, v| g.add_bias(v[0], v[1]),
+            },
+            OpCase {
+                name: "add_bias/no_rows",
+                inputs: vec![m(112, 0, 3), m(113, 1, 3)],
+                record: |g, v| g.add_bias(v[0], v[1]),
+            },
+            OpCase {
+                name: "affine/five_rows",
+                inputs: vec![m(114, 5, 3)],
+                record: |g, v| g.affine(v[0], -1.5, 0.25),
+            },
+            OpCase {
+                name: "sigmoid/five_rows",
+                inputs: vec![m(115, 5, 3)],
+                record: |g, v| g.sigmoid(v[0]),
+            },
+            OpCase {
+                name: "tanh/five_rows",
+                inputs: vec![m(116, 5, 3)],
+                record: |g, v| g.tanh(v[0]),
+            },
+            OpCase {
+                name: "relu/five_rows",
+                inputs: vec![off_zero(m(117, 5, 3))],
+                record: |g, v| g.relu(v[0]),
+            },
+            OpCase {
+                name: "selu/five_rows",
+                inputs: vec![off_zero(m(75, 5, 3))],
+                record: |g, v| g.selu(v[0]),
+            },
+            OpCase {
+                name: "softplus/five_rows",
+                inputs: vec![m(118, 5, 3)],
+                record: |g, v| g.softplus(v[0]),
+            },
+            OpCase {
+                name: "abs/five_rows",
+                inputs: vec![off_zero(m(119, 5, 3))],
+                record: |g, v| g.abs(v[0]),
+            },
+            OpCase {
+                name: "square/single_row",
+                inputs: vec![m(120, 1, 3)],
+                record: |g, v| g.square(v[0]),
+            },
+            OpCase {
+                // Elements on both sides of the cap, none within `EPS` of it.
+                name: "clamp_max/both_sides_of_the_cap",
+                inputs: vec![off_zero(m(121, 5, 3)).add_scalar(0.3)],
+                record: |g, v| g.clamp_max(v[0], 0.3),
+            },
+            OpCase {
+                name: "concat_cols/single_row",
+                inputs: vec![m(122, 1, 2), m(123, 1, 3)],
+                record: |g, v| g.concat_cols(v[0], v[1]),
+            },
+            OpCase {
+                name: "slice_cols/inner_columns",
+                inputs: vec![m(124, 5, 4)],
+                record: |g, v| g.slice_cols(v[0], 1, 3),
+            },
+            OpCase {
+                name: "gather_rows/unreferenced_entities",
+                inputs: vec![m(62, 7, 3)],
+                record: |g, v| g.gather_rows(v[0], &IDS),
+            },
+            OpCase {
+                name: "gather_rows/single_row",
+                inputs: vec![m(62, 7, 3)],
+                record: |g, v| g.gather_rows(v[0], &[2]),
+            },
+            OpCase {
+                name: "gather_rows/empty_list",
+                inputs: vec![m(62, 7, 3)],
+                record: |g, v| g.gather_rows(v[0], &[]),
+            },
+            OpCase {
+                // Segments 1 and 3 receive nothing.
+                name: "segment_sum/empty_segments",
+                inputs: vec![m(125, 5, 3)],
+                record: |g, v| g.segment_sum(v[0], &[0, 0, 2, 2, 2], 4),
+            },
+            OpCase {
+                name: "mask_rows/ragged",
+                inputs: vec![m(126, 5, 3)],
+                record: |g, v| {
+                    let mask = Matrix::column_vector(&[1.0, 0.0, 1.0, 1.0, 0.0]);
+                    g.mask_rows(v[0], &mask)
                 },
-                &gru_inputs(47, 9, 9),
-                EPS,
-            );
-            let shards = bounds.map_or(1, |_| 4);
-            assert!(report.max_abs_err < GRU_TOL, "{shards} shards: {report:?}");
-        }
+            },
+            OpCase {
+                name: "mask_rows/all_rows_masked",
+                inputs: vec![m(127, 3, 3)],
+                record: |g, v| g.mask_rows(v[0], &Matrix::zeros(3, 1)),
+            },
+            OpCase {
+                name: "sum/five_rows",
+                inputs: vec![m(128, 5, 3)],
+                record: |g, v| g.sum(v[0]),
+            },
+            OpCase {
+                name: "mean/five_rows",
+                inputs: vec![m(129, 5, 3)],
+                record: |g, v| g.mean(v[0]),
+            },
+            OpCase {
+                name: "gru_step/nine_rows_of_thirteen",
+                inputs: gru_inputs(31, 13, GRU_ROWS.len()),
+                record: |g, v| {
+                    let (vars, h, px) = gru_packed(g, v);
+                    g.gru_step_rows(&vars, h, px, &GRU_ROWS)
+                },
+            },
+            OpCase {
+                name: "gru_step/single_row",
+                inputs: gru_inputs(33, 5, 1),
+                record: |g, v| {
+                    let (vars, h, px) = gru_packed(g, v);
+                    g.gru_step_rows(&vars, h, px, &[4])
+                },
+            },
+            OpCase {
+                // Every row passes through; the parameters get zero.
+                name: "gru_step/no_active_row",
+                inputs: gru_inputs(35, 5, 0),
+                record: |g, v| {
+                    let (vars, h, px) = gru_packed(g, v);
+                    g.gru_step_rows(&vars, h, px, &[])
+                },
+            },
+            OpCase {
+                name: "gru_step/every_row",
+                inputs: gru_inputs(47, 9, 9),
+                record: |g, v| {
+                    let (vars, h, px) = gru_packed(g, v);
+                    g.gru_step_dense(&vars, h, px)
+                },
+            },
+            OpCase {
+                name: "pack_cols/row_sub_range",
+                inputs: vec![m(130, 4, 2), m(131, 4, 3)],
+                record: |g, v| g.pack_cols(&[v[0], v[1]], 1, 3),
+            },
+            OpCase {
+                name: "segment_acc_rows/unreferenced_entities",
+                inputs: vec![m(64, 7, 3), m(65, 8, 3)],
+                record: |g, v| g.segment_acc_rows(v[0], v[1], &ROWS, &IDS),
+            },
+            OpCase {
+                name: "segment_acc_rows/single_row",
+                inputs: vec![m(64, 7, 3), m(65, 8, 3)],
+                record: |g, v| g.segment_acc_rows(v[0], v[1], &[4], &[2]),
+            },
+            OpCase {
+                name: "segment_acc_rows/empty_list",
+                inputs: vec![m(64, 7, 3), m(65, 8, 3)],
+                record: |g, v| g.segment_acc_rows(v[0], v[1], &[], &[]),
+            },
+        ]
     }
 
     #[test]
-    fn check_dense_sharded_ops_on_ragged_bounds() {
-        // Five rows as one block and as three: four rows, none, one.
-        type DenseOp = fn(&mut Graph, &[Var], Option<IndexInput<'_>>) -> Var;
-        let ops: [(&str, DenseOp, Vec<Matrix>); 3] = [
-            (
-                "matmul_sharded",
-                |g, v, bounds| g.matmul_sharded(v[0], v[1], bounds),
-                vec![rand_matrix(71, 5, 4), rand_matrix(72, 4, 3)],
-            ),
-            (
-                "add_bias_sharded",
-                |g, v, bounds| g.add_bias_sharded(v[0], v[1], bounds),
-                vec![rand_matrix(73, 5, 3), rand_matrix(74, 1, 3)],
-            ),
-            (
-                "selu_sharded",
-                |g, v, bounds| g.selu_sharded(v[0], bounds),
-                // Away from the kink at 0, where SELU has no derivative.
-                vec![rand_matrix(75, 5, 3).map(|x| x + 0.2 * x.signum())],
-            ),
-        ];
-        for (name, op, inputs) in &ops {
-            for bounds in [&[0usize, 5][..], &[0, 4, 4, 5]] {
-                let report = check_gradients(
-                    |g, v| {
-                        let out = op(g, v, Some(bounds.into()));
-                        weighted_sum_of_squares(g, out, 76)
-                    },
-                    inputs,
-                    EPS,
-                );
-                let elements: usize = inputs.iter().map(Matrix::len).sum();
-                assert_eq!(report.elements, elements);
+    fn check_every_op_variant_on_ragged_shapes() {
+        let table = op_table();
+        let row_of = |case: &OpCase| case.name.split('/').next().expect("a name");
+        for case in &table {
+            let loss = |g: &mut Graph, v: &[Var]| {
+                let out = (case.record)(g, v);
+                weighted_sum_of_squares(g, out)
+            };
+            let report = check_gradients(loss, &case.inputs, EPS);
+            let elements: usize = case.inputs.iter().map(Matrix::len).sum();
+            assert_eq!(report.elements, elements, "{}", case.name);
+            assert!(report.max_abs_err < ABS_TOL, "{}: {report:?}", case.name);
+
+            // The row records the variant it is named for, and every
+            // variant on its tape has a row.
+            let mut g = Graph::new();
+            let vars: Vec<Var> = case.inputs.iter().map(|m| g.param(m.clone())).collect();
+            loss(&mut g, &vars);
+            assert!(
+                g.ops().any(|op| table_row(op) == row_of(case)),
+                "{} records no node of its variant",
+                case.name
+            );
+            for op in g.ops() {
                 assert!(
-                    report.passes(TOL),
-                    "{name} @ {} shards: {report:?}",
-                    bounds.len() - 1
+                    table.iter().any(|c| row_of(c) == table_row(op)),
+                    "no table row `{}`",
+                    table_row(op)
                 );
             }
         }
-    }
-
-    /// A ragged index layout for the sharded gather / scatter checks: seven
-    /// entity rows, eight dense (path) rows.
-    struct RaggedCase {
-        name: &'static str,
-        /// Dense rows that are active, ascending.
-        rows: &'static [usize],
-        /// Entity id per active row.
-        ids: &'static [usize],
-        /// `[active, dense, entity]` bounds at three shards.
-        three: [&'static [usize]; 3],
-    }
-
-    const ENTITY_ROWS: usize = 7;
-    const DENSE_ROWS: usize = 8;
-    const RAGGED: [RaggedCase; 2] = [
-        // Entities 1, 3 and 5 are referenced by no row; the middle shard
-        // owns an entity and two dense rows but no active row.
-        RaggedCase {
-            name: "unreferenced entities, one shard empty",
-            rows: &[0, 1, 2, 5, 6, 7],
-            ids: &[0, 2, 2, 4, 6, 4],
-            three: [&[0, 3, 3, 6], &[0, 3, 5, 8], &[0, 3, 4, 7]],
-        },
-        RaggedCase {
-            name: "a single active row",
-            rows: &[4],
-            ids: &[2],
-            three: [&[0, 0, 1, 1], &[0, 3, 5, 8], &[0, 2, 5, 7]],
-        },
-    ];
-
-    /// Every ragged case at one shard (the bounds span everything) and three.
-    fn for_each_ragged_split(check: impl Fn(&RaggedCase, ShardSplit<'_>, String)) {
-        for case in &RAGGED {
-            let one = [[0, case.rows.len()], [0, DENSE_ROWS], [0, ENTITY_ROWS]];
-            check(
-                case,
-                ShardSplit::borrowed(&one[0], &one[1], &one[2]),
-                format!("{} @ 1 shard", case.name),
-            );
-            let [active, dense, entity] = case.three;
-            check(
-                case,
-                ShardSplit::borrowed(active, dense, entity),
-                format!("{} @ 3 shards", case.name),
-            );
-        }
-    }
-
-    /// `sum((out ∘ w)²)` with a fixed random `w`: every output element gets
-    /// its own gradient, so a row scattered to the wrong place shows.
-    fn weighted_sum_of_squares(g: &mut Graph, out: Var, seed: u64) -> Var {
-        let (rows, cols) = g.value(out).shape();
-        let w = g.constant(rand_matrix(seed, rows, cols));
-        let weighted = g.mul(out, w);
-        sum_of_squares(g, weighted)
-    }
-
-    #[test]
-    fn check_gather_rows_sharded_on_ragged_layouts() {
-        for_each_ragged_split(|case, split, name| {
-            let report = check_gradients(
-                |g, v| {
-                    let out = g.gather_rows_sharded(v[0], case.ids.into(), Some(split.clone()));
-                    weighted_sum_of_squares(g, out, 61)
-                },
-                &[rand_matrix(62, ENTITY_ROWS, 3)],
-                EPS,
-            );
-            assert_eq!(report.elements, ENTITY_ROWS * 3);
-            assert!(report.passes(TOL), "{name}: {report:?}");
-        });
-    }
-
-    #[test]
-    fn check_segment_acc_rows_sharded_on_ragged_layouts() {
-        for_each_ragged_split(|case, split, name| {
-            let report = check_gradients(
-                |g, v| {
-                    let out = g.segment_acc_rows_sharded(
-                        v[0],
-                        v[1],
-                        case.rows.into(),
-                        case.ids.into(),
-                        Some(split.clone()),
-                    );
-                    weighted_sum_of_squares(g, out, 63)
-                },
-                &[
-                    rand_matrix(64, ENTITY_ROWS, 3), // acc
-                    rand_matrix(65, DENSE_ROWS, 3),  // x
-                ],
-                EPS,
-            );
-            assert_eq!(report.elements, (ENTITY_ROWS + DENSE_ROWS) * 3);
-            assert!(report.passes(TOL), "{name}: {report:?}");
-        });
     }
 
     #[test]

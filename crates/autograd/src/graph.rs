@@ -36,8 +36,8 @@
 //!   count, so a foreign buffer cannot hide a pooled one that is still out.
 //!
 //! Once a tape has seen every shape of its workload it allocates nothing per
-//! cycle beyond small bookkeeping (shard task lists, the boxed saved-state
-//! record of a fused GRU node): [`Graph::pooled_buffers`] and
+//! cycle beyond small bookkeeping (the boxed saved-state record of a fused
+//! GRU node): [`Graph::pooled_buffers`] and
 //! [`Graph::pooled_bytes`] stop moving and [`Graph::pool_misses`] stays
 //! flat, in inference and in training. Reuse is numerically inert: pooled
 //! buffers are fully overwritten (or zero-filled) before use, so a reused
@@ -57,20 +57,21 @@
 //! There is one fused GRU form. It reads its input already projected —
 //! `px = x·W_x`, see [`GruVars`] — because in message passing many rows
 //! share one `x` (every path crossing a link reads that link's state): the
-//! caller projects each distinct input once ([`Graph::matmul_sharded`] over
-//! the entity rows), gathers rows of the projection, and the step's own
-//! products run over the state half alone. The every-row entity updates go
-//! through the same node with an identity row list
-//! ([`Graph::gru_step_dense_sharded`]), and a layout of one shard is the
-//! sharded code run over the whole buffers.
+//! caller projects each distinct input once ([`Graph::matmul`] over the
+//! entity rows), gathers rows of the projection, and the step's own products
+//! run over the state half alone. The every-row entity updates go through
+//! the same node with an identity row list ([`Graph::gru_step_dense`]).
+//!
+//! Every op runs on the calling thread. Parallelism lives one level up:
+//! independent units (samples, compositions, requests) each get a tape of
+//! their own — `docs/ARCHITECTURE.md`, "Why there is no shard gang".
 
 use crate::activations as act;
 use crate::bufpool::BufPool;
 use crate::index::{IndexInput, IndexList, SharedIndices};
-use rayon::WorkerPool;
 use rn_tensor::simd::activations as vact;
 use rn_tensor::{kernels, Matrix};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Handle to a node on the tape. Cheap to copy; only valid for the [`Graph`]
 /// that produced it.
@@ -112,210 +113,6 @@ pub(crate) struct GruSaved {
     c: Matrix,
 }
 
-/// Borrowed shard layout handed to the sharded fused ops at record time.
-///
-/// A megabatch packs `B` samples block-diagonally; its plan precompiles, per
-/// fused op, where each sample's slice of the work lives. All three arrays
-/// have `B + 1` ascending entries:
-///
-/// - `active`: offsets into the op's active row/index list (`rows`, `ids`);
-///   shard `s` owns entries `active[s]..active[s+1]`.
-/// - `dense`: row bounds of the dense per-path state the op reads/writes.
-/// - `entity`: row bounds of the entity space gathered from / scattered into.
-///
-/// Because the megabatch is block-diagonal, shard `s`'s active entries only
-/// reference dense rows in `dense[s]..dense[s+1]` and entity rows in
-/// `entity[s]..entity[s+1]` — which is what makes every shard's reads and
-/// writes disjoint, and therefore parallelizable without changing a single
-/// bit of the result.
-#[derive(Debug, Clone)]
-pub struct ShardSplit<'a> {
-    /// Offsets into the op's active list (len `B + 1`).
-    pub active: IndexInput<'a>,
-    /// Dense (path-state) row bounds (len `B + 1`), spanning all rows.
-    pub dense: IndexInput<'a>,
-    /// Entity (gather/scatter target) row bounds (len `B + 1`).
-    pub entity: IndexInput<'a>,
-}
-
-impl<'a> ShardSplit<'a> {
-    /// Build a split from three borrowed slices, which the tape copies —
-    /// for callers that hold plain slices rather than shared buffers.
-    pub fn borrowed(active: &'a [usize], dense: &'a [usize], entity: &'a [usize]) -> Self {
-        Self {
-            active: active.into(),
-            dense: dense.into(),
-            entity: entity.into(),
-        }
-    }
-}
-
-/// Owned capture of a [`ShardSplit`] stored on a tape node: pooled copies
-/// (recycled through the index pool on [`Graph::reset`]) or shared views,
-/// mirroring what the caller handed in.
-#[derive(Debug, Default)]
-pub(crate) struct OpShards {
-    active: IndexList,
-    dense: IndexList,
-    entity: IndexList,
-}
-
-impl OpShards {
-    fn capture(idx_pool: &mut BufPool<usize>, copied: &mut u64, split: &ShardSplit<'_>) -> Self {
-        Self {
-            active: intern_indices(idx_pool, copied, &split.active),
-            dense: intern_indices(idx_pool, copied, &split.dense),
-            entity: intern_indices(idx_pool, copied, &split.entity),
-        }
-    }
-
-    fn recycle(self, idx_pool: &mut BufPool<usize>) {
-        recycle_index(idx_pool, self.active);
-        recycle_index(idx_pool, self.dense);
-        recycle_index(idx_pool, self.entity);
-    }
-}
-
-/// Validate a shard split against the op's active-list length and the row
-/// counts of the spaces it partitions (`None` skips that check).
-fn validate_split(
-    split: &ShardSplit<'_>,
-    active_len: usize,
-    dense_rows: Option<usize>,
-    entity_rows: Option<usize>,
-) {
-    let check = |bounds: &[usize], total: usize, what: &str| {
-        assert!(
-            bounds.first() == Some(&0) && bounds.last() == Some(&total),
-            "shard split: {what} bounds must span 0..{total}, got {bounds:?}"
-        );
-        assert!(
-            bounds.windows(2).all(|w| w[0] <= w[1]),
-            "shard split: {what} bounds must be ascending"
-        );
-    };
-    check(split.active.as_slice(), active_len, "active");
-    if let Some(n) = dense_rows {
-        check(split.dense.as_slice(), n, "dense");
-    }
-    if let Some(n) = entity_rows {
-        check(split.entity.as_slice(), n, "entity");
-    }
-    assert_eq!(
-        split.active.as_slice().len(),
-        split.dense.as_slice().len(),
-        "shard split: bounds arrays must agree on shard count"
-    );
-    assert_eq!(
-        split.active.as_slice().len(),
-        split.entity.as_slice().len(),
-        "shard split: bounds arrays must agree on shard count"
-    );
-}
-
-/// Validate a dense row-bounds partition (ascending, spanning `0..rows`)
-/// and capture it into a pooled index buffer when it actually splits the
-/// rows (more than one shard). Dense sharded ops — the readout matmuls, bias
-/// adds and SELU maps, and the link/node GRU updates — carry only this one
-/// bounds array: every row is active, so there is no separate active/entity
-/// indirection like the [`ShardSplit`] of the compacted message-passing ops.
-fn capture_dense_shards(
-    idx_pool: &mut BufPool<usize>,
-    copied: &mut u64,
-    bounds: Option<&IndexInput<'_>>,
-    rows: usize,
-) -> Option<IndexList> {
-    let input = bounds?;
-    let b = input.as_slice();
-    assert!(
-        b.first() == Some(&0) && b.last() == Some(&rows),
-        "dense shards: bounds must span 0..{rows}, got {b:?}"
-    );
-    assert!(
-        b.windows(2).all(|w| w[0] <= w[1]),
-        "dense shards: bounds must be ascending"
-    );
-    (b.len() > 2).then(|| intern_indices(idx_pool, copied, input))
-}
-
-/// Minimum per-op element-traffic estimate before fanning out to the
-/// worker pool: below this, dispatch latency beats the parallel win (late
-/// sequence positions have a handful of active rows). Inline vs pooled
-/// execution is bitwise identical, so this is purely a scheduling
-/// heuristic.
-const PAR_MIN_ELEMS: usize = 4096;
-
-/// The pool, if the estimated work is heavy enough to be worth a dispatch.
-fn pool_if_worth(
-    pool: &Option<Arc<WorkerPool>>,
-    threshold: usize,
-    work_elems: usize,
-) -> Option<&WorkerPool> {
-    pool.as_deref().filter(|_| work_elems >= threshold)
-}
-
-/// Run `f` over every task, inline or fanned out on the worker pool.
-///
-/// Workers pick tasks round-robin by index; since every task's result is a
-/// pure function of its inputs (disjoint writes, shard-local scratch), the
-/// produced bits do not depend on the worker count — including zero workers
-/// (the inline path). `f` must not panic-degrade shared state; a panicking
-/// task propagates out of the pool.
-fn run_shard_tasks<T: Send>(pool: Option<&WorkerPool>, tasks: &mut [T], f: impl Fn(&mut T) + Sync) {
-    match pool {
-        Some(pool) if tasks.len() > 1 => {
-            let workers = pool.workers();
-            let slots: Vec<Mutex<&mut T>> = tasks.iter_mut().map(Mutex::new).collect();
-            pool.run(&|w| {
-                for (s, slot) in slots.iter().enumerate() {
-                    if s % workers == w {
-                        let mut guard = slot.lock().expect("shard task poisoned");
-                        f(&mut **guard);
-                    }
-                }
-            });
-        }
-        _ => {
-            for t in tasks.iter_mut() {
-                f(t);
-            }
-        }
-    }
-}
-
-/// Run `f` over disjoint element chunks of `dst`, inline or on the pool.
-///
-/// The chunk boundaries are a pure function of `dst.len()` (fixed block
-/// size), never of the worker count, and [`kernels::reduce_partials`]'s
-/// per-element accumulation order is chunking-invariant besides — so the
-/// merged bits cannot depend on scheduling.
-fn reduce_partials_parallel(pool: Option<&WorkerPool>, dst: &mut Matrix, partials: &[&Matrix]) {
-    const CHUNK: usize = 4096;
-    let parts: Vec<&[f32]> = partials.iter().map(|p| p.as_slice()).collect();
-    let d = dst.as_mut_slice();
-    if pool.is_none() || d.len() <= CHUNK {
-        kernels::reduce_partials(d, 0, &parts);
-        return;
-    }
-    let mut tasks: Vec<(usize, &mut [f32])> = Vec::with_capacity(d.len() / CHUNK + 1);
-    let mut rest = d;
-    let mut offset = 0;
-    while !rest.is_empty() {
-        let take = rest.len().min(CHUNK);
-        let (chunk, tail) = rest.split_at_mut(take);
-        tasks.push((offset, chunk));
-        offset += take;
-        rest = tail;
-    }
-    run_shard_tasks(
-        pool,
-        &mut tasks,
-        |(off, chunk): &mut (usize, &mut [f32])| {
-            kernels::reduce_partials(chunk, *off, &parts);
-        },
-    );
-}
-
 /// Recorded operation: the inputs and any auxiliary data the adjoint needs.
 #[derive(Debug)]
 pub(crate) enum Op {
@@ -327,23 +124,15 @@ pub(crate) enum Op {
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
-    /// Matrix product `a · b`. `shards`, when present, is a dense row-bounds
-    /// partition of `a`'s (and the output's) rows: the forward computes each
-    /// output row block independently (bitwise identical to one full call),
-    /// and the adjoint row-blocks the input gradient while accumulating
-    /// `b`'s weight gradient as per-shard partials merged in shard order.
+    /// Matrix product `a · b`.
     MatMul {
         a: Var,
         b: Var,
-        shards: Option<IndexList>,
     },
-    /// Broadcast-add a `1 x c` bias row to every row of `x`. `shards` is a
-    /// dense row partition (see [`Op::MatMul`]); the sharded adjoint reduces
-    /// the bias gradient as per-shard column-sum partials in shard order.
+    /// Broadcast-add a `1 x c` bias row to every row of `x`.
     AddBias {
         x: Var,
         bias: Var,
-        shards: Option<IndexList>,
     },
     /// Element-wise `a * x + b`. Only the slope is recorded: the adjoint of
     /// an affine map does not depend on the offset.
@@ -354,14 +143,7 @@ pub(crate) enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Relu(Var),
-    /// SELU activation. `shards` is a dense row partition (see
-    /// [`Op::MatMul`]): element-wise work is trivially row-decomposable, so
-    /// forward and adjoint fan row blocks across the pool bitwise-safely.
-    /// The readout MLP's hidden layers are the only heavy SELU consumers.
-    Selu {
-        x: Var,
-        shards: Option<IndexList>,
-    },
+    Selu(Var),
     Softplus(Var),
     Abs(Var),
     Square(Var),
@@ -379,9 +161,6 @@ pub(crate) enum Op {
     GatherRows {
         x: Var,
         indices: IndexList,
-        /// Megabatch shard layout (`active` splits `indices`; `entity`
-        /// bounds the rows of `x` the adjoint scatters into).
-        shards: Option<Box<OpShards>>,
     },
     SegmentSum {
         x: Var,
@@ -407,12 +186,6 @@ pub(crate) enum Op {
         /// Saved-for-backward activations; `None` on nodes recorded in
         /// inference mode, which recycle them as soon as the value exists.
         saved: Option<Box<GruSaved>>,
-        /// Megabatch shard layout (`active` splits `rows`; `dense` bounds
-        /// the rows of `h`); `None` is the one-shard layout, whose blocks
-        /// are the whole buffers. The adjoint accumulates the parameter
-        /// gradients as per-shard partials merged in shard order — a
-        /// canonical order that does not depend on how many workers run.
-        shards: Option<Box<OpShards>>,
     },
     /// Column-concatenate rows `row_lo..row_lo + out.rows()` of every part.
     PackCols {
@@ -426,9 +199,6 @@ pub(crate) enum Op {
         x: Var,
         rows: IndexList,
         segments: IndexList,
-        /// Megabatch shard layout (`active` splits `rows`/`segments`;
-        /// `dense` bounds the rows of `x`, `entity` the rows of `acc`).
-        shards: Option<Box<OpShards>>,
     },
 }
 
@@ -472,14 +242,6 @@ pub struct Graph {
     /// an `n x state_dim` copy per sequence position. The consumed input
     /// `Var`'s value becomes empty — see [`Graph::gru_step_rows`].
     inference_mode: bool,
-    /// Optional gang for intra-megabatch sharding: fused ops recorded with a
-    /// [`ShardSplit`] fan their per-shard work out to these workers. Results
-    /// are bitwise identical with and without the pool, at any worker count.
-    worker_pool: Option<Arc<WorkerPool>>,
-    /// Work-size floor (estimated element traffic) below which sharded ops
-    /// skip the pool and run inline; 0 forces every sharded op through the
-    /// pool. Defaults to `PAR_MIN_ELEMS` (set lazily on first use).
-    par_threshold: Option<usize>,
     /// Cumulative count of index words the tape has copied into pooled
     /// buffers (never cleared by `reset`). Stays flat across steps recorded
     /// against shared views only.
@@ -579,10 +341,10 @@ fn add_col_sums(bias_grad: &mut Matrix, src: &Matrix) {
     }
 }
 
-/// Read-only inputs shared by every shard of one fused GRU step forward.
+/// Read-only inputs of one fused GRU step forward.
 struct GruFwdCtx<'a> {
     /// Old state `h`, `n x hidden` — `None` when the step runs in place (the
-    /// state rows then live in each shard's `out` block already).
+    /// state rows then live in `out` already).
     hv: Option<&'a [f32]>,
     /// Projected input `[px_z | px_r | px_c]`, `a x 3·hidden`.
     px: &'a [f32],
@@ -594,71 +356,59 @@ struct GruFwdCtx<'a> {
     hidden: usize,
 }
 
-/// One shard's mutable slices for the fused GRU step forward. `k_*` index
-/// the compacted (active) dimension, `p_*` the dense state rows; all slices
-/// are exactly the shard's disjoint blocks of the shared buffers (the whole
-/// buffers, for a one-shard layout).
-struct GruFwdTask<'a> {
-    k_lo: usize,
-    k_hi: usize,
-    p_lo: usize,
-    h: &'a mut [f32],
-    zr: &'a mut [f32],
-    rh: &'a mut [f32],
-    c: &'a mut [f32],
-    /// Dense state rows `p_lo..p_hi`: on entry either uninitialized (copy
-    /// mode: filled from `ctx.hv` first) or holding the old state rows
-    /// (in-place mode); on exit, the stepped state.
-    out: &'a mut [f32],
-}
-
-/// Advance one shard of a GRU step (see [`Graph::gru_step_rows`]). Every
-/// read and write stays inside the shard's blocks and every output element
-/// is a function of its own row alone — which is what makes any shard
-/// decomposition, on any number of threads, bitwise identical.
-fn gru_forward_shard(ctx: &GruFwdCtx<'_>, t: &mut GruFwdTask<'_>) {
+/// Advance the active rows of a GRU step (see [`Graph::gru_step_rows`]).
+/// `out` holds the `n` dense state rows: on entry either uninitialized (copy
+/// mode: filled from `ctx.hv` first) or the old state (in-place mode); on
+/// exit, the stepped state. Every output element is a function of its own
+/// row alone.
+fn gru_forward(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
     let hidden = ctx.hidden;
-    let a_s = t.k_hi - t.k_lo;
-    // Copy mode: materialize the shard's old state rows first; afterwards
-    // both modes read old state from `out`.
+    let a = ctx.rows.len();
+    let (h, zr, rh, c) = (
+        saved.h.as_mut_slice(),
+        saved.zr.as_mut_slice(),
+        saved.rh.as_mut_slice(),
+        saved.c.as_mut_slice(),
+    );
+    // Copy mode: materialize the old state rows first; afterwards both
+    // modes read old state from `out`.
     if let Some(hv) = ctx.hv {
-        t.out
-            .copy_from_slice(&hv[t.p_lo * hidden..t.p_lo * hidden + t.out.len()]);
+        out.copy_from_slice(hv);
     }
     // Compact the active state rows and seed the three pre-activations with
     // the projected input: the kernels below accumulate onto it.
-    for k in 0..a_s {
-        let h_off = (ctx.rows[t.k_lo + k] - t.p_lo) * hidden;
-        t.h[k * hidden..(k + 1) * hidden].copy_from_slice(&t.out[h_off..h_off + hidden]);
-        let px = &ctx.px[(t.k_lo + k) * 3 * hidden..(t.k_lo + k + 1) * 3 * hidden];
-        t.zr[k * 2 * hidden..(k + 1) * 2 * hidden].copy_from_slice(&px[..2 * hidden]);
-        t.c[k * hidden..(k + 1) * hidden].copy_from_slice(&px[2 * hidden..]);
+    for (k, &row) in ctx.rows.iter().enumerate() {
+        let h_off = row * hidden;
+        h[k * hidden..(k + 1) * hidden].copy_from_slice(&out[h_off..h_off + hidden]);
+        let px = &ctx.px[k * 3 * hidden..(k + 1) * 3 * hidden];
+        zr[k * 2 * hidden..(k + 1) * 2 * hidden].copy_from_slice(&px[..2 * hidden]);
+        c[k * hidden..(k + 1) * hidden].copy_from_slice(&px[2 * hidden..]);
     }
     // [z | r] = σ(px_zr + h·W_h,zr + b_zr): one product for both gates.
-    kernels::matmul_acc(t.h, ctx.w_h_zr, a_s, hidden, 2 * hidden, t.zr);
-    vact::sigmoid_bias_map_inplace(t.zr, &ctx.b[..2 * hidden]);
+    kernels::matmul_acc(h, ctx.w_h_zr, a, hidden, 2 * hidden, zr);
+    vact::sigmoid_bias_map_inplace(zr, &ctx.b[..2 * hidden]);
     // c = tanh(px_c + (r ⊙ h)·W_h,c + b_c).
-    for k in 0..a_s {
-        let r = &t.zr[(2 * k + 1) * hidden..(2 * k + 2) * hidden];
-        let h = &t.h[k * hidden..(k + 1) * hidden];
-        for ((d, &rv), &hv) in t.rh[k * hidden..(k + 1) * hidden].iter_mut().zip(r).zip(h) {
+    for k in 0..a {
+        let r = &zr[(2 * k + 1) * hidden..(2 * k + 2) * hidden];
+        let h = &h[k * hidden..(k + 1) * hidden];
+        for ((d, &rv), &hv) in rh[k * hidden..(k + 1) * hidden].iter_mut().zip(r).zip(h) {
             *d = rv * hv;
         }
     }
-    kernels::matmul_acc(t.rh, ctx.w_h_c, a_s, hidden, hidden, t.c);
-    vact::tanh_bias_map_inplace(t.c, &ctx.b[2 * hidden..]);
+    kernels::matmul_acc(rh, ctx.w_h_c, a, hidden, hidden, c);
+    vact::tanh_bias_map_inplace(c, &ctx.b[2 * hidden..]);
     // h' = (1 − z)⊙h + z⊙c on the active rows; inactive rows pass through.
-    for k in 0..a_s {
-        let h_off = (ctx.rows[t.k_lo + k] - t.p_lo) * hidden;
-        let z = &t.zr[2 * k * hidden..(2 * k + 1) * hidden];
-        let c = &t.c[k * hidden..(k + 1) * hidden];
-        for ((o, &zj), &cj) in t.out[h_off..h_off + hidden].iter_mut().zip(z).zip(c) {
+    for (k, &row) in ctx.rows.iter().enumerate() {
+        let h_off = row * hidden;
+        let z = &zr[2 * k * hidden..(2 * k + 1) * hidden];
+        let c = &c[k * hidden..(k + 1) * hidden];
+        for ((o, &zj), &cj) in out[h_off..h_off + hidden].iter_mut().zip(z).zip(c) {
             *o = (1.0 - zj) * *o + zj * cj;
         }
     }
 }
 
-/// Read-only inputs shared by every shard of one fused GRU step adjoint.
+/// Read-only inputs of one fused GRU step adjoint.
 struct GruBwdCtx<'a> {
     rows: &'a [usize],
     /// Incoming gradient (`n x hidden`).
@@ -671,13 +421,13 @@ struct GruBwdCtx<'a> {
     hidden: usize,
 }
 
-/// Shard-local scratch for the GRU adjoint: intermediates plus the shard's
-/// parameter-gradient **partials** (accumulated from zero and merged into
-/// the gradient slots in fixed shard order afterwards).
+/// Scratch for the GRU adjoint: intermediates plus the step's
+/// parameter-gradient **partials**, accumulated from zero and then added
+/// into the gradient slots — the grouping every recorded gradient bit has.
 struct GruBwdScratch {
-    /// `[gz | gr]`, pre-activation gate gradients, `a_s x 2·hidden`.
+    /// `[gz | gr]`, pre-activation gate gradients, `a x 2·hidden`.
     gzr: Matrix,
-    /// Pre-activation candidate gradient, `a_s x hidden`.
+    /// Pre-activation candidate gradient, `a x hidden`.
     gc: Matrix,
     /// What reaches the active state rows through the three products.
     gh: Matrix,
@@ -687,11 +437,11 @@ struct GruBwdScratch {
 }
 
 impl GruBwdScratch {
-    fn take(pool: &mut BufPool<f32>, a_s: usize, hidden: usize) -> Self {
+    fn take(pool: &mut BufPool<f32>, a: usize, hidden: usize) -> Self {
         Self {
-            gzr: pool_matrix_scratch(pool, a_s, 2 * hidden),
-            gc: pool_matrix_scratch(pool, a_s, hidden),
-            gh: pool_matrix(pool, a_s, hidden),
+            gzr: pool_matrix_scratch(pool, a, 2 * hidden),
+            gc: pool_matrix_scratch(pool, a, hidden),
+            gh: pool_matrix(pool, a, hidden),
             pw_h_zr: pool_matrix(pool, hidden, 2 * hidden),
             pw_h_c: pool_matrix(pool, hidden, hidden),
             pb: pool_matrix(pool, 1, 3 * hidden),
@@ -725,51 +475,6 @@ impl GruVars {
     }
 }
 
-/// One shard's mutable state for the GRU adjoint.
-struct GruBwdTask<'a> {
-    k_lo: usize,
-    k_hi: usize,
-    p_lo: usize,
-    /// Dense block of the state gradient (rows `p_lo..p_hi`).
-    gh: &'a mut [f32],
-    /// Active block of the projected-input gradient (rows `k_lo..k_hi`).
-    gpx: &'a mut [f32],
-    scratch: GruBwdScratch,
-}
-
-/// Chunk size (elements) for fanning element-wise adjoints across the
-/// worker pool. A multiple of the 8-lane vector width, so every chunk
-/// decomposes into the same main/tail lanes the monolithic sweep would use.
-const ELEMWISE_CHUNK: usize = 4096;
-
-/// Run a `dst[i] = kernel(g[i], src[i])`-shaped adjoint over fixed chunks,
-/// fanned across the worker pool when attached. Position-independent
-/// element maps split at any boundary without changing bits, so this is
-/// bitwise identical to one whole-slice kernel call at any worker count.
-fn run_elementwise_chunks(
-    pool: Option<&WorkerPool>,
-    g: &[f32],
-    src: &[f32],
-    dst: &mut [f32],
-    kernel: fn(&[f32], &[f32], &mut [f32]),
-) {
-    debug_assert_eq!(g.len(), dst.len());
-    debug_assert_eq!(src.len(), dst.len());
-    let mut tasks: Vec<(usize, &mut [f32])> = dst
-        .chunks_mut(ELEMWISE_CHUNK)
-        .enumerate()
-        .map(|(i, chunk)| (i * ELEMWISE_CHUNK, chunk))
-        .collect();
-    run_shard_tasks(
-        pool,
-        &mut tasks,
-        |(off, chunk): &mut (usize, &mut [f32])| {
-            let len = chunk.len();
-            kernel(&g[*off..*off + len], &src[*off..*off + len], chunk);
-        },
-    );
-}
-
 /// `acc[0..cols] += column sums of the rows of src` (slice form of
 /// [`add_col_sums`]).
 fn add_col_sums_slice(acc: &mut [f32], src: &[f32], cols: usize) {
@@ -780,35 +485,25 @@ fn add_col_sums_slice(acc: &mut [f32], src: &[f32], cols: usize) {
     }
 }
 
-/// The adjoint of one shard of a GRU step. Row-disjoint gradients (`gh`,
-/// `gpx`) are functions of their own row alone; parameter gradients land in
-/// the shard's zeroed partials. Reads and writes never leave the shard's
-/// blocks, so shards run concurrently and bitwise-reproducibly at any worker
-/// count.
-fn gru_backward_shard<'a>(ctx: &GruBwdCtx<'a>, t: &mut GruBwdTask<'_>) {
+/// The adjoint of a GRU step. Row-disjoint gradients — `gh`, the `n` dense
+/// state rows, and `gpx`, the `a` projected-input rows — are functions of
+/// their own row alone; parameter gradients land in the zeroed partials of
+/// `sc`.
+fn gru_backward(ctx: &GruBwdCtx<'_>, gh: &mut [f32], gpx: &mut [f32], sc: &mut GruBwdScratch) {
     let hidden = ctx.hidden;
-    let (k_lo, k_hi, p_lo) = (t.k_lo, t.k_hi, t.p_lo);
-    let a_s = k_hi - k_lo;
+    let a = ctx.rows.len();
     let s = ctx.saved;
-    let sc = &mut t.scratch;
-    // The shard's blocks of the saved activations.
-    let block = |m: &'a Matrix, width: usize| -> &'a [f32] {
-        &m.as_slice()[k_lo * width * hidden..k_hi * width * hidden]
-    };
     let (h, zr, rh, c) = (
-        block(&s.h, 1),
-        block(&s.zr, 2),
-        block(&s.rh, 1),
-        block(&s.c, 1),
+        s.h.as_slice(),
+        s.zr.as_slice(),
+        s.rh.as_slice(),
+        s.c.as_slice(),
     );
-    let g_row = |k: usize| -> &'a [f32] {
-        let row = ctx.rows[k_lo + k];
-        &ctx.g[row * hidden..(row + 1) * hidden]
-    };
+    let g_row = |row: usize| &ctx.g[row * hidden..(row + 1) * hidden];
 
     // Through the blend: gz = g ⊙ (c − h), gc = g ⊙ z.
-    for k in 0..a_s {
-        let g = g_row(k);
+    for (k, &row) in ctx.rows.iter().enumerate() {
+        let g = g_row(row);
         let z = &zr[2 * k * hidden..(2 * k + 1) * hidden];
         let (lo, hi) = (k * hidden, (k + 1) * hidden);
         let gz = &mut sc.gzr.as_mut_slice()[2 * lo..2 * lo + hidden];
@@ -826,7 +521,7 @@ fn gru_backward_shard<'a>(ctx: &GruBwdCtx<'a>, t: &mut GruBwdTask<'_>) {
     kernels::matmul_tn_acc(
         rh,
         sc.gc.as_slice(),
-        a_s,
+        a,
         hidden,
         hidden,
         sc.pw_h_c.as_mut_slice(),
@@ -834,13 +529,13 @@ fn gru_backward_shard<'a>(ctx: &GruBwdCtx<'a>, t: &mut GruBwdTask<'_>) {
     kernels::matmul_acc(
         sc.gc.as_slice(),
         ctx.w_h_c_t,
-        a_s,
+        a,
         hidden,
         hidden,
         sc.gh.as_mut_slice(),
     );
     // Split it: gr = g_rh ⊙ h, and g_rh ⊙ r is the state's share.
-    for k in 0..a_s {
+    for k in 0..a {
         let r = &zr[(2 * k + 1) * hidden..(2 * k + 2) * hidden];
         let (lo, hi) = (k * hidden, (k + 1) * hidden);
         let gr = &mut sc.gzr.as_mut_slice()[2 * lo + hidden..2 * hi];
@@ -860,7 +555,7 @@ fn gru_backward_shard<'a>(ctx: &GruBwdCtx<'a>, t: &mut GruBwdTask<'_>) {
     kernels::matmul_tn_acc(
         h,
         sc.gzr.as_slice(),
-        a_s,
+        a,
         hidden,
         2 * hidden,
         sc.pw_h_zr.as_mut_slice(),
@@ -868,7 +563,7 @@ fn gru_backward_shard<'a>(ctx: &GruBwdCtx<'a>, t: &mut GruBwdTask<'_>) {
     kernels::matmul_acc(
         sc.gzr.as_slice(),
         ctx.w_h_zr_t,
-        a_s,
+        a,
         2 * hidden,
         hidden,
         sc.gh.as_mut_slice(),
@@ -877,13 +572,13 @@ fn gru_backward_shard<'a>(ctx: &GruBwdCtx<'a>, t: &mut GruBwdTask<'_>) {
     // Pass-through rows keep the incoming gradient; an active row gets
     // g ⊙ (1 − z) plus what came through the products, and [gz | gr | gc] is
     // the gradient of its projected input.
-    t.gh.copy_from_slice(&ctx.g[p_lo * hidden..p_lo * hidden + t.gh.len()]);
-    for k in 0..a_s {
-        let g = g_row(k);
+    gh.copy_from_slice(ctx.g);
+    for (k, &row) in ctx.rows.iter().enumerate() {
+        let g = g_row(row);
         let z = &zr[2 * k * hidden..(2 * k + 1) * hidden];
-        let h_off = (ctx.rows[k_lo + k] - p_lo) * hidden;
+        let h_off = row * hidden;
         let (lo, hi) = (k * hidden, (k + 1) * hidden);
-        for (((d, &gj), &zj), &through) in t.gh[h_off..h_off + hidden]
+        for (((d, &gj), &zj), &through) in gh[h_off..h_off + hidden]
             .iter_mut()
             .zip(g)
             .zip(z)
@@ -891,11 +586,11 @@ fn gru_backward_shard<'a>(ctx: &GruBwdCtx<'a>, t: &mut GruBwdTask<'_>) {
         {
             *d = gj * (1.0 - zj) + through;
         }
-        let gpx = &mut t.gpx[3 * lo..3 * hi];
+        let gpx = &mut gpx[3 * lo..3 * hi];
         gpx[..2 * hidden].copy_from_slice(&sc.gzr.as_slice()[2 * lo..2 * hi]);
         gpx[2 * hidden..].copy_from_slice(&sc.gc.as_slice()[lo..hi]);
     }
-    add_col_sums_slice(sc.pb.as_mut_slice(), t.gpx, 3 * hidden);
+    add_col_sums_slice(sc.pb.as_mut_slice(), gpx, 3 * hidden);
 }
 
 /// `out[i] = f(x[i])` in a pooled buffer — [`Matrix::map`]'s arithmetic,
@@ -979,6 +674,12 @@ impl Graph {
         counts
     }
 
+    /// The recorded ops, in tape order.
+    #[cfg(test)]
+    pub(crate) fn ops(&self) -> impl Iterator<Item = &Op> {
+        self.nodes.iter().map(|node| &node.op)
+    }
+
     /// Number of `f32` buffers currently parked in the pool (observability
     /// for tests and benchmarks). Flat from cycle to cycle on a warm tape.
     pub fn pooled_buffers(&self) -> usize {
@@ -1023,34 +724,6 @@ impl Graph {
         self.inference_mode
     }
 
-    /// Attach (or detach) a worker gang for intra-megabatch sharding. Fused
-    /// ops recorded with a [`ShardSplit`] run their per-shard forward kernels
-    /// on the gang, and [`Graph::backward`] fans per-shard adjoints out to
-    /// it. Pure acceleration: results are bitwise identical with `None`,
-    /// with one worker, or with sixty-four. Survives [`Graph::reset`].
-    pub fn set_worker_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
-        self.worker_pool = pool;
-    }
-
-    /// The attached shard worker gang, if any.
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.worker_pool.as_ref()
-    }
-
-    /// Override the work-size floor below which sharded ops run inline
-    /// instead of dispatching to the pool (default: `PAR_MIN_ELEMS` —
-    /// late sequence positions with a handful of rows are cheaper inline).
-    /// Scheduling only; bits are identical at any threshold. Survives
-    /// [`Graph::reset`].
-    pub fn set_parallel_threshold(&mut self, elems: usize) {
-        self.par_threshold = Some(elems);
-    }
-
-    /// The effective inline/pool work-size floor.
-    fn par_threshold(&self) -> usize {
-        self.par_threshold.unwrap_or(PAR_MIN_ELEMS)
-    }
-
     /// Cumulative count of index words this tape has copied into pooled
     /// buffers at record time (never cleared by [`Graph::reset`]): every
     /// [`IndexInput::Copied`] list an op was handed. A step recorded
@@ -1088,50 +761,18 @@ impl Graph {
             }
             match node.op {
                 Op::MaskRows { mask, .. } => pool_harvest(pool, mask),
-                Op::MatMul {
-                    shards: Some(s), ..
-                }
-                | Op::AddBias {
-                    shards: Some(s), ..
-                }
-                | Op::Selu {
-                    shards: Some(s), ..
-                } => recycle_index(idx_pool, s),
-                Op::GatherRows {
-                    indices, shards, ..
-                } => {
-                    recycle_index(idx_pool, indices);
-                    if let Some(s) = shards {
-                        s.recycle(idx_pool);
-                    }
-                }
+                Op::GatherRows { indices, .. } => recycle_index(idx_pool, indices),
                 Op::SegmentSum { segments, .. } => recycle_index(idx_pool, segments),
-                Op::SegmentAccRows {
-                    rows,
-                    segments,
-                    shards,
-                    ..
-                } => {
+                Op::SegmentAccRows { rows, segments, .. } => {
                     recycle_index(idx_pool, rows);
                     recycle_index(idx_pool, segments);
-                    if let Some(s) = shards {
-                        s.recycle(idx_pool);
-                    }
                 }
-                Op::GruStep {
-                    rows,
-                    saved,
-                    shards,
-                    ..
-                } => {
+                Op::GruStep { rows, saved, .. } => {
                     recycle_index(idx_pool, rows);
                     if let Some(saved) = saved {
                         for m in saved.into_buffers() {
                             pool_harvest(pool, m);
                         }
-                    }
-                    if let Some(s) = shards {
-                        s.recycle(idx_pool);
                     }
                 }
                 _ => {}
@@ -1252,23 +893,9 @@ impl Graph {
 
     /// Matrix product `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        self.matmul_sharded(a, b, None)
-    }
-
-    /// [`Graph::matmul`] with a dense row-block shard layout: `bounds`
-    /// partitions the rows of `a` (and of the output) into contiguous
-    /// blocks, one per megabatch shard. With a worker pool attached the
-    /// blocks compute in parallel; each output element is produced by
-    /// exactly the full kernel's arithmetic, so the forward is bitwise
-    /// identical to the unsharded call at any worker count. The adjoint
-    /// row-blocks `a`'s gradient the same way and accumulates `b`'s
-    /// (weight) gradient as per-shard partials merged in shard order — its
-    /// own canonical grouping, also worker-count independent. Reference
-    /// mode ignores the split (it reproduces the seed kernels).
-    pub fn matmul_sharded(&mut self, a: Var, b: Var, bounds: Option<IndexInput<'_>>) -> Var {
         if self.reference_mode {
             let v = self.value(a).matmul_reference(self.value(b));
-            return self.push(v, Op::MatMul { a, b, shards: None });
+            return self.push(v, Op::MatMul { a, b });
         }
         let (m, k) = self.value(a).shape();
         let n = self.value(b).cols();
@@ -1278,104 +905,24 @@ impl Graph {
             "matmul: inner dimensions differ ({m}x{k} * {}x{n})",
             self.value(b).rows()
         );
-        let shards =
-            capture_dense_shards(&mut self.idx_pool, &mut self.idx_copied, bounds.as_ref(), m);
         let mut pool = std::mem::take(&mut self.pool);
         let mut out = pool_matrix_scratch(&mut pool, m, n);
-        match &shards {
-            Some(bounds) => {
-                let a_slice = self.value(a).as_slice();
-                let b_slice = self.value(b).as_slice();
-                let mut tasks: Vec<(usize, usize, &mut [f32])> = out
-                    .row_blocks_mut(bounds)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(s, block)| (bounds[s], bounds[s + 1], block))
-                    .collect();
-                run_shard_tasks(
-                    pool_if_worth(&self.worker_pool, self.par_threshold(), m * (k + n)),
-                    &mut tasks,
-                    |(lo, hi, block): &mut (usize, usize, &mut [f32])| {
-                        block.fill(0.0);
-                        kernels::matmul_acc(
-                            &a_slice[*lo * k..*hi * k],
-                            b_slice,
-                            *hi - *lo,
-                            k,
-                            n,
-                            block,
-                        );
-                    },
-                );
-            }
-            None => self.value(a).matmul_into(self.value(b), &mut out),
-        }
+        self.value(a).matmul_into(self.value(b), &mut out);
         self.pool = pool;
-        self.push(out, Op::MatMul { a, b, shards })
+        self.push(out, Op::MatMul { a, b })
     }
 
     /// Broadcast-add a `1 x c` bias row vector to every row of `x`.
     pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        self.add_bias_sharded(x, bias, None)
-    }
-
-    /// [`Graph::add_bias`] with a dense row-block shard layout (see
-    /// [`Graph::matmul_sharded`]). The forward adds the bias row to each
-    /// block independently (bitwise identical to the unsharded op); the
-    /// adjoint reduces the bias gradient as per-shard column-sum partials
-    /// merged in shard order, and row-blocks `x`'s pass-through gradient.
-    pub fn add_bias_sharded(&mut self, x: Var, bias: Var, bounds: Option<IndexInput<'_>>) -> Var {
-        let (rows, cols) = self.value(x).shape();
+        let cols = self.value(x).cols();
         assert_eq!(
             self.value(bias).shape(),
             (1, cols),
             "add_bias: bias must be 1 x cols"
         );
-        let shards = if self.reference_mode {
-            None
-        } else {
-            capture_dense_shards(
-                &mut self.idx_pool,
-                &mut self.idx_copied,
-                bounds.as_ref(),
-                rows,
-            )
-        };
-        match &shards {
-            Some(bounds) => {
-                let mut pool = std::mem::take(&mut self.pool);
-                let mut out = pool_matrix_scratch(&mut pool, rows, cols);
-                {
-                    let x_slice = self.value(x).as_slice();
-                    let bias_row = self.value(bias).as_slice();
-                    let mut tasks: Vec<(usize, &mut [f32])> = out
-                        .row_blocks_mut(bounds)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(s, block)| (bounds[s], block))
-                        .collect();
-                    run_shard_tasks(
-                        pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
-                        &mut tasks,
-                        |(lo, block): &mut (usize, &mut [f32])| {
-                            for (r, dst) in block.chunks_exact_mut(cols).enumerate() {
-                                let src = &x_slice[(*lo + r) * cols..(*lo + r + 1) * cols];
-                                for ((d, &v), &b) in dst.iter_mut().zip(src).zip(bias_row) {
-                                    *d = v + b;
-                                }
-                            }
-                        },
-                    );
-                }
-                self.pool = pool;
-                self.push(out, Op::AddBias { x, bias, shards })
-            }
-            None => {
-                let mut out = pooled_copy(&mut self.pool, &self.nodes[x.0].value);
-                out.add_row_broadcast_assign(&self.nodes[bias.0].value);
-                self.push(out, Op::AddBias { x, bias, shards })
-            }
-        }
+        let mut out = pooled_copy(&mut self.pool, &self.nodes[x.0].value);
+        out.add_row_broadcast_assign(&self.nodes[bias.0].value);
+        self.push(out, Op::AddBias { x, bias })
     }
 
     /// Element-wise affine map `a * x + b`.
@@ -1439,58 +986,17 @@ impl Graph {
 
     /// Scaled exponential linear unit (RouteNet's readout activation).
     pub fn selu(&mut self, x: Var) -> Var {
-        self.selu_sharded(x, None)
-    }
-
-    /// [`Graph::selu`] with a dense row-block shard layout (see
-    /// [`Graph::matmul_sharded`]). Element-wise maps decompose by rows
-    /// trivially, so forward and adjoint are bitwise identical to the
-    /// unsharded op at any worker count; the split exists so the readout
-    /// MLP's activation traffic rides the same gang as its matmuls.
-    pub fn selu_sharded(&mut self, x: Var, bounds: Option<IndexInput<'_>>) -> Var {
-        if self.reference_mode {
-            let v = self.value(x).map(act::selu_precise);
-            return self.push(v, Op::Selu { x, shards: None });
-        }
-        let (rows, cols) = self.value(x).shape();
-        let shards = capture_dense_shards(
-            &mut self.idx_pool,
-            &mut self.idx_copied,
-            bounds.as_ref(),
-            rows,
-        );
-        match &shards {
-            Some(bounds) => {
-                let mut pool = std::mem::take(&mut self.pool);
-                let mut out = pool_matrix_scratch(&mut pool, rows, cols);
-                {
-                    let x_slice = self.value(x).as_slice();
-                    let mut tasks: Vec<(usize, &mut [f32])> = out
-                        .row_blocks_mut(bounds)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(s, block)| (bounds[s], block))
-                        .collect();
-                    run_shard_tasks(
-                        pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
-                        &mut tasks,
-                        |(lo, block): &mut (usize, &mut [f32])| {
-                            let len = block.len();
-                            vact::selu_map(&x_slice[*lo * cols..*lo * cols + len], block);
-                        },
-                    );
-                }
-                self.pool = pool;
-                self.push(out, Op::Selu { x, shards })
-            }
-            None => {
-                let mut pool = std::mem::take(&mut self.pool);
-                let mut out = pool_matrix_scratch(&mut pool, rows, cols);
-                vact::selu_map(self.value(x).as_slice(), out.as_mut_slice());
-                self.pool = pool;
-                self.push(out, Op::Selu { x, shards })
-            }
-        }
+        let v = if self.reference_mode {
+            self.value(x).map(act::selu_precise)
+        } else {
+            let (rows, cols) = self.value(x).shape();
+            let mut pool = std::mem::take(&mut self.pool);
+            let mut out = pool_matrix_scratch(&mut pool, rows, cols);
+            vact::selu_map(self.value(x).as_slice(), out.as_mut_slice());
+            self.pool = pool;
+            out
+        };
+        self.push(v, Op::Selu(x))
     }
 
     /// Softplus `ln(1+e^x)`.
@@ -1534,78 +1040,32 @@ impl Graph {
         self.push(v, Op::SliceCols { x, start, end })
     }
 
-    /// Gather rows: `out[i] = x[indices[i]]`. Indices may repeat; the adjoint
-    /// scatter-adds into the repeated rows. Output comes from the buffer pool.
-    pub fn gather_rows(&mut self, x: Var, indices: &[usize]) -> Var {
-        self.gather_rows_sharded(x, indices.into(), None)
+    /// Gather rows: `out[i] = x[ids[i]]`. Indices may repeat; the adjoint
+    /// scatter-adds into the repeated rows. Output comes from the buffer
+    /// pool; a [`SharedIndices`] view is recorded by refcount, a plain slice
+    /// is copied (see [`IndexInput`]).
+    pub fn gather_rows<'a>(&mut self, x: Var, ids: impl Into<IndexInput<'a>>) -> Var {
+        let ids = ids.into();
+        let xv = &self.nodes[x.0].value;
+        let mut out = pool_matrix_scratch(&mut self.pool, ids.as_slice().len(), xv.cols());
+        xv.gather_rows_into(ids.as_slice(), &mut out);
+        let indices = intern_indices(&mut self.idx_pool, &mut self.idx_copied, &ids);
+        self.push(out, Op::GatherRows { x, indices })
     }
 
-    /// [`Graph::gather_rows`] with a megabatch shard layout: `active` splits
-    /// `indices`, `entity` bounds the rows of `x` (each shard's indices must
-    /// stay inside its entity range — block-diagonality). With a worker pool
-    /// attached, shards gather (and later scatter their adjoint) in
-    /// parallel; the result is bitwise identical either way.
+    /// [`Graph::gather_rows`] under the name and arity the out-of-workspace
+    /// `benchmark/` package still calls (`benchmark/src/workloads/train.rs`;
+    /// a PR may not edit that package together with library code). The third
+    /// argument was the shard layout and can only be `None`. Goes with the
+    /// next `benchmark` PR.
+    #[doc(hidden)]
     pub fn gather_rows_sharded(
         &mut self,
         x: Var,
         ids: IndexInput<'_>,
-        split: Option<ShardSplit<'_>>,
+        _: Option<std::convert::Infallible>,
     ) -> Var {
-        let mut pool = std::mem::take(&mut self.pool);
-        let (x_rows, cols) = self.value(x).shape();
-        let indices = ids.as_slice();
-        let shards = split.and_then(|s| {
-            validate_split(&s, indices.len(), None, Some(x_rows));
-            debug_assert!(
-                s.active
-                    .as_slice()
-                    .windows(2)
-                    .zip(s.entity.as_slice().windows(2))
-                    .all(|(ka, ea)| {
-                        indices[ka[0]..ka[1]]
-                            .iter()
-                            .all(|&idx| idx >= ea[0] && idx < ea[1])
-                    }),
-                "gather_rows: shard indices escape their entity range"
-            );
-            (s.active.as_slice().len() > 2).then(|| {
-                Box::new(OpShards::capture(
-                    &mut self.idx_pool,
-                    &mut self.idx_copied,
-                    &s,
-                ))
-            })
-        });
-        let mut out = pool_matrix_scratch(&mut pool, indices.len(), cols);
-        if cols > 0 {
-            let x_slice = self.value(x).as_slice();
-            let mut tasks: Vec<(usize, &mut [f32])> = match &shards {
-                Some(s) => out
-                    .row_blocks_mut(&s.active)
-                    .into_iter()
-                    .zip(s.active.iter())
-                    .map(|(block, &k_lo)| (k_lo, block))
-                    .collect(),
-                None => vec![(0, out.as_mut_slice())],
-            };
-            run_shard_tasks(
-                pool_if_worth(
-                    &self.worker_pool,
-                    self.par_threshold(),
-                    indices.len() * cols,
-                ),
-                &mut tasks,
-                |(k_lo, block): &mut (usize, &mut [f32])| {
-                    for (i, dst) in block.chunks_exact_mut(cols).enumerate() {
-                        let idx = indices[*k_lo + i];
-                        dst.copy_from_slice(&x_slice[idx * cols..(idx + 1) * cols]);
-                    }
-                },
-            );
-        }
-        self.pool = pool;
-        let indices = intern_indices(&mut self.idx_pool, &mut self.idx_copied, &ids);
-        self.push(out, Op::GatherRows { x, indices, shards })
+        self.gather_rows(x, ids)
     }
 
     /// Segment sum: `out[segments[i]] += x[i]` with `num_segments` output rows.
@@ -1647,35 +1107,16 @@ impl Graph {
     /// In **inference mode** this op is destructive like
     /// [`Graph::gru_step_rows`]: it steals `acc`'s buffer and scatter-adds
     /// in place (the `Var` passed as `acc` must not be read afterwards).
-    pub fn segment_acc_rows(
+    pub fn segment_acc_rows<'a>(
         &mut self,
         acc: Var,
         x: Var,
-        rows: &[usize],
-        segments: &[usize],
-    ) -> Var {
-        self.segment_acc_rows_sharded(acc, x, rows.into(), segments.into(), None)
-    }
-
-    /// [`Graph::segment_acc_rows`] with a megabatch shard layout: `active`
-    /// splits `rows`/`segments`, `dense` bounds the rows of `x`, `entity`
-    /// the rows of `acc`; shard `s`'s segments must fall inside its entity
-    /// range and its rows inside its dense range (block-diagonality). With
-    /// a worker pool attached, shards scatter in parallel — each into its
-    /// own disjoint slice of the accumulator — bitwise identically to the
-    /// sequential sweep.
-    pub fn segment_acc_rows_sharded(
-        &mut self,
-        acc: Var,
-        x: Var,
-        rows: IndexInput<'_>,
-        segments: IndexInput<'_>,
-        split: Option<ShardSplit<'_>>,
+        rows: impl Into<IndexInput<'a>>,
+        segments: impl Into<IndexInput<'a>>,
     ) -> Var {
         let mut pool = std::mem::take(&mut self.pool);
         let (num_segments, cols) = self.value(acc).shape();
-        let x_rows = self.value(x).rows();
-        let (rows_in, segments_in) = (rows, segments);
+        let (rows_in, segments_in) = (rows.into(), segments.into());
         let (rows, segments) = (rows_in.as_slice(), segments_in.as_slice());
         assert_eq!(
             rows.len(),
@@ -1693,72 +1134,24 @@ impl Graph {
                 "segment_acc_rows: segment id {s} out of range"
             );
         }
-        let shards = split.and_then(|s| {
-            validate_split(&s, rows.len(), Some(x_rows), Some(num_segments));
-            debug_assert!(
-                s.active
-                    .as_slice()
-                    .windows(2)
-                    .zip(s.entity.as_slice().windows(2))
-                    .all(|(ka, ea)| {
-                        segments[ka[0]..ka[1]]
-                            .iter()
-                            .all(|&seg| seg >= ea[0] && seg < ea[1])
-                    }),
-                "segment_acc_rows: shard segments escape their entity range"
-            );
-            (s.active.as_slice().len() > 2).then(|| {
-                Box::new(OpShards::capture(
-                    &mut self.idx_pool,
-                    &mut self.idx_copied,
-                    &s,
-                ))
-            })
-        });
 
         // In-place inference: steal the accumulator instead of copying it.
         let inplace = self.inference_mode;
         let mut out = if inplace {
             std::mem::replace(&mut self.nodes[acc.0].value, Matrix::zeros(0, 0))
         } else {
-            pool_matrix_scratch(&mut pool, num_segments, cols)
+            pooled_copy(&mut pool, self.value(acc))
         };
         {
-            let acc_src = (!inplace).then(|| self.value(acc).as_slice());
             let x_slice = self.value(x).as_slice();
-            let full_active = [0, rows.len()];
-            let full_entity = [0, num_segments];
-            let (active_bounds, entity_bounds): (&[usize], &[usize]) = match &shards {
-                Some(s) => (&s.active, &s.entity),
-                None => (&full_active, &full_entity),
-            };
-            let mut tasks: Vec<(usize, usize, &mut [f32])> = out
-                .row_blocks_mut(entity_bounds)
-                .into_iter()
-                .enumerate()
-                .map(|(s, block)| (s, entity_bounds[s], block))
-                .collect();
-            run_shard_tasks(
-                pool_if_worth(
-                    &self.worker_pool,
-                    self.par_threshold(),
-                    (num_segments + rows.len()) * cols,
-                ),
-                &mut tasks,
-                |(s, e_lo, block): &mut (usize, usize, &mut [f32])| {
-                    if let Some(acc_src) = acc_src {
-                        block.copy_from_slice(&acc_src[*e_lo * cols..*e_lo * cols + block.len()]);
-                    }
-                    for k in active_bounds[*s]..active_bounds[*s + 1] {
-                        let (row, seg) = (rows[k], segments[k]);
-                        let src = &x_slice[row * cols..(row + 1) * cols];
-                        let dst = &mut block[(seg - *e_lo) * cols..(seg - *e_lo + 1) * cols];
-                        for (d, &v) in dst.iter_mut().zip(src) {
-                            *d += v;
-                        }
-                    }
-                },
-            );
+            let out_slice = out.as_mut_slice();
+            for (&row, &seg) in rows.iter().zip(segments) {
+                let src = &x_slice[row * cols..(row + 1) * cols];
+                let dst = &mut out_slice[seg * cols..(seg + 1) * cols];
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d += v;
+                }
+            }
         }
         self.pool = pool;
         let rows = intern_indices(&mut self.idx_pool, &mut self.idx_copied, &rows_in);
@@ -1770,7 +1163,6 @@ impl Graph {
                 x,
                 rows,
                 segments,
-                shards,
             },
         )
     }
@@ -1864,28 +1256,16 @@ impl Graph {
     /// there), and saves nothing for an adjoint; neither `Var` may be read
     /// afterwards, their values become empty. Training mode copies, so both
     /// stay intact. Output bits are identical either way.
-    pub fn gru_step_rows(&mut self, vars: &GruVars, h: Var, px: Var, rows: &[usize]) -> Var {
-        self.gru_step_rows_sharded(vars, h, px, rows.into(), None)
-    }
-
-    /// [`Graph::gru_step_rows`] with a megabatch shard layout: `active`
-    /// splits `rows`, `dense` bounds the rows of `h`; shard `s`'s active
-    /// rows must fall inside its dense range (block-diagonality). With a
-    /// worker pool attached the shards advance in parallel; the backward
-    /// pass accumulates parameter gradients as per-shard partials merged in
-    /// shard order. Results are bitwise identical at any worker count,
-    /// including none; without a split the whole buffers are the one shard.
-    pub fn gru_step_rows_sharded(
+    pub fn gru_step_rows<'a>(
         &mut self,
         vars: &GruVars,
         h: Var,
         px: Var,
-        rows: IndexInput<'_>,
-        split: Option<ShardSplit<'_>>,
+        rows: impl Into<IndexInput<'a>>,
     ) -> Var {
         let mut pool = std::mem::take(&mut self.pool);
         let (n, hidden) = self.value(h).shape();
-        let rows_in = rows;
+        let rows_in = rows.into();
         let rows = rows_in.as_slice();
         let a = rows.len();
         assert_eq!(
@@ -1901,28 +1281,6 @@ impl Graph {
         for &row in rows {
             assert!(row < n, "gru_step_rows: row {row} out of range {n}");
         }
-        let shards = split.and_then(|s| {
-            validate_split(&s, a, Some(n), None);
-            debug_assert!(
-                s.active
-                    .as_slice()
-                    .windows(2)
-                    .zip(s.dense.as_slice().windows(2))
-                    .all(|(ka, pa)| {
-                        rows[ka[0]..ka[1]]
-                            .iter()
-                            .all(|&row| row >= pa[0] && row < pa[1])
-                    }),
-                "gru_step_rows: shard rows escape their dense range"
-            );
-            (s.active.as_slice().len() > 2).then(|| {
-                Box::new(OpShards::capture(
-                    &mut self.idx_pool,
-                    &mut self.idx_copied,
-                    &s,
-                ))
-            })
-        });
 
         let mut saved = GruSaved {
             h: pool_matrix_scratch(&mut pool, a, hidden),
@@ -1931,8 +1289,8 @@ impl Graph {
             c: pool_matrix_scratch(&mut pool, a, hidden),
         };
         // In-place inference: steal the state buffer instead of copying it.
-        // Training mode takes scratch — every dense block is copied from
-        // `hv` by its shard task before any read.
+        // Training mode takes scratch, which the step fills from `h` before
+        // any read.
         let inplace = self.inference_mode;
         let mut out = if inplace {
             let stolen = std::mem::replace(&mut self.nodes[h.0].value, Matrix::zeros(0, 0));
@@ -1941,9 +1299,8 @@ impl Graph {
         } else {
             pool_matrix_scratch(&mut pool, n, hidden)
         };
-
-        {
-            let ctx = GruFwdCtx {
+        gru_forward(
+            &GruFwdCtx {
                 hv: (!inplace).then(|| self.value(h).as_slice()),
                 px: self.value(px).as_slice(),
                 rows,
@@ -1951,52 +1308,10 @@ impl Graph {
                 w_h_c: self.value(vars.w_h_c).as_slice(),
                 b: self.value(vars.b).as_slice(),
                 hidden,
-            };
-            match &shards {
-                // One shard: the whole buffers are its blocks — no block
-                // lists, no task list, nothing to fan out.
-                None => gru_forward_shard(
-                    &ctx,
-                    &mut GruFwdTask {
-                        k_lo: 0,
-                        k_hi: a,
-                        p_lo: 0,
-                        h: saved.h.as_mut_slice(),
-                        zr: saved.zr.as_mut_slice(),
-                        rh: saved.rh.as_mut_slice(),
-                        c: saved.c.as_mut_slice(),
-                        out: out.as_mut_slice(),
-                    },
-                ),
-                Some(s) => {
-                    let (active, dense): (&[usize], &[usize]) = (&s.active, &s.dense);
-                    let mut h_it = saved.h.row_blocks_mut(active).into_iter();
-                    let mut zr_it = saved.zr.row_blocks_mut(active).into_iter();
-                    let mut rh_it = saved.rh.row_blocks_mut(active).into_iter();
-                    let mut c_it = saved.c.row_blocks_mut(active).into_iter();
-                    let mut tasks: Vec<GruFwdTask> = out
-                        .row_blocks_mut(dense)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(s, out_block)| GruFwdTask {
-                            k_lo: active[s],
-                            k_hi: active[s + 1],
-                            p_lo: dense[s],
-                            h: h_it.next().expect("h block"),
-                            zr: zr_it.next().expect("zr block"),
-                            rh: rh_it.next().expect("rh block"),
-                            c: c_it.next().expect("c block"),
-                            out: out_block,
-                        })
-                        .collect();
-                    run_shard_tasks(
-                        pool_if_worth(&self.worker_pool, self.par_threshold(), a * hidden * 12),
-                        &mut tasks,
-                        |t| gru_forward_shard(&ctx, t),
-                    );
-                }
-            }
-        }
+            },
+            &mut saved,
+            out.as_mut_slice(),
+        );
 
         let saved = if inplace {
             // Nothing reads the projected rows again either: a forward-only
@@ -2019,33 +1334,19 @@ impl Graph {
                 px,
                 rows,
                 saved,
-                shards,
             },
         )
     }
 
-    /// [`Graph::gru_step_rows_sharded`] over **every** row — the link / node
-    /// / queue entity updates — with a dense row-block shard layout:
-    /// `bounds`, if given, partitions the `n` state rows into contiguous
-    /// blocks; `px` must have `n` rows. The rows recorded are a shared
-    /// identity prefix, so the one fused step (and its shard apparatus)
-    /// serves the dense use as it serves the path sweep.
-    pub fn gru_step_dense_sharded(
-        &mut self,
-        vars: &GruVars,
-        h: Var,
-        px: Var,
-        bounds: Option<IndexInput<'_>>,
-    ) -> Var {
+    /// [`Graph::gru_step_rows`] over **every** row — the link / node / queue
+    /// entity updates; `px` must have as many rows as `h`. The rows recorded
+    /// are a shared identity prefix, so the one fused step serves the dense
+    /// use as it serves the path sweep.
+    pub fn gru_step_dense(&mut self, vars: &GruVars, h: Var, px: Var) -> Var {
         // Record the shared identity prefix by refcount instead of
         // materializing (and then copying) a 0..n row list.
         let rows = self.identity_rows(self.value(h).rows());
-        let split = bounds.map(|b| ShardSplit {
-            active: b.clone(),
-            dense: b.clone(),
-            entity: b,
-        });
-        self.gru_step_rows_sharded(vars, h, px, rows.into(), split)
+        self.gru_step_rows(vars, h, px, rows)
     }
 
     // ------------------------------------------------------------------
@@ -2141,88 +1442,12 @@ impl Graph {
                     accumulate(&mut grads, a, ga);
                     accumulate(&mut grads, b, gb);
                 }
-                Op::MatMul { a, b, shards } => {
-                    let (a, b) = (*a, *b);
+                &Op::MatMul { a, b } => {
                     if self.reference_mode {
                         let ga = g.matmul_nt_reference(self.value(b));
                         let gb = self.value(a).matmul_tn_reference(&g);
                         accumulate(&mut grads, a, ga);
                         accumulate(&mut grads, b, gb);
-                    } else if let Some(bounds) = shards {
-                        // Dense-sharded adjoint. ga = g·bᵀ is row-disjoint:
-                        // each shard fills its own block with exactly the
-                        // full kernel's arithmetic (bitwise identical to one
-                        // call). gb = aᵀ·g reduces over rows, so each shard
-                        // produces a zeroed partial over its row range; the
-                        // partials merge into the gradient slot in shard
-                        // order — the canonical grouping, independent of
-                        // worker count (or the pool's absence).
-                        let bv = self.value(b);
-                        let (k_dim, n_dim) = bv.shape();
-                        let m = g.rows();
-                        let num_shards = bounds.len() - 1;
-                        let bt = transposed(&mut transposes, &mut pool, b, &self.nodes);
-                        let mut ga = pool_matrix_scratch(&mut pool, m, k_dim);
-                        let mut partials: Vec<Matrix> = (0..num_shards)
-                            .map(|_| pool_matrix(&mut pool, k_dim, n_dim))
-                            .collect();
-                        let worker = pool_if_worth(
-                            &self.worker_pool,
-                            self.par_threshold(),
-                            m * (k_dim + n_dim),
-                        );
-                        {
-                            let g_slice = g.as_slice();
-                            let a_slice = self.value(a).as_slice();
-                            let bt_slice = transposes[bt].1.as_slice();
-                            let mut tasks: Vec<(usize, usize, &mut [f32], &mut Matrix)> = ga
-                                .row_blocks_mut(bounds)
-                                .into_iter()
-                                .zip(partials.iter_mut())
-                                .enumerate()
-                                .map(|(s, (block, partial))| {
-                                    (bounds[s], bounds[s + 1], block, partial)
-                                })
-                                .collect();
-                            run_shard_tasks(
-                                worker,
-                                &mut tasks,
-                                |(lo, hi, ga_block, partial): &mut (
-                                    usize,
-                                    usize,
-                                    &mut [f32],
-                                    &mut Matrix,
-                                )| {
-                                    let rows_s = *hi - *lo;
-                                    ga_block.fill(0.0);
-                                    kernels::matmul_acc(
-                                        &g_slice[*lo * n_dim..*hi * n_dim],
-                                        bt_slice,
-                                        rows_s,
-                                        n_dim,
-                                        k_dim,
-                                        ga_block,
-                                    );
-                                    kernels::matmul_tn_acc(
-                                        &a_slice[*lo * k_dim..*hi * k_dim],
-                                        &g_slice[*lo * n_dim..*hi * n_dim],
-                                        rows_s,
-                                        k_dim,
-                                        n_dim,
-                                        partial.as_mut_slice(),
-                                    );
-                                },
-                            );
-                        }
-                        {
-                            let refs: Vec<&Matrix> = partials.iter().collect();
-                            let slot = grad_slot(&mut grads, b, k_dim, n_dim, &mut pool);
-                            reduce_partials_parallel(worker, slot, &refs);
-                        }
-                        for p in partials {
-                            pool_recycle(&mut pool, p);
-                        }
-                        accumulate_pooled(&mut grads, &mut pool, a, ga);
                     } else {
                         let bt = transposed(&mut transposes, &mut pool, b, &self.nodes);
                         let mut ga = pool_matrix_scratch(&mut pool, g.rows(), self.value(b).rows());
@@ -2233,86 +1458,34 @@ impl Graph {
                         accumulate_pooled(&mut grads, &mut pool, b, gb);
                     }
                 }
-                Op::AddBias { x, bias, shards } => {
-                    let (x, bias) = (*x, *bias);
-                    if let Some(bounds) = shards {
-                        // gx is the pass-through gradient, row-blocked; the
-                        // bias gradient reduces as per-shard column-sum
-                        // partials merged in shard order (canonical).
-                        let (rows, cols) = g.shape();
-                        let num_shards = bounds.len() - 1;
-                        let mut gx = pool_matrix_scratch(&mut pool, rows, cols);
-                        let mut partials: Vec<Matrix> = (0..num_shards)
-                            .map(|_| pool_matrix(&mut pool, 1, cols))
-                            .collect();
-                        let worker =
-                            pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols);
-                        {
-                            let g_slice = g.as_slice();
-                            let mut tasks: Vec<(usize, &mut [f32], &mut Matrix)> = gx
-                                .row_blocks_mut(bounds)
-                                .into_iter()
-                                .zip(partials.iter_mut())
-                                .enumerate()
-                                .map(|(s, (block, partial))| (bounds[s], block, partial))
-                                .collect();
-                            run_shard_tasks(
-                                worker,
-                                &mut tasks,
-                                |(lo, block, partial): &mut (usize, &mut [f32], &mut Matrix)| {
-                                    block.copy_from_slice(
-                                        &g_slice[*lo * cols..*lo * cols + block.len()],
-                                    );
-                                    add_col_sums_slice(partial.as_mut_slice(), block, cols);
-                                },
-                            );
-                        }
-                        {
-                            let refs: Vec<&Matrix> = partials.iter().collect();
-                            let slot = grad_slot(&mut grads, bias, 1, cols, &mut pool);
-                            reduce_partials_parallel(worker, slot, &refs);
-                        }
-                        for p in partials {
-                            pool_recycle(&mut pool, p);
-                        }
-                        accumulate_pooled(&mut grads, &mut pool, x, gx);
-                    } else {
-                        let mut gb = pool_matrix(&mut pool, 1, g.cols());
-                        add_col_sums(&mut gb, &g);
-                        accumulate_pooled(&mut grads, &mut pool, bias, gb);
-                        accumulate_ref(&mut grads, &mut pool, x, &g);
-                    }
+                &Op::AddBias { x, bias } => {
+                    let mut gb = pool_matrix(&mut pool, 1, g.cols());
+                    add_col_sums(&mut gb, &g);
+                    accumulate_pooled(&mut grads, &mut pool, bias, gb);
+                    accumulate_ref(&mut grads, &mut pool, x, &g);
                 }
                 &Op::Affine { x, a } => {
                     let gx = pooled_map(&mut pool, &g, |v| v * a);
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Sigmoid(x) => {
-                    // gx = g ⊙ y(1-y) via the fused vector kernel, fanned
-                    // over fixed chunks when a pool is attached — bitwise
-                    // identical to the sequential zip either way (the map is
-                    // position-independent and the kernel is pinned to the
-                    // scalar chain).
+                    // gx = g ⊙ y(1-y) via the fused vector kernel.
                     let (rows, cols) = g.shape();
                     let mut gx = pool_matrix_scratch(&mut pool, rows, cols);
-                    run_elementwise_chunks(
-                        pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
+                    vact::sigmoid_deriv_mul(
                         g.as_slice(),
                         self.nodes[id].value.as_slice(),
                         gx.as_mut_slice(),
-                        vact::sigmoid_deriv_mul,
                     );
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Tanh(x) => {
                     let (rows, cols) = g.shape();
                     let mut gx = pool_matrix_scratch(&mut pool, rows, cols);
-                    run_elementwise_chunks(
-                        pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
+                    vact::tanh_deriv_mul(
                         g.as_slice(),
                         self.nodes[id].value.as_slice(),
                         gx.as_mut_slice(),
-                        vact::tanh_deriv_mul,
                     );
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
@@ -2322,51 +1495,16 @@ impl Graph {
                     });
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
-                Op::Selu { x, shards } => {
-                    let x = *x;
+                &Op::Selu(x) => {
                     if self.reference_mode {
-                        // Seed-faithful libm derivative (shards are never
-                        // recorded in reference mode).
+                        // Seed-faithful libm derivative.
                         let gx = g.zip(self.value(x), |gi, xi| gi * act::selu_deriv_precise(xi));
                         accumulate(&mut grads, x, gx);
                         continue;
                     }
                     let (rows, cols) = g.shape();
                     let mut gx = pool_matrix_scratch(&mut pool, rows, cols);
-                    if let Some(bounds) = shards {
-                        // Element-wise adjoint, row-blocked: bitwise
-                        // identical to the unsharded sweep at any worker
-                        // count.
-                        let g_slice = g.as_slice();
-                        let x_slice = self.value(x).as_slice();
-                        let mut tasks: Vec<(usize, &mut [f32])> = gx
-                            .row_blocks_mut(bounds)
-                            .into_iter()
-                            .enumerate()
-                            .map(|(s, block)| (bounds[s], block))
-                            .collect();
-                        run_shard_tasks(
-                            pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
-                            &mut tasks,
-                            |(lo, block): &mut (usize, &mut [f32])| {
-                                let off = *lo * cols;
-                                let len = block.len();
-                                vact::selu_deriv_mul(
-                                    &g_slice[off..off + len],
-                                    &x_slice[off..off + len],
-                                    block,
-                                );
-                            },
-                        );
-                    } else {
-                        run_elementwise_chunks(
-                            pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
-                            g.as_slice(),
-                            self.value(x).as_slice(),
-                            gx.as_mut_slice(),
-                            vact::selu_deriv_mul,
-                        );
-                    }
+                    vact::selu_deriv_mul(g.as_slice(), self.value(x).as_slice(), gx.as_mut_slice());
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Softplus(x) => {
@@ -2407,49 +1545,12 @@ impl Graph {
                     }
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
-                Op::GatherRows { x, indices, shards } => {
+                Op::GatherRows { x, indices } => {
                     // Adjoint of gather = scatter-add back to the source
-                    // rows. With shards, each one scatters into its own
-                    // disjoint entity block (possibly in parallel); the k
-                    // order within every target row matches the sequential
-                    // sweep, so the bits do too.
+                    // rows, in list order within every target row.
                     let (x_rows, cols) = self.value(*x).shape();
                     let mut gx = pool_matrix(&mut pool, x_rows, cols);
-                    if cols > 0 {
-                        let g_slice = g.as_slice();
-                        let full_active = [0, indices.len()];
-                        let full_entity = [0, x_rows];
-                        let (active_bounds, entity_bounds): (&[usize], &[usize]) = match shards {
-                            Some(s) => (&s.active, &s.entity),
-                            None => (&full_active, &full_entity),
-                        };
-                        let mut tasks: Vec<(usize, usize, &mut [f32])> = gx
-                            .row_blocks_mut(entity_bounds)
-                            .into_iter()
-                            .enumerate()
-                            .map(|(s, block)| (s, entity_bounds[s], block))
-                            .collect();
-                        run_shard_tasks(
-                            pool_if_worth(
-                                &self.worker_pool,
-                                self.par_threshold(),
-                                indices.len() * cols,
-                            ),
-                            &mut tasks,
-                            |(s, e_lo, block): &mut (usize, usize, &mut [f32])| {
-                                for k in active_bounds[*s]..active_bounds[*s + 1] {
-                                    let idx = indices[k];
-                                    let dst =
-                                        &mut block[(idx - *e_lo) * cols..(idx - *e_lo + 1) * cols];
-                                    for (d, &v) in
-                                        dst.iter_mut().zip(&g_slice[k * cols..(k + 1) * cols])
-                                    {
-                                        *d += v;
-                                    }
-                                }
-                            },
-                        );
-                    }
+                    g.segment_sum_into(indices, &mut gx);
                     accumulate_pooled(&mut grads, &mut pool, *x, gx);
                 }
                 Op::SegmentSum { x, segments } => {
@@ -2481,47 +1582,17 @@ impl Graph {
                     x,
                     rows,
                     segments,
-                    shards,
                 } => {
                     // out = acc + scatter(x[rows]): g_acc += g,
-                    // g_x[rows[k]] += g[segments[k]]. Sharded: each shard
-                    // writes its own dense block of g_x.
+                    // g_x[rows[k]] += g[segments[k]].
                     let (x_rows, cols) = self.value(*x).shape();
                     let mut gx = pool_matrix(&mut pool, x_rows, cols);
-                    if cols > 0 {
-                        let g_slice = g.as_slice();
-                        let full_active = [0, rows.len()];
-                        let full_dense = [0, x_rows];
-                        let (active_bounds, dense_bounds): (&[usize], &[usize]) = match shards {
-                            Some(s) => (&s.active, &s.dense),
-                            None => (&full_active, &full_dense),
-                        };
-                        let mut tasks: Vec<(usize, usize, &mut [f32])> = gx
-                            .row_blocks_mut(dense_bounds)
-                            .into_iter()
-                            .enumerate()
-                            .map(|(s, block)| (s, dense_bounds[s], block))
-                            .collect();
-                        run_shard_tasks(
-                            pool_if_worth(
-                                &self.worker_pool,
-                                self.par_threshold(),
-                                rows.len() * cols,
-                            ),
-                            &mut tasks,
-                            |(s, p_lo, block): &mut (usize, usize, &mut [f32])| {
-                                for k in active_bounds[*s]..active_bounds[*s + 1] {
-                                    let (row, seg) = (rows[k], segments[k]);
-                                    let dst =
-                                        &mut block[(row - *p_lo) * cols..(row - *p_lo + 1) * cols];
-                                    for (d, &v) in
-                                        dst.iter_mut().zip(&g_slice[seg * cols..(seg + 1) * cols])
-                                    {
-                                        *d += v;
-                                    }
-                                }
-                            },
-                        );
+                    let (g_slice, gx_slice) = (g.as_slice(), gx.as_mut_slice());
+                    for (&row, &seg) in rows.iter().zip(segments.iter()) {
+                        let dst = &mut gx_slice[row * cols..(row + 1) * cols];
+                        for (d, &v) in dst.iter_mut().zip(&g_slice[seg * cols..(seg + 1) * cols]) {
+                            *d += v;
+                        }
                     }
                     accumulate_pooled(&mut grads, &mut pool, *x, gx);
                     accumulate_ref(&mut grads, &mut pool, *acc, &g);
@@ -2532,87 +1603,42 @@ impl Graph {
                     px,
                     rows,
                     saved,
-                    shards,
                 } => {
                     // Row-disjoint gradients (state, projected input) are
-                    // written in place by each shard; parameter gradients
-                    // are accumulated as per-shard partials and merged in
-                    // shard order below. The result is a pure function of
-                    // the shard layout — independent of the worker count
-                    // (or the pool's absence).
+                    // written in place; the step's parameter gradients are
+                    // formed as partials in scratch and added into the
+                    // slots below.
                     let (vars, h, px) = (*vars, *h, *px);
                     let s: &GruSaved = saved
                         .as_deref()
                         .expect("backward: node was recorded in inference mode");
                     let (n, hidden) = self.value(h).shape();
                     let a = rows.len();
-                    let (full_active, full_dense) = ([0, a], [0, n]);
-                    let (active, dense): (&[usize], &[usize]) = match shards {
-                        Some(s) => (&s.active, &s.dense),
-                        None => (&full_active, &full_dense),
-                    };
-                    let num_shards = active.len() - 1;
                     let zr_t = transposed(&mut transposes, &mut pool, vars.w_h_zr, &self.nodes);
                     let c_t = transposed(&mut transposes, &mut pool, vars.w_h_c, &self.nodes);
 
                     let mut gh = pool_matrix_scratch(&mut pool, n, hidden);
                     let mut gpx = pool_matrix_scratch(&mut pool, a, 3 * hidden);
-                    let ctx = GruBwdCtx {
-                        rows,
-                        g: g.as_slice(),
-                        saved: s,
-                        w_h_zr_t: transposes[zr_t].1.as_slice(),
-                        w_h_c_t: transposes[c_t].1.as_slice(),
-                        hidden,
-                    };
-                    let worker_pool =
-                        pool_if_worth(&self.worker_pool, self.par_threshold(), a * hidden * 12);
-                    let targets = vars.partial_targets();
-                    let mut gh_it = gh.row_blocks_mut(dense).into_iter();
-                    let mut gpx_it = gpx.row_blocks_mut(active).into_iter();
-                    let mut task = |pool: &mut BufPool<f32>, si: usize| GruBwdTask {
-                        k_lo: active[si],
-                        k_hi: active[si + 1],
-                        p_lo: dense[si],
-                        gh: gh_it.next().expect("gh block"),
-                        gpx: gpx_it.next().expect("gpx block"),
-                        scratch: GruBwdScratch::take(pool, active[si + 1] - active[si], hidden),
-                    };
-                    if worker_pool.is_some() && num_shards > 1 {
-                        // Parallel: every shard gets its own scratch up
-                        // front; each parameter's partials then reduce in
-                        // ascending shard order — per element exactly the
-                        // sequential merge's addition order, so the bits
-                        // match it at any worker count.
-                        let mut tasks: Vec<GruBwdTask> =
-                            (0..num_shards).map(|si| task(&mut pool, si)).collect();
-                        run_shard_tasks(worker_pool, &mut tasks, |t| gru_backward_shard(&ctx, t));
-                        for (i, &var) in targets.iter().enumerate() {
-                            let refs: Vec<&Matrix> =
-                                tasks.iter().map(|t| t.scratch.partials()[i]).collect();
-                            let (rows_, cols_) = refs[0].shape();
-                            let slot = grad_slot(&mut grads, var, rows_, cols_, &mut pool);
-                            reduce_partials_parallel(worker_pool, slot, &refs);
-                        }
-                        for t in tasks {
-                            t.scratch.recycle(&mut pool);
-                        }
-                    } else {
-                        // Sequential: one scratch set cycles through the
-                        // pool (LIFO keeps it cache-hot), each shard's
-                        // partials merged the moment they exist. Same
-                        // partial contents, same merge order.
-                        for si in 0..num_shards {
-                            let mut t = task(&mut pool, si);
-                            gru_backward_shard(&ctx, &mut t);
-                            for (&var, partial) in targets.iter().zip(t.scratch.partials()) {
-                                let (rows_, cols_) = partial.shape();
-                                grad_slot(&mut grads, var, rows_, cols_, &mut pool)
-                                    .add_assign(partial);
-                            }
-                            t.scratch.recycle(&mut pool);
-                        }
+                    let mut scratch = GruBwdScratch::take(&mut pool, a, hidden);
+                    gru_backward(
+                        &GruBwdCtx {
+                            rows,
+                            g: g.as_slice(),
+                            saved: s,
+                            w_h_zr_t: transposes[zr_t].1.as_slice(),
+                            w_h_c_t: transposes[c_t].1.as_slice(),
+                            hidden,
+                        },
+                        gh.as_mut_slice(),
+                        gpx.as_mut_slice(),
+                        &mut scratch,
+                    );
+                    for (var, partial) in vars.partial_targets().into_iter().zip(scratch.partials())
+                    {
+                        let (rows_, cols_) = partial.shape();
+                        grad_slot(&mut grads, var, rows_, cols_, &mut pool).add_assign(partial);
                     }
+                    scratch.recycle(&mut pool);
                     accumulate_pooled(&mut grads, &mut pool, h, gh);
                     accumulate_pooled(&mut grads, &mut pool, px, gpx);
                 }
@@ -2913,7 +1939,7 @@ mod tests {
         /// The fused step over every row.
         fn step(&self, g: &mut Graph, h: Var, x: Var) -> Var {
             let px = g.matmul(x, self.vars.w_x);
-            g.gru_step_dense_sharded(&self.vars, h, px, None)
+            g.gru_step_dense(&self.vars, h, px)
         }
     }
 
@@ -3224,267 +2250,6 @@ mod tests {
         );
     }
 
-    /// A toy 2-sample block-diagonal layout: paths 0..2 / 2..5, entities
-    /// 0..3 / 3..6, one padded path (row 3) inactive.
-    const SH_ROWS: [usize; 4] = [0, 1, 2, 4];
-    const SH_IDS: [usize; 4] = [1, 0, 4, 5];
-    const SH_ACTIVE: [usize; 3] = [0, 2, 4];
-    const SH_DENSE: [usize; 3] = [0, 2, 5];
-    const SH_ENTITY: [usize; 3] = [0, 3, 6];
-
-    /// Run the full fused chain (gather → gru_step_rows → segment_acc_rows)
-    /// with an optional shard split, returning (out value, loss, grads).
-    fn sharded_case(g: &mut Graph, split: Option<ShardSplit<'_>>) -> (Matrix, f32, Vec<Matrix>) {
-        let vars = toy_gru(g, 4, 3, 11);
-        let states = g.param(det_matrix(6, 3, 50));
-        let h = g.param(det_matrix(5, 4, 51));
-        let projected = g.matmul(states, vars.vars.w_x);
-        let px = g.gather_rows_sharded(projected, (&SH_IDS).into(), split.clone());
-        let h2 = g.gru_step_rows_sharded(&vars.vars, h, px, (&SH_ROWS).into(), split.clone());
-        let acc0 = g.constant(Matrix::zeros(6, 4));
-        let out = g.segment_acc_rows_sharded(acc0, h2, (&SH_ROWS).into(), (&SH_IDS).into(), split);
-        let sq = g.square(out);
-        let loss = g.mean(sq);
-        g.backward(loss);
-        let grads = vars
-            .params
-            .iter()
-            .chain(&[h, states])
-            .map(|&v| g.grad(v).unwrap().clone())
-            .collect();
-        (g.value(out).clone(), g.value(loss).get(0, 0), grads)
-    }
-
-    fn toy_split() -> ShardSplit<'static> {
-        ShardSplit::borrowed(&SH_ACTIVE, &SH_DENSE, &SH_ENTITY)
-    }
-
-    #[test]
-    fn sharded_forward_is_bitwise_identical_to_unsharded() {
-        let mut ga = Graph::new();
-        let (out_plain, _, grads_plain) = sharded_case(&mut ga, None);
-        let mut gb = Graph::new();
-        let (out_sharded, _, grads_sharded) = sharded_case(&mut gb, Some(toy_split()));
-        assert!(
-            out_plain.approx_eq(&out_sharded, 0.0),
-            "sharding must not change forward bits"
-        );
-        // Gradients agree numerically; the parameter grads may differ in the
-        // last bit (per-shard partial merge is the sharded canonical order).
-        for (a, b) in grads_plain.iter().zip(&grads_sharded) {
-            assert!(a.approx_eq(b, 1e-5));
-        }
-    }
-
-    #[test]
-    fn sharded_backward_is_bitwise_invariant_across_worker_counts() {
-        let mut base = Graph::new();
-        let (out_seq, loss_seq, grads_seq) = sharded_case(&mut base, Some(toy_split()));
-        for workers in [1, 2, 3, 8] {
-            let mut g = Graph::new();
-            g.set_worker_pool(Some(Arc::new(WorkerPool::new(workers))));
-            // Force even these toy-sized ops through the pool.
-            g.set_parallel_threshold(0);
-            let (out_par, loss_par, grads_par) = sharded_case(&mut g, Some(toy_split()));
-            assert!(
-                out_seq.approx_eq(&out_par, 0.0),
-                "forward diverged at {workers} workers"
-            );
-            assert_eq!(loss_seq, loss_par, "loss diverged at {workers} workers");
-            for (i, (a, b)) in grads_seq.iter().zip(&grads_par).enumerate() {
-                assert!(
-                    a.approx_eq(b, 0.0),
-                    "grad {i} diverged at {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_ops_handle_empty_shards() {
-        // Second sample contributes no active rows at this position.
-        let rows = [0usize, 1];
-        let ids = [1usize, 0];
-        let active = [0usize, 2, 2];
-        let split = ShardSplit::borrowed(&active, &SH_DENSE, &SH_ENTITY);
-        let run = |split: Option<ShardSplit<'_>>, pool: Option<Arc<WorkerPool>>| {
-            let mut g = Graph::new();
-            g.set_worker_pool(pool);
-            g.set_parallel_threshold(0);
-            let vars = toy_gru(&mut g, 4, 3, 13);
-            let states = g.param(det_matrix(6, 3, 60));
-            let h = g.param(det_matrix(5, 4, 61));
-            let projected = g.matmul(states, vars.vars.w_x);
-            let px = g.gather_rows_sharded(projected, (&ids).into(), split.clone());
-            let h2 = g.gru_step_rows_sharded(&vars.vars, h, px, (&rows).into(), split.clone());
-            let acc0 = g.constant(Matrix::zeros(6, 4));
-            let out = g.segment_acc_rows_sharded(acc0, h2, (&rows).into(), (&ids).into(), split);
-            let sq = g.square(out);
-            let loss = g.mean(sq);
-            g.backward(loss);
-            (g.value(out).clone(), g.grad(h).unwrap().clone())
-        };
-        let (out_seq, gh_seq) = run(Some(split.clone()), None);
-        let (out_par, gh_par) = run(Some(split.clone()), Some(Arc::new(WorkerPool::new(4))));
-        assert!(out_seq.approx_eq(&out_par, 0.0));
-        assert!(gh_seq.approx_eq(&gh_par, 0.0));
-        let (out_plain, _) = run(None, None);
-        assert!(out_seq.approx_eq(&out_plain, 0.0));
-    }
-
-    #[test]
-    fn single_shard_splits_record_no_shards() {
-        // A 1-sample "megabatch" must stay on the legacy backward path, so
-        // its gradients remain bitwise identical to plain single plans.
-        let (active, dense, entity) = ([0usize, 4], [0usize, 5], [0usize, 6]);
-        let split = ShardSplit::borrowed(&active, &dense, &entity);
-        let mut ga = Graph::new();
-        let (_, loss_a, grads_a) = sharded_case(&mut ga, Some(split));
-        let mut gb = Graph::new();
-        let (_, loss_b, grads_b) = sharded_case(&mut gb, None);
-        assert_eq!(loss_a, loss_b);
-        for (a, b) in grads_a.iter().zip(&grads_b) {
-            assert!(a.approx_eq(b, 0.0), "1-shard split must be a no-op");
-        }
-    }
-
-    /// A 3-block dense row partition of 7 rows (deliberately unbalanced,
-    /// with one single-row block).
-    const DENSE_BOUNDS: [usize; 4] = [0, 3, 4, 7];
-
-    /// Readout-shaped chain: matmul → add_bias → selu → matmul, dense GRU on
-    /// top, optionally recorded with the dense shard layout. Returns the
-    /// output value, the loss bits and every parameter gradient.
-    fn dense_sharded_case(g: &mut Graph, bounds: Option<&[usize]>) -> (Matrix, f32, Vec<Matrix>) {
-        let vars = toy_gru(g, 4, 4, 21);
-        let h = g.param(det_matrix(7, 4, 70));
-        let acc = g.param(det_matrix(7, 4, 71));
-        let px = g.matmul_sharded(acc, vars.vars.w_x, bounds.map(Into::into));
-        let stepped = g.gru_step_dense_sharded(&vars.vars, h, px, bounds.map(Into::into));
-        let w1 = g.param(det_matrix(4, 5, 72));
-        let b1 = g.param(det_matrix(1, 5, 73));
-        let lin = g.matmul_sharded(stepped, w1, bounds.map(Into::into));
-        let biased = g.add_bias_sharded(lin, b1, bounds.map(Into::into));
-        let act = g.selu_sharded(biased, bounds.map(Into::into));
-        let w2 = g.param(det_matrix(5, 1, 74));
-        let out = g.matmul_sharded(act, w2, bounds.map(Into::into));
-        let sq = g.square(out);
-        let loss = g.mean(sq);
-        g.backward(loss);
-        let grads = vars
-            .params
-            .iter()
-            .chain(&[h, acc, w1, b1, w2])
-            .map(|&v| g.grad(v).unwrap().clone())
-            .collect();
-        (g.value(out).clone(), g.value(loss).get(0, 0), grads)
-    }
-
-    #[test]
-    fn dense_sharded_forward_is_bitwise_identical_to_unsharded() {
-        let mut ga = Graph::new();
-        let (out_plain, _, grads_plain) = dense_sharded_case(&mut ga, None);
-        let mut gb = Graph::new();
-        let (out_sharded, _, grads_sharded) = dense_sharded_case(&mut gb, Some(&DENSE_BOUNDS));
-        assert!(
-            out_plain.approx_eq(&out_sharded, 0.0),
-            "dense sharding must not change forward bits"
-        );
-        // Gradients agree numerically; weight grads may differ in the last
-        // bit (per-shard partial merge is the sharded canonical grouping).
-        for (i, (a, b)) in grads_plain.iter().zip(&grads_sharded).enumerate() {
-            assert!(a.approx_eq(b, 1e-4), "grad {i} diverged numerically");
-        }
-    }
-
-    #[test]
-    fn dense_sharded_backward_is_bitwise_invariant_across_worker_counts() {
-        let mut base = Graph::new();
-        let (out_seq, loss_seq, grads_seq) = dense_sharded_case(&mut base, Some(&DENSE_BOUNDS));
-        for workers in [1, 2, 3, 8] {
-            let mut g = Graph::new();
-            g.set_worker_pool(Some(Arc::new(WorkerPool::new(workers))));
-            // Force even toy-sized dense ops through the pool.
-            g.set_parallel_threshold(0);
-            let (out_par, loss_par, grads_par) = dense_sharded_case(&mut g, Some(&DENSE_BOUNDS));
-            assert!(
-                out_seq.approx_eq(&out_par, 0.0),
-                "forward diverged at {workers} workers"
-            );
-            assert_eq!(
-                loss_seq.to_bits(),
-                loss_par.to_bits(),
-                "loss diverged at {workers} workers"
-            );
-            for (i, (a, b)) in grads_seq.iter().zip(&grads_par).enumerate() {
-                assert!(
-                    a.approx_eq(b, 0.0),
-                    "grad {i} diverged at {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dense_sharded_ops_reset_reuse_is_bit_identical() {
-        let mut fresh = Graph::new();
-        let (_, loss_fresh, grads_fresh) = dense_sharded_case(&mut fresh, Some(&DENSE_BOUNDS));
-        let mut reused = Graph::new();
-        let _ = dense_sharded_case(&mut reused, Some(&DENSE_BOUNDS));
-        reused.reset();
-        let (_, loss_reused, grads_reused) = dense_sharded_case(&mut reused, Some(&DENSE_BOUNDS));
-        assert_eq!(loss_fresh.to_bits(), loss_reused.to_bits());
-        for (a, b) in grads_fresh.iter().zip(&grads_reused) {
-            assert!(a.approx_eq(b, 0.0), "reused dense-sharded tape drifted");
-        }
-    }
-
-    #[test]
-    fn single_block_dense_bounds_record_no_shards() {
-        // A [0, n] partition (one shard) must stay on the legacy bitwise
-        // path — exactly what 1-sample megabatch plans rely on.
-        let single = [0usize, 7];
-        let mut ga = Graph::new();
-        let (_, loss_a, grads_a) = dense_sharded_case(&mut ga, Some(&single));
-        let mut gb = Graph::new();
-        let (_, loss_b, grads_b) = dense_sharded_case(&mut gb, None);
-        assert_eq!(loss_a.to_bits(), loss_b.to_bits());
-        for (a, b) in grads_a.iter().zip(&grads_b) {
-            assert!(a.approx_eq(b, 0.0), "1-block dense split must be a no-op");
-        }
-    }
-
-    #[test]
-    fn dense_gru_step_matches_plain_gru_step_numerically() {
-        let run = |bounds: Option<&[usize]>| -> (Matrix, Vec<Matrix>) {
-            let mut g = Graph::new();
-            let vars = toy_gru(&mut g, 4, 3, 33);
-            let h = g.param(det_matrix(7, 4, 80));
-            let x = g.param(det_matrix(7, 3, 81));
-            let px = g.matmul_sharded(x, vars.vars.w_x, bounds.map(Into::into));
-            let out = g.gru_step_dense_sharded(&vars.vars, h, px, bounds.map(Into::into));
-            let sq = g.square(out);
-            let loss = g.mean(sq);
-            g.backward(loss);
-            let grads = vars
-                .params
-                .iter()
-                .chain(&[h, x])
-                .map(|&v| g.grad(v).unwrap().clone())
-                .collect();
-            (g.value(out).clone(), grads)
-        };
-        let (out_plain, grads_plain) = run(None);
-        let (out_dense, grads_dense) = run(Some(&DENSE_BOUNDS));
-        assert!(
-            out_plain.approx_eq(&out_dense, 0.0),
-            "dense GRU forward must be bitwise identical"
-        );
-        for (i, (a, b)) in grads_plain.iter().zip(&grads_dense).enumerate() {
-            assert!(a.approx_eq(b, 1e-4), "dense GRU grad {i} diverged");
-        }
-    }
-
     #[test]
     fn inference_steps_consume_their_input_state_in_place() {
         let mut g = Graph::new();
@@ -3539,7 +2304,7 @@ mod tests {
             let mut g = Graph::new();
             let x = g.param(det_matrix(3, 4, 77));
             let y = if input_shared {
-                g.gather_rows_sharded(x, SharedIndices::full(shared.clone()).into(), None)
+                g.gather_rows(x, SharedIndices::full(shared.clone()))
             } else {
                 g.gather_rows(x, &ids)
             };

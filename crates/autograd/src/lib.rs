@@ -50,7 +50,6 @@ pub mod pool;
 pub mod trace;
 
 pub use bufpool::BufPool;
-pub use graph::{Graph, GruVars, ShardSplit, Var};
+pub use graph::{Graph, GruVars, Var};
 pub use index::{IndexInput, SharedIndices};
 pub use pool::TapePool;
-pub use rayon::WorkerPool;

@@ -81,7 +81,7 @@ pub(crate) fn kind_of(op: &Op) -> usize {
         Op::GruStep { .. } => KIND_GRU,
         Op::SegmentSum { .. } | Op::SegmentAccRows { .. } => KIND_SEGMENT,
         Op::MatMul { .. } | Op::AddBias { .. } | Op::Affine { .. } => KIND_MATMUL,
-        Op::Sigmoid(_) | Op::Tanh(_) | Op::Relu(_) | Op::Selu { .. } | Op::Softplus(_) => {
+        Op::Sigmoid(_) | Op::Tanh(_) | Op::Relu(_) | Op::Selu(_) | Op::Softplus(_) => {
             KIND_ACTIVATION
         }
         Op::Leaf { .. } => KIND_OTHER,

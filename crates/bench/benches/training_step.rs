@@ -12,20 +12,24 @@
 //! - `after/megabatch` — the production default: the whole batch packed into
 //!   one block-diagonal megabatch, one bind, one fused forward/backward.
 //!
-//! A fourth family, `parallel_backward/shards_N`, runs the same megabatch
-//! step with the intra-batch shard gang at N workers (the block-diagonal
-//! plan's per-sample shards fan out across threads; gradients are reduced in
-//! canonical per-shard order, so every N produces identical bits — pinned by
-//! `tests/sharded_determinism.rs`). Two backward-only families separate the
-//! two sharding generations: `backward/shards_N` runs with the dense row
-//! partitions stripped (per-sample message-passing shards only — the dense
-//! link/node GRU updates and the readout MLP stay sequential, the PR-3
-//! layout), while `backward_dense/shards_N` runs the fully-parallel backward
-//! (dense work row-blocked across the same gang). Their gap at high N is the
-//! sequential dense tail the dense sharding removes — reported as
-//! `dense_sequential_fraction` (≈0 on a 1-core host; multi-core CI is where
-//! it is meaningful). `after/megabatch_unsharded` strips the shard layout
-//! entirely to measure the canonical reduction's single-thread overhead.
+//! `backward/megabatch` is the reverse sweep's share of `after/megabatch`.
+//!
+//! One pair goes through the trainer itself:
+//!
+//! - `train_step/two_compositions` — one step of `train_on_plans` at the
+//!   default `TrainConfig` (batch 8 as two compositions of 4, each on a tape
+//!   of its own over the trainer's `par_iter`, then clip and Adam);
+//! - `train_step/two_compositions_one_tape` — two compositions of 4 stepped
+//!   one after the other on one tape: the same work without a second CPU
+//!   (less clip and Adam, under half a percent of it).
+//!
+//! The derived `tape_per_composition_speedup` is the second over the first:
+//! what the trainer's one axis of parallelism buys on this host. (Not
+//! `after/megabatch` over it: one 8-sample megabatch costs more per sample
+//! than two of 4, so that ratio reads above the core count.) It is the row
+//! the shard gang was measured against before it was deleted
+//! (`docs/ARCHITECTURE.md`, "Why there is no shard gang"); the `baseline` of
+//! the committed file keeps the gang's last rows.
 //!
 //! The composition-layer family measures the batch scheduler's steady state:
 //!
@@ -64,13 +68,13 @@
 //!   kernel's rate.
 //!
 //! The criterion stand-in writes `BENCH_training_step.json` with ns/op and
-//! throughput per variant plus derived speedups (including the per-shard
-//! backward scaling and the epoch≥2 step-time improvement), so ratios are
-//! tracked across PRs. Note: shard speedups only materialize on multi-core
-//! runners; a 1-core container records ~1x.
+//! throughput per variant plus derived speedups (including the epoch≥2
+//! step-time improvement), so ratios are tracked across PRs. Note: the
+//! parallel speedup only materializes on multi-core runners; a 1-core
+//! container leaves a marker in its place.
 
 use criterion::{criterion_group, criterion_main, Criterion, Measurement};
-use rn_autograd::{Graph, WorkerPool};
+use rn_autograd::Graph;
 use rn_dataset::{generate_sample, Dataset, GeneratorConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
@@ -80,23 +84,10 @@ use rn_tensor::simd::activations as vact;
 use routenet::compose::ComposedMegabatch;
 use routenet::entities::{build_megabatch, MegabatchPlan, SamplePlan};
 use routenet::model::PathPredictor;
+use routenet::trainer::train_on_plans;
 use routenet::{ExtendedRouteNet, ModelConfig, TrainConfig};
-use std::sync::Arc;
 
 const BATCH: usize = 8;
-
-/// The golden 1/2/4/8 ladder plus whatever CI injects through the one
-/// centralized `RN_BACKWARD_SHARDS` helper (same source as the trainer and
-/// the determinism suite, so the knob cannot drift).
-fn shard_workers() -> Vec<usize> {
-    let mut workers = vec![1, 2, 4, 8];
-    if let Some(extra) = TrainConfig::env_backward_shards() {
-        if !workers.contains(&extra) {
-            workers.push(extra);
-        }
-    }
-    workers
-}
 
 /// Paper-scale (state_dim=32, T=8) and small-scale (state_dim=8, T=2)
 /// models + plans over the same NSFNET scenario batch. The small pair
@@ -183,7 +174,7 @@ fn fused_pooled_step(model: &ExtendedRouteNet, plans: &[SamplePlan], g: &mut Gra
 }
 
 /// The production default: one fused block-diagonal pass for the batch.
-/// Returns the backward-only nanoseconds (the sharded lever's target).
+/// Returns the backward-only nanoseconds.
 fn megabatch_step(model: &ExtendedRouteNet, mb: &MegabatchPlan, g: &mut Graph) -> f64 {
     g.reset();
     let bound = model.bind(g);
@@ -196,6 +187,25 @@ fn megabatch_step(model: &ExtendedRouteNet, mb: &MegabatchPlan, g: &mut Graph) -
     let backward_ns = t.elapsed().as_nanos() as f64;
     std::hint::black_box(model.grads(g, &bound).len());
     backward_ns
+}
+
+/// Steps per timed `train_on_plans` call. The call builds its own tape pool,
+/// so its first step allocates every buffer; eight steps keep that to an
+/// eighth of one step's allocation in the per-step figure.
+const TRAINER_STEPS: usize = 8;
+
+/// Nanoseconds per optimizer step of the trainer at its defaults: the eight
+/// plans are one batch, two compositions of four.
+fn trainer_step_ns(model: &ExtendedRouteNet, plans: &[SamplePlan]) -> f64 {
+    let mut model = model.clone();
+    let config = TrainConfig {
+        epochs: TRAINER_STEPS,
+        ..TrainConfig::default()
+    };
+    assert_eq!((config.batch_size, config.megabatch_size), (BATCH, 4));
+    let t = std::time::Instant::now();
+    std::hint::black_box(train_on_plans(&mut model, plans, &config).final_train_loss());
+    t.elapsed().as_nanos() as f64 / TRAINER_STEPS as f64
 }
 
 /// `(K, M, N)` of the `kernel/matmul_*` rows: the GRU step's gate product
@@ -271,61 +281,25 @@ fn median(mut xs: Vec<f64>) -> f64 {
 fn bench_training_step(_c: &mut Criterion) {
     let (model, plans, small_model, small_plans) = paper_scale_setup();
     const ROUNDS: usize = 13;
-    let shard_workers = shard_workers();
 
     let parts: Vec<&SamplePlan> = plans.iter().collect();
     let small_parts: Vec<&SamplePlan> = small_plans.iter().collect();
-    // The production megabatch (shard layout precompiled) plus a stripped
-    // copy that runs the unsharded kernels — the honest baseline for the
-    // canonical reduction's single-thread overhead. Without `shards` the
-    // sweep hands the ops no split, so the schedule's per-step shard bounds
-    // go unread.
     let mb = build_megabatch(&parts);
-    let mut mb_unsharded = build_megabatch(&parts);
-    mb_unsharded.plan.shards = None;
-    // Per-sample shards only (dense row partitions stripped): the dense
-    // link/node GRU updates and the readout MLP run sequentially, as they
-    // did before the fully-parallel backward. The gap to `mb` at high
-    // worker counts is the dense sequential tail.
-    let mut mb_dense_seq = build_megabatch(&parts);
-    if let Some(shards) = mb_dense_seq.plan.shards.as_mut() {
-        shards.dense_path_bounds = Arc::default();
-        shards.dense_link_bounds = Arc::default();
-        shards.dense_node_bounds = Arc::default();
-    }
+    // The batch as the trainer's defaults pack it: two compositions of four.
+    let halves: Vec<MegabatchPlan> = plans
+        .chunks(TrainConfig::default().megabatch_size)
+        .map(|chunk| build_megabatch(&chunk.iter().collect::<Vec<_>>()))
+        .collect();
     // The cached composition whose features get refilled every round — the
     // composition-cache-hit / epoch≥2 structure-reuse path.
     let mut cached_composition = ComposedMegabatch::compose(&parts).expect("compose");
     let mb_small = build_megabatch(&small_parts);
 
     let mut pooled_tape = Graph::new();
-    let mut unsharded_tape = Graph::new();
+    let mut megabatch_tape = Graph::new();
+    let mut halves_tape = Graph::new();
     let mut fresh_compose_tape = Graph::new();
     let mut small_tape = Graph::new();
-    // One tape per shard-worker configuration so pooled buffers never mix.
-    let mk_shard_tapes = || -> Vec<(usize, Graph)> {
-        shard_workers
-            .iter()
-            .map(|&w| {
-                let mut g = Graph::new();
-                // shards_1 is the sequential canonical path: no pool at all.
-                if w > 1 {
-                    g.set_worker_pool(Some(Arc::new(WorkerPool::new(w))));
-                }
-                (w, g)
-            })
-            .collect()
-    };
-    let mut shard_tapes = mk_shard_tapes();
-    let mut dense_seq_tapes = mk_shard_tapes();
-    // Dedicated tapes for the canonical-overhead pair: the unsharded-legacy
-    // and sharded-sequential backwards are measured back to back (order
-    // alternating per round) so second-scale machine drift cancels out of
-    // the single_shard_overhead_pct ratio — the same methodology the
-    // fresh-compose/precomposed pair uses. The slower drift across a whole
-    // round otherwise dominates a ≤5% criterion on a shared runner.
-    let mut ov_unsharded_tape = Graph::new();
-    let mut ov_dense_tape = Graph::new();
     // Bulk activation map input: ~1M elements (well past L2) spanning the
     // interesting tanh range, so the row measures streaming kernel
     // throughput, not cache residency.
@@ -338,21 +312,13 @@ fn bench_training_step(_c: &mut Criterion) {
     // Warmup: touch every path once (fills tape pools, faults in pages).
     std::hint::black_box(legacy_step(&model, &plans));
     std::hint::black_box(fused_pooled_step(&model, &plans, &mut pooled_tape));
-    std::hint::black_box(megabatch_step(&model, &mb_unsharded, &mut unsharded_tape));
+    std::hint::black_box(megabatch_step(&model, &mb, &mut megabatch_tape));
     std::hint::black_box(megabatch_step(&model, &mb, &mut fresh_compose_tape));
     std::hint::black_box(megabatch_step(&small_model, &mb_small, &mut small_tape));
-    for (_, tape) in shard_tapes.iter_mut() {
-        std::hint::black_box(megabatch_step(&model, &mb, tape));
+    for half in &halves {
+        std::hint::black_box(megabatch_step(&model, half, &mut halves_tape));
     }
-    for (_, tape) in dense_seq_tapes.iter_mut() {
-        std::hint::black_box(megabatch_step(&model, &mb_dense_seq, tape));
-    }
-    std::hint::black_box(megabatch_step(
-        &model,
-        &mb_unsharded,
-        &mut ov_unsharded_tape,
-    ));
-    std::hint::black_box(megabatch_step(&model, &mb, &mut ov_dense_tape));
+    std::hint::black_box(trainer_step_ns(&model, &plans));
     vact::tanh_map(&act_src, &mut act_dst);
     vact::tanh_map_scalar(&act_src, &mut act_dst);
     std::hint::black_box(act_dst[0]);
@@ -362,19 +328,16 @@ fn bench_training_step(_c: &mut Criterion) {
 
     let mut t_legacy = Vec::with_capacity(ROUNDS);
     let mut t_fused = Vec::with_capacity(ROUNDS);
-    let mut t_unsharded = Vec::with_capacity(ROUNDS);
-    let mut t_unsharded_bwd = Vec::with_capacity(ROUNDS);
+    let mut t_megabatch = Vec::with_capacity(ROUNDS);
+    let mut t_megabatch_bwd = Vec::with_capacity(ROUNDS);
+    let mut t_trainer_step = Vec::with_capacity(ROUNDS);
+    let mut t_halves = Vec::with_capacity(ROUNDS);
     let mut t_compose_fresh = Vec::with_capacity(ROUNDS);
     let mut t_compose_refill = Vec::with_capacity(ROUNDS);
     let mut t_fresh_compose_step = Vec::with_capacity(ROUNDS);
     let mut t_precomposed_step = Vec::with_capacity(ROUNDS);
     let mut t_small_fresh = Vec::with_capacity(ROUNDS);
     let mut t_small_pre = Vec::with_capacity(ROUNDS);
-    let mut t_shard_step: Vec<Vec<f64>> = shard_workers.iter().map(|_| Vec::new()).collect();
-    let mut t_shard_bwd: Vec<Vec<f64>> = shard_workers.iter().map(|_| Vec::new()).collect();
-    let mut t_dense_seq_bwd: Vec<Vec<f64>> = shard_workers.iter().map(|_| Vec::new()).collect();
-    let mut t_ov_unsharded = Vec::with_capacity(ROUNDS);
-    let mut t_ov_dense = Vec::with_capacity(ROUNDS);
     let mut t_act_scalar = Vec::with_capacity(ROUNDS);
     let mut t_act_simd = Vec::with_capacity(ROUNDS);
     let mut t_kernel_nn = KERNEL_SHAPES.map(|_| Vec::with_capacity(ROUNDS));
@@ -389,9 +352,27 @@ fn bench_training_step(_c: &mut Criterion) {
         t_fused.push(t.elapsed().as_nanos() as f64);
 
         let t = std::time::Instant::now();
-        let unsharded_bwd = megabatch_step(&model, &mb_unsharded, &mut unsharded_tape);
-        t_unsharded.push(t.elapsed().as_nanos() as f64);
-        t_unsharded_bwd.push(unsharded_bwd);
+        let backward_ns = megabatch_step(&model, &mb, &mut megabatch_tape);
+        t_megabatch.push(t.elapsed().as_nanos() as f64);
+        t_megabatch_bwd.push(backward_ns);
+
+        // The trainer's step and the same two compositions on one tape,
+        // back to back and in alternating order, so drift within a round
+        // cancels out of their ratio.
+        let mut time_halves = || {
+            let t = std::time::Instant::now();
+            for half in &halves {
+                std::hint::black_box(megabatch_step(&model, half, &mut halves_tape));
+            }
+            t.elapsed().as_nanos() as f64
+        };
+        if round % 2 == 0 {
+            t_trainer_step.push(trainer_step_ns(&model, &plans));
+            t_halves.push(time_halves());
+        } else {
+            t_halves.push(time_halves());
+            t_trainer_step.push(trainer_step_ns(&model, &plans));
+        }
 
         // Composition layer: fresh structure build vs cached-structure
         // feature refill over the same parts.
@@ -448,16 +429,6 @@ fn bench_training_step(_c: &mut Criterion) {
             t_small_fresh.push(time_small_fresh(&mut small_tape));
         }
 
-        for (i, (_, tape)) in shard_tapes.iter_mut().enumerate() {
-            let t = std::time::Instant::now();
-            let backward_ns = megabatch_step(&model, &mb, tape);
-            t_shard_step[i].push(t.elapsed().as_nanos() as f64);
-            t_shard_bwd[i].push(backward_ns);
-        }
-        for (i, (_, tape)) in dense_seq_tapes.iter_mut().enumerate() {
-            t_dense_seq_bwd[i].push(megabatch_step(&model, &mb_dense_seq, tape));
-        }
-
         // Bulk activation map: dispatched kernel vs scalar reference loop,
         // alternating order per round.
         let time_act = |kernel: fn(&[f32], &mut [f32]), dst: &mut Vec<f32>| {
@@ -484,58 +455,18 @@ fn bench_training_step(_c: &mut Criterion) {
                 t_kernel_nn[i].push(pair.time_nn());
             }
         }
-
-        // The adjacent overhead pair (see the tape definitions above).
-        if round % 2 == 0 {
-            t_ov_unsharded.push(megabatch_step(
-                &model,
-                &mb_unsharded,
-                &mut ov_unsharded_tape,
-            ));
-            t_ov_dense.push(megabatch_step(&model, &mb, &mut ov_dense_tape));
-        } else {
-            t_ov_dense.push(megabatch_step(&model, &mb, &mut ov_dense_tape));
-            t_ov_unsharded.push(megabatch_step(
-                &model,
-                &mb_unsharded,
-                &mut ov_unsharded_tape,
-            ));
-        }
     }
 
-    // Extra samples for the overhead pair alone: it feeds a ≤5% acceptance
-    // criterion, so its minima need the best odds of catching an
-    // uncontended run; each pair is only ~2 backward passes, far cheaper
-    // than a full round.
-    for round in 0..2 * ROUNDS {
-        if round % 2 == 0 {
-            t_ov_unsharded.push(megabatch_step(
-                &model,
-                &mb_unsharded,
-                &mut ov_unsharded_tape,
-            ));
-            t_ov_dense.push(megabatch_step(&model, &mb, &mut ov_dense_tape));
-        } else {
-            t_ov_dense.push(megabatch_step(&model, &mb, &mut ov_dense_tape));
-            t_ov_unsharded.push(megabatch_step(
-                &model,
-                &mb_unsharded,
-                &mut ov_unsharded_tape,
-            ));
-        }
-    }
-
-    let (legacy, fused, unsharded) = (median(t_legacy), median(t_fused), median(t_unsharded));
-    let unsharded_bwd = median(t_unsharded_bwd);
+    let (legacy, fused, megabatch) = (median(t_legacy), median(t_fused), median(t_megabatch));
+    let megabatch_bwd = median(t_megabatch_bwd);
+    let trainer_step = median(t_trainer_step);
+    let halves_one_tape = median(t_halves);
     let compose_fresh = median(t_compose_fresh);
     let compose_refill = median(t_compose_refill);
     let fresh_compose_step = median(t_fresh_compose_step);
     let precomposed_step = median(t_precomposed_step);
     let small_fresh = median(t_small_fresh);
     let small_pre = median(t_small_pre);
-    let shard_step: Vec<f64> = t_shard_step.into_iter().map(median).collect();
-    let shard_bwd: Vec<f64> = t_shard_bwd.into_iter().map(median).collect();
-    let dense_seq_bwd: Vec<f64> = t_dense_seq_bwd.into_iter().map(median).collect();
     let act_scalar = median(t_act_scalar);
     let act_simd = median(t_act_simd);
     let kernel_nn = t_kernel_nn.map(median);
@@ -544,8 +475,13 @@ fn bench_training_step(_c: &mut Criterion) {
     let mut rows: Vec<(String, f64)> = vec![
         ("before/legacy_per_sample".into(), legacy),
         ("after/fused_tape_reuse".into(), fused),
-        ("after/megabatch_unsharded".into(), unsharded),
-        ("backward/unsharded".into(), unsharded_bwd),
+        ("after/megabatch".into(), megabatch),
+        ("backward/megabatch".into(), megabatch_bwd),
+        ("train_step/two_compositions".into(), trainer_step),
+        (
+            "train_step/two_compositions_one_tape".into(),
+            halves_one_tape,
+        ),
         ("compose/fresh_build".into(), compose_fresh),
         ("compose/cached_refill".into(), compose_refill),
         // Epoch-1 behavior: per-step compose + step, paired with the
@@ -555,7 +491,6 @@ fn bench_training_step(_c: &mut Criterion) {
         ("after/megabatch_precomposed".into(), precomposed_step),
         ("small/megabatch_fresh_compose".into(), small_fresh),
         ("small/megabatch_precomposed".into(), small_pre),
-        ("after/megabatch".into(), shard_step[0]),
         // The bulk activation map pair (the "avx2" row falls back to the
         // scalar kernel on hosts without AVX2 — the derived key below flags
         // that).
@@ -565,15 +500,6 @@ fn bench_training_step(_c: &mut Criterion) {
     for (i, (k, m, n)) in KERNEL_SHAPES.into_iter().enumerate() {
         rows.push((format!("kernel/matmul_nn_{k}x{m}x{n}"), kernel_nn[i]));
         rows.push((format!("kernel/matmul_tn_{k}x{m}x{n}"), kernel_tn[i]));
-    }
-    for (i, &w) in shard_workers.iter().enumerate() {
-        rows.push((format!("parallel_backward/shards_{w}"), shard_step[i]));
-        // backward/shards_N: per-sample shards only, dense work sequential
-        // (the PR-3 layout, kept for cross-PR comparability);
-        // backward_dense/shards_N: the fully-parallel backward with the
-        // dense GRU/readout work row-blocked across the same gang.
-        rows.push((format!("backward/shards_{w}"), dense_seq_bwd[i]));
-        rows.push((format!("backward_dense/shards_{w}"), shard_bwd[i]));
     }
     let results: Vec<Measurement> = rows
         .iter()
@@ -589,40 +515,11 @@ fn bench_training_step(_c: &mut Criterion) {
             m.id, m.ns_per_op, m.ops_per_sec
         );
     }
-    let speedup_mega = legacy / shard_step[0];
+    let speedup_mega = legacy / megabatch;
     let speedup_fused = legacy / fused;
-    // backward_speedup_* keeps its historical family (backward/shards_N =
-    // per-sample shards only, dense sequential — what the rows measured in
-    // earlier PRs); the fully-parallel layout's scaling gets its own
-    // backward_dense_speedup_* keys.
-    let backward_speedup_2 = dense_seq_bwd[0] / dense_seq_bwd[1];
-    let backward_speedup_4 = dense_seq_bwd[0] / dense_seq_bwd[2];
-    let backward_speedup_8 = dense_seq_bwd[0] / dense_seq_bwd[3];
-    let backward_dense_speedup_2 = shard_bwd[0] / shard_bwd[1];
-    let backward_dense_speedup_4 = shard_bwd[0] / shard_bwd[2];
-    let backward_dense_speedup_8 = shard_bwd[0] / shard_bwd[3];
-    let step_speedup_4 = shard_step[0] / shard_step[2];
-    // Canonical sharded reduction (now including the dense GRU/readout row
-    // blocking) vs the legacy kernels on one thread, backward to backward
-    // (the step-level ratio folds in forward noise): positive percentage =
-    // overhead (acceptance: <= 5%). Computed from the ADJACENT
-    // alternating-order pair, and as a ratio of MINIMA rather than
-    // medians: on this shared runner, scheduler interference adds 10-25%
-    // to individual ~100 ms measurements often enough to swamp a 5%
-    // criterion in either direction, while the per-variant minimum
-    // approaches the true uncontended cost (interference only ever adds
-    // time — the `timeit`/hyperfine argument).
-    let best = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
-    let single_shard_overhead_pct = (best(&t_ov_dense) / best(&t_ov_unsharded) - 1.0) * 100.0;
-    let single_shard_step_overhead_pct = (shard_step[0] / unsharded - 1.0) * 100.0;
-    // The dense sequential tail: at the top of the worker ladder the
-    // per-sample-sharded backward still runs the dense link/node GRU
-    // updates and the readout MLP on one thread; the fully-parallel
-    // backward row-blocks them. Their relative gap is the Amdahl fraction
-    // the dense sharding removes (≈0 — pure noise — on a 1-core host;
-    // multi-core CI is where this number is meaningful).
-    let top = shard_workers.len() - 1;
-    let dense_sequential_fraction = (dense_seq_bwd[top] - shard_bwd[top]) / dense_seq_bwd[top];
+    // Two compositions on one tape and one thread, over the trainer's step:
+    // two compositions, a tape and a worker each.
+    let tape_per_composition_speedup = halves_one_tape / trainer_step;
     // Composition-layer ratios. Cached refill vs fresh build is measured
     // directly (both are sub-ms and stable). The paper-scale epoch>=2 step
     // speedup is assembled from the component medians — compose cost is
@@ -635,61 +532,29 @@ fn bench_training_step(_c: &mut Criterion) {
     let small_epoch2_step_speedup = small_fresh / small_pre;
     let compose_pct_of_step = compose_fresh / precomposed_step * 100.0;
     let compose_pct_of_small_step = compose_fresh / small_pre * 100.0;
-    eprintln!(
-        "speedup legacy->megabatch: {speedup_mega:.2}x; backward shards 1->4: \
-         {backward_speedup_4:.2}x (2: {backward_speedup_2:.2}x, 8: {backward_speedup_8:.2}x; \
-         fully-parallel dense 4: {backward_dense_speedup_4:.2}x); \
-         single-shard overhead {single_shard_overhead_pct:+.1}%; \
-         dense sequential fraction {dense_sequential_fraction:+.3}; \
-         compose fresh->refill {compose_refill_speedup:.1}x, epoch>=2 step \
-         {epoch2_step_speedup:.4}x (small-scale {small_epoch2_step_speedup:.3}x, \
-         compose = {compose_pct_of_small_step:.1}% of the small step) \
-         [{} cores available]",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
     let bench_host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    eprintln!(
+        "speedup legacy->megabatch: {speedup_mega:.2}x; tape per composition \
+         {tape_per_composition_speedup:.2}x; compose fresh->refill \
+         {compose_refill_speedup:.1}x, epoch>=2 step {epoch2_step_speedup:.4}x (small-scale \
+         {small_epoch2_step_speedup:.3}x, compose = {compose_pct_of_small_step:.1}% of the small \
+         step) [{bench_host_cores} cores available]"
+    );
     let mut derived: Vec<(&str, f64)> = vec![
         ("speedup_megabatch_vs_legacy", speedup_mega),
         ("speedup_fused_tape_reuse_vs_legacy", speedup_fused),
     ];
     if bench_host_cores > 1 {
-        // The shard-scaling ratios only mean something when the gang can
-        // actually run in parallel; on a 1-core host every "speedup" is a
-        // ratio of two serialized timings — pure scheduler noise that has
-        // been misread as a regression before. Omit them and leave a
-        // marker instead so downstream tooling can tell "not measured"
-        // from "measured at 1.0x".
-        derived.extend([
-            ("backward_speedup_2_shards_vs_1", backward_speedup_2),
-            ("backward_speedup_4_shards_vs_1", backward_speedup_4),
-            ("backward_speedup_8_shards_vs_1", backward_speedup_8),
-            (
-                "backward_dense_speedup_2_shards_vs_1",
-                backward_dense_speedup_2,
-            ),
-            (
-                "backward_dense_speedup_4_shards_vs_1",
-                backward_dense_speedup_4,
-            ),
-            (
-                "backward_dense_speedup_8_shards_vs_1",
-                backward_dense_speedup_8,
-            ),
-            ("step_speedup_4_shards_vs_1", step_speedup_4),
-            ("dense_sequential_fraction", dense_sequential_fraction),
-        ]);
+        derived.push(("tape_per_composition_speedup", tape_per_composition_speedup));
     } else {
+        // With one core the two compositions run one after the other and
+        // the ratio is two serialized timings — scheduler noise that has
+        // been misread as a regression before. Leave a marker instead, so
+        // downstream tooling can tell "not measured" from "measured at
+        // 1.0x".
         derived.push(("speedups_suppressed_single_core", 1.0));
     }
     derived.extend([
-        // Overhead percentages stay unconditional: they compare the sharded
-        // machinery against the legacy kernels on the SAME single thread,
-        // which a 1-core host measures fine.
-        ("single_shard_overhead_pct", single_shard_overhead_pct),
-        (
-            "single_shard_step_overhead_pct",
-            single_shard_step_overhead_pct,
-        ),
         ("compose_refill_speedup_vs_fresh", compose_refill_speedup),
         ("epoch2_step_speedup_vs_fresh_compose", epoch2_step_speedup),
         (

@@ -24,9 +24,6 @@
 //! | `RN_SCALING_PAIRS` | `256` | active traffic pairs per giant sample |
 //! | `RN_SCALING_EVAL_SAMPLES` | `3` | samples per eval size |
 //! | `RN_SCALING_MAX_RSS_MB` | unset | exit non-zero if peak RSS exceeds this |
-//!
-//! Set `RN_INTRA_SHARDS` to fan out the dense phases of the giant
-//! single-sample compositions across cores.
 
 use rn_bench::{cached_dataset, env_f64, env_usize, peak_rss_mb, ExperimentConfig};
 use rn_netgraph::generators::{isp_tiered, TierConfig};

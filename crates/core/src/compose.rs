@@ -6,16 +6,15 @@
 //! of graph shapes*: what changes between samples is traffic, capacities and
 //! queue profiles, not the CSR structure message passing runs over. Yet a
 //! fresh [`build_megabatch`](crate::entities::build_megabatch) redoes all of
-//! the shape-dependent work — schedule merging, shard-bound precomputation —
-//! for every batch, even when the batch has exactly the ordered sample shapes
-//! of the previous one.
+//! the shape-dependent work — merging the schedules, shifting every id into
+//! the union spaces — for every batch, even when the batch has exactly the
+//! ordered sample shapes of the previous one.
 //!
 //! This module splits megabatch assembly into:
 //!
 //! - [`MegabatchStructure`] — everything **shape-dependent**: the merged
-//!   block-diagonal schedule (per-step compaction lists and `shard_bounds`),
-//!   entity offsets, pairs, incidences and the per-sample shard layout.
-//!   Expensive to build, reusable for any batch
+//!   block-diagonal schedule (per-step compaction lists), entity offsets,
+//!   pairs and incidences. Expensive to build, reusable for any batch
 //!   whose ordered per-sample [structure
 //!   fingerprints](crate::entities::SamplePlan::structure_fingerprint) match.
 //! - [`MegabatchFeatures`] — everything **per-batch**: the stacked initial
@@ -31,7 +30,7 @@
 //! extraction writes, through the same code path — so a cached composition
 //! with refilled features is bitwise identical to a fresh build by
 //! construction. The golden suite (`tests/composed_equivalence.rs`) pins
-//! this down across shard-worker counts and model hot-swaps.
+//! this down, across model hot-swaps too.
 //!
 //! [`CompositionCache`] is the LRU that makes recurring batch shapes free:
 //! keyed by the ordered tuple of per-sample structure fingerprints, entries
@@ -40,47 +39,13 @@
 //! composition's buffers.
 
 use crate::entities::{
-    balanced_row_bounds, copy_rows, CompiledSteps, EntityKind, MegabatchError, MegabatchPlan,
-    PlanShards, SamplePlan,
+    copy_rows, CompiledSteps, EntityKind, MegabatchError, MegabatchPlan, SamplePlan,
 };
 use crate::plan_cache::Fingerprint;
 use rn_tensor::Matrix;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-// ---------------------------------------------------------------------------
-// Intra-sample shard knob
-// ---------------------------------------------------------------------------
-
-/// The env var setting the ambient **intra-sample** dense shard count picked
-/// up by [`MegabatchStructure::compose`] / [`ComposedMegabatch::compose`]
-/// when a composition holds a single sample. Giant single-sample plans
-/// (ISP-scale topologies) otherwise run fully unsharded; with
-/// `RN_INTRA_SHARDS=N` (N > 1) their dense per-row work — the link/node GRU
-/// entity updates and the readout MLP — fans out over N balanced row blocks
-/// while message passing keeps the exact single-shard schedule.
-/// Explicit callers pass the count to
-/// [`MegabatchStructure::compose_with`] instead of mutating the environment.
-pub const INTRA_SHARDS_ENV: &str = "RN_INTRA_SHARDS";
-
-/// Interpret a raw `RN_INTRA_SHARDS` value: integers above 1 apply
-/// (surrounding whitespace tolerated); anything else — unset, garbage,
-/// `0`, `1` — means "disabled" and returns 1. Pure and unit-testable, so
-/// tests exercise the parser instead of mutating process-global env state
-/// under a multi-threaded harness.
-pub fn parse_intra_shards(raw: Option<&str>) -> usize {
-    raw.and_then(|r| r.trim().parse::<usize>().ok())
-        .filter(|&n| n > 1)
-        .unwrap_or(1)
-}
-
-/// The ambient intra-sample shard count: [`INTRA_SHARDS_ENV`] run through
-/// [`parse_intra_shards`]. Read per composition — composing is orders of
-/// magnitude more expensive than a `getenv`.
-pub fn env_intra_shards() -> usize {
-    parse_intra_shards(std::env::var(INTRA_SHARDS_ENV).ok().as_deref())
-}
+use std::sync::{Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Structure
@@ -116,49 +81,20 @@ pub struct MegabatchStructure {
     pub part_fps: Vec<u64>,
     /// Merged `(src, dst)` pairs in the union node id space.
     pub pairs: Vec<(usize, usize)>,
-    /// The merged schedule (rows and ids shifted into the union spaces),
-    /// shard bounds included when the plan is sharded.
+    /// The merged schedule (rows and ids shifted into the union spaces).
     pub schedule: CompiledSteps,
     /// Merged path→node incidence rows.
     pub node_incidence_paths: Vec<usize>,
     /// Merged path→node incidence node ids.
     pub node_incidence_nodes: Vec<usize>,
-    /// Per-sample shard layout (`None` for single-part compositions, which
-    /// run unsharded).
-    pub shards: Option<PlanShards>,
     /// Per-part path row ranges `[start, end)`.
     pub path_ranges: Vec<(usize, usize)>,
 }
 
 impl MegabatchStructure {
     /// Compose the shape-dependent state of a block-diagonal megabatch from
-    /// `parts` — the expensive half of `build_megabatch`. Single-sample
-    /// compositions honor the ambient [`INTRA_SHARDS_ENV`] dense shard
-    /// count; see [`MegabatchStructure::compose_with`].
+    /// `parts` — the expensive half of `build_megabatch`.
     pub fn compose(parts: &[&SamplePlan]) -> Result<Self, MegabatchError> {
-        Self::compose_with(parts, env_intra_shards())
-    }
-
-    /// [`MegabatchStructure::compose`] with an explicit intra-sample dense
-    /// shard count instead of the `RN_INTRA_SHARDS` ambient default.
-    ///
-    /// `intra_shards` only matters for **single-sample** compositions:
-    /// multi-sample batches already shard per sample. A single sample cannot
-    /// be subdivided along sample boundaries — splitting its paths across
-    /// message shards would interleave scatter-adds into shared entity rows
-    /// and change float associativity — so with `intra_shards > 1` message
-    /// passing keeps the single-shard schedule and only the
-    /// dense per-row work (link/node GRU updates, readout MLP), which has no
-    /// block-diagonal constraint, fans out over `intra_shards` balanced row
-    /// blocks. Forward output is bitwise identical to the unsharded plan at
-    /// any value; weight gradients are summed per block, a different
-    /// grouping, so they agree with the unsharded ones only to rounding and
-    /// depend on `intra_shards` (not on the worker count) —
-    /// `tests/sharded_determinism.rs` pins both.
-    pub fn compose_with(
-        parts: &[&SamplePlan],
-        intra_shards: usize,
-    ) -> Result<Self, MegabatchError> {
         if parts.is_empty() {
             return Err(MegabatchError::EmptyBatch);
         }
@@ -242,55 +178,7 @@ impl MegabatchStructure {
             path_ranges.push((path_off[b], path_off[b] + p.n_paths));
         }
 
-        // Shard layout: per-sample row bounds in every entity space, plus the
-        // per-step splits of the schedule's active lists. A single-sample
-        // "megabatch" runs fully unsharded by default, or (with
-        // `intra_shards > 1`) with single-shard message passing plus
-        // balanced dense row blocks, which is the same arithmetic in the
-        // same order.
-        let shards = if parts.len() > 1 {
-            let close = |offs: &[usize], total: usize| -> Arc<[usize]> {
-                offs.iter().copied().chain([total]).collect()
-            };
-            Some(PlanShards {
-                path_bounds: close(&path_off, n_paths),
-                link_bounds: close(&link_off, num_links),
-                node_bounds: close(&node_off, num_nodes),
-                queue_bounds: close(&queue_off, num_queues),
-                // Dense ops (readout MLP, link/node/queue GRU updates) have
-                // no block-diagonal constraint, so their shard partition is
-                // balanced rather than per-sample — ragged batches then
-                // spread the dense rows evenly over the gang.
-                dense_path_bounds: balanced_row_bounds(n_paths, parts.len()).into(),
-                dense_link_bounds: balanced_row_bounds(num_links, parts.len()).into(),
-                dense_node_bounds: balanced_row_bounds(num_nodes, parts.len()).into(),
-                dense_queue_bounds: balanced_row_bounds(num_queues, parts.len()).into(),
-            })
-        } else if intra_shards > 1 {
-            // Intra-sample sharding for giant single-sample plans: the
-            // message-passing sweep stays one shard — its scatter-adds into
-            // shared entity rows cannot be split without changing float
-            // associativity — while the dense per-row bulk fans out.
-            Some(PlanShards {
-                path_bounds: [0, n_paths].into(),
-                link_bounds: [0, num_links].into(),
-                node_bounds: [0, num_nodes].into(),
-                queue_bounds: [0, num_queues].into(),
-                dense_path_bounds: balanced_row_bounds(n_paths, intra_shards).into(),
-                dense_link_bounds: balanced_row_bounds(num_links, intra_shards).into(),
-                dense_node_bounds: balanced_row_bounds(num_nodes, intra_shards).into(),
-                dense_queue_bounds: balanced_row_bounds(num_queues, intra_shards).into(),
-            })
-        } else {
-            None
-        };
-        let schedule = CompiledSteps::new(
-            kinds,
-            active_offsets,
-            active_rows,
-            active_ids,
-            shards.as_ref().map(|sh| &*sh.path_bounds),
-        );
+        let schedule = CompiledSteps::new(kinds, active_offsets, active_rows, active_ids);
         let part_fps = parts.iter().map(|p| p.structure_fingerprint()).collect();
         Ok(Self {
             state_dim,
@@ -307,7 +195,6 @@ impl MegabatchStructure {
             schedule,
             node_incidence_paths,
             node_incidence_nodes,
-            shards,
             path_ranges,
         })
     }
@@ -467,19 +354,9 @@ pub struct ComposedMegabatch {
 impl ComposedMegabatch {
     /// Compose structure, extract features and assemble — exactly what a
     /// fresh [`build_megabatch`](crate::entities::build_megabatch) does
-    /// (that function is implemented as this call). Single-sample
-    /// compositions honor the ambient [`INTRA_SHARDS_ENV`] count.
+    /// (that function is implemented as this call).
     pub fn compose(parts: &[&SamplePlan]) -> Result<Self, MegabatchError> {
-        Self::compose_with(parts, env_intra_shards())
-    }
-
-    /// [`ComposedMegabatch::compose`] with an explicit intra-sample dense
-    /// shard count (see [`MegabatchStructure::compose_with`]).
-    pub fn compose_with(
-        parts: &[&SamplePlan],
-        intra_shards: usize,
-    ) -> Result<Self, MegabatchError> {
-        let structure = MegabatchStructure::compose_with(parts, intra_shards)?;
+        let structure = MegabatchStructure::compose(parts)?;
         let features = MegabatchFeatures::extract(&structure, parts);
         Ok(Self::assemble(structure, features, parts))
     }
@@ -519,7 +396,6 @@ impl ComposedMegabatch {
                     targets_norm: features.targets_norm,
                     targets_raw: features.targets_raw,
                     reliable_idx: features.reliable_idx,
-                    shards: structure.shards,
                     structure_fp: OnceLock::new(),
                     reliable_shared: OnceLock::new(),
                 },
@@ -947,7 +823,6 @@ mod tests {
         assert_eq!(a.reliable_samples, b.reliable_samples);
         assert_eq!(a.path_ranges, b.path_ranges);
         assert_eq!(a.plan.schedule, b.plan.schedule);
-        assert_eq!(a.plan.shards, b.plan.shards);
         assert_eq!(a.plan.pairs, b.plan.pairs);
         assert_eq!(a.plan.node_incidence_paths, b.plan.node_incidence_paths);
         assert_eq!(a.plan.node_incidence_nodes, b.plan.node_incidence_nodes);
@@ -1097,78 +972,5 @@ mod tests {
         let narrow_key = CompositionCache::key_of(&[&narrow]);
         assert!(cache.checkout(&wide_key).is_some(), "survivor is keyable");
         assert!(cache.checkout(&narrow_key).is_none(), "stale width purged");
-    }
-
-    #[test]
-    fn single_part_composition_stays_unsharded_by_default() {
-        let samples = toy_samples(1, 97);
-        let p = prep();
-        let cfg = config(&p);
-        let plan = build_plan(&samples[0], &cfg);
-        // intra_shards == 1 (the unset-env default): fully unsharded.
-        let composed = ComposedMegabatch::compose_with(&[&plan], 1).unwrap();
-        assert!(composed.plan().shards.is_none());
-        assert_eq!(composed.plan().schedule.num_shards, 0);
-    }
-
-    #[test]
-    fn single_part_intra_sharding_splits_dense_work_only() {
-        let samples = toy_samples(1, 97);
-        let p = prep();
-        let cfg = config(&p);
-        let plan = build_plan(&samples[0], &cfg);
-        let composed = ComposedMegabatch::compose_with(&[&plan], 4).unwrap();
-        let mb = composed.plan();
-        let shards = mb.shards.as_ref().expect("intra-sharded plan");
-        // Message passing: one shard spanning the whole sample — the exact
-        // unsharded schedule.
-        assert_eq!(*shards.path_bounds, [0, mb.n_paths]);
-        assert_eq!(*shards.link_bounds, [0, mb.num_links]);
-        assert_eq!(*shards.node_bounds, [0, mb.num_nodes]);
-        assert_eq!(mb.schedule.num_shards, 1);
-        // Dense work: four balanced row blocks per entity space.
-        let dense_link = shards.dense_entity(EntityKind::Link);
-        let dense_node = shards.dense_entity(EntityKind::Node);
-        for (bounds, total) in [
-            (shards.dense_path().expect("dense path"), mb.n_paths),
-            (dense_link.expect("dense link"), mb.num_links),
-            (dense_node.expect("dense node"), mb.num_nodes),
-        ] {
-            let bounds = bounds.as_slice();
-            assert_eq!(bounds.len(), 5);
-            assert_eq!(bounds[0], 0);
-            assert_eq!(*bounds.last().unwrap(), total);
-            assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-        }
-        // Structure aside, the sharded composition carries the exact same
-        // features as the unsharded one.
-        let legacy = ComposedMegabatch::compose_with(&[&plan], 1).unwrap();
-        assert!(composed
-            .plan()
-            .path_init
-            .approx_eq(&legacy.plan().path_init, 0.0));
-        assert!(composed
-            .plan()
-            .targets_norm
-            .approx_eq(&legacy.plan().targets_norm, 0.0));
-        assert_eq!(composed.plan().reliable_idx, legacy.plan().reliable_idx);
-    }
-
-    #[test]
-    fn intra_shards_env_parsing_is_centralized() {
-        // The one place RN_INTRA_SHARDS is interpreted; the parser is pure
-        // so tests never mutate process-global env state.
-        assert_eq!(INTRA_SHARDS_ENV, "RN_INTRA_SHARDS");
-        assert_eq!(parse_intra_shards(None), 1, "unset -> disabled");
-        assert_eq!(parse_intra_shards(Some("4")), 4);
-        assert_eq!(parse_intra_shards(Some(" 8 ")), 8, "whitespace tolerated");
-        assert_eq!(parse_intra_shards(Some("1")), 1, "1 means disabled");
-        assert_eq!(parse_intra_shards(Some("0")), 1, "0 ignored");
-        assert_eq!(parse_intra_shards(Some("lots")), 1, "garbage ignored");
-        assert_eq!(parse_intra_shards(Some("")), 1);
-        assert_eq!(parse_intra_shards(Some("-2")), 1);
-        // The live lookup agrees with the parser on the ambient env.
-        let ambient = std::env::var(INTRA_SHARDS_ENV).ok();
-        assert_eq!(env_intra_shards(), parse_intra_shards(ambient.as_deref()));
     }
 }

@@ -101,48 +101,28 @@ pub struct CompiledSteps {
     pub active_rows_flat: Arc<[usize]>,
     /// Entity id per active row, aligned with `active_rows_flat`.
     pub active_ids_flat: Arc<[usize]>,
-    /// Megabatch shard bounds into each step's active list, flat with
-    /// stride `num_shards + 1`: step `s`, shard `b` covers active entries
-    /// `shard_bounds[s*(num_shards+1)+b] .. ..+b+1` (offsets relative to
-    /// the step's active slice). Empty when the plan is unsharded.
-    pub shard_bounds: Arc<[usize]>,
-    /// Number of shards (samples) the plan was packed from; 0 = unsharded.
-    pub num_shards: usize,
 }
 
 impl CompiledSteps {
-    /// Assemble a schedule from its CSR parts. `path_bounds` (`B + 1`
-    /// ascending per-sample path row bounds of a block-diagonal megabatch)
-    /// precompiles the per-step shard bounds: each step's active rows are
-    /// ascending, so every sample's slice of the active list is found by
-    /// binary search; the bounds are relative to the step's active slice and
-    /// feed straight into the sharded tape ops. `None` leaves the schedule
-    /// unsharded.
+    /// Assemble a schedule from its CSR parts.
     pub fn new(
         kinds: Vec<EntityKind>,
         active_offsets: Vec<usize>,
         active_rows_flat: Vec<usize>,
         active_ids_flat: Vec<usize>,
-        path_bounds: Option<&[usize]>,
     ) -> Self {
         assert_eq!(active_offsets.len(), kinds.len() + 1, "CSR pointer length");
         assert_eq!(active_rows_flat.len(), active_ids_flat.len());
-        let mut shard_bounds = Vec::new();
-        let num_shards = path_bounds.map_or(0, |b| b.len().saturating_sub(1));
-        for window in active_offsets.windows(2) {
-            let active = &active_rows_flat[window[0]..window[1]];
-            debug_assert!(active.windows(2).all(|w| w[0] < w[1]));
-            for &bound in path_bounds.unwrap_or(&[]) {
-                shard_bounds.push(active.partition_point(|&row| row < bound));
-            }
-        }
+        debug_assert!(active_offsets.windows(2).all(|w| {
+            active_rows_flat[w[0]..w[1]]
+                .windows(2)
+                .all(|rows| rows[0] < rows[1])
+        }));
         Self {
             kinds,
             active_offsets,
             active_rows_flat: active_rows_flat.into(),
             active_ids_flat: active_ids_flat.into(),
-            shard_bounds: shard_bounds.into(),
-            num_shards,
         }
     }
 
@@ -171,13 +151,6 @@ impl CompiledSteps {
         &self.active_ids_flat[self.active_offsets[s]..self.active_offsets[s + 1]]
     }
 
-    /// The shard bounds of step `s` (len `num_shards + 1`, offsets relative
-    /// to the step's active slice). Panics when the plan is unsharded.
-    pub fn step_shard_bounds(&self, s: usize) -> &[usize] {
-        let stride = self.num_shards + 1;
-        &self.shard_bounds[s * stride..(s + 1) * stride]
-    }
-
     /// [`CompiledSteps::active_rows`] as a refcounted window the tape stores
     /// without copying the indices.
     pub fn shared_active_rows(&self, s: usize) -> SharedIndices {
@@ -196,112 +169,6 @@ impl CompiledSteps {
             self.active_offsets[s + 1],
         )
     }
-
-    /// [`CompiledSteps::step_shard_bounds`] as a refcounted window. Panics
-    /// when the plan is unsharded, like its borrowing counterpart.
-    pub fn shared_step_shard_bounds(&self, s: usize) -> SharedIndices {
-        let stride = self.num_shards + 1;
-        SharedIndices::new(self.shard_bounds.clone(), s * stride, (s + 1) * stride)
-    }
-}
-
-/// Per-sample row bounds of a block-diagonal megabatch plan — the shard
-/// layout the fused forward/backward passes parallelize over.
-///
-/// The per-sample vectors have `B + 1` ascending entries; sample `b` owns
-/// path rows `path_bounds[b]..path_bounds[b+1]`, link rows
-/// `link_bounds[b]..link_bounds[b+1]` and node rows
-/// `node_bounds[b]..node_bounds[b+1]`. Because the megabatch is
-/// block-diagonal, a shard's gathers and scatters never leave its own
-/// ranges, which is what lets shards run on separate threads with **bitwise
-/// identical** results. Like the schedule's buffers, every bound vector is an
-/// `Arc<[usize]>` the tape records by refcount.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanShards {
-    /// Per-sample path row bounds (len `B + 1`).
-    pub path_bounds: Arc<[usize]>,
-    /// Per-sample directed-link row bounds (len `B + 1`).
-    pub link_bounds: Arc<[usize]>,
-    /// Per-sample node row bounds (len `B + 1`).
-    pub node_bounds: Arc<[usize]>,
-    /// Per-sample queue row bounds (len `B + 1`; all-zero spans for packs
-    /// without queue entities).
-    pub queue_bounds: Arc<[usize]>,
-    /// Balanced row-block bounds over the **path** rows for the dense
-    /// per-row work — the readout MLP forward/backward (len `B + 1`, built
-    /// by [`balanced_row_bounds`]). Unlike the per-sample bounds above,
-    /// dense ops touch every row independently, so the partition need not
-    /// follow sample boundaries: balanced blocks keep ragged batches from
-    /// leaving workers idle. Empty disables dense sharding.
-    pub dense_path_bounds: Arc<[usize]>,
-    /// Balanced row-block bounds over the link rows for the dense link-GRU
-    /// entity update (len `B + 1`, empty = dense sharding disabled).
-    pub dense_link_bounds: Arc<[usize]>,
-    /// Balanced row-block bounds over the node rows for the dense node-GRU
-    /// entity update (len `B + 1`, empty = dense sharding disabled).
-    pub dense_node_bounds: Arc<[usize]>,
-    /// Balanced row-block bounds over the queue rows for the dense queue-GRU
-    /// entity update (len `B + 1`, empty = dense sharding disabled or no
-    /// queue entities).
-    pub dense_queue_bounds: Arc<[usize]>,
-}
-
-/// Evenly balanced row-block bounds: `shards` contiguous blocks covering
-/// `0..total` whose sizes differ by at most one row (`bounds[s] = s * total
-/// / shards`, `shards + 1` ascending entries). Every row lands in exactly
-/// one block; blocks may be empty when `total < shards`. This is the dense
-/// shard partition — any contiguous partition is bitwise-safe for dense
-/// ops, so the balanced one is chosen for load balance on ragged batches.
-pub fn balanced_row_bounds(total: usize, shards: usize) -> Vec<usize> {
-    let shards = shards.max(1);
-    (0..=shards).map(|s| s * total / shards).collect()
-}
-
-impl PlanShards {
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.path_bounds.len().saturating_sub(1)
-    }
-
-    /// True when there are no shards.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The per-sample path row bounds, as the tape records them.
-    pub fn shared_path_bounds(&self) -> SharedIndices {
-        SharedIndices::full(self.path_bounds.clone())
-    }
-
-    /// The per-sample entity row bounds for a step of the given kind.
-    pub fn entity_bounds(&self, kind: EntityKind) -> SharedIndices {
-        SharedIndices::full(match kind {
-            EntityKind::Link => self.link_bounds.clone(),
-            EntityKind::Node => self.node_bounds.clone(),
-            EntityKind::Queue => self.queue_bounds.clone(),
-        })
-    }
-
-    /// The dense row partition for the readout MLP (path rows), or `None`
-    /// when dense sharding is disabled (bounds stripped or degenerate).
-    pub fn dense_path(&self) -> Option<SharedIndices> {
-        dense_partition(&self.dense_path_bounds)
-    }
-
-    /// The dense row partition for the GRU update of the given entity kind,
-    /// if enabled.
-    pub fn dense_entity(&self, kind: EntityKind) -> Option<SharedIndices> {
-        dense_partition(match kind {
-            EntityKind::Link => &self.dense_link_bounds,
-            EntityKind::Node => &self.dense_node_bounds,
-            EntityKind::Queue => &self.dense_queue_bounds,
-        })
-    }
-}
-
-/// A dense bounds vector as a partition, when it actually splits the rows.
-fn dense_partition(bounds: &Arc<[usize]>) -> Option<SharedIndices> {
-    (bounds.len() > 2).then(|| SharedIndices::full(bounds.clone()))
 }
 
 /// Precomputed forward-pass inputs for one sample.
@@ -347,11 +214,6 @@ pub struct SamplePlan {
     pub targets_raw: Vec<f64>,
     /// Rows whose labels are reliable enough to train/evaluate on.
     pub reliable_idx: Vec<usize>,
-    /// Megabatch shard layout (`None` for single-sample plans). When set,
-    /// the fused sweep records shard descriptors on its tape nodes, enabling
-    /// the parallel sharded backward and its canonical per-shard gradient
-    /// reduction.
-    pub shards: Option<PlanShards>,
     /// Memoized structure fingerprint (see
     /// [`SamplePlan::structure_fingerprint`]): computed on first use, shared
     /// by clones. Covers only the shape-dependent parts of the plan, so it
@@ -569,13 +431,12 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         link_init,
         node_init,
         queue_init,
-        schedule: CompiledSteps::new(kinds, active_offsets, active_rows, active_ids, None),
+        schedule: CompiledSteps::new(kinds, active_offsets, active_rows, active_ids),
         node_incidence_paths,
         node_incidence_nodes,
         targets_norm,
         targets_raw,
         reliable_idx,
-        shards: None,
         structure_fp: OnceLock::new(),
         reliable_shared: OnceLock::new(),
     }
@@ -680,11 +541,6 @@ impl std::error::Error for MegabatchError {}
 /// let mb = build_megabatch(&parts);
 /// assert_eq!(mb.plan.n_paths, plans[0].n_paths + plans[1].n_paths);
 /// assert_eq!(mb.path_ranges.len(), 2);
-/// // Multi-sample packs precompile the shard layout the parallel backward
-/// // fans out over (1-sample packs stay unsharded).
-/// let shards = mb.plan.shards.as_ref().unwrap();
-/// assert_eq!(shards.len(), 2);
-/// assert!(shards.dense_path().is_some());
 /// ```
 pub fn build_megabatch(parts: &[&SamplePlan]) -> MegabatchPlan {
     match try_build_megabatch(parts) {
@@ -1166,132 +1022,6 @@ mod tests {
                 .sum();
             assert!((sum - 1.0).abs() < 1e-5, "sample {b} weight sum {sum}");
         }
-    }
-
-    #[test]
-    fn megabatch_shard_layout_is_disjoint_complete_and_sample_aligned() {
-        let topo = topologies::toy5();
-        let config = GeneratorConfig {
-            sim: SimConfig {
-                duration_s: 60.0,
-                warmup_s: 10.0,
-                ..SimConfig::default()
-            },
-            ..GeneratorConfig::default()
-        };
-        let ds = generate(&topo, &config, 34, 3);
-        let delays: Vec<f64> = ds
-            .samples
-            .iter()
-            .flat_map(|s| s.targets.iter().map(|t| t.mean_delay_s.max(1e-6)))
-            .collect();
-        let prep = preprocessing(&delays);
-        let cfg = plan_config(&prep);
-        let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| build_plan(s, &cfg)).collect();
-        let parts: Vec<&SamplePlan> = plans.iter().collect();
-        let mb = build_megabatch(&parts);
-
-        let shards = mb.plan.shards.as_ref().expect("megabatch must shard");
-        assert_eq!(shards.len(), 3);
-        assert_eq!(*shards.path_bounds, [0, 20, 40, 60]);
-        assert_eq!(*shards.link_bounds.last().unwrap(), mb.plan.num_links);
-        assert_eq!(*shards.node_bounds.last().unwrap(), mb.plan.num_nodes);
-
-        let csr = &mb.plan.schedule;
-        assert_eq!(csr.num_shards, 3);
-        for s in 0..csr.len() {
-            let bounds = csr.step_shard_bounds(s);
-            let active = csr.active_rows(s);
-            // Complete and disjoint: ascending bounds spanning the list.
-            assert_eq!(bounds[0], 0);
-            assert_eq!(*bounds.last().unwrap(), active.len());
-            assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-            // Sample-aligned: shard b's rows live in b's path range.
-            for b in 0..3 {
-                for &row in &active[bounds[b]..bounds[b + 1]] {
-                    assert!(
-                        row >= shards.path_bounds[b] && row < shards.path_bounds[b + 1],
-                        "step {s} shard {b}: row {row} outside sample range"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn single_sample_megabatch_stays_unsharded() {
-        let (_, sample) = toy_sample();
-        let delays: Vec<f64> = sample
-            .targets
-            .iter()
-            .map(|t| t.mean_delay_s.max(1e-6))
-            .collect();
-        let prep = preprocessing(&delays);
-        let plan = build_plan(&sample, &plan_config(&prep));
-        // Without the RN_INTRA_SHARDS opt-in (compose_with(parts, N) /
-        // env), a 1-sample megabatch runs entirely unsharded.
-        let mb = crate::compose::ComposedMegabatch::compose_with(&[&plan], 1)
-            .unwrap()
-            .into_plan();
-        assert!(
-            mb.plan.shards.is_none(),
-            "1-sample megabatch must run the unsharded kernels"
-        );
-        assert_eq!(mb.plan.schedule.num_shards, 0);
-    }
-
-    #[test]
-    fn balanced_row_bounds_handles_degenerate_shapes() {
-        // total < shards: every row still lands in exactly one block; the
-        // surplus blocks are empty, never out of range.
-        let bounds = balanced_row_bounds(3, 8);
-        assert_eq!(bounds.len(), 9);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(*bounds.last().unwrap(), 3);
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-        let sizes: usize = bounds.windows(2).map(|w| w[1] - w[0]).sum();
-        assert_eq!(sizes, 3, "blocks partition all rows");
-
-        // total == 0: all-empty blocks, still well-formed bounds.
-        let empty = balanced_row_bounds(0, 4);
-        assert_eq!(empty, vec![0, 0, 0, 0, 0]);
-
-        // shards == 0 clamps to one block spanning everything.
-        assert_eq!(balanced_row_bounds(7, 0), vec![0, 7]);
-
-        // Exact division: equal blocks.
-        assert_eq!(balanced_row_bounds(8, 4), vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn plan_shards_degenerate_bounds_disable_dense_cleanly() {
-        // A PlanShards whose dense bounds are stripped or collapsed to a
-        // single block must report dense sharding disabled — the `len() > 2`
-        // gate — while per-sample accessors keep working.
-        let shards = PlanShards {
-            path_bounds: [0, 10].into(),
-            link_bounds: [0, 4].into(),
-            node_bounds: [0, 3].into(),
-            queue_bounds: [0, 0].into(),
-            dense_link_bounds: balanced_row_bounds(4, 1).into(),
-            dense_node_bounds: balanced_row_bounds(0, 4).into(),
-            ..PlanShards::default()
-        };
-        assert_eq!(shards.len(), 1);
-        assert!(!shards.is_empty());
-        assert!(shards.dense_path().is_none(), "stripped bounds disable");
-        let dense_link = shards.dense_entity(EntityKind::Link);
-        assert!(dense_link.is_none(), "single block disables");
-        assert!(
-            shards.dense_entity(EntityKind::Node).is_some(),
-            "zero-row multi-block bounds stay structurally enabled"
-        );
-        assert_eq!(shards.entity_bounds(EntityKind::Link).as_slice(), &[0, 4]);
-        assert_eq!(shards.entity_bounds(EntityKind::Node).as_slice(), &[0, 3]);
-
-        let empty = PlanShards::default();
-        assert_eq!(empty.len(), 0);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -4,11 +4,10 @@
 
 use crate::config::{ModelConfig, NodeUpdate};
 use crate::entities::{
-    build_megabatch, build_plan, EntityKind, MegabatchPlan, PlanConfig, PlanShards, SamplePlan,
-    TargetKind,
+    build_megabatch, build_plan, EntityKind, MegabatchPlan, PlanConfig, SamplePlan, TargetKind,
 };
 use crate::features::FeatureScales;
-use rn_autograd::{Graph, IndexInput, ShardSplit, Var};
+use rn_autograd::{Graph, Var};
 use rn_dataset::{Dataset, Normalizer, Sample};
 use rn_nn::{Activation, BoundGruCell, BoundMlp, GruCell, Layer, Mlp};
 use rn_tensor::{Matrix, Prng};
@@ -455,13 +454,7 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
     /// buffers, so recording a step copies no index word.
     fn forward(&self, g: &mut Graph, bound: &Bound, plan: &SamplePlan) -> Var {
         let schedule = &plan.schedule;
-        let shards = plan.shards.as_ref();
         let positional = self.config.node_update == NodeUpdate::PositionalMessages;
-        let dense_entity = |kind| {
-            shards
-                .and_then(|sh| sh.dense_entity(kind))
-                .map(IndexInput::from)
-        };
         let gru_path = bound.gru_path.vars();
         // Pooled copies: the plan may be a cached composition shared behind
         // an Arc, so the tape takes its own (recycled) buffers; bits match
@@ -490,7 +483,7 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
             });
             let projected = ENTITY_KINDS.map(|kind| {
                 let state = states[kind as usize]?;
-                Some(bound.gru_path.project(g, state, dense_entity(kind)))
+                Some(bound.gru_path.project(g, state))
             });
             for s in 0..schedule.len() {
                 let kind = schedule.kinds[s];
@@ -503,26 +496,14 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
                 // Row compaction: gather projections for the *active* rows
                 // only, advance only those rows through the GRU, and scatter
                 // only their messages. Padded rows never touch a kernel.
-                let rows: IndexInput<'_> = schedule.shared_active_rows(s).into();
-                let ids: IndexInput<'_> = schedule.shared_active_ids(s).into();
-                // Megabatch plans carry per-sample shard bounds: the fused
-                // ops then record shard descriptors, so this step's work can
-                // fan out across a worker pool (forward and backward) with
-                // bitwise-identical results, and the backward reduces
-                // parameter gradients in the canonical per-shard order.
-                let split = shards.map(|sh| ShardSplit {
-                    active: schedule.shared_step_shard_bounds(s).into(),
-                    dense: sh.shared_path_bounds().into(),
-                    entity: sh.entity_bounds(kind).into(),
-                });
-                let px = g.gather_rows_sharded(entity_px, ids.clone(), split.clone());
-                path_state =
-                    g.gru_step_rows_sharded(&gru_path, path_state, px, rows.clone(), split.clone());
+                let rows = schedule.shared_active_rows(s);
+                let ids = schedule.shared_active_ids(s);
+                let px = g.gather_rows(entity_px, &ids);
+                path_state = g.gru_step_rows(&gru_path, path_state, px, &rows);
                 // The post-step hidden state is the message to this
                 // position's entity.
                 if let Some(sum) = sums[kind as usize] {
-                    sums[kind as usize] =
-                        Some(g.segment_acc_rows_sharded(sum, path_state, rows, ids, split));
+                    sums[kind as usize] = Some(g.segment_acc_rows(sum, path_state, rows, ids));
                 }
             }
             if sends && !positional && states[EntityKind::Node as usize].is_some() {
@@ -532,22 +513,15 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
                 sums[EntityKind::Node as usize] =
                     Some(g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes));
             }
-            // Dense row partitions for the per-entity GRU updates (and the
-            // readout below): the work the per-sample shards leave
-            // sequential fans across the same worker gang.
             for kind in ENTITY_KINDS {
                 let (Some(state), Some(sum)) = (states[kind as usize], sums[kind as usize]) else {
                     continue;
                 };
                 let gru = bound.entity_gru(kind).expect("state implies an owned GRU");
-                states[kind as usize] =
-                    Some(gru.step_fused_sharded(g, state, sum, dense_entity(kind)));
+                states[kind as usize] = Some(gru.step_fused(g, state, sum));
             }
         }
-        let dense_path = shards.and_then(PlanShards::dense_path);
-        bound
-            .readout
-            .forward_sharded(g, path_state, dense_path.map(IndexInput::from))
+        bound.readout.forward(g, path_state)
     }
 
     fn forward_unfused(&self, g: &mut Graph, bound: &Bound, plan: &SamplePlan) -> Var {

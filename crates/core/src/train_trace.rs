@@ -33,9 +33,9 @@ pub const STAGES: &[&str] = &["compose_wait", "forward", "backward", "optimizer"
 /// first visit, a lookup afterwards. Near-zero from epoch 2 on — structure
 /// reuse is total.
 pub const COMPOSE_WAIT: usize = 0;
-/// Fused forward pass + loss evaluation, one span per megabatch shard.
+/// Fused forward pass + loss evaluation, one span per composition.
 pub const FORWARD: usize = 1;
-/// Reverse sweep over the tape, one span per megabatch shard.
+/// Reverse sweep over the tape, one span per composition.
 pub const BACKWARD: usize = 2;
 /// Gradient clipping + Adam step, one span per optimizer step.
 pub const OPTIMIZER: usize = 3;

@@ -33,14 +33,12 @@ use crate::entities::{MegabatchPlan, SamplePlan};
 use crate::model::PathPredictor;
 use crate::train_trace::{self, TrainTrace};
 use rayon::prelude::*;
-use rayon::WorkerPool;
 use rn_autograd::{Graph, TapePool, Var};
 use rn_dataset::Dataset;
 use rn_nn::loss::Loss;
 use rn_nn::{clip_global_norm, Adam, Optimizer};
 use rn_tensor::{Matrix, Prng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -68,23 +66,19 @@ pub struct TrainConfig {
     pub lr_halve_epochs: Vec<usize>,
     /// Print one progress line per epoch to stderr.
     pub verbose: bool,
-    /// Samples per megabatch shard; a batch is split into
-    /// `ceil(batch_size / megabatch_size)` shards, each one fused
-    /// forward/backward. Fixed shard boundaries keep training
+    /// Samples per composition; a batch is split into
+    /// `ceil(batch_size / megabatch_size)` compositions, each one fused
+    /// forward/backward on a tape of its own, spread over the rayon workers.
+    /// Fixed boundaries and a merge in composition order keep training
     /// seed-deterministic regardless of worker count.
     pub megabatch_size: usize,
-    /// Worker threads for the sharded forward/backward *inside* one
-    /// megabatch: the block-diagonal plan's per-sample shards fan out to a
-    /// persistent worker gang (spawned only when this is above 1), and
-    /// gradients are reduced in a fixed per-sample order, so results are
-    /// **bitwise identical** for any value here (1 runs everything inline
-    /// and spreads a batch's megabatches over rayon workers instead).
-    pub backward_shards: usize,
     /// Where the per-epoch stage-breakdown JSONL stream goes when tracing
-    /// is on (`RN_TRACE=1`); see [`crate::train_trace`]. `None` falls back
-    /// to the `RN_TRACE_TRAIN_OUT` env knob, then `train_metrics.jsonl`.
-    /// Ignored (nothing is written) while tracing is off, so this field is
-    /// wire-optional for configs saved before it existed.
+    /// is on (`RN_TRACE=1`); see [`crate::train_trace`]. A non-blank
+    /// `RN_TRACE_TRAIN_OUT` in the environment wins over this field
+    /// ([`TrainTrace::new`] resolves both); with neither, the stream goes to
+    /// `train_metrics.jsonl`. Ignored (nothing is written) while tracing is
+    /// off, so this field is wire-optional for configs saved before it
+    /// existed.
     pub trace_out: Option<String>,
 }
 
@@ -102,40 +96,18 @@ impl Default for TrainConfig {
             lr_halve_epochs: Vec::new(),
             verbose: false,
             megabatch_size: 4,
-            backward_shards: 1,
             trace_out: None,
         }
     }
 }
 
 impl TrainConfig {
-    /// The env var overriding [`TrainConfig::backward_shards`] — the single
-    /// knob CI uses to inject extra shard-worker configurations. Read it
-    /// through [`TrainConfig::env_backward_shards`] (tests, benches) or
-    /// [`TrainConfig::from_env`] (training entry points); ad-hoc
-    /// `std::env::var` reads of this name are how the knob drifts.
-    pub const BACKWARD_SHARDS_ENV: &'static str = "RN_BACKWARD_SHARDS";
-
     /// Every training-side environment knob, as `(name, what it overrides)`
     /// pairs — the **single source of truth** the README's "Configuration"
     /// table is checked against (`readme_documents_every_env_knob` test).
     /// Add a row here whenever a new `RN_*` training env is introduced and
     /// the README table, the parser and the docs stay in lockstep.
     pub const ENV_DOCS: &'static [(&'static str, &'static str)] = &[
-        (
-            Self::BACKWARD_SHARDS_ENV,
-            "worker threads for the sharded (megabatch-internal) forward/backward; \
-             overrides TrainConfig::backward_shards, bitwise-identical at any value",
-        ),
-        (
-            crate::compose::INTRA_SHARDS_ENV,
-            "intra-sample dense shard count for single-sample compositions (giant topologies): \
-             N > 1 fans the link/node GRU updates and the readout MLP out over N balanced row \
-             blocks while message passing keeps the single-shard schedule. Forward bits \
-             (predictions, loss) are identical at any N; gradients are summed per block, a \
-             different grouping, so trained weights depend on N (never on the worker count). \
-             Disabled when unset",
-        ),
         (
             "RN_TRACE",
             "master observability switch (read by rn_trace, honored workspace-wide): 1/true/on \
@@ -162,42 +134,6 @@ impl TrainConfig {
              model/simulator/theory delays plus relative errors; unset skips the write",
         ),
     ];
-
-    /// The `RN_BACKWARD_SHARDS` override, if set to a positive integer.
-    /// Malformed or non-positive values are ignored (`None`), never a panic:
-    /// CI environments outlive the code that validates them.
-    pub fn env_backward_shards() -> Option<usize> {
-        Self::parse_backward_shards(std::env::var(Self::BACKWARD_SHARDS_ENV).ok().as_deref())
-    }
-
-    /// Interpret a raw `RN_BACKWARD_SHARDS` value: positive integers apply
-    /// (surrounding whitespace tolerated), everything else is ignored. Pure
-    /// and unit-testable — the tests exercise this instead of mutating
-    /// process-global env state under a multi-threaded test harness.
-    pub fn parse_backward_shards(raw: Option<&str>) -> Option<usize> {
-        raw?.trim().parse::<usize>().ok().filter(|&n| n > 0)
-    }
-
-    /// [`TrainConfig::default`] with every recognized env override applied.
-    pub fn from_env() -> Self {
-        Self::default().with_env_overrides()
-    }
-
-    /// Apply env overrides (`RN_BACKWARD_SHARDS`, `RN_TRACE_TRAIN_OUT`) on
-    /// top of an explicitly constructed config. (`RN_TRACE` itself is read
-    /// lazily by `rn_trace`, not stored here.)
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Some(shards) = Self::env_backward_shards() {
-            self.backward_shards = shards;
-        }
-        if let Some(path) = std::env::var(crate::train_trace::TRACE_OUT_ENV)
-            .ok()
-            .filter(|p| !p.trim().is_empty())
-        {
-            self.trace_out = Some(path);
-        }
-        self
-    }
 }
 
 /// Per-epoch loss record.
@@ -232,7 +168,7 @@ impl TrainingHistory {
 /// Gather the reliable prediction rows for the loss through an `Arc`-backed
 /// view of `reliable_idx`, so the tape copies no index word.
 fn gather_reliable(g: &mut Graph, pred: Var, plan: &SamplePlan) -> Var {
-    g.gather_rows_sharded(pred, plan.reliable_idx_shared().into(), None)
+    g.gather_rows(pred, plan.reliable_idx_shared())
 }
 
 /// The reliable rows' normalized targets as a constant column in a pooled
@@ -276,12 +212,12 @@ fn megabatch_forward<M: PathPredictor>(
     (bound, loss_node, sum_of_means)
 }
 
-/// One fused forward/backward over a megabatch shard.
+/// One fused forward/backward over a composition.
 ///
 /// Returns `(sum_of_per_sample_mean_losses, samples_with_labels, grads)`;
 /// the gradients are of `sum_s mean_loss_s / scale`, so with
-/// `scale = reliable samples in the whole batch` the shard gradients of one
-/// batch simply add up to the batch-mean gradient.
+/// `scale = reliable samples in the whole batch` the compositions' gradients
+/// of one batch simply add up to the batch-mean gradient.
 fn megabatch_gradients<M: PathPredictor>(
     model: &M,
     mb: &MegabatchPlan,
@@ -302,37 +238,28 @@ fn megabatch_gradients<M: PathPredictor>(
 /// Run `f` on every composition that has a reliable label, each on a tape
 /// checked out of `tapes`, and return the results in composition order.
 ///
-/// This is the one place the trainer picks its axis of parallelism. With a
-/// `gang` (`backward_shards > 1`) every tape fans the fused ops' per-sample
-/// shards out to it and the compositions run one after another:
-/// intra-megabatch parallelism *replaces* inter-megabatch parallelism,
-/// because running both would only make every rayon worker queue on the
-/// gang's one-job-at-a-time publisher gate. Without one, the compositions
-/// spread over rayon workers and each tape runs inline. Results come back
-/// in the same order and the gang reduces in a fixed per-sample order, so
-/// the choice cannot change a bit of what is folded from them.
+/// This is the trainer's one axis of parallelism: whole compositions are
+/// independent, so they spread over the rayon workers, each tape runs on its
+/// worker's thread alone, and the results come back in input order — which
+/// is why the worker count cannot change a bit of what is folded from them.
 fn map_labelled_on_tapes<T: Send>(
     tapes: &TapePool,
-    gang: &Option<Arc<WorkerPool>>,
     comps: &[ComposedMegabatch],
     f: impl Fn(&MegabatchPlan, &mut Graph) -> T + Sync,
 ) -> Vec<T> {
-    let run = |c: &ComposedMegabatch| {
-        let mb = c.megabatch();
-        if mb.plan.reliable_idx.is_empty() {
-            return None;
-        }
-        let mut tape = tapes.acquire();
-        tape.set_worker_pool(gang.clone());
-        let out = f(mb, &mut tape);
-        tapes.release(tape);
-        Some(out)
-    };
-    if gang.is_some() {
-        comps.iter().filter_map(run).collect()
-    } else {
-        comps.par_iter().filter_map(run).collect()
-    }
+    comps
+        .par_iter()
+        .filter_map(|c| {
+            let mb = c.megabatch();
+            if mb.plan.reliable_idx.is_empty() {
+                return None;
+            }
+            let mut tape = tapes.acquire();
+            let out = f(mb, &mut tape);
+            tapes.release(tape);
+            Some(out)
+        })
+        .collect()
 }
 
 /// Train `model` on `train_set`, optionally tracking `val_set`.
@@ -411,13 +338,9 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
     // every improvement, restore before returning; when the final epoch is
     // itself the best, the restore rewrites identical values.
     let mut best_weights: Option<Vec<Matrix>> = None;
-    // Reusable tapes shared by whichever workers process shards; buffers
-    // survive across batches and epochs.
+    // Reusable tapes shared by whichever workers process compositions;
+    // buffers survive across batches and epochs.
     let tape_pool = TapePool::new();
-    // The intra-megabatch shard gang (see `map_labelled_on_tapes`): purely
-    // a throughput lever, spawned only when it has more than one worker.
-    let gang: Option<Arc<WorkerPool>> =
-        (config.backward_shards > 1).then(|| Arc::new(WorkerPool::new(config.backward_shards)));
 
     // ---- The schedule -----------------------------------------------------
     // Megabatch membership is fixed ONCE from the seeded shuffle; epochs
@@ -440,10 +363,10 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
         })
         .collect();
     let compose = |parts: &[&SamplePlan]| -> ComposedMegabatch {
-        ComposedMegabatch::compose(parts).expect("train: uniform-width non-empty shard")
+        ComposedMegabatch::compose(parts).expect("train: uniform-width non-empty composition")
     };
-    // One composed megabatch per shard of each batch, built on the batch's
-    // first visit and kept for every later epoch.
+    // The composed megabatches of each batch, built on the batch's first
+    // visit and kept for every later epoch.
     let mut composed: Vec<Option<Vec<ComposedMegabatch>>> = batches.iter().map(|_| None).collect();
     // Validation chunks are composed once up front and reused every epoch.
     let val_composed: Vec<ComposedMegabatch> = val_plans
@@ -484,31 +407,31 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
                 composed[bi].get_or_insert_with(|| {
                     batches[bi]
                         .chunks(config.megabatch_size)
-                        .map(|shard| compose(&shard.iter().map(|&i| &plans[i]).collect::<Vec<_>>()))
+                        .map(|chunk| compose(&chunk.iter().map(|&i| &plans[i]).collect::<Vec<_>>()))
                         .collect()
                 })
             };
             let snapshot: &M = model;
-            let results = map_labelled_on_tapes(&tape_pool, &gang, comps, |mb, tape| {
+            let results = map_labelled_on_tapes(&tape_pool, comps, |mb, tape| {
                 megabatch_gradients(snapshot, mb, config.loss, labelled, tape, stages)
             });
             let mut loss_sum = 0.0;
             let mut count = 0usize;
             let mut grads: Option<Vec<Matrix>> = None;
-            for (sum_of_means, samples, shard_grads) in results {
+            for (sum_of_means, samples, comp_grads) in results {
                 loss_sum += sum_of_means;
                 count += samples;
                 match &mut grads {
-                    None => grads = Some(shard_grads),
+                    None => grads = Some(comp_grads),
                     Some(acc) => {
-                        for (a, g) in acc.iter_mut().zip(&shard_grads) {
+                        for (a, g) in acc.iter_mut().zip(&comp_grads) {
                             a.add_assign(g);
                         }
                     }
                 }
             }
-            // Shard gradients are already scaled by 1/labelled; their sum
-            // is the batch-mean gradient.
+            // Each composition's gradients are already scaled by 1/labelled;
+            // their sum is the batch-mean gradient.
             let Some(mut grads) = grads else { continue };
             epoch_loss_sum += loss_sum;
             epoch_loss_count += count;
@@ -529,14 +452,12 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
         if !val_plans.is_empty() {
             let _eval_span = stages.span(train_trace::EVAL);
             let snapshot: &M = model;
-            let (sum, count) =
-                map_labelled_on_tapes(&tape_pool, &gang, &val_composed, |mb, tape| {
-                    let (_, _, sum_of_means) =
-                        megabatch_forward(snapshot, mb, config.loss, 1, tape);
-                    (sum_of_means, mb.reliable_samples)
-                })
-                .into_iter()
-                .fold((0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+            let (sum, count) = map_labelled_on_tapes(&tape_pool, &val_composed, |mb, tape| {
+                let (_, _, sum_of_means) = megabatch_forward(snapshot, mb, config.loss, 1, tape);
+                (sum_of_means, mb.reliable_samples)
+            })
+            .into_iter()
+            .fold((0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
             let val = if count > 0 {
                 sum / count as f64
             } else {
@@ -765,59 +686,11 @@ mod tests {
             train(&mut model, &ds, None, &config);
             model
         };
-        // Same shard size twice -> bitwise identical models.
+        // Same composition size twice -> bitwise identical models.
         let a = make(3);
         let b = make(3);
         let plan = a.plan(&ds.samples[0]);
         assert_eq!(a.predict(&plan), b.predict(&plan));
-    }
-
-    #[test]
-    fn env_override_is_centralized_and_validated() {
-        // The one place RN_BACKWARD_SHARDS is interpreted. The parser is
-        // pure, so it tests without `set_var` (mutating process-global env
-        // under the multi-threaded test harness races other threads'
-        // getenv calls).
-        assert_eq!(TrainConfig::BACKWARD_SHARDS_ENV, "RN_BACKWARD_SHARDS");
-        assert_eq!(TrainConfig::parse_backward_shards(None), None, "unset");
-        assert_eq!(TrainConfig::parse_backward_shards(Some("4")), Some(4));
-        assert_eq!(
-            TrainConfig::parse_backward_shards(Some(" 8 ")),
-            Some(8),
-            "whitespace tolerated"
-        );
-        assert_eq!(
-            TrainConfig::parse_backward_shards(Some("0")),
-            None,
-            "non-positive ignored"
-        );
-        assert_eq!(
-            TrainConfig::parse_backward_shards(Some("lots")),
-            None,
-            "garbage ignored"
-        );
-        assert_eq!(TrainConfig::parse_backward_shards(Some("")), None);
-        assert_eq!(TrainConfig::parse_backward_shards(Some("-2")), None);
-
-        // The live lookup and the override plumbing agree with the parser
-        // on whatever the ambient environment actually holds.
-        let ambient = std::env::var(TrainConfig::BACKWARD_SHARDS_ENV).ok();
-        let expected = TrainConfig::parse_backward_shards(ambient.as_deref());
-        assert_eq!(TrainConfig::env_backward_shards(), expected);
-        assert_eq!(
-            TrainConfig::from_env().backward_shards,
-            expected.unwrap_or(TrainConfig::default().backward_shards)
-        );
-        let explicit = TrainConfig {
-            backward_shards: 2,
-            ..TrainConfig::default()
-        }
-        .with_env_overrides();
-        assert_eq!(
-            explicit.backward_shards,
-            expected.unwrap_or(2),
-            "env wins over explicit when set"
-        );
     }
 
     #[test]

@@ -141,13 +141,13 @@ proptest! {
     }
 
     #[test]
-    fn megabatch_shard_partitions_are_sound_on_arbitrary_batches(
+    fn megabatch_steps_are_block_diagonal_on_arbitrary_batches(
         seed in any::<u64>(),
         sizes in proptest::collection::vec(3usize..7, 1..5),
     ) {
         // Ragged batches: every sample comes from a *different* random
         // topology, so path counts, sequence lengths and entity counts all
-        // differ (short samples have empty shard ranges in late steps).
+        // differ (short samples are absent from late steps).
         let scales = FeatureScales::unit();
         let normalizer = Normalizer::identity();
         let config = PlanConfig {
@@ -170,113 +170,39 @@ proptest! {
         let parts: Vec<&routenet::SamplePlan> = plans.iter().collect();
         let mb = routenet::entities::build_megabatch(&parts);
 
-        if parts.len() == 1 {
-            // 1-sample batches stay unsharded.
-            prop_assert!(mb.plan.shards.is_none());
-            return;
-        }
-        let shards = mb.plan.shards.as_ref().expect("multi-sample batch shards");
-        prop_assert_eq!(shards.len(), parts.len());
-        // Bounds are complete partitions of each entity space.
-        let mut expect_path = vec![0usize];
-        let mut expect_link = vec![0usize];
-        let mut expect_node = vec![0usize];
+        // Each sample's block of every entity space.
+        let mut path_bounds = vec![0usize];
+        let mut link_bounds = vec![0usize];
+        let mut node_bounds = vec![0usize];
+        let mut queue_bounds = vec![0usize];
         for p in &plans {
-            expect_path.push(expect_path.last().unwrap() + p.n_paths);
-            expect_link.push(expect_link.last().unwrap() + p.num_links);
-            expect_node.push(expect_node.last().unwrap() + p.num_nodes);
+            path_bounds.push(path_bounds.last().unwrap() + p.n_paths);
+            link_bounds.push(link_bounds.last().unwrap() + p.num_links);
+            node_bounds.push(node_bounds.last().unwrap() + p.num_nodes);
+            queue_bounds.push(queue_bounds.last().unwrap() + p.num_queues);
         }
-        prop_assert_eq!(&*shards.path_bounds, &expect_path[..]);
-        prop_assert_eq!(&*shards.link_bounds, &expect_link[..]);
-        prop_assert_eq!(&*shards.node_bounds, &expect_node[..]);
+        let ranges: Vec<(usize, usize)> = path_bounds.windows(2).map(|w| (w[0], w[1])).collect();
+        prop_assert_eq!(&mb.path_ranges, &ranges);
+        prop_assert_eq!(mb.plan.num_links, *link_bounds.last().unwrap());
+        prop_assert_eq!(mb.plan.num_nodes, *node_bounds.last().unwrap());
 
         let csr = &mb.plan.schedule;
-        prop_assert_eq!(csr.num_shards, parts.len());
         for s in 0..csr.len() {
-            let bounds = csr.step_shard_bounds(s);
             let active = csr.active_rows(s);
-            let ids = csr.active_ids(s);
-            // Disjoint + complete: ascending bounds spanning the list.
-            prop_assert_eq!(bounds[0], 0);
-            prop_assert_eq!(*bounds.last().unwrap(), active.len());
-            prop_assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-            for b in 0..parts.len() {
-                let (lo, hi) = (bounds[b], bounds[b + 1]);
-                // Sample boundaries respected: shard b's path rows stay
-                // in its path range, and its entity ids in its block of
-                // the (kind-dependent) entity space.
-                let entity = match csr.kinds[s] {
-                    routenet::EntityKind::Link => &shards.link_bounds,
-                    routenet::EntityKind::Node => &shards.node_bounds,
-                    routenet::EntityKind::Queue => &shards.queue_bounds,
-                };
-                for k in lo..hi {
-                    prop_assert!(active[k] >= shards.path_bounds[b]);
-                    prop_assert!(active[k] < shards.path_bounds[b + 1]);
-                    prop_assert!(ids[k] >= entity[b] && ids[k] < entity[b + 1]);
-                }
+            prop_assert!(active.windows(2).all(|w| w[0] < w[1]), "rows ascend");
+            let entity = match csr.kinds[s] {
+                routenet::EntityKind::Link => &link_bounds,
+                routenet::EntityKind::Node => &node_bounds,
+                routenet::EntityKind::Queue => &queue_bounds,
+            };
+            // Sample boundaries respected: a row of sample b gathers from
+            // and scatters into b's block of the (kind-dependent) entity
+            // space, and no other.
+            for (&row, &id) in active.iter().zip(csr.active_ids(s)) {
+                let b = path_bounds.partition_point(|&bound| bound <= row) - 1;
+                prop_assert!(b < parts.len());
+                prop_assert!(id >= entity[b] && id < entity[b + 1]);
             }
-        }
-    }
-
-    #[test]
-    fn dense_shard_partitions_cover_every_row_exactly_once_on_ragged_batches(
-        seed in any::<u64>(),
-        sizes in proptest::collection::vec(3usize..7, 2..6),
-    ) {
-        // Mirror of the CSR shard-partition proptest for the DENSE row
-        // partitions (readout MLP rows, link/node GRU rows): balanced
-        // contiguous blocks that cover each entity space exactly once, no
-        // matter how ragged the batch is. Contiguity + exact cover is what
-        // makes `row_blocks_mut` hand each worker a disjoint slice.
-        let scales = FeatureScales::unit();
-        let normalizer = Normalizer::identity();
-        let config = PlanConfig {
-            scales: &scales,
-            normalizer: &normalizer,
-            state_dim: 6,
-            min_packets: 1,
-            target: routenet::entities::TargetKind::Delay,
-        };
-        let plans: Vec<_> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                let mut rng = Prng::new(seed.wrapping_add(i as u64));
-                let topo = generators::erdos_renyi_connected(n, 0.4, 1e4, &mut rng).unwrap();
-                let sample = generate_sample(&topo, &quick_gen(), seed.wrapping_add(i as u64), 0);
-                routenet::entities::build_plan(&sample, &config)
-            })
-            .collect();
-        let parts: Vec<&routenet::SamplePlan> = plans.iter().collect();
-        let mb = routenet::entities::build_megabatch(&parts);
-        let shards = mb.plan.shards.as_ref().expect("multi-sample batch shards");
-
-        for (bounds, total) in [
-            (&shards.dense_path_bounds, mb.plan.n_paths),
-            (&shards.dense_link_bounds, mb.plan.num_links),
-            (&shards.dense_node_bounds, mb.plan.num_nodes),
-        ] {
-            // B + 1 ascending entries spanning 0..total.
-            prop_assert_eq!(bounds.len(), parts.len() + 1);
-            prop_assert_eq!(bounds[0], 0);
-            prop_assert_eq!(*bounds.last().unwrap(), total);
-            prop_assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-            // Exact cover: every row is claimed by exactly one block.
-            let mut claimed = vec![0u32; total];
-            for w in bounds.windows(2) {
-                for c in &mut claimed[w[0]..w[1]] {
-                    *c += 1;
-                }
-            }
-            prop_assert!(claimed.iter().all(|&c| c == 1), "row claimed != once");
-            // Balance: block sizes differ by at most one row.
-            let sizes: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
-            let (min, max) = (
-                sizes.iter().min().copied().unwrap_or(0),
-                sizes.iter().max().copied().unwrap_or(0),
-            );
-            prop_assert!(max - min <= 1, "unbalanced dense blocks: {sizes:?}");
         }
     }
 
@@ -339,7 +265,7 @@ proptest! {
                 prop_assert_eq!(&a.node_incidence_nodes, &b.node_incidence_nodes);
                 prop_assert_eq!(&a.schedule, &b.schedule);
                 // And composing from either yields one identical structure
-                // (ids and shard bounds included).
+                // (rows and ids included).
                 let mb_a = routenet::entities::build_megabatch(&[a, a]);
                 let mb_b = routenet::entities::build_megabatch(&[b, b]);
                 prop_assert_eq!(&mb_a.plan.schedule, &mb_b.plan.schedule);
@@ -348,12 +274,12 @@ proptest! {
     }
 
     #[test]
-    fn sharded_megabatch_forward_matches_unsharded_per_sample(
+    fn megabatch_forward_matches_per_sample_prediction(
         seed in any::<u64>(),
         batch in 2usize..5,
     ) {
-        // The sharded fused forward over a block-diagonal plan must agree
-        // with per-sample prediction (and be deterministic under reuse).
+        // The fused forward over a block-diagonal plan must agree with
+        // per-sample prediction (and be deterministic under reuse).
         let mut rng = Prng::new(seed);
         let topo = generators::erdos_renyi_connected(5, 0.4, 1e4, &mut rng).unwrap();
         let samples: Vec<_> = (0..batch as u64)

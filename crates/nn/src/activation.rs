@@ -1,6 +1,6 @@
 //! Activation selector applied through the autograd tape.
 
-use rn_autograd::{Graph, IndexInput, Var};
+use rn_autograd::{Graph, Var};
 use serde::{Deserialize, Serialize};
 
 /// Which nonlinearity a layer applies.
@@ -31,18 +31,6 @@ impl Activation {
             Activation::Tanh => g.tanh(x),
             Activation::Selu => g.selu(x),
             Activation::Softplus => g.softplus(x),
-        }
-    }
-
-    /// [`Activation::apply`] with a dense row-block shard layout. SELU — the
-    /// readout's hidden activation, the only one on a megabatch hot path —
-    /// rides the sharded op so its forward/adjoint traffic fans across the
-    /// worker gang; every other variant falls back to the unsharded op
-    /// (element-wise results are identical either way).
-    pub fn apply_sharded(self, g: &mut Graph, x: Var, bounds: Option<IndexInput<'_>>) -> Var {
-        match self {
-            Activation::Selu => g.selu_sharded(x, bounds),
-            other => other.apply(g, x),
         }
     }
 

@@ -46,7 +46,7 @@
 //! `[h, x]` form as the independent reference.
 
 use crate::{init, Layer};
-use rn_autograd::{Graph, GruVars, IndexInput, Var};
+use rn_autograd::{Graph, GruVars, Var};
 use rn_tensor::{Matrix, Prng};
 use serde::de::field;
 use serde::value::{DeError, Value};
@@ -189,33 +189,17 @@ impl BoundGruCell {
     }
 
     /// The input projection `x·[W_x,z | W_x,r | W_x,c]` (`n x 3·hidden`),
-    /// whose rows [`Graph::gru_step_rows`] reads in place of `x`. `bounds`
-    /// is a dense row-block shard layout over the rows of `x`.
-    pub fn project(&self, g: &mut Graph, x: Var, bounds: Option<IndexInput<'_>>) -> Var {
-        g.matmul_sharded(x, self.packed.w_x, bounds)
+    /// whose rows [`Graph::gru_step_rows`] reads in place of `x`.
+    pub fn project(&self, g: &mut Graph, x: Var) -> Var {
+        g.matmul(x, self.packed.w_x)
     }
 
     /// One recurrent step over every row as a projection and a single fused
     /// tape node (see [`Graph::gru_step_rows`]). Numerically equivalent to
     /// [`BoundGruCell::step`] but ~9x fewer tape nodes.
     pub fn step_fused(&self, g: &mut Graph, h: Var, x: Var) -> Var {
-        self.step_fused_sharded(g, h, x, None)
-    }
-
-    /// [`BoundGruCell::step_fused`] with a dense row-block shard layout —
-    /// the megabatch link/node entity updates. `bounds` partitions the state
-    /// rows; forward blocks and backward adjoints (including the
-    /// weight-gradient products) fan across the tape's worker pool with
-    /// bitwise-identical results at any worker count.
-    pub fn step_fused_sharded(
-        &self,
-        g: &mut Graph,
-        h: Var,
-        x: Var,
-        bounds: Option<IndexInput<'_>>,
-    ) -> Var {
-        let px = self.project(g, x, bounds.clone());
-        g.gru_step_dense_sharded(&self.packed, h, px, bounds)
+        let px = self.project(g, x);
+        g.gru_step_dense(&self.packed, h, px)
     }
 
     /// One recurrent step on the tape: `h' = GRU(h, x)`.
@@ -431,7 +415,7 @@ mod tests {
         // The row-compacted step over the active rows is the fused form of
         // the masked reference.
         let rows = [0usize, 2, 3];
-        let projected = bound.project(&mut g, x, None);
+        let projected = bound.project(&mut g, x);
         let px_rows = g.gather_rows(projected, &rows);
         let fused_m = g.gru_step_rows(&bound.vars(), h, px_rows, &rows);
         let unfused_m = bound.step_masked(&mut g, h, x, &mask);

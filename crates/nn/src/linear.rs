@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use crate::{init, Activation, Layer};
-use rn_autograd::{Graph, IndexInput, Var};
+use rn_autograd::{Graph, Var};
 use rn_tensor::{Matrix, Prng};
 use serde::de::field;
 use serde::value::{DeError, Value};
@@ -96,18 +96,9 @@ impl Linear {
 impl BoundLinear {
     /// Forward pass on the tape. May be called any number of times per graph.
     pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
-        self.forward_sharded(g, x, None)
-    }
-
-    /// [`BoundLinear::forward`] with a dense row-block shard layout:
-    /// `bounds` partitions the batch rows, and the layer's matmul, bias add
-    /// and activation all record it, so forward *and* backward fan across
-    /// the tape's worker pool. `None` (or a single block) is exactly the
-    /// legacy unsharded layer.
-    pub fn forward_sharded(&self, g: &mut Graph, x: Var, bounds: Option<IndexInput<'_>>) -> Var {
-        let h = g.matmul_sharded(x, self.weight, bounds.clone());
-        let hb = g.add_bias_sharded(h, self.bias, bounds.clone());
-        self.activation.apply_sharded(g, hb, bounds)
+        let h = g.matmul(x, self.weight);
+        let hb = g.add_bias(h, self.bias);
+        self.activation.apply(g, hb)
     }
 }
 

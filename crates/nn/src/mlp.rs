@@ -1,7 +1,7 @@
 //! Multi-layer perceptron — RouteNet's readout function.
 
 use crate::{Activation, Layer, Linear};
-use rn_autograd::{Graph, IndexInput, Var};
+use rn_autograd::{Graph, Var};
 use rn_tensor::{Matrix, Prng};
 use serde::de::field;
 use serde::value::{DeError, Value};
@@ -109,16 +109,6 @@ impl BoundMlp {
     /// Forward pass on the tape.
     pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
         self.layers.iter().fold(x, |h, layer| layer.forward(g, h))
-    }
-
-    /// [`BoundMlp::forward`] with a dense row-block shard layout shared by
-    /// every layer (the batch row count is constant through the stack) —
-    /// this is how the megabatch readout fans its matmul/bias/activation
-    /// work, forward and backward, across the worker gang.
-    pub fn forward_sharded(&self, g: &mut Graph, x: Var, bounds: Option<IndexInput<'_>>) -> Var {
-        self.layers
-            .iter()
-            .fold(x, |h, layer| layer.forward_sharded(g, h, bounds.clone()))
     }
 }
 

@@ -14,7 +14,7 @@
 //!    handle) ─▶ ServeHandle│──▶│  │  deadline                 │
 //!             └────────────┘   └──┼───────────────────────────┘
 //!                                 ▼
-//!                     worker shard pool (TapePool-backed tapes)
+//!                     worker pool (TapePool-backed tapes)
 //!                                 │  one fused block-diagonal
 //!                                 ▼  forward per batch
 //!            ┌─────────────┐  ┌───────────────┐  ┌─────────────┐

@@ -1,5 +1,5 @@
 //! The concurrent inference service: admission queue, dynamic batcher,
-//! worker shard pool — with worker supervision, per-request deadlines and
+//! worker pool — with worker supervision, per-request deadlines and
 //! measured (not assumed) overload behavior.
 //!
 //! ## Request path
@@ -61,7 +61,7 @@ use crate::fault::{ChaosPlan, FaultInjector, CHAOS_WORKER_KILL};
 use crate::metrics::{stage, CacheStats, MetricsSnapshot, ServeMetrics};
 use crate::registry::ModelRegistry;
 use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
-use rn_autograd::{TapePool, WorkerPool};
+use rn_autograd::TapePool;
 use rn_dataset::Sample;
 use routenet::compose::{ComposedMegabatch, CompositionCache};
 use routenet::entities::PlanConfig;
@@ -100,13 +100,6 @@ pub struct ServeConfig {
     /// `build_megabatch` planning entirely. Results are bitwise identical
     /// either way.
     pub compose_cache_capacity: usize,
-    /// Worker threads for **intra-batch sharding**: when a worker flushes a
-    /// multi-request batch and the queue behind it is empty (shallow load —
-    /// no co-workers to keep busy), the fused block-diagonal forward fans
-    /// its per-sample shards out to this many threads instead of leaving
-    /// them idle. `1` disables the gang. Results are bitwise identical
-    /// either way; this only trades idle cores for latency at low load.
-    pub intra_batch_shards: usize,
     /// Default per-request deadline applied to submissions that do not
     /// carry their own (`None` = requests wait as long as they must). A
     /// request whose deadline passes while it queues is answered
@@ -128,7 +121,6 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             plan_cache_capacity: 256,
             compose_cache_capacity: 32,
-            intra_batch_shards: 1,
             default_deadline: None,
             chaos: ChaosPlan::none(),
         }
@@ -173,12 +165,6 @@ impl ServeConfig {
             "RN_SERVE_COMPOSE_CACHE",
             "composed megabatch structures kept for refill \
              (ServeConfig::compose_cache_capacity)",
-        ),
-        (
-            "RN_SERVE_SHARDS",
-            "intra-batch shard-gang threads engaged on shallow queues \
-             (ServeConfig::intra_batch_shards; 1 disables, results bitwise \
-             identical either way)",
         ),
         (
             "RN_SERVE_REQUEST_DEADLINE_MS",
@@ -265,9 +251,6 @@ impl ServeConfig {
         }
         if let Some(v) = positive("RN_SERVE_COMPOSE_CACHE") {
             self.compose_cache_capacity = v;
-        }
-        if let Some(v) = positive("RN_SERVE_SHARDS") {
-            self.intra_batch_shards = v;
         }
         if let Some(ms) = u64_knob("RN_SERVE_REQUEST_DEADLINE_MS") {
             self.default_deadline = (ms > 0).then(|| Duration::from_millis(ms));
@@ -382,9 +365,6 @@ struct Inner<M> {
     /// published back).
     compositions: CompositionCache,
     tapes: TapePool,
-    /// Shared shard gang for shallow-queue batches (see
-    /// [`ServeConfig::intra_batch_shards`]); `None` when disabled.
-    shard_pool: Option<Arc<WorkerPool>>,
     /// Chaos injector ([`ServeConfig::chaos`]); `None` in production, so
     /// the no-chaos hot path pays one `Option` check per injection point.
     chaos: Option<Arc<FaultInjector>>,
@@ -428,8 +408,6 @@ impl<M: PathPredictor + 'static> Service<M> {
             plans: PlanCache::new(config.plan_cache_capacity),
             compositions: CompositionCache::new(config.compose_cache_capacity),
             tapes: TapePool::new(),
-            shard_pool: (config.intra_batch_shards > 1)
-                .then(|| Arc::new(WorkerPool::new(config.intra_batch_shards))),
             chaos: FaultInjector::from_plan(&config.chaos),
             config,
         });
@@ -720,7 +698,7 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 panic!("{CHAOS_WORKER_KILL}");
             }
         }
-        let (batch, backlog) = {
+        let batch = {
             let mut st = lock_recover(&inner.state);
             loop {
                 if st.queue.is_empty() {
@@ -734,10 +712,7 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 let deadline = st.queue[0].enqueued + inner.config.flush_deadline;
                 let now = Instant::now();
                 if full || st.shutdown || now >= deadline {
-                    let batch = drain_batch(&mut st, &inner.config);
-                    // Requests left behind after this flush: other workers
-                    // will pick those up, so the machine is already busy.
-                    break (batch, st.queue.len());
+                    break drain_batch(&mut st, &inner.config);
                 }
                 let (next, _timeout) = wait_timeout_recover(&inner.ready, st, deadline - now);
                 st = next;
@@ -803,17 +778,6 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
             let refs: Vec<&SamplePlan> = group.iter().map(|j| j.plan.as_ref()).collect();
             let mut tape = inner.tapes.acquire();
             let misses_before = tape.pool_misses();
-            // Shallow queue: nothing left for co-workers to chew on, so
-            // spare cores are free — exploit the batch's intra-megabatch
-            // shards instead. Under backlog the inter-batch parallelism
-            // already saturates the workers, and the gang would only add
-            // contention. Either way the predictions are bitwise identical.
-            let shard_here = backlog == 0 && refs.len() > 1;
-            tape.set_worker_pool(if shard_here {
-                inner.shard_pool.clone()
-            } else {
-                None
-            });
             // Stage-boundary instants (`compose starts` / `forward starts` /
             // `forward done`) ride out of the region so completed requests
             // can be attributed per stage — three clock reads per batch,
@@ -849,7 +813,6 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 let out = model.predict_batch_refs_with(&mut tape, &refs);
                 (out, t_forward, Instant::now())
             };
-            tape.set_worker_pool(None);
             let m = &inner.metrics;
             m.tape_pool_misses
                 .fetch_add(tape.pool_misses() - misses_before, Ordering::Relaxed);
@@ -979,10 +942,6 @@ mod tests {
                 overridden.compose_cache_capacity != defaults.compose_cache_capacity,
             ),
             (
-                "RN_SERVE_SHARDS",
-                overridden.intra_batch_shards != defaults.intra_batch_shards,
-            ),
-            (
                 "RN_SERVE_REQUEST_DEADLINE_MS",
                 overridden.default_deadline != defaults.default_deadline,
             ),
@@ -1038,7 +997,6 @@ mod tests {
         assert_eq!(a.queue_capacity, b.queue_capacity);
         assert_eq!(a.plan_cache_capacity, b.plan_cache_capacity);
         assert_eq!(a.compose_cache_capacity, b.compose_cache_capacity);
-        assert_eq!(a.intra_batch_shards, b.intra_batch_shards);
         assert_eq!(a.default_deadline, b.default_deadline);
         assert_eq!(a.chaos, b.chaos);
         assert!(b.chaos.is_none(), "no chaos unless explicitly enabled");

@@ -643,60 +643,6 @@ fn composition_cache_survives_hot_swap_with_refilled_features() {
     service.shutdown();
 }
 
-#[test]
-fn intra_batch_sharding_keeps_served_bits_identical() {
-    // With a shard gang enabled, a worker that flushes a multi-request
-    // batch against an empty queue fans the fused forward out across
-    // threads — and must still produce exactly the bits of a direct
-    // predict_batch.
-    let ds = toy_dataset(4, 21);
-    let model = fitted_model(&ds, 3);
-    let plans: Vec<Arc<SamplePlan>> = ds.samples.iter().map(|s| Arc::new(model.plan(s))).collect();
-    let owned: Vec<SamplePlan> = plans.iter().map(|p| (**p).clone()).collect();
-    let reference: Vec<Vec<u64>> = model
-        .predict_batch(&owned)
-        .iter()
-        .map(|v| bits(v))
-        .collect();
-
-    let service = Service::start(
-        model,
-        ServeConfig {
-            workers: 1,
-            max_batch: 4,
-            // Give the lone worker time to see all four requests at once, so
-            // shallow-queue batches actually form and the gang engages.
-            flush_deadline: Duration::from_millis(25),
-            intra_batch_shards: 3,
-            ..ServeConfig::default()
-        },
-    );
-    let handle = service.handle();
-    for _round in 0..8 {
-        std::thread::scope(|s| {
-            let results: Vec<_> = plans
-                .iter()
-                .map(|plan| {
-                    let handle = handle.clone();
-                    let plan = Arc::clone(plan);
-                    s.spawn(move || handle.predict_plan(plan).expect("prediction"))
-                })
-                .collect();
-            for (b, join) in results.into_iter().enumerate() {
-                let served = join.join().expect("client thread");
-                assert_eq!(
-                    bits(&served),
-                    reference[b],
-                    "sharded serving changed bits for sample {b}"
-                );
-            }
-        });
-    }
-    let snapshot = handle.metrics();
-    assert_eq!(snapshot.completed, 8 * plans.len() as u64);
-    service.shutdown();
-}
-
 /// A scenario from the wire is indexed with its own ids by the fingerprint
 /// and the planner; one whose ids do not hold together must be refused at
 /// the door, on a connection that stays usable.

@@ -486,9 +486,9 @@ impl Matrix {
     /// `out[row_lo..row_hi] += self[row_lo..row_hi] · other`, touching no
     /// other output row. Each output row is accumulated in exactly the same
     /// per-element order as the full kernel, so computing a matrix in
-    /// disjoint row ranges (e.g. one per megabatch shard, possibly on
-    /// different threads) is **bitwise identical** to one full call — the
-    /// property the sharded forward/backward passes rest on.
+    /// disjoint row ranges is **bitwise identical** to one full call — the
+    /// property that gives a sample the same forward bits alone and stacked
+    /// into a megabatch.
     pub fn matmul_acc_rows(&self, other: &Self, out: &mut Self, row_lo: usize, row_hi: usize) {
         let (m, k, n) = self.assert_matmul_shapes(other);
         assert_eq!(out.shape(), (m, n), "matmul_acc_rows: bad output shape");
@@ -546,28 +546,6 @@ impl Matrix {
         let (k, m, n) = self.assert_tn_shapes(other);
         assert_eq!(out.shape(), (m, n), "matmul_tn_acc: bad output shape");
         kernels::matmul_tn_acc(&self.data, &other.data, k, m, n, &mut out.data);
-    }
-
-    /// Shared-dimension-range form of [`Matrix::matmul_tn_acc`]:
-    /// `out += self[row_lo..row_hi]^T · other[row_lo..row_hi]`. Restricting
-    /// the reduction to a row range is what per-shard gradient *partials*
-    /// are made of: each shard reduces its own row range into a zeroed
-    /// buffer, and the partials are merged in fixed shard order.
-    pub fn matmul_tn_acc_rows(&self, other: &Self, out: &mut Self, row_lo: usize, row_hi: usize) {
-        let (k, m, n) = self.assert_tn_shapes(other);
-        assert_eq!(out.shape(), (m, n), "matmul_tn_acc_rows: bad output shape");
-        assert!(
-            row_lo <= row_hi && row_hi <= k,
-            "matmul_tn_acc_rows: bad row range {row_lo}..{row_hi} for {k} rows"
-        );
-        kernels::matmul_tn_acc(
-            &self.data[row_lo * m..row_hi * m],
-            &other.data[row_lo * n..row_hi * n],
-            row_hi - row_lo,
-            m,
-            n,
-            &mut out.data,
-        );
     }
 
     /// Reference `self * other` — the pre-refactor kernel, kept verbatim.
@@ -882,32 +860,6 @@ impl Matrix {
         out
     }
 
-    /// Split the backing buffer into contiguous row blocks at `bounds`
-    /// (ascending, `bounds[0] == 0`, `bounds.last() == rows`). Block `i`
-    /// covers rows `bounds[i]..bounds[i+1]`; empty blocks are fine.
-    ///
-    /// The blocks are independent `&mut [f32]`s (and `Send`), so disjoint
-    /// row ranges of one matrix can be written from different threads with
-    /// no unsafe code at the call site — the foundation of the sharded
-    /// megabatch kernels.
-    pub fn row_blocks_mut(&mut self, bounds: &[usize]) -> Vec<&mut [f32]> {
-        assert!(
-            bounds.first() == Some(&0) && bounds.last() == Some(&self.rows),
-            "row_blocks_mut: bounds must span 0..rows ({bounds:?} for {} rows)",
-            self.rows
-        );
-        let cols = self.cols;
-        let mut blocks = Vec::with_capacity(bounds.len() - 1);
-        let mut rest: &mut [f32] = &mut self.data;
-        for w in bounds.windows(2) {
-            assert!(w[0] <= w[1], "row_blocks_mut: bounds must be ascending");
-            let (block, tail) = rest.split_at_mut((w[1] - w[0]) * cols);
-            blocks.push(block);
-            rest = tail;
-        }
-        blocks
-    }
-
     // ------------------------------------------------------------------
     // Comparisons
     // ------------------------------------------------------------------
@@ -943,10 +895,8 @@ impl Matrix {
 
 /// Slice-level matmul kernels with runtime AVX2 dispatch.
 ///
-/// The [`Matrix`] methods delegate here; the sharded autograd kernels call
-/// these directly on disjoint sub-slices produced by
-/// [`Matrix::row_blocks_mut`], so several threads can fill one output matrix
-/// without aliasing `&mut Matrix`.
+/// The [`Matrix`] methods delegate here; `rn_autograd`'s fused GRU step
+/// calls these directly on the slices of its scratch buffers.
 ///
 /// # Contract
 ///
@@ -963,11 +913,12 @@ impl Matrix {
 /// `out[i][j] = out[i][j] + p[t]`. Multiplies and adds round separately (no
 /// FMA). Blocking, tile shape, loop order and vector width are free to
 /// change; group size, association, a split of the shared dimension and FMA
-/// are not — the golden fixtures, the model digests and the shard-count
-/// invariance all record bits of this expression. Because the expression is
-/// per element, the result does not depend on how output rows are grouped
-/// into blocks or calls: any row-range decomposition of `matmul_acc` is
-/// bitwise identical to one full call.
+/// are not — the golden fixtures and the model digests record bits of this
+/// expression. Because the expression is per element, the result does not
+/// depend on how output rows are grouped into blocks or calls: any row-range
+/// decomposition of `matmul_acc` is bitwise identical to one full call,
+/// which is why a sample predicts the same bits alone and inside a
+/// megabatch.
 pub mod kernels {
     /// `out += a·b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`,
     /// all row-major slices.
@@ -1000,28 +951,6 @@ pub mod kernels {
             return;
         }
         super::matmul_tn_acc_body(a, b, k, m, n, out);
-    }
-
-    /// Ordered partial reduction: `dst[i] += partials[0][offset + i] +
-    /// partials[1][offset + i] + ...`, accumulating the partials in slice
-    /// order for every element.
-    ///
-    /// This is how per-shard parameter-gradient partials merge into the one
-    /// true gradient: `dst` is a chunk of the gradient buffer starting at
-    /// `offset`, `partials` are the full per-shard partial buffers in
-    /// canonical (sample) order. Because each element's additions happen in
-    /// partial order regardless of how the element range is chunked, fanning
-    /// disjoint chunks out to different threads produces bitwise-identical
-    /// results to one sequential pass — the property the parallel gradient
-    /// reduction rests on.
-    pub fn reduce_partials(dst: &mut [f32], offset: usize, partials: &[&[f32]]) {
-        let len = dst.len();
-        for p in partials {
-            debug_assert!(p.len() >= offset + len);
-            for (d, &v) in dst.iter_mut().zip(&p[offset..offset + len]) {
-                *d += v;
-            }
-        }
     }
 }
 
@@ -1287,31 +1216,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_partials_is_chunking_invariant() {
-        // Summing per-shard partials element-by-element in partial order
-        // must give the same bits no matter how the element range is split
-        // into chunks — the contract the parallel gradient reduction needs.
-        let partials: Vec<Vec<f32>> = (0..5)
-            .map(|s| {
-                (0..37)
-                    .map(|i| ((s * 31 + i * 17) % 13) as f32 / 7.0 - 0.9)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f32]> = partials.iter().map(|p| p.as_slice()).collect();
-        let mut whole = [0.25f32; 37];
-        kernels::reduce_partials(&mut whole, 0, &refs);
-        let mut chunked = [0.25f32; 37];
-        for (lo, hi) in [(0usize, 10usize), (10, 11), (11, 30), (30, 37)] {
-            kernels::reduce_partials(&mut chunked[lo..hi], lo, &refs);
-        }
-        assert_eq!(
-            whole.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            chunked.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn matmul_matches_hand_computation() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
@@ -1553,59 +1457,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn tn_row_range_partials_sum_to_full_reduction() {
-        // Per-shard partials merged in order approximate the full reduction
-        // (they are NOT bitwise equal — that is exactly why the sharded
-        // backward defines partial-merge as its canonical order).
-        let (k, m, n) = (10, 6, 4);
-        let a = Matrix::from_fn(k, m, |r, c| ((r * 13 + c * 5) % 9) as f32 * 0.5 - 2.0);
-        let b = Matrix::from_fn(k, n, |r, c| ((r * 7 + c) % 10) as f32 * 0.3 - 1.5);
-        let mut full = Matrix::zeros(m, n);
-        a.matmul_tn_acc(&b, &mut full);
-        let mut merged = Matrix::zeros(m, n);
-        for w in [0, 3, 7, k].windows(2) {
-            let mut partial = Matrix::zeros(m, n);
-            a.matmul_tn_acc_rows(&b, &mut partial, w[0], w[1]);
-            merged.add_assign(&partial);
-        }
-        assert!(merged.approx_eq(&full, 1e-4));
-        // And the partial-merge itself is deterministic: recompute == equal.
-        let mut again = Matrix::zeros(m, n);
-        for w in [0, 3, 7, k].windows(2) {
-            let mut partial = Matrix::zeros(m, n);
-            a.matmul_tn_acc_rows(&b, &mut partial, w[0], w[1]);
-            again.add_assign(&partial);
-        }
-        assert!(again.approx_eq(&merged, 0.0));
-    }
-
-    #[test]
-    fn row_blocks_cover_the_matrix_disjointly() {
-        let mut m = Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32);
-        let blocks = m.row_blocks_mut(&[0, 2, 2, 5, 6]);
-        assert_eq!(blocks.len(), 4);
-        assert_eq!(blocks[0].len(), 6);
-        assert_eq!(blocks[1].len(), 0);
-        assert_eq!(blocks[2].len(), 9);
-        assert_eq!(blocks[3].len(), 3);
-        assert_eq!(blocks[3][0], 15.0);
-        for b in blocks {
-            for v in b.iter_mut() {
-                *v += 1.0;
-            }
-        }
-        assert_eq!(m.get(0, 0), 1.0);
-        assert_eq!(m.get(5, 2), 18.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds must span")]
-    fn row_blocks_reject_partial_bounds() {
-        let mut m = Matrix::zeros(4, 2);
-        let _ = m.row_blocks_mut(&[0, 2]);
     }
 
     #[test]

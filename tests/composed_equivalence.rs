@@ -2,12 +2,18 @@
 //!
 //! The contract under test: a cached [`ComposedMegabatch`] whose features
 //! were **refilled** for a new batch is bitwise identical to a fresh
-//! `build_megabatch` over that batch — predictions AND gradients, at any
-//! shard-worker count, and across model hot-swaps (same structure, new
-//! preprocessing). Structure reuse must be invisible to the numerics; only
-//! the planning cost may change.
+//! `build_megabatch` over that batch — predictions AND gradients, and across
+//! model hot-swaps (same structure, new preprocessing). Structure reuse must
+//! be invisible to the numerics; only the planning cost may change. Beside
+//! it, the two tape facts a replayed composition leans on: a reused tape
+//! gives a fresh tape's bits, and in-place inference gives the copying
+//! forward's.
+//!
+//! Nothing here takes a worker count: the trainer's `par_iter` follows the
+//! CPUs the process may run on, so CI runs this suite unpinned and again
+//! under `taskset -c 0`.
 
-use rn_autograd::{Graph, WorkerPool};
+use rn_autograd::Graph;
 use rn_dataset::{generate, Dataset, GeneratorConfig, Sample};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
@@ -17,7 +23,6 @@ use routenet::compose::{ComposedMegabatch, CompositionCache};
 use routenet::entities::{build_megabatch, MegabatchPlan};
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, SamplePlan};
-use std::sync::Arc;
 
 fn nsfnet_dataset(batch: usize, seed: u64) -> Dataset {
     let gen_config = GeneratorConfig {
@@ -63,22 +68,38 @@ fn perturb_features(samples: &[Sample]) -> Vec<Sample> {
     out
 }
 
-/// One fused forward + backward on the megabatch with the given worker
-/// pool; returns the loss bits and every parameter gradient.
-fn megabatch_step(
+/// One fused forward + backward on the megabatch, on `g` as it is handed in
+/// (fresh, or reset after earlier steps); returns the loss bits, every
+/// parameter gradient and how many index words the tape has copied. The
+/// loss gather reads the reliable rows through the plan's `Arc` view when
+/// `shared_loss_rows`, through a copied slice otherwise.
+fn megabatch_step_on(
+    g: &mut Graph,
     model: &ExtendedRouteNet,
     mb: &MegabatchPlan,
-    pool: Option<Arc<WorkerPool>>,
-) -> (u32, Vec<Matrix>) {
-    let mut g = Graph::new();
-    g.set_worker_pool(pool);
-    let bound = model.bind(&mut g);
-    let pred = model.forward(&mut g, &bound, &mb.plan);
-    let reliable = g.gather_rows(pred, &mb.plan.reliable_idx);
+    shared_loss_rows: bool,
+) -> (u32, Vec<Matrix>, u64) {
+    let bound = model.bind(g);
+    let pred = model.forward(g, &bound, &mb.plan);
+    let reliable = if shared_loss_rows {
+        g.gather_rows(pred, mb.plan.reliable_idx_shared())
+    } else {
+        g.gather_rows(pred, &mb.plan.reliable_idx)
+    };
     let target = g.constant(mb.plan.reliable_targets_norm());
     let loss = g.mse(reliable, target);
     g.backward(loss);
-    (g.value(loss).get(0, 0).to_bits(), model.grads(&g, &bound))
+    (
+        g.value(loss).get(0, 0).to_bits(),
+        model.grads(g, &bound),
+        g.index_words_copied(),
+    )
+}
+
+/// [`megabatch_step_on`] a fresh tape: the loss bits and the gradients.
+fn megabatch_step(model: &ExtendedRouteNet, mb: &MegabatchPlan) -> (u32, Vec<Matrix>) {
+    let (loss, grads, _) = megabatch_step_on(&mut Graph::new(), model, mb, false);
+    (loss, grads)
 }
 
 fn prediction_bits(model: &ExtendedRouteNet, mb: &MegabatchPlan) -> Vec<Vec<u64>> {
@@ -122,34 +143,13 @@ fn cached_refill_is_bitwise_identical_to_fresh_build_across_shards() {
         "refilled composition changed prediction bits"
     );
 
-    // Gradients: bitwise, at every shard-worker count (inline, 1, 2, 4 —
-    // plus whatever CI injects through the centralized env override).
-    let mut worker_counts: Vec<Option<usize>> = vec![None, Some(1), Some(2), Some(4)];
-    if let Some(extra) = routenet::TrainConfig::env_backward_shards() {
-        if !worker_counts.contains(&Some(extra)) {
-            worker_counts.push(Some(extra));
-        }
-    }
-    let (loss_ref, grads_ref) = megabatch_step(&model, &fresh_b, None);
-    for workers in worker_counts {
-        let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
-        let (loss_fresh, grads_fresh) = megabatch_step(&model, &fresh_b, pool.clone());
-        let (loss_cached, grads_cached) = megabatch_step(&model, composed.megabatch(), pool);
-        assert_eq!(
-            loss_fresh, loss_cached,
-            "loss bits diverged at {workers:?} workers"
-        );
-        assert_eq!(loss_ref, loss_cached, "loss bits diverged from inline");
-        assert_eq!(grads_fresh.len(), grads_cached.len());
-        for (i, (a, b)) in grads_fresh.iter().zip(&grads_cached).enumerate() {
-            assert!(
-                a.approx_eq(b, 0.0),
-                "gradient {i} diverged at {workers:?} workers"
-            );
-        }
-        for (i, (a, b)) in grads_ref.iter().zip(&grads_cached).enumerate() {
-            assert!(a.approx_eq(b, 0.0), "gradient {i} diverged from inline");
-        }
+    // Gradients: bitwise across the refill.
+    let (loss_fresh, grads_fresh) = megabatch_step(&model, &fresh_b);
+    let (loss_cached, grads_cached) = megabatch_step(&model, composed.megabatch());
+    assert_eq!(loss_fresh, loss_cached, "refill changed loss bits");
+    assert_eq!(grads_fresh.len(), grads_cached.len());
+    for (i, (a, b)) in grads_fresh.iter().zip(&grads_cached).enumerate() {
+        assert!(a.approx_eq(b, 0.0), "refill changed gradient {i}");
     }
 
     // Round-trip: refilling back to batch A reproduces a fresh A bitwise.
@@ -193,8 +193,8 @@ fn cached_refill_is_bitwise_identical_across_hot_swapped_models() {
         prediction_bits(&model_v2, &fresh_v2),
         "post-swap refill changed prediction bits"
     );
-    let (loss_fresh, grads_fresh) = megabatch_step(&model_v2, &fresh_v2, None);
-    let (loss_cached, grads_cached) = megabatch_step(&model_v2, composed.megabatch(), None);
+    let (loss_fresh, grads_fresh) = megabatch_step(&model_v2, &fresh_v2);
+    let (loss_cached, grads_cached) = megabatch_step(&model_v2, composed.megabatch());
     assert_eq!(loss_fresh, loss_cached);
     for (i, (a, b)) in grads_fresh.iter().zip(&grads_cached).enumerate() {
         assert!(a.approx_eq(b, 0.0), "post-swap gradient {i} diverged");
@@ -204,32 +204,31 @@ fn cached_refill_is_bitwise_identical_across_hot_swapped_models() {
 #[test]
 fn trainer_epochs_reuse_compositions_bitwise_across_shard_counts() {
     // End-to-end through the batch scheduler: multi-epoch training (epochs
-    // >= 2 replay cached compositions; epoch visit order permutes) must
-    // stay bitwise identical across backward_shards — the composition layer
-    // cannot introduce worker-count dependence.
+    // >= 2 replay kept compositions; epoch visit order permutes; each step's
+    // two compositions land on whichever worker and pooled tape is free)
+    // must give the same bits every time it runs.
     use routenet::trainer::{train, TrainConfig};
     let ds = nsfnet_dataset(6, 775);
-    let run = |backward_shards: usize| {
+    let run = || {
         let mut model = fitted_model(&ds, 5);
         let config = TrainConfig {
             epochs: 3,
             batch_size: 4,
             megabatch_size: 2,
-            backward_shards,
             ..TrainConfig::default()
         };
         let history = train(&mut model, &ds, Some(&ds), &config);
         (history.final_train_loss(), history.val_loss.clone(), model)
     };
-    let (loss_1, val_1, model_1) = run(1);
-    let (loss_4, val_4, model_4) = run(4);
-    assert_eq!(loss_1, loss_4, "epoch losses must match exactly");
-    assert_eq!(val_1, val_4, "validation losses must match exactly");
-    let plan = model_1.plan(&ds.samples[0]);
+    let (loss_a, val_a, model_a) = run();
+    let (loss_b, val_b, model_b) = run();
+    assert_eq!(loss_a, loss_b, "epoch losses must match exactly");
+    assert_eq!(val_a, val_b, "validation losses must match exactly");
+    let plan = model_a.plan(&ds.samples[0]);
     assert_eq!(
-        model_1.predict(&plan),
-        model_4.predict(&plan),
-        "trained weights must be bitwise identical across shard counts"
+        model_a.predict(&plan),
+        model_b.predict(&plan),
+        "trained weights must be bitwise identical from run to run"
     );
 }
 
@@ -271,35 +270,13 @@ fn compose_is_a_pure_function_of_its_slice() {
     }
 }
 
-/// One fused training step; returns the loss bits, parameter gradients, and
-/// how many index words the tape copied while recording.
-fn megabatch_step_counting(
-    model: &ExtendedRouteNet,
-    mb: &MegabatchPlan,
-    pool: Option<Arc<WorkerPool>>,
-) -> (u32, Vec<Matrix>, u64) {
-    let mut g = Graph::new();
-    g.set_worker_pool(pool);
-    let bound = model.bind(&mut g);
-    let pred = model.forward(&mut g, &bound, &mb.plan);
-    let reliable = g.gather_rows_sharded(pred, mb.plan.reliable_idx_shared().into(), None);
-    let target = g.constant(mb.plan.reliable_targets_norm());
-    let loss = g.mse(reliable, target);
-    g.backward(loss);
-    (
-        g.value(loss).get(0, 0).to_bits(),
-        model.grads(&g, &bound),
-        g.index_words_copied(),
-    )
-}
-
 #[test]
 fn zero_copy_steps_are_bitwise_identical_and_copy_no_index_words() {
     // The model hands the tape Arc-backed views of the composition's index
     // buffers. Two contracts: (1) a full training step against a cached
-    // composition copies ZERO index words — every gather/scatter/shard list
-    // is a refcount bump — and (2) loss bits and every parameter gradient
-    // are bitwise identical to the inline step, at every worker count.
+    // composition copies ZERO index words — every gather/scatter list is a
+    // refcount bump — and (2) a list recorded as a view gives the bits of
+    // the same list recorded as a copy.
     let ds = nsfnet_dataset(4, 20_260_809);
     let model = fitted_model(&ds, 13);
     let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
@@ -307,23 +284,82 @@ fn zero_copy_steps_are_bitwise_identical_and_copy_no_index_words() {
     let composed = ComposedMegabatch::compose(&parts).expect("compose");
     let mb = composed.megabatch();
 
-    let (loss_inline, grads_inline, copied_inline) = megabatch_step_counting(&model, mb, None);
-    assert_eq!(copied_inline, 0, "inline step copied index words");
+    let (loss_shared, grads_shared, copied_shared) =
+        megabatch_step_on(&mut Graph::new(), &model, mb, true);
+    assert_eq!(copied_shared, 0, "the step copied index words");
+    let (loss_copied, grads_copied, copied) =
+        megabatch_step_on(&mut Graph::new(), &model, mb, false);
+    assert_eq!(
+        copied,
+        mb.plan.reliable_idx.len() as u64,
+        "only the loss gather's slice is copied"
+    );
+    assert_eq!(loss_shared, loss_copied, "a shared view changed loss bits");
+    assert_eq!(grads_shared.len(), grads_copied.len());
+    for (i, (a, b)) in grads_shared.iter().zip(&grads_copied).enumerate() {
+        assert!(a.approx_eq(b, 0.0), "a shared view changed gradient {i}");
+    }
+}
 
-    for workers in [1, 2, 4] {
-        let pool = Some(Arc::new(WorkerPool::new(workers)));
-        let (loss, grads, copied) = megabatch_step_counting(&model, mb, pool);
-        assert_eq!(copied, 0, "step copied index words at {workers} workers");
-        assert_eq!(
-            loss_inline, loss,
-            "loss bits diverged from the inline step at {workers} workers"
-        );
-        assert_eq!(grads_inline.len(), grads.len());
-        for (i, (a, b)) in grads_inline.iter().zip(&grads).enumerate() {
-            assert!(
-                a.approx_eq(b, 0.0),
-                "gradient {i} diverged from the inline step at {workers} workers"
-            );
+#[test]
+fn megabatch_backward_is_reuse_stable_on_a_pooled_tape() {
+    // A reused tape (pooled buffers, GRU scratch recycled) must reproduce
+    // the fresh tape's gradients bit for bit.
+    let ds = nsfnet_dataset(4, 20_260_729);
+    let model = fitted_model(&ds, 11);
+    let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
+    let parts: Vec<&SamplePlan> = plans.iter().collect();
+    let mb = build_megabatch(&parts);
+    let (loss_fresh, grads_fresh) = megabatch_step(&model, &mb);
+
+    let mut g = Graph::new();
+    for round in 0..3 {
+        g.reset();
+        let (loss, grads, _) = megabatch_step_on(&mut g, &model, &mb, false);
+        assert_eq!(loss_fresh, loss, "round {round} loss diverged");
+        for (i, (a, b)) in grads_fresh.iter().zip(&grads).enumerate() {
+            assert!(a.approx_eq(b, 0.0), "round {round} grad {i} diverged");
+        }
+    }
+}
+
+#[test]
+fn inplace_inference_is_bitwise_identical_to_copying_forward() {
+    let ds = nsfnet_dataset(4, 20_260_729);
+    let model = fitted_model(&ds, 11);
+    let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
+    let parts: Vec<&SamplePlan> = plans.iter().collect();
+    let mb = build_megabatch(&parts);
+    let (_, normalizer) = model.preprocessing();
+
+    // Copying (training-mode) forward: states are copied each step.
+    let copying: Vec<f64> = {
+        let mut g = Graph::new();
+        let bound = model.bind(&mut g);
+        let pred = model.forward(&mut g, &bound, &mb.plan);
+        g.value(pred)
+            .as_slice()
+            .iter()
+            .map(|&v| normalizer.denormalize(v as f64))
+            .collect()
+    };
+
+    // In-place (inference-mode) forward: states and accumulators are
+    // advanced in the input buffers — megabatched and per-sample.
+    let batched = model.predict_batch(&plans);
+    let flat: Vec<f64> = batched.iter().flatten().copied().collect();
+    assert_eq!(copying, flat, "in-place megabatch inference changed bits");
+
+    // Per-sample in-place inference: a reused (pooled) tape must reproduce
+    // a fresh tape bit for bit, and stay within float round-off of the
+    // megabatched answer.
+    let mut tape = Graph::new();
+    for (b, plan) in plans.iter().enumerate() {
+        let single = model.predict_with(&mut tape, plan);
+        assert_eq!(single, model.predict(plan), "sample {b}: tape-reuse drift");
+        for (x, y) in batched[b].iter().zip(&single) {
+            let rel = (x - y).abs() / y.abs().max(1e-12);
+            assert!(rel < 1e-5, "sample {b}: batched {x} vs single {y}");
         }
     }
 }

@@ -3,11 +3,10 @@
 //! The contract under test: FIFO-only scenarios — legacy samples, or QoS
 //! samples whose spec degenerates to one class scheduled FIFO — run through
 //! the queue-aware compose path produce **bitwise identical** predictions
-//! AND gradients to the two-entity [`ExtendedRouteNet`], at every
-//! shard-worker count. The queue entity must be invisible until a scenario
-//! actually schedules classes.
+//! AND gradients to the two-entity [`ExtendedRouteNet`]. The queue entity
+//! must be invisible until a scenario actually schedules classes.
 
-use rn_autograd::{Graph, WorkerPool};
+use rn_autograd::Graph;
 use rn_dataset::{generate, Dataset, GeneratorConfig, Sample, SampleQos};
 use rn_netgraph::topologies;
 use rn_netsim::{ClassStats, SchedulingPolicy, SimConfig, TrafficProfile};
@@ -17,7 +16,6 @@ use routenet::compose::{ComposedMegabatch, CompositionCache};
 use routenet::entities::MegabatchPlan;
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, QosRouteNet, SamplePlan};
-use std::sync::Arc;
 
 fn nsfnet_dataset(batch: usize, seed: u64) -> Dataset {
     let gen_config = GeneratorConfig {
@@ -58,15 +56,10 @@ fn with_fifo_qos(sample: &Sample) -> Sample {
     out
 }
 
-/// One fused forward + backward on the megabatch with the given worker
-/// pool; returns the loss bits and every parameter gradient.
-fn megabatch_step<M: PathPredictor>(
-    model: &M,
-    mb: &MegabatchPlan,
-    pool: Option<Arc<WorkerPool>>,
-) -> (u32, Vec<Matrix>) {
+/// One fused forward + backward on the megabatch; returns the loss bits and
+/// every parameter gradient.
+fn megabatch_step<M: PathPredictor>(model: &M, mb: &MegabatchPlan) -> (u32, Vec<Matrix>) {
     let mut g = Graph::new();
-    g.set_worker_pool(pool);
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, &mb.plan);
     let reliable = g.gather_rows(pred, &mb.plan.reliable_idx);
@@ -152,45 +145,27 @@ fn fifo_only_batches_are_bitwise_identical_to_legacy_across_workers() {
         "FIFO-only predictions diverged from the two-entity baseline"
     );
 
-    // Gradients: bitwise at every worker count (plus whatever CI injects
-    // through the centralized env override). The queue GRU must stay exactly
-    // zero — the loss never touches it.
-    let mut worker_counts: Vec<Option<usize>> = vec![None, Some(1), Some(2), Some(4)];
-    if let Some(extra) = routenet::TrainConfig::env_backward_shards() {
-        if !worker_counts.contains(&Some(extra)) {
-            worker_counts.push(Some(extra));
-        }
+    // Gradients: bitwise. The queue GRU must stay exactly zero — the loss
+    // never touches it.
+    let (loss_q, grads_q) = megabatch_step(&qos, composed_qos.megabatch());
+    let (loss_e, grads_e) = megabatch_step(&ext, composed_ext.megabatch());
+    assert_eq!(loss_q, loss_e, "loss bits diverged");
+    assert_eq!(grads_q.len(), grads_e.len() + 6);
+    for (i, (e, q)) in grads_e.iter().zip(&grads_q).enumerate() {
+        assert!(e.approx_eq(q, 0.0), "shared gradient {i} diverged");
     }
-    let (loss_ref, grads_ref) = megabatch_step(&ext, composed_ext.megabatch(), None);
-    for workers in &worker_counts {
-        let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
-        let (loss_q, grads_q) = megabatch_step(&qos, composed_qos.megabatch(), pool.clone());
-        let (loss_e, grads_e) = megabatch_step(&ext, composed_ext.megabatch(), pool);
-        assert_eq!(loss_q, loss_e, "loss bits diverged at {workers:?} workers");
-        assert_eq!(loss_q, loss_ref, "loss bits diverged from inline reference");
-        assert_eq!(grads_q.len(), grads_e.len() + 6);
-        for (i, (e, q)) in grads_e.iter().zip(&grads_q).enumerate() {
-            assert!(
-                e.approx_eq(q, 0.0),
-                "shared gradient {i} diverged at {workers:?} workers"
-            );
-        }
-        for (i, (r, q)) in grads_ref.iter().zip(&grads_q).enumerate() {
-            assert!(r.approx_eq(q, 0.0), "gradient {i} diverged from inline");
-        }
-        for (i, m) in grads_q[grads_e.len()..].iter().enumerate() {
-            assert_eq!(
-                m.max_abs(),
-                0.0,
-                "queue GRU gradient {i} is nonzero on a FIFO-only batch"
-            );
-        }
+    for (i, m) in grads_q[grads_e.len()..].iter().enumerate() {
+        assert_eq!(
+            m.max_abs(),
+            0.0,
+            "queue GRU gradient {i} is nonzero on a FIFO-only batch"
+        );
     }
 }
 
 #[test]
 fn fifo_only_single_sample_predictions_are_bitwise_identical() {
-    // The per-sample (unbatched, unsharded) path — serving's cache-miss
+    // The per-sample (unbatched) path — serving's cache-miss
     // fallback — must hold the same guarantee as the megabatch path.
     let ds = nsfnet_dataset(2, 909);
     let mut ext = ExtendedRouteNet::new(model_config(7));
@@ -262,16 +237,10 @@ fn qos_batches_refill_bitwise_like_legacy_ones() {
         prediction_bits(&qos, fresh_b.megabatch()),
         "refilled QoS composition changed prediction bits"
     );
-    for workers in [None, Some(2)] {
-        let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
-        let (loss_c, grads_c) = megabatch_step(&qos, composed.megabatch(), pool.clone());
-        let (loss_f, grads_f) = megabatch_step(&qos, fresh_b.megabatch(), pool);
-        assert_eq!(loss_c, loss_f, "loss bits diverged at {workers:?} workers");
-        for (i, (a, b)) in grads_c.iter().zip(&grads_f).enumerate() {
-            assert!(
-                a.approx_eq(b, 0.0),
-                "gradient {i} diverged at {workers:?} workers"
-            );
-        }
+    let (loss_c, grads_c) = megabatch_step(&qos, composed.megabatch());
+    let (loss_f, grads_f) = megabatch_step(&qos, fresh_b.megabatch());
+    assert_eq!(loss_c, loss_f, "refill changed loss bits");
+    for (i, (a, b)) in grads_c.iter().zip(&grads_f).enumerate() {
+        assert!(a.approx_eq(b, 0.0), "refill changed gradient {i}");
     }
 }

@@ -217,8 +217,8 @@ fn warm_predict_allocates_only_its_result_and_bookkeeping() {
         let mut delays = Vec::new();
         let (bytes, largest) = allocations_of(|| delays = model.predict_with(&mut g, plan));
         assert_eq!(delays.len(), plan.n_paths);
-        // The returned Vec<f64> plus per-op bookkeeping (shard task lists,
-        // the binding's handle vectors). Every matrix comes from the pool.
+        // The returned Vec<f64> plus per-op bookkeeping (the binding's
+        // handle vectors). Every matrix comes from the pool.
         assert!(
             bytes < 8 * 1024,
             "warm predict_with allocated {bytes} bytes (largest block {largest})"

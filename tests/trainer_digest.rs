@@ -2,22 +2,25 @@
 //! and validation loss, the epoch training stopped at and every parameter
 //! after `train()` for `OriginalRouteNet`, `ExtendedRouteNet` and
 //! `QosRouteNet` (on a two-class dataset), each with a validation set, early
-//! stopping and a learning-rate halving, at 1 and 4 shard workers. Recorded
-//! at commit 0fd495a, when the trainer still carried a per-sample path, a
-//! streaming twin and a background prefetch lane beside its default
-//! schedule; the one schedule that replaced them must keep every bit.
+//! stopping and a learning-rate halving. Recorded at commit 0fd495a, when
+//! the trainer still carried a per-sample path, a streaming twin and a
+//! background prefetch lane beside its default schedule; the one schedule
+//! that replaced them must keep every bit.
 //! `qos_two_class` was re-recorded once, when plans stopped carrying rows for
 //! (link, class) queues no path crosses: fewer rows regroup the queue GRU's
 //! weight-gradient sums, the loss history agreed with the old one to 7e-8
 //! relative and training stopped at the same epoch. All three were
 //! re-recorded when the GRU step began to read a pre-projected input
 //! (`[h|x]·W` regrouped as `h·W_h + x·W_x`): every loss within 1.5e-7
-//! relative of the histories below, the same stop epochs.
+//! relative of the histories below, the same stop epochs. And once more when
+//! the shard gang went (a megabatch's weight gradients are one product over
+//! all its rows, no longer per-sample partials merged in order): every loss
+//! within 1.9e-7, the same stop epochs.
 //!
 //! `tests/model_digest.rs` stops at one forward/backward; this pins what
 //! comes after it — batch membership and visit order from the seeded
-//! shuffle, shard gradient reduction, clip, Adam, the halving schedule, the
-//! patience counter and the best-weights restore.
+//! shuffle, the merge of a batch's compositions, clip, Adam, the halving
+//! schedule, the patience counter and the best-weights restore.
 //!
 //! Beside the digests, `tests/fixtures/trainer_values.json` holds every
 //! scenario's loss histories and stop epoch as numbers, written by commit
@@ -66,10 +69,10 @@ fn model_config() -> ModelConfig {
 }
 
 /// Six samples in batches of four, megabatches of two: a full batch of two
-/// shards and a ragged one of a single shard. The learning rate is hot on
-/// purpose, so validation regresses and the patience counter, the early
-/// stop and the best-weights restore all run.
-fn train_config(backward_shards: usize) -> TrainConfig {
+/// compositions and a ragged one of a single composition. The learning rate
+/// is hot on purpose, so validation regresses and the patience counter, the
+/// early stop and the best-weights restore all run.
+fn train_config() -> TrainConfig {
     TrainConfig {
         epochs: 8,
         batch_size: 4,
@@ -80,38 +83,20 @@ fn train_config(backward_shards: usize) -> TrainConfig {
         seed: 20_260_928,
         patience: Some(1),
         lr_halve_epochs: vec![2],
-        backward_shards,
         ..TrainConfig::default()
     }
 }
 
-/// Worker counts every scenario runs at: 1 (inline) and 4, plus whatever CI
-/// injects through `RN_BACKWARD_SHARDS`.
-fn worker_counts() -> Vec<usize> {
-    let mut counts = vec![1, 4];
-    if let Some(extra) = TrainConfig::env_backward_shards() {
-        if !counts.contains(&extra) {
-            counts.push(extra);
-        }
-    }
-    counts
-}
-
 /// One `train()` run of a scenario.
 struct Run {
-    workers: usize,
     digest: u64,
     history: TrainingHistory,
 }
 
 /// `train()` from fresh weights, then FNV-1a over the bit patterns of the
 /// loss history, the stop epoch and every parameter in parameter order.
-fn run_digest<M: PathPredictor>(
-    mut model: M,
-    (train_set, val_set): &(Dataset, Dataset),
-    workers: usize,
-) -> Run {
-    let history = train(&mut model, train_set, Some(val_set), &train_config(workers));
+fn run_digest<M: PathPredictor>(mut model: M, (train_set, val_set): &(Dataset, Dataset)) -> Run {
+    let history = train(&mut model, train_set, Some(val_set), &train_config());
     let mut fp = Fingerprint::new();
     fp.usize(history.train_loss.len());
     for &l in &history.train_loss {
@@ -127,32 +112,30 @@ fn run_digest<M: PathPredictor>(
         fp.f32s(param.as_slice());
     }
     Run {
-        workers,
         digest: fp.finish(),
         history,
     }
 }
 
-/// Every scenario at every worker count, in the order of the recorded tables.
-fn scenario_runs() -> [(&'static str, Vec<Run>); 3] {
+/// Every scenario, in the order of the recorded tables. The worker count is
+/// whatever CPUs the process may run on; CI runs this file unpinned and under
+/// `taskset -c 0`, and the same constants hold.
+fn scenario_runs() -> [(&'static str, Run); 3] {
     let legacy = (dataset(false, 20_260_928, 6), dataset(false, 20_260_929, 3));
     let two_class = (dataset(true, 20_260_928, 6), dataset(true, 20_260_929, 3));
     assert!(two_class.0.samples[0].qos.is_some());
-    let counts = worker_counts();
-    let at_every_count =
-        |run: &dyn Fn(usize) -> Run| -> Vec<Run> { counts.iter().map(|&w| run(w)).collect() };
     [
         (
             "original",
-            at_every_count(&|w| run_digest(OriginalRouteNet::new(model_config()), &legacy, w)),
+            run_digest(OriginalRouteNet::new(model_config()), &legacy),
         ),
         (
             "extended",
-            at_every_count(&|w| run_digest(ExtendedRouteNet::new(model_config()), &legacy, w)),
+            run_digest(ExtendedRouteNet::new(model_config()), &legacy),
         ),
         (
             "qos_two_class",
-            at_every_count(&|w| run_digest(QosRouteNet::new(model_config()), &two_class, w)),
+            run_digest(QosRouteNet::new(model_config()), &two_class),
         ),
     ]
 }
@@ -160,31 +143,25 @@ fn scenario_runs() -> [(&'static str, Vec<Run>); 3] {
 #[test]
 fn trainers_reproduce_the_recorded_digests() {
     let recorded: [(&str, u64); 3] = [
-        ("original", 0xa2e3_4e36_5253_6379),
-        ("extended", 0xf6b6_3536_af70_53f3),
-        ("qos_two_class", 0x60d7_49fa_3edc_9a0c),
+        ("original", 0x7d7b_2151_c2c0_173a),
+        ("extended", 0xd4d9_c12c_5f98_bd96),
+        ("qos_two_class", 0x7ef8_35ac_f8a7_b737),
     ];
-    let scenarios: Vec<(&str, u64, Vec<Run>)> = recorded
+    let scenarios: Vec<(&str, u64, Run)> = recorded
         .into_iter()
         .zip(scenario_runs())
-        .map(|((name, want), (ran, runs))| {
+        .map(|((name, want), (ran, run))| {
             assert_eq!(name, ran, "recorded table and scenarios out of step");
-            (name, want, runs)
+            (name, want, run)
         })
         .collect();
     let table: String = scenarios
         .iter()
-        .map(|(name, want, runs)| {
-            let rows: String = runs
-                .iter()
-                .map(|r| {
-                    format!(
-                        "    got @{} workers {:#018x} (stopped at epoch {})\n",
-                        r.workers, r.digest, r.history.stopped_at
-                    )
-                })
-                .collect();
-            format!("  {name}:\n    recorded       {want:#018x}\n{rows}")
+        .map(|(name, want, run)| {
+            format!(
+                "  {name}:\n    recorded {want:#018x}\n    got      {:#018x} (stopped at epoch {})\n",
+                run.digest, run.history.stopped_at
+            )
         })
         .collect();
     if std::env::var("RN_REGEN_GOLDEN").is_ok() {
@@ -192,9 +169,7 @@ fn trainers_reproduce_the_recorded_digests() {
         return;
     }
     assert!(
-        scenarios
-            .iter()
-            .all(|(_, want, runs)| runs.iter().all(|r| r.digest == *want)),
+        scenarios.iter().all(|(_, want, run)| run.digest == *want),
         "the trainer moved bits against the frozen reference:\n{table}"
     );
 }
@@ -206,11 +181,9 @@ fn trainers_stay_within_tolerance_of_the_recorded_histories() {
     let scenarios = scenario_runs();
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/trainer_values.json");
     if std::env::var("RN_REGEN_GOLDEN").is_ok() {
-        // Every worker count trains the same bits (the digest test's
-        // business), so the first run stands for the scenario.
         let values: Vec<(String, TrainingHistory)> = scenarios
             .iter()
-            .map(|(name, runs)| (name.to_string(), runs[0].history.clone()))
+            .map(|(name, run)| (name.to_string(), run.history.clone()))
             .collect();
         std::fs::write(&path, serde_json::to_string(&values).unwrap()).unwrap();
         eprintln!("regenerated {}", path.display());
@@ -234,18 +207,16 @@ fn trainers_stay_within_tolerance_of_the_recorded_histories() {
     };
     let mut table = String::new();
     let mut ok = true;
-    for ((name, want), (ran, runs)) in recorded.iter().zip(&scenarios) {
+    for ((name, want), (ran, run)) in recorded.iter().zip(&scenarios) {
         assert_eq!(name, ran, "fixture and scenarios out of step");
-        for run in runs {
-            let got = &run.history;
-            let worst = max_rel(&got.train_loss, &want.train_loss)
-                .max(max_rel(&got.val_loss, &want.val_loss));
-            table += &format!(
-                "  {name} @{} workers: losses {worst:.1e}, stopped at epoch {} (recorded {})\n",
-                run.workers, got.stopped_at, want.stopped_at
-            );
-            ok &= worst <= LOSS_TOL && got.stopped_at == want.stopped_at;
-        }
+        let got = &run.history;
+        let worst =
+            max_rel(&got.train_loss, &want.train_loss).max(max_rel(&got.val_loss, &want.val_loss));
+        table += &format!(
+            "  {name}: losses {worst:.1e}, stopped at epoch {} (recorded {})\n",
+            got.stopped_at, want.stopped_at
+        );
+        ok &= worst <= LOSS_TOL && got.stopped_at == want.stopped_at;
     }
     eprintln!("worst deviation from the recorded histories:\n{table}");
     assert!(
