@@ -61,7 +61,7 @@ fn bench_inference(c: &mut Criterion) {
         // Batched inference: 8 copies of the sample through one fused
         // block-diagonal pass on a pooled tape, as the evaluation path runs
         // it (per-sample cost is ns/op divided by 8).
-        let batch: Vec<SamplePlan> = (0..8).map(|_| plan_e.clone()).collect();
+        let batch: Vec<&SamplePlan> = vec![&plan_e; 8];
         let mut batch_tape = rn_autograd::Graph::new();
         group.bench_with_input(
             BenchmarkId::new("extended_megabatch8", name),

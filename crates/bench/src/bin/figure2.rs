@@ -1,7 +1,7 @@
 //! **Figure 2 reproduction** — the paper's headline experiment.
 //!
 //! Pipeline (matching Section 3 of the paper, scaled down — see
-//! EXPERIMENTS.md):
+//! "Reproducing the paper's figures" in README.md):
 //!
 //! 1. Generate GEANT2 training samples and held-out GEANT2 + NSFNET
 //!    evaluation samples with the packet-level simulator. Every sample mixes

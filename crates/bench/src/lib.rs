@@ -107,7 +107,7 @@ impl ExperimentConfig {
     /// so a model trained on GEANT2 sees in-distribution rate features on
     /// NSFNET — the precondition of the paper's generalization experiment.
     /// The intensity range is tuned so GEANT2 samples span moderate-to-
-    /// overloaded regimes where queue size matters (see `signal_probe`).
+    /// overloaded regimes where queue size matters.
     pub fn generator(&self) -> GeneratorConfig {
         GeneratorConfig {
             sim: SimConfig {

@@ -1,131 +1,134 @@
-//! The megabatch **composition layer**: structure/feature split, cached
-//! composition, and the LRU composition cache shared by the trainer and the
-//! serving workers.
+//! The megabatch **composition layer**: packing `B` sample plans into one
+//! block-diagonal plan, rewriting a composition's features in place, and the
+//! LRU cache of compositions the serving workers share.
 //!
-//! The workload this system serves is many scenarios over a *fixed small set
-//! of graph shapes*: what changes between samples is traffic, capacities and
-//! queue profiles, not the CSR structure message passing runs over. Yet a
-//! fresh [`build_megabatch`](crate::entities::build_megabatch) redoes all of
-//! the shape-dependent work — merging the schedules, shifting every id into
-//! the union spaces — for every batch, even when the batch has exactly the
-//! ordered sample shapes of the previous one.
+//! A batch of independent sample graphs is itself a sample graph whose path,
+//! link, node and queue sets are the disjoint unions of the parts', which is
+//! why the forward pass takes a [`SamplePlan`] either way. What a
+//! composition holds falls into two kinds of field:
 //!
-//! This module splits megabatch assembly into:
+//! - **shape-dependent** — the merged block-diagonal schedule (per-step
+//!   compaction lists), pairs, incidences and per-part path ranges, every
+//!   id shifted into the union spaces. The expensive part, and a pure
+//!   function of the parts' ordered [structure
+//!   fingerprints](crate::entities::SamplePlan::structure_fingerprint).
+//! - **per-batch** — the stacked initial state matrices, targets,
+//!   reliability indices and loss weights: O(rows × state_dim) copies.
 //!
-//! - [`MegabatchStructure`] — everything **shape-dependent**: the merged
-//!   block-diagonal schedule (per-step compaction lists), entity offsets,
-//!   pairs and incidences. Expensive to build, reusable for any batch
-//!   whose ordered per-sample [structure
-//!   fingerprints](crate::entities::SamplePlan::structure_fingerprint) match.
-//! - [`MegabatchFeatures`] — everything **per-batch**: the stacked initial
-//!   state matrices, targets, reliability indices and loss weights. Cheap to
-//!   (re)write: O(rows × state_dim) copies.
-//! - [`ComposedMegabatch`] — structure and features assembled into the
-//!   [`MegabatchPlan`] the fused forward/backward consumes, plus the layout
-//!   metadata needed to [`refill_features`](ComposedMegabatch::refill_features)
-//!   in place for the next batch with the same shapes.
+//! [`ComposedMegabatch::compose`] builds the shape-dependent fields into a
+//! [`MegabatchPlan`] and fills the per-batch ones through the one feature
+//! writer; [`ComposedMegabatch::refill_features`] calls that same writer on
+//! a kept composition, for a new batch with the same ordered structure. A
+//! refilled composition is therefore bitwise identical to a fresh
+//! [`build_megabatch`](crate::entities::build_megabatch) (which *is*
+//! `compose`) by construction; `tests/composed_equivalence.rs` pins this
+//! down, across model hot-swaps too.
 //!
-//! A fresh `build_megabatch` **is** `compose structure → extract features →
-//! assemble`, and `refill_features` rewrites exactly the fields feature
-//! extraction writes, through the same code path — so a cached composition
-//! with refilled features is bitwise identical to a fresh build by
-//! construction. The golden suite (`tests/composed_equivalence.rs`) pins
-//! this down, across model hot-swaps too.
-//!
-//! [`CompositionCache`] is the LRU that makes recurring batch shapes free:
-//! keyed by the ordered tuple of per-sample structure fingerprints, entries
-//! are **checked out** (removed) for exclusive refill + use and published
-//! back afterwards, so concurrent workers never contend on a shared
-//! composition's buffers.
+//! The trainer composes each batch once and keeps it (membership is fixed
+//! for the run), so it never refills. [`CompositionCache`] has one user,
+//! `rn_serve`: keyed by the ordered tuple of per-sample structure
+//! fingerprints, entries are **checked out** (removed) for exclusive refill
+//! and use, and published back afterwards, so concurrent workers never
+//! contend on a shared composition's buffers.
 
 use crate::entities::{
     copy_rows, CompiledSteps, EntityKind, MegabatchError, MegabatchPlan, SamplePlan,
 };
+use crate::lru::Lru;
 use crate::plan_cache::Fingerprint;
 use rn_tensor::Matrix;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 // ---------------------------------------------------------------------------
-// Structure
+// Composition + refill
 // ---------------------------------------------------------------------------
 
-/// The shape-dependent half of a composed megabatch (see the module docs).
-///
-/// Everything in here is a pure function of the parts' *structure* — entity
-/// counts, routing, sequence schedules — and is therefore reusable across
-/// batches whose ordered structure fingerprints match, no matter how their
-/// traffic, capacities, queue profiles or labels differ.
-#[derive(Debug)]
-pub struct MegabatchStructure {
-    /// Entity state width every part was planned with.
-    pub state_dim: usize,
-    /// Total path rows.
-    pub n_paths: usize,
-    /// Total directed links.
-    pub num_links: usize,
-    /// Total nodes.
-    pub num_nodes: usize,
-    /// Total scheduler queues (0 for packs of two-entity parts).
-    pub num_queues: usize,
-    /// Per-part path row offsets (len `B`).
-    pub path_off: Vec<usize>,
-    /// Per-part link row offsets (len `B`).
-    pub link_off: Vec<usize>,
-    /// Per-part node row offsets (len `B`).
-    pub node_off: Vec<usize>,
-    /// Per-part queue row offsets (len `B`; all zero without queues).
-    pub queue_off: Vec<usize>,
-    /// Ordered per-part structure fingerprints — the composition cache key.
-    pub part_fps: Vec<u64>,
-    /// Merged `(src, dst)` pairs in the union node id space.
-    pub pairs: Vec<(usize, usize)>,
-    /// The merged schedule (rows and ids shifted into the union spaces).
-    pub schedule: CompiledSteps,
-    /// Merged path→node incidence rows.
-    pub node_incidence_paths: Vec<usize>,
-    /// Merged path→node incidence node ids.
-    pub node_incidence_nodes: Vec<usize>,
-    /// Per-part path row ranges `[start, end)`.
-    pub path_ranges: Vec<(usize, usize)>,
+/// One part's `(n_paths, num_links, num_nodes, num_queues)`.
+type PartDims = (usize, usize, usize, usize);
+
+/// Prefix sums over the parts' entity counts: entry `b` is where part `b`'s
+/// path / link / node / queue rows start in the union spaces, and the entry
+/// past the last part is the union's totals.
+fn part_offsets(part_dims: &[PartDims]) -> Vec<PartDims> {
+    let mut at = (0, 0, 0, 0);
+    let mut offsets = vec![at];
+    for dims in part_dims {
+        at = (at.0 + dims.0, at.1 + dims.1, at.2 + dims.2, at.3 + dims.3);
+        offsets.push(at);
+    }
+    offsets
 }
 
-impl MegabatchStructure {
-    /// Compose the shape-dependent state of a block-diagonal megabatch from
-    /// `parts` — the expensive half of `build_megabatch`.
+/// Write every per-batch field of `mb` from `parts`, fully overwriting the
+/// matrices (every row belongs to exactly one part, so no stale value
+/// survives) and rebuilding the per-row vectors. The one feature writer:
+/// fresh composition and in-place refill both end here, so the two cannot
+/// drift apart (this is what makes a refilled composition bitwise identical
+/// to a fresh build).
+fn write_features(mb: &mut MegabatchPlan, part_dims: &[PartDims], parts: &[&SamplePlan]) {
+    let plan = &mut mb.plan;
+    // `reliable_idx` is rewritten in place under any previously built
+    // shared mirror; drop the stale cell.
+    plan.reliable_shared = OnceLock::new();
+    plan.targets_raw.clear();
+    plan.reliable_idx.clear();
+    mb.sample_mean_weights.clear();
+    mb.reliable_samples = 0;
+    for (p, (path_at, link_at, node_at, queue_at)) in parts.iter().zip(part_offsets(part_dims)) {
+        copy_rows(&mut plan.path_init, path_at, &p.path_init);
+        copy_rows(&mut plan.link_init, link_at, &p.link_init);
+        copy_rows(&mut plan.node_init, node_at, &p.node_init);
+        copy_rows(&mut plan.queue_init, queue_at, &p.queue_init);
+        copy_rows(&mut plan.targets_norm, path_at, &p.targets_norm);
+        plan.targets_raw.extend_from_slice(&p.targets_raw);
+        let r_s = p.reliable_idx.len();
+        if r_s > 0 {
+            mb.reliable_samples += 1;
+        }
+        for &i in &p.reliable_idx {
+            plan.reliable_idx.push(path_at + i);
+            mb.sample_mean_weights.push(1.0 / r_s as f32);
+        }
+    }
+}
+
+/// `B` sample plans composed into the [`MegabatchPlan`] the fused
+/// forward/backward consumes, with what
+/// [`refill_features`](ComposedMegabatch::refill_features) checks a new
+/// batch against before rewriting the feature fields in place.
+#[derive(Debug)]
+pub struct ComposedMegabatch {
+    /// Ordered per-part structure fingerprints (the cache key).
+    part_fps: Vec<u64>,
+    /// Per-part entity counts: the cheap release-mode sanity check refill
+    /// runs before trusting a fingerprint match, and where its rows start.
+    part_dims: Vec<PartDims>,
+    /// The composed plan. Shape-dependent fields are immutable after
+    /// composition; feature fields are rewritten by
+    /// [`ComposedMegabatch::refill_features`].
+    mb: MegabatchPlan,
+}
+
+impl ComposedMegabatch {
+    /// Compose `parts` into one block-diagonal megabatch — what a fresh
+    /// [`build_megabatch`](crate::entities::build_megabatch) does (that
+    /// function is implemented as this call).
     pub fn compose(parts: &[&SamplePlan]) -> Result<Self, MegabatchError> {
         if parts.is_empty() {
             return Err(MegabatchError::EmptyBatch);
         }
         let state_dim = parts[0].path_init.cols();
-        let n_paths: usize = parts.iter().map(|p| p.n_paths).sum();
-        let num_links: usize = parts.iter().map(|p| p.num_links).sum();
-        let num_nodes: usize = parts.iter().map(|p| p.num_nodes).sum();
-        let num_queues: usize = parts.iter().map(|p| p.num_queues).sum();
-
-        // Entity offsets per part.
-        let mut path_off = Vec::with_capacity(parts.len());
-        let mut link_off = Vec::with_capacity(parts.len());
-        let mut node_off = Vec::with_capacity(parts.len());
-        let mut queue_off = Vec::with_capacity(parts.len());
-        let (mut po, mut lo, mut no, mut qo) = (0usize, 0usize, 0usize, 0usize);
-        for p in parts {
-            if p.path_init.cols() != state_dim {
-                return Err(MegabatchError::StateDimMismatch(
-                    state_dim,
-                    p.path_init.cols(),
-                ));
-            }
-            path_off.push(po);
-            link_off.push(lo);
-            node_off.push(no);
-            queue_off.push(qo);
-            po += p.n_paths;
-            lo += p.num_links;
-            no += p.num_nodes;
-            qo += p.num_queues;
+        if let Some(p) = parts.iter().find(|p| p.path_init.cols() != state_dim) {
+            let found = p.path_init.cols();
+            return Err(MegabatchError::StateDimMismatch(state_dim, found));
         }
+        let part_dims: Vec<PartDims> = parts
+            .iter()
+            .map(|p| (p.n_paths, p.num_links, p.num_nodes, p.num_queues))
+            .collect();
+        let offsets = part_offsets(&part_dims);
+        let (n_paths, num_links, num_nodes, num_queues) = offsets[parts.len()];
 
         // Steps run to the longest sequence in the pack; rows and ids are
         // shifted into the union spaces and appended part by part, which
@@ -146,17 +149,17 @@ impl MegabatchStructure {
             if carried.any(|&k| k != kind) {
                 return Err(MegabatchError::ScheduleMismatch(pos));
             }
-            for (b, p) in parts.iter().enumerate() {
+            for (p, &(path_at, link_at, node_at, queue_at)) in parts.iter().zip(&offsets) {
                 if pos >= p.schedule.len() {
                     continue;
                 }
-                let offset = match kind {
-                    EntityKind::Link => link_off[b],
-                    EntityKind::Node => node_off[b],
-                    EntityKind::Queue => queue_off[b],
+                let id_at = match kind {
+                    EntityKind::Link => link_at,
+                    EntityKind::Node => node_at,
+                    EntityKind::Queue => queue_at,
                 };
-                active_rows.extend(p.schedule.active_rows(pos).iter().map(|r| path_off[b] + r));
-                active_ids.extend(p.schedule.active_ids(pos).iter().map(|id| offset + id));
+                active_rows.extend(p.schedule.active_rows(pos).iter().map(|r| path_at + r));
+                active_ids.extend(p.schedule.active_ids(pos).iter().map(|id| id_at + id));
             }
             kinds.push(kind);
             active_offsets.push(active_rows.len());
@@ -167,250 +170,55 @@ impl MegabatchStructure {
         let mut node_incidence_nodes = Vec::new();
         let mut pairs = Vec::with_capacity(n_paths);
         let mut path_ranges = Vec::with_capacity(parts.len());
-        for (b, p) in parts.iter().enumerate() {
+        for (p, &(path_at, _, node_at, _)) in parts.iter().zip(&offsets) {
             for (&pi, &ni) in p.node_incidence_paths.iter().zip(&p.node_incidence_nodes) {
-                node_incidence_paths.push(path_off[b] + pi);
-                node_incidence_nodes.push(node_off[b] + ni);
+                node_incidence_paths.push(path_at + pi);
+                node_incidence_nodes.push(node_at + ni);
             }
             for &(s, d) in &p.pairs {
-                pairs.push((node_off[b] + s, node_off[b] + d));
+                pairs.push((node_at + s, node_at + d));
             }
-            path_ranges.push((path_off[b], path_off[b] + p.n_paths));
+            path_ranges.push((path_at, path_at + p.n_paths));
         }
 
-        let schedule = CompiledSteps::new(kinds, active_offsets, active_rows, active_ids);
-        let part_fps = parts.iter().map(|p| p.structure_fingerprint()).collect();
-        Ok(Self {
-            state_dim,
-            n_paths,
-            num_links,
-            num_nodes,
-            num_queues,
-            path_off,
-            link_off,
-            node_off,
-            queue_off,
-            part_fps,
-            pairs,
-            schedule,
-            node_incidence_paths,
-            node_incidence_nodes,
-            path_ranges,
-        })
-    }
-
-    /// The ordered per-part structure fingerprints — the cache key.
-    pub fn key(&self) -> &[u64] {
-        &self.part_fps
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Features
-// ---------------------------------------------------------------------------
-
-/// The per-batch half of a composed megabatch: stacked feature rows,
-/// targets, reliability and loss weights. Everything here is rewritten by
-/// [`ComposedMegabatch::refill_features`]; nothing here influences the
-/// compiled structure.
-#[derive(Debug)]
-pub struct MegabatchFeatures {
-    /// Stacked initial path states.
-    pub path_init: Matrix,
-    /// Stacked initial link states.
-    pub link_init: Matrix,
-    /// Stacked initial node states.
-    pub node_init: Matrix,
-    /// Stacked initial queue states (`0 x state_dim` without queues).
-    pub queue_init: Matrix,
-    /// Stacked normalized targets (`n_paths x 1`).
-    pub targets_norm: Matrix,
-    /// Stacked raw targets.
-    pub targets_raw: Vec<f64>,
-    /// Reliable rows in the union row space.
-    pub reliable_idx: Vec<usize>,
-    /// Per reliable row: `1 / r_s` of its sample (mean-of-means weights).
-    pub sample_mean_weights: Vec<f32>,
-    /// Samples contributing at least one reliable row.
-    pub reliable_samples: usize,
-}
-
-/// Mutable slots the feature writer fills — one definition shared by fresh
-/// extraction and in-place refill, so the two cannot drift apart (this is
-/// what makes cached-composition output bitwise identical to a fresh build).
-struct FeatureSlots<'a> {
-    path_init: &'a mut Matrix,
-    link_init: &'a mut Matrix,
-    node_init: &'a mut Matrix,
-    queue_init: &'a mut Matrix,
-    targets_norm: &'a mut Matrix,
-    targets_raw: &'a mut Vec<f64>,
-    reliable_idx: &'a mut Vec<usize>,
-    sample_mean_weights: &'a mut Vec<f32>,
-}
-
-/// Write every feature field from `parts`, fully overwriting the matrices
-/// (every row belongs to exactly one part, so no stale value survives) and
-/// rebuilding the per-row vectors. Returns the reliable-sample count.
-fn write_features(
-    parts: &[&SamplePlan],
-    path_off: &[usize],
-    link_off: &[usize],
-    node_off: &[usize],
-    queue_off: &[usize],
-    slots: FeatureSlots<'_>,
-) -> usize {
-    for (b, p) in parts.iter().enumerate() {
-        copy_rows(slots.path_init, path_off[b], &p.path_init);
-        copy_rows(slots.link_init, link_off[b], &p.link_init);
-        copy_rows(slots.node_init, node_off[b], &p.node_init);
-        copy_rows(slots.queue_init, queue_off[b], &p.queue_init);
-    }
-    slots.targets_raw.clear();
-    slots.reliable_idx.clear();
-    slots.sample_mean_weights.clear();
-    let mut reliable_samples = 0usize;
-    for (b, p) in parts.iter().enumerate() {
-        for row in 0..p.n_paths {
-            slots
-                .targets_norm
-                .set(path_off[b] + row, 0, p.targets_norm.get(row, 0));
-        }
-        slots.targets_raw.extend_from_slice(&p.targets_raw);
-        let r_s = p.reliable_idx.len();
-        if r_s > 0 {
-            reliable_samples += 1;
-        }
-        for &i in &p.reliable_idx {
-            slots.reliable_idx.push(path_off[b] + i);
-            slots.sample_mean_weights.push(1.0 / r_s as f32);
-        }
-    }
-    reliable_samples
-}
-
-impl MegabatchFeatures {
-    /// Fresh feature extraction for a composed structure.
-    pub fn extract(structure: &MegabatchStructure, parts: &[&SamplePlan]) -> Self {
-        let mut features = Self {
-            path_init: Matrix::zeros(structure.n_paths, structure.state_dim),
-            link_init: Matrix::zeros(structure.num_links, structure.state_dim),
-            node_init: Matrix::zeros(structure.num_nodes, structure.state_dim),
-            queue_init: Matrix::zeros(structure.num_queues, structure.state_dim),
-            targets_norm: Matrix::zeros(structure.n_paths, 1),
-            targets_raw: Vec::with_capacity(structure.n_paths),
-            reliable_idx: Vec::new(),
-            sample_mean_weights: Vec::new(),
-            reliable_samples: 0,
-        };
-        features.reliable_samples = write_features(
-            parts,
-            &structure.path_off,
-            &structure.link_off,
-            &structure.node_off,
-            &structure.queue_off,
-            FeatureSlots {
-                path_init: &mut features.path_init,
-                link_init: &mut features.link_init,
-                node_init: &mut features.node_init,
-                queue_init: &mut features.queue_init,
-                targets_norm: &mut features.targets_norm,
-                targets_raw: &mut features.targets_raw,
-                reliable_idx: &mut features.reliable_idx,
-                sample_mean_weights: &mut features.sample_mean_weights,
-            },
-        );
-        features
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Assembly + refill
-// ---------------------------------------------------------------------------
-
-/// A structure + features pair assembled into the [`MegabatchPlan`] the
-/// fused forward/backward consumes, retaining the layout metadata needed to
-/// rewrite the feature fields in place for the next same-shaped batch.
-#[derive(Debug)]
-pub struct ComposedMegabatch {
-    /// Ordered per-part structure fingerprints (the cache key).
-    part_fps: Vec<u64>,
-    /// Per-part row offsets, kept for refill.
-    path_off: Vec<usize>,
-    link_off: Vec<usize>,
-    node_off: Vec<usize>,
-    queue_off: Vec<usize>,
-    /// Per-part `(n_paths, num_links, num_nodes, num_queues)` — the cheap
-    /// release-mode sanity check refill runs before trusting a fingerprint
-    /// match.
-    part_dims: Vec<(usize, usize, usize, usize)>,
-    /// Entity state width.
-    state_dim: usize,
-    /// The assembled plan. Structural fields are immutable after assembly;
-    /// feature fields are rewritten by [`ComposedMegabatch::refill_features`].
-    mb: MegabatchPlan,
-}
-
-impl ComposedMegabatch {
-    /// Compose structure, extract features and assemble — exactly what a
-    /// fresh [`build_megabatch`](crate::entities::build_megabatch) does
-    /// (that function is implemented as this call).
-    pub fn compose(parts: &[&SamplePlan]) -> Result<Self, MegabatchError> {
-        let structure = MegabatchStructure::compose(parts)?;
-        let features = MegabatchFeatures::extract(&structure, parts);
-        Ok(Self::assemble(structure, features, parts))
-    }
-
-    /// Move a structure and a matching feature set into the runnable plan.
-    fn assemble(
-        structure: MegabatchStructure,
-        features: MegabatchFeatures,
-        parts: &[&SamplePlan],
-    ) -> Self {
-        let part_dims = parts
-            .iter()
-            .map(|p| (p.n_paths, p.num_links, p.num_nodes, p.num_queues))
-            .collect();
-        Self {
-            part_fps: structure.part_fps,
-            path_off: structure.path_off,
-            link_off: structure.link_off,
-            node_off: structure.node_off,
-            queue_off: structure.queue_off,
+        // Feature fields start zeroed and empty; the writer fills them.
+        let mut composed = Self {
+            part_fps: parts.iter().map(|p| p.structure_fingerprint()).collect(),
             part_dims,
-            state_dim: structure.state_dim,
             mb: MegabatchPlan {
                 plan: SamplePlan {
-                    n_paths: structure.n_paths,
-                    num_links: structure.num_links,
-                    num_nodes: structure.num_nodes,
-                    num_queues: structure.num_queues,
-                    pairs: structure.pairs,
-                    path_init: features.path_init,
-                    link_init: features.link_init,
-                    node_init: features.node_init,
-                    queue_init: features.queue_init,
-                    schedule: structure.schedule,
-                    node_incidence_paths: structure.node_incidence_paths,
-                    node_incidence_nodes: structure.node_incidence_nodes,
-                    targets_norm: features.targets_norm,
-                    targets_raw: features.targets_raw,
-                    reliable_idx: features.reliable_idx,
+                    n_paths,
+                    num_links,
+                    num_nodes,
+                    num_queues,
+                    pairs,
+                    path_init: Matrix::zeros(n_paths, state_dim),
+                    link_init: Matrix::zeros(num_links, state_dim),
+                    node_init: Matrix::zeros(num_nodes, state_dim),
+                    queue_init: Matrix::zeros(num_queues, state_dim),
+                    schedule: CompiledSteps::new(kinds, active_offsets, active_rows, active_ids),
+                    node_incidence_paths,
+                    node_incidence_nodes,
+                    targets_norm: Matrix::zeros(n_paths, 1),
+                    targets_raw: Vec::with_capacity(n_paths),
+                    reliable_idx: Vec::new(),
                     structure_fp: OnceLock::new(),
                     reliable_shared: OnceLock::new(),
                 },
-                path_ranges: structure.path_ranges,
-                sample_mean_weights: features.sample_mean_weights,
-                reliable_samples: features.reliable_samples,
+                path_ranges,
+                sample_mean_weights: Vec::new(),
+                reliable_samples: 0,
             },
-        }
+        };
+        write_features(&mut composed.mb, &composed.part_dims, parts);
+        Ok(composed)
     }
 
     /// Rewrite the feature fields in place for a new batch with the **same
     /// ordered structure** (fingerprints are checked; a mismatch is a caller
     /// bug and panics). The rewritten plan is bitwise identical to a fresh
-    /// `build_megabatch` over `parts`: the writer is the same function fresh
-    /// extraction runs, the structure was compiled by the same code, and
+    /// `build_megabatch` over `parts`: the writer is the same function
+    /// `compose` runs, the structure was compiled by the same code, and
     /// matrices are fully overwritten row by row.
     ///
     /// # Example
@@ -469,6 +277,7 @@ impl ComposedMegabatch {
             self.part_fps.len(),
             "refill_features: part count changed"
         );
+        let state_dim = self.mb.plan.path_init.cols();
         for (b, p) in parts.iter().enumerate() {
             assert_eq!(
                 (p.n_paths, p.num_links, p.num_nodes, p.num_queues),
@@ -477,7 +286,7 @@ impl ComposedMegabatch {
             );
             assert_eq!(
                 p.path_init.cols(),
-                self.state_dim,
+                state_dim,
                 "refill_features: part {b} state width diverges"
             );
             assert_eq!(
@@ -486,30 +295,10 @@ impl ComposedMegabatch {
                 "refill_features: part {b} structure fingerprint diverges"
             );
         }
-        let mb = &mut self.mb;
-        // `reliable_idx` is about to be rewritten in place under any
-        // previously built shared mirror; drop the stale cell.
-        mb.plan.reliable_shared = OnceLock::new();
-        mb.reliable_samples = write_features(
-            parts,
-            &self.path_off,
-            &self.link_off,
-            &self.node_off,
-            &self.queue_off,
-            FeatureSlots {
-                path_init: &mut mb.plan.path_init,
-                link_init: &mut mb.plan.link_init,
-                node_init: &mut mb.plan.node_init,
-                queue_init: &mut mb.plan.queue_init,
-                targets_norm: &mut mb.plan.targets_norm,
-                targets_raw: &mut mb.plan.targets_raw,
-                reliable_idx: &mut mb.plan.reliable_idx,
-                sample_mean_weights: &mut mb.sample_mean_weights,
-            },
-        );
+        write_features(&mut self.mb, &self.part_dims, parts);
     }
 
-    /// The assembled megabatch, ready for the fused forward/backward.
+    /// The composed megabatch, ready for the fused forward/backward.
     pub fn megabatch(&self) -> &MegabatchPlan {
         &self.mb
     }
@@ -522,11 +311,6 @@ impl ComposedMegabatch {
     /// The ordered per-part structure fingerprints (the cache key).
     pub fn key(&self) -> &[u64] {
         &self.part_fps
-    }
-
-    /// Number of samples packed into this composition.
-    pub fn parts(&self) -> usize {
-        self.part_fps.len()
     }
 
     /// Unwrap into the plain [`MegabatchPlan`] (drops the refill metadata).
@@ -555,15 +339,9 @@ pub struct ShapeCount {
     pub batches: u64,
 }
 
-/// One cache slot: the composed megabatch plus its LRU stamp.
-struct Entry {
-    composed: ComposedMegabatch,
-    last_used: u64,
-}
-
+/// What one checkout updates together, under one lock.
 struct CacheInner {
-    map: HashMap<Vec<u64>, Entry>,
-    clock: u64,
+    lru: Lru<Vec<u64>, ComposedMegabatch>,
     /// Batch-shape histogram: key hash → times requested (hit or miss).
     shape_uses: HashMap<u64, u64>,
 }
@@ -580,10 +358,6 @@ struct CacheInner {
 /// counts besides.
 pub struct CompositionCache {
     inner: Mutex<CacheInner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl CompositionCache {
@@ -591,15 +365,14 @@ impl CompositionCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                clock: 0,
+                lru: Lru::new(capacity),
                 shape_uses: HashMap::new(),
             }),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().expect("composition cache poisoned")
     }
 
     /// The cache key for an ordered batch of plans.
@@ -609,7 +382,7 @@ impl CompositionCache {
 
     /// Hash a composition key into the single `u64` the shape histogram
     /// reports (FNV over the ordered fingerprints).
-    pub fn shape_hash(key: &[u64]) -> u64 {
+    fn shape_hash(key: &[u64]) -> u64 {
         let mut fp = Fingerprint::new();
         fp.usize(key.len());
         for &k in key {
@@ -622,7 +395,7 @@ impl CompositionCache {
     /// `None` on a miss. Either way the request is counted in the hit/miss
     /// totals and the shape histogram.
     pub fn checkout(&self, key: &[u64]) -> Option<ComposedMegabatch> {
-        let mut inner = self.inner.lock().expect("composition cache poisoned");
+        let mut inner = self.lock();
         let shape = Self::shape_hash(key);
         let tracked = inner.shape_uses.len();
         let slot = if inner.shape_uses.contains_key(&shape) || tracked < MAX_TRACKED_SHAPES {
@@ -631,54 +404,19 @@ impl CompositionCache {
             0 // overflow bucket
         };
         *inner.shape_uses.entry(slot).or_insert(0) += 1;
-        match inner.map.remove(key) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.composed)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        inner.lru.take(key)
     }
 
     /// Put a composition (back) into the cache under its own key, evicting
     /// the least-recently-used entry when full.
     pub fn publish(&self, composed: ComposedMegabatch) {
         let key = composed.key().to_vec();
-        let mut inner = self.inner.lock().expect("composition cache poisoned");
-        inner.clock += 1;
-        let clock = inner.clock;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            // O(n) LRU scan: capacities are small (tens of shapes) and
-            // publish runs once per served batch, off the kernel hot path.
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.map.insert(
-            key,
-            Entry {
-                composed,
-                last_used: clock,
-            },
-        );
+        self.lock().lru.insert(key, composed);
     }
 
     /// Compositions currently resident.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("composition cache poisoned")
-            .map
-            .len()
+        self.lock().lru.len()
     }
 
     /// True when nothing is cached.
@@ -688,11 +426,7 @@ impl CompositionCache {
 
     /// Drop every resident composition (counters keep their totals).
     pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("composition cache poisoned")
-            .map
-            .clear();
+        self.lock().lru.clear();
     }
 
     /// Drop every resident composition whose entity state width differs
@@ -704,36 +438,29 @@ impl CompositionCache {
     /// this purge they would squat in the cache until capacity pressure
     /// happens to evict them.
     pub fn retain_width(&self, state_dim: usize) {
-        self.inner
-            .lock()
-            .expect("composition cache poisoned")
-            .map
-            .retain(|_, e| e.composed.state_dim == state_dim);
+        self.lock()
+            .lru
+            .retain(|composed| composed.plan().path_init.cols() == state_dim);
     }
 
     /// Checkout hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.lock().lru.hits
     }
 
     /// Checkout misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.lock().lru.misses
     }
 
     /// Evictions so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Maximum resident compositions.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lock().lru.evictions
     }
 
     /// The batch-shape histogram, most-requested shapes first.
     pub fn shape_counts(&self) -> Vec<ShapeCount> {
-        let inner = self.inner.lock().expect("composition cache poisoned");
+        let inner = self.lock();
         let mut counts: Vec<ShapeCount> = inner
             .shape_uses
             .iter()
@@ -749,20 +476,24 @@ mod tests {
     use super::*;
     use crate::entities::{build_megabatch, build_plan, PlanConfig, TargetKind};
     use crate::features::FeatureScales;
-    use rn_dataset::{generate, GeneratorConfig, Normalizer, Sample};
+    use rn_dataset::{generate, generate_sparse_sample, GeneratorConfig, Normalizer, Sample};
     use rn_netgraph::topologies;
     use rn_netsim::SimConfig;
 
-    fn toy_samples(n: usize, seed: u64) -> Vec<Sample> {
-        let config = GeneratorConfig {
+    fn gen_config(qos: bool) -> GeneratorConfig {
+        GeneratorConfig {
             sim: SimConfig {
                 duration_s: 60.0,
                 warmup_s: 10.0,
                 ..SimConfig::default()
             },
+            qos: qos.then(rn_dataset::QosGenConfig::two_class_mix),
             ..GeneratorConfig::default()
-        };
-        generate(&topologies::toy5(), &config, seed, n).samples
+        }
+    }
+
+    fn toy_samples(n: usize, seed: u64) -> Vec<Sample> {
+        generate(&topologies::toy5(), &gen_config(false), seed, n).samples
     }
 
     fn prep() -> (FeatureScales, Normalizer) {
@@ -796,6 +527,7 @@ mod tests {
         assert!(a.plan.path_init.approx_eq(&b.plan.path_init, 0.0));
         assert!(a.plan.link_init.approx_eq(&b.plan.link_init, 0.0));
         assert!(a.plan.node_init.approx_eq(&b.plan.node_init, 0.0));
+        assert!(a.plan.queue_init.approx_eq(&b.plan.queue_init, 0.0));
         assert!(a.plan.targets_norm.approx_eq(&b.plan.targets_norm, 0.0));
         assert_eq!(
             a.plan
@@ -838,33 +570,101 @@ mod tests {
         let fresh = build_megabatch(&parts);
         let composed = ComposedMegabatch::compose(&parts).unwrap();
         assert_plans_bitwise_equal(&fresh, composed.megabatch());
-        assert_eq!(composed.parts(), 3);
+        assert_eq!(composed.key().len(), 3);
         assert_eq!(composed.key(), CompositionCache::key_of(&parts).as_slice());
+    }
+
+    /// Parts of different sizes (two topologies, sparse and full traffic),
+    /// the middle one with no reliable label; with `qos`, every part carries
+    /// queues and the first one the fewest.
+    fn ragged_samples(qos: bool) -> Vec<Sample> {
+        let config = gen_config(qos);
+        let nsfnet = topologies::nsfnet_default();
+        let mut unlabeled = generate_sparse_sample(&nsfnet, &config, 30, 94, 1);
+        for t in &mut unlabeled.targets {
+            t.delivered = 0;
+        }
+        vec![
+            generate_sparse_sample(&nsfnet, &config, 4, 94, 0),
+            unlabeled,
+            generate(&topologies::toy5(), &config, 94, 1)
+                .samples
+                .remove(0),
+        ]
+    }
+
+    /// Every part's rows sit in the union matrices where the parts before
+    /// it end — offsets computed here from the plans, not by the composer.
+    fn assert_parts_sit_at_their_offsets(parts: &[&SamplePlan], mb: &MegabatchPlan) {
+        let assert_rows = |union: &Matrix, at: usize, part: &Matrix| {
+            let cols = union.cols();
+            let rows = &union.as_slice()[at * cols..(at + part.rows()) * cols];
+            assert_eq!(rows, part.as_slice());
+        };
+        let (mut paths, mut links, mut nodes, mut queues) = (0, 0, 0, 0);
+        let mut reliable = Vec::new();
+        for p in parts {
+            assert_rows(&mb.plan.path_init, paths, &p.path_init);
+            assert_rows(&mb.plan.targets_norm, paths, &p.targets_norm);
+            assert_rows(&mb.plan.link_init, links, &p.link_init);
+            assert_rows(&mb.plan.node_init, nodes, &p.node_init);
+            assert_rows(&mb.plan.queue_init, queues, &p.queue_init);
+            assert_eq!(mb.plan.targets_raw[paths..paths + p.n_paths], p.targets_raw);
+            reliable.extend(p.reliable_idx.iter().map(|&i| paths + i));
+            paths += p.n_paths;
+            links += p.num_links;
+            nodes += p.num_nodes;
+            queues += p.num_queues;
+        }
+        assert_eq!(mb.plan.reliable_idx, reliable);
+        let plan = &mb.plan;
+        assert_eq!(
+            (paths, links, nodes, queues),
+            (
+                plan.n_paths,
+                plan.num_links,
+                plan.num_nodes,
+                plan.num_queues
+            )
+        );
     }
 
     #[test]
     fn refill_matches_fresh_build_for_new_features() {
-        let samples = toy_samples(2, 92);
         let p = prep();
         let cfg = config(&p);
-        let plans_a: Vec<_> = samples.iter().map(|s| build_plan(s, &cfg)).collect();
-        let perturbed: Vec<Sample> = samples.iter().map(perturb_features).collect();
-        let plans_b: Vec<_> = perturbed.iter().map(|s| build_plan(s, &cfg)).collect();
-        let parts_a: Vec<&SamplePlan> = plans_a.iter().collect();
-        let parts_b: Vec<&SamplePlan> = plans_b.iter().collect();
-        assert_eq!(
-            CompositionCache::key_of(&parts_a),
-            CompositionCache::key_of(&parts_b),
-            "feature-only mutation must keep the structure key"
-        );
+        for ragged_qos in [None, Some(false), Some(true)] {
+            let samples = ragged_qos.map_or_else(|| toy_samples(2, 92), ragged_samples);
+            let plans_a: Vec<_> = samples.iter().map(|s| build_plan(s, &cfg)).collect();
+            if let Some(qos) = ragged_qos {
+                let [first, unlabeled, last] = &plans_a[..] else {
+                    panic!("three ragged parts");
+                };
+                assert!(first.n_paths < last.n_paths && last.n_paths < unlabeled.n_paths);
+                assert!(unlabeled.reliable_idx.is_empty() && !first.reliable_idx.is_empty());
+                assert_eq!(first.num_queues > 0, qos);
+                assert!(!qos || first.num_queues < unlabeled.num_queues.min(last.num_queues));
+            }
+            let perturbed: Vec<Sample> = samples.iter().map(perturb_features).collect();
+            let plans_b: Vec<_> = perturbed.iter().map(|s| build_plan(s, &cfg)).collect();
+            let parts_a: Vec<&SamplePlan> = plans_a.iter().collect();
+            let parts_b: Vec<&SamplePlan> = plans_b.iter().collect();
+            assert_eq!(
+                CompositionCache::key_of(&parts_a),
+                CompositionCache::key_of(&parts_b),
+                "feature-only mutation must keep the structure key"
+            );
 
-        let mut composed = ComposedMegabatch::compose(&parts_a).unwrap();
-        composed.refill_features(&parts_b);
-        let fresh_b = build_megabatch(&parts_b);
-        assert_plans_bitwise_equal(&fresh_b, composed.megabatch());
-        // And refilling back reproduces the original batch too.
-        composed.refill_features(&parts_a);
-        assert_plans_bitwise_equal(&build_megabatch(&parts_a), composed.megabatch());
+            let mut composed = ComposedMegabatch::compose(&parts_a).unwrap();
+            assert_parts_sit_at_their_offsets(&parts_a, composed.megabatch());
+            composed.refill_features(&parts_b);
+            let fresh_b = build_megabatch(&parts_b);
+            assert_plans_bitwise_equal(&fresh_b, composed.megabatch());
+            assert_parts_sit_at_their_offsets(&parts_b, composed.megabatch());
+            // And refilling back reproduces the original batch too.
+            composed.refill_features(&parts_a);
+            assert_plans_bitwise_equal(&build_megabatch(&parts_a), composed.megabatch());
+        }
     }
 
     #[test]
@@ -896,8 +696,8 @@ mod tests {
             plan.structure_fingerprint(),
             perturbed.structure_fingerprint()
         );
-        // The full (content) fingerprint does move with the features...
-        assert_ne!(plan.fingerprint(), perturbed.fingerprint());
+        // The features themselves did move...
+        assert!(!plan.link_init.approx_eq(&perturbed.link_init, 0.0));
         // ...and a state-width change moves the structure fingerprint.
         let mut wide_cfg = config(&p);
         wide_cfg.state_dim = 16;

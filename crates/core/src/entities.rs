@@ -507,9 +507,12 @@ impl std::error::Error for MegabatchError {}
 
 /// Pack `parts` into one block-diagonal [`MegabatchPlan`].
 ///
-/// Panics on an empty slice or on state-width mismatches between parts; use
-/// [`try_build_megabatch`] where those are runtime conditions (e.g. a
-/// serving queue) rather than caller bugs.
+/// This *is* [`ComposedMegabatch::compose`](crate::compose::ComposedMegabatch::compose),
+/// which is what makes a cached composition with refilled features
+/// **bitwise identical** to it by construction rather than by test alone.
+/// Panics where `compose` returns a [`MegabatchError`]; call that where an
+/// empty or mixed batch is a runtime condition (e.g. a serving queue)
+/// rather than a caller bug.
 ///
 /// # Example
 ///
@@ -543,23 +546,10 @@ impl std::error::Error for MegabatchError {}
 /// assert_eq!(mb.path_ranges.len(), 2);
 /// ```
 pub fn build_megabatch(parts: &[&SamplePlan]) -> MegabatchPlan {
-    match try_build_megabatch(parts) {
-        Ok(mb) => mb,
+    match crate::compose::ComposedMegabatch::compose(parts) {
+        Ok(composed) => composed.into_plan(),
         Err(e) => panic!("{e}"),
     }
-}
-
-/// Fallible [`build_megabatch`]: returns a [`MegabatchError`] instead of
-/// panicking on an empty part list or mismatched state widths.
-///
-/// Implemented on top of the composition layer ([`crate::compose`]): a
-/// fresh build is exactly "compose the structure, extract the features,
-/// assemble" — which is what makes a cached
-/// [`crate::compose::ComposedMegabatch`] with refilled features **bitwise
-/// identical** to this function by construction rather than by test alone.
-pub fn try_build_megabatch(parts: &[&SamplePlan]) -> Result<MegabatchPlan, MegabatchError> {
-    crate::compose::ComposedMegabatch::compose(parts)
-        .map(crate::compose::ComposedMegabatch::into_plan)
 }
 
 /// Copy all of `src`'s rows into `dst` starting at row `at`.
@@ -578,14 +568,6 @@ impl SamplePlan {
                 .get_or_init(|| self.reliable_idx.as_slice().into())
                 .clone(),
         )
-    }
-
-    /// Raw targets restricted to reliable rows.
-    pub fn reliable_targets_raw(&self) -> Vec<f64> {
-        self.reliable_idx
-            .iter()
-            .map(|&i| self.targets_raw[i])
-            .collect()
     }
 
     /// Normalized targets restricted to reliable rows, as a column matrix.
@@ -1027,7 +1009,7 @@ mod tests {
     #[test]
     fn empty_megabatch_is_an_error_not_a_panic() {
         assert_eq!(
-            try_build_megabatch(&[]).unwrap_err(),
+            crate::compose::ComposedMegabatch::compose(&[]).unwrap_err(),
             MegabatchError::EmptyBatch
         );
         let msg = MegabatchError::EmptyBatch.to_string();
@@ -1048,7 +1030,7 @@ mod tests {
         cfg.state_dim = 16;
         let plan_b = build_plan(&sample, &cfg);
         assert_eq!(
-            try_build_megabatch(&[&plan_a, &plan_b]).unwrap_err(),
+            crate::compose::ComposedMegabatch::compose(&[&plan_a, &plan_b]).unwrap_err(),
             MegabatchError::StateDimMismatch(8, 16)
         );
     }

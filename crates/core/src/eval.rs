@@ -189,18 +189,18 @@ pub fn evaluate_baseline(name: &str, dataset_name: &str, pairs: &[(f64, f64)]) -
 /// built plans (avoids re-planning in ablation sweeps). Runs the fused
 /// megabatch inference path: workers pack size-aware chunks (see
 /// `eval_chunks`) into block-diagonal forward passes on pooled tapes;
-/// each chunk flows through the composition layer (`build_megabatch` is
-/// compose + extract + assemble). One-shot evaluation has no recurring
-/// batch shapes to cache, so no `CompositionCache` sits here — the trainer
-/// owns that reuse for its fixed batches and validation chunks.
+/// each chunk is composed once (`build_megabatch`) and run. One-shot
+/// evaluation has no recurring batch shapes, so nothing is cached or
+/// refilled here; the trainer keeps the compositions of its fixed batches
+/// and validation chunks itself.
 pub fn collect_predictions<M: PathPredictor>(model: &M, plans: &[SamplePlan]) -> Vec<(f64, f64)> {
     let tape_pool = rn_autograd::TapePool::new();
     eval_chunks(plans)
         .par_iter()
         .flat_map_iter(|&(start, end)| {
-            let chunk = &plans[start..end];
+            let chunk: Vec<&SamplePlan> = plans[start..end].iter().collect();
             let mut tape = tape_pool.acquire();
-            let batch_preds = model.predict_batch_with(&mut tape, chunk);
+            let batch_preds = model.predict_batch_with(&mut tape, &chunk);
             tape_pool.release(tape);
             chunk
                 .iter()

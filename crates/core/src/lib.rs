@@ -42,10 +42,10 @@
 //! - [`persist`] — atomic JSON save/load of trained models.
 //! - [`plan_cache`] — scenario fingerprints and the compiled-plan LRU cache
 //!   the serving layer (`rn_serve`) builds on.
-//! - [`compose`] — the megabatch composition layer: shape-dependent
-//!   structure split from per-batch features, with in-place feature refill
-//!   and the LRU composition cache recurring batch shapes hit instead of
-//!   re-running `build_megabatch`.
+//! - [`compose`] — the megabatch composition layer: `B` plans composed into
+//!   the one block-diagonal plan the forward runs, in-place feature refill
+//!   through the same writer, and the LRU composition cache `rn_serve`'s
+//!   recurring batch shapes hit instead of re-running `build_megabatch`.
 
 #![warn(missing_docs)]
 
@@ -54,13 +54,14 @@ pub mod config;
 pub mod entities;
 pub mod eval;
 pub mod features;
+mod lru;
 pub mod model;
 pub mod persist;
 pub mod plan_cache;
 pub mod train_trace;
 pub mod trainer;
 
-pub use compose::{ComposedMegabatch, CompositionCache, MegabatchFeatures, MegabatchStructure};
+pub use compose::{ComposedMegabatch, CompositionCache};
 pub use config::{ModelConfig, NodeUpdate};
 pub use entities::{EntityKind, MegabatchError, SamplePlan};
 pub use eval::{evaluate, EvalReport};

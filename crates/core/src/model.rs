@@ -82,8 +82,8 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
     /// Inference: predicted raw (denormalized) targets for every path.
     ///
     /// Runs [`PathPredictor::predict_with`] on a tape that stays with the
-    /// calling thread (as do `predict_batch` / `predict_batch_refs`), which
-    /// therefore keeps the working set of the largest plan it has predicted;
+    /// calling thread (as does `predict_batch`), which therefore keeps the
+    /// working set of the largest plan it has predicted;
     /// a caller that wants to own that memory holds a tape and calls
     /// `predict_with` itself. Bits do not depend on what the tape ran before.
     fn predict(&self, plan: &SamplePlan) -> Vec<f64> {
@@ -123,33 +123,20 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
     /// sample. Output `[i]` equals `self.predict(&plans[i])` to f32
     /// round-off.
     fn predict_batch(&self, plans: &[SamplePlan]) -> Vec<Vec<f64>> {
-        with_thread_tape(|g| self.predict_batch_with(g, plans))
-    }
-
-    /// Batched inference on a caller-provided (pooled) tape. Megabatch
-    /// buffers are large enough that allocator reuse matters: a worker
-    /// holding one tape across a stream of batches takes them all from the
-    /// tape's pool (see [`PathPredictor::predict_with`]).
-    fn predict_batch_with(&self, g: &mut Graph, plans: &[SamplePlan]) -> Vec<Vec<f64>> {
         let parts: Vec<&SamplePlan> = plans.iter().collect();
-        self.predict_batch_refs_with(g, &parts)
+        with_thread_tape(|g| self.predict_batch_with(g, &parts))
     }
 
-    /// Batched inference over borrowed plans. The serving layer holds plans
-    /// behind `Arc`s in a shared cache, so batches are assembled as slices
-    /// of references rather than contiguous owned plans; results are
-    /// identical to [`PathPredictor::predict_batch`] element for element.
-    fn predict_batch_refs(&self, plans: &[&SamplePlan]) -> Vec<Vec<f64>> {
-        with_thread_tape(|g| self.predict_batch_refs_with(g, plans))
-    }
-
-    /// [`PathPredictor::predict_batch_refs`] on a caller-provided (pooled)
-    /// tape — the steady-state serving hot path: one bind per batch, fused
-    /// block-diagonal forward. The tape's pool is bounded by the largest
-    /// batch it has run and a batch shape it has seen before costs no pool
-    /// miss; what a call still allocates is the megabatch composition
+    /// Batched inference over borrowed plans on a caller-provided (pooled)
+    /// tape: one bind per batch, fused block-diagonal forward. Plans are
+    /// taken by reference because callers hold them in different owners
+    /// (a `Vec`, `Arc`s out of a shared cache). Megabatch buffers are large
+    /// enough that allocator reuse matters: the tape's pool is bounded by
+    /// the largest batch it has run and a batch shape it has seen before
+    /// costs no pool miss (see [`PathPredictor::predict_with`]); what a
+    /// call still allocates is the megabatch composition
     /// (`build_megabatch`, for more than one plan) and the result vectors.
-    fn predict_batch_refs_with(&self, g: &mut Graph, plans: &[&SamplePlan]) -> Vec<Vec<f64>> {
+    fn predict_batch_with(&self, g: &mut Graph, plans: &[&SamplePlan]) -> Vec<Vec<f64>> {
         if plans.is_empty() {
             return Vec::new();
         }
@@ -165,7 +152,7 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
     /// worker that checked a cached [`crate::compose::ComposedMegabatch`]
     /// out of the composition cache and refilled its features runs this
     /// instead of re-planning, with bitwise-identical results to
-    /// [`PathPredictor::predict_batch_refs_with`] over the same parts.
+    /// [`PathPredictor::predict_batch_with`] over the same parts.
     fn predict_megabatch_with(&self, g: &mut Graph, mb: &MegabatchPlan) -> Vec<Vec<f64>> {
         g.reset();
         g.set_inference_mode(true);
@@ -789,7 +776,7 @@ mod tests {
         let mut model = ExtendedRouteNet::new(small_config());
         model.fit_preprocessing(&ds, 5);
         assert!(model.predict_batch(&[]).is_empty());
-        assert!(model.predict_batch_refs(&[]).is_empty());
+        assert!(model.predict_batch_with(&mut Graph::new(), &[]).is_empty());
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //! authenticating proxy in front before exposing it further.
 
 use crate::entities::{build_plan, PlanConfig, SamplePlan, TargetKind};
+use crate::lru::Lru;
 use rn_dataset::Sample;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Incremental FNV-1a (64-bit): tiny, dependency-free, stable across runs
 /// and platforms — cache keys may be exchanged over the wire by serving
@@ -152,33 +151,6 @@ pub fn sample_fingerprint(sample: &Sample, config: &PlanConfig) -> u64 {
 }
 
 impl SamplePlan {
-    /// Content fingerprint of the compiled plan: everything the forward pass
-    /// reads — entity counts, initial states (traffic/capacity/queue
-    /// features), and the full message-passing schedule. Ground-truth
-    /// targets and reliability masks are deliberately excluded (see the
-    /// module docs): plans that predict identically fingerprint identically.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.usize(self.n_paths)
-            .usize(self.num_links)
-            .usize(self.num_nodes)
-            .usize(self.num_queues);
-        for &(s, d) in &self.pairs {
-            fp.usize(s).usize(d);
-        }
-        fp.f32s(self.path_init.as_slice())
-            .f32s(self.link_init.as_slice())
-            .f32s(self.node_init.as_slice())
-            .f32s(self.queue_init.as_slice());
-        fp.usize(self.schedule.len())
-            .usizes(&self.schedule.active_offsets)
-            .usizes(&self.schedule.active_rows_flat)
-            .usizes(&self.schedule.active_ids_flat);
-        fp.usizes(&self.node_incidence_paths)
-            .usizes(&self.node_incidence_nodes);
-        fp.finish()
-    }
-
     /// Fingerprint of the plan's **structure** alone: entity counts, state
     /// width, routing pairs, the full compiled step schedule and the
     /// path↔node incidences — everything that determines the shape-dependent
@@ -216,93 +188,38 @@ impl SamplePlan {
     }
 }
 
-/// One cache slot: the shared plan plus its LRU stamp.
-struct Entry {
-    plan: Arc<SamplePlan>,
-    last_used: u64,
-}
-
-/// Interior state guarded by one mutex (lookups are short; planning happens
-/// outside the lock).
-struct Inner {
-    map: HashMap<u64, Entry>,
-    clock: u64,
-}
-
 /// Thread-safe LRU cache of compiled plans keyed by scenario fingerprint.
 ///
 /// Shared by every serving worker: plans come out as `Arc`s, so a cached
 /// plan can sit in several in-flight megabatches while being evicted
 /// concurrently. Hit/miss/eviction counters feed the service metrics.
+/// Lookups are short; planning happens outside the lock.
 pub struct PlanCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    lru: Mutex<Lru<u64, Arc<SamplePlan>>>,
 }
 
 impl PlanCache {
     /// Cache holding at most `capacity` plans (at least 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                clock: 0,
-            }),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            lru: Mutex::new(Lru::new(capacity)),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Lru<u64, Arc<SamplePlan>>> {
+        self.lru.lock().expect("plan cache poisoned")
     }
 
     /// Look up a plan by fingerprint, refreshing its LRU stamp.
     pub fn get(&self, key: u64) -> Option<Arc<SamplePlan>> {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.plan))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.lock().get(&key).cloned()
     }
 
     /// Insert (or replace) a plan under `key`, evicting the least-recently
     /// used entry when full. Returns the shared handle.
     pub fn insert(&self, key: u64, plan: SamplePlan) -> Arc<SamplePlan> {
         let plan = Arc::new(plan);
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.clock += 1;
-        let clock = inner.clock;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            // O(n) LRU scan: capacities are small (hundreds of scenarios),
-            // and insert only runs on misses, which the cache exists to
-            // make rare.
-            if let Some(&victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            {
-                inner.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.map.insert(
-            key,
-            Entry {
-                plan: Arc::clone(&plan),
-                last_used: clock,
-            },
-        );
+        self.lock().insert(key, Arc::clone(&plan));
         plan
     }
 
@@ -327,12 +244,12 @@ impl PlanCache {
     /// by-fingerprint queries under the new one. Outstanding `Arc`s stay
     /// valid for whatever batch already holds them.
     pub fn clear(&self) {
-        self.inner.lock().expect("plan cache poisoned").map.clear();
+        self.lock().clear();
     }
 
     /// Cached plans currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache poisoned").map.len()
+        self.lock().len()
     }
 
     /// True when no plans are cached.
@@ -342,22 +259,17 @@ impl PlanCache {
 
     /// Lookup hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.lock().hits
     }
 
     /// Lookup misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.lock().misses
     }
 
     /// Evictions so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Maximum resident plans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lock().evictions
     }
 }
 
@@ -427,8 +339,10 @@ mod tests {
         let plan_a1 = build_plan(&samples[0], &cfg);
         let plan_a2 = build_plan(&samples[0], &cfg);
         let plan_b = build_plan(&samples[1], &cfg);
-        assert_eq!(plan_a1.fingerprint(), plan_a2.fingerprint());
-        assert_ne!(plan_a1.fingerprint(), plan_b.fingerprint());
+        // One sample plans to the same feature bits twice; the sample that
+        // keys differently differs in what the forward reads.
+        assert!(plan_a1.path_init.approx_eq(&plan_a2.path_init, 0.0));
+        assert!(!plan_a1.path_init.approx_eq(&plan_b.path_init, 0.0));
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! plans and predictions on random networks, scenarios and configurations.
 
 use proptest::prelude::*;
-use rn_dataset::{generate_sample, Dataset, GeneratorConfig, Normalizer};
+use rn_dataset::{generate_sample, Dataset, GeneratorConfig, Normalizer, Sample};
 use rn_netgraph::generators;
 use rn_netsim::SimConfig;
 use rn_tensor::Prng;
 use routenet::entities::{build_plan, PlanConfig};
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, FeatureScales, ModelConfig, NodeUpdate, OriginalRouteNet};
+use std::sync::OnceLock;
 
 fn quick_gen() -> GeneratorConfig {
     GeneratorConfig {
@@ -304,6 +305,116 @@ proptest! {
                 prop_assert!(((x - y).abs() / denom) < 1e-5,
                     "sample {}: batched {} vs single {}", b, x, y);
             }
+        }
+    }
+}
+
+/// The reference the plan cache is checked against: keys in a `Vec`, least
+/// recently used first.
+struct ModelLru {
+    capacity: usize,
+    keys: Vec<u64>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl ModelLru {
+    fn get(&mut self, key: u64) -> bool {
+        match self.keys.iter().position(|&k| k == key) {
+            Some(at) => {
+                self.keys.remove(at);
+                self.keys.push(key);
+                self.hits += 1;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
+            }
+        }
+    }
+
+    fn insert(&mut self, key: u64) {
+        match self.keys.iter().position(|&k| k == key) {
+            Some(at) => {
+                self.keys.remove(at);
+            }
+            None if self.keys.len() == self.capacity => {
+                self.keys.remove(0);
+                self.evictions += 1;
+            }
+            None => {}
+        }
+        self.keys.push(key);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn plan_cache_behaves_like_a_reference_lru(
+        capacity in 0usize..5,
+        ops in proptest::collection::vec((0usize..4, 0usize..6), 1..80usize),
+    ) {
+        // Six scenarios are the key space; `insert` uses their fingerprints
+        // so that all four operations meet on the same keys.
+        static SCENARIOS: OnceLock<Vec<Sample>> = OnceLock::new();
+        let samples = SCENARIOS.get_or_init(|| {
+            let topo = rn_netgraph::topologies::toy5();
+            (0..6).map(|i| generate_sample(&topo, &quick_gen(), 5, i)).collect()
+        });
+        let (scales, normalizer) = (FeatureScales::unit(), Normalizer::identity());
+        let config = PlanConfig {
+            scales: &scales,
+            normalizer: &normalizer,
+            state_dim: 4,
+            min_packets: 1,
+            target: routenet::entities::TargetKind::Delay,
+        };
+        let keys: Vec<u64> = samples
+            .iter()
+            .map(|s| routenet::sample_fingerprint(s, &config))
+            .collect();
+
+        let cache = routenet::PlanCache::new(capacity);
+        // A capacity of 0 is floored to 1.
+        let mut model = ModelLru {
+            capacity: capacity.max(1),
+            keys: Vec::new(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        };
+        for (op, k) in ops {
+            match op {
+                0 => prop_assert_eq!(cache.get(keys[k]).is_some(), model.get(keys[k])),
+                1 => {
+                    cache.insert(keys[k], build_plan(&samples[k], &config));
+                    model.insert(keys[k]);
+                }
+                2 => {
+                    let (plan, key) = cache.get_or_build(&samples[k], &config);
+                    prop_assert_eq!((key, plan.n_paths), (keys[k], samples[k].num_paths()));
+                    if !model.get(key) {
+                        model.insert(key);
+                    }
+                }
+                _ => {
+                    cache.clear();
+                    model.keys.clear();
+                }
+            }
+            prop_assert_eq!(
+                (cache.len(), cache.hits(), cache.misses(), cache.evictions()),
+                (model.keys.len(), model.hits, model.misses, model.evictions)
+            );
+        }
+        // The same keys are resident (a lookup is the only probe there is,
+        // so this comes last: it restamps what it finds).
+        for &key in &keys {
+            prop_assert_eq!(cache.get(key).is_some(), model.keys.contains(&key));
         }
     }
 }

@@ -353,9 +353,11 @@ impl ServeMetrics {
             plan_hits: cache_hits,
             plan_misses: cache_misses,
             plan_len: cache_len,
+            plan_evictions,
             compose_hits,
             compose_misses,
             compose_len,
+            compose_evictions,
             batch_shapes,
         } = caches;
         let completed = self.completed.load(Ordering::Relaxed);
@@ -394,6 +396,7 @@ impl ServeMetrics {
                 0.0
             },
             cache_len: cache_len as u64,
+            plan_evictions,
             compose_hits,
             compose_misses,
             compose_hit_rate: if compose_lookups > 0 {
@@ -402,6 +405,7 @@ impl ServeMetrics {
                 0.0
             },
             compose_len: compose_len as u64,
+            compose_evictions,
             batch_shapes,
             model_version,
             model_swaps: self.swaps.load(Ordering::Relaxed),
@@ -434,12 +438,16 @@ pub struct CacheStats {
     pub plan_misses: u64,
     /// Plans resident.
     pub plan_len: usize,
+    /// Plans pushed out of the full plan cache by a newer scenario.
+    pub plan_evictions: u64,
     /// Composition-cache hits (multi-request batches that skipped planning).
     pub compose_hits: u64,
     /// Composition-cache misses (batches that composed fresh).
     pub compose_misses: u64,
     /// Compositions resident.
     pub compose_len: usize,
+    /// Compositions pushed out of the full cache by a newer batch shape.
+    pub compose_evictions: u64,
     /// Batch-shape histogram, most-requested shapes first.
     pub batch_shapes: Vec<ShapeCount>,
 }
@@ -503,6 +511,9 @@ pub struct MetricsSnapshot {
     pub cache_hit_rate: f64,
     /// Plans resident in the cache.
     pub cache_len: u64,
+    /// Plans the full cache evicted to admit a new scenario — each one a
+    /// `build_plan` some later request for the evicted scenario pays again.
+    pub plan_evictions: u64,
     /// Composition-cache hits: multi-request batches whose block-diagonal
     /// structure was already composed (workers skipped `build_megabatch`
     /// planning and only refilled features).
@@ -513,6 +524,8 @@ pub struct MetricsSnapshot {
     pub compose_hit_rate: f64,
     /// Compositions resident in the cache.
     pub compose_len: u64,
+    /// Compositions the full cache evicted to admit a new batch shape.
+    pub compose_evictions: u64,
     /// Batch-shape histogram: how often each distinct ordered batch shape
     /// (hashed composition key) was requested, most frequent first.
     pub batch_shapes: Vec<ShapeCount>,
@@ -724,9 +737,11 @@ mod tests {
                 plan_hits: 5,
                 plan_misses: 1,
                 plan_len: 2,
+                plan_evictions: 4,
                 compose_hits: 3,
                 compose_misses: 1,
                 compose_len: 1,
+                compose_evictions: 2,
                 batch_shapes: vec![ShapeCount {
                     shape: 0xfeed,
                     batches: 4,
@@ -746,6 +761,7 @@ mod tests {
         assert_eq!(back.completed, snap.completed);
         assert_eq!(back.batch_size_counts, snap.batch_size_counts);
         assert_eq!(back.compose_hits, 3);
+        assert_eq!((back.plan_evictions, back.compose_evictions), (4, 2));
         assert_eq!(back.batch_shapes.len(), 1);
         assert_eq!(back.batch_shapes[0].shape, 0xfeed);
         assert_eq!(back.batch_shapes[0].batches, 4);

@@ -22,9 +22,10 @@
 //!    minimal).
 //! 3. Each worker owns a pooled tape from a shared [`TapePool`] for the
 //!    duration of a batch and runs one fused block-diagonal forward
-//!    ([`PathPredictor::predict_batch_refs_with`]). The tape's buffer pool
-//!    is bounded by the largest batch it has run, so a worker's footprint is
-//!    flat once every batch shape has been seen
+//!    ([`PathPredictor::predict_megabatch_with`] over a cached or fresh
+//!    composition; a lone request runs [`PathPredictor::predict_with`]). The
+//!    tape's buffer pool is bounded by the largest batch it has run, so a
+//!    worker's footprint is flat once every batch shape has been seen
 //!    ([`MetricsSnapshot::tape_pool_bytes`] / `tape_pool_misses`). Results
 //!    are split per request and delivered through per-request channels.
 //!
@@ -566,9 +567,11 @@ impl<M: PathPredictor> ServeHandle<M> {
                 plan_hits: self.inner.plans.hits(),
                 plan_misses: self.inner.plans.misses(),
                 plan_len: self.inner.plans.len(),
+                plan_evictions: self.inner.plans.evictions(),
                 compose_hits: self.inner.compositions.hits(),
                 compose_misses: self.inner.compositions.misses(),
                 compose_len: self.inner.compositions.len(),
+                compose_evictions: self.inner.compositions.evictions(),
                 batch_shapes: self.inner.compositions.shape_counts(),
             },
             self.inner.registry.version(),
@@ -789,7 +792,7 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 // structure out, refills the feature rows for *these*
                 // requests and skips `build_megabatch` planning entirely.
                 // Misses compose fresh and publish for the next batch with
-                // this shape. Bitwise identical to `predict_batch_refs_with`
+                // this shape. Bitwise identical to `predict_batch_with`
                 // either way.
                 let key = CompositionCache::key_of(&refs);
                 let composed = match inner.compositions.checkout(&key) {
@@ -806,11 +809,11 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 inner.compositions.publish(composed);
                 (out, t_forward, t_forward_end)
             } else {
-                // Single-request flushes take the legacy (bitwise-seed)
-                // path, exactly as `predict_batch_refs_with` special-cases
-                // them.
+                // A lone request needs no composition: it runs as the
+                // single plan it is, exactly as `predict_batch_with`
+                // special-cases it.
                 let t_forward = Instant::now();
-                let out = model.predict_batch_refs_with(&mut tape, &refs);
+                let out = vec![model.predict_with(&mut tape, refs[0])];
                 (out, t_forward, Instant::now())
             };
             let m = &inner.metrics;

@@ -173,7 +173,11 @@ fn plan_cache_serves_hits_and_evicts_lru() {
         Err(ServeError::UnknownPlan(_)) => {}
         other => panic!("expected eviction of the LRU plan, got {other:?}"),
     }
-    assert_eq!(handle.metrics().cache_len, 2);
+    // Three scenarios through a capacity-2 cache: the snapshot says one
+    // plan was pushed out (and no composition: every batch was a singleton).
+    let m = handle.metrics();
+    assert_eq!((m.cache_len, m.plan_evictions), (2, 1));
+    assert_eq!(m.compose_evictions, 0);
     service.shutdown();
 }
 
@@ -674,7 +678,10 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
     let first_path = serde_json::to_string(good.routing.iter_paths().next().expect("a path").2);
     let first_path = first_path.expect("serialize");
     assert!(good_json.contains(&first_path) && good_json.contains(r#""num_nodes":5"#));
-    let malformed: [(&str, String); 8] = [
+    // Deeper than any parser frame budget: a stack overflow is an abort no
+    // supervisor sees, so the wire must refuse the nesting itself.
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+    let malformed: [(&str, String); 9] = [
         ("link id", edited(&|s| s.link_capacities.truncate(3))),
         ("node id", edited(&|s| s.queue_capacities.truncate(2))),
         (
@@ -703,26 +710,30 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
             "traffic matrix",
             edited(&|s| s.traffic = rn_netgraph::TrafficMatrix::zeros(4)),
         ),
+        ("nesting deeper", deep.clone()),
     ];
+    let mut lines: Vec<(&str, String)> = Vec::new();
     for (what, sample) in &malformed {
-        for line in [
-            format!(r#"{{"Register":{{"sample":{sample}}}}}"#),
-            format!(r#"{{"Predict":{{"sample":{sample},"deadline_ms":null}}}}"#),
-        ] {
-            match client
-                .round_trip_line(&line)
-                .expect("an answer, not a hang-up")
-            {
-                Response::Error { message } => assert!(
-                    message.starts_with("bad request: ") && message.contains(what),
-                    "{what}: {message}"
-                ),
-                other => panic!("{what}: expected Error, got {other:?}"),
-            }
-            match client.round_trip(&Request::Ping).expect("same connection") {
-                Response::Pong => {}
-                other => panic!("{what}: expected Pong, got {other:?}"),
-            }
+        lines.push((what, format!(r#"{{"Register":{{"sample":{sample}}}}}"#)));
+        let predict = format!(r#"{{"Predict":{{"sample":{sample},"deadline_ms":null}}}}"#);
+        lines.push((what, predict));
+    }
+    lines.push(("nesting deeper", format!(r#"{{"Register":{deep}}}"#)));
+    lines.push(("nesting deeper", deep));
+    for (what, line) in &lines {
+        match client
+            .round_trip_line(line)
+            .expect("an answer, not a hang-up")
+        {
+            Response::Error { message } => assert!(
+                message.starts_with("bad request: ") && message.contains(what),
+                "{what}: {message}"
+            ),
+            other => panic!("{what}: expected Error, got {other:?}"),
+        }
+        match client.round_trip(&Request::Ping).expect("same connection") {
+            Response::Pong => {}
+            other => panic!("{what}: expected Pong, got {other:?}"),
         }
     }
     // The well-formed scenario is still served, and nothing panicked.

@@ -14,7 +14,9 @@
 //! under `taskset -c 0`.
 
 use rn_autograd::Graph;
-use rn_dataset::{generate, Dataset, GeneratorConfig, Sample};
+use rn_dataset::{
+    generate, generate_sparse_sample, Dataset, GeneratorConfig, QosGenConfig, Sample,
+};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
 use rn_nn::Layer;
@@ -22,28 +24,59 @@ use rn_tensor::Matrix;
 use routenet::compose::{ComposedMegabatch, CompositionCache};
 use routenet::entities::{build_megabatch, MegabatchPlan};
 use routenet::model::PathPredictor;
-use routenet::{ExtendedRouteNet, ModelConfig, SamplePlan};
+use routenet::{ExtendedRouteNet, ModelConfig, QosRouteNet, SamplePlan};
 
-fn nsfnet_dataset(batch: usize, seed: u64) -> Dataset {
-    let gen_config = GeneratorConfig {
+fn gen_config(qos: bool) -> GeneratorConfig {
+    GeneratorConfig {
         sim: SimConfig {
             duration_s: 30.0,
             warmup_s: 5.0,
             ..SimConfig::default()
         },
+        qos: qos.then(QosGenConfig::two_class_mix),
         ..GeneratorConfig::default()
-    };
-    generate(&topologies::nsfnet_default(), &gen_config, seed, batch)
+    }
 }
 
-fn fitted_model(ds: &Dataset, weight_seed: u64) -> ExtendedRouteNet {
-    let mut model = ExtendedRouteNet::new(ModelConfig {
+fn nsfnet_dataset(batch: usize, seed: u64) -> Dataset {
+    generate(
+        &topologies::nsfnet_default(),
+        &gen_config(false),
+        seed,
+        batch,
+    )
+}
+
+/// A batch whose parts differ in every entity count: sparse and full
+/// traffic over NSFNET, the middle part with no reliable label; with `qos`
+/// every part carries queues and the first one the fewest.
+fn ragged_dataset(qos: bool) -> Dataset {
+    let topology = topologies::nsfnet_default();
+    let config = gen_config(qos);
+    let mut unlabeled = generate_sparse_sample(&topology, &config, 40, 606, 1);
+    for t in &mut unlabeled.targets {
+        t.delivered = 0;
+    }
+    let samples = vec![
+        generate_sparse_sample(&topology, &config, 6, 606, 0),
+        unlabeled,
+        generate(&topology, &config, 606, 1).samples.remove(0),
+    ];
+    Dataset { topology, samples }
+}
+
+fn model_config(weight_seed: u64) -> ModelConfig {
+    ModelConfig {
         state_dim: 16,
         mp_iterations: 3,
         readout_hidden: 16,
         seed: weight_seed,
         ..ModelConfig::default()
-    });
+    }
+}
+
+fn fitted_model(ds: &Dataset, weight_seed: u64) -> ExtendedRouteNet {
+    let mut model = ExtendedRouteNet::new(model_config(weight_seed));
     model.fit_preprocessing(ds, 5);
     model
 }
@@ -73,9 +106,9 @@ fn perturb_features(samples: &[Sample]) -> Vec<Sample> {
 /// parameter gradient and how many index words the tape has copied. The
 /// loss gather reads the reliable rows through the plan's `Arc` view when
 /// `shared_loss_rows`, through a copied slice otherwise.
-fn megabatch_step_on(
+fn megabatch_step_on<M: PathPredictor>(
     g: &mut Graph,
-    model: &ExtendedRouteNet,
+    model: &M,
     mb: &MegabatchPlan,
     shared_loss_rows: bool,
 ) -> (u32, Vec<Matrix>, u64) {
@@ -97,12 +130,12 @@ fn megabatch_step_on(
 }
 
 /// [`megabatch_step_on`] a fresh tape: the loss bits and the gradients.
-fn megabatch_step(model: &ExtendedRouteNet, mb: &MegabatchPlan) -> (u32, Vec<Matrix>) {
+fn megabatch_step<M: PathPredictor>(model: &M, mb: &MegabatchPlan) -> (u32, Vec<Matrix>) {
     let (loss, grads, _) = megabatch_step_on(&mut Graph::new(), model, mb, false);
     (loss, grads)
 }
 
-fn prediction_bits(model: &ExtendedRouteNet, mb: &MegabatchPlan) -> Vec<Vec<u64>> {
+fn prediction_bits<M: PathPredictor>(model: &M, mb: &MegabatchPlan) -> Vec<Vec<u64>> {
     let mut g = Graph::new();
     model
         .predict_megabatch_with(&mut g, mb)
@@ -113,10 +146,34 @@ fn prediction_bits(model: &ExtendedRouteNet, mb: &MegabatchPlan) -> Vec<Vec<u64>
 
 #[test]
 fn cached_refill_is_bitwise_identical_to_fresh_build_across_shards() {
-    let ds_a = nsfnet_dataset(4, 20_260_729);
-    let model = fitted_model(&ds_a, 11);
-    let plans_a: Vec<SamplePlan> = ds_a.samples.iter().map(|s| model.plan(s)).collect();
-    let samples_b = perturb_features(&ds_a.samples);
+    let uniform = nsfnet_dataset(4, 20_260_729);
+    refill_is_bitwise_identical_to_fresh_build(&fitted_model(&uniform, 11), &uniform.samples);
+
+    // Ragged parts: every offset differs from part to part, one part adds
+    // no reliable row, and in the QoS batch the queue offsets start small.
+    for qos in [false, true] {
+        let ragged = ragged_dataset(qos);
+        let sizes: Vec<usize> = ragged.samples.iter().map(|s| s.num_paths()).collect();
+        assert!(sizes[0] < sizes[1] && sizes[1] < sizes[2], "{sizes:?}");
+        if qos {
+            let mut model = QosRouteNet::new(model_config(11));
+            model.fit_preprocessing(&ragged, 5);
+            let queues: Vec<usize> = ragged
+                .samples
+                .iter()
+                .map(|s| model.plan(s).num_queues)
+                .collect();
+            assert!(0 < queues[0] && queues[1..].iter().all(|&q| q > queues[0]));
+            refill_is_bitwise_identical_to_fresh_build(&model, &ragged.samples);
+        } else {
+            refill_is_bitwise_identical_to_fresh_build(&fitted_model(&ragged, 11), &ragged.samples);
+        }
+    }
+}
+
+fn refill_is_bitwise_identical_to_fresh_build<M: PathPredictor>(model: &M, samples_a: &[Sample]) {
+    let plans_a: Vec<SamplePlan> = samples_a.iter().map(|s| model.plan(s)).collect();
+    let samples_b = perturb_features(samples_a);
     let plans_b: Vec<SamplePlan> = samples_b.iter().map(|s| model.plan(s)).collect();
     let parts_a: Vec<&SamplePlan> = plans_a.iter().collect();
     let parts_b: Vec<&SamplePlan> = plans_b.iter().collect();
@@ -138,14 +195,14 @@ fn cached_refill_is_bitwise_identical_to_fresh_build_across_shards() {
 
     // Predictions: bitwise across the refill.
     assert_eq!(
-        prediction_bits(&model, composed.megabatch()),
-        prediction_bits(&model, &fresh_b),
+        prediction_bits(model, composed.megabatch()),
+        prediction_bits(model, &fresh_b),
         "refilled composition changed prediction bits"
     );
 
     // Gradients: bitwise across the refill.
-    let (loss_fresh, grads_fresh) = megabatch_step(&model, &fresh_b);
-    let (loss_cached, grads_cached) = megabatch_step(&model, composed.megabatch());
+    let (loss_fresh, grads_fresh) = megabatch_step(model, &fresh_b);
+    let (loss_cached, grads_cached) = megabatch_step(model, composed.megabatch());
     assert_eq!(loss_fresh, loss_cached, "refill changed loss bits");
     assert_eq!(grads_fresh.len(), grads_cached.len());
     for (i, (a, b)) in grads_fresh.iter().zip(&grads_cached).enumerate() {
@@ -156,8 +213,8 @@ fn cached_refill_is_bitwise_identical_to_fresh_build_across_shards() {
     composed.refill_features(&parts_a);
     let fresh_a = build_megabatch(&parts_a);
     assert_eq!(
-        prediction_bits(&model, composed.megabatch()),
-        prediction_bits(&model, &fresh_a)
+        prediction_bits(model, composed.megabatch()),
+        prediction_bits(model, &fresh_a)
     );
 }
 
