@@ -18,9 +18,10 @@
 //! N}}`; clients should back off at least that long before retrying.
 //!
 //! **Every** request line gets exactly one response line as long as the
-//! connection lives: malformed JSON, invalid UTF-8, unknown request shapes
-//! and scenarios that are not self-consistent (an id out of range, labels
-//! misaligned with the routing) are answered with a structured
+//! connection lives: malformed JSON, invalid UTF-8, lines longer than
+//! [`MAX_REQUEST_LINE_BYTES`], unknown request shapes and scenarios that
+//! are not self-consistent (an id out of range, labels misaligned with the
+//! routing) are answered with a structured
 //! `{"Error": {"message": "bad request: …"}}` line and the connection stays
 //! usable — a buggy (or adversarial) client wedges only
 //! itself.
@@ -42,7 +43,7 @@ use crate::MetricsSnapshot;
 use rn_dataset::Sample;
 use routenet::model::PathPredictor;
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -264,14 +265,23 @@ impl TcpServer {
     }
 }
 
+/// The most bytes one request line may hold, its `\n` included; a
+/// connection never buffers more. The longest line the repo's generators
+/// produce is a `Request::Predict` of a 2 000-node `isp_tiered` sparse
+/// sample, whose dense traffic matrix and routing table hold 4 M entries
+/// each: measured at 36.1 MB with 256 active pairs and 36.9 MB with 4 096.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+
 /// Serve one client connection: read request lines, write response lines.
 ///
 /// The read loop is byte-oriented (`read_until`), not `lines()`: a frame
 /// that is not valid UTF-8 must be *answered* with a structured error, not
 /// treated as a connection-fatal I/O error — only EOF and real transport
-/// errors end the connection. Chaos connection-drop injection (when
-/// configured) severs the connection right before a reply is written, the
-/// worst client-visible moment.
+/// errors end the connection. A line longer than
+/// [`MAX_REQUEST_LINE_BYTES`] is answered the same way, its rest read past
+/// without being kept. Chaos connection-drop injection (when configured)
+/// severs the connection right before a reply is written, the worst
+/// client-visible moment.
 fn serve_connection<M: PathPredictor>(handle: ServeHandle<M>, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -281,16 +291,28 @@ fn serve_connection<M: PathPredictor>(handle: ServeHandle<M>, stream: TcpStream)
     let mut raw = Vec::new();
     loop {
         raw.clear();
-        match reader.read_until(b'\n', &mut raw) {
+        let limit = MAX_REQUEST_LINE_BYTES as u64;
+        match (&mut reader).take(limit).read_until(b'\n', &mut raw) {
             Ok(0) | Err(_) => break, // EOF or transport error
             Ok(_) => {}
         }
-        let response = match std::str::from_utf8(&raw) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => respond_line(&handle, line),
-            Err(e) => Response::Error {
-                message: format!("bad request: invalid UTF-8 in request line: {e}"),
-            },
+        let response = if raw.len() == MAX_REQUEST_LINE_BYTES && raw.last() != Some(&b'\n') {
+            if reader.skip_until(b'\n').is_err() {
+                break;
+            }
+            Response::Error {
+                message: format!(
+                    "bad request: request line longer than {MAX_REQUEST_LINE_BYTES} bytes"
+                ),
+            }
+        } else {
+            match std::str::from_utf8(&raw) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => respond_line(&handle, line),
+                Err(e) => Response::Error {
+                    message: format!("bad request: invalid UTF-8 in request line: {e}"),
+                },
+            }
         };
         if let Some(chaos) = handle.chaos() {
             if chaos.should_drop_connection() {

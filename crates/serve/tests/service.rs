@@ -6,6 +6,7 @@ use rn_dataset::{generate, Dataset, GeneratorConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
 use rn_serve::loadgen::Client;
+use rn_serve::server::MAX_REQUEST_LINE_BYTES;
 use rn_serve::{Request, Response, ServeConfig, ServeError, Service, TcpServer};
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, SamplePlan};
@@ -681,7 +682,8 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
     // Deeper than any parser frame budget: a stack overflow is an abort no
     // supervisor sees, so the wire must refuse the nesting itself.
     let deep = "[".repeat(100_000) + &"]".repeat(100_000);
-    let malformed: [(&str, String); 9] = [
+    let deep_unknown_key = good_json.replacen('{', &format!(r#"{{"unknown":{deep},"#), 1);
+    let malformed: [(&str, String); 10] = [
         ("link id", edited(&|s| s.link_capacities.truncate(3))),
         ("node id", edited(&|s| s.queue_capacities.truncate(2))),
         (
@@ -711,6 +713,7 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
             edited(&|s| s.traffic = rn_netgraph::TrafficMatrix::zeros(4)),
         ),
         ("nesting deeper", deep.clone()),
+        ("nesting deeper", deep_unknown_key),
     ];
     let mut lines: Vec<(&str, String)> = Vec::new();
     for (what, sample) in &malformed {
@@ -720,6 +723,12 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
     }
     lines.push(("nesting deeper", format!(r#"{{"Register":{deep}}}"#)));
     lines.push(("nesting deeper", deep));
+    // One byte past the cap: answered, and the rest of the line is read
+    // past without being kept.
+    lines.push((
+        "request line longer than",
+        "x".repeat(MAX_REQUEST_LINE_BYTES + 1),
+    ));
     for (what, line) in &lines {
         match client
             .round_trip_line(line)
