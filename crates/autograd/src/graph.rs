@@ -61,6 +61,10 @@
 //! entity rows), gathers rows of the projection, and the step's own products
 //! run over the state half alone. The every-row entity updates go through
 //! the same node with an identity row list ([`Graph::gru_step_dense`]).
+//! Its forward and adjoint bodies sit behind `#[target_feature]` entry
+//! points, one per [`rn_tensor::simd::Tier`], so their compaction, blend and
+//! split loops compile at the widest vector width the CPU has, and run that
+//! tier's kernels; every tier gives the same bits.
 //!
 //! Every op runs on the calling thread. Parallelism lives one level up:
 //! independent units (samples, compositions, requests) each get a tape of
@@ -70,6 +74,7 @@ use crate::activations as act;
 use crate::bufpool::BufPool;
 use crate::index::{IndexInput, IndexList, SharedIndices};
 use rn_tensor::simd::activations as vact;
+use rn_tensor::simd::Tier;
 use rn_tensor::{kernels, Matrix};
 use std::sync::Arc;
 
@@ -356,12 +361,39 @@ struct GruFwdCtx<'a> {
     hidden: usize,
 }
 
-/// Advance the active rows of a GRU step (see [`Graph::gru_step_rows`]).
-/// `out` holds the `n` dense state rows: on entry either uninitialized (copy
-/// mode: filled from `ctx.hv` first) or the old state (in-place mode); on
-/// exit, the stepped state. Every output element is a function of its own
-/// row alone.
-fn gru_forward(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
+/// Advance the active rows of a GRU step (see [`Graph::gru_step_rows`]) at
+/// `tier`: the body below, compiled for that tier's width, running that
+/// tier's kernels. Every tier produces the same bits.
+fn gru_forward(tier: Tier, ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
+    match tier.checked() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `checked` asserted that this CPU runs AVX-512.
+        Tier::Avx512 => unsafe { gru_forward_avx512(ctx, saved, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `checked` asserted that this CPU runs AVX2.
+        Tier::Avx2 => unsafe { gru_forward_avx2(ctx, saved, out) },
+        _ => gru_forward_body(Tier::Baseline, ctx, saved, out),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gru_forward_avx512(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
+    gru_forward_body(Tier::Avx512, ctx, saved, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gru_forward_avx2(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
+    gru_forward_body(Tier::Avx2, ctx, saved, out);
+}
+
+/// The forward step. `out` holds the `n` dense state rows: on entry either
+/// uninitialized (copy mode: filled from `ctx.hv` first) or the old state
+/// (in-place mode); on exit, the stepped state. Every output element is a
+/// function of its own row alone.
+#[inline(always)]
+fn gru_forward_body(tier: Tier, ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
     let hidden = ctx.hidden;
     let a = ctx.rows.len();
     let (h, zr, rh, c) = (
@@ -385,8 +417,8 @@ fn gru_forward(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
         c[k * hidden..(k + 1) * hidden].copy_from_slice(&px[2 * hidden..]);
     }
     // [z | r] = σ(px_zr + h·W_h,zr + b_zr): one product for both gates.
-    kernels::matmul_acc(h, ctx.w_h_zr, a, hidden, 2 * hidden, zr);
-    vact::sigmoid_bias_map_inplace(zr, &ctx.b[..2 * hidden]);
+    kernels::matmul_acc_at(tier, h, ctx.w_h_zr, a, hidden, 2 * hidden, zr);
+    vact::sigmoid_bias_map_inplace_at(tier, zr, &ctx.b[..2 * hidden]);
     // c = tanh(px_c + (r ⊙ h)·W_h,c + b_c).
     for k in 0..a {
         let r = &zr[(2 * k + 1) * hidden..(2 * k + 2) * hidden];
@@ -395,8 +427,8 @@ fn gru_forward(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
             *d = rv * hv;
         }
     }
-    kernels::matmul_acc(rh, ctx.w_h_c, a, hidden, hidden, c);
-    vact::tanh_bias_map_inplace(c, &ctx.b[2 * hidden..]);
+    kernels::matmul_acc_at(tier, rh, ctx.w_h_c, a, hidden, hidden, c);
+    vact::tanh_bias_map_inplace_at(tier, c, &ctx.b[2 * hidden..]);
     // h' = (1 − z)⊙h + z⊙c on the active rows; inactive rows pass through.
     for (k, &row) in ctx.rows.iter().enumerate() {
         let h_off = row * hidden;
@@ -485,11 +517,53 @@ fn add_col_sums_slice(acc: &mut [f32], src: &[f32], cols: usize) {
     }
 }
 
-/// The adjoint of a GRU step. Row-disjoint gradients — `gh`, the `n` dense
-/// state rows, and `gpx`, the `a` projected-input rows — are functions of
-/// their own row alone; parameter gradients land in the zeroed partials of
-/// `sc`.
-fn gru_backward(ctx: &GruBwdCtx<'_>, gh: &mut [f32], gpx: &mut [f32], sc: &mut GruBwdScratch) {
+/// The adjoint of a GRU step at `tier`, gated like [`gru_forward`].
+fn gru_backward(
+    tier: Tier,
+    ctx: &GruBwdCtx<'_>,
+    gh: &mut [f32],
+    gpx: &mut [f32],
+    sc: &mut GruBwdScratch,
+) {
+    match tier.checked() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `checked` asserted that this CPU runs AVX-512.
+        Tier::Avx512 => unsafe { gru_backward_avx512(ctx, gh, gpx, sc) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `checked` asserted that this CPU runs AVX2.
+        Tier::Avx2 => unsafe { gru_backward_avx2(ctx, gh, gpx, sc) },
+        _ => gru_backward_body(Tier::Baseline, ctx, gh, gpx, sc),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gru_backward_avx512(
+    ctx: &GruBwdCtx<'_>,
+    gh: &mut [f32],
+    gpx: &mut [f32],
+    sc: &mut GruBwdScratch,
+) {
+    gru_backward_body(Tier::Avx512, ctx, gh, gpx, sc);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gru_backward_avx2(ctx: &GruBwdCtx<'_>, gh: &mut [f32], gpx: &mut [f32], sc: &mut GruBwdScratch) {
+    gru_backward_body(Tier::Avx2, ctx, gh, gpx, sc);
+}
+
+/// The adjoint. Row-disjoint gradients — `gh`, the `n` dense state rows, and
+/// `gpx`, the `a` projected-input rows — are functions of their own row
+/// alone; parameter gradients land in the zeroed partials of `sc`.
+#[inline(always)]
+fn gru_backward_body(
+    tier: Tier,
+    ctx: &GruBwdCtx<'_>,
+    gh: &mut [f32],
+    gpx: &mut [f32],
+    sc: &mut GruBwdScratch,
+) {
     let hidden = ctx.hidden;
     let a = ctx.rows.len();
     let s = ctx.saved;
@@ -517,8 +591,9 @@ fn gru_backward(ctx: &GruBwdCtx<'_>, gh: &mut [f32], gpx: &mut [f32], sc: &mut G
 
     // Candidate branch: gc ← gc ⊙ (1 − c²); pW_h,c += (r⊙h)ᵀ·gc; and what
     // reaches r ⊙ h is gc·W_h,cᵀ.
-    vact::tanh_deriv_mul_inplace(sc.gc.as_mut_slice(), c);
-    kernels::matmul_tn_acc(
+    vact::tanh_deriv_mul_inplace_at(tier, sc.gc.as_mut_slice(), c);
+    kernels::matmul_tn_acc_at(
+        tier,
         rh,
         sc.gc.as_slice(),
         a,
@@ -526,7 +601,8 @@ fn gru_backward(ctx: &GruBwdCtx<'_>, gh: &mut [f32], gpx: &mut [f32], sc: &mut G
         hidden,
         sc.pw_h_c.as_mut_slice(),
     );
-    kernels::matmul_acc(
+    kernels::matmul_acc_at(
+        tier,
         sc.gc.as_slice(),
         ctx.w_h_c_t,
         a,
@@ -551,8 +627,9 @@ fn gru_backward(ctx: &GruBwdCtx<'_>, gh: &mut [f32], gpx: &mut [f32], sc: &mut G
 
     // Both gates at once: [gz | gr] ← ⊙ σ′; pW_h,zr += hᵀ·[gz | gr]; the
     // state's share is [gz | gr]·W_h,zrᵀ, one product over k = 2·hidden.
-    vact::sigmoid_deriv_mul_inplace(sc.gzr.as_mut_slice(), zr);
-    kernels::matmul_tn_acc(
+    vact::sigmoid_deriv_mul_inplace_at(tier, sc.gzr.as_mut_slice(), zr);
+    kernels::matmul_tn_acc_at(
+        tier,
         h,
         sc.gzr.as_slice(),
         a,
@@ -560,7 +637,8 @@ fn gru_backward(ctx: &GruBwdCtx<'_>, gh: &mut [f32], gpx: &mut [f32], sc: &mut G
         2 * hidden,
         sc.pw_h_zr.as_mut_slice(),
     );
-    kernels::matmul_acc(
+    kernels::matmul_acc_at(
+        tier,
         sc.gzr.as_slice(),
         ctx.w_h_zr_t,
         a,
@@ -1300,6 +1378,7 @@ impl Graph {
             pool_matrix_scratch(&mut pool, n, hidden)
         };
         gru_forward(
+            Tier::detected(),
             &GruFwdCtx {
                 hv: (!inplace).then(|| self.value(h).as_slice()),
                 px: self.value(px).as_slice(),
@@ -1621,6 +1700,7 @@ impl Graph {
                     let mut gpx = pool_matrix_scratch(&mut pool, a, 3 * hidden);
                     let mut scratch = GruBwdScratch::take(&mut pool, a, hidden);
                     gru_backward(
+                        Tier::detected(),
                         &GruBwdCtx {
                             rows,
                             g: g.as_slice(),
@@ -2149,6 +2229,82 @@ mod tests {
             let grad_a = ga.grad(fa).expect("compact grad");
             let grad_b = gb.grad(fb).expect("masked grad");
             assert!(grad_a.approx_eq(grad_b, 2e-5), "grad {i} diverged");
+        }
+    }
+
+    #[test]
+    fn gru_bodies_are_bitwise_identical_at_every_tier() {
+        // Forward and adjoint at every tier this host runs, on a row subset
+        // and on the dense identity, at the two widths the models use:
+        // stepped state, saved activations, gh, gpx and the three partials.
+        let tiers: Vec<Tier> = Tier::supported().collect();
+        println!("gru tiers run: {tiers:?}");
+        let n = 13;
+        let subset = vec![0usize, 2, 3, 7, 8, 11, 12];
+        let dense: Vec<usize> = (0..n).collect();
+        for hidden in [8, 32] {
+            for rows in [&subset, &dense] {
+                let a = rows.len();
+                let h = det_matrix(n, hidden, 1);
+                let px = det_matrix(a, 3 * hidden, 2);
+                let w_h_zr = det_matrix(hidden, 2 * hidden, 3).scale(0.3);
+                let w_h_c = det_matrix(hidden, hidden, 4).scale(0.3);
+                let (w_h_zr_t, w_h_c_t) = (w_h_zr.transpose(), w_h_c.transpose());
+                let b = det_matrix(1, 3 * hidden, 5);
+                let g = det_matrix(n, hidden, 6);
+                let run = |tier: Tier| {
+                    let mut pool = BufPool::new();
+                    let mut saved = GruSaved {
+                        h: Matrix::zeros(a, hidden),
+                        zr: Matrix::zeros(a, 2 * hidden),
+                        rh: Matrix::zeros(a, hidden),
+                        c: Matrix::zeros(a, hidden),
+                    };
+                    let mut out = vec![0.0; n * hidden];
+                    let fwd = GruFwdCtx {
+                        hv: Some(h.as_slice()),
+                        px: px.as_slice(),
+                        rows,
+                        w_h_zr: w_h_zr.as_slice(),
+                        w_h_c: w_h_c.as_slice(),
+                        b: b.as_slice(),
+                        hidden,
+                    };
+                    gru_forward(tier, &fwd, &mut saved, &mut out);
+                    let (mut gh, mut gpx) = (vec![0.0; n * hidden], vec![0.0; a * 3 * hidden]);
+                    let mut sc = GruBwdScratch::take(&mut pool, a, hidden);
+                    let bwd = GruBwdCtx {
+                        rows,
+                        g: g.as_slice(),
+                        saved: &saved,
+                        w_h_zr_t: w_h_zr_t.as_slice(),
+                        w_h_c_t: w_h_c_t.as_slice(),
+                        hidden,
+                    };
+                    gru_backward(tier, &bwd, &mut gh, &mut gpx, &mut sc);
+                    let [pw_h_zr, pw_h_c, pb] = sc.partials();
+                    [
+                        &out[..],
+                        saved.h.as_slice(),
+                        saved.zr.as_slice(),
+                        saved.rh.as_slice(),
+                        saved.c.as_slice(),
+                        &gh,
+                        &gpx,
+                        pw_h_zr.as_slice(),
+                        pw_h_c.as_slice(),
+                        pb.as_slice(),
+                    ]
+                    .map(|s| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                };
+                let baseline = run(Tier::Baseline);
+                for &tier in &tiers {
+                    let got = run(tier);
+                    for (i, (want, got)) in baseline.iter().zip(&got).enumerate() {
+                        assert_eq!(want, got, "output {i}, {tier:?}, hidden {hidden}, {a} rows");
+                    }
+                }
+            }
         }
     }
 

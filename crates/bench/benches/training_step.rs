@@ -52,9 +52,10 @@
 //!
 //! - `activation_map/{scalar,avx2}` — one bulk tanh map over a ~1M-element
 //!   buffer through the scalar reference loop vs the runtime-dispatched
-//!   slice kernel (AVX2 on hosts that have it, bitwise identical either
-//!   way). The derived `activation_speedup` is recorded only when the host
-//!   actually dispatches AVX2; otherwise an
+//!   slice kernel (the widest SIMD tier the host has — AVX-512 or AVX2 —
+//!   bitwise identical either way; the row keeps its `avx2` name). The
+//!   derived `activation_speedup` is recorded only when the host actually
+//!   dispatches a vector tier; otherwise an
 //!   `activation_speedup_suppressed_no_avx2` marker is written so "not
 //!   measured" cannot be misread as "no speedup".
 //!
@@ -491,9 +492,9 @@ fn bench_training_step(_c: &mut Criterion) {
         ("after/megabatch_precomposed".into(), precomposed_step),
         ("small/megabatch_fresh_compose".into(), small_fresh),
         ("small/megabatch_precomposed".into(), small_pre),
-        // The bulk activation map pair (the "avx2" row falls back to the
-        // scalar kernel on hosts without AVX2 — the derived key below flags
-        // that).
+        // The bulk activation map pair (the "avx2" row is the dispatched
+        // tier, and falls back to the scalar kernel on hosts without a
+        // vector tier — the derived key below flags that).
         ("activation_map/scalar".into(), act_scalar),
         ("activation_map/avx2".into(), act_simd),
     ];
@@ -569,10 +570,10 @@ fn bench_training_step(_c: &mut Criterion) {
         ("matmul_tn_over_nn", kernel_nn[0] / kernel_tn[0]),
         ("matmul_tn_over_nn_small", kernel_nn[1] / kernel_tn[1]),
     ]);
-    if rn_tensor::simd::have_avx2() {
+    if rn_tensor::simd::Tier::detected() > rn_tensor::simd::Tier::Baseline {
         derived.push(("activation_speedup", act_scalar / act_simd));
     } else {
-        // Without AVX2 the dispatched kernel IS the scalar loop; a ~1.0x
+        // Without a vector tier the dispatched kernel IS the scalar loop; a ~1.0x
         // "speedup" there would be noise masquerading as a regression.
         derived.push(("activation_speedup_suppressed_no_avx2", 1.0));
     }

@@ -283,7 +283,7 @@ fn rows_of(used: &[bool]) -> (Vec<usize>, usize) {
 /// Build the message-passing plan for one sample.
 ///
 /// Entity ids in the sample are trusted to be in range; a sample from
-/// outside the program goes through [`Sample::check_ids`] first.
+/// outside the program goes through [`Sample::check_inputs`] first.
 ///
 /// Panics if `state_dim < 2` (features need two leading columns).
 pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {

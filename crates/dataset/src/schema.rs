@@ -110,14 +110,16 @@ impl Sample {
             / self.targets.len() as f64
     }
 
-    /// Check everything a consumer indexes with: the routing table and the
-    /// traffic matrix are square over the same nodes, every path has one more
-    /// node than links, node ids address `queue_capacities` and link ids
-    /// `link_capacities`, and labels and path classes line up with the routed
-    /// paths. Needs no topology, so it is the check for a sample that arrives
-    /// alone (a serving request); [`Sample::validate`] adds what only the
-    /// topology can tell.
-    pub fn check_ids(&self) -> Result<(), String> {
+    /// Check everything a consumer indexes or computes with: the routing
+    /// table and the traffic matrix are square over the same nodes, every
+    /// path has one more node than links, node ids address `queue_capacities`
+    /// and link ids `link_capacities`, labels and path classes line up with
+    /// the routed paths, every traffic rate is finite and non-negative, and
+    /// every link capacity is finite and positive (a NaN would reach the
+    /// kernels, whose answer to it is not defined). Needs no topology, so it
+    /// is the check for a sample that arrives alone (a serving request);
+    /// [`Sample::validate`] adds what only the topology can tell.
+    pub fn check_inputs(&self) -> Result<(), String> {
         self.routing.check_shape()?;
         self.traffic.check_shape()?;
         if self.traffic.num_nodes() != self.routing.num_nodes() {
@@ -176,6 +178,25 @@ impl Sample {
                 return Err(format!("path class {c} out of range (num classes {n})"));
             }
         }
+        let n = self.traffic.num_nodes();
+        for (s, d) in (0..n).flat_map(|s| (0..n).map(move |d| (s, d))) {
+            let rate = self.traffic.rate(s, d);
+            if !(rate.is_finite() && rate >= 0.0) {
+                return Err(format!(
+                    "traffic rate {rate} for {s}->{d} (must be finite and >= 0)"
+                ));
+            }
+        }
+        if let Some((l, c)) = self
+            .link_capacities
+            .iter()
+            .enumerate()
+            .find(|(_, c)| !(c.is_finite() && **c > 0.0))
+        {
+            return Err(format!(
+                "link capacity {c} on link {l} (must be finite and > 0)"
+            ));
+        }
         Ok(())
     }
 
@@ -204,7 +225,7 @@ impl Sample {
         }
         // Ids in range first: `Routing::validate` indexes the topology with
         // them.
-        self.check_ids()?;
+        self.check_inputs()?;
         self.routing.validate(topo)?;
         for t in &self.targets {
             if !(t.mean_delay_s.is_finite() && t.jitter_s.is_finite() && t.loss_ratio.is_finite()) {
@@ -283,6 +304,7 @@ impl Dataset {
 mod tests {
     use super::*;
     use rn_netgraph::topologies;
+    use serde::value::Value;
 
     fn tiny_sample(topo: &Topology) -> Sample {
         let routing = Routing::shortest_paths(topo);
@@ -351,10 +373,10 @@ mod tests {
     }
 
     #[test]
-    fn check_ids_rejects_what_a_consumer_would_index_with() {
+    fn check_inputs_rejects_what_a_consumer_would_index_or_compute_with() {
         let topo = topologies::toy5();
         let good = tiny_sample(&topo);
-        good.check_ids().unwrap();
+        good.check_inputs().unwrap();
         let through_json = |edit: &dyn Fn(&str) -> String| -> Sample {
             serde_json::from_str(&edit(&serde_json::to_string(&good).unwrap())).unwrap()
         };
@@ -362,36 +384,74 @@ mod tests {
         // Ids past the capacity vectors; a path with a node too few.
         let mut bad = good.clone();
         bad.link_capacities.truncate(3);
-        assert!(bad.check_ids().unwrap_err().contains("link id"));
+        assert!(bad.check_inputs().unwrap_err().contains("link id"));
         let mut bad = good.clone();
         bad.queue_capacities.truncate(2);
-        assert!(bad.check_ids().unwrap_err().contains("node id"));
+        assert!(bad.check_inputs().unwrap_err().contains("node id"));
         let first_path = serde_json::to_string(good.routing.iter_paths().next().unwrap().2);
         let first_path = first_path.unwrap();
         let bad = through_json(&|json| {
             assert!(json.contains(&first_path));
             json.replacen(&first_path, r#"{"nodes":[0],"links":[0]}"#, 1)
         });
-        assert!(bad.check_ids().unwrap_err().contains("1 nodes but 1 links"));
+        assert!(bad
+            .check_inputs()
+            .unwrap_err()
+            .contains("1 nodes but 1 links"));
 
         // Labels and classes misaligned with the routed paths.
         let mut bad = good.clone();
         bad.targets.pop();
-        assert!(bad.check_ids().unwrap_err().contains("targets"));
+        assert!(bad.check_inputs().unwrap_err().contains("targets"));
         let mut bad = good.clone();
         bad.qos = Some(tiny_qos(good.num_paths() - 1));
-        assert!(bad.check_ids().unwrap_err().contains("path classes"));
+        assert!(bad.check_inputs().unwrap_err().contains("path classes"));
         let mut bad = good.clone();
         bad.qos = Some(tiny_qos(good.num_paths()));
         bad.qos.as_mut().unwrap().path_classes[0] = 2;
-        assert!(bad.check_ids().unwrap_err().contains("path class 2"));
+        assert!(bad.check_inputs().unwrap_err().contains("path class 2"));
 
         // Tables that are not square over one node count (wire data only).
         let bad = through_json(&|json| json.replacen(r#""num_nodes":5"#, r#""num_nodes":0"#, 1));
-        assert!(bad.check_ids().unwrap_err().contains("routing table"));
+        assert!(bad.check_inputs().unwrap_err().contains("routing table"));
         let mut bad = good.clone();
         bad.traffic = TrafficMatrix::zeros(4);
-        assert!(bad.check_ids().unwrap_err().contains("traffic matrix"));
+        assert!(bad.check_inputs().unwrap_err().contains("traffic matrix"));
+
+        // Rates that are NaN, infinite or negative. The wire can carry the
+        // last two (`1e999` parses to infinity); NaN only arrives in process.
+        let rates = r#""rates_bps":[0.0"#;
+        for rate in ["-1.0", "1e999", "-1e999"] {
+            let bad = through_json(&|json| {
+                assert!(json.contains(rates));
+                json.replacen(rates, &format!(r#""rates_bps":[{rate}"#), 1)
+            });
+            assert!(
+                bad.check_inputs().unwrap_err().contains("traffic rate"),
+                "{rate}"
+            );
+        }
+        let mut bad = good.clone();
+        bad.traffic = serde::Deserialize::deserialize_value(&Value::Object(vec![
+            ("num_nodes".into(), Value::U64(5)),
+            (
+                "rates_bps".into(),
+                Value::Array(vec![Value::F64(f64::NAN); 25]),
+            ),
+        ]))
+        .unwrap();
+        assert!(bad.check_inputs().unwrap_err().contains("traffic rate NaN"));
+
+        // Capacities that are NaN, infinite, zero or negative.
+        for capacity in [f64::NAN, f64::INFINITY, 0.0, -1e4] {
+            let mut bad = good.clone();
+            bad.link_capacities[3] = capacity;
+            let err = bad.check_inputs().unwrap_err();
+            assert!(
+                err.contains("link capacity") && err.contains("link 3"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -298,8 +298,9 @@ pub enum ServeError {
     /// A referenced plan fingerprint is not resident in the cache.
     UnknownPlan(u64),
     /// The submitted scenario is not self-consistent (an id out of range,
-    /// labels misaligned with the routing, …) and was not planned. Carries
-    /// what [`Sample::check_ids`] found.
+    /// labels misaligned with the routing, a non-finite rate, a capacity
+    /// that is not positive, …) and was not planned. Carries what
+    /// [`Sample::check_inputs`] found.
     BadRequest(String),
     /// The submitted plan's state width does not match the model serving
     /// right now (`expected`, `found`) — it was compiled for a different
@@ -519,7 +520,7 @@ impl<M: PathPredictor> ServeHandle<M> {
     /// planning index it with its own ids, so it is checked first and a
     /// malformed one is a [`ServeError::BadRequest`], not a panic.
     pub fn plan_sample(&self, sample: &Sample) -> Result<(Arc<SamplePlan>, u64), ServeError> {
-        sample.check_ids().map_err(ServeError::BadRequest)?;
+        sample.check_inputs().map_err(ServeError::BadRequest)?;
         let (model, _) = self.inner.registry.snapshot();
         let (scales, normalizer) = model.preprocessing();
         let cfg = PlanConfig::new(model.config(), scales, normalizer);

@@ -683,7 +683,12 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
     // supervisor sees, so the wire must refuse the nesting itself.
     let deep = "[".repeat(100_000) + &"]".repeat(100_000);
     let deep_unknown_key = good_json.replacen('{', &format!(r#"{{"unknown":{deep},"#), 1);
-    let malformed: [(&str, String); 10] = [
+    // The first rate is the 0 -> 0 diagonal. A NaN is written `null`, which
+    // no rate reads; `1e999` reads as infinity.
+    let rates = r#""rates_bps":[0.0"#;
+    assert!(good_json.contains(rates));
+    let first_rate = |rate: &str| good_json.replacen(rates, &format!(r#""rates_bps":[{rate}"#), 1);
+    let malformed: [(&str, String); 14] = [
         ("link id", edited(&|s| s.link_capacities.truncate(3))),
         ("node id", edited(&|s| s.queue_capacities.truncate(2))),
         (
@@ -711,6 +716,13 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
         (
             "traffic matrix",
             edited(&|s| s.traffic = rn_netgraph::TrafficMatrix::zeros(4)),
+        ),
+        ("expected number, found null", first_rate("null")),
+        ("traffic rate inf", first_rate("1e999")),
+        ("traffic rate -1", first_rate("-1.0")),
+        (
+            "link capacity 0 on link 0",
+            edited(&|s| s.link_capacities[0] = 0.0),
         ),
         ("nesting deeper", deep.clone()),
         ("nesting deeper", deep_unknown_key),

@@ -3,8 +3,8 @@
 //! Shared between the autograd tape ops (`rn-autograd`) and the layer
 //! implementations in `rn-nn`, so forward values and adjoints can never drift
 //! apart. Lives in the tensor crate so the SIMD kernels in [`crate::simd`]
-//! can vectorize the *same* definitions the scalar code uses — the 8-lane
-//! bodies replicate these functions operation for operation.
+//! can vectorize the *same* definitions the scalar code uses — the 8- and
+//! 16-lane bodies replicate these functions operation for operation.
 //!
 //! ## Fast transcendentals
 //!
@@ -23,7 +23,7 @@ pub const SELU_LAMBDA: f32 = 1.050_700_9;
 /// SELU alpha constant.
 pub const SELU_ALPHA: f32 = 1.673_263_2;
 
-// Constants of the fast_exp argument reduction, shared with the AVX2 lane
+// Constants of the fast_exp argument reduction, shared with the vector lane
 // bodies in `crate::simd::activations` (which must use bit-identical values).
 pub(crate) const LN2_HI: f32 = 0.693_145_75;
 pub(crate) const LN2_LO: f32 = 1.428_606_8e-6;

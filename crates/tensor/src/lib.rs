@@ -16,9 +16,10 @@
 //! - [`activations`]: the scalar activation functions (fast Cody–Waite
 //!   transcendentals plus libm-backed `*_precise` references) shared by the
 //!   autograd tape and the layer stack.
-//! - [`simd`]: runtime-dispatched AVX2 kernels — the matmul bodies in
-//!   [`matrix`] and the slice-level activation maps — each bitwise identical
-//!   to its scalar form for finite inputs.
+//! - [`simd`]: the one runtime gate ([`simd::Tier`]: AVX-512, AVX2 or
+//!   baseline, from the CPU alone) that the matmul bodies in [`matrix`], the
+//!   slice-level activation maps and `rn_autograd`'s fused GRU step dispatch
+//!   on — every tier bitwise identical to the scalar form for finite inputs.
 //!
 //! Design notes: following the smoltcp ethos, this crate favours simplicity
 //! and robustness over cleverness — no generic scalar type, no lifetime

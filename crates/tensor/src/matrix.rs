@@ -470,12 +470,10 @@ impl Matrix {
 
     /// `out += self * other` (the fused form backward passes use).
     ///
-    /// 2-row × 4-k register blocking: each sweep over `other`'s rows feeds
-    /// two output rows, halving B-matrix traffic, and four reduction steps
-    /// fuse into one pass over each output row. On x86-64 the same body is
-    /// also compiled with AVX2 enabled and dispatched at runtime — identical
-    /// per-element arithmetic (vector width only changes lane packing), so
-    /// results are bitwise equal across the two paths.
+    /// Runs [`kernels::matmul_acc`] at the widest SIMD tier the CPU has —
+    /// identical per-element arithmetic at every tier (blocking and vector
+    /// width only change lane packing), so results are bitwise equal on
+    /// every machine.
     pub fn matmul_acc(&self, other: &Self, out: &mut Self) {
         let (m, k, n) = self.assert_matmul_shapes(other);
         assert_eq!(out.shape(), (m, n), "matmul_acc: bad output shape");
@@ -538,10 +536,8 @@ impl Matrix {
 
     /// `out += self^T * other` (fused gradient accumulation for kernels).
     ///
-    /// 4-row × 4-k register blocking: four rows of `other` are loaded once
-    /// for four output rows, and four reduction steps fuse into one pass
-    /// over them. Runtime-dispatched to an AVX2 build of the same body on
-    /// x86-64, bitwise equal to the baseline build.
+    /// Runs [`kernels::matmul_tn_acc`] at the widest SIMD tier the CPU has,
+    /// bitwise equal to the baseline body.
     pub fn matmul_tn_acc(&self, other: &Self, out: &mut Self) {
         let (k, m, n) = self.assert_tn_shapes(other);
         assert_eq!(out.shape(), (m, n), "matmul_tn_acc: bad output shape");
@@ -893,10 +889,22 @@ impl Matrix {
     }
 }
 
-/// Slice-level matmul kernels with runtime AVX2 dispatch.
+/// Slice-level matmul kernels with runtime dispatch on
+/// [`Tier`](crate::simd::Tier).
 ///
 /// The [`Matrix`] methods delegate here; `rn_autograd`'s fused GRU step
-/// calls these directly on the slices of its scratch buffers.
+/// calls these directly on the slices of its scratch buffers. Each kernel
+/// has an `*_at` twin taking the tier, for the tests and for callers that
+/// are themselves compiled for one tier.
+///
+/// Three bodies: the portable register-blocked bodies below (the baseline
+/// tier), the same bodies recompiled with AVX2 (already at AVX2's non-FMA
+/// roofline), and on AVX-512 a register-tiled 16-lane microkernel: a tile of
+/// 4 output rows × up to 4 registers (64 columns) stays in registers across
+/// the whole shared dimension, columns past a multiple of 16 are masked
+/// loads and stores (lanes past the row are never read or written), rows
+/// past a multiple of 4 take a 1-row tile, and the transposed form reads
+/// `aᵀ` by stride with the same tile.
 ///
 /// # Contract
 ///
@@ -920,23 +928,60 @@ impl Matrix {
 /// which is why a sample predicts the same bits alone and inside a
 /// megabatch.
 pub mod kernels {
+    use crate::simd::Tier;
+
     /// `out += a·b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`,
     /// all row-major slices.
     pub fn matmul_acc(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+        matmul_acc_at(Tier::detected(), a, b, m, k, n, out);
+    }
+
+    /// [`matmul_acc`] through the body of `tier`.
+    ///
+    /// # Panics
+    /// If this CPU does not run `tier`, or on mismatched lengths.
+    pub fn matmul_acc_at(
+        tier: Tier,
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
         assert_eq!(a.len(), m * k, "kernels::matmul_acc: `a` is not m x k");
         assert_eq!(b.len(), k * n, "kernels::matmul_acc: `b` is not k x n");
         assert_eq!(out.len(), m * n, "kernels::matmul_acc: `out` is not m x n");
-        #[cfg(target_arch = "x86_64")]
-        if super::simd::have_avx2() {
-            // SAFETY: the AVX2 requirement was just checked at runtime.
-            unsafe { super::simd::matmul_acc_avx2(a, b, m, k, n, out) };
-            return;
+        match tier.checked() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `checked` asserted that this CPU runs AVX-512; the
+            // lengths were asserted above.
+            Tier::Avx512 => unsafe { super::simd::matmul_acc_avx512(a, b, m, k, n, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `checked` asserted that this CPU runs AVX2.
+            Tier::Avx2 => unsafe { super::simd::matmul_acc_avx2(a, b, m, k, n, out) },
+            _ => super::matmul_acc_body(a, b, m, k, n, out),
         }
-        super::matmul_acc_body(a, b, m, k, n, out);
     }
 
     /// `out += a^T·b` where `a` is `k x m`, `b` is `k x n`, `out` is `m x n`.
     pub fn matmul_tn_acc(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
+        matmul_tn_acc_at(Tier::detected(), a, b, k, m, n, out);
+    }
+
+    /// [`matmul_tn_acc`] through the body of `tier`.
+    ///
+    /// # Panics
+    /// If this CPU does not run `tier`, or on mismatched lengths.
+    pub fn matmul_tn_acc_at(
+        tier: Tier,
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        m: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
         assert_eq!(a.len(), k * m, "kernels::matmul_tn_acc: `a` is not k x m");
         assert_eq!(b.len(), k * n, "kernels::matmul_tn_acc: `b` is not k x n");
         assert_eq!(
@@ -944,13 +989,16 @@ pub mod kernels {
             m * n,
             "kernels::matmul_tn_acc: `out` is not m x n"
         );
-        #[cfg(target_arch = "x86_64")]
-        if super::simd::have_avx2() {
-            // SAFETY: the AVX2 requirement was just checked at runtime.
-            unsafe { super::simd::matmul_tn_acc_avx2(a, b, k, m, n, out) };
-            return;
+        match tier.checked() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `checked` asserted that this CPU runs AVX-512; the
+            // lengths were asserted above.
+            Tier::Avx512 => unsafe { super::simd::matmul_tn_acc_avx512(a, b, k, m, n, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `checked` asserted that this CPU runs AVX2.
+            Tier::Avx2 => unsafe { super::simd::matmul_tn_acc_avx2(a, b, k, m, n, out) },
+            _ => super::matmul_tn_acc_body(a, b, k, m, n, out),
         }
-        super::matmul_tn_acc_body(a, b, k, m, n, out);
     }
 }
 
@@ -961,9 +1009,10 @@ pub mod kernels {
 const LANES: usize = 8;
 
 /// `out += a·b` (row-major, `m x k` times `k x n`), 2-row × 4-k register
-/// blocked. `#[inline(always)]` so the AVX2 wrapper in [`simd`] recompiles
-/// this exact body with wider vectors — per-element arithmetic is identical,
-/// so both builds produce bitwise-equal results.
+/// blocked: the baseline tier's body. `#[inline(always)]` so the AVX2
+/// wrapper in [`simd`] recompiles this exact body with wider vectors —
+/// per-element arithmetic is identical, so both builds produce bitwise-equal
+/// results.
 #[inline(always)]
 fn matmul_acc_body(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     let mut i = 0;
@@ -1079,37 +1128,65 @@ fn matmul_tn_acc_body(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &
     }
 }
 
-/// Runtime-dispatched AVX2 builds of the kernel bodies (x86-64 only).
+/// The vector tiers' kernel bodies (x86-64 only), entered through
+/// [`kernels`] after its [`Tier`](crate::simd::Tier) check.
 ///
-/// `#[target_feature(enable = "avx2")]` recompiles the `#[inline(always)]`
-/// bodies with 256-bit vectorization. FMA is deliberately **not** enabled:
-/// rustc does not contract `a*b + c` on its own, so the AVX2 build performs
-/// the same rounding steps as the baseline build and results stay bitwise
-/// identical across machines.
+/// The AVX2 tier recompiles the `#[inline(always)]` portable bodies with
+/// `#[target_feature(enable = "avx2")]`; the AVX-512 tier is the explicit
+/// 16-lane tile below. Neither calls an FMA: rustc does not contract
+/// `a*b + c` on its own, so every tier performs the same rounding steps as
+/// the baseline build and results stay bitwise identical across machines.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    /// Cached runtime AVX2 detection — the crate-wide gate in
-    /// [`crate::simd`], shared with the activation kernels.
-    pub use crate::simd::have_avx2;
+    use std::arch::x86_64::*;
 
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 (see [`have_avx2`]).
+    /// The portable [`super::matmul_acc_body`] at AVX2 width.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_acc_avx2(
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
+    pub fn matmul_acc_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
         super::matmul_acc_body(a, b, m, k, n, out);
     }
 
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 (see [`have_avx2`]).
+    /// The portable [`super::matmul_tn_acc_body`] at AVX2 width.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_tn_acc_avx2(
+    pub fn matmul_tn_acc_avx2(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
+        super::matmul_tn_acc_body(a, b, k, m, n, out);
+    }
+
+    /// `out += a·b` through the 16-lane tile; `a(i, t)` is `a[i·k + t]`.
+    ///
+    /// # Safety
+    /// This CPU runs AVX-512F, and `a`, `b`, `out` hold `m·k`, `k·n`, `m·n`
+    /// elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn matmul_acc_avx512(
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        tiled(
+            Strided {
+                a: a.as_ptr(),
+                row: k,
+                step: 1,
+            },
+            b,
+            m,
+            k,
+            n,
+            out,
+        );
+    }
+
+    /// `out += aᵀ·b` through the same tile; `a(i, t)` is `a[t·m + i]`.
+    ///
+    /// # Safety
+    /// This CPU runs AVX-512F, and `a`, `b`, `out` hold `k·m`, `k·n`, `m·n`
+    /// elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn matmul_tn_acc_avx512(
         a: &[f32],
         b: &[f32],
         k: usize,
@@ -1117,7 +1194,131 @@ mod simd {
         n: usize,
         out: &mut [f32],
     ) {
-        super::matmul_tn_acc_body(a, b, k, m, n, out);
+        tiled(
+            Strided {
+                a: a.as_ptr(),
+                row: 1,
+                step: m,
+            },
+            b,
+            m,
+            k,
+            n,
+            out,
+        );
+    }
+
+    /// The left operand: element `(i, t)` at `a + i·row + t·step`.
+    #[derive(Clone, Copy)]
+    struct Strided {
+        a: *const f32,
+        row: usize,
+        step: usize,
+    }
+
+    /// Lanes per register.
+    const LANES: usize = 16;
+    /// Registers per tile row: a tile spans up to 64 columns.
+    const TILE_REGS: usize = 4;
+
+    /// Cover `out` (`m x n`) with tiles of 4 rows (the `m % 4` leftover
+    /// rows: 1 row) × up to [`TILE_REGS`] registers.
+    ///
+    /// # Safety
+    /// As for [`matmul_acc_avx512`], with `a` the left operand's layout.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tiled(a: Strided, b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+        let (b, out) = (b.as_ptr(), out.as_mut_ptr());
+        let mut i = 0;
+        while i < m {
+            let rows = if i + 4 <= m { 4 } else { 1 };
+            let mut j = 0;
+            while j < n {
+                let regs = (n - j).div_ceil(LANES).min(TILE_REGS);
+                match (rows, regs) {
+                    (4, 1) => tile::<4, 1>(a, b, k, n, out, i, j),
+                    (4, 2) => tile::<4, 2>(a, b, k, n, out, i, j),
+                    (4, 3) => tile::<4, 3>(a, b, k, n, out, i, j),
+                    (4, _) => tile::<4, 4>(a, b, k, n, out, i, j),
+                    (_, 1) => tile::<1, 1>(a, b, k, n, out, i, j),
+                    (_, 2) => tile::<1, 2>(a, b, k, n, out, i, j),
+                    (_, 3) => tile::<1, 3>(a, b, k, n, out, i, j),
+                    (_, _) => tile::<1, 4>(a, b, k, n, out, i, j),
+                }
+                j += regs * LANES;
+            }
+            i += rows;
+        }
+    }
+
+    /// One tile: `out[i0..i0 + R][j0..j0 + 16·NV] += A·b` over the whole
+    /// shared dimension with the `R x NV` accumulators in registers. Each
+    /// 4-group adds `((p0 + p1) + p2) + p3` and each leftover step `p` — the
+    /// canonical expression. The last register's lanes past column `n` are
+    /// masked off: never loaded, never stored.
+    ///
+    /// # Safety
+    /// This CPU runs AVX-512F; `j0 < n`; `b` points at a row-major `k x n`
+    /// block, `out` at a row-major block of width `n` holding rows
+    /// `i0..i0 + R`, and `a` holds elements `(i, t)` for those rows and
+    /// every `t < k`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile<const R: usize, const NV: usize>(
+        a: Strided,
+        b: *const f32,
+        k: usize,
+        n: usize,
+        out: *mut f32,
+        i0: usize,
+        j0: usize,
+    ) {
+        let mask: [__mmask16; NV] = std::array::from_fn(|v| {
+            let lanes = (n - j0 - v * LANES).min(LANES);
+            ((1u32 << lanes) - 1) as __mmask16
+        });
+        let a_at = |r: usize, t: usize| _mm512_set1_ps(*a.a.add((i0 + r) * a.row + t * a.step));
+        let b_at =
+            |t: usize, v: usize| _mm512_maskz_loadu_ps(mask[v], b.add(t * n + j0 + v * LANES));
+        let out_at = |r: usize, v: usize| out.add((i0 + r) * n + j0 + v * LANES);
+
+        let mut acc = [[_mm512_setzero_ps(); NV]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, reg) in row.iter_mut().enumerate() {
+                *reg = _mm512_maskz_loadu_ps(mask[v], out_at(r, v));
+            }
+        }
+        let mut t = 0;
+        while t + 4 <= k {
+            for v in 0..NV {
+                let (b0, b1, b2, b3) = (b_at(t, v), b_at(t + 1, v), b_at(t + 2, v), b_at(t + 3, v));
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let p = _mm512_add_ps(
+                        _mm512_mul_ps(a_at(r, t), b0),
+                        _mm512_mul_ps(a_at(r, t + 1), b1),
+                    );
+                    let p = _mm512_add_ps(p, _mm512_mul_ps(a_at(r, t + 2), b2));
+                    let p = _mm512_add_ps(p, _mm512_mul_ps(a_at(r, t + 3), b3));
+                    row[v] = _mm512_add_ps(row[v], p);
+                }
+            }
+            t += 4;
+        }
+        while t < k {
+            for v in 0..NV {
+                let bt = b_at(t, v);
+                for (r, row) in acc.iter_mut().enumerate() {
+                    row[v] = _mm512_add_ps(row[v], _mm512_mul_ps(a_at(r, t), bt));
+                }
+            }
+            t += 1;
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &reg) in row.iter().enumerate() {
+                _mm512_mask_storeu_ps(out_at(r, v), mask[v], reg);
+            }
+        }
     }
 }
 
@@ -1172,6 +1373,7 @@ fn axpy1(out: &mut [f32], a: f32, b: &[f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::Tier;
 
     #[test]
     fn a_matrix_whose_data_disagrees_with_its_shape_does_not_deserialize() {
@@ -1392,26 +1594,83 @@ mod tests {
 
     #[test]
     fn baseline_bodies_match_the_dispatched_kernels_bitwise() {
-        // On an AVX2 host the dispatched kernels never run the baseline
-        // build of the bodies; call it directly so both instruction streams
-        // are held to the same bits (the canonical-expression oracle in
-        // tests/proptests.rs pins the dispatched side).
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (5, 130, 9), (64, 13, 33), (6, 8, 32)] {
-            let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.37 - 2.0);
-            let at = a.transpose();
-            let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.21 - 1.0);
-            let init = Matrix::from_fn(m, n, |r, c| (r + 2 * c) as f32 * 0.13 - 0.7);
-            let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Every tier this host runs, on the same inputs, against the
+        // baseline body (the canonical-expression oracle in
+        // tests/proptests.rs pins that one). Shapes: every column count
+        // through one register and past it, 2–6 registers, every m mod 4 and
+        // k mod 4 (k < 4 included).
+        let tiers: Vec<Tier> = Tier::supported().collect();
+        println!("matmul tiers run: {tiers:?}");
+        let widths = (1..=17).chain([24, 32, 33, 48, 64, 65, 96]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in widths {
+            for (m, k) in [
+                (1, 1),
+                (2, 2),
+                (3, 3),
+                (4, 4),
+                (5, 9),
+                (6, 130),
+                (7, 7),
+                (8, 8),
+                (13, 34),
+            ] {
+                let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.37 - 2.0);
+                let at = a.transpose();
+                let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.21 - 1.0);
+                let init = Matrix::from_fn(m, n, |r, c| (r + 2 * c) as f32 * 0.13 - 0.7);
 
-            let (mut base, mut disp) = (init.clone(), init.clone());
-            matmul_acc_body(&a.data, &b.data, m, k, n, &mut base.data);
-            a.matmul_acc(&b, &mut disp);
-            assert_eq!(bits(&base), bits(&disp), "nn {m}x{k}x{n}");
+                let mut base = init.clone();
+                matmul_acc_body(&a.data, &b.data, m, k, n, &mut base.data);
+                let mut base_tn = init.clone();
+                matmul_tn_acc_body(&at.data, &b.data, k, m, n, &mut base_tn.data);
+                for &tier in &tiers {
+                    let mut got = init.clone();
+                    kernels::matmul_acc_at(tier, &a.data, &b.data, m, k, n, &mut got.data);
+                    assert_eq!(bits(&base.data), bits(&got.data), "nn {tier:?} {m}x{k}x{n}");
 
-            let (mut base, mut disp) = (init.clone(), init);
-            matmul_tn_acc_body(&at.data, &b.data, k, m, n, &mut base.data);
-            at.matmul_tn_acc(&b, &mut disp);
-            assert_eq!(bits(&base), bits(&disp), "tn {m}x{k}x{n}");
+                    let mut got = init.clone();
+                    kernels::matmul_tn_acc_at(tier, &at.data, &b.data, k, m, n, &mut got.data);
+                    assert_eq!(
+                        bits(&base_tn.data),
+                        bits(&got.data),
+                        "tn {tier:?} {m}x{k}x{n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_masked_column_tail_touches_nothing_past_the_output() {
+        // `out` is the front of a longer buffer whose last row ends mid
+        // register: the lanes past it must keep their sentinel, and the
+        // product must still match the baseline body.
+        for tier in Tier::supported() {
+            for (m, k, n) in [(5, 6, 17), (4, 3, 33), (1, 5, 7), (9, 4, 65)] {
+                let a = Matrix::from_fn(m, k, |r, c| (r * k + c) as f32 * 0.1 - 0.5);
+                let b = Matrix::from_fn(k, n, |r, c| (r + c) as f32 * 0.2 - 1.0);
+                let mut buf = vec![f32::MAX; m * n + 16];
+                buf[..m * n].fill(0.0);
+                kernels::matmul_acc_at(tier, &a.data, &b.data, m, k, n, &mut buf[..m * n]);
+                assert!(
+                    buf[m * n..].iter().all(|&v| v == f32::MAX),
+                    "{tier:?} {m}x{k}x{n}"
+                );
+                assert_eq!(
+                    &buf[..m * n],
+                    a.matmul(&b).as_slice(),
+                    "{tier:?} {m}x{k}x{n}"
+                );
+
+                let at = a.transpose();
+                buf[..m * n].fill(0.0);
+                kernels::matmul_tn_acc_at(tier, &at.data, &b.data, k, m, n, &mut buf[..m * n]);
+                assert!(
+                    buf[m * n..].iter().all(|&v| v == f32::MAX),
+                    "tn {tier:?} {m}x{k}x{n}"
+                );
+            }
         }
     }
 

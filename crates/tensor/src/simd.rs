@@ -1,193 +1,221 @@
-//! Runtime-dispatched SIMD kernels for the bulk activation maps.
+//! The one SIMD gate, and the runtime-dispatched activation maps.
 //!
-//! The matmul kernels in [`crate::matrix`] already recompile their bodies
-//! with AVX2; this module extends the same treatment to the transcendental
-//! activation maps that bound the fused GRU sweep once matmuls are fast:
-//! 8-lane `_mm256` versions of the branch-free Cody–Waite
+//! [`Tier::detected`] picks, once per process, the widest instruction set
+//! this CPU runs: AVX-512 (`avx512f` alone), then AVX2, then the baseline
+//! build. Every vector kernel dispatches on it — the matmul bodies in
+//! [`crate::matrix`], the activation maps below, and `rn_autograd`'s fused
+//! GRU step, whose elementwise loops compile at the tier's width. The CPU is
+//! the only selector: there is no variable, feature or setting that picks a
+//! tier. Each dispatcher also has an `*_at` form taking the tier explicitly,
+//! so the tests can run every tier the host has on the same inputs.
+//!
+//! The activation maps are the branch-free Cody–Waite
 //! [`fast_exp`](crate::activations::fast_exp) construction plus the
-//! sigmoid/tanh/SELU forms and their derivative-times-adjoint fusions, with
-//! a scalar tail per row/slice.
+//! sigmoid/tanh/SELU forms and their derivative-times-adjoint fusions, 8
+//! lanes (AVX2) or 16 lanes (AVX-512) at a time, with the ragged tail of a
+//! slice (or of a bias row) as one masked step. Both widths are expanded
+//! from one template (`lane_template!`) written against a handful of lane
+//! primitives, so the operation sequence that must match the scalar form is
+//! written once.
 //!
 //! ## Bitwise contract
 //!
-//! Every AVX2 body performs, per element, *exactly* the operations of the
+//! Every vector body performs, per element, *exactly* the operations of the
 //! matching `*_scalar` form in the same order: the clamp is `max(min(x, hi),
-//! lo)`, the polynomial is the same nested chain, negation is a sign-bit
-//! XOR, and `2^n` is built from `_mm256_cvttps_epi32` (exact — `n` is
-//! integral by construction) and exponent-bit arithmetic. No FMA is used
-//! anywhere (rustc never contracts on its own, and the explicit bodies
-//! follow suit), so for **finite inputs** the vector and scalar paths are
-//! bitwise identical on every machine — the property the kernel-vs-scalar
-//! proptests pin. NaN inputs are the one divergence (`f32::clamp` propagates
-//! NaN, `_mm256_min_ps`/`max_ps` select the second operand); the tape never
-//! feeds NaN through a working model, and a NaN activation means training
-//! already diverged.
+//! lo)`, the polynomial is the same nested chain, negation flips the sign
+//! bit, and `2^n` is built from a truncating float-to-int conversion (exact
+//! — `n` is integral by construction) and exponent-bit arithmetic. No FMA
+//! is used anywhere (rustc never contracts on its own, and the explicit
+//! bodies call no fused intrinsic), so for **finite inputs** every tier is
+//! bitwise identical to the scalar path on every machine — the property the
+//! kernel-vs-scalar tests pin at each tier the host has. NaN inputs are the
+//! one divergence (`f32::clamp` propagates NaN, the vector `min`/`max`
+//! select the second operand); the serving boundary rejects non-finite
+//! inputs, and a NaN activation inside training means it already diverged.
 //!
-//! Dispatch is per call through [`have_avx2`], the same cached runtime gate
-//! the matmul kernels use; non-x86-64 targets compile the scalar forms only.
+//! Non-x86-64 targets detect [`Tier::Baseline`] and compile the scalar
+//! forms only.
 
 use crate::activations as act;
 
-/// Cached runtime AVX2 detection.
+/// An instruction-set tier of the vector kernels, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Tier {
+    /// The baseline build (SSE2 on x86-64): portable bodies and scalar maps.
+    Baseline,
+    /// 256-bit AVX2 bodies, 8 lanes.
+    Avx2,
+    /// 512-bit AVX-512 bodies (`avx512f` only), 16 lanes.
+    Avx512,
+}
+
+impl Tier {
+    /// The widest tier this CPU runs, detected on first use and cached.
+    pub fn detected() -> Tier {
+        use std::sync::OnceLock;
+        static TIER: OnceLock<Tier> = OnceLock::new();
+        *TIER.get_or_init(detect)
+    }
+
+    /// Every tier this CPU runs, narrowest first.
+    pub fn supported() -> impl Iterator<Item = Tier> {
+        let widest = Tier::detected();
+        [Tier::Baseline, Tier::Avx2, Tier::Avx512]
+            .into_iter()
+            .filter(move |&t| t <= widest)
+    }
+
+    /// `self`, after asserting this CPU runs it — what makes entering a
+    /// tier's `#[target_feature]` body sound.
+    pub fn checked(self) -> Tier {
+        assert!(
+            self <= Tier::detected(),
+            "SIMD tier {self:?} requested on a CPU whose widest is {:?}",
+            Tier::detected()
+        );
+        self
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
-pub fn have_avx2() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+fn detect() -> Tier {
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        Tier::Avx512
+    } else if std::arch::is_x86_feature_detected!("avx2") {
+        Tier::Avx2
+    } else {
+        Tier::Baseline
+    }
 }
 
-/// Cached runtime AVX2 detection (always `false` off x86-64).
 #[cfg(not(target_arch = "x86_64"))]
-pub fn have_avx2() -> bool {
-    false
+fn detect() -> Tier {
+    Tier::Baseline
 }
 
-/// Slice-level activation maps with runtime AVX2 dispatch.
+/// Slice-level activation maps with runtime tier dispatch.
 ///
 /// Each kernel has three forms: the dispatching entry point (what the tape
-/// ops call), a `*_scalar` reference loop (the bitwise ground truth, also
-/// the non-AVX2 fallback), and — on x86-64 — an `avx2::*` build. The
-/// dispatchers assert shape compatibility; the bodies assume it.
+/// ops call), its `*_at` twin taking the tier, and a `*_scalar` reference
+/// loop (the bitwise ground truth and the baseline tier's body). The
+/// dispatchers assert shape compatibility; the vector bodies assume it.
 pub mod activations {
-    use super::act;
+    use super::{act, Tier};
 
     // ---------------------------------------------------------------
     // Dispatching entry points
     // ---------------------------------------------------------------
 
-    macro_rules! dispatch_map {
-        ($src:expr, $dst:expr, $avx2:ident, $scalar:ident) => {{
-            assert_eq!($src.len(), $dst.len(), "activation map length mismatch");
-            #[cfg(target_arch = "x86_64")]
-            if super::have_avx2() {
-                // SAFETY: the AVX2 requirement was just checked at runtime.
-                unsafe { avx2::$avx2($src, $dst) };
-                return;
+    /// Defines a dispatcher `$name` (at [`Tier::detected`]) and its `$at`
+    /// twin, public where a caller outside the crate picks the tier (the
+    /// fused GRU step's maps). `$check` asserts the shapes the vector bodies
+    /// rely on.
+    macro_rules! dispatched {
+        ($(#[$doc:meta])* $name:ident, $vis:vis $at:ident, $scalar:ident,
+         ($($arg:ident: $ty:ty),*), $check:block) => {
+            $(#[$doc])*
+            pub fn $name($($arg: $ty),*) {
+                $at(Tier::detected(), $($arg),*)
             }
-            $scalar($src, $dst);
-        }};
+
+            #[doc = concat!("[`", stringify!($name), "`] through the bodies of `tier`.")]
+            ///
+            /// # Panics
+            /// If this CPU does not run `tier`, or on mismatched shapes.
+            $vis fn $at(tier: Tier, $($arg: $ty),*) {
+                $check
+                match tier.checked() {
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `checked` asserted that this CPU runs AVX-512;
+                    // `$check` asserted the shapes.
+                    Tier::Avx512 => unsafe { avx512::$name($($arg),*) },
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: as above, for AVX2.
+                    Tier::Avx2 => unsafe { avx2::$name($($arg),*) },
+                    _ => $scalar($($arg),*),
+                }
+            }
+        };
     }
 
-    /// `dst[i] = fast_exp(src[i])`.
-    pub fn exp_map(src: &[f32], dst: &mut [f32]) {
-        dispatch_map!(src, dst, exp_map_avx2, exp_map_scalar);
-    }
-
-    /// `dst[i] = sigmoid(src[i])` (fast-exp form).
-    pub fn sigmoid_map(src: &[f32], dst: &mut [f32]) {
-        dispatch_map!(src, dst, sigmoid_map_avx2, sigmoid_map_scalar);
-    }
-
-    /// `dst[i] = tanh(src[i])` (fast-exp form).
-    pub fn tanh_map(src: &[f32], dst: &mut [f32]) {
-        dispatch_map!(src, dst, tanh_map_avx2, tanh_map_scalar);
-    }
-
-    /// `dst[i] = selu(src[i])` (fast-exp form).
-    pub fn selu_map(src: &[f32], dst: &mut [f32]) {
-        dispatch_map!(src, dst, selu_map_avx2, selu_map_scalar);
-    }
-
-    /// Fused bias-add + sigmoid over a row-major block: for every row of
-    /// width `bias.len()`, `v = sigmoid(v + b)`. Bitwise identical to a
-    /// broadcast add followed by a sigmoid map (same per-element chain).
-    /// The three fused GRU gate activations run through this.
-    pub fn sigmoid_bias_map_inplace(block: &mut [f32], bias: &[f32]) {
-        assert!(!bias.is_empty(), "bias must be non-empty");
-        assert_eq!(block.len() % bias.len(), 0, "block width mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if super::have_avx2() {
-            // SAFETY: the AVX2 requirement was just checked at runtime.
-            unsafe { avx2::sigmoid_bias_map_inplace_avx2(block, bias) };
-            return;
+    dispatched!(
+        /// `dst[i] = fast_exp(src[i])`.
+        exp_map, pub(crate) exp_map_at, exp_map_scalar,
+        (src: &[f32], dst: &mut [f32]),
+        { assert_eq!(src.len(), dst.len(), "activation map length mismatch"); }
+    );
+    dispatched!(
+        /// `dst[i] = sigmoid(src[i])` (fast-exp form).
+        sigmoid_map, pub(crate) sigmoid_map_at, sigmoid_map_scalar,
+        (src: &[f32], dst: &mut [f32]),
+        { assert_eq!(src.len(), dst.len(), "activation map length mismatch"); }
+    );
+    dispatched!(
+        /// `dst[i] = tanh(src[i])` (fast-exp form).
+        tanh_map, pub(crate) tanh_map_at, tanh_map_scalar,
+        (src: &[f32], dst: &mut [f32]),
+        { assert_eq!(src.len(), dst.len(), "activation map length mismatch"); }
+    );
+    dispatched!(
+        /// `dst[i] = selu(src[i])` (fast-exp form).
+        selu_map, pub(crate) selu_map_at, selu_map_scalar,
+        (src: &[f32], dst: &mut [f32]),
+        { assert_eq!(src.len(), dst.len(), "activation map length mismatch"); }
+    );
+    dispatched!(
+        /// Fused bias-add + sigmoid over a row-major block: for every row of
+        /// width `bias.len()`, `v = sigmoid(v + b)`. Bitwise identical to a
+        /// broadcast add followed by a sigmoid map (same per-element chain).
+        /// The three fused GRU gate activations run through this.
+        sigmoid_bias_map_inplace, pub sigmoid_bias_map_inplace_at, sigmoid_bias_map_inplace_scalar,
+        (block: &mut [f32], bias: &[f32]),
+        {
+            assert!(!bias.is_empty(), "bias must be non-empty");
+            assert_eq!(block.len() % bias.len(), 0, "block width mismatch");
         }
-        sigmoid_bias_map_inplace_scalar(block, bias);
-    }
-
-    /// Fused bias-add + tanh over a row-major block (candidate gate).
-    pub fn tanh_bias_map_inplace(block: &mut [f32], bias: &[f32]) {
-        assert!(!bias.is_empty(), "bias must be non-empty");
-        assert_eq!(block.len() % bias.len(), 0, "block width mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if super::have_avx2() {
-            // SAFETY: the AVX2 requirement was just checked at runtime.
-            unsafe { avx2::tanh_bias_map_inplace_avx2(block, bias) };
-            return;
+    );
+    dispatched!(
+        /// Fused bias-add + tanh over a row-major block (candidate gate).
+        tanh_bias_map_inplace, pub tanh_bias_map_inplace_at, tanh_bias_map_inplace_scalar,
+        (block: &mut [f32], bias: &[f32]),
+        {
+            assert!(!bias.is_empty(), "bias must be non-empty");
+            assert_eq!(block.len() % bias.len(), 0, "block width mismatch");
         }
-        tanh_bias_map_inplace_scalar(block, bias);
-    }
-
-    /// `dst[i] = g[i] * sigmoid_deriv_from_output(y[i])` — the sigmoid
-    /// adjoint as one pass.
-    pub fn sigmoid_deriv_mul(g: &[f32], y: &[f32], dst: &mut [f32]) {
-        assert!(
-            g.len() == y.len() && y.len() == dst.len(),
-            "adjoint length mismatch"
-        );
-        #[cfg(target_arch = "x86_64")]
-        if super::have_avx2() {
-            // SAFETY: the AVX2 requirement was just checked at runtime.
-            unsafe { avx2::sigmoid_deriv_mul_avx2(g, y, dst) };
-            return;
-        }
-        sigmoid_deriv_mul_scalar(g, y, dst);
-    }
-
-    /// `dst[i] = g[i] * tanh_deriv_from_output(y[i])`.
-    pub fn tanh_deriv_mul(g: &[f32], y: &[f32], dst: &mut [f32]) {
-        assert!(
-            g.len() == y.len() && y.len() == dst.len(),
-            "adjoint length mismatch"
-        );
-        #[cfg(target_arch = "x86_64")]
-        if super::have_avx2() {
-            // SAFETY: the AVX2 requirement was just checked at runtime.
-            unsafe { avx2::tanh_deriv_mul_avx2(g, y, dst) };
-            return;
-        }
-        tanh_deriv_mul_scalar(g, y, dst);
-    }
-
-    /// `dst[i] = g[i] * selu_deriv(x[i])` — SELU's adjoint is a function of
-    /// the *input*, not the output.
-    pub fn selu_deriv_mul(g: &[f32], x: &[f32], dst: &mut [f32]) {
-        assert!(
-            g.len() == x.len() && x.len() == dst.len(),
-            "adjoint length mismatch"
-        );
-        #[cfg(target_arch = "x86_64")]
-        if super::have_avx2() {
-            // SAFETY: the AVX2 requirement was just checked at runtime.
-            unsafe { avx2::selu_deriv_mul_avx2(g, x, dst) };
-            return;
-        }
-        selu_deriv_mul_scalar(g, x, dst);
-    }
-
-    /// `g[i] *= sigmoid_deriv_from_output(y[i])` in place — the fused GRU
-    /// backward gate tails.
-    pub fn sigmoid_deriv_mul_inplace(g: &mut [f32], y: &[f32]) {
-        assert_eq!(g.len(), y.len(), "adjoint length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if super::have_avx2() {
-            // SAFETY: the AVX2 requirement was just checked at runtime.
-            unsafe { avx2::sigmoid_deriv_mul_inplace_avx2(g, y) };
-            return;
-        }
-        sigmoid_deriv_mul_inplace_scalar(g, y);
-    }
-
-    /// `g[i] *= tanh_deriv_from_output(y[i])` in place.
-    pub fn tanh_deriv_mul_inplace(g: &mut [f32], y: &[f32]) {
-        assert_eq!(g.len(), y.len(), "adjoint length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if super::have_avx2() {
-            // SAFETY: the AVX2 requirement was just checked at runtime.
-            unsafe { avx2::tanh_deriv_mul_inplace_avx2(g, y) };
-            return;
-        }
-        tanh_deriv_mul_inplace_scalar(g, y);
-    }
+    );
+    dispatched!(
+        /// `dst[i] = g[i] * sigmoid_deriv_from_output(y[i])` — the sigmoid
+        /// adjoint as one pass.
+        sigmoid_deriv_mul, pub(crate) sigmoid_deriv_mul_at, sigmoid_deriv_mul_scalar,
+        (g: &[f32], y: &[f32], dst: &mut [f32]),
+        { assert!(g.len() == y.len() && y.len() == dst.len(), "adjoint length mismatch"); }
+    );
+    dispatched!(
+        /// `dst[i] = g[i] * tanh_deriv_from_output(y[i])`.
+        tanh_deriv_mul, pub(crate) tanh_deriv_mul_at, tanh_deriv_mul_scalar,
+        (g: &[f32], y: &[f32], dst: &mut [f32]),
+        { assert!(g.len() == y.len() && y.len() == dst.len(), "adjoint length mismatch"); }
+    );
+    dispatched!(
+        /// `dst[i] = g[i] * selu_deriv(x[i])` — SELU's adjoint is a function
+        /// of the *input*, not the output.
+        selu_deriv_mul, pub(crate) selu_deriv_mul_at, selu_deriv_mul_scalar,
+        (g: &[f32], x: &[f32], dst: &mut [f32]),
+        { assert!(g.len() == x.len() && x.len() == dst.len(), "adjoint length mismatch"); }
+    );
+    dispatched!(
+        /// `g[i] *= sigmoid_deriv_from_output(y[i])` in place — the fused GRU
+        /// backward gate tails.
+        sigmoid_deriv_mul_inplace, pub sigmoid_deriv_mul_inplace_at, sigmoid_deriv_mul_inplace_scalar,
+        (g: &mut [f32], y: &[f32]),
+        { assert_eq!(g.len(), y.len(), "adjoint length mismatch"); }
+    );
+    dispatched!(
+        /// `g[i] *= tanh_deriv_from_output(y[i])` in place.
+        tanh_deriv_mul_inplace, pub tanh_deriv_mul_inplace_at, tanh_deriv_mul_inplace_scalar,
+        (g: &mut [f32], y: &[f32]),
+        { assert_eq!(g.len(), y.len(), "adjoint length mismatch"); }
+    );
 
     // ---------------------------------------------------------------
     // Scalar reference forms (the bitwise ground truth)
@@ -275,297 +303,411 @@ pub mod activations {
     }
 
     // ---------------------------------------------------------------
-    // AVX2 builds
+    // Vector bodies: one template, two widths
     // ---------------------------------------------------------------
 
-    /// 8-lane AVX2 builds of the kernels above.
-    ///
-    /// # Safety
-    /// Every function requires AVX2 at runtime (checked by the dispatchers
-    /// through [`super::have_avx2`]).
+    /// Run `$body` for `$i` over `0..$n` in steps of `LANES`, `$len` being
+    /// the lanes the step covers: `LANES`, except for one final partial step.
     #[cfg(target_arch = "x86_64")]
-    pub mod avx2 {
-        use super::act;
-        use crate::activations::{
-            EXP_CLAMP, LN2_HI, LN2_LO, ROUND_MAGIC, SELU_ALPHA, SELU_LAMBDA, TANH_CLAMP,
+    macro_rules! for_lanes {
+        ($n:expr, |$i:ident, $len:ident| $body:expr) => {{
+            let n = $n;
+            let mut $i = 0;
+            while $i + LANES <= n {
+                let $len = LANES;
+                $body;
+                $i += LANES;
+            }
+            if $i < n {
+                let $len = n - $i;
+                $body;
+            }
+        }};
+    }
+
+    /// `dst[i] = $f(src[i])`, a step of lanes at a time.
+    #[cfg(target_arch = "x86_64")]
+    macro_rules! unary_map {
+        ($src:ident, $dst:ident, $f:ident) => {{
+            let (s, d) = ($src.as_ptr(), $dst.as_mut_ptr());
+            for_lanes!($src.len(), |i, len| store(
+                d.add(i),
+                len,
+                $f(load(s.add(i), len))
+            ));
+        }};
+    }
+
+    /// The lane chains and slice bodies of every map, for the lane
+    /// primitives in scope (`V`, `LANES`, `splat`, `add`, `sub`, `mul`,
+    /// `div`, `min`, `max`, `neg`, `pow2`, `select_pos`, `load`, `store`),
+    /// compiled for `$feature`. Each chain is its scalar function in
+    /// `crate::activations`, operation for operation.
+    #[cfg(target_arch = "x86_64")]
+    macro_rules! lane_template {
+        ($feature:tt) => {
+            use crate::activations::{
+                EXP_CLAMP, LN2_HI, LN2_LO, ROUND_MAGIC, SELU_ALPHA, SELU_LAMBDA, TANH_CLAMP,
+            };
+
+            /// `fast_exp`: clamp (min, then max), magic-number rounding,
+            /// Cody–Waite reduction, the nested degree-6 chain, `2^n · p`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            fn fast_exp(x: V) -> V {
+                let one = splat(1.0);
+                let x = max(min(x, splat(EXP_CLAMP)), splat(-EXP_CLAMP));
+                let magic = splat(ROUND_MAGIC);
+                let n = sub(add(mul(x, splat(std::f32::consts::LOG2_E)), magic), magic);
+                let g = sub(sub(x, mul(n, splat(LN2_HI))), mul(n, splat(LN2_LO)));
+                let p = add(splat(1.0 / 120.0), mul(g, splat(1.0 / 720.0)));
+                let p = add(splat(1.0 / 24.0), mul(g, p));
+                let p = add(splat(1.0 / 6.0), mul(g, p));
+                let p = add(splat(0.5), mul(g, p));
+                let p = add(one, mul(g, p));
+                let p = add(one, mul(g, p));
+                mul(pow2(n), p)
+            }
+
+            /// `sigmoid`: `1 / (1 + fast_exp(-x))`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            fn sigmoid(x: V) -> V {
+                let one = splat(1.0);
+                div(one, add(one, fast_exp(neg(x))))
+            }
+
+            /// `tanh`: clamp ±9, `(e^{2x} − 1) / (e^{2x} + 1)`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            fn tanh(x: V) -> V {
+                let one = splat(1.0);
+                let x = max(min(x, splat(TANH_CLAMP)), splat(-TANH_CLAMP));
+                let e2 = fast_exp(mul(splat(2.0), x));
+                div(sub(e2, one), add(e2, one))
+            }
+
+            /// `selu`: both branches, picked on `x > 0`. The scalar
+            /// `SELU_LAMBDA * SELU_ALPHA * (e − 1)` associates left, so λ·α
+            /// is one constant here — identical rounding.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            fn selu(x: V) -> V {
+                const LA: f32 = SELU_LAMBDA * SELU_ALPHA;
+                let pos = mul(splat(SELU_LAMBDA), x);
+                let neg = mul(splat(LA), sub(fast_exp(x), splat(1.0)));
+                select_pos(x, pos, neg)
+            }
+
+            /// `selu_deriv` (a function of the input).
+            #[inline]
+            #[target_feature(enable = $feature)]
+            fn selu_deriv(x: V) -> V {
+                const LA: f32 = SELU_LAMBDA * SELU_ALPHA;
+                select_pos(x, splat(SELU_LAMBDA), mul(splat(LA), fast_exp(x)))
+            }
+
+            /// `sigmoid_deriv_from_output`: `y · (1 − y)`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            fn sigmoid_deriv(y: V) -> V {
+                mul(y, sub(splat(1.0), y))
+            }
+
+            /// `tanh_deriv_from_output`: `1 − y·y`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            fn tanh_deriv(y: V) -> V {
+                sub(splat(1.0), mul(y, y))
+            }
+
+            // # Safety (every `unsafe fn` below): the caller guarantees that
+            // this CPU runs `$feature` and the shapes its dispatcher asserts.
+            // Every pointer is then offset by less than its slice's length,
+            // and a partial step touches only the lanes inside the slice.
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn exp_map(src: &[f32], dst: &mut [f32]) {
+                unary_map!(src, dst, fast_exp)
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn sigmoid_map(src: &[f32], dst: &mut [f32]) {
+                unary_map!(src, dst, sigmoid)
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn tanh_map(src: &[f32], dst: &mut [f32]) {
+                unary_map!(src, dst, tanh)
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn selu_map(src: &[f32], dst: &mut [f32]) {
+                unary_map!(src, dst, selu)
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn sigmoid_bias_map_inplace(block: &mut [f32], bias: &[f32]) {
+                let b = bias.as_ptr();
+                for row in block.chunks_exact_mut(bias.len()) {
+                    let r = row.as_mut_ptr();
+                    for_lanes!(bias.len(), |j, len| {
+                        let v = add(load(r.add(j), len), load(b.add(j), len));
+                        store(r.add(j), len, sigmoid(v))
+                    });
+                }
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn tanh_bias_map_inplace(block: &mut [f32], bias: &[f32]) {
+                let b = bias.as_ptr();
+                for row in block.chunks_exact_mut(bias.len()) {
+                    let r = row.as_mut_ptr();
+                    for_lanes!(bias.len(), |j, len| {
+                        let v = add(load(r.add(j), len), load(b.add(j), len));
+                        store(r.add(j), len, tanh(v))
+                    });
+                }
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn sigmoid_deriv_mul(g: &[f32], y: &[f32], dst: &mut [f32]) {
+                let (gp, yp, d) = (g.as_ptr(), y.as_ptr(), dst.as_mut_ptr());
+                for_lanes!(g.len(), |i, len| {
+                    let v = mul(load(gp.add(i), len), sigmoid_deriv(load(yp.add(i), len)));
+                    store(d.add(i), len, v)
+                });
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn tanh_deriv_mul(g: &[f32], y: &[f32], dst: &mut [f32]) {
+                let (gp, yp, d) = (g.as_ptr(), y.as_ptr(), dst.as_mut_ptr());
+                for_lanes!(g.len(), |i, len| {
+                    let v = mul(load(gp.add(i), len), tanh_deriv(load(yp.add(i), len)));
+                    store(d.add(i), len, v)
+                });
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn selu_deriv_mul(g: &[f32], x: &[f32], dst: &mut [f32]) {
+                let (gp, xp, d) = (g.as_ptr(), x.as_ptr(), dst.as_mut_ptr());
+                for_lanes!(g.len(), |i, len| {
+                    let v = mul(load(gp.add(i), len), selu_deriv(load(xp.add(i), len)));
+                    store(d.add(i), len, v)
+                });
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn sigmoid_deriv_mul_inplace(g: &mut [f32], y: &[f32]) {
+                let (gp, yp) = (g.as_mut_ptr(), y.as_ptr());
+                for_lanes!(g.len(), |i, len| {
+                    let v = mul(load(gp.add(i), len), sigmoid_deriv(load(yp.add(i), len)));
+                    store(gp.add(i), len, v)
+                });
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn tanh_deriv_mul_inplace(g: &mut [f32], y: &[f32]) {
+                let (gp, yp) = (g.as_mut_ptr(), y.as_ptr());
+                for_lanes!(g.len(), |i, len| {
+                    let v = mul(load(gp.add(i), len), tanh_deriv(load(yp.add(i), len)));
+                    store(gp.add(i), len, v)
+                });
+            }
         };
+    }
+
+    /// 8-lane AVX2 lane primitives and the template over them.
+    #[cfg(target_arch = "x86_64")]
+    mod avx2 {
         use std::arch::x86_64::*;
 
-        /// 8-lane `fast_exp`, operation-for-operation the scalar body.
-        /// `#[inline(always)]` (no `target_feature`) so it compiles inside
-        /// each caller's AVX2-enabled context.
-        #[inline(always)]
-        unsafe fn fast_exp8(x: __m256) -> __m256 {
-            let one = _mm256_set1_ps(1.0);
-            // Scalar clamp is min-then-max for finite inputs.
-            let x = _mm256_max_ps(
-                _mm256_min_ps(x, _mm256_set1_ps(EXP_CLAMP)),
-                _mm256_set1_ps(-EXP_CLAMP),
-            );
-            let n = _mm256_sub_ps(
-                _mm256_add_ps(
-                    _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E)),
-                    _mm256_set1_ps(ROUND_MAGIC),
-                ),
-                _mm256_set1_ps(ROUND_MAGIC),
-            );
-            let g = _mm256_sub_ps(
-                _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI))),
-                _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)),
-            );
-            // Same nested Horner chain as the scalar polynomial.
-            let p = _mm256_add_ps(
-                _mm256_set1_ps(1.0 / 120.0),
-                _mm256_mul_ps(g, _mm256_set1_ps(1.0 / 720.0)),
-            );
-            let p = _mm256_add_ps(_mm256_set1_ps(1.0 / 24.0), _mm256_mul_ps(g, p));
-            let p = _mm256_add_ps(_mm256_set1_ps(1.0 / 6.0), _mm256_mul_ps(g, p));
-            let p = _mm256_add_ps(_mm256_set1_ps(0.5), _mm256_mul_ps(g, p));
-            let p = _mm256_add_ps(one, _mm256_mul_ps(g, p));
-            let p = _mm256_add_ps(one, _mm256_mul_ps(g, p));
-            // `n as i32` truncates; n is integral from the magic-number
-            // rounding, so cvttps is exact. |n| <= 126, so the exponent-bit
-            // arithmetic never wraps.
-            let ni = _mm256_cvttps_epi32(n);
-            let bits = _mm256_slli_epi32::<23>(_mm256_add_epi32(ni, _mm256_set1_epi32(127)));
-            _mm256_mul_ps(_mm256_castsi256_ps(bits), p)
-        }
+        type V = __m256;
+        const LANES: usize = 8;
 
-        /// 8-lane sigmoid: `1 / (1 + fast_exp(-x))`; `-x` is the sign-bit
-        /// XOR the scalar negation lowers to.
-        #[inline(always)]
-        unsafe fn sigmoid8(x: __m256) -> __m256 {
-            let one = _mm256_set1_ps(1.0);
-            let e = fast_exp8(_mm256_xor_ps(x, _mm256_set1_ps(-0.0)));
-            _mm256_div_ps(one, _mm256_add_ps(one, e))
-        }
-
-        /// 8-lane tanh: clamp ±9, `(e^{2x} − 1) / (e^{2x} + 1)`.
-        #[inline(always)]
-        unsafe fn tanh8(x: __m256) -> __m256 {
-            let one = _mm256_set1_ps(1.0);
-            let x = _mm256_max_ps(
-                _mm256_min_ps(x, _mm256_set1_ps(TANH_CLAMP)),
-                _mm256_set1_ps(-TANH_CLAMP),
-            );
-            let e2 = fast_exp8(_mm256_mul_ps(_mm256_set1_ps(2.0), x));
-            _mm256_div_ps(_mm256_sub_ps(e2, one), _mm256_add_ps(e2, one))
-        }
-
-        /// 8-lane SELU: compute both branches, blend on `x > 0`. The scalar
-        /// `SELU_LAMBDA * SELU_ALPHA * (e − 1)` associates left, so the
-        /// λ·α product is one constant here — identical rounding.
-        #[inline(always)]
-        unsafe fn selu8(x: __m256) -> __m256 {
-            const LA: f32 = SELU_LAMBDA * SELU_ALPHA;
-            let pos = _mm256_mul_ps(_mm256_set1_ps(SELU_LAMBDA), x);
-            let neg = _mm256_mul_ps(
-                _mm256_set1_ps(LA),
-                _mm256_sub_ps(fast_exp8(x), _mm256_set1_ps(1.0)),
-            );
-            let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_setzero_ps());
-            _mm256_blendv_ps(neg, pos, gt)
-        }
-
-        /// 8-lane SELU derivative (function of the input).
-        #[inline(always)]
-        unsafe fn selu_deriv8(x: __m256) -> __m256 {
-            const LA: f32 = SELU_LAMBDA * SELU_ALPHA;
-            let pos = _mm256_set1_ps(SELU_LAMBDA);
-            let neg = _mm256_mul_ps(_mm256_set1_ps(LA), fast_exp8(x));
-            let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_setzero_ps());
-            _mm256_blendv_ps(neg, pos, gt)
-        }
-
-        macro_rules! avx2_map {
-            ($(#[$doc:meta])* $name:ident, $lanes:ident, $scalar_fn:path) => {
-                $(#[$doc])*
-                /// # Safety
-                /// Requires AVX2.
-                #[target_feature(enable = "avx2")]
-                pub unsafe fn $name(src: &[f32], dst: &mut [f32]) {
-                    debug_assert_eq!(src.len(), dst.len());
-                    let n = src.len();
-                    let mut i = 0;
-                    while i + 8 <= n {
-                        let v = _mm256_loadu_ps(src.as_ptr().add(i));
-                        _mm256_storeu_ps(dst.as_mut_ptr().add(i), $lanes(v));
-                        i += 8;
-                    }
-                    while i < n {
-                        dst[i] = $scalar_fn(src[i]);
-                        i += 1;
-                    }
-                }
-            };
-        }
-
-        avx2_map!(
-            /// AVX2 build of [`super::exp_map`].
-            exp_map_avx2,
-            fast_exp8,
-            act::fast_exp
-        );
-        avx2_map!(
-            /// AVX2 build of [`super::sigmoid_map`].
-            sigmoid_map_avx2,
-            sigmoid8,
-            act::sigmoid
-        );
-        avx2_map!(
-            /// AVX2 build of [`super::tanh_map`].
-            tanh_map_avx2,
-            tanh8,
-            act::tanh
-        );
-        avx2_map!(
-            /// AVX2 build of [`super::selu_map`].
-            selu_map_avx2,
-            selu8,
-            act::selu
-        );
-
-        macro_rules! avx2_bias_map {
-            ($(#[$doc:meta])* $name:ident, $lanes:ident, $scalar_fn:path) => {
-                $(#[$doc])*
-                /// # Safety
-                /// Requires AVX2; `block.len()` must be a multiple of
-                /// `bias.len()`.
-                #[target_feature(enable = "avx2")]
-                pub unsafe fn $name(block: &mut [f32], bias: &[f32]) {
-                    let w = bias.len();
-                    for row in block.chunks_exact_mut(w) {
-                        let mut j = 0;
-                        while j + 8 <= w {
-                            let v = _mm256_loadu_ps(row.as_ptr().add(j));
-                            let b = _mm256_loadu_ps(bias.as_ptr().add(j));
-                            _mm256_storeu_ps(row.as_mut_ptr().add(j), $lanes(_mm256_add_ps(v, b)));
-                            j += 8;
-                        }
-                        while j < w {
-                            row[j] = $scalar_fn(row[j] + bias[j]);
-                            j += 1;
-                        }
-                    }
-                }
-            };
-        }
-
-        avx2_bias_map!(
-            /// AVX2 build of [`super::sigmoid_bias_map_inplace`].
-            sigmoid_bias_map_inplace_avx2,
-            sigmoid8,
-            act::sigmoid
-        );
-        avx2_bias_map!(
-            /// AVX2 build of [`super::tanh_bias_map_inplace`].
-            tanh_bias_map_inplace_avx2,
-            tanh8,
-            act::tanh
-        );
-
-        /// AVX2 build of [`super::sigmoid_deriv_mul`].
-        /// # Safety
-        /// Requires AVX2.
+        #[inline]
         #[target_feature(enable = "avx2")]
-        pub unsafe fn sigmoid_deriv_mul_avx2(g: &[f32], y: &[f32], dst: &mut [f32]) {
-            let one = _mm256_set1_ps(1.0);
-            let n = g.len();
-            let mut i = 0;
-            while i + 8 <= n {
-                let gv = _mm256_loadu_ps(g.as_ptr().add(i));
-                let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-                let d = _mm256_mul_ps(yv, _mm256_sub_ps(one, yv));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_mul_ps(gv, d));
-                i += 8;
+        fn splat(x: f32) -> V {
+            _mm256_set1_ps(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn add(a: V, b: V) -> V {
+            _mm256_add_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn sub(a: V, b: V) -> V {
+            _mm256_sub_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn mul(a: V, b: V) -> V {
+            _mm256_mul_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn div(a: V, b: V) -> V {
+            _mm256_div_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn min(a: V, b: V) -> V {
+            _mm256_min_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn max(a: V, b: V) -> V {
+            _mm256_max_ps(a, b)
+        }
+        /// `-x`: the sign-bit flip the scalar negation lowers to.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn neg(x: V) -> V {
+            _mm256_xor_ps(x, _mm256_set1_ps(-0.0))
+        }
+        /// `2^n` for integral `n` in `[-126, 127]`: exponent bits. The
+        /// truncating conversion is exact for integral `n`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn pow2(n: V) -> V {
+            let e = _mm256_add_epi32(_mm256_cvttps_epi32(n), _mm256_set1_epi32(127));
+            _mm256_castsi256_ps(_mm256_slli_epi32::<23>(e))
+        }
+        /// `pos` where `x > 0`, `neg` elsewhere.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn select_pos(x: V, pos: V, neg: V) -> V {
+            _mm256_blendv_ps(
+                neg,
+                pos,
+                _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_setzero_ps()),
+            )
+        }
+        /// Lanes `0..len` set.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn mask(len: usize) -> __m256i {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(len as i32), lane)
+        }
+        /// The first `len` (1..=8) floats at `p`, zeros after; nothing past
+        /// `p + len` is read.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(p: *const f32, len: usize) -> V {
+            if len == LANES {
+                _mm256_loadu_ps(p)
+            } else {
+                _mm256_maskload_ps(p, mask(len))
             }
-            while i < n {
-                dst[i] = g[i] * act::sigmoid_deriv_from_output(y[i]);
-                i += 1;
+        }
+        /// Store the first `len` (1..=8) lanes of `v` at `p`; nothing past
+        /// `p + len` is written.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn store(p: *mut f32, len: usize, v: V) {
+            if len == LANES {
+                _mm256_storeu_ps(p, v)
+            } else {
+                _mm256_maskstore_ps(p, mask(len), v)
             }
         }
 
-        /// AVX2 build of [`super::tanh_deriv_mul`].
-        /// # Safety
-        /// Requires AVX2.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn tanh_deriv_mul_avx2(g: &[f32], y: &[f32], dst: &mut [f32]) {
-            let one = _mm256_set1_ps(1.0);
-            let n = g.len();
-            let mut i = 0;
-            while i + 8 <= n {
-                let gv = _mm256_loadu_ps(g.as_ptr().add(i));
-                let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-                let d = _mm256_sub_ps(one, _mm256_mul_ps(yv, yv));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_mul_ps(gv, d));
-                i += 8;
+        lane_template!("avx2");
+    }
+
+    /// 16-lane AVX-512 lane primitives (`avx512f` only) and the template
+    /// over them.
+    #[cfg(target_arch = "x86_64")]
+    mod avx512 {
+        use std::arch::x86_64::*;
+
+        type V = __m512;
+        const LANES: usize = 16;
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn splat(x: f32) -> V {
+            _mm512_set1_ps(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn add(a: V, b: V) -> V {
+            _mm512_add_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn sub(a: V, b: V) -> V {
+            _mm512_sub_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn mul(a: V, b: V) -> V {
+            _mm512_mul_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn div(a: V, b: V) -> V {
+            _mm512_div_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn min(a: V, b: V) -> V {
+            _mm512_min_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn max(a: V, b: V) -> V {
+            _mm512_max_ps(a, b)
+        }
+        /// `-x`: the sign-bit flip, as an integer xor (`avx512f` has no
+        /// float xor).
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn neg(x: V) -> V {
+            let sign = _mm512_set1_epi32(i32::MIN);
+            _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(x), sign))
+        }
+        /// `2^n` for integral `n` in `[-126, 127]`: exponent bits. The
+        /// truncating conversion is exact for integral `n`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn pow2(n: V) -> V {
+            let e = _mm512_add_epi32(_mm512_cvttps_epi32(n), _mm512_set1_epi32(127));
+            _mm512_castsi512_ps(_mm512_slli_epi32::<23>(e))
+        }
+        /// `pos` where `x > 0`, `neg` elsewhere.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn select_pos(x: V, pos: V, neg: V) -> V {
+            let gt = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(x, _mm512_setzero_ps());
+            _mm512_mask_blend_ps(gt, neg, pos)
+        }
+        /// The first `len` (1..=16) floats at `p`, zeros after; nothing past
+        /// `p + len` is read.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load(p: *const f32, len: usize) -> V {
+            if len == LANES {
+                _mm512_loadu_ps(p)
+            } else {
+                _mm512_maskz_loadu_ps(((1u32 << len) - 1) as __mmask16, p)
             }
-            while i < n {
-                dst[i] = g[i] * act::tanh_deriv_from_output(y[i]);
-                i += 1;
+        }
+        /// Store the first `len` (1..=16) lanes of `v` at `p`; nothing past
+        /// `p + len` is written.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store(p: *mut f32, len: usize, v: V) {
+            if len == LANES {
+                _mm512_storeu_ps(p, v)
+            } else {
+                _mm512_mask_storeu_ps(p, ((1u32 << len) - 1) as __mmask16, v)
             }
         }
 
-        /// AVX2 build of [`super::selu_deriv_mul`].
-        /// # Safety
-        /// Requires AVX2.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn selu_deriv_mul_avx2(g: &[f32], x: &[f32], dst: &mut [f32]) {
-            let n = g.len();
-            let mut i = 0;
-            while i + 8 <= n {
-                let gv = _mm256_loadu_ps(g.as_ptr().add(i));
-                let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_mul_ps(gv, selu_deriv8(xv)));
-                i += 8;
-            }
-            while i < n {
-                dst[i] = g[i] * act::selu_deriv(x[i]);
-                i += 1;
-            }
-        }
-
-        /// AVX2 build of [`super::sigmoid_deriv_mul_inplace`].
-        /// # Safety
-        /// Requires AVX2.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn sigmoid_deriv_mul_inplace_avx2(g: &mut [f32], y: &[f32]) {
-            let one = _mm256_set1_ps(1.0);
-            let n = g.len();
-            let mut i = 0;
-            while i + 8 <= n {
-                let gv = _mm256_loadu_ps(g.as_ptr().add(i));
-                let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-                let d = _mm256_mul_ps(yv, _mm256_sub_ps(one, yv));
-                _mm256_storeu_ps(g.as_mut_ptr().add(i), _mm256_mul_ps(gv, d));
-                i += 8;
-            }
-            while i < n {
-                g[i] *= act::sigmoid_deriv_from_output(y[i]);
-                i += 1;
-            }
-        }
-
-        /// AVX2 build of [`super::tanh_deriv_mul_inplace`].
-        /// # Safety
-        /// Requires AVX2.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn tanh_deriv_mul_inplace_avx2(g: &mut [f32], y: &[f32]) {
-            let one = _mm256_set1_ps(1.0);
-            let n = g.len();
-            let mut i = 0;
-            while i + 8 <= n {
-                let gv = _mm256_loadu_ps(g.as_ptr().add(i));
-                let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-                let d = _mm256_sub_ps(one, _mm256_mul_ps(yv, yv));
-                _mm256_storeu_ps(g.as_mut_ptr().add(i), _mm256_mul_ps(gv, d));
-                i += 8;
-            }
-            while i < n {
-                g[i] *= act::tanh_deriv_from_output(y[i]);
-                i += 1;
-            }
-        }
+        lane_template!("avx512f");
     }
 
     #[cfg(test)]
@@ -578,86 +720,128 @@ pub mod activations {
                 .collect()
         }
 
+        /// Lengths around both vector widths and their tails.
+        const LENGTHS: [usize; 17] = [
+            0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 64, 133, 257,
+        ];
+
+        /// Every tier this host runs, printed so a log says what was covered.
+        fn tiers(test: &str) -> Vec<Tier> {
+            let tiers: Vec<Tier> = Tier::supported().collect();
+            println!(
+                "{test}: tiers run {tiers:?} (widest detected {:?})",
+                Tier::detected()
+            );
+            tiers
+        }
+
         #[test]
         fn dispatched_maps_match_scalar_bitwise() {
-            // Covers both branches of the dispatch: on AVX2 hosts this pins
-            // vector-vs-scalar bit identity, elsewhere it is a self-check.
-            for n in [0usize, 1, 7, 8, 9, 64, 257] {
-                let src = ramp(n);
-                let mut a = vec![0.0f32; n];
-                let mut b = vec![0.0f32; n];
-                exp_map(&src, &mut a);
-                exp_map_scalar(&src, &mut b);
-                assert_eq!(bits(&a), bits(&b), "exp n={n}");
-                sigmoid_map(&src, &mut a);
-                sigmoid_map_scalar(&src, &mut b);
-                assert_eq!(bits(&a), bits(&b), "sigmoid n={n}");
-                tanh_map(&src, &mut a);
-                tanh_map_scalar(&src, &mut b);
-                assert_eq!(bits(&a), bits(&b), "tanh n={n}");
-                selu_map(&src, &mut a);
-                selu_map_scalar(&src, &mut b);
-                assert_eq!(bits(&a), bits(&b), "selu n={n}");
+            type Map = fn(Tier, &[f32], &mut [f32]);
+            type Scalar = fn(&[f32], &mut [f32]);
+            let maps: [(&str, Map, Scalar); 4] = [
+                ("exp", exp_map_at, exp_map_scalar),
+                ("sigmoid", sigmoid_map_at, sigmoid_map_scalar),
+                ("tanh", tanh_map_at, tanh_map_scalar),
+                ("selu", selu_map_at, selu_map_scalar),
+            ];
+            for tier in tiers("dispatched_maps_match_scalar_bitwise") {
+                for n in LENGTHS {
+                    let src = ramp(n);
+                    for (name, at, scalar) in maps {
+                        let mut a = vec![0.0f32; n];
+                        let mut b = vec![0.0f32; n];
+                        at(tier, &src, &mut a);
+                        scalar(&src, &mut b);
+                        assert_eq!(bits(&a), bits(&b), "{name} {tier:?} n={n}");
+                    }
+                }
             }
+            // The plain entry points run the detected tier.
+            let src = ramp(33);
+            let (mut a, mut b) = (vec![0.0f32; 33], vec![0.0f32; 33]);
+            tanh_map(&src, &mut a);
+            tanh_map_scalar(&src, &mut b);
+            assert_eq!(bits(&a), bits(&b));
         }
 
         #[test]
         fn fused_bias_maps_match_two_pass_scalar_bitwise() {
-            for w in [1usize, 3, 8, 11, 16] {
-                let rows = 9;
-                let bias: Vec<f32> = (0..w).map(|j| (j as f32) * 0.11 - 0.4).collect();
-                let block = ramp(rows * w);
-                let mut fused = block.clone();
-                sigmoid_bias_map_inplace(&mut fused, &bias);
-                let mut two_pass = block.clone();
-                for row in two_pass.chunks_exact_mut(w) {
-                    for (v, &b) in row.iter_mut().zip(&bias) {
-                        *v += b;
+            for tier in tiers("fused_bias_maps_match_two_pass_scalar_bitwise") {
+                for w in [1usize, 3, 8, 11, 16, 24, 32, 48, 96] {
+                    let rows = 9;
+                    let bias: Vec<f32> = (0..w).map(|j| (j as f32) * 0.11 - 0.4).collect();
+                    let block = ramp(rows * w);
+                    let mut two_pass = block.clone();
+                    for row in two_pass.chunks_exact_mut(w) {
+                        for (v, &b) in row.iter_mut().zip(&bias) {
+                            *v += b;
+                        }
                     }
-                }
-                let mut expect = vec![0.0f32; rows * w];
-                sigmoid_map_scalar(&two_pass, &mut expect);
-                assert_eq!(bits(&fused), bits(&expect), "sigmoid bias w={w}");
 
-                let mut fused_t = block.clone();
-                tanh_bias_map_inplace(&mut fused_t, &bias);
-                let mut expect_t = vec![0.0f32; rows * w];
-                tanh_map_scalar(&two_pass, &mut expect_t);
-                assert_eq!(bits(&fused_t), bits(&expect_t), "tanh bias w={w}");
+                    let mut fused = block.clone();
+                    sigmoid_bias_map_inplace_at(tier, &mut fused, &bias);
+                    let mut expect = vec![0.0f32; rows * w];
+                    sigmoid_map_scalar(&two_pass, &mut expect);
+                    assert_eq!(bits(&fused), bits(&expect), "sigmoid bias {tier:?} w={w}");
+
+                    let mut fused_t = block.clone();
+                    tanh_bias_map_inplace_at(tier, &mut fused_t, &bias);
+                    let mut expect_t = vec![0.0f32; rows * w];
+                    tanh_map_scalar(&two_pass, &mut expect_t);
+                    assert_eq!(bits(&fused_t), bits(&expect_t), "tanh bias {tier:?} w={w}");
+                }
             }
         }
 
         #[test]
         fn deriv_fusions_match_scalar_bitwise() {
-            let n = 133;
-            let g = ramp(n);
-            let x = ramp(n).iter().map(|v| v * 0.13).collect::<Vec<_>>();
-            let mut y = vec![0.0f32; n];
-            sigmoid_map_scalar(&x, &mut y);
+            for tier in tiers("deriv_fusions_match_scalar_bitwise") {
+                for n in LENGTHS {
+                    let g = ramp(n);
+                    let x = ramp(n).iter().map(|v| v * 0.13).collect::<Vec<_>>();
+                    let mut y = vec![0.0f32; n];
+                    sigmoid_map_scalar(&x, &mut y);
 
-            let mut a = vec![0.0f32; n];
-            let mut b = vec![0.0f32; n];
-            sigmoid_deriv_mul(&g, &y, &mut a);
-            sigmoid_deriv_mul_scalar(&g, &y, &mut b);
-            assert_eq!(bits(&a), bits(&b));
+                    let mut a = vec![0.0f32; n];
+                    let mut b = vec![0.0f32; n];
+                    sigmoid_deriv_mul_at(tier, &g, &y, &mut a);
+                    sigmoid_deriv_mul_scalar(&g, &y, &mut b);
+                    assert_eq!(bits(&a), bits(&b), "sigmoid' {tier:?} n={n}");
 
-            tanh_deriv_mul(&g, &y, &mut a);
-            tanh_deriv_mul_scalar(&g, &y, &mut b);
-            assert_eq!(bits(&a), bits(&b));
+                    tanh_deriv_mul_at(tier, &g, &y, &mut a);
+                    tanh_deriv_mul_scalar(&g, &y, &mut b);
+                    assert_eq!(bits(&a), bits(&b), "tanh' {tier:?} n={n}");
 
-            selu_deriv_mul(&g, &x, &mut a);
-            selu_deriv_mul_scalar(&g, &x, &mut b);
-            assert_eq!(bits(&a), bits(&b));
+                    selu_deriv_mul_at(tier, &g, &x, &mut a);
+                    selu_deriv_mul_scalar(&g, &x, &mut b);
+                    assert_eq!(bits(&a), bits(&b), "selu' {tier:?} n={n}");
 
-            let mut ip_a = g.clone();
-            let mut ip_b = g.clone();
-            sigmoid_deriv_mul_inplace(&mut ip_a, &y);
-            sigmoid_deriv_mul_inplace_scalar(&mut ip_b, &y);
-            assert_eq!(bits(&ip_a), bits(&ip_b));
+                    let mut ip_a = g.clone();
+                    let mut ip_b = g.clone();
+                    sigmoid_deriv_mul_inplace_at(tier, &mut ip_a, &y);
+                    sigmoid_deriv_mul_inplace_scalar(&mut ip_b, &y);
+                    assert_eq!(bits(&ip_a), bits(&ip_b), "sigmoid' in place {tier:?} n={n}");
 
-            tanh_deriv_mul_inplace(&mut ip_a, &y);
-            tanh_deriv_mul_inplace_scalar(&mut ip_b, &y);
-            assert_eq!(bits(&ip_a), bits(&ip_b));
+                    tanh_deriv_mul_inplace_at(tier, &mut ip_a, &y);
+                    tanh_deriv_mul_inplace_scalar(&mut ip_b, &y);
+                    assert_eq!(bits(&ip_a), bits(&ip_b), "tanh' in place {tier:?} n={n}");
+                }
+            }
+        }
+
+        #[test]
+        fn a_partial_step_touches_nothing_past_the_slice() {
+            // The slice ends `pad` floats before its buffer does; the lanes
+            // past it must keep their sentinel.
+            for tier in tiers("a_partial_step_touches_nothing_past_the_slice") {
+                for n in [1usize, 7, 9, 15, 17, 31] {
+                    let src = ramp(n);
+                    let mut buf = vec![f32::MAX; n + 16];
+                    tanh_map_at(tier, &src, &mut buf[..n]);
+                    assert!(buf[n..].iter().all(|&v| v == f32::MAX), "{tier:?} n={n}");
+                }
+            }
         }
 
         fn bits(v: &[f32]) -> Vec<u32> {

@@ -1,7 +1,7 @@
 //! Property-based precision pins for the fast activation path.
 //!
 //! The training hot loops evaluate sigmoid/tanh/SELU through [`fast_exp`]
-//! (and its 8-lane AVX2 twin) instead of libm. These tests pin the contract
+//! (and its 8- and 16-lane vector twins) instead of libm. These tests pin the contract
 //! that makes that substitution safe everywhere it is used:
 //!
 //! - `fast_exp` tracks `libm::exp` to ~1e-7 **relative** error across the
@@ -64,10 +64,9 @@ proptest! {
         prop_assert!(d < 2e-6, "selu({x}) abs err {d}");
     }
 
-    /// The dispatched slice kernels (AVX2 on this host, scalar elsewhere)
-    /// are bitwise identical to the scalar reference loops on arbitrary
-    /// finite inputs — including ragged lengths that exercise the 8-lane
-    /// tail handling.
+    /// The dispatched slice kernels (the widest SIMD tier the host has) are
+    /// bitwise identical to the scalar reference loops on arbitrary finite
+    /// inputs — including ragged lengths that exercise the masked tails.
     #[test]
     fn map_kernels_match_scalar_bitwise(
         src in proptest::collection::vec(-90.0f32..90.0, 1..64),

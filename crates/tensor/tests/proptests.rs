@@ -2,6 +2,7 @@
 //! matrix ops and distributional sanity of the RNG.
 
 use proptest::prelude::*;
+use rn_tensor::simd::Tier;
 use rn_tensor::{kernels, Matrix, Prng};
 
 /// Strategy producing a matrix with bounded dimensions and finite values.
@@ -51,34 +52,51 @@ fn canonical_acc(
     }
 }
 
-/// Run both kernels on seeded operands of one shape (non-zero initial
-/// `out`) and hold every bit to [`canonical_acc`].
+/// Run both kernels at every tier this host has on seeded operands of one
+/// shape (non-zero initial `out`) and hold every bit to [`canonical_acc`].
+/// `out` is a clone, so its allocation ends where its last row does: a
+/// masked column tail there is the case that must not touch memory.
 fn assert_kernels_match_canonical_bits((m, k, n): (usize, usize, usize), seed: u64) {
     let mut rng = Prng::new(seed);
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let b = rng.uniform_matrix(k, n, -2.0, 2.0).into_vec();
     let init = rng.uniform_matrix(m, n, -3.0, 3.0).into_vec();
-
     let a = rng.uniform_matrix(m, k, -2.0, 2.0).into_vec();
-    let (mut got, mut want) = (init.clone(), init.clone());
-    kernels::matmul_acc(&a, &b, m, k, n, &mut got);
-    canonical_acc(|i, t| a[i * k + t], &b, (m, k, n), &mut want);
-    assert_eq!(bits(&got), bits(&want), "matmul_acc m={m} k={k} n={n}");
-
     let at = rng.uniform_matrix(k, m, -2.0, 2.0).into_vec();
-    let (mut got, mut want) = (init.clone(), init);
-    kernels::matmul_tn_acc(&at, &b, k, m, n, &mut got);
-    canonical_acc(|i, t| at[t * m + i], &b, (m, k, n), &mut want);
-    assert_eq!(bits(&got), bits(&want), "matmul_tn_acc m={m} k={k} n={n}");
+
+    let mut want = init.clone();
+    canonical_acc(|i, t| a[i * k + t], &b, (m, k, n), &mut want);
+    let mut want_tn = init.clone();
+    canonical_acc(|i, t| at[t * m + i], &b, (m, k, n), &mut want_tn);
+    for tier in Tier::supported() {
+        let mut got = init.clone();
+        kernels::matmul_acc_at(tier, &a, &b, m, k, n, &mut got);
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "matmul_acc {tier:?} m={m} k={k} n={n}"
+        );
+
+        let mut got = init.clone();
+        kernels::matmul_tn_acc_at(tier, &at, &b, k, m, n, &mut got);
+        assert_eq!(
+            bits(&got),
+            bits(&want_tn),
+            "matmul_tn_acc {tier:?} m={m} k={k} n={n}"
+        );
+    }
 }
 
 /// Every combination of ragged extents around the 4-row / 4-k blocking and
-/// the 8-lane vector width, plus the adjoint's own widths and a long `k`.
+/// the 8- and 16-lane vector widths (one to six registers, the masked tail
+/// of each), plus the adjoint's own widths and a long `k`.
 #[test]
 fn kernels_are_bitwise_equal_to_the_canonical_expression() {
-    for m in [1, 3, 4, 5, 64] {
-        for n in [1, 7, 8, 9, 32, 33] {
-            for k in [0, 1, 3, 4, 5, 130] {
+    println!("tiers run: {:?}", Tier::supported().collect::<Vec<_>>());
+    let widths = (1..=17).chain([24, 32, 33, 48, 64, 65, 96]);
+    for n in widths {
+        for m in [1, 2, 3, 4, 5, 6, 7, 64] {
+            for k in [0, 1, 2, 3, 4, 5, 6, 7, 130] {
                 assert_kernels_match_canonical_bits((m, k, n), (m * 1000 + n * 10 + k) as u64);
             }
         }
