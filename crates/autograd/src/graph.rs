@@ -231,8 +231,8 @@ pub struct Graph {
     /// [`Graph::backward`]).
     grad_slots: Vec<Option<Matrix>>,
     /// Seed-faithful reference mode: primitive matmul/activation ops run the
-    /// pre-refactor naive kernels and libm transcendentals. Used as the
-    /// "before" side of the training-step benchmark and by equivalence tests.
+    /// pre-refactor naive kernels and libm transcendentals. Only the
+    /// equivalence tests use it, as the seed's answer.
     reference_mode: bool,
     /// Inference mode: fused GRU ops recycle their saved-for-backward
     /// activations immediately instead of keeping them resident until
@@ -780,8 +780,9 @@ impl Graph {
 
     /// Switch the primitive ops to the pre-refactor kernels (naive matmul,
     /// libm sigmoid/tanh/selu). Fused ops are unaffected — reference mode
-    /// exists to reproduce the seed's hot path for honest before/after
-    /// benchmarking and golden tests. Survives [`Graph::reset`].
+    /// exists to reproduce the seed's hot path for the golden tests
+    /// (`golden_equivalence` and this module's unit tests), its only users.
+    /// Survives [`Graph::reset`].
     pub fn set_reference_mode(&mut self, on: bool) {
         self.reference_mode = on;
     }

@@ -1,8 +1,9 @@
 //! # rn-bench
 //!
 //! The experiment harness: shared infrastructure for the binaries that
-//! regenerate every figure of the paper (and the ablations beyond it), plus
-//! Criterion micro-benchmarks of the substrate.
+//! regenerate every figure of the paper (and the ablations beyond it) and
+//! for the `scaling` run. Performance is measured by the end-to-end
+//! benchmark in `benchmark/`, not here.
 //!
 //! ## Binaries
 //!
@@ -15,6 +16,7 @@
 //! | `baseline_qtheory` | M/M/1/K analytical baseline vs. both RouteNets (E6) |
 //! | `ablation_hidden_dim` | accuracy vs. state dimensionality (E7) |
 //! | `sample_efficiency` | accuracy vs. training-set size (E8) |
+//! | `scaling` | train on GEANT2, evaluate on generated 100/250/500-node ISP topologies (`BENCH_scaling.json`) |
 //!
 //! ## Scaling knobs
 //!
@@ -121,11 +123,8 @@ impl ExperimentConfig {
             // upper half of the range to develop queueing. Both draw from
             // the same distribution, so no feature is out-of-distribution.
             traffic_model: TrafficModel::AbsoluteRates {
-                rate_range_bps: (env_f64("RN_RATE_LO", 50.0), env_f64("RN_RATE_HI", 500.0)),
-                intensity_range: (
-                    env_f64("RN_INTENSITY_LO", 0.4),
-                    env_f64("RN_INTENSITY_HI", 3.0),
-                ),
+                rate_range_bps: (50.0, 500.0),
+                intensity_range: (0.4, 3.0),
             },
             ..GeneratorConfig::default()
         }

@@ -58,9 +58,9 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
     fn forward(&self, g: &mut Graph, bound: &Self::Bound, plan: &SamplePlan) -> Var;
 
     /// The pre-fusion op-by-op forward pass. Numerically equivalent to
-    /// [`PathPredictor::forward`] (the golden-equivalence tests pin this
-    /// down); kept as the reference implementation and for the
-    /// before/after benchmark.
+    /// [`PathPredictor::forward`]; kept only as the reference the tests
+    /// compare against (`golden_equivalence`, `plan_pruning` and this
+    /// module's unit tests).
     fn forward_unfused(&self, g: &mut Graph, bound: &Self::Bound, plan: &SamplePlan) -> Var;
 
     /// Build the message-passing plan for one sample using this model's

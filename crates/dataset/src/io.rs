@@ -2,11 +2,12 @@
 //!
 //! Datasets serialize to a single JSON document (convenient, diffable,
 //! inspectable with standard tooling) or to JSON-lines (one sample per line;
-//! streams without holding the whole set in memory). Benchmarks cache
-//! generated datasets on disk so reruns skip simulation.
+//! streams without holding the whole set in memory). The experiment binaries
+//! cache generated datasets on disk so reruns skip simulation. Both loaders
+//! validate every sample before returning it: a file is outside input.
 //!
 //! Both writers are **atomic** (temp file + rename in the target directory):
-//! a crashed run, or two bench processes racing on the same cache path,
+//! a crashed run, or two experiment processes racing on the same cache path,
 //! never leaves a torn dataset behind — the cache either has the old file,
 //! the new file, or nothing.
 
@@ -71,11 +72,21 @@ pub fn save_json(dataset: &Dataset, path: &Path) -> Result<(), String> {
     })
 }
 
-/// Load a dataset saved by [`save_json`].
+/// A dataset file is outside input: every sample is checked against the
+/// topology ([`Dataset::validate`]) before a consumer indexes with its ids.
+fn validated(dataset: Dataset, path: &Path) -> Result<Dataset, String> {
+    dataset
+        .validate()
+        .map_err(|e| format!("invalid {}: {e}", path.display()))?;
+    Ok(dataset)
+}
+
+/// Load and validate a dataset saved by [`save_json`].
 pub fn load_json(path: &Path) -> Result<Dataset, String> {
     let file = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
-    serde_json::from_reader(BufReader::new(file))
-        .map_err(|e| format!("parse {}: {e}", path.display()))
+    let dataset = serde_json::from_reader(BufReader::new(file))
+        .map_err(|e| format!("parse {}: {e}", path.display()))?;
+    validated(dataset, path)
 }
 
 /// Save as JSON-lines: line 1 is the topology, each further line one sample.
@@ -95,7 +106,7 @@ pub fn save_jsonl(dataset: &Dataset, path: &Path) -> Result<(), String> {
     })
 }
 
-/// Load a JSON-lines dataset saved by [`save_jsonl`].
+/// Load and validate a JSON-lines dataset saved by [`save_jsonl`].
 pub fn load_jsonl(path: &Path) -> Result<Dataset, String> {
     let file = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
     let mut lines = BufReader::new(file).lines();
@@ -115,7 +126,7 @@ pub fn load_jsonl(path: &Path) -> Result<Dataset, String> {
             serde_json::from_str(&line).map_err(|e| format!("parse sample {i}: {e}"))?;
         samples.push(sample);
     }
-    Ok(Dataset { topology, samples })
+    validated(Dataset { topology, samples }, path)
 }
 
 #[cfg(test)]
@@ -151,7 +162,6 @@ mod tests {
         let back = load_json(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(back.len(), ds.len());
-        back.validate().unwrap();
         for (a, b) in ds.samples.iter().zip(&back.samples) {
             assert_eq!(a.targets, b.targets);
             assert_eq!(a.seed, b.seed);
@@ -166,7 +176,6 @@ mod tests {
         let back = load_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(back.len(), ds.len());
-        back.validate().unwrap();
         for (a, b) in ds.samples.iter().zip(&back.samples) {
             assert_eq!(a.targets, b.targets);
         }
@@ -189,7 +198,6 @@ mod tests {
         save_json(&ds, &path).unwrap();
         let back = load_json(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        back.validate().unwrap();
         for (a, b) in ds.samples.iter().zip(&back.samples) {
             assert_eq!(a.qos, b.qos, "QoS dimension must survive the round trip");
             assert_eq!(a.faults, b.faults);
@@ -214,7 +222,6 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         let back = load_json(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        back.validate().unwrap();
         for s in &back.samples {
             assert!(s.qos.is_none() && s.faults.is_none());
         }
@@ -261,6 +268,40 @@ mod tests {
     fn load_missing_file_errors_cleanly() {
         let err = load_json(Path::new("/nonexistent/nope.json")).unwrap_err();
         assert!(err.contains("open"), "{err}");
+    }
+
+    type Save = fn(&Dataset, &Path) -> Result<(), String>;
+    type Load = fn(&Path) -> Result<Dataset, String>;
+
+    #[test]
+    fn loaders_reject_out_of_range_link_ids_without_panicking() {
+        // The first sample's first path ends on link id = link count: parsed
+        // alone it is well-formed, and `build_plan` would index past the end.
+        let ds = small_dataset();
+        let links = ds.topology.num_links();
+        let path = ds.samples[0].routing.iter_paths().next().unwrap().2;
+        let mut bad = path.clone();
+        *bad.links.last_mut().unwrap() = links;
+        let good = serde_json::to_string(path).unwrap();
+        let bad = serde_json::to_string(&bad).unwrap();
+        let loaders: [(&str, Save, Load); 2] = [
+            ("bad_ids.json", save_json, load_json),
+            ("bad_ids.jsonl", save_jsonl, load_jsonl),
+        ];
+        for (name, save, load) in loaders {
+            let file = tmp(name);
+            save(&ds, &file).unwrap();
+            let text = std::fs::read_to_string(&file).unwrap();
+            assert!(text.contains(&good));
+            std::fs::write(&file, text.replacen(&good, &bad, 1)).unwrap();
+            let err = load(&file).unwrap_err();
+            std::fs::remove_file(&file).ok();
+            assert!(err.contains(name) && err.contains("sample 0"), "{err}");
+            assert!(
+                err.contains(&format!("link id {links} out of range")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -11,15 +11,12 @@
 //!   scenarios once, then streams tiny fingerprint queries that hit the
 //!   server's plan cache and ride shared dynamic batches.
 //!
-//! The serving benchmark reports the throughput ratio between the two.
-//!
 //! Clients are overload-aware: a structured `Overloaded {retry_after_ms}`
 //! reply triggers a bounded retry with jittered exponential backoff (never
 //! less than the server's hint), and the report separates *rejections*
 //! (admission backpressure), *retries* (backoff attempts), *give-ups*
 //! (retry budget exhausted) and *deadline timeouts* from hard errors — so
-//! `BENCH_serving.json` records how the service behaves past saturation,
-//! not just below it.
+//! a run says how the service behaves past saturation, not just below it.
 
 use crate::fault::splitmix64;
 use crate::server::{fingerprint_to_hex, Request, Response};
@@ -179,7 +176,7 @@ pub struct LoadgenReport {
 }
 
 /// Generate `count` scenarios on a canonical topology — the shared workload
-/// of the loadgen binary, the serving benchmark and the examples (same seed
+/// of the loadgen binary, the daemon's demo model and the examples (same seed
 /// → same scenarios on both sides of a socket).
 pub fn demo_scenarios(
     topology: &str,

@@ -895,6 +895,48 @@ mod tests {
         }
     }
 
+    /// The other direction, for every layer's rows: each `RN_*` / `BENCH_*`
+    /// name in a Configuration row is a string literal in some source file,
+    /// so a row outliving the code that read it fails here.
+    #[test]
+    fn readme_documents_only_knobs_some_code_reads() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+        let table = &readme[readme
+            .find("## Configuration")
+            .expect("README must keep the Configuration section")..];
+        let mut sources = String::new();
+        let mut dirs: Vec<_> = ["crates", "src", "tests", "vendor"]
+            .iter()
+            .map(|dir| root.join(dir))
+            .collect();
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else if path.extension().is_some_and(|ext| ext == "rs") {
+                    sources += &std::fs::read_to_string(&path).unwrap();
+                }
+            }
+        }
+        let names = table
+            .lines()
+            .filter(|line| line.starts_with('|'))
+            .flat_map(|row| row.split('`').skip(1).step_by(2))
+            .filter(|name| name.starts_with("RN_") || name.starts_with("BENCH_"))
+            .filter(|name| {
+                name.bytes()
+                    .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
+            });
+        for name in names {
+            assert!(
+                sources.contains(&format!("\"{name}\"")),
+                "README's Configuration table documents {name}, which no source file reads"
+            );
+        }
+    }
+
     #[test]
     fn every_documented_knob_actually_moves_its_field() {
         // The real drift guard: feed the parser (through its pure lookup

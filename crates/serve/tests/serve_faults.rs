@@ -479,8 +479,7 @@ fn malformed_frames_get_structured_errors_and_the_connection_survives() {
 
 /// Overload over TCP: the structured `Overloaded {retry_after_ms}` reply
 /// reaches the wire, the loadgen's backoff retries through it, and the
-/// report records reject/retry rates for `BENCH_serving.json`'s overload
-/// row.
+/// report records the reject and retry rates.
 #[test]
 fn tcp_overload_yields_structured_backpressure_and_retry_success() {
     let ds = toy_dataset(1, 73);

@@ -18,7 +18,7 @@
 //!
 //! See `docs/ARCHITECTURE.md` for the system map: which crate owns what, the
 //! plan → compose → megabatch → tape data flow, the determinism invariants
-//! and where every `BENCH_*.json` number comes from.
+//! and how performance is measured.
 
 pub use rn_autograd as autograd;
 pub use rn_dataset as dataset;
