@@ -13,8 +13,8 @@ use routenet::{evaluate, train, ExtendedRouteNet};
 fn main() {
     let mut cfg = ExperimentConfig::from_env();
     // Ablations default to a reduced budget; env knobs still override.
-    cfg.train_samples = rn_bench::env_usize("RN_TRAIN_SAMPLES", 96);
-    cfg.epochs = rn_bench::env_usize("RN_EPOCHS", 8);
+    cfg.train_samples = rn_bench::env_or("RN_TRAIN_SAMPLES", 96);
+    cfg.epochs = rn_bench::env_or("RN_EPOCHS", 8);
 
     let (geant2, _) = paper_topologies();
     let gen = cfg.generator();

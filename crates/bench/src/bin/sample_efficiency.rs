@@ -15,9 +15,9 @@ use routenet::{evaluate, train, ExtendedRouteNet, OriginalRouteNet};
 
 fn main() {
     let mut cfg = ExperimentConfig::from_env();
-    let max_train = rn_bench::env_usize("RN_TRAIN_SAMPLES", 128);
+    let max_train: usize = rn_bench::env_or("RN_TRAIN_SAMPLES", 128);
     cfg.train_samples = max_train;
-    cfg.epochs = rn_bench::env_usize("RN_EPOCHS", 8);
+    cfg.epochs = rn_bench::env_or("RN_EPOCHS", 8);
 
     let (geant2, _) = paper_topologies();
     let gen = cfg.generator();

@@ -25,7 +25,7 @@
 //! | `RN_SCALING_EVAL_SAMPLES` | `3` | samples per eval size |
 //! | `RN_SCALING_MAX_RSS_MB` | unset | exit non-zero if peak RSS exceeds this |
 
-use rn_bench::{cached_dataset, env_f64, env_usize, peak_rss_mb, ExperimentConfig};
+use rn_bench::{cached_dataset, env_or, peak_rss_mb, ExperimentConfig};
 use rn_netgraph::generators::{isp_tiered, TierConfig};
 use rn_netgraph::topologies;
 use rn_tensor::Prng;
@@ -134,9 +134,9 @@ fn row_from_report(
 fn main() {
     let cfg = ExperimentConfig::from_env();
     let sizes = scaling_sizes();
-    let pairs = env_usize("RN_SCALING_PAIRS", 256);
-    let eval_samples = env_usize("RN_SCALING_EVAL_SAMPLES", 3);
-    let rss_budget_mb = env_f64("RN_SCALING_MAX_RSS_MB", 0.0);
+    let pairs: usize = env_or("RN_SCALING_PAIRS", 256);
+    let eval_samples: usize = env_or("RN_SCALING_EVAL_SAMPLES", 3);
+    let rss_budget_mb: f64 = env_or("RN_SCALING_MAX_RSS_MB", 0.0);
     eprintln!("[scaling] config: {cfg:?}, sizes {sizes:?}, pairs {pairs}");
 
     let gen = cfg.generator();

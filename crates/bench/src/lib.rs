@@ -31,25 +31,11 @@ use rn_netgraph::{topologies, Topology};
 use rn_netsim::SimConfig;
 use routenet::{ModelConfig, TrainConfig};
 use std::path::PathBuf;
+use std::str::FromStr;
 
-/// Read a `usize` experiment knob from the environment.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Read an `f64` experiment knob from the environment.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Read a `u64` experiment knob from the environment.
-pub fn env_u64(name: &str, default: u64) -> u64 {
+/// Read an experiment knob from the environment; `default` when it is
+/// unset or does not parse as `T`.
+pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -92,13 +78,13 @@ impl ExperimentConfig {
     /// a small CPU box (~minutes per figure).
     pub fn from_env() -> Self {
         Self {
-            train_samples: env_usize("RN_TRAIN_SAMPLES", 320),
-            eval_samples: env_usize("RN_EVAL_SAMPLES", 48),
-            epochs: env_usize("RN_EPOCHS", 16),
-            state_dim: env_usize("RN_STATE_DIM", 16),
-            mp_iterations: env_usize("RN_MP_ITERS", 4),
-            sim_duration_s: env_f64("RN_SIM_DURATION_S", 1_200.0),
-            seed: env_u64("RN_SEED", 2019),
+            train_samples: env_or("RN_TRAIN_SAMPLES", 320),
+            eval_samples: env_or("RN_EVAL_SAMPLES", 48),
+            epochs: env_or("RN_EPOCHS", 16),
+            state_dim: env_or("RN_STATE_DIM", 16),
+            mp_iterations: env_or("RN_MP_ITERS", 4),
+            sim_duration_s: env_or("RN_SIM_DURATION_S", 1_200.0),
+            seed: env_or("RN_SEED", 2019),
         }
     }
 
@@ -240,11 +226,11 @@ mod tests {
     #[test]
     fn env_parsing_falls_back() {
         std::env::remove_var("RN_TEST_KNOB_X");
-        assert_eq!(env_usize("RN_TEST_KNOB_X", 7), 7);
+        assert_eq!(env_or::<usize>("RN_TEST_KNOB_X", 7), 7);
         std::env::set_var("RN_TEST_KNOB_X", "13");
-        assert_eq!(env_usize("RN_TEST_KNOB_X", 7), 13);
+        assert_eq!(env_or::<usize>("RN_TEST_KNOB_X", 7), 13);
         std::env::set_var("RN_TEST_KNOB_X", "not a number");
-        assert_eq!(env_usize("RN_TEST_KNOB_X", 7), 7);
+        assert_eq!(env_or::<usize>("RN_TEST_KNOB_X", 7), 7);
         std::env::remove_var("RN_TEST_KNOB_X");
     }
 

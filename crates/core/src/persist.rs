@@ -37,9 +37,10 @@ mod tests {
     use rn_dataset::{generate, GeneratorConfig};
     use rn_netgraph::topologies;
     use rn_netsim::SimConfig;
+    use std::env;
 
     fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
+        let mut p = env::temp_dir();
         p.push(format!("rn_persist_{}_{name}", std::process::id()));
         p
     }

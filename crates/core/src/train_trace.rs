@@ -11,10 +11,9 @@
 //! [`rn_autograd::trace`]. With tracing off nothing is timed, written, or
 //! allocated.
 //!
-//! The output path is resolved in override order: the
-//! `RN_TRACE_TRAIN_OUT` environment knob, then
-//! [`TrainConfig::trace_out`](crate::trainer::TrainConfig::trace_out),
-//! then `train_metrics.jsonl` in the working directory.
+//! The output path is
+//! [`TrainConfig::trace_out`](crate::trainer::TrainConfig::trace_out), else
+//! [`DEFAULT_TRACE_OUT`] in the working directory.
 //!
 //! Tracing never perturbs training: it only reads clocks and bumps
 //! atomics, so models and gradients are bitwise identical with tracing on
@@ -133,12 +132,9 @@ pub struct RunSummary {
     pub tape_pool_misses: u64,
 }
 
-/// Environment knob naming the trainer's trace output file (overrides
-/// [`TrainConfig::trace_out`](crate::trainer::TrainConfig::trace_out)).
-pub const TRACE_OUT_ENV: &str = "RN_TRACE_TRAIN_OUT";
-
-/// Default trace output path when neither the env knob nor the config
-/// field names one.
+/// Trace output path when
+/// [`TrainConfig::trace_out`](crate::trainer::TrainConfig::trace_out) names
+/// none.
 pub const DEFAULT_TRACE_OUT: &str = "train_metrics.jsonl";
 
 struct Sink {
@@ -167,13 +163,9 @@ impl TrainTrace {
     pub fn new(config: &TrainConfig) -> Self {
         let recorder = StageRecorder::new(STAGES);
         let sink = rn_trace::enabled().then(|| {
-            let path = std::env::var(TRACE_OUT_ENV)
-                .ok()
-                .filter(|p| !p.trim().is_empty())
-                .or_else(|| config.trace_out.clone())
-                .unwrap_or_else(|| DEFAULT_TRACE_OUT.to_string());
+            let path = config.trace_out.as_deref().unwrap_or(DEFAULT_TRACE_OUT);
             rn_autograd::trace::reset_op_trace();
-            match File::create(&path) {
+            match File::create(path) {
                 Ok(f) => Some(Mutex::new(Sink {
                     writer: BufWriter::new(f),
                     totals: vec![(0, 0.0); STAGES.len()],

@@ -73,12 +73,10 @@ pub struct TrainConfig {
     /// seed-deterministic regardless of worker count.
     pub megabatch_size: usize,
     /// Where the per-epoch stage-breakdown JSONL stream goes when tracing
-    /// is on (`RN_TRACE=1`); see [`crate::train_trace`]. A non-blank
-    /// `RN_TRACE_TRAIN_OUT` in the environment wins over this field
-    /// ([`TrainTrace::new`] resolves both); with neither, the stream goes to
-    /// `train_metrics.jsonl`. Ignored (nothing is written) while tracing is
-    /// off, so this field is wire-optional for configs saved before it
-    /// existed.
+    /// is on (`RN_TRACE=1`); see [`crate::train_trace`]. `None` sends the
+    /// stream to `train_metrics.jsonl`. Ignored (nothing is written) while
+    /// tracing is off, so this field is wire-optional for configs saved
+    /// before it existed.
     pub trace_out: Option<String>,
 }
 
@@ -99,41 +97,6 @@ impl Default for TrainConfig {
             trace_out: None,
         }
     }
-}
-
-impl TrainConfig {
-    /// Every training-side environment knob, as `(name, what it overrides)`
-    /// pairs — the **single source of truth** the README's "Configuration"
-    /// table is checked against (`readme_documents_every_env_knob` test).
-    /// Add a row here whenever a new `RN_*` training env is introduced and
-    /// the README table, the parser and the docs stay in lockstep.
-    pub const ENV_DOCS: &'static [(&'static str, &'static str)] = &[
-        (
-            "RN_TRACE",
-            "master observability switch (read by rn_trace, honored workspace-wide): 1/true/on \
-             records stage-level span timing in the trainer, the serve request lifecycle and \
-             the autograd backward walk; anything else keeps tracing off at one atomic load \
-             per potential span. Never changes results — predictions and gradients are \
-             bitwise identical either way",
-        ),
-        (
-            crate::train_trace::TRACE_OUT_ENV,
-            "path of the trainer's per-epoch stage-breakdown JSONL stream (requires RN_TRACE=1); \
-             overrides TrainConfig::trace_out, defaults to train_metrics.jsonl",
-        ),
-        (
-            "RN_TRACE_SERVE_OUT",
-            "path the serve quickstart example and rn_loadgen write the final MetricsSnapshot \
-             (with per-stage latency breakdown) to as one JSON line (requires RN_TRACE=1); \
-             defaults to serve_metrics.jsonl",
-        ),
-        (
-            "RN_QOS_VALIDATION_OUT",
-            "path the QoS validation harness (tests/model_vs_simulator.rs, \
-             trained_qos_model_tracks_per_class_delays) writes its JSON report to — per-class \
-             model/simulator/theory delays plus relative errors; unset skips the write",
-        ),
-    ];
 }
 
 /// Per-epoch loss record.

@@ -11,25 +11,20 @@
 //! pre-serving usage pattern); `--mode cached` registers scenarios once and
 //! then queries by fingerprint. Scenario generation is seed-deterministic,
 //! so pointing this at a server started on the same topology works without
-//! shipping files around.
+//! shipping files around. With `RN_TRACE=1` the server's final metrics
+//! snapshot is written as one JSON line to `--metrics-out PATH` (default
+//! `serve_metrics.jsonl`).
 //!
-//! An unreachable server, a bad flag, or a failed client thread exits
-//! nonzero with a one-line summary on stderr — never a panic/backtrace —
-//! so shell pipelines and the examples' quickstart can branch on `$?`.
+//! An unreachable server, a flag whose value does not parse, or a failed
+//! client thread exits nonzero with a one-line summary on stderr — never a
+//! panic/backtrace — so shell pipelines and the examples' quickstart can
+//! branch on `$?`.
 
+use rn_serve::cli::Flags;
 use rn_serve::loadgen::{demo_scenarios, run_loadgen, Client, LoadMode, LoadgenConfig};
 use rn_serve::{Request, Response};
+use std::env;
 use std::process::ExitCode;
-
-fn arg(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 fn main() -> ExitCode {
     match run() {
@@ -42,28 +37,22 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let defaults = LoadgenConfig::new(arg("--addr").unwrap_or_else(|| "127.0.0.1:9977".into()));
+    let flags = Flags::new(env::args());
+    let defaults = LoadgenConfig::new(flags.get_or("--addr", "127.0.0.1:9977".to_string())?);
     let config = LoadgenConfig {
-        clients: arg("--clients").and_then(|v| v.parse().ok()).unwrap_or(4),
-        requests_per_client: arg("--requests").and_then(|v| v.parse().ok()).unwrap_or(32),
-        mode: LoadMode::parse(&arg("--mode").unwrap_or_else(|| "cached".into()))?,
-        deadline_ms: arg("--deadline-ms")
-            .and_then(|v| v.parse().ok())
-            .filter(|&ms: &u64| ms > 0),
-        max_retries: arg("--retries")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.max_retries),
-        backoff_base_ms: arg("--backoff-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.backoff_base_ms),
+        clients: flags.get_or("--clients", 4)?,
+        requests_per_client: flags.get_or("--requests", 32)?,
+        mode: LoadMode::parse(&flags.get_or("--mode", "cached".to_string())?)?,
+        deadline_ms: flags.get("--deadline-ms")?.filter(|&ms: &u64| ms > 0),
+        max_retries: flags.get_or("--retries", defaults.max_retries)?,
+        backoff_base_ms: flags.get_or("--backoff-ms", defaults.backoff_base_ms)?,
         ..defaults
     };
-    let topology = arg("--topology").unwrap_or_else(|| "nsfnet".into());
-    let scenarios: usize = arg("--scenarios").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let sim_s: f64 = arg("--sim-duration")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60.0);
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(2019);
+    let topology = flags.get_or("--topology", "nsfnet".to_string())?;
+    let scenarios = flags.get_or("--scenarios", 4usize)?;
+    let sim_s = flags.get_or("--sim-duration", 60.0)?;
+    let seed = flags.get_or("--seed", 2019u64)?;
+    let metrics_out = flags.get_or("--metrics-out", "serve_metrics.jsonl".to_string())?;
 
     eprintln!("[loadgen] generating {scenarios} {topology} scenarios ...");
     let (_, samples) = demo_scenarios(&topology, scenarios, sim_s, seed)?;
@@ -133,17 +122,13 @@ fn run() -> Result<(), String> {
                     s.name, s.count, s.p50_ms, s.p95_ms, s.p99_ms, s.mean_ms, s.total_ms
                 );
             }
-            // And mirror the snapshot to a JSONL file for dashboards/CI
+            // And mirror the snapshot to `--metrics-out` for dashboards/CI
             // artifacts when this side runs traced too.
             if rn_trace::enabled() {
-                let path = std::env::var("RN_TRACE_SERVE_OUT")
-                    .ok()
-                    .filter(|p| !p.trim().is_empty())
-                    .unwrap_or_else(|| "serve_metrics.jsonl".into());
                 match serde_json::to_string(&snapshot) {
-                    Ok(line) => match std::fs::write(&path, line + "\n") {
-                        Ok(()) => eprintln!("[loadgen] metrics snapshot written to {path}"),
-                        Err(e) => eprintln!("[loadgen] cannot write {path}: {e}"),
+                    Ok(line) => match std::fs::write(&metrics_out, line + "\n") {
+                        Ok(()) => eprintln!("[loadgen] metrics snapshot written to {metrics_out}"),
+                        Err(e) => eprintln!("[loadgen] cannot write {metrics_out}: {e}"),
                     },
                     Err(e) => eprintln!("[loadgen] serialize snapshot: {e}"),
                 }

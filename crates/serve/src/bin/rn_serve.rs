@@ -10,24 +10,17 @@
 //!
 //! Prints one JSON line with the bound address, then serves until killed.
 //! See `rn_loadgen` for a measurement client and README's "Serving" section
-//! for the protocol.
+//! for the protocol and every flag; a flag whose value does not parse is an
+//! error exit naming it.
 
+use rn_serve::cli::Flags;
 use rn_serve::loadgen::demo_scenarios;
 use rn_serve::{ServeConfig, Service, TcpServer};
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig};
+use std::env;
 use std::process::ExitCode;
 use std::time::Duration;
-
-fn arg(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 fn main() -> ExitCode {
     match run() {
@@ -40,39 +33,31 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let listen = arg("--listen").unwrap_or_else(|| "127.0.0.1:9977".into());
-    let topology = arg("--topology").unwrap_or_else(|| "nsfnet".into());
-    let fit_samples: usize = arg("--samples").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let state_dim: usize = arg("--state-dim")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let mp_iters: usize = arg("--mp-iters").and_then(|v| v.parse().ok()).unwrap_or(4);
+    let flags = Flags::new(env::args());
+    let listen = flags.get_or("--listen", "127.0.0.1:9977".to_string())?;
+    let topology = flags.get_or("--topology", "nsfnet".to_string())?;
+    let fit_samples = flags.get_or("--samples", 4usize)?;
+    let state_dim = flags.get_or("--state-dim", 16usize)?;
+    let mp_iters = flags.get_or("--mp-iters", 4usize)?;
+    let model_path = flags.get::<String>("--model")?;
 
-    // Env first (the RN_SERVE_* knobs of ServeConfig::ENV_DOCS), explicit
-    // CLI flags override.
-    let mut config = ServeConfig::from_env();
-    if let Some(w) = arg("--workers").and_then(|v| v.parse().ok()) {
-        config.workers = w;
-    }
-    if let Some(b) = arg("--max-batch").and_then(|v| v.parse().ok()) {
-        config.max_batch = b;
-    }
-    if let Some(us) = arg("--deadline-us").and_then(|v| v.parse().ok()) {
-        config.flush_deadline = Duration::from_micros(us);
-    }
-    if let Some(ms) = arg("--request-deadline-ms").and_then(|v| v.parse::<u64>().ok()) {
-        config.default_deadline = (ms > 0).then(|| Duration::from_millis(ms));
-    }
-    if !config.chaos.is_none() {
-        // Chaos is for test/CI runs; make it impossible to enable in a
-        // production deployment without noticing.
-        eprintln!(
-            "[serve] WARNING: chaos injection active: {:?}",
-            config.chaos
-        );
-    }
+    // The four serving flags; every other `ServeConfig` field keeps its
+    // default (set it in code when embedding the service).
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        workers: flags.get_or("--workers", defaults.workers)?,
+        max_batch: flags.get_or("--max-batch", defaults.max_batch)?,
+        flush_deadline: flags
+            .get("--deadline-us")?
+            .map_or(defaults.flush_deadline, Duration::from_micros),
+        default_deadline: match flags.get::<u64>("--request-deadline-ms")? {
+            Some(ms) => (ms > 0).then(|| Duration::from_millis(ms)),
+            None => defaults.default_deadline,
+        },
+        ..defaults
+    };
 
-    let model: ExtendedRouteNet = match arg("--model") {
+    let model: ExtendedRouteNet = match model_path {
         Some(path) => routenet::persist::load_model(std::path::Path::new(&path))
             .map_err(|e| format!("load --model {path}: {e}"))?,
         None => {

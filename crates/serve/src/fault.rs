@@ -29,9 +29,8 @@
 //!   client connection right before replying — the worst client-visible
 //!   moment.
 //!
-//! The `RN_SERVE_CHAOS_*` environment knobs (see
-//! [`crate::ServeConfig::ENV_DOCS`]) populate the plan for release-mode CI
-//! runs; unset knobs leave it empty.
+//! A plan reaches the service only as [`crate::ServeConfig::chaos`], set in
+//! code (the fault-tolerance tests do); the `rn_serve` daemon never injects.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

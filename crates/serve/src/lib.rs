@@ -33,7 +33,8 @@
 //!   hit rate.
 //! - [`loadgen`] — the measurement client driving the serving benchmark.
 //! - [`fault`] — deterministic chaos injection (worker panics/kills, batch
-//!   latency, connection drops) behind `RN_SERVE_CHAOS_*` knobs.
+//!   latency, connection drops), set in code through `ServeConfig::chaos`.
+//! - [`cli`] — the strict `--flag value` parsing of the two binaries.
 //!
 //! Serving results are bitwise identical to direct
 //! [`routenet::PathPredictor::predict_batch`] calls regardless of how the
@@ -49,6 +50,7 @@
 //! structured `Overloaded {retry_after_ms}` reply. `tests/serve_faults.rs`
 //! drives all of it through injected chaos.
 
+pub mod cli;
 pub mod fault;
 pub mod loadgen;
 pub mod metrics;

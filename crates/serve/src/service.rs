@@ -48,7 +48,7 @@
 //!   thread that touches the lock afterwards.
 //!
 //! The [`crate::fault`] module injects exactly these failures on demand
-//! (`RN_SERVE_CHAOS_*` knobs); `tests/serve_faults.rs` proves the service
+//! ([`ServeConfig::chaos`]); `tests/serve_faults.rs` proves the service
 //! keeps answering — bitwise identically for surviving requests — through
 //! panics, kills, overload and disconnects.
 //!
@@ -125,153 +125,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             chaos: ChaosPlan::none(),
         }
-    }
-}
-
-impl ServeConfig {
-    /// Every serving-side environment knob, as `(name, what it overrides)`
-    /// pairs — the **single source of truth** the README's "Configuration"
-    /// table is checked against (`readme_documents_every_env_knob` test in
-    /// this crate). [`ServeConfig::with_env_overrides`] recognizes exactly
-    /// these names; add a row here when introducing a new one and the
-    /// parser, the docs and the README cannot drift apart.
-    pub const ENV_DOCS: &'static [(&'static str, &'static str)] = &[
-        (
-            "RN_SERVE_WORKERS",
-            "serving worker threads (ServeConfig::workers)",
-        ),
-        (
-            "RN_SERVE_MAX_BATCH",
-            "requests per dynamic batch, at most (ServeConfig::max_batch)",
-        ),
-        (
-            "RN_SERVE_MAX_BATCH_PATHS",
-            "path-row budget per dynamic batch (ServeConfig::max_batch_paths)",
-        ),
-        (
-            "RN_SERVE_DEADLINE_US",
-            "microseconds the oldest queued request may wait for co-batchers \
-             (ServeConfig::flush_deadline; 0 flushes whenever a worker is free)",
-        ),
-        (
-            "RN_SERVE_QUEUE_CAPACITY",
-            "admission-queue depth before load shedding (ServeConfig::queue_capacity)",
-        ),
-        (
-            "RN_SERVE_PLAN_CACHE",
-            "compiled plans kept in the shared plan cache \
-             (ServeConfig::plan_cache_capacity)",
-        ),
-        (
-            "RN_SERVE_COMPOSE_CACHE",
-            "composed megabatch structures kept for refill \
-             (ServeConfig::compose_cache_capacity)",
-        ),
-        (
-            "RN_SERVE_REQUEST_DEADLINE_MS",
-            "default per-request deadline in milliseconds for submissions \
-             that carry none (ServeConfig::default_deadline; 0 = wait \
-             forever); expired queued requests get DeadlineExceeded before \
-             any forward work",
-        ),
-        (
-            "RN_SERVE_CHAOS_PANIC_EVERY",
-            "chaos: panic inside every Nth dynamic-batch execution \
-             (ServeConfig::chaos.panic_every; 0 disables)",
-        ),
-        (
-            "RN_SERVE_CHAOS_KILL_EVERY",
-            "chaos: kill the worker loop on every Nth iteration, exercising \
-             supervisor respawn (ServeConfig::chaos.kill_every; 0 disables)",
-        ),
-        (
-            "RN_SERVE_CHAOS_BATCH_DELAY_US",
-            "chaos: artificial pre-forward batch latency in microseconds, \
-             ±50% seeded jitter (ServeConfig::chaos.batch_delay; 0 disables)",
-        ),
-        (
-            "RN_SERVE_CHAOS_DROP_CONN_EVERY",
-            "chaos: drop every Nth TCP connection right before a reply \
-             (ServeConfig::chaos.drop_conn_every; 0 disables)",
-        ),
-        (
-            "RN_SERVE_CHAOS_SEED",
-            "chaos: seed of the deterministic delay jitter \
-             (ServeConfig::chaos.seed)",
-        ),
-    ];
-
-    /// [`ServeConfig::default`] with every recognized env override applied.
-    pub fn from_env() -> Self {
-        Self::default().with_env_overrides()
-    }
-
-    /// Apply the `RN_SERVE_*` env overrides (the knobs listed in
-    /// [`ServeConfig::ENV_DOCS`]) on top of an explicitly constructed
-    /// config. Malformed or non-positive values are ignored, never a panic —
-    /// deployment environments outlive the code that validates them.
-    /// `RN_SERVE_DEADLINE_US` and the chaos/deadline knobs accept 0 (a zero
-    /// flush deadline is the "flush when free" mode; zero chaos cadence or
-    /// request deadline means "disabled", their defaults).
-    pub fn with_env_overrides(self) -> Self {
-        self.with_overrides_from(|name| std::env::var(name).ok())
-    }
-
-    /// The testable core of [`ServeConfig::with_env_overrides`]: resolve
-    /// knob values through `lookup` instead of the process environment.
-    /// Tests feed a pure lookup covering every [`ServeConfig::ENV_DOCS`]
-    /// name and assert each one moves its field — so a knob renamed in this
-    /// parser without updating `ENV_DOCS` (or vice versa) fails the build
-    /// rather than silently going dead.
-    pub fn with_overrides_from(mut self, lookup: impl Fn(&str) -> Option<String>) -> Self {
-        let positive = |name: &str| -> Option<usize> {
-            lookup(name)?
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-        };
-        let u64_knob = |name: &str| -> Option<u64> { lookup(name)?.trim().parse::<u64>().ok() };
-        if let Some(v) = positive("RN_SERVE_WORKERS") {
-            self.workers = v;
-        }
-        if let Some(v) = positive("RN_SERVE_MAX_BATCH") {
-            self.max_batch = v;
-        }
-        if let Some(v) = positive("RN_SERVE_MAX_BATCH_PATHS") {
-            self.max_batch_paths = v;
-        }
-        if let Some(us) = u64_knob("RN_SERVE_DEADLINE_US") {
-            self.flush_deadline = Duration::from_micros(us);
-        }
-        if let Some(v) = positive("RN_SERVE_QUEUE_CAPACITY") {
-            self.queue_capacity = v;
-        }
-        if let Some(v) = positive("RN_SERVE_PLAN_CACHE") {
-            self.plan_cache_capacity = v;
-        }
-        if let Some(v) = positive("RN_SERVE_COMPOSE_CACHE") {
-            self.compose_cache_capacity = v;
-        }
-        if let Some(ms) = u64_knob("RN_SERVE_REQUEST_DEADLINE_MS") {
-            self.default_deadline = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if let Some(n) = u64_knob("RN_SERVE_CHAOS_PANIC_EVERY") {
-            self.chaos.panic_every = n;
-        }
-        if let Some(n) = u64_knob("RN_SERVE_CHAOS_KILL_EVERY") {
-            self.chaos.kill_every = n;
-        }
-        if let Some(us) = u64_knob("RN_SERVE_CHAOS_BATCH_DELAY_US") {
-            self.chaos.batch_delay = Duration::from_micros(us);
-        }
-        if let Some(n) = u64_knob("RN_SERVE_CHAOS_DROP_CONN_EVERY") {
-            self.chaos.drop_conn_every = n;
-        }
-        if let Some(n) = u64_knob("RN_SERVE_CHAOS_SEED") {
-            self.chaos.seed = n;
-        }
-        self
     }
 }
 
@@ -646,15 +499,17 @@ impl<M: PathPredictor> ServeHandle<M> {
 }
 
 /// Pop the next dynamic batch off the queue. Caller holds the lock and has
-/// verified the queue is non-empty.
+/// verified the queue is non-empty, so the batch is never empty.
 fn drain_batch(st: &mut QueueState, config: &ServeConfig) -> Vec<Job> {
     let mut batch = Vec::with_capacity(config.max_batch.min(st.queue.len()));
     let mut paths = 0usize;
-    while batch.len() < config.max_batch {
-        let Some(front) = st.queue.front() else { break };
+    while let Some(front) = st.queue.front() {
         let next_paths = front.plan.n_paths;
-        // Every batch takes at least one request, however large.
-        if !batch.is_empty() && paths + next_paths > config.max_batch_paths {
+        // Every batch takes at least one request, whatever its size and
+        // whatever the limits (a `max_batch` of 0 included).
+        if !batch.is_empty()
+            && (batch.len() >= config.max_batch || paths + next_paths > config.max_batch_paths)
+        {
             break;
         }
         paths += next_paths;
@@ -722,9 +577,6 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 st = next;
             }
         };
-        if batch.is_empty() {
-            continue;
-        }
 
         // Requests whose deadline passed while they queued are answered
         // (and counted) *before* any forward-pass work is spent on them.
@@ -865,203 +717,5 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The README "Configuration" table is generated from the `ENV_DOCS`
-    /// constants; this test is the generator's enforcement half — a knob
-    /// added to code without a README row (or vice versa: a renamed knob
-    /// leaving a stale row) fails here, not in a reviewer's memory.
-    #[test]
-    fn readme_documents_every_env_knob() {
-        let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
-        let table_start = readme
-            .find("## Configuration")
-            .expect("README must keep the Configuration section");
-        let table = &readme[table_start..];
-        for (name, _) in ServeConfig::ENV_DOCS
-            .iter()
-            .chain(routenet::TrainConfig::ENV_DOCS)
-        {
-            assert!(
-                table.contains(&format!("`{name}`")),
-                "env knob {name} (from ENV_DOCS) is missing from README's \
-                 Configuration table"
-            );
-        }
-    }
-
-    /// The other direction, for every layer's rows: each `RN_*` / `BENCH_*`
-    /// name in a Configuration row is a string literal in some source file,
-    /// so a row outliving the code that read it fails here.
-    #[test]
-    fn readme_documents_only_knobs_some_code_reads() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
-        let table = &readme[readme
-            .find("## Configuration")
-            .expect("README must keep the Configuration section")..];
-        let mut sources = String::new();
-        let mut dirs: Vec<_> = ["crates", "src", "tests", "vendor"]
-            .iter()
-            .map(|dir| root.join(dir))
-            .collect();
-        while let Some(dir) = dirs.pop() {
-            for entry in std::fs::read_dir(&dir).unwrap() {
-                let path = entry.unwrap().path();
-                if path.is_dir() {
-                    dirs.push(path);
-                } else if path.extension().is_some_and(|ext| ext == "rs") {
-                    sources += &std::fs::read_to_string(&path).unwrap();
-                }
-            }
-        }
-        let names = table
-            .lines()
-            .filter(|line| line.starts_with('|'))
-            .flat_map(|row| row.split('`').skip(1).step_by(2))
-            .filter(|name| name.starts_with("RN_") || name.starts_with("BENCH_"))
-            .filter(|name| {
-                name.bytes()
-                    .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
-            });
-        for name in names {
-            assert!(
-                sources.contains(&format!("\"{name}\"")),
-                "README's Configuration table documents {name}, which no source file reads"
-            );
-        }
-    }
-
-    #[test]
-    fn every_documented_knob_actually_moves_its_field() {
-        // The real drift guard: feed the parser (through its pure lookup
-        // core — no process-env mutation under the multi-threaded harness)
-        // a distinct value for every ENV_DOCS name and check every config
-        // field moved off its default. A knob renamed in the parser but not
-        // in ENV_DOCS (or vice versa) leaves a field at its default and
-        // fails here.
-        for (name, docs) in ServeConfig::ENV_DOCS {
-            assert!(name.starts_with("RN_SERVE_"), "{name}");
-            assert!(!docs.is_empty());
-        }
-        let values: Vec<(usize, String)> = ServeConfig::ENV_DOCS
-            .iter()
-            .enumerate()
-            .map(|(i, _)| (i, format!("{}", 1000 + i)))
-            .collect();
-        let overridden = ServeConfig::default().with_overrides_from(|name| {
-            ServeConfig::ENV_DOCS
-                .iter()
-                .position(|(n, _)| *n == name)
-                .map(|i| values[i].1.clone())
-        });
-        let defaults = ServeConfig::default();
-        let moved = [
-            ("RN_SERVE_WORKERS", overridden.workers != defaults.workers),
-            (
-                "RN_SERVE_MAX_BATCH",
-                overridden.max_batch != defaults.max_batch,
-            ),
-            (
-                "RN_SERVE_MAX_BATCH_PATHS",
-                overridden.max_batch_paths != defaults.max_batch_paths,
-            ),
-            (
-                "RN_SERVE_DEADLINE_US",
-                overridden.flush_deadline != defaults.flush_deadline,
-            ),
-            (
-                "RN_SERVE_QUEUE_CAPACITY",
-                overridden.queue_capacity != defaults.queue_capacity,
-            ),
-            (
-                "RN_SERVE_PLAN_CACHE",
-                overridden.plan_cache_capacity != defaults.plan_cache_capacity,
-            ),
-            (
-                "RN_SERVE_COMPOSE_CACHE",
-                overridden.compose_cache_capacity != defaults.compose_cache_capacity,
-            ),
-            (
-                "RN_SERVE_REQUEST_DEADLINE_MS",
-                overridden.default_deadline != defaults.default_deadline,
-            ),
-            (
-                "RN_SERVE_CHAOS_PANIC_EVERY",
-                overridden.chaos.panic_every != defaults.chaos.panic_every,
-            ),
-            (
-                "RN_SERVE_CHAOS_KILL_EVERY",
-                overridden.chaos.kill_every != defaults.chaos.kill_every,
-            ),
-            (
-                "RN_SERVE_CHAOS_BATCH_DELAY_US",
-                overridden.chaos.batch_delay != defaults.chaos.batch_delay,
-            ),
-            (
-                "RN_SERVE_CHAOS_DROP_CONN_EVERY",
-                overridden.chaos.drop_conn_every != defaults.chaos.drop_conn_every,
-            ),
-            (
-                "RN_SERVE_CHAOS_SEED",
-                overridden.chaos.seed != defaults.chaos.seed,
-            ),
-        ];
-        assert_eq!(
-            moved.len(),
-            ServeConfig::ENV_DOCS.len(),
-            "new knob: extend this field map, ENV_DOCS and the README table"
-        );
-        for (name, changed) in moved {
-            assert!(
-                ServeConfig::ENV_DOCS.iter().any(|(n, _)| *n == name),
-                "{name} is parsed but undocumented in ENV_DOCS"
-            );
-            assert!(changed, "{name} is documented but did not move its field");
-        }
-    }
-
-    #[test]
-    fn from_env_without_overrides_is_default() {
-        // In the absence of RN_SERVE_* vars (the test environment), env
-        // resolution must reproduce the defaults exactly.
-        let clean = std::env::vars().all(|(k, _)| !k.starts_with("RN_SERVE_"));
-        if !clean {
-            return; // an outer harness set serving knobs; nothing to assert
-        }
-        let a = ServeConfig::default();
-        let b = ServeConfig::from_env();
-        assert_eq!(a.workers, b.workers);
-        assert_eq!(a.max_batch, b.max_batch);
-        assert_eq!(a.max_batch_paths, b.max_batch_paths);
-        assert_eq!(a.flush_deadline, b.flush_deadline);
-        assert_eq!(a.queue_capacity, b.queue_capacity);
-        assert_eq!(a.plan_cache_capacity, b.plan_cache_capacity);
-        assert_eq!(a.compose_cache_capacity, b.compose_cache_capacity);
-        assert_eq!(a.default_deadline, b.default_deadline);
-        assert_eq!(a.chaos, b.chaos);
-        assert!(b.chaos.is_none(), "no chaos unless explicitly enabled");
-    }
-
-    #[test]
-    fn zero_valued_deadline_and_chaos_knobs_mean_disabled() {
-        let cfg = ServeConfig::default().with_overrides_from(|name| {
-            matches!(
-                name,
-                "RN_SERVE_REQUEST_DEADLINE_MS"
-                    | "RN_SERVE_CHAOS_PANIC_EVERY"
-                    | "RN_SERVE_CHAOS_KILL_EVERY"
-                    | "RN_SERVE_CHAOS_BATCH_DELAY_US"
-                    | "RN_SERVE_CHAOS_DROP_CONN_EVERY"
-            )
-            .then(|| "0".to_string())
-        });
-        assert_eq!(cfg.default_deadline, None);
-        assert!(cfg.chaos.is_none());
     }
 }

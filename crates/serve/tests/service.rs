@@ -10,6 +10,7 @@ use rn_serve::server::MAX_REQUEST_LINE_BYTES;
 use rn_serve::{Request, Response, ServeConfig, ServeError, Service, TcpServer};
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, SamplePlan};
+use std::env;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -335,7 +336,7 @@ fn malformed_model_files_are_rejected_and_the_old_model_keeps_serving() {
     let handle = service.handle();
     let (_, fp) = handle.predict_sample(&ds.samples[0]).expect("predict");
     let version = handle.model_version();
-    let dir = std::env::temp_dir();
+    let dir = env::temp_dir();
     for (what, text, complaint) in &malformed {
         assert_ne!(text, &json, "{what}: the edit must change the file");
         let path = dir.join(format!(
@@ -768,5 +769,29 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
     }
     drop(client);
     server.stop();
+    service.shutdown();
+}
+
+/// A `max_batch` of 0 still answers: every dynamic batch takes at least one
+/// request, so the worker neither spins on empty batches nor leaves the
+/// caller waiting, and the reply is bitwise the direct prediction.
+#[test]
+fn zero_max_batch_still_answers() {
+    let ds = toy_dataset(1, 17);
+    let model = fitted_model(&ds, 3);
+    let want = bits(&model.predict(&model.plan(&ds.samples[0])));
+    let config = ServeConfig {
+        workers: 1,
+        max_batch: 0,
+        ..ServeConfig::default()
+    };
+    let service = Service::start(model, config);
+    let (handle, sample) = (service.handle(), ds.samples[0].clone());
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(handle.predict_sample(&sample).map(|(d, _)| bits(&d))));
+    let got = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a max_batch of 0 must not hang a request");
+    assert_eq!(got.expect("served"), want);
     service.shutdown();
 }

@@ -90,9 +90,8 @@ fn main() {
 
     // 7. With RN_TRACE=1 the snapshot also carries the request-lifecycle
     //    stage breakdown (queue_wait / batch_assembly / compose / forward /
-    //    reply); print it and mirror the full snapshot to one JSON line
-    //    (RN_TRACE_SERVE_OUT, default serve_metrics.jsonl) for dashboards
-    //    and CI artifacts.
+    //    reply); print it and mirror the full snapshot to one JSON line in
+    //    serve_metrics.jsonl for dashboards and CI artifacts.
     for s in &m.stage_latency {
         println!(
             "stage {:>14}: n {:>4}  p50 {:.3}ms  p95 {:.3}ms  p99 {:.3}ms  total {:.3}ms",
@@ -100,12 +99,9 @@ fn main() {
         );
     }
     if rn_trace::enabled() {
-        let path = std::env::var("RN_TRACE_SERVE_OUT")
-            .ok()
-            .filter(|p| !p.trim().is_empty())
-            .unwrap_or_else(|| "serve_metrics.jsonl".into());
+        let path = "serve_metrics.jsonl";
         let line = serde_json::to_string(&m).expect("snapshot serializes");
-        std::fs::write(&path, line + "\n").expect("write metrics jsonl");
+        std::fs::write(path, line + "\n").expect("write metrics jsonl");
         println!("traced metrics snapshot written to {path}");
     }
 

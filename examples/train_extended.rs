@@ -10,6 +10,7 @@ use rn_tensor::Prng;
 use routenet::model::PathPredictor;
 use routenet::persist::{load_model, save_model};
 use routenet::{evaluate, train, ExtendedRouteNet, ModelConfig, TrainConfig};
+use std::env;
 
 fn main() {
     let topo = topologies::nsfnet_default();
@@ -60,7 +61,7 @@ fn main() {
     println!("{}", report.summary_line());
 
     // Persist and reload: production models carry their preprocessing.
-    let path = std::env::temp_dir().join("extended_routenet_nsfnet.json");
+    let path = env::temp_dir().join("extended_routenet_nsfnet.json");
     save_model(&model, &path).expect("save model");
     println!("\nmodel saved to {}", path.display());
     let reloaded: ExtendedRouteNet = load_model(&path).expect("load model");

@@ -13,6 +13,7 @@ use routenet::model::PathPredictor;
 use routenet::train_trace::{EpochRecord, RunSummary, STAGES};
 use routenet::trainer::{train, TrainConfig, TrainingHistory};
 use routenet::{ExtendedRouteNet, ModelConfig};
+use std::path::Path;
 
 fn toy_dataset(n: usize, seed: u64) -> Dataset {
     let config = GeneratorConfig {
@@ -26,8 +27,13 @@ fn toy_dataset(n: usize, seed: u64) -> Dataset {
     generate(&topologies::toy5(), &config, seed, n)
 }
 
-/// Train a fresh fixed-seed model and return (history, prediction bits).
-fn train_and_predict(train_set: &Dataset, val_set: &Dataset) -> (TrainingHistory, Vec<u64>) {
+/// Train a fresh fixed-seed model, tracing (while `RN_TRACE` is on) to
+/// `trace_out`, and return (history, prediction bits).
+fn train_and_predict(
+    train_set: &Dataset,
+    val_set: &Dataset,
+    trace_out: &Path,
+) -> (TrainingHistory, Vec<u64>) {
     let mut model = ExtendedRouteNet::new(ModelConfig {
         state_dim: 8,
         mp_iterations: 2,
@@ -39,6 +45,7 @@ fn train_and_predict(train_set: &Dataset, val_set: &Dataset) -> (TrainingHistory
         epochs: 3,
         batch_size: 4,
         megabatch_size: 2,
+        trace_out: Some(trace_out.to_string_lossy().into_owned()),
         ..TrainConfig::default()
     };
     let history = train(&mut model, train_set, Some(val_set), &config);
@@ -65,21 +72,15 @@ fn traced_training_is_bitwise_identical_and_emits_epoch_jsonl() {
     let train_set = toy_dataset(6, 41);
     let val_set = toy_dataset(2, 42);
     let out = std::env::temp_dir().join(format!("rn_trace_train_{}.jsonl", std::process::id()));
-    // The env knob must not leak in from the harness environment — the
-    // config field is the path under test.
-    std::env::remove_var("RN_TRACE_TRAIN_OUT");
-
     rn_trace::set_enabled(false);
-    let (hist_off, bits_off) = train_and_predict(&train_set, &val_set);
+    let (hist_off, bits_off) = train_and_predict(&train_set, &val_set, &out);
     assert!(
         !out.exists(),
         "no trace file may be written while tracing is off"
     );
 
     rn_trace::set_enabled(true);
-    std::env::set_var("RN_TRACE_TRAIN_OUT", &out);
-    let (hist_on, bits_on) = train_and_predict(&train_set, &val_set);
-    std::env::remove_var("RN_TRACE_TRAIN_OUT");
+    let (hist_on, bits_on) = train_and_predict(&train_set, &val_set, &out);
     rn_trace::set_enabled(false);
 
     assert_eq!(
