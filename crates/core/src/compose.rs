@@ -1,6 +1,5 @@
 //! The megabatch **composition layer**: packing `B` sample plans into one
-//! block-diagonal plan, rewriting a composition's features in place, and the
-//! LRU cache of compositions the serving workers share.
+//! block-diagonal plan, and rewriting a composition's features in place.
 //!
 //! A batch of independent sample graphs is itself a sample graph whose path,
 //! link, node and queue sets are the disjoint unions of the parts', which is
@@ -25,20 +24,16 @@
 //! down, across model hot-swaps too.
 //!
 //! The trainer composes each batch once and keeps it (membership is fixed
-//! for the run), so it never refills. [`CompositionCache`] has one user,
-//! `rn_serve`: keyed by the ordered tuple of per-sample structure
-//! fingerprints, entries are **checked out** (removed) for exclusive refill
-//! and use, and published back afterwards, so concurrent workers never
-//! contend on a shared composition's buffers.
+//! for the run), so it never refills; `rn_serve` composes every
+//! multi-request batch fresh. Refill is the in-place form of the same
+//! writer, kept for callers that hold a composition across batches of one
+//! shape.
 
 use crate::entities::{
     copy_rows, CompiledSteps, EntityKind, MegabatchError, MegabatchPlan, SamplePlan,
 };
-use crate::lru::Lru;
-use crate::plan_cache::Fingerprint;
 use rn_tensor::Matrix;
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Composition + refill
@@ -99,7 +94,7 @@ fn write_features(mb: &mut MegabatchPlan, part_dims: &[PartDims], parts: &[&Samp
 /// batch against before rewriting the feature fields in place.
 #[derive(Debug)]
 pub struct ComposedMegabatch {
-    /// Ordered per-part structure fingerprints (the cache key).
+    /// Ordered per-part structure fingerprints, what a refill must match.
     part_fps: Vec<u64>,
     /// Per-part entity counts: the cheap release-mode sanity check refill
     /// runs before trusting a fingerprint match, and where its rows start.
@@ -224,7 +219,7 @@ impl ComposedMegabatch {
     /// # Example
     ///
     /// A feature-only change (here: scaled link capacities) keeps the
-    /// structure fingerprint, so a cached composition refills in place and
+    /// structure fingerprint, so a kept composition refills in place and
     /// reproduces a fresh build bit for bit:
     ///
     /// ```
@@ -282,7 +277,7 @@ impl ComposedMegabatch {
             assert_eq!(
                 (p.n_paths, p.num_links, p.num_nodes, p.num_queues),
                 self.part_dims[b],
-                "refill_features: part {b} entity counts diverge from the cached structure"
+                "refill_features: part {b} entity counts diverge from the composed structure"
             );
             assert_eq!(
                 p.path_init.cols(),
@@ -308,166 +303,9 @@ impl ComposedMegabatch {
         &self.mb.plan
     }
 
-    /// The ordered per-part structure fingerprints (the cache key).
-    pub fn key(&self) -> &[u64] {
-        &self.part_fps
-    }
-
     /// Unwrap into the plain [`MegabatchPlan`] (drops the refill metadata).
     pub fn into_plan(self) -> MegabatchPlan {
         self.mb
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Composition cache
-// ---------------------------------------------------------------------------
-
-/// Cap on distinct shapes tracked for the batch-shape histogram; beyond it
-/// new shapes fold into an overflow bucket so a pathological workload cannot
-/// grow the stats map without bound.
-const MAX_TRACKED_SHAPES: usize = 128;
-
-/// One batch-shape histogram row: how many batches were requested with the
-/// shape whose composition-key hash is `shape`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct ShapeCount {
-    /// FNV hash of the ordered structure-fingerprint tuple (0 = the
-    /// overflow bucket for shapes beyond the tracking cap).
-    pub shape: u64,
-    /// Batches requested with this shape.
-    pub batches: u64,
-}
-
-/// What one checkout updates together, under one lock.
-struct CacheInner {
-    lru: Lru<Vec<u64>, ComposedMegabatch>,
-    /// Batch-shape histogram: key hash → times requested (hit or miss).
-    shape_uses: HashMap<u64, u64>,
-}
-
-/// Thread-safe LRU cache of [`ComposedMegabatch`]es keyed by the ordered
-/// tuple of per-sample structure fingerprints.
-///
-/// Entries are **checked out** — removed — on a hit, refilled and used by
-/// exactly one worker, then published back. Two workers racing on the same
-/// shape simply compose twice and the later publish wins; correctness never
-/// depends on the cache, only steady-state cost does. Keys are exact
-/// (`Vec<u64>` equality), so a cache hit can only pair plans whose
-/// *individual* structure fingerprints collide — and refill re-checks entity
-/// counts besides.
-pub struct CompositionCache {
-    inner: Mutex<CacheInner>,
-}
-
-impl CompositionCache {
-    /// Cache holding at most `capacity` compositions (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(CacheInner {
-                lru: Lru::new(capacity),
-                shape_uses: HashMap::new(),
-            }),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().expect("composition cache poisoned")
-    }
-
-    /// The cache key for an ordered batch of plans.
-    pub fn key_of(parts: &[&SamplePlan]) -> Vec<u64> {
-        parts.iter().map(|p| p.structure_fingerprint()).collect()
-    }
-
-    /// Hash a composition key into the single `u64` the shape histogram
-    /// reports (FNV over the ordered fingerprints).
-    fn shape_hash(key: &[u64]) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.usize(key.len());
-        for &k in key {
-            fp.u64(k);
-        }
-        fp.finish()
-    }
-
-    /// Take the composition for `key` out of the cache (exclusive use);
-    /// `None` on a miss. Either way the request is counted in the hit/miss
-    /// totals and the shape histogram.
-    pub fn checkout(&self, key: &[u64]) -> Option<ComposedMegabatch> {
-        let mut inner = self.lock();
-        let shape = Self::shape_hash(key);
-        let tracked = inner.shape_uses.len();
-        let slot = if inner.shape_uses.contains_key(&shape) || tracked < MAX_TRACKED_SHAPES {
-            shape
-        } else {
-            0 // overflow bucket
-        };
-        *inner.shape_uses.entry(slot).or_insert(0) += 1;
-        inner.lru.take(key)
-    }
-
-    /// Put a composition (back) into the cache under its own key, evicting
-    /// the least-recently-used entry when full.
-    pub fn publish(&self, composed: ComposedMegabatch) {
-        let key = composed.key().to_vec();
-        self.lock().lru.insert(key, composed);
-    }
-
-    /// Compositions currently resident.
-    pub fn len(&self) -> usize {
-        self.lock().lru.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every resident composition (counters keep their totals).
-    pub fn clear(&self) {
-        self.lock().lru.clear();
-    }
-
-    /// Drop every resident composition whose entity state width differs
-    /// from `state_dim` — the model hot-swap hygiene hook. Same-width
-    /// compositions survive a swap usefully (structure is
-    /// preprocessing-independent and features are refilled per batch), but
-    /// a resized model orphans old-width entries: their keys embed the old
-    /// width's fingerprints and can never be checked out again, so without
-    /// this purge they would squat in the cache until capacity pressure
-    /// happens to evict them.
-    pub fn retain_width(&self, state_dim: usize) {
-        self.lock()
-            .lru
-            .retain(|composed| composed.plan().path_init.cols() == state_dim);
-    }
-
-    /// Checkout hits so far.
-    pub fn hits(&self) -> u64 {
-        self.lock().lru.hits
-    }
-
-    /// Checkout misses so far.
-    pub fn misses(&self) -> u64 {
-        self.lock().lru.misses
-    }
-
-    /// Evictions so far.
-    pub fn evictions(&self) -> u64 {
-        self.lock().lru.evictions
-    }
-
-    /// The batch-shape histogram, most-requested shapes first.
-    pub fn shape_counts(&self) -> Vec<ShapeCount> {
-        let inner = self.lock();
-        let mut counts: Vec<ShapeCount> = inner
-            .shape_uses
-            .iter()
-            .map(|(&shape, &batches)| ShapeCount { shape, batches })
-            .collect();
-        counts.sort_by(|a, b| b.batches.cmp(&a.batches).then(a.shape.cmp(&b.shape)));
-        counts
     }
 }
 
@@ -570,8 +408,6 @@ mod tests {
         let fresh = build_megabatch(&parts);
         let composed = ComposedMegabatch::compose(&parts).unwrap();
         assert_plans_bitwise_equal(&fresh, composed.megabatch());
-        assert_eq!(composed.key().len(), 3);
-        assert_eq!(composed.key(), CompositionCache::key_of(&parts).as_slice());
     }
 
     /// Parts of different sizes (two topologies, sparse and full traffic),
@@ -649,10 +485,13 @@ mod tests {
             let plans_b: Vec<_> = perturbed.iter().map(|s| build_plan(s, &cfg)).collect();
             let parts_a: Vec<&SamplePlan> = plans_a.iter().collect();
             let parts_b: Vec<&SamplePlan> = plans_b.iter().collect();
+            let fps = |parts: &[&SamplePlan]| -> Vec<u64> {
+                parts.iter().map(|p| p.structure_fingerprint()).collect()
+            };
             assert_eq!(
-                CompositionCache::key_of(&parts_a),
-                CompositionCache::key_of(&parts_b),
-                "feature-only mutation must keep the structure key"
+                fps(&parts_a),
+                fps(&parts_b),
+                "feature-only mutation must keep the structure fingerprints"
             );
 
             let mut composed = ComposedMegabatch::compose(&parts_a).unwrap();
@@ -676,7 +515,7 @@ mod tests {
         let plans: Vec<_> = samples.iter().map(|s| build_plan(s, &cfg)).collect();
         let parts: Vec<&SamplePlan> = plans.iter().collect();
         let mut composed = ComposedMegabatch::compose(&parts).unwrap();
-        // A part whose entity counts diverge from the cached structure.
+        // A part whose entity counts diverge from the composed structure.
         let mut bad_plan = plans[0].clone();
         bad_plan.num_nodes += 1;
         composed.refill_features(&[&bad_plan, &plans[1]]);
@@ -706,71 +545,5 @@ mod tests {
         // Clones share the memoized value.
         let cloned = plan.clone();
         assert_eq!(plan.structure_fingerprint(), cloned.structure_fingerprint());
-    }
-
-    #[test]
-    fn cache_checkout_publish_counts_and_evicts() {
-        let samples = toy_samples(2, 96);
-        let p = prep();
-        let cfg = config(&p);
-        let plans: Vec<_> = samples.iter().map(|s| build_plan(s, &cfg)).collect();
-        let parts: Vec<&SamplePlan> = plans.iter().collect();
-        let cache = CompositionCache::new(2);
-        let key = CompositionCache::key_of(&parts);
-
-        assert!(cache.checkout(&key).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        cache.publish(ComposedMegabatch::compose(&parts).unwrap());
-        assert_eq!(cache.len(), 1);
-
-        let composed = cache.checkout(&key).expect("resident composition");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.len(), 0, "checkout removes the entry");
-        cache.publish(composed);
-        assert_eq!(cache.len(), 1);
-
-        // Distinct shapes key separately; LRU eviction kicks in at capacity.
-        // (Same-topology toy5 samples share routing and therefore structure,
-        // so a genuinely different shape needs a different state width.)
-        let mut wide_cfg = config(&p);
-        wide_cfg.state_dim = 16;
-        let wide = build_plan(&samples[0], &wide_cfg);
-        let single: Vec<&SamplePlan> = vec![&plans[0]];
-        let single_wide: Vec<&SamplePlan> = vec![&wide];
-        cache.publish(ComposedMegabatch::compose(&single).unwrap());
-        cache.publish(ComposedMegabatch::compose(&single_wide).unwrap());
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1, "capacity-2 cache evicts the LRU");
-
-        // Shape histogram saw both requested shapes.
-        let shapes = cache.shape_counts();
-        assert!(!shapes.is_empty());
-        assert_eq!(shapes.iter().map(|s| s.batches).sum::<u64>(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 1, "clear keeps counter totals");
-    }
-
-    #[test]
-    fn retain_width_purges_only_other_widths() {
-        let samples = toy_samples(1, 98);
-        let p = prep();
-        let cfg = config(&p);
-        let mut wide_cfg = config(&p);
-        wide_cfg.state_dim = 16;
-        let narrow = build_plan(&samples[0], &cfg);
-        let wide = build_plan(&samples[0], &wide_cfg);
-        let cache = CompositionCache::new(4);
-        cache.publish(ComposedMegabatch::compose(&[&narrow]).unwrap());
-        cache.publish(ComposedMegabatch::compose(&[&wide]).unwrap());
-        assert_eq!(cache.len(), 2);
-
-        // The hot-swap hygiene hook: only the matching width survives.
-        cache.retain_width(16);
-        assert_eq!(cache.len(), 1);
-        let wide_key = CompositionCache::key_of(&[&wide]);
-        let narrow_key = CompositionCache::key_of(&[&narrow]);
-        assert!(cache.checkout(&wide_key).is_some(), "survivor is keyable");
-        assert!(cache.checkout(&narrow_key).is_none(), "stale width purged");
     }
 }

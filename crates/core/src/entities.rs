@@ -508,7 +508,7 @@ impl std::error::Error for MegabatchError {}
 /// Pack `parts` into one block-diagonal [`MegabatchPlan`].
 ///
 /// This *is* [`ComposedMegabatch::compose`](crate::compose::ComposedMegabatch::compose),
-/// which is what makes a cached composition with refilled features
+/// which is what makes a kept composition with refilled features
 /// **bitwise identical** to it by construction rather than by test alone.
 /// Panics where `compose` returns a [`MegabatchError`]; call that where an
 /// empty or mixed batch is a runtime condition (e.g. a serving queue)

@@ -43,9 +43,8 @@
 //! - [`plan_cache`] — scenario fingerprints and the compiled-plan LRU cache
 //!   the serving layer (`rn_serve`) builds on.
 //! - [`compose`] — the megabatch composition layer: `B` plans composed into
-//!   the one block-diagonal plan the forward runs, in-place feature refill
-//!   through the same writer, and the LRU composition cache `rn_serve`'s
-//!   recurring batch shapes hit instead of re-running `build_megabatch`.
+//!   the one block-diagonal plan the forward runs, and in-place feature
+//!   refill through the same writer.
 
 #![warn(missing_docs)]
 
@@ -61,7 +60,7 @@ pub mod plan_cache;
 pub mod train_trace;
 pub mod trainer;
 
-pub use compose::{ComposedMegabatch, CompositionCache};
+pub use compose::ComposedMegabatch;
 pub use config::{ModelConfig, NodeUpdate};
 pub use entities::{EntityKind, MegabatchError, SamplePlan};
 pub use eval::{evaluate, EvalReport};

@@ -1,10 +1,7 @@
-//! The one least-recently-used map behind [`crate::plan_cache::PlanCache`]
-//! and [`crate::compose::CompositionCache`].
+//! The least-recently-used map behind [`crate::plan_cache::PlanCache`].
 //!
-//! Not synchronised: each cache keeps its `Lru` (and whatever else one
-//! request must update with it) behind one mutex.
+//! Not synchronised: the plan cache keeps its `Lru` behind one mutex.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -21,7 +18,7 @@ pub(crate) struct Lru<K, V> {
     map: HashMap<K, Entry<V>>,
     clock: u64,
     capacity: usize,
-    /// Lookups ([`Lru::get`], [`Lru::take`]) that found their key.
+    /// Lookups ([`Lru::get`]) that found their key.
     pub(crate) hits: u64,
     /// Lookups that did not.
     pub(crate) misses: u64,
@@ -58,21 +55,6 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         }
     }
 
-    /// Take `key`'s value out of the map. Counted like a lookup; the clock
-    /// does not advance, since nothing stays behind to be stamped.
-    pub(crate) fn take<Q>(&mut self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let taken = self.map.remove(key).map(|entry| entry.value);
-        match taken {
-            Some(_) => self.hits += 1,
-            None => self.misses += 1,
-        }
-        taken
-    }
-
     /// Insert (or replace) `key`, stamped as just used. A new key arriving
     /// at capacity first evicts the least recently stamped entry; replacing
     /// a resident key evicts nothing.
@@ -80,8 +62,8 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         self.clock += 1;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             // O(n) scan: capacities are tens to hundreds of entries, and a
-            // new key means a plan or a composition was just built, which
-            // costs far more than the scan.
+            // new key means a plan was just built, which costs far more than
+            // the scan.
             let victim = self
                 .map
                 .iter()
@@ -94,11 +76,6 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         }
         let last_used = self.clock;
         self.map.insert(key, Entry { value, last_used });
-    }
-
-    /// Keep the entries whose value passes `keep` (no counter moves).
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) {
-        self.map.retain(|_, entry| keep(&entry.value));
     }
 
     /// Drop every entry; the counters and the clock keep their totals.

@@ -149,9 +149,9 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
 
     /// Batched inference over an **already composed** megabatch — the entry
     /// point the composition layer (`crate::compose`) feeds: a serving
-    /// worker that checked a cached [`crate::compose::ComposedMegabatch`]
-    /// out of the composition cache and refilled its features runs this
-    /// instead of re-planning, with bitwise-identical results to
+    /// worker composes its batch into a
+    /// [`crate::compose::ComposedMegabatch`] (timing the composition apart
+    /// from the forward) and runs this, with bitwise-identical results to
     /// [`PathPredictor::predict_batch_with`] over the same parts.
     fn predict_megabatch_with(&self, g: &mut Graph, mb: &MegabatchPlan) -> Vec<Vec<f64>> {
         g.reset();
@@ -443,8 +443,8 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
         let schedule = &plan.schedule;
         let positional = self.config.node_update == NodeUpdate::PositionalMessages;
         let gru_path = bound.gru_path.vars();
-        // Pooled copies: the plan may be a cached composition shared behind
-        // an Arc, so the tape takes its own (recycled) buffers; bits match
+        // Pooled copies: the plan may be a kept composition or a plan shared
+        // behind an Arc, so the tape takes its own (recycled) buffers; bits match
         // `constant(clone())` exactly.
         let mut path_state = g.constant_copy(&plan.path_init);
         // One state per entity kind the model owns a GRU for and the plan has

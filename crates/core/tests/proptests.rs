@@ -213,8 +213,8 @@ proptest! {
         n in 3usize..7,
         rate_scale in 1.01f64..3.0,
     ) {
-        // The composition cache trusts equal structure fingerprints to mean
-        // equal compiled structure. Build a family of plans — same sample,
+        // A refill trusts equal structure fingerprints to mean equal
+        // compiled structure. Build a family of plans — same sample,
         // a feature-perturbed twin, a second sample on the same topology
         // and one from a different topology — and check the implication on
         // every pair. The feature twin also pins the non-vacuous direction:

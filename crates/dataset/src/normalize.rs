@@ -76,11 +76,6 @@ impl Normalizer {
             t
         }
     }
-
-    /// Map a whole slice.
-    pub fn normalize_all(&self, values: &[f64]) -> Vec<f64> {
-        values.iter().map(|&v| self.normalize(v)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +102,7 @@ mod tests {
     fn fitted_values_are_standardized() {
         let data = [2.0, 4.0, 6.0, 8.0];
         let n = Normalizer::fit(&data, false);
-        let z = n.normalize_all(&data);
+        let z: Vec<f64> = data.iter().map(|&v| n.normalize(v)).collect();
         let mean: f64 = z.iter().sum::<f64>() / z.len() as f64;
         let var: f64 = z.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / z.len() as f64;
         assert!(mean.abs() < 1e-12);

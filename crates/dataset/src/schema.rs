@@ -112,12 +112,14 @@ impl Sample {
 
     /// Check everything a consumer indexes or computes with: the routing
     /// table and the traffic matrix are square over the same nodes, every
-    /// path has one more node than links, node ids address `queue_capacities`
-    /// and link ids `link_capacities`, labels and path classes line up with
-    /// the routed paths, every traffic rate is finite and non-negative, and
-    /// every link capacity is finite and positive (a NaN would reach the
-    /// kernels, whose answer to it is not defined). Needs no topology, so it
-    /// is the check for a sample that arrives alone (a serving request);
+    /// routed path crosses at least one link, has one more node than links
+    /// and runs from its source to its destination, node ids address
+    /// `queue_capacities` and link ids `link_capacities`, labels and path
+    /// classes line up with the routed paths, every traffic rate is finite
+    /// and non-negative, and every link capacity is finite and positive (a
+    /// NaN would reach the kernels, whose answer to it is not defined).
+    /// Needs no topology, so it is the check for a sample that arrives alone
+    /// (a serving request);
     /// [`Sample::validate`] adds what only the topology can tell.
     pub fn check_inputs(&self) -> Result<(), String> {
         self.routing.check_shape()?;
@@ -137,6 +139,16 @@ impl Sample {
                     "path {s}->{d} has {} nodes but {} links",
                     path.nodes.len(),
                     path.links.len()
+                ));
+            }
+            if path.links.is_empty() {
+                return Err(format!("path {s}->{d} crosses no link"));
+            }
+            if (path.src(), path.dst()) != (s, d) {
+                return Err(format!(
+                    "path {s}->{d} has endpoints {}->{}",
+                    path.src(),
+                    path.dst()
                 ));
             }
             if let Some(n) = path
@@ -398,6 +410,17 @@ mod tests {
             .check_inputs()
             .unwrap_err()
             .contains("1 nodes but 1 links"));
+        // A routed pair whose path crosses no link, or runs between other
+        // nodes.
+        let bad =
+            through_json(&|json| json.replacen(&first_path, r#"{"nodes":[0],"links":[]}"#, 1));
+        assert!(bad.check_inputs().unwrap_err().contains("crosses no link"));
+        let bad =
+            through_json(&|json| json.replacen(&first_path, r#"{"nodes":[3,4],"links":[0]}"#, 1));
+        assert!(bad
+            .check_inputs()
+            .unwrap_err()
+            .contains("has endpoints 3->4"));
 
         // Labels and classes misaligned with the routed paths.
         let mut bad = good.clone();

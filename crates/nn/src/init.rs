@@ -13,13 +13,6 @@ pub fn xavier_uniform(rng: &mut Prng, fan_in: usize, fan_out: usize) -> Matrix {
     rng.uniform_matrix(fan_in, fan_out, -a, a)
 }
 
-/// He/Kaiming uniform: `U(-a, a)` with `a = sqrt(6 / fan_in)`. Preferred for
-/// ReLU-family layers (the SELU readout works well with it too).
-pub fn he_uniform(rng: &mut Prng, fan_in: usize, fan_out: usize) -> Matrix {
-    let a = (6.0 / fan_in as f32).sqrt();
-    rng.uniform_matrix(fan_in, fan_out, -a, a)
-}
-
 /// LeCun normal: `N(0, 1/fan_in)` — the initialization SELU networks were
 /// derived with.
 pub fn lecun_normal(rng: &mut Prng, fan_in: usize, fan_out: usize) -> Matrix {
@@ -45,14 +38,6 @@ mod tests {
         assert!(w.as_slice().iter().all(|v| v.abs() <= bound));
         // values should not all be tiny — spread across the range
         assert!(w.max_abs() > bound * 0.8);
-    }
-
-    #[test]
-    fn he_bounds_hold() {
-        let mut rng = Prng::new(2);
-        let w = he_uniform(&mut rng, 25, 10);
-        let bound = (6.0f32 / 25.0).sqrt();
-        assert!(w.as_slice().iter().all(|v| v.abs() <= bound));
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl WfqApprox {
         self.lambdas.len()
     }
 
-    /// Total offered utilization.
-    pub fn total_utilization(&self) -> f64 {
-        self.lambdas.iter().sum::<f64>() / self.mu
-    }
-
     /// Class `c`'s normalized weight share.
     pub fn share(&self, c: usize) -> f64 {
         self.shares[c]

@@ -15,10 +15,10 @@
 //! snapshot is written as one JSON line to `--metrics-out PATH` (default
 //! `serve_metrics.jsonl`).
 //!
-//! An unreachable server, a flag whose value does not parse, or a failed
-//! client thread exits nonzero with a one-line summary on stderr — never a
-//! panic/backtrace — so shell pipelines and the examples' quickstart can
-//! branch on `$?`.
+//! An unreachable server, a flag whose value does not parse, an argument
+//! that is no flag of this binary, or a failed client thread exits nonzero
+//! with a one-line summary on stderr — never a panic/backtrace — so shell
+//! pipelines and the examples' quickstart can branch on `$?`.
 
 use rn_serve::cli::Flags;
 use rn_serve::loadgen::{demo_scenarios, run_loadgen, Client, LoadMode, LoadgenConfig};
@@ -53,6 +53,7 @@ fn run() -> Result<(), String> {
     let sim_s = flags.get_or("--sim-duration", 60.0)?;
     let seed = flags.get_or("--seed", 2019u64)?;
     let metrics_out = flags.get_or("--metrics-out", "serve_metrics.jsonl".to_string())?;
+    flags.finish()?;
 
     eprintln!("[loadgen] generating {scenarios} {topology} scenarios ...");
     let (_, samples) = demo_scenarios(&topology, scenarios, sim_s, seed)?;
@@ -79,30 +80,18 @@ fn run() -> Result<(), String> {
     }
 
     // End-of-run server-side cache summary: how much planning the plan
-    // cache absorbed and how many dynamic batches rode a cached megabatch
-    // composition instead of a fresh `build_megabatch`.
+    // cache absorbed.
     match Client::connect(&config.addr).and_then(|mut c| {
         c.round_trip(&Request::Metrics)
             .map_err(std::io::Error::other)
     }) {
         Ok(Response::Metrics { snapshot }) => {
             eprintln!(
-                "[loadgen] server caches: plan hit rate {:.3} ({}/{} lookups), \
-                 composition hit rate {:.3} ({}/{} batches), {} distinct batch shapes",
+                "[loadgen] server plan cache: hit rate {:.3} ({}/{} lookups)",
                 snapshot.cache_hit_rate,
                 snapshot.cache_hits,
                 snapshot.cache_hits + snapshot.cache_misses,
-                snapshot.compose_hit_rate,
-                snapshot.compose_hits,
-                snapshot.compose_hits + snapshot.compose_misses,
-                snapshot.batch_shapes.len(),
             );
-            if let Some(top) = snapshot.batch_shapes.first() {
-                eprintln!(
-                    "[loadgen] hottest batch shape {:#018x}: {} batches",
-                    top.shape, top.batches
-                );
-            }
             eprintln!(
                 "[loadgen] server: {} workers, model v{}, up {:.1}s",
                 snapshot.workers, snapshot.model_version, snapshot.uptime_s

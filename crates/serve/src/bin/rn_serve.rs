@@ -10,8 +10,8 @@
 //!
 //! Prints one JSON line with the bound address, then serves until killed.
 //! See `rn_loadgen` for a measurement client and README's "Serving" section
-//! for the protocol and every flag; a flag whose value does not parse is an
-//! error exit naming it.
+//! for the protocol and every flag; a flag whose value does not parse, or an
+//! argument that is no flag of this binary, is an error exit naming it.
 
 use rn_serve::cli::Flags;
 use rn_serve::loadgen::demo_scenarios;
@@ -56,6 +56,7 @@ fn run() -> Result<(), String> {
         },
         ..defaults
     };
+    flags.finish()?;
 
     let model: ExtendedRouteNet = match model_path {
         Some(path) => routenet::persist::load_model(std::path::Path::new(&path))

@@ -6,7 +6,6 @@
 //! is taken by [`ServeMetrics::snapshot`], which readers call at human
 //! frequency.
 
-use routenet::compose::ShapeCount;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -132,9 +131,8 @@ pub mod stage {
     /// plan-ref assembly, tape checkout (and any chaos delay injected
     /// before the batch region).
     pub const BATCH_ASSEMBLY: usize = 1;
-    /// Composition-cache checkout + feature refill, or a fresh
-    /// block-diagonal compose (zero-length for singleton batches, which
-    /// skip composition).
+    /// The block-diagonal compose of a multi-request batch (zero-length for
+    /// singleton batches, which skip composition).
     pub const COMPOSE: usize = 2;
     /// The model forward pass over the (mega)batch.
     pub const FORWARD: usize = 3;
@@ -354,16 +352,10 @@ impl ServeMetrics {
             plan_misses: cache_misses,
             plan_len: cache_len,
             plan_evictions,
-            compose_hits,
-            compose_misses,
-            compose_len,
-            compose_evictions,
-            batch_shapes,
         } = caches;
         let completed = self.completed.load(Ordering::Relaxed);
         let uptime = self.uptime_s();
         let lookups = cache_hits + cache_misses;
-        let compose_lookups = compose_hits + compose_misses;
         MetricsSnapshot {
             uptime_s: uptime,
             submitted: self.submitted.load(Ordering::Relaxed),
@@ -397,16 +389,8 @@ impl ServeMetrics {
             },
             cache_len: cache_len as u64,
             plan_evictions,
-            compose_hits,
-            compose_misses,
-            compose_hit_rate: if compose_lookups > 0 {
-                compose_hits as f64 / compose_lookups as f64
-            } else {
-                0.0
-            },
-            compose_len: compose_len as u64,
-            compose_evictions,
-            batch_shapes,
+            compose_hit_rate: 0.0,
+            batch_shapes: Vec::new(),
             model_version,
             model_swaps: self.swaps.load(Ordering::Relaxed),
             tape_pool_bytes: self.tape_pool_bytes.load(Ordering::Relaxed),
@@ -426,10 +410,8 @@ impl ServeMetrics {
     }
 }
 
-/// Cache statistics the service injects into a [`MetricsSnapshot`]: the
-/// plan cache (scenario fingerprint → compiled plan) and the composition
-/// cache (ordered structure fingerprints → composed megabatch), plus the
-/// batch-shape histogram the composition cache maintains.
+/// Plan-cache statistics (scenario fingerprint → compiled plan) the service
+/// injects into a [`MetricsSnapshot`].
 #[derive(Debug, Clone, Default)]
 pub struct CacheStats {
     /// Plan-cache hits.
@@ -440,16 +422,6 @@ pub struct CacheStats {
     pub plan_len: usize,
     /// Plans pushed out of the full plan cache by a newer scenario.
     pub plan_evictions: u64,
-    /// Composition-cache hits (multi-request batches that skipped planning).
-    pub compose_hits: u64,
-    /// Composition-cache misses (batches that composed fresh).
-    pub compose_misses: u64,
-    /// Compositions resident.
-    pub compose_len: usize,
-    /// Compositions pushed out of the full cache by a newer batch shape.
-    pub compose_evictions: u64,
-    /// Batch-shape histogram, most-requested shapes first.
-    pub batch_shapes: Vec<ShapeCount>,
 }
 
 /// A point-in-time copy of the service metrics (JSON-serializable; returned
@@ -514,21 +486,14 @@ pub struct MetricsSnapshot {
     /// Plans the full cache evicted to admit a new scenario — each one a
     /// `build_plan` some later request for the evicted scenario pays again.
     pub plan_evictions: u64,
-    /// Composition-cache hits: multi-request batches whose block-diagonal
-    /// structure was already composed (workers skipped `build_megabatch`
-    /// planning and only refilled features).
-    pub compose_hits: u64,
-    /// Composition-cache misses: batches that composed their structure fresh.
-    pub compose_misses: u64,
-    /// Composition hits over lookups.
+    /// Always `0.0`: the service keeps no compositions between batches. Kept
+    /// only because the benchmark package reads it
+    /// (`serve.compose_cache_hit_ratio`); goes with that metric.
     pub compose_hit_rate: f64,
-    /// Compositions resident in the cache.
-    pub compose_len: u64,
-    /// Compositions the full cache evicted to admit a new batch shape.
-    pub compose_evictions: u64,
-    /// Batch-shape histogram: how often each distinct ordered batch shape
-    /// (hashed composition key) was requested, most frequent first.
-    pub batch_shapes: Vec<ShapeCount>,
+    /// Always empty: the service tracks no batch shapes. Kept only because
+    /// the benchmark package reads its length (`serve.batch_shapes`); goes
+    /// with that metric.
+    pub batch_shapes: Vec<u64>,
     /// Version of the model serving right now (bumps on hot-swap).
     pub model_version: u64,
     /// Hot-swaps performed.
@@ -738,14 +703,6 @@ mod tests {
                 plan_misses: 1,
                 plan_len: 2,
                 plan_evictions: 4,
-                compose_hits: 3,
-                compose_misses: 1,
-                compose_len: 1,
-                compose_evictions: 2,
-                batch_shapes: vec![ShapeCount {
-                    shape: 0xfeed,
-                    batches: 4,
-                }],
             },
             7,
             0,
@@ -754,17 +711,11 @@ mod tests {
         assert_eq!(snap.completed, 3);
         assert_eq!(snap.model_version, 7);
         assert!((snap.cache_hit_rate - 5.0 / 6.0).abs() < 1e-12);
-        assert!((snap.compose_hit_rate - 0.75).abs() < 1e-12);
-        assert_eq!(snap.compose_len, 1);
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.completed, snap.completed);
         assert_eq!(back.batch_size_counts, snap.batch_size_counts);
-        assert_eq!(back.compose_hits, 3);
-        assert_eq!((back.plan_evictions, back.compose_evictions), (4, 2));
-        assert_eq!(back.batch_shapes.len(), 1);
-        assert_eq!(back.batch_shapes[0].shape, 0xfeed);
-        assert_eq!(back.batch_shapes[0].batches, 4);
+        assert_eq!(back.plan_evictions, 4);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!    forward-pass work is spent on it.
 //! 2. Workers assemble **dynamic batches**: a batch flushes when it reaches
 //!    [`ServeConfig::max_batch`] requests (or would exceed
-//!    [`ServeConfig::max_batch_paths`] path rows — megabatches that outgrow
-//!    the cache cost more than they save), when the oldest queued request
+//!    `MAX_BATCH_PATHS` (512) path rows — megabatches that outgrow the CPU
+//!    cache cost more than they save), when the oldest queued request
 //!    has waited [`ServeConfig::flush_deadline`], or at shutdown — whichever
 //!    comes first. A zero deadline means "flush as soon as a worker is
 //!    free", which batches exactly the backlog that accumulated while
@@ -22,8 +22,8 @@
 //!    minimal).
 //! 3. Each worker owns a pooled tape from a shared [`TapePool`] for the
 //!    duration of a batch and runs one fused block-diagonal forward
-//!    ([`PathPredictor::predict_megabatch_with`] over a cached or fresh
-//!    composition; a lone request runs [`PathPredictor::predict_with`]). The
+//!    ([`PathPredictor::predict_megabatch_with`] over the batch composed
+//!    fresh; a lone request runs [`PathPredictor::predict_with`]). The
 //!    tape's buffer pool is bounded by the largest batch it has run, so a
 //!    worker's footprint is flat once every batch shape has been seen
 //!    ([`MetricsSnapshot::tape_pool_bytes`] / `tape_pool_misses`). Results
@@ -64,7 +64,7 @@ use crate::registry::ModelRegistry;
 use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use rn_autograd::TapePool;
 use rn_dataset::Sample;
-use routenet::compose::{ComposedMegabatch, CompositionCache};
+use routenet::compose::ComposedMegabatch;
 use routenet::entities::PlanConfig;
 use routenet::model::PathPredictor;
 use routenet::plan_cache::{sample_fingerprint, PlanCache};
@@ -76,16 +76,19 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Path-row budget per dynamic batch: packing stops before exceeding it
+/// (the same cache-residency reasoning as evaluation's chunking). A lone
+/// request larger than the budget still rides a batch of its own.
+const MAX_BATCH_PATHS: usize = 512;
+
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads, each running fused batches on its own pooled tape.
     pub workers: usize,
-    /// Requests per dynamic batch, at most.
+    /// Requests per dynamic batch, at most (a batch also stops short of 512
+    /// path rows).
     pub max_batch: usize,
-    /// Path-row budget per batch: packing stops before exceeding it (the
-    /// same cache-residency reasoning as evaluation's chunking).
-    pub max_batch_paths: usize,
     /// How long the oldest queued request may wait for co-batchers before
     /// the batch flushes anyway. `Duration::ZERO` flushes whenever a worker
     /// is free.
@@ -94,13 +97,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Compiled plans kept in the shared [`PlanCache`].
     pub plan_cache_capacity: usize,
-    /// Composed megabatch structures kept in the shared
-    /// [`CompositionCache`]. The serving workload is many scenarios over a
-    /// fixed small set of graph shapes, so recurring multi-request batch
-    /// shapes check a ready composition out, refill its features and skip
-    /// `build_megabatch` planning entirely. Results are bitwise identical
-    /// either way.
-    pub compose_cache_capacity: usize,
     /// Default per-request deadline applied to submissions that do not
     /// carry their own (`None` = requests wait as long as they must). A
     /// request whose deadline passes while it queues is answered
@@ -117,11 +113,9 @@ impl Default for ServeConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             max_batch: 8,
-            max_batch_paths: 512,
             flush_deadline: Duration::ZERO,
             queue_capacity: 1024,
             plan_cache_capacity: 256,
-            compose_cache_capacity: 32,
             default_deadline: None,
             chaos: ChaosPlan::none(),
         }
@@ -215,10 +209,6 @@ struct Inner<M> {
     registry: ModelRegistry<M>,
     metrics: ServeMetrics,
     plans: PlanCache,
-    /// Composed megabatch structures for recurring batch shapes (checked
-    /// out exclusively per batch, refilled with that batch's features,
-    /// published back).
-    compositions: CompositionCache,
     tapes: TapePool,
     /// Chaos injector ([`ServeConfig::chaos`]); `None` in production, so
     /// the no-chaos hot path pays one `Option` check per injection point.
@@ -261,7 +251,6 @@ impl<M: PathPredictor + 'static> Service<M> {
             metrics: ServeMetrics::new(config.max_batch),
             registry: ModelRegistry::new(model),
             plans: PlanCache::new(config.plan_cache_capacity),
-            compositions: CompositionCache::new(config.compose_cache_capacity),
             tapes: TapePool::new(),
             chaos: FaultInjector::from_plan(&config.chaos),
             config,
@@ -397,13 +386,8 @@ impl<M: PathPredictor> ServeHandle<M> {
     /// fingerprints get `UnknownPlan` and re-register (re-keying under the
     /// new preprocessing); in-flight `Arc`s stay valid for their batch.
     pub fn swap_model(&self, model: M) -> u64 {
-        let state_dim = model.config().state_dim;
         let version = self.inner.registry.swap(model);
         self.inner.plans.clear();
-        // Compositions are preprocessing-independent, so same-width entries
-        // stay useful across the swap; entries compiled for a different
-        // state width can never be keyed again and are purged.
-        self.inner.compositions.retain_width(state_dim);
         self.inner.metrics.swaps.fetch_add(1, Ordering::Relaxed);
         version
     }
@@ -422,11 +406,6 @@ impl<M: PathPredictor> ServeHandle<M> {
                 plan_misses: self.inner.plans.misses(),
                 plan_len: self.inner.plans.len(),
                 plan_evictions: self.inner.plans.evictions(),
-                compose_hits: self.inner.compositions.hits(),
-                compose_misses: self.inner.compositions.misses(),
-                compose_len: self.inner.compositions.len(),
-                compose_evictions: self.inner.compositions.evictions(),
-                batch_shapes: self.inner.compositions.shape_counts(),
             },
             self.inner.registry.version(),
             queue_depth,
@@ -489,10 +468,6 @@ impl<M: PathPredictor> ServeHandle<M> {
     {
         let version = self.inner.registry.load_and_swap(path)?;
         self.inner.plans.clear();
-        // Same hygiene as `swap_model`: stale-width compositions can never
-        // be keyed again under the new model.
-        let state_dim = self.inner.registry.snapshot().0.config().state_dim;
-        self.inner.compositions.retain_width(state_dim);
         self.inner.metrics.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(version)
     }
@@ -508,7 +483,7 @@ fn drain_batch(st: &mut QueueState, config: &ServeConfig) -> Vec<Job> {
         // Every batch takes at least one request, whatever its size and
         // whatever the limits (a `max_batch` of 0 included).
         if !batch.is_empty()
-            && (batch.len() >= config.max_batch || paths + next_paths > config.max_batch_paths)
+            && (batch.len() >= config.max_batch || paths + next_paths > MAX_BATCH_PATHS)
         {
             break;
         }
@@ -640,27 +615,13 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
             // recorded only while `RN_TRACE=1`.
             let t_compose = Instant::now();
             let (results, t_forward, t_forward_end) = if refs.len() > 1 {
-                // Multi-request batches go through the composition cache: a
-                // recurring batch shape checks its composed block-diagonal
-                // structure out, refills the feature rows for *these*
-                // requests and skips `build_megabatch` planning entirely.
-                // Misses compose fresh and publish for the next batch with
-                // this shape. Bitwise identical to `predict_batch_with`
-                // either way.
-                let key = CompositionCache::key_of(&refs);
-                let composed = match inner.compositions.checkout(&key) {
-                    Some(mut cached) => {
-                        cached.refill_features(&refs);
-                        cached
-                    }
-                    None => ComposedMegabatch::compose(&refs)
-                        .expect("worker batch is non-empty and width-checked"),
-                };
+                // A multi-request batch is composed into one block-diagonal
+                // megabatch, bitwise identical to `predict_batch_with`.
+                let composed = ComposedMegabatch::compose(&refs)
+                    .expect("worker batch is non-empty and width-checked");
                 let t_forward = Instant::now();
                 let out = model.predict_megabatch_with(&mut tape, composed.megabatch());
-                let t_forward_end = Instant::now();
-                inner.compositions.publish(composed);
-                (out, t_forward, t_forward_end)
+                (out, t_forward, Instant::now())
             } else {
                 // A lone request needs no composition: it runs as the
                 // single plan it is, exactly as `predict_batch_with`

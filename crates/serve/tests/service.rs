@@ -111,10 +111,18 @@ fn serving_is_bitwise_identical_to_predict_batch_under_concurrency() {
 #[test]
 fn deadline_batches_coincident_requests_together() {
     let ds = toy_dataset(1, 13);
-    let model = fitted_model(&ds, 1);
-    let plan = Arc::new(model.plan(&ds.samples[0]));
+    let model_a = fitted_model(&ds, 1);
+    let model_b = fitted_model(&ds, 2);
+    let plan = Arc::new(model_a.plan(&ds.samples[0]));
+    // After the swap, the one two-request batch must carry model B's bits.
+    let pair = [(*plan).clone(), (*plan).clone()];
+    let expected_b: Vec<Vec<u64>> = model_b
+        .predict_batch(&pair)
+        .iter()
+        .map(|v| bits(v))
+        .collect();
     let service = Service::start(
-        model,
+        model_a,
         ServeConfig {
             workers: 1,
             max_batch: 2,
@@ -123,11 +131,21 @@ fn deadline_batches_coincident_requests_together() {
         },
     );
     let handle = service.handle();
+    handle.swap_model(model_b);
     std::thread::scope(|s| {
-        for _ in 0..2 {
-            let handle = handle.clone();
-            let plan = Arc::clone(&plan);
-            s.spawn(move || handle.predict_plan(plan).expect("predict"));
+        let joins: Vec<_> = (0..2)
+            .map(|_| {
+                let handle = handle.clone();
+                let plan = Arc::clone(&plan);
+                s.spawn(move || handle.predict_plan(plan).expect("predict"))
+            })
+            .collect();
+        for (b, join) in joins.into_iter().enumerate() {
+            assert_eq!(
+                bits(&join.join().expect("client thread")),
+                expected_b[b],
+                "post-swap request {b} must carry model B bits"
+            );
         }
     });
     let m = handle.metrics();
@@ -176,10 +194,9 @@ fn plan_cache_serves_hits_and_evicts_lru() {
         other => panic!("expected eviction of the LRU plan, got {other:?}"),
     }
     // Three scenarios through a capacity-2 cache: the snapshot says one
-    // plan was pushed out (and no composition: every batch was a singleton).
+    // plan was pushed out.
     let m = handle.metrics();
     assert_eq!((m.cache_len, m.plan_evictions), (2, 1));
-    assert_eq!(m.compose_evictions, 0);
     service.shutdown();
 }
 
@@ -485,170 +502,6 @@ fn tcp_protocol_round_trips_and_matches_direct_predictions() {
     service.shutdown();
 }
 
-#[test]
-fn composition_cache_hits_recurring_batch_shapes_bitwise() {
-    // Same four scenarios submitted round after round: after the first
-    // rounds, recurring multi-request batch shapes must be answered from
-    // cached compositions (structure reused, features refilled) — with bits
-    // identical to a direct predict_batch, and the metrics must show
-    // composition hits plus a populated batch-shape histogram.
-    let ds = toy_dataset(4, 41);
-    let model = fitted_model(&ds, 5);
-    let plans: Vec<Arc<SamplePlan>> = ds.samples.iter().map(|s| Arc::new(model.plan(s))).collect();
-    let owned: Vec<SamplePlan> = plans.iter().map(|p| (**p).clone()).collect();
-    let reference: Vec<Vec<u64>> = model
-        .predict_batch(&owned)
-        .iter()
-        .map(|v| bits(v))
-        .collect();
-
-    let service = Service::start(
-        model,
-        ServeConfig {
-            workers: 1,
-            max_batch: 4,
-            // A generous deadline so each round's four requests ride one
-            // (or few) multi-request batches whose shapes recur.
-            flush_deadline: Duration::from_millis(25),
-            compose_cache_capacity: 8,
-            ..ServeConfig::default()
-        },
-    );
-    let handle = service.handle();
-    for _round in 0..12 {
-        std::thread::scope(|s| {
-            let joins: Vec<_> = plans
-                .iter()
-                .map(|plan| {
-                    let handle = handle.clone();
-                    let plan = Arc::clone(plan);
-                    s.spawn(move || handle.predict_plan(plan).expect("predict"))
-                })
-                .collect();
-            for (b, join) in joins.into_iter().enumerate() {
-                let served = join.join().expect("client thread");
-                assert_eq!(
-                    bits(&served),
-                    reference[b],
-                    "cached-composition serving changed bits for sample {b}"
-                );
-            }
-        });
-    }
-
-    let m = handle.metrics();
-    assert_eq!(m.completed, 48);
-    assert_eq!(m.errors, 0);
-    assert!(
-        m.compose_hits >= 1,
-        "recurring batch shapes must hit the composition cache \
-         (hits {}, misses {})",
-        m.compose_hits,
-        m.compose_misses
-    );
-    assert!(m.compose_len >= 1, "compositions must stay resident");
-    assert!(
-        (m.compose_hit_rate - m.compose_hits as f64 / (m.compose_hits + m.compose_misses) as f64)
-            .abs()
-            < 1e-12
-    );
-    assert!(
-        !m.batch_shapes.is_empty(),
-        "the batch-shape histogram must be populated"
-    );
-    let requested: u64 = m.batch_shapes.iter().map(|s| s.batches).sum();
-    assert_eq!(
-        requested,
-        m.compose_hits + m.compose_misses,
-        "histogram rows must account for every multi-request batch"
-    );
-    service.shutdown();
-}
-
-#[test]
-fn composition_cache_survives_hot_swap_with_refilled_features() {
-    // A hot-swap to a same-width model keeps cached compositions useful:
-    // the structure is model-independent, and feature refill happens per
-    // batch anyway. Post-swap batches must produce model B's exact bits.
-    let ds = toy_dataset(3, 43);
-    let model_a = fitted_model(&ds, 1);
-    let model_b = fitted_model(&ds, 2);
-    let plans: Vec<Arc<SamplePlan>> = ds
-        .samples
-        .iter()
-        .map(|s| Arc::new(model_a.plan(s)))
-        .collect();
-    let owned: Vec<SamplePlan> = plans.iter().map(|p| (**p).clone()).collect();
-    let expected_b: Vec<Vec<u64>> = model_b
-        .predict_batch(&owned)
-        .iter()
-        .map(|v| bits(v))
-        .collect();
-
-    let service = Service::start(
-        model_a,
-        ServeConfig {
-            workers: 1,
-            max_batch: 4,
-            flush_deadline: Duration::from_millis(25),
-            ..ServeConfig::default()
-        },
-    );
-    let handle = service.handle();
-    // Warm the composition cache under model A.
-    for _ in 0..3 {
-        std::thread::scope(|s| {
-            for plan in &plans {
-                let handle = handle.clone();
-                let plan = Arc::clone(plan);
-                s.spawn(move || handle.predict_plan(plan).expect("warm predict"));
-            }
-        });
-    }
-    handle.swap_model(model_b);
-    // Post-swap, served bits must be model B's — even when the batch rides
-    // a composition cached under model A.
-    std::thread::scope(|s| {
-        let joins: Vec<_> = plans
-            .iter()
-            .map(|plan| {
-                let handle = handle.clone();
-                let plan = Arc::clone(plan);
-                s.spawn(move || handle.predict_plan(plan).expect("post-swap predict"))
-            })
-            .collect();
-        for (b, join) in joins.into_iter().enumerate() {
-            assert_eq!(
-                bits(&join.join().expect("client thread")),
-                expected_b[b],
-                "post-swap sample {b} must carry model B bits"
-            );
-        }
-    });
-    let m = handle.metrics();
-    assert_eq!(m.errors, 0);
-
-    // A swap to a *resized* model purges the now-unkeyable old-width
-    // compositions (same-width entries survived the A→B swap above).
-    if m.compose_len > 0 {
-        let mut wide = ExtendedRouteNet::new(ModelConfig {
-            state_dim: 16,
-            mp_iterations: 2,
-            readout_hidden: 16,
-            seed: 9,
-            ..ModelConfig::default()
-        });
-        wide.fit_preprocessing(&ds, 5);
-        handle.swap_model(wide);
-        assert_eq!(
-            handle.metrics().compose_len,
-            0,
-            "resized hot-swap must purge stale-width compositions"
-        );
-    }
-    service.shutdown();
-}
-
 /// A scenario from the wire is indexed with its own ids by the fingerprint
 /// and the planner; one whose ids do not hold together must be refused at
 /// the door, on a connection that stays usable.
@@ -689,7 +542,7 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
     let rates = r#""rates_bps":[0.0"#;
     assert!(good_json.contains(rates));
     let first_rate = |rate: &str| good_json.replacen(rates, &format!(r#""rates_bps":[{rate}"#), 1);
-    let malformed: [(&str, String); 14] = [
+    let malformed: [(&str, String); 16] = [
         ("link id", edited(&|s| s.link_capacities.truncate(3))),
         ("node id", edited(&|s| s.queue_capacities.truncate(2))),
         (
@@ -709,6 +562,14 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
         (
             "nodes but",
             good_json.replacen(&first_path, r#"{"nodes":[0],"links":[0,1]}"#, 1),
+        ),
+        (
+            "crosses no link",
+            good_json.replacen(&first_path, r#"{"nodes":[0],"links":[]}"#, 1),
+        ),
+        (
+            "has endpoints 3->4",
+            good_json.replacen(&first_path, r#"{"nodes":[3,4],"links":[0]}"#, 1),
         ),
         (
             "routing table",

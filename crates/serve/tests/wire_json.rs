@@ -14,7 +14,6 @@ use rn_netgraph::topologies;
 use rn_netsim::{FaultPlan, SimConfig};
 use rn_serve::metrics::{stage, CacheStats, ServeMetrics};
 use rn_serve::{Request, Response};
-use routenet::compose::ShapeCount;
 use serde::de::DeserializeOwned;
 use serde::value::Value;
 use serde::Serialize;
@@ -179,10 +178,7 @@ fn seeds() -> Vec<Seed> {
     let caches = CacheStats {
         plan_hits: 5,
         plan_misses: 1,
-        batch_shapes: vec![ShapeCount {
-            shape: u64::MAX,
-            batches: 4,
-        }],
+        plan_evictions: u64::MAX,
         ..CacheStats::default()
     };
     let snapshot = metrics.snapshot(caches, 2, 1, 2);

@@ -323,19 +323,6 @@ impl Matrix {
         axpy1(&mut self.data, scale, &other.data);
     }
 
-    /// BLAS-style `self += a * x` (alias of [`Matrix::add_scaled`] under the
-    /// conventional name).
-    pub fn axpy(&mut self, a: f32, x: &Self) {
-        self.add_scaled(x, a);
-    }
-
-    /// Multiply every element by `s` in place.
-    pub fn scale_inplace(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Element-wise (Hadamard) product in place. Panics on shape mismatch.
     pub fn mul_assign_elem(&mut self, other: &Self) {
         self.assert_same_shape(other, "mul_assign_elem");
@@ -677,16 +664,6 @@ impl Matrix {
             rows: 1,
             cols: self.cols,
             data: out,
-        }
-    }
-
-    /// Row-wise sum, returned as an n x 1 column vector.
-    pub fn sum_cols(&self) -> Self {
-        let data = (0..self.rows).map(|r| self.row(r).iter().sum()).collect();
-        Self {
-            rows: self.rows,
-            cols: 1,
-            data,
         }
     }
 
@@ -1484,7 +1461,6 @@ mod tests {
         assert_eq!(m.sum(), 21.0);
         assert!((m.mean() - 3.5).abs() < 1e-6);
         assert_eq!(m.sum_rows().as_slice(), &[5.0, 7.0, 9.0]);
-        assert_eq!(m.sum_cols().as_slice(), &[6.0, 15.0]);
         assert_eq!(m.max_abs(), 6.0);
     }
 
@@ -1720,10 +1696,8 @@ mod tests {
 
     #[test]
     fn inplace_elementwise_ops() {
-        let mut m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        m.scale_inplace(2.0);
-        assert_eq!(m.as_slice(), &[2.0, 4.0, 6.0, 8.0]);
-        m.axpy(0.5, &Matrix::ones(2, 2));
+        let mut m = Matrix::from_vec(2, 2, vec![2.0, 4.0, 6.0, 8.0]);
+        m.add_scaled(&Matrix::ones(2, 2), 0.5);
         assert_eq!(m.as_slice(), &[2.5, 4.5, 6.5, 8.5]);
         m.mul_assign_elem(&Matrix::from_vec(2, 2, vec![2.0, 0.0, 1.0, -1.0]));
         assert_eq!(m.as_slice(), &[5.0, 0.0, 6.5, -8.5]);

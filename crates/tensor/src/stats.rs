@@ -158,83 +158,11 @@ impl EmpiricalCdf {
     pub fn series_at(&self, xs: &[f64]) -> Vec<(f64, f64)> {
         xs.iter().map(|&x| (x, self.eval(x))).collect()
     }
-
-    /// The underlying sorted sample.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 /// Convenience: build an empirical CDF from a sample.
 pub fn empirical_cdf(values: &[f64]) -> EmpiricalCdf {
     EmpiricalCdf::new(values)
-}
-
-/// A fixed-width histogram over `[lo, hi)` with out-of-range values clamped
-/// into the edge bins. Used by dataset diagnostics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "Histogram::new: need at least one bin");
-        assert!(hi > lo, "Histogram::new: hi must exceed lo");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
-        };
-        self.counts[idx.min(bins - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// `(bin_center, fraction)` pairs.
-    pub fn normalized(&self) -> Vec<(f64, f64)> {
-        let bins = self.counts.len();
-        let width = (self.hi - self.lo) / bins as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let center = self.lo + (i as f64 + 0.5) * width;
-                let frac = if self.total == 0 {
-                    0.0
-                } else {
-                    c as f64 / self.total as f64
-                };
-                (center, frac)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -297,21 +225,6 @@ mod tests {
         for w in series.windows(2) {
             assert!(w[1].1 >= w[0].1);
         }
-    }
-
-    #[test]
-    fn histogram_bins_and_clamps() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(0.5);
-        h.record(9.99);
-        h.record(-5.0); // clamped into first bin
-        h.record(50.0); // clamped into last bin
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[9], 2);
-        let norm = h.normalized();
-        let total_frac: f64 = norm.iter().map(|(_, f)| f).sum();
-        assert!((total_frac - 1.0).abs() < 1e-12);
     }
 
     #[test]

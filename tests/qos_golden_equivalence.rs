@@ -12,10 +12,16 @@ use rn_netgraph::topologies;
 use rn_netsim::{ClassStats, SchedulingPolicy, SimConfig, TrafficProfile};
 use rn_nn::Layer;
 use rn_tensor::Matrix;
-use routenet::compose::{ComposedMegabatch, CompositionCache};
+use routenet::compose::ComposedMegabatch;
 use routenet::entities::MegabatchPlan;
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, QosRouteNet, SamplePlan};
+
+/// The ordered per-part structure fingerprints: equal exactly when a
+/// composition of one batch can be refilled with the other.
+fn structure_fps(parts: &[&SamplePlan]) -> Vec<u64> {
+    parts.iter().map(|p| p.structure_fingerprint()).collect()
+}
 
 fn nsfnet_dataset(batch: usize, seed: u64) -> Dataset {
     let gen_config = GeneratorConfig {
@@ -130,9 +136,9 @@ fn fifo_only_batches_are_bitwise_identical_to_legacy_across_workers() {
     // The degenerate QoS spec is structurally invisible: same composition
     // key, no queue entities anywhere in the composed batch.
     assert_eq!(
-        CompositionCache::key_of(&parts_qos),
-        CompositionCache::key_of(&parts_ext),
-        "single-class FIFO QoS must not move the structure key"
+        structure_fps(&parts_qos),
+        structure_fps(&parts_ext),
+        "single-class FIFO QoS must not move the structure fingerprints"
     );
     let composed_qos = ComposedMegabatch::compose(&parts_qos).expect("compose QoS parts");
     let composed_ext = ComposedMegabatch::compose(&parts_ext).expect("compose legacy parts");
@@ -165,8 +171,8 @@ fn fifo_only_batches_are_bitwise_identical_to_legacy_across_workers() {
 
 #[test]
 fn fifo_only_single_sample_predictions_are_bitwise_identical() {
-    // The per-sample (unbatched) path — serving's cache-miss
-    // fallback — must hold the same guarantee as the megabatch path.
+    // The per-sample (unbatched) path — what a lone served request
+    // runs — must hold the same guarantee as the megabatch path.
     let ds = nsfnet_dataset(2, 909);
     let mut ext = ExtendedRouteNet::new(model_config(7));
     let mut qos = QosRouteNet::new(model_config(7));
@@ -183,7 +189,7 @@ fn fifo_only_single_sample_predictions_are_bitwise_identical() {
 
 #[test]
 fn qos_batches_refill_bitwise_like_legacy_ones() {
-    // The composition-cache contract extends to queue entities: a cached
+    // The refill contract extends to queue entities: a kept
     // QoS composition refilled with new features (including new queue_init
     // from a changed policy) matches a fresh build bitwise.
     let gen_config = GeneratorConfig {
@@ -219,9 +225,9 @@ fn qos_batches_refill_bitwise_like_legacy_ones() {
     let parts_a: Vec<&SamplePlan> = plans_a.iter().collect();
     let parts_b: Vec<&SamplePlan> = plans_b.iter().collect();
     assert_eq!(
-        CompositionCache::key_of(&parts_a),
-        CompositionCache::key_of(&parts_b),
-        "a policy swap at equal class count must not move the structure key"
+        structure_fps(&parts_a),
+        structure_fps(&parts_b),
+        "a policy swap at equal class count must not move the structure fingerprints"
     );
     assert!(
         !plans_a[0].queue_init.approx_eq(&plans_b[0].queue_init, 0.0),
