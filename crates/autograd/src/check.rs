@@ -277,8 +277,8 @@ mod tests {
         g.sum(sq)
     }
 
-    /// `x` pushed at least 0.2 away from 0, where `relu`, `selu` and `abs`
-    /// have no derivative.
+    /// `x` pushed at least 0.2 away from 0, where `relu` and `selu` have no
+    /// derivative.
     fn off_zero(x: Matrix) -> Matrix {
         x.map(|v| v + 0.2 * v.signum())
     }
@@ -310,9 +310,7 @@ mod tests {
             Op::Relu(_) => "relu",
             Op::Selu(_) => "selu",
             Op::Softplus(_) => "softplus",
-            Op::Abs(_) => "abs",
             Op::Square(_) => "square",
-            Op::ClampMax { .. } => "clamp_max",
             Op::ConcatCols(..) => "concat_cols",
             Op::SliceCols { .. } => "slice_cols",
             Op::GatherRows { .. } => "gather_rows",
@@ -416,20 +414,9 @@ mod tests {
                 record: |g, v| g.softplus(v[0]),
             },
             OpCase {
-                name: "abs/five_rows",
-                inputs: vec![off_zero(m(119, 5, 3))],
-                record: |g, v| g.abs(v[0]),
-            },
-            OpCase {
                 name: "square/single_row",
                 inputs: vec![m(120, 1, 3)],
                 record: |g, v| g.square(v[0]),
-            },
-            OpCase {
-                // Elements on both sides of the cap, none within `EPS` of it.
-                name: "clamp_max/both_sides_of_the_cap",
-                inputs: vec![off_zero(m(121, 5, 3)).add_scalar(0.3)],
-                record: |g, v| g.clamp_max(v[0], 0.3),
             },
             OpCase {
                 name: "concat_cols/single_row",

@@ -150,13 +150,7 @@ pub(crate) enum Op {
     Relu(Var),
     Selu(Var),
     Softplus(Var),
-    Abs(Var),
     Square(Var),
-    /// Element-wise `min(x, c)` for a scalar cap `c`.
-    ClampMax {
-        x: Var,
-        cap: f32,
-    },
     ConcatCols(Var, Var),
     SliceCols {
         x: Var,
@@ -1010,11 +1004,6 @@ impl Graph {
         self.push(v, Op::Affine { x, a })
     }
 
-    /// Multiply by a scalar.
-    pub fn scale(&mut self, x: Var, a: f32) -> Var {
-        self.affine(x, a, 0.0)
-    }
-
     /// `1 - x`, element-wise (the GRU blend complement).
     pub fn one_minus(&mut self, x: Var) -> Var {
         self.affine(x, -1.0, 1.0)
@@ -1084,23 +1073,10 @@ impl Graph {
         self.push(v, Op::Softplus(x))
     }
 
-    /// Element-wise absolute value.
-    pub fn abs(&mut self, x: Var) -> Var {
-        let v = pooled_map(&mut self.pool, &self.nodes[x.0].value, f32::abs);
-        self.push(v, Op::Abs(x))
-    }
-
     /// Element-wise square.
     pub fn square(&mut self, x: Var) -> Var {
         let v = pooled_map(&mut self.pool, &self.nodes[x.0].value, |t| t * t);
         self.push(v, Op::Square(x))
-    }
-
-    /// Element-wise `min(x, cap)`. Gradient flows only where `x < cap`
-    /// (the tie at `x == cap` takes the pass-through branch).
-    pub fn clamp_max(&mut self, x: Var, cap: f32) -> Var {
-        let v = pooled_map(&mut self.pool, &self.nodes[x.0].value, |t| t.min(cap));
-        self.push(v, Op::ClampMax { x, cap })
     }
 
     // ------------------------------------------------------------------
@@ -1454,13 +1430,6 @@ impl Graph {
         self.mean(sq)
     }
 
-    /// Mean absolute error between `pred` and `target` as a scalar node.
-    pub fn mae(&mut self, pred: Var, target: Var) -> Var {
-        let d = self.sub(pred, target);
-        let a = self.abs(d);
-        self.mean(a)
-    }
-
     // ------------------------------------------------------------------
     // Backward
     // ------------------------------------------------------------------
@@ -1593,22 +1562,8 @@ impl Graph {
                     });
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
-                &Op::Abs(x) => {
-                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| gi * xi.signum());
-                    accumulate_pooled(&mut grads, &mut pool, x, gx);
-                }
                 &Op::Square(x) => {
                     let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| gi * 2.0 * xi);
-                    accumulate_pooled(&mut grads, &mut pool, x, gx);
-                }
-                &Op::ClampMax { x, cap } => {
-                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| {
-                        if xi <= cap {
-                            gi
-                        } else {
-                            0.0
-                        }
-                    });
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::ConcatCols(a, b) => {
@@ -1929,7 +1884,7 @@ mod tests {
         let cat = g.concat_cols(a, b);
         // keep only the b-half scaled by 2 -> grad(a)=0, grad(b)=2
         let right = g.slice_cols(cat, 2, 5);
-        let scaled = g.scale(right, 2.0);
+        let scaled = g.affine(right, 2.0, 0.0);
         let loss = g.sum(scaled);
         g.backward(loss);
         assert!(g.grad(a).unwrap().approx_eq(&Matrix::zeros(2, 2), 1e-6));

@@ -249,7 +249,7 @@ proptest! {
             let v = g.param(x);
             let t = g.tanh(v);
             let m = g.mean(t);
-            let loss = g.scale(m, scale);
+            let loss = g.affine(m, scale, 0.0);
             g.backward(loss);
             g.grad(v).unwrap().clone()
         };

@@ -64,19 +64,26 @@ fn main() {
     println!("readout: delay(p) = MLP(h_p) after the final iteration");
     println!();
 
-    // Quantitative check the schedule is well-formed.
-    let positions = |kind| plan.schedule.kinds.iter().filter(|&&k| k == kind).count();
-    let node_positions = positions(routenet::EntityKind::Node);
-    let link_positions = positions(routenet::EntityKind::Link);
+    // Quantitative check the schedule is well-formed: positions are the
+    // steps of each kind, incidences the active rows those steps advance.
+    let schedule = &plan.schedule;
+    let steps = |kind| (0..schedule.len()).filter(move |&s| schedule.kinds[s] == kind);
+    let node_positions = steps(routenet::EntityKind::Node).count();
+    let link_positions = steps(routenet::EntityKind::Link).count();
+    let incidences = |kind| steps(kind).map(|s| schedule.active(s)).sum::<usize>();
     println!("schedule invariants:");
     println!(
         "  node positions = link positions = max hop count: {node_positions} = {link_positions}"
     );
     println!(
         "  total path-entity incidences: {} path-node, {} path-link",
-        plan.node_incidence_paths.len(),
-        plan.node_incidence_paths.len()
+        incidences(routenet::EntityKind::Node),
+        incidences(routenet::EntityKind::Link)
     );
     assert_eq!(node_positions, link_positions);
+    assert_eq!(
+        incidences(routenet::EntityKind::Node),
+        incidences(routenet::EntityKind::Link)
+    );
     println!("\nOK: the implemented schedule matches the Figure 1 architecture.");
 }

@@ -90,7 +90,12 @@ fn scaling_sizes() -> Vec<usize> {
     let raw = std::env::var("RN_SCALING_SIZES").unwrap_or_else(|_| "100,250,500".into());
     let mut sizes: Vec<usize> = raw
         .split(',')
-        .filter_map(|s| s.trim().parse().ok())
+        .map(|s| {
+            s.trim().parse().unwrap_or_else(|_| {
+                eprintln!("error: RN_SCALING_SIZES={raw:?}: {s:?} is not a size");
+                std::process::exit(2)
+            })
+        })
         .filter(|&n| n >= 8)
         .collect();
     sizes.sort_unstable();
@@ -227,9 +232,7 @@ fn main() {
         rows,
     };
 
-    let out_dir = std::env::var("BENCH_OUT_DIR")
-        .unwrap_or_else(|_| format!("{}/../..", env!("CARGO_MANIFEST_DIR")));
-    let path = std::path::Path::new(&out_dir).join("BENCH_scaling.json");
+    let path = rn_bench::report_path("BENCH_scaling.json");
     std::fs::write(&path, serde_json::to_string(&out).expect("serialize"))
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!("[scaling] wrote {}", path.display());

@@ -1,8 +1,8 @@
 //! # rn-bench
 //!
 //! The experiment harness: shared infrastructure for the binaries that
-//! regenerate every figure of the paper (and the ablations beyond it) and
-//! for the `scaling` run. Performance is measured by the end-to-end
+//! regenerate the paper's figures, record its accuracy claim and run the
+//! `scaling` experiment. Performance is measured by the end-to-end
 //! benchmark in `benchmark/`, not here.
 //!
 //! ## Binaries
@@ -10,36 +10,52 @@
 //! | binary | artifact |
 //! |--------|----------|
 //! | `figure1` | machine-generated trace of the extended message-passing schedule (paper Figure 1) |
-//! | `figure2` | CDF of delay relative error, 4 curves: {extended, original} × {GEANT2, NSFNET}, trained on GEANT2 only (paper Figure 2) + summary table (E3) |
-//! | `ablation_iterations` | accuracy vs. message-passing iterations T (E4) |
-//! | `ablation_node_update` | positional messages vs. final-path-state sum (E5) |
-//! | `baseline_qtheory` | M/M/1/K analytical baseline vs. both RouteNets (E6) |
-//! | `ablation_hidden_dim` | accuracy vs. state dimensionality (E7) |
-//! | `sample_efficiency` | accuracy vs. training-set size (E8) |
+//! | `figure2` | the accuracy harness: the paper's comparison (extended vs. original RouteNet, trained on GEANT2, evaluated on GEANT2 and unseen NSFNET), the M/M/1/K oracle and the ablations (iterations `T`, state width, training-set size, jitter target) on three seeds, written to `BENCH_accuracy.json` and guarded against the committed file ([`accuracy`]); prints the Figure 2 CDF table for the first seed |
 //! | `scaling` | train on GEANT2, evaluate on generated 100/250/500-node ISP topologies (`BENCH_scaling.json`) |
 //!
 //! ## Scaling knobs
 //!
-//! The paper trains on 400k samples; the defaults here are sized for a
-//! laptop-minutes run. Override with environment variables:
-//! `RN_TRAIN_SAMPLES`, `RN_EVAL_SAMPLES`, `RN_EPOCHS`, `RN_STATE_DIM`,
-//! `RN_MP_ITERS`, `RN_SIM_DURATION_S`, `RN_SEED`. `RN_CACHE_DIR` controls
-//! where generated datasets are cached (default `target/rn-dataset-cache`).
+//! The paper trains on 400k samples; the defaults here
+//! ([`ExperimentConfig::default`]) are the budget `BENCH_accuracy.json`
+//! records, about a minute per seed on two cores. Override with environment
+//! variables: `RN_TRAIN_SAMPLES`, `RN_EVAL_SAMPLES`, `RN_EPOCHS`,
+//! `RN_STATE_DIM`, `RN_MP_ITERS`, `RN_SIM_DURATION_S`, `RN_SEED`. A value
+//! that does not parse is an error exit that names it. `RN_CACHE_DIR`
+//! controls where generated datasets are cached (default
+//! `target/rn-dataset-cache`).
+
+pub mod accuracy;
 
 use rn_dataset::{generate, Dataset, GeneratorConfig, TrafficModel};
 use rn_netgraph::{topologies, Topology};
 use rn_netsim::SimConfig;
+use routenet::plan_cache::Fingerprint;
 use routenet::{ModelConfig, TrainConfig};
-use std::path::PathBuf;
+use serde::{Deserialize, Serialize};
+use std::env::VarError;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-/// Read an experiment knob from the environment; `default` when it is
-/// unset or does not parse as `T`.
+/// Read an experiment knob from the environment: `default` when it is
+/// unset, an error naming the variable and its value when it is set but
+/// does not parse as `T`.
+pub fn env_parse<T: FromStr>(name: &str, default: T) -> Result<T, String> {
+    match std::env::var(name) {
+        Err(VarError::NotPresent) => Ok(default),
+        Err(VarError::NotUnicode(raw)) => Err(format!("{name}={raw:?} is not valid UTF-8")),
+        Ok(value) => value
+            .parse()
+            .map_err(|_| format!("{name}={value:?} does not parse")),
+    }
+}
+
+/// [`env_parse`] for the binaries: a malformed value is an error exit
+/// (status 2), never a silent fall-back to the default.
 pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_parse(name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// The process's high-water resident set (`VmHWM` in `/proc/self/status`),
@@ -55,7 +71,7 @@ pub fn peak_rss_mb() -> f64 {
 }
 
 /// The shared experiment configuration, resolved from env + defaults.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Training samples (GEANT2).
     pub train_samples: usize,
@@ -73,18 +89,35 @@ pub struct ExperimentConfig {
     pub seed: u64,
 }
 
-impl ExperimentConfig {
-    /// Resolve from environment variables, falling back to defaults sized for
-    /// a small CPU box (~minutes per figure).
-    pub fn from_env() -> Self {
+/// The budget `BENCH_accuracy.json` records: a bare `figure2` run
+/// reproduces the committed file.
+impl Default for ExperimentConfig {
+    fn default() -> Self {
         Self {
-            train_samples: env_or("RN_TRAIN_SAMPLES", 320),
-            eval_samples: env_or("RN_EVAL_SAMPLES", 48),
-            epochs: env_or("RN_EPOCHS", 16),
-            state_dim: env_or("RN_STATE_DIM", 16),
-            mp_iterations: env_or("RN_MP_ITERS", 4),
-            sim_duration_s: env_or("RN_SIM_DURATION_S", 1_200.0),
-            seed: env_or("RN_SEED", 2019),
+            train_samples: 96,
+            eval_samples: 16,
+            epochs: 12,
+            state_dim: 16,
+            mp_iterations: 4,
+            sim_duration_s: 300.0,
+            seed: 2019,
+        }
+    }
+}
+
+impl ExperimentConfig {
+    /// The defaults, each overridden by its environment variable when set.
+    /// Exits with an error naming the variable when a value does not parse.
+    pub fn from_env() -> Self {
+        let d = Self::default();
+        Self {
+            train_samples: env_or("RN_TRAIN_SAMPLES", d.train_samples),
+            eval_samples: env_or("RN_EVAL_SAMPLES", d.eval_samples),
+            epochs: env_or("RN_EPOCHS", d.epochs),
+            state_dim: env_or("RN_STATE_DIM", d.state_dim),
+            mp_iterations: env_or("RN_MP_ITERS", d.mp_iterations),
+            sim_duration_s: env_or("RN_SIM_DURATION_S", d.sim_duration_s),
+            seed: env_or("RN_SEED", d.seed),
         }
     }
 
@@ -150,11 +183,32 @@ pub fn cache_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("target/rn-dataset-cache"))
 }
 
+/// The cache file of one dataset under `dir`. The name carries topology,
+/// label, count, horizon and seed for the reader, and an FNV hash of the
+/// whole generator configuration, so a change to any generator setting
+/// (traffic model, intensity range, queue choices, …) names a new file
+/// instead of reusing samples the code no longer generates.
+pub fn cache_path(
+    dir: &Path,
+    topo: &Topology,
+    config: &GeneratorConfig,
+    master_seed: u64,
+    count: usize,
+    label: &str,
+) -> PathBuf {
+    let config_json = serde_json::to_string(config).expect("a generator config serializes");
+    let config_hash = Fingerprint::new().bytes(config_json.as_bytes()).finish();
+    dir.join(format!(
+        "{}_{label}_{count}x{}s_seed{master_seed}_{config_hash:016x}.jsonl",
+        topo.name, config.sim.duration_s as u64
+    ))
+}
+
 /// Generate (or load from cache) a dataset for a canonical topology.
 ///
-/// The cache key includes topology, sample count, simulation horizon and
-/// seed, so changing any knob regenerates. `label` distinguishes train/eval
-/// streams drawn from different master seeds.
+/// The cache key is [`cache_path`]'s, so changing any knob or generator
+/// setting regenerates. `label` distinguishes train/eval streams drawn from
+/// different master seeds.
 pub fn cached_dataset(
     topo: &Topology,
     config: &GeneratorConfig,
@@ -164,11 +218,7 @@ pub fn cached_dataset(
 ) -> Dataset {
     let dir = cache_dir();
     std::fs::create_dir_all(&dir).ok();
-    let key = format!(
-        "{}_{label}_{count}x{}s_seed{master_seed}.jsonl",
-        topo.name, config.sim.duration_s as u64
-    );
-    let path = dir.join(key);
+    let path = cache_path(&dir, topo, config, master_seed, count, label);
     if path.exists() {
         match rn_dataset::io::load_jsonl(&path) {
             Ok(ds) if ds.len() == count => {
@@ -188,35 +238,18 @@ pub fn cached_dataset(
     ds
 }
 
+/// Where a `BENCH_*.json` report lives: `BENCH_OUT_DIR` when set, else the
+/// workspace root.
+pub fn report_path(file: &str) -> PathBuf {
+    std::env::var("BENCH_OUT_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+        .join(file)
+}
+
 /// The two topologies of the paper's evaluation.
 pub fn paper_topologies() -> (Topology, Topology) {
     (topologies::geant2_default(), topologies::nsfnet_default())
-}
-
-/// Render an `(x, F(x))` CDF series as an aligned text table, one row per x.
-pub fn render_cdf_table(header: &[&str], xs: &[f64], series: &[Vec<(f64, f64)>]) -> String {
-    assert_eq!(
-        header.len(),
-        series.len() + 1,
-        "one header per series plus the x column"
-    );
-    let mut out = String::new();
-    out.push_str(
-        &header
-            .iter()
-            .map(|h| format!("{h:>22}"))
-            .collect::<Vec<_>>()
-            .join(""),
-    );
-    out.push('\n');
-    for (i, &x) in xs.iter().enumerate() {
-        out.push_str(&format!("{x:>22.3}"));
-        for s in series {
-            out.push_str(&format!("{:>22.4}", s[i].1));
-        }
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -226,32 +259,49 @@ mod tests {
     #[test]
     fn env_parsing_falls_back() {
         std::env::remove_var("RN_TEST_KNOB_X");
-        assert_eq!(env_or::<usize>("RN_TEST_KNOB_X", 7), 7);
+        assert_eq!(env_parse::<usize>("RN_TEST_KNOB_X", 7), Ok(7));
         std::env::set_var("RN_TEST_KNOB_X", "13");
-        assert_eq!(env_or::<usize>("RN_TEST_KNOB_X", 7), 13);
-        std::env::set_var("RN_TEST_KNOB_X", "not a number");
-        assert_eq!(env_or::<usize>("RN_TEST_KNOB_X", 7), 7);
+        assert_eq!(env_parse::<usize>("RN_TEST_KNOB_X", 7), Ok(13));
+        // Set but garbage is an error naming the variable and its value,
+        // not the default.
+        std::env::set_var("RN_TEST_KNOB_X", "12x");
+        let err = env_parse::<usize>("RN_TEST_KNOB_X", 7).unwrap_err();
+        assert!(
+            err.contains("RN_TEST_KNOB_X") && err.contains("12x"),
+            "{err}"
+        );
         std::env::remove_var("RN_TEST_KNOB_X");
     }
 
     #[test]
-    fn experiment_config_is_consistent() {
-        let c = ExperimentConfig::from_env();
-        c.generator().validate().unwrap();
-        c.model().validate().unwrap();
-        assert!(c.training().epochs > 0);
+    fn cache_path_follows_the_generator_config() {
+        let (geant2, _) = paper_topologies();
+        let dir = Path::new("cache");
+        let config = ExperimentConfig::default().generator();
+        let path = |c: &GeneratorConfig| cache_path(dir, &geant2, c, 7, 16, "eval");
+        assert_eq!(path(&config), path(&config.clone()));
+        let TrafficModel::AbsoluteRates {
+            rate_range_bps,
+            intensity_range: (low, high),
+        } = config.traffic_model.clone()
+        else {
+            panic!("the experiments draw absolute rates");
+        };
+        let wider = GeneratorConfig {
+            traffic_model: TrafficModel::AbsoluteRates {
+                rate_range_bps,
+                intensity_range: (low, high + 0.5),
+            },
+            ..config.clone()
+        };
+        assert_ne!(path(&config), path(&wider));
     }
 
     #[test]
-    fn cdf_table_renders_all_series() {
-        let xs = vec![-0.5, 0.0, 0.5];
-        let mk = |off: f64| {
-            xs.iter()
-                .map(|&x| (x, (x + off).clamp(0.0, 1.0)))
-                .collect::<Vec<_>>()
-        };
-        let table = render_cdf_table(&["relerr", "a", "b"], &xs, &[mk(0.5), mk(0.6)]);
-        assert_eq!(table.lines().count(), 4);
-        assert!(table.contains("relerr"));
+    fn experiment_config_is_consistent() {
+        let c = ExperimentConfig::default();
+        c.generator().validate().unwrap();
+        c.model().validate().unwrap();
+        assert!(c.training().epochs > 0);
     }
 }

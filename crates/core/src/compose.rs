@@ -7,7 +7,7 @@
 //! composition holds falls into two kinds of field:
 //!
 //! - **shape-dependent** — the merged block-diagonal schedule (per-step
-//!   compaction lists), pairs, incidences and per-part path ranges, every
+//!   compaction lists), pairs and per-part path ranges, every
 //!   id shifted into the union spaces. The expensive part, and a pure
 //!   function of the parts' ordered [structure
 //!   fingerprints](crate::entities::SamplePlan::structure_fingerprint).
@@ -160,16 +160,10 @@ impl ComposedMegabatch {
             active_offsets.push(active_rows.len());
         }
 
-        // Pairs, incidences and row ranges live in the union id space.
-        let mut node_incidence_paths = Vec::new();
-        let mut node_incidence_nodes = Vec::new();
+        // Pairs and row ranges live in the union id space.
         let mut pairs = Vec::with_capacity(n_paths);
         let mut path_ranges = Vec::with_capacity(parts.len());
         for (p, &(path_at, _, node_at, _)) in parts.iter().zip(&offsets) {
-            for (&pi, &ni) in p.node_incidence_paths.iter().zip(&p.node_incidence_nodes) {
-                node_incidence_paths.push(path_at + pi);
-                node_incidence_nodes.push(node_at + ni);
-            }
             for &(s, d) in &p.pairs {
                 pairs.push((node_at + s, node_at + d));
             }
@@ -192,8 +186,6 @@ impl ComposedMegabatch {
                     node_init: Matrix::zeros(num_nodes, state_dim),
                     queue_init: Matrix::zeros(num_queues, state_dim),
                     schedule: CompiledSteps::new(kinds, active_offsets, active_rows, active_ids),
-                    node_incidence_paths,
-                    node_incidence_nodes,
                     targets_norm: Matrix::zeros(n_paths, 1),
                     targets_raw: Vec::with_capacity(n_paths),
                     reliable_idx: Vec::new(),
@@ -394,8 +386,6 @@ mod tests {
         assert_eq!(a.path_ranges, b.path_ranges);
         assert_eq!(a.plan.schedule, b.plan.schedule);
         assert_eq!(a.plan.pairs, b.plan.pairs);
-        assert_eq!(a.plan.node_incidence_paths, b.plan.node_incidence_paths);
-        assert_eq!(a.plan.node_incidence_nodes, b.plan.node_incidence_nodes);
     }
 
     #[test]

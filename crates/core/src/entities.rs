@@ -10,8 +10,6 @@
 //! - one row-compacted message-passing schedule ([`CompiledSteps`]): per
 //!   sequence position, the path rows that have the position and the entity
 //!   each of them reads and writes,
-//! - the path↔node incidence lists used by the
-//!   [`crate::NodeUpdate::FinalPathStateSum`] ablation,
 //! - normalized regression targets and the indices of paths whose labels are
 //!   statistically reliable.
 //!
@@ -32,10 +30,10 @@
 //! State rows are the entities on some routed path, in ascending topology
 //! id: the links some path crosses, the nodes some path forwards through
 //! (`path.nodes[..hop_count]`) and, in QoS plans, the (link, class) queues
-//! some path of that class crosses. The schedule and the node incidences
-//! address those rows, so the cost of a forward pass follows the traffic,
-//! not the topology. A routing that uses every entity (any full mesh) keeps
-//! every row under its topology id.
+//! some path of that class crosses. The schedule addresses those rows, so
+//! the cost of a forward pass follows the traffic, not the topology. A
+//! routing that uses every entity (any full mesh) keeps every row under its
+//! topology id.
 //!
 //! ## QoS sequence convention
 //!
@@ -203,11 +201,6 @@ pub struct SamplePlan {
     /// module docs); every model sweeps this one, visiting the entity kinds
     /// it owns a GRU for.
     pub schedule: CompiledSteps,
-    /// Flattened path-node incidence: for every (path, traversed node) pair,
-    /// the path row index…
-    pub node_incidence_paths: Vec<usize>,
-    /// …and the node's state row (aligned with `node_incidence_paths`).
-    pub node_incidence_nodes: Vec<usize>,
     /// Normalized regression targets, `n_paths x 1` (0.0 for unreliable rows).
     pub targets_norm: Matrix,
     /// Raw (denormalized) targets in seconds, aligned with rows.
@@ -394,16 +387,6 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         active_offsets.push(active_rows.len());
     }
 
-    // ---- Node incidences (forwarding nodes: all but the destination) ------
-    let mut node_incidence_paths = Vec::new();
-    let mut node_incidence_nodes = Vec::new();
-    for (row, (_, _, path)) in paths.iter().enumerate() {
-        for hop in 0..path.hop_count() {
-            node_incidence_paths.push(row);
-            node_incidence_nodes.push(node_rows[path.nodes[hop]]);
-        }
-    }
-
     // ---- Targets -----------------------------------------------------------
     let mut targets_norm = Matrix::zeros(n_paths, 1);
     let mut targets_raw = vec![0.0; n_paths];
@@ -432,8 +415,6 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         node_init,
         queue_init,
         schedule: CompiledSteps::new(kinds, active_offsets, active_rows, active_ids),
-        node_incidence_paths,
-        node_incidence_nodes,
         targets_norm,
         targets_raw,
         reliable_idx,
@@ -850,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn node_incidence_excludes_destination() {
+    fn node_positions_exclude_destination() {
         let (_, sample) = toy_sample();
         let delays: Vec<f64> = sample
             .targets
@@ -859,11 +840,11 @@ mod tests {
             .collect();
         let prep = preprocessing(&delays);
         let plan = build_plan(&sample, &plan_config(&prep));
+        let schedule = &plan.schedule;
         for (row, (_, dst, path)) in sample.routing.iter_paths().enumerate() {
-            let visited: Vec<usize> = plan
-                .node_incidence_paths
-                .iter()
-                .zip(&plan.node_incidence_nodes)
+            let visited: Vec<usize> = (0..schedule.len())
+                .filter(|&s| schedule.kinds[s] == EntityKind::Node)
+                .flat_map(|s| schedule.active_rows(s).iter().zip(schedule.active_ids(s)))
                 .filter(|&(&p, _)| p == row)
                 .map(|(_, &n)| n)
                 .collect();

@@ -26,9 +26,10 @@
 //!
 //! ## Crate layout
 //!
-//! - [`config`] — hyper-parameters, including the [`config::NodeUpdate`]
-//!   ablation switch (positional messages vs. the paper's literal "sum of
-//!   path states").
+//! - [`config`] — hyper-parameters. A node aggregates the path-GRU states
+//!   *at its positions*, symmetric with the link update; the paper's literal
+//!   "sum of the final path states" lost every seed and topology of
+//!   `BENCH_accuracy.json`'s `decided` block and is gone.
 //! - [`features`] — feature scaling fitted on the training set.
 //! - [`entities`] — converts a dataset sample into the tensors and the one
 //!   row-compacted gather/scatter schedule message passing executes over.

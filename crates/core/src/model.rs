@@ -2,7 +2,7 @@
 //! model owns a GRU for — `[Link]` (the original RouteNet), `[Node, Link]`
 //! (the paper's extension) or `[Node, Queue, Link]` (QoS).
 
-use crate::config::{ModelConfig, NodeUpdate};
+use crate::config::ModelConfig;
 use crate::entities::{
     build_megabatch, build_plan, EntityKind, MegabatchPlan, PlanConfig, SamplePlan, TargetKind,
 };
@@ -441,7 +441,6 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
     /// buffers, so recording a step copies no index word.
     fn forward(&self, g: &mut Graph, bound: &Bound, plan: &SamplePlan) -> Var {
         let schedule = &plan.schedule;
-        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
         let gru_path = bound.gru_path.vars();
         // Pooled copies: the plan may be a kept composition or a plan shared
         // behind an Arc, so the tape takes its own (recycled) buffers; bits match
@@ -460,11 +459,9 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
             // last iteration would produce reach nothing: its sweep advances
             // the paths and sends no message.
             let sends = iteration + 1 < self.config.mp_iterations;
-            // Per-entity message sums. In the FinalPathStateSum ablation the
-            // node positions are still visited but send no message.
+            // Per-entity message sums.
             let mut sums = ENTITY_KINDS.map(|kind| {
-                let collects = sends && (kind != EntityKind::Node || positional);
-                let state = states[kind as usize].filter(|_| collects)?;
+                let state = states[kind as usize].filter(|_| sends)?;
                 let (rows, cols) = g.value(state).shape();
                 Some(g.constant_with(rows, cols, |_| {}))
             });
@@ -493,13 +490,6 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
                     sums[kind as usize] = Some(g.segment_acc_rows(sum, path_state, rows, ids));
                 }
             }
-            if sends && !positional && states[EntityKind::Node as usize].is_some() {
-                // Paper wording: element-wise sum of the (final) path states
-                // of all paths traversing the node.
-                let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
-                sums[EntityKind::Node as usize] =
-                    Some(g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes));
-            }
             for kind in ENTITY_KINDS {
                 let (Some(state), Some(sum)) = (states[kind as usize], sums[kind as usize]) else {
                     continue;
@@ -513,7 +503,6 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
 
     fn forward_unfused(&self, g: &mut Graph, bound: &Bound, plan: &SamplePlan) -> Var {
         let schedule = &plan.schedule;
-        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
         let mut path_state = g.constant(plan.path_init.clone());
         let mut states = ENTITY_KINDS.map(|kind| {
             let (init, rows) = entity_init(plan, kind);
@@ -537,8 +526,7 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
             .collect();
         for _ in 0..self.config.mp_iterations {
             let mut sums = ENTITY_KINDS.map(|kind| {
-                let collects = kind != EntityKind::Node || positional;
-                let state = states[kind as usize].filter(|_| collects)?;
+                let state = states[kind as usize]?;
                 let (rows, cols) = g.value(state).shape();
                 Some(g.constant(Matrix::zeros(rows, cols)))
             });
@@ -553,11 +541,6 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
                     let contribution = g.segment_sum(msg, ids, num_entities);
                     sums[*kind as usize] = Some(g.add(sum, contribution));
                 }
-            }
-            if !positional && states[EntityKind::Node as usize].is_some() {
-                let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
-                sums[EntityKind::Node as usize] =
-                    Some(g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes));
             }
             for kind in ENTITY_KINDS {
                 let (Some(state), Some(sum)) = (states[kind as usize], sums[kind as usize]) else {
@@ -656,22 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn node_update_variants_differ() {
-        let ds = toy_dataset(1);
-        let mut positional = ExtendedRouteNet::new(small_config());
-        let mut final_sum = ExtendedRouteNet::new(ModelConfig {
-            node_update: NodeUpdate::FinalPathStateSum,
-            ..small_config()
-        });
-        positional.fit_preprocessing(&ds, 5);
-        final_sum.fit_preprocessing(&ds, 5);
-        let pp = positional.predict(&positional.plan(&ds.samples[0]));
-        let pf = final_sum.predict(&final_sum.plan(&ds.samples[0]));
-        let total_diff: f64 = pp.iter().zip(&pf).map(|(a, b)| (a - b).abs()).sum();
-        assert!(total_diff > 1e-9, "ablation variants should not coincide");
-    }
-
-    #[test]
     fn forward_gradients_reach_every_parameter_extended() {
         let ds = toy_dataset(1);
         let mut model = ExtendedRouteNet::new(small_config());
@@ -720,25 +687,17 @@ mod tests {
     #[test]
     fn fused_forward_matches_unfused_reference() {
         let ds = toy_dataset(1);
-        for node_update in [
-            NodeUpdate::PositionalMessages,
-            NodeUpdate::FinalPathStateSum,
-        ] {
-            let mut model = ExtendedRouteNet::new(ModelConfig {
-                node_update,
-                ..small_config()
-            });
-            model.fit_preprocessing(&ds, 5);
-            let plan = model.plan(&ds.samples[0]);
-            let mut g = Graph::new();
-            let bound = model.bind(&mut g);
-            let fused = model.forward(&mut g, &bound, &plan);
-            let unfused = model.forward_unfused(&mut g, &bound, &plan);
-            assert!(
-                g.value(fused).approx_eq(g.value(unfused), 1e-5),
-                "fused/unfused diverged for {node_update:?}"
-            );
-        }
+        let mut model = ExtendedRouteNet::new(small_config());
+        model.fit_preprocessing(&ds, 5);
+        let plan = model.plan(&ds.samples[0]);
+        let mut g = Graph::new();
+        let bound = model.bind(&mut g);
+        let fused = model.forward(&mut g, &bound, &plan);
+        let unfused = model.forward_unfused(&mut g, &bound, &plan);
+        assert!(
+            g.value(fused).approx_eq(g.value(unfused), 1e-5),
+            "fused/unfused diverged"
+        );
         let mut orig = OriginalRouteNet::new(small_config());
         orig.fit_preprocessing(&ds, 5);
         let plan = orig.plan(&ds.samples[0]);
@@ -848,22 +807,6 @@ mod tests {
         }
         // The model still produces one prediction per path on jitter plans.
         assert_eq!(model.predict(&jitter_plan).len(), jitter_plan.n_paths);
-    }
-
-    #[test]
-    fn param_counts_scale_with_config() {
-        let small = ExtendedRouteNet::new(small_config());
-        let big = ExtendedRouteNet::new(ModelConfig {
-            state_dim: 16,
-            ..small_config()
-        });
-        assert!(big.param_count() > small.param_count());
-        // Extended has one more GRU than original at equal config.
-        let orig = OriginalRouteNet::new(small_config());
-        assert!(small.param_count() > orig.param_count());
-        // And QoS one more than extended (the queue GRU).
-        let qos = QosRouteNet::new(small_config());
-        assert!(qos.param_count() > small.param_count());
     }
 
     fn qos_dataset(n: usize) -> Dataset {

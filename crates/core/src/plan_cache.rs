@@ -152,8 +152,7 @@ pub fn sample_fingerprint(sample: &Sample, config: &PlanConfig) -> u64 {
 
 impl SamplePlan {
     /// Fingerprint of the plan's **structure** alone: entity counts, state
-    /// width, routing pairs, the full compiled step schedule and the
-    /// path↔node incidences — everything that determines the shape-dependent
+    /// width, routing pairs and the full compiled step schedule — everything that determines the shape-dependent
     /// half of a megabatch composition (`crate::compose`), and nothing that
     /// doesn't. Feature values (initial-state matrices), targets and
     /// reliability are deliberately excluded: two plans that differ only in
@@ -181,8 +180,6 @@ impl SamplePlan {
                     crate::entities::EntityKind::Queue => 2,
                 });
             }
-            fp.usizes(&self.node_incidence_paths)
-                .usizes(&self.node_incidence_nodes);
             fp.finish()
         })
     }

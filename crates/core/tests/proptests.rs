@@ -8,7 +8,7 @@ use rn_netsim::SimConfig;
 use rn_tensor::Prng;
 use routenet::entities::{build_plan, PlanConfig};
 use routenet::model::PathPredictor;
-use routenet::{ExtendedRouteNet, FeatureScales, ModelConfig, NodeUpdate, OriginalRouteNet};
+use routenet::{ExtendedRouteNet, FeatureScales, ModelConfig, OriginalRouteNet};
 use std::sync::OnceLock;
 
 fn quick_gen() -> GeneratorConfig {
@@ -55,11 +55,6 @@ proptest! {
                 }
             }
         }
-        // Node incidences reference valid rows/nodes.
-        for (&p, &nd) in plan.node_incidence_paths.iter().zip(&plan.node_incidence_nodes) {
-            prop_assert!(p < plan.n_paths);
-            prop_assert!(nd < plan.num_nodes);
-        }
     }
 
     #[test]
@@ -67,7 +62,6 @@ proptest! {
         seed in any::<u64>(),
         state_dim in 2usize..12,
         mp_iterations in 1usize..4,
-        positional in any::<bool>(),
     ) {
         let mut rng = Prng::new(seed);
         let topo = generators::erdos_renyi_connected(5, 0.3, 1e4, &mut rng).unwrap();
@@ -78,12 +72,8 @@ proptest! {
             state_dim,
             mp_iterations,
             readout_hidden: 2 * state_dim,
-            node_update: if positional {
-                NodeUpdate::PositionalMessages
-            } else {
-                NodeUpdate::FinalPathStateSum
-            },
             seed,
+            ..ModelConfig::default()
         };
         let mut model = ExtendedRouteNet::new(config);
         model.fit_preprocessing(&ds, 1);
@@ -262,8 +252,6 @@ proptest! {
                 prop_assert_eq!(a.num_links, b.num_links);
                 prop_assert_eq!(a.num_nodes, b.num_nodes);
                 prop_assert_eq!(&a.pairs, &b.pairs);
-                prop_assert_eq!(&a.node_incidence_paths, &b.node_incidence_paths);
-                prop_assert_eq!(&a.node_incidence_nodes, &b.node_incidence_nodes);
                 prop_assert_eq!(&a.schedule, &b.schedule);
                 // And composing from either yields one identical structure
                 // (rows and ids included).

@@ -97,19 +97,6 @@ impl Sample {
         self.targets.len()
     }
 
-    /// Fraction of paths whose labels rest on at least `min_packets`
-    /// deliveries.
-    pub fn reliable_fraction(&self, min_packets: u64) -> f64 {
-        if self.targets.is_empty() {
-            return 0.0;
-        }
-        self.targets
-            .iter()
-            .filter(|t| t.is_reliable(min_packets))
-            .count() as f64
-            / self.targets.len() as f64
-    }
-
     /// Check everything a consumer indexes or computes with: the routing
     /// table and the traffic matrix are square over the same nodes, every
     /// routed path crosses at least one link, has one more node than links
@@ -364,8 +351,8 @@ mod tests {
         let s = tiny_sample(&topo);
         s.validate(&topo).unwrap();
         assert_eq!(s.num_paths(), 20);
-        assert_eq!(s.reliable_fraction(50), 1.0);
-        assert_eq!(s.reliable_fraction(200), 0.0);
+        assert!(s.targets.iter().all(|t| t.is_reliable(50)));
+        assert!(!s.targets.iter().any(|t| t.is_reliable(200)));
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl Routing {
     }
 
     /// Shortest paths for a **selected subset** of source–destination pairs
-    /// under unit link weights — the giant-topology entry point. A full
+    /// under positive per-link weights — the giant-topology entry point. A full
     /// scheme on an `n`-node graph runs `n` Dijkstras and stores `n(n-1)`
     /// paths; for a 1000-node ISP topology that is a million paths when a
     /// scenario only exercises a few hundred. This constructor runs one
@@ -161,16 +161,9 @@ impl Routing {
     ///
     /// Self-pairs and unreachable pairs are left unrouted; duplicates
     /// collapse. Ordering guarantees are identical to the dense scheme:
-    /// [`Routing::iter_paths`] stays row-major over routed pairs.
-    pub fn sparse_shortest_paths(topo: &Topology, pairs: &[(NodeId, NodeId)]) -> Self {
-        let weights = vec![1.0; topo.num_links()];
-        Self::sparse_weighted_shortest_paths(topo, &weights, pairs)
-    }
-
-    /// [`Routing::sparse_shortest_paths`] under explicit positive per-link
-    /// weights, with the same deterministic tie-break as
-    /// [`Routing::weighted_shortest_paths`] — the sparse scheme routes every
-    /// requested pair exactly as the dense scheme would.
+    /// [`Routing::iter_paths`] stays row-major over routed pairs, and the
+    /// tie-break is [`Routing::weighted_shortest_paths`]'s — the sparse
+    /// scheme routes every requested pair exactly as the dense scheme would.
     pub fn sparse_weighted_shortest_paths(
         topo: &Topology,
         weights: &[f64],
@@ -440,7 +433,8 @@ mod tests {
         let topo = topologies::geant2_default();
         let dense = Routing::shortest_paths(&topo);
         let pairs = [(0, 5), (3, 17), (17, 3), (9, 1), (9, 1), (4, 4)];
-        let sparse = Routing::sparse_shortest_paths(&topo, &pairs);
+        let weights = vec![1.0; topo.num_links()];
+        let sparse = Routing::sparse_weighted_shortest_paths(&topo, &weights, &pairs);
         sparse.validate(&topo).unwrap();
         // Duplicates collapse and self-pairs are unrouted: 4 distinct paths.
         assert_eq!(sparse.num_paths(), 4);

@@ -155,18 +155,6 @@ pub fn toy5() -> Topology {
     )
 }
 
-/// Look a canonical topology up by name (`"nsfnet"`, `"geant2"`, `"abilene"`,
-/// `"toy5"`); used by CLI harnesses.
-pub fn by_name(name: &str) -> Option<Topology> {
-    match name {
-        "nsfnet" => Some(nsfnet_default()),
-        "geant2" => Some(geant2_default()),
-        "abilene" => Some(abilene_default()),
-        "toy5" => Some(toy5()),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,12 +227,5 @@ mod tests {
             max_degree >= 6,
             "expected a hub of degree >= 6, got {max_degree}"
         );
-    }
-
-    #[test]
-    fn by_name_lookup() {
-        assert_eq!(by_name("nsfnet").unwrap().num_nodes(), 14);
-        assert_eq!(by_name("geant2").unwrap().num_nodes(), 24);
-        assert!(by_name("unknown").is_none());
     }
 }

@@ -467,12 +467,4 @@ mod tests {
             .to_string();
         assert!(err.contains("bias `b_r` is 1 x 3"), "{err}");
     }
-
-    #[test]
-    fn param_count_matches_formula() {
-        let mut rng = Prng::new(8);
-        let cell = GruCell::new(&mut rng, 4, 8);
-        // 3 kernels of (8+4)x8 plus 3 biases of 8
-        assert_eq!(cell.param_count(), 3 * (12 * 8) + 3 * 8);
-    }
 }

@@ -57,11 +57,6 @@ pub trait Layer {
     /// The `Var` handles of a binding, in canonical order.
     fn bound_vars(bound: &Self::Bound) -> Vec<Var>;
 
-    /// Total number of scalar parameters.
-    fn param_count(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
-    }
-
     /// Extract gradients for this layer from a backward-completed graph.
     ///
     /// Parameters the loss did not touch yield zero matrices, so the result

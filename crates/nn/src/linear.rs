@@ -194,13 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn param_count() {
-        let mut rng = Prng::new(5);
-        let layer = Linear::new(&mut rng, 7, 3, Activation::Identity);
-        assert_eq!(layer.param_count(), 7 * 3 + 3);
-    }
-
-    #[test]
     fn serde_round_trip_preserves_outputs() {
         let mut rng = Prng::new(6);
         let layer = Linear::new(&mut rng, 3, 3, Activation::Selu);

@@ -67,15 +67,8 @@ fn run() -> Result<(), String> {
             eprintln!(
                 "[serve] no --model given; fitting a demo model on generated {topology} data"
             );
-            let (_, samples) = demo_scenarios(&topology, fit_samples, 60.0, 2019)?;
-            let ds = rn_dataset::Dataset {
-                topology: match topology.as_str() {
-                    "geant2" => rn_netgraph::topologies::geant2_default(),
-                    "toy5" => rn_netgraph::topologies::toy5(),
-                    _ => rn_netgraph::topologies::nsfnet_default(),
-                },
-                samples,
-            };
+            let (topology, samples) = demo_scenarios(&topology, fit_samples, 60.0, 2019)?;
+            let ds = rn_dataset::Dataset { topology, samples };
             let mut m = ExtendedRouteNet::new(ModelConfig {
                 state_dim,
                 mp_iterations: mp_iters,

@@ -323,14 +323,6 @@ impl Matrix {
         axpy1(&mut self.data, scale, &other.data);
     }
 
-    /// Element-wise (Hadamard) product in place. Panics on shape mismatch.
-    pub fn mul_assign_elem(&mut self, other: &Self) {
-        self.assert_same_shape(other, "mul_assign_elem");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
-        }
-    }
-
     /// Broadcast-add a 1 x cols row vector to every row, in place.
     pub fn add_row_broadcast_assign(&mut self, bias: &Self) {
         assert_eq!(
@@ -761,22 +753,6 @@ impl Matrix {
         }
     }
 
-    /// Vertical concatenation `[self; other]`. Panics on column-count mismatch.
-    pub fn concat_rows(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.cols,
-            "concat_rows: col counts differ ({} vs {})",
-            self.cols, other.cols
-        );
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Self {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Copy of the column range `[start, end)`.
     pub fn slice_cols(&self, start: usize, end: usize) -> Self {
         assert!(
@@ -793,20 +769,6 @@ impl Matrix {
             rows: self.rows,
             cols,
             data,
-        }
-    }
-
-    /// Copy of the row range `[start, end)`.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Self {
-        assert!(
-            start <= end && end <= self.rows,
-            "slice_rows: bad range {start}..{end} for {} rows",
-            self.rows
-        );
-        Self {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
         }
     }
 
@@ -1498,10 +1460,6 @@ mod tests {
         assert_eq!(cat.shape(), (2, 5));
         assert!(cat.slice_cols(0, 2).approx_eq(&a, 1e-6));
         assert!(cat.slice_cols(2, 5).approx_eq(&b, 1e-6));
-
-        let v = a.concat_rows(&Matrix::from_fn(1, 2, |_, c| c as f32));
-        assert_eq!(v.shape(), (3, 2));
-        assert!(v.slice_rows(0, 2).approx_eq(&a, 1e-6));
     }
 
     #[test]
@@ -1699,8 +1657,6 @@ mod tests {
         let mut m = Matrix::from_vec(2, 2, vec![2.0, 4.0, 6.0, 8.0]);
         m.add_scaled(&Matrix::ones(2, 2), 0.5);
         assert_eq!(m.as_slice(), &[2.5, 4.5, 6.5, 8.5]);
-        m.mul_assign_elem(&Matrix::from_vec(2, 2, vec![2.0, 0.0, 1.0, -1.0]));
-        assert_eq!(m.as_slice(), &[5.0, 0.0, 6.5, -8.5]);
 
         let mut b = Matrix::zeros(3, 2);
         b.add_row_broadcast_assign(&Matrix::row_vector(&[1.0, -2.0]));

@@ -1,6 +1,6 @@
 //! Frozen reference for the message-passing models: a digest of the
 //! predictions, the loss and every parameter gradient of `OriginalRouteNet`,
-//! `ExtendedRouteNet` (both `NodeUpdate` variants) and `QosRouteNet` on a
+//! `ExtendedRouteNet` and `QosRouteNet` on a
 //! two-class plan, and of `ExtendedRouteNet` on a sparse routing over a
 //! 60-node ISP graph (where most links and nodes lie on no path) —
 //! single-sample and as a whole-dataset megabatch.
@@ -24,14 +24,19 @@
 //! of per-sample partials merged in order (gradients within 1.9e-6 of their
 //! matrix's largest element of the values below; no single-sample digest and
 //! no prediction digest moved); each entry used to hold the megabatch digest
-//! twice, at 1 and at 4 shard workers.
+//! twice, at 1 and at 4 shard workers. The `extended_final_path_state_sum`
+//! entry went with the node-update variant it pinned (its losing rows are in
+//! `BENCH_accuracy.json`'s `decided` block); no other constant moved.
 //!
 //! A digest says *that* bits moved, not by how much. Beside the digests,
 //! `tests/fixtures/model_values.json` therefore holds the same steps as
 //! numbers — every prediction, the loss and every parameter gradient of each
 //! scenario, single-sample and megabatch — written by commit 8e9b40a, and
 //! `tests/fixtures/model_extended.json` an `ExtendedRouteNet` saved by that
-//! commit's `save_model`, with its predictions.
+//! commit's `save_model`, with its predictions. `model_values.json` still
+//! holds the `extended_final_path_state_sum` scenario, which no model runs
+//! any more: the values test skips exactly that one and requires every other
+//! recorded scenario, in order.
 //! `models_stay_within_tolerance_of_the_recorded_values` holds the head to
 //! them: predictions and loss to 1e-5 relative, each gradient matrix to 1e-4
 //! of its largest element, the saved file loading and predicting to 1e-5. A
@@ -54,9 +59,7 @@ use routenet::entities::build_megabatch;
 use routenet::model::PathPredictor;
 use routenet::persist::{load_model, save_model};
 use routenet::plan_cache::Fingerprint;
-use routenet::{
-    ExtendedRouteNet, ModelConfig, NodeUpdate, OriginalRouteNet, QosRouteNet, SamplePlan,
-};
+use routenet::{ExtendedRouteNet, ModelConfig, OriginalRouteNet, QosRouteNet, SamplePlan};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -82,13 +85,13 @@ fn sparse_isp_dataset() -> Dataset {
     generate_sparse(&topo, &generator(false), 12, 20_260_928, 3)
 }
 
-fn config(node_update: NodeUpdate) -> ModelConfig {
+fn config() -> ModelConfig {
     ModelConfig {
         state_dim: 8,
         mp_iterations: 3,
         readout_hidden: 8,
         seed: 13,
-        node_update,
+        ..ModelConfig::default()
     }
 }
 
@@ -167,33 +170,27 @@ fn model_steps<M: PathPredictor>(mut model: M, ds: &Dataset) -> [Step; 2] {
 }
 
 /// Every scenario, in the order of the recorded tables.
-fn scenario_steps() -> [(&'static str, [Step; 2]); 5] {
+fn scenario_steps() -> [(&'static str, [Step; 2]); 4] {
     let legacy = dataset(false);
     let two_class = dataset(true);
     assert!(two_class.samples[0].qos.is_some());
     let sparse_isp = sparse_isp_dataset();
-    let positional = config(NodeUpdate::PositionalMessages);
-    let final_sum = config(NodeUpdate::FinalPathStateSum);
     [
         (
             "original",
-            model_steps(OriginalRouteNet::new(positional.clone()), &legacy),
+            model_steps(OriginalRouteNet::new(config()), &legacy),
         ),
         (
             "extended_positional",
-            model_steps(ExtendedRouteNet::new(positional.clone()), &legacy),
-        ),
-        (
-            "extended_final_path_state_sum",
-            model_steps(ExtendedRouteNet::new(final_sum), &legacy),
+            model_steps(ExtendedRouteNet::new(config()), &legacy),
         ),
         (
             "qos_two_class",
-            model_steps(QosRouteNet::new(positional.clone()), &two_class),
+            model_steps(QosRouteNet::new(config()), &two_class),
         ),
         (
             "extended_sparse_isp",
-            model_steps(ExtendedRouteNet::new(positional), &sparse_isp),
+            model_steps(ExtendedRouteNet::new(config()), &sparse_isp),
         ),
     ]
 }
@@ -203,7 +200,7 @@ fn models_reproduce_the_recorded_digests() {
     // One constant a line, so that a re-record shows in `git diff` as exactly
     // the constants that moved.
     #[rustfmt::skip]
-    let recorded: [(&str, Digests); 5] = [
+    let recorded: [(&str, Digests); 4] = [
         (
             "original",
             Digests {
@@ -227,19 +224,6 @@ fn models_reproduce_the_recorded_digests() {
                 predictions: [
                     0x373c_edfc_ef07_4733,
                     0x1920_5455_bf5c_6b67,
-                ],
-            },
-        ),
-        (
-            "extended_final_path_state_sum",
-            Digests {
-                full: [
-                    0x3bd9_a8f1_c7dd_5177,
-                    0xaa11_e25b_f820_6e19,
-                ],
-                predictions: [
-                    0xf984_35c8_5cf4_c1a1,
-                    0xe730_f86e_9c85_d96e,
                 ],
             },
         ),
@@ -419,7 +403,7 @@ fn models_stay_within_tolerance_of_the_recorded_values() {
     let (values_path, model_path) = (fixture("model_values.json"), fixture("model_extended.json"));
     if std::env::var("RN_REGEN_GOLDEN").is_ok() {
         let ds = dataset(false);
-        let mut model = ExtendedRouteNet::new(config(NodeUpdate::PositionalMessages));
+        let mut model = ExtendedRouteNet::new(config());
         model.fit_preprocessing(&ds, 5);
         save_model(&model, &model_path).expect("save the model fixture");
         let values = RecordedValues {
@@ -449,11 +433,18 @@ fn models_stay_within_tolerance_of_the_recorded_values() {
         )
     });
     let recorded: RecordedValues = serde_json::from_str(&text).expect("parse model_values.json");
-    assert_eq!(recorded.scenarios.len(), steps.len(), "scenario count");
     let mut table = String::new();
     let mut worst = Deviation::default();
-    for (want, (name, [single, megabatch])) in recorded.scenarios.iter().zip(&steps) {
-        assert_eq!(want.name, *name, "fixture and scenarios out of step");
+    let (retired, live): (Vec<_>, Vec<_>) =
+        (recorded.scenarios.iter()).partition(|r| r.name == "extended_final_path_state_sum");
+    let live_names: Vec<&str> = live.iter().map(|r| r.name.as_str()).collect();
+    let names: Vec<&str> = steps.iter().map(|(name, _)| *name).collect();
+    assert_eq!(
+        (retired.len(), live_names),
+        (1, names),
+        "fixture and scenarios out of step"
+    );
+    for (want, (name, [single, megabatch])) in live.into_iter().zip(&steps) {
         for (mode, got, want) in [
             ("single", single, &want.single),
             ("mb", megabatch, &want.megabatch),

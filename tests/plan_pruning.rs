@@ -22,9 +22,7 @@ use rn_nn::Layer;
 use rn_tensor::Prng;
 use routenet::entities::EntityKind;
 use routenet::model::PathPredictor;
-use routenet::{
-    ExtendedRouteNet, ModelConfig, NodeUpdate, OriginalRouteNet, QosRouteNet, SamplePlan,
-};
+use routenet::{ExtendedRouteNet, ModelConfig, OriginalRouteNet, QosRouteNet, SamplePlan};
 use std::collections::BTreeSet;
 
 /// `samples` sparse scenarios of `pairs` routed pairs on a seeded ISP graph.
@@ -43,13 +41,13 @@ fn sparse_isp(nodes: usize, pairs: usize, samples: usize, qos: bool) -> Dataset 
     generate_sparse(&topo, &config, pairs, 20_260_928, samples)
 }
 
-fn config(node_update: NodeUpdate) -> ModelConfig {
+fn config() -> ModelConfig {
     ModelConfig {
         state_dim: 8,
         mp_iterations: 3,
         readout_hidden: 8,
         seed: 16,
-        node_update,
+        ..ModelConfig::default()
     }
 }
 
@@ -104,8 +102,6 @@ fn assert_plans_equal(a: &SamplePlan, b: &SamplePlan) {
     assert_eq!(a.node_init.as_slice(), b.node_init.as_slice());
     assert_eq!(a.queue_init.as_slice(), b.queue_init.as_slice());
     assert_eq!(a.schedule, b.schedule);
-    assert_eq!(a.node_incidence_paths, b.node_incidence_paths);
-    assert_eq!(a.node_incidence_nodes, b.node_incidence_nodes);
     assert_eq!(a.structure_fingerprint(), b.structure_fingerprint());
 }
 
@@ -158,18 +154,12 @@ fn an_entity_on_no_path_is_invisible_to_the_plan_and_the_predictions() {
             model.name()
         );
     }
-    let positional = config(NodeUpdate::PositionalMessages);
-    check(OriginalRouteNet::new(positional.clone()), &ds, &edited);
-    check(ExtendedRouteNet::new(positional.clone()), &ds, &edited);
-    check(
-        ExtendedRouteNet::new(config(NodeUpdate::FinalPathStateSum)),
-        &ds,
-        &edited,
-    );
-    check(QosRouteNet::new(positional), &ds, &edited);
+    check(OriginalRouteNet::new(config()), &ds, &edited);
+    check(ExtendedRouteNet::new(config()), &ds, &edited);
+    check(QosRouteNet::new(config()), &ds, &edited);
 
     // An entity that is on a path still counts.
-    let mut model = ExtendedRouteNet::new(config(NodeUpdate::PositionalMessages));
+    let mut model = ExtendedRouteNet::new(config());
     model.fit_preprocessing(&ds, 5);
     let mut busier = sample.clone();
     busier.link_capacities[on_path.links[0]] *= 7.0;
@@ -183,7 +173,7 @@ fn an_entity_on_no_path_is_invisible_to_the_plan_and_the_predictions() {
 fn state_rows_are_the_crossed_entities_in_ascending_topology_id() {
     let ds = sparse_isp(500, 64, 1, false);
     let sample = &ds.samples[0];
-    let mut model = ExtendedRouteNet::new(config(NodeUpdate::PositionalMessages));
+    let mut model = ExtendedRouteNet::new(config());
     model.fit_preprocessing(&ds, 5);
     let plan = model.plan(sample);
     let on_path = crossed(sample);
@@ -212,8 +202,7 @@ fn state_rows_are_the_crossed_entities_in_ascending_topology_id() {
         let queue = scales.queue(sample.queue_capacities[node]);
         assert_eq!(plan.node_init.get(row, 0), queue, "node row {row}");
     }
-    // The schedule and the incidences address those rows.
-    let mut incidence = plan.node_incidence_nodes.iter();
+    // The schedule addresses those rows.
     for (row, (_, _, path)) in sample.routing.iter_paths().enumerate() {
         for (hop, (link, node)) in path.links.iter().zip(&path.nodes).enumerate() {
             let node_row = on_path.nodes.binary_search(node).expect("forwarding node");
@@ -222,10 +211,8 @@ fn state_rows_are_the_crossed_entities_in_ascending_topology_id() {
                 Ok(id_at(&plan, 2 * hop + 1, row)),
                 on_path.links.binary_search(link)
             );
-            assert_eq!(incidence.next(), Some(&node_row));
         }
     }
-    assert_eq!(incidence.next(), None);
     // Dense: every row is addressed by some step.
     for (kind, rows) in [
         (EntityKind::Link, plan.num_links),
@@ -244,7 +231,7 @@ fn queue_rows_are_the_crossed_link_class_pairs() {
     let ds = sparse_isp(60, 12, 1, true);
     let sample = &ds.samples[0];
     let qos = sample.qos.as_ref().expect("two-class sample");
-    let mut model = QosRouteNet::new(config(NodeUpdate::PositionalMessages));
+    let mut model = QosRouteNet::new(config());
     model.fit_preprocessing(&ds, 5);
     let plan = model.plan(sample);
     let on_path = crossed(sample);
@@ -289,10 +276,10 @@ fn the_last_iteration_sends_no_message_and_keeps_the_predictions() {
     };
     // T iterations: T sweeps of the path GRU, T - 1 rounds of messages and
     // entity updates.
-    let t = config(NodeUpdate::PositionalMessages).mp_iterations;
+    let t = config().mp_iterations;
     use EntityKind::{Link, Node, Queue};
 
-    let mut original = OriginalRouteNet::new(config(NodeUpdate::PositionalMessages));
+    let mut original = OriginalRouteNet::new(config());
     original.fit_preprocessing(&ds, 5);
     let plan = original.plan(&ds.samples[0]);
     let links = steps_of(&plan, &[Link]);
@@ -302,7 +289,7 @@ fn the_last_iteration_sends_no_message_and_keeps_the_predictions() {
     );
     assert_matches_unfused(&original, &plan);
 
-    let mut qos = QosRouteNet::new(config(NodeUpdate::PositionalMessages));
+    let mut qos = QosRouteNet::new(config());
     qos.fit_preprocessing(&ds, 5);
     let plan = qos.plan(&ds.samples[0]);
     let all = steps_of(&plan, &[Link, Node, Queue]);
@@ -312,14 +299,13 @@ fn the_last_iteration_sends_no_message_and_keeps_the_predictions() {
     );
     assert_matches_unfused(&qos, &plan);
 
-    // The ablation's node sum is one gather + one segment sum per round.
-    let mut final_sum = ExtendedRouteNet::new(config(NodeUpdate::FinalPathStateSum));
-    final_sum.fit_preprocessing(&ds, 5);
-    let plan = final_sum.plan(&ds.samples[0]);
-    let (links, visited) = (steps_of(&plan, &[Link]), steps_of(&plan, &[Link, Node]));
+    let mut extended = ExtendedRouteNet::new(config());
+    extended.fit_preprocessing(&ds, 5);
+    let plan = extended.plan(&ds.samples[0]);
+    let visited = steps_of(&plan, &[Link, Node]);
     assert_eq!(
-        gru_and_segment_nodes(&final_sum, &plan),
-        (t * visited + 2 * (t - 1), (t - 1) * (links + 1))
+        gru_and_segment_nodes(&extended, &plan),
+        (t * visited + 2 * (t - 1), (t - 1) * visited)
     );
-    assert_matches_unfused(&final_sum, &plan);
+    assert_matches_unfused(&extended, &plan);
 }
