@@ -506,6 +506,51 @@ mod tests {
                 },
             },
             OpCase {
+                // Two steps with a scatter reading the state between them:
+                // the second step consumes that state and the scatter's
+                // accumulator is consumed by the last one, so both adjoints
+                // take the shapes they need from the op, not the value.
+                name: "gru_step/two_steps_through_a_scatter",
+                inputs: [
+                    gru_inputs(49, 13, GRU_ROWS.len()),
+                    vec![m(58, 5, 3 * GRU_HIDDEN), m(59, 7, GRU_HIDDEN)],
+                ]
+                .concat(),
+                record: |g, v| {
+                    const SEGMENTS: [usize; 9] = [0, 2, 2, 4, 6, 4, 1, 0, 6];
+                    const ROWS_2: [usize; 5] = [1, 2, 4, 8, 12];
+                    let (vars, h, px) = gru_packed(g, v);
+                    let h1 = g.gru_step_rows(&vars, h, px, &GRU_ROWS);
+                    let msgs = g.segment_acc_rows(v[10], h1, &GRU_ROWS, &SEGMENTS);
+                    let h2 = g.gru_step_rows(&vars, h1, v[9], &ROWS_2);
+                    assert_eq!(g.value(h1).shape(), (0, 0), "the stepped state is consumed");
+                    let out = g.segment_acc_rows(msgs, h2, &ROWS_2, &[3, 0, 6, 6, 5]);
+                    assert_eq!(g.value(msgs).shape(), (0, 0), "the sum is consumed");
+                    out
+                },
+            },
+            OpCase {
+                // The state is also projected, as an entity state is for the
+                // path sweep: the projection's adjoint reads it, so the step
+                // must copy it and leave it intact.
+                name: "gru_step/dense_state_also_projected",
+                inputs: [
+                    gru_inputs(51, 9, 9),
+                    vec![m(60, GRU_HIDDEN, 3 * GRU_HIDDEN)],
+                ]
+                .concat(),
+                record: |g, v| {
+                    let (vars, h_leaf, px) = gru_packed(g, v);
+                    // A tape-owned copy, which the step could consume.
+                    let h = g.affine(h_leaf, 1.0, 0.0);
+                    let projected = g.matmul(h, v[9]);
+                    let px = g.add(px, projected);
+                    let out = g.gru_step_dense(&vars, h, px);
+                    assert_eq!(g.value(h).shape(), (9, GRU_HIDDEN), "a read state is kept");
+                    out
+                },
+            },
+            OpCase {
                 name: "pack_cols/row_sub_range",
                 inputs: vec![m(130, 4, 2), m(131, 4, 3)],
                 record: |g, v| g.pack_cols(&[v[0], v[1]], 1, 3),

@@ -26,8 +26,8 @@
 //!   shaping it never reallocates or copies stale contents.
 //! - **Bound.** A class parks at most as many buffers as it ever had live at
 //!   once between two [`Graph::reset`]s; anything returned beyond that is
-//!   freed. Zero-capacity vectors (the placeholders in-place inference leaves
-//!   behind stolen states) are never parked.
+//!   freed. Zero-capacity vectors (the placeholders consumed states leave
+//!   behind, see below) are never parked.
 //! - **Adoption.** [`Graph::reset`] harvests every node's value, gradient and
 //!   fused-op scratch. Buffers it meets for the first time — matrices a
 //!   caller allocated and handed to [`Graph::param`] / [`Graph::constant`] —
@@ -43,6 +43,37 @@
 //! buffers are fully overwritten (or zero-filled) before use, so a reused
 //! tape produces bit-identical values and gradients to a fresh one, whatever
 //! shapes it ran before.
+//!
+//! ## What the tape keeps
+//!
+//! A training tape keeps a buffer only while an adjoint will read it. Each
+//! node carries two bits: `pooled`, its value was taken from this tape's
+//! pool in this cycle, and `read`, a recorded op's adjoint reads its value
+//! or its shape (set when that op is recorded, from `Op::adjoint_reads`,
+//! and never in inference mode, which records nothing for an adjoint). A
+//! node with the first bit and not the second is *spendable*,
+//! and the ops that advance a state consume it:
+//!
+//! - [`Graph::gru_step_rows`] advances a spendable `h` in `h`'s own buffer,
+//!   and returns a spendable `px` to the pool once it has read it;
+//! - [`Graph::segment_acc_rows`] scatter-adds into a spendable `acc`.
+//!
+//! A consumed `Var` reads as an empty matrix afterwards. Nothing an adjoint
+//! needs is lost: the GRU step's adjoint takes the state's shape from its
+//! incoming gradient, the scatter records its input's row count, and the
+//! step saves its own activations (`h`'s active rows, both gates, the
+//! candidate; `r ⊙ h` it forms again). In a RouteNet sweep this spends the
+//! path state at every position, in training as in inference, while the
+//! entity states stay, because the projection's `MatMul` adjoint reads them.
+//!
+//! Tape-owned leaves are the pooled ones — [`Graph::param_copy`],
+//! [`Graph::constant_copy`], [`Graph::constant_with`]. A matrix the caller
+//! hands to [`Graph::param`] or [`Graph::constant`] stays readable, as does
+//! the output of an op that allocates its own (`mul`, the column ops,
+//! reference-mode kernels): none of them is ever consumed, and a foreign
+//! buffer never reaches the pool mid-cycle, where it would lower a class's
+//! live count. Either way the output bits are the same; only the copy is
+//! saved.
 //!
 //! ## Fused ops
 //!
@@ -112,9 +143,8 @@ pub(crate) struct GruSaved {
     h: Matrix,
     /// `[z | r]`, both gates post-sigmoid, `a x 2·hidden`.
     zr: Matrix,
-    /// `r ⊙ h`, `a x hidden`.
-    rh: Matrix,
-    /// Candidate state (post-tanh), `a x hidden`.
+    /// Candidate state (post-tanh), `a x hidden`. `r ⊙ h` is not kept: the
+    /// adjoint forms it again from `zr` and `h`, with the forward's multiply.
     c: Matrix,
 }
 
@@ -196,15 +226,63 @@ pub(crate) enum Op {
     SegmentAccRows {
         acc: Var,
         x: Var,
+        /// `x`'s row count: the adjoint's shape, so `x` itself may be
+        /// consumed by a later step.
+        x_rows: usize,
         rows: IndexList,
         segments: IndexList,
     },
+}
+
+impl Op {
+    /// Call `f` on every node whose value — or only its shape — this op's
+    /// adjoint reads; `out` is the op's own node. No wildcard arm: a new
+    /// variant states its reads, or the consume rule could hand a buffer its
+    /// adjoint still needs to a later step.
+    fn adjoint_reads(&self, out: Var, mut f: impl FnMut(Var)) {
+        match self {
+            Op::Leaf { .. }
+            | Op::Add(..)
+            | Op::Sub(..)
+            | Op::AddBias { .. }
+            | Op::Affine { .. }
+            | Op::SegmentSum { .. }
+            | Op::MaskRows { .. }
+            | Op::SegmentAccRows { .. } => {}
+            &Op::Mul(a, b) | &Op::MatMul { a, b } | &Op::ConcatCols(a, b) => {
+                f(a);
+                f(b);
+            }
+            Op::Sigmoid(_) | Op::Tanh(_) => f(out),
+            &Op::Relu(x)
+            | &Op::Selu(x)
+            | &Op::Softplus(x)
+            | &Op::Square(x)
+            | &Op::Sum(x)
+            | &Op::Mean(x)
+            | &Op::SliceCols { x, .. }
+            | &Op::GatherRows { x, .. } => f(x),
+            // The state's shape comes from the incoming gradient and the
+            // projected rows' from the row list; the saved activations are
+            // the op's own.
+            Op::GruStep { vars, .. } => {
+                f(vars.w_h_zr);
+                f(vars.w_h_c);
+            }
+            Op::PackCols { parts, .. } => parts.iter().copied().for_each(f),
+        }
+    }
 }
 
 struct Node {
     value: Matrix,
     grad: Option<Matrix>,
     op: Op,
+    /// The value's buffer was taken from the tape's pool in this cycle, so
+    /// the tape owns it (see "What the tape keeps" in the module docs).
+    pooled: bool,
+    /// A recorded adjoint reads this node's value or shape.
+    read: bool,
 }
 
 /// A define-by-run differentiation tape.
@@ -228,18 +306,11 @@ pub struct Graph {
     /// pre-refactor naive kernels and libm transcendentals. Only the
     /// equivalence tests use it, as the seed's answer.
     reference_mode: bool,
-    /// Inference mode: fused GRU ops recycle their saved-for-backward
-    /// activations immediately instead of keeping them resident until
-    /// `reset`. Forward values are bitwise unchanged; `backward` is
-    /// unavailable. This is the serving hot path's memory-footprint lever:
-    /// a megabatch forward stops dragging ~10x its working set through the
-    /// cache for gradients nobody will ask for.
-    ///
-    /// Inference mode additionally updates GRU states and scatter-add
-    /// accumulators **in place**: the fused step ops steal the input state's
-    /// buffer instead of copying it, so a megabatch inference stops paying
-    /// an `n x state_dim` copy per sequence position. The consumed input
-    /// `Var`'s value becomes empty — see [`Graph::gru_step_rows`].
+    /// Inference mode: record nothing for an adjoint. Fused GRU ops recycle
+    /// their activations as soon as the value exists, and no operand is
+    /// marked as read, so the consume rule (module docs) hands every pooled
+    /// state to the step that advances it. Forward values are bitwise
+    /// unchanged; `backward` is unavailable.
     inference_mode: bool,
     /// Cumulative count of index words the tape has copied into pooled
     /// buffers (never cleared by `reset`). Stays flat across steps recorded
@@ -289,8 +360,8 @@ fn pool_harvest(pool: &mut BufPool<f32>, m: Matrix) {
 
 impl GruSaved {
     /// Every buffer, for whichever door of the pool it leaves through.
-    fn into_buffers(self) -> [Matrix; 4] {
-        [self.h, self.zr, self.rh, self.c]
+    fn into_buffers(self) -> [Matrix; 3] {
+        [self.h, self.zr, self.c]
     }
 }
 
@@ -357,29 +428,36 @@ struct GruFwdCtx<'a> {
 
 /// Advance the active rows of a GRU step (see [`Graph::gru_step_rows`]) at
 /// `tier`: the body below, compiled for that tier's width, running that
-/// tier's kernels. Every tier produces the same bits.
-fn gru_forward(tier: Tier, ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
+/// tier's kernels. Every tier produces the same bits. `rh` is `a x hidden`
+/// scratch for `r ⊙ h`.
+fn gru_forward(
+    tier: Tier,
+    ctx: &GruFwdCtx<'_>,
+    saved: &mut GruSaved,
+    rh: &mut [f32],
+    out: &mut [f32],
+) {
     match tier.checked() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `checked` asserted that this CPU runs AVX-512.
-        Tier::Avx512 => unsafe { gru_forward_avx512(ctx, saved, out) },
+        Tier::Avx512 => unsafe { gru_forward_avx512(ctx, saved, rh, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `checked` asserted that this CPU runs AVX2.
-        Tier::Avx2 => unsafe { gru_forward_avx2(ctx, saved, out) },
-        _ => gru_forward_body(Tier::Baseline, ctx, saved, out),
+        Tier::Avx2 => unsafe { gru_forward_avx2(ctx, saved, rh, out) },
+        _ => gru_forward_body(Tier::Baseline, ctx, saved, rh, out),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn gru_forward_avx512(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
-    gru_forward_body(Tier::Avx512, ctx, saved, out);
+fn gru_forward_avx512(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, rh: &mut [f32], out: &mut [f32]) {
+    gru_forward_body(Tier::Avx512, ctx, saved, rh, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gru_forward_avx2(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
-    gru_forward_body(Tier::Avx2, ctx, saved, out);
+fn gru_forward_avx2(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, rh: &mut [f32], out: &mut [f32]) {
+    gru_forward_body(Tier::Avx2, ctx, saved, rh, out);
 }
 
 /// The forward step. `out` holds the `n` dense state rows: on entry either
@@ -387,13 +465,18 @@ fn gru_forward_avx2(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) 
 /// (in-place mode); on exit, the stepped state. Every output element is a
 /// function of its own row alone.
 #[inline(always)]
-fn gru_forward_body(tier: Tier, ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: &mut [f32]) {
+fn gru_forward_body(
+    tier: Tier,
+    ctx: &GruFwdCtx<'_>,
+    saved: &mut GruSaved,
+    rh: &mut [f32],
+    out: &mut [f32],
+) {
     let hidden = ctx.hidden;
     let a = ctx.rows.len();
-    let (h, zr, rh, c) = (
+    let (h, zr, c) = (
         saved.h.as_mut_slice(),
         saved.zr.as_mut_slice(),
-        saved.rh.as_mut_slice(),
         saved.c.as_mut_slice(),
     );
     // Copy mode: materialize the old state rows first; afterwards both
@@ -437,8 +520,6 @@ fn gru_forward_body(tier: Tier, ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, out: 
 /// Read-only inputs of one fused GRU step adjoint.
 struct GruBwdCtx<'a> {
     rows: &'a [usize],
-    /// Incoming gradient (`n x hidden`).
-    g: &'a [f32],
     saved: &'a GruSaved,
     /// `W_h,zrᵀ`, `2·hidden x hidden`.
     w_h_zr_t: &'a [f32],
@@ -455,6 +536,8 @@ struct GruBwdScratch {
     gzr: Matrix,
     /// Pre-activation candidate gradient, `a x hidden`.
     gc: Matrix,
+    /// `r ⊙ h`, formed again from the saved gates and state, `a x hidden`.
+    rh: Matrix,
     /// What reaches the active state rows through the three products.
     gh: Matrix,
     pw_h_zr: Matrix,
@@ -467,6 +550,7 @@ impl GruBwdScratch {
         Self {
             gzr: pool_matrix_scratch(pool, a, 2 * hidden),
             gc: pool_matrix_scratch(pool, a, hidden),
+            rh: pool_matrix_scratch(pool, a, hidden),
             gh: pool_matrix(pool, a, hidden),
             pw_h_zr: pool_matrix(pool, hidden, 2 * hidden),
             pw_h_c: pool_matrix(pool, hidden, hidden),
@@ -483,6 +567,7 @@ impl GruBwdScratch {
         for m in [
             self.gzr,
             self.gc,
+            self.rh,
             self.gh,
             self.pw_h_zr,
             self.pw_h_c,
@@ -511,22 +596,23 @@ fn add_col_sums_slice(acc: &mut [f32], src: &[f32], cols: usize) {
     }
 }
 
-/// The adjoint of a GRU step at `tier`, gated like [`gru_forward`].
+/// The adjoint of a GRU step at `tier`, gated like [`gru_forward`]. `g` is
+/// the incoming gradient (`n x hidden`) and leaves as the state's.
 fn gru_backward(
     tier: Tier,
     ctx: &GruBwdCtx<'_>,
-    gh: &mut [f32],
+    g: &mut [f32],
     gpx: &mut [f32],
     sc: &mut GruBwdScratch,
 ) {
     match tier.checked() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `checked` asserted that this CPU runs AVX-512.
-        Tier::Avx512 => unsafe { gru_backward_avx512(ctx, gh, gpx, sc) },
+        Tier::Avx512 => unsafe { gru_backward_avx512(ctx, g, gpx, sc) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `checked` asserted that this CPU runs AVX2.
-        Tier::Avx2 => unsafe { gru_backward_avx2(ctx, gh, gpx, sc) },
-        _ => gru_backward_body(Tier::Baseline, ctx, gh, gpx, sc),
+        Tier::Avx2 => unsafe { gru_backward_avx2(ctx, g, gpx, sc) },
+        _ => gru_backward_body(Tier::Baseline, ctx, g, gpx, sc),
     }
 }
 
@@ -534,45 +620,42 @@ fn gru_backward(
 #[target_feature(enable = "avx512f")]
 fn gru_backward_avx512(
     ctx: &GruBwdCtx<'_>,
-    gh: &mut [f32],
+    g: &mut [f32],
     gpx: &mut [f32],
     sc: &mut GruBwdScratch,
 ) {
-    gru_backward_body(Tier::Avx512, ctx, gh, gpx, sc);
+    gru_backward_body(Tier::Avx512, ctx, g, gpx, sc);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gru_backward_avx2(ctx: &GruBwdCtx<'_>, gh: &mut [f32], gpx: &mut [f32], sc: &mut GruBwdScratch) {
-    gru_backward_body(Tier::Avx2, ctx, gh, gpx, sc);
+fn gru_backward_avx2(ctx: &GruBwdCtx<'_>, g: &mut [f32], gpx: &mut [f32], sc: &mut GruBwdScratch) {
+    gru_backward_body(Tier::Avx2, ctx, g, gpx, sc);
 }
 
-/// The adjoint. Row-disjoint gradients — `gh`, the `n` dense state rows, and
-/// `gpx`, the `a` projected-input rows — are functions of their own row
-/// alone; parameter gradients land in the zeroed partials of `sc`.
+/// The adjoint. Row-disjoint gradients — the `n` dense state rows, updated
+/// in `g` itself, and `gpx`, the `a` projected-input rows — are functions
+/// of their own row alone; parameter gradients land in the zeroed partials
+/// of `sc`.
 #[inline(always)]
 fn gru_backward_body(
     tier: Tier,
     ctx: &GruBwdCtx<'_>,
-    gh: &mut [f32],
+    g: &mut [f32],
     gpx: &mut [f32],
     sc: &mut GruBwdScratch,
 ) {
     let hidden = ctx.hidden;
     let a = ctx.rows.len();
     let s = ctx.saved;
-    let (h, zr, rh, c) = (
-        s.h.as_slice(),
-        s.zr.as_slice(),
-        s.rh.as_slice(),
-        s.c.as_slice(),
-    );
-    let g_row = |row: usize| &ctx.g[row * hidden..(row + 1) * hidden];
+    let (h, zr, c) = (s.h.as_slice(), s.zr.as_slice(), s.c.as_slice());
 
-    // Through the blend: gz = g ⊙ (c − h), gc = g ⊙ z.
+    // Through the blend: gz = g ⊙ (c − h), gc = g ⊙ z; and r ⊙ h again, the
+    // forward's multiply on the forward's operands.
     for (k, &row) in ctx.rows.iter().enumerate() {
-        let g = g_row(row);
+        let g = &g[row * hidden..(row + 1) * hidden];
         let z = &zr[2 * k * hidden..(2 * k + 1) * hidden];
+        let r = &zr[(2 * k + 1) * hidden..(2 * k + 2) * hidden];
         let (lo, hi) = (k * hidden, (k + 1) * hidden);
         let gz = &mut sc.gzr.as_mut_slice()[2 * lo..2 * lo + hidden];
         for ((d, &gj), (&cj, &hj)) in gz.iter_mut().zip(g).zip(c[lo..hi].iter().zip(&h[lo..hi])) {
@@ -581,6 +664,13 @@ fn gru_backward_body(
         for ((d, &gj), &zj) in sc.gc.as_mut_slice()[lo..hi].iter_mut().zip(g).zip(z) {
             *d = gj * zj;
         }
+        for ((d, &rv), &hv) in sc.rh.as_mut_slice()[lo..hi]
+            .iter_mut()
+            .zip(r)
+            .zip(&h[lo..hi])
+        {
+            *d = rv * hv;
+        }
     }
 
     // Candidate branch: gc ← gc ⊙ (1 − c²); pW_h,c += (r⊙h)ᵀ·gc; and what
@@ -588,7 +678,7 @@ fn gru_backward_body(
     vact::tanh_deriv_mul_inplace_at(tier, sc.gc.as_mut_slice(), c);
     kernels::matmul_tn_acc_at(
         tier,
-        rh,
+        sc.rh.as_slice(),
         sc.gc.as_slice(),
         a,
         hidden,
@@ -641,22 +731,19 @@ fn gru_backward_body(
         sc.gh.as_mut_slice(),
     );
 
-    // Pass-through rows keep the incoming gradient; an active row gets
-    // g ⊙ (1 − z) plus what came through the products, and [gz | gr | gc] is
-    // the gradient of its projected input.
-    gh.copy_from_slice(ctx.g);
+    // Pass-through rows keep the incoming gradient, where they already are;
+    // an active row becomes g ⊙ (1 − z) plus what came through the products,
+    // and [gz | gr | gc] is the gradient of its projected input.
     for (k, &row) in ctx.rows.iter().enumerate() {
-        let g = g_row(row);
         let z = &zr[2 * k * hidden..(2 * k + 1) * hidden];
         let h_off = row * hidden;
         let (lo, hi) = (k * hidden, (k + 1) * hidden);
-        for (((d, &gj), &zj), &through) in gh[h_off..h_off + hidden]
+        for ((gj, &zj), &through) in g[h_off..h_off + hidden]
             .iter_mut()
-            .zip(g)
             .zip(z)
             .zip(&sc.gh.as_slice()[lo..hi])
         {
-            *d = gj * (1.0 - zj) + through;
+            *gj = *gj * (1.0 - zj) + through;
         }
         let gpx = &mut gpx[3 * lo..3 * hi];
         gpx[..2 * hidden].copy_from_slice(&sc.gzr.as_slice()[2 * lo..2 * hi]);
@@ -781,8 +868,10 @@ impl Graph {
         self.reference_mode = on;
     }
 
-    /// Toggle inference mode (see the struct docs): fused GRU steps drop
-    /// their backward scratch as soon as the forward value is computed.
+    /// Toggle inference mode (see the struct docs): the tape records nothing
+    /// for an adjoint — fused GRU steps drop their activations as soon as
+    /// the forward value is computed, and no operand counts as read, so
+    /// every pooled state is consumed by the step that advances it.
     /// Values are bitwise identical either way. [`Graph::backward`] panics
     /// while the mode is on; after toggling it off, [`Graph::reset`] before
     /// recording anything you intend to differentiate — nodes recorded
@@ -855,22 +944,58 @@ impl Graph {
         idx_pool.end_cycle();
     }
 
+    /// Record a node whose value was taken from the pool in this cycle.
     fn push(&mut self, value: Matrix, op: Op) -> Var {
+        self.push_node(value, op, true)
+    }
+
+    /// Record a node whose value came from anywhere else: a caller's matrix,
+    /// or an op that allocates its output. Such a value is never consumed.
+    fn push_foreign(&mut self, value: Matrix, op: Op) -> Var {
+        self.push_node(value, op, false)
+    }
+
+    fn push_node(&mut self, value: Matrix, op: Op, pooled: bool) -> Var {
+        let out = Var(self.nodes.len());
+        let mut read = false;
+        if !self.inference_mode {
+            let nodes = &mut self.nodes;
+            op.adjoint_reads(out, |v| match nodes.get_mut(v.0) {
+                Some(node) => node.read = true,
+                None => read = true,
+            });
+        }
         self.nodes.push(Node {
             value,
             grad: None,
             op,
+            pooled,
+            read,
         });
-        Var(self.nodes.len() - 1)
+        out
+    }
+
+    /// Whether a state-advancing op may take `v`'s buffer: the tape owns it
+    /// and no recorded adjoint reads it.
+    fn spendable(&self, v: Var) -> bool {
+        let node = &self.nodes[v.0];
+        node.pooled && !node.read
+    }
+
+    /// Take `v`'s value out of its node, leaving an empty matrix: `v` is
+    /// consumed and may not be read again.
+    fn take_value(&mut self, v: Var) -> Matrix {
+        std::mem::replace(&mut self.nodes[v.0].value, Matrix::zeros(0, 0))
     }
 
     // ------------------------------------------------------------------
     // Leaves
     // ------------------------------------------------------------------
 
-    /// Register a differentiable leaf (a model parameter or input).
+    /// Register a differentiable leaf (a model parameter or input). The
+    /// matrix stays the caller's to read: no op consumes it.
     pub fn param(&mut self, value: Matrix) -> Var {
-        self.push(
+        self.push_foreign(
             value,
             Op::Leaf {
                 requires_grad: true,
@@ -878,9 +1003,10 @@ impl Graph {
         )
     }
 
-    /// Register a non-differentiable leaf (targets, masks, constants).
+    /// Register a non-differentiable leaf (targets, masks, constants). The
+    /// matrix stays the caller's to read: no op consumes it.
     pub fn constant(&mut self, value: Matrix) -> Var {
-        self.push(
+        self.push_foreign(
             value,
             Op::Leaf {
                 requires_grad: false,
@@ -900,7 +1026,12 @@ impl Graph {
     ) -> Var {
         let mut m = pool_matrix(&mut self.pool, rows, cols);
         fill(&mut m);
-        self.constant(m)
+        self.push(
+            m,
+            Op::Leaf {
+                requires_grad: false,
+            },
+        )
     }
 
     /// Register a differentiable leaf holding a copy of `src`, built in a
@@ -908,7 +1039,12 @@ impl Graph {
     /// allocating (bits match `param(src.clone())` exactly).
     pub fn param_copy(&mut self, src: &Matrix) -> Var {
         let m = pooled_copy(&mut self.pool, src);
-        self.param(m)
+        self.push(
+            m,
+            Op::Leaf {
+                requires_grad: true,
+            },
+        )
     }
 
     /// Register a non-differentiable leaf holding a copy of `src`, built in
@@ -916,13 +1052,18 @@ impl Graph {
     ///
     /// This is how a forward pass binds **float** state from a borrowed plan
     /// (a cached megabatch composition shared behind an `Arc`): the tape
-    /// needs its own mutable copy because the fused step ops may advance
-    /// states in place, stealing the leaf's buffer. Note the contrast with
+    /// owns the copy, so the fused step ops may advance it in place,
+    /// consuming the leaf (module docs, "What the tape keeps"). Note the contrast with
     /// the tape's *index* lists, which are recorded as refcounted
     /// [`SharedIndices`] views precisely because no op ever mutates them.
     pub fn constant_copy(&mut self, src: &Matrix) -> Var {
         let m = pooled_copy(&mut self.pool, src);
-        self.constant(m)
+        self.push(
+            m,
+            Op::Leaf {
+                requires_grad: false,
+            },
+        )
     }
 
     /// Forward value of a variable.
@@ -961,14 +1102,14 @@ impl Graph {
     /// Element-wise (Hadamard) product. Shapes must match.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).mul(self.value(b));
-        self.push(v, Op::Mul(a, b))
+        self.push_foreign(v, Op::Mul(a, b))
     }
 
     /// Matrix product `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         if self.reference_mode {
             let v = self.value(a).matmul_reference(self.value(b));
-            return self.push(v, Op::MatMul { a, b });
+            return self.push_foreign(v, Op::MatMul { a, b });
         }
         let (m, k) = self.value(a).shape();
         let n = self.value(b).cols();
@@ -1018,32 +1159,30 @@ impl Graph {
         // Reference mode keeps the seed's libm map; the fast path runs the
         // vectorized slice kernel (bitwise-identical to the scalar fast
         // form) into a pooled buffer.
-        let v = if self.reference_mode {
-            self.value(x).map(act::sigmoid_precise)
-        } else {
-            let (rows, cols) = self.value(x).shape();
-            let mut pool = std::mem::take(&mut self.pool);
-            let mut out = pool_matrix_scratch(&mut pool, rows, cols);
-            vact::sigmoid_map(self.value(x).as_slice(), out.as_mut_slice());
-            self.pool = pool;
-            out
-        };
-        self.push(v, Op::Sigmoid(x))
+        if self.reference_mode {
+            let v = self.value(x).map(act::sigmoid_precise);
+            return self.push_foreign(v, Op::Sigmoid(x));
+        }
+        let (rows, cols) = self.value(x).shape();
+        let mut pool = std::mem::take(&mut self.pool);
+        let mut out = pool_matrix_scratch(&mut pool, rows, cols);
+        vact::sigmoid_map(self.value(x).as_slice(), out.as_mut_slice());
+        self.pool = pool;
+        self.push(out, Op::Sigmoid(x))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, x: Var) -> Var {
-        let v = if self.reference_mode {
-            self.value(x).map(act::tanh_precise)
-        } else {
-            let (rows, cols) = self.value(x).shape();
-            let mut pool = std::mem::take(&mut self.pool);
-            let mut out = pool_matrix_scratch(&mut pool, rows, cols);
-            vact::tanh_map(self.value(x).as_slice(), out.as_mut_slice());
-            self.pool = pool;
-            out
-        };
-        self.push(v, Op::Tanh(x))
+        if self.reference_mode {
+            let v = self.value(x).map(act::tanh_precise);
+            return self.push_foreign(v, Op::Tanh(x));
+        }
+        let (rows, cols) = self.value(x).shape();
+        let mut pool = std::mem::take(&mut self.pool);
+        let mut out = pool_matrix_scratch(&mut pool, rows, cols);
+        vact::tanh_map(self.value(x).as_slice(), out.as_mut_slice());
+        self.pool = pool;
+        self.push(out, Op::Tanh(x))
     }
 
     /// Rectified linear unit.
@@ -1054,17 +1193,16 @@ impl Graph {
 
     /// Scaled exponential linear unit (RouteNet's readout activation).
     pub fn selu(&mut self, x: Var) -> Var {
-        let v = if self.reference_mode {
-            self.value(x).map(act::selu_precise)
-        } else {
-            let (rows, cols) = self.value(x).shape();
-            let mut pool = std::mem::take(&mut self.pool);
-            let mut out = pool_matrix_scratch(&mut pool, rows, cols);
-            vact::selu_map(self.value(x).as_slice(), out.as_mut_slice());
-            self.pool = pool;
-            out
-        };
-        self.push(v, Op::Selu(x))
+        if self.reference_mode {
+            let v = self.value(x).map(act::selu_precise);
+            return self.push_foreign(v, Op::Selu(x));
+        }
+        let (rows, cols) = self.value(x).shape();
+        let mut pool = std::mem::take(&mut self.pool);
+        let mut out = pool_matrix_scratch(&mut pool, rows, cols);
+        vact::selu_map(self.value(x).as_slice(), out.as_mut_slice());
+        self.pool = pool;
+        self.push(out, Op::Selu(x))
     }
 
     /// Softplus `ln(1+e^x)`.
@@ -1086,13 +1224,13 @@ impl Graph {
     /// Horizontal concatenation `[a | b]`. Row counts must match.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).concat_cols(self.value(b));
-        self.push(v, Op::ConcatCols(a, b))
+        self.push_foreign(v, Op::ConcatCols(a, b))
     }
 
     /// Column slice `x[:, start..end]`.
     pub fn slice_cols(&mut self, x: Var, start: usize, end: usize) -> Var {
         let v = self.value(x).slice_cols(start, end);
-        self.push(v, Op::SliceCols { x, start, end })
+        self.push_foreign(v, Op::SliceCols { x, start, end })
     }
 
     /// Gather rows: `out[i] = x[ids[i]]`. Indices may repeat; the adjoint
@@ -1159,9 +1297,11 @@ impl Graph {
     /// only the active `rows` are visited. With RouteNet's path-length distribution
     /// most positions are inactive in late steps, so this trims both the
     /// forward scatter and the backward gather to the live set.
-    /// In **inference mode** this op is destructive like
-    /// [`Graph::gru_step_rows`]: it steals `acc`'s buffer and scatter-adds
-    /// in place (the `Var` passed as `acc` must not be read afterwards).
+    ///
+    /// `acc` is consumed like [`Graph::gru_step_rows`]' state: when the tape
+    /// owns its buffer and no recorded adjoint reads it, the op takes the
+    /// buffer and scatter-adds in place, in training as in inference, and
+    /// the `Var` passed as `acc` reads as empty afterwards. `x` is only read.
     pub fn segment_acc_rows<'a>(
         &mut self,
         acc: Var,
@@ -1190,13 +1330,12 @@ impl Graph {
             );
         }
 
-        // In-place inference: steal the accumulator instead of copying it.
-        let inplace = self.inference_mode;
-        let mut out = if inplace {
-            std::mem::replace(&mut self.nodes[acc.0].value, Matrix::zeros(0, 0))
+        let mut out = if self.spendable(acc) {
+            self.take_value(acc)
         } else {
             pooled_copy(&mut pool, self.value(acc))
         };
+        let x_rows = self.value(x).rows();
         {
             let x_slice = self.value(x).as_slice();
             let out_slice = out.as_mut_slice();
@@ -1216,6 +1355,7 @@ impl Graph {
             Op::SegmentAccRows {
                 acc,
                 x,
+                x_rows,
                 rows,
                 segments,
             },
@@ -1304,13 +1444,19 @@ impl Graph {
     /// alone — the biggest single win on RouteNet's tail steps, where only a
     /// handful of long paths remain active.
     ///
-    /// In **inference mode** this op is destructive: it steals `h`'s buffer
-    /// and advances the active rows in place instead of copying all `n`
-    /// rows, hands `px`'s buffer back to the pool once it is read (`px` must
-    /// be a computed node — a gather, a projection — whose buffer came from
-    /// there), and saves nothing for an adjoint; neither `Var` may be read
-    /// afterwards, their values become empty. Training mode copies, so both
-    /// stay intact. Output bits are identical either way.
+    /// The step consumes what no adjoint needs, in training as in inference
+    /// (the rule is in the module docs). When the tape owns `h`'s buffer and
+    /// no recorded adjoint reads `h`, the step takes that buffer and
+    /// advances the active rows in place instead of copying all `n` rows —
+    /// the path state of a sweep, whose other reader
+    /// ([`Graph::segment_acc_rows`]) records the shape it needs. A state an
+    /// adjoint reads, such as an entity state the projection's `MatMul`
+    /// keeps, is copied and stays intact. `px` is returned to the pool once
+    /// the step has read it, under the same condition. A consumed `Var`
+    /// reads as empty afterwards. Output bits are identical either way.
+    ///
+    /// In training the node keeps `h`'s active rows, both gates and the
+    /// candidate for its adjoint; in inference mode it keeps nothing.
     pub fn gru_step_rows<'a>(
         &mut self,
         vars: &GruVars,
@@ -1340,24 +1486,21 @@ impl Graph {
         let mut saved = GruSaved {
             h: pool_matrix_scratch(&mut pool, a, hidden),
             zr: pool_matrix_scratch(&mut pool, a, 2 * hidden),
-            rh: pool_matrix_scratch(&mut pool, a, hidden),
             c: pool_matrix_scratch(&mut pool, a, hidden),
         };
-        // In-place inference: steal the state buffer instead of copying it.
-        // Training mode takes scratch, which the step fills from `h` before
-        // any read.
-        let inplace = self.inference_mode;
-        let mut out = if inplace {
-            let stolen = std::mem::replace(&mut self.nodes[h.0].value, Matrix::zeros(0, 0));
-            debug_assert_eq!(stolen.shape(), (n, hidden));
-            stolen
+        let mut rh = pool_matrix_scratch(&mut pool, a, hidden);
+        // Advance `h` in its own buffer when it is spent; otherwise take
+        // scratch, which the step fills from `h` before any read.
+        let in_place = self.spendable(h);
+        let mut out = if in_place {
+            self.take_value(h)
         } else {
             pool_matrix_scratch(&mut pool, n, hidden)
         };
         gru_forward(
             Tier::detected(),
             &GruFwdCtx {
-                hv: (!inplace).then(|| self.value(h).as_slice()),
+                hv: (!in_place).then(|| self.value(h).as_slice()),
                 px: self.value(px).as_slice(),
                 rows,
                 w_h_zr: self.value(vars.w_h_zr).as_slice(),
@@ -1366,14 +1509,16 @@ impl Graph {
                 hidden,
             },
             &mut saved,
+            rh.as_mut_slice(),
             out.as_mut_slice(),
         );
-
-        let saved = if inplace {
-            // Nothing reads the projected rows again either: a forward-only
-            // sweep keeps no per-step buffer at all.
-            let spent = std::mem::replace(&mut self.nodes[px.0].value, Matrix::zeros(0, 0));
-            for m in saved.into_buffers().into_iter().chain([spent]) {
+        pool_recycle(&mut pool, rh);
+        if self.spendable(px) {
+            let spent = self.take_value(px);
+            pool_recycle(&mut pool, spent);
+        }
+        let saved = if self.inference_mode {
+            for m in saved.into_buffers() {
                 pool_recycle(&mut pool, m);
             }
             None
@@ -1461,7 +1606,9 @@ impl Graph {
         let mut transposes: Vec<(usize, Matrix)> = Vec::new();
 
         for id in (0..n).rev() {
-            let Some(g) = grads[id].take() else { continue };
+            let Some(mut g) = grads[id].take() else {
+                continue;
+            };
             // Per-op-kind timing (RN_TRACE=1): a drop-guard so arms that
             // `continue` out of the match are still attributed. Inert (one
             // relaxed atomic load, no clock read) while tracing is off.
@@ -1615,13 +1762,14 @@ impl Graph {
                 Op::SegmentAccRows {
                     acc,
                     x,
+                    x_rows,
                     rows,
                     segments,
                 } => {
-                    // out = acc + scatter(x[rows]): g_acc += g,
-                    // g_x[rows[k]] += g[segments[k]].
-                    let (x_rows, cols) = self.value(*x).shape();
-                    let mut gx = pool_matrix(&mut pool, x_rows, cols);
+                    // out = acc + scatter(x[rows]): g_x[rows[k]] +=
+                    // g[segments[k]], and g itself is acc's gradient.
+                    let cols = g.cols();
+                    let mut gx = pool_matrix(&mut pool, *x_rows, cols);
                     let (g_slice, gx_slice) = (g.as_slice(), gx.as_mut_slice());
                     for (&row, &seg) in rows.iter().zip(segments.iter()) {
                         let dst = &mut gx_slice[row * cols..(row + 1) * cols];
@@ -1630,7 +1778,8 @@ impl Graph {
                         }
                     }
                     accumulate_pooled(&mut grads, &mut pool, *x, gx);
-                    accumulate_ref(&mut grads, &mut pool, *acc, &g);
+                    accumulate_pooled(&mut grads, &mut pool, *acc, g);
+                    continue;
                 }
                 Op::GruStep {
                     vars,
@@ -1639,33 +1788,32 @@ impl Graph {
                     rows,
                     saved,
                 } => {
-                    // Row-disjoint gradients (state, projected input) are
-                    // written in place; the step's parameter gradients are
-                    // formed as partials in scratch and added into the
-                    // slots below.
+                    // Row-disjoint gradients are written in place: the
+                    // state's into the incoming gradient, which then moves
+                    // on to `h`, the projected input's into fresh scratch.
+                    // The step's parameter gradients are formed as partials
+                    // in scratch and added into the slots below.
                     let (vars, h, px) = (*vars, *h, *px);
                     let s: &GruSaved = saved
                         .as_deref()
                         .expect("backward: node was recorded in inference mode");
-                    let (n, hidden) = self.value(h).shape();
+                    let hidden = g.cols();
                     let a = rows.len();
                     let zr_t = transposed(&mut transposes, &mut pool, vars.w_h_zr, &self.nodes);
                     let c_t = transposed(&mut transposes, &mut pool, vars.w_h_c, &self.nodes);
 
-                    let mut gh = pool_matrix_scratch(&mut pool, n, hidden);
                     let mut gpx = pool_matrix_scratch(&mut pool, a, 3 * hidden);
                     let mut scratch = GruBwdScratch::take(&mut pool, a, hidden);
                     gru_backward(
                         Tier::detected(),
                         &GruBwdCtx {
                             rows,
-                            g: g.as_slice(),
                             saved: s,
                             w_h_zr_t: transposes[zr_t].1.as_slice(),
                             w_h_c_t: transposes[c_t].1.as_slice(),
                             hidden,
                         },
-                        gh.as_mut_slice(),
+                        g.as_mut_slice(),
                         gpx.as_mut_slice(),
                         &mut scratch,
                     );
@@ -1675,8 +1823,9 @@ impl Graph {
                         grad_slot(&mut grads, var, rows_, cols_, &mut pool).add_assign(partial);
                     }
                     scratch.recycle(&mut pool);
-                    accumulate_pooled(&mut grads, &mut pool, h, gh);
+                    accumulate_pooled(&mut grads, &mut pool, h, g);
                     accumulate_pooled(&mut grads, &mut pool, px, gpx);
+                    continue;
                 }
                 Op::PackCols { parts, row_lo } => {
                     let mut off = 0;
@@ -1695,7 +1844,8 @@ impl Graph {
             }
             // Every consumer of this node ran before it, so nothing reads
             // its gradient again: the buffer serves the next adjoint instead
-            // of staying resident until `reset`.
+            // of staying resident until `reset` (the arms that hand it on
+            // whole `continue` past this).
             pool_recycle(&mut pool, g);
         }
 
@@ -2192,7 +2342,8 @@ mod tests {
     fn gru_bodies_are_bitwise_identical_at_every_tier() {
         // Forward and adjoint at every tier this host runs, on a row subset
         // and on the dense identity, at the two widths the models use:
-        // stepped state, saved activations, gh, gpx and the three partials.
+        // stepped state, r ⊙ h, saved activations, the state gradient, gpx
+        // and the three partials.
         let tiers: Vec<Tier> = Tier::supported().collect();
         println!("gru tiers run: {tiers:?}");
         let n = 13;
@@ -2213,9 +2364,9 @@ mod tests {
                     let mut saved = GruSaved {
                         h: Matrix::zeros(a, hidden),
                         zr: Matrix::zeros(a, 2 * hidden),
-                        rh: Matrix::zeros(a, hidden),
                         c: Matrix::zeros(a, hidden),
                     };
+                    let mut rh = vec![0.0; a * hidden];
                     let mut out = vec![0.0; n * hidden];
                     let fwd = GruFwdCtx {
                         hv: Some(h.as_slice()),
@@ -2226,12 +2377,11 @@ mod tests {
                         b: b.as_slice(),
                         hidden,
                     };
-                    gru_forward(tier, &fwd, &mut saved, &mut out);
-                    let (mut gh, mut gpx) = (vec![0.0; n * hidden], vec![0.0; a * 3 * hidden]);
+                    gru_forward(tier, &fwd, &mut saved, &mut rh, &mut out);
+                    let (mut gh, mut gpx) = (g.as_slice().to_vec(), vec![0.0; a * 3 * hidden]);
                     let mut sc = GruBwdScratch::take(&mut pool, a, hidden);
                     let bwd = GruBwdCtx {
                         rows,
-                        g: g.as_slice(),
                         saved: &saved,
                         w_h_zr_t: w_h_zr_t.as_slice(),
                         w_h_c_t: w_h_c_t.as_slice(),
@@ -2241,9 +2391,9 @@ mod tests {
                     let [pw_h_zr, pw_h_c, pb] = sc.partials();
                     [
                         &out[..],
+                        &rh,
                         saved.h.as_slice(),
                         saved.zr.as_slice(),
-                        saved.rh.as_slice(),
                         saved.c.as_slice(),
                         &gh,
                         &gpx,
@@ -2333,59 +2483,141 @@ mod tests {
         }
     }
 
-    #[test]
-    fn inference_mode_is_bit_identical_and_discards_gru_scratch() {
-        let run = |inference: bool| -> (Matrix, usize) {
-            let mut g = Graph::new();
-            g.set_inference_mode(inference);
-            let vars = toy_gru(&mut g, 4, 4, 3);
-            let h = g.constant(det_matrix(5, 4, 30));
-            let x = g.constant(det_matrix(5, 4, 31));
-            let h1 = vars.step(&mut g, h, x);
-            let x2 = g.gather_rows(h1, &[0, 1, 2]);
-            let h2 = vars.step_rows(&mut g, h1, x2, &[1, 2, 3]);
-            (g.value(h2).clone(), g.pooled_buffers())
-        };
-        let (train_out, train_pooled) = run(false);
-        let (infer_out, infer_pooled) = run(true);
-        assert!(
-            train_out.approx_eq(&infer_out, 0.0),
-            "inference mode must not change forward bits"
-        );
-        // Training keeps GRU scratch resident on nodes; inference recycles
-        // it immediately, so each step reuses the previous step's buffers
-        // and one step's worth stays parked when recording ends.
-        assert_eq!(train_pooled, 0);
-        assert!(
-            infer_pooled >= 4,
-            "expected recycled scratch, got {infer_pooled}"
-        );
+    /// A two-position sweep as the models record it, on one toy cell: a
+    /// pooled path state advanced over gathered rows of an entity
+    /// projection, its messages folded into a pooled accumulator, the
+    /// entity state stepped on their sum, and the path advanced again.
+    /// `pin_path` records a `sum` of the first stepped path state that no
+    /// loss reaches: its adjoint reads the state's shape, so the second step
+    /// has to copy that state instead of consuming it.
+    struct Sweep {
+        g: Graph,
+        gru: ToyGru,
+        path: [Var; 3],
+        entity: [Var; 2],
+        acc: Var,
+        px: Var,
+        loss: Var,
+    }
+
+    fn record_sweep(inference: bool, pin_path: bool) -> Sweep {
+        let mut g = Graph::new();
+        g.set_inference_mode(inference);
+        let gru = toy_gru(&mut g, 4, 4, 3);
+        let rows = [0usize, 1, 3, 4];
+        let ids = [2usize, 0, 1, 2];
+        let p0 = g.constant_copy(&det_matrix(5, 4, 30));
+        let e0 = g.constant_copy(&det_matrix(3, 4, 31));
+        let pe0 = g.matmul(e0, gru.vars.w_x);
+        let px = g.gather_rows(pe0, &ids);
+        let p1 = g.gru_step_rows(&gru.vars, p0, px, &rows);
+        if pin_path {
+            g.sum(p1);
+        }
+        let acc = g.constant_with(3, 4, |_| {});
+        let msgs = g.segment_acc_rows(acc, p1, &rows, &ids);
+        let e1 = gru.step(&mut g, e0, msgs);
+        let pe1 = g.matmul(e1, gru.vars.w_x);
+        let px1 = g.gather_rows(pe1, &ids);
+        let p2 = g.gru_step_rows(&gru.vars, p1, px1, &rows);
+        let sq = g.square(p2);
+        let loss = g.mean(sq);
+        Sweep {
+            g,
+            gru,
+            path: [p0, p1, p2],
+            entity: [e0, e1],
+            acc,
+            px,
+            loss,
+        }
     }
 
     #[test]
-    fn inference_steps_consume_their_input_state_in_place() {
-        let mut g = Graph::new();
-        g.set_inference_mode(true);
-        let vars = toy_gru(&mut g, 4, 4, 3);
-        let h = g.constant(det_matrix(5, 4, 30));
-        let x = g.constant(det_matrix(5, 4, 31));
-        let h1 = vars.step(&mut g, h, x);
-        // The input state's buffer was stolen: h is now empty, h1 owns it.
-        assert_eq!(g.value(h).shape(), (0, 0), "h consumed by in-place step");
-        assert_eq!(g.value(h1).shape(), (5, 4));
-        let acc = g.constant(Matrix::zeros(3, 4));
-        let out = g.segment_acc_rows(acc, h1, &[0, 2], &[1, 2]);
-        assert_eq!(g.value(acc).shape(), (0, 0), "acc consumed in place");
-        assert_eq!(g.value(out).shape(), (3, 4));
-        // Training mode copies: inputs stay readable.
-        let mut t = Graph::new();
-        let vars = toy_gru(&mut t, 4, 4, 3);
-        let h = t.constant(det_matrix(5, 4, 30));
-        let x = t.constant(det_matrix(5, 4, 31));
-        let h1t = vars.step(&mut t, h, x);
-        assert_eq!(t.value(h).shape(), (5, 4), "training mode must not steal");
-        // And the in-place values are bitwise identical to the copying ones.
-        assert!(g.value(h1).approx_eq(t.value(h1t), 0.0));
+    fn inference_mode_is_bit_identical_and_discards_gru_scratch() {
+        let train = record_sweep(false, false);
+        let infer = record_sweep(true, false);
+        let saved = |g: &Graph| {
+            g.ops()
+                .filter(|op| matches!(op, Op::GruStep { saved: Some(_), .. }))
+                .count()
+        };
+        assert_eq!(
+            saved(&train.g),
+            3,
+            "training keeps every step's activations"
+        );
+        assert_eq!(saved(&infer.g), 0, "inference keeps none");
+        for (t, i) in [
+            (train.path[2], infer.path[2]),
+            (train.entity[1], infer.entity[1]),
+        ] {
+            assert!(
+                train.g.value(t).approx_eq(infer.g.value(i), 0.0),
+                "inference mode must not change forward bits"
+            );
+        }
+        // With no adjoint to serve, the entity state the projection read is
+        // spent by its own step, as the path state is.
+        assert_eq!(infer.g.value(infer.entity[0]).shape(), (0, 0));
+        assert_eq!(infer.g.value(infer.path[1]).shape(), (0, 0));
+    }
+
+    #[test]
+    fn steps_consume_the_states_no_adjoint_reads() {
+        let mut train = record_sweep(false, false);
+        let mut pinned = record_sweep(false, true);
+        let t = &train.g;
+        for (v, what) in [
+            (train.path[0], "initial path state"),
+            (train.path[1], "stepped path state"),
+            (train.acc, "message accumulator"),
+            (train.px, "gathered projection"),
+        ] {
+            assert_eq!(t.value(v).shape(), (0, 0), "{what} spent in training");
+        }
+        assert_eq!(
+            t.value(train.entity[0]).shape(),
+            (3, 4),
+            "the projection's adjoint reads the entity state: it stays"
+        );
+        assert_eq!(
+            pinned.g.value(pinned.path[1]).shape(),
+            (5, 4),
+            "a read state stays"
+        );
+        assert!(t
+            .value(train.path[2])
+            .approx_eq(pinned.g.value(pinned.path[2]), 0.0));
+
+        // Consumed or copied, every gradient bit is the same.
+        train.g.backward(train.loss);
+        pinned.g.backward(pinned.loss);
+        for (&a, &b) in train.gru.params.iter().zip(&pinned.gru.params) {
+            let bits = |g: &Graph, v: Var| -> Vec<u32> {
+                g.grad(v)
+                    .unwrap()
+                    .as_slice()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&train.g, a), bits(&pinned.g, b));
+        }
+
+        // A matrix the caller handed over stays the caller's, in both modes.
+        for inference in [false, true] {
+            let mut g = Graph::new();
+            g.set_inference_mode(inference);
+            let gru = toy_gru(&mut g, 4, 4, 3);
+            let h = g.constant(det_matrix(5, 4, 30));
+            let acc = g.param(Matrix::zeros(3, 4));
+            let x = g.constant(det_matrix(5, 4, 31));
+            let h1 = gru.step(&mut g, h, x);
+            g.segment_acc_rows(acc, h1, &[0, 2], &[1, 2]);
+            assert_eq!(g.value(h).shape(), (5, 4));
+            assert_eq!(g.value(acc).shape(), (3, 4));
+        }
     }
 
     #[test]

@@ -439,12 +439,17 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
     /// [`PathPredictor::forward_unfused`] — this is the training hot path.
     /// Every index list it hands the tape is a refcounted view of the plan's
     /// buffers, so recording a step copies no index word.
+    ///
+    /// In training as in inference, each path step advances the path state
+    /// in the previous step's buffer and returns the gathered projection to
+    /// the tape's pool: no adjoint reads either (`Graph::gru_step_rows`).
+    /// The entity states, which the projections' adjoints read, are kept.
     fn forward(&self, g: &mut Graph, bound: &Bound, plan: &SamplePlan) -> Var {
         let schedule = &plan.schedule;
         let gru_path = bound.gru_path.vars();
         // Pooled copies: the plan may be a kept composition or a plan shared
-        // behind an Arc, so the tape takes its own (recycled) buffers; bits match
-        // `constant(clone())` exactly.
+        // behind an Arc, so the tape takes its own (recycled) buffers, which
+        // the steps may then consume; bits match `constant(clone())` exactly.
         let mut path_state = g.constant_copy(&plan.path_init);
         // One state per entity kind the model owns a GRU for and the plan has
         // rows of: a plan without queues records no queue op of any kind, so

@@ -415,8 +415,12 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
         if !val_plans.is_empty() {
             let _eval_span = stages.span(train_trace::EVAL);
             let snapshot: &M = model;
+            // No backward follows, so the tape records nothing for one:
+            // inference mode gives the same forward bits.
             let (sum, count) = map_labelled_on_tapes(&tape_pool, &val_composed, |mb, tape| {
+                tape.set_inference_mode(true);
                 let (_, _, sum_of_means) = megabatch_forward(snapshot, mb, config.loss, 1, tape);
+                tape.set_inference_mode(false);
                 (sum_of_means, mb.reliable_samples)
             })
             .into_iter()

@@ -6,8 +6,8 @@
 //! model hot-swaps (same structure, new preprocessing). Structure reuse must
 //! be invisible to the numerics; only the planning cost may change. Beside
 //! it, the two tape facts a replayed composition leans on: a reused tape
-//! gives a fresh tape's bits, and in-place inference gives the copying
-//! forward's.
+//! gives a fresh tape's bits, and an inference-mode forward, which consumes
+//! every state in place, gives the training-mode forward's.
 //!
 //! Nothing here takes a worker count: the trainer's `par_iter` follows the
 //! CPUs the process may run on, so CI runs this suite unpinned and again
@@ -394,7 +394,8 @@ fn inplace_inference_is_bitwise_identical_to_copying_forward() {
     let mb = build_megabatch(&parts);
     let (_, normalizer) = model.preprocessing();
 
-    // Copying (training-mode) forward: states are copied each step.
+    // Training-mode forward: the entity states, which the projections'
+    // adjoints read, are copied at each step.
     let copying: Vec<f64> = {
         let mut g = Graph::new();
         let bound = model.bind(&mut g);
@@ -406,8 +407,8 @@ fn inplace_inference_is_bitwise_identical_to_copying_forward() {
             .collect()
     };
 
-    // In-place (inference-mode) forward: states and accumulators are
-    // advanced in the input buffers — megabatched and per-sample.
+    // Inference-mode forward: every state and accumulator is advanced in
+    // its input buffer — megabatched and per-sample.
     let batched = model.predict_batch(&plans);
     let flat: Vec<f64> = batched.iter().flatten().copied().collect();
     assert_eq!(copying, flat, "in-place megabatch inference changed bits");
