@@ -354,9 +354,11 @@ pub fn generate_sample(
 /// entry point: a full scheme on an `n`-node graph is `n(n-1)` paths (a
 /// million for `n = 1000`), while a scenario's label count — the simulator
 /// creates one flow per pair with positive rate — stays at `active_pairs`.
-/// Sparse samples therefore cost `O(active_pairs)` in paths, labels and
-/// plan rows regardless of `n`, which is what lets a model trained on
-/// 14–24-node topologies be *evaluated* on 500+-node graphs.
+/// Sparse samples therefore cost `O(active_pairs)` in paths, labels, plan
+/// rows and memory regardless of `n` — [`Routing`] and [`TrafficMatrix`]
+/// store only the routed pairs and their rates — which is what lets a model
+/// trained on 14–24-node topologies be *evaluated* on 500+-node graphs.
+/// Only the JSON form is still `n²` (both types write their dense table).
 ///
 /// Pair selection, routing weights, rates, queue profiles and the simulator
 /// seed all derive from `(master_seed, index)` exactly like

@@ -177,9 +177,7 @@ impl Sample {
                 return Err(format!("path class {c} out of range (num classes {n})"));
             }
         }
-        let n = self.traffic.num_nodes();
-        for (s, d) in (0..n).flat_map(|s| (0..n).map(move |d| (s, d))) {
-            let rate = self.traffic.rate(s, d);
+        for (s, d, rate) in self.traffic.iter_rates() {
             if !(rate.is_finite() && rate >= 0.0) {
                 return Err(format!(
                     "traffic rate {rate} for {s}->{d} (must be finite and >= 0)"

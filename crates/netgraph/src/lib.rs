@@ -18,6 +18,7 @@
 
 pub mod generators;
 pub mod graph;
+mod pairs;
 pub mod routing;
 pub mod topologies;
 pub mod traffic;

@@ -7,7 +7,10 @@
 //! every individual path stays loop-free and connected.
 
 use crate::graph::{LinkId, NodeId, Topology};
+use crate::pairs::{Entry, PairTable};
 use rn_tensor::Prng;
+use serde::json::Reader;
+use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -77,12 +80,66 @@ impl Path {
     }
 }
 
-/// A complete routing scheme: a path for every ordered pair of distinct nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A routing scheme: one path per routed ordered pair of distinct nodes —
+/// every connected pair ([`Routing::weighted_shortest_paths`]) or the pairs
+/// a scenario selects ([`Routing::sparse_weighted_shortest_paths`]).
+///
+/// Only the routed pairs are stored: their paths, keyed `src · n + dst` in
+/// ascending order, so [`Routing::path`] is a binary search and a sparse
+/// scheme holds `O(routed pairs)` bytes whatever the node count. The JSON is
+/// still the dense `n × n` table, `{"num_nodes":n,"paths":[…]}` with `null`
+/// for every unrouted pair: dataset files and serving requests keep their
+/// bytes, and a `Predict` line for an `n`-node scenario still carries `n²`
+/// slots.
+#[derive(Debug, Clone)]
 pub struct Routing {
-    num_nodes: usize,
-    /// Dense `src * n + dst` table; the diagonal holds `None`.
-    paths: Vec<Option<Path>>,
+    table: PairTable<Path>,
+}
+
+impl Entry for Path {
+    const FIELD: &'static str = "paths";
+    const EMPTY: Value = Value::Null;
+    fn read_json(r: &mut Reader<'_>) -> Result<Option<Self>, DeError> {
+        Option::<Path>::deserialize_json(r)
+    }
+    fn read_value(v: &Value) -> Result<Option<Self>, DeError> {
+        Option::<Path>::deserialize_value(v)
+    }
+}
+
+impl Serialize for Routing {
+    fn serialize_value(&self) -> Value {
+        self.table.serialize_value()
+    }
+    fn serialize_json(&self, out: &mut String) {
+        self.table.serialize_json(out);
+    }
+}
+
+impl<'de> Deserialize<'de> for Routing {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        PairTable::deserialize_value(v).map(|table| Self { table })
+    }
+    fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        PairTable::deserialize_json(r).map(|table| Self { table })
+    }
+}
+
+/// The path from `src` to `dst` along Dijkstra's predecessor links.
+fn walk_back(topo: &Topology, prev_link: &[Option<LinkId>], src: NodeId, dst: NodeId) -> Path {
+    let mut links = Vec::new();
+    let mut cur = dst;
+    while cur != src {
+        let l = prev_link[cur].expect("finite distance implies a predecessor");
+        links.push(l);
+        cur = topo.link(l).src;
+    }
+    links.reverse();
+    let mut nodes = vec![src];
+    for &l in &links {
+        nodes.push(topo.link(l).dst);
+    }
+    Path { nodes, links }
 }
 
 impl Routing {
@@ -117,36 +174,19 @@ impl Routing {
             "link weights must be positive"
         );
         let n = topo.num_nodes();
-        let mut paths: Vec<Option<Path>> = vec![None; n * n];
+        let mut table = PairTable::with_capacity(n, n * n.saturating_sub(1));
         for src in 0..n {
             let (dist, prev_link) = dijkstra(topo, weights, src);
-            for dst in 0..n {
-                if dst == src || dist[dst].is_infinite() {
+            for (dst, d) in dist.iter().enumerate() {
+                if dst == src || d.is_infinite() {
                     continue;
                 }
-                // Walk predecessors back from dst.
-                let mut rev_links = Vec::new();
-                let mut cur = dst;
-                while cur != src {
-                    let l = prev_link[cur].expect("finite distance implies a predecessor");
-                    rev_links.push(l);
-                    cur = topo.link(l).src;
-                }
-                rev_links.reverse();
-                let mut nodes = vec![src];
-                for &l in &rev_links {
-                    nodes.push(topo.link(l).dst);
-                }
-                paths[src * n + dst] = Some(Path {
-                    nodes,
-                    links: rev_links,
-                });
+                let key = table.key(src, dst).expect("both ids are nodes");
+                table.set(key, Some(walk_back(topo, &prev_link, src, dst)));
             }
         }
-        Self {
-            num_nodes: n,
-            paths,
-        }
+        table.shrink_to_fit();
+        Self { table }
     }
 
     /// Shortest paths for a **selected subset** of source–destination pairs
@@ -186,61 +226,48 @@ impl Routing {
                 by_src[src].push(dst);
             }
         }
-        let mut paths: Vec<Option<Path>> = vec![None; n * n];
+        for dsts in &mut by_src {
+            dsts.sort_unstable();
+            dsts.dedup();
+        }
+        let mut table = PairTable::with_capacity(n, by_src.iter().map(Vec::len).sum());
         for (src, dsts) in by_src.iter().enumerate() {
             if dsts.is_empty() {
                 continue;
             }
             let (dist, prev_link) = dijkstra(topo, weights, src);
             for &dst in dsts {
-                if dist[dst].is_infinite() || paths[src * n + dst].is_some() {
+                if dist[dst].is_infinite() {
                     continue;
                 }
-                let mut rev_links = Vec::new();
-                let mut cur = dst;
-                while cur != src {
-                    let l = prev_link[cur].expect("finite distance implies a predecessor");
-                    rev_links.push(l);
-                    cur = topo.link(l).src;
-                }
-                rev_links.reverse();
-                let mut nodes = vec![src];
-                for &l in &rev_links {
-                    nodes.push(topo.link(l).dst);
-                }
-                paths[src * n + dst] = Some(Path {
-                    nodes,
-                    links: rev_links,
-                });
+                let key = table.key(src, dst).expect("both ids are nodes");
+                table.set(key, Some(walk_back(topo, &prev_link, src, dst)));
             }
         }
-        Self {
-            num_nodes: n,
-            paths,
-        }
+        table.shrink_to_fit();
+        Self { table }
     }
 
-    /// The path from `src` to `dst`, if the pair is connected and distinct.
+    /// The path from `src` to `dst`, if the pair is routed; `None` for an
+    /// unrouted pair and for an id that is not a node.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<&Path> {
-        self.paths
-            .get(src * self.num_nodes + dst)
-            .and_then(Option::as_ref)
+        self.table.get(self.table.key(src, dst)?)
     }
 
     /// Number of nodes this routing covers.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.table.num_nodes()
     }
 
     /// Whether the table is `num_nodes × num_nodes`, as [`Routing::path`] and
     /// [`Routing::iter_paths`] assume. Every constructor builds it so; a
     /// deserialized routing carries whatever the input said.
     pub fn check_shape(&self) -> Result<(), String> {
-        if self.num_nodes.checked_mul(self.num_nodes) != Some(self.paths.len()) {
+        let n = self.num_nodes();
+        if n.checked_mul(n) != Some(self.table.slots()) {
             return Err(format!(
-                "routing table holds {} entries for {} nodes",
-                self.paths.len(),
-                self.num_nodes
+                "routing table holds {} entries for {n} nodes",
+                self.table.slots()
             ));
         }
         Ok(())
@@ -249,16 +276,12 @@ impl Routing {
     /// Iterate `(src, dst, path)` over all routed pairs in deterministic
     /// (row-major) order.
     pub fn iter_paths(&self) -> impl Iterator<Item = (NodeId, NodeId, &Path)> {
-        let n = self.num_nodes;
-        self.paths
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, p)| p.as_ref().map(|path| (i / n, i % n, path)))
+        self.table.iter()
     }
 
     /// Total number of routed pairs.
     pub fn num_paths(&self) -> usize {
-        self.paths.iter().filter(|p| p.is_some()).count()
+        self.table.len()
     }
 
     /// Validate every path against the topology.
@@ -461,6 +484,17 @@ mod tests {
         for &(s, d) in &pairs {
             assert_eq!(sparse.path(s, d), dense.path(s, d), "pair ({s},{d})");
         }
+    }
+
+    #[test]
+    fn an_id_past_the_nodes_names_no_pair() {
+        let topo = topologies::toy5();
+        let routing = Routing::shortest_paths(&topo);
+        assert!(routing.path(1, 2).is_some());
+        // `0 * 5 + 7` is the key of (1, 2): the ids are checked, not the key.
+        assert!(routing.path(0, 7).is_none());
+        assert!(routing.path(5, 0).is_none());
+        assert!(routing.path(usize::MAX, usize::MAX).is_none());
     }
 
     #[test]

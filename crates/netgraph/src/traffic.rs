@@ -7,24 +7,66 @@
 //! where finite queues actually drop packets.
 
 use crate::graph::{NodeId, Topology};
+use crate::pairs::{Entry, PairTable};
 use crate::routing::Routing;
 use rn_tensor::Prng;
+use serde::json::Reader;
+use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
 /// Average offered traffic per ordered pair, in bits per second.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Only the nonzero rates are stored, keyed `src · n + dst` in ascending
+/// order: an entry is kept exactly when its bits are not `+0.0`, so a pair
+/// set to zero holds nothing, equal matrices hold equal entries, and a
+/// sparse scenario's matrix costs `O(active pairs)` bytes whatever the node
+/// count. The JSON is still the dense row-major table,
+/// `{"num_nodes":n,"rates_bps":[…]}` with `0.0` for every pair without
+/// traffic, so dataset files and serving requests keep their bytes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficMatrix {
-    num_nodes: usize,
-    /// Dense row-major `src * n + dst` rates; the diagonal is zero.
-    rates_bps: Vec<f64>,
+    table: PairTable<f64>,
+}
+
+impl Entry for f64 {
+    const FIELD: &'static str = "rates_bps";
+    const EMPTY: Value = Value::F64(0.0);
+    fn read_json(r: &mut Reader<'_>) -> Result<Option<Self>, DeError> {
+        f64::deserialize_json(r).map(stored)
+    }
+    fn read_value(v: &Value) -> Result<Option<Self>, DeError> {
+        f64::deserialize_value(v).map(stored)
+    }
+}
+
+/// The entry a rate keeps: none for `+0.0`.
+fn stored(rate: f64) -> Option<f64> {
+    (rate.to_bits() != 0).then_some(rate)
+}
+
+impl Serialize for TrafficMatrix {
+    fn serialize_value(&self) -> Value {
+        self.table.serialize_value()
+    }
+    fn serialize_json(&self, out: &mut String) {
+        self.table.serialize_json(out);
+    }
+}
+
+impl<'de> Deserialize<'de> for TrafficMatrix {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        PairTable::deserialize_value(v).map(|table| Self { table })
+    }
+    fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        PairTable::deserialize_json(r).map(|table| Self { table })
+    }
 }
 
 impl TrafficMatrix {
     /// All-zero matrix.
     pub fn zeros(num_nodes: usize) -> Self {
         Self {
-            num_nodes,
-            rates_bps: vec![0.0; num_nodes * num_nodes],
+            table: PairTable::with_capacity(num_nodes, 0),
         }
     }
 
@@ -35,7 +77,9 @@ impl TrafficMatrix {
             lo >= 0.0 && hi >= lo,
             "uniform_random: invalid range [{lo}, {hi})"
         );
-        let mut tm = Self::zeros(num_nodes);
+        let mut tm = Self {
+            table: PairTable::with_capacity(num_nodes, num_nodes * num_nodes.saturating_sub(1)),
+        };
         for s in 0..num_nodes {
             for d in 0..num_nodes {
                 if s != d {
@@ -66,50 +110,72 @@ impl TrafficMatrix {
         let max_util = tm.max_link_utilization(topo, routing);
         if max_util > 0.0 {
             let scale = target_utilization / max_util;
-            for r in &mut tm.rates_bps {
+            tm.table.retain_mut(|r| {
                 *r *= scale;
-            }
+                stored(*r).is_some()
+            });
         }
         tm
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.table.num_nodes()
     }
 
     /// Whether the matrix is `num_nodes × num_nodes`, as [`TrafficMatrix::rate`]
     /// assumes. Every constructor builds it so; a deserialized matrix carries
     /// whatever the input said.
     pub fn check_shape(&self) -> Result<(), String> {
-        if self.num_nodes.checked_mul(self.num_nodes) != Some(self.rates_bps.len()) {
+        let n = self.num_nodes();
+        if n.checked_mul(n) != Some(self.table.slots()) {
             return Err(format!(
-                "traffic matrix holds {} rates for {} nodes",
-                self.rates_bps.len(),
-                self.num_nodes
+                "traffic matrix holds {} rates for {n} nodes",
+                self.table.slots()
             ));
         }
         Ok(())
     }
 
-    /// The rate from `src` to `dst` in bits per second.
-    pub fn rate(&self, src: NodeId, dst: NodeId) -> f64 {
-        self.rates_bps[src * self.num_nodes + dst]
+    /// The key of `(src, dst)`. Panics, naming the pair, on an id that is
+    /// not a node.
+    fn key(&self, src: NodeId, dst: NodeId, caller: &str) -> u32 {
+        self.table.key(src, dst).unwrap_or_else(|| {
+            panic!(
+                "TrafficMatrix::{caller}: pair ({src}, {dst}) out of range for {} nodes",
+                self.num_nodes()
+            )
+        })
     }
 
-    /// Set the rate for one pair. Panics on the diagonal or negative rates.
+    /// The rate from `src` to `dst` in bits per second. Panics on an id that
+    /// is not a node.
+    pub fn rate(&self, src: NodeId, dst: NodeId) -> f64 {
+        let key = self.key(src, dst, "rate");
+        self.table.get(key).copied().unwrap_or(0.0)
+    }
+
+    /// Set the rate for one pair. Panics on the diagonal, on negative rates
+    /// and on an id that is not a node.
     pub fn set(&mut self, src: NodeId, dst: NodeId, rate_bps: f64) {
         assert_ne!(
             src, dst,
             "TrafficMatrix::set: diagonal entries must stay zero"
         );
         assert!(rate_bps >= 0.0, "TrafficMatrix::set: negative rate");
-        self.rates_bps[src * self.num_nodes + dst] = rate_bps;
+        let key = self.key(src, dst, "set");
+        self.table.set(key, stored(rate_bps));
+    }
+
+    /// `(src, dst, rate)` over the pairs with a rate that is not `+0.0`, in
+    /// row-major order; every other pair's rate is zero.
+    pub fn iter_rates(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
+        self.table.iter().map(|(s, d, &rate)| (s, d, rate))
     }
 
     /// Total offered load in bits per second.
     pub fn total_bps(&self) -> f64 {
-        self.rates_bps.iter().sum()
+        self.table.values().iter().fold(0.0, |sum, rate| sum + rate)
     }
 
     /// Offered load per link (bits per second) when routed over `routing`.
@@ -193,6 +259,40 @@ mod tests {
         tm.set(1, 2, 42.0);
         assert_eq!(tm.rate(1, 2), 42.0);
         assert_eq!(tm.rate(2, 1), 0.0);
+    }
+
+    #[test]
+    fn a_zero_rate_is_no_entry() {
+        let mut tm = TrafficMatrix::zeros(3);
+        tm.set(0, 1, 5.0);
+        tm.set(0, 1, 0.0);
+        assert_eq!(tm, TrafficMatrix::zeros(3));
+        assert_eq!(tm.iter_rates().count(), 0);
+        tm.set(2, 0, 7.0);
+        tm.set(0, 2, 3.0);
+        let rates: Vec<_> = tm.iter_rates().collect();
+        assert_eq!(rates, [(0, 2, 3.0), (2, 0, 7.0)]);
+        let json = serde_json::to_string(&tm).unwrap();
+        assert_eq!(
+            json,
+            r#"{"num_nodes":3,"rates_bps":[0.0,0.0,3.0,0.0,0.0,0.0,7.0,0.0,0.0]}"#
+        );
+        assert_eq!(serde_json::from_str::<TrafficMatrix>(&json).unwrap(), tm);
+    }
+
+    #[test]
+    #[should_panic(expected = "pair (0, 5) out of range")]
+    fn rate_rejects_an_id_past_the_nodes() {
+        // `0 * 3 + 5` is the key of (1, 2).
+        let mut tm = TrafficMatrix::zeros(3);
+        tm.set(1, 2, 1.0);
+        tm.rate(0, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "pair (0, 5) out of range")]
+    fn set_rejects_an_id_past_the_nodes() {
+        TrafficMatrix::zeros(3).set(0, 5, 1.0);
     }
 
     #[test]
