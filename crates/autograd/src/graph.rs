@@ -2194,22 +2194,68 @@ mod tests {
         assert!(ga.grad(xa).unwrap().approx_eq(gb.grad(xb).unwrap(), 0.0));
     }
 
+    /// What the op-by-op chains these tests once ran beside the fused ops
+    /// computed, recorded in `tests/fixtures/reference_values.json` at the
+    /// workspace root before the primitive ops they were built from were
+    /// deleted: each output value and each leaf gradient, row-major.
+    #[derive(serde::Deserialize)]
+    struct RecordedOp {
+        name: String,
+        values: Vec<Vec<f64>>,
+        grads: Vec<Vec<f64>>,
+    }
+
+    #[derive(serde::Deserialize)]
+    struct ReferenceValues {
+        ops: Vec<RecordedOp>,
+    }
+
+    /// The recorded answer of the chain `name`; a missing file or case fails.
+    fn recorded_op(name: &str) -> RecordedOp {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/reference_values.json"
+        );
+        let text = std::fs::read_to_string(path).expect("read reference_values.json");
+        let values: ReferenceValues = serde_json::from_str(&text).expect("parse the fixture");
+        values
+            .ops
+            .into_iter()
+            .find(|op| op.name == name)
+            .unwrap_or_else(|| panic!("no recorded chain `{name}`"))
+    }
+
+    /// `got` is within `tol` of the recorded `want`, element for element.
+    fn assert_near(got: &Matrix, want: &[f64], tol: f32, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: element count");
+        for (i, (&a, &b)) in got.as_slice().iter().zip(want).enumerate() {
+            assert!(
+                (a - b as f32).abs() <= tol,
+                "{what}[{i}]: {a} vs recorded {b}"
+            );
+        }
+    }
+
     #[test]
-    fn segment_acc_rows_matches_unfused_chain() {
-        let segments = [1usize, 0, 1, 1];
-        let mask = Matrix::column_vector(&[1.0, 1.0, 0.0, 1.0]);
+    fn segment_acc_rows_matches_recorded_chain() {
+        // The recorded chain masked row 2, summed all four rows into their
+        // segments and added the accumulator.
         let active_rows = [0usize, 1, 3];
         let active_segments = [1usize, 0, 1];
+        let want = recorded_op("segment_acc_rows");
 
         let mut ga = Graph::new();
         let acc_a = ga.param(det_matrix(2, 3, 1));
         let xa = ga.param(det_matrix(4, 3, 2));
         let out_a = ga.segment_acc_rows(acc_a, xa, &active_rows, &active_segments);
         let wa = ga.constant(det_matrix(2, 3, 3));
-        let prod_a = ga.mul(out_a, wa);
-        let la = ga.sum(prod_a);
+        let d_a = ga.sub(out_a, wa);
+        let sq_a = ga.square(d_a);
+        let la = ga.sum(sq_a);
         ga.backward(la);
 
+        let segments = [1usize, 0, 1, 1];
+        let mask = Matrix::column_vector(&[1.0, 1.0, 0.0, 1.0]);
         let mut gb = Graph::new();
         let acc_b = gb.param(det_matrix(2, 3, 1));
         let xb = gb.param(det_matrix(4, 3, 2));
@@ -2217,40 +2263,45 @@ mod tests {
         let seg = gb.segment_sum(masked, &segments, 2);
         let out_b = gb.add(acc_b, seg);
         let wb = gb.constant(det_matrix(2, 3, 3));
-        let prod_b = gb.mul(out_b, wb);
-        let lb = gb.sum(prod_b);
+        let d_b = gb.sub(out_b, wb);
+        let sq_b = gb.square(d_b);
+        let lb = gb.sum(sq_b);
         gb.backward(lb);
+        assert_near(gb.value(out_b), &want.values[0], 0.0, "live out");
+        assert_near(gb.grad(xb).unwrap(), &want.grads[0], 0.0, "live grad x");
+        assert_near(
+            gb.grad(acc_b).unwrap(),
+            &want.grads[1],
+            0.0,
+            "live grad acc",
+        );
 
-        assert!(ga.value(out_a).approx_eq(gb.value(out_b), 1e-6));
-        assert!(ga.grad(xa).unwrap().approx_eq(gb.grad(xb).unwrap(), 1e-6));
-        assert!(ga
-            .grad(acc_a)
-            .unwrap()
-            .approx_eq(gb.grad(acc_b).unwrap(), 1e-6));
+        assert_near(ga.value(out_a), &want.values[0], 1e-6, "out");
+        assert_near(ga.grad(xa).unwrap(), &want.grads[0], 1e-6, "grad x");
+        assert_near(ga.grad(acc_a).unwrap(), &want.grads[1], 1e-6, "grad acc");
     }
 
     #[test]
-    fn gru_step_forward_matches_unfused() {
+    fn gru_step_forward_matches_recorded_unfused() {
         let mut ga = Graph::new();
         let va = toy_gru(&mut ga, 5, 3, 42);
         let ha = ga.constant(det_matrix(4, 5, 10));
         let xa = ga.constant(det_matrix(4, 3, 11));
         let fused = va.step(&mut ga, ha, xa);
+        let want = recorded_op("gru_step_forward");
 
         let mut gb = Graph::new();
         let vb = toy_gru(&mut gb, 5, 3, 42);
         let hb = gb.constant(det_matrix(4, 5, 10));
         let xb = gb.constant(det_matrix(4, 3, 11));
         let unfused = gru_step_unfused(&mut gb, &vb, hb, xb, None);
+        assert_near(gb.value(unfused), &want.values[0], 0.0, "live step");
 
-        assert!(
-            ga.value(fused).approx_eq(gb.value(unfused), 1e-6),
-            "fused forward diverged"
-        );
+        assert_near(ga.value(fused), &want.values[0], 1e-6, "fused forward");
     }
 
     #[test]
-    fn gru_step_gradients_match_unfused() {
+    fn gru_step_gradients_match_recorded_unfused() {
         let mut ga = Graph::new();
         let va = toy_gru(&mut ga, 5, 3, 9);
         let ha = ga.param(det_matrix(4, 5, 20));
@@ -2259,6 +2310,7 @@ mod tests {
         let sq_a = ga.square(fused);
         let la = ga.mean(sq_a);
         ga.backward(la);
+        let want = recorded_op("gru_step_gradients");
 
         let mut gb = Graph::new();
         let vb = toy_gru(&mut gb, 5, 3, 9);
@@ -2268,29 +2320,39 @@ mod tests {
         let sq_b = gb.square(unfused);
         let lb = gb.mean(sq_b);
         gb.backward(lb);
-
-        let pairs = va
+        for (i, (v, w)) in vb
             .params
             .into_iter()
-            .zip(vb.params)
-            .chain([(ha, hb), (xa, xb)]);
-        for (i, (fa, fb)) in pairs.enumerate() {
-            let grad_a = ga.grad(fa).expect("fused grad");
-            let grad_b = gb.grad(fb).expect("unfused grad");
-            assert!(
-                grad_a.approx_eq(grad_b, 2e-5),
-                "grad {i} diverged: {grad_a:?} vs {grad_b:?}"
+            .chain([hb, xb])
+            .zip(&want.grads)
+            .enumerate()
+        {
+            assert_near(gb.grad(v).unwrap(), w, 0.0, &format!("live grad {i}"));
+        }
+
+        let leaves = va.params.into_iter().chain([ha, xa]);
+        assert_eq!(want.grads.len(), 8);
+        for (i, (v, w)) in leaves.zip(&want.grads).enumerate() {
+            assert_near(
+                ga.grad(v).expect("fused grad"),
+                w,
+                2e-5,
+                &format!("grad {i}"),
             );
         }
     }
 
     #[test]
-    fn gru_step_rows_matches_masked_primitive_chain() {
+    fn gru_step_rows_matches_recorded_masked_chain() {
         // Active rows {0, 2, 3} of 4; the compact ops must agree with the
-        // masked primitive chain on values and on every gradient.
+        // recorded masked chain — which gathered a full-width id list (0 for
+        // the inactive row), masked it, stepped every row, masked the
+        // messages and summed them into segments — on values and on every
+        // gradient.
         let rows = [0usize, 2, 3];
         let mask = Matrix::column_vector(&[1.0, 0.0, 1.0, 1.0]);
         let ids = [1usize, 0, 2]; // entity per active row
+        let want = recorded_op("gru_step_rows");
 
         let mut ga = Graph::new();
         let va = toy_gru(&mut ga, 5, 4, 9);
@@ -2308,7 +2370,6 @@ mod tests {
         let vb = toy_gru(&mut gb, 5, 4, 9);
         let states_b = gb.param(det_matrix(3, 4, 33));
         let hb = gb.param(det_matrix(4, 5, 20));
-        // Masked form: gather a full-width id list (0 for inactive) + mask.
         let full_ids = [1usize, 0, 0, 2];
         let gathered = gb.gather_rows(states_b, &full_ids);
         let xb = gb.mask_rows(gathered, &mask);
@@ -2320,21 +2381,29 @@ mod tests {
         let sq_b = gb.square(out_b);
         let lb = gb.mean(sq_b);
         gb.backward(lb);
-
-        assert!(
-            ga.value(fused).approx_eq(gb.value(stepped), 1e-6),
-            "forward diverged"
-        );
-        assert!(ga.value(out_a).approx_eq(gb.value(out_b), 1e-6));
-        let pairs = va
+        assert_near(gb.value(stepped), &want.values[0], 0.0, "live step");
+        assert_near(gb.value(out_b), &want.values[1], 0.0, "live sums");
+        for (i, (v, w)) in vb
             .params
             .into_iter()
-            .zip(vb.params)
-            .chain([(ha, hb), (states_a, states_b)]);
-        for (i, (fa, fb)) in pairs.enumerate() {
-            let grad_a = ga.grad(fa).expect("compact grad");
-            let grad_b = gb.grad(fb).expect("masked grad");
-            assert!(grad_a.approx_eq(grad_b, 2e-5), "grad {i} diverged");
+            .chain([hb, states_b])
+            .zip(&want.grads)
+            .enumerate()
+        {
+            assert_near(gb.grad(v).unwrap(), w, 0.0, &format!("live grad {i}"));
+        }
+
+        assert_near(ga.value(fused), &want.values[0], 1e-6, "stepped state");
+        assert_near(ga.value(out_a), &want.values[1], 1e-6, "message sums");
+        let leaves = va.params.into_iter().chain([ha, states_a]);
+        assert_eq!(want.grads.len(), 8);
+        for (i, (v, w)) in leaves.zip(&want.grads).enumerate() {
+            assert_near(
+                ga.grad(v).expect("compact grad"),
+                w,
+                2e-5,
+                &format!("grad {i}"),
+            );
         }
     }
 

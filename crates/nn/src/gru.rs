@@ -396,30 +396,67 @@ mod tests {
         assert!(report.passes(3e-2), "{report:?}");
     }
 
+    /// What `BoundGruCell::step` (the op-by-op `[h, x]` expansion) and
+    /// `step_masked` computed on [`fused_step_matches_recorded_unfused_step`]'s
+    /// inputs, recorded in `tests/fixtures/reference_values.json` at the
+    /// workspace root before those forms were deleted.
+    fn recorded_unfused_steps() -> Vec<Vec<f64>> {
+        #[derive(serde::Deserialize)]
+        struct RecordedOp {
+            name: String,
+            values: Vec<Vec<f64>>,
+        }
+        #[derive(serde::Deserialize)]
+        struct ReferenceValues {
+            ops: Vec<RecordedOp>,
+        }
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/reference_values.json"
+        );
+        let text = std::fs::read_to_string(path).expect("read reference_values.json");
+        let values: ReferenceValues = serde_json::from_str(&text).expect("parse the fixture");
+        let op = values.ops.into_iter().find(|op| op.name == "gru_cell_step");
+        op.expect("the recorded GRU cell steps").values
+    }
+
+    fn assert_near(got: &Matrix, want: &[f64], tol: f32, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: element count");
+        for (i, (&a, &b)) in got.as_slice().iter().zip(want).enumerate() {
+            assert!(
+                (a - b as f32).abs() <= tol,
+                "{what}[{i}]: {a} vs recorded {b}"
+            );
+        }
+    }
+
     #[test]
-    fn fused_step_matches_unfused_reference() {
+    fn fused_step_matches_recorded_unfused_step() {
         let mut rng = Prng::new(12);
         let cell = GruCell::new(&mut rng, 3, 4);
         let h0 = rng.uniform_matrix(5, 4, -0.8, 0.8);
         let x0 = rng.uniform_matrix(5, 3, -1.0, 1.0);
         let mask = Matrix::column_vector(&[1.0, 0.0, 1.0, 1.0, 0.0]);
+        let want = recorded_unfused_steps();
 
         let mut g = Graph::new();
         let bound = cell.bind(&mut g);
         let h = g.constant(h0.clone());
-        let x = g.constant(x0.clone());
+        let x = g.constant(x0);
         let fused = bound.step_fused(&mut g, h, x);
         let unfused = bound.step(&mut g, h, x);
-        assert!(g.value(fused).approx_eq(g.value(unfused), 1e-6));
+        assert_near(g.value(unfused), &want[0], 0.0, "live step");
+        assert_near(g.value(fused), &want[0], 1e-6, "every row");
 
         // The row-compacted step over the active rows is the fused form of
-        // the masked reference.
+        // the recorded masked step, which kept rows 1 and 4.
         let rows = [0usize, 2, 3];
         let projected = bound.project(&mut g, x);
         let px_rows = g.gather_rows(projected, &rows);
         let fused_m = g.gru_step_rows(&bound.vars(), h, px_rows, &rows);
         let unfused_m = bound.step_masked(&mut g, h, x, &mask);
-        assert!(g.value(fused_m).approx_eq(g.value(unfused_m), 1e-6));
+        assert_near(g.value(unfused_m), &want[1], 0.0, "live masked step");
+        assert_near(g.value(fused_m), &want[1], 1e-6, "active rows");
         assert_eq!(g.value(fused_m).row(1), h0.row(1), "masked row frozen");
     }
 

@@ -5,7 +5,10 @@
 //! `tests/fixtures/golden_toy5.json` to within 1e-5 relative error. This
 //! pins the numerics of the fused hot path (tiled kernels, fast
 //! transcendentals, fused GRU tape ops, block-diagonal megabatching): any
-//! future perf work that silently changes model output fails here.
+//! future perf work that silently changes model output fails here. The same
+//! predictions must also stay within 1e-5 of what the op-by-op forward —
+//! and the seed-faithful reference mode — predicted on that plan, recorded
+//! in `tests/fixtures/reference_values.json` before both were deleted.
 //!
 //! Regenerate the fixture (only after an *intentional* numerics change) with:
 //!
@@ -86,37 +89,53 @@ fn predictions_match_recorded_fixture() {
     );
 }
 
+/// What the op-by-op forward predicted on [`golden_setup`]'s plan, with the
+/// production kernels and in the seed-faithful reference mode (naive
+/// kernels, libm transcendentals): recorded in
+/// `tests/fixtures/reference_values.json` before both were deleted. No
+/// regeneration path writes it.
+#[derive(serde::Deserialize)]
+struct GoldenReference {
+    unfused: Vec<f64>,
+    reference_mode: Vec<f64>,
+}
+
+fn golden_reference() -> GoldenReference {
+    #[derive(serde::Deserialize)]
+    struct ReferenceValues {
+        golden_toy5: GoldenReference,
+    }
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/reference_values.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()));
+    let values: ReferenceValues = serde_json::from_str(&text).expect("parse reference_values.json");
+    values.golden_toy5
+}
+
 #[test]
 fn fused_forward_matches_unfused_and_seed_reference() {
     let (model, plan) = golden_setup();
     let fused = model.predict(&plan);
+    let recorded = golden_reference();
 
-    // Unfused op-by-op forward with the production (fast) kernels.
-    let mut g = Graph::new();
+    // Live: the op-by-op forward, with the production kernels and in
+    // reference mode, still predicts exactly what was recorded.
     let (_, normalizer) = model.preprocessing();
-    let bound = Layer::bind(&model, &mut g);
-    let pred = model.forward_unfused(&mut g, &bound, &plan);
-    let unfused: Vec<f64> = g
-        .value(pred)
-        .as_slice()
-        .iter()
-        .map(|&v| normalizer.denormalize(v as f64))
-        .collect();
-    let worst = max_rel_diff(&fused, &unfused);
-    assert!(worst < 1e-5, "fused vs unfused forward diverged: {worst:e}");
+    for (reference, want) in [(false, &recorded.unfused), (true, &recorded.reference_mode)] {
+        let mut g = Graph::new();
+        g.set_reference_mode(reference);
+        let bound = Layer::bind(&model, &mut g);
+        let pred = model.forward_unfused(&mut g, &bound, &plan);
+        let live: Vec<f64> = (g.value(pred).as_slice().iter())
+            .map(|&v| normalizer.denormalize(v as f64))
+            .collect();
+        assert_eq!(&live, want);
+    }
 
-    // Seed-faithful reference mode: naive kernels + libm transcendentals.
-    let mut g_ref = Graph::new();
-    g_ref.set_reference_mode(true);
-    let bound_ref = Layer::bind(&model, &mut g_ref);
-    let pred_ref = model.forward_unfused(&mut g_ref, &bound_ref, &plan);
-    let reference: Vec<f64> = g_ref
-        .value(pred_ref)
-        .as_slice()
-        .iter()
-        .map(|&v| normalizer.denormalize(v as f64))
-        .collect();
-    let worst_ref = max_rel_diff(&fused, &reference);
+    let worst = max_rel_diff(&fused, &recorded.unfused);
+    assert!(worst < 1e-5, "fused vs unfused forward diverged: {worst:e}");
+    let worst_ref = max_rel_diff(&fused, &recorded.reference_mode);
     assert!(
         worst_ref < 1e-5,
         "fused vs seed-reference forward diverged: {worst_ref:e}"

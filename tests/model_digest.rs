@@ -169,27 +169,33 @@ fn model_steps<M: PathPredictor>(mut model: M, ds: &Dataset) -> [Step; 2] {
     [step(&model, &plans[0]), step(&model, &mb.plan)]
 }
 
-/// Every scenario, in the order of the recorded tables.
+/// Every scenario's name, in the order of the recorded tables.
+const SCENARIOS: [&str; 4] = [
+    "original",
+    "extended_positional",
+    "qos_two_class",
+    "extended_sparse_isp",
+];
+
+/// Every scenario, in the order of [`SCENARIOS`].
 fn scenario_steps() -> [(&'static str, [Step; 2]); 4] {
     let legacy = dataset(false);
     let two_class = dataset(true);
     assert!(two_class.samples[0].qos.is_some());
     let sparse_isp = sparse_isp_dataset();
+    let [original, extended, qos, sparse] = SCENARIOS;
     [
         (
-            "original",
+            original,
             model_steps(OriginalRouteNet::new(config()), &legacy),
         ),
         (
-            "extended_positional",
+            extended,
             model_steps(ExtendedRouteNet::new(config()), &legacy),
         ),
+        (qos, model_steps(QosRouteNet::new(config()), &two_class)),
         (
-            "qos_two_class",
-            model_steps(QosRouteNet::new(config()), &two_class),
-        ),
-        (
-            "extended_sparse_isp",
+            sparse,
             model_steps(ExtendedRouteNet::new(config()), &sparse_isp),
         ),
     ]
@@ -388,6 +394,42 @@ fn deviation(got: &Step, want: &RecordedStep) -> Deviation {
     }
 }
 
+/// The worst deviation of `steps` from `recorded`, which must name the same
+/// scenarios in the same order; one line per scenario and mode goes to
+/// `table`.
+fn worst_deviation(
+    recorded: &[&RecordedScenario],
+    steps: &[(&str, [Step; 2])],
+    table: &mut String,
+) -> Deviation {
+    let recorded_names: Vec<&str> = recorded.iter().map(|r| r.name.as_str()).collect();
+    let names: Vec<&str> = steps.iter().map(|(name, _)| *name).collect();
+    assert_eq!(recorded_names, names, "fixture and scenarios out of step");
+    let mut worst = Deviation::default();
+    for (want, (name, [single, megabatch])) in recorded.iter().zip(steps) {
+        for (mode, got, want) in [
+            ("single", single, &want.single),
+            ("mb", megabatch, &want.megabatch),
+        ] {
+            let d = deviation(got, want);
+            *table += &format!(
+                "  {name} {mode}: predictions {:.1e}, loss {:.1e}, gradients {:.1e}\n",
+                d.predictions, d.loss, d.grads
+            );
+            worst.predictions = worst.predictions.max(d.predictions);
+            worst.loss = worst.loss.max(d.loss);
+            worst.grads = worst.grads.max(d.grads);
+        }
+    }
+    worst
+}
+
+impl Deviation {
+    fn within_tolerance(&self) -> bool {
+        self.predictions <= PREDICTION_TOL && self.loss <= LOSS_TOL && self.grads <= GRAD_TOL
+    }
+}
+
 /// The sample `model_extended.json`'s recorded predictions are for.
 fn saved_model_sample(ds: &Dataset) -> &rn_dataset::Sample {
     &ds.samples[1]
@@ -433,32 +475,11 @@ fn models_stay_within_tolerance_of_the_recorded_values() {
         )
     });
     let recorded: RecordedValues = serde_json::from_str(&text).expect("parse model_values.json");
-    let mut table = String::new();
-    let mut worst = Deviation::default();
     let (retired, live): (Vec<_>, Vec<_>) =
         (recorded.scenarios.iter()).partition(|r| r.name == "extended_final_path_state_sum");
-    let live_names: Vec<&str> = live.iter().map(|r| r.name.as_str()).collect();
-    let names: Vec<&str> = steps.iter().map(|(name, _)| *name).collect();
-    assert_eq!(
-        (retired.len(), live_names),
-        (1, names),
-        "fixture and scenarios out of step"
-    );
-    for (want, (name, [single, megabatch])) in live.into_iter().zip(&steps) {
-        for (mode, got, want) in [
-            ("single", single, &want.single),
-            ("mb", megabatch, &want.megabatch),
-        ] {
-            let d = deviation(got, want);
-            table += &format!(
-                "  {name} {mode}: predictions {:.1e}, loss {:.1e}, gradients {:.1e}\n",
-                d.predictions, d.loss, d.grads
-            );
-            worst.predictions = worst.predictions.max(d.predictions);
-            worst.loss = worst.loss.max(d.loss);
-            worst.grads = worst.grads.max(d.grads);
-        }
-    }
+    assert_eq!(retired.len(), 1, "fixture and scenarios out of step");
+    let mut table = String::new();
+    let worst = worst_deviation(&live, &steps, &mut table);
 
     // The file format did not move: the model saved at the recording commit
     // loads, and predicts what it predicted there.
@@ -470,11 +491,102 @@ fn models_stay_within_tolerance_of_the_recorded_values() {
     table += &format!("  saved model: predictions {saved:.1e}\n");
     eprintln!("worst deviation from the recorded values:\n{table}");
     assert!(
-        worst.predictions <= PREDICTION_TOL
-            && worst.loss <= LOSS_TOL
-            && worst.grads <= GRAD_TOL
-            && saved <= PREDICTION_TOL,
+        worst.within_tolerance() && saved <= PREDICTION_TOL,
         "a model left the tolerance of its recorded values (predictions {PREDICTION_TOL:e}, \
+         loss {LOSS_TOL:e}, gradients {GRAD_TOL:e} of the matrix maximum):\n{table}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The op-by-op reference forward, as numbers
+// ---------------------------------------------------------------------------
+
+/// What the op-by-op forward computed on every scenario, single-sample and
+/// megabatch: `tests/fixtures/reference_values.json`, in the schema of
+/// `model_values.json`. That forward ran the textbook `[h, x]` GRU products
+/// over dense, masked path rows, with every iteration's entity updates, and
+/// the fused forward was checked against it until it was deleted; the
+/// commit before the deletion wrote its answers (the file also holds
+/// `golden_equivalence`'s, `plan_pruning`'s and the op-level tests' parts).
+/// There is no regeneration path: nothing is left to regenerate it from.
+#[derive(Deserialize)]
+struct ReferenceValues {
+    scenarios: Vec<RecordedScenario>,
+}
+
+fn reference_values() -> ReferenceValues {
+    let path = fixture("reference_values.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()));
+    serde_json::from_str(&text).expect("parse reference_values.json")
+}
+
+#[test]
+fn the_reference_values_cover_every_scenario() {
+    let recorded = reference_values();
+    let names: Vec<&str> = recorded.scenarios.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names, SCENARIOS);
+}
+
+/// The op-by-op forward's step, for the live comparison.
+fn reference_step<M: PathPredictor>(model: &M, plan: &SamplePlan) -> Step {
+    let mut g = Graph::new();
+    let bound = model.bind(&mut g);
+    let pred = model.forward_unfused(&mut g, &bound, plan);
+    let (_, normalizer) = model.preprocessing();
+    let predictions = (g.value(pred).as_slice().iter())
+        .map(|&v| normalizer.denormalize(v as f64))
+        .collect();
+    let reliable = g.gather_rows(pred, &plan.reliable_idx);
+    let target = g.constant(plan.reliable_targets_norm());
+    let loss = g.mse(reliable, target);
+    g.backward(loss);
+    Step {
+        predictions,
+        loss: g.value(loss).get(0, 0),
+        grads: model.grads(&g, &bound),
+    }
+}
+
+#[test]
+fn models_stay_within_tolerance_of_the_reference_forward() {
+    let recorded = reference_values();
+    let scenarios: Vec<&RecordedScenario> = recorded.scenarios.iter().collect();
+
+    // Live: the op-by-op forward still computes exactly what was recorded.
+    fn live<M: PathPredictor>(mut model: M, ds: &Dataset) -> [Step; 2] {
+        model.fit_preprocessing(ds, 5);
+        let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
+        let parts: Vec<&SamplePlan> = plans.iter().collect();
+        let mb = build_megabatch(&parts);
+        [
+            reference_step(&model, &plans[0]),
+            reference_step(&model, &mb.plan),
+        ]
+    }
+    let (legacy, two_class) = (dataset(false), dataset(true));
+    let [original, extended, qos, sparse] = SCENARIOS;
+    let live_steps = [
+        (original, live(OriginalRouteNet::new(config()), &legacy)),
+        (extended, live(ExtendedRouteNet::new(config()), &legacy)),
+        (qos, live(QosRouteNet::new(config()), &two_class)),
+        (
+            sparse,
+            live(ExtendedRouteNet::new(config()), &sparse_isp_dataset()),
+        ),
+    ];
+    let exact = worst_deviation(&scenarios, &live_steps, &mut String::new());
+    assert_eq!(
+        (exact.predictions, exact.loss, exact.grads),
+        (0.0, 0.0, 0.0)
+    );
+
+    let mut table = String::new();
+    let worst = worst_deviation(&scenarios, &scenario_steps(), &mut table);
+    eprintln!("worst deviation from the reference forward:\n{table}");
+    assert!(
+        worst.within_tolerance(),
+        "a model left the tolerance of the reference forward (predictions {PREDICTION_TOL:e}, \
          loss {LOSS_TOL:e}, gradients {GRAD_TOL:e} of the matrix maximum):\n{table}"
     );
 }

@@ -8,9 +8,10 @@
 //!   topology id.
 //! - The last message-passing iteration advances the paths only: the tape
 //!   holds one iteration less of message sums and entity updates, and the
-//!   predictions are those of the reference forward, which still runs them
-//!   (to the 1e-5 the fused and the op-by-op GRU agree to everywhere; that
-//!   no bit moved against the previous fused forward is what the prediction
+//!   predictions are those of the op-by-op reference forward, which still
+//!   ran them (to 1e-5 relative, against its predictions recorded in
+//!   `tests/fixtures/reference_values.json` before it was deleted; that no
+//!   bit moved against the previous fused forward is what the prediction
 //!   digests of `tests/model_digest.rs` pin).
 
 use rn_autograd::trace::{KIND_GRU, KIND_SEGMENT};
@@ -109,17 +110,47 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The fused forward's predictions against the op-by-op reference forward,
-/// which still runs the last iteration's entity updates.
+/// What the op-by-op reference forward, which still ran the last
+/// iteration's entity updates, predicted on
+/// [`the_last_iteration_sends_no_message_and_keeps_the_predictions`]'s plan,
+/// per model: recorded in `tests/fixtures/reference_values.json` before it
+/// was deleted.
+fn recorded_reference(model: &str) -> Vec<f64> {
+    #[derive(serde::Deserialize)]
+    struct NamedPredictions {
+        name: String,
+        predictions: Vec<f64>,
+    }
+    #[derive(serde::Deserialize)]
+    struct ReferenceValues {
+        plan_pruning: Vec<NamedPredictions>,
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/reference_values.json"
+    );
+    let text = std::fs::read_to_string(path).expect("read reference_values.json");
+    let values: ReferenceValues = serde_json::from_str(&text).expect("parse reference_values.json");
+    let recorded = values.plan_pruning.into_iter().find(|r| r.name == model);
+    recorded
+        .unwrap_or_else(|| panic!("no recorded predictions for `{model}`"))
+        .predictions
+}
+
+/// The fused forward's predictions against the reference forward's.
 fn assert_matches_unfused<M: PathPredictor>(model: &M, plan: &SamplePlan) {
+    let recorded = recorded_reference(model.name());
     let mut g = Graph::new();
     let bound = Layer::bind(model, &mut g);
     let pred = model.forward_unfused(&mut g, &bound, plan);
     let (_, normalizer) = model.preprocessing();
+    let live: Vec<f64> = (g.value(pred).as_slice().iter())
+        .map(|&v| normalizer.denormalize(v as f64))
+        .collect();
+    assert_eq!(live, recorded, "{}: live reference", model.name());
     let fused = model.predict(plan);
-    assert_eq!(fused.len(), plan.n_paths);
-    for (row, (&v, fused)) in g.value(pred).as_slice().iter().zip(fused).enumerate() {
-        let unfused = normalizer.denormalize(v as f64);
+    assert_eq!(fused.len(), recorded.len());
+    for (row, (fused, unfused)) in fused.into_iter().zip(recorded).enumerate() {
         assert!(
             (fused - unfused).abs() <= 1e-5 * unfused.abs(),
             "{} row {row}: fused {fused:e} vs unfused {unfused:e}",
