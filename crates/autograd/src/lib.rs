@@ -8,14 +8,16 @@
 //! [`Graph`] records every operation as it executes; [`Graph::backward`]
 //! replays the tape in reverse, accumulating gradients into every node.
 //!
-//! Besides the usual dense ops (matmul, elementwise arithmetic, activations)
-//! the tape supports the two *structural* primitives GNN message passing is
-//! made of, with exact adjoints:
+//! The tape records only what the models and their loss run: dense ops
+//! (matmul, bias, SELU, the squared-error loss's difference, square and
+//! mean), the fused GRU step with its parameter packing, and the two
+//! *structural* primitives GNN message passing is made of, with exact
+//! adjoints:
 //!
 //! - [`Graph::gather_rows`] — read entity states into per-position rows
 //!   (adjoint: scatter-add), and
-//! - [`Graph::segment_sum`] — aggregate per-position messages back into entity
-//!   states (adjoint: gather).
+//! - [`Graph::segment_acc_rows`] — accumulate per-position messages into
+//!   entity states, over the active rows only (adjoint: gather).
 //!
 //! [`check`] provides finite-difference gradient checking, used extensively in
 //! the test suites of this crate and of `rn-nn`.

@@ -182,18 +182,12 @@ proptest! {
         x in matrix_strategy(3, 4),
         w in matrix_strategy(4, 3),
         b in matrix_strategy(1, 3),
-        pick in 0usize..4,
     ) {
         let report = check_gradients(
             move |g, vars| {
                 let h = g.matmul(vars[0], vars[1]);
                 let hb = g.add_bias(h, vars[2]);
-                let a = match pick {
-                    0 => g.sigmoid(hb),
-                    1 => g.tanh(hb),
-                    2 => g.selu(hb),
-                    _ => g.softplus(hb),
-                };
+                let a = g.selu(hb);
                 let sq = g.square(a);
                 g.mean(sq)
             },
@@ -209,12 +203,14 @@ proptest! {
         raw_idx in proptest::collection::vec(0usize..5, 1..8),
     ) {
         let idx = raw_idx.clone();
-        let segs: Vec<usize> = (0..idx.len()).map(|i| i % 3).collect();
+        let rows: Vec<usize> = (0..idx.len()).collect();
+        let segs: Vec<usize> = rows.iter().map(|i| i % 3).collect();
         let report = check_gradients(
             move |g, vars| {
                 let gathered = g.gather_rows(vars[0], &idx);
-                let summed = g.segment_sum(gathered, &segs, 3);
-                let t = g.tanh(summed);
+                let acc = g.constant(Matrix::zeros(3, 3));
+                let summed = g.segment_acc_rows(acc, gathered, &rows, &segs);
+                let t = g.selu(summed);
                 g.mean(t)
             },
             &[x],
@@ -228,15 +224,15 @@ proptest! {
         x in matrix_strategy(3, 3),
         y in matrix_strategy(3, 3),
     ) {
-        // For loss = sum(a + b), gradients are all-ones regardless of values.
+        // For loss = sum(a - b), gradients are ±1 regardless of values.
         let mut g = Graph::new();
         let a = g.param(x);
         let b = g.param(y);
-        let s = g.add(a, b);
+        let s = g.sub(a, b);
         let loss = g.sum(s);
         g.backward(loss);
         prop_assert!(g.grad(a).unwrap().approx_eq(&Matrix::ones(3, 3), 1e-6));
-        prop_assert!(g.grad(b).unwrap().approx_eq(&Matrix::ones(3, 3), 1e-6));
+        prop_assert!(g.grad(b).unwrap().approx_eq(&Matrix::filled(3, 3, -1.0), 1e-6));
     }
 
     #[test]
@@ -247,9 +243,10 @@ proptest! {
         let run = |scale: f32, x: Matrix| -> Matrix {
             let mut g = Graph::new();
             let v = g.param(x);
-            let t = g.tanh(v);
+            let t = g.selu(v);
             let m = g.mean(t);
-            let loss = g.affine(m, scale, 0.0);
+            let s = g.constant(Matrix::filled(1, 1, scale));
+            let loss = g.matmul(m, s);
             g.backward(loss);
             g.grad(v).unwrap().clone()
         };
@@ -259,14 +256,16 @@ proptest! {
     }
 
     #[test]
-    fn value_of_segment_sum_preserves_mass(
+    fn value_of_segment_acc_rows_preserves_mass(
         x in matrix_strategy(6, 2),
         nseg in 1usize..4,
     ) {
-        let segs: Vec<usize> = (0..6).map(|i| i % nseg).collect();
+        let rows: Vec<usize> = (0..6).collect();
+        let segs: Vec<usize> = rows.iter().map(|i| i % nseg).collect();
         let mut g = Graph::new();
         let v = g.param(x.clone());
-        let s = g.segment_sum(v, &segs, nseg);
+        let acc = g.constant(Matrix::zeros(nseg, 2));
+        let s = g.segment_acc_rows(acc, v, &rows, &segs);
         prop_assert!((g.value(s).sum() - x.sum()).abs() < 1e-4);
     }
 

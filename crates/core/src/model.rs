@@ -57,12 +57,6 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
     /// plans and block-diagonal megabatch plans alike.
     fn forward(&self, g: &mut Graph, bound: &Self::Bound, plan: &SamplePlan) -> Var;
 
-    /// The pre-fusion op-by-op forward pass. Numerically equivalent to
-    /// [`PathPredictor::forward`]; kept only as the reference the tests
-    /// compare against (`golden_equivalence`, `plan_pruning` and this
-    /// module's unit tests).
-    fn forward_unfused(&self, g: &mut Graph, bound: &Self::Bound, plan: &SamplePlan) -> Var;
-
     /// Build the message-passing plan for one sample using this model's
     /// preprocessing state.
     fn plan(&self, sample: &Sample) -> SamplePlan {
@@ -435,8 +429,9 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
     /// where it used to gather state rows. The fused sweep then records
     /// three tape nodes per visited sequence position (`gather_rows`,
     /// `gru_step_rows`, `segment_acc_rows`; two in the last iteration, which
-    /// sends no messages) instead of the ~20 of
-    /// [`PathPredictor::forward_unfused`] — this is the training hot path.
+    /// sends no messages) instead of the ~20 of the op-by-op forward it
+    /// replaced, whose answers `tests/fixtures/reference_values.json` keeps
+    /// — this is the training hot path.
     /// Every index list it hands the tape is a refcounted view of the plan's
     /// buffers, so recording a step copies no index word.
     ///
@@ -501,58 +496,6 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
                 };
                 let gru = bound.entity_gru(kind).expect("state implies an owned GRU");
                 states[kind as usize] = Some(gru.step_fused(g, state, sum));
-            }
-        }
-        bound.readout.forward(g, path_state)
-    }
-
-    fn forward_unfused(&self, g: &mut Graph, bound: &Bound, plan: &SamplePlan) -> Var {
-        let schedule = &plan.schedule;
-        let mut path_state = g.constant(plan.path_init.clone());
-        let mut states = ENTITY_KINDS.map(|kind| {
-            let (init, rows) = entity_init(plan, kind);
-            let owned = bound.entity_gru(kind).is_some() && rows > 0;
-            owned.then(|| g.constant(init.clone()))
-        });
-        // The dense form of every visited step: one id per path row (0, an
-        // arbitrary valid id, for rows without the position) and the mask
-        // that zeroes those rows.
-        let dense_steps: Vec<(EntityKind, Vec<usize>, Matrix)> = (0..schedule.len())
-            .filter(|&s| states[schedule.kinds[s] as usize].is_some() && schedule.active(s) > 0)
-            .map(|s| {
-                let mut ids = vec![0usize; plan.n_paths];
-                let mut mask = Matrix::zeros(plan.n_paths, 1);
-                for (&row, &id) in schedule.active_rows(s).iter().zip(schedule.active_ids(s)) {
-                    ids[row] = id;
-                    mask.set(row, 0, 1.0);
-                }
-                (schedule.kinds[s], ids, mask)
-            })
-            .collect();
-        for _ in 0..self.config.mp_iterations {
-            let mut sums = ENTITY_KINDS.map(|kind| {
-                let state = states[kind as usize]?;
-                let (rows, cols) = g.value(state).shape();
-                Some(g.constant(Matrix::zeros(rows, cols)))
-            });
-            for (kind, ids, mask) in &dense_steps {
-                let entity_state = states[*kind as usize].expect("visited kinds have states");
-                let x_raw = g.gather_rows(entity_state, ids);
-                let x = g.mask_rows(x_raw, mask);
-                path_state = bound.gru_path.step_masked(g, path_state, x, mask);
-                if let Some(sum) = sums[*kind as usize] {
-                    let msg = g.mask_rows(path_state, mask);
-                    let (_, num_entities) = entity_init(plan, *kind);
-                    let contribution = g.segment_sum(msg, ids, num_entities);
-                    sums[*kind as usize] = Some(g.add(sum, contribution));
-                }
-            }
-            for kind in ENTITY_KINDS {
-                let (Some(state), Some(sum)) = (states[kind as usize], sums[kind as usize]) else {
-                    continue;
-                };
-                let gru = bound.entity_gru(kind).expect("state implies an owned GRU");
-                states[kind as usize] = Some(gru.step(g, state, sum));
             }
         }
         bound.readout.forward(g, path_state)
@@ -690,30 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_forward_matches_unfused_reference() {
-        let ds = toy_dataset(1);
-        let mut model = ExtendedRouteNet::new(small_config());
-        model.fit_preprocessing(&ds, 5);
-        let plan = model.plan(&ds.samples[0]);
-        let mut g = Graph::new();
-        let bound = model.bind(&mut g);
-        let fused = model.forward(&mut g, &bound, &plan);
-        let unfused = model.forward_unfused(&mut g, &bound, &plan);
-        assert!(
-            g.value(fused).approx_eq(g.value(unfused), 1e-5),
-            "fused/unfused diverged"
-        );
-        let mut orig = OriginalRouteNet::new(small_config());
-        orig.fit_preprocessing(&ds, 5);
-        let plan = orig.plan(&ds.samples[0]);
-        let mut g = Graph::new();
-        let bound = orig.bind(&mut g);
-        let fused = orig.forward(&mut g, &bound, &plan);
-        let unfused = orig.forward_unfused(&mut g, &bound, &plan);
-        assert!(g.value(fused).approx_eq(g.value(unfused), 1e-5));
-    }
-
-    #[test]
     fn predict_batch_matches_per_sample_predict() {
         let ds = toy_dataset(3);
         let mut model = ExtendedRouteNet::new(small_config());
@@ -842,22 +761,6 @@ mod tests {
         for p in preds {
             assert!(p.is_finite() && p > 0.0, "prediction {p}");
         }
-    }
-
-    #[test]
-    fn qos_model_fused_forward_matches_unfused_reference() {
-        let ds = qos_dataset(1);
-        let mut model = QosRouteNet::new(small_config());
-        model.fit_preprocessing(&ds, 5);
-        let plan = model.plan(&ds.samples[0]);
-        let mut g = Graph::new();
-        let bound = model.bind(&mut g);
-        let fused = model.forward(&mut g, &bound, &plan);
-        let unfused = model.forward_unfused(&mut g, &bound, &plan);
-        assert!(
-            g.value(fused).approx_eq(g.value(unfused), 1e-5),
-            "fused/unfused diverged on a QoS plan"
-        );
     }
 
     #[test]

@@ -3,22 +3,13 @@
 use rn_autograd::{Graph, Var};
 use serde::{Deserialize, Serialize};
 
-/// Which nonlinearity a layer applies.
+/// Which nonlinearity a layer applies: the two RouteNet's readout uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
-    /// No nonlinearity.
+    /// No nonlinearity (the readout's output layer).
     Identity,
-    /// Rectified linear unit.
-    Relu,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Scaled exponential linear unit — RouteNet's readout activation.
+    /// Scaled exponential linear unit — the readout's hidden layers.
     Selu,
-    /// Softplus; useful as a final activation when predicting non-negative
-    /// quantities such as delays.
-    Softplus,
 }
 
 impl Activation {
@@ -26,32 +17,21 @@ impl Activation {
     pub fn apply(self, g: &mut Graph, x: Var) -> Var {
         match self {
             Activation::Identity => x,
-            Activation::Relu => g.relu(x),
-            Activation::Sigmoid => g.sigmoid(x),
-            Activation::Tanh => g.tanh(x),
             Activation::Selu => g.selu(x),
-            Activation::Softplus => g.softplus(x),
         }
     }
 
     /// Apply the activation directly to a matrix (no tape), for inference-only
-    /// code paths. Sigmoid/tanh/SELU run the vectorized slice kernels
-    /// (bitwise identical to the scalar maps).
+    /// code paths. SELU runs the vectorized slice kernel (bitwise identical
+    /// to the scalar map).
     pub fn apply_matrix(self, x: &rn_tensor::Matrix) -> rn_tensor::Matrix {
-        use rn_autograd::activations as a;
-        use rn_tensor::simd::activations as vact;
-        let mapped = |kernel: fn(&[f32], &mut [f32])| {
-            let mut out = rn_tensor::Matrix::zeros(x.rows(), x.cols());
-            kernel(x.as_slice(), out.as_mut_slice());
-            out
-        };
         match self {
             Activation::Identity => x.clone(),
-            Activation::Relu => x.map(a::relu),
-            Activation::Sigmoid => mapped(vact::sigmoid_map),
-            Activation::Tanh => mapped(vact::tanh_map),
-            Activation::Selu => mapped(vact::selu_map),
-            Activation::Softplus => x.map(a::softplus),
+            Activation::Selu => {
+                let mut out = rn_tensor::Matrix::zeros(x.rows(), x.cols());
+                rn_tensor::simd::activations::selu_map(x.as_slice(), out.as_mut_slice());
+                out
+            }
         }
     }
 }
@@ -64,14 +44,7 @@ mod tests {
     #[test]
     fn tape_and_matrix_paths_agree() {
         let input = Matrix::row_vector(&[-2.0, -0.5, 0.0, 0.5, 2.0]);
-        for act in [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::Sigmoid,
-            Activation::Tanh,
-            Activation::Selu,
-            Activation::Softplus,
-        ] {
+        for act in [Activation::Identity, Activation::Selu] {
             let mut g = Graph::new();
             let x = g.param(input.clone());
             let y = act.apply(&mut g, x);

@@ -42,8 +42,11 @@
 //! active rows. The regrouping is done at bind time by copying
 //! ([`rn_autograd::Graph::gru_pack`]); the cell still owns, serializes and
 //! receives gradients for the six matrices above, in the order above.
-//! [`BoundGruCell::step`] and [`GruCell::step_inference`] keep the textbook
-//! `[h, x]` form as the independent reference.
+//! The fused step is the only one the tape records. The tape-free
+//! [`GruCell::step_inference`] keeps the textbook `[h, x]` form as an
+//! independent check of it; the op-by-op tape form it replaced is gone, and
+//! what that form computed is recorded in `tests/fixtures/reference_values.json`
+//! at the workspace root.
 
 use crate::{init, Layer};
 use rn_autograd::{Graph, GruVars, Var};
@@ -194,52 +197,13 @@ impl BoundGruCell {
         g.matmul(x, self.packed.w_x)
     }
 
-    /// One recurrent step over every row as a projection and a single fused
-    /// tape node (see [`Graph::gru_step_rows`]). Numerically equivalent to
-    /// [`BoundGruCell::step`] but ~9x fewer tape nodes.
+    /// One recurrent step over every row, `h' = GRU(h, x)`, as a projection
+    /// and a single fused tape node (see [`Graph::gru_step_rows`]). `h` is
+    /// `n x hidden`, `x` is `n x input`; returns `n x hidden`. Safe to call
+    /// repeatedly with shared weights (that is the point of a binding).
     pub fn step_fused(&self, g: &mut Graph, h: Var, x: Var) -> Var {
         let px = self.project(g, x);
         g.gru_step_dense(&self.packed, h, px)
-    }
-
-    /// One recurrent step on the tape: `h' = GRU(h, x)`.
-    ///
-    /// `h` is `n x hidden`, `x` is `n x input`; returns `n x hidden`. Safe to
-    /// call repeatedly with shared weights (that is the point of a binding).
-    /// This is the unfused op-by-op expansion, kept as the numerical
-    /// reference; production forward passes use [`BoundGruCell::step_fused`].
-    pub fn step(&self, g: &mut Graph, h: Var, x: Var) -> Var {
-        let hx = g.concat_cols(h, x);
-
-        let z_lin = g.matmul(hx, self.w_z);
-        let z_b = g.add_bias(z_lin, self.b_z);
-        let z = g.sigmoid(z_b);
-
-        let r_lin = g.matmul(hx, self.w_r);
-        let r_b = g.add_bias(r_lin, self.b_r);
-        let r = g.sigmoid(r_b);
-
-        let rh = g.mul(r, h);
-        let rhx = g.concat_cols(rh, x);
-        let c_lin = g.matmul(rhx, self.w_c);
-        let c_b = g.add_bias(c_lin, self.b_c);
-        let c = g.tanh(c_b);
-
-        let one_minus_z = g.one_minus(z);
-        let keep = g.mul(one_minus_z, h);
-        let update = g.mul(z, c);
-        g.add(keep, update)
-    }
-
-    /// A masked step: rows with `mask == 0` keep their previous state
-    /// unchanged; rows with `mask == 1` advance. This implements padded
-    /// variable-length sequences batched into one matrix.
-    pub fn step_masked(&self, g: &mut Graph, h: Var, x: Var, mask: &Matrix) -> Var {
-        let advanced = self.step(g, h, x);
-        let keep_mask = mask.map(|v| 1.0 - v);
-        let kept = g.mask_rows(h, &keep_mask);
-        let moved = g.mask_rows(advanced, mask);
-        g.add(kept, moved)
     }
 }
 
@@ -295,7 +259,7 @@ mod tests {
         let bound = cell.bind(&mut g);
         let h = g.constant(Matrix::zeros(4, 5));
         let x = g.constant(rng.uniform_matrix(4, 3, -1.0, 1.0));
-        let h2 = bound.step(&mut g, h, x);
+        let h2 = bound.step_fused(&mut g, h, x);
         assert_eq!(g.value(h2).shape(), (4, 5));
     }
 
@@ -309,7 +273,7 @@ mod tests {
         let bound = cell.bind(&mut g);
         let h = g.constant(h0.clone());
         let x = g.constant(x0.clone());
-        let h2 = bound.step(&mut g, h, x);
+        let h2 = bound.step_fused(&mut g, h, x);
         assert!(g.value(h2).approx_eq(&cell.step_inference(&h0, &x0), 1e-5));
     }
 
@@ -344,22 +308,24 @@ mod tests {
     }
 
     #[test]
-    fn masked_step_freezes_masked_rows() {
+    fn row_compacted_step_freezes_inactive_rows() {
         let mut rng = Prng::new(5);
         let cell = GruCell::new(&mut rng, 2, 3);
         let h0 = rng.uniform_matrix(3, 3, -0.5, 0.5);
         let x0 = rng.uniform_matrix(3, 2, -1.0, 1.0);
-        let mask = Matrix::column_vector(&[1.0, 0.0, 1.0]);
+        let rows = [0usize, 2];
 
         let mut g = Graph::new();
         let bound = cell.bind(&mut g);
         let h = g.constant(h0.clone());
         let x = g.constant(x0.clone());
-        let h1 = bound.step_masked(&mut g, h, x, &mask);
+        let projected = bound.project(&mut g, x);
+        let px = g.gather_rows(projected, &rows);
+        let h1 = g.gru_step_rows(&bound.vars(), h, px, &rows);
         let out = g.value(h1);
 
         let full = cell.step_inference(&h0, &x0);
-        assert_eq!(out.row(1), h0.row(1), "masked row must not change");
+        assert_eq!(out.row(1), h0.row(1), "an inactive row must not change");
         assert!(Matrix::from_rows(&[out.row(0).to_vec()])
             .approx_eq(&Matrix::from_rows(&[full.row(0).to_vec()]), 1e-5));
         assert!(Matrix::from_rows(&[out.row(2).to_vec()])
@@ -385,7 +351,7 @@ mod tests {
                 let mut h = g.constant(Matrix::zeros(2, 3));
                 for x in &xs {
                     let xv = g.constant(x.clone());
-                    h = bound.step(g, h, xv);
+                    h = bound.step_fused(g, h, xv);
                 }
                 let sq = g.square(h);
                 g.mean(sq)
@@ -396,10 +362,10 @@ mod tests {
         assert!(report.passes(3e-2), "{report:?}");
     }
 
-    /// What `BoundGruCell::step` (the op-by-op `[h, x]` expansion) and
-    /// `step_masked` computed on [`fused_step_matches_recorded_unfused_step`]'s
-    /// inputs, recorded in `tests/fixtures/reference_values.json` at the
-    /// workspace root before those forms were deleted.
+    /// What the op-by-op `[h, x]` step on the tape, over every row and with
+    /// a row mask, computed on [`fused_step_matches_recorded_unfused_step`]'s
+    /// inputs: recorded in `tests/fixtures/reference_values.json` at the
+    /// workspace root before that form was deleted.
     fn recorded_unfused_steps() -> Vec<Vec<f64>> {
         #[derive(serde::Deserialize)]
         struct RecordedOp {
@@ -436,7 +402,6 @@ mod tests {
         let cell = GruCell::new(&mut rng, 3, 4);
         let h0 = rng.uniform_matrix(5, 4, -0.8, 0.8);
         let x0 = rng.uniform_matrix(5, 3, -1.0, 1.0);
-        let mask = Matrix::column_vector(&[1.0, 0.0, 1.0, 1.0, 0.0]);
         let want = recorded_unfused_steps();
 
         let mut g = Graph::new();
@@ -444,8 +409,6 @@ mod tests {
         let h = g.constant(h0.clone());
         let x = g.constant(x0);
         let fused = bound.step_fused(&mut g, h, x);
-        let unfused = bound.step(&mut g, h, x);
-        assert_near(g.value(unfused), &want[0], 0.0, "live step");
         assert_near(g.value(fused), &want[0], 1e-6, "every row");
 
         // The row-compacted step over the active rows is the fused form of
@@ -454,8 +417,6 @@ mod tests {
         let projected = bound.project(&mut g, x);
         let px_rows = g.gather_rows(projected, &rows);
         let fused_m = g.gru_step_rows(&bound.vars(), h, px_rows, &rows);
-        let unfused_m = bound.step_masked(&mut g, h, x, &mask);
-        assert_near(g.value(unfused_m), &want[1], 0.0, "live masked step");
         assert_near(g.value(fused_m), &want[1], 1e-6, "active rows");
         assert_eq!(g.value(fused_m).row(1), h0.row(1), "masked row frozen");
     }

@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn tape_and_inference_agree() {
         let mut rng = Prng::new(2);
-        let layer = Linear::new(&mut rng, 4, 3, Activation::Tanh);
+        let layer = Linear::new(&mut rng, 4, 3, Activation::Selu);
         let x = rng.uniform_matrix(5, 4, -1.0, 1.0);
         let mut g = Graph::new();
         let bound = layer.bind(&mut g);
@@ -166,7 +166,7 @@ mod tests {
                 let xv = g.constant(x.clone());
                 let h = g.matmul(xv, vars[0]);
                 let hb = g.add_bias(h, vars[1]);
-                let a = g.tanh(hb);
+                let a = g.selu(hb);
                 let sq = g.square(a);
                 g.mean(sq)
             },
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn layer_grads_align_with_params() {
         let mut rng = Prng::new(4);
-        let layer = Linear::new(&mut rng, 2, 2, Activation::Sigmoid);
+        let layer = Linear::new(&mut rng, 2, 2, Activation::Selu);
         let mut g = Graph::new();
         let bound = layer.bind(&mut g);
         let x = g.constant(Matrix::ones(1, 2));

@@ -26,7 +26,7 @@ proptest! {
                 let xv = g.constant(x.clone());
                 let h = g.matmul(xv, vars[0]);
                 let hb = g.add_bias(h, vars[1]);
-                let a = g.tanh(hb);
+                let a = g.selu(hb);
                 let sq = g.square(a);
                 g.mean(sq)
             },
@@ -106,7 +106,7 @@ proptest! {
         let bound = cell.bind(&mut g);
         let h = g.constant(rng.uniform_matrix(3, hidden, -0.5, 0.5));
         let x = g.constant(rng.uniform_matrix(3, 2, -0.5, 0.5));
-        let h2 = bound.step(&mut g, h, x);
+        let h2 = bound.step_fused(&mut g, h, x);
         let sq = g.square(h2);
         let loss = g.mean(sq);
         g.backward(loss);

@@ -15,8 +15,8 @@
 //! relative error is below ~1e-7 over the whole clamped range — far inside
 //! the 1e-5 equivalence budget the golden tests enforce, and smooth enough
 //! for the finite-difference gradient checks. The libm-backed `*_precise`
-//! forms are kept: the seed-faithful reference mode (the benchmark "before")
-//! and any caller needing last-bit accuracy use those.
+//! forms are the yardstick the precision tests hold the fast forms to
+//! (`tests/activation_precision.rs`).
 
 /// SELU scale constant (Klambauer et al., 2017).
 pub const SELU_LAMBDA: f32 = 1.050_700_9;
@@ -70,7 +70,7 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + e)
 }
 
-/// Libm-backed sigmoid — the seed-faithful reference form.
+/// Libm-backed sigmoid — the reference form the fast one is held to.
 #[inline]
 pub fn sigmoid_precise(x: f32) -> f32 {
     if x >= 0.0 {
@@ -99,7 +99,7 @@ pub fn tanh(x: f32) -> f32 {
     (e2 - 1.0) / (e2 + 1.0)
 }
 
-/// Libm-backed tanh — the seed-faithful reference form.
+/// Libm-backed tanh — the reference form the fast one is held to.
 #[inline]
 pub fn tanh_precise(x: f32) -> f32 {
     x.tanh()
@@ -109,22 +109,6 @@ pub fn tanh_precise(x: f32) -> f32 {
 #[inline]
 pub fn tanh_deriv_from_output(y: f32) -> f32 {
     1.0 - y * y
-}
-
-/// Rectified linear unit.
-#[inline]
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
-/// Derivative of ReLU with the `x = 0` subgradient fixed at 0.
-#[inline]
-pub fn relu_deriv(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
 }
 
 /// Scaled exponential linear unit — the readout activation used by RouteNet.
@@ -137,7 +121,7 @@ pub fn selu(x: f32) -> f32 {
     }
 }
 
-/// Libm-backed SELU — the seed-faithful reference form.
+/// Libm-backed SELU — the reference form the fast one is held to.
 #[inline]
 pub fn selu_precise(x: f32) -> f32 {
     if x > 0.0 {
@@ -155,34 +139,6 @@ pub fn selu_deriv(x: f32) -> f32 {
     } else {
         SELU_LAMBDA * SELU_ALPHA * fast_exp(x)
     }
-}
-
-/// Libm-backed SELU derivative — the seed-faithful reference form.
-#[inline]
-pub fn selu_deriv_precise(x: f32) -> f32 {
-    if x > 0.0 {
-        SELU_LAMBDA
-    } else {
-        SELU_LAMBDA * SELU_ALPHA * x.exp()
-    }
-}
-
-/// Softplus `ln(1 + e^x)`, numerically stable.
-#[inline]
-pub fn softplus(x: f32) -> f32 {
-    if x > 20.0 {
-        x
-    } else if x < -20.0 {
-        x.exp()
-    } else {
-        x.exp().ln_1p()
-    }
-}
-
-/// Derivative of softplus (= sigmoid).
-#[inline]
-pub fn softplus_deriv(x: f32) -> f32 {
-    sigmoid(x)
 }
 
 #[cfg(test)]
@@ -212,23 +168,12 @@ mod tests {
             let t = tanh(x);
             assert!((tanh_deriv_from_output(t) - numeric_deriv(tanh, x)).abs() < 1e-3);
             assert!((selu_deriv(x) - numeric_deriv(selu, x)).abs() < 2e-3);
-            assert!((softplus_deriv(x) - numeric_deriv(softplus, x)).abs() < 1e-3);
-        }
-        for &x in &[-1.5f32, 0.5, 2.0] {
-            assert!((relu_deriv(x) - numeric_deriv(relu, x)).abs() < 1e-3);
         }
     }
 
     #[test]
     fn selu_is_continuous_at_zero() {
         assert!((selu(1e-6) - selu(-1e-6)).abs() < 1e-4);
-    }
-
-    #[test]
-    fn softplus_extremes_are_stable() {
-        assert!((softplus(50.0) - 50.0).abs() < 1e-3);
-        assert!(softplus(-50.0) >= 0.0);
-        assert!(softplus(-50.0) < 1e-6);
     }
 
     #[test]

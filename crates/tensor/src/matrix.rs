@@ -523,11 +523,8 @@ impl Matrix {
         kernels::matmul_tn_acc(&self.data, &other.data, k, m, n, &mut out.data);
     }
 
-    /// Reference `self * other` — the pre-refactor kernel, kept verbatim.
-    ///
-    /// Serves two purposes: the oracle the property tests compare the
-    /// unrolled kernels against, and the faithful "before" side of the
-    /// training-step benchmark (via the autograd reference mode).
+    /// Reference `self * other` — the pre-refactor kernel, kept verbatim as
+    /// the oracle the property tests compare the unrolled kernels against.
     pub fn matmul_reference(&self, other: &Self) -> Self {
         let (m, k, n) = self.assert_matmul_shapes(other);
         let mut out = vec![0.0f32; m * n];

@@ -16,11 +16,9 @@
 //! RN_REGEN_GOLDEN=1 cargo test --test golden_equivalence
 //! ```
 
-use rn_autograd::Graph;
 use rn_dataset::{generate, GeneratorConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
-use rn_nn::Layer;
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, SamplePlan};
 use std::path::PathBuf;
@@ -118,20 +116,6 @@ fn fused_forward_matches_unfused_and_seed_reference() {
     let (model, plan) = golden_setup();
     let fused = model.predict(&plan);
     let recorded = golden_reference();
-
-    // Live: the op-by-op forward, with the production kernels and in
-    // reference mode, still predicts exactly what was recorded.
-    let (_, normalizer) = model.preprocessing();
-    for (reference, want) in [(false, &recorded.unfused), (true, &recorded.reference_mode)] {
-        let mut g = Graph::new();
-        g.set_reference_mode(reference);
-        let bound = Layer::bind(&model, &mut g);
-        let pred = model.forward_unfused(&mut g, &bound, &plan);
-        let live: Vec<f64> = (g.value(pred).as_slice().iter())
-            .map(|&v| normalizer.denormalize(v as f64))
-            .collect();
-        assert_eq!(&live, want);
-    }
 
     let worst = max_rel_diff(&fused, &recorded.unfused);
     assert!(worst < 1e-5, "fused vs unfused forward diverged: {worst:e}");
