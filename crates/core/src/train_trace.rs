@@ -41,14 +41,14 @@ pub const OPTIMIZER: usize = 3;
 /// The whole validation pass of an epoch, one span per epoch.
 pub const EVAL: usize = 4;
 
-/// One stage's statistics inside an [`EpochRecord`] — the serializable
-/// face of an [`rn_trace::StageStats`]. Percentiles follow the workspace's
+/// One stage's statistics inside an [`EpochRecord`] or a serving metrics
+/// snapshot — the serializable face of an [`rn_trace::StageStats`]. Percentiles follow the workspace's
 /// inclusive nearest-rank / bucket-upper-bound convention; `total_ms` and
 /// `mean_ms` are exact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StageLine {
     /// Stage name (see [`STAGES`], or [`rn_autograd::trace::OP_KINDS`] in
-    /// a summary's `op_kinds`).
+    /// a summary's `op_kinds`, or a serving request stage).
     pub name: String,
     /// Spans recorded in the window.
     pub count: u64,

@@ -1,12 +1,13 @@
 //! Dataset persistence.
 //!
-//! Datasets serialize to a single JSON document (convenient, diffable,
-//! inspectable with standard tooling) or to JSON-lines (one sample per line;
-//! streams without holding the whole set in memory). The experiment binaries
-//! cache generated datasets on disk so reruns skip simulation. Both loaders
-//! validate every sample before returning it: a file is outside input.
+//! Datasets serialize to JSON-lines: the topology on the first line, then
+//! one sample per line (diffable, inspectable with standard tooling, and
+//! written without rendering the whole set into one string). The experiment
+//! binaries cache generated datasets on disk so reruns skip simulation. The
+//! loader validates every sample before returning it: a file is outside
+//! input.
 //!
-//! Both writers are **atomic** (temp file + rename in the target directory):
+//! The writer is **atomic** (temp file + rename in the target directory):
 //! a crashed run, or two experiment processes racing on the same cache path,
 //! never leaves a torn dataset behind — the cache either has the old file,
 //! the new file, or nothing.
@@ -65,33 +66,9 @@ pub fn atomic_write(
     })
 }
 
-/// Save a dataset as one JSON document (atomic: temp file + rename).
-pub fn save_json(dataset: &Dataset, path: &Path) -> Result<(), String> {
-    atomic_write(path, |w| {
-        serde_json::to_writer(w, dataset).map_err(|e| format!("serialize {}: {e}", path.display()))
-    })
-}
-
-/// A dataset file is outside input: every sample is checked against the
-/// topology ([`Dataset::validate`]) before a consumer indexes with its ids.
-fn validated(dataset: Dataset, path: &Path) -> Result<Dataset, String> {
-    dataset
-        .validate()
-        .map_err(|e| format!("invalid {}: {e}", path.display()))?;
-    Ok(dataset)
-}
-
-/// Load and validate a dataset saved by [`save_json`].
-pub fn load_json(path: &Path) -> Result<Dataset, String> {
-    let file = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
-    let dataset = serde_json::from_reader(BufReader::new(file))
-        .map_err(|e| format!("parse {}: {e}", path.display()))?;
-    validated(dataset, path)
-}
-
 /// Save as JSON-lines: line 1 is the topology, each further line one sample.
-/// Atomic like [`save_json`]: the lines land in a temp file renamed into
-/// place only once every sample has been written.
+/// Atomic: the lines land in a temp file renamed into place only once every
+/// sample has been written.
 pub fn save_jsonl(dataset: &Dataset, path: &Path) -> Result<(), String> {
     atomic_write(path, |w| {
         let topo_line = serde_json::to_string(&dataset.topology)
@@ -106,7 +83,9 @@ pub fn save_jsonl(dataset: &Dataset, path: &Path) -> Result<(), String> {
     })
 }
 
-/// Load and validate a JSON-lines dataset saved by [`save_jsonl`].
+/// Load a JSON-lines dataset saved by [`save_jsonl`]. A dataset file is
+/// outside input: every sample is checked against the topology
+/// ([`Dataset::validate`]) before a consumer indexes with its ids.
 pub fn load_jsonl(path: &Path) -> Result<Dataset, String> {
     let file = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
     let mut lines = BufReader::new(file).lines();
@@ -126,7 +105,11 @@ pub fn load_jsonl(path: &Path) -> Result<Dataset, String> {
             serde_json::from_str(&line).map_err(|e| format!("parse sample {i}: {e}"))?;
         samples.push(sample);
     }
-    validated(Dataset { topology, samples }, path)
+    let dataset = Dataset { topology, samples };
+    dataset
+        .validate()
+        .map_err(|e| format!("invalid {}: {e}", path.display()))?;
+    Ok(dataset)
 }
 
 #[cfg(test)]
@@ -155,20 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let ds = small_dataset();
-        let path = tmp("ds.json");
-        save_json(&ds, &path).unwrap();
-        let back = load_json(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back.len(), ds.len());
-        for (a, b) in ds.samples.iter().zip(&back.samples) {
-            assert_eq!(a.targets, b.targets);
-            assert_eq!(a.seed, b.seed);
-        }
-    }
-
-    #[test]
     fn jsonl_round_trip() {
         let ds = small_dataset();
         let path = tmp("ds.jsonl");
@@ -178,6 +147,7 @@ mod tests {
         assert_eq!(back.len(), ds.len());
         for (a, b) in ds.samples.iter().zip(&back.samples) {
             assert_eq!(a.targets, b.targets);
+            assert_eq!(a.seed, b.seed);
         }
     }
 
@@ -194,9 +164,9 @@ mod tests {
             ..GeneratorConfig::default()
         };
         let ds = generate(&topologies::toy5(), &config, 11, 2);
-        let path = tmp("ds_qos.json");
-        save_json(&ds, &path).unwrap();
-        let back = load_json(&path).unwrap();
+        let path = tmp("ds_qos.jsonl");
+        save_jsonl(&ds, &path).unwrap();
+        let back = load_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();
         for (a, b) in ds.samples.iter().zip(&back.samples) {
             assert_eq!(a.qos, b.qos, "QoS dimension must survive the round trip");
@@ -209,8 +179,8 @@ mod tests {
         // A sample serialized before the QoS/fault fields existed has no
         // `qos`/`faults` keys; the loader must default both to None.
         let ds = small_dataset();
-        let path = tmp("ds_legacy.json");
-        save_json(&ds, &path).unwrap();
+        let path = tmp("ds_legacy.jsonl");
+        save_jsonl(&ds, &path).unwrap();
         let mut text = std::fs::read_to_string(&path).unwrap();
         // Strip the new keys to reconstruct the legacy wire format.
         text = text
@@ -219,9 +189,11 @@ mod tests {
         text = text
             .replace(",\"qos\":null", "")
             .replace(",\"faults\":null", "");
+        assert!(!text.contains("\"qos\"") && !text.contains("\"faults\""));
         std::fs::write(&path, &text).unwrap();
-        let back = load_json(&path).unwrap();
+        let back = load_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(back.len(), ds.len());
         for s in &back.samples {
             assert!(s.qos.is_none() && s.faults.is_none());
         }
@@ -266,12 +238,9 @@ mod tests {
 
     #[test]
     fn load_missing_file_errors_cleanly() {
-        let err = load_json(Path::new("/nonexistent/nope.json")).unwrap_err();
+        let err = load_jsonl(Path::new("/nonexistent/nope.jsonl")).unwrap_err();
         assert!(err.contains("open"), "{err}");
     }
-
-    type Save = fn(&Dataset, &Path) -> Result<(), String>;
-    type Load = fn(&Path) -> Result<Dataset, String>;
 
     #[test]
     fn loaders_reject_out_of_range_link_ids_without_panicking() {
@@ -284,24 +253,21 @@ mod tests {
         *bad.links.last_mut().unwrap() = links;
         let good = serde_json::to_string(path).unwrap();
         let bad = serde_json::to_string(&bad).unwrap();
-        let loaders: [(&str, Save, Load); 2] = [
-            ("bad_ids.json", save_json, load_json),
-            ("bad_ids.jsonl", save_jsonl, load_jsonl),
-        ];
-        for (name, save, load) in loaders {
-            let file = tmp(name);
-            save(&ds, &file).unwrap();
-            let text = std::fs::read_to_string(&file).unwrap();
-            assert!(text.contains(&good));
-            std::fs::write(&file, text.replacen(&good, &bad, 1)).unwrap();
-            let err = load(&file).unwrap_err();
-            std::fs::remove_file(&file).ok();
-            assert!(err.contains(name) && err.contains("sample 0"), "{err}");
-            assert!(
-                err.contains(&format!("link id {links} out of range")),
-                "{err}"
-            );
-        }
+        let file = tmp("bad_ids.jsonl");
+        save_jsonl(&ds, &file).unwrap();
+        let text = std::fs::read_to_string(&file).unwrap();
+        assert!(text.contains(&good));
+        std::fs::write(&file, text.replacen(&good, &bad, 1)).unwrap();
+        let err = load_jsonl(&file).unwrap_err();
+        std::fs::remove_file(&file).ok();
+        assert!(
+            err.contains("bad_ids.jsonl") && err.contains("sample 0"),
+            "{err}"
+        );
+        assert!(
+            err.contains(&format!("link id {links} out of range")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -102,7 +102,8 @@ impl Sample {
     /// routed path crosses at least one link, has one more node than links
     /// and runs from its source to its destination, node ids address
     /// `queue_capacities` and link ids `link_capacities`, labels and path
-    /// classes line up with the routed paths, every traffic rate is finite
+    /// classes line up with the routed paths, the scheduling policy has one
+    /// positive finite weight or quantum per class, every traffic rate is finite
     /// and non-negative, and every link capacity is finite and positive (a
     /// NaN would reach the kernels, whose answer to it is not defined).
     /// Needs no topology, so it is the check for a sample that arrives alone
@@ -176,6 +177,7 @@ impl Sample {
             if let Some(c) = qos.path_classes.iter().find(|&&c| c as usize >= n) {
                 return Err(format!("path class {c} out of range (num classes {n})"));
             }
+            qos.policy.validate(n)?;
         }
         for (s, d, rate) in self.traffic.iter_rates() {
             if !(rate.is_finite() && rate >= 0.0) {
@@ -234,7 +236,6 @@ impl Sample {
         }
         if let Some(qos) = &self.qos {
             let n = qos.num_classes();
-            qos.policy.validate(n)?;
             for p in &qos.class_profiles {
                 p.validate()?;
             }

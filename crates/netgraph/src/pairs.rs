@@ -6,8 +6,8 @@
 //! `src · n + dst` and their entries, so a lookup is a binary search and a
 //! walk is row-major. Its JSON is still the dense table the types carried
 //! before: `{"num_nodes":n,"<field>":[…]}` with one slot per pair, an empty
-//! pair written as its [`Entry::EMPTY`]. Dataset files, `Predict` lines and
-//! plan fingerprints are made of these bytes. The reader streams the slots
+//! pair written as its [`Entry::EMPTY`]. Dataset files and `Predict` lines
+//! are made of these bytes. The reader streams the slots
 //! into the two vectors and keeps the table's length, not its slots, so a
 //! line holding a table of the wrong length reads back to the same bytes
 //! (and `check_shape` refuses it, as before).

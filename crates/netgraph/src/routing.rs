@@ -159,34 +159,18 @@ impl Routing {
         Self::weighted_shortest_paths(topo, &weights)
     }
 
-    /// Shortest paths under explicit per-link weights (must all be positive).
+    /// Shortest paths under explicit per-link weights (must all be positive)
+    /// between every ordered pair of distinct, connected nodes: the sparse
+    /// scheme below over every pair.
     ///
     /// Ties are broken deterministically (by predecessor link id), so equal
     /// inputs produce identical routings on every platform.
     pub fn weighted_shortest_paths(topo: &Topology, weights: &[f64]) -> Self {
-        assert_eq!(
-            weights.len(),
-            topo.num_links(),
-            "one weight per link required"
-        );
-        assert!(
-            weights.iter().all(|&w| w > 0.0),
-            "link weights must be positive"
-        );
         let n = topo.num_nodes();
-        let mut table = PairTable::with_capacity(n, n * n.saturating_sub(1));
-        for src in 0..n {
-            let (dist, prev_link) = dijkstra(topo, weights, src);
-            for (dst, d) in dist.iter().enumerate() {
-                if dst == src || d.is_infinite() {
-                    continue;
-                }
-                let key = table.key(src, dst).expect("both ids are nodes");
-                table.set(key, Some(walk_back(topo, &prev_link, src, dst)));
-            }
-        }
-        table.shrink_to_fit();
-        Self { table }
+        let every_pair: Vec<(NodeId, NodeId)> = (0..n)
+            .flat_map(|src| (0..n).map(move |dst| (src, dst)))
+            .collect();
+        Self::sparse_weighted_shortest_paths(topo, weights, &every_pair)
     }
 
     /// Shortest paths for a **selected subset** of source–destination pairs
@@ -200,10 +184,10 @@ impl Routing {
     /// the active-pair count exactly.
     ///
     /// Self-pairs and unreachable pairs are left unrouted; duplicates
-    /// collapse. Ordering guarantees are identical to the dense scheme:
-    /// [`Routing::iter_paths`] stays row-major over routed pairs, and the
-    /// tie-break is [`Routing::weighted_shortest_paths`]'s — the sparse
-    /// scheme routes every requested pair exactly as the dense scheme would.
+    /// collapse. [`Routing::iter_paths`] stays row-major over routed pairs,
+    /// and since [`Routing::weighted_shortest_paths`] is this scheme over
+    /// every pair, a requested pair is routed exactly as the dense scheme
+    /// routes it.
     pub fn sparse_weighted_shortest_paths(
         topo: &Topology,
         weights: &[f64],

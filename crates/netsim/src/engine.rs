@@ -120,14 +120,19 @@ impl<'a> Simulation<'a> {
 
     /// Run to the configured horizon.
     ///
-    /// `queue_capacity_pkts[n]` is the waiting-packet capacity at node `n`.
+    /// `queue_capacity_pkts[n]` is the waiting-packet capacity at node `n`;
+    /// a list that is not one entry per node is an `Err`.
     ///
     /// One event loop over [`SchedPort`]s. Every flow's RNG stream is
     /// consumed in a fixed per-event order ([batch size,] sizes, next
     /// arrival). Without a QoS spec the run uses one class scheduled FIFO
     /// with Poisson sources — the paper's model — and reports no per-class
     /// statistics.
-    pub fn run(&self, queue_capacity_pkts: &[usize]) -> SimResult {
+    pub fn run(&self, queue_capacity_pkts: &[usize]) -> Result<SimResult, String> {
+        let (capacities, nodes) = (queue_capacity_pkts.len(), self.topo.num_nodes());
+        if capacities != nodes {
+            return Err(format!("{capacities} queue capacities for {nodes} nodes"));
+        }
         let plain;
         let spec = match self.qos {
             Some(spec) => spec,
@@ -136,11 +141,6 @@ impl<'a> Simulation<'a> {
                 &plain
             }
         };
-        assert_eq!(
-            queue_capacity_pkts.len(),
-            self.topo.num_nodes(),
-            "need one queue capacity per node"
-        );
         let num_classes = spec.num_classes();
         let master = Prng::new(self.config.seed);
         let mut flow_rngs: Vec<Prng> = (0..self.flows.len())
@@ -341,7 +341,7 @@ impl<'a> Simulation<'a> {
             ),
             None => (Vec::new(), Vec::new()),
         };
-        SimResult {
+        Ok(SimResult {
             flows: accs.iter().map(FlowAccumulator::stats).collect(),
             flow_pairs: self.flow_pairs(),
             flow_classes,
@@ -352,7 +352,7 @@ impl<'a> Simulation<'a> {
             total_dropped,
             total_in_flight: total_created - total_delivered - total_dropped,
             duration_s: self.config.duration_s,
-        }
+        })
     }
 
     /// A packet has fully arrived at the node at the end of `hop - 1`.
@@ -480,7 +480,7 @@ pub fn simulate(
     config: &SimConfig,
     faults: &FaultPlan,
 ) -> Result<SimResult, String> {
-    Ok(Simulation::new(topo, routing, traffic, config, faults)?.run(queue_capacity_pkts))
+    Simulation::new(topo, routing, traffic, config, faults)?.run(queue_capacity_pkts)
 }
 
 /// Run one QoS simulation: multi-queue scheduled ports, ToS classes and
@@ -495,7 +495,7 @@ pub fn simulate_qos(
     faults: &FaultPlan,
     qos: &QosSpec,
 ) -> Result<SimResult, String> {
-    Ok(Simulation::with_qos(topo, routing, traffic, config, faults, qos)?.run(queue_capacity_pkts))
+    Simulation::with_qos(topo, routing, traffic, config, faults, qos)?.run(queue_capacity_pkts)
 }
 
 #[cfg(test)]
@@ -710,6 +710,21 @@ mod tests {
             &FaultPlan::none()
         )
         .is_err());
+        // One queue capacity per node, or an error rather than a panic.
+        let tm = TrafficMatrix::zeros(3);
+        let err = simulate(&topo, &routing, &tm, &[32, 32], &config, &FaultPlan::none());
+        assert_eq!(err.unwrap_err(), "2 queue capacities for 3 nodes");
+        let spec = QosSpec::fifo(0);
+        let err = simulate_qos(
+            &topo,
+            &routing,
+            &tm,
+            &[32; 4],
+            &config,
+            &FaultPlan::none(),
+            &spec,
+        );
+        assert_eq!(err.unwrap_err(), "4 queue capacities for 3 nodes");
     }
 
     // ---------------------------------------------------------------- QoS

@@ -79,18 +79,22 @@ fn run() -> Result<(), String> {
         );
     }
 
-    // End-of-run server-side cache summary: how much planning the plan
-    // cache absorbed.
+    // End-of-run server-side cache summary: how many `Cached` requests
+    // found their plan resident (`Register` and `Predict` plan and insert
+    // without a lookup, so only `Cached` counts).
     match Client::connect(&config.addr).and_then(|mut c| {
         c.round_trip(&Request::Metrics)
             .map_err(std::io::Error::other)
     }) {
         Ok(Response::Metrics { snapshot }) => {
             eprintln!(
-                "[loadgen] server plan cache: hit rate {:.3} ({}/{} lookups)",
+                "[loadgen] server plan cache: `Cached` hit rate {:.3} ({}/{} lookups), \
+                 {} plans resident, {} evicted",
                 snapshot.cache_hit_rate,
                 snapshot.cache_hits,
                 snapshot.cache_hits + snapshot.cache_misses,
+                snapshot.cache_len,
+                snapshot.plan_evictions,
             );
             eprintln!(
                 "[loadgen] server: {} workers, model v{}, up {:.1}s",

@@ -17,20 +17,25 @@
 //!                     worker pool (TapePool-backed tapes)
 //!                                 │  one fused block-diagonal
 //!                                 ▼  forward per batch
-//!            ┌─────────────┐  ┌───────────────┐  ┌─────────────┐
-//!            │ PlanCache   │  │ ModelRegistry │  │ ServeMetrics│
-//!            │ (fingerprint│  │ (atomic hot-  │  │ (latency /  │
-//!            │  → plan LRU)│  │  swap)        │  │  occupancy) │
-//!            └─────────────┘  └───────────────┘  └─────────────┘
+//!            ┌──────────────┐  ┌───────────────┐  ┌─────────────┐
+//!            │ PlanCache    │  │ ModelRegistry │  │ ServeMetrics│
+//!            │ (plan's own  │  │ (atomic hot-  │  │ (latency /  │
+//!            │  fingerprint │  │  swap)        │  │  occupancy) │
+//!            │  → plan LRU) │  │               │  │             │
+//!            └──────────────┘  └───────────────┘  └─────────────┘
 //! ```
+//!
+//! `Register` and `Predict` plan their scenario, key the plan by its own
+//! fingerprint and insert it into the [`routenet::PlanCache`]; only `Cached`
+//! looks a plan up.
 //!
 //! - [`service`] — admission queue, dynamic batching, the worker pool, and
 //!   the in-process [`ServeHandle`] API.
 //! - [`server`] — the JSONL-over-TCP frontend (`Register` / `Predict` /
 //!   `Cached` / `Metrics`).
 //! - [`registry`] — versioned model slot with atomic hot-swap.
-//! - [`metrics`] — throughput, latency percentiles, batch occupancy, cache
-//!   hit rate.
+//! - [`metrics`] — throughput, latency percentiles, batch occupancy, the
+//!   `Cached` hit rate.
 //! - [`loadgen`] — the measurement client driving the serving benchmark.
 //! - [`fault`] — deterministic chaos injection (worker panics/kills, batch
 //!   latency, connection drops), set in code through `ServeConfig::chaos`.
@@ -61,7 +66,7 @@ mod sync;
 
 pub use fault::{ChaosPlan, FaultInjector};
 pub use loadgen::{run_loadgen, LoadMode, LoadgenConfig, LoadgenReport};
-pub use metrics::{nearest_rank, MetricsSnapshot, ServeMetrics};
+pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use registry::ModelRegistry;
 pub use server::{Request, Response, TcpServer};
 pub use service::{ServeConfig, ServeError, ServeHandle, Service};

@@ -125,7 +125,7 @@ impl LatencySummary {
         latencies.sort();
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         let at = |p: f64| {
-            let idx = crate::metrics::nearest_rank(latencies.len(), p).expect("non-empty");
+            let idx = rn_trace::nearest_rank(latencies.len(), p).expect("non-empty");
             ms(latencies[idx])
         };
         let sum: f64 = latencies.iter().map(|&d| ms(d)).sum();

@@ -6,47 +6,10 @@
 //! is taken by [`ServeMetrics::snapshot`], which readers call at human
 //! frequency.
 
+use routenet::train_trace::StageLine;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Zero-based index of the **inclusive nearest-rank** percentile element
-/// among `n` sorted samples: the smallest index `i` such that at least `p`
-/// percent of the samples are `<= sample[i]` (the rank is `max(1,
-/// ceil(p/100 · n))`, the comparison **inclusive** of `sample[i]` itself).
-/// `None` when there are no samples.
-///
-/// The convention, spelled out at the boundaries (pinned by the
-/// `nearest_rank_boundary_convention_*` tests):
-///
-/// - `p = 0` is the **minimum** (the rank clamps up to 1, never "no
-///   element" — an exclusive reading would have no answer at p0);
-/// - `p = 100` is the **maximum** (never one past the end);
-/// - ties round **down**: `p = 50` of an even count is the *lower* median
-///   (index `n/2 - 1`), not an interpolated midpoint — every reported
-///   percentile is a value that actually occurred;
-/// - 1 sample is every percentile; `p > 100` clamps to the maximum.
-///
-/// This is the single definition every latency percentile in the workspace
-/// goes through — the histogram's bucket walk ([`LatencyHistogram`]), the
-/// snapshot fields ([`MetricsSnapshot::latency_p50_ms`] and friends), the
-/// exact client-side summaries (`rn_serve::loadgen`), and every
-/// `rn_trace` stage histogram (this function now *delegates to*
-/// [`rn_trace::nearest_rank`], the canonical home) — so the degenerate
-/// cases agree everywhere (0 samples: callers report 0.0).
-pub fn nearest_rank(n: usize, p: f64) -> Option<usize> {
-    rn_trace::nearest_rank(n, p)
-}
-
-/// The request-latency histogram: [`rn_trace::GeoHistogram`], the one
-/// geometric histogram of the workspace (64 buckets growing 1.5x from
-/// 250 ns, exact sum and max on the side).
-///
-/// Percentiles are read back as the upper bound of the bucket holding the
-/// requested rank: an over-estimate by at most one growth factor (50%),
-/// which is plenty for service dashboards. Benchmarks that need exact
-/// percentiles record client-side samples instead.
-pub type LatencyHistogram = rn_trace::GeoHistogram;
 
 /// Histogram of dynamic-batch sizes (occupancy), bucket per exact size.
 pub struct BatchHistogram {
@@ -253,8 +216,11 @@ pub struct ServeMetrics {
     /// Fresh allocations the worker tapes' pools have made (cumulative over
     /// all tapes) — flat once every batch shape has been seen.
     pub tape_pool_misses: AtomicU64,
-    /// End-to-end request latency (enqueue → response ready).
-    pub latency: LatencyHistogram,
+    /// End-to-end request latency (enqueue → response ready). Percentiles
+    /// read back as the upper bound of the bucket holding the requested
+    /// rank: an over-estimate by at most one growth factor (50%).
+    /// Benchmarks that need exact percentiles record client-side samples.
+    pub latency: rn_trace::GeoHistogram,
     /// Dynamic-batch occupancy.
     pub batches: BatchHistogram,
     /// Per-stage request-lifecycle timing (see [`stage`]). Only populated
@@ -283,7 +249,7 @@ impl ServeMetrics {
             swaps: AtomicU64::new(0),
             tape_pool_bytes: AtomicU64::new(0),
             tape_pool_misses: AtomicU64::new(0),
-            latency: LatencyHistogram::new(),
+            latency: rn_trace::GeoHistogram::new(),
             batches: BatchHistogram::new(max_batch),
             stages: rn_trace::StageRecorder::new(stage::NAMES),
             recent: RecentRate::new(),
@@ -401,7 +367,7 @@ impl ServeMetrics {
                 self.stages
                     .snapshot()
                     .into_iter()
-                    .map(StageLatency::from)
+                    .map(StageLine::from)
                     .collect()
             } else {
                 Vec::new()
@@ -410,7 +376,7 @@ impl ServeMetrics {
     }
 }
 
-/// Plan-cache statistics (scenario fingerprint → compiled plan) the service
+/// Plan-cache statistics (plan fingerprint → compiled plan) the service
 /// injects into a [`MetricsSnapshot`].
 #[derive(Debug, Clone, Default)]
 pub struct CacheStats {
@@ -450,10 +416,10 @@ pub struct MetricsSnapshot {
     /// Completed requests per second of uptime.
     pub throughput_rps: f64,
     /// Median end-to-end latency (ms). Percentiles use the **inclusive
-    /// nearest-rank** convention of [`nearest_rank`] — p50 of an even count
-    /// is the lower median, p0 would be the minimum and p100 the maximum,
-    /// never an interpolated value — and report the upper bound of the
-    /// [`LatencyHistogram`] bucket holding that rank, on the grid
+    /// nearest-rank** convention of [`rn_trace::nearest_rank`] — p50 of an
+    /// even count is the lower median, p0 would be the minimum and p100 the
+    /// maximum, never an interpolated value — and report the upper bound of the
+    /// [`rn_trace::GeoHistogram`] bucket holding that rank, on the grid
     /// 250 ns · 1.5^i: an over-estimate by at most one growth factor.
     pub latency_p50_ms: f64,
     /// 95th-percentile latency (ms, bucket upper bound of the inclusive
@@ -475,11 +441,12 @@ pub struct MetricsSnapshot {
     pub mean_batch_paths: f64,
     /// Batches by exact size (`[0]` = singleton batches).
     pub batch_size_counts: Vec<u64>,
-    /// Plan-cache hits.
+    /// Plan-cache hits. Only `Cached` requests look a plan up; `Register`
+    /// and `Predict` plan and insert.
     pub cache_hits: u64,
-    /// Plan-cache misses.
+    /// Plan-cache misses (`Cached` requests for a plan not resident).
     pub cache_misses: u64,
-    /// Hits over lookups.
+    /// Hits over lookups (0 when there were none).
     pub cache_hit_rate: f64,
     /// Plans resident in the cache.
     pub cache_len: u64,
@@ -511,59 +478,21 @@ pub struct MetricsSnapshot {
     /// Worker threads the service was configured with.
     pub workers: u64,
     /// Per-stage request-lifecycle latency breakdown (see [`stage`] for
-    /// the decomposition). Empty unless tracing is on (`RN_TRACE=1`).
-    pub stage_latency: Vec<StageLatency>,
-}
-
-/// One request-lifecycle stage's latency statistics inside a
-/// [`MetricsSnapshot`] — the serializable face of an
-/// [`rn_trace::StageStats`]. Percentiles follow the same inclusive
-/// nearest-rank / bucket-upper-bound convention as the end-to-end
-/// `latency_*` fields; `total_ms` and `mean_ms` are exact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StageLatency {
-    /// Stage name (one of [`stage::NAMES`]).
-    pub name: String,
-    /// Spans recorded (one per request for every stage — batch-level work
-    /// is attributed to each request that rode the batch).
-    pub count: u64,
-    /// Exact total time spent in this stage, milliseconds.
-    pub total_ms: f64,
-    /// Exact mean span duration, milliseconds.
-    pub mean_ms: f64,
-    /// Median span duration (ms, bucket upper bound).
-    pub p50_ms: f64,
-    /// 95th-percentile span duration (ms, bucket upper bound).
-    pub p95_ms: f64,
-    /// 99th-percentile span duration (ms, bucket upper bound).
-    pub p99_ms: f64,
-    /// Maximum span duration, milliseconds (exact).
-    pub max_ms: f64,
-}
-
-impl From<rn_trace::StageStats> for StageLatency {
-    fn from(s: rn_trace::StageStats) -> Self {
-        Self {
-            name: s.name.to_string(),
-            count: s.count,
-            total_ms: s.total_ms,
-            mean_ms: s.mean_ms,
-            p50_ms: s.p50_ms,
-            p95_ms: s.p95_ms,
-            p99_ms: s.p99_ms,
-            max_ms: s.max_ms,
-        }
-    }
+    /// the decomposition): one span per request per stage, batch-level work
+    /// attributed to each request that rode the batch. Empty unless tracing
+    /// is on (`RN_TRACE=1`).
+    pub stage_latency: Vec<StageLine>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rn_trace::GeoHistogram;
     use std::time::Duration;
 
     #[test]
     fn latency_percentiles_are_ordered_and_bracket_samples() {
-        let h = LatencyHistogram::new();
+        let h = GeoHistogram::new();
         for ms in [1u64, 2, 3, 4, 5, 6, 7, 8, 9, 100] {
             h.record(Duration::from_millis(ms));
         }
@@ -582,7 +511,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_reads_zero() {
-        let h = LatencyHistogram::new();
+        let h = GeoHistogram::new();
         for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
             assert_eq!(h.percentile_ms(p), 0.0, "p{p} of nothing must be 0");
         }
@@ -592,7 +521,7 @@ mod tests {
 
     #[test]
     fn single_sample_is_every_percentile() {
-        let h = LatencyHistogram::new();
+        let h = GeoHistogram::new();
         h.record(Duration::from_millis(3));
         let p50 = h.percentile_ms(50.0);
         for p in [0.0, 1.0, 50.0, 95.0, 99.0, 100.0] {
@@ -600,41 +529,6 @@ mod tests {
         }
         // Bucket upper bound: an over-estimate of at most one growth step.
         assert!((3.0..=4.6).contains(&p50), "{p50}");
-    }
-
-    #[test]
-    fn nearest_rank_definition_pins_the_degenerate_cases() {
-        assert_eq!(nearest_rank(0, 50.0), None);
-        assert_eq!(nearest_rank(0, 99.0), None);
-        // One sample: every percentile is index 0.
-        for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
-            assert_eq!(nearest_rank(1, p), Some(0));
-        }
-        // Classic nearest-rank table for n = 10.
-        assert_eq!(nearest_rank(10, 0.0), Some(0));
-        assert_eq!(nearest_rank(10, 10.0), Some(0));
-        assert_eq!(nearest_rank(10, 50.0), Some(4));
-        assert_eq!(nearest_rank(10, 95.0), Some(9));
-        assert_eq!(nearest_rank(10, 99.0), Some(9));
-        assert_eq!(nearest_rank(10, 100.0), Some(9));
-        // Ranks never exceed the sample count (p > 100 clamps).
-        assert_eq!(nearest_rank(4, 150.0), Some(3));
-    }
-
-    #[test]
-    fn nearest_rank_boundary_convention_on_one_and_two_samples() {
-        // The inclusive nearest-rank convention at its extremes: p0 is the
-        // minimum (rank clamps up to 1), p100 is the maximum (never one
-        // past the end), and ties round DOWN (p50 of two samples is the
-        // lower median). These are exactly the cases where an exclusive
-        // reading would disagree.
-        assert_eq!(nearest_rank(1, 0.0), Some(0), "p0 of one sample");
-        assert_eq!(nearest_rank(1, 100.0), Some(0), "p100 of one sample");
-        assert_eq!(nearest_rank(2, 0.0), Some(0), "p0 of two = minimum");
-        assert_eq!(nearest_rank(2, 50.0), Some(0), "p50 of two = lower median");
-        assert_eq!(nearest_rank(2, 100.0), Some(1), "p100 of two = maximum");
-        // Just past a rank boundary the index steps up (inclusive ≥, not >).
-        assert_eq!(nearest_rank(2, 50.1), Some(1));
     }
 
     #[test]
@@ -648,7 +542,7 @@ mod tests {
         assert_eq!(s.max_ms, 10.0);
         // The histogram consumer: p100's bucket is the maximum's bucket,
         // p0's the minimum's (upper bounds, so compare bucket ordering).
-        let h = LatencyHistogram::new();
+        let h = GeoHistogram::new();
         h.record(Duration::from_millis(2));
         h.record(Duration::from_millis(10));
         assert!(h.percentile_ms(0.0) <= h.percentile_ms(100.0));

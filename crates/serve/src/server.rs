@@ -21,7 +21,8 @@
 //! connection lives: malformed JSON, invalid UTF-8, lines longer than
 //! [`MAX_REQUEST_LINE_BYTES`], unknown request shapes and scenarios that
 //! are not self-consistent (an id out of range, labels misaligned with the
-//! routing) are answered with a structured
+//! routing, a scheduling policy that does not fit the classes) are answered
+//! with a structured
 //! `{"Error": {"message": "bad request: …"}}` line and the connection stays
 //! usable — a buggy (or adversarial) client wedges only
 //! itself.
@@ -51,12 +52,15 @@ use std::sync::Arc;
 /// A client request line.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Request {
-    /// Compile a scenario into the plan cache; answer its fingerprint.
+    /// Compile a scenario into the plan cache; answer its plan's
+    /// fingerprint.
     Register {
         /// The scenario (topology-shaped routing/traffic/queue state).
         sample: Sample,
     },
-    /// Plan (through the cache) and predict a full scenario.
+    /// Plan and predict a full scenario. The plan is inserted into the cache
+    /// under its fingerprint (answered with the delays) but never looked
+    /// up: only `Cached` reads the cache.
     Predict {
         /// The scenario to predict.
         sample: Sample,

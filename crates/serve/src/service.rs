@@ -65,9 +65,8 @@ use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use rn_autograd::TapePool;
 use rn_dataset::Sample;
 use routenet::compose::ComposedMegabatch;
-use routenet::entities::PlanConfig;
 use routenet::model::PathPredictor;
-use routenet::plan_cache::{sample_fingerprint, PlanCache};
+use routenet::plan_cache::PlanCache;
 use routenet::SamplePlan;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -146,7 +145,8 @@ pub enum ServeError {
     UnknownPlan(u64),
     /// The submitted scenario is not self-consistent (an id out of range,
     /// labels misaligned with the routing, a non-finite rate, a capacity
-    /// that is not positive, …) and was not planned. Carries what
+    /// that is not positive, a scheduling policy that does not fit the
+    /// classes, …) and was not planned. Carries what
     /// [`Sample::check_inputs`] found.
     BadRequest(String),
     /// The submitted plan's state width does not match the model serving
@@ -315,9 +315,10 @@ impl<M: PathPredictor> ServeHandle<M> {
         rx.recv().map_err(|_| ServeError::Shutdown)?
     }
 
-    /// Plan a raw sample through the shared plan cache (hit: free; miss:
-    /// compile + insert), then predict. Returns `(delays, fingerprint)` so
-    /// callers can re-query the scenario by fingerprint alone.
+    /// Plan a raw sample and insert the plan into the shared plan cache
+    /// (see [`ServeHandle::plan_sample`]), then predict. Returns `(delays,
+    /// fingerprint)` so callers can re-query the scenario by fingerprint
+    /// alone.
     pub fn predict_sample(&self, sample: &Sample) -> Result<(Vec<f64>, u64), ServeError> {
         self.predict_sample_with_deadline(sample, None)
     }
@@ -353,28 +354,29 @@ impl<M: PathPredictor> ServeHandle<M> {
         self.predict_plan_with_deadline(plan, deadline)
     }
 
-    /// Compile (or fetch) the plan for `sample` under the **current** model's
-    /// preprocessing. The fingerprint covers that preprocessing state (and
-    /// hot-swaps flush the cache besides), so a plan can never be served
-    /// under a model whose features it was not compiled for.
+    /// Compile the plan for `sample` under the **current** model's
+    /// preprocessing, key it by [`SamplePlan::fingerprint`] and insert it
+    /// into the plan cache for later [`ServeHandle::predict_cached`] calls.
+    /// No lookup: the key is a hash of the built plan. Features compiled
+    /// under other preprocessing hash differently (and hot-swaps flush the
+    /// cache besides), so a plan can never be served under a model whose
+    /// features it was not compiled for.
     ///
-    /// This is where a scenario from the wire enters: fingerprinting and
-    /// planning index it with its own ids, so it is checked first and a
-    /// malformed one is a [`ServeError::BadRequest`], not a panic.
+    /// This is where a scenario from the wire enters: planning indexes it
+    /// with its own ids, so it is checked first and a malformed one is a
+    /// [`ServeError::BadRequest`], not a panic.
     pub fn plan_sample(&self, sample: &Sample) -> Result<(Arc<SamplePlan>, u64), ServeError> {
         sample.check_inputs().map_err(ServeError::BadRequest)?;
-        let (model, _) = self.inner.registry.snapshot();
-        let (scales, normalizer) = model.preprocessing();
-        let cfg = PlanConfig::new(model.config(), scales, normalizer);
-        Ok(self.inner.plans.get_or_build(sample, &cfg))
+        let plan = self.inner.registry.snapshot().0.plan(sample);
+        let key = plan.fingerprint();
+        Ok((self.inner.plans.insert(key, plan), key))
     }
 
-    /// Fingerprint a sample under the current model without planning it.
+    /// The fingerprint [`ServeHandle::plan_sample`] would key `sample` by
+    /// under the current model: plans it and hashes the plan, caching
+    /// nothing.
     pub fn fingerprint_sample(&self, sample: &Sample) -> u64 {
-        let (model, _) = self.inner.registry.snapshot();
-        let (scales, normalizer) = model.preprocessing();
-        let cfg = PlanConfig::new(model.config(), scales, normalizer);
-        sample_fingerprint(sample, &cfg)
+        self.inner.registry.snapshot().0.plan(sample).fingerprint()
     }
 
     /// Atomically hot-swap the served model; in-flight batches finish on the

@@ -173,12 +173,15 @@ fn plan_cache_serves_hits_and_evicts_lru() {
     assert!(!first.is_empty());
     let (_, fp0_again) = handle.predict_sample(&ds.samples[0]).expect("predict");
     assert_eq!(fp0, fp0_again);
+    // `Predict` plans and inserts without a lookup: the repeat replaces the
+    // one entry and counts neither a hit nor a miss.
     let m = handle.metrics();
-    assert_eq!((m.cache_hits, m.cache_misses), (1, 1));
+    assert_eq!((m.cache_hits, m.cache_misses, m.cache_len), (0, 0, 1));
 
     // Fingerprint-only requests hit the cached plan.
     let by_ref = handle.predict_cached(fp0).expect("cached predict");
     assert_eq!(bits(&first), bits(&by_ref));
+    assert_eq!(handle.metrics().cache_hits, 1);
 
     // Unknown fingerprints are a clean error.
     match handle.predict_cached(0xdead_beef) {
@@ -529,6 +532,17 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
         edit(&mut sample);
         serde_json::to_string(&sample).expect("serialize")
     };
+    // A policy that does not fit the classes: planning reads one share per
+    // class from it.
+    let wfq = |weights: &[f64]| {
+        edited(&|s| {
+            let mut qos = two_classes((0..s.targets.len()).map(|i| (i % 2) as u8).collect());
+            qos.policy = rn_netsim::SchedulingPolicy::Wfq {
+                weights: weights.to_vec(),
+            };
+            s.qos = Some(qos);
+        })
+    };
     let good_json = serde_json::to_string(good).expect("serialize");
     let first_path = serde_json::to_string(good.routing.iter_paths().next().expect("a path").2);
     let first_path = first_path.expect("serialize");
@@ -542,7 +556,7 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
     let rates = r#""rates_bps":[0.0"#;
     assert!(good_json.contains(rates));
     let first_rate = |rate: &str| good_json.replacen(rates, &format!(r#""rates_bps":[{rate}"#), 1);
-    let malformed: [(&str, String); 16] = [
+    let malformed: [(&str, String); 18] = [
         ("link id", edited(&|s| s.link_capacities.truncate(3))),
         ("node id", edited(&|s| s.queue_capacities.truncate(2))),
         (
@@ -559,6 +573,8 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
             "path class 7",
             edited(&|s| s.qos = Some(two_classes(vec![7; s.targets.len()]))),
         ),
+        ("WFQ has 1 weights for 2 classes", wfq(&[1.0])),
+        ("WFQ weights must be positive", wfq(&[0.0, 0.0])),
         (
             "nodes but",
             good_json.replacen(&first_path, r#"{"nodes":[0],"links":[0,1]}"#, 1),

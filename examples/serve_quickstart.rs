@@ -39,8 +39,9 @@ fn main() {
     let service = Service::start(model, ServeConfig::default());
     let handle = service.handle();
 
-    // 3. In-process predictions: plans flow through the shared plan cache,
-    //    requests through the dynamic batcher.
+    // 3. In-process predictions: each sample is planned and its plan kept
+    //    in the shared plan cache under the plan's fingerprint; requests
+    //    flow through the dynamic batcher.
     let (delays, fingerprint) = handle.predict_sample(&ds.samples[0]).expect("predict");
     println!(
         "in-process: {} paths predicted, first delay {:.6}s, fingerprint {fingerprint:#018x}",
