@@ -7,6 +7,12 @@
 //! panics, both refuse the text or both accept it as the same value, and an
 //! accepted value is written the same by the direct writer and the tree
 //! writer.
+//!
+//! Each case's outcome is also recorded in
+//! `tests/fixtures/wire_json_corpus.txt`: a hash of the mutated text, and a
+//! hash of the bytes an accepted line re-serialises to or `refused`. Rewrite
+//! it only from a commit whose readers agree, with
+//! `RN_REGEN_GOLDEN=1 cargo test --release -p rn_serve --test wire_json`.
 
 use proptest::TestRng;
 use rn_dataset::{generate, GeneratorConfig, QosGenConfig, Sample};
@@ -17,12 +23,14 @@ use rn_serve::{Request, Response};
 use serde::de::DeserializeOwned;
 use serde::value::Value;
 use serde::Serialize;
+use std::fmt::Write;
+use std::path::PathBuf;
 
 const CASES: usize = 2_000;
 
-/// Whether `text` reads as a `T`, after checking that the direct and the
-/// tree path agree on it.
-fn agree<T: Serialize + DeserializeOwned>(text: &str) -> bool {
+/// What `text` re-serialises to when it reads as a `T`, after checking that
+/// the direct and the tree path agree on it.
+fn agree<T: Serialize + DeserializeOwned>(text: &str) -> Option<String> {
     let direct = serde_json::from_str::<T>(text);
     let tree = serde_json::from_str::<Value>(text)
         .map_err(|e| e.to_string())
@@ -34,9 +42,9 @@ fn agree<T: Serialize + DeserializeOwned>(text: &str) -> bool {
             assert_eq!(written, tree_written, "read differently: {text:.300}");
             let through_tree = serde_json::to_string(&d.serialize_value()).expect("infallible");
             assert_eq!(written, through_tree, "written differently: {text:.300}");
-            true
+            Some(written)
         }
-        (Err(_), Err(_)) => false,
+        (Err(_), Err(_)) => None,
         (d, t) => panic!(
             "direct {:?} vs tree {:?} on {text:.300}",
             d.map(drop).map_err(|e| e.to_string()),
@@ -129,12 +137,15 @@ impl Spans {
 struct Seed {
     text: String,
     spans: Spans,
-    agree: fn(&str) -> bool,
+    agree: fn(&str) -> Option<String>,
 }
 
 fn seed<T: Serialize + DeserializeOwned>(value: &T) -> Seed {
     let text = serde_json::to_string(value).expect("infallible");
-    assert!(agree::<T>(&text), "the seed itself reads back: {text:.300}");
+    assert!(
+        agree::<T>(&text).as_ref() == Some(&text),
+        "the seed itself reads back: {text:.300}"
+    );
     Seed {
         spans: Spans::of(&text),
         text,
@@ -181,8 +192,11 @@ fn seeds() -> Vec<Seed> {
         plan_evictions: u64::MAX,
         ..CacheStats::default()
     };
-    let snapshot = metrics.snapshot(caches, 2, 1, 2);
+    let mut snapshot = metrics.snapshot(caches, 2, 1, 2);
     rn_trace::set_enabled(false);
+    // The clock's fields, pinned: the recorded corpus hashes every seed.
+    snapshot.uptime_s = 0.5;
+    snapshot.throughput_rps = 2.0;
     assert!(!snapshot.stage_latency.is_empty());
 
     let plan = "00000000deadbeef".to_string();
@@ -328,23 +342,64 @@ fn mutate(seed: &Seed, rng: &mut TestRng) -> String {
     }
 }
 
+/// FNV-1a over `bytes`: a hash that stays put across builds and hosts.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn corpus_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire_json_corpus.txt")
+}
+
+/// One corpus line: the mutated text's hash, then the hash of what it
+/// re-serialises to, or `refused`.
+fn corpus_line(text: &str, written: Option<&str>) -> String {
+    let mut line = format!("{:016x} ", fnv1a(text.as_bytes()));
+    match written {
+        Some(bytes) => write!(line, "{:016x}", fnv1a(bytes.as_bytes())).expect("infallible"),
+        None => line.push_str("refused"),
+    }
+    line
+}
+
 #[test]
 fn wire_lines_read_the_same_both_ways_under_mutation() {
     let seeds = seeds();
     let mut rng = TestRng::for_test("wire_lines_read_the_same_both_ways_under_mutation");
     let (mut accepted, mut refused) = (0, 0);
+    let mut corpus = Vec::with_capacity(CASES);
     for _ in 0..CASES {
         let seed = pick(&mut rng, &seeds).expect("seeds");
         let text = mutate(seed, &mut rng);
-        if (seed.agree)(&text) {
+        let written = (seed.agree)(&text);
+        if written.is_some() {
             accepted += 1;
         } else {
             refused += 1;
         }
+        corpus.push(corpus_line(&text, written.as_deref()));
     }
     // Both branches of the property ran, not only one.
     assert!(
         accepted >= CASES / 10 && refused >= CASES / 10,
         "{accepted} accepted, {refused} refused"
     );
+    if std::env::var("RN_REGEN_GOLDEN").is_ok() {
+        std::fs::write(corpus_path(), corpus.join("\n") + "\n").expect("write the corpus");
+        eprintln!("regenerated {}", corpus_path().display());
+        return;
+    }
+    let recorded = std::fs::read_to_string(corpus_path()).unwrap_or_else(|e| {
+        panic!(
+            "missing corpus {} ({e}); run with RN_REGEN_GOLDEN=1",
+            corpus_path().display()
+        )
+    });
+    let recorded: Vec<&str> = recorded.lines().collect();
+    assert_eq!(recorded.len(), CASES, "corpus lines");
+    for (case, (got, want)) in corpus.iter().zip(&recorded).enumerate() {
+        assert_eq!(got, want, "case {case}: `text-hash outcome`");
+    }
 }
