@@ -11,8 +11,8 @@ use rn_autograd::{Graph, Var};
 use rn_dataset::{Dataset, Normalizer, Sample};
 use rn_nn::{Activation, BoundGruCell, BoundMlp, GruCell, Layer, Mlp};
 use rn_tensor::{Matrix, Prng};
-use serde::de::field;
-use serde::value::{DeError, Value};
+use serde::json::Reader;
+use serde::value::DeError;
 use serde::{Deserialize, Serialize};
 
 thread_local! {
@@ -283,32 +283,57 @@ impl<const ENTITIES: usize> RouteNet<ENTITIES> {
     }
 }
 
+/// A [`RouteNet`]'s fields as a model file holds them, before they are
+/// checked; the writer appends the same eight in the same order.
+#[derive(Deserialize)]
+struct RouteNetFields {
+    config: ModelConfig,
+    scales: FeatureScales,
+    normalizer: Normalizer,
+    gru_path: GruCell,
+    gru_link: GruCell,
+    gru_node: Option<GruCell>,
+    readout: Mlp,
+    gru_queue: Option<GruCell>,
+}
+
 impl<const ENTITIES: usize> Serialize for RouteNet<ENTITIES> {
-    fn serialize_value(&self) -> Value {
-        Value::Object(vec![
-            ("config".into(), self.config.serialize_value()),
-            ("scales".into(), self.scales.serialize_value()),
-            ("normalizer".into(), self.normalizer.serialize_value()),
-            ("gru_path".into(), self.gru_path.serialize_value()),
-            ("gru_link".into(), self.gru_link.serialize_value()),
-            ("gru_node".into(), self.gru_node.serialize_value()),
-            ("readout".into(), self.readout.serialize_value()),
-            ("gru_queue".into(), self.gru_queue.serialize_value()),
-        ])
+    fn serialize_json(&self, out: &mut String) {
+        let fields: [(&str, &dyn Serialize); 8] = [
+            ("config", &self.config),
+            ("scales", &self.scales),
+            ("normalizer", &self.normalizer),
+            ("gru_path", &self.gru_path),
+            ("gru_link", &self.gru_link),
+            ("gru_node", &self.gru_node),
+            ("readout", &self.readout),
+            ("gru_queue", &self.gru_queue),
+        ];
+        let mut sep = '{';
+        for (name, value) in fields {
+            out.push(sep);
+            out.push('"');
+            out.push_str(name);
+            out.push_str("\":");
+            value.serialize_json(out);
+            sep = ',';
+        }
+        out.push('}');
     }
 }
 
 impl<'de, const ENTITIES: usize> Deserialize<'de> for RouteNet<ENTITIES> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let f = RouteNetFields::deserialize_json(r)?;
         let model = Self {
-            config: field(v, "config")?,
-            scales: field(v, "scales")?,
-            normalizer: field(v, "normalizer")?,
-            gru_path: field(v, "gru_path")?,
-            gru_link: field(v, "gru_link")?,
-            gru_node: field(v, "gru_node")?,
-            readout: field(v, "readout")?,
-            gru_queue: field(v, "gru_queue")?,
+            config: f.config,
+            scales: f.scales,
+            normalizer: f.normalizer,
+            gru_path: f.gru_path,
+            gru_link: f.gru_link,
+            gru_node: f.gru_node,
+            readout: f.readout,
+            gru_queue: f.gru_queue,
         };
         let owned =
             1 + usize::from(model.gru_node.is_some()) + usize::from(model.gru_queue.is_some());
@@ -343,6 +368,33 @@ impl<'de, const ENTITIES: usize> Deserialize<'de> for RouteNet<ENTITIES> {
                  and predicts one value per path",
                 model.readout.in_dim(),
                 model.readout.out_dim()
+            )));
+        }
+        // Every feature is divided by a scale and every prediction passes
+        // through the normalizer: an infinite, zero or negative one loads
+        // into a model whose every answer is wrong (a `std` of `inf`
+        // predicts 0.0 for every path).
+        let FeatureScales {
+            rate_scale,
+            capacity_scale,
+            queue_scale,
+        } = model.scales;
+        for (name, scale) in [
+            ("rate_scale", rate_scale),
+            ("capacity_scale", capacity_scale),
+            ("queue_scale", queue_scale),
+        ] {
+            if !(scale.is_finite() && scale > 0.0) {
+                return Err(DeError::new(format!(
+                    "feature scale `{name}` of {scale}: a divisor must be finite and positive"
+                )));
+            }
+        }
+        let Normalizer { mean, std, .. } = model.normalizer;
+        if !(mean.is_finite() && std.is_finite() && std > 0.0) {
+            return Err(DeError::new(format!(
+                "normalizer mean {mean}, std {std}: the mean must be finite and the std \
+                 finite and positive"
             )));
         }
         Ok(model)

@@ -302,7 +302,6 @@ impl Dataset {
 mod tests {
     use super::*;
     use rn_netgraph::topologies;
-    use serde::value::Value;
 
     fn tiny_sample(topo: &Topology) -> Sample {
         let routing = Routing::shortest_paths(topo);
@@ -440,15 +439,16 @@ mod tests {
                 "{rate}"
             );
         }
+        // In process, an infinite utilization target over links whose load
+        // overflows their capacity scales every rate by inf / inf.
+        let mut tiny = topo.clone();
+        for link in 0..tiny.num_links() {
+            tiny.set_link_capacity(link, 5e-324);
+        }
         let mut bad = good.clone();
-        bad.traffic = serde::Deserialize::deserialize_value(&Value::Object(vec![
-            ("num_nodes".into(), Value::U64(5)),
-            (
-                "rates_bps".into(),
-                Value::Array(vec![Value::F64(f64::NAN); 25]),
-            ),
-        ]))
-        .unwrap();
+        let mut rng = rn_tensor::Prng::new(1);
+        bad.traffic =
+            TrafficMatrix::with_target_utilization(&tiny, &good.routing, &mut rng, f64::INFINITY);
         assert!(bad.check_inputs().unwrap_err().contains("traffic rate NaN"));
 
         // Capacities that are NaN, infinite, zero or negative.

@@ -6,7 +6,8 @@
 //! `src · n + dst` and their entries, so a lookup is a binary search and a
 //! walk is row-major. Its JSON is still the dense table the types carried
 //! before: `{"num_nodes":n,"<field>":[…]}` with one slot per pair, an empty
-//! pair written as its [`Entry::EMPTY`]. Dataset files and `Predict` lines
+//! pair written as its [`Entry::EMPTY`]. The slot order and the dense
+//! bytes are frozen by `tests/scenario_wire.rs`. Dataset files and `Predict` lines
 //! are made of these bytes. The reader streams the slots
 //! into the two vectors and keeps the table's length, not its slots, so a
 //! line holding a table of the wrong length reads back to the same bytes
@@ -14,7 +15,7 @@
 
 use crate::graph::NodeId;
 use serde::json::Reader;
-use serde::value::{DeError, Value};
+use serde::value::DeError;
 use serde::{Deserialize, Serialize};
 
 /// Keys are `u32`, so a table covers at most `2¹⁶` nodes.
@@ -24,12 +25,10 @@ const MAX_NODES: usize = 1 << 16;
 pub(crate) trait Entry: Sized + Serialize {
     /// The table's key in the JSON object, after `num_nodes`.
     const FIELD: &'static str;
-    /// The slot of a pair with no entry.
-    const EMPTY: Value;
+    /// The slot of a pair with no entry, as JSON text.
+    const EMPTY: &'static str;
     /// One slot from the text: `None` for a pair with no entry.
     fn read_json(r: &mut Reader<'_>) -> Result<Option<Self>, DeError>;
-    /// One slot from a value tree: `None` for a pair with no entry.
-    fn read_value(v: &Value) -> Result<Option<Self>, DeError>;
 }
 
 /// Entries for some ordered pairs of `num_nodes` nodes, keyed row-major.
@@ -189,17 +188,6 @@ impl<T: Entry> PairTable<T> {
 }
 
 impl<T: Entry> Serialize for PairTable<T> {
-    fn serialize_value(&self) -> Value {
-        let slots = self
-            .dense()
-            .map(|slot| slot.map_or(T::EMPTY, Serialize::serialize_value))
-            .collect();
-        Value::Object(vec![
-            ("num_nodes".to_string(), self.num_nodes.serialize_value()),
-            (T::FIELD.to_string(), Value::Array(slots)),
-        ])
-    }
-
     fn serialize_json(&self, out: &mut String) {
         out.push_str("{\"num_nodes\":");
         self.num_nodes.serialize_json(out);
@@ -212,7 +200,7 @@ impl<T: Entry> Serialize for PairTable<T> {
             }
             match slot {
                 Some(value) => value.serialize_json(out),
-                None => T::EMPTY.serialize_json(out),
+                None => out.push_str(T::EMPTY),
             }
         }
         out.push_str("]}");
@@ -224,30 +212,9 @@ impl<T: Entry> Serialize for PairTable<T> {
 /// skipped unread, unknown keys are skipped, and a missing one is an error
 /// (`num_nodes` first), with the derive's messages.
 impl<'de, T: Entry> Deserialize<'de> for PairTable<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let num_nodes = serde::de::field(v, "num_nodes")?;
-        let Value::Object(pairs) = v else {
-            unreachable!("`field` refuses all but an object");
-        };
-        let mut slots = match pairs.iter().find(|(k, _)| k == T::FIELD) {
-            Some((_, Value::Array(items))) => items.iter(),
-            Some((_, other)) => {
-                return Err(DeError::new(format!(
-                    "expected array, found {}",
-                    other.kind()
-                )))
-            }
-            None => return Err(DeError::new(format!("missing field `{}`", T::FIELD))),
-        };
-        Self::read(num_nodes, || slots.next().map(T::read_value).transpose())
-    }
-
     fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
         if r.peek() != Some(b'{') {
-            return Err(DeError::new(format!(
-                "expected object with field `num_nodes`, found {}",
-                r.scalar()?.kind()
-            )));
+            return Err(r.expected("object with field `num_nodes`"));
         }
         r.begin_object()?;
         let mut num_nodes = None;
@@ -257,10 +224,7 @@ impl<'de, T: Entry> Deserialize<'de> for PairTable<T> {
                 "num_nodes" if num_nodes.is_none() => num_nodes = Some(usize::deserialize_json(r)?),
                 k if k == T::FIELD && table.is_none() => {
                     if r.peek() != Some(b'[') {
-                        return Err(match r.scalar() {
-                            Ok(v) => DeError::new(format!("expected array, found {}", v.kind())),
-                            Err(e) => e,
-                        });
+                        return Err(r.expected("array"));
                     }
                     r.begin_array()?;
                     // The node count may come after the table: keys are slot

@@ -10,7 +10,7 @@ use crate::graph::{LinkId, NodeId, Topology};
 use crate::pairs::{Entry, PairTable};
 use rn_tensor::Prng;
 use serde::json::Reader;
-use serde::value::{DeError, Value};
+use serde::value::DeError;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -98,28 +98,19 @@ pub struct Routing {
 
 impl Entry for Path {
     const FIELD: &'static str = "paths";
-    const EMPTY: Value = Value::Null;
+    const EMPTY: &'static str = "null";
     fn read_json(r: &mut Reader<'_>) -> Result<Option<Self>, DeError> {
         Option::<Path>::deserialize_json(r)
-    }
-    fn read_value(v: &Value) -> Result<Option<Self>, DeError> {
-        Option::<Path>::deserialize_value(v)
     }
 }
 
 impl Serialize for Routing {
-    fn serialize_value(&self) -> Value {
-        self.table.serialize_value()
-    }
     fn serialize_json(&self, out: &mut String) {
         self.table.serialize_json(out);
     }
 }
 
 impl<'de> Deserialize<'de> for Routing {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        PairTable::deserialize_value(v).map(|table| Self { table })
-    }
     fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
         PairTable::deserialize_json(r).map(|table| Self { table })
     }

@@ -11,7 +11,7 @@ use crate::pairs::{Entry, PairTable};
 use crate::routing::Routing;
 use rn_tensor::Prng;
 use serde::json::Reader;
-use serde::value::{DeError, Value};
+use serde::value::DeError;
 use serde::{Deserialize, Serialize};
 
 /// Average offered traffic per ordered pair, in bits per second.
@@ -30,12 +30,9 @@ pub struct TrafficMatrix {
 
 impl Entry for f64 {
     const FIELD: &'static str = "rates_bps";
-    const EMPTY: Value = Value::F64(0.0);
+    const EMPTY: &'static str = "0.0";
     fn read_json(r: &mut Reader<'_>) -> Result<Option<Self>, DeError> {
         f64::deserialize_json(r).map(stored)
-    }
-    fn read_value(v: &Value) -> Result<Option<Self>, DeError> {
-        f64::deserialize_value(v).map(stored)
     }
 }
 
@@ -45,18 +42,12 @@ fn stored(rate: f64) -> Option<f64> {
 }
 
 impl Serialize for TrafficMatrix {
-    fn serialize_value(&self) -> Value {
-        self.table.serialize_value()
-    }
     fn serialize_json(&self, out: &mut String) {
         self.table.serialize_json(out);
     }
 }
 
 impl<'de> Deserialize<'de> for TrafficMatrix {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        PairTable::deserialize_value(v).map(|table| Self { table })
-    }
     fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
         PairTable::deserialize_json(r).map(|table| Self { table })
     }

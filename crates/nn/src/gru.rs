@@ -51,8 +51,8 @@
 use crate::{init, Layer};
 use rn_autograd::{Graph, GruVars, Var};
 use rn_tensor::{Matrix, Prng};
-use serde::de::field;
-use serde::value::{DeError, Value};
+use serde::json::Reader;
+use serde::value::DeError;
 use serde::{Deserialize, Serialize};
 
 /// GRU cell parameters. Kernels are `(hidden + input) x hidden`, biases
@@ -71,17 +71,31 @@ pub struct GruCell {
     b_c: Matrix,
 }
 
+/// A [`GruCell`]'s fields as a file holds them, before they are checked.
+#[derive(Deserialize)]
+struct GruCellFields {
+    input_dim: usize,
+    hidden_dim: usize,
+    w_z: Matrix,
+    b_z: Matrix,
+    w_r: Matrix,
+    b_r: Matrix,
+    w_c: Matrix,
+    b_c: Matrix,
+}
+
 impl<'de> Deserialize<'de> for GruCell {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let f = GruCellFields::deserialize_json(r)?;
         let cell = Self {
-            input_dim: field(v, "input_dim")?,
-            hidden_dim: field(v, "hidden_dim")?,
-            w_z: field(v, "w_z")?,
-            b_z: field(v, "b_z")?,
-            w_r: field(v, "w_r")?,
-            b_r: field(v, "b_r")?,
-            w_c: field(v, "w_c")?,
-            b_c: field(v, "b_c")?,
+            input_dim: f.input_dim,
+            hidden_dim: f.hidden_dim,
+            w_z: f.w_z,
+            b_z: f.b_z,
+            w_r: f.w_r,
+            b_r: f.b_r,
+            w_c: f.w_c,
+            b_c: f.b_c,
         };
         let (input, hidden) = (cell.input_dim, cell.hidden_dim);
         let kernel = (hidden.checked_add(input), hidden);

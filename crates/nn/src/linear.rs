@@ -3,8 +3,8 @@
 use crate::{init, Activation, Layer};
 use rn_autograd::{Graph, Var};
 use rn_tensor::{Matrix, Prng};
-use serde::de::field;
-use serde::value::{DeError, Value};
+use serde::json::Reader;
+use serde::value::DeError;
 use serde::{Deserialize, Serialize};
 
 /// A dense layer `y = act(x · W + b)`.
@@ -19,23 +19,35 @@ pub struct Linear {
     activation: Activation,
 }
 
+/// A [`Linear`]'s fields as a file holds them, before they are checked.
+#[derive(Deserialize)]
+struct LinearFields {
+    weight: Matrix,
+    bias: Matrix,
+    activation: Activation,
+}
+
 impl<'de> Deserialize<'de> for Linear {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let layer = Self {
-            weight: field(v, "weight")?,
-            bias: field(v, "bias")?,
-            activation: field(v, "activation")?,
-        };
-        if layer.bias.shape() != (1, layer.weight.cols()) {
+    fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let LinearFields {
+            weight,
+            bias,
+            activation,
+        } = LinearFields::deserialize_json(r)?;
+        if bias.shape() != (1, weight.cols()) {
             return Err(DeError::new(format!(
                 "linear layer with a {} x {} weight and a {} x {} bias",
-                layer.weight.rows(),
-                layer.weight.cols(),
-                layer.bias.rows(),
-                layer.bias.cols()
+                weight.rows(),
+                weight.cols(),
+                bias.rows(),
+                bias.cols()
             )));
         }
-        Ok(layer)
+        Ok(Self {
+            weight,
+            bias,
+            activation,
+        })
     }
 }
 

@@ -3,8 +3,8 @@
 use crate::{Activation, Layer, Linear};
 use rn_autograd::{Graph, Var};
 use rn_tensor::{Matrix, Prng};
-use serde::de::field;
-use serde::value::{DeError, Value};
+use serde::json::Reader;
+use serde::value::DeError;
 use serde::{Deserialize, Serialize};
 
 /// A stack of [`Linear`] layers: hidden layers share one activation, the
@@ -17,9 +17,15 @@ pub struct Mlp {
     layers: Vec<Linear>,
 }
 
+/// An [`Mlp`]'s fields as a file holds them, before they are checked.
+#[derive(Deserialize)]
+struct MlpFields {
+    layers: Vec<Linear>,
+}
+
 impl<'de> Deserialize<'de> for Mlp {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let layers: Vec<Linear> = field(v, "layers")?;
+    fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let MlpFields { layers } = MlpFields::deserialize_json(r)?;
         if layers.is_empty() {
             return Err(DeError::new("an MLP without layers"));
         }

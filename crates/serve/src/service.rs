@@ -146,8 +146,9 @@ pub enum ServeError {
     /// The submitted scenario is not self-consistent (an id out of range,
     /// labels misaligned with the routing, a non-finite rate, a capacity
     /// that is not positive, a scheduling policy that does not fit the
-    /// classes, …) and was not planned. Carries what
-    /// [`Sample::check_inputs`] found.
+    /// classes, …) and was not planned, carrying what
+    /// [`Sample::check_inputs`] found; or it was, and the model predicts a
+    /// delay for it that is not finite.
     BadRequest(String),
     /// The submitted plan's state width does not match the model serving
     /// right now (`expected`, `found`) — it was compiled for a different
@@ -649,6 +650,21 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 let done = Instant::now();
                 let stages = &inner.metrics.stages;
                 for (job, delays) in group.into_iter().zip(results) {
+                    // A scenario can pass `check_inputs` and still lie past
+                    // what the model's scales represent (a rate of 1e300
+                    // bps overflows its f32 feature): the reply would carry
+                    // a non-finite delay, which the wire writes as `null`.
+                    if let Some((path, delay)) =
+                        delays.iter().enumerate().find(|(_, d)| !d.is_finite())
+                    {
+                        inner.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                        let why = format!(
+                            "the model predicts a delay of {delay} s for path {path}: \
+                             the scenario is outside the range its features represent"
+                        );
+                        job.respond.try_send(Err(ServeError::BadRequest(why))).ok();
+                        continue;
+                    }
                     inner.metrics.latency.record(done - job.enqueued);
                     // The five stages decompose `done - enqueued` exactly:
                     // adjacent stages share their boundary instant (`now` is

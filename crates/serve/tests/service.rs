@@ -328,6 +328,13 @@ fn malformed_model_files_are_rejected_and_the_old_model_keeps_serving() {
         let start = json.find(kernel).expect("the path GRU's first kernel") + kernel.len();
         (start, start + json[start..].find(',').expect("128 values"))
     };
+    // The file with the number after the first `"key":` replaced by `value`.
+    let with_number = |key: &str, value: &str| {
+        let key = format!("\"{key}\":");
+        let at = json.find(&key).expect("the key") + key.len();
+        let end = at + json[at..].find([',', '}']).expect("the number's end");
+        format!("{}{value}{}", &json[..at], &json[end..])
+    };
     let malformed = [
         (
             "short data",
@@ -349,6 +356,22 @@ fn malformed_model_files_are_rejected_and_the_old_model_keeps_serving() {
             "state_dim disagreeing with the kernels",
             json.replacen("\"state_dim\":8", "\"state_dim\":16", 1),
             "in a model of state_dim 16",
+        ),
+        // Numbers that load into a model whose every answer is wrong.
+        (
+            "infinite normalizer std",
+            with_number("std", "1e999"),
+            "std inf",
+        ),
+        (
+            "kernel weight past f32::MAX",
+            format!("{}1e39{}", &json[..start], &json[first_comma..]),
+            "16 x 8 matrix holding inf at index 0",
+        ),
+        (
+            "zero capacity scale",
+            with_number("capacity_scale", "0.0"),
+            "feature scale `capacity_scale` of 0",
         ),
     ];
 
@@ -611,6 +634,13 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
         let predict = format!(r#"{{"Predict":{{"sample":{sample},"deadline_ms":null}}}}"#);
         lines.push((what, predict));
     }
+    // A rate `check_inputs` accepts but the model's f32 features cannot
+    // hold: planning succeeds, the prediction is infinite, and the reply is
+    // an error instead of a `null` delay.
+    let (src, dst, _) = good.routing.iter_paths().next().expect("a routed pair");
+    let huge = edited(&|s| s.traffic.set(src, dst, 1e300));
+    let huge = format!(r#"{{"Predict":{{"sample":{huge},"deadline_ms":null}}}}"#);
+    lines.push(("the model predicts a delay of inf s for path 0", huge));
     lines.push(("nesting deeper", format!(r#"{{"Register":{deep}}}"#)));
     lines.push(("nesting deeper", deep));
     // One byte past the cap: answered, and the rest of the line is read
@@ -639,6 +669,9 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
     client.register(good).expect("register");
     match client.round_trip(&Request::Metrics).expect("metrics") {
         Response::Metrics { snapshot } => {
+            // The non-finite prediction is the one error a worker counted;
+            // the rest were refused before planning.
+            assert_eq!(snapshot.errors, 1);
             assert_eq!(snapshot.worker_panics, 0);
             assert_eq!(snapshot.worker_restarts, 0);
         }

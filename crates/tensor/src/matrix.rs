@@ -5,15 +5,17 @@
 //! mismatches panic: a wrong shape is a bug in the caller, never a recoverable
 //! runtime condition.
 
-use serde::de::field;
-use serde::value::{DeError, Value};
+use serde::json::Reader;
+use serde::value::DeError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense row-major matrix of `f32` values.
 ///
-/// Invariant: `data.len() == rows * cols` at all times — also for a matrix
-/// read from a file, which fails to deserialize otherwise.
+/// Invariant: `data.len() == rows * cols` at all times. A matrix read from
+/// a file fails to deserialize otherwise, or when it holds a value that is
+/// not finite (the writer writes one as `null`, which reads as no number;
+/// a finite `f64` past `f32::MAX` would read as infinity).
 #[derive(Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
@@ -21,14 +23,27 @@ pub struct Matrix {
     data: Vec<f32>,
 }
 
+/// A [`Matrix`]'s fields as a file holds them, before they are checked.
+#[derive(Deserialize)]
+struct MatrixFields {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
 impl<'de> Deserialize<'de> for Matrix {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let (rows, cols): (usize, usize) = (field(v, "rows")?, field(v, "cols")?);
-        let data: Vec<f32> = field(v, "data")?;
+    fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let MatrixFields { rows, cols, data } = MatrixFields::deserialize_json(r)?;
         if rows.checked_mul(cols) != Some(data.len()) {
             return Err(DeError::new(format!(
                 "a {rows} x {cols} matrix holding {} values",
                 data.len()
+            )));
+        }
+        if let Some(i) = data.iter().position(|x| !x.is_finite()) {
+            return Err(DeError::new(format!(
+                "a {rows} x {cols} matrix holding {} at index {i}",
+                data[i]
             )));
         }
         Ok(Self { rows, cols, data })
@@ -246,18 +261,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copy of column `c`.
-    pub fn col(&self, c: usize) -> Vec<f32> {
-        assert!(
-            c < self.cols,
-            "Matrix::col({c}) out of bounds for {} cols",
-            self.cols
-        );
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols + c])
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Element-wise operations
     // ------------------------------------------------------------------
@@ -342,7 +345,7 @@ impl Matrix {
     }
 
     /// Multiply each row by the matching entry of an n x 1 column vector,
-    /// in place (the allocation-free form of [`Matrix::mul_col_broadcast`]).
+    /// in place.
     pub fn mul_col_broadcast_assign(&mut self, col: &Self) {
         assert_eq!(
             col.cols, 1,
@@ -363,11 +366,6 @@ impl Matrix {
     /// Multiply every element by `s`, returning a new matrix.
     pub fn scale(&self, s: f32) -> Self {
         self.map(|v| v * s)
-    }
-
-    /// Add `s` to every element, returning a new matrix.
-    pub fn add_scalar(&self, s: f32) -> Self {
-        self.map(|v| v + s)
     }
 
     /// Broadcast-add a 1 x cols row vector to every row.
@@ -457,30 +455,6 @@ impl Matrix {
         let (m, k, n) = self.assert_matmul_shapes(other);
         assert_eq!(out.shape(), (m, n), "matmul_acc: bad output shape");
         kernels::matmul_acc(&self.data, &other.data, m, k, n, &mut out.data);
-    }
-
-    /// Row-range form of [`Matrix::matmul_acc`]:
-    /// `out[row_lo..row_hi] += self[row_lo..row_hi] · other`, touching no
-    /// other output row. Each output row is accumulated in exactly the same
-    /// per-element order as the full kernel, so computing a matrix in
-    /// disjoint row ranges is **bitwise identical** to one full call — the
-    /// property that gives a sample the same forward bits alone and stacked
-    /// into a megabatch.
-    pub fn matmul_acc_rows(&self, other: &Self, out: &mut Self, row_lo: usize, row_hi: usize) {
-        let (m, k, n) = self.assert_matmul_shapes(other);
-        assert_eq!(out.shape(), (m, n), "matmul_acc_rows: bad output shape");
-        assert!(
-            row_lo <= row_hi && row_hi <= m,
-            "matmul_acc_rows: bad row range {row_lo}..{row_hi} for {m} rows"
-        );
-        kernels::matmul_acc(
-            &self.data[row_lo * k..row_hi * k],
-            &other.data,
-            row_hi - row_lo,
-            k,
-            n,
-            &mut out.data[row_lo * n..row_hi * n],
-        );
     }
 
     fn assert_tn_shapes(&self, other: &Self) -> (usize, usize, usize) {
@@ -641,21 +615,6 @@ impl Matrix {
         }
     }
 
-    /// Column-wise sum, returned as a 1 x cols row vector.
-    pub fn sum_rows(&self) -> Self {
-        let mut out = vec![0.0f32; self.cols];
-        for r in 0..self.rows {
-            for (o, &v) in out.iter_mut().zip(self.row(r)) {
-                *o += v;
-            }
-        }
-        Self {
-            rows: 1,
-            cols: self.cols,
-            data: out,
-        }
-    }
-
     /// Largest absolute element. Zero for an empty matrix.
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
@@ -767,29 +726,6 @@ impl Matrix {
             cols,
             data,
         }
-    }
-
-    /// Multiply each row by the corresponding entry of an n x 1 mask/weight
-    /// column vector. Used for masking padded positions in batched sequences.
-    pub fn mul_col_broadcast(&self, col: &Self) -> Self {
-        assert_eq!(
-            col.cols, 1,
-            "mul_col_broadcast: expected column vector, got {}x{}",
-            col.rows, col.cols
-        );
-        assert_eq!(
-            col.rows, self.rows,
-            "mul_col_broadcast: {} weights for {} rows",
-            col.rows, self.rows
-        );
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let w = col.data[r];
-            for v in out.row_mut(r) {
-                *v *= w;
-            }
-        }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -1392,7 +1328,6 @@ mod tests {
         assert_eq!(b.sub(&a).as_slice(), &[4.0, 4.0, 4.0, 4.0]);
         assert_eq!(a.mul(&b).as_slice(), &[5.0, 12.0, 21.0, 32.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0, 8.0]);
-        assert_eq!(a.add_scalar(1.0).as_slice(), &[2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
@@ -1419,7 +1354,6 @@ mod tests {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m.sum(), 21.0);
         assert!((m.mean() - 3.5).abs() < 1e-6);
-        assert_eq!(m.sum_rows().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(m.max_abs(), 6.0);
     }
 
@@ -1457,16 +1391,6 @@ mod tests {
         assert_eq!(cat.shape(), (2, 5));
         assert!(cat.slice_cols(0, 2).approx_eq(&a, 1e-6));
         assert!(cat.slice_cols(2, 5).approx_eq(&b, 1e-6));
-    }
-
-    #[test]
-    fn mul_col_broadcast_masks_rows() {
-        let m = Matrix::ones(3, 2);
-        let mask = Matrix::column_vector(&[1.0, 0.0, 2.0]);
-        let out = m.mul_col_broadcast(&mask);
-        assert_eq!(out.row(0), &[1.0, 1.0]);
-        assert_eq!(out.row(1), &[0.0, 0.0]);
-        assert_eq!(out.row(2), &[2.0, 2.0]);
     }
 
     #[test]
@@ -1624,29 +1548,6 @@ mod tests {
         at.matmul_tn_into(&b, &mut out_tn);
         assert!(out_tn.approx_eq(&at.matmul_tn(&b), 0.0));
         assert!(out_tn.approx_eq(&expect, 1e-4));
-    }
-
-    #[test]
-    fn row_range_matmul_is_bitwise_identical_to_full() {
-        // Any partition of the rows must reproduce the full kernel exactly:
-        // odd boundaries shift the 2-row blocking phase, which must not
-        // change per-row arithmetic.
-        for &(m, k, n) in &[(7, 9, 5), (8, 16, 32), (5, 3, 11)] {
-            let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.37 - 2.0);
-            let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.21 - 1.0);
-            let mut full = Matrix::zeros(m, n);
-            a.matmul_acc(&b, &mut full);
-            for bounds in [vec![0, m], vec![0, 1, m], vec![0, 3, 3, m.min(5), m]] {
-                let mut pieced = Matrix::zeros(m, n);
-                for w in bounds.windows(2) {
-                    a.matmul_acc_rows(&b, &mut pieced, w[0], w[1]);
-                }
-                assert!(
-                    pieced.approx_eq(&full, 0.0),
-                    "row-range decomposition {bounds:?} diverged for {m}x{k}x{n}"
-                );
-            }
-        }
     }
 
     #[test]

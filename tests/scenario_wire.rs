@@ -16,10 +16,9 @@
 //!   (the first occurrence wins, the rest is skipped unread), and a missing
 //!   `rates_bps` or `num_nodes` (an error).
 //!
-//! Every line goes through both readers (`from_str::<Sample>` and
-//! `Sample::deserialize_value` over the `Value` tree) and every accepted
-//! sample through both writers. Rewrite the fixture only from a commit
-//! whose wire is the reference, with
+//! Every line goes through `from_str::<Sample>`, every accepted sample
+//! through `to_string`. Rewrite the fixture only from a commit whose wire
+//! is the reference, with
 //! `RN_REGEN_GOLDEN=1 cargo test --release --test scenario_wire`.
 
 use rn_dataset::{generate_sample, generate_sparse_sample, GeneratorConfig, QosGenConfig, Sample};
@@ -27,7 +26,6 @@ use rn_netgraph::generators::{isp_tiered, TierConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
 use rn_tensor::Prng;
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -79,42 +77,11 @@ fn generated(case: &str, seed: u64) -> Sample {
     }
 }
 
-/// The line read by the direct reader and by the value tree, which must
-/// agree: both refuse it (the direct reader's message), or both accept it
-/// and all four reader × writer pairings write the same bytes.
+/// The line read, and the bytes it re-serialises to; or the reader's error.
 fn read(line: &str) -> Result<(Sample, String), String> {
-    let direct = serde_json::from_str::<Sample>(line).map_err(|e| e.to_string());
-    let tree = serde_json::from_str::<Value>(line)
-        .map_err(|e| e.to_string())
-        .and_then(|v| Sample::deserialize_value(&v).map_err(|e| e.to_string()));
-    match (direct, tree) {
-        (Ok(d), Ok(t)) => {
-            let written = serde_json::to_string(&d).expect("infallible");
-            for (writer, bytes) in [
-                ("tree writer", serde_json::to_string(&d.serialize_value())),
-                (
-                    "direct writer on the tree's sample",
-                    serde_json::to_string(&t),
-                ),
-                (
-                    "tree writer on the tree's sample",
-                    serde_json::to_string(&t.serialize_value()),
-                ),
-            ] {
-                assert!(
-                    bytes.expect("infallible") == written,
-                    "{writer} wrote other bytes"
-                );
-            }
-            Ok((d, written))
-        }
-        (Err(d), Err(_)) => Err(d),
-        (d, t) => panic!(
-            "direct reader {:?} vs value tree {:?}",
-            d.map(drop),
-            t.map(drop)
-        ),
-    }
+    let sample = serde_json::from_str::<Sample>(line).map_err(|e| e.to_string())?;
+    let written = serde_json::to_string(&sample).expect("infallible");
+    Ok((sample, written))
 }
 
 /// `line` with `from` replaced by `to` exactly once.
