@@ -424,7 +424,7 @@ fn gru_forward_avx512(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, rh: &mut [f32],
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn gru_forward_avx2(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, rh: &mut [f32], out: &mut [f32]) {
     gru_forward_body(Tier::Avx2, ctx, saved, rh, out);
 }
@@ -597,7 +597,7 @@ fn gru_backward_avx512(
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn gru_backward_avx2(ctx: &GruBwdCtx<'_>, g: &mut [f32], gpx: &mut [f32], sc: &mut GruBwdScratch) {
     gru_backward_body(Tier::Avx2, ctx, g, gpx, sc);
 }

@@ -426,8 +426,12 @@ mod tests {
         bad.traffic = TrafficMatrix::zeros(4);
         assert!(bad.check_inputs().unwrap_err().contains("traffic matrix"));
 
-        // Rates that are NaN, infinite or negative. The wire can carry the
-        // last two (`1e999` parses to infinity); NaN only arrives in process.
+        // Rates that are infinite or negative: the wire can carry both
+        // (`1e999` parses to infinity). A NaN rate has no way in: the wire
+        // writes NaN as `null`, which no rate reads, and no constructor
+        // makes one (`with_target_utilization` refuses an infinite target,
+        // `Topology` a capacity that is not a normal number, so no rescale
+        // is `inf / inf`).
         let rates = r#""rates_bps":[0.0"#;
         for rate in ["-1.0", "1e999", "-1e999"] {
             let bad = through_json(&|json| {
@@ -439,17 +443,6 @@ mod tests {
                 "{rate}"
             );
         }
-        // In process, an infinite utilization target over links whose load
-        // overflows their capacity scales every rate by inf / inf.
-        let mut tiny = topo.clone();
-        for link in 0..tiny.num_links() {
-            tiny.set_link_capacity(link, 5e-324);
-        }
-        let mut bad = good.clone();
-        let mut rng = rn_tensor::Prng::new(1);
-        bad.traffic =
-            TrafficMatrix::with_target_utilization(&tiny, &good.routing, &mut rng, f64::INFINITY);
-        assert!(bad.check_inputs().unwrap_err().contains("traffic rate NaN"));
 
         // Capacities that are NaN, infinite, zero or negative.
         for capacity in [f64::NAN, f64::INFINITY, 0.0, -1e4] {

@@ -60,7 +60,7 @@ impl std::fmt::Display for GeneratorError {
             Self::InvalidCapacity { capacity_bps } => {
                 write!(
                     f,
-                    "capacity must be positive and finite, got {capacity_bps} bps"
+                    "capacity must be positive, finite and normal, got {capacity_bps} bps"
                 )
             }
         }
@@ -70,7 +70,7 @@ impl std::fmt::Display for GeneratorError {
 impl std::error::Error for GeneratorError {}
 
 fn check_capacity(capacity_bps: f64) -> Result<(), GeneratorError> {
-    if capacity_bps > 0.0 && capacity_bps.is_finite() {
+    if capacity_bps > 0.0 && capacity_bps.is_normal() {
         Ok(())
     } else {
         Err(GeneratorError::InvalidCapacity { capacity_bps })

@@ -58,7 +58,7 @@ impl Topology {
         assert!(src < self.num_nodes, "add_link: src {src} out of range");
         assert!(dst < self.num_nodes, "add_link: dst {dst} out of range");
         assert_ne!(src, dst, "add_link: self-loops are not allowed");
-        assert!(capacity_bps > 0.0, "add_link: capacity must be positive");
+        check_capacity("add_link", capacity_bps);
         assert!(
             prop_delay_s >= 0.0,
             "add_link: propagation delay must be non-negative"
@@ -130,12 +130,10 @@ impl Topology {
     }
 
     /// Replace the capacity of a link (used by dataset generators that draw
-    /// heterogeneous capacities per sample). Panics on non-positive values.
+    /// heterogeneous capacities per sample). Panics unless the capacity is a
+    /// positive, finite, normal number.
     pub fn set_link_capacity(&mut self, id: LinkId, capacity_bps: f64) {
-        assert!(
-            capacity_bps > 0.0,
-            "set_link_capacity: capacity must be positive"
-        );
+        check_capacity("set_link_capacity", capacity_bps);
         self.links[id].capacity_bps = capacity_bps;
     }
 
@@ -199,6 +197,16 @@ impl Topology {
     }
 }
 
+/// A capacity divides every rate routed over its link: an infinite one
+/// makes the link free, and a subnormal one overflows its utilisation to
+/// infinity.
+fn check_capacity(op: &str, capacity_bps: f64) {
+    assert!(
+        capacity_bps > 0.0 && capacity_bps.is_normal(),
+        "{op}: capacity must be positive, finite and normal (got {capacity_bps:e})"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,6 +265,30 @@ mod tests {
     fn rejects_zero_capacity() {
         let mut t = Topology::new("bad", 2);
         t.add_link(0, 1, 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive, finite and normal (got inf)")]
+    fn rejects_infinite_capacity() {
+        Topology::new("bad", 2).add_link(0, 1, f64::INFINITY, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive, finite and normal (got NaN)")]
+    fn rejects_nan_capacity() {
+        Topology::new("bad", 2).add_link(0, 1, f64::NAN, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive, finite and normal (got 5e-324)")]
+    fn rejects_subnormal_capacity() {
+        Topology::new("bad", 2).add_link(0, 1, 5e-324, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "set_link_capacity: capacity must be positive, finite and normal")]
+    fn set_link_capacity_rejects_a_subnormal() {
+        triangle().set_link_capacity(0, 5e-324);
     }
 
     #[test]

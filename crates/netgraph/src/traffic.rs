@@ -87,6 +87,8 @@ impl TrafficMatrix {
     /// Rates are first drawn uniformly, then rescaled so that
     /// `max_l (carried(l) / capacity(l)) == target_utilization`. This is how
     /// the dataset generator controls the congestion regime of a sample.
+    /// Panics unless the target is positive and finite: an infinite one over
+    /// an overflowing load would scale every rate by `inf / inf`, a NaN.
     pub fn with_target_utilization(
         topo: &Topology,
         routing: &Routing,
@@ -94,8 +96,8 @@ impl TrafficMatrix {
         target_utilization: f64,
     ) -> Self {
         assert!(
-            target_utilization > 0.0,
-            "target utilization must be positive"
+            target_utilization > 0.0 && target_utilization.is_finite(),
+            "target utilization must be positive and finite (got {target_utilization})"
         );
         let mut tm = Self::uniform_random(topo.num_nodes(), rng, 0.1, 1.0);
         let max_util = tm.max_link_utilization(topo, routing);
@@ -242,6 +244,14 @@ mod tests {
             let got = tm.max_link_utilization(&topo, &routing);
             assert!((got - target).abs() < 1e-9, "target {target}, got {got}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "target utilization must be positive and finite (got inf)")]
+    fn an_infinite_target_utilization_is_refused() {
+        let topo = topologies::nsfnet_default();
+        let routing = Routing::shortest_paths(&topo);
+        TrafficMatrix::with_target_utilization(&topo, &routing, &mut Prng::new(7), f64::INFINITY);
     }
 
     #[test]

@@ -147,8 +147,8 @@ pub enum ServeError {
     /// labels misaligned with the routing, a non-finite rate, a capacity
     /// that is not positive, a scheduling policy that does not fit the
     /// classes, …) and was not planned, carrying what
-    /// [`Sample::check_inputs`] found; or it was, and the model predicts a
-    /// delay for it that is not finite.
+    /// [`Sample::check_inputs`] found; or its planned features are not
+    /// finite; or the model predicts a delay for it that is not finite.
     BadRequest(String),
     /// The submitted plan's state width does not match the model serving
     /// right now (`expected`, `found`) — it was compiled for a different
@@ -365,10 +365,14 @@ impl<M: PathPredictor> ServeHandle<M> {
     ///
     /// This is where a scenario from the wire enters: planning indexes it
     /// with its own ids, so it is checked first and a malformed one is a
-    /// [`ServeError::BadRequest`], not a panic.
+    /// [`ServeError::BadRequest`], not a panic. A scenario that passes those
+    /// checks but whose features overflow f32 under the current
+    /// preprocessing (a rate of 1e300 bps) is refused the same way once
+    /// planned, and nothing is cached for it.
     pub fn plan_sample(&self, sample: &Sample) -> Result<(Arc<SamplePlan>, u64), ServeError> {
         sample.check_inputs().map_err(ServeError::BadRequest)?;
         let plan = self.inner.registry.snapshot().0.plan(sample);
+        check_features(&plan).map_err(ServeError::BadRequest)?;
         let key = plan.fingerprint();
         Ok((self.inner.plans.insert(key, plan), key))
     }
@@ -696,5 +700,24 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 }
             }
         }
+    }
+}
+
+/// Refuse a plan whose initial entity states hold a non-finite entry: the
+/// scenario's values lie past what the model's f32 features represent, and
+/// every forward over the plan would be answered with an error.
+fn check_features(plan: &SamplePlan) -> Result<(), String> {
+    let features = [
+        ("path", &plan.path_init),
+        ("link", &plan.link_init),
+        ("node", &plan.node_init),
+        ("queue", &plan.queue_init),
+    ];
+    match features.iter().find(|(_, m)| m.has_non_finite()) {
+        Some((entity, _)) => Err(format!(
+            "the scenario's {entity} features are not finite under the served model: \
+             a value lies outside the range its features represent"
+        )),
+        None => Ok(()),
     }
 }

@@ -5,6 +5,7 @@
 use rn_dataset::{generate, Dataset, GeneratorConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
+use rn_nn::Layer;
 use rn_serve::loadgen::Client;
 use rn_serve::server::MAX_REQUEST_LINE_BYTES;
 use rn_serve::{Request, Response, ServeConfig, ServeError, Service, TcpServer};
@@ -635,12 +636,14 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
         lines.push((what, predict));
     }
     // A rate `check_inputs` accepts but the model's f32 features cannot
-    // hold: planning succeeds, the prediction is infinite, and the reply is
-    // an error instead of a `null` delay.
+    // hold: the plan is refused once built, before `Register` caches it or
+    // `Predict` runs a forward over it.
     let (src, dst, _) = good.routing.iter_paths().next().expect("a routed pair");
     let huge = edited(&|s| s.traffic.set(src, dst, 1e300));
-    let huge = format!(r#"{{"Predict":{{"sample":{huge},"deadline_ms":null}}}}"#);
-    lines.push(("the model predicts a delay of inf s for path 0", huge));
+    let not_finite = "the scenario's path features are not finite";
+    lines.push((not_finite, format!(r#"{{"Register":{{"sample":{huge}}}}}"#)));
+    let predict_huge = format!(r#"{{"Predict":{{"sample":{huge},"deadline_ms":null}}}}"#);
+    lines.push((not_finite, predict_huge));
     lines.push(("nesting deeper", format!(r#"{{"Register":{deep}}}"#)));
     lines.push(("nesting deeper", deep));
     // One byte past the cap: answered, and the rest of the line is read
@@ -665,12 +668,35 @@ fn tcp_malformed_samples_get_error_lines_and_the_connection_survives() {
             other => panic!("{what}: expected Pong, got {other:?}"),
         }
     }
+    assert_eq!(
+        service.handle().metrics().cache_len,
+        0,
+        "nothing was cached"
+    );
+    // Finite features can still overflow through huge (finite) weights: a
+    // readout bias of 1e6 denormalizes to an infinite delay, and the worker
+    // answers an error instead of a `null` delay.
+    let mut overflowing = fitted_model(&ds, 1);
+    let bias = overflowing
+        .params_mut()
+        .pop()
+        .expect("the readout's output bias");
+    bias.as_mut_slice().fill(1e6);
+    service.handle().swap_model(overflowing);
+    let predict_good = format!(r#"{{"Predict":{{"sample":{good_json},"deadline_ms":null}}}}"#);
+    match client.round_trip_line(&predict_good).expect("an answer") {
+        Response::Error { message } => assert!(
+            message.starts_with("bad request: the model predicts a delay of inf s for path 0"),
+            "{message}"
+        ),
+        other => panic!("expected Error, got {other:?}"),
+    }
     // The well-formed scenario is still served, and nothing panicked.
     client.register(good).expect("register");
     match client.round_trip(&Request::Metrics).expect("metrics") {
         Response::Metrics { snapshot } => {
             // The non-finite prediction is the one error a worker counted;
-            // the rest were refused before planning.
+            // the rest were refused before a forward ran.
             assert_eq!(snapshot.errors, 1);
             assert_eq!(snapshot.worker_panics, 0);
             assert_eq!(snapshot.worker_restarts, 0);

@@ -401,19 +401,20 @@ impl Matrix {
     // fuses the `grad += partial` pattern of reverse-mode autodiff into the
     // kernel).
     //
-    // Contract — one canonical per-element expression. With `p[t]` the
-    // product of the two operand elements at shared-dimension index `t`
-    // (`a[i][t]·b[t][j]` for `matmul`, `a[t][i]·b[t][j]` for `matmul_tn`),
-    // each full group of four indices, in ascending order, contributes
+    // Contract — one canonical per-element expression. With `x[t]` and
+    // `y[t]` the two operand elements at shared-dimension index `t`
+    // (`a[i][t]` and `b[t][j]` for `matmul`, `a[t][i]` and `b[t][j]` for
+    // `matmul_tn`), every index, in ascending order, contributes one fused
+    // multiply-add, rounded once:
     //
-    //     out[i][j] = out[i][j] + (((p[t] + p[t+1]) + p[t+2]) + p[t+3])
+    //     out[i][j] = fma(x[t], y[t], out[i][j])
     //
-    // and each of the `k % 4` leftover indices then contributes
-    // `out[i][j] = out[i][j] + p[t]`; no FMA. Every recorded bit rests on
-    // it. The [`kernels`] module doc says what a future kernel may change
-    // (blocking, tile shape) and what it may not (grouping, association,
-    // FMA); `crates/tensor/tests/proptests.rs` holds the scalar spelling
-    // both kernels are compared to bit for bit.
+    // at every tier, the baseline included (`f32::mul_add`). Every recorded
+    // bit rests on it. The [`kernels`] module doc says what a future kernel
+    // may change (blocking, tile shape) and what it may not (order, a split
+    // of the shared dimension, an unfused step);
+    // `crates/tensor/tests/proptests.rs` holds the scalar spelling both
+    // kernels are compared to bit for bit.
     // ------------------------------------------------------------------
 
     fn assert_matmul_shapes(&self, other: &Self) -> (usize, usize, usize) {
@@ -770,35 +771,35 @@ impl Matrix {
 /// are themselves compiled for one tier.
 ///
 /// Three bodies: the portable register-blocked bodies below (the baseline
-/// tier), the same bodies recompiled with AVX2 (already at AVX2's non-FMA
-/// roofline), and on AVX-512 a register-tiled 16-lane microkernel: a tile of
-/// 4 output rows × up to 4 registers (64 columns) stays in registers across
-/// the whole shared dimension, columns past a multiple of 16 are masked
-/// loads and stores (lanes past the row are never read or written), rows
-/// past a multiple of 4 take a 1-row tile, and the transposed form reads
-/// `aᵀ` by stride with the same tile.
+/// tier), the same bodies recompiled with AVX2 and FMA, and on AVX-512 a
+/// register-tiled 16-lane microkernel: a tile of 4 output rows × up to 4
+/// registers (64 columns) stays in registers across the whole shared
+/// dimension, columns past a multiple of 16 are masked loads and stores
+/// (lanes past the row are never read or written), rows past a multiple of
+/// 4 take a 1-row tile, and the transposed form reads `aᵀ` by stride with
+/// the same tile.
 ///
 /// # Contract
 ///
 /// Both kernels evaluate every output element with one canonical
-/// expression. Writing `p[t]` for the product of the two operand elements
-/// at shared-dimension index `t`, each full group of four indices, in
-/// ascending order, contributes
+/// expression. Writing `x[t]` and `y[t]` for the two operand elements at
+/// shared-dimension index `t`, every index, in ascending order, contributes
 ///
 /// ```text
-/// out[i][j] = out[i][j] + (((p[t] + p[t+1]) + p[t+2]) + p[t+3])
+/// out[i][j] = fma(x[t], y[t], out[i][j])
 /// ```
 ///
-/// and each of the `k % 4` leftover indices then contributes
-/// `out[i][j] = out[i][j] + p[t]`. Multiplies and adds round separately (no
-/// FMA). Blocking, tile shape, loop order and vector width are free to
-/// change; group size, association, a split of the shared dimension and FMA
-/// are not — the golden fixtures and the model digests record bits of this
-/// expression. Because the expression is per element, the result does not
-/// depend on how output rows are grouped into blocks or calls: any row-range
-/// decomposition of `matmul_acc` is bitwise identical to one full call,
-/// which is why a sample predicts the same bits alone and inside a
-/// megabatch.
+/// — one fused multiply-add, rounded once, at every tier: `f32::mul_add` in
+/// the portable bodies (a correctly rounded `fmaf` call where the baseline
+/// build has no FMA instruction), `vfmadd` in the AVX2 + FMA and AVX-512
+/// bodies. Blocking, tile shape, loop order and vector width are free to
+/// change; the ascending order, a split of the shared dimension and an
+/// unfused step are not — the golden fixtures and the model digests record
+/// bits of this expression. Because the expression is per element, the
+/// result does not depend on how output rows are grouped into blocks or
+/// calls: any row-range decomposition of `matmul_acc` is bitwise identical
+/// to one full call, which is why a sample predicts the same bits alone and
+/// inside a megabatch.
 pub mod kernels {
     use crate::simd::Tier;
 
@@ -881,7 +882,7 @@ pub mod kernels {
 const LANES: usize = 8;
 
 /// `out += a·b` (row-major, `m x k` times `k x n`), 2-row × 4-k register
-/// blocked: the baseline tier's body. `#[inline(always)]` so the AVX2
+/// blocked: the baseline tier's body. `#[inline(always)]` so the AVX2 + FMA
 /// wrapper in [`simd`] recompiles this exact body with wider vectors —
 /// per-element arithmetic is identical, so both builds produce bitwise-equal
 /// results.
@@ -903,8 +904,8 @@ fn matmul_acc_body(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
             let (c10, c11, c12, c13) = (a1[kk], a1[kk + 1], a1[kk + 2], a1[kk + 3]);
             for j in 0..n {
                 let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
-                o0[j] += c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3;
-                o1[j] += c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3;
+                o0[j] = fma4(o0[j], [c00, c01, c02, c03], [v0, v1, v2, v3]);
+                o1[j] = fma4(o1[j], [c10, c11, c12, c13], [v0, v1, v2, v3]);
             }
             kk += 4;
         }
@@ -912,8 +913,8 @@ fn matmul_acc_body(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
             let br = &b[kk * n..kk * n + n];
             let (c0, c1) = (a0[kk], a1[kk]);
             for j in 0..n {
-                o0[j] += c0 * br[j];
-                o1[j] += c1 * br[j];
+                o0[j] = c0.mul_add(br[j], o0[j]);
+                o1[j] = c1.mul_add(br[j], o1[j]);
             }
             kk += 1;
         }
@@ -947,9 +948,10 @@ fn matmul_acc_body(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
 /// `out += a^T·b` (`a` is `k x m`, `b` is `k x n`), 4-row × 4-k register
 /// blocked — [`matmul_acc_body`]'s blocking turned for the transposed
 /// operand: four `b` rows are loaded once per four output rows and the `j`
-/// loop is written inline so it vectorises in both builds. The `m % 4`
-/// leftover rows take the 1-row [`axpy4`] form, the `k % 4` leftover steps
-/// one `out += a·b` each; every element sees the canonical expression.
+/// loop is written inline so it vectorises in the vector builds. The
+/// `m % 4` leftover rows take the 1-row [`axpy4`] form, the `k % 4` leftover
+/// steps one fused `out += a·b` each; every element sees the canonical
+/// expression.
 #[inline(always)]
 fn matmul_tn_acc_body(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
     let mut kk = 0;
@@ -972,11 +974,11 @@ fn matmul_tn_acc_body(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &
             let (c20, c21, c22, c23) = (a0[i + 2], a1[i + 2], a2[i + 2], a3[i + 2]);
             let (c30, c31, c32, c33) = (a0[i + 3], a1[i + 3], a2[i + 3], a3[i + 3]);
             for j in 0..n {
-                let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
-                o0[j] += c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3;
-                o1[j] += c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3;
-                o2[j] += c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3;
-                o3[j] += c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3;
+                let v = [b0[j], b1[j], b2[j], b3[j]];
+                o0[j] = fma4(o0[j], [c00, c01, c02, c03], v);
+                o1[j] = fma4(o1[j], [c10, c11, c12, c13], v);
+                o2[j] = fma4(o2[j], [c20, c21, c22, c23], v);
+                o3[j] = fma4(o3[j], [c30, c31, c32, c33], v);
             }
             i += 4;
         }
@@ -1004,22 +1006,23 @@ fn matmul_tn_acc_body(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &
 /// [`kernels`] after its [`Tier`](crate::simd::Tier) check.
 ///
 /// The AVX2 tier recompiles the `#[inline(always)]` portable bodies with
-/// `#[target_feature(enable = "avx2")]`; the AVX-512 tier is the explicit
-/// 16-lane tile below. Neither calls an FMA: rustc does not contract
-/// `a*b + c` on its own, so every tier performs the same rounding steps as
-/// the baseline build and results stay bitwise identical across machines.
+/// `#[target_feature(enable = "avx2,fma")]`, where each `f32::mul_add`
+/// becomes a `vfmadd`; the AVX-512 tier is the explicit 16-lane tile below,
+/// one `_mm512_fmadd_ps` per step. A fused multiply-add rounds once wherever
+/// it runs, so every tier performs the same rounding steps as the baseline
+/// build and results stay bitwise identical across machines.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use std::arch::x86_64::*;
 
-    /// The portable [`super::matmul_acc_body`] at AVX2 width.
-    #[target_feature(enable = "avx2")]
+    /// The portable [`super::matmul_acc_body`] at AVX2 width, with FMA.
+    #[target_feature(enable = "avx2,fma")]
     pub fn matmul_acc_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
         super::matmul_acc_body(a, b, m, k, n, out);
     }
 
-    /// The portable [`super::matmul_tn_acc_body`] at AVX2 width.
-    #[target_feature(enable = "avx2")]
+    /// The portable [`super::matmul_tn_acc_body`] at AVX2 width, with FMA.
+    #[target_feature(enable = "avx2,fma")]
     pub fn matmul_tn_acc_avx2(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
         super::matmul_tn_acc_body(a, b, k, m, n, out);
     }
@@ -1125,10 +1128,10 @@ mod simd {
     }
 
     /// One tile: `out[i0..i0 + R][j0..j0 + 16·NV] += A·b` over the whole
-    /// shared dimension with the `R x NV` accumulators in registers. Each
-    /// 4-group adds `((p0 + p1) + p2) + p3` and each leftover step `p` — the
-    /// canonical expression. The last register's lanes past column `n` are
-    /// masked off: never loaded, never stored.
+    /// shared dimension with the `R x NV` accumulators in registers, one
+    /// fused multiply-add per step `t` in ascending order — the canonical
+    /// expression. The last register's lanes past column `n` are masked off:
+    /// never loaded, never stored.
     ///
     /// # Safety
     /// This CPU runs AVX-512F; `j0 < n`; `b` points at a row-major `k x n`
@@ -1161,30 +1164,13 @@ mod simd {
                 *reg = _mm512_maskz_loadu_ps(mask[v], out_at(r, v));
             }
         }
-        let mut t = 0;
-        while t + 4 <= k {
-            for v in 0..NV {
-                let (b0, b1, b2, b3) = (b_at(t, v), b_at(t + 1, v), b_at(t + 2, v), b_at(t + 3, v));
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let p = _mm512_add_ps(
-                        _mm512_mul_ps(a_at(r, t), b0),
-                        _mm512_mul_ps(a_at(r, t + 1), b1),
-                    );
-                    let p = _mm512_add_ps(p, _mm512_mul_ps(a_at(r, t + 2), b2));
-                    let p = _mm512_add_ps(p, _mm512_mul_ps(a_at(r, t + 3), b3));
-                    row[v] = _mm512_add_ps(row[v], p);
-                }
-            }
-            t += 4;
-        }
-        while t < k {
+        for t in 0..k {
             for v in 0..NV {
                 let bt = b_at(t, v);
                 for (r, row) in acc.iter_mut().enumerate() {
-                    row[v] = _mm512_add_ps(row[v], _mm512_mul_ps(a_at(r, t), bt));
+                    row[v] = _mm512_fmadd_ps(a_at(r, t), bt, row[v]);
                 }
             }
-            t += 1;
         }
         for (r, row) in acc.iter().enumerate() {
             for (v, &reg) in row.iter().enumerate() {
@@ -1194,7 +1180,17 @@ mod simd {
     }
 }
 
-/// `out += c0*b0 + c1*b1 + c2*b2 + c3*b3`, all slices of equal length.
+/// Four steps of the canonical expression, in ascending order: one fused
+/// multiply-add of `c[t]·v[t]` onto `o` each.
+#[inline(always)]
+fn fma4(o: f32, c: [f32; 4], v: [f32; 4]) -> f32 {
+    let o = c[0].mul_add(v[0], o);
+    let o = c[1].mul_add(v[1], o);
+    let o = c[2].mul_add(v[2], o);
+    c[3].mul_add(v[3], o)
+}
+
+/// `out = fma4(out, c, b)` elementwise, all slices of equal length.
 ///
 /// The four-way fusion means one pass over `out` serves four reduction steps;
 /// `chunks_exact` gives LLVM fixed-width bodies it can turn into SIMD.
@@ -1211,18 +1207,18 @@ fn axpy4(out: &mut [f32], c: [f32; 4], b: [&[f32]; 4]) {
         let (q0, q1) = (b0.next().unwrap(), b1.next().unwrap());
         let (q2, q3) = (b2.next().unwrap(), b3.next().unwrap());
         for j in 0..LANES {
-            o[j] += c[0] * q0[j] + c[1] * q1[j] + c[2] * q2[j] + c[3] * q3[j];
+            o[j] = fma4(o[j], c, [q0[j], q1[j], q2[j], q3[j]]);
         }
     }
     let tail = oc.into_remainder();
     let off = n - tail.len();
     for (j, o) in tail.iter_mut().enumerate() {
         let jj = off + j;
-        *o += c[0] * b[0][jj] + c[1] * b[1][jj] + c[2] * b[2][jj] + c[3] * b[3][jj];
+        *o = fma4(*o, c, [b[0][jj], b[1][jj], b[2][jj], b[3][jj]]);
     }
 }
 
-/// `out += a * b`, equal-length slices.
+/// `out = fma(a, b, out)` elementwise, equal-length slices.
 #[inline]
 fn axpy1(out: &mut [f32], a: f32, b: &[f32]) {
     let n = out.len();
@@ -1232,13 +1228,13 @@ fn axpy1(out: &mut [f32], a: f32, b: &[f32]) {
     for o in oc.by_ref() {
         let q = bc.next().unwrap();
         for j in 0..LANES {
-            o[j] += a * q[j];
+            o[j] = a.mul_add(q[j], o[j]);
         }
     }
     let tail = oc.into_remainder();
     let off = n - tail.len();
     for (j, o) in tail.iter_mut().enumerate() {
-        *o += a * b[off + j];
+        *o = a.mul_add(b[off + j], *o);
     }
 }
 
@@ -1448,12 +1444,12 @@ mod tests {
     }
 
     #[test]
-    fn baseline_bodies_match_the_dispatched_kernels_bitwise() {
+    fn every_tier_matches_the_mul_add_chain_bitwise() {
         // Every tier this host runs, on the same inputs, against the
-        // baseline body (the canonical-expression oracle in
-        // tests/proptests.rs pins that one). Shapes: every column count
-        // through one register and past it, 2–6 registers, every m mod 4 and
-        // k mod 4 (k < 4 included).
+        // canonical expression spelled one element at a time (the oracle in
+        // tests/proptests.rs runs seeded operands; these are the ragged
+        // shapes). Shapes: every column count through one register and past
+        // it, 2–6 registers, every m mod 4 and k mod 4 (k < 4 included).
         let tiers: Vec<Tier> = Tier::supported().collect();
         println!("matmul tiers run: {tiers:?}");
         let widths = (1..=17).chain([24, 32, 33, 48, 64, 65, 96]);
@@ -1475,22 +1471,23 @@ mod tests {
                 let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.21 - 1.0);
                 let init = Matrix::from_fn(m, n, |r, c| (r + 2 * c) as f32 * 0.13 - 0.7);
 
-                let mut base = init.clone();
-                matmul_acc_body(&a.data, &b.data, m, k, n, &mut base.data);
-                let mut base_tn = init.clone();
-                matmul_tn_acc_body(&at.data, &b.data, k, m, n, &mut base_tn.data);
+                let mut want = init.clone();
+                for i in 0..m {
+                    for j in 0..n {
+                        let o = &mut want.data[i * n + j];
+                        for t in 0..k {
+                            *o = a.get(i, t).mul_add(b.get(t, j), *o);
+                        }
+                    }
+                }
                 for &tier in &tiers {
                     let mut got = init.clone();
                     kernels::matmul_acc_at(tier, &a.data, &b.data, m, k, n, &mut got.data);
-                    assert_eq!(bits(&base.data), bits(&got.data), "nn {tier:?} {m}x{k}x{n}");
+                    assert_eq!(bits(&want.data), bits(&got.data), "nn {tier:?} {m}x{k}x{n}");
 
                     let mut got = init.clone();
                     kernels::matmul_tn_acc_at(tier, &at.data, &b.data, k, m, n, &mut got.data);
-                    assert_eq!(
-                        bits(&base_tn.data),
-                        bits(&got.data),
-                        "tn {tier:?} {m}x{k}x{n}"
-                    );
+                    assert_eq!(bits(&want.data), bits(&got.data), "tn {tier:?} {m}x{k}x{n}");
                 }
             }
         }

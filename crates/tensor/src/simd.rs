@@ -1,13 +1,14 @@
 //! The one SIMD gate, and the runtime-dispatched activation maps.
 //!
 //! [`Tier::detected`] picks, once per process, the widest instruction set
-//! this CPU runs: AVX-512 (`avx512f` alone), then AVX2, then the baseline
-//! build. Every vector kernel dispatches on it — the matmul bodies in
-//! [`crate::matrix`], the activation maps below, and `rn_autograd`'s fused
-//! GRU step, whose elementwise loops compile at the tier's width. The CPU is
-//! the only selector: there is no variable, feature or setting that picks a
-//! tier. Each dispatcher also has an `*_at` form taking the tier explicitly,
-//! so the tests can run every tier the host has on the same inputs.
+//! this CPU runs: AVX-512 (`avx512f` alone), then AVX2 with FMA (`avx2` and
+//! `fma`), then the baseline build. Every vector kernel dispatches on it —
+//! the matmul bodies in [`crate::matrix`], the activation maps below, and
+//! `rn_autograd`'s fused GRU step, whose elementwise loops compile at the
+//! tier's width. The CPU is the only selector: there is no variable, feature
+//! or setting that picks a tier. Each dispatcher also has an `*_at` form
+//! taking the tier explicitly, so the tests can run every tier the host has
+//! on the same inputs.
 //!
 //! The activation maps are the branch-free Cody–Waite
 //! [`fast_exp`](crate::activations::fast_exp) construction plus the
@@ -24,14 +25,19 @@
 //! matching `*_scalar` form in the same order: the clamp is `max(min(x, hi),
 //! lo)`, the polynomial is the same nested chain, negation flips the sign
 //! bit, and `2^n` is built from a truncating float-to-int conversion (exact
-//! — `n` is integral by construction) and exponent-bit arithmetic. No FMA
-//! is used anywhere (rustc never contracts on its own, and the explicit
-//! bodies call no fused intrinsic), so for **finite inputs** every tier is
-//! bitwise identical to the scalar path on every machine — the property the
-//! kernel-vs-scalar tests pin at each tier the host has. NaN inputs are the
-//! one divergence (`f32::clamp` propagates NaN, the vector `min`/`max`
-//! select the second operand); the serving boundary rejects non-finite
-//! inputs, and a NaN activation inside training means it already diverged.
+//! — `n` is integral by construction) and exponent-bit arithmetic. Each
+//! `a·b + c` of `fast_exp` — the magic-number rounding, both Cody–Waite
+//! steps, the six Horner steps — is one fused multiply-add, rounded once:
+//! `f32::mul_add` in the scalar form, the `fma` / `fnma` lane primitives
+//! here. A fused multiply-add is correctly rounded wherever it runs (the
+//! baseline's `mul_add` without the `fma` feature is a call to a correctly
+//! rounded `fmaf`), and nothing else contracts — rustc never fuses `a*b + c`
+//! on its own — so for **finite inputs** every tier is bitwise identical to
+//! the scalar path on every machine: the property the kernel-vs-scalar tests
+//! pin at each tier the host has. NaN inputs are the one divergence
+//! (`f32::clamp` propagates NaN, the vector `min`/`max` select the second
+//! operand); the serving boundary rejects non-finite inputs, and a NaN
+//! activation inside training means it already diverged.
 //!
 //! Non-x86-64 targets detect [`Tier::Baseline`] and compile the scalar
 //! forms only.
@@ -43,7 +49,7 @@ use crate::activations as act;
 pub enum Tier {
     /// The baseline build (SSE2 on x86-64): portable bodies and scalar maps.
     Baseline,
-    /// 256-bit AVX2 bodies, 8 lanes.
+    /// 256-bit AVX2 bodies with FMA (`avx2` and `fma`), 8 lanes.
     Avx2,
     /// 512-bit AVX-512 bodies (`avx512f` only), 16 lanes.
     Avx512,
@@ -81,7 +87,9 @@ impl Tier {
 fn detect() -> Tier {
     if std::arch::is_x86_feature_detected!("avx512f") {
         Tier::Avx512
-    } else if std::arch::is_x86_feature_detected!("avx2") {
+    } else if std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma")
+    {
         Tier::Avx2
     } else {
         Tier::Baseline
@@ -340,7 +348,8 @@ pub mod activations {
 
     /// The lane chains and slice bodies of every map, for the lane
     /// primitives in scope (`V`, `LANES`, `splat`, `add`, `sub`, `mul`,
-    /// `div`, `min`, `max`, `neg`, `pow2`, `select_pos`, `load`, `store`),
+    /// `fma`, `fnma`, `div`, `min`, `max`, `neg`, `pow2`, `select_pos`,
+    /// `load`, `store`),
     /// compiled for `$feature`. Each chain is its scalar function in
     /// `crate::activations`, operation for operation.
     #[cfg(target_arch = "x86_64")]
@@ -350,22 +359,23 @@ pub mod activations {
                 EXP_CLAMP, LN2_HI, LN2_LO, ROUND_MAGIC, SELU_ALPHA, SELU_LAMBDA, TANH_CLAMP,
             };
 
-            /// `fast_exp`: clamp (min, then max), magic-number rounding,
-            /// Cody–Waite reduction, the nested degree-6 chain, `2^n · p`.
+            /// `fast_exp`: clamp (min, then max), fused magic-number
+            /// rounding, fused Cody–Waite reduction, the fused degree-6
+            /// Horner chain, `2^n · p`.
             #[inline]
             #[target_feature(enable = $feature)]
             fn fast_exp(x: V) -> V {
                 let one = splat(1.0);
                 let x = max(min(x, splat(EXP_CLAMP)), splat(-EXP_CLAMP));
                 let magic = splat(ROUND_MAGIC);
-                let n = sub(add(mul(x, splat(std::f32::consts::LOG2_E)), magic), magic);
-                let g = sub(sub(x, mul(n, splat(LN2_HI))), mul(n, splat(LN2_LO)));
-                let p = add(splat(1.0 / 120.0), mul(g, splat(1.0 / 720.0)));
-                let p = add(splat(1.0 / 24.0), mul(g, p));
-                let p = add(splat(1.0 / 6.0), mul(g, p));
-                let p = add(splat(0.5), mul(g, p));
-                let p = add(one, mul(g, p));
-                let p = add(one, mul(g, p));
+                let n = sub(fma(x, splat(std::f32::consts::LOG2_E), magic), magic);
+                let g = fnma(n, splat(LN2_LO), fnma(n, splat(LN2_HI), x));
+                let p = fma(g, splat(1.0 / 720.0), splat(1.0 / 120.0));
+                let p = fma(g, p, splat(1.0 / 24.0));
+                let p = fma(g, p, splat(1.0 / 6.0));
+                let p = fma(g, p, splat(0.5));
+                let p = fma(g, p, one);
+                let p = fma(g, p, one);
                 mul(pow2(n), p)
             }
 
@@ -517,7 +527,7 @@ pub mod activations {
         };
     }
 
-    /// 8-lane AVX2 lane primitives and the template over them.
+    /// 8-lane AVX2 + FMA lane primitives and the template over them.
     #[cfg(target_arch = "x86_64")]
     mod avx2 {
         use std::arch::x86_64::*;
@@ -526,57 +536,69 @@ pub mod activations {
         const LANES: usize = 8;
 
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn splat(x: f32) -> V {
             _mm256_set1_ps(x)
         }
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn add(a: V, b: V) -> V {
             _mm256_add_ps(a, b)
         }
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn sub(a: V, b: V) -> V {
             _mm256_sub_ps(a, b)
         }
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn mul(a: V, b: V) -> V {
             _mm256_mul_ps(a, b)
         }
+        /// `a·b + c`, rounded once.
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
+        fn fma(a: V, b: V, c: V) -> V {
+            _mm256_fmadd_ps(a, b, c)
+        }
+        /// `c − a·b`, rounded once.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn fnma(a: V, b: V, c: V) -> V {
+            _mm256_fnmadd_ps(a, b, c)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
         fn div(a: V, b: V) -> V {
             _mm256_div_ps(a, b)
         }
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn min(a: V, b: V) -> V {
             _mm256_min_ps(a, b)
         }
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn max(a: V, b: V) -> V {
             _mm256_max_ps(a, b)
         }
         /// `-x`: the sign-bit flip the scalar negation lowers to.
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn neg(x: V) -> V {
             _mm256_xor_ps(x, _mm256_set1_ps(-0.0))
         }
         /// `2^n` for integral `n` in `[-126, 127]`: exponent bits. The
         /// truncating conversion is exact for integral `n`.
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn pow2(n: V) -> V {
             let e = _mm256_add_epi32(_mm256_cvttps_epi32(n), _mm256_set1_epi32(127));
             _mm256_castsi256_ps(_mm256_slli_epi32::<23>(e))
         }
         /// `pos` where `x > 0`, `neg` elsewhere.
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn select_pos(x: V, pos: V, neg: V) -> V {
             _mm256_blendv_ps(
                 neg,
@@ -586,7 +608,7 @@ pub mod activations {
         }
         /// Lanes `0..len` set.
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn mask(len: usize) -> __m256i {
             let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
             _mm256_cmpgt_epi32(_mm256_set1_epi32(len as i32), lane)
@@ -594,7 +616,7 @@ pub mod activations {
         /// The first `len` (1..=8) floats at `p`, zeros after; nothing past
         /// `p + len` is read.
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn load(p: *const f32, len: usize) -> V {
             if len == LANES {
                 _mm256_loadu_ps(p)
@@ -605,7 +627,7 @@ pub mod activations {
         /// Store the first `len` (1..=8) lanes of `v` at `p`; nothing past
         /// `p + len` is written.
         #[inline]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn store(p: *mut f32, len: usize, v: V) {
             if len == LANES {
                 _mm256_storeu_ps(p, v)
@@ -614,7 +636,7 @@ pub mod activations {
             }
         }
 
-        lane_template!("avx2");
+        lane_template!("avx2,fma");
     }
 
     /// 16-lane AVX-512 lane primitives (`avx512f` only) and the template
@@ -645,6 +667,18 @@ pub mod activations {
         #[target_feature(enable = "avx512f")]
         fn mul(a: V, b: V) -> V {
             _mm512_mul_ps(a, b)
+        }
+        /// `a·b + c`, rounded once.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn fma(a: V, b: V, c: V) -> V {
+            _mm512_fmadd_ps(a, b, c)
+        }
+        /// `c − a·b`, rounded once.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn fnma(a: V, b: V, c: V) -> V {
+            _mm512_fnmadd_ps(a, b, c)
         }
         #[inline]
         #[target_feature(enable = "avx512f")]
@@ -840,6 +874,67 @@ pub mod activations {
                     let mut buf = vec![f32::MAX; n + 16];
                     tanh_map_at(tier, &src, &mut buf[..n]);
                     assert!(buf[n..].iter().all(|&v| v == f32::MAX), "{tier:?} n={n}");
+                }
+            }
+        }
+
+        #[test]
+        fn every_tier_rounds_each_multiply_add_once() {
+            // Operands whose fused and unfused answers differ. With
+            // `x = 1 + 2⁻¹²`, `x·x = 1 + 2⁻¹¹ + 2⁻²⁴` exactly: a tie that
+            // rounds to even, so `x·x − 1` is `2⁻¹¹` unfused and
+            // `2⁻¹¹ + 2⁻²⁴` fused. One step of the shared dimension carries
+            // that product, the others multiply by zero; every step position
+            // and every blocking path (rows, columns, k mod 4) must fuse.
+            let x = 1.0 + 2f32.powi(-12);
+            let fused = 2f32.powi(-11) + 2f32.powi(-24);
+            let tiers = tiers("every_tier_rounds_each_multiply_add_once");
+            for &tier in &tiers {
+                for (m, k, n) in [(1, 1, 1), (2, 5, 17), (5, 4, 33), (4, 7, 64), (3, 9, 8)] {
+                    for step in 0..k {
+                        let a: Vec<f32> = (0..m * k)
+                            .map(|i| if i % k == step { x } else { 0.0 })
+                            .collect();
+                        let at: Vec<f32> = (0..k * m)
+                            .map(|i| if i / m == step { x } else { 0.0 })
+                            .collect();
+                        let b: Vec<f32> = (0..k * n)
+                            .map(|i| if i / n == step { x } else { 0.0 })
+                            .collect();
+                        let mut out = vec![-1.0f32; m * n];
+                        crate::kernels::matmul_acc_at(tier, &a, &b, m, k, n, &mut out);
+                        assert!(
+                            out.iter().all(|&v| v == fused),
+                            "matmul_acc {tier:?} {m}x{k}x{n} step {step}: {out:?}"
+                        );
+                        let mut out = vec![-1.0f32; m * n];
+                        crate::kernels::matmul_tn_acc_at(tier, &at, &b, k, m, n, &mut out);
+                        assert!(
+                            out.iter().all(|&v| v == fused),
+                            "matmul_tn_acc {tier:?} {m}x{k}x{n} step {step}: {out:?}"
+                        );
+                    }
+                }
+            }
+            // `fast_exp` at inputs found by search where the fused chain and
+            // the separately rounded one (the same steps as `a * b + c`)
+            // differ in the last bit: (x, fused bits, unfused bits).
+            let cases = [
+                (0.48f32, 0x3fce_db87u32, 0x3fce_db86u32),
+                (1.03, 0x4033_44a9, 0x4033_44a8),
+            ];
+            for (x, fused, unfused) in cases {
+                assert_ne!(fused, unfused);
+                assert_eq!(act::fast_exp(x).to_bits(), fused, "fast_exp({x})");
+                for &tier in &tiers {
+                    for n in [1, 9, 16, 17] {
+                        let mut dst = vec![0.0f32; n];
+                        exp_map_at(tier, &vec![x; n], &mut dst);
+                        assert!(
+                            dst.iter().all(|v| v.to_bits() == fused),
+                            "exp_map {tier:?} n={n} at {x}: {dst:?}"
+                        );
+                    }
                 }
             }
         }

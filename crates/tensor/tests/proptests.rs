@@ -25,9 +25,9 @@ fn matrix_pair(max_dim: usize) -> impl Strategy<Value = (Matrix, Matrix)> {
 }
 
 /// The matmul kernels' contract spelled one element at a time:
-/// `out[i][j] += (((p0 + p1) + p2) + p3)` for each full group of four
-/// shared-dimension indices in ascending order, then `out[i][j] += p` for
-/// each leftover index, where `p` at index `t` is `a_at(i, t) * b[t][j]`.
+/// `out[i][j] = fma(x, y, out[i][j])` for every shared-dimension index `t`
+/// in ascending order — one `f32::mul_add`, rounded once — where `x` is
+/// `a_at(i, t)` and `y` is `b[t][j]`.
 fn canonical_acc(
     a_at: impl Fn(usize, usize) -> f32,
     b: &[f32],
@@ -36,16 +36,9 @@ fn canonical_acc(
 ) {
     for i in 0..m {
         for j in 0..n {
-            let p = |t: usize| a_at(i, t) * b[t * n + j];
             let mut o = out[i * n + j];
-            let mut t = 0;
-            while t + 4 <= k {
-                o += ((p(t) + p(t + 1)) + p(t + 2)) + p(t + 3);
-                t += 4;
-            }
-            while t < k {
-                o += p(t);
-                t += 1;
+            for t in 0..k {
+                o = a_at(i, t).mul_add(b[t * n + j], o);
             }
             out[i * n + j] = o;
         }
