@@ -110,6 +110,7 @@ use rn_tensor::simd::activations as vact;
 use rn_tensor::simd::Tier;
 use rn_tensor::{kernels, Matrix};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Handle to a node on the tape. Cheap to copy; only valid for the [`Graph`]
 /// that produced it.
@@ -288,6 +289,10 @@ pub struct Graph {
     /// Grow-only identity prefix `0..cap`, shared with dense fused steps so
     /// they do not materialize a per-step identity row list.
     identity: Option<Arc<[usize]>>,
+    /// Under `RN_TRACE`, when the recording method in progress began: the
+    /// node it records is timed from here into the forward op-kind
+    /// recorder ([`crate::trace`]). `None` while tracing is off.
+    fwd_start: Option<Instant>,
 }
 
 /// Take a pooled buffer and shape it into a zeroed matrix.
@@ -915,6 +920,9 @@ impl Graph {
     }
 
     fn push_node(&mut self, value: Matrix, op: Op, pooled: bool) -> Var {
+        if let Some(start) = self.fwd_start.take() {
+            crate::trace::record_forward(&op, start);
+        }
         if !self.inference_mode {
             let nodes = &mut self.nodes;
             op.adjoint_reads(|v| nodes[v.0].read = true);
@@ -949,6 +957,7 @@ impl Graph {
     /// Register a differentiable leaf (a model parameter or input). The
     /// matrix stays the caller's to read: no op consumes it.
     pub fn param(&mut self, value: Matrix) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         self.push_foreign(
             value,
             Op::Leaf {
@@ -960,6 +969,7 @@ impl Graph {
     /// Register a non-differentiable leaf (targets, masks, constants). The
     /// matrix stays the caller's to read: no op consumes it.
     pub fn constant(&mut self, value: Matrix) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         self.push_foreign(
             value,
             Op::Leaf {
@@ -978,6 +988,7 @@ impl Graph {
         cols: usize,
         fill: impl FnOnce(&mut Matrix),
     ) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let mut m = pool_matrix(&mut self.pool, rows, cols);
         fill(&mut m);
         self.push(
@@ -992,6 +1003,7 @@ impl Graph {
     /// pooled buffer — how layers bind their parameters each step without
     /// allocating (bits match `param(src.clone())` exactly).
     pub fn param_copy(&mut self, src: &Matrix) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let m = pooled_copy(&mut self.pool, src);
         self.push(
             m,
@@ -1011,6 +1023,7 @@ impl Graph {
     /// the tape's *index* lists, which are recorded as refcounted
     /// [`SharedIndices`] views precisely because no op ever mutates them.
     pub fn constant_copy(&mut self, src: &Matrix) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let m = pooled_copy(&mut self.pool, src);
         self.push(
             m,
@@ -1041,6 +1054,7 @@ impl Graph {
 
     /// Element-wise difference. Shapes must match.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let v = pooled_zip(&mut self.pool, av, bv, |x, y| x - y);
         self.push(v, Op::Sub(a, b))
@@ -1048,6 +1062,7 @@ impl Graph {
 
     /// Matrix product `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let (m, k) = self.value(a).shape();
         let n = self.value(b).cols();
         assert_eq!(
@@ -1065,6 +1080,7 @@ impl Graph {
 
     /// Broadcast-add a `1 x c` bias row vector to every row of `x`.
     pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let cols = self.value(x).cols();
         assert_eq!(
             self.value(bias).shape(),
@@ -1082,6 +1098,7 @@ impl Graph {
 
     /// Scaled exponential linear unit (RouteNet's readout activation).
     pub fn selu(&mut self, x: Var) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let (rows, cols) = self.value(x).shape();
         let mut pool = std::mem::take(&mut self.pool);
         let mut out = pool_matrix_scratch(&mut pool, rows, cols);
@@ -1092,6 +1109,7 @@ impl Graph {
 
     /// Element-wise square.
     pub fn square(&mut self, x: Var) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let v = pooled_map(&mut self.pool, &self.nodes[x.0].value, |t| t * t);
         self.push(v, Op::Square(x))
     }
@@ -1105,6 +1123,7 @@ impl Graph {
     /// pool; a [`SharedIndices`] view is recorded by refcount, a plain slice
     /// is copied (see [`IndexInput`]).
     pub fn gather_rows<'a>(&mut self, x: Var, ids: impl Into<IndexInput<'a>>) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let ids = ids.into();
         let xv = &self.nodes[x.0].value;
         let mut out = pool_matrix_scratch(&mut self.pool, ids.as_slice().len(), xv.cols());
@@ -1131,6 +1150,7 @@ impl Graph {
     /// Multiply each row of `x` by the matching entry of the constant `n x 1`
     /// mask matrix (used to zero padded sequence positions).
     pub fn mask_rows(&mut self, x: Var, mask: &Matrix) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let mut v = pooled_copy(&mut self.pool, &self.nodes[x.0].value);
         v.mul_col_broadcast_assign(mask);
         let mask = pooled_copy(&mut self.pool, mask);
@@ -1162,6 +1182,7 @@ impl Graph {
         rows: impl Into<IndexInput<'a>>,
         segments: impl Into<IndexInput<'a>>,
     ) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let mut pool = std::mem::take(&mut self.pool);
         let (num_segments, cols) = self.value(acc).shape();
         let (rows_in, segments_in) = (rows.into(), segments.into());
@@ -1225,6 +1246,7 @@ impl Graph {
     /// layer regroups its parameters by operand at bind time
     /// ([`Graph::gru_pack`]) while gradients still arrive per parameter.
     pub fn pack_cols(&mut self, parts: &[Var], row_lo: usize, row_hi: usize) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         assert!(row_lo <= row_hi, "pack_cols: rows {row_lo}..{row_hi}");
         let rows = row_hi - row_lo;
         let cols = parts.iter().map(|&p| self.value(p).cols()).sum();
@@ -1321,6 +1343,7 @@ impl Graph {
         px: Var,
         rows: impl Into<IndexInput<'a>>,
     ) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let mut pool = std::mem::take(&mut self.pool);
         let (n, hidden) = self.value(h).shape();
         let rows_in = rows.into();
@@ -1413,6 +1436,7 @@ impl Graph {
 
     /// Sum of all elements, as a `1 x 1` matrix.
     pub fn sum(&mut self, x: Var) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let total = self.value(x).sum();
         let v = pooled_filled(&mut self.pool, 1, 1, total);
         self.push(v, Op::Sum(x))
@@ -1420,6 +1444,7 @@ impl Graph {
 
     /// Mean of all elements, as a `1 x 1` matrix.
     pub fn mean(&mut self, x: Var) -> Var {
+        self.fwd_start = crate::trace::forward_start();
         let mean = self.value(x).mean();
         let v = pooled_filled(&mut self.pool, 1, 1, mean);
         self.push(v, Op::Mean(x))
@@ -2074,15 +2099,17 @@ mod tests {
     #[test]
     fn gru_bodies_are_bitwise_identical_at_every_tier() {
         // Forward and adjoint at every tier this host runs, on a row subset
-        // and on the dense identity, at the two widths the models use:
-        // stepped state, r ⊙ h, saved activations, the state gradient, gpx
-        // and the three partials.
+        // and on the dense identity: stepped state, r ⊙ h, saved
+        // activations, the state gradient, gpx and the three partials. The
+        // widths: 4 and 8 tile their bias rows across a register (8 also
+        // packs two product rows per AVX-512 register), 16 and 32 fill
+        // whole registers.
         let tiers: Vec<Tier> = Tier::supported().collect();
         println!("gru tiers run: {tiers:?}");
         let n = 13;
         let subset = vec![0usize, 2, 3, 7, 8, 11, 12];
         let dense: Vec<usize> = (0..n).collect();
-        for hidden in [8, 32] {
+        for hidden in [4, 8, 16, 32] {
             for rows in [&subset, &dense] {
                 let a = rows.len();
                 let h = det_matrix(n, hidden, 1);

@@ -1,33 +1,34 @@
-//! Optional per-op-kind timing of the backward tape walk.
+//! Optional per-op-kind timing of the tape, forward and backward.
 //!
-//! When tracing is on (`RN_TRACE=1`, see [`rn_trace::enabled`]),
-//! [`Graph::backward`](crate::Graph::backward) times each node's adjoint
-//! and attributes it to one of the coarse [`OP_KINDS`] below in a
-//! process-global [`rn_trace::StageRecorder`] — so a slow training step or
-//! serve batch can be broken down to *which kernel family* dominates
-//! (gather/scatter traffic vs. the fused GRU vs. dense matmuls) without a
-//! profiler attach. When tracing is off the cost is one relaxed atomic
-//! load per node.
+//! When tracing is on (`RN_TRACE=1`, see [`rn_trace::enabled`]), every
+//! recording method of [`Graph`](crate::Graph) times itself from its first
+//! line to the node it records, and [`Graph::backward`](crate::Graph::backward)
+//! times each node's adjoint. Both attribute the time to one of the coarse
+//! [`OP_KINDS`] below, the forward into [`forward_op_recorder`] and the
+//! backward into [`op_recorder`] — process-global
+//! [`rn_trace::StageRecorder`]s — so a slow training step or serve batch
+//! can be broken down to *which kernel family* dominates (gather/scatter
+//! traffic vs. the fused GRU vs. dense matmuls) without a profiler attach.
+//! When tracing is off the cost is one relaxed atomic load per recording
+//! method and per backward node.
 //!
-//! Only the **backward** sweep is instrumented: forward ops execute
-//! eagerly at their call sites (define-by-run), so there is no central
-//! forward interpreter loop to hook; the reverse sweep is where the tape
-//! is replayed in one place. Kernel cost is roughly symmetric between the
-//! two sweeps, so backward attribution identifies the same hotspots.
+//! The two sweeps are timed apart because their costs are not symmetric:
+//! at `state_dim = 8` the forward's candidate activation once cost as much
+//! as the rest of the GRU step, and no backward op runs it.
 //!
-//! The recorder is process-global and cumulative: consumers (the trainer's
-//! end-of-run summary, ad-hoc tooling) call [`reset_op_trace`] at the
-//! start of the window they want to attribute and [`op_snapshot`] at the
-//! end. Tracing never perturbs results — gradients are bitwise identical
-//! with tracing on or off (pinned by `tests/trace_equivalence.rs` at the
-//! workspace root).
+//! The recorders are process-global and cumulative: consumers (the
+//! trainer's end-of-run summary, ad-hoc tooling) call [`reset_op_trace`]
+//! at the start of the window they want to attribute and [`op_snapshot`] /
+//! [`forward_op_snapshot`] at the end. Tracing never perturbs results —
+//! gradients are bitwise identical with tracing on or off (pinned by
+//! `tests/trace_equivalence.rs` at the workspace root).
 
 use crate::graph::Op;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Coarse op families the backward walk attributes time to, in
-/// recording-index order (the order [`op_snapshot`] returns).
+/// Coarse op families both sweeps attribute time to, in recording-index
+/// order (the order [`op_snapshot`] and [`forward_op_snapshot`] return).
 pub const OP_KINDS: &[&str] = &[
     "gather",
     "gru",
@@ -55,11 +56,18 @@ pub const KIND_ELEMENTWISE: usize = 5;
 pub const KIND_OTHER: usize = 6;
 
 static RECORDER: OnceLock<rn_trace::StageRecorder> = OnceLock::new();
+static FORWARD_RECORDER: OnceLock<rn_trace::StageRecorder> = OnceLock::new();
 
 /// The process-global backward op-kind recorder (one histogram per
 /// [`OP_KINDS`] entry, shared by every tape on every thread).
 pub fn op_recorder() -> &'static rn_trace::StageRecorder {
     RECORDER.get_or_init(|| rn_trace::StageRecorder::new(OP_KINDS))
+}
+
+/// The process-global forward op-kind recorder: the recording methods'
+/// time, by the family of the node each records.
+pub fn forward_op_recorder() -> &'static rn_trace::StageRecorder {
+    FORWARD_RECORDER.get_or_init(|| rn_trace::StageRecorder::new(OP_KINDS))
 }
 
 /// Snapshot the per-kind backward timing accumulated since process start
@@ -69,10 +77,31 @@ pub fn op_snapshot() -> Vec<rn_trace::StageStats> {
     op_recorder().snapshot()
 }
 
-/// Zero the global op-kind histograms — call at the start of the window
-/// you want [`op_snapshot`] to describe (e.g. a training run).
+/// [`op_snapshot`] for the forward: the per-kind time of the recording
+/// methods, inference tapes included.
+pub fn forward_op_snapshot() -> Vec<rn_trace::StageStats> {
+    forward_op_recorder().snapshot()
+}
+
+/// Zero both sweeps' op-kind histograms — call at the start of the window
+/// you want [`op_snapshot`] and [`forward_op_snapshot`] to describe (e.g. a
+/// training run).
 pub fn reset_op_trace() {
     op_recorder().reset();
+    forward_op_recorder().reset();
+}
+
+/// The clock reading a recording method starts from: `None` (no clock
+/// read) while tracing is off.
+#[inline]
+pub(crate) fn forward_start() -> Option<Instant> {
+    rn_trace::enabled().then(Instant::now)
+}
+
+/// Attribute the time since `start` to the family of the node being
+/// recorded, `op`.
+pub(crate) fn record_forward(op: &Op, start: Instant) {
+    forward_op_recorder().record(kind_of(op), start.elapsed());
 }
 
 /// The [`OP_KINDS`] family of `op`. No wildcard arm: a new variant names
@@ -125,7 +154,7 @@ mod tests {
     use rn_tensor::Matrix;
 
     #[test]
-    fn backward_attributes_op_kinds_when_enabled() {
+    fn both_sweeps_attribute_op_kinds_when_enabled() {
         rn_trace::set_enabled(true);
         reset_op_trace();
         let mut g = crate::Graph::new();
@@ -136,6 +165,13 @@ mod tests {
         let loss = g.mean(z);
         g.backward(loss);
         rn_trace::set_enabled(false);
+        // The forward: a span per recorded node, in its family (at least:
+        // the recorders are process-global and other tests run beside).
+        let fwd = forward_op_snapshot();
+        assert_eq!(fwd.len(), OP_KINDS.len());
+        for (kind, (s, &nodes)) in fwd.iter().zip(&g.op_kind_counts()).enumerate() {
+            assert!(s.count >= nodes as u64, "{}: {s:?}", OP_KINDS[kind]);
+        }
         let snap = op_snapshot();
         assert_eq!(snap.len(), OP_KINDS.len());
         assert!(snap[KIND_MATMUL].count >= 1, "matmul adjoint must be timed");
@@ -154,5 +190,6 @@ mod tests {
         let loss = g.mean(x);
         g.backward(loss);
         assert!(op_snapshot().iter().all(|s| s.count == 0));
+        assert!(forward_op_snapshot().iter().all(|s| s.count == 0));
     }
 }

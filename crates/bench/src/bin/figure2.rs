@@ -70,16 +70,7 @@ fn main() {
         rows.extend(Seed::new(cfg).rows(seed == base.seed));
     }
 
-    let decided = committed
-        .as_ref()
-        .map_or_else(Vec::new, |c| c.decided.clone());
-    let ledger = Ledger {
-        commit: commit(),
-        budget: base,
-        seeds,
-        rows,
-        decided,
-    };
+    let ledger = Ledger::record(commit(), base, seeds, rows, committed.as_ref());
     print_summary(&ledger);
     // A rejected ledger never replaces the one it failed against.
     let failures = check(committed.as_ref(), &ledger);
@@ -310,7 +301,7 @@ fn print_summary(ledger: &Ledger) {
     }
     println!(
         "\n  original minus extended (GEANT2 floor {:.3}):",
-        ledger.gap_floor()
+        ledger.gap_floor
     );
     for g in ledger.gaps() {
         let verdict = if g.holds { "holds" } else { "does NOT hold" };

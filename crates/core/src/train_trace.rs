@@ -7,7 +7,7 @@
 //! forward, the backward sweep, the optimizer step, and validation — and
 //! appends one [`EpochRecord`] JSON line per epoch to the trace output
 //! file, plus one final [`RunSummary`] line with cumulative stage totals
-//! and the process-global backward op-kind attribution from
+//! and the process-global op-kind attribution of both tape sweeps from
 //! [`rn_autograd::trace`]. With tracing off nothing is timed, written, or
 //! allocated.
 //!
@@ -48,7 +48,8 @@ pub const EVAL: usize = 4;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StageLine {
     /// Stage name (see [`STAGES`], or [`rn_autograd::trace::OP_KINDS`] in
-    /// a summary's `op_kinds`, or a serving request stage).
+    /// a summary's `op_kinds` and `forward_op_kinds`, or a serving request
+    /// stage).
     pub name: String,
     /// Spans recorded in the window.
     pub count: u64,
@@ -109,7 +110,7 @@ pub struct StageTotal {
 }
 
 /// The final line of the `train_metrics.jsonl` stream: run-level stage
-/// totals plus backward op-kind attribution.
+/// totals plus op-kind attribution of the backward and the forward.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunSummary {
     /// Always `true` — distinguishes this line from [`EpochRecord`]s when
@@ -123,6 +124,11 @@ pub struct RunSummary {
     /// order), accumulated since this run reset the process-global
     /// recorder. Percentiles here are per-op spans over the whole run.
     pub op_kinds: Vec<StageLine>,
+    /// Forward tape time by op kind, in the same order and over the same
+    /// window as [`RunSummary::op_kinds`]: each recording method of the
+    /// tape, timed by the family of the node it records. Evaluation
+    /// forwards count here too.
+    pub forward_op_kinds: Vec<StageLine>,
     /// Bytes the run's tapes held in their buffer pools when it ended — the
     /// tape-memory high-water mark (the pools only grow, up to the working
     /// set of the largest step).
@@ -147,7 +153,7 @@ struct Sink {
 /// into, and (when tracing is on) the JSONL sink it drains into once per
 /// epoch. Constructed by the trainer; one instance per `train_*` call, so
 /// concurrent trainings in one process don't interleave stage histograms
-/// (the backward op-kind recorder is process-global and *would* mix).
+/// (the op-kind recorders are process-global and *would* mix).
 pub struct TrainTrace {
     recorder: StageRecorder,
     sink: Option<Mutex<Sink>>,
@@ -157,7 +163,7 @@ impl TrainTrace {
     /// Set up tracing for one training run. With tracing off this is a
     /// recorder whose spans are inert; with it on, the output file is
     /// created (truncating a previous run's) and the process-global
-    /// backward op-kind recorder is reset so the final summary attributes
+    /// op-kind recorders are reset so the final summary attributes
     /// only this run. An unwritable path warns and disables emission
     /// rather than failing the run.
     pub fn new(config: &TrainConfig) -> Self {
@@ -235,6 +241,10 @@ impl TrainTrace {
                 })
                 .collect(),
             op_kinds: rn_autograd::trace::op_snapshot()
+                .into_iter()
+                .map(StageLine::from)
+                .collect(),
+            forward_op_kinds: rn_autograd::trace::forward_op_snapshot()
                 .into_iter()
                 .map(StageLine::from)
                 .collect(),

@@ -777,7 +777,9 @@ impl Matrix {
 /// dimension, columns past a multiple of 16 are masked loads and stores
 /// (lanes past the row are never read or written), rows past a multiple of
 /// 4 take a 1-row tile, and the transposed form reads `aᵀ` by stride with
-/// the same tile.
+/// the same tile. An 8-column output (the `state_dim = 8` GRU products)
+/// would fill half of every register through masked steps; it takes tiles
+/// of 8 rows instead, two rows per register, loaded and stored unmasked.
 ///
 /// # Contract
 ///
@@ -1097,7 +1099,9 @@ mod simd {
     const TILE_REGS: usize = 4;
 
     /// Cover `out` (`m x n`) with tiles of 4 rows (the `m % 4` leftover
-    /// rows: 1 row) × up to [`TILE_REGS`] registers.
+    /// rows: 1 row) × up to [`TILE_REGS`] registers. An 8-column `out`
+    /// first takes [`row_pairs`] tiles of 8 rows, two rows per register;
+    /// its `m % 8` leftover rows take the same tiles as any width.
     ///
     /// # Safety
     /// As for [`matmul_acc_avx512`], with `a` the left operand's layout.
@@ -1106,6 +1110,12 @@ mod simd {
     unsafe fn tiled(a: Strided, b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
         let (b, out) = (b.as_ptr(), out.as_mut_ptr());
         let mut i = 0;
+        if n == PAIR_COLS {
+            while i + 2 * PAIRS <= m {
+                row_pairs(a, b, k, out, i);
+                i += 2 * PAIRS;
+            }
+        }
         while i < m {
             let rows = if i + 4 <= m { 4 } else { 1 };
             let mut j = 0;
@@ -1176,6 +1186,42 @@ mod simd {
             for (v, &reg) in row.iter().enumerate() {
                 _mm512_mask_storeu_ps(out_at(r, v), mask[v], reg);
             }
+        }
+    }
+
+    /// The row width [`row_pairs`] packs two of into one register.
+    const PAIR_COLS: usize = LANES / 2;
+    /// Registers of a [`row_pairs`] tile, two output rows each.
+    const PAIRS: usize = 4;
+
+    /// One tile of an 8-column product: `out[i0..i0 + 8] += A·b` with two
+    /// output rows per register, so the 64 floats load and store unmasked.
+    /// `b`'s row `t` is broadcast to both halves, `a(i, t)` and
+    /// `a(i + 1, t)` are blended into them, and each lane takes one fused
+    /// multiply-add per step `t` in ascending order — the canonical
+    /// expression, as in [`tile`].
+    ///
+    /// # Safety
+    /// This CPU runs AVX-512F; `b` points at a row-major `k x 8` block,
+    /// `out` at a row-major block of width 8 holding rows `i0..i0 + 8`, and
+    /// `a` holds elements `(i, t)` for those rows and every `t < k`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn row_pairs(a: Strided, b: *const f32, k: usize, out: *mut f32, i0: usize) {
+        let a_at = |r: usize, t: usize| _mm512_set1_ps(*a.a.add((i0 + r) * a.row + t * a.step));
+        let out_at = |p: usize| out.add((i0 + 2 * p) * PAIR_COLS);
+
+        let mut acc: [__m512; PAIRS] = std::array::from_fn(|p| _mm512_loadu_ps(out_at(p)));
+        for t in 0..k {
+            let row = _mm256_castps_pd(_mm256_loadu_ps(b.add(t * PAIR_COLS)));
+            let bt = _mm512_castpd_ps(_mm512_broadcast_f64x4(row));
+            for (p, reg) in acc.iter_mut().enumerate() {
+                let at = _mm512_mask_blend_ps(0xff00, a_at(2 * p, t), a_at(2 * p + 1, t));
+                *reg = _mm512_fmadd_ps(at, bt, *reg);
+            }
+        }
+        for (p, &reg) in acc.iter().enumerate() {
+            _mm512_storeu_ps(out_at(p), reg);
         }
     }
 }
@@ -1449,13 +1495,21 @@ mod tests {
         // canonical expression spelled one element at a time (the oracle in
         // tests/proptests.rs runs seeded operands; these are the ragged
         // shapes). Shapes: every column count through one register and past
-        // it, 2–6 registers, every m mod 4 and k mod 4 (k < 4 included).
+        // it, 2–6 registers, every m mod 4 and k mod 4 (k < 4 included). At
+        // 8 columns, AVX-512 packs two rows per register in tiles of 8 rows:
+        // 16, 17 and 31 rows give several packed tiles and every kind of
+        // leftover after them.
         let tiers: Vec<Tier> = Tier::supported().collect();
         println!("matmul tiers run: {tiers:?}");
         let widths = (1..=17).chain([24, 32, 33, 48, 64, 65, 96]);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for n in widths {
-            for (m, k) in [
+            let packed: &[(usize, usize)] = if n == 8 {
+                &[(16, 3), (17, 8), (31, 13)]
+            } else {
+                &[]
+            };
+            for &(m, k) in [
                 (1, 1),
                 (2, 2),
                 (3, 3),
@@ -1465,7 +1519,10 @@ mod tests {
                 (7, 7),
                 (8, 8),
                 (13, 34),
-            ] {
+            ]
+            .iter()
+            .chain(packed)
+            {
                 let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.37 - 2.0);
                 let at = a.transpose();
                 let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.21 - 1.0);

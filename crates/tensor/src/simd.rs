@@ -14,10 +14,12 @@
 //! [`fast_exp`](crate::activations::fast_exp) construction plus the
 //! sigmoid/tanh/SELU forms and their derivative-times-adjoint fusions, 8
 //! lanes (AVX2) or 16 lanes (AVX-512) at a time, with the ragged tail of a
-//! slice (or of a bias row) as one masked step. Both widths are expanded
-//! from one template (`lane_template!`) written against a handful of lane
-//! primitives, so the operation sequence that must match the scalar form is
-//! written once.
+//! slice as one masked step. A bias row that divides the register (1, 2, 4
+//! or 8 floats; 16 too on AVX-512) is tiled across one, so a whole block
+//! runs as flat full-width steps; any other row ends in one masked step per
+//! row. Both widths are expanded from one template (`lane_template!`)
+//! written against a handful of lane primitives, so the operation sequence
+//! that must match the scalar form is written once.
 //!
 //! ## Bitwise contract
 //!
@@ -346,6 +348,36 @@ pub mod activations {
         }};
     }
 
+    /// `v = $f(v + b)` over a row-major block of rows `$bias.len()` wide.
+    /// A bias row that divides the register is tiled across one (lane `l`
+    /// adds `bias[l % w]`), and the block runs as flat full-width steps:
+    /// only the block's tail is masked. Any other width runs row by row,
+    /// each row's tail one masked step. Both add the same bias element to
+    /// the same value, so the bits do not depend on the branch.
+    #[cfg(target_arch = "x86_64")]
+    macro_rules! bias_map_inplace {
+        ($block:ident, $bias:ident, $f:ident) => {{
+            let (w, b) = ($bias.len(), $bias.as_ptr());
+            if LANES % w == 0 {
+                let tiled: [f32; LANES] = std::array::from_fn(|l| $bias[l % w]);
+                let (bt, p) = (load(tiled.as_ptr(), LANES), $block.as_mut_ptr());
+                for_lanes!($block.len(), |i, len| store(
+                    p.add(i),
+                    len,
+                    $f(add(load(p.add(i), len), bt))
+                ));
+            } else {
+                for row in $block.chunks_exact_mut(w) {
+                    let r = row.as_mut_ptr();
+                    for_lanes!(w, |j, len| {
+                        let v = add(load(r.add(j), len), load(b.add(j), len));
+                        store(r.add(j), len, $f(v))
+                    });
+                }
+            }
+        }};
+    }
+
     /// The lane chains and slice bodies of every map, for the lane
     /// primitives in scope (`V`, `LANES`, `splat`, `add`, `sub`, `mul`,
     /// `fma`, `fnma`, `div`, `min`, `max`, `neg`, `pow2`, `select_pos`,
@@ -458,26 +490,12 @@ pub mod activations {
 
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn sigmoid_bias_map_inplace(block: &mut [f32], bias: &[f32]) {
-                let b = bias.as_ptr();
-                for row in block.chunks_exact_mut(bias.len()) {
-                    let r = row.as_mut_ptr();
-                    for_lanes!(bias.len(), |j, len| {
-                        let v = add(load(r.add(j), len), load(b.add(j), len));
-                        store(r.add(j), len, sigmoid(v))
-                    });
-                }
+                bias_map_inplace!(block, bias, sigmoid)
             }
 
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn tanh_bias_map_inplace(block: &mut [f32], bias: &[f32]) {
-                let b = bias.as_ptr();
-                for row in block.chunks_exact_mut(bias.len()) {
-                    let r = row.as_mut_ptr();
-                    for_lanes!(bias.len(), |j, len| {
-                        let v = add(load(r.add(j), len), load(b.add(j), len));
-                        store(r.add(j), len, tanh(v))
-                    });
-                }
+                bias_map_inplace!(block, bias, tanh)
             }
 
             #[target_feature(enable = $feature)]
@@ -802,7 +820,9 @@ pub mod activations {
         #[test]
         fn fused_bias_maps_match_two_pass_scalar_bitwise() {
             for tier in tiers("fused_bias_maps_match_two_pass_scalar_bitwise") {
-                for w in [1usize, 3, 8, 11, 16, 24, 32, 48, 96] {
+                // 1, 2, 4 and 8 (16 on AVX-512) divide the register and run
+                // the flat tiled-bias path; the others run row by row.
+                for w in [1usize, 2, 3, 4, 8, 11, 16, 24, 32, 48, 96] {
                     let rows = 9;
                     let bias: Vec<f32> = (0..w).map(|j| (j as f32) * 0.11 - 0.4).collect();
                     let block = ramp(rows * w);

@@ -1,8 +1,9 @@
 //! The committed `BENCH_accuracy.json` is the paper's claim as a number.
 //! This test holds the file to what a bare `figure2` run writes: the
 //! default budget, every row group on three seeds, and the extended model
-//! beating the original on GEANT2 on every seed. NSFNET ordering is
-//! recorded per seed and not asserted.
+//! beating the original on GEANT2 on every seed, by a recorded floor no
+//! wider than its smallest GEANT2 gap. NSFNET ordering is recorded per seed
+//! and not asserted.
 
 use rn_bench::accuracy::{Ledger, GROUPS};
 use rn_bench::ExperimentConfig;
@@ -35,5 +36,11 @@ fn the_committed_ledger_is_a_bare_figure2_run_and_the_claim_holds_on_every_seed(
     assert!(
         geant2.iter().all(|g| g.holds),
         "the extended model must beat the original on GEANT2 on every seed: {geant2:?}"
+    );
+    let smallest = geant2.iter().map(|g| g.gap).fold(f64::INFINITY, f64::min);
+    assert!(
+        ledger.gap_floor > 0.0 && ledger.gap_floor <= smallest,
+        "the recorded floor {} must be positive and within the smallest GEANT2 gap {smallest}",
+        ledger.gap_floor
     );
 }

@@ -1,7 +1,7 @@
 //! Tracing is bitwise invisible to training: the same seed produces the
 //! same model, losses and predictions with `RN_TRACE` on or off, and the
 //! traced run emits a well-formed per-epoch JSONL stream plus a final
-//! run summary with backward op-kind attribution.
+//! run summary with op-kind attribution of both tape sweeps.
 //!
 //! Tracing state is process-global (`rn_trace::set_enabled`), so both runs
 //! live in one test function, sequenced explicitly.
@@ -131,4 +131,23 @@ fn traced_training_is_bitwise_identical_and_emits_epoch_jsonl() {
         summary.op_kinds.iter().any(|k| k.count > 0),
         "at least one op kind must have recorded backward spans"
     );
+    // Forward attribution too, in the same families: every forward records
+    // the GRU steps and the products, and each family's forward spans
+    // include the tape nodes the backward reached.
+    let names = |kinds: &[routenet::train_trace::StageLine]| {
+        kinds.iter().map(|k| k.name.clone()).collect::<Vec<_>>()
+    };
+    assert_eq!(names(&summary.forward_op_kinds), names(&summary.op_kinds));
+    for kind in ["gru", "matmul"] {
+        let fwd = summary
+            .forward_op_kinds
+            .iter()
+            .find(|k| k.name == kind)
+            .unwrap();
+        let bwd = summary.op_kinds.iter().find(|k| k.name == kind).unwrap();
+        assert!(
+            fwd.count >= bwd.count && fwd.count > 0 && fwd.total_ms > 0.0,
+            "{kind}: forward {fwd:?}, backward {bwd:?}"
+        );
+    }
 }
