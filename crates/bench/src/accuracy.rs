@@ -1,11 +1,13 @@
 //! `BENCH_accuracy.json`: the paper's claim as a recorded, guarded number.
 //!
-//! `figure2` trains every row on three seeds (`RN_SEED`, `+ 1`, `+ 2`) at
-//! one budget and writes a [`Ledger`]: per (row, seed), median / p90 |rel|
-//! and MAE on GEANT2 and unseen NSFNET; per headline (model, topology), the
-//! three-seed median with its min and max; per (seed, topology), the
-//! original-minus-extended gap in median |rel|. [`check`] holds a fresh
-//! ledger to the committed one:
+//! `figure2` trains every row on three seeds (the budget's seed, `+ 1`,
+//! `+ 2`) at one budget and writes a [`Ledger`]: per (row, seed), median /
+//! p90 |rel| and MAE on GEANT2 and unseen NSFNET; per headline (model,
+//! topology), the three-seed median with its min and max; per (seed,
+//! topology), the original-minus-extended gap in median |rel|; per (seed,
+//! size of [`SIZES`]), the extended model on a generated ISP topology of
+//! that size, with its cost per path and the process's peak RSS after it.
+//! [`check`] holds a fresh ledger to the committed one:
 //!
 //! - on every seed the extended model beats the original on GEANT2 and, at
 //!   the committed budget, by at least the committed floor. The floor is
@@ -13,7 +15,8 @@
 //!   recorded at it — and carried forward by every later ledger at that
 //!   budget, so re-recording does not move the bar by initialization noise;
 //! - at the committed budget, no headline three-seed median is worse than
-//!   the committed one by more than that headline's recorded min–max spread.
+//!   the committed one by more than that headline's recorded min–max spread;
+//! - at any budget, no size row's peak RSS exceeds [`RSS_BUDGET_MB`].
 //!
 //! NSFNET ordering is recorded per seed (`holds`) and never fails the run:
 //! on some seeds the original model wins there.
@@ -43,6 +46,14 @@ pub const GROUPS: [&str; 8] = [
 
 /// The rows whose three-seed medians [`check`] guards.
 pub const HEADLINE_GROUPS: [&str; 3] = ["extended", "original", "oracle"];
+
+/// Node counts of the generated ISP topologies every seed's extended model
+/// is evaluated on ([`SizeRow`]).
+pub const SIZES: [usize; 4] = [100, 250, 500, 2000];
+
+/// The most a size row's [`SizeRow::peak_rss_mb`] may read. Routing and
+/// traffic tables dense in `n²` peaked at 385 MB after the 2 000-node row.
+pub const RSS_BUDGET_MB: f64 = 192.0;
 
 /// Accuracy of one model on one evaluation set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,6 +105,31 @@ impl Row {
             other => panic!("no evaluation set {other}"),
         }
     }
+}
+
+/// The extended model of one seed on a generated ISP topology far larger
+/// than the GEANT2 graph it was trained on, at a fixed number of routed
+/// pairs so the cost per path isolates the cost of topology size.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SizeRow {
+    /// Seed of the trained model.
+    pub seed: u64,
+    /// Nodes in the evaluation topology, one of [`SIZES`].
+    pub nodes: usize,
+    /// Directed links in the evaluation topology.
+    pub links: usize,
+    /// Routed source/destination pairs per sample.
+    pub pairs: usize,
+    /// Evaluation samples.
+    pub samples: usize,
+    /// The extended model's accuracy over the samples' reliable paths.
+    pub extended: Metrics,
+    /// Wall time to simulate the samples, seconds.
+    pub generate_s: f64,
+    /// Wall time to plan and predict, per reliable path, microseconds.
+    pub us_per_path: f64,
+    /// The process's peak RSS (`VmHWM`) after this row, MB.
+    pub peak_rss_mb: f64,
 }
 
 /// A headline row's median |rel| across the seeds.
@@ -162,6 +198,8 @@ pub struct Ledger {
     pub rows: Vec<Row>,
     /// Variants deleted on the strength of their rows.
     pub decided: Vec<Decided>,
+    /// Every (seed, size of [`SIZES`]).
+    pub sizes: Vec<SizeRow>,
 }
 
 /// The file [`Ledger::save`] writes: the ledger with its summaries.
@@ -175,6 +213,7 @@ struct LedgerFile {
     gaps: Vec<Gap>,
     rows: Vec<Row>,
     decided: Vec<Decided>,
+    sizes: Vec<SizeRow>,
 }
 
 impl Ledger {
@@ -187,6 +226,7 @@ impl Ledger {
         budget: ExperimentConfig,
         seeds: Vec<u64>,
         rows: Vec<Row>,
+        sizes: Vec<SizeRow>,
         committed: Option<&Ledger>,
     ) -> Self {
         let mut ledger = Ledger {
@@ -196,6 +236,7 @@ impl Ledger {
             gap_floor: f64::NAN,
             rows,
             decided: committed.map_or_else(Vec::new, |c| c.decided.clone()),
+            sizes,
         };
         ledger.gap_floor = match committed.filter(|c| c.budget == ledger.budget) {
             Some(c) => c.gap_floor,
@@ -278,6 +319,7 @@ impl Ledger {
             gaps: self.gaps(),
             rows: self.rows.clone(),
             decided: self.decided.clone(),
+            sizes: self.sizes.clone(),
         };
         let text = serde_json::to_string(&file).map_err(|e| format!("serialize: {e}"))?;
         std::fs::write(path, text + "\n").map_err(|e| format!("write {}: {e}", path.display()))
@@ -285,14 +327,21 @@ impl Ledger {
 }
 
 /// Why `fresh` must not replace `committed`; empty when it may. See the
-/// module docs for the two rules. The extended model must beat the original
-/// on GEANT2 on every seed at any budget; the floor and the headline medians
-/// are compared only when both budgets are equal, since a number at another
-/// budget is another quantity.
+/// module docs for the rules. The extended model must beat the original on
+/// GEANT2 on every seed, and every size row keep within [`RSS_BUDGET_MB`],
+/// at any budget; the floor and the headline medians are compared only when
+/// both budgets are equal, since a number at another budget is another
+/// quantity.
 pub fn check(committed: Option<&Ledger>, fresh: &Ledger) -> Vec<String> {
     let committed = committed.filter(|c| c.budget == fresh.budget);
     let floor = committed.map_or(f64::NEG_INFINITY, |c| c.gap_floor);
     let mut failures = Vec::new();
+    for row in fresh.sizes.iter().filter(|r| r.peak_rss_mb > RSS_BUDGET_MB) {
+        failures.push(format!(
+            "seed {}, {} nodes: peak RSS {:.1} MB exceeds the {RSS_BUDGET_MB} MB budget",
+            row.seed, row.nodes, row.peak_rss_mb
+        ));
+    }
     for gap in fresh.gaps().iter().filter(|g| g.topology == "geant2") {
         if !gap.holds {
             failures.push(format!(
@@ -342,9 +391,22 @@ mod tests {
     }
 
     /// A ledger whose headline rows have the given per-seed GEANT2 medians
-    /// (NSFNET the same plus 0.01).
+    /// (NSFNET the same plus 0.01), and one 100 MB size row per seed.
     fn ledger(budget: ExperimentConfig, extended: [f64; 3], original: [f64; 3]) -> Ledger {
         let seeds = vec![1, 2, 3];
+        let sizes = (seeds.iter())
+            .map(|&seed| SizeRow {
+                seed,
+                nodes: 100,
+                links: 296,
+                pairs: 64,
+                samples: 4,
+                extended: metrics(0.5),
+                generate_s: 0.01,
+                us_per_path: 15.0,
+                peak_rss_mb: 100.0,
+            })
+            .collect();
         let mut rows = Vec::new();
         for (i, &seed) in seeds.iter().enumerate() {
             for (group, median) in [
@@ -361,7 +423,7 @@ mod tests {
                 });
             }
         }
-        Ledger::record("test".into(), budget, seeds, rows, None)
+        Ledger::record("test".into(), budget, seeds, rows, sizes, None)
     }
 
     #[test]
@@ -398,6 +460,7 @@ mod tests {
             budget.clone(),
             committed.seeds.clone(),
             rows.clone(),
+            committed.sizes.clone(),
             Some(&committed),
         );
         assert!((fresh.derived_gap_floor() - 0.15).abs() < 1e-12);
@@ -414,7 +477,8 @@ mod tests {
             epochs: 3,
             ..budget
         };
-        let moved = Ledger::record("moved".into(), other, vec![1, 2, 3], rows, Some(&committed));
+        let seeds = vec![1, 2, 3];
+        let moved = Ledger::record("moved".into(), other, seeds, rows, vec![], Some(&committed));
         assert!((moved.gap_floor - 0.15).abs() < 1e-12);
     }
 
@@ -430,7 +494,12 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let back = Ledger::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        for key in ["\"gap_floor\":0.15", "\"headline\":", "\"gaps\":"] {
+        for key in [
+            "\"gap_floor\":0.15",
+            "\"headline\":",
+            "\"gaps\":",
+            "\"sizes\":",
+        ] {
             assert!(text.contains(key), "{key} missing from {text}");
         }
         assert_eq!(back, l);
@@ -480,6 +549,34 @@ mod tests {
             assert!(check(committed, &worse_and_narrow).is_empty());
             let inverted = ledger(other.clone(), [0.36; 3], [0.3; 3]);
             assert_eq!(check(committed, &inverted).len(), 3);
+        }
+    }
+
+    #[test]
+    fn the_guard_names_a_size_row_over_the_rss_budget_and_passes_one_at_it() {
+        let budget = ExperimentConfig::default();
+        let committed = ledger(budget.clone(), [0.2, 0.3, 0.25], [0.6, 0.5, 0.55]);
+        let mut fresh = committed.clone();
+        fresh.sizes[0].peak_rss_mb = RSS_BUDGET_MB;
+        assert!(check(Some(&committed), &fresh).is_empty());
+        fresh.sizes[1].peak_rss_mb = RSS_BUDGET_MB + 0.5;
+        fresh.sizes[1].nodes = 2000;
+        // At another budget too: memory is not a quantity of the budget.
+        let other = ExperimentConfig {
+            epochs: 3,
+            ..budget
+        };
+        for budget in [fresh.budget.clone(), other] {
+            let fresh = Ledger {
+                budget,
+                ..fresh.clone()
+            };
+            let failures = check(Some(&committed), &fresh);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(
+                failures[0].contains("seed 2, 2000 nodes") && failures[0].contains("192.5 MB"),
+                "{failures:?}"
+            );
         }
     }
 }

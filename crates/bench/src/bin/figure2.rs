@@ -1,9 +1,8 @@
 //! **Figure 2 reproduction and the accuracy ledger** — the paper's headline
 //! experiment, the oracle beside it and the ablations around it.
 //!
-//! Per seed (`RN_SEED`, `RN_SEED + 1`, `RN_SEED + 2`), matching Section 3
-//! of the paper, scaled down (see "Reproducing the paper's figures" in
-//! README.md):
+//! Per seed (the budget's seed, `+ 1`, `+ 2`), matching Section 3 of the
+//! paper, scaled down (see "Reproducing the paper's figures" in README.md):
 //!
 //! 1. Generate GEANT2 training samples and held-out GEANT2 + NSFNET
 //!    evaluation samples with the packet-level simulator. Every sample mixes
@@ -18,6 +17,10 @@
 //!    too), and the target (per-path jitter instead of mean delay: the
 //!    architecture is target-agnostic). A variant equal to the extended
 //!    model reuses its row instead of training again.
+//! 4. Evaluate the extended model on generated ISP topologies of
+//!    [`SIZES`] nodes, with sparse traffic (a fixed number of routed pairs
+//!    at every size), recording its cost per path and the process's peak
+//!    RSS after each size.
 //!
 //! For the first seed it prints the E3 summary and the CDF of the signed
 //! relative error for the paper's four curves (the Figure 2 artifact). It
@@ -26,15 +29,17 @@
 //! replaces that file; when it fails the file stays, the new ledger goes to
 //! `BENCH_accuracy.rejected.json` beside it and the run exits 1.
 //!
-//! Run: `cargo run --release -p rn_bench --bin figure2`
-//! Scale with RN_TRAIN_SAMPLES / RN_EVAL_SAMPLES / RN_EPOCHS / ... (see lib);
-//! at any other budget only the GEANT2 ordering is checked.
+//! Run: `cargo run --release -p rn_bench --bin figure2`. It runs
+//! [`ExperimentConfig::default`]; at any other budget only the GEANT2
+//! ordering and the RSS budget are checked.
 
 use rayon::prelude::*;
-use rn_bench::accuracy::{check, Ledger, Metrics, Row};
-use rn_bench::{cached_dataset, paper_topologies, ExperimentConfig};
-use rn_dataset::{Dataset, Normalizer};
+use rn_bench::accuracy::{check, Ledger, Metrics, Row, SizeRow, SIZES};
+use rn_bench::{cached_dataset, paper_topologies, peak_rss_mb, ExperimentConfig};
+use rn_dataset::{generate_sparse, Dataset, Normalizer};
+use rn_netgraph::generators::{isp_tiered, TierConfig};
 use rn_qtheory::PathDelayPredictor;
+use rn_tensor::Prng;
 use routenet::entities::TargetKind;
 use routenet::eval::{collect_predictions, evaluate_baseline};
 use routenet::model::PathPredictor;
@@ -51,9 +56,13 @@ const ITERATIONS: [usize; 4] = [1, 2, 4, 8];
 const STATE_DIMS: [usize; 4] = [4, 8, 16, 32];
 /// Swept training-set sizes: leading samples of the training set.
 const TRAIN_SIZES: [usize; 3] = [16, 32, 64];
+/// Routed pairs per sample of a size row.
+const SIZE_PAIRS: usize = 64;
+/// Samples per size row: over 200 reliable paths at every size.
+const SIZE_SAMPLES: usize = 4;
 
 fn main() {
-    let base = ExperimentConfig::from_env();
+    let base = ExperimentConfig::default();
     eprintln!("[figure2] budget: {base:?}");
     let path = rn_bench::report_path("BENCH_accuracy.json");
     let committed = Ledger::load(&path)
@@ -61,16 +70,18 @@ fn main() {
         .ok();
 
     let seeds: Vec<u64> = (0..3).map(|i| base.seed + i).collect();
-    let mut rows = Vec::new();
+    let (mut rows, mut sizes) = (Vec::new(), Vec::new());
     for &seed in &seeds {
         let cfg = ExperimentConfig {
             seed,
             ..base.clone()
         };
-        rows.extend(Seed::new(cfg).rows(seed == base.seed));
+        let (seed_rows, seed_sizes) = Seed::new(cfg).rows(seed == base.seed);
+        rows.extend(seed_rows);
+        sizes.extend(seed_sizes);
     }
 
-    let ledger = Ledger::record(commit(), base, seeds, rows, committed.as_ref());
+    let ledger = Ledger::record(commit(), base, seeds, rows, sizes, committed.as_ref());
     print_summary(&ledger);
     // A rejected ledger never replaces the one it failed against.
     let failures = check(committed.as_ref(), &ledger);
@@ -112,11 +123,16 @@ impl Seed {
         }
     }
 
-    /// Every row of the seed.
-    fn rows(&self, print_figure: bool) -> Vec<Row> {
+    /// Every row and size row of the seed.
+    fn rows(&self, print_figure: bool) -> (Vec<Row>, Vec<SizeRow>) {
         let base = self.cfg.model();
-        let extended = self.fit(ExtendedRouteNet::new(base.clone()), &self.train, "extended");
-        let original = self.fit(OriginalRouteNet::new(base.clone()), &self.train, "original");
+        let mut model = ExtendedRouteNet::new(base.clone());
+        let extended = self.fit(&mut model, &self.train, "extended");
+        let original = self.fit(
+            &mut OriginalRouteNet::new(base.clone()),
+            &self.train,
+            "original",
+        );
         if print_figure {
             print_figure2(&extended, &original);
         }
@@ -145,7 +161,7 @@ impl Seed {
                 extended.clone()
             } else {
                 let name = format!("extended {group}={value}");
-                self.fit(ExtendedRouteNet::new(model), &self.train, &name)
+                self.fit(&mut ExtendedRouteNet::new(model), &self.train, &name)
             };
             rows.push(self.row(group, value, &reports));
         }
@@ -158,14 +174,14 @@ impl Seed {
                 samples: self.train.samples[..size].to_vec(),
             };
             let name = format!("extended on {size} samples");
-            let ext = self.fit(ExtendedRouteNet::new(base.clone()), &subset, &name);
+            let ext = self.fit(&mut ExtendedRouteNet::new(base.clone()), &subset, &name);
             rows.push(self.row("train_samples_extended", size, &ext));
             let name = format!("original on {size} samples");
-            let orig = self.fit(OriginalRouteNet::new(base.clone()), &subset, &name);
+            let orig = self.fit(&mut OriginalRouteNet::new(base.clone()), &subset, &name);
             rows.push(self.row("train_samples_original", size, &orig));
         }
         rows.push(self.row("jitter", 0, &self.jitter()));
-        rows
+        (rows, SIZES.map(|n| self.size_row(&model, n)).into())
     }
 
     /// The experiment's training configuration, without per-epoch lines.
@@ -189,14 +205,14 @@ impl Seed {
     /// Train `model` on `train_set`, then evaluate it on both sets.
     fn fit<M: PathPredictor>(
         &self,
-        mut model: M,
+        model: &mut M,
         train_set: &Dataset,
         name: &str,
     ) -> [EvalReport; 2] {
         let t0 = Instant::now();
-        train(&mut model, train_set, None, &self.training());
+        train(model, train_set, None, &self.training());
         let reports = [(&self.geant2, "geant2"), (&self.nsfnet, "nsfnet")]
-            .map(|(ds, topology)| evaluate(&model, ds, topology, MIN_PACKETS));
+            .map(|(ds, topology)| evaluate(&*model, ds, topology, MIN_PACKETS));
         self.log(name, t0, &reports);
         reports
     }
@@ -209,6 +225,53 @@ impl Seed {
             geant2.median_abs_rel(),
             nsfnet.median_abs_rel()
         );
+    }
+
+    /// The trained extended `model` on fresh samples of an `n`-node
+    /// tiered ISP topology. Tier capacities are uniform at 1e4 bps, inside
+    /// the training range, so the row measures size alone, not capacity
+    /// extrapolation. The samples are not cached: a 2 000-node sample's
+    /// file holds dense `n²` routing and traffic tables.
+    fn size_row(&self, model: &ExtendedRouteNet, n: usize) -> SizeRow {
+        let seed = self.cfg.seed;
+        let tier = TierConfig {
+            core_capacity_bps: 1e4,
+            aggregation_capacity_bps: 1e4,
+            edge_capacity_bps: 1e4,
+            ..TierConfig::default()
+        };
+        let mut rng = Prng::new(seed ^ (n as u64).rotate_left(17));
+        let topo =
+            isp_tiered(n, &tier, &mut rng).unwrap_or_else(|e| panic!("isp_tiered({n}): {e}"));
+        let t0 = Instant::now();
+        let ds = generate_sparse(
+            &topo,
+            &self.cfg.generator(),
+            SIZE_PAIRS,
+            seed ^ 0xBEEF,
+            SIZE_SAMPLES,
+        );
+        let generate_s = t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        let report = evaluate(model, &ds, &format!("isp-{n}"), MIN_PACKETS);
+        let us_per_path = t0.elapsed().as_secs_f64() * 1e6 / report.num_paths().max(1) as f64;
+        let row = SizeRow {
+            seed,
+            nodes: n,
+            links: topo.num_links(),
+            pairs: SIZE_PAIRS,
+            samples: SIZE_SAMPLES,
+            extended: Metrics::of(&report),
+            generate_s,
+            us_per_path,
+            peak_rss_mb: peak_rss_mb(),
+        };
+        eprintln!(
+            "[figure2] seed {seed}: extended on {n:>4} nodes, {} paths, median |rel| {:.3}, \
+             {us_per_path:.1} us/path, peak RSS {:.1} MB",
+            row.extended.paths, row.extended.median, row.peak_rss_mb
+        );
+        row
     }
 
     /// The M/M/1/K decomposition on both evaluation sets.
@@ -308,6 +371,13 @@ fn print_summary(ledger: &Ledger) {
         println!(
             "    seed {} {:<7}: {:+.3}  {verdict}",
             g.seed, g.topology, g.gap
+        );
+    }
+    println!("\n  extended on generated ISP topologies (median |rel|, us/path, peak RSS):");
+    for r in &ledger.sizes {
+        println!(
+            "    seed {} {:>4} nodes: {:.3}  {:6.1} us  {:6.1} MB",
+            r.seed, r.nodes, r.extended.median, r.us_per_path, r.peak_rss_mb
         );
     }
 }

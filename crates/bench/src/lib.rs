@@ -1,28 +1,24 @@
 //! # rn-bench
 //!
 //! The experiment harness: shared infrastructure for the binaries that
-//! regenerate the paper's figures, record its accuracy claim and run the
-//! `scaling` experiment. Performance is measured by the end-to-end
-//! benchmark in `benchmark/`, not here.
+//! regenerate the paper's figures and record its accuracy claim.
+//! Performance is measured by the end-to-end benchmark in `benchmark/`, not
+//! here.
 //!
 //! ## Binaries
 //!
 //! | binary | artifact |
 //! |--------|----------|
 //! | `figure1` | machine-generated trace of the extended message-passing schedule (paper Figure 1) |
-//! | `figure2` | the accuracy harness: the paper's comparison (extended vs. original RouteNet, trained on GEANT2, evaluated on GEANT2 and unseen NSFNET), the M/M/1/K oracle and the ablations (iterations `T`, state width, training-set size, jitter target) on three seeds, written to `BENCH_accuracy.json` and guarded against the committed file ([`accuracy`]); prints the Figure 2 CDF table for the first seed |
-//! | `scaling` | train on GEANT2, evaluate on generated 100/250/500-node ISP topologies (`BENCH_scaling.json`) |
+//! | `figure2` | the accuracy harness: the paper's comparison (extended vs. original RouteNet, trained on GEANT2, evaluated on GEANT2 and unseen NSFNET), the M/M/1/K oracle, the ablations (iterations `T`, state width, training-set size, jitter target) and the extended model on generated 100 / 250 / 500 / 2 000-node ISP topologies with the process's peak RSS after each, on three seeds, written to `BENCH_accuracy.json` and guarded against the committed file ([`accuracy`]); prints the Figure 2 CDF table for the first seed |
 //!
-//! ## Scaling knobs
+//! ## Budget
 //!
-//! The paper trains on 400k samples; the defaults here
-//! ([`ExperimentConfig::default`]) are the budget `BENCH_accuracy.json`
-//! records, about a minute per seed on two cores. Override with environment
-//! variables: `RN_TRAIN_SAMPLES`, `RN_EVAL_SAMPLES`, `RN_EPOCHS`,
-//! `RN_STATE_DIM`, `RN_MP_ITERS`, `RN_SIM_DURATION_S`, `RN_SEED`. A value
-//! that does not parse is an error exit that names it. `RN_CACHE_DIR`
-//! controls where generated datasets are cached (default
-//! `target/rn-dataset-cache`).
+//! The paper trains on 400k samples; the budget here
+//! ([`ExperimentConfig::default`]) is the one `BENCH_accuracy.json`
+//! records, about half a minute per seed on two cores. Changing it is a code
+//! edit that re-records the ledger. `RN_CACHE_DIR` controls where generated
+//! datasets are cached (default `target/rn-dataset-cache`).
 
 pub mod accuracy;
 
@@ -32,31 +28,7 @@ use rn_netsim::SimConfig;
 use routenet::plan_cache::Fingerprint;
 use routenet::{ModelConfig, TrainConfig};
 use serde::{Deserialize, Serialize};
-use std::env::VarError;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
-
-/// Read an experiment knob from the environment: `default` when it is
-/// unset, an error naming the variable and its value when it is set but
-/// does not parse as `T`.
-pub fn env_parse<T: FromStr>(name: &str, default: T) -> Result<T, String> {
-    match std::env::var(name) {
-        Err(VarError::NotPresent) => Ok(default),
-        Err(VarError::NotUnicode(raw)) => Err(format!("{name}={raw:?} is not valid UTF-8")),
-        Ok(value) => value
-            .parse()
-            .map_err(|_| format!("{name}={value:?} does not parse")),
-    }
-}
-
-/// [`env_parse`] for the binaries: a malformed value is an error exit
-/// (status 2), never a silent fall-back to the default.
-pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
-    env_parse(name, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
-}
 
 /// The process's high-water resident set (`VmHWM` in `/proc/self/status`),
 /// MB; 0.0 where procfs does not say, so reports stay well-formed.
@@ -70,7 +42,7 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// The shared experiment configuration, resolved from env + defaults.
+/// The shared experiment configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Training samples (GEANT2).
@@ -106,21 +78,6 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// The defaults, each overridden by its environment variable when set.
-    /// Exits with an error naming the variable when a value does not parse.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            train_samples: env_or("RN_TRAIN_SAMPLES", d.train_samples),
-            eval_samples: env_or("RN_EVAL_SAMPLES", d.eval_samples),
-            epochs: env_or("RN_EPOCHS", d.epochs),
-            state_dim: env_or("RN_STATE_DIM", d.state_dim),
-            mp_iterations: env_or("RN_MP_ITERS", d.mp_iterations),
-            sim_duration_s: env_or("RN_SIM_DURATION_S", d.sim_duration_s),
-            seed: env_or("RN_SEED", d.seed),
-        }
-    }
-
     /// The generator configuration used by every experiment.
     ///
     /// Traffic uses [`TrafficModel::AbsoluteRates`]: per-pair rates come from
@@ -185,9 +142,10 @@ pub fn cache_dir() -> PathBuf {
 
 /// The cache file of one dataset under `dir`. The name carries topology,
 /// label, count, horizon and seed for the reader, and an FNV hash of the
-/// whole generator configuration, so a change to any generator setting
-/// (traffic model, intensity range, queue choices, …) names a new file
-/// instead of reusing samples the code no longer generates.
+/// whole topology and generator configuration, so a change to either (a
+/// link capacity, the traffic model, the intensity range, queue choices, …)
+/// names a new file instead of reusing samples the code no longer
+/// generates.
 pub fn cache_path(
     dir: &Path,
     topo: &Topology,
@@ -196,18 +154,21 @@ pub fn cache_path(
     count: usize,
     label: &str,
 ) -> PathBuf {
+    let topo_json = serde_json::to_string(topo).expect("a topology serializes");
     let config_json = serde_json::to_string(config).expect("a generator config serializes");
-    let config_hash = Fingerprint::new().bytes(config_json.as_bytes()).finish();
+    let hash = (Fingerprint::new().bytes(topo_json.as_bytes()))
+        .bytes(config_json.as_bytes())
+        .finish();
     dir.join(format!(
-        "{}_{label}_{count}x{}s_seed{master_seed}_{config_hash:016x}.jsonl",
+        "{}_{label}_{count}x{}s_seed{master_seed}_{hash:016x}.jsonl",
         topo.name, config.sim.duration_s as u64
     ))
 }
 
 /// Generate (or load from cache) a dataset for a canonical topology.
 ///
-/// The cache key is [`cache_path`]'s, so changing any knob or generator
-/// setting regenerates. `label` distinguishes train/eval streams drawn from
+/// The cache key is [`cache_path`]'s, so changing the topology or any
+/// budget or generator setting regenerates. `label` distinguishes train/eval streams drawn from
 /// different master seeds.
 pub fn cached_dataset(
     topo: &Topology,
@@ -257,23 +218,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_parsing_falls_back() {
-        std::env::remove_var("RN_TEST_KNOB_X");
-        assert_eq!(env_parse::<usize>("RN_TEST_KNOB_X", 7), Ok(7));
-        std::env::set_var("RN_TEST_KNOB_X", "13");
-        assert_eq!(env_parse::<usize>("RN_TEST_KNOB_X", 7), Ok(13));
-        // Set but garbage is an error naming the variable and its value,
-        // not the default.
-        std::env::set_var("RN_TEST_KNOB_X", "12x");
-        let err = env_parse::<usize>("RN_TEST_KNOB_X", 7).unwrap_err();
-        assert!(
-            err.contains("RN_TEST_KNOB_X") && err.contains("12x"),
-            "{err}"
-        );
-        std::env::remove_var("RN_TEST_KNOB_X");
-    }
-
-    #[test]
     fn cache_path_follows_the_generator_config() {
         let (geant2, _) = paper_topologies();
         let dir = Path::new("cache");
@@ -295,6 +239,18 @@ mod tests {
             ..config.clone()
         };
         assert_ne!(path(&config), path(&wider));
+    }
+
+    #[test]
+    fn cache_path_follows_the_topology_not_only_its_name() {
+        let (geant2, _) = paper_topologies();
+        let mut edited = geant2.clone();
+        edited.set_link_capacity(0, 2.0 * geant2.links()[0].capacity_bps);
+        assert_eq!(edited.name, geant2.name);
+        let config = ExperimentConfig::default().generator();
+        let path = |t: &Topology| cache_path(Path::new("cache"), t, &config, 7, 16, "eval");
+        assert_eq!(path(&geant2), path(&geant2.clone()));
+        assert_ne!(path(&geant2), path(&edited));
     }
 
     #[test]

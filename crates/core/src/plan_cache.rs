@@ -90,14 +90,6 @@ impl Fingerprint {
         self
     }
 
-    /// Fold a slice of indices.
-    pub fn usizes(&mut self, vs: &[usize]) -> &mut Self {
-        for &v in vs {
-            self.u64(v as u64);
-        }
-        self
-    }
-
     /// Fold one 64-bit word with a single xor and multiply, where
     /// [`Fingerprint::u64`] spends eight. Plan keys hash thousands of words
     /// per request, so they use this fold; the byte-wise methods above stay

@@ -2,8 +2,9 @@
 //!
 //! Used by property tests (routing/simulator invariants must hold on *any*
 //! connected graph, not just the canonical ones), by robustness experiments
-//! beyond the paper, and by the giant-topology scaling harness, which needs
-//! connected ISP-like graphs hundreds to thousands of nodes wide.
+//! beyond the paper, and by the accuracy ledger's size rows (`rn_bench`'s
+//! `figure2`), which need connected ISP-like graphs hundreds to thousands
+//! of nodes wide.
 //!
 //! All generators are deterministic functions of their [`Prng`] stream and
 //! return structured [`GeneratorError`]s instead of panicking on misuse, so
@@ -303,8 +304,8 @@ impl Default for TierConfig {
 /// connected by induction: the ring is connected and every later node
 /// attaches to an earlier tier.
 ///
-/// Designed for the 100–2000 node range of the scaling harness; the
-/// structural minimum is 8 nodes.
+/// Designed for the 100–2000 node range of the accuracy ledger's size
+/// rows; the structural minimum is 8 nodes.
 pub fn isp_tiered(
     num_nodes: usize,
     config: &TierConfig,
