@@ -3,7 +3,9 @@
 //! `ExtendedRouteNet` and `QosRouteNet` on a
 //! two-class plan, and of `ExtendedRouteNet` on a sparse routing over a
 //! 60-node ISP graph (where most links and nodes lie on no path) —
-//! single-sample and as a whole-dataset megabatch.
+//! single-sample and as a whole-dataset megabatch — and of `ExtendedRouteNet`
+//! at the benchmarks' widths (16/4/32, the serving model's shape, and
+//! 32/8/64) on NSFNET plans, where every other scenario runs `state_dim` 8.
 //! Beside each full digest sits a digest of the predictions alone: a change
 //! that drops state rows or tape ops no readout depends on regroups the
 //! weight-gradient sums, so it may move a full digest; it may never move a
@@ -35,6 +37,10 @@
 //! gradients by 1.3e-6 of their matrix's largest element, the saved model's
 //! predictions by 1.0e-7; against the reference forward's values, 1.3e-7,
 //! 1.9e-7 and 5.6e-6. No value fixture was rewritten.
+//! The two NSFNET scenarios (`WIDE_SCENARIOS`) were added, digests and
+//! `model_values.json` numbers both, by the code that still ran the GRU
+//! step as one pass per operation, before the row-tiled step replaced it:
+//! they hold that step to the bits the old one wrote at widths 16 and 32.
 //!
 //! A digest says *that* bits moved, not by how much. Beside the digests,
 //! `tests/fixtures/model_values.json` therefore holds the same steps as
@@ -93,11 +99,34 @@ fn sparse_isp_dataset() -> Dataset {
     generate_sparse(&topo, &generator(false), 12, 20_260_928, 3)
 }
 
+/// Two samples on NSFNET, 182 routed paths each: the plan shape the
+/// serving benchmarks run.
+fn nsfnet_dataset() -> Dataset {
+    generate(
+        &topologies::nsfnet_default(),
+        &generator(false),
+        20_260_928,
+        2,
+    )
+}
+
 fn config() -> ModelConfig {
     ModelConfig {
         state_dim: 8,
         mp_iterations: 3,
         readout_hidden: 8,
+        seed: 13,
+        ..ModelConfig::default()
+    }
+}
+
+/// `state_dim / mp_iterations / readout_hidden` at the widths the
+/// benchmarks run, where the GRU rows fill whole vector registers.
+fn wide_config(state_dim: usize, mp_iterations: usize, readout_hidden: usize) -> ModelConfig {
+    ModelConfig {
+        state_dim,
+        mp_iterations,
+        readout_hidden,
         seed: 13,
         ..ModelConfig::default()
     }
@@ -177,7 +206,8 @@ fn model_steps<M: PathPredictor>(mut model: M, ds: &Dataset) -> [Step; 2] {
     [step(&model, &plans[0]), step(&model, &mb.plan)]
 }
 
-/// Every scenario's name, in the order of the recorded tables.
+/// The scenarios the op-by-op reference forward ran, in the order of the
+/// recorded tables.
 const SCENARIOS: [&str; 4] = [
     "original",
     "extended_positional",
@@ -185,7 +215,29 @@ const SCENARIOS: [&str; 4] = [
     "extended_sparse_isp",
 ];
 
-/// Every scenario, in the order of [`SCENARIOS`].
+/// The scenarios at the benchmarks' widths, recorded after [`SCENARIOS`]
+/// in the digest table and in `model_values.json` (the reference forward
+/// never ran them): `ExtendedRouteNet` 16/4/32, the serving model's shape,
+/// and 32/8/64, on NSFNET plans.
+const WIDE_SCENARIOS: [&str; 2] = ["extended_nsfnet_16_4_32", "extended_nsfnet_32_8_64"];
+
+/// Every scenario: [`SCENARIOS`], then [`WIDE_SCENARIOS`].
+fn all_steps() -> Vec<(&'static str, [Step; 2])> {
+    let nsfnet = nsfnet_dataset();
+    let [narrow, wide] = WIDE_SCENARIOS;
+    let mut steps: Vec<_> = scenario_steps().into();
+    steps.push((
+        narrow,
+        model_steps(ExtendedRouteNet::new(wide_config(16, 4, 32)), &nsfnet),
+    ));
+    steps.push((
+        wide,
+        model_steps(ExtendedRouteNet::new(wide_config(32, 8, 64)), &nsfnet),
+    ));
+    steps
+}
+
+/// Every scenario of [`SCENARIOS`], in its order.
 fn scenario_steps() -> [(&'static str, [Step; 2]); 4] {
     let legacy = dataset(false);
     let two_class = dataset(true);
@@ -214,7 +266,7 @@ fn models_reproduce_the_recorded_digests() {
     // One constant a line, so that a re-record shows in `git diff` as exactly
     // the constants that moved.
     #[rustfmt::skip]
-    let recorded: [(&str, Digests); 4] = [
+    let recorded: [(&str, Digests); 6] = [
         (
             "original",
             Digests {
@@ -267,10 +319,42 @@ fn models_reproduce_the_recorded_digests() {
                 ],
             },
         ),
+        (
+            "extended_nsfnet_16_4_32",
+            Digests {
+                full: [
+                    0xfa4c_2192_de7a_7d81,
+                    0x31fe_7a53_40f9_f6e2,
+                ],
+                predictions: [
+                    0x5ad6_938f_c0a2_995b,
+                    0xf623_50f8_dc24_5acc,
+                ],
+            },
+        ),
+        (
+            "extended_nsfnet_32_8_64",
+            Digests {
+                full: [
+                    0x6c2b_76e4_206a_f67d,
+                    0x6b7c_0971_1709_f4c0,
+                ],
+                predictions: [
+                    0xacc0_db1f_8d29_5933,
+                    0xbc06_7627_d7d0_04c1,
+                ],
+            },
+        ),
     ];
+    let steps = all_steps();
+    assert_eq!(
+        steps.len(),
+        recorded.len(),
+        "recorded table and scenarios out of step"
+    );
     let scenarios: Vec<(&str, &Digests, Digests)> = recorded
         .iter()
-        .zip(scenario_steps())
+        .zip(steps)
         .map(|((name, want), (ran, steps))| {
             assert_eq!(*name, ran, "recorded table and scenarios out of step");
             (*name, want, Digests::of(&steps))
@@ -449,7 +533,7 @@ const GRAD_TOL: f64 = 1e-4;
 
 #[test]
 fn models_stay_within_tolerance_of_the_recorded_values() {
-    let steps = scenario_steps();
+    let steps = all_steps();
     let (values_path, model_path) = (fixture("model_values.json"), fixture("model_extended.json"));
     if std::env::var("RN_REGEN_GOLDEN").is_ok() {
         let ds = dataset(false);
@@ -542,7 +626,7 @@ fn the_reference_values_cover_every_scenario() {
     let values: RecordedValues = serde_json::from_str(&text).expect("parse model_values.json");
     let mut recorded = names(values.scenarios);
     recorded.retain(|name| name != "extended_final_path_state_sum");
-    assert_eq!(recorded, SCENARIOS);
+    assert_eq!(recorded, [&SCENARIOS[..], &WIDE_SCENARIOS[..]].concat());
 }
 
 #[test]

@@ -20,6 +20,10 @@
 //! correctly rounded step on every SIMD tier: every loss within 2.7e-7
 //! relative of the histories below (`original` 2.6e-7, `extended` 2.7e-7,
 //! `qos_two_class` 1.2e-7), the same stop epochs (8, 8, 3).
+//! `extended_16_three_epochs` (`state_dim` 16, three epochs; every other
+//! case runs `state_dim` 8) was added, digest and history, by the code that
+//! still ran the GRU step as one pass per operation, before the row-tiled
+//! step replaced it.
 //!
 //! `tests/model_digest.rs` stops at one forward/backward; this pins what
 //! comes after it — batch membership and visit order from the seeded
@@ -91,6 +95,16 @@ fn train_config() -> TrainConfig {
     }
 }
 
+/// [`train_config`] for three epochs: the `state_dim = 16` case, where the
+/// GRU rows fill whole vector registers, runs the training loop of the
+/// benchmarks' width at a test's cost.
+fn short_train_config() -> TrainConfig {
+    TrainConfig {
+        epochs: 3,
+        ..train_config()
+    }
+}
+
 /// One `train()` run of a scenario.
 struct Run {
     digest: u64,
@@ -99,8 +113,12 @@ struct Run {
 
 /// `train()` from fresh weights, then FNV-1a over the bit patterns of the
 /// loss history, the stop epoch and every parameter in parameter order.
-fn run_digest<M: PathPredictor>(mut model: M, (train_set, val_set): &(Dataset, Dataset)) -> Run {
-    let history = train(&mut model, train_set, Some(val_set), &train_config());
+fn run_digest<M: PathPredictor>(
+    mut model: M,
+    (train_set, val_set): &(Dataset, Dataset),
+    config: &TrainConfig,
+) -> Run {
+    let history = train(&mut model, train_set, Some(val_set), config);
     let mut fp = Fingerprint::new();
     fp.usize(history.train_loss.len());
     for &l in &history.train_loss {
@@ -124,32 +142,43 @@ fn run_digest<M: PathPredictor>(mut model: M, (train_set, val_set): &(Dataset, D
 /// Every scenario, in the order of the recorded tables. The worker count is
 /// whatever CPUs the process may run on; CI runs this file unpinned and under
 /// `taskset -c 0`, and the same constants hold.
-fn scenario_runs() -> [(&'static str, Run); 3] {
+fn scenario_runs() -> [(&'static str, Run); 4] {
     let legacy = (dataset(false, 20_260_928, 6), dataset(false, 20_260_929, 3));
     let two_class = (dataset(true, 20_260_928, 6), dataset(true, 20_260_929, 3));
     assert!(two_class.0.samples[0].qos.is_some());
+    let config = train_config();
+    let wide = ModelConfig {
+        state_dim: 16,
+        readout_hidden: 16,
+        ..model_config()
+    };
     [
         (
             "original",
-            run_digest(OriginalRouteNet::new(model_config()), &legacy),
+            run_digest(OriginalRouteNet::new(model_config()), &legacy, &config),
         ),
         (
             "extended",
-            run_digest(ExtendedRouteNet::new(model_config()), &legacy),
+            run_digest(ExtendedRouteNet::new(model_config()), &legacy, &config),
         ),
         (
             "qos_two_class",
-            run_digest(QosRouteNet::new(model_config()), &two_class),
+            run_digest(QosRouteNet::new(model_config()), &two_class, &config),
+        ),
+        (
+            "extended_16_three_epochs",
+            run_digest(ExtendedRouteNet::new(wide), &legacy, &short_train_config()),
         ),
     ]
 }
 
 #[test]
 fn trainers_reproduce_the_recorded_digests() {
-    let recorded: [(&str, u64); 3] = [
+    let recorded: [(&str, u64); 4] = [
         ("original", 0xc7ef_158d_4494_7ec8),
         ("extended", 0x62ca_904f_10d9_63c2),
         ("qos_two_class", 0x37d9_2811_5bf9_d5c7),
+        ("extended_16_three_epochs", 0x9688_aa88_468b_19f0),
     ];
     let scenarios: Vec<(&str, u64, Run)> = recorded
         .into_iter()
