@@ -176,9 +176,10 @@ mod tests {
     const GRU_INPUT: usize = 5;
 
     /// The differentiable inputs of one GRU step, in the order `W_z, b_z,
-    /// W_r, b_r, W_c, b_c, h, x, px`: the step reads `x·W_x − px`, so `px`
-    /// sees the step's own input gradient and the `W_x` rows of the kernels
-    /// see theirs through the projection.
+    /// W_r, b_r, W_c, b_c, h, x, px`: the step reads rows of the table
+    /// `x·W_x − px`, so `px` sees the gradient the step scatters into its
+    /// table and the `W_x` rows of the kernels see theirs through the
+    /// projection.
     fn gru_inputs(seed: u64, h_rows: usize, x_rows: usize) -> Vec<Matrix> {
         let wide = GRU_HIDDEN + GRU_INPUT;
         let shapes = [
@@ -268,8 +269,10 @@ mod tests {
         // are inactive.
         const ROWS: [usize; 6] = [0, 1, 2, 5, 6, 7];
         const IDS: [usize; 6] = [0, 2, 2, 4, 6, 4];
-        // Nine active rows of 13 (not a multiple of 4; four pass through).
+        // Nine active rows of 13 (not a multiple of 4; four pass through),
+        // reading entities 0, 2, 4 and 6 of seven.
         const GRU_ROWS: [usize; 9] = [0, 1, 3, 4, 7, 8, 10, 11, 12];
+        const GRU_IDS: [usize; 9] = [0, 2, 2, 4, 6, 4, 0, 2, 6];
         vec![
             OpCase {
                 name: "leaf/param_minus_constant",
@@ -355,28 +358,40 @@ mod tests {
                 record: |g, v| g.mean(v[0]),
             },
             OpCase {
+                // The active rows read a 7-row table through ids that repeat
+                // and never reach rows 1, 3 and 5.
                 name: "gru_step/nine_rows_of_thirteen",
-                inputs: gru_inputs(31, 13, GRU_ROWS.len()),
+                inputs: gru_inputs(31, 13, 7),
                 record: |g, v| {
-                    let (vars, h, px) = gru_packed(g, v);
-                    g.gru_step_rows(&vars, h, px, &GRU_ROWS)
+                    let (vars, h, table) = gru_packed(g, v);
+                    g.gru_step_rows(&vars, h, table, &GRU_ROWS, &GRU_IDS)
                 },
             },
             OpCase {
                 name: "gru_step/single_row",
-                inputs: gru_inputs(33, 5, 1),
+                inputs: gru_inputs(33, 5, 3),
                 record: |g, v| {
-                    let (vars, h, px) = gru_packed(g, v);
-                    g.gru_step_rows(&vars, h, px, &[4])
+                    let (vars, h, table) = gru_packed(g, v);
+                    g.gru_step_rows(&vars, h, table, &[4], &[1])
                 },
             },
             OpCase {
-                // Every row passes through; the parameters get zero.
+                // Every row passes through; the parameters and the table
+                // get zero.
                 name: "gru_step/no_active_row",
-                inputs: gru_inputs(35, 5, 0),
+                inputs: gru_inputs(35, 5, 3),
                 record: |g, v| {
-                    let (vars, h, px) = gru_packed(g, v);
-                    g.gru_step_rows(&vars, h, px, &[])
+                    let (vars, h, table) = gru_packed(g, v);
+                    g.gru_step_rows(&vars, h, table, &[], &[])
+                },
+            },
+            OpCase {
+                // Every active row reads the same table row.
+                name: "gru_step/one_table_row_for_every_row",
+                inputs: gru_inputs(37, 6, 2),
+                record: |g, v| {
+                    let (vars, h, table) = gru_packed(g, v);
+                    g.gru_step_rows(&vars, h, table, &[0, 1, 2, 3, 5], &[1; 5])
                 },
             },
             OpCase {
@@ -394,17 +409,17 @@ mod tests {
                 // take the shapes they need from the op, not the value.
                 name: "gru_step/two_steps_through_a_scatter",
                 inputs: [
-                    gru_inputs(49, 13, GRU_ROWS.len()),
+                    gru_inputs(49, 13, 7),
                     vec![m(58, 5, 3 * GRU_HIDDEN), m(59, 7, GRU_HIDDEN)],
                 ]
                 .concat(),
                 record: |g, v| {
                     const SEGMENTS: [usize; 9] = [0, 2, 2, 4, 6, 4, 1, 0, 6];
                     const ROWS_2: [usize; 5] = [1, 2, 4, 8, 12];
-                    let (vars, h, px) = gru_packed(g, v);
-                    let h1 = g.gru_step_rows(&vars, h, px, &GRU_ROWS);
+                    let (vars, h, table) = gru_packed(g, v);
+                    let h1 = g.gru_step_rows(&vars, h, table, &GRU_ROWS, &GRU_IDS);
                     let msgs = g.segment_acc_rows(v[10], h1, &GRU_ROWS, &SEGMENTS);
-                    let h2 = g.gru_step_rows(&vars, h1, v[9], &ROWS_2);
+                    let h2 = g.gru_step_rows(&vars, h1, v[9], &ROWS_2, &[4, 0, 4, 1, 3]);
                     assert_eq!(g.value(h1).shape(), (0, 0), "the stepped state is consumed");
                     let out = g.segment_acc_rows(msgs, h2, &ROWS_2, &[3, 0, 6, 6, 5]);
                     assert_eq!(g.value(msgs).shape(), (0, 0), "the sum is consumed");

@@ -54,17 +54,21 @@
 //! node with the first bit and not the second is *spendable*,
 //! and the ops that advance a state consume it:
 //!
-//! - [`Graph::gru_step_rows`] advances a spendable `h` in `h`'s own buffer,
-//!   and returns a spendable `px` to the pool once it has read it;
+//! - [`Graph::gru_step_rows`] and [`Graph::gru_step_dense`] advance a
+//!   spendable `h` in `h`'s own buffer, and the dense form returns a
+//!   spendable `px` to the pool once it has read it;
 //! - [`Graph::segment_acc_rows`] scatter-adds into a spendable `acc`.
 //!
+//! A table [`Graph::gru_step_rows`] reads through entity ids is never
+//! consumed, spendable or not: the step of every sweep position reads it.
 //! A consumed `Var` reads as an empty matrix afterwards. Nothing an adjoint
 //! needs is lost: the GRU step's adjoint takes the state's shape from its
-//! incoming gradient, the scatter records its input's row count, and the
-//! step saves its own activations (`h`'s active rows, both gates, the
-//! candidate; `r ⊙ h` it forms again). In a RouteNet sweep this spends the
-//! path state at every position, in training as in inference, while the
-//! entity states stay, because the projection's `MatMul` adjoint reads them.
+//! incoming gradient and the table's from the op, the scatter records its
+//! input's row count, and the step saves its own activations (`h`'s active
+//! rows, both gates, the candidate; `r ⊙ h` it forms again). In a RouteNet
+//! sweep this spends the path state at every position, in training as in
+//! inference, while the entity states stay, because the projection's
+//! `MatMul` adjoint reads them.
 //!
 //! Tape-owned leaves are the pooled ones — [`Graph::param_copy`],
 //! [`Graph::constant_copy`], [`Graph::constant_with`] — and every op's
@@ -79,26 +83,28 @@
 //! RouteNet's hot loop is one GRU step per sequence position per
 //! message-passing iteration. Expressed in primitive ops (column
 //! concatenations, three gate products, element-wise gates and blend, a
-//! masked segment sum) that was ~20 tape nodes per position;
-//! [`Graph::gather_rows`] over the active ids, the row-compacted
-//! [`Graph::gru_step_rows`] and [`Graph::segment_acc_rows`] collapse it to
-//! 3, shrinking tape length (and backward dispatch + allocation) by roughly
-//! an order of magnitude. The tape records only these: the primitive chain
-//! is gone, and what it computed on the unit tests' inputs is recorded in
-//! `tests/fixtures/reference_values.json` at the workspace root, which the
-//! tests compare the fused ops against.
+//! masked segment sum) that was ~20 tape nodes per position; the
+//! row-compacted [`Graph::gru_step_rows`], which reads its projected input
+//! through the active rows' entity ids, and [`Graph::segment_acc_rows`]
+//! collapse it to 2, shrinking tape length (and backward dispatch +
+//! allocation) by roughly an order of magnitude. The tape records only
+//! these: the primitive chain is gone, and what it computed on the unit
+//! tests' inputs is recorded in `tests/fixtures/reference_values.json` at
+//! the workspace root, which the tests compare the fused ops against.
 //!
 //! There is one fused GRU form. It reads its input already projected —
 //! `px = x·W_x`, see [`GruVars`] — because in message passing many rows
 //! share one `x` (every path crossing a link reads that link's state): the
 //! caller projects each distinct input once ([`Graph::matmul`] over the
-//! entity rows), gathers rows of the projection, and the step's own products
-//! run over the state half alone. The every-row entity updates go through
-//! the same node with an identity row list ([`Graph::gru_step_dense`]).
-//! Its forward and adjoint bodies sit behind `#[target_feature]` entry
-//! points, one per [`rn_tensor::simd::Tier`], so their compaction, blend and
-//! split loops compile at the widest vector width the CPU has, and run that
-//! tier's kernels; every tier gives the same bits.
+//! entity rows), the step reads the projection's rows through the entity
+//! ids, and its own products run over the state half alone. The every-row
+//! entity updates go through the same node with an identity row list
+//! ([`Graph::gru_step_dense`]). The forward is one pass over tiles of the
+//! active rows ([`rn_tensor::kernels::gru_step`]); the adjoint's body sits
+//! behind `#[target_feature]` entry points, one per
+//! [`rn_tensor::simd::Tier`], so its blend and split loops compile at the
+//! widest vector width the CPU has, and runs that tier's kernels. Every
+//! tier gives the same bits.
 //!
 //! Every op runs on the calling thread. Parallelism lives one level up:
 //! independent units (samples, compositions, requests) each get a tape of
@@ -186,15 +192,20 @@ pub(crate) enum Op {
     Sum(Var),
     Mean(Var),
     /// One GRU step on a pre-projected input, as a single node: only `rows`
-    /// advance, every other row of `h` passes through untouched; `px` holds
-    /// `x·W_x` for the active rows (`rows.len() x 3·hidden`).
+    /// advance, every other row of `h` passes through untouched. Active row
+    /// `k` reads row `ids[k]` of the projection table `px` (`x·W_x`,
+    /// `3·hidden` wide), or row `k` of `px` when `ids` is `None` (the dense
+    /// form, whose `px` holds one row per state row).
     GruStep {
         vars: GruVars,
         h: Var,
         px: Var,
+        /// `px`'s row count: the adjoint's shape, so `px` itself is not read.
+        px_rows: usize,
         rows: IndexList,
+        ids: Option<IndexList>,
         /// Saved-for-backward activations; `None` on nodes recorded in
-        /// inference mode, which recycle them as soon as the value exists.
+        /// inference mode, which never write them.
         saved: Option<Box<GruSaved>>,
     },
     /// Column-concatenate rows `row_lo..row_lo + out.rows()` of every part.
@@ -237,8 +248,7 @@ impl Op {
             | &Op::Mean(x)
             | &Op::GatherRows { x, .. } => f(x),
             // The state's shape comes from the incoming gradient and the
-            // projected rows' from the row list; the saved activations are
-            // the op's own.
+            // table's from the op; the saved activations are the op's own.
             Op::GruStep { vars, .. } => {
                 f(vars.w_h_zr);
                 f(vars.w_h_c);
@@ -276,10 +286,9 @@ pub struct Graph {
     /// calls so a warm tape does not reallocate them (always empty outside
     /// [`Graph::backward`]).
     grad_slots: Vec<Option<Matrix>>,
-    /// Inference mode: record nothing for an adjoint. Fused GRU ops recycle
-    /// their activations as soon as the value exists, and no operand is
-    /// marked as read, so the consume rule (module docs) hands every pooled
-    /// state to the step that advances it. Forward values are bitwise
+    /// Inference mode: record nothing for an adjoint. Fused GRU ops keep no
+    /// activations, and no operand is marked as read, so the consume rule
+    /// (module docs) hands every pooled state to the step that advances it. Forward values are bitwise
     /// unchanged; `backward` is unavailable.
     inference_mode: bool,
     /// Cumulative count of index words the tape has copied into pooled
@@ -385,112 +394,6 @@ fn add_col_sums(bias_grad: &mut Matrix, src: &Matrix) {
     }
 }
 
-/// Read-only inputs of one fused GRU step forward.
-struct GruFwdCtx<'a> {
-    /// Old state `h`, `n x hidden` — `None` when the step runs in place (the
-    /// state rows then live in `out` already).
-    hv: Option<&'a [f32]>,
-    /// Projected input `[px_z | px_r | px_c]`, `a x 3·hidden`.
-    px: &'a [f32],
-    /// Active row per compacted position.
-    rows: &'a [usize],
-    w_h_zr: &'a [f32],
-    w_h_c: &'a [f32],
-    b: &'a [f32],
-    hidden: usize,
-}
-
-/// Advance the active rows of a GRU step (see [`Graph::gru_step_rows`]) at
-/// `tier`: the body below, compiled for that tier's width, running that
-/// tier's kernels. Every tier produces the same bits. `rh` is `a x hidden`
-/// scratch for `r ⊙ h`.
-fn gru_forward(
-    tier: Tier,
-    ctx: &GruFwdCtx<'_>,
-    saved: &mut GruSaved,
-    rh: &mut [f32],
-    out: &mut [f32],
-) {
-    match tier.checked() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `checked` asserted that this CPU runs AVX-512.
-        Tier::Avx512 => unsafe { gru_forward_avx512(ctx, saved, rh, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `checked` asserted that this CPU runs AVX2.
-        Tier::Avx2 => unsafe { gru_forward_avx2(ctx, saved, rh, out) },
-        _ => gru_forward_body(Tier::Baseline, ctx, saved, rh, out),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn gru_forward_avx512(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, rh: &mut [f32], out: &mut [f32]) {
-    gru_forward_body(Tier::Avx512, ctx, saved, rh, out);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn gru_forward_avx2(ctx: &GruFwdCtx<'_>, saved: &mut GruSaved, rh: &mut [f32], out: &mut [f32]) {
-    gru_forward_body(Tier::Avx2, ctx, saved, rh, out);
-}
-
-/// The forward step. `out` holds the `n` dense state rows: on entry either
-/// uninitialized (copy mode: filled from `ctx.hv` first) or the old state
-/// (in-place mode); on exit, the stepped state. Every output element is a
-/// function of its own row alone.
-#[inline(always)]
-fn gru_forward_body(
-    tier: Tier,
-    ctx: &GruFwdCtx<'_>,
-    saved: &mut GruSaved,
-    rh: &mut [f32],
-    out: &mut [f32],
-) {
-    let hidden = ctx.hidden;
-    let a = ctx.rows.len();
-    let (h, zr, c) = (
-        saved.h.as_mut_slice(),
-        saved.zr.as_mut_slice(),
-        saved.c.as_mut_slice(),
-    );
-    // Copy mode: materialize the old state rows first; afterwards both
-    // modes read old state from `out`.
-    if let Some(hv) = ctx.hv {
-        out.copy_from_slice(hv);
-    }
-    // Compact the active state rows and seed the three pre-activations with
-    // the projected input: the kernels below accumulate onto it.
-    for (k, &row) in ctx.rows.iter().enumerate() {
-        let h_off = row * hidden;
-        h[k * hidden..(k + 1) * hidden].copy_from_slice(&out[h_off..h_off + hidden]);
-        let px = &ctx.px[k * 3 * hidden..(k + 1) * 3 * hidden];
-        zr[k * 2 * hidden..(k + 1) * 2 * hidden].copy_from_slice(&px[..2 * hidden]);
-        c[k * hidden..(k + 1) * hidden].copy_from_slice(&px[2 * hidden..]);
-    }
-    // [z | r] = σ(px_zr + h·W_h,zr + b_zr): one product for both gates.
-    kernels::matmul_acc_at(tier, h, ctx.w_h_zr, a, hidden, 2 * hidden, zr);
-    vact::sigmoid_bias_map_inplace_at(tier, zr, &ctx.b[..2 * hidden]);
-    // c = tanh(px_c + (r ⊙ h)·W_h,c + b_c).
-    for k in 0..a {
-        let r = &zr[(2 * k + 1) * hidden..(2 * k + 2) * hidden];
-        let h = &h[k * hidden..(k + 1) * hidden];
-        for ((d, &rv), &hv) in rh[k * hidden..(k + 1) * hidden].iter_mut().zip(r).zip(h) {
-            *d = rv * hv;
-        }
-    }
-    kernels::matmul_acc_at(tier, rh, ctx.w_h_c, a, hidden, hidden, c);
-    vact::tanh_bias_map_inplace_at(tier, c, &ctx.b[2 * hidden..]);
-    // h' = (1 − z)⊙h + z⊙c on the active rows; inactive rows pass through.
-    for (k, &row) in ctx.rows.iter().enumerate() {
-        let h_off = row * hidden;
-        let z = &zr[2 * k * hidden..(2 * k + 1) * hidden];
-        let c = &c[k * hidden..(k + 1) * hidden];
-        for ((o, &zj), &cj) in out[h_off..h_off + hidden].iter_mut().zip(z).zip(c) {
-            *o = (1.0 - zj) * *o + zj * cj;
-        }
-    }
-}
-
 /// Read-only inputs of one fused GRU step adjoint.
 struct GruBwdCtx<'a> {
     rows: &'a [usize],
@@ -570,8 +473,9 @@ fn add_col_sums_slice(acc: &mut [f32], src: &[f32], cols: usize) {
     }
 }
 
-/// The adjoint of a GRU step at `tier`, gated like [`gru_forward`]. `g` is
-/// the incoming gradient (`n x hidden`) and leaves as the state's.
+/// The adjoint of a GRU step at `tier`, gated like the kernels: the body
+/// below, compiled for that tier's width, running that tier's kernels. `g`
+/// is the incoming gradient (`n x hidden`) and leaves as the state's.
 fn gru_backward(
     tier: Tier,
     ctx: &GruBwdCtx<'_>,
@@ -834,9 +738,9 @@ impl Graph {
     }
 
     /// Toggle inference mode (see the struct docs): the tape records nothing
-    /// for an adjoint — fused GRU steps drop their activations as soon as
-    /// the forward value is computed, and no operand counts as read, so
-    /// every pooled state is consumed by the step that advances it.
+    /// for an adjoint — fused GRU steps write no activations for it, and
+    /// no operand counts as read, so every pooled state is consumed by the
+    /// step that advances it.
     /// Values are bitwise identical either way. [`Graph::backward`] panics
     /// while the mode is on; after toggling it off, [`Graph::reset`] before
     /// recording anything you intend to differentiate — nodes recorded
@@ -893,8 +797,13 @@ impl Graph {
                     recycle_index(idx_pool, rows);
                     recycle_index(idx_pool, segments);
                 }
-                Op::GruStep { rows, saved, .. } => {
+                Op::GruStep {
+                    rows, ids, saved, ..
+                } => {
                     recycle_index(idx_pool, rows);
+                    if let Some(ids) = ids {
+                        recycle_index(idx_pool, ids);
+                    }
                     if let Some(saved) = saved {
                         for m in saved.into_buffers() {
                             pool_harvest(pool, m);
@@ -1316,12 +1225,19 @@ impl Graph {
     /// c       = tanh(px_c + (r⊙h)·W_h,c + b_c)      h' = (1−z)⊙h + z⊙c
     /// ```
     ///
-    /// with `px = x·W_x` (`rows.len() x 3·hidden`, see [`GruVars`]) computed
-    /// by the caller — once per distinct `x`, however many rows read it.
-    /// Only `rows` advance; every other row of `h` passes through bitwise
-    /// untouched, so the products and transcendentals cover the active set
-    /// alone — the biggest single win on RouteNet's tail steps, where only a
-    /// handful of long paths remain active.
+    /// where active row `rows[k]` reads row `ids[k]` of `table`, the input
+    /// projection `x·W_x` (`3·hidden` wide, see [`GruVars`]) the caller
+    /// computed once per distinct `x` — an entity's projection, however
+    /// many paths cross the entity. Only `rows` advance; every other row of
+    /// `h` passes through bitwise untouched, so the products and
+    /// transcendentals cover the active set alone — the biggest single win
+    /// on RouteNet's tail steps, where only a handful of long paths remain
+    /// active. The step runs [`kernels::gru_step`]: one pass over tiles of
+    /// the active rows, reading the table rows through the ids, so no
+    /// gathered copy of them exists. Every row and id is checked once per
+    /// step. The adjoint scatter-adds the projected rows' gradient into the
+    /// table's, in list order, as the adjoint of a [`Graph::gather_rows`]
+    /// would.
     ///
     /// The step consumes what no adjoint needs, in training as in inference
     /// (the rule is in the module docs). When the tape owns `h`'s buffer and
@@ -1330,9 +1246,9 @@ impl Graph {
     /// the path state of a sweep, whose other reader
     /// ([`Graph::segment_acc_rows`]) records the shape it needs. A state an
     /// adjoint reads, such as an entity state the projection's `MatMul`
-    /// keeps, is copied and stays intact. `px` is returned to the pool once
-    /// the step has read it, under the same condition. A consumed `Var`
-    /// reads as empty afterwards. Output bits are identical either way.
+    /// keeps, is copied and stays intact. The table is never consumed: the
+    /// steps of every position read it. A consumed `Var` reads as empty
+    /// afterwards. Output bits are identical either way.
     ///
     /// In training the node keeps `h`'s active rows, both gates and the
     /// candidate for its adjoint; in inference mode it keeps nothing.
@@ -1340,94 +1256,112 @@ impl Graph {
         &mut self,
         vars: &GruVars,
         h: Var,
-        px: Var,
+        table: Var,
         rows: impl Into<IndexInput<'a>>,
+        ids: impl Into<IndexInput<'a>>,
     ) -> Var {
         self.fwd_start = crate::trace::forward_start();
+        self.gru_step(vars, h, table, rows.into(), Some(ids.into()))
+    }
+
+    /// [`Graph::gru_step_rows`] over **every** row — the link / node / queue
+    /// entity updates; `px` holds one projected row per row of `h`, and
+    /// active row `k` reads row `k`. The rows recorded are a shared
+    /// identity prefix, so the one fused step serves the dense use as it
+    /// serves the path sweep. `px` has no other reader: it is returned to
+    /// the pool once read, under the consume rule.
+    pub fn gru_step_dense(&mut self, vars: &GruVars, h: Var, px: Var) -> Var {
+        self.fwd_start = crate::trace::forward_start();
+        // Record the shared identity prefix by refcount instead of
+        // materializing (and then copying) a 0..n row list.
+        let n = self.value(h).rows();
+        assert_eq!(
+            self.value(px).rows(),
+            n,
+            "gru_step_dense: px must hold one projected row per state row"
+        );
+        let rows = self.identity_rows(n);
+        self.gru_step(vars, h, px, rows.into(), None)
+    }
+
+    /// The step both forms record; `ids` is `None` for the dense form.
+    fn gru_step(
+        &mut self,
+        vars: &GruVars,
+        h: Var,
+        px: Var,
+        rows_in: IndexInput<'_>,
+        ids_in: Option<IndexInput<'_>>,
+    ) -> Var {
         let mut pool = std::mem::take(&mut self.pool);
-        let (n, hidden) = self.value(h).shape();
-        let rows_in = rows.into();
+        let hidden = self.value(h).cols();
+        let (px_rows, px_cols) = self.value(px).shape();
         let rows = rows_in.as_slice();
+        let ids = ids_in.as_ref().map_or(rows, IndexInput::as_slice);
         let a = rows.len();
         assert_eq!(
-            self.value(px).shape(),
-            (a, 3 * hidden),
-            "gru_step_rows: px must hold one projected row per active row"
+            px_cols,
+            3 * hidden,
+            "gru_step_rows: px must be 3·hidden wide"
         );
+        assert_eq!(ids.len(), a, "gru_step_rows: one table row per active row");
         assert_eq!(
             self.value(vars.w_h_zr).shape(),
             (hidden, 2 * hidden),
             "gru_step_rows: W_h,zr shape"
         );
-        for &row in rows {
-            assert!(row < n, "gru_step_rows: row {row} out of range {n}");
-        }
 
-        let mut saved = GruSaved {
+        // Advance `h` in its own buffer when it is spent; otherwise in a
+        // copy.
+        let mut out = if self.spendable(h) {
+            self.take_value(h)
+        } else {
+            pooled_copy(&mut pool, self.value(h))
+        };
+        let mut saved = (!self.inference_mode).then(|| GruSaved {
             h: pool_matrix_scratch(&mut pool, a, hidden),
             zr: pool_matrix_scratch(&mut pool, a, 2 * hidden),
             c: pool_matrix_scratch(&mut pool, a, hidden),
-        };
-        let mut rh = pool_matrix_scratch(&mut pool, a, hidden);
-        // Advance `h` in its own buffer when it is spent; otherwise take
-        // scratch, which the step fills from `h` before any read.
-        let in_place = self.spendable(h);
-        let mut out = if in_place {
-            self.take_value(h)
-        } else {
-            pool_matrix_scratch(&mut pool, n, hidden)
-        };
-        gru_forward(
-            Tier::detected(),
-            &GruFwdCtx {
-                hv: (!in_place).then(|| self.value(h).as_slice()),
-                px: self.value(px).as_slice(),
-                rows,
+        });
+        let mut scratch = pool_matrix_scratch(&mut pool, 1, kernels::gru_scratch_len(hidden));
+        kernels::gru_step(
+            &kernels::GruOperands {
+                hidden,
                 w_h_zr: self.value(vars.w_h_zr).as_slice(),
                 w_h_c: self.value(vars.w_h_c).as_slice(),
                 b: self.value(vars.b).as_slice(),
-                hidden,
+                table: self.value(px).as_slice(),
+                rows,
+                ids,
             },
-            &mut saved,
-            rh.as_mut_slice(),
             out.as_mut_slice(),
+            saved.as_mut().map(|s| kernels::GruActivations {
+                h: s.h.as_mut_slice(),
+                zr: s.zr.as_mut_slice(),
+                c: s.c.as_mut_slice(),
+            }),
+            scratch.as_mut_slice(),
         );
-        pool_recycle(&mut pool, rh);
-        if self.spendable(px) {
+        pool_recycle(&mut pool, scratch);
+        if ids_in.is_none() && self.spendable(px) {
             let spent = self.take_value(px);
             pool_recycle(&mut pool, spent);
         }
-        let saved = if self.inference_mode {
-            for m in saved.into_buffers() {
-                pool_recycle(&mut pool, m);
-            }
-            None
-        } else {
-            Some(Box::new(saved))
-        };
         self.pool = pool;
         let rows = intern_indices(&mut self.idx_pool, &mut self.idx_copied, &rows_in);
+        let ids = ids_in.map(|ids| intern_indices(&mut self.idx_pool, &mut self.idx_copied, &ids));
         self.push(
             out,
             Op::GruStep {
                 vars: *vars,
                 h,
                 px,
+                px_rows,
                 rows,
-                saved,
+                ids,
+                saved: saved.map(Box::new),
             },
         )
-    }
-
-    /// [`Graph::gru_step_rows`] over **every** row — the link / node / queue
-    /// entity updates; `px` must have as many rows as `h`. The rows recorded
-    /// are a shared identity prefix, so the one fused step serves the dense
-    /// use as it serves the path sweep.
-    pub fn gru_step_dense(&mut self, vars: &GruVars, h: Var, px: Var) -> Var {
-        // Record the shared identity prefix by refcount instead of
-        // materializing (and then copying) a 0..n row list.
-        let rows = self.identity_rows(self.value(h).rows());
-        self.gru_step_rows(vars, h, px, rows)
     }
 
     // ------------------------------------------------------------------
@@ -1587,12 +1521,14 @@ impl Graph {
                     vars,
                     h,
                     px,
+                    px_rows,
                     rows,
+                    ids,
                     saved,
                 } => {
                     // Row-disjoint gradients are written in place: the
                     // state's into the incoming gradient, which then moves
-                    // on to `h`, the projected input's into fresh scratch.
+                    // on to `h`, the projected rows' into fresh scratch.
                     // The step's parameter gradients are formed as partials
                     // in scratch and added into the slots below.
                     let (vars, h, px) = (*vars, *h, *px);
@@ -1626,7 +1562,18 @@ impl Graph {
                     }
                     scratch.recycle(&mut pool);
                     accumulate_pooled(&mut grads, &mut pool, h, g);
-                    accumulate_pooled(&mut grads, &mut pool, px, gpx);
+                    match ids {
+                        None => accumulate_pooled(&mut grads, &mut pool, px, gpx),
+                        Some(ids) => {
+                            // The table rows were read through the ids:
+                            // scatter-add back to them, in list order
+                            // within every table row.
+                            let mut gt = pool_matrix(&mut pool, *px_rows, 3 * hidden);
+                            gpx.segment_sum_into(ids, &mut gt);
+                            pool_recycle(&mut pool, gpx);
+                            accumulate_pooled(&mut grads, &mut pool, px, gt);
+                        }
+                    }
                     continue;
                 }
                 Op::PackCols { parts, row_lo } => {
@@ -1891,10 +1838,11 @@ mod tests {
     }
 
     impl ToyGru {
-        /// The fused step over `rows`; `x` holds one input row per active row.
-        fn step_rows(&self, g: &mut Graph, h: Var, x: Var, rows: &[usize]) -> Var {
-            let px = g.matmul(x, self.vars.w_x);
-            g.gru_step_rows(&self.vars, h, px, rows)
+        /// The fused step over `rows`, active row `k` reading entity
+        /// `ids[k]` of `x` through the entities' projection.
+        fn step_rows(&self, g: &mut Graph, h: Var, x: Var, rows: &[usize], ids: &[usize]) -> Var {
+            let table = g.matmul(x, self.vars.w_x);
+            g.gru_step_rows(&self.vars, h, table, rows, ids)
         }
 
         /// The fused step over every row.
@@ -2074,8 +2022,7 @@ mod tests {
         let va = toy_gru(&mut ga, 5, 4, 9);
         let states_a = ga.param(det_matrix(3, 4, 33));
         let ha = ga.param(det_matrix(4, 5, 20));
-        let xa = ga.gather_rows(states_a, &ids);
-        let fused = va.step_rows(&mut ga, ha, xa, &rows);
+        let fused = va.step_rows(&mut ga, ha, states_a, &rows, &ids);
         let acc_a = ga.constant(Matrix::zeros(3, 5));
         let out_a = ga.segment_acc_rows(acc_a, fused, &rows, &ids);
         let sq_a = ga.square(out_a);
@@ -2098,76 +2045,94 @@ mod tests {
 
     #[test]
     fn gru_bodies_are_bitwise_identical_at_every_tier() {
-        // Forward and adjoint at every tier this host runs, on a row subset
-        // and on the dense identity: stepped state, r ⊙ h, saved
-        // activations, the state gradient, gpx and the three partials. The
-        // widths: 4 and 8 tile their bias rows across a register (8 also
-        // packs two product rows per AVX-512 register), 16 and 32 fill
-        // whole registers.
+        // Forward and adjoint at every tier this host runs: stepped state,
+        // saved activations, the state gradient, gpx and the three
+        // partials. Widths: 2 (the smallest a model takes), 4 and 8 (a
+        // candidate row of half a register on AVX2 / AVX-512, two rows per
+        // register there), 12 (masked tails), 16 and 32 (whole registers),
+        // 48 (two column blocks of the gate product on AVX-512). Row counts
+        // sit on both sides of every tile height (16, 8, 4, 2): R − 1,
+        // R + 1 and 2R + 3. The active rows skip state rows and read a
+        // 5-row table through ids that repeat and never reach its row 4; the
+        // dense identity runs beside them.
         let tiers: Vec<Tier> = Tier::supported().collect();
         println!("gru tiers run: {tiers:?}");
-        let n = 13;
-        let subset = vec![0usize, 2, 3, 7, 8, 11, 12];
-        let dense: Vec<usize> = (0..n).collect();
-        for hidden in [4, 8, 16, 32] {
-            for rows in [&subset, &dense] {
-                let a = rows.len();
-                let h = det_matrix(n, hidden, 1);
-                let px = det_matrix(a, 3 * hidden, 2);
-                let w_h_zr = det_matrix(hidden, 2 * hidden, 3).scale(0.3);
-                let w_h_c = det_matrix(hidden, hidden, 4).scale(0.3);
-                let (w_h_zr_t, w_h_c_t) = (w_h_zr.transpose(), w_h_c.transpose());
-                let b = det_matrix(1, 3 * hidden, 5);
-                let g = det_matrix(n, hidden, 6);
-                let run = |tier: Tier| {
-                    let mut pool = BufPool::new();
-                    let mut saved = GruSaved {
-                        h: Matrix::zeros(a, hidden),
-                        zr: Matrix::zeros(a, 2 * hidden),
-                        c: Matrix::zeros(a, hidden),
+        for hidden in [2, 4, 8, 12, 16, 32, 48] {
+            for a in [1, 3, 5, 7, 9, 11, 15, 17, 19, 35] {
+                let n = 2 * a + 3;
+                let subset: Vec<usize> = (0..a).map(|k| 2 * k + 1 + k % 2).collect();
+                let repeated: Vec<usize> = (0..a).map(|k| (k * 3) % 4).collect();
+                let dense: Vec<usize> = (0..n).collect();
+                for (rows, ids, table_rows) in [(&subset, &repeated, 5), (&dense, &dense, n)] {
+                    let a = rows.len();
+                    let h = det_matrix(n, hidden, 1);
+                    let table = det_matrix(table_rows, 3 * hidden, 2);
+                    let w_h_zr = det_matrix(hidden, 2 * hidden, 3).scale(0.3);
+                    let w_h_c = det_matrix(hidden, hidden, 4).scale(0.3);
+                    let (w_h_zr_t, w_h_c_t) = (w_h_zr.transpose(), w_h_c.transpose());
+                    let b = det_matrix(1, 3 * hidden, 5);
+                    let g = det_matrix(n, hidden, 6);
+                    let run = |tier: Tier| {
+                        let mut pool = BufPool::new();
+                        let mut saved = GruSaved {
+                            h: Matrix::zeros(a, hidden),
+                            zr: Matrix::zeros(a, 2 * hidden),
+                            c: Matrix::zeros(a, hidden),
+                        };
+                        let mut out = h.as_slice().to_vec();
+                        let mut scratch = vec![0.0; kernels::gru_scratch_len(hidden)];
+                        let op = kernels::GruOperands {
+                            hidden,
+                            w_h_zr: w_h_zr.as_slice(),
+                            w_h_c: w_h_c.as_slice(),
+                            b: b.as_slice(),
+                            table: table.as_slice(),
+                            rows,
+                            ids,
+                        };
+                        let acts = kernels::GruActivations {
+                            h: saved.h.as_mut_slice(),
+                            zr: saved.zr.as_mut_slice(),
+                            c: saved.c.as_mut_slice(),
+                        };
+                        kernels::gru_step_at(tier, &op, &mut out, Some(acts), &mut scratch);
+                        let mut inferred = h.as_slice().to_vec();
+                        kernels::gru_step_at(tier, &op, &mut inferred, None, &mut scratch);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&out), bits(&inferred), "inference, {tier:?}");
+                        let (mut gh, mut gpx) = (g.as_slice().to_vec(), vec![0.0; a * 3 * hidden]);
+                        let mut sc = GruBwdScratch::take(&mut pool, a, hidden);
+                        let bwd = GruBwdCtx {
+                            rows,
+                            saved: &saved,
+                            w_h_zr_t: w_h_zr_t.as_slice(),
+                            w_h_c_t: w_h_c_t.as_slice(),
+                            hidden,
+                        };
+                        gru_backward(tier, &bwd, &mut gh, &mut gpx, &mut sc);
+                        let [pw_h_zr, pw_h_c, pb] = sc.partials();
+                        [
+                            &out[..],
+                            saved.h.as_slice(),
+                            saved.zr.as_slice(),
+                            saved.c.as_slice(),
+                            &gh,
+                            &gpx,
+                            pw_h_zr.as_slice(),
+                            pw_h_c.as_slice(),
+                            pb.as_slice(),
+                        ]
+                        .map(|s| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
                     };
-                    let mut rh = vec![0.0; a * hidden];
-                    let mut out = vec![0.0; n * hidden];
-                    let fwd = GruFwdCtx {
-                        hv: Some(h.as_slice()),
-                        px: px.as_slice(),
-                        rows,
-                        w_h_zr: w_h_zr.as_slice(),
-                        w_h_c: w_h_c.as_slice(),
-                        b: b.as_slice(),
-                        hidden,
-                    };
-                    gru_forward(tier, &fwd, &mut saved, &mut rh, &mut out);
-                    let (mut gh, mut gpx) = (g.as_slice().to_vec(), vec![0.0; a * 3 * hidden]);
-                    let mut sc = GruBwdScratch::take(&mut pool, a, hidden);
-                    let bwd = GruBwdCtx {
-                        rows,
-                        saved: &saved,
-                        w_h_zr_t: w_h_zr_t.as_slice(),
-                        w_h_c_t: w_h_c_t.as_slice(),
-                        hidden,
-                    };
-                    gru_backward(tier, &bwd, &mut gh, &mut gpx, &mut sc);
-                    let [pw_h_zr, pw_h_c, pb] = sc.partials();
-                    [
-                        &out[..],
-                        &rh,
-                        saved.h.as_slice(),
-                        saved.zr.as_slice(),
-                        saved.c.as_slice(),
-                        &gh,
-                        &gpx,
-                        pw_h_zr.as_slice(),
-                        pw_h_c.as_slice(),
-                        pb.as_slice(),
-                    ]
-                    .map(|s| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
-                };
-                let baseline = run(Tier::Baseline);
-                for &tier in &tiers {
-                    let got = run(tier);
-                    for (i, (want, got)) in baseline.iter().zip(&got).enumerate() {
-                        assert_eq!(want, got, "output {i}, {tier:?}, hidden {hidden}, {a} rows");
+                    let baseline = run(Tier::Baseline);
+                    for &tier in &tiers {
+                        let got = run(tier);
+                        for (i, (want, got)) in baseline.iter().zip(&got).enumerate() {
+                            assert_eq!(
+                                want, got,
+                                "output {i}, {tier:?}, hidden {hidden}, {a} rows"
+                            );
+                        }
                     }
                 }
             }
@@ -2181,8 +2146,7 @@ mod tests {
         let x0 = g.constant(det_matrix(5, 4, 31));
         // Row 2 is padding.
         let rows = [0usize, 1, 3, 4];
-        let x = g.gather_rows(x0, &[0, 2, 4, 3]);
-        let h1 = vars.step_rows(g, h0, x, &rows);
+        let h1 = vars.step_rows(g, h0, x0, &rows, &[0, 2, 4, 3]);
         let acc0 = g.constant(Matrix::zeros(3, 4));
         let acc = g.segment_acc_rows(acc0, h1, &rows, &[0, 1, 0, 1]);
         let sq = g.square(acc);
@@ -2218,9 +2182,10 @@ mod tests {
     }
 
     /// A two-position sweep as the models record it, on one toy cell: a
-    /// pooled path state advanced over gathered rows of an entity
-    /// projection, its messages folded into a pooled accumulator, the
-    /// entity state stepped on their sum, and the path advanced again.
+    /// pooled path state advanced over rows of an entity projection read
+    /// through the entity ids, its messages folded into a pooled
+    /// accumulator, the entity state stepped on their sum, and the path
+    /// advanced again.
     /// `pin_path` records a `sum` of the first stepped path state that no
     /// loss reaches: its adjoint reads the state's shape, so the second step
     /// has to copy that state instead of consuming it.
@@ -2230,7 +2195,7 @@ mod tests {
         path: [Var; 3],
         entity: [Var; 2],
         acc: Var,
-        px: Var,
+        table: Var,
         loss: Var,
     }
 
@@ -2243,8 +2208,7 @@ mod tests {
         let p0 = g.constant_copy(&det_matrix(5, 4, 30));
         let e0 = g.constant_copy(&det_matrix(3, 4, 31));
         let pe0 = g.matmul(e0, gru.vars.w_x);
-        let px = g.gather_rows(pe0, &ids);
-        let p1 = g.gru_step_rows(&gru.vars, p0, px, &rows);
+        let p1 = g.gru_step_rows(&gru.vars, p0, pe0, &rows, &ids);
         if pin_path {
             g.sum(p1);
         }
@@ -2252,8 +2216,7 @@ mod tests {
         let msgs = g.segment_acc_rows(acc, p1, &rows, &ids);
         let e1 = gru.step(&mut g, e0, msgs);
         let pe1 = g.matmul(e1, gru.vars.w_x);
-        let px1 = g.gather_rows(pe1, &ids);
-        let p2 = g.gru_step_rows(&gru.vars, p1, px1, &rows);
+        let p2 = g.gru_step_rows(&gru.vars, p1, pe1, &rows, &ids);
         let sq = g.square(p2);
         let loss = g.mean(sq);
         Sweep {
@@ -2262,7 +2225,7 @@ mod tests {
             path: [p0, p1, p2],
             entity: [e0, e1],
             acc,
-            px,
+            table: pe0,
             loss,
         }
     }
@@ -2306,9 +2269,16 @@ mod tests {
             (train.path[0], "initial path state"),
             (train.path[1], "stepped path state"),
             (train.acc, "message accumulator"),
-            (train.px, "gathered projection"),
         ] {
             assert_eq!(t.value(v).shape(), (0, 0), "{what} spent in training");
+        }
+        let infer = record_sweep(true, false);
+        for (g, table) in [(t, train.table), (&infer.g, infer.table)] {
+            assert_eq!(
+                g.value(table).shape(),
+                (3, 12),
+                "a table read through ids is never spent"
+            );
         }
         assert_eq!(
             t.value(train.entity[0]).shape(),

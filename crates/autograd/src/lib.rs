@@ -14,10 +14,14 @@
 //! *structural* primitives GNN message passing is made of, with exact
 //! adjoints:
 //!
-//! - [`Graph::gather_rows`] — read entity states into per-position rows
-//!   (adjoint: scatter-add), and
+//! - [`Graph::gru_step_rows`] — advance the active path rows, each reading
+//!   its entity's row of a projection table through the entity ids
+//!   (adjoint: scatter-add into the table), and
 //! - [`Graph::segment_acc_rows`] — accumulate per-position messages into
 //!   entity states, over the active rows only (adjoint: gather).
+//!
+//! [`Graph::gather_rows`] (adjoint: scatter-add) selects the rows a loss
+//! reads.
 //!
 //! [`check`] provides finite-difference gradient checking, used extensively in
 //! the test suites of this crate and of `rn-nn`.

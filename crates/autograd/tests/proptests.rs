@@ -69,8 +69,7 @@ fn run_cycle(g: &mut Graph, c: &Cycle) -> Vec<u32> {
     let rows: Vec<usize> = (0..n).step_by(2).collect();
     let ids: Vec<usize> = rows.iter().map(|r| r % c.entities).collect();
     let projected = g.matmul(states, vars.w_x);
-    let px = g.gather_rows(projected, &ids);
-    let h2 = g.gru_step_rows(&vars, h, px, &rows);
+    let h2 = g.gru_step_rows(&vars, h, projected, &rows, &ids);
     let acc = g.constant_with(c.entities, d, |_| {});
     let out = g.segment_acc_rows(acc, h2, &rows, &ids);
     let mut bits: Vec<u32> = g
@@ -274,7 +273,7 @@ proptest! {
         seed in any::<u64>(),
         warm_runs in 1usize..4,
     ) {
-        // A random fused chain (gather + compact GRU + scatter + loss) run
+        // A random fused chain (projection + compact GRU + scatter + loss) run
         // on a fresh tape must produce bitwise-identical values and
         // gradients to the same chain on a tape that has already been
         // through `warm_runs` forward/backward/reset cycles.
@@ -287,8 +286,7 @@ proptest! {
             let rows = [0usize, 2, 4];
             let ids = [1usize, 0, 2];
             let projected = g.matmul(states, vars.w_x);
-            let px = g.gather_rows(projected, &ids);
-            let h2 = g.gru_step_rows(&vars, h, px, &rows);
+            let h2 = g.gru_step_rows(&vars, h, projected, &rows, &ids);
             let acc = g.constant(Matrix::zeros(3, 4));
             let out = g.segment_acc_rows(acc, h2, &rows, &ids);
             let sq = g.square(out);

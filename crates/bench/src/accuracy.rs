@@ -303,9 +303,7 @@ impl Ledger {
 
     /// Read a ledger file.
     pub fn load(path: &Path) -> Result<Self, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))
+        committed_ledger(path)?.ok_or_else(|| format!("read {}: no such file", path.display()))
     }
 
     /// Write the ledger and its summaries, one JSON line.
@@ -375,6 +373,22 @@ pub fn check(committed: Option<&Ledger>, fresh: &Ledger) -> Vec<String> {
         }
     }
     failures
+}
+
+/// The ledger a run compares with: `None` only when no file exists at
+/// `path`. A file that exists but cannot be read or parsed — a field added
+/// to [`Ledger`] that the file lacks, say — is an error naming the file,
+/// never "no ledger": a run without it would drop the decided variants,
+/// derive a new gap floor, skip the comparisons and overwrite the file.
+pub fn committed_ledger(path: &Path) -> Result<Option<Ledger>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("read {}: {e}", path.display())),
+    };
+    serde_json::from_str(&text)
+        .map(Some)
+        .map_err(|e| format!("parse {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -480,6 +494,34 @@ mod tests {
         let seeds = vec![1, 2, 3];
         let moved = Ledger::record("moved".into(), other, seeds, rows, vec![], Some(&committed));
         assert!((moved.gap_floor - 0.15).abs() < 1e-12);
+    }
+
+    #[test]
+    fn only_a_missing_file_is_no_committed_ledger() {
+        let dir = std::env::temp_dir();
+        let missing = dir.join(format!("rn_no_ledger_{}.json", std::process::id()));
+        assert_eq!(committed_ledger(&missing), Ok(None));
+
+        // A ledger written before `sizes` existed: it does not parse, and
+        // the error names the file.
+        let l = ledger(
+            ExperimentConfig::default(),
+            [0.3, 0.2, 0.25],
+            [0.6, 0.5, 0.55],
+        );
+        let path = dir.join(format!("rn_malformed_ledger_{}.json", std::process::id()));
+        l.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let cut = text.find(",\"sizes\":").expect("sizes is the last field");
+        std::fs::write(&path, format!("{}}}\n", &text[..cut])).unwrap();
+        let err = committed_ledger(&path).expect_err("a ledger without sizes");
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("sizes"), "{err}");
+
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_accuracy.json");
+        let ledger = committed_ledger(Path::new(committed)).unwrap_or_else(|e| panic!("{e}"));
+        assert!(ledger.is_some_and(|l| !l.rows.is_empty() && !l.sizes.is_empty()));
     }
 
     #[test]

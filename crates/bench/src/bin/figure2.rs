@@ -34,7 +34,7 @@
 //! ordering and the RSS budget are checked.
 
 use rayon::prelude::*;
-use rn_bench::accuracy::{check, Ledger, Metrics, Row, SizeRow, SIZES};
+use rn_bench::accuracy::{check, committed_ledger, Ledger, Metrics, Row, SizeRow, SIZES};
 use rn_bench::{cached_dataset, paper_topologies, peak_rss_mb, ExperimentConfig};
 use rn_dataset::{generate_sparse, Dataset, Normalizer};
 use rn_netgraph::generators::{isp_tiered, TierConfig};
@@ -65,9 +65,15 @@ fn main() {
     let base = ExperimentConfig::default();
     eprintln!("[figure2] budget: {base:?}");
     let path = rn_bench::report_path("BENCH_accuracy.json");
-    let committed = Ledger::load(&path)
-        .map_err(|e| eprintln!("[figure2] no committed ledger to compare with: {e}"))
-        .ok();
+    // Decided before the run: a ledger that exists but does not load stops
+    // it, where treating it as absent would overwrite it.
+    let committed = committed_ledger(&path).unwrap_or_else(|e| {
+        eprintln!("[figure2] the committed ledger does not load: {e}");
+        std::process::exit(1)
+    });
+    if committed.is_none() {
+        eprintln!("[figure2] no committed ledger at {}", path.display());
+    }
 
     let seeds: Vec<u64> = (0..3).map(|i| base.seed + i).collect();
     let (mut rows, mut sizes) = (Vec::new(), Vec::new());

@@ -473,24 +473,24 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
         self.normalizer = normalizer;
     }
 
-    /// Project per entity, gather, recur: within one iteration an entity's
+    /// Project per entity, then recur: within one iteration an entity's
     /// state is the same at every hop of every path that crosses it, so the
     /// input half of the path GRU's gate products (`state·W_x`, see
     /// `rn_nn::gru`) is computed once per entity kind and iteration, over
-    /// the entity rows, and each sweep step gathers rows of that projection
-    /// where it used to gather state rows. The fused sweep then records
-    /// three tape nodes per visited sequence position (`gather_rows`,
-    /// `gru_step_rows`, `segment_acc_rows`; two in the last iteration, which
-    /// sends no messages) instead of the ~20 of the op-by-op forward it
-    /// replaced, whose answers `tests/fixtures/reference_values.json` keeps
-    /// — this is the training hot path.
+    /// the entity rows, and each sweep step reads the rows of that
+    /// projection through the entity ids of its active paths. The fused
+    /// sweep then records two tape nodes per visited sequence position
+    /// (`gru_step_rows`, `segment_acc_rows`; one in the last iteration,
+    /// which sends no messages) instead of the ~20 of the op-by-op forward
+    /// it replaced, whose answers `tests/fixtures/reference_values.json`
+    /// keeps — this is the training hot path.
     /// Every index list it hands the tape is a refcounted view of the plan's
     /// buffers, so recording a step copies no index word.
     ///
     /// In training as in inference, each path step advances the path state
-    /// in the previous step's buffer and returns the gathered projection to
-    /// the tape's pool: no adjoint reads either (`Graph::gru_step_rows`).
-    /// The entity states, which the projections' adjoints read, are kept.
+    /// in the previous step's buffer: no adjoint reads it
+    /// (`Graph::gru_step_rows`). The entity states, which the projections'
+    /// adjoints read, are kept, and so are the projections.
     fn forward(&self, g: &mut Graph, bound: &Bound, plan: &SamplePlan) -> Var {
         let schedule = &plan.schedule;
         let gru_path = bound.gru_path.vars();
@@ -529,13 +529,12 @@ impl<const ENTITIES: usize> PathPredictor for RouteNet<ENTITIES> {
                 if schedule.active(s) == 0 {
                     continue;
                 }
-                // Row compaction: gather projections for the *active* rows
-                // only, advance only those rows through the GRU, and scatter
-                // only their messages. Padded rows never touch a kernel.
+                // Row compaction: advance only the *active* rows, each
+                // reading its entity's projection row, and scatter only
+                // their messages. Padded rows never touch a kernel.
                 let rows = schedule.shared_active_rows(s);
                 let ids = schedule.shared_active_ids(s);
-                let px = g.gather_rows(entity_px, &ids);
-                path_state = g.gru_step_rows(&gru_path, path_state, px, &rows);
+                path_state = g.gru_step_rows(&gru_path, path_state, entity_px, &rows, &ids);
                 // The post-step hidden state is the message to this
                 // position's entity.
                 if let Some(sum) = sums[kind as usize] {

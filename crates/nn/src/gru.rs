@@ -206,7 +206,7 @@ impl BoundGruCell {
     }
 
     /// The input projection `x·[W_x,z | W_x,r | W_x,c]` (`n x 3·hidden`),
-    /// whose rows [`Graph::gru_step_rows`] reads in place of `x`.
+    /// the table whose rows [`Graph::gru_step_rows`] reads in place of `x`.
     pub fn project(&self, g: &mut Graph, x: Var) -> Var {
         g.matmul(x, self.packed.w_x)
     }
@@ -333,9 +333,9 @@ mod tests {
         let bound = cell.bind(&mut g);
         let h = g.constant(h0.clone());
         let x = g.constant(x0.clone());
+        // Row `r` of `h` reads row `r` of the projection.
         let projected = bound.project(&mut g, x);
-        let px = g.gather_rows(projected, &rows);
-        let h1 = g.gru_step_rows(&bound.vars(), h, px, &rows);
+        let h1 = g.gru_step_rows(&bound.vars(), h, projected, &rows, &rows);
         let out = g.value(h1);
 
         let full = cell.step_inference(&h0, &x0);
@@ -429,8 +429,7 @@ mod tests {
         // the recorded masked step, which kept rows 1 and 4.
         let rows = [0usize, 2, 3];
         let projected = bound.project(&mut g, x);
-        let px_rows = g.gather_rows(projected, &rows);
-        let fused_m = g.gru_step_rows(&bound.vars(), h, px_rows, &rows);
+        let fused_m = g.gru_step_rows(&bound.vars(), h, projected, &rows, &rows);
         assert_near(g.value(fused_m), &want[1], 1e-6, "active rows");
         assert_eq!(g.value(fused_m).row(1), h0.row(1), "masked row frozen");
     }

@@ -766,9 +766,10 @@ impl Matrix {
 /// [`Tier`](crate::simd::Tier).
 ///
 /// The [`Matrix`] methods delegate here; `rn_autograd`'s fused GRU step
-/// calls these directly on the slices of its scratch buffers. Each kernel
-/// has an `*_at` twin taking the tier, for the tests and for callers that
-/// are themselves compiled for one tier.
+/// runs its forward as [`kernels::gru_step`] and calls the two products
+/// directly on the slices of its adjoint's scratch buffers. Each kernel has
+/// an `*_at` twin taking the tier, for the tests and for callers that are
+/// themselves compiled for one tier.
 ///
 /// Three bodies: the portable register-blocked bodies below (the baseline
 /// tier), the same bodies recompiled with AVX2 and FMA, and on AVX-512 a
@@ -804,6 +805,158 @@ impl Matrix {
 /// inside a megabatch.
 pub mod kernels {
     use crate::simd::Tier;
+
+    /// The most rows one tile of the vector [`gru_step`] bodies holds.
+    pub(crate) const GRU_TILE_MAX: usize = 16;
+
+    /// The operands of one GRU step on a pre-projected input
+    /// ([`gru_step`]): the recurrent kernels, the bias, a table of
+    /// projected inputs `x·W_x`, and per active row the state row it
+    /// advances and the table row it reads.
+    #[derive(Debug, Clone, Copy)]
+    pub struct GruOperands<'a> {
+        /// State width.
+        pub hidden: usize,
+        /// `[W_h,z | W_h,r]`, `hidden x 2·hidden`.
+        pub w_h_zr: &'a [f32],
+        /// `W_h,c`, `hidden x hidden`.
+        pub w_h_c: &'a [f32],
+        /// `[b_z | b_r | b_c]`, `3·hidden`.
+        pub b: &'a [f32],
+        /// Rows `[px_z | px_r | px_c]`, `3·hidden` wide; rows may be read
+        /// by several active rows or by none.
+        pub table: &'a [f32],
+        /// The state row each active row advances; distinct.
+        pub rows: &'a [usize],
+        /// The table row each active row reads, one per entry of `rows`.
+        pub ids: &'a [usize],
+    }
+
+    /// What a training step keeps for its adjoint, over the active rows in
+    /// list order.
+    #[derive(Debug)]
+    pub struct GruActivations<'a> {
+        /// The old state rows, `a x hidden`.
+        pub h: &'a mut [f32],
+        /// `[z | r]` after the sigmoid, `a x 2·hidden`.
+        pub zr: &'a mut [f32],
+        /// The candidate after the tanh, `a x hidden`.
+        pub c: &'a mut [f32],
+    }
+
+    /// The scratch [`gru_step`] needs at state width `hidden`.
+    pub fn gru_scratch_len(hidden: usize) -> usize {
+        GRU_TILE_MAX * 3 * hidden
+    }
+
+    /// One GRU step, advancing `state` (`n x hidden`) in place at the
+    /// active rows; every other row is left as it is:
+    ///
+    /// ```text
+    /// [z | r] = σ(px_zr + h·W_h,zr + b_zr)
+    /// c       = tanh(px_c + (r⊙h)·W_h,c + b_c)      h' = (1−z)⊙h + z⊙c
+    /// ```
+    ///
+    /// with `px` the table row of the active row's id. Each product
+    /// element starts at its `px` element and takes one fused multiply-add
+    /// per step of the state dimension, in ascending order (the matmul
+    /// kernels' contract); the bias is added after the product, then the
+    /// fast-exp [`sigmoid`](crate::activations::sigmoid) /
+    /// [`tanh`](crate::activations::tanh); `r ⊙ h` is one multiply; the
+    /// blend is `(1 − z)·h + z·c`, two multiplies and an add, unfused. The
+    /// vector tiers run that chain over tiles of rows with the
+    /// accumulators in registers and read the table through the ids; every
+    /// tier gives the bits of the scalar form, row by row. With `saved`
+    /// (training) the old state rows, the gates and the candidate are
+    /// written there too. `scratch` is at least
+    /// [`gru_scratch_len`]`(hidden)` floats of any content.
+    pub fn gru_step(
+        op: &GruOperands<'_>,
+        state: &mut [f32],
+        saved: Option<GruActivations<'_>>,
+        scratch: &mut [f32],
+    ) {
+        gru_step_at(Tier::detected(), op, state, saved, scratch);
+    }
+
+    /// [`gru_step`] through the body of `tier`.
+    ///
+    /// # Panics
+    /// If this CPU does not run `tier`, on mismatched lengths, or on a row
+    /// or id out of range (each checked once, before any body reads
+    /// through it).
+    pub fn gru_step_at(
+        tier: Tier,
+        op: &GruOperands<'_>,
+        state: &mut [f32],
+        saved: Option<GruActivations<'_>>,
+        scratch: &mut [f32],
+    ) {
+        let (h, a) = (op.hidden, op.rows.len());
+        assert!(h > 0, "gru_step: zero-width state");
+        assert_eq!(
+            op.w_h_zr.len(),
+            h * 2 * h,
+            "gru_step: W_h,zr is not hidden x 2·hidden"
+        );
+        assert_eq!(
+            op.w_h_c.len(),
+            h * h,
+            "gru_step: W_h,c is not hidden x hidden"
+        );
+        assert_eq!(op.b.len(), 3 * h, "gru_step: the bias is not 3·hidden");
+        assert_eq!(
+            op.table.len() % (3 * h),
+            0,
+            "gru_step: table rows are not 3·hidden"
+        );
+        assert_eq!(state.len() % h, 0, "gru_step: state rows are not hidden");
+        assert_eq!(op.ids.len(), a, "gru_step: one id per active row");
+        assert!(
+            scratch.len() >= gru_scratch_len(h),
+            "gru_step: scratch too short"
+        );
+        let (n, m) = (state.len() / h, op.table.len() / (3 * h));
+        for (&row, &id) in op.rows.iter().zip(op.ids) {
+            assert!(row < n, "gru_step: row {row} out of range {n}");
+            assert!(id < m, "gru_step: id {id} out of range {m}");
+        }
+        if let Some(s) = &saved {
+            assert!(
+                s.h.len() == a * h && s.zr.len() == a * 2 * h && s.c.len() == a * h,
+                "gru_step: saved activations are not a x [hidden, 2·hidden, hidden]"
+            );
+        }
+        if a == 0 {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        let ptrs = |s: GruActivations<'_>| [s.h.as_mut_ptr(), s.zr.as_mut_ptr(), s.c.as_mut_ptr()];
+        match tier.checked() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `checked` asserted that this CPU runs AVX-512; the
+            // lengths, rows and ids were checked above.
+            Tier::Avx512 => unsafe {
+                crate::simd::activations::avx512::gru_step(
+                    op,
+                    state.as_mut_ptr(),
+                    saved.map(ptrs),
+                    scratch.as_mut_ptr(),
+                )
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above, for AVX2.
+            Tier::Avx2 => unsafe {
+                crate::simd::activations::avx2::gru_step(
+                    op,
+                    state.as_mut_ptr(),
+                    saved.map(ptrs),
+                    scratch.as_mut_ptr(),
+                )
+            },
+            _ => super::gru_step_scalar(op, state, saved, scratch),
+        }
+    }
 
     /// `out += a·b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`,
     /// all row-major slices.
@@ -1001,6 +1154,51 @@ fn matmul_tn_acc_body(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &
             axpy1(&mut out[i * n..i * n + n], av, b_row);
         }
         kk += 1;
+    }
+}
+
+/// The scalar form of [`kernels::gru_step`], one active row at a time: the
+/// baseline tier's body and the bits every tier reproduces.
+fn gru_step_scalar(
+    op: &kernels::GruOperands<'_>,
+    state: &mut [f32],
+    mut saved: Option<kernels::GruActivations<'_>>,
+    scratch: &mut [f32],
+) {
+    use crate::activations::{sigmoid, tanh};
+    let h = op.hidden;
+    let (zr, rest) = scratch.split_at_mut(2 * h);
+    let (rh, rest) = rest.split_at_mut(h);
+    let c = &mut rest[..h];
+    let (b_zr, b_c) = op.b.split_at(2 * h);
+    for (k, (&row, &id)) in op.rows.iter().zip(op.ids).enumerate() {
+        let px = &op.table[id * 3 * h..(id + 1) * 3 * h];
+        let hr = &mut state[row * h..(row + 1) * h];
+        zr.copy_from_slice(&px[..2 * h]);
+        for (&ht, w) in hr.iter().zip(op.w_h_zr.chunks_exact(2 * h)) {
+            axpy1(zr, ht, w);
+        }
+        for (v, &b) in zr.iter_mut().zip(b_zr) {
+            *v = sigmoid(*v + b);
+        }
+        for ((d, &r), &ht) in rh.iter_mut().zip(&zr[h..]).zip(hr.iter()) {
+            *d = r * ht;
+        }
+        c.copy_from_slice(&px[2 * h..]);
+        for (&rt, w) in rh.iter().zip(op.w_h_c.chunks_exact(h)) {
+            axpy1(c, rt, w);
+        }
+        for (v, &b) in c.iter_mut().zip(b_c) {
+            *v = tanh(*v + b);
+        }
+        if let Some(s) = saved.as_mut() {
+            s.h[k * h..(k + 1) * h].copy_from_slice(hr);
+            s.zr[k * 2 * h..(k + 1) * 2 * h].copy_from_slice(zr);
+            s.c[k * h..(k + 1) * h].copy_from_slice(c);
+        }
+        for ((o, &z), &cj) in hr.iter_mut().zip(&zr[..h]).zip(c.iter()) {
+            *o = (1.0 - z) * *o + z * cj;
+        }
     }
 }
 
@@ -1487,6 +1685,137 @@ mod tests {
                 "nt {m}x{k}x{n}"
             );
         }
+    }
+
+    /// The GRU step spelled as separate passes over whole matrices, one
+    /// element at a time: gather the table rows, the gate product, bias
+    /// and sigmoid, `r ⊙ h`, the candidate product, bias and tanh, the
+    /// blend. Returns the stepped state and `[h, zr, c]` of the active rows.
+    fn gru_step_in_passes(op: &kernels::GruOperands<'_>, state: &[f32]) -> [Vec<f32>; 4] {
+        use crate::activations::{sigmoid, tanh};
+        let (h, a) = (op.hidden, op.rows.len());
+        let mut out = state.to_vec();
+        let old: Vec<f32> = op
+            .rows
+            .iter()
+            .flat_map(|&r| state[r * h..(r + 1) * h].to_vec())
+            .collect();
+        let px: Vec<f32> = op
+            .ids
+            .iter()
+            .flat_map(|&i| op.table[i * 3 * h..(i + 1) * 3 * h].to_vec())
+            .collect();
+        let mut zr = vec![0.0f32; a * 2 * h];
+        let mut c = vec![0.0f32; a * h];
+        for k in 0..a {
+            for j in 0..2 * h {
+                let mut v = px[k * 3 * h + j];
+                for t in 0..h {
+                    v = old[k * h + t].mul_add(op.w_h_zr[t * 2 * h + j], v);
+                }
+                zr[k * 2 * h + j] = sigmoid(v + op.b[j]);
+            }
+        }
+        for k in 0..a {
+            let rh: Vec<f32> = (0..h)
+                .map(|t| zr[k * 2 * h + h + t] * old[k * h + t])
+                .collect();
+            for j in 0..h {
+                let mut v = px[k * 3 * h + 2 * h + j];
+                for (t, &r) in rh.iter().enumerate() {
+                    v = r.mul_add(op.w_h_c[t * h + j], v);
+                }
+                c[k * h + j] = tanh(v + op.b[2 * h + j]);
+            }
+        }
+        for (k, &row) in op.rows.iter().enumerate() {
+            for j in 0..h {
+                let (z, cj) = (zr[k * 2 * h + j], c[k * h + j]);
+                let o = &mut out[row * h + j];
+                *o = (1.0 - z) * *o + z * cj;
+            }
+        }
+        [out, old, zr, c]
+    }
+
+    #[test]
+    fn gru_step_matches_the_passes_at_every_tier() {
+        // Every tier this host runs against the step spelled as passes, in
+        // training (saved activations) and in inference. Widths: 1 and 2 (the
+        // smallest state), every width up to two registers of either tier and
+        // past them, 48 and 64 (more than one column block of the gate
+        // product). Row counts: none, one, and both sides of every tile
+        // height (16, 8, 4, 2, 1); 35 is two 16-row tiles and a tail.
+        // The active rows skip state rows, and read a 7-row table through
+        // ids that repeat and never reach its rows 5 and 6.
+        let tiers: Vec<Tier> = Tier::supported().collect();
+        println!("gru_step tiers run: {tiers:?}");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let det = |len: usize, salt: usize, scale: f32| -> Vec<f32> {
+            (0..len)
+                .map(|i| ((i * 31 + salt * 17) % 23) as f32 / 11.0 * scale - scale)
+                .collect()
+        };
+        for hidden in (1..=17).chain([24, 31, 32, 33, 48, 64]) {
+            let w_h_zr = det(hidden * 2 * hidden, 3, 0.3);
+            let w_h_c = det(hidden * hidden, 4, 0.3);
+            let b = det(3 * hidden, 5, 1.0);
+            let table = det(7 * 3 * hidden, 2, 1.5);
+            for a in [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 35] {
+                let n = 2 * a + 1;
+                let rows: Vec<usize> = (0..a).map(|k| 2 * k + k % 2).collect();
+                let ids: Vec<usize> = (0..a).map(|k| (k * 3) % 5).collect();
+                let state = det(n * hidden, 1, 1.0);
+                let op = kernels::GruOperands {
+                    hidden,
+                    w_h_zr: &w_h_zr,
+                    w_h_c: &w_h_c,
+                    b: &b,
+                    table: &table,
+                    rows: &rows,
+                    ids: &ids,
+                };
+                let want = gru_step_in_passes(&op, &state).map(|v| bits(&v));
+                let mut scratch = vec![f32::NAN; kernels::gru_scratch_len(hidden)];
+                for &tier in &tiers {
+                    let what = format!("{tier:?}, hidden {hidden}, {a} rows");
+                    let mut got = state.clone();
+                    kernels::gru_step_at(tier, &op, &mut got, None, &mut scratch);
+                    assert_eq!(bits(&got), want[0], "inference: {what}");
+
+                    let mut got = state.clone();
+                    let mut saved = [hidden, 2 * hidden, hidden].map(|w| vec![f32::NAN; a * w]);
+                    let [sh, szr, sc] = &mut saved;
+                    let acts = kernels::GruActivations {
+                        h: sh,
+                        zr: szr,
+                        c: sc,
+                    };
+                    kernels::gru_step_at(tier, &op, &mut got, Some(acts), &mut scratch);
+                    assert_eq!(bits(&got), want[0], "training: {what}");
+                    for (i, s) in saved.iter().enumerate() {
+                        assert_eq!(bits(s), want[i + 1], "saved {i}: {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gru_step: id 3 out of range 3")]
+    fn gru_step_rejects_an_id_past_the_table() {
+        let (w, b, table) = (vec![0.0; 8], vec![0.0; 6], vec![0.0; 18]);
+        let op = kernels::GruOperands {
+            hidden: 2,
+            w_h_zr: &w,
+            w_h_c: &w[..4],
+            b: &b,
+            table: &table,
+            rows: &[0, 1],
+            ids: &[2, 3],
+        };
+        let mut scratch = vec![0.0; kernels::gru_scratch_len(2)];
+        kernels::gru_step(&op, &mut [0.0; 4], None, &mut scratch);
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //! [`fast_exp`](crate::activations::fast_exp) construction plus the
 //! sigmoid/tanh/SELU forms and their derivative-times-adjoint fusions, 8
 //! lanes (AVX2) or 16 lanes (AVX-512) at a time, with the ragged tail of a
-//! slice as one masked step. A bias row that divides the register (1, 2, 4
-//! or 8 floats; 16 too on AVX-512) is tiled across one, so a whole block
-//! runs as flat full-width steps; any other row ends in one masked step per
-//! row. Both widths are expanded from one template (`lane_template!`)
-//! written against a handful of lane primitives, so the operation sequence
-//! that must match the scalar form is written once.
+//! slice as one masked step. Both widths are expanded from one template
+//! (`lane_template!`) written against a handful of lane primitives, so the
+//! operation sequence that must match the scalar form is written once. The
+//! template also holds the vector bodies of the fused GRU step
+//! ([`crate::kernels::gru_step`]), which run the same sigmoid and tanh
+//! chains in registers.
 //!
 //! ## Bitwise contract
 //!
@@ -173,27 +173,6 @@ pub mod activations {
         { assert_eq!(src.len(), dst.len(), "activation map length mismatch"); }
     );
     dispatched!(
-        /// Fused bias-add + sigmoid over a row-major block: for every row of
-        /// width `bias.len()`, `v = sigmoid(v + b)`. Bitwise identical to a
-        /// broadcast add followed by a sigmoid map (same per-element chain).
-        /// The three fused GRU gate activations run through this.
-        sigmoid_bias_map_inplace, pub sigmoid_bias_map_inplace_at, sigmoid_bias_map_inplace_scalar,
-        (block: &mut [f32], bias: &[f32]),
-        {
-            assert!(!bias.is_empty(), "bias must be non-empty");
-            assert_eq!(block.len() % bias.len(), 0, "block width mismatch");
-        }
-    );
-    dispatched!(
-        /// Fused bias-add + tanh over a row-major block (candidate gate).
-        tanh_bias_map_inplace, pub tanh_bias_map_inplace_at, tanh_bias_map_inplace_scalar,
-        (block: &mut [f32], bias: &[f32]),
-        {
-            assert!(!bias.is_empty(), "bias must be non-empty");
-            assert_eq!(block.len() % bias.len(), 0, "block width mismatch");
-        }
-    );
-    dispatched!(
         /// `dst[i] = g[i] * sigmoid_deriv_from_output(y[i])` — the sigmoid
         /// adjoint as one pass.
         sigmoid_deriv_mul, pub(crate) sigmoid_deriv_mul_at, sigmoid_deriv_mul_scalar,
@@ -256,24 +235,6 @@ pub mod activations {
     pub fn selu_map_scalar(src: &[f32], dst: &mut [f32]) {
         for (d, &v) in dst.iter_mut().zip(src) {
             *d = act::selu(v);
-        }
-    }
-
-    /// Scalar reference for [`sigmoid_bias_map_inplace`].
-    pub fn sigmoid_bias_map_inplace_scalar(block: &mut [f32], bias: &[f32]) {
-        for row in block.chunks_exact_mut(bias.len()) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v = act::sigmoid(*v + b);
-            }
-        }
-    }
-
-    /// Scalar reference for [`tanh_bias_map_inplace`].
-    pub fn tanh_bias_map_inplace_scalar(block: &mut [f32], bias: &[f32]) {
-        for row in block.chunks_exact_mut(bias.len()) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v = act::tanh(*v + b);
-            }
         }
     }
 
@@ -348,41 +309,13 @@ pub mod activations {
         }};
     }
 
-    /// `v = $f(v + b)` over a row-major block of rows `$bias.len()` wide.
-    /// A bias row that divides the register is tiled across one (lane `l`
-    /// adds `bias[l % w]`), and the block runs as flat full-width steps:
-    /// only the block's tail is masked. Any other width runs row by row,
-    /// each row's tail one masked step. Both add the same bias element to
-    /// the same value, so the bits do not depend on the branch.
-    #[cfg(target_arch = "x86_64")]
-    macro_rules! bias_map_inplace {
-        ($block:ident, $bias:ident, $f:ident) => {{
-            let (w, b) = ($bias.len(), $bias.as_ptr());
-            if LANES % w == 0 {
-                let tiled: [f32; LANES] = std::array::from_fn(|l| $bias[l % w]);
-                let (bt, p) = (load(tiled.as_ptr(), LANES), $block.as_mut_ptr());
-                for_lanes!($block.len(), |i, len| store(
-                    p.add(i),
-                    len,
-                    $f(add(load(p.add(i), len), bt))
-                ));
-            } else {
-                for row in $block.chunks_exact_mut(w) {
-                    let r = row.as_mut_ptr();
-                    for_lanes!(w, |j, len| {
-                        let v = add(load(r.add(j), len), load(b.add(j), len));
-                        store(r.add(j), len, $f(v))
-                    });
-                }
-            }
-        }};
-    }
-
-    /// The lane chains and slice bodies of every map, for the lane
-    /// primitives in scope (`V`, `LANES`, `splat`, `add`, `sub`, `mul`,
-    /// `fma`, `fnma`, `div`, `min`, `max`, `neg`, `pow2`, `select_pos`,
-    /// `load`, `store`),
-    /// compiled for `$feature`. Each chain is its scalar function in
+    /// The lane chains and slice bodies of every map, and the fused GRU
+    /// step's bodies, for the lane primitives in scope (`V`, `LANES`,
+    /// `splat`, `add`, `sub`, `mul`, `fma`, `fnma`, `div`, `min`, `max`,
+    /// `neg`, `pow2`, `select_pos`, `load`, `store`; for the GRU step also
+    /// `ACCS`, `Mask`, `lanes`, `load_m`, `store_m`, `load_halves`,
+    /// `load_dup`, `splat_halves`, `store_lo`, `store_hi`), compiled for
+    /// `$feature`. Each chain is its scalar function in
     /// `crate::activations`, operation for operation.
     #[cfg(target_arch = "x86_64")]
     macro_rules! lane_template {
@@ -390,6 +323,7 @@ pub mod activations {
             use crate::activations::{
                 EXP_CLAMP, LN2_HI, LN2_LO, ROUND_MAGIC, SELU_ALPHA, SELU_LAMBDA, TANH_CLAMP,
             };
+            use crate::matrix::kernels::{GruOperands, GRU_TILE_MAX};
 
             /// `fast_exp`: clamp (min, then max), fused magic-number
             /// rounding, fused Cody–Waite reduction, the fused degree-6
@@ -489,16 +423,6 @@ pub mod activations {
             }
 
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn sigmoid_bias_map_inplace(block: &mut [f32], bias: &[f32]) {
-                bias_map_inplace!(block, bias, sigmoid)
-            }
-
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn tanh_bias_map_inplace(block: &mut [f32], bias: &[f32]) {
-                bias_map_inplace!(block, bias, tanh)
-            }
-
-            #[target_feature(enable = $feature)]
             pub(super) unsafe fn sigmoid_deriv_mul(g: &[f32], y: &[f32], dst: &mut [f32]) {
                 let (gp, yp, d) = (g.as_ptr(), y.as_ptr(), dst.as_mut_ptr());
                 for_lanes!(g.len(), |i, len| {
@@ -542,16 +466,329 @@ pub mod activations {
                     store(gp.add(i), len, v)
                 });
             }
+
+            // ---------------------------------------------------------
+            // The fused GRU step (`crate::kernels::gru_step`)
+            // ---------------------------------------------------------
+
+            /// Registers per row of one column block of a GRU product.
+            const BLOCK_REGS: usize = 4;
+
+            /// One tile's rows: `TILE` consecutive active rows, the last
+            /// one standing in for the rows past the end of the list (see
+            /// [`gru_step`]).
+            struct Rows<const R: usize> {
+                /// The state row each advances (read, then written by the
+                /// blend).
+                h: [*mut f32; R],
+                /// The table row each reads, `[px_z | px_r | px_c]`.
+                px: [*const f32; R],
+                /// `[z | r]`, the tile's own scratch row.
+                zr: [*mut f32; R],
+                /// `r ⊙ h`, the tile's own scratch row.
+                rh: [*mut f32; R],
+            }
+
+            /// What every tile of one step shares.
+            struct Tile<'a> {
+                op: &'a GruOperands<'a>,
+                /// The list position of the tile's first row.
+                k0: usize,
+                /// How many of its rows are in the list.
+                valid: usize,
+                saved: Option<[*mut f32; 3]>,
+            }
+
+            /// The fused GRU step over tiles of active rows: per tile, the
+            /// gate product seeded from the table rows and read from the
+            /// state rows, bias and sigmoid in registers; `r ⊙ h`; the
+            /// candidate product, bias and tanh in registers; the blend
+            /// stored into the state rows. Every element takes the scalar
+            /// form's operations in its order (`crate::kernels::gru_step`).
+            ///
+            /// A tile is [`ACCS`] accumulators of the gate product: its
+            /// height is the largest power of two with that many at the
+            /// gate row's width (capped at [`BLOCK_REGS`] registers, the
+            /// width of one column block). The list's last, shorter tile
+            /// takes the next power of two above its rows, and its rows
+            /// past the list repeat the list's last row: they compute what
+            /// that row computes and store nothing. At `2·hidden == LANES`
+            /// the candidate packs two rows into each register.
+            ///
+            /// # Safety
+            /// This CPU runs `$feature`; `op` passed the dispatcher's
+            /// checks, so every row and id is in range; `state` holds every
+            /// row of `op.rows`; `saved`, when given, points at `a·hidden`,
+            /// `a·2·hidden` and `a·hidden` floats (`a` active rows);
+            /// `scratch` at `GRU_TILE_MAX · 3 · hidden`.
+            #[target_feature(enable = $feature)]
+            pub(crate) unsafe fn gru_step(
+                op: &GruOperands<'_>,
+                state: *mut f32,
+                saved: Option<[*mut f32; 3]>,
+                scratch: *mut f32,
+            ) {
+                let (h, a) = (op.hidden, op.rows.len());
+                let gate_regs = (2 * h).div_ceil(LANES).min(BLOCK_REGS);
+                let tile = 1 << (ACCS / gate_regs).ilog2();
+                let paired = 2 * h == LANES;
+                let mut k0 = 0;
+                while k0 < a {
+                    let valid = (a - k0).min(tile);
+                    let t = Tile {
+                        op,
+                        k0,
+                        valid,
+                        saved,
+                    };
+                    match valid.next_power_of_two().max(1 + paired as usize) {
+                        1 => gru_tile::<1>(&t, state, scratch, paired),
+                        2 => gru_tile::<2>(&t, state, scratch, paired),
+                        4 => gru_tile::<4>(&t, state, scratch, paired),
+                        8 => gru_tile::<8>(&t, state, scratch, paired),
+                        _ => gru_tile::<16>(&t, state, scratch, paired),
+                    }
+                    k0 += valid;
+                }
+            }
+
+            /// One tile of [`gru_step`], `R` rows high.
+            ///
+            /// # Safety
+            /// As for [`gru_step`], with `t` one of its tiles:
+            /// `t.k0 + t.valid` active rows at most, `t.valid ≥ 1`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn gru_tile<const R: usize>(
+                t: &Tile<'_>,
+                state: *mut f32,
+                scratch: *mut f32,
+                paired: bool,
+            ) {
+                let (op, h) = (t.op, t.op.hidden);
+                let k = |r: usize| t.k0 + r.min(t.valid - 1);
+                let rows = Rows::<R> {
+                    h: std::array::from_fn(|r| state.add(op.rows[k(r)] * h)),
+                    px: std::array::from_fn(|r| op.table.as_ptr().add(op.ids[k(r)] * 3 * h)),
+                    zr: std::array::from_fn(|r| scratch.add(r * 2 * h)),
+                    rh: std::array::from_fn(|r| scratch.add((2 * GRU_TILE_MAX + r) * h)),
+                };
+
+                // [z | r] = σ(px_zr + h·W_h,zr + b_zr), block by block.
+                let mut j = 0;
+                while j < 2 * h {
+                    let regs = (2 * h - j).div_ceil(LANES).min(BLOCK_REGS);
+                    match regs {
+                        1 => gate_block::<R, 1>(op, &rows, j),
+                        2 => gate_block::<R, 2>(op, &rows, j),
+                        3 => gate_block::<R, 3>(op, &rows, j),
+                        _ => gate_block::<R, 4>(op, &rows, j),
+                    }
+                    j += regs * LANES;
+                }
+                for r in 0..R {
+                    let (rh, zr, hr) = (rows.rh[r], rows.zr[r].add(h), rows.h[r]);
+                    for_lanes!(h, |i, len| store(
+                        rh.add(i),
+                        len,
+                        mul(load(zr.add(i), len), load(hr.add(i), len))
+                    ));
+                }
+                // What the adjoint reads, before the blend overwrites h.
+                if let Some([sh, szr, _]) = t.saved {
+                    for r in 0..t.valid {
+                        let k = t.k0 + r;
+                        std::ptr::copy_nonoverlapping(rows.h[r], sh.add(k * h), h);
+                        std::ptr::copy_nonoverlapping(rows.zr[r], szr.add(k * 2 * h), 2 * h);
+                    }
+                }
+
+                // c = tanh(px_c + (r ⊙ h)·W_h,c + b_c), then the blend.
+                if paired {
+                    match R {
+                        2 => cand_pairs::<1>(t, &rows.h, &rows.px, &rows.zr, &rows.rh),
+                        4 => cand_pairs::<2>(t, &rows.h, &rows.px, &rows.zr, &rows.rh),
+                        8 => cand_pairs::<4>(t, &rows.h, &rows.px, &rows.zr, &rows.rh),
+                        _ => cand_pairs::<8>(t, &rows.h, &rows.px, &rows.zr, &rows.rh),
+                    }
+                    return;
+                }
+                let mut j = 0;
+                while j < h {
+                    let regs = (h - j).div_ceil(LANES).min(BLOCK_REGS);
+                    match regs {
+                        1 => cand_block::<R, 1>(t, &rows, j),
+                        2 => cand_block::<R, 2>(t, &rows, j),
+                        3 => cand_block::<R, 3>(t, &rows, j),
+                        _ => cand_block::<R, 4>(t, &rows, j),
+                    }
+                    j += regs * LANES;
+                }
+            }
+
+            /// Columns `j..j + NV·LANES` (masked at `w`) of `seed + a·b`
+            /// for `R` rows, `b` being `k x w`: each accumulator starts at
+            /// its seed row and takes one fused multiply-add per step `t`,
+            /// in ascending order — the matmul kernels' expression.
+            ///
+            /// # Safety
+            /// This CPU runs `$feature`; each `seed[r]` holds columns
+            /// `j..w` and each `a[r]` `k` floats; `b` holds `k x w`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn product<const R: usize, const NV: usize>(
+                seed: [*const f32; R],
+                a: [*const f32; R],
+                b: *const f32,
+                (k, w, j): (usize, usize, usize),
+                m: &[Mask; NV],
+            ) -> [[V; NV]; R] {
+                let mut acc: [[V; NV]; R] = std::array::from_fn(|r| {
+                    std::array::from_fn(|v| load_m(seed[r].add(j + v * LANES), m[v]))
+                });
+                for t in 0..k {
+                    for v in 0..NV {
+                        let bt = load_m(b.add(t * w + j + v * LANES), m[v]);
+                        for (row, &ar) in acc.iter_mut().zip(&a) {
+                            row[v] = fma(splat(*ar.add(t)), bt, row[v]);
+                        }
+                    }
+                }
+                acc
+            }
+
+            /// The masks of a block of `NV` registers at column `j` of a
+            /// `w`-wide row.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            fn block_masks<const NV: usize>(w: usize, j: usize) -> [Mask; NV] {
+                std::array::from_fn(|v| lanes((w - j - v * LANES).min(LANES)))
+            }
+
+            /// One column block of `[z | r]` into the tile's scratch rows.
+            ///
+            /// # Safety
+            /// As for [`gru_tile`]; `j < 2·hidden`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn gate_block<const R: usize, const NV: usize>(
+                op: &GruOperands<'_>,
+                rows: &Rows<R>,
+                j: usize,
+            ) {
+                let (h, w) = (op.hidden, 2 * op.hidden);
+                let m = block_masks::<NV>(w, j);
+                let a = rows.h.map(|p| p as *const f32);
+                let acc = product(rows.px, a, op.w_h_zr.as_ptr(), (h, w, j), &m);
+                for v in 0..NV {
+                    let off = j + v * LANES;
+                    let bias = load_m(op.b.as_ptr().add(off), m[v]);
+                    for (row, &zr) in acc.iter().zip(&rows.zr) {
+                        store_m(zr.add(off), m[v], sigmoid(add(row[v], bias)));
+                    }
+                }
+            }
+
+            /// One column block of the candidate, and the blend of its
+            /// columns into the state rows (the list's rows only).
+            ///
+            /// # Safety
+            /// As for [`gru_tile`], after its gate blocks and `r ⊙ h`;
+            /// `j < hidden`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn cand_block<const R: usize, const NV: usize>(
+                t: &Tile<'_>,
+                rows: &Rows<R>,
+                j: usize,
+            ) {
+                let (op, h) = (t.op, t.op.hidden);
+                let m = block_masks::<NV>(h, j);
+                let seed = rows.px.map(|p| p.add(2 * h));
+                let a = rows.rh.map(|p| p as *const f32);
+                let acc = product(seed, a, op.w_h_c.as_ptr(), (h, h, j), &m);
+                let one = splat(1.0);
+                for v in 0..NV {
+                    let off = j + v * LANES;
+                    let bias = load_m(op.b.as_ptr().add(2 * h + off), m[v]);
+                    for (r, row) in acc.iter().enumerate() {
+                        let c = tanh(add(row[v], bias));
+                        let z = load_m(rows.zr[r].add(off), m[v]);
+                        let hv = load_m(rows.h[r].add(off), m[v]);
+                        let out = add(mul(sub(one, z), hv), mul(z, c));
+                        if r < t.valid {
+                            if let Some([_, _, sc]) = t.saved {
+                                store_m(sc.add((t.k0 + r) * h + off), m[v], c);
+                            }
+                            store_m(rows.h[r].add(off), m[v], out);
+                        }
+                    }
+                }
+            }
+
+            /// The candidate and the blend at `hidden == LANES / 2`, two
+            /// rows per register: `P` registers over rows `2p` (low half)
+            /// and `2p + 1` (high half), every load and store unmasked.
+            ///
+            /// # Safety
+            /// As for [`cand_block`], with `hidden == LANES / 2` and the
+            /// four slices `2·P` rows long.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn cand_pairs<const P: usize>(
+                t: &Tile<'_>,
+                hs: &[*mut f32],
+                px: &[*const f32],
+                zr: &[*mut f32],
+                rh: &[*mut f32],
+            ) {
+                let (op, h) = (t.op, t.op.hidden);
+                let mut acc: [V; P] = std::array::from_fn(|p| {
+                    load_halves(px[2 * p].add(2 * h), px[2 * p + 1].add(2 * h))
+                });
+                for s in 0..h {
+                    let bt = load_dup(op.w_h_c.as_ptr().add(s * h));
+                    for (p, reg) in acc.iter_mut().enumerate() {
+                        let at = splat_halves(*rh[2 * p].add(s), *rh[2 * p + 1].add(s));
+                        *reg = fma(at, bt, *reg);
+                    }
+                }
+                let bias = load_dup(op.b.as_ptr().add(2 * h));
+                let one = splat(1.0);
+                for (p, &reg) in acc.iter().enumerate() {
+                    let c = tanh(add(reg, bias));
+                    let z = load_halves(zr[2 * p], zr[2 * p + 1]);
+                    let hv = load_halves(hs[2 * p], hs[2 * p + 1]);
+                    let out = add(mul(sub(one, z), hv), mul(z, c));
+                    let (lo, hi) = (2 * p, 2 * p + 1);
+                    if let Some([_, _, sc]) = t.saved {
+                        if lo < t.valid {
+                            store_lo(sc.add((t.k0 + lo) * h), c);
+                        }
+                        if hi < t.valid {
+                            store_hi(sc.add((t.k0 + hi) * h), c);
+                        }
+                    }
+                    if lo < t.valid {
+                        store_lo(hs[lo], out);
+                    }
+                    if hi < t.valid {
+                        store_hi(hs[hi], out);
+                    }
+                }
+            }
         };
     }
 
     /// 8-lane AVX2 + FMA lane primitives and the template over them.
     #[cfg(target_arch = "x86_64")]
-    mod avx2 {
+    pub(crate) mod avx2 {
         use std::arch::x86_64::*;
 
         type V = __m256;
         const LANES: usize = 8;
+        /// Accumulators a GRU tile keeps (of 16 registers).
+        const ACCS: usize = 8;
 
         #[inline]
         #[target_feature(enable = "avx2,fma")]
@@ -653,6 +890,64 @@ pub mod activations {
                 _mm256_maskstore_ps(p, mask(len), v)
             }
         }
+        /// The first `len` (1..=8) lanes, for [`load_m`] and [`store_m`].
+        type Mask = (usize, __m256i);
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn lanes(len: usize) -> Mask {
+            (len, mask(len))
+        }
+        /// [`load`] with its mask made once.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_m(p: *const f32, m: Mask) -> V {
+            if m.0 == LANES {
+                _mm256_loadu_ps(p)
+            } else {
+                _mm256_maskload_ps(p, m.1)
+            }
+        }
+        /// [`store`] with its mask made once.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store_m(p: *mut f32, m: Mask, v: V) {
+            if m.0 == LANES {
+                _mm256_storeu_ps(p, v)
+            } else {
+                _mm256_maskstore_ps(p, m.1, v)
+            }
+        }
+        /// Four floats at `lo` in the low half, four at `hi` in the high.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_halves(lo: *const f32, hi: *const f32) -> V {
+            _mm256_set_m128(_mm_loadu_ps(hi), _mm_loadu_ps(lo))
+        }
+        /// The four floats at `p` in both halves.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_dup(p: *const f32) -> V {
+            let x = _mm_loadu_ps(p);
+            _mm256_set_m128(x, x)
+        }
+        /// `lo` in the low half's lanes, `hi` in the high half's.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn splat_halves(lo: f32, hi: f32) -> V {
+            _mm256_blend_ps::<0xf0>(splat(lo), splat(hi))
+        }
+        /// Store the low half of `v` (four floats) at `p`.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store_lo(p: *mut f32, v: V) {
+            _mm_storeu_ps(p, _mm256_castps256_ps128(v))
+        }
+        /// Store the high half of `v` (four floats) at `p`.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store_hi(p: *mut f32, v: V) {
+            _mm_storeu_ps(p, _mm256_extractf128_ps::<1>(v))
+        }
 
         lane_template!("avx2,fma");
     }
@@ -660,11 +955,13 @@ pub mod activations {
     /// 16-lane AVX-512 lane primitives (`avx512f` only) and the template
     /// over them.
     #[cfg(target_arch = "x86_64")]
-    mod avx512 {
+    pub(crate) mod avx512 {
         use std::arch::x86_64::*;
 
         type V = __m512;
         const LANES: usize = 16;
+        /// Accumulators a GRU tile keeps (of 32 registers).
+        const ACCS: usize = 16;
 
         #[inline]
         #[target_feature(enable = "avx512f")]
@@ -758,6 +1055,58 @@ pub mod activations {
                 _mm512_mask_storeu_ps(p, ((1u32 << len) - 1) as __mmask16, v)
             }
         }
+        /// The first `len` (1..=16) lanes, for [`load_m`] and [`store_m`].
+        type Mask = __mmask16;
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn lanes(len: usize) -> Mask {
+            ((1u32 << len) - 1) as __mmask16
+        }
+        /// [`load`] with its mask made once.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load_m(p: *const f32, m: Mask) -> V {
+            _mm512_maskz_loadu_ps(m, p)
+        }
+        /// [`store`] with its mask made once.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store_m(p: *mut f32, m: Mask, v: V) {
+            _mm512_mask_storeu_ps(p, m, v)
+        }
+        /// Eight floats at `lo` in the low half, eight at `hi` in the high.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load_halves(lo: *const f32, hi: *const f32) -> V {
+            let lo = _mm512_castpd256_pd512(_mm256_castps_pd(_mm256_loadu_ps(lo)));
+            let hi = _mm256_castps_pd(_mm256_loadu_ps(hi));
+            _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, hi))
+        }
+        /// The eight floats at `p` in both halves.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load_dup(p: *const f32) -> V {
+            _mm512_castpd_ps(_mm512_broadcast_f64x4(_mm256_castps_pd(_mm256_loadu_ps(p))))
+        }
+        /// `lo` in the low half's lanes, `hi` in the high half's.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn splat_halves(lo: f32, hi: f32) -> V {
+            _mm512_mask_blend_ps(0xff00, splat(lo), splat(hi))
+        }
+        /// Store the low half of `v` (eight floats) at `p`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store_lo(p: *mut f32, v: V) {
+            _mm256_storeu_ps(p, _mm512_castps512_ps256(v))
+        }
+        /// Store the high half of `v` (eight floats) at `p`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store_hi(p: *mut f32, v: V) {
+            let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v));
+            _mm256_storeu_ps(p, _mm256_castpd_ps(hi))
+        }
 
         lane_template!("avx512f");
     }
@@ -815,37 +1164,6 @@ pub mod activations {
             tanh_map(&src, &mut a);
             tanh_map_scalar(&src, &mut b);
             assert_eq!(bits(&a), bits(&b));
-        }
-
-        #[test]
-        fn fused_bias_maps_match_two_pass_scalar_bitwise() {
-            for tier in tiers("fused_bias_maps_match_two_pass_scalar_bitwise") {
-                // 1, 2, 4 and 8 (16 on AVX-512) divide the register and run
-                // the flat tiled-bias path; the others run row by row.
-                for w in [1usize, 2, 3, 4, 8, 11, 16, 24, 32, 48, 96] {
-                    let rows = 9;
-                    let bias: Vec<f32> = (0..w).map(|j| (j as f32) * 0.11 - 0.4).collect();
-                    let block = ramp(rows * w);
-                    let mut two_pass = block.clone();
-                    for row in two_pass.chunks_exact_mut(w) {
-                        for (v, &b) in row.iter_mut().zip(&bias) {
-                            *v += b;
-                        }
-                    }
-
-                    let mut fused = block.clone();
-                    sigmoid_bias_map_inplace_at(tier, &mut fused, &bias);
-                    let mut expect = vec![0.0f32; rows * w];
-                    sigmoid_map_scalar(&two_pass, &mut expect);
-                    assert_eq!(bits(&fused), bits(&expect), "sigmoid bias {tier:?} w={w}");
-
-                    let mut fused_t = block.clone();
-                    tanh_bias_map_inplace_at(tier, &mut fused_t, &bias);
-                    let mut expect_t = vec![0.0f32; rows * w];
-                    tanh_map_scalar(&two_pass, &mut expect_t);
-                    assert_eq!(bits(&fused_t), bits(&expect_t), "tanh bias {tier:?} w={w}");
-                }
-            }
         }
 
         #[test]

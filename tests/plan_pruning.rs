@@ -13,8 +13,10 @@
 //!   `tests/fixtures/reference_values.json` before it was deleted; that no
 //!   bit moved against the previous fused forward is what the prediction
 //!   digests of `tests/model_digest.rs` pin).
+//! - A sweep step reads its entities' projection rows through their ids:
+//!   no gather node sits between the projection and the step.
 
-use rn_autograd::trace::{KIND_GRU, KIND_SEGMENT};
+use rn_autograd::trace::{KIND_GATHER, KIND_GRU, KIND_SEGMENT};
 use rn_autograd::Graph;
 use rn_dataset::{generate_sparse, Dataset, GeneratorConfig, QosGenConfig, Sample};
 use rn_netgraph::generators::{isp_tiered, TierConfig};
@@ -330,4 +332,38 @@ fn the_last_iteration_sends_no_message_and_keeps_the_predictions() {
         (t * visited + 2 * (t - 1), (t - 1) * visited)
     );
     assert_matches_unfused(&extended, &plan);
+}
+
+/// The op-kind counts of `model`'s forward on `plan`, and then of the same
+/// tape after the loss's selection of the reliable rows.
+fn forward_kind_counts<M: PathPredictor>(
+    model: &M,
+    plan: &SamplePlan,
+    inference: bool,
+) -> [Vec<usize>; 2] {
+    let mut g = Graph::new();
+    g.set_inference_mode(inference);
+    let bound = model.bind(&mut g);
+    let pred = model.forward(&mut g, &bound, plan);
+    let forward = g.op_kind_counts();
+    g.gather_rows(pred, &plan.reliable_idx);
+    [forward, g.op_kind_counts()]
+}
+
+#[test]
+fn a_sweep_reads_the_projections_through_the_ids_without_a_gather() {
+    let ds = sparse_isp(60, 12, 1, false);
+    let mut extended = ExtendedRouteNet::new(config());
+    extended.fit_preprocessing(&ds, 5);
+    let plan = extended.plan(&ds.samples[0]);
+    for inference in [false, true] {
+        let [forward, with_loss] = forward_kind_counts(&extended, &plan, inference);
+        assert_eq!(
+            forward[KIND_GATHER], 0,
+            "inference {inference}: {forward:?}"
+        );
+        assert!(forward[KIND_GRU] > 0 && forward[KIND_SEGMENT] > 0);
+        // The loss's selection of the reliable rows is the tape's one gather.
+        assert_eq!(with_loss[KIND_GATHER], 1);
+    }
 }

@@ -233,9 +233,11 @@ fn a_warm_training_tape_keeps_only_what_its_adjoints_read() {
     // The four scenarios as one megabatch under the paper-scale model
     // (32 / 8 / 64). The tape parks the saved GRU activations, the entity
     // states and projections the adjoints read, and the gradients; the path
-    // state advances in place and the gathered projections go back to the
-    // pool after each step. When it also kept a copy of the path state and
-    // the gathered rows per sequence position, it parked 58 184 204 bytes.
+    // state advances in place and each step reads its projection rows
+    // through the entity ids (when it read a gathered copy, that copy went
+    // back to the pool after the step: the same bytes parked). When it also
+    // kept a copy of the path state and the gathered rows per sequence
+    // position, it parked 58 184 204 bytes.
     const MEASURED_BYTES: usize = 27_767_308;
     let (model, plans) = nsfnet_setup_at(ModelConfig {
         seed: 7,
