@@ -394,7 +394,9 @@ impl Matrix {
     // Linear algebra
     //
     // The matmul family is the training hot path: every GRU gate and every
-    // backward adjoint runs through these two kernels (`a·b` and `aᵀ·b`).
+    // backward adjoint runs through these two kernels (`a·b` and `aᵀ·b`),
+    // and on the vector tiers both kernels and the fused GRU step's
+    // products run through one register tile (`simd.rs`, `lane_template!`).
     // Each comes in three forms: allocating (`matmul`), overwrite-into
     // (`matmul_into`, writes a caller-provided buffer so pooled tapes never
     // re-allocate), and accumulate-into (`matmul_acc`, `out += a·b`, which
@@ -498,8 +500,10 @@ impl Matrix {
         kernels::matmul_tn_acc(&self.data, &other.data, k, m, n, &mut out.data);
     }
 
-    /// Reference `self * other` — the pre-refactor kernel, kept verbatim as
-    /// the oracle the property tests compare the unrolled kernels against.
+    /// Reference `self * other` — an unfused multiply-then-add loop that
+    /// skips zero operands: the independent oracle the property tests hold
+    /// the kernels to within a tolerance (the bitwise oracle is the
+    /// contract's own spelling in `tests/proptests.rs`).
     pub fn matmul_reference(&self, other: &Self) -> Self {
         let (m, k, n) = self.assert_matmul_shapes(other);
         let mut out = vec![0.0f32; m * n];
@@ -771,16 +775,21 @@ impl Matrix {
 /// an `*_at` twin taking the tier, for the tests and for callers that are
 /// themselves compiled for one tier.
 ///
-/// Three bodies: the portable register-blocked bodies below (the baseline
-/// tier), the same bodies recompiled with AVX2 and FMA, and on AVX-512 a
-/// register-tiled 16-lane microkernel: a tile of 4 output rows × up to 4
-/// registers (64 columns) stays in registers across the whole shared
-/// dimension, columns past a multiple of 16 are masked loads and stores
-/// (lanes past the row are never read or written), rows past a multiple of
-/// 4 take a 1-row tile, and the transposed form reads `aᵀ` by stride with
-/// the same tile. An 8-column output (the `state_dim = 8` GRU products)
-/// would fill half of every register through masked steps; it takes tiles
-/// of 8 rows instead, two rows per register, loaded and stored unmasked.
+/// Two bodies. The baseline tier spells the contract plainly: output row
+/// `i`, then `t` ascending, one `f32::mul_add` over `b`'s row `t` each. The
+/// vector tiers (8 lanes on AVX2 + FMA, 16 on AVX-512) run one register
+/// tile, `lane_template!`'s `product` in [`crate::simd`], which also serves
+/// both products of [`kernels::gru_step`]: `matmul_acc` and
+/// `matmul_tn_acc` differ only in the strides their left operand is read
+/// with. A tile of 4 output rows × up to 4 registers (64 columns on
+/// AVX-512, 2 registers on AVX2) stays in registers across a panel of the
+/// shared dimension; columns past a multiple of the lane count are masked
+/// loads and stores (lanes past the row are never read or written), and
+/// rows past a multiple of 4 take a 2-row and a 1-row tile. An output half
+/// a register wide (the `state_dim = 8` GRU products on AVX-512, `4` on
+/// AVX2) would fill half of every register through masked steps; it takes
+/// tiles of 8 rows instead, two rows per register, loaded and stored
+/// unmasked.
 ///
 /// # Contract
 ///
@@ -793,10 +802,12 @@ impl Matrix {
 /// ```
 ///
 /// — one fused multiply-add, rounded once, at every tier: `f32::mul_add` in
-/// the portable bodies (a correctly rounded `fmaf` call where the baseline
+/// the baseline body (a correctly rounded `fmaf` call where the baseline
 /// build has no FMA instruction), `vfmadd` in the AVX2 + FMA and AVX-512
 /// bodies. Blocking, tile shape, loop order and vector width are free to
-/// change; the ascending order, a split of the shared dimension and an
+/// change, and so is storing an element between steps (the vector bodies do
+/// between panels: an `f32` stores and loads exactly); the ascending order,
+/// a split of the shared dimension into separately summed parts and an
 /// unfused step are not — the golden fixtures and the model digests record
 /// bits of this expression. Because the expression is per element, the
 /// result does not depend on how output rows are grouped into blocks or
@@ -980,16 +991,7 @@ pub mod kernels {
         assert_eq!(a.len(), m * k, "kernels::matmul_acc: `a` is not m x k");
         assert_eq!(b.len(), k * n, "kernels::matmul_acc: `b` is not k x n");
         assert_eq!(out.len(), m * n, "kernels::matmul_acc: `out` is not m x n");
-        match tier.checked() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `checked` asserted that this CPU runs AVX-512; the
-            // lengths were asserted above.
-            Tier::Avx512 => unsafe { super::simd::matmul_acc_avx512(a, b, m, k, n, out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `checked` asserted that this CPU runs AVX2.
-            Tier::Avx2 => unsafe { super::simd::matmul_acc_avx2(a, b, m, k, n, out) },
-            _ => super::matmul_acc_body(a, b, m, k, n, out),
-        }
+        product_acc(tier, a, (k, 1), b, (m, k, n), out);
     }
 
     /// `out += a^T·b` where `a` is `k x m`, `b` is `k x n`, `out` is `m x n`.
@@ -1017,143 +1019,90 @@ pub mod kernels {
             m * n,
             "kernels::matmul_tn_acc: `out` is not m x n"
         );
-        match tier.checked() {
+        product_acc(tier, a, (1, m), b, (m, k, n), out);
+    }
+
+    /// The floats one panel of a product reads: its steps times `n + step`,
+    /// a row of `b` and, for a transposed left operand (`step = m`), a row
+    /// of it (an untransposed one adds a float per row of a tile). 32 KB,
+    /// within the L1 data cache of a host of either vector tier.
+    const PANEL_FLOATS: usize = 8192;
+
+    /// `out += A·b` through the body of `tier`, `A(i, t)` being
+    /// `a[i·row + t·step]`; the caller asserted the lengths. The shared
+    /// dimension runs in panels of [`PANEL_FLOATS`], so that what a panel
+    /// reads stays in L1 while the vector tiles reuse it. Between panels
+    /// each element rests in `out`, an exact round trip: it still takes one
+    /// fused multiply-add per step, in ascending order.
+    #[inline(always)]
+    fn product_acc(
+        tier: Tier,
+        a: &[f32],
+        (row, step): (usize, usize),
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        out: &mut [f32],
+    ) {
+        if m == 0 || n == 0 {
+            return;
+        }
+        let tier = tier.checked();
+        let panel = (PANEL_FLOATS / (n + step)).max(1);
+        let mut t0 = 0;
+        while t0 < k {
+            let kc = (k - t0).min(panel);
+            let (a, b) = (&a[t0 * step..], &b[t0 * n..]);
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `checked` asserted that this CPU runs AVX-512; the
-            // lengths were asserted above.
-            Tier::Avx512 => unsafe { super::simd::matmul_tn_acc_avx512(a, b, k, m, n, out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `checked` asserted that this CPU runs AVX2.
-            Tier::Avx2 => unsafe { super::simd::matmul_tn_acc_avx2(a, b, k, m, n, out) },
-            _ => super::matmul_tn_acc_body(a, b, k, m, n, out),
+            let strided = crate::simd::activations::Strided {
+                a: a.as_ptr(),
+                row,
+                step,
+            };
+            match tier {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `checked` asserted that this CPU runs AVX-512; the
+                // caller asserted the lengths, so `strided` holds `A(i, t)`
+                // for `i < m`, `t < kc`, and `b` holds `kc` rows.
+                Tier::Avx512 => unsafe {
+                    crate::simd::activations::avx512::matmul_acc(
+                        strided,
+                        b.as_ptr(),
+                        (m, kc, n),
+                        out.as_mut_ptr(),
+                    )
+                },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as above, for AVX2.
+                Tier::Avx2 => unsafe {
+                    crate::simd::activations::avx2::matmul_acc(
+                        strided,
+                        b.as_ptr(),
+                        (m, kc, n),
+                        out.as_mut_ptr(),
+                    )
+                },
+                _ => super::matmul_acc_body(a, (row, step), b, (m, kc, n), out),
+            }
+            t0 += kc;
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Vectorized kernel helpers
-// ---------------------------------------------------------------------------
-
-const LANES: usize = 8;
-
-/// `out += a·b` (row-major, `m x k` times `k x n`), 2-row × 4-k register
-/// blocked: the baseline tier's body. `#[inline(always)]` so the AVX2 + FMA
-/// wrapper in [`simd`] recompiles this exact body with wider vectors —
-/// per-element arithmetic is identical, so both builds produce bitwise-equal
-/// results.
-#[inline(always)]
-fn matmul_acc_body(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    let mut i = 0;
-    while i + 2 <= m {
-        let (o01, _) = out[i * n..].split_at_mut(2 * n);
-        let (o0, o1) = o01.split_at_mut(n);
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let mut kk = 0;
-        while kk + 4 <= k {
-            let b0 = &b[kk * n..kk * n + n];
-            let b1 = &b[(kk + 1) * n..(kk + 1) * n + n];
-            let b2 = &b[(kk + 2) * n..(kk + 2) * n + n];
-            let b3 = &b[(kk + 3) * n..(kk + 3) * n + n];
-            let (c00, c01, c02, c03) = (a0[kk], a0[kk + 1], a0[kk + 2], a0[kk + 3]);
-            let (c10, c11, c12, c13) = (a1[kk], a1[kk + 1], a1[kk + 2], a1[kk + 3]);
-            for j in 0..n {
-                let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
-                o0[j] = fma4(o0[j], [c00, c01, c02, c03], [v0, v1, v2, v3]);
-                o1[j] = fma4(o1[j], [c10, c11, c12, c13], [v0, v1, v2, v3]);
-            }
-            kk += 4;
+/// `out += A·b` spelled as the contract reads, `A(i, t)` being
+/// `a[i·row + t·step]`: row `i`, then `t` ascending, one [`axpy1`] of `b`'s
+/// row `t` each — the baseline tier's body.
+fn matmul_acc_body(
+    a: &[f32],
+    (row, step): (usize, usize),
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    for i in 0..m {
+        let o = &mut out[i * n..(i + 1) * n];
+        for t in 0..k {
+            axpy1(o, a[i * row + t * step], &b[t * n..(t + 1) * n]);
         }
-        while kk < k {
-            let br = &b[kk * n..kk * n + n];
-            let (c0, c1) = (a0[kk], a1[kk]);
-            for j in 0..n {
-                o0[j] = c0.mul_add(br[j], o0[j]);
-                o1[j] = c1.mul_add(br[j], o1[j]);
-            }
-            kk += 1;
-        }
-        i += 2;
-    }
-    if i < m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..i * n + n];
-        let mut chunks = a_row.chunks_exact(4);
-        let mut kk = 0;
-        for quad in chunks.by_ref() {
-            axpy4(
-                out_row,
-                [quad[0], quad[1], quad[2], quad[3]],
-                [
-                    &b[kk * n..kk * n + n],
-                    &b[(kk + 1) * n..(kk + 1) * n + n],
-                    &b[(kk + 2) * n..(kk + 2) * n + n],
-                    &b[(kk + 3) * n..(kk + 3) * n + n],
-                ],
-            );
-            kk += 4;
-        }
-        for &av in chunks.remainder() {
-            axpy1(out_row, av, &b[kk * n..kk * n + n]);
-            kk += 1;
-        }
-    }
-}
-
-/// `out += a^T·b` (`a` is `k x m`, `b` is `k x n`), 4-row × 4-k register
-/// blocked — [`matmul_acc_body`]'s blocking turned for the transposed
-/// operand: four `b` rows are loaded once per four output rows and the `j`
-/// loop is written inline so it vectorises in the vector builds. The
-/// `m % 4` leftover rows take the 1-row [`axpy4`] form, the `k % 4` leftover
-/// steps one fused `out += a·b` each; every element sees the canonical
-/// expression.
-#[inline(always)]
-fn matmul_tn_acc_body(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
-    let mut kk = 0;
-    while kk + 4 <= k {
-        let a0 = &a[kk * m..kk * m + m];
-        let a1 = &a[(kk + 1) * m..(kk + 1) * m + m];
-        let a2 = &a[(kk + 2) * m..(kk + 2) * m + m];
-        let a3 = &a[(kk + 3) * m..(kk + 3) * m + m];
-        let b0 = &b[kk * n..kk * n + n];
-        let b1 = &b[(kk + 1) * n..(kk + 1) * n + n];
-        let b2 = &b[(kk + 2) * n..(kk + 2) * n + n];
-        let b3 = &b[(kk + 3) * n..(kk + 3) * n + n];
-        let mut i = 0;
-        while i + 4 <= m {
-            let (o01, o23) = out[i * n..(i + 4) * n].split_at_mut(2 * n);
-            let (o0, o1) = o01.split_at_mut(n);
-            let (o2, o3) = o23.split_at_mut(n);
-            let (c00, c01, c02, c03) = (a0[i], a1[i], a2[i], a3[i]);
-            let (c10, c11, c12, c13) = (a0[i + 1], a1[i + 1], a2[i + 1], a3[i + 1]);
-            let (c20, c21, c22, c23) = (a0[i + 2], a1[i + 2], a2[i + 2], a3[i + 2]);
-            let (c30, c31, c32, c33) = (a0[i + 3], a1[i + 3], a2[i + 3], a3[i + 3]);
-            for j in 0..n {
-                let v = [b0[j], b1[j], b2[j], b3[j]];
-                o0[j] = fma4(o0[j], [c00, c01, c02, c03], v);
-                o1[j] = fma4(o1[j], [c10, c11, c12, c13], v);
-                o2[j] = fma4(o2[j], [c20, c21, c22, c23], v);
-                o3[j] = fma4(o3[j], [c30, c31, c32, c33], v);
-            }
-            i += 4;
-        }
-        while i < m {
-            axpy4(
-                &mut out[i * n..i * n + n],
-                [a0[i], a1[i], a2[i], a3[i]],
-                [b0, b1, b2, b3],
-            );
-            i += 1;
-        }
-        kk += 4;
-    }
-    while kk < k {
-        let a_row = &a[kk * m..kk * m + m];
-        let b_row = &b[kk * n..kk * n + n];
-        for (i, &av) in a_row.iter().enumerate() {
-            axpy1(&mut out[i * n..i * n + n], av, b_row);
-        }
-        kk += 1;
     }
 }
 
@@ -1202,283 +1151,12 @@ fn gru_step_scalar(
     }
 }
 
-/// The vector tiers' kernel bodies (x86-64 only), entered through
-/// [`kernels`] after its [`Tier`](crate::simd::Tier) check.
-///
-/// The AVX2 tier recompiles the `#[inline(always)]` portable bodies with
-/// `#[target_feature(enable = "avx2,fma")]`, where each `f32::mul_add`
-/// becomes a `vfmadd`; the AVX-512 tier is the explicit 16-lane tile below,
-/// one `_mm512_fmadd_ps` per step. A fused multiply-add rounds once wherever
-/// it runs, so every tier performs the same rounding steps as the baseline
-/// build and results stay bitwise identical across machines.
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    use std::arch::x86_64::*;
-
-    /// The portable [`super::matmul_acc_body`] at AVX2 width, with FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub fn matmul_acc_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-        super::matmul_acc_body(a, b, m, k, n, out);
-    }
-
-    /// The portable [`super::matmul_tn_acc_body`] at AVX2 width, with FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub fn matmul_tn_acc_avx2(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
-        super::matmul_tn_acc_body(a, b, k, m, n, out);
-    }
-
-    /// `out += a·b` through the 16-lane tile; `a(i, t)` is `a[i·k + t]`.
-    ///
-    /// # Safety
-    /// This CPU runs AVX-512F, and `a`, `b`, `out` hold `m·k`, `k·n`, `m·n`
-    /// elements.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul_acc_avx512(
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
-        tiled(
-            Strided {
-                a: a.as_ptr(),
-                row: k,
-                step: 1,
-            },
-            b,
-            m,
-            k,
-            n,
-            out,
-        );
-    }
-
-    /// `out += aᵀ·b` through the same tile; `a(i, t)` is `a[t·m + i]`.
-    ///
-    /// # Safety
-    /// This CPU runs AVX-512F, and `a`, `b`, `out` hold `k·m`, `k·n`, `m·n`
-    /// elements.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul_tn_acc_avx512(
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        m: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
-        tiled(
-            Strided {
-                a: a.as_ptr(),
-                row: 1,
-                step: m,
-            },
-            b,
-            m,
-            k,
-            n,
-            out,
-        );
-    }
-
-    /// The left operand: element `(i, t)` at `a + i·row + t·step`.
-    #[derive(Clone, Copy)]
-    struct Strided {
-        a: *const f32,
-        row: usize,
-        step: usize,
-    }
-
-    /// Lanes per register.
-    const LANES: usize = 16;
-    /// Registers per tile row: a tile spans up to 64 columns.
-    const TILE_REGS: usize = 4;
-
-    /// Cover `out` (`m x n`) with tiles of 4 rows (the `m % 4` leftover
-    /// rows: 1 row) × up to [`TILE_REGS`] registers. An 8-column `out`
-    /// first takes [`row_pairs`] tiles of 8 rows, two rows per register;
-    /// its `m % 8` leftover rows take the same tiles as any width.
-    ///
-    /// # Safety
-    /// As for [`matmul_acc_avx512`], with `a` the left operand's layout.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn tiled(a: Strided, b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-        let (b, out) = (b.as_ptr(), out.as_mut_ptr());
-        let mut i = 0;
-        if n == PAIR_COLS {
-            while i + 2 * PAIRS <= m {
-                row_pairs(a, b, k, out, i);
-                i += 2 * PAIRS;
-            }
-        }
-        while i < m {
-            let rows = if i + 4 <= m { 4 } else { 1 };
-            let mut j = 0;
-            while j < n {
-                let regs = (n - j).div_ceil(LANES).min(TILE_REGS);
-                match (rows, regs) {
-                    (4, 1) => tile::<4, 1>(a, b, k, n, out, i, j),
-                    (4, 2) => tile::<4, 2>(a, b, k, n, out, i, j),
-                    (4, 3) => tile::<4, 3>(a, b, k, n, out, i, j),
-                    (4, _) => tile::<4, 4>(a, b, k, n, out, i, j),
-                    (_, 1) => tile::<1, 1>(a, b, k, n, out, i, j),
-                    (_, 2) => tile::<1, 2>(a, b, k, n, out, i, j),
-                    (_, 3) => tile::<1, 3>(a, b, k, n, out, i, j),
-                    (_, _) => tile::<1, 4>(a, b, k, n, out, i, j),
-                }
-                j += regs * LANES;
-            }
-            i += rows;
-        }
-    }
-
-    /// One tile: `out[i0..i0 + R][j0..j0 + 16·NV] += A·b` over the whole
-    /// shared dimension with the `R x NV` accumulators in registers, one
-    /// fused multiply-add per step `t` in ascending order — the canonical
-    /// expression. The last register's lanes past column `n` are masked off:
-    /// never loaded, never stored.
-    ///
-    /// # Safety
-    /// This CPU runs AVX-512F; `j0 < n`; `b` points at a row-major `k x n`
-    /// block, `out` at a row-major block of width `n` holding rows
-    /// `i0..i0 + R`, and `a` holds elements `(i, t)` for those rows and
-    /// every `t < k`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn tile<const R: usize, const NV: usize>(
-        a: Strided,
-        b: *const f32,
-        k: usize,
-        n: usize,
-        out: *mut f32,
-        i0: usize,
-        j0: usize,
-    ) {
-        let mask: [__mmask16; NV] = std::array::from_fn(|v| {
-            let lanes = (n - j0 - v * LANES).min(LANES);
-            ((1u32 << lanes) - 1) as __mmask16
-        });
-        let a_at = |r: usize, t: usize| _mm512_set1_ps(*a.a.add((i0 + r) * a.row + t * a.step));
-        let b_at =
-            |t: usize, v: usize| _mm512_maskz_loadu_ps(mask[v], b.add(t * n + j0 + v * LANES));
-        let out_at = |r: usize, v: usize| out.add((i0 + r) * n + j0 + v * LANES);
-
-        let mut acc = [[_mm512_setzero_ps(); NV]; R];
-        for (r, row) in acc.iter_mut().enumerate() {
-            for (v, reg) in row.iter_mut().enumerate() {
-                *reg = _mm512_maskz_loadu_ps(mask[v], out_at(r, v));
-            }
-        }
-        for t in 0..k {
-            for v in 0..NV {
-                let bt = b_at(t, v);
-                for (r, row) in acc.iter_mut().enumerate() {
-                    row[v] = _mm512_fmadd_ps(a_at(r, t), bt, row[v]);
-                }
-            }
-        }
-        for (r, row) in acc.iter().enumerate() {
-            for (v, &reg) in row.iter().enumerate() {
-                _mm512_mask_storeu_ps(out_at(r, v), mask[v], reg);
-            }
-        }
-    }
-
-    /// The row width [`row_pairs`] packs two of into one register.
-    const PAIR_COLS: usize = LANES / 2;
-    /// Registers of a [`row_pairs`] tile, two output rows each.
-    const PAIRS: usize = 4;
-
-    /// One tile of an 8-column product: `out[i0..i0 + 8] += A·b` with two
-    /// output rows per register, so the 64 floats load and store unmasked.
-    /// `b`'s row `t` is broadcast to both halves, `a(i, t)` and
-    /// `a(i + 1, t)` are blended into them, and each lane takes one fused
-    /// multiply-add per step `t` in ascending order — the canonical
-    /// expression, as in [`tile`].
-    ///
-    /// # Safety
-    /// This CPU runs AVX-512F; `b` points at a row-major `k x 8` block,
-    /// `out` at a row-major block of width 8 holding rows `i0..i0 + 8`, and
-    /// `a` holds elements `(i, t)` for those rows and every `t < k`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn row_pairs(a: Strided, b: *const f32, k: usize, out: *mut f32, i0: usize) {
-        let a_at = |r: usize, t: usize| _mm512_set1_ps(*a.a.add((i0 + r) * a.row + t * a.step));
-        let out_at = |p: usize| out.add((i0 + 2 * p) * PAIR_COLS);
-
-        let mut acc: [__m512; PAIRS] = std::array::from_fn(|p| _mm512_loadu_ps(out_at(p)));
-        for t in 0..k {
-            let row = _mm256_castps_pd(_mm256_loadu_ps(b.add(t * PAIR_COLS)));
-            let bt = _mm512_castpd_ps(_mm512_broadcast_f64x4(row));
-            for (p, reg) in acc.iter_mut().enumerate() {
-                let at = _mm512_mask_blend_ps(0xff00, a_at(2 * p, t), a_at(2 * p + 1, t));
-                *reg = _mm512_fmadd_ps(at, bt, *reg);
-            }
-        }
-        for (p, &reg) in acc.iter().enumerate() {
-            _mm512_storeu_ps(out_at(p), reg);
-        }
-    }
-}
-
-/// Four steps of the canonical expression, in ascending order: one fused
-/// multiply-add of `c[t]·v[t]` onto `o` each.
-#[inline(always)]
-fn fma4(o: f32, c: [f32; 4], v: [f32; 4]) -> f32 {
-    let o = c[0].mul_add(v[0], o);
-    let o = c[1].mul_add(v[1], o);
-    let o = c[2].mul_add(v[2], o);
-    c[3].mul_add(v[3], o)
-}
-
-/// `out = fma4(out, c, b)` elementwise, all slices of equal length.
-///
-/// The four-way fusion means one pass over `out` serves four reduction steps;
-/// `chunks_exact` gives LLVM fixed-width bodies it can turn into SIMD.
-#[inline]
-fn axpy4(out: &mut [f32], c: [f32; 4], b: [&[f32]; 4]) {
-    let n = out.len();
-    debug_assert!(b.iter().all(|s| s.len() == n));
-    let mut oc = out.chunks_exact_mut(LANES);
-    let mut b0 = b[0].chunks_exact(LANES);
-    let mut b1 = b[1].chunks_exact(LANES);
-    let mut b2 = b[2].chunks_exact(LANES);
-    let mut b3 = b[3].chunks_exact(LANES);
-    for o in oc.by_ref() {
-        let (q0, q1) = (b0.next().unwrap(), b1.next().unwrap());
-        let (q2, q3) = (b2.next().unwrap(), b3.next().unwrap());
-        for j in 0..LANES {
-            o[j] = fma4(o[j], c, [q0[j], q1[j], q2[j], q3[j]]);
-        }
-    }
-    let tail = oc.into_remainder();
-    let off = n - tail.len();
-    for (j, o) in tail.iter_mut().enumerate() {
-        let jj = off + j;
-        *o = fma4(*o, c, [b[0][jj], b[1][jj], b[2][jj], b[3][jj]]);
-    }
-}
-
 /// `out = fma(a, b, out)` elementwise, equal-length slices.
 #[inline]
 fn axpy1(out: &mut [f32], a: f32, b: &[f32]) {
-    let n = out.len();
-    debug_assert_eq!(n, b.len());
-    let mut oc = out.chunks_exact_mut(LANES);
-    let mut bc = b.chunks_exact(LANES);
-    for o in oc.by_ref() {
-        let q = bc.next().unwrap();
-        for j in 0..LANES {
-            o[j] = a.mul_add(q[j], o[j]);
-        }
-    }
-    let tail = oc.into_remainder();
-    let off = n - tail.len();
-    for (j, o) in tail.iter_mut().enumerate() {
-        *o = a.mul_add(b[off + j], *o);
+    debug_assert_eq!(out.len(), b.len());
+    for (o, &bv) in out.iter_mut().zip(b) {
+        *o = a.mul_add(bv, *o);
     }
 }
 
@@ -1661,7 +1339,7 @@ mod tests {
 
     #[test]
     fn unrolled_kernels_match_references() {
-        // Shapes straddling the unroll width (4) and lane width (8).
+        // Shapes straddling the tile height (4) and both lane widths.
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (8, 4, 8), (9, 17, 33), (2, 64, 32)] {
             let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f32 - 6.0);
             let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f32 - 5.0);
@@ -1824,21 +1502,26 @@ mod tests {
         // canonical expression spelled one element at a time (the oracle in
         // tests/proptests.rs runs seeded operands; these are the ragged
         // shapes). Shapes: every column count through one register and past
-        // it, 2–6 registers, every m mod 4 and k mod 4 (k < 4 included). At
-        // 8 columns, AVX-512 packs two rows per register in tiles of 8 rows:
-        // 16, 17 and 31 rows give several packed tiles and every kind of
-        // leftover after them.
+        // it, 2–6 registers; row counts on both sides of the 4-row tile and
+        // its 2- and 1-row remainders (15, 16, 17, 31, 33 among them); k < 4
+        // and a k of 130, past one panel of steps at the wider widths; and
+        // m, n or k of zero, which must leave `out` as it is. At half a
+        // register (4 columns on AVX2, 8 on AVX-512) tiles of 8 rows pack
+        // two rows per register: 7, 8, 9, 16, 17 and 31 rows give packed
+        // tiles of every height and the one row left after them.
         let tiers: Vec<Tier> = Tier::supported().collect();
         println!("matmul tiers run: {tiers:?}");
-        let widths = (1..=17).chain([24, 32, 33, 48, 64, 65, 96]);
+        let widths = (0..=17).chain([24, 32, 33, 48, 64, 65, 96]);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for n in widths {
-            let packed: &[(usize, usize)] = if n == 8 {
-                &[(16, 3), (17, 8), (31, 13)]
+            let packed: &[(usize, usize)] = if n == 4 || n == 8 {
+                &[(7, 5), (8, 3), (9, 8), (16, 3), (17, 8), (31, 13)]
             } else {
                 &[]
             };
             for &(m, k) in [
+                (0, 3),
+                (5, 0),
                 (1, 1),
                 (2, 2),
                 (3, 3),
@@ -1848,6 +1531,11 @@ mod tests {
                 (7, 7),
                 (8, 8),
                 (13, 34),
+                (15, 2),
+                (16, 5),
+                (17, 3),
+                (31, 6),
+                (33, 4),
             ]
             .iter()
             .chain(packed)
@@ -1881,14 +1569,26 @@ mod tests {
 
     #[test]
     fn a_masked_column_tail_touches_nothing_past_the_output() {
-        // `out` is the front of a longer buffer whose last row ends mid
-        // register: the lanes past it must keep their sentinel, and the
-        // product must still match the baseline body.
+        // `out` is the front of a longer buffer: the floats past its last
+        // row — the rest of a masked register, and whole rows a taller tile
+        // would cover — must keep their sentinel, and the product must
+        // still match the baseline body. Shapes: masked column tails, row
+        // counts that end in a 2- or 1-row tile, and packed widths.
         for tier in Tier::supported() {
-            for (m, k, n) in [(5, 6, 17), (4, 3, 33), (1, 5, 7), (9, 4, 65)] {
+            for (m, k, n) in [
+                (5, 6, 17),
+                (4, 3, 33),
+                (1, 5, 7),
+                (9, 4, 65),
+                (3, 7, 16),
+                (7, 5, 4),
+                (9, 5, 8),
+                (15, 3, 8),
+            ] {
                 let a = Matrix::from_fn(m, k, |r, c| (r * k + c) as f32 * 0.1 - 0.5);
                 let b = Matrix::from_fn(k, n, |r, c| (r + c) as f32 * 0.2 - 1.0);
-                let mut buf = vec![f32::MAX; m * n + 16];
+                let pad = 8 * n + 16;
+                let mut buf = vec![f32::MAX; m * n + pad];
                 buf[..m * n].fill(0.0);
                 kernels::matmul_acc_at(tier, &a.data, &b.data, m, k, n, &mut buf[..m * n]);
                 assert!(

@@ -1,14 +1,15 @@
-//! The one SIMD gate, and the runtime-dispatched activation maps.
+//! The one SIMD gate, the runtime-dispatched activation maps, and every
+//! vector kernel body.
 //!
 //! [`Tier::detected`] picks, once per process, the widest instruction set
 //! this CPU runs: AVX-512 (`avx512f` alone), then AVX2 with FMA (`avx2` and
 //! `fma`), then the baseline build. Every vector kernel dispatches on it —
-//! the matmul bodies in [`crate::matrix`], the activation maps below, and
-//! `rn_autograd`'s fused GRU step, whose elementwise loops compile at the
-//! tier's width. The CPU is the only selector: there is no variable, feature
-//! or setting that picks a tier. Each dispatcher also has an `*_at` form
-//! taking the tier explicitly, so the tests can run every tier the host has
-//! on the same inputs.
+//! the matmul kernels and the fused GRU step of [`crate::kernels`], the
+//! activation maps below, and `rn_autograd`'s GRU adjoint, whose
+//! elementwise loops compile at the tier's width. The CPU is the only
+//! selector: there is no variable, feature or setting that picks a tier.
+//! Each dispatcher also has an `*_at` form taking the tier explicitly, so
+//! the tests can run every tier the host has on the same inputs.
 //!
 //! The activation maps are the branch-free Cody–Waite
 //! [`fast_exp`](crate::activations::fast_exp) construction plus the
@@ -17,9 +18,12 @@
 //! slice as one masked step. Both widths are expanded from one template
 //! (`lane_template!`) written against a handful of lane primitives, so the
 //! operation sequence that must match the scalar form is written once. The
-//! template also holds the vector bodies of the fused GRU step
-//! ([`crate::kernels::gru_step`]), which run the same sigmoid and tanh
-//! chains in registers.
+//! template also holds the one register tile every vector product runs
+//! through: `product` (and `product_pairs`, two rows per register at half a
+//! register's width) serves `matmul_acc` / `matmul_tn_acc`, whose left
+//! operands differ only in their strides, and both products of the fused
+//! GRU step ([`crate::kernels::gru_step`]), which runs the same sigmoid and
+//! tanh chains in registers.
 //!
 //! ## Bitwise contract
 //!
@@ -173,19 +177,6 @@ pub mod activations {
         { assert_eq!(src.len(), dst.len(), "activation map length mismatch"); }
     );
     dispatched!(
-        /// `dst[i] = g[i] * sigmoid_deriv_from_output(y[i])` — the sigmoid
-        /// adjoint as one pass.
-        sigmoid_deriv_mul, pub(crate) sigmoid_deriv_mul_at, sigmoid_deriv_mul_scalar,
-        (g: &[f32], y: &[f32], dst: &mut [f32]),
-        { assert!(g.len() == y.len() && y.len() == dst.len(), "adjoint length mismatch"); }
-    );
-    dispatched!(
-        /// `dst[i] = g[i] * tanh_deriv_from_output(y[i])`.
-        tanh_deriv_mul, pub(crate) tanh_deriv_mul_at, tanh_deriv_mul_scalar,
-        (g: &[f32], y: &[f32], dst: &mut [f32]),
-        { assert!(g.len() == y.len() && y.len() == dst.len(), "adjoint length mismatch"); }
-    );
-    dispatched!(
         /// `dst[i] = g[i] * selu_deriv(x[i])` — SELU's adjoint is a function
         /// of the *input*, not the output.
         selu_deriv_mul, pub(crate) selu_deriv_mul_at, selu_deriv_mul_scalar,
@@ -235,20 +226,6 @@ pub mod activations {
     pub fn selu_map_scalar(src: &[f32], dst: &mut [f32]) {
         for (d, &v) in dst.iter_mut().zip(src) {
             *d = act::selu(v);
-        }
-    }
-
-    /// Scalar reference for [`sigmoid_deriv_mul`].
-    pub fn sigmoid_deriv_mul_scalar(g: &[f32], y: &[f32], dst: &mut [f32]) {
-        for ((d, &gi), &yi) in dst.iter_mut().zip(g).zip(y) {
-            *d = gi * act::sigmoid_deriv_from_output(yi);
-        }
-    }
-
-    /// Scalar reference for [`tanh_deriv_mul`].
-    pub fn tanh_deriv_mul_scalar(g: &[f32], y: &[f32], dst: &mut [f32]) {
-        for ((d, &gi), &yi) in dst.iter_mut().zip(g).zip(y) {
-            *d = gi * act::tanh_deriv_from_output(yi);
         }
     }
 
@@ -309,17 +286,94 @@ pub mod activations {
         }};
     }
 
-    /// The lane chains and slice bodies of every map, and the fused GRU
-    /// step's bodies, for the lane primitives in scope (`V`, `LANES`,
-    /// `splat`, `add`, `sub`, `mul`, `fma`, `fnma`, `div`, `min`, `max`,
-    /// `neg`, `pow2`, `select_pos`, `load`, `store`; for the GRU step also
-    /// `ACCS`, `Mask`, `lanes`, `load_m`, `store_m`, `load_halves`,
-    /// `load_dup`, `splat_halves`, `store_lo`, `store_hi`), compiled for
+    /// Run `$f::<R, NV>(args…, j)` over the column blocks of a `w`-wide
+    /// row: `NV` registers from column `j`, at most [`BLOCK_REGS`] and at
+    /// most `ACCS / R`. A block a tile of `R` rows cannot meet (`NV·R >
+    /// ACCS`) is never instantiated.
+    #[cfg(target_arch = "x86_64")]
+    macro_rules! column_blocks {
+        ($w:expr, $f:ident::<$r:ident>($($arg:expr),*)) => {{
+            let w = $w;
+            let mut j = 0;
+            while j < w {
+                let regs = (w - j).div_ceil(LANES).min(BLOCK_REGS).min(ACCS / $r);
+                match regs {
+                    1 => $f::<$r, 1>($($arg,)* j),
+                    2 if const { 2 * $r <= ACCS } => $f::<$r, 2>($($arg,)* j),
+                    3 if const { 3 * $r <= ACCS } => $f::<$r, 3>($($arg,)* j),
+                    4 if const { 4 * $r <= ACCS } => $f::<$r, 4>($($arg,)* j),
+                    _ => unreachable!(),
+                }
+                j += regs * LANES;
+            }
+        }};
+    }
+
+    /// How a register tile reaches an operand: element `t` of the tile's
+    /// row `r` sits at `at(r, t)`.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) trait Operand: Copy {
+        /// # Safety
+        /// `(r, t)` is inside the operand.
+        unsafe fn at(self, r: usize, t: usize) -> *const f32;
+    }
+
+    /// An operand laid out by strides: `(r, t)` at `a + r·row + t·step`.
+    /// A row-major `m x k` matrix is `(k, 1)`, its transpose `(1, m)`.
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Clone, Copy)]
+    pub(crate) struct Strided {
+        pub(crate) a: *const f32,
+        pub(crate) row: usize,
+        pub(crate) step: usize,
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    impl Strided {
+        /// The operand from row `i` on.
+        ///
+        /// # Safety
+        /// Row `i` is inside the operand.
+        #[inline(always)]
+        unsafe fn skip_rows(self, i: usize) -> Strided {
+            Strided {
+                a: self.at(i, 0),
+                ..self
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    impl Operand for Strided {
+        #[inline(always)]
+        unsafe fn at(self, r: usize, t: usize) -> *const f32 {
+            self.a.add(r * self.row + t * self.step)
+        }
+    }
+
+    /// An operand by row pointers, its steps adjacent: the GRU step's state,
+    /// table and scratch rows.
+    #[cfg(target_arch = "x86_64")]
+    impl<const R: usize> Operand for [*const f32; R] {
+        #[inline(always)]
+        unsafe fn at(self, r: usize, t: usize) -> *const f32 {
+            self[r].add(t)
+        }
+    }
+
+    /// The lane chains and slice bodies of every map, and the register
+    /// tile with the matmul and fused GRU step bodies over it, for the lane
+    /// primitives in scope (`V`, `LANES`, `splat`, `add`, `sub`, `mul`,
+    /// `fma`, `fnma`, `div`, `min`, `max`, `neg`, `pow2`, `select_pos`,
+    /// `load`, `store`; for the tile also `ACCS`, `Mask`, `lanes`, `load_m`,
+    /// `store_m`, `load_halves`, `load_dup`, `splat_halves`, `store_lo`,
+    /// `store_hi`), compiled for
     /// `$feature`. Each chain is its scalar function in
     /// `crate::activations`, operation for operation.
     #[cfg(target_arch = "x86_64")]
     macro_rules! lane_template {
         ($feature:tt) => {
+            use super::{Operand, Strided};
             use crate::activations::{
                 EXP_CLAMP, LN2_HI, LN2_LO, ROUND_MAGIC, SELU_ALPHA, SELU_LAMBDA, TANH_CLAMP,
             };
@@ -423,24 +477,6 @@ pub mod activations {
             }
 
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn sigmoid_deriv_mul(g: &[f32], y: &[f32], dst: &mut [f32]) {
-                let (gp, yp, d) = (g.as_ptr(), y.as_ptr(), dst.as_mut_ptr());
-                for_lanes!(g.len(), |i, len| {
-                    let v = mul(load(gp.add(i), len), sigmoid_deriv(load(yp.add(i), len)));
-                    store(d.add(i), len, v)
-                });
-            }
-
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn tanh_deriv_mul(g: &[f32], y: &[f32], dst: &mut [f32]) {
-                let (gp, yp, d) = (g.as_ptr(), y.as_ptr(), dst.as_mut_ptr());
-                for_lanes!(g.len(), |i, len| {
-                    let v = mul(load(gp.add(i), len), tanh_deriv(load(yp.add(i), len)));
-                    store(d.add(i), len, v)
-                });
-            }
-
-            #[target_feature(enable = $feature)]
             pub(super) unsafe fn selu_deriv_mul(g: &[f32], x: &[f32], dst: &mut [f32]) {
                 let (gp, xp, d) = (g.as_ptr(), x.as_ptr(), dst.as_mut_ptr());
                 for_lanes!(g.len(), |i, len| {
@@ -468,11 +504,204 @@ pub mod activations {
             }
 
             // ---------------------------------------------------------
-            // The fused GRU step (`crate::kernels::gru_step`)
+            // The register tile: matmul products and the fused GRU step
             // ---------------------------------------------------------
 
-            /// Registers per row of one column block of a GRU product.
+            /// Registers per row of one column block of a product.
             const BLOCK_REGS: usize = 4;
+            /// Rows of a matmul tile; a packed tile holds twice as many.
+            const MATMUL_ROWS: usize = 4;
+
+            /// Columns `j..j + NV·LANES` (masked at `w`) of `seed + a·b`
+            /// for a tile's `R` rows, `b` being `k x w`: each accumulator
+            /// starts at its seed row and takes one fused multiply-add per
+            /// step `t`, in ascending order — the matmul contract
+            /// (`crate::kernels`).
+            ///
+            /// # Safety
+            /// This CPU runs `$feature`; `seed` holds columns `j..w` of `R`
+            /// rows, `a` steps `0..k` of them; `b` holds `k x w`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn product<const R: usize, const NV: usize>(
+                seed: impl Operand,
+                a: impl Operand,
+                b: *const f32,
+                (k, w, j): (usize, usize, usize),
+                m: &[Mask; NV],
+            ) -> [[V; NV]; R] {
+                let mut acc: [[V; NV]; R] = std::array::from_fn(|r| {
+                    std::array::from_fn(|v| load_m(seed.at(r, j + v * LANES), m[v]))
+                });
+                for t in 0..k {
+                    for v in 0..NV {
+                        let bt = load_m(b.add(t * w + j + v * LANES), m[v]);
+                        for (r, row) in acc.iter_mut().enumerate() {
+                            row[v] = fma(splat(*a.at(r, t)), bt, row[v]);
+                        }
+                    }
+                }
+                acc
+            }
+
+            /// [`product`] at `w == LANES / 2`, two rows per register: `P`
+            /// registers over rows `2p` (low half) and `2p + 1` (high half),
+            /// every load unmasked.
+            ///
+            /// # Safety
+            /// As for [`product`], with `w == LANES / 2` and `2·P` rows.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn product_pairs<const P: usize>(
+                seed: impl Operand,
+                a: impl Operand,
+                b: *const f32,
+                k: usize,
+            ) -> [V; P] {
+                let mut acc: [V; P] =
+                    std::array::from_fn(|p| load_halves(seed.at(2 * p, 0), seed.at(2 * p + 1, 0)));
+                for t in 0..k {
+                    let bt = load_dup(b.add(t * (LANES / 2)));
+                    for (p, reg) in acc.iter_mut().enumerate() {
+                        let at = splat_halves(*a.at(2 * p, t), *a.at(2 * p + 1, t));
+                        *reg = fma(at, bt, *reg);
+                    }
+                }
+                acc
+            }
+
+            /// The masks of a block of `NV` registers at column `j` of a
+            /// `w`-wide row.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            fn block_masks<const NV: usize>(w: usize, j: usize) -> [Mask; NV] {
+                std::array::from_fn(|v| lanes((w - j - v * LANES).min(LANES)))
+            }
+
+            /// `out += A·b` (`crate::kernels::matmul_acc`) over one panel of
+            /// the shared dimension, `A` being `m x k` as `a` lays it out:
+            /// column block by column block (up to [`BLOCK_REGS`] registers,
+            /// no more than [`ACCS`] accumulators in a tile), tiles of
+            /// [`MATMUL_ROWS`] rows are seeded from `out`, run through
+            /// [`product`] and stored with the block masks; the rows past
+            /// the last full tile take a 2-row and a 1-row tile, so no tile
+            /// reaches past row `m`. At `n == LANES / 2` tiles of twice as
+            /// many rows pack two rows per register ([`product_pairs`]) and
+            /// leave at most one row to the blocks.
+            ///
+            /// # Safety
+            /// This CPU runs `$feature`; `a` holds `A(i, t)` for `i < m`
+            /// and `t < k`; `b` and `out` hold `k x n` and `m x n`.
+            #[target_feature(enable = $feature)]
+            pub(crate) unsafe fn matmul_acc(
+                a: Strided,
+                b: *const f32,
+                (m, k, n): (usize, usize, usize),
+                out: *mut f32,
+            ) {
+                let mut i = 0;
+                if 2 * n == LANES {
+                    while i + 2 * MATMUL_ROWS <= m {
+                        matmul_pairs::<MATMUL_ROWS>(a.skip_rows(i), b, k, out.add(i * n));
+                        i += 2 * MATMUL_ROWS;
+                    }
+                    while i + 1 < m {
+                        let rows = 1 << (m - i).ilog2();
+                        let (a, out) = (a.skip_rows(i), out.add(i * n));
+                        match rows {
+                            4 => matmul_pairs::<2>(a, b, k, out),
+                            _ => matmul_pairs::<1>(a, b, k, out),
+                        }
+                        i += rows;
+                    }
+                }
+                if i < m {
+                    column_blocks!(n, matmul_columns::<MATMUL_ROWS>(a, b, (i, m, k, n), out));
+                }
+            }
+
+            /// Columns `j..` of rows `i0..m`: tiles of `R` rows, then the
+            /// rest (fewer than [`MATMUL_ROWS`]) as a 2-row and a 1-row tile.
+            /// Out of line: inlined for every block width into
+            /// [`matmul_acc`], the set-up of all of them ran on every call,
+            /// which the smallest products paid for.
+            ///
+            /// # Safety
+            /// As for [`matmul_acc`]; `j < n`.
+            #[inline(never)]
+            #[target_feature(enable = $feature)]
+            unsafe fn matmul_columns<const R: usize, const NV: usize>(
+                a: Strided,
+                b: *const f32,
+                (i0, m, k, n): (usize, usize, usize, usize),
+                out: *mut f32,
+                j: usize,
+            ) {
+                let mut i = i0;
+                while i + R <= m {
+                    matmul_block::<R, NV>(a.skip_rows(i), b, (k, n, j), out.add(i * n));
+                    i += R;
+                }
+                while i < m {
+                    let rows = 1 << (m - i).ilog2();
+                    let (a, out) = (a.skip_rows(i), out.add(i * n));
+                    match rows {
+                        2 => matmul_block::<2, NV>(a, b, (k, n, j), out),
+                        _ => matmul_block::<1, NV>(a, b, (k, n, j), out),
+                    }
+                    i += rows;
+                }
+            }
+
+            /// Columns `j..j + NV·LANES` of `R` matmul rows, `out` at the
+            /// first.
+            ///
+            /// # Safety
+            /// As for [`matmul_acc`], for the tile's rows; `j < n`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn matmul_block<const R: usize, const NV: usize>(
+                a: Strided,
+                b: *const f32,
+                (k, n, j): (usize, usize, usize),
+                out: *mut f32,
+            ) {
+                let m = block_masks::<NV>(n, j);
+                let seed = Strided {
+                    a: out,
+                    row: n,
+                    step: 1,
+                };
+                let acc = product::<R, NV>(seed, a, b, (k, n, j), &m);
+                for (r, row) in acc.iter().enumerate() {
+                    for (v, &reg) in row.iter().enumerate() {
+                        store_m(out.add(r * n + j + v * LANES), m[v], reg);
+                    }
+                }
+            }
+
+            /// `2·P` matmul rows at `n == LANES / 2`, `out` at the first.
+            ///
+            /// # Safety
+            /// As for [`matmul_acc`], for the tile's rows.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn matmul_pairs<const P: usize>(
+                a: Strided,
+                b: *const f32,
+                k: usize,
+                out: *mut f32,
+            ) {
+                let seed = Strided {
+                    a: out,
+                    row: LANES / 2,
+                    step: 1,
+                };
+                let acc = product_pairs::<P>(seed, a, b, k);
+                for (p, &reg) in acc.iter().enumerate() {
+                    store(out.add(p * LANES), LANES, reg);
+                }
+            }
 
             /// One tile's rows: `TILE` consecutive active rows, the last
             /// one standing in for the rows past the end of the list (see
@@ -546,7 +775,8 @@ pub mod activations {
                         2 => gru_tile::<2>(&t, state, scratch, paired),
                         4 => gru_tile::<4>(&t, state, scratch, paired),
                         8 => gru_tile::<8>(&t, state, scratch, paired),
-                        _ => gru_tile::<16>(&t, state, scratch, paired),
+                        _ if const { 16 <= ACCS } => gru_tile::<16>(&t, state, scratch, paired),
+                        _ => unreachable!(),
                     }
                     k0 += valid;
                 }
@@ -575,17 +805,7 @@ pub mod activations {
                 };
 
                 // [z | r] = σ(px_zr + h·W_h,zr + b_zr), block by block.
-                let mut j = 0;
-                while j < 2 * h {
-                    let regs = (2 * h - j).div_ceil(LANES).min(BLOCK_REGS);
-                    match regs {
-                        1 => gate_block::<R, 1>(op, &rows, j),
-                        2 => gate_block::<R, 2>(op, &rows, j),
-                        3 => gate_block::<R, 3>(op, &rows, j),
-                        _ => gate_block::<R, 4>(op, &rows, j),
-                    }
-                    j += regs * LANES;
-                }
+                column_blocks!(2 * h, gate_block::<R>(op, &rows));
                 for r in 0..R {
                     let (rh, zr, hr) = (rows.rh[r], rows.zr[r].add(h), rows.h[r]);
                     for_lanes!(h, |i, len| store(
@@ -606,63 +826,14 @@ pub mod activations {
                 // c = tanh(px_c + (r ⊙ h)·W_h,c + b_c), then the blend.
                 if paired {
                     match R {
-                        2 => cand_pairs::<1>(t, &rows.h, &rows.px, &rows.zr, &rows.rh),
-                        4 => cand_pairs::<2>(t, &rows.h, &rows.px, &rows.zr, &rows.rh),
-                        8 => cand_pairs::<4>(t, &rows.h, &rows.px, &rows.zr, &rows.rh),
-                        _ => cand_pairs::<8>(t, &rows.h, &rows.px, &rows.zr, &rows.rh),
+                        2 => cand_pairs::<1, R>(t, &rows),
+                        4 => cand_pairs::<2, R>(t, &rows),
+                        8 => cand_pairs::<4, R>(t, &rows),
+                        _ => cand_pairs::<8, R>(t, &rows),
                     }
-                    return;
+                } else {
+                    column_blocks!(h, cand_block::<R>(t, &rows));
                 }
-                let mut j = 0;
-                while j < h {
-                    let regs = (h - j).div_ceil(LANES).min(BLOCK_REGS);
-                    match regs {
-                        1 => cand_block::<R, 1>(t, &rows, j),
-                        2 => cand_block::<R, 2>(t, &rows, j),
-                        3 => cand_block::<R, 3>(t, &rows, j),
-                        _ => cand_block::<R, 4>(t, &rows, j),
-                    }
-                    j += regs * LANES;
-                }
-            }
-
-            /// Columns `j..j + NV·LANES` (masked at `w`) of `seed + a·b`
-            /// for `R` rows, `b` being `k x w`: each accumulator starts at
-            /// its seed row and takes one fused multiply-add per step `t`,
-            /// in ascending order — the matmul kernels' expression.
-            ///
-            /// # Safety
-            /// This CPU runs `$feature`; each `seed[r]` holds columns
-            /// `j..w` and each `a[r]` `k` floats; `b` holds `k x w`.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            unsafe fn product<const R: usize, const NV: usize>(
-                seed: [*const f32; R],
-                a: [*const f32; R],
-                b: *const f32,
-                (k, w, j): (usize, usize, usize),
-                m: &[Mask; NV],
-            ) -> [[V; NV]; R] {
-                let mut acc: [[V; NV]; R] = std::array::from_fn(|r| {
-                    std::array::from_fn(|v| load_m(seed[r].add(j + v * LANES), m[v]))
-                });
-                for t in 0..k {
-                    for v in 0..NV {
-                        let bt = load_m(b.add(t * w + j + v * LANES), m[v]);
-                        for (row, &ar) in acc.iter_mut().zip(&a) {
-                            row[v] = fma(splat(*ar.add(t)), bt, row[v]);
-                        }
-                    }
-                }
-                acc
-            }
-
-            /// The masks of a block of `NV` registers at column `j` of a
-            /// `w`-wide row.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            fn block_masks<const NV: usize>(w: usize, j: usize) -> [Mask; NV] {
-                std::array::from_fn(|v| lanes((w - j - v * LANES).min(LANES)))
             }
 
             /// One column block of `[z | r]` into the tile's scratch rows.
@@ -679,7 +850,7 @@ pub mod activations {
                 let (h, w) = (op.hidden, 2 * op.hidden);
                 let m = block_masks::<NV>(w, j);
                 let a = rows.h.map(|p| p as *const f32);
-                let acc = product(rows.px, a, op.w_h_zr.as_ptr(), (h, w, j), &m);
+                let acc = product::<R, NV>(rows.px, a, op.w_h_zr.as_ptr(), (h, w, j), &m);
                 for v in 0..NV {
                     let off = j + v * LANES;
                     let bias = load_m(op.b.as_ptr().add(off), m[v]);
@@ -706,7 +877,7 @@ pub mod activations {
                 let m = block_masks::<NV>(h, j);
                 let seed = rows.px.map(|p| p.add(2 * h));
                 let a = rows.rh.map(|p| p as *const f32);
-                let acc = product(seed, a, op.w_h_c.as_ptr(), (h, h, j), &m);
+                let acc = product::<R, NV>(seed, a, op.w_h_c.as_ptr(), (h, h, j), &m);
                 let one = splat(1.0);
                 for v in 0..NV {
                     let off = j + v * LANES;
@@ -727,40 +898,27 @@ pub mod activations {
             }
 
             /// The candidate and the blend at `hidden == LANES / 2`, two
-            /// rows per register: `P` registers over rows `2p` (low half)
-            /// and `2p + 1` (high half), every load and store unmasked.
+            /// rows per register ([`product_pairs`]), every load and store
+            /// unmasked.
             ///
             /// # Safety
-            /// As for [`cand_block`], with `hidden == LANES / 2` and the
-            /// four slices `2·P` rows long.
+            /// As for [`cand_block`], with `hidden == LANES / 2` and
+            /// `R == 2·P`.
             #[inline]
             #[target_feature(enable = $feature)]
-            unsafe fn cand_pairs<const P: usize>(
-                t: &Tile<'_>,
-                hs: &[*mut f32],
-                px: &[*const f32],
-                zr: &[*mut f32],
-                rh: &[*mut f32],
-            ) {
+            unsafe fn cand_pairs<const P: usize, const R: usize>(t: &Tile<'_>, rows: &Rows<R>) {
                 let (op, h) = (t.op, t.op.hidden);
-                let mut acc: [V; P] = std::array::from_fn(|p| {
-                    load_halves(px[2 * p].add(2 * h), px[2 * p + 1].add(2 * h))
-                });
-                for s in 0..h {
-                    let bt = load_dup(op.w_h_c.as_ptr().add(s * h));
-                    for (p, reg) in acc.iter_mut().enumerate() {
-                        let at = splat_halves(*rh[2 * p].add(s), *rh[2 * p + 1].add(s));
-                        *reg = fma(at, bt, *reg);
-                    }
-                }
+                let seed = rows.px.map(|p| p.add(2 * h));
+                let a = rows.rh.map(|p| p as *const f32);
+                let acc = product_pairs::<P>(seed, a, op.w_h_c.as_ptr(), h);
                 let bias = load_dup(op.b.as_ptr().add(2 * h));
                 let one = splat(1.0);
                 for (p, &reg) in acc.iter().enumerate() {
-                    let c = tanh(add(reg, bias));
-                    let z = load_halves(zr[2 * p], zr[2 * p + 1]);
-                    let hv = load_halves(hs[2 * p], hs[2 * p + 1]);
-                    let out = add(mul(sub(one, z), hv), mul(z, c));
                     let (lo, hi) = (2 * p, 2 * p + 1);
+                    let c = tanh(add(reg, bias));
+                    let z = load_halves(rows.zr[lo], rows.zr[hi]);
+                    let hv = load_halves(rows.h[lo], rows.h[hi]);
+                    let out = add(mul(sub(one, z), hv), mul(z, c));
                     if let Some([_, _, sc]) = t.saved {
                         if lo < t.valid {
                             store_lo(sc.add((t.k0 + lo) * h), c);
@@ -770,10 +928,10 @@ pub mod activations {
                         }
                     }
                     if lo < t.valid {
-                        store_lo(hs[lo], out);
+                        store_lo(rows.h[lo], out);
                     }
                     if hi < t.valid {
-                        store_hi(hs[hi], out);
+                        store_hi(rows.h[hi], out);
                     }
                 }
             }
@@ -787,7 +945,7 @@ pub mod activations {
 
         type V = __m256;
         const LANES: usize = 8;
-        /// Accumulators a GRU tile keeps (of 16 registers).
+        /// Accumulators a register tile keeps (of 16 registers).
         const ACCS: usize = 8;
 
         #[inline]
@@ -960,7 +1118,7 @@ pub mod activations {
 
         type V = __m512;
         const LANES: usize = 16;
-        /// Accumulators a GRU tile keeps (of 32 registers).
+        /// Accumulators a register tile keeps (of 32 registers).
         const ACCS: usize = 16;
 
         #[inline]
@@ -1172,32 +1330,25 @@ pub mod activations {
                 for n in LENGTHS {
                     let g = ramp(n);
                     let x = ramp(n).iter().map(|v| v * 0.13).collect::<Vec<_>>();
-                    let mut y = vec![0.0f32; n];
-                    sigmoid_map_scalar(&x, &mut y);
+                    let (mut ys, mut yt) = (vec![0.0f32; n], vec![0.0f32; n]);
+                    sigmoid_map_scalar(&x, &mut ys);
+                    tanh_map_scalar(&x, &mut yt);
 
                     let mut a = vec![0.0f32; n];
                     let mut b = vec![0.0f32; n];
-                    sigmoid_deriv_mul_at(tier, &g, &y, &mut a);
-                    sigmoid_deriv_mul_scalar(&g, &y, &mut b);
-                    assert_eq!(bits(&a), bits(&b), "sigmoid' {tier:?} n={n}");
-
-                    tanh_deriv_mul_at(tier, &g, &y, &mut a);
-                    tanh_deriv_mul_scalar(&g, &y, &mut b);
-                    assert_eq!(bits(&a), bits(&b), "tanh' {tier:?} n={n}");
-
                     selu_deriv_mul_at(tier, &g, &x, &mut a);
                     selu_deriv_mul_scalar(&g, &x, &mut b);
                     assert_eq!(bits(&a), bits(&b), "selu' {tier:?} n={n}");
 
-                    let mut ip_a = g.clone();
-                    let mut ip_b = g.clone();
-                    sigmoid_deriv_mul_inplace_at(tier, &mut ip_a, &y);
-                    sigmoid_deriv_mul_inplace_scalar(&mut ip_b, &y);
-                    assert_eq!(bits(&ip_a), bits(&ip_b), "sigmoid' in place {tier:?} n={n}");
+                    let (mut a, mut b) = (g.clone(), g.clone());
+                    sigmoid_deriv_mul_inplace_at(tier, &mut a, &ys);
+                    sigmoid_deriv_mul_inplace_scalar(&mut b, &ys);
+                    assert_eq!(bits(&a), bits(&b), "sigmoid' {tier:?} n={n}");
 
-                    tanh_deriv_mul_inplace_at(tier, &mut ip_a, &y);
-                    tanh_deriv_mul_inplace_scalar(&mut ip_b, &y);
-                    assert_eq!(bits(&ip_a), bits(&ip_b), "tanh' in place {tier:?} n={n}");
+                    let (mut a, mut b) = (g.clone(), g.clone());
+                    tanh_deriv_mul_inplace_at(tier, &mut a, &yt);
+                    tanh_deriv_mul_inplace_scalar(&mut b, &yt);
+                    assert_eq!(bits(&a), bits(&b), "tanh' {tier:?} n={n}");
                 }
             }
         }
@@ -1223,12 +1374,21 @@ pub mod activations {
             // rounds to even, so `x·x − 1` is `2⁻¹¹` unfused and
             // `2⁻¹¹ + 2⁻²⁴` fused. One step of the shared dimension carries
             // that product, the others multiply by zero; every step position
-            // and every blocking path (rows, columns, k mod 4) must fuse.
+            // and every tile path (4-, 2- and 1-row tiles, column blocks,
+            // rows packed two to a register) must fuse.
             let x = 1.0 + 2f32.powi(-12);
             let fused = 2f32.powi(-11) + 2f32.powi(-24);
             let tiers = tiers("every_tier_rounds_each_multiply_add_once");
             for &tier in &tiers {
-                for (m, k, n) in [(1, 1, 1), (2, 5, 17), (5, 4, 33), (4, 7, 64), (3, 9, 8)] {
+                for (m, k, n) in [
+                    (1, 1, 1),
+                    (2, 5, 17),
+                    (7, 4, 33),
+                    (4, 7, 64),
+                    (3, 9, 8),
+                    (9, 3, 4),
+                    (11, 2, 8),
+                ] {
                     for step in 0..k {
                         let a: Vec<f32> = (0..m * k)
                             .map(|i| if i % k == step { x } else { 0.0 })

@@ -119,22 +119,17 @@ proptest! {
     fn deriv_kernels_match_scalar_bitwise(
         g in proptest::collection::vec(-3.0f32..3.0, 1..64),
     ) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let y: Vec<f32> = g.iter().map(|v| sigmoid(*v)).collect();
-        let mut fast = vec![0.0f32; g.len()];
-        let mut reference = vec![0.0f32; g.len()];
-        vact::sigmoid_deriv_mul(&g, &y, &mut fast);
-        vact::sigmoid_deriv_mul_scalar(&g, &y, &mut reference);
-        prop_assert_eq!(
-            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let (mut fast, mut reference) = (g.clone(), g.clone());
+        vact::sigmoid_deriv_mul_inplace(&mut fast, &y);
+        vact::sigmoid_deriv_mul_inplace_scalar(&mut reference, &y);
+        prop_assert_eq!(bits(&fast), bits(&reference));
         let yt: Vec<f32> = g.iter().map(|v| tanh(*v)).collect();
-        vact::tanh_deriv_mul(&g, &yt, &mut fast);
-        vact::tanh_deriv_mul_scalar(&g, &yt, &mut reference);
-        prop_assert_eq!(
-            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let (mut fast, mut reference) = (g.clone(), g.clone());
+        vact::tanh_deriv_mul_inplace(&mut fast, &yt);
+        vact::tanh_deriv_mul_inplace_scalar(&mut reference, &yt);
+        prop_assert_eq!(bits(&fast), bits(&reference));
     }
 }
 

@@ -80,15 +80,19 @@ fn assert_kernels_match_canonical_bits((m, k, n): (usize, usize, usize), seed: u
     }
 }
 
-/// Every combination of ragged extents around the 4-row / 4-k blocking and
-/// the 8- and 16-lane vector widths (one to six registers, the masked tail
-/// of each), plus the adjoint's own widths and a long `k`.
+/// Every combination of ragged extents around the register tile: row
+/// counts on both sides of its 4-row height and of its 2- and 1-row
+/// remainders, the 8- and 16-lane vector widths (one to six registers, the
+/// masked tail of each), the adjoint's own widths and a long `k` (past one
+/// panel of steps). At half a register (4 columns on AVX2, 8 on AVX-512)
+/// tiles of 8 rows pack two rows per register; 7, 8, 9 and 17 rows give
+/// packed tiles of every height and the row left after them.
 #[test]
 fn kernels_are_bitwise_equal_to_the_canonical_expression() {
     println!("tiers run: {:?}", Tier::supported().collect::<Vec<_>>());
     let widths = (1..=17).chain([24, 32, 33, 48, 64, 65, 96]);
     for n in widths {
-        for m in [1, 2, 3, 4, 5, 6, 7, 64] {
+        for m in (1..=9).chain([15, 16, 17, 31, 33, 64]) {
             for k in [0, 1, 2, 3, 4, 5, 6, 7, 130] {
                 assert_kernels_match_canonical_bits((m, k, n), (m * 1000 + n * 10 + k) as u64);
             }
